@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-json bench-planner bench-herd bench-store obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
+.PHONY: build test check race bench bench-standing bench-json bench-planner bench-herd bench-store obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
+	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 
 race:
@@ -82,6 +83,16 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 5x -run XXX .
 	$(GO) test -bench 'BenchmarkMatch|BenchmarkCachedCountIDs' -run XXX ./internal/rdf/
+
+# bench-standing runs the standing benchmark (benchmark/README.md): each of
+# its four workloads once, end to end over HTTP with tracing off, printing
+# p50/p90/ops_per_s and the result line with the four bounded metrics. These
+# are the numbers README's performance section quotes; SEED picks the op
+# order, never what an op asks.
+SEED ?= 1
+bench-standing:
+	@for w in facet-sessions sparql-cold sparql-hot mixed-rw; do \
+		$(GO) run ./benchmark -workload $$w -seed $(SEED) -trace 0 || exit 1; done
 
 # bench-json regenerates the machine-readable BENCH_results.json via the
 # experiment runner (quick scales; drop -quick for the full sweep) and

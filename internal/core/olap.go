@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"rdfanalytics/internal/facet"
@@ -122,8 +121,8 @@ func Pivot(a *hifun.Answer, swap bool, measureIdx int) (*PivotTable, error) {
 			pt.Cols = append(pt.Cols, row[ci])
 		}
 	}
-	sort.Slice(pt.Rows, func(i, j int) bool { return pt.Rows[i].Less(pt.Rows[j]) })
-	sort.Slice(pt.Cols, func(i, j int) bool { return pt.Cols[i].Less(pt.Cols[j]) })
+	rdf.SortTerms(pt.Rows)
+	rdf.SortTerms(pt.Cols)
 	for i, r := range pt.Rows {
 		rowSet[r] = i
 	}

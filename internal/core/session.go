@@ -124,9 +124,22 @@ type level struct {
 	log actionLog
 	// cubes retains recent decomposable answers for roll-up reuse.
 	cubes []cubeEntry
+	// markers holds the transition markers of the state ComputeUIState last
+	// rendered at this level, so G / Σ clicks — which leave the extension
+	// alone (§5.2.2) — do not recount them.
+	markers markerSlot
 }
 
 func (l *level) state() *facet.State { return l.history[len(l.history)-1] }
+
+// truncateHistory drops the states after the first n, clearing the popped
+// tail of the backing array and the marker slot so the states — each
+// holding an extension — can be collected.
+func (l *level) truncateHistory(n int) {
+	clear(l.history[n:])
+	l.history = l.history[:n]
+	l.markers = markerSlot{}
+}
 
 // Session is an interactive faceted-analytics session over a graph: the
 // full state of the GUI in Fig 5.1.
@@ -337,7 +350,7 @@ func (s *Session) Back() error {
 	if len(l.history) <= 1 {
 		return errors.New("core: at initial state")
 	}
-	l.history = l.history[:len(l.history)-1]
+	l.truncateHistory(len(l.history) - 1)
 	if n := len(l.log.actions); n > 0 {
 		l.log.actions = l.log.actions[:n-1]
 	}
@@ -347,7 +360,7 @@ func (s *Session) Back() error {
 // Reset returns the current level to its initial state and clears analytics.
 func (s *Session) Reset() {
 	l := s.top()
-	l.history = l.history[:1]
+	l.truncateHistory(1)
 	l.analytics = Analytics{}
 	l.answer = nil
 	l.log.actions = nil

@@ -94,36 +94,60 @@ func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 		})
 		ui.Objects = append(ui.Objects, card)
 	}
-	// Part B: class facets.
-	ui.Classes = l.model.ClassFacet(st)
-	// Part C: property facets with button states.
-	for _, f := range l.model.PropertyFacets(st, includeInverse) {
-		fv := FacetView{Facet: f}
-		p1 := facet.Path{{P: f.P, Inverse: f.Inverse}}
+	// Parts B and C: class facets, and property facets with button states.
+	ui.Classes, ui.Facets = l.transitionMarkers(st, includeInverse)
+	for i := range ui.Facets {
+		fv := &ui.Facets[i]
+		p1 := facet.Path{{P: fv.P, Inverse: fv.Inverse}}
 		for _, g := range l.analytics.GroupBy {
 			if g.Path.Equal(p1) {
 				fv.Grouped = true
 			}
 		}
-		if l.analytics.Measure.Path.Equal(p1) {
-			fv.Measured = true
-		}
-		numeric := 0
-		for _, vc := range f.Values {
-			if vc.Value.IsNumeric() {
-				numeric++
-			}
-		}
-		fv.Numeric = len(f.Values) > 0 && numeric*2 > len(f.Values)
-		if fv.Numeric && !f.Inverse {
-			fv.Buckets = l.model.NumericBuckets(st, f.P, 5)
-		}
-		ui.Facets = append(ui.Facets, fv)
+		fv.Measured = l.analytics.Measure.Path.Equal(p1)
 	}
 	if q, err := s.BuildHIFUNQuery(); err == nil {
 		ui.HIFUN = q.String()
 	}
 	return ui
+}
+
+// markerSlot is the one remembered result of transitionMarkers: the class
+// tree, facets and buckets of a state, valid while the level is still at
+// that state pointer, the graph has not mutated since and the same inverse
+// setting is asked for.
+type markerSlot struct {
+	state          *facet.State
+	version        uint64
+	includeInverse bool
+	classes        []facet.ClassNode
+	facets         []FacetView // button states unset
+}
+
+// transitionMarkers computes Part B and Part C of Algorithm 5 for st, or
+// returns what the last call computed when nothing they depend on changed.
+// The facet views are a fresh copy each time (the caller sets the button
+// states on them); the class tree and the value lists are shared, read-only.
+func (l *level) transitionMarkers(st *facet.State, includeInverse bool) ([]facet.ClassNode, []FacetView) {
+	version := l.model.G.Version()
+	if m := &l.markers; m.state != st || m.version != version || m.includeInverse != includeInverse {
+		*m = markerSlot{state: st, version: version, includeInverse: includeInverse, classes: l.model.ClassFacet(st)}
+		for _, f := range l.model.PropertyFacets(st, includeInverse) {
+			fv := FacetView{Facet: f}
+			numeric := 0
+			for _, vc := range f.Values {
+				if vc.Value.IsNumeric() {
+					numeric++
+				}
+			}
+			fv.Numeric = len(f.Values) > 0 && numeric*2 > len(f.Values)
+			if fv.Numeric && !f.Inverse {
+				fv.Buckets = l.model.NumericBuckets(st, f.P, 5)
+			}
+			m.facets = append(m.facets, fv)
+		}
+	}
+	return l.markers.classes, append([]FacetView(nil), l.markers.facets...)
 }
 
 // RenderText renders the UI state as the two-frame text layout of Fig 5.1

@@ -2,6 +2,7 @@ package facet
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rdfanalytics/internal/rdf"
@@ -32,28 +33,21 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 	if n <= 0 {
 		n = 5
 	}
-	type ev struct {
-		entity rdf.Term
-		value  float64
-	}
-	var pairs []ev
+	r := m.valueRuns(m.idsOf(s.Ext), p)
+	// One parse per distinct value; NaN marks the non-numeric ones.
+	vals := make([]float64, len(r.objects))
 	lo, hi := math.Inf(1), math.Inf(-1)
-	distinct := map[float64]struct{}{}
-	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
-		if !s.Ext.Has(t.S) {
-			return true
+	for i, o := range r.objects {
+		v, ok := o.Float()
+		if ok {
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		} else {
+			v = math.NaN()
 		}
-		v, ok := t.O.Float()
-		if !ok {
-			return true
-		}
-		pairs = append(pairs, ev{t.S, v})
-		distinct[v] = struct{}{}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-		return true
-	})
-	if len(distinct) < 2 {
+		vals[i] = v
+	}
+	if !(lo < hi) { // fewer than two distinct numeric values
 		return nil
 	}
 	width := (hi - lo) / float64(n)
@@ -62,21 +56,38 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 		buckets[i] = Bucket{Lo: lo + float64(i)*width, Hi: lo + float64(i+1)*width}
 	}
 	buckets[n-1].Hi = hi
-	// Count each (entity, bucket) pair once.
-	seen := map[[2]interface{}]struct{}{}
-	for _, pr := range pairs {
-		idx := int((pr.value - lo) / width)
+	hits := make([]entityHit, 0, len(r.subjects))
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			continue
+		}
+		idx := int((v - lo) / width)
 		if idx >= n {
 			idx = n - 1
 		}
-		key := [2]interface{}{pr.entity, idx}
-		if _, dup := seen[key]; dup {
-			continue
+		for _, e := range r.run(i) {
+			hits = append(hits, hit(e, idx))
 		}
-		seen[key] = struct{}{}
-		buckets[idx].Count++
+	}
+	for _, h := range distinctHits(hits) {
+		buckets[h.group()].Count++
 	}
 	return buckets
+}
+
+// entityHit is one (entity, group) pair — group being a bucket index or a
+// year — packed into an integer, so that counting each pair once is an
+// in-place sort instead of a map keyed on boxed pairs.
+type entityHit uint64
+
+func hit(e rdf.ID, group int) entityHit { return entityHit(e)<<32 | entityHit(uint32(group)) }
+
+func (h entityHit) group() int { return int(int32(h)) }
+
+// distinctHits sorts hits and drops the duplicates, in place.
+func distinctHits(hits []entityHit) []entityHit {
+	slices.Sort(hits)
+	return slices.Compact(hits)
 }
 
 // ClickBucket restricts the state to entities whose p-value falls in the
@@ -95,24 +106,21 @@ func (m *Model) ClickBucket(s *State, p rdf.Term, b Bucket, last bool) *State {
 // (year, count) pairs sorted by year — the calendar drill-down the
 // transform button's YEAR/MONTH decomposition supports.
 func (m *Model) DateBuckets(s *State, p rdf.Term) []ValueCount {
-	counts := map[int]int{}
-	seen := map[[2]interface{}]struct{}{}
-	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
-		if !s.Ext.Has(t.S) {
-			return true
-		}
-		tm, ok := t.O.Time()
+	r := m.valueRuns(m.idsOf(s.Ext), p)
+	var hits []entityHit
+	for i, o := range r.objects {
+		tm, ok := o.Time()
 		if !ok {
-			return true
+			continue
 		}
-		key := [2]interface{}{t.S, tm.Year()}
-		if _, dup := seen[key]; dup {
-			return true
+		for _, e := range r.run(i) {
+			hits = append(hits, hit(e, tm.Year()))
 		}
-		seen[key] = struct{}{}
-		counts[tm.Year()]++
-		return true
-	})
+	}
+	counts := map[int]int{}
+	for _, h := range distinctHits(hits) {
+		counts[h.group()]++
+	}
 	years := make([]int, 0, len(counts))
 	for y := range counts {
 		years = append(years, y)

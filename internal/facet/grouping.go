@@ -78,6 +78,6 @@ func (m *Model) specificClass(v rdf.Term) rdf.Term {
 			minimal = append(minimal, c)
 		}
 	}
-	sort.Slice(minimal, func(i, j int) bool { return minimal[i].Less(minimal[j]) })
+	rdf.SortTerms(minimal)
 	return minimal[0]
 }

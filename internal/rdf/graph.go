@@ -394,7 +394,9 @@ func (g *Graph) IndexScans() uint64 { return g.scans.Load() }
 const matchCtxPollEvery = 1024
 
 // MatchCtx is Match under a context: the scan stops early once ctx is
-// cancelled or its deadline expires, and the context error is returned.
+// cancelled or its deadline expires, and the context's cause is returned
+// (context.Cause: a cancellation made on behalf of an expired deadline
+// reports as that deadline, not as a bare cancel).
 // The check runs every matchCtxPollEvery rows, so a cancelled scan may
 // deliver up to that many extra triples before stopping.
 func (g *Graph) MatchCtx(ctx context.Context, s, p, o Term, fn func(Triple) bool) error {
@@ -402,15 +404,15 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o Term, fn func(Triple) bool
 		g.Match(s, p, o, fn)
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
 	}
 	n := 0
 	var ctxErr error
 	g.Match(s, p, o, func(t Triple) bool {
 		if n++; n%matchCtxPollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
+			if ctx.Err() != nil {
+				ctxErr = context.Cause(ctx)
 				return false
 			}
 		}
@@ -647,7 +649,7 @@ func (g *Graph) Predicates() []Term {
 		out = append(out, g.dict.Term(p))
 	}
 	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	SortTerms(out)
 	return out
 }
 

@@ -1,7 +1,7 @@
 package rdf
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -27,6 +27,25 @@ func (g *Graph) TermOf(id ID) Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.dict.Term(id)
+}
+
+// TermsOf materializes the terms for valid IDs under one lock acquisition.
+func (g *Graph) TermsOf(ids []ID) []Term {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]Term, len(ids))
+	for i, id := range ids {
+		out[i] = g.dict.Term(id)
+	}
+	return out
+}
+
+// SubjectIDs returns the ID of every term in subject position, ascending.
+func (g *Graph) SubjectIDs() []ID {
+	g.scans.Add(1)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return sortedIDKeys(g.spo)
 }
 
 // MatchIDs calls fn for every triple matching the ID pattern; an ID of 0 in
@@ -117,7 +136,7 @@ func sortedIDKeys[V any](m map[ID]V) []ID {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -1,7 +1,5 @@
 package rdf
 
-import "sort"
-
 // Schema is a pre-computed view of the RDFS vocabulary of a graph: the class
 // and property hierarchies (with their transitive closures), domains, ranges
 // and functional-property declarations. It backs both the inference rules of
@@ -225,7 +223,7 @@ func (s *Schema) MaximalClasses() []Term {
 			out = append(out, c)
 		}
 	}
-	sortTerms(out)
+	SortTerms(out)
 	return out
 }
 
@@ -237,7 +235,7 @@ func (s *Schema) MaximalProperties() []Term {
 			out = append(out, p)
 		}
 	}
-	sortTerms(out)
+	SortTerms(out)
 	return out
 }
 
@@ -250,7 +248,7 @@ func (s *Schema) DirectSubClasses(c Term) []Term {
 			out = append(out, sub)
 		}
 	}
-	sortTerms(out)
+	SortTerms(out)
 	return out
 }
 
@@ -262,7 +260,7 @@ func (s *Schema) DirectSubProperties(p Term) []Term {
 			out = append(out, sub)
 		}
 	}
-	sortTerms(out)
+	SortTerms(out)
 	return out
 }
 
@@ -293,10 +291,6 @@ func EffectivelyFunctional(g *Graph, p Term) bool {
 		return true
 	})
 	return ok
-}
-
-func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 }
 
 // InferenceStats reports what Materialize added.
@@ -419,6 +413,6 @@ func Materialize(g *Graph) InferenceStats {
 // subclass typing; sorted for determinism.
 func InstancesOf(g *Graph, c Term) []Term {
 	out := g.Subjects(NewIRI(RDFType), c)
-	sortTerms(out)
+	SortTerms(out)
 	return out
 }

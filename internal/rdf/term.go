@@ -186,23 +186,14 @@ func (t Term) Bool() (bool, bool) {
 	return false, false
 }
 
-// Time parses xsd:date / xsd:dateTime literals.
+// Time parses xsd:date / xsd:dateTime lexical forms, with or without a
+// zone. The one layout the lexical shape admits is parsed directly, without
+// allocating (see parseTemporal).
 func (t Term) Time() (time.Time, bool) {
 	if t.Kind != KindLiteral {
 		return time.Time{}, false
 	}
-	v := strings.TrimSpace(t.Value)
-	for _, layout := range []string{
-		"2006-01-02T15:04:05Z07:00",
-		"2006-01-02T15:04:05",
-		"2006-01-02Z07:00",
-		"2006-01-02",
-	} {
-		if tm, err := time.Parse(layout, v); err == nil {
-			return tm, true
-		}
-	}
-	return time.Time{}, false
+	return parseTemporal(strings.TrimSpace(t.Value))
 }
 
 // LocalName returns the fragment/last path segment of an IRI, or the plain

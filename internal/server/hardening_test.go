@@ -174,6 +174,74 @@ func TestQueryTimeoutEndpoint(t *testing.T) {
 	}
 }
 
+// slowJoinQuery is a request for a two-pattern join (the sparql.join fault
+// site) carrying ctx as the client's context.
+func slowJoinQuery(ctx context.Context) *http.Request {
+	q := url.QueryEscape("SELECT * WHERE { ?a <http://e/p> ?x . ?b <http://e/q> ?y }")
+	return httptest.NewRequest("GET", "/sparql?query="+q, nil).WithContext(ctx)
+}
+
+// TestRequestDeadlineBeatsExecutionTimer forces the interleaving that made
+// TestQueryTimeoutEndpoint flaky: the request's deadline expires while the
+// execution's own timer is an hour away, so the singleflight abandonment —
+// a cancel with the deadline as cause — is the only thing that can stop the
+// evaluation. It is a timeout everywhere it is reported: 504, the engine's
+// counters, the retained trace.
+func TestRequestDeadlineBeatsExecutionTimer(t *testing.T) {
+	if err := fault.Configure("sparql.join=delay:1h"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	srv := NewWithConfig(hardeningGraph(60), "http://e/", Config{QueryTimeout: time.Hour})
+	timeouts := metricValue(t, srv, "rdfa_sparql_queries_timeout_total")
+	cancelled := metricValue(t, srv, "rdfa_sparql_queries_cancelled_total")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, slowJoinQuery(ctx))
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"reason":"timeout"`) {
+		t.Fatalf("status %d, want 504 timeout (body: %s)", rec.Code, rec.Body.String())
+	}
+	if got := metricValue(t, srv, "rdfa_sparql_queries_timeout_total"); got != timeouts+1 {
+		t.Errorf("rdfa_sparql_queries_timeout_total = %v, want %v", got, timeouts+1)
+	}
+	if got := metricValue(t, srv, "rdfa_sparql_queries_cancelled_total"); got != cancelled {
+		t.Errorf("rdfa_sparql_queries_cancelled_total moved to %v for a timeout", got)
+	}
+	if out := searchTraces(t, srv, "kind=sparql&outcome=timeout"); len(out.Traces) != 1 {
+		t.Errorf("%d retained traces with outcome=timeout, want 1", len(out.Traces))
+	}
+}
+
+// TestClientDisconnectIsStill499: a client that goes away mid-join is a
+// cancellation, not a timeout.
+func TestClientDisconnectIsStill499(t *testing.T) {
+	if err := fault.Configure("sparql.join=delay:1h"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	srv := NewWithConfig(hardeningGraph(60), "http://e/", Config{QueryTimeout: time.Hour})
+	cancelled := metricValue(t, srv, "rdfa_sparql_queries_cancelled_total")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for fault.Hits("sparql.join") == 0 { // the join has started: hang up
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, slowJoinQuery(ctx))
+	if rec.Code != StatusClientClosedRequest || !strings.Contains(rec.Body.String(), `"reason":"cancelled"`) {
+		t.Fatalf("status %d, want 499 cancelled (body: %s)", rec.Code, rec.Body.String())
+	}
+	if got := metricValue(t, srv, "rdfa_sparql_queries_cancelled_total"); got != cancelled+1 {
+		t.Errorf("rdfa_sparql_queries_cancelled_total = %v, want %v", got, cancelled+1)
+	}
+}
+
 // TestBudgetEndpoint: a configured row budget turns a cross product into a
 // structured 422.
 func TestBudgetEndpoint(t *testing.T) {

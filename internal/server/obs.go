@@ -116,23 +116,32 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // availability (good = non-5xx), the process-wide latency objective, and a
 // lazily created per-endpoint latency objective. Probe and scrape endpoints
 // are excluded from the per-endpoint set — they are not user traffic and
-// would dilute the burn rates.
+// would dilute the burn rates — and the operator's checkpoint trigger from
+// both latency objectives: a checkpoint is as long as the graph is big, and
+// holding it to a user route's threshold pages, degrades the server and
+// makes /sparql serve stale answers because an operator compacted the WAL.
 func (s *Server) recordHTTPSLO(endpoint string, status int, dur time.Duration) {
 	failed := status >= 500
 	s.sloHTTPAvail.Record(!failed)
-	s.sloHTTPLat.Observe(dur, failed)
+	if endpoint != checkpointEndpoint {
+		s.sloHTTPLat.Observe(dur, failed)
+	}
 	if t := s.cfg.SLO.LatencyTarget; t > 0 && s.cfg.SLO.LatencyThreshold > 0 && sloTrackedEndpoint(endpoint) {
 		s.slos.Add("endpoint:"+endpoint, obs.SLOLatency, t, s.cfg.SLO.LatencyThreshold).
 			Observe(dur, failed)
 	}
 }
 
+// checkpointEndpoint is the route pattern of the operator's WAL-compaction
+// trigger.
+const checkpointEndpoint = "POST /api/checkpoint"
+
 // sloTrackedEndpoint reports whether the matched route pattern deserves its
 // own latency objective.
 func sloTrackedEndpoint(pattern string) bool {
 	switch pattern {
 	case "", "unmatched", "GET /metrics", "GET /healthz", "GET /readyz",
-		"GET /api/timeseries", "GET /api/alerts":
+		"GET /api/timeseries", "GET /api/alerts", checkpointEndpoint:
 		return false
 	}
 	return !strings.Contains(pattern, "/debug/")

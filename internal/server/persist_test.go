@@ -7,8 +7,10 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/store"
 )
@@ -125,5 +127,73 @@ func TestStoreMetricsExported(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Errorf("metric %s missing from /metrics", name)
 		}
+	}
+}
+
+// TestSlowCheckpointsDoNotDegrade: the operator's checkpoint trigger is not
+// user traffic. Eight checkpoints slower than the latency threshold — the
+// burst that pages when it is /api/state (TestChaosLatencyAlertLoop) — leave
+// the server ready, and a query whose cached answer a write has since
+// outdated is executed again, never answered stale.
+func TestSlowCheckpointsDoNotDegrade(t *testing.T) {
+	if err := fault.Configure("server.handler.slow=delay:300ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	st, err := store.Open(store.Options{Dir: t.TempDir(), Sync: store.SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	if err := st.Bootstrap(g); err != nil {
+		t.Fatal(err)
+	}
+	cfg := resilienceConfig()
+	cfg.SLO = chaosSLOConfig().SLO
+	cfg.Store = st
+	s := NewWithConfig(st.Graph(), datagen.ExampleNS, cfg)
+	defer s.Close()
+
+	if code, xc, _, _ := doSparql(s, laptopQuery()); code != http.StatusOK || xc != "miss" {
+		t.Fatalf("prime = %d %q", code, xc)
+	}
+	update := httptest.NewRequest("POST", "/sparql", strings.NewReader(url.Values{
+		"update": {`PREFIX ex: <` + datagen.ExampleNS + `> INSERT DATA { ex:fresh a ex:Laptop . }`},
+	}.Encode()))
+	update.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, update)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("update = %d %s", rec.Code, rec.Body)
+	}
+
+	t0 := time.Now()
+	s.sampler.Tick(t0)
+	for i := 0; i < 8; i++ {
+		req := httptest.NewRequest("POST", "/api/checkpoint", strings.NewReader("{}"))
+		req.Header.Set("X-Fault", "slow")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("checkpoint %d = %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if fault.Hits("server.handler.slow") != 8 {
+		t.Fatalf("slow site hit %d times, want 8", fault.Hits("server.handler.slow"))
+	}
+	s.sampler.Tick(t0.Add(10 * time.Second))
+
+	if s.Degraded() {
+		t.Fatal("slow checkpoints flipped the server into degraded mode")
+	}
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("readyz after slow checkpoints = %d %s", rec.Code, rec.Body)
+	}
+	if code, xc, _, _ := doSparql(s, laptopQuery()); code != http.StatusOK || xc != "miss" {
+		t.Fatalf("query after the write = %d X-Cache=%q, want a fresh 200 miss", code, xc)
 	}
 }

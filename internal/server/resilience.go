@@ -60,19 +60,14 @@ func breakerTransition(to string) *obs.Counter {
 }
 
 // abortedForBreaker reports whether an execution error belongs to the
-// failure class that trips the circuit breaker (timeout/budget). A bare
-// cancellation is resolved through the context's cancellation cause: when
-// the last waiter abandons a singleflight call because its own deadline
-// expired, the leader's context is cancelled with that cause moments
-// before its identical timer would have fired, and the engine reports
-// "cancelled" for what is effectively a timeout — which signal the
-// evaluator saw first is scheduling luck, not a meaningful distinction.
-func abortedForBreaker(ctx context.Context, err error) bool {
+// failure class that trips the circuit breaker (timeout/budget). The
+// evaluator reports a cancellation made on behalf of an expired deadline as
+// that timeout (context.Cause), so a plain "cancelled" here is a client
+// that went away.
+func abortedForBreaker(err error) bool {
 	switch sparql.AbortReason(err) {
 	case "timeout", "budget":
 		return true
-	case "cancelled":
-		return errors.Is(context.Cause(ctx), context.DeadlineExceeded)
 	}
 	return false
 }
@@ -262,7 +257,7 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, raw, sha
 			json.NewEncoder(&body).Encode(map[string]any{"head": map[string]any{}, "boolean": ok})
 		}
 	}
-	s.breakers.Observe(fpID, time.Since(start), abortedForBreaker(execCtx, execErr), time.Now())
+	s.breakers.Observe(fpID, time.Since(start), abortedForBreaker(execErr), time.Now())
 	offer(execErr)
 	if execErr != nil {
 		return nil, execErr
@@ -342,7 +337,7 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, r *http.Request, ctx conte
 		rows = len(res.Rows)
 	}
 	s.recordWorkload("sparql", raw, shape, dur, rows, err, prof)
-	s.breakers.Observe(fpID, dur, abortedForBreaker(ctx, err), time.Now())
+	s.breakers.Observe(fpID, dur, abortedForBreaker(err), time.Now())
 	outcome, msg := traceOutcome(err)
 	var retainProf any
 	if exp := prof.Export(); exp != nil {
@@ -404,7 +399,7 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx con
 	}
 	dur := time.Since(start)
 	tr.Finish()
-	s.breakers.Observe(fpID, dur, abortedForBreaker(ctx, err), time.Now())
+	s.breakers.Observe(fpID, dur, abortedForBreaker(err), time.Now())
 	outcome, msg := traceOutcome(err)
 	s.traces.Offer(obs.TraceCandidate{
 		Trace: tr, Kind: "sparql",

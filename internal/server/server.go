@@ -328,7 +328,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	mux.HandleFunc("GET /api/workload", s.handleWorkload)
 	mux.HandleFunc("GET /api/timeseries", s.handleTimeseries)
 	mux.HandleFunc("GET /api/alerts", s.handleAlerts)
-	mux.HandleFunc("POST /api/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc(checkpointEndpoint, s.handleCheckpoint)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)

@@ -164,8 +164,8 @@ func ExecSelectOpts(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 
 // ExecSelectCtx executes a parsed SELECT query under a context: evaluation
 // polls ctx cooperatively (at operator boundaries and inside join/path/scan
-// loops, including worker-pool partitions) and aborts with ctx.Err() when
-// the deadline passes or the context is cancelled. Resource-limit
+// loops, including worker-pool partitions) and aborts with context.Cause(ctx)
+// when the deadline passes or the context is cancelled. Resource-limit
 // violations abort with a *BudgetError. Aborted evaluations never return
 // partial results.
 func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Results, error) {

@@ -142,13 +142,16 @@ func (c *evalCancel) cause() error {
 
 // poll checks the context (deadline, client disconnect) and returns whether
 // evaluation must stop. Operator boundaries call it directly; hot loops
-// call it every pollEvery rows.
+// call it every pollEvery rows. The abort cause is context.Cause, not
+// ctx.Err: a singleflight execution abandoned because its last waiter's
+// deadline expired is cancelled with that deadline as cause, moments before
+// its own identical timer fires, and must report as the timeout it is.
 func (c *evalCancel) poll() bool {
 	if c.stopped.Load() {
 		return true
 	}
-	if err := c.ctx.Err(); err != nil {
-		c.abort(err)
+	if c.ctx.Err() != nil {
+		c.abort(context.Cause(c.ctx))
 		return true
 	}
 	return false
