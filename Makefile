@@ -67,12 +67,14 @@ resilience-smoke:
 durability-smoke:
 	sh scripts/durability-smoke.sh
 
-# fuzz-smoke runs each parser fuzz target for a short burst; a discovered
-# panic fails the build and leaves its input in testdata/fuzz/.
+# fuzz-smoke runs each fuzz target for a short burst — the parsers, and the
+# results serializer's string escaper against encoding/json; a discovered
+# panic or mismatch fails the build and leaves its input in testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
+	$(GO) test -fuzz '^FuzzJSONString$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
@@ -85,13 +87,14 @@ bench:
 	$(GO) test -bench 'BenchmarkMatch|BenchmarkCachedCountIDs' -run XXX ./internal/rdf/
 
 # bench-standing runs the standing benchmark (benchmark/README.md): each of
-# its four workloads once, end to end over HTTP with tracing off, printing
-# p50/p90/ops_per_s and the result line with the four bounded metrics. These
-# are the numbers README's performance section quotes; SEED picks the op
-# order, never what an op asks.
+# its four workloads once — or just WORKLOAD — end to end over HTTP with
+# tracing off, printing p50/p90/ops_per_s and the result line with the four
+# bounded metrics. These are the numbers README's performance section quotes;
+# SEED picks the op order, never what an op asks.
 SEED ?= 1
+WORKLOAD ?= facet-sessions sparql-cold sparql-hot mixed-rw
 bench-standing:
-	@for w in facet-sessions sparql-cold sparql-hot mixed-rw; do \
+	@for w in $(WORKLOAD); do \
 		$(GO) run ./benchmark -workload $$w -seed $(SEED) -trace 0 || exit 1; done
 
 # bench-json regenerates the machine-readable BENCH_results.json via the

@@ -224,11 +224,11 @@ func RowKeys(r *sparql.Results) []string {
 	out := make([]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		var sb strings.Builder
-		for i, v := range r.Vars {
+		for i, t := range row {
 			if i > 0 {
 				sb.WriteByte('\x1f')
 			}
-			if t, ok := row[v]; ok {
+			if !t.IsZero() {
 				sb.WriteString(t.String())
 			}
 		}

@@ -239,7 +239,13 @@ func TestMetamorphicOrderComparator(t *testing.T) {
 	})
 	res := mustSelect(t, g, invPrefix+
 		"SELECT ?i ?b ?q ?d ?ts WHERE { ?i inv:takesPlaceAt ?b . ?i inv:inQuantity ?q . ?i inv:hasDate ?d . ?i inv:hasTimestamp ?ts }")
-	rows := res.Rows
+	rows := make([]sparql.Binding, len(res.Rows))
+	for i, row := range res.Rows {
+		rows[i] = sparql.Binding{}
+		for j, v := range res.Vars {
+			rows[i][v] = row[j]
+		}
+	}
 	if len(rows) < 50 {
 		t.Fatalf("want a meaningful row population, got %d", len(rows))
 	}

@@ -36,9 +36,10 @@ SELECT ?m (COUNT(?hd) AS ?n) WHERE {
 		t.Fatal(err)
 	}
 	want := map[string]string{"Maxtor": "2", "AVDElectronics": "1"}
-	for _, row := range res.Rows {
-		if w := want[row["m"].LocalName()]; w != row["n"].Value {
-			t.Errorf("%s: %s, want %s", row["m"].LocalName(), row["n"].Value, w)
+	for i := range res.Rows {
+		m, n := res.Get(i, "m").LocalName(), res.Get(i, "n").Value
+		if w := want[m]; w != n {
+			t.Errorf("%s: %s, want %s", m, n, w)
 		}
 	}
 	if res.Len() != 2 {
@@ -76,11 +77,11 @@ WHERE {
 	if res.Len() != 1 {
 		t.Fatalf("groups = %d, want 1\n%s", res.Len(), res)
 	}
-	if res.Rows[0]["m"].LocalName() != "DELL" {
-		t.Errorf("manufacturer = %v", res.Rows[0]["m"])
+	if res.Get(0, "m").LocalName() != "DELL" {
+		t.Errorf("manufacturer = %v", res.Get(0, "m"))
 	}
-	if f, _ := res.Rows[0]["avgprice"].Float(); f != 900 {
-		t.Errorf("avgprice = %v, want 900", res.Rows[0]["avgprice"])
+	if f, _ := res.Get(0, "avgprice").Float(); f != 900 {
+		t.Errorf("avgprice = %v, want 900", res.Get(0, "avgprice"))
 	}
 }
 
@@ -146,9 +147,10 @@ SELECT ?b (SUM(?q) AS ?total) WHERE {
 	}
 	// §2.5: b1=300, b2=600, b3=600.
 	want := map[string]int64{"branch1": 300, "branch2": 600, "branch3": 600}
-	for _, row := range res.Rows {
-		if n, _ := row["total"].Int(); n != want[row["b"].LocalName()] {
-			t.Errorf("%s total = %d", row["b"].LocalName(), n)
+	for i := range res.Rows {
+		b := res.Get(i, "b").LocalName()
+		if n, _ := res.Get(i, "total").Int(); n != want[b] {
+			t.Errorf("%s total = %d", b, n)
 		}
 	}
 	if res.Len() != 3 {

@@ -243,9 +243,5 @@ func (in Intention) Answer(g *rdf.Graph) ([]rdf.Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]rdf.Term, 0, res.Len())
-	for _, row := range res.Rows {
-		out = append(out, row["x"])
-	}
-	return out, nil
+	return res.Column("x"), nil
 }

@@ -45,8 +45,8 @@ func DeriveContextSelect(source *rdf.Graph, selectQuery, ns string) (*Context, e
 	for i, row := range res.Rows {
 		item := rdf.NewIRI(fmt.Sprintf("%srow%d", ns, i+1))
 		g.Add(rdf.Triple{S: item, P: rdf.NewIRI(rdf.RDFType), O: rowClass})
-		for _, v := range res.Vars {
-			if t, ok := row[v]; ok {
+		for j, v := range res.Vars {
+			if t := row[j]; !t.IsZero() {
 				g.Add(rdf.Triple{S: item, P: rdf.NewIRI(ns + v), O: t})
 			}
 		}

@@ -244,13 +244,7 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 	}
 	ans.GroupCols = append(ans.GroupCols, res.Vars[:nGroups]...)
 	ans.MeasureCols = append(ans.MeasureCols, res.Vars[nGroups:]...)
-	for _, row := range res.Rows {
-		r := make([]rdf.Term, len(res.Vars))
-		for i, v := range res.Vars {
-			r[i] = row[v]
-		}
-		ans.Rows = append(ans.Rows, r)
-	}
+	ans.Rows = res.Rows
 	c.Profile.Sub("build_answer", "").Record(time.Since(bstart), len(res.Rows), len(ans.Rows))
 	if bs != nil {
 		bs.SetAttr("rows", len(ans.Rows))

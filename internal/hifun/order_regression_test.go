@@ -53,7 +53,7 @@ func TestTranslatedPatternsOrderByNonProjected(t *testing.T) {
 		t.Fatalf("rows = %d, want %d\nquery:\n%s", len(res.Rows), len(want), listing)
 	}
 	for i, w := range want {
-		if got := res.Rows[i]["x1"].LocalName(); got != w {
+		if got := res.Get(i, "x1").LocalName(); got != w {
 			t.Fatalf("row %d = %s, want %s (date order broken)", i, got, w)
 		}
 	}

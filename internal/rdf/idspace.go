@@ -29,13 +29,17 @@ func (g *Graph) TermOf(id ID) Term {
 	return g.dict.Term(id)
 }
 
-// TermsOf materializes the terms for valid IDs under one lock acquisition.
+// TermsOf materializes the terms for IDs under one lock acquisition. An ID
+// the dictionary has not issued — 0 included — yields the zero Term, so a
+// caller can decode a table holding unbound cells and IDs of its own.
 func (g *Graph) TermsOf(ids []ID) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]Term, len(ids))
 	for i, id := range ids {
-		out[i] = g.dict.Term(id)
+		if id != 0 && int(id) <= g.dict.Len() {
+			out[i] = g.dict.Term(id)
+		}
 	}
 	return out
 }

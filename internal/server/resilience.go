@@ -13,9 +13,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -226,7 +224,9 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, raw, sha
 		offer(err)
 		return nil, err
 	}
-	var body bytes.Buffer
+	// The serializer hands over the body at its final size (len == cap), so
+	// what the answer cache accounts is what the answer holds.
+	var body []byte
 	var rows int
 	var execErr error
 	switch q.Form {
@@ -248,13 +248,13 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, raw, sha
 		}
 		if err == nil {
 			res.Sort()
-			res.WriteJSON(&body)
+			body = res.JSON()
 		}
 	case sparql.FormAsk:
 		ok, err := sparql.AskCtx(execCtx, s.graph, raw)
 		execErr = err
 		if err == nil {
-			json.NewEncoder(&body).Encode(map[string]any{"head": map[string]any{}, "boolean": ok})
+			body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
 		}
 	}
 	s.breakers.Observe(fpID, time.Since(start), abortedForBreaker(execErr), time.Now())
@@ -263,7 +263,7 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, raw, sha
 		return nil, execErr
 	}
 	ans := &resilience.Answer{
-		Body:        bytes.Clone(body.Bytes()),
+		Body:        body,
 		ContentType: "application/sparql-results+json",
 		Status:      http.StatusOK,
 		Rows:        rows,

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/resilience"
 	"rdfanalytics/internal/sparql"
 )
 
@@ -383,6 +385,43 @@ func TestCacheKeyConstantSafety(t *testing.T) {
 	}
 	if _, xc, _, again2 := doSparql(s, q2); xc != "hit" || string(again2) != string(body2) {
 		t.Errorf("q2 re-request = %q, want hit with original body", xc)
+	}
+}
+
+// TestAnswerBodyExactSize is the double-buffering regression: the serializer
+// produces a SELECT body once, at its final size, and that slice is the one
+// the cache keeps — so after N stores the cache's byte count is the sum of
+// the body lengths (plus the per-entry constant), with no hidden capacity
+// behind it.
+func TestAnswerBodyExactSize(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	var want int64
+	const contentType = "application/sparql-results+json"
+	for n := 1; n <= 6; n++ {
+		q := laptopQuery() + " LIMIT " + strconv.Itoa(n)
+		code, xc, _, body := doSparql(s, q)
+		if code != http.StatusOK || xc != "miss" {
+			t.Fatalf("LIMIT %d = %d %q, want 200 miss", n, code, xc)
+		}
+		parsed, err := sparql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := resilience.CacheKey(sparql.FingerprintID(sparql.Fingerprint(parsed)), q)
+		ans, ok := s.answers.Lookup(key, s.graph.Version())
+		if !ok {
+			t.Fatalf("LIMIT %d: answer not cached", n)
+		}
+		if string(ans.Body) != string(body) {
+			t.Errorf("LIMIT %d: cached body differs from the served one", n)
+		}
+		if cap(ans.Body) != len(ans.Body) {
+			t.Errorf("LIMIT %d: cached body holds %d bytes of capacity for %d of content", n, cap(ans.Body), len(ans.Body))
+		}
+		want += int64(len(body) + len(contentType) + len(key))
+	}
+	if got := s.answers.Bytes() - int64(s.answers.Entries())*256; got != want {
+		t.Errorf("cache accounts %d bytes beyond the per-entry constant, bodies+keys sum to %d", got, want)
 	}
 }
 

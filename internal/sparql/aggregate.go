@@ -1,128 +1,141 @@
 package sparql
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"rdfanalytics/internal/rdf"
 )
 
+// groupRows is one group of a grouped query: the rows (by index into the
+// ungrouped batch, in input order) sharing one GROUP BY key.
+type groupRows struct {
+	rows    *batch
+	members []int32
+}
+
 // aggregate implements GROUP BY + aggregate evaluation: rows are partitioned
-// by the group conditions, every aggregate in the projection/HAVING/ORDER BY
-// is computed per group, and HAVING prunes groups. It returns one *extended*
-// solution per surviving group — the representative binding overlaid with
-// the SELECT-expression values and with hidden precomputed values for any
+// by the ID tuple of the group conditions, every aggregate in the
+// projection/HAVING/ORDER BY is computed per group, and HAVING prunes
+// groups. It returns one *extended* solution per surviving group — the
+// group's first row overlaid with the group-condition values, the
+// SELECT-expression values and hidden precomputed values for any
 // aggregate-bearing ORDER BY condition — plus the ORDER BY conditions
 // rewritten to reference those hidden variables. Projection happens later
-// (execSelect), after ORDER BY has seen the extended rows.
-func (ev *evaluator) aggregate(q *Query, rows []Binding) ([]Binding, []OrderCond, error) {
+// (selectRows), after ORDER BY has seen the extended rows. Groups come out
+// sorted by their N-Triples-rendered key: LIMIT without ORDER BY, the HIFUN
+// path and stable-sort ties all observe that order.
+func (ev *evaluator) aggregate(q *Query, rows *batch) (*batch, []OrderCond, error) {
 	env := exprEnv{ev: ev}
-	type group struct {
-		rep  Binding // representative binding incl. group-cond values
-		rows []Binding
+	work := &batch{width: rows.width}
+	nconds := len(q.GroupBy)
+	// Per condition: the slot a plain variable is read from, and the slot
+	// the key value is written to in the group's row (-1: none).
+	from, to := make([]int, nconds), make([]int, nconds)
+	for c, gc := range q.GroupBy {
+		from[c], to[c] = ev.sc.slot(gc.Var), ev.sc.slot(groupCondName(c, gc))
 	}
-	groups := map[string]*group{}
-	var order []string
-	// Partition. A huge GROUP BY is governed the same way joins are: the
-	// partitioning loop polls for cancellation.
-	for i, b := range rows {
+	// Partition: number the distinct key tuples. A huge GROUP BY is governed
+	// the same way joins are: the partitioning loop polls for cancellation.
+	groups := newTupleIndex(nconds, 0)
+	key := make([]rdf.ID, nconds)
+	gid := make([]int32, 0, rows.n())    // group of each kept row
+	member := make([]int32, 0, rows.n()) // its row index
+next:
+	for i, n := 0, rows.n(); i < n; i++ {
 		if i%pollEvery == 0 && ev.cancel.poll() {
-			return nil, nil, ev.cancel.cause()
+			return work, nil, ev.cancel.cause()
 		}
-		var keyB strings.Builder
-		rep := Binding{}
-		ok := true
-		for i, gc := range q.GroupBy {
-			var v rdf.Term
-			if gc.Expr != nil {
-				t, err := env.evalExpr(gc.Expr, b)
+		row := rows.row(i)
+		for c, gc := range q.GroupBy {
+			switch {
+			case gc.Expr != nil:
+				v, err := env.evalExpr(gc.Expr, row)
 				if err != nil {
-					ok = false
-					break
+					continue next // no key, no group
 				}
-				v = t
-			} else {
-				t, bound := b[gc.Var]
-				if !bound {
-					// group key component unbound: group under empty slot
-					keyB.WriteByte('\x00')
-					continue
-				}
-				v = t
-			}
-			keyB.WriteString(v.String())
-			keyB.WriteByte('\x00')
-			name := gc.Var
-			if name == "" && gc.Expr != nil {
-				name = groupCondName(i, gc)
-			}
-			if name != "" {
-				rep[name] = v
+				key[c] = ev.dict.id(v)
+			case from[c] >= 0:
+				key[c] = row[from[c]] // 0: grouped under the unbound key
 			}
 		}
-		if !ok {
-			continue
-		}
-		key := keyB.String()
-		g, exists := groups[key]
-		if !exists {
-			// Carry the grouping values plus any variables constant within
-			// the group key through the representative binding.
-			for k, v := range b {
-				if _, set := rep[k]; !set {
-					rep[k] = v
-				}
-			}
-			g = &group{rep: rep}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, b)
+		g, _ := groups.add(key)
+		gid = append(gid, int32(g))
+		member = append(member, int32(i))
 	}
 	// A grouped query with no GROUP BY and no rows still yields one group
 	// (e.g. SELECT (COUNT(*) AS ?n) over an empty match).
-	if len(q.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{rep: Binding{}}
-		order = append(order, "")
+	if nconds == 0 && groups.count == 0 {
+		groups.add(nil)
 	}
-	sort.Strings(order)
-	// ORDER BY conditions that contain aggregates must be computed over the
-	// group's rows, which are gone once grouping finishes — precompute each
-	// such condition per group into a hidden variable and rewrite the
-	// condition to reference it.
-	conds := make([]OrderCond, len(q.OrderBy))
-	type hiddenCond struct {
-		name string
+	// Bucket the kept rows by group, input order within a group.
+	start, byGroup := bucketize(gid, groups.count)
+	for i, k := range byGroup {
+		byGroup[i] = member[k]
+	}
+	// Output order: groups sorted by the rendered key, built once per group.
+	order := make([]int, groups.count)
+	names := make([]string, groups.count)
+	var sb strings.Builder
+	for g := range order {
+		order[g] = g
+		sb.Reset()
+		for _, id := range groups.tuple(g) {
+			if id != 0 {
+				sb.WriteString(ev.dict.term(id).String())
+			}
+			sb.WriteByte(0)
+		}
+		names[g] = sb.String()
+	}
+	sort.SliceStable(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+	// What each group computes: the SELECT expressions and, because ORDER BY
+	// conditions that contain aggregates need the group's rows, which are
+	// gone once grouping finishes, each such condition — into a hidden
+	// variable the rewritten condition references.
+	type cell struct {
 		expr Expr
+		slot int
 	}
-	var hidden []hiddenCond
-	for i, c := range q.OrderBy {
+	var cells []cell
+	for _, it := range q.Select.Items {
+		if it.Expr != nil { // a bare variable is already in the representative
+			cells = append(cells, cell{it.Expr, ev.sc.slot(it.Var)})
+		}
+	}
+	conds := slices.Clone(q.OrderBy)
+	for i, c := range conds {
 		if HasAggregate(c.Expr) {
-			h := hiddenCond{name: fmt.Sprintf("_anon_ord%d", i), expr: c.Expr}
-			hidden = append(hidden, h)
-			conds[i] = OrderCond{Desc: c.Desc, Expr: ExprVar{Name: h.name}}
-		} else {
-			conds[i] = c
+			conds[i].Expr = ExprVar{Name: hiddenOrderVar(i)}
+			cells = append(cells, cell{c.Expr, ev.sc.slot(hiddenOrderVar(i))})
 		}
 	}
-	// Extend each surviving group's representative binding.
-	var work []Binding
-	for i, key := range order {
+	// Extend each surviving group's representative row.
+	rep := make([]rdf.ID, rows.width)
+	// Aggregates evaluate over the group's rows, everything around them over
+	// the representative row.
+	grp := groupRows{rows: rows}
+	genv := exprEnv{ev: ev, grp: &grp}
+	for i, g := range order {
 		if i%256 == 0 && ev.cancel.poll() {
-			return nil, nil, ev.cancel.cause()
+			return work, nil, ev.cancel.cause()
 		}
-		g := groups[key]
-		// HAVING.
+		grp.members = byGroup[start[g]:start[g+1]]
+		// The representative carries the group's first row — variables
+		// constant within the group keep their value — under the key values.
+		clear(rep)
+		if len(grp.members) > 0 {
+			copy(rep, rows.row(int(grp.members[0])))
+		}
+		for c, id := range groups.tuple(g) {
+			if to[c] >= 0 && id != 0 {
+				rep[to[c]] = id
+			}
+		}
 		keep := true
 		for _, h := range q.Having {
-			v, err := ev.evalGroupExpr(h, g.rows, g.rep)
-			if err != nil {
-				keep = false
-				break
-			}
-			okv, err := ebv(v)
-			if err != nil || !okv {
+			if ok, err := genv.evalBool(h, rep); err != nil || !ok {
 				keep = false
 				break
 			}
@@ -130,26 +143,18 @@ func (ev *evaluator) aggregate(q *Query, rows []Binding) ([]Binding, []OrderCond
 		if !keep {
 			continue
 		}
-		nb := g.rep.clone()
-		for _, it := range q.Select.Items {
-			if it.Expr == nil {
-				continue // bare variable: already in the representative
-			}
-			if v, err := ev.evalGroupExpr(it.Expr, g.rows, g.rep); err == nil {
-				nb[it.Var] = v
-			} else {
-				// An erroring aggregate (e.g. MIN over an empty group, §18.5)
-				// leaves the cell unbound — it must not shadow a same-named
-				// representative variable.
-				delete(nb, it.Var)
+		base := len(work.vals)
+		work.vals = append(work.vals, rep...)
+		out := work.vals[base:]
+		for _, c := range cells {
+			// An erroring aggregate (e.g. MIN over an empty group, §18.5)
+			// leaves the cell unbound — it must not shadow a same-named
+			// representative variable.
+			out[c.slot] = 0
+			if v, err := genv.evalExpr(c.expr, rep); err == nil {
+				out[c.slot] = ev.dict.id(v)
 			}
 		}
-		for _, h := range hidden {
-			if v, err := ev.evalGroupExpr(h.expr, g.rows, g.rep); err == nil {
-				nb[h.name] = v
-			}
-		}
-		work = append(work, nb)
 	}
 	return work, conds, nil
 }
@@ -174,84 +179,73 @@ func groupCondName(i int, gc GroupCond) string {
 	return ""
 }
 
-// evalGroupExpr evaluates an expression that may contain aggregates: the
-// aggregate sub-expressions are computed over the group's rows, everything
-// else over the representative binding.
-func (ev *evaluator) evalGroupExpr(e Expr, rows []Binding, rep Binding) (rdf.Term, error) {
+// aggValues folds over the aggregate's argument column: fn sees, in row
+// order, the value of every row of the group that has one (unbound and
+// erroring rows are skipped, §18.5), once per distinct value under DISTINCT.
+// A plain-variable argument is read as an ID and decoded only when
+// wantTerms; equal terms have equal IDs, so DISTINCT is an ID set.
+func (ev *evaluator) aggValues(agg ExprAggregate, grp groupRows, wantTerms bool, fn func(rdf.Term)) {
 	env := exprEnv{ev: ev}
-	switch x := e.(type) {
-	case ExprAggregate:
-		return ev.computeAggregate(x, rows)
-	case ExprUnary:
-		sub, err := ev.evalGroupExpr(x.Sub, rows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return env.evalUnary(ExprUnary{Op: x.Op, Sub: ExprTerm{Term: sub}}, rep)
-	case ExprBinary:
-		if !HasAggregate(x) {
-			return env.evalExpr(x, rep)
-		}
-		l, err := ev.evalGroupExpr(x.Left, rows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		r, err := ev.evalGroupExpr(x.Right, rows, rep)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return env.evalBinary(ExprBinary{Op: x.Op, Left: ExprTerm{Term: l}, Right: ExprTerm{Term: r}}, rep)
-	case ExprCall:
-		if !HasAggregate(x) {
-			return env.evalExpr(x, rep)
-		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			v, err := ev.evalGroupExpr(a, rows, rep)
-			if err != nil {
-				return rdf.Term{}, err
+	slot, isVar := -1, false
+	if v, ok := agg.Arg.(ExprVar); ok {
+		slot, isVar = ev.sc.slot(v.Name), true
+	}
+	var seen *tupleIndex
+	if agg.Distinct {
+		seen = newTupleIndex(1, 0)
+	}
+	var key [1]rdf.ID
+	for _, r := range grp.members {
+		row := grp.rows.row(int(r))
+		var t rdf.Term
+		if isVar {
+			if slot < 0 || row[slot] == 0 {
+				continue
 			}
-			args[i] = ExprTerm{Term: v}
+			key[0] = row[slot]
+		} else {
+			v, err := env.evalExpr(agg.Arg, row)
+			if err != nil {
+				continue
+			}
+			if t = v; seen != nil {
+				key[0] = ev.dict.id(v)
+			}
 		}
-		return env.evalCall(ExprCall{Func: x.Func, Args: args}, rep)
-	default:
-		return env.evalExpr(e, rep)
+		if seen != nil {
+			if _, fresh := seen.add(key[:]); !fresh {
+				continue
+			}
+		}
+		if isVar && wantTerms {
+			t = ev.dict.term(key[0])
+		}
+		fn(t)
 	}
 }
 
 // computeAggregate evaluates one aggregate over the group's rows.
-func (ev *evaluator) computeAggregate(agg ExprAggregate, rows []Binding) (rdf.Term, error) {
-	env := exprEnv{ev: ev}
-	// Collect the argument values (skipping evaluation errors / unbound).
-	var values []rdf.Term
+func (ev *evaluator) computeAggregate(agg ExprAggregate, grp groupRows) (rdf.Term, error) {
 	if agg.Star {
-		values = make([]rdf.Term, len(rows))
-		for i := range rows {
-			values[i] = rdf.NewInteger(int64(i)) // placeholders; only counted
+		if agg.Func != "COUNT" {
+			return rdf.Term{}, evalErrf("%s(*) is not defined", agg.Func)
 		}
-	} else {
-		for _, b := range rows {
-			v, err := env.evalExpr(agg.Arg, b)
-			if err != nil {
-				continue
+		n := len(grp.members)
+		if agg.Distinct {
+			// The number of distinct solutions (§18.5.1.2): distinct ID rows.
+			seen := newTupleIndex(grp.rows.width, n)
+			for _, r := range grp.members {
+				seen.add(grp.rows.row(int(r)))
 			}
-			values = append(values, v)
+			n = seen.count
 		}
-	}
-	if agg.Distinct {
-		seen := map[rdf.Term]bool{}
-		var dv []rdf.Term
-		for _, v := range values {
-			if !seen[v] {
-				seen[v] = true
-				dv = append(dv, v)
-			}
-		}
-		values = dv
+		return rdf.NewInteger(int64(n)), nil
 	}
 	switch agg.Func {
 	case "COUNT":
-		return rdf.NewInteger(int64(len(values))), nil
+		n := 0
+		ev.aggValues(agg, grp, false, func(rdf.Term) { n++ })
+		return rdf.NewInteger(int64(n)), nil
 	case "SUM":
 		// All-integer groups accumulate in int64: going through float64 and
 		// casting back silently loses precision past 2^53. The accumulator
@@ -260,15 +254,19 @@ func (ev *evaluator) computeAggregate(agg ExprAggregate, rows []Binding) (rdf.Te
 		var isum int64
 		fsum := 0.0
 		allInt := true
-		for _, v := range values {
+		var bad rdf.Term // first non-numeric value
+		ev.aggValues(agg, grp, true, func(v rdf.Term) {
 			f, ok := v.Float()
 			if !ok {
-				return rdf.Term{}, evalErrf("SUM over non-numeric %s", v)
+				if bad.IsZero() {
+					bad = v
+				}
+				return
 			}
 			if allInt && v.Datatype == rdf.XSDInteger {
 				if i, okI := v.Int(); okI {
 					isum += i
-					continue
+					return
 				}
 			}
 			if allInt {
@@ -276,33 +274,40 @@ func (ev *evaluator) computeAggregate(agg ExprAggregate, rows []Binding) (rdf.Te
 				fsum = float64(isum)
 			}
 			fsum += f
+		})
+		if !bad.IsZero() {
+			return rdf.Term{}, evalErrf("SUM over non-numeric %s", bad)
 		}
 		if allInt {
 			return rdf.NewInteger(isum), nil
 		}
 		return rdf.NewDecimal(fsum), nil
 	case "AVG":
-		if len(values) == 0 {
-			return rdf.NewInteger(0), nil
-		}
-		sum := 0.0
-		for _, v := range values {
+		sum, n := 0.0, 0
+		var bad rdf.Term // first non-numeric value
+		ev.aggValues(agg, grp, true, func(v rdf.Term) {
 			f, ok := v.Float()
-			if !ok {
-				return rdf.Term{}, evalErrf("AVG over non-numeric %s", v)
+			if !ok && bad.IsZero() {
+				bad = v
 			}
 			sum += f
+			n++
+		})
+		if !bad.IsZero() {
+			return rdf.Term{}, evalErrf("AVG over non-numeric %s", bad)
 		}
-		return rdf.NewDecimal(sum / float64(len(values))), nil
+		if n == 0 {
+			return rdf.NewInteger(0), nil
+		}
+		return rdf.NewDecimal(sum / float64(n)), nil
 	case "MIN", "MAX":
-		if len(values) == 0 {
-			// Per §18.5 the aggregate errors on an empty group; callers map
-			// the wrapped errEval to an unbound cell (aggregate / evalGroupExpr),
-			// never to a query-level failure.
-			return rdf.Term{}, evalErrf("%s of empty group", agg.Func)
-		}
-		best := values[0]
-		for _, v := range values[1:] {
+		var best rdf.Term
+		n := 0
+		ev.aggValues(agg, grp, true, func(v rdf.Term) {
+			if n++; n == 1 {
+				best = v
+				return
+			}
 			c, err := compareTerms(v, best)
 			if err != nil {
 				// fall back to term order for mixed types
@@ -315,23 +320,40 @@ func (ev *evaluator) computeAggregate(agg ExprAggregate, rows []Binding) (rdf.Te
 			if (agg.Func == "MIN" && c < 0) || (agg.Func == "MAX" && c > 0) {
 				best = v
 			}
+		})
+		if n == 0 {
+			// Per §18.5 the aggregate errors on an empty group; callers map
+			// the wrapped errEval to an unbound cell (aggregate), never to a
+			// query-level failure.
+			return rdf.Term{}, evalErrf("%s of empty group", agg.Func)
 		}
 		return best, nil
 	case "SAMPLE":
-		if len(values) == 0 {
+		var first rdf.Term
+		n := 0
+		ev.aggValues(agg, grp, true, func(v rdf.Term) {
+			if n++; n == 1 {
+				first = v
+			}
+		})
+		if n == 0 {
 			return rdf.Term{}, evalErrf("SAMPLE of empty group")
 		}
-		return values[0], nil
+		return first, nil
 	case "GROUP_CONCAT":
-		parts := make([]string, len(values))
-		for i, v := range values {
-			parts[i] = v.Value
-		}
 		sep := agg.Separator
 		if sep == "" {
 			sep = " "
 		}
-		return rdf.NewString(strings.Join(parts, sep)), nil
+		var sb strings.Builder
+		n := 0
+		ev.aggValues(agg, grp, true, func(v rdf.Term) {
+			if n++; n > 1 {
+				sb.WriteString(sep)
+			}
+			sb.WriteString(v.Value)
+		})
+		return rdf.NewString(sb.String()), nil
 	default:
 		return rdf.Term{}, evalErrf("unknown aggregate %s", agg.Func)
 	}

@@ -335,32 +335,40 @@ func (e ExprIn) String() string {
 	return e.Left.String() + op + "(" + strings.Join(items, ", ") + ")"
 }
 
-// HasAggregate reports whether the expression tree contains an aggregate.
-func HasAggregate(e Expr) bool {
+// walkExpr calls fn for e and then for its sub-expressions, depth first;
+// fn returning false skips the sub-expressions of the node it was given. The
+// pattern of an EXISTS is not an expression and is not entered.
+func walkExpr(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
 	switch x := e.(type) {
-	case nil:
-		return false
-	case ExprAggregate:
-		return true
 	case ExprUnary:
-		return HasAggregate(x.Sub)
+		walkExpr(x.Sub, fn)
 	case ExprBinary:
-		return HasAggregate(x.Left) || HasAggregate(x.Right)
+		walkExpr(x.Left, fn)
+		walkExpr(x.Right, fn)
 	case ExprCall:
 		for _, a := range x.Args {
-			if HasAggregate(a) {
-				return true
-			}
+			walkExpr(a, fn)
 		}
 	case ExprIn:
-		if HasAggregate(x.Left) {
-			return true
-		}
+		walkExpr(x.Left, fn)
 		for _, a := range x.List {
-			if HasAggregate(a) {
-				return true
-			}
+			walkExpr(a, fn)
 		}
+	case ExprAggregate:
+		walkExpr(x.Arg, fn)
 	}
-	return false
+}
+
+// HasAggregate reports whether the expression tree contains an aggregate.
+func HasAggregate(e Expr) bool {
+	found := false
+	walkExpr(e, func(x Expr) bool {
+		_, agg := x.(ExprAggregate)
+		found = found || agg
+		return !found
+	})
+	return found
 }

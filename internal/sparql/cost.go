@@ -198,10 +198,3 @@ func (cm *costModel) patternCols(i int) uint64 {
 	}
 	return mask
 }
-
-// connected reports whether pattern i shares a variable column with
-// boundCols (or binds no variables at all).
-func (cm *costModel) connected(i int, boundCols uint64) bool {
-	cols := cm.patternCols(i)
-	return cols == 0 || cols&boundCols != 0
-}

@@ -36,7 +36,7 @@ SELECT ?i WHERE { ?i ex:delivers ex:coca . VALUES ?i { ex:i1 ex:i99 } }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["i"].LocalName() != "i1" {
+	if res.Len() != 1 || res.Get(0, "i").LocalName() != "i1" {
 		t.Fatalf("rows: %s", res)
 	}
 }
@@ -67,7 +67,7 @@ GROUP BY (MONTH(?d) AS ?m)`)
 	if res.Len() != 3 {
 		t.Fatalf("rows: %s", res)
 	}
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		if row["m"].IsZero() {
 			t.Error("named group expression unbound")
 		}
@@ -85,8 +85,8 @@ func TestOrderByVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if v, _ := res.Rows[0]["q"].Int(); v != 100 {
-			t.Errorf("%s: first row %v", src, res.Rows[0]["q"])
+		if v, _ := res.Get(0, "q").Int(); v != 100 {
+			t.Errorf("%s: first row %v", src, res.Get(0, "q"))
 		}
 	}
 }
@@ -98,7 +98,7 @@ SELECT (?q * 2 AS ?dbl) (STR(?i) AS ?label) WHERE { ?i ex:inQuantity ?q } LIMIT 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		if row["dbl"].IsZero() || row["label"].IsZero() {
 			t.Errorf("projection exprs unbound: %v", row)
 		}
@@ -212,18 +212,6 @@ SELECT ?i WHERE { { ?i ex:delivers ex:coca . { ?i ex:inQuantity 400 } } }`)
 	}
 	if res.Len() != 2 { // i4, i6
 		t.Fatalf("rows = %d", res.Len())
-	}
-}
-
-func TestCompatibleBindings(t *testing.T) {
-	a := Binding{"x": rdf.NewInteger(1), "y": rdf.NewInteger(2)}
-	b := Binding{"x": rdf.NewInteger(1), "z": rdf.NewInteger(3)}
-	c := Binding{"x": rdf.NewInteger(9)}
-	if !a.compatible(b) || !b.compatible(a) {
-		t.Error("compatible bindings rejected")
-	}
-	if a.compatible(c) {
-		t.Error("conflicting bindings accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -48,15 +49,16 @@ type evaluator struct {
 	// output exceeds its estimate by this factor re-optimizes the remaining
 	// patterns of its run. 0 disables adaptive re-planning.
 	replanFactor float64
-	// varUses counts every textual reference to each variable across the
-	// current SELECT query; materialize uses it to skip run-local variables
-	// (projection pushdown). Nil (pruning off) outside execSelect.
-	varUses map[string]int
-	// varStar disables projection pruning for SELECT * queries.
-	varStar bool
+	// sc is the scope whose slots the rows being evaluated are laid out by:
+	// set by selectRows for the SELECT in progress (a subquery installs its
+	// own and restores the outer one) and by evalWhere for bare patterns.
+	sc *scope
+	// dict is the evaluation's dictionary view: graph IDs plus scratch IDs
+	// for computed terms, and the decode cache (see rows.go).
+	dict *termDict
 }
 
-// overBudget checks a materialized intermediate binding set against the row
+// overBudget checks an intermediate row set against the row
 // budget, aborting the evaluation when it is exceeded. (Joins additionally
 // account rows incrementally while producing; this is the operator-boundary
 // backstop for OPTIONAL, UNION, VALUES, paths and subqueries.)
@@ -150,6 +152,7 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		limits:       opts.Limits,
 		planner:      mode,
 		replanFactor: replan,
+		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}, terms: map[rdf.ID]rdf.Term{}},
 	}
 	if mode == PlannerFeedback && opts.Feedback != nil && g != nil {
 		ev.fbSites = opts.Feedback.SiteActuals(opts.FingerprintID, g.Version())
@@ -171,7 +174,7 @@ func ExecSelectOpts(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 	start := time.Now()
 	ev := newEvaluator(ctx, g, opts)
-	res, err := ev.execSelect(q, []Binding{{}})
+	res, err := ev.execSelect(q)
 	observeSince(execSeconds, start)
 	if p := opts.Profile; p != nil {
 		rows := 0
@@ -195,14 +198,21 @@ func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*
 	return res, nil
 }
 
+// parseForm parses a query and demands the given form; what names the
+// complaint when it is another.
+func parseForm(src string, form QueryForm, what string) (*Query, error) {
+	q, err := Parse(src)
+	if err == nil && q.Form != form {
+		err = fmt.Errorf("sparql: %s", what)
+	}
+	return q, err
+}
+
 // Select parses and executes a SELECT query.
 func Select(g *rdf.Graph, src string) (*Results, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormSelect, "not a SELECT query")
 	if err != nil {
 		return nil, err
-	}
-	if q.Form != FormSelect {
-		return nil, fmt.Errorf("sparql: not a SELECT query")
 	}
 	return ExecSelect(g, q)
 }
@@ -214,20 +224,15 @@ func Ask(g *rdf.Graph, src string) (bool, error) {
 
 // AskCtx is Ask under a context (see ExecSelectCtx for the semantics).
 func AskCtx(ctx context.Context, g *rdf.Graph, src string) (bool, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormAsk, "not an ASK query")
 	if err != nil {
 		return false, err
 	}
-	if q.Form != FormAsk {
-		return false, fmt.Errorf("sparql: not an ASK query")
-	}
-	ev := newEvaluator(ctx, g, Options{})
-	rows := ev.evalGroup(q.Where, []Binding{{}})
-	if err := ev.cancel.cause(); err != nil {
-		observeAbort(nil, err)
+	rows, err := newEvaluator(ctx, g, Options{}).evalWhere(q.Where)
+	if err != nil {
 		return false, err
 	}
-	return len(rows) > 0, nil
+	return rows.n() > 0, nil
 }
 
 // Construct parses and executes a CONSTRUCT query, returning the built graph.
@@ -237,33 +242,18 @@ func Construct(g *rdf.Graph, src string) (*rdf.Graph, error) {
 
 // ConstructCtx is Construct under a context (see ExecSelectCtx).
 func ConstructCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormConstruct, "not a CONSTRUCT query")
 	if err != nil {
 		return nil, err
 	}
-	if q.Form != FormConstruct {
-		return nil, fmt.Errorf("sparql: not a CONSTRUCT query")
-	}
 	ev := newEvaluator(ctx, g, Options{})
-	rows := ev.evalGroup(q.Where, []Binding{{}})
-	if err := ev.cancel.cause(); err != nil {
-		observeAbort(nil, err)
+	rows, err := ev.evalWhere(q.Where)
+	if err != nil {
 		return nil, err
 	}
 	out := rdf.NewGraph()
-	for _, row := range rows {
-		for _, tp := range q.Template {
-			s, okS := instantiate(tp.S, row)
-			p, okP := instantiate(tp.P, row)
-			o, okO := instantiate(tp.O, row)
-			if !okS || !okP || !okO {
-				continue
-			}
-			if s.IsLiteral() || p.Kind != rdf.KindIRI {
-				continue
-			}
-			out.Add(rdf.Triple{S: s, P: p, O: o})
-		}
+	for _, t := range ev.instantiate(q.Template, rows) {
+		out.Add(t)
 	}
 	return out, nil
 }
@@ -277,31 +267,23 @@ func Describe(g *rdf.Graph, src string) (*rdf.Graph, error) {
 
 // DescribeCtx is Describe under a context (see ExecSelectCtx).
 func DescribeCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormDescribe, "not a DESCRIBE query")
 	if err != nil {
 		return nil, err
 	}
-	if q.Form != FormDescribe {
-		return nil, fmt.Errorf("sparql: not a DESCRIBE query")
-	}
 	ev := newEvaluator(ctx, g, Options{})
-	resources := map[rdf.Term]struct{}{}
-	var rows []Binding
-	if len(q.Where.Elems) > 0 {
-		rows = ev.evalGroup(q.Where, []Binding{{}})
-		if err := ev.cancel.cause(); err != nil {
-			return nil, err
-		}
-	} else {
-		rows = []Binding{{}}
+	rows, err := ev.evalWhere(q.Where)
+	if err != nil {
+		return nil, err
 	}
+	resources := map[rdf.Term]struct{}{}
 	for _, n := range q.Describe {
 		if !n.IsVar() {
 			resources[n.Term] = struct{}{}
 			continue
 		}
-		for _, b := range rows {
-			if t, ok := b[n.Var]; ok && t.IsResource() {
+		for i := 0; i < rows.n(); i++ {
+			if t, ok := ev.nodeTerm(n, rows.row(i)); ok && t.IsResource() {
 				resources[t] = struct{}{}
 			}
 		}
@@ -326,12 +308,50 @@ func DescribeCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, err
 	return out, nil
 }
 
-func instantiate(n Node, b Binding) (rdf.Term, bool) {
+// evalWhere evaluates a bare group pattern — the WHERE of ASK, CONSTRUCT,
+// DESCRIBE and updates — in a scope of its own, where every variable has a
+// slot. The caller reads the rows back through nodeTerm / instantiate.
+func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
+	ev.sc = &scope{slots: map[string]int{}}
+	visitGroupVars(gp, false, ev.sc.add)
+	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()))
+	if err := ev.cancel.cause(); err != nil {
+		observeAbort(nil, err)
+		return nil, err
+	}
+	return rows, nil
+}
+
+// nodeTerm resolves a template node against a solution row; ok is false for
+// a variable the row leaves unbound.
+func (ev *evaluator) nodeTerm(n Node, row []rdf.ID) (rdf.Term, bool) {
 	if !n.IsVar() {
 		return n.Term, true
 	}
-	t, ok := b[n.Var]
-	return t, ok
+	if s := ev.sc.slot(n.Var); s >= 0 && row[s] != 0 {
+		return ev.dict.term(row[s]), true
+	}
+	return rdf.Term{}, false
+}
+
+// instantiate builds the template's triples for every solution row,
+// skipping instantiations with an unbound variable or an ill-formed triple
+// (literal subject, non-IRI predicate).
+func (ev *evaluator) instantiate(tmpl []TriplePattern, rows *batch) []rdf.Triple {
+	var out []rdf.Triple
+	for i := 0; i < rows.n(); i++ {
+		row := rows.row(i)
+		for _, tp := range tmpl {
+			s, okS := ev.nodeTerm(tp.S, row)
+			p, okP := ev.nodeTerm(tp.P, row)
+			o, okO := ev.nodeTerm(tp.O, row)
+			if !okS || !okP || !okO || s.IsLiteral() || p.Kind != rdf.KindIRI {
+				continue
+			}
+			out = append(out, rdf.Triple{S: s, P: p, O: o})
+		}
+	}
+	return out
 }
 
 // ExecSelect executes a parsed SELECT query.
@@ -339,25 +359,53 @@ func ExecSelect(g *rdf.Graph, q *Query) (*Results, error) {
 	return ExecSelectOpts(g, q, Options{})
 }
 
-func (ev *evaluator) execSelect(q *Query, input []Binding) (*Results, error) {
-	// Projection pushdown: count every textual variable reference of this
-	// query so materialize can skip run-local variables (saved/restored
-	// because subqueries re-enter here with their own scope).
-	savedUses, savedStar := ev.varUses, ev.varStar
-	ev.varUses, ev.varStar = countVarUses(q)
-	defer func() { ev.varUses, ev.varStar = savedUses, savedStar }()
+// execSelect evaluates the query and decodes its solutions: the one place
+// IDs become terms. The projected ID table goes through the graph
+// dictionary under a single lock acquisition into one flat term table, and
+// Results.Rows are views into it.
+func (ev *evaluator) execSelect(q *Query) (*Results, error) {
+	vars, rows, err := ev.selectRows(q)
+	if err != nil {
+		return nil, err
+	}
+	res := &Results{Vars: vars, Rows: make([][]rdf.Term, rows.n())}
+	if len(vars) == 0 {
+		return res, nil
+	}
+	table := ev.g.TermsOf(rows.vals)
+	if len(ev.dict.scratch) > 0 {
+		for i, id := range rows.vals {
+			if id&scratchBit != 0 {
+				table[i] = ev.dict.term(id)
+			}
+		}
+	}
+	for i := range res.Rows {
+		res.Rows[i] = table[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
+	}
+	return res, nil
+}
+
+// selectRows runs a SELECT through its whole pipeline in ID space and
+// returns the projection with one column per projected variable.
+func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
+	// A subquery re-enters here with its own scope.
+	saved := ev.sc
+	ev.sc = selectScope(q)
+	defer func() { ev.sc = saved }()
 	t0 := time.Now()
 	ms := ev.enterSpan("match")
 	pm, pmt := ev.profEnter("match", "")
-	rows := ev.evalGroup(q.Where, input)
-	ev.profExit(pm, pmt, len(input), len(rows))
-	ms.SetAttr("rows", len(rows))
+	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()))
+	ev.profExit(pm, pmt, 1, rows.n())
+	ms.SetAttr("rows", rows.n())
 	ev.exitSpan(ms)
 	observeSince(phaseMatch, t0)
 	if err := ev.cancel.cause(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	grouped := len(q.GroupBy) > 0 || selectHasAggregate(q) || len(q.Having) > 0
+	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 ||
+		slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return HasAggregate(it.Expr) })
 	// The modifier pipeline follows SPARQL 1.1 §18.2.4: the solution
 	// sequence is first extended with the SELECT-expression values (grouping
 	// and aggregation produce one extended solution per group), then ORDER BY
@@ -373,84 +421,64 @@ func (ev *evaluator) execSelect(q *Query, input []Binding) (*Results, error) {
 		as.SetAttr("groupBy", len(q.GroupBy))
 		pa, pat := ev.profEnter("aggregate", "")
 		work, order, err = ev.aggregate(q, rows)
-		ev.profExit(pa, pat, len(rows), len(work))
+		ev.profExit(pa, pat, rows.n(), work.n())
 		ev.exitSpan(as)
 		observeSince(phaseAggregate, t1)
 	} else {
 		ps := ev.enterSpan("project")
 		pe, pet := ev.profEnter("extend", "")
 		work = ev.extend(q, rows)
-		ev.profExit(pe, pet, len(rows), len(work))
+		ev.profExit(pe, pet, rows.n(), work.n())
 		ev.exitSpan(ps)
 		observeSince(phaseProject, t1)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := ev.cancel.cause(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t2 := time.Now()
 	mods := ev.enterSpan("modifiers")
 	pmod, pmodt := ev.profEnter("modifiers", "")
 	if len(order) > 0 {
-		ev.orderBy(work, order)
+		work = ev.orderBy(work, order)
 	}
-	res := ev.project(q, work)
+	vars, out := ev.project(q, work)
 	if q.Select.Distinct {
-		res = distinct(res)
+		out = distinct(out)
 	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[q.Offset:]
-		}
+	lo, hi := min(q.Offset, out.n()), out.n()
+	if q.Limit >= 0 && q.Limit < hi-lo {
+		hi = lo + q.Limit
 	}
-	if q.Limit >= 0 && q.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	ev.profExit(pmod, pmodt, len(work), len(res.Rows))
-	mods.SetAttr("rows", len(res.Rows))
+	out.vals = out.vals[lo*out.width : hi*out.width]
+	ev.profExit(pmod, pmodt, work.n(), out.n())
+	mods.SetAttr("rows", out.n())
 	ev.exitSpan(mods)
 	observeSince(phaseModifiers, t2)
-	return res, nil
+	return vars, out, nil
 }
 
-func selectHasAggregate(q *Query) bool {
-	for _, it := range q.Select.Items {
-		if it.Expr != nil && HasAggregate(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-// evalGroup evaluates a group graph pattern over input bindings, returning
+// evalGroup evaluates a group graph pattern over the input rows, returning
 // the joined solutions. Per SPARQL group scoping, filters logically apply
 // after the other elements of the group; as an optimization a filter is
 // *pushed down* — applied as soon as every variable it mentions is surely
 // bound — which prunes intermediate results early. Filters using BOUND or
 // EXISTS always wait until group end (their truth can change while the
-// group is still being built).
-func (ev *evaluator) evalGroup(gp *GroupPattern, input []Binding) []Binding {
+// group is still being built). The input batch is never modified.
+func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 	cur := input
-	type pendingFilter struct {
-		expr Expr
-		vars map[string]bool
-		// deferToEnd forces evaluation after the whole group.
-		deferToEnd bool
-		applied    bool
-	}
-	var filters []*pendingFilter
+	empty := &batch{width: input.width}
+	var filters []*groupFilter
 	// Reorder consecutive triple patterns for join selectivity (ablation #3
 	// in DESIGN.md), leaving every other element in place. Under the
 	// cost-based planners this greedy pass only fixes the placement of
 	// property-path triples; plain-triple runs are re-ordered by the
 	// join-order search inside runTriples.
 	elems := ev.reorderTriples(gp.Elems)
-	// Variables surely bound so far (input bindings may bind more per-row,
-	// but only guarantees matter here).
+	// Variables surely bound so far (input rows may bind more per-row, but
+	// only guarantees matter here).
 	bound := map[string]bool{}
 	// costBased switches BGP runs to the cost-based planner: runs span
 	// intervening filters (the planner places them inside the run), and
@@ -461,9 +489,11 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input []Binding) []Binding {
 	var estBound map[string]bool
 	if costBased {
 		estBound = map[string]bool{}
-		if len(input) > 0 {
-			for v := range input[0] {
-				estBound[v] = true
+		if input.n() > 0 {
+			for slot, id := range input.row(0) {
+				if id != 0 {
+					estBound[ev.sc.names[slot]] = true
+				}
 			}
 		}
 		if !ev.noPushdown {
@@ -471,197 +501,90 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input []Binding) []Binding {
 			// that textually follows it; group scoping makes filters apply to
 			// the whole group regardless of position, and the sure-bound gate
 			// plus deferToEnd keep pushdown semantics unchanged.
-			for _, e := range gp.Elems {
-				if e.Filter != nil {
-					f := &pendingFilter{expr: e.Filter, vars: map[string]bool{}}
-					collectExprVars(e.Filter, f.vars)
-					f.deferToEnd = usesBoundOrExists(e.Filter)
-					filters = append(filters, f)
-				}
-			}
+			filters = groupFilters(gp)
 		}
 	}
-	env := exprEnv{ev: ev}
-	applyFilter := func(f *pendingFilter) {
-		fs := ev.cur.StartChild("filter")
-		if fs != nil {
-			fs.SetAttr("expr", fmt.Sprint(f.expr))
-			fs.SetAttr("rows_in", len(cur))
-		}
-		flabel := ""
-		if ev.prof != nil {
-			flabel = f.expr.String()
-		}
-		pf, pft := ev.profEnter("filter", flabel)
-		rowsIn := len(cur)
-		var out []Binding
-		for i, b := range cur {
-			if i%pollEvery == 0 && ev.cancel.poll() {
-				break
-			}
-			if v, err := env.evalBool(f.expr, b); err == nil && v {
-				out = append(out, b)
-			}
-		}
-		cur = out
-		f.applied = true
-		ev.profExit(pf, pft, rowsIn, len(cur))
-		if fs != nil {
-			fs.SetAttr("rows_out", len(cur))
-			fs.Finish()
-		}
-	}
-	filterReady := func() bool {
-		if ev.noPushdown {
-			return false
-		}
+	// ready reports whether a pending filter can be pushed down now.
+	ready := func(f *groupFilter) bool { return !ev.noPushdown && f.ready(bound) }
+	anyReady := func() bool {
 		for _, f := range filters {
-			if f.applied || f.deferToEnd {
-				continue
-			}
-			ready := true
-			for v := range f.vars {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
+			if ready(f) {
 				return true
 			}
 		}
 		return false
 	}
-	applyReady := func() {
-		if ev.noPushdown {
-			return
+	bind := func(vars ...string) {
+		for _, v := range vars {
+			bound[v] = true
+			if estBound != nil {
+				estBound[v] = true
+			}
 		}
-		for _, f := range filters {
-			if f.applied || f.deferToEnd {
-				continue
-			}
-			ready := true
-			for v := range f.vars {
-				if !bound[v] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				applyFilter(f)
-			}
+	}
+	bindSet := func(vars map[string]bool) {
+		for v := range vars {
+			bind(v)
 		}
 	}
 	for i := 0; i < len(elems); i++ {
 		if ev.cancel.poll() {
-			return nil
+			return empty
 		}
 		elem := elems[i]
 		switch {
 		case elem.Triple != nil && elem.Triple.Path != nil:
 			cur = ev.evalPathTriple(elem.Triple, cur)
-			for _, v := range elem.Triple.Vars() {
-				bound[v] = true
-				if estBound != nil {
-					estBound[v] = true
-				}
-			}
+			bind(elem.Triple.Vars()...)
 		case elem.Triple != nil && costBased:
 			// Gather the maximal run of plain triple patterns, spanning
 			// intervening filters (pre-registered above): the cost-based
 			// planner re-orders the whole run and places each pushed-down
 			// filter right after the step that binds its last variable, so
-			// filters prune inside the ID-space pipeline instead of breaking
-			// the run.
-			run := []*TriplePattern{elem.Triple}
-			for i+1 < len(elems) {
-				nx := elems[i+1]
-				if nx.Triple != nil && nx.Triple.Path == nil {
-					run = append(run, nx.Triple)
-					i++
-					continue
-				}
-				if nx.Filter != nil && !ev.noPushdown {
-					i++ // pre-registered; placed inside the run below
-					continue
-				}
-				break
-			}
+			// filters prune inside the run instead of breaking it.
+			var run []*TriplePattern
+			run, i = gatherRun(elems, i, !ev.noPushdown)
 			preSure := cloneVarSet(bound)
 			preEst := cloneVarSet(estBound)
 			for _, tp := range run {
-				for _, v := range tp.Vars() {
-					bound[v] = true
-					estBound[v] = true
-				}
+				bind(tp.Vars()...)
 			}
 			var pushed []*runFilter
-			if !ev.noPushdown {
-				for _, f := range filters {
-					if f.applied || f.deferToEnd {
-						continue
-					}
-					ready := true
-					for v := range f.vars {
-						if !bound[v] {
-							ready = false
-							break
-						}
-					}
-					if ready {
-						f.applied = true
-						pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
-					}
+			for _, f := range filters {
+				if ready(f) {
+					f.applied = true
+					pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
 				}
 			}
 			cur = ev.evalTripleRun(run, pushed, preSure, preEst, cur)
 		case elem.Triple != nil:
 			// Legacy greedy path: fuse the maximal run of consecutive plain
-			// triple patterns into one ID-space pipeline — intermediate rows
-			// stay as ID slices. The run breaks where a pushed-down filter
-			// becomes applicable, so filter pushdown still prunes between
-			// patterns.
+			// triple patterns into one pipeline. The run breaks where a
+			// pushed-down filter becomes applicable, so filter pushdown still
+			// prunes between patterns.
 			run := []*TriplePattern{elem.Triple}
-			for _, v := range elem.Triple.Vars() {
-				bound[v] = true
-			}
+			bind(elem.Triple.Vars()...)
 			for i+1 < len(elems) && elems[i+1].Triple != nil &&
-				elems[i+1].Triple.Path == nil && !filterReady() {
+				elems[i+1].Triple.Path == nil && !anyReady() {
 				tp := elems[i+1].Triple
 				run = append(run, tp)
-				for _, v := range tp.Vars() {
-					bound[v] = true
-				}
+				bind(tp.Vars()...)
 				i++
 			}
 			cur = ev.evalTripleRun(run, nil, nil, nil, cur)
 		case elem.Filter != nil:
-			if costBased && !ev.noPushdown {
-				break // pre-registered before the walk
+			if !costBased || ev.noPushdown { // else pre-registered before the walk
+				filters = append(filters, newGroupFilter(elem.Filter))
 			}
-			f := &pendingFilter{expr: elem.Filter, vars: map[string]bool{}}
-			collectExprVars(elem.Filter, f.vars)
-			f.deferToEnd = usesBoundOrExists(elem.Filter)
-			filters = append(filters, f)
 		case elem.Optional != nil:
 			cur = ev.evalOptional(elem.Optional, cur)
 			// OPTIONAL binds nothing surely.
 		case elem.Union != nil:
 			cur = ev.evalUnion(elem.Union, cur)
-			for v := range surelyBoundInUnion(elem.Union) {
-				bound[v] = true
-				if estBound != nil {
-					estBound[v] = true
-				}
-			}
+			bindSet(surelyBoundInUnion(elem.Union))
 		case elem.Group != nil:
 			cur = ev.evalGroup(elem.Group, cur)
-			for v := range surelyBound(elem.Group) {
-				bound[v] = true
-				if estBound != nil {
-					estBound[v] = true
-				}
-			}
+			bindSet(surelyBound(elem.Group))
 		case elem.Bind != nil:
 			cur = ev.evalBind(elem.Bind, cur)
 			// BIND may leave the var unbound on expression error, so it binds
@@ -676,14 +599,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input []Binding) []Binding {
 			// columns with UNDEF rows bind nothing surely but still inform
 			// cardinality estimation.
 			for j, v := range elem.Values.Vars {
-				sure := len(elem.Values.Rows) > 0
-				for _, row := range elem.Values.Rows {
-					if row[j].IsZero() {
-						sure = false
-						break
-					}
-				}
-				if sure {
+				if elem.Values.sure(j) {
 					bound[v] = true
 				}
 				if estBound != nil {
@@ -696,87 +612,119 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input []Binding) []Binding {
 		case elem.Minus != nil:
 			cur = ev.evalMinus(elem.Minus, cur)
 		}
-		if len(cur) == 0 {
-			return nil
+		// Operator-boundary governance: any element may have grown the row
+		// set past the budget (joins additionally check while producing, see
+		// join.go).
+		if cur.n() == 0 || ev.overBudget(cur.n()) {
+			return empty
 		}
-		// Operator-boundary governance: any element may have grown the
-		// binding set past the budget (joins additionally check while
-		// producing, see join.go).
-		if ev.overBudget(len(cur)) {
-			return nil
+		for _, f := range filters {
+			if ready(f) {
+				cur = ev.applyFilter(f.expr, cur, false)
+				f.applied = true
+			}
 		}
-		applyReady()
-		if len(cur) == 0 {
-			return nil
+		if cur.n() == 0 {
+			return empty
 		}
 	}
 	for _, f := range filters {
 		if ev.cancel.poll() {
-			return nil
+			return empty
 		}
 		if !f.applied {
-			applyFilter(f)
+			cur = ev.applyFilter(f.expr, cur, false)
 		}
 	}
 	return cur
 }
 
-// collectExprVars accumulates the variables an expression mentions.
-func collectExprVars(e Expr, acc map[string]bool) {
-	switch x := e.(type) {
-	case ExprVar:
-		acc[x.Name] = true
-	case ExprUnary:
-		collectExprVars(x.Sub, acc)
-	case ExprBinary:
-		collectExprVars(x.Left, acc)
-		collectExprVars(x.Right, acc)
-	case ExprCall:
-		for _, a := range x.Args {
-			collectExprVars(a, acc)
-		}
-	case ExprIn:
-		collectExprVars(x.Left, acc)
-		for _, a := range x.List {
-			collectExprVars(a, acc)
-		}
-	case ExprAggregate:
-		if x.Arg != nil {
-			collectExprVars(x.Arg, acc)
+// groupFilter is one FILTER of a group pattern on its way to being applied.
+type groupFilter struct {
+	expr Expr
+	// vars are the variables the expression mentions (EXISTS patterns
+	// excluded: they make the filter wait for group end anyway).
+	vars map[string]bool
+	// deferToEnd forces evaluation after the whole group.
+	deferToEnd bool
+	applied    bool
+}
+
+func newGroupFilter(e Expr) *groupFilter {
+	f := &groupFilter{expr: e, vars: map[string]bool{}, deferToEnd: usesBoundOrExists(e)}
+	visitExprVars(e, func(v string) { f.vars[v] = true }, nil)
+	return f
+}
+
+// groupFilters pre-registers every FILTER of the group.
+func groupFilters(gp *GroupPattern) []*groupFilter {
+	var out []*groupFilter
+	for _, e := range gp.Elems {
+		if e.Filter != nil {
+			out = append(out, newGroupFilter(e.Filter))
 		}
 	}
+	return out
+}
+
+// ready reports whether the filter is still pending and may apply as soon
+// as it does: every variable it mentions is surely bound.
+func (f *groupFilter) ready(bound map[string]bool) bool {
+	if f.applied || f.deferToEnd {
+		return false
+	}
+	for v := range f.vars {
+		if !bound[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// gatherRun returns the maximal run of plain triple patterns starting at
+// elems[i] and the index of its last element; with spanFilters the run
+// reaches across intervening FILTERs (pre-registered by the caller).
+func gatherRun(elems []PatternElem, i int, spanFilters bool) ([]*TriplePattern, int) {
+	run := []*TriplePattern{elems[i].Triple}
+	for i+1 < len(elems) {
+		nx := elems[i+1]
+		switch {
+		case nx.Triple != nil && nx.Triple.Path == nil:
+			run = append(run, nx.Triple)
+		case nx.Filter != nil && spanFilters:
+		default:
+			return run, i
+		}
+		i++
+	}
+	return run, i
+}
+
+// sure reports whether VALUES column j binds its variable in every row: the
+// block has rows and none holds UNDEF there.
+func (ve *ValuesElem) sure(j int) bool {
+	for _, row := range ve.Rows {
+		if row[j].IsZero() {
+			return false
+		}
+	}
+	return len(ve.Rows) > 0
 }
 
 // usesBoundOrExists reports whether the expression's value could change as
 // more of the group is evaluated even with its variables bound.
 func usesBoundOrExists(e Expr) bool {
-	switch x := e.(type) {
-	case ExprExists:
-		return true
-	case ExprCall:
-		if x.Func == "BOUND" || x.Func == "COALESCE" {
-			return true
+	found := false
+	walkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case ExprExists:
+			found = true
+		case ExprCall:
+			found = found || x.Func == "BOUND" || x.Func == "COALESCE"
 		}
-		for _, a := range x.Args {
-			if usesBoundOrExists(a) {
-				return true
-			}
-		}
-	case ExprUnary:
-		return usesBoundOrExists(x.Sub)
-	case ExprBinary:
-		return usesBoundOrExists(x.Left) || usesBoundOrExists(x.Right)
-	case ExprIn:
-		if usesBoundOrExists(x.Left) {
-			return true
-		}
-		for _, a := range x.List {
-			if usesBoundOrExists(a) {
-				return true
-			}
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // surelyBound returns the variables a group pattern always binds.
@@ -956,319 +904,282 @@ func (ev *evaluator) constIDs(tp *TriplePattern) ([3]rdf.ID, bool) {
 	return ids, true
 }
 
-// evalTriple joins the input bindings with a single pattern's matches. The
-// work happens in dictionary-ID space (see join.go): a strategy is chosen
-// per pattern — per-row index lookups for selective patterns, build/probe
-// hash join for unselective ones — and large inputs are partitioned across
-// the worker pool with an order-preserving merge. Consecutive patterns are
-// normally fused into one run by evalGroup so intermediate rows never
-// materialize Binding maps.
-func (ev *evaluator) evalTriple(tp *TriplePattern, input []Binding) []Binding {
-	if tp.Path != nil {
-		return ev.evalPathTriple(tp, input)
-	}
-	return ev.evalTripleRun([]*TriplePattern{tp}, nil, nil, nil, input)
-}
-
-// substNode maps a pattern node to a match term given current bindings,
-// returning the variable name still to bind ("" when the position is fixed).
-func substNode(n Node, b Binding) (rdf.Term, string) {
-	if !n.IsVar() {
-		return n.Term, ""
-	}
-	if t, ok := b[n.Var]; ok {
-		return t, ""
-	}
-	return rdf.Any, n.Var
-}
-
-func (ev *evaluator) evalOptional(opt *GroupPattern, input []Binding) []Binding {
+func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 	s := ev.enterSpan("optional")
-	s.SetAttr("rows_in", len(input))
+	s.SetAttr("rows_in", input.n())
 	po, pot := ev.profEnter("optional", "")
-	var out []Binding
-	for _, b := range input {
+	out := newBatch(input.width, input.n())
+	one := batch{width: input.width}
+	for i, n := 0, input.n(); i < n; i++ {
 		if ev.cancel.aborted() {
 			break
 		}
-		ext := ev.evalGroup(opt, []Binding{b})
-		if len(ext) == 0 {
-			out = append(out, b)
-			continue
+		one.vals = input.row(i)
+		if ext := ev.evalGroup(opt, &one); ext.n() > 0 {
+			out.vals = append(out.vals, ext.vals...)
+		} else {
+			out.vals = append(out.vals, one.vals...)
 		}
-		out = append(out, ext...)
 	}
-	ev.profExit(po, pot, len(input), len(out))
-	s.SetAttr("rows_out", len(out))
+	ev.profExit(po, pot, input.n(), out.n())
+	s.SetAttr("rows_out", out.n())
 	ev.exitSpan(s)
 	return out
 }
 
-func (ev *evaluator) evalUnion(u *UnionPattern, input []Binding) []Binding {
+func (ev *evaluator) evalUnion(u *UnionPattern, input *batch) *batch {
 	s := ev.enterSpan("union")
 	s.SetAttr("alternatives", len(u.Alternatives))
 	pu, put := ev.profEnter("union", "")
-	var out []Binding
+	out := &batch{width: input.width}
 	for _, alt := range u.Alternatives {
-		out = append(out, ev.evalGroup(alt, input)...)
+		out.vals = append(out.vals, ev.evalGroup(alt, input).vals...)
 	}
-	ev.profExit(pu, put, len(input), len(out))
-	s.SetAttr("rows_out", len(out))
+	ev.profExit(pu, put, input.n(), out.n())
+	s.SetAttr("rows_out", out.n())
 	ev.exitSpan(s)
 	return out
 }
 
-func (ev *evaluator) evalBind(be *BindElem, input []Binding) []Binding {
+func (ev *evaluator) evalBind(be *BindElem, input *batch) *batch {
+	if ev.sc.slot(be.Var) < 0 {
+		return input // nothing reads the variable
+	}
+	return ev.assign(input, []SelectItem{{Var: be.Var, Expr: be.Expr}})
+}
+
+// assign returns the rows with each item's expression value bound to its
+// variable (BIND, and the algebra's Extend for SELECT expressions). Items
+// evaluate in order against the row extended so far; an expression error
+// leaves the variable as it was, per the spec's error semantics.
+func (ev *evaluator) assign(rows *batch, items []SelectItem) *batch {
 	env := exprEnv{ev: ev}
-	out := make([]Binding, 0, len(input))
-	for _, b := range input {
-		nb := b.clone()
-		if v, err := env.evalExpr(be.Expr, b); err == nil {
-			nb[be.Var] = v
-		}
-		out = append(out, nb)
+	slots := make([]int, len(items))
+	for j, it := range items {
+		slots[j] = ev.sc.slot(it.Var)
 	}
-	return out
-}
-
-func (ev *evaluator) evalValues(ve *ValuesElem, input []Binding) []Binding {
-	var out []Binding
-	for _, b := range input {
-		for _, row := range ve.Rows {
-			nb := b.clone()
-			ok := true
-			for i, v := range ve.Vars {
-				t := row[i]
-				if t.IsZero() {
-					continue // UNDEF
-				}
-				if cur, bound := nb[v]; bound {
-					if cur != t {
-						ok = false
-						break
-					}
-					continue
-				}
-				nb[v] = t
+	out := &batch{width: rows.width, vals: slices.Clone(rows.vals)}
+	for i, n := 0, out.n(); i < n; i++ {
+		row := out.row(i)
+		for j, it := range items {
+			if it.Expr == nil {
+				continue
 			}
-			if ok {
-				out = append(out, nb)
+			if v, err := env.evalExpr(it.Expr, row); err == nil {
+				row[slots[j]] = ev.dict.id(v)
 			}
 		}
 	}
 	return out
 }
 
-func (ev *evaluator) evalSubQuery(q *Query, input []Binding) []Binding {
+func (ev *evaluator) evalValues(ve *ValuesElem, input *batch) *batch {
+	// The block as an ID table (0 = UNDEF).
+	table := make([]rdf.ID, 0, len(ve.Rows)*len(ve.Vars))
+	for _, row := range ve.Rows {
+		for _, t := range row {
+			id := rdf.ID(0)
+			if !t.IsZero() {
+				id = ev.dict.id(t)
+			}
+			table = append(table, id)
+		}
+	}
+	return ev.joinTable(input, ve.Vars, table, len(ve.Rows))
+}
+
+// evalSubQuery joins the input with the subquery's projection: the subquery
+// runs once, in its own scope.
+func (ev *evaluator) evalSubQuery(q *Query, input *batch) *batch {
 	s := ev.enterSpan("subquery")
 	defer ev.exitSpan(s)
 	ps, pst := ev.profEnter("subquery", "")
-	res, err := ev.execSelect(q, []Binding{{}})
-	if err != nil {
-		ev.profExit(ps, pst, len(input), 0)
-		return nil
+	out := &batch{width: input.width}
+	if vars, sub, err := ev.selectRows(q); err == nil {
+		out = ev.joinTable(input, vars, sub.vals, sub.n())
 	}
-	var out []Binding
-	for _, b := range input {
-		if ev.cancel.aborted() {
-			break
-		}
-		for _, sub := range res.Rows {
-			if !b.compatible(sub) {
-				continue
-			}
-			nb := b.clone()
-			for _, v := range res.Vars {
-				if t, ok := sub[v]; ok {
-					nb[v] = t
-				}
-			}
-			out = append(out, nb)
-		}
-	}
-	ev.profExit(ps, pst, len(input), len(out))
+	ev.profExit(ps, pst, input.n(), out.n())
 	return out
 }
 
-func (ev *evaluator) evalMinus(m *GroupPattern, input []Binding) []Binding {
+// joinTable joins the input with a table of nrows solutions over vars, flat
+// with one column per variable (VALUES rows, a subquery's projection): every
+// input row is extended by every compatible table row, input-major. The
+// table's columns map onto the scope's slots of the same names; 0 is
+// unbound on both sides.
+func (ev *evaluator) joinTable(input *batch, vars []string, table []rdf.ID, nrows int) *batch {
+	slots := make([]int, len(vars))
+	for j, v := range vars {
+		slots[j] = ev.sc.slot(v)
+	}
+	out := newBatch(input.width, input.n())
+	for i, n := 0, input.n(); i < n; i++ {
+		if ev.cancel.aborted() {
+			break
+		}
+		row := input.row(i)
+	next:
+		for r := 0; r < nrows; r++ {
+			vals := table[r*len(vars) : (r+1)*len(vars)]
+			for j, s := range slots {
+				if s >= 0 && vals[j] != 0 && row[s] != 0 && row[s] != vals[j] {
+					continue next
+				}
+			}
+			base := len(out.vals)
+			out.vals = append(out.vals, row...)
+			for j, s := range slots {
+				if s >= 0 && vals[j] != 0 {
+					out.vals[base+s] = vals[j]
+				}
+			}
+		}
+	}
+	return out
+}
+
+func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
 	s := ev.enterSpan("minus")
 	defer ev.exitSpan(s)
 	pm, pmt := ev.profEnter("minus", "")
-	removed := ev.evalGroup(m, []Binding{{}})
-	var out []Binding
-	for i, b := range input {
+	removed := ev.evalGroup(m, unitBatch(input.width))
+	out := newBatch(input.width, input.n())
+	for i, n := 0, input.n(); i < n; i++ {
 		if i%pollEvery == 0 && ev.cancel.poll() {
 			break
 		}
+		row := input.row(i)
 		excluded := false
-		for _, r := range removed {
-			shared := false
-			agree := true
-			for k, v := range r {
-				if w, ok := b[k]; ok {
+		for r, nr := 0, removed.n(); r < nr && !excluded; r++ {
+			// Excluded by a solution sharing at least one variable with the
+			// row and agreeing on every shared one.
+			shared, agree := false, true
+			for k, id := range removed.row(r) {
+				if id != 0 && row[k] != 0 {
 					shared = true
-					if w != v {
+					if row[k] != id {
 						agree = false
 						break
 					}
 				}
 			}
-			if shared && agree {
-				excluded = true
-				break
-			}
+			excluded = shared && agree
 		}
 		if !excluded {
-			out = append(out, b)
+			out.vals = append(out.vals, row...)
 		}
 	}
-	ev.profExit(pm, pmt, len(input), len(out))
+	ev.profExit(pm, pmt, input.n(), out.n())
 	return out
 }
 
 // extend returns the solution rows extended with the SELECT-expression
 // values bound to their aliases (the algebra's Extend, SPARQL 1.1
-// §18.2.4.4), so ORDER BY can see them before projection. The input is
-// returned untouched when the projection has no expressions. Expressions
-// evaluate against the already-extended row, so a later select expression
-// may reference an earlier alias. An expression error leaves the alias
-// unbound, per the spec's error semantics.
-func (ev *evaluator) extend(q *Query, rows []Binding) []Binding {
-	hasExpr := false
-	for _, it := range q.Select.Items {
-		if it.Expr != nil {
-			hasExpr = true
-			break
-		}
-	}
+// §18.2.4.4), so ORDER BY can see them before projection — a later select
+// expression may reference an earlier alias. The input is returned
+// untouched when the projection has no expressions.
+func (ev *evaluator) extend(q *Query, rows *batch) *batch {
+	hasExpr := slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return it.Expr != nil })
 	if q.Select.Star || !hasExpr {
 		return rows
 	}
-	env := exprEnv{ev: ev}
-	out := make([]Binding, len(rows))
-	for i, b := range rows {
-		nb := b.clone()
-		for _, it := range q.Select.Items {
-			if it.Expr == nil {
-				continue
-			}
-			if v, err := env.evalExpr(it.Expr, nb); err == nil {
-				nb[it.Var] = v
-			}
-		}
-		out[i] = nb
-	}
-	return out
+	return ev.assign(rows, q.Select.Items)
 }
 
-// project builds the final result table from the (extended, ordered)
-// solution rows, keeping only the projected variables.
-func (ev *evaluator) project(q *Query, rows []Binding) *Results {
+// project keeps the projected variables of the (extended, ordered) solution
+// rows: one output column per variable. SELECT * lists the variables bound
+// in at least one row, sorted.
+func (ev *evaluator) project(q *Query, rows *batch) ([]string, *batch) {
+	var vars []string
 	if q.Select.Star {
-		varSet := map[string]bool{}
-		var vars []string
-		for _, b := range rows {
-			for v := range b {
-				if !varSet[v] && !strings.HasPrefix(v, "_anon") {
-					varSet[v] = true
-					vars = append(vars, v)
-				}
+		boundSlot := make([]bool, rows.width)
+		for i, id := range rows.vals {
+			if id != 0 {
+				boundSlot[i%rows.width] = true
+			}
+		}
+		for slot, name := range ev.sc.names {
+			if boundSlot[slot] && !strings.HasPrefix(name, "_anon") {
+				vars = append(vars, name)
 			}
 		}
 		sort.Strings(vars)
-		out := &Results{Vars: vars}
-		for _, b := range rows {
-			nb := Binding{}
-			for _, v := range vars {
-				if t, ok := b[v]; ok {
-					nb[v] = t
-				}
-			}
-			out.Rows = append(out.Rows, nb)
-		}
-		return out
-	}
-	out := &Results{}
-	for _, it := range q.Select.Items {
-		out.Vars = append(out.Vars, it.Var)
-	}
-	for _, b := range rows {
-		nb := Binding{}
+	} else {
 		for _, it := range q.Select.Items {
-			if t, ok := b[it.Var]; ok {
-				nb[it.Var] = t
-			}
-		}
-		out.Rows = append(out.Rows, nb)
-	}
-	return out
-}
-
-func distinct(res *Results) *Results {
-	seen := map[string]bool{}
-	out := &Results{Vars: res.Vars}
-	for _, b := range res.Rows {
-		var sb strings.Builder
-		for _, v := range res.Vars {
-			if t, ok := b[v]; ok {
-				sb.WriteString(t.String())
-			}
-			sb.WriteByte('\x00')
-		}
-		key := sb.String()
-		if !seen[key] {
-			seen[key] = true
-			out.Rows = append(out.Rows, b)
+			vars = append(vars, it.Var)
 		}
 	}
-	return out
+	out := newBatch(max(1, len(vars)), rows.n())
+	out.vals = out.vals[:cap(out.vals)]
+	for j, v := range vars {
+		slot := ev.sc.slot(v)
+		if slot < 0 {
+			continue
+		}
+		for i, n := 0, rows.n(); i < n; i++ {
+			out.vals[i*out.width+j] = rows.vals[i*rows.width+slot]
+		}
+	}
+	return vars, out
 }
 
-// orderBy stably sorts solution rows by the ORDER BY conditions. It runs on
-// the pre-projection solution sequence (see execSelect), so conditions may
-// reference variables the projection drops.
-func (ev *evaluator) orderBy(rows []Binding, conds []OrderCond) {
-	cmp := ev.orderComparator(conds)
-	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
+// distinct keeps the first occurrence of every row.
+func distinct(rows *batch) *batch {
+	seen := newTupleIndex(rows.width, rows.n())
+	for i, n := 0, rows.n(); i < n; i++ {
+		seen.add(rows.row(i))
+	}
+	return &batch{width: rows.width, vals: seen.keys}
 }
 
-// orderComparator returns the three-way comparator ORDER BY sorts with. The
-// comparator is a strict weak order: equivalent-but-unequal terms (distinct
-// lexical forms of one value) compare 0 in *both* directions — the earlier
-// boolean formulation returned true both ways under DESC, which corrupts
-// sort.SliceStable. Unbound/erroring expressions sort lowest ascending, per
-// SPARQL 1.1 §15.1.
-func (ev *evaluator) orderComparator(conds []OrderCond) func(a, b Binding) int {
+// orderKeys evaluates every condition on a row, appending to keys. An
+// unbound or erroring condition yields the zero key, which sorts lowest
+// ascending, per SPARQL 1.1 §15.1.
+func (ev *evaluator) orderKeys(keys []rdf.OrderKey, conds []OrderCond, row []rdf.ID) []rdf.OrderKey {
 	env := exprEnv{ev: ev}
-	return func(a, b Binding) int {
-		for _, c := range conds {
-			va, errA := env.evalExpr(c.Expr, a)
-			vb, errB := env.evalExpr(c.Expr, b)
-			var cmp int
-			switch {
-			case errA != nil && errB != nil:
-				cmp = 0
-			case errA != nil:
-				cmp = -1
-			case errB != nil:
-				cmp = 1
-			case va == vb:
-				cmp = 0
-			case va.Less(vb):
-				cmp = -1
-			case vb.Less(va):
-				cmp = 1
-			}
-			if cmp == 0 {
-				continue
-			}
+	for _, c := range conds {
+		v, _ := env.evalExpr(c.Expr, row) // zero Term on error
+		keys = append(keys, v.OrderKey())
+	}
+	return keys
+}
+
+// compareOrderKeys is the three-way comparator ORDER BY sorts with, over the
+// keys of two rows. It is a strict weak order: only identical terms compare
+// 0, in *both* directions — an earlier boolean formulation returned true
+// both ways under DESC, which corrupts a stable sort.
+func compareOrderKeys(conds []OrderCond, a, b []rdf.OrderKey) int {
+	for i, c := range conds {
+		if cmp := a[i].Compare(b[i]); cmp != 0 {
 			if c.Desc {
 				return -cmp
 			}
 			return cmp
 		}
-		return 0
 	}
+	return 0
+}
+
+// orderBy stably sorts solution rows by the ORDER BY conditions, evaluating
+// each condition once per row. It runs on the pre-projection solution
+// sequence (see selectRows), so conditions may reference variables the
+// projection drops.
+func (ev *evaluator) orderBy(rows *batch, conds []OrderCond) *batch {
+	n, k := rows.n(), len(conds)
+	keys := make([]rdf.OrderKey, 0, n*k)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+		keys = ev.orderKeys(keys, conds, rows.row(i))
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return compareOrderKeys(conds, keys[int(a)*k:int(a+1)*k], keys[int(b)*k:int(b+1)*k])
+	})
+	out := newBatch(rows.width, n)
+	for _, i := range perm {
+		out.vals = append(out.vals, rows.row(int(i))...)
+	}
+	return out
 }
 
 // OrderComparator exposes the ORDER BY comparator over solution bindings
@@ -1277,5 +1188,22 @@ func (ev *evaluator) orderComparator(conds []OrderCond) func(a, b Binding) int {
 // graph and ignores resource limits.
 func OrderComparator(g *rdf.Graph, conds []OrderCond) func(a, b Binding) int {
 	ev := newEvaluator(context.Background(), g, Options{})
-	return ev.orderComparator(conds)
+	ev.sc = &scope{slots: map[string]int{}}
+	for _, c := range conds {
+		visitExprVars(c.Expr, ev.sc.add, nil)
+	}
+	keys := func(b Binding) []rdf.OrderKey { return ev.orderKeys(nil, conds, ev.bindingRow(b)) }
+	return func(a, b Binding) int { return compareOrderKeys(conds, keys(a), keys(b)) }
+}
+
+// bindingRow lays a Binding out as a row of the current scope; variables
+// without a slot are dropped.
+func (ev *evaluator) bindingRow(b Binding) []rdf.ID {
+	row := make([]rdf.ID, ev.sc.width())
+	for v, t := range b {
+		if s := ev.sc.slot(v); s >= 0 {
+			row[s] = ev.dict.id(t)
+		}
+	}
+	return row
 }

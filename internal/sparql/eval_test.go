@@ -3,6 +3,7 @@ package sparql
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func invoices(t testing.TB) *rdf.Graph {
 
 func get(t *testing.T, res *Results, keyVar, keyLocal, valVar string) rdf.Term {
 	t.Helper()
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		if k, ok := row[keyVar]; ok && k.LocalName() == keyLocal {
 			return row[valVar]
 		}
@@ -111,8 +112,8 @@ GROUP BY ?x2`)
 	if res.Len() != 1 {
 		t.Fatalf("groups = %d, want 1", res.Len())
 	}
-	if n, _ := res.Rows[0]["sum_x3"].Int(); n != 300 {
-		t.Errorf("sum = %v", res.Rows[0]["sum_x3"])
+	if n, _ := res.Get(0, "sum_x3").Int(); n != 300 {
+		t.Errorf("sum = %v", res.Get(0, "sum_x3"))
 	}
 }
 
@@ -249,7 +250,7 @@ HAVING (SUM(?x3) > 150)`)
 	if res.Len() != 1 {
 		t.Fatalf("groups = %d, want 1\n%s", res.Len(), res)
 	}
-	if res.Rows[0]["x2"].LocalName() != "branch1" || res.Rows[0]["x5"].LocalName() != "CocaCola" {
+	if res.Get(0, "x2").LocalName() != "branch1" || res.Get(0, "x5").LocalName() != "CocaCola" {
 		t.Errorf("wrong group: %v", res.Rows[0])
 	}
 }
@@ -266,7 +267,7 @@ WHERE { ?x1 ex:inQuantity ?x3 }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
+	row := bindings(res)[0]
 	checks := map[string]string{
 		"c": "7", "s": "1500", "mn": "100", "mx": "400", "cd": "3",
 	}
@@ -293,7 +294,7 @@ SELECT (COUNT(*) AS ?n) WHERE { ?x ex:nonexistent ?y }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["n"].Value != "0" {
+	if res.Len() != 1 || res.Get(0, "n").Value != "0" {
 		t.Fatalf("COUNT(*) over empty = %v", res.Rows)
 	}
 }
@@ -310,7 +311,7 @@ SELECT ?i ?n WHERE { ?i ex:takesPlaceAt ?b . OPTIONAL { ?i ex:note ?n } }`)
 		t.Fatalf("rows = %d, want 7", res.Len())
 	}
 	bound := 0
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		if _, ok := row["n"]; ok {
 			bound++
 		}
@@ -412,7 +413,7 @@ ex:x ex:mother ex:y .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["x"].LocalName() != "a" {
+	if res.Len() != 1 || res.Get(0, "x").LocalName() != "a" {
 		t.Fatalf("inverse: %s", res)
 	}
 	// one-or-more
@@ -459,7 +460,7 @@ SELECT DISTINCT ?b WHERE { ?i ex:takesPlaceAt ?b } ORDER BY ?b`)
 	if res.Len() != 3 {
 		t.Fatalf("distinct rows = %d", res.Len())
 	}
-	if res.Rows[0]["b"].LocalName() != "branch1" {
+	if res.Get(0, "b").LocalName() != "branch1" {
 		t.Errorf("order: %v", res.Rows)
 	}
 	res, err = Select(g, `PREFIX ex: <http://e/>
@@ -467,7 +468,7 @@ SELECT DISTINCT ?b WHERE { ?i ex:takesPlaceAt ?b } ORDER BY DESC(?b) LIMIT 1 OFF
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["b"].LocalName() != "branch2" {
+	if res.Len() != 1 || res.Get(0, "b").LocalName() != "branch2" {
 		t.Fatalf("limit/offset: %s", res)
 	}
 }
@@ -479,11 +480,11 @@ SELECT ?i ?q WHERE { ?i ex:inQuantity ?q } ORDER BY DESC(?q) ?i`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := res.Rows[0]["q"].Int(); v != 400 {
-		t.Errorf("first row q = %v", res.Rows[0]["q"])
+	if v, _ := res.Get(0, "q").Int(); v != 400 {
+		t.Errorf("first row q = %v", res.Get(0, "q"))
 	}
-	if v, _ := res.Rows[6]["q"].Int(); v != 100 {
-		t.Errorf("last row q = %v", res.Rows[6]["q"])
+	if v, _ := res.Get(6, "q").Int(); v != 100 {
+		t.Errorf("last row q = %v", res.Get(6, "q"))
 	}
 }
 
@@ -509,7 +510,7 @@ ex:a ex:knows ex:b .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["x"].LocalName() != "a" {
+	if res.Len() != 1 || res.Get(0, "x").LocalName() != "a" {
 		t.Fatalf("self-loop: %s", res)
 	}
 }
@@ -629,7 +630,7 @@ SELECT ?i (YEAR(?d) AS ?y) (STR(?d) AS ?s) WHERE { ?i ex:hasDate ?d } LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
+	row := bindings(res)[0]
 	if row["y"].Value != "2021" {
 		t.Errorf("year = %v", row["y"])
 	}
@@ -666,7 +667,7 @@ SELECT ?b (SUM(?q) AS ?total) WHERE { ?i ex:takesPlaceAt ?b . ?i ex:inQuantity ?
 	}
 	// values survive with datatypes
 	found := false
-	for _, row := range back.Rows {
+	for _, row := range bindings(back) {
 		if row["b"] == rdf.NewIRI("http://e/branch1") {
 			found = true
 			if n, _ := row["total"].Int(); n != 300 {
@@ -756,10 +757,23 @@ SELECT ?i ?b WHERE { ?i ?p ?o . ?i ex:takesPlaceAt ?b . ?i ex:delivers ex:coca }
 		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
 	}
 	for i := range a.Rows {
-		for _, v := range a.Vars {
-			if a.Rows[i][v] != b.Rows[i][v] {
-				t.Fatalf("row %d differs", i)
+		if !slices.Equal(a.Rows[i], b.Rows[i]) {
+			t.Fatalf("row %d differs", i)
+		}
+	}
+}
+
+// bindings renders a result table as one map per row (bound variables
+// only), the form most assertions read.
+func bindings(res *Results) []Binding {
+	out := make([]Binding, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = Binding{}
+		for j, t := range row {
+			if !t.IsZero() {
+				out[i][res.Vars[j]] = t
 			}
 		}
 	}
+	return out
 }

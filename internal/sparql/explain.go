@@ -20,14 +20,12 @@ func Explain(g *rdf.Graph, src string) (string, error) {
 // ExplainOpts is Explain with evaluation options applied, so the reported
 // worker count and strategy choices match what ExecSelectOpts would do.
 func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormSelect, "EXPLAIN supports SELECT queries")
 	if err != nil {
 		return "", err
 	}
-	if q.Form != FormSelect {
-		return "", fmt.Errorf("sparql: EXPLAIN supports SELECT queries")
-	}
 	ev := newEvaluator(context.Background(), g, opts)
+	ev.sc = selectScope(q)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT plan: (workers: %d)\n", ev.workers)
 	explainGroup(ev, q.Where, &sb, 1)
@@ -35,8 +33,13 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 		fmt.Fprintf(&sb, "  stats cache: %d entries, %d hits, %d misses\n", size, hits, misses)
 	}
 	if len(q.GroupBy) > 0 {
-		fmt.Fprintf(&sb, "  group by %d condition(s), %d aggregate column(s)\n",
-			len(q.GroupBy), countAggregates(q))
+		naggs := 0
+		for _, it := range q.Select.Items {
+			if HasAggregate(it.Expr) {
+				naggs++
+			}
+		}
+		fmt.Fprintf(&sb, "  group by %d condition(s), %d aggregate column(s)\n", len(q.GroupBy), naggs)
 	}
 	if len(q.Having) > 0 {
 		fmt.Fprintf(&sb, "  having: %d condition(s)\n", len(q.Having))
@@ -67,12 +70,9 @@ func ExplainAnalyze(g *rdf.Graph, src string, opts Options) (string, error) {
 // ExplainAnalyzeCtx is ExplainAnalyze under a context (see ExecSelectCtx
 // for cancellation/limit semantics).
 func ExplainAnalyzeCtx(ctx context.Context, g *rdf.Graph, src string, opts Options) (string, error) {
-	q, err := Parse(src)
+	q, err := parseForm(src, FormSelect, "EXPLAIN ANALYZE supports SELECT queries")
 	if err != nil {
 		return "", err
-	}
-	if q.Form != FormSelect {
-		return "", fmt.Errorf("sparql: EXPLAIN ANALYZE supports SELECT queries")
 	}
 	prof := NewProfile("query")
 	opts.Profile = prof
@@ -80,16 +80,6 @@ func ExplainAnalyzeCtx(ctx context.Context, g *rdf.Graph, src string, opts Optio
 		return "", err
 	}
 	return prof.Tree(), nil
-}
-
-func countAggregates(q *Query) int {
-	n := 0
-	for _, it := range q.Select.Items {
-		if it.Expr != nil && HasAggregate(it.Expr) {
-			n++
-		}
-	}
-	return n
 }
 
 func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth int) {
@@ -106,22 +96,9 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 	// Mirror evalGroup's cost-mode filter pre-registration so the report
 	// shows where each filter actually applies: inside a run, pushed down
 	// when bound, or at group end.
-	type xFilter struct {
-		expr       Expr
-		vars       map[string]bool
-		deferToEnd bool
-		consumed   bool
-	}
-	var pending []*xFilter
+	var pending []*groupFilter
 	if costBased && !ev.noPushdown {
-		for _, e := range gp.Elems {
-			if e.Filter != nil {
-				f := &xFilter{expr: e.Filter, vars: map[string]bool{}}
-				collectExprVars(e.Filter, f.vars)
-				f.deferToEnd = usesBoundOrExists(e.Filter)
-				pending = append(pending, f)
-			}
-		}
+		pending = groupFilters(gp)
 	}
 	for idx := 0; idx < len(elems); idx++ {
 		e := elems[idx]
@@ -129,20 +106,8 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 		case e.Triple != nil && e.Triple.Path == nil && costBased:
 			// Gather the run exactly as evalGroup does (spanning filters when
 			// pushdown is on) and render the cost-based plan.
-			run := []*TriplePattern{e.Triple}
-			for idx+1 < len(elems) {
-				nx := elems[idx+1]
-				if nx.Triple != nil && nx.Triple.Path == nil {
-					run = append(run, nx.Triple)
-					idx++
-					continue
-				}
-				if nx.Filter != nil && !ev.noPushdown {
-					idx++
-					continue
-				}
-				break
-			}
+			var run []*TriplePattern
+			run, idx = gatherRun(elems, idx, !ev.noPushdown)
 			preSure := cloneVarSet(bound)
 			preEst := cloneVarSet(estB)
 			for _, tp := range run {
@@ -165,18 +130,8 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 			plan, _ := ev.planBGP(rp, run, colsFromVars(rp, preEst), rows)
 			var pushed []*runFilter
 			for _, f := range pending {
-				if f.consumed || f.deferToEnd {
-					continue
-				}
-				ready := true
-				for v := range f.vars {
-					if !bound[v] {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					f.consumed = true
+				if f.ready(bound) {
+					f.applied = true
 					pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
 				}
 			}
@@ -269,14 +224,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 			step++
 			fmt.Fprintf(sb, "%s%d. values %v (%d rows)\n", indent, step, e.Values.Vars, len(e.Values.Rows))
 			for j, v := range e.Values.Vars {
-				sure := len(e.Values.Rows) > 0
-				for _, row := range e.Values.Rows {
-					if row[j].IsZero() {
-						sure = false
-						break
-					}
-				}
-				if sure {
+				if e.Values.sure(j) {
 					bound[v] = true
 				}
 				estB[v] = true
@@ -295,7 +243,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 	}
 	// Filters the cost-based planner did not fold into a run.
 	for _, f := range pending {
-		if f.consumed {
+		if f.applied {
 			continue
 		}
 		step++

@@ -19,37 +19,48 @@ func evalErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errEval, fmt.Sprintf(format, args...))
 }
 
-// exprEnv provides what expression evaluation needs beyond the row binding:
-// the graph (for EXISTS) and the evaluator (for nested pattern matching).
+// errUnbound is the evaluation error of an unbound variable: one value, not
+// one allocation per row of an OPTIONAL-heavy filter.
+var errUnbound = fmt.Errorf("%w: unbound variable", errEval)
+
+// exprEnv provides what expression evaluation needs beyond the row: the
+// evaluator, whose scope says which column a variable is and whose
+// dictionary decodes it (only the variables the expression mentions are ever
+// decoded), and which matches the pattern of an EXISTS.
 type exprEnv struct {
 	ev *evaluator
+	// grp, when set, is the group an aggregate in the expression folds over
+	// (HAVING, SELECT and ORDER BY expressions of a grouped query).
+	grp *groupRows
 }
 
-// evalExpr evaluates an expression against a binding. Returned errors that
-// wrap errEval are ordinary SPARQL evaluation errors; FILTER treats them as
-// false.
-func (env exprEnv) evalExpr(e Expr, b Binding) (rdf.Term, error) {
+// evalExpr evaluates an expression against a solution row. Returned errors
+// that wrap errEval are ordinary SPARQL evaluation errors; FILTER treats
+// them as false.
+func (env exprEnv) evalExpr(e Expr, row []rdf.ID) (rdf.Term, error) {
 	switch x := e.(type) {
 	case ExprVar:
-		t, ok := b[x.Name]
-		if !ok {
-			return rdf.Term{}, evalErrf("unbound variable ?%s", x.Name)
+		if s := env.ev.sc.slot(x.Name); s >= 0 && row[s] != 0 {
+			return env.ev.dict.term(row[s]), nil
 		}
-		return t, nil
+		return rdf.Term{}, errUnbound
 	case ExprTerm:
 		return x.Term, nil
 	case ExprUnary:
-		return env.evalUnary(x, b)
+		return env.evalUnary(x, row)
 	case ExprBinary:
-		return env.evalBinary(x, b)
+		return env.evalBinary(x, row)
 	case ExprCall:
-		return env.evalCall(x, b)
+		return env.evalCall(x, row)
 	case ExprIn:
-		return env.evalIn(x, b)
+		return env.evalIn(x, row)
 	case ExprExists:
-		return env.evalExists(x, b)
+		return env.evalExists(x, row)
 	case ExprAggregate:
-		return rdf.Term{}, evalErrf("aggregate %s outside grouping context", x.Func)
+		if env.grp == nil {
+			return rdf.Term{}, evalErrf("aggregate %s outside grouping context", x.Func)
+		}
+		return env.ev.computeAggregate(x, *env.grp)
 	default:
 		return rdf.Term{}, evalErrf("unknown expression %T", e)
 	}
@@ -80,24 +91,24 @@ func ebv(t rdf.Term) (bool, error) {
 }
 
 // evalBool evaluates an expression to its effective boolean value.
-func (env exprEnv) evalBool(e Expr, b Binding) (bool, error) {
-	t, err := env.evalExpr(e, b)
+func (env exprEnv) evalBool(e Expr, row []rdf.ID) (bool, error) {
+	t, err := env.evalExpr(e, row)
 	if err != nil {
 		return false, err
 	}
 	return ebv(t)
 }
 
-func (env exprEnv) evalUnary(x ExprUnary, b Binding) (rdf.Term, error) {
+func (env exprEnv) evalUnary(x ExprUnary, row []rdf.ID) (rdf.Term, error) {
 	switch x.Op {
 	case "!":
-		v, err := env.evalBool(x.Sub, b)
+		v, err := env.evalBool(x.Sub, row)
 		if err != nil {
 			return rdf.Term{}, err
 		}
 		return rdf.NewBool(!v), nil
 	case "-":
-		t, err := env.evalExpr(x.Sub, b)
+		t, err := env.evalExpr(x.Sub, row)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -111,11 +122,11 @@ func (env exprEnv) evalUnary(x ExprUnary, b Binding) (rdf.Term, error) {
 	}
 }
 
-func (env exprEnv) evalBinary(x ExprBinary, b Binding) (rdf.Term, error) {
+func (env exprEnv) evalBinary(x ExprBinary, row []rdf.ID) (rdf.Term, error) {
 	switch x.Op {
 	case "&&":
-		l, errL := env.evalBool(x.Left, b)
-		r, errR := env.evalBool(x.Right, b)
+		l, errL := env.evalBool(x.Left, row)
+		r, errR := env.evalBool(x.Right, row)
 		// SPARQL three-valued logic: false && error = false.
 		switch {
 		case errL == nil && errR == nil:
@@ -131,8 +142,8 @@ func (env exprEnv) evalBinary(x ExprBinary, b Binding) (rdf.Term, error) {
 			return rdf.Term{}, errR
 		}
 	case "||":
-		l, errL := env.evalBool(x.Left, b)
-		r, errR := env.evalBool(x.Right, b)
+		l, errL := env.evalBool(x.Left, row)
+		r, errR := env.evalBool(x.Right, row)
 		switch {
 		case errL == nil && errR == nil:
 			return rdf.NewBool(l || r), nil
@@ -147,11 +158,11 @@ func (env exprEnv) evalBinary(x ExprBinary, b Binding) (rdf.Term, error) {
 			return rdf.Term{}, errR
 		}
 	}
-	l, err := env.evalExpr(x.Left, b)
+	l, err := env.evalExpr(x.Left, row)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	r, err := env.evalExpr(x.Right, b)
+	r, err := env.evalExpr(x.Right, row)
 	if err != nil {
 		return rdf.Term{}, err
 	}
@@ -316,14 +327,14 @@ func compareTerms(l, r rdf.Term) (int, error) {
 	return 0, evalErrf("cannot order %s and %s", l, r)
 }
 
-func (env exprEnv) evalIn(x ExprIn, b Binding) (rdf.Term, error) {
-	l, err := env.evalExpr(x.Left, b)
+func (env exprEnv) evalIn(x ExprIn, row []rdf.ID) (rdf.Term, error) {
+	l, err := env.evalExpr(x.Left, row)
 	if err != nil {
 		return rdf.Term{}, err
 	}
 	found := false
 	for _, item := range x.List {
-		r, err := env.evalExpr(item, b)
+		r, err := env.evalExpr(item, row)
 		if err != nil {
 			continue
 		}
@@ -339,28 +350,25 @@ func (env exprEnv) evalIn(x ExprIn, b Binding) (rdf.Term, error) {
 	return rdf.NewBool(found), nil
 }
 
-func (env exprEnv) evalExists(x ExprExists, b Binding) (rdf.Term, error) {
-	if env.ev == nil {
-		return rdf.Term{}, evalErrf("EXISTS outside query context")
-	}
-	found := len(env.ev.evalGroup(x.Pattern, []Binding{b.clone()})) > 0
+func (env exprEnv) evalExists(x ExprExists, row []rdf.ID) (rdf.Term, error) {
+	found := env.ev.evalGroup(x.Pattern, &batch{width: len(row), vals: row}).n() > 0
 	if x.Not {
 		found = !found
 	}
 	return rdf.NewBool(found), nil
 }
 
-func (env exprEnv) evalCall(x ExprCall, b Binding) (rdf.Term, error) {
+func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	// Datatype casts: the function name is an IRI.
 	if strings.Contains(x.Func, "://") {
-		return env.evalCast(x, b)
+		return env.evalCast(x, row)
 	}
 	name := strings.ToUpper(x.Func)
 	arg := func(i int) (rdf.Term, error) {
 		if i >= len(x.Args) {
 			return rdf.Term{}, evalErrf("%s: missing argument %d", name, i)
 		}
-		return env.evalExpr(x.Args[i], b)
+		return env.evalExpr(x.Args[i], row)
 	}
 	switch name {
 	case "BOUND":
@@ -368,17 +376,17 @@ func (env exprEnv) evalCall(x ExprCall, b Binding) (rdf.Term, error) {
 		if !ok {
 			return rdf.Term{}, evalErrf("BOUND requires a variable")
 		}
-		_, bound := b[v.Name]
-		return rdf.NewBool(bound), nil
+		s := env.ev.sc.slot(v.Name)
+		return rdf.NewBool(s >= 0 && row[s] != 0), nil
 	case "COALESCE":
 		for _, a := range x.Args {
-			if t, err := env.evalExpr(a, b); err == nil {
+			if t, err := env.evalExpr(a, row); err == nil {
 				return t, nil
 			}
 		}
 		return rdf.Term{}, evalErrf("COALESCE: no valid argument")
 	case "IF":
-		cond, err := env.evalBool(x.Args[0], b)
+		cond, err := env.evalBool(x.Args[0], row)
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -563,11 +571,11 @@ func encodeForURI(s string) string {
 	return sb.String()
 }
 
-func (env exprEnv) evalCast(x ExprCall, b Binding) (rdf.Term, error) {
+func (env exprEnv) evalCast(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	if len(x.Args) != 1 {
 		return rdf.Term{}, evalErrf("cast takes one argument")
 	}
-	v, err := env.evalExpr(x.Args[0], b)
+	v, err := env.evalExpr(x.Args[0], row)
 	if err != nil {
 		return rdf.Term{}, err
 	}

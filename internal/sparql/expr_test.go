@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -22,8 +23,12 @@ func evalStr(t *testing.T, expr string, b Binding) (rdf.Term, error) {
 			f = e.Filter
 		}
 	}
-	env := exprEnv{ev: &evaluator{g: rdf.NewGraph()}}
-	return env.evalExpr(f, b)
+	ev := newEvaluator(context.Background(), rdf.NewGraph(), Options{})
+	ev.sc = &scope{slots: map[string]int{}}
+	for v := range b {
+		ev.sc.add(v)
+	}
+	return exprEnv{ev: ev}.evalExpr(f, ev.bindingRow(b))
 }
 
 func TestBuiltinFunctions(t *testing.T) {
@@ -293,7 +298,7 @@ WHERE { ?s ex:q ?q }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
+	row := bindings(res)[0]
 	m, _ := row["manual"].Float()
 	a, _ := row["auto"].Float()
 	if m != a || m != 20 {
@@ -314,7 +319,7 @@ HAVING (SUM(?q) > 100 && COUNT(?q) >= 2)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["b"].LocalName() != "b1" {
+	if res.Len() != 1 || res.Get(0, "b").LocalName() != "b1" {
 		t.Fatalf("rows: %s", res)
 	}
 }
@@ -369,11 +374,11 @@ WHERE { ?s ex:tag ?t }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := res.Rows[0]["gc"].Value
+	gc := res.Get(0, "gc").Value
 	if strings.Count(gc, "|") != 2 {
 		t.Errorf("group_concat = %q", gc)
 	}
-	if res.Rows[0]["sm"].IsZero() {
+	if res.Get(0, "sm").IsZero() {
 		t.Error("sample missing")
 	}
 }

@@ -176,7 +176,7 @@ func TestFeedbackResultsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := canonical(res.Rows, res.Vars), canonical(base.Rows, base.Vars); len(got) != len(want) {
+		if got, want := canonical(bindings(res), res.Vars), canonical(bindings(base), base.Vars); len(got) != len(want) {
 			t.Fatalf("pass %d: %d rows, want %d", pass, len(got), len(want))
 		} else {
 			for i := range got {

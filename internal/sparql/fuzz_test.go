@@ -1,6 +1,10 @@
 package sparql
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
 
 // FuzzParse drives the SPARQL query parser with arbitrary input: whatever
 // the bytes, Parse must return a value or an error — never panic, never
@@ -61,6 +65,29 @@ func FuzzParseUpdate(f *testing.F) {
 		u, err := ParseUpdate(src)
 		if err == nil && u == nil {
 			t.Fatalf("ParseUpdate(%q) returned nil update and nil error", src)
+		}
+	})
+}
+
+// FuzzJSONString holds the hand-written JSON string escaper of the results
+// serializer to encoding/json's (HTML escaping on, the Encoder default) for
+// arbitrary byte strings: control characters, `<>&`, U+2028/U+2029 and
+// invalid UTF-8 included. Byte-identical response bodies rest on it.
+func FuzzJSONString(f *testing.F) {
+	for _, s := range []string{
+		"", "plain", `q"uo\te`, "tab\tnl\ncr\rbs\bff\f", "\x00\x01\x1f\x7f", "<b>&amp;</b>",
+		"line\u2028sep\u2029", "caf\u00e9 \u65e5\u672c \U0001F600", "bad\xff\xfe utf8 \xe2\x80", "\xed\xa0\x80",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(s); err != nil {
+			t.Skip(err)
+		}
+		got := append(appendJSONString(nil, s), '\n')
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want.Bytes())
 		}
 	})
 }

@@ -6,13 +6,13 @@ import (
 	"rdfanalytics/internal/rdf"
 )
 
-// ID-space BGP execution. A maximal run of consecutive triple patterns is
-// compiled against one shared variable table (runPlan); intermediate rows
-// are flat []rdf.ID slices — no Binding maps, no Term hashing, nothing for
-// the garbage collector to trace — and Binding maps are materialized once
-// per *final* row of the run. Each pattern picks a join strategy from its
-// cached cardinality estimate and the live row count, and row batches are
-// partitioned across the worker pool with an order-preserving merge.
+// BGP execution. A maximal run of consecutive triple patterns is compiled
+// against the scope's slots (runPlan) and joined into the input batch
+// pattern by pattern: rows go in and come out as the same flat ID rows every
+// other operator uses — no Term hashing, nothing for the garbage collector
+// to trace. Each pattern picks a join strategy from its cached cardinality
+// estimate and the live row count, and row batches are partitioned across
+// the worker pool with an order-preserving merge.
 
 const (
 	// parallelThreshold is the minimum row count before a pattern evaluation
@@ -64,26 +64,31 @@ func chooseStrategy(est, inputLen, nJoinVars int, mixed bool) joinStrategy {
 }
 
 // runPlan is the compiled form of one run of (non-path) triple patterns:
-// a shared variable table plus per-pattern constant IDs and positions.
+// the run's variable table — the columns the cost model's bitmasks range
+// over — plus per-pattern constant IDs, planner columns and row slots.
 type runPlan struct {
 	vars   []string       // distinct variables, first-appearance order
-	varIdx map[string]int // name -> column in the ID rows
+	varIdx map[string]int // name -> planner column
 	pats   []patPlan
 	ok     bool // false: a constant term is absent from the dictionary
 }
 
 // patPlan is one pattern of a run.
 type patPlan struct {
-	ids     [3]rdf.ID // constant IDs; 0 where the position holds a variable
-	pos     [3]int    // variable-table column per position; -1 where constant
-	baseEst int       // cached match count with constants only
+	ids [3]rdf.ID // constant IDs; 0 where the position holds a variable
+	pos [3]int    // planner column per position; -1 where constant
+	// slot is the row column per position; -1 where the position is a
+	// constant or a variable without a slot, which matches anything and is
+	// stored nowhere.
+	slot    [3]int
+	baseEst int // cached match count with constants only
 }
 
 // planRun compiles a run against the graph dictionary.
 func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 	rp := &runPlan{varIdx: map[string]int{}, ok: true}
 	for _, tp := range run {
-		pp := patPlan{pos: [3]int{-1, -1, -1}}
+		pp := patPlan{pos: [3]int{-1, -1, -1}, slot: [3]int{-1, -1, -1}}
 		for i, n := range [3]Node{tp.S, tp.P, tp.O} {
 			if n.IsVar() {
 				idx, seen := rp.varIdx[n.Var]
@@ -93,6 +98,7 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 					rp.vars = append(rp.vars, n.Var)
 				}
 				pp.pos[i] = idx
+				pp.slot[i] = ev.sc.slot(n.Var)
 				continue
 			}
 			id, known := ev.g.TermID(n.Term)
@@ -108,46 +114,35 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 	return rp
 }
 
-// idRows is a batch of intermediate rows: n rows of width IDs each, flat in
-// one backing slice (ID 0 = still unbound), plus for each row the index of
-// the input binding it extends.
-type idRows struct {
-	width   int
-	vals    []rdf.ID
-	parents []int32
-}
-
-func (r *idRows) n() int { return len(r.parents) }
-
-func (r *idRows) row(i int) []rdf.ID { return r.vals[i*r.width : (i+1)*r.width] }
-
-// evalTripleRun joins the input bindings with every pattern of the run and
-// returns the extended bindings. Output order is deterministic: input order
+// evalTripleRun joins the input rows with every pattern of the run and
+// returns the extended rows. Output order is deterministic: input order
 // crossed with the deterministic MatchIDs enumeration order per pattern.
 // filters are pushed-down filter expressions the cost-based planner may
 // place inside the run; sureOutside names the variables surely bound before
 // the run, estBound the variables bound for estimation purposes (both may
 // be nil on the legacy greedy path, which never pushes filters into runs).
-func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input []Binding) []Binding {
+func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch) *batch {
 	bs := ev.enterSpan("bgp")
 	if bs != nil {
 		bs.SetAttr("patterns", len(run))
-		bs.SetAttr("rows_in", len(input))
+		bs.SetAttr("rows_in", input.n())
 		bs.SetAttr("workers", ev.workers)
 	}
 	pb, pbt := ev.profEnter("bgp", "")
 	out := ev.runTriples(run, filters, sureOutside, estBound, input)
-	ev.profExit(pb, pbt, len(input), len(out))
+	ev.profExit(pb, pbt, input.n(), out.n())
 	if bs != nil {
-		bs.SetAttr("rows_out", len(out))
+		bs.SetAttr("rows_out", out.n())
 	}
 	ev.exitSpan(bs)
 	return out
 }
 
-func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input []Binding) []Binding {
-	if len(input) == 0 {
-		return nil
+// runTriples plans the run and executes the plan step by step. An aborted
+// evaluation returns no rows.
+func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, rows *batch) *batch {
+	if rows.n() == 0 {
+		return rows
 	}
 	ps := ev.cur.StartChild("plan")
 	rp := ev.planRun(run)
@@ -157,7 +152,7 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	var boundCols uint64
 	if costBased {
 		boundCols = colsFromVars(rp, estBound)
-		plan, cm = ev.planBGP(rp, run, boundCols, len(input))
+		plan, cm = ev.planBGP(rp, run, boundCols, rows.n())
 		if len(filters) > 0 {
 			attachFilters(plan, run, filters, sureOutside)
 		}
@@ -181,9 +176,8 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 		ps.Finish()
 	}
 	if !rp.ok {
-		return nil
+		return &batch{width: rows.width}
 	}
-	rows := ev.convertInput(rp, input)
 	// sureRun accumulates the surely-bound variables as steps execute, for
 	// re-placing pushed-down filters when the tail is re-planned.
 	var sureRun map[string]bool
@@ -192,20 +186,20 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	}
 	for si := 0; si < len(plan.steps); si++ {
 		if rows.n() == 0 || ev.cancel.poll() {
-			return nil
+			break
 		}
 		if err := fault.InjectCtx(ev.cancel.ctx, "sparql.join"); err != nil {
 			ev.cancel.abort(err)
-			return nil
+			break
 		}
 		step := &plan.steps[si]
-		rows = ev.evalPattern(run[step.pat], rp, &rp.pats[step.pat], rows, step)
+		rows = ev.evalPattern(run[step.pat], &rp.pats[step.pat], rows, step)
 		scanOut := rows.n()
 		for _, f := range step.filters {
 			if rows.n() == 0 {
 				break
 			}
-			rows = ev.applyRunFilter(f, rp, rows, input)
+			rows = ev.applyFilter(f.expr, rows, true)
 		}
 		if costBased {
 			boundCols |= cm.patternCols(step.pat)
@@ -225,115 +219,42 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	if plan.replans > 0 {
 		ev.prof.addReplans(plan.replans)
 	}
-	if rows.n() == 0 || ev.cancel.aborted() {
-		return nil
+	if ev.cancel.aborted() {
+		return &batch{width: rows.width}
 	}
-	return ev.materialize(rp, rows, input)
+	return rows
 }
 
-// applyRunFilter evaluates one pushed-down filter over the run's ID rows,
-// materializing a minimal Binding (only the filter's variables) per row:
-// run columns resolve through the term memo, variables bound outside the
-// run read from the row's parent input binding (placement guarantees they
-// are surely bound there). Rows whose expression errors or is false drop,
-// matching group-level filter semantics.
-func (ev *evaluator) applyRunFilter(f *runFilter, rp *runPlan, rows *idRows, input []Binding) *idRows {
+// applyFilter keeps the rows the expression holds for; rows whose expression
+// errors or is false drop. inRun marks a filter the planner pushed inside a
+// BGP run (placement guarantees its variables are bound there).
+func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 	fs := ev.cur.StartChild("filter")
 	if fs != nil {
-		fs.SetAttr("expr", f.expr.String())
-		fs.SetAttr("pushed", "in-run")
+		fs.SetAttr("expr", expr.String())
+		if inRun {
+			fs.SetAttr("pushed", "in-run")
+		}
 		fs.SetAttr("rows_in", rows.n())
 	}
-	flabel := ""
-	if ev.prof != nil {
-		flabel = f.expr.String()
-	}
-	pf, pft := ev.profEnter("filter", flabel)
-	type fcol struct {
-		name string
-		col  int
-	}
-	var cols []fcol
-	var outer []string
-	for v := range f.vars {
-		if idx, ok := rp.varIdx[v]; ok {
-			cols = append(cols, fcol{v, idx})
-		} else {
-			outer = append(outer, v)
-		}
-	}
-	memo := newTermMemo(ev.g)
+	pf, pft := ev.profEnter("filter", ev.profLabel(expr))
 	env := exprEnv{ev: ev}
-	rowsIn := rows.n()
-	out := &idRows{
-		width:   rows.width,
-		vals:    make([]rdf.ID, 0, len(rows.vals)),
-		parents: make([]int32, 0, rowsIn),
-	}
-	for r := 0; r < rowsIn; r++ {
+	out := newBatch(rows.width, rows.n())
+	for r, n := 0, rows.n(); r < n; r++ {
 		if r%pollEvery == 0 && ev.cancel.poll() {
 			break
 		}
-		parent := input[rows.parents[r]]
-		b := make(Binding, len(cols)+len(outer))
-		for _, v := range outer {
-			if t, ok := parent[v]; ok {
-				b[v] = t
-			}
-		}
 		row := rows.row(r)
-		for _, c := range cols {
-			if row[c.col] != 0 {
-				b[c.name] = memo.term(row[c.col])
-			}
-		}
-		if v, err := env.evalBool(f.expr, b); err == nil && v {
+		if v, err := env.evalBool(expr, row); err == nil && v {
 			out.vals = append(out.vals, row...)
-			out.parents = append(out.parents, rows.parents[r])
 		}
 	}
-	ev.profExit(pf, pft, rowsIn, out.n())
+	ev.profExit(pf, pft, rows.n(), out.n())
 	if fs != nil {
 		fs.SetAttr("rows_out", out.n())
 		fs.Finish()
 	}
 	return out
-}
-
-// convertInput resolves the run variables of each input binding to IDs.
-// A row whose binding holds a term the graph has never seen (for a variable
-// some pattern of the run uses) can never match and is dropped here.
-func (ev *evaluator) convertInput(rp *runPlan, input []Binding) *idRows {
-	width := len(rp.vars)
-	rows := &idRows{
-		width:   width,
-		vals:    make([]rdf.ID, 0, width*len(input)),
-		parents: make([]int32, 0, len(input)),
-	}
-	memo := newTermMemo(ev.g)
-	tmp := make([]rdf.ID, width)
-	for i, b := range input {
-		live := true
-		for j, v := range rp.vars {
-			tmp[j] = 0
-			t, bound := b[v]
-			if !bound {
-				continue
-			}
-			id := memo.id(t)
-			if id == 0 {
-				live = false
-				break
-			}
-			tmp[j] = id
-		}
-		if !live {
-			continue
-		}
-		rows.vals = append(rows.vals, tmp...)
-		rows.parents = append(rows.parents, int32(i))
-	}
-	return rows
 }
 
 // evalPattern joins the current rows with one pattern. Variable boundness
@@ -345,22 +266,22 @@ func (ev *evaluator) convertInput(rp *runPlan, input []Binding) *idRows {
 // in only part of the rows forces per-row handling for correctness), and
 // step.card is the estimate the profile's q-error measures against — the
 // feedback actual on a seeded scan, the stats-cache count otherwise.
-func (ev *evaluator) evalPattern(tp *TriplePattern, rp *runPlan, pp *patPlan, rows *idRows, step *planStep) *idRows {
+func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
 	seen := [3]bool{}
 	for i := 0; i < 3; i++ {
-		idx := pp.pos[i]
+		idx := pp.slot[i]
 		if idx < 0 || seen[i] {
 			continue
 		}
 		for j := i + 1; j < 3; j++ {
-			if pp.pos[j] == idx {
+			if pp.slot[j] == idx {
 				seen[j] = true
 			}
 		}
 		bound := 0
-		for r := 0; r < rows.n(); r++ {
+		for r, n := 0, rows.n(); r < n; r++ {
 			if rows.vals[r*rows.width+idx] != 0 {
 				bound++
 			}
@@ -391,11 +312,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, rp *runPlan, pp *patPlan, ro
 			ss.SetAttr("feedback", true)
 		}
 	}
-	plabel := ""
-	if ev.prof != nil {
-		plabel = tp.String()
-	}
-	psc, psct := ev.profEnter("scan", plabel)
+	psc, psct := ev.profEnter("scan", ev.profLabel(tp))
 	// The scan's estimate is what the planner priced it with: the
 	// cardinality-stats-cache count for the pattern's constant positions, or
 	// the feedback-observed actual on a seeded scan — so q-error measures
@@ -407,17 +324,17 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, rp *runPlan, pp *patPlan, ro
 		ev.prof.setFeedback()
 	}
 	// Each pattern opens a fresh row-budget window: the budget caps the
-	// size of any one intermediate binding set, counted live across the
-	// worker partitions while this join produces.
+	// size of any one intermediate row set, counted live across the worker
+	// partitions while this join produces.
 	ev.cancel.resetRows()
-	var out *idRows
+	var out *batch
 	if strategy == strategyHashJoin {
 		ht := ev.buildHashRun(pp, joinPos)
-		out = ev.runPartitioned(rows, func(lo, hi int) *idRows {
+		out = ev.runPartitioned(rows, func(lo, hi int) *batch {
 			return ev.probeHashRun(pp, ht, joinPos, freePos, rows, lo, hi)
 		})
 	} else {
-		out = ev.runPartitioned(rows, func(lo, hi int) *idRows {
+		out = ev.runPartitioned(rows, func(lo, hi int) *batch {
 			return ev.nestedLoopRun(pp, rows, lo, hi)
 		})
 	}
@@ -433,41 +350,46 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, rp *runPlan, pp *patPlan, ro
 // (concurrently when the batch is large enough) and concatenates the chunk
 // results in input order. exec must be safe for concurrent invocation on
 // distinct ranges.
-func (ev *evaluator) runPartitioned(rows *idRows, exec func(lo, hi int) *idRows) *idRows {
+func (ev *evaluator) runPartitioned(rows *batch, exec func(lo, hi int) *batch) *batch {
 	n := rows.n()
 	if ev.workers <= 1 || n < parallelThreshold {
 		return exec(0, n)
 	}
 	chunks := par.Chunks(n, ev.workers)
-	parts := make([]*idRows, len(chunks))
+	parts := make([]*batch, len(chunks))
 	par.Do(len(chunks), ev.workers, func(i int) {
 		parts[i] = exec(chunks[i][0], chunks[i][1])
 	})
 	total := 0
 	for _, p := range parts {
-		total += p.n()
+		total += len(p.vals)
 	}
-	out := &idRows{
-		width:   rows.width,
-		vals:    make([]rdf.ID, 0, total*rows.width),
-		parents: make([]int32, 0, total),
-	}
+	out := &batch{width: rows.width, vals: make([]rdf.ID, 0, total)}
 	for _, p := range parts {
 		out.vals = append(out.vals, p.vals...)
-		out.parents = append(out.parents, p.parents...)
 	}
 	return out
+}
+
+// sameVarDiffers reports whether a match binds one variable of the pattern
+// to two different IDs: positions i < j hold the same variable, the row
+// leaves it free (lookup[i] == 0), and the match disagrees with itself.
+func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
+	for i := 0; i < 3; i++ {
+		for j := i + 1; j < 3; j++ {
+			if pp.slot[i] >= 0 && pp.slot[i] == pp.slot[j] && lookup[i] == 0 && m[i] != m[j] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // nestedLoopRun evaluates the pattern with one ID index lookup per row:
 // bound columns tighten the pattern to its most selective access path. It
 // also covers mixed boundness (a variable bound in only part of the rows).
-func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *idRows, lo, hi int) *idRows {
-	out := &idRows{
-		width:   rows.width,
-		vals:    make([]rdf.ID, 0, (hi-lo)*rows.width),
-		parents: make([]int32, 0, hi-lo),
-	}
+func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int) *batch {
+	out := newBatch(rows.width, hi-lo)
 	produced := 0           // rows appended since the last budget flush
 	var matches [][3]rdf.ID // scratch, reused across rows
 	for r := lo; r < hi; r++ {
@@ -477,8 +399,8 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *idRows, lo, hi int) *idRow
 		row := rows.row(r)
 		lookup := pp.ids
 		for i := 0; i < 3; i++ {
-			if pp.pos[i] >= 0 {
-				lookup[i] = row[pp.pos[i]]
+			if pp.slot[i] >= 0 {
+				lookup[i] = row[pp.slot[i]]
 			}
 		}
 		matches = matches[:0]
@@ -491,24 +413,17 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *idRows, lo, hi int) *idRow
 			matches = append(matches, [3]rdf.ID{s, p, o})
 			return true
 		})
-	match:
 		for _, m := range matches {
-			// Repeated variables still free in this row must agree.
-			for i := 0; i < 3; i++ {
-				for j := i + 1; j < 3; j++ {
-					if pp.pos[i] >= 0 && pp.pos[i] == pp.pos[j] && lookup[i] == 0 && m[i] != m[j] {
-						continue match
-					}
-				}
+			if pp.sameVarDiffers(lookup, m) {
+				continue
 			}
 			base := len(out.vals)
 			out.vals = append(out.vals, row...)
 			for i := 0; i < 3; i++ {
-				if pp.pos[i] >= 0 && lookup[i] == 0 {
-					out.vals[base+pp.pos[i]] = m[i]
+				if pp.slot[i] >= 0 && lookup[i] == 0 {
+					out.vals[base+pp.slot[i]] = m[i]
 				}
 			}
-			out.parents = append(out.parents, rows.parents[r])
 			if produced++; produced >= 256 {
 				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
 					return out
@@ -522,13 +437,22 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *idRows, lo, hi int) *idRow
 }
 
 // hashRun is the build side of a hash join: every match of the pattern
-// (constants only), bucketed by the IDs at the join-variable positions.
-// Bucket lists inherit MatchIDs' deterministic scan order.
-type hashRun map[[3]rdf.ID][][3]rdf.ID
+// (constants only) in one flat slice, bucketed by the IDs at the
+// join-variable positions. A bucket keeps MatchIDs' deterministic scan
+// order, and the table allocates nothing per key.
+type hashRun struct {
+	keys    *tupleIndex // join-key tuple -> bucket number
+	start   []int32     // bucket b is matches[start[b]:start[b+1]]
+	matches [][3]rdf.ID
+}
 
-// buildHashRun scans the pattern once and buckets the matches by joinPos.
-func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) hashRun {
-	ht := hashRun{}
+// buildHashRun scans the pattern once and buckets the matches by joinPos in
+// two passes: number each match's bucket while scanning, then counting-sort
+// the matches into bucket order (bucketize).
+func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) *hashRun {
+	ht := &hashRun{keys: newTupleIndex(len(joinPos), pp.baseEst)}
+	scan := make([][3]rdf.ID, 0, pp.baseEst)
+	bucket := make([]int32, 0, pp.baseEst)
 	scanned := 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
@@ -536,20 +460,24 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) hashRun {
 		}
 		m := [3]rdf.ID{s, p, o}
 		// Repeated variables must agree within one match.
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < 3; j++ {
-				if pp.pos[i] >= 0 && pp.pos[i] == pp.pos[j] && m[i] != m[j] {
-					return true
-				}
-			}
+		if pp.sameVarDiffers([3]rdf.ID{}, m) {
+			return true
 		}
 		var key [3]rdf.ID
 		for k, posI := range joinPos {
 			key[k] = m[posI]
 		}
-		ht[key] = append(ht[key], m)
+		b, _ := ht.keys.add(key[:len(joinPos)])
+		scan = append(scan, m)
+		bucket = append(bucket, int32(b))
 		return true
 	})
+	var order []int32
+	ht.start, order = bucketize(bucket, ht.keys.count)
+	ht.matches = make([][3]rdf.ID, len(scan))
+	for i, m := range order {
+		ht.matches[i] = scan[m]
+	}
 	return ht
 }
 
@@ -558,12 +486,8 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) hashRun {
 // lands here (every probe hits the full build side), so the inner loop
 // accounts produced rows against the budget and polls for cancellation —
 // this is where a pathological query dies early.
-func (ev *evaluator) probeHashRun(pp *patPlan, ht hashRun, joinPos, freePos []int, rows *idRows, lo, hi int) *idRows {
-	out := &idRows{
-		width:   rows.width,
-		vals:    make([]rdf.ID, 0, (hi-lo)*rows.width),
-		parents: make([]int32, 0, hi-lo),
-	}
+func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, joinPos, freePos []int, rows *batch, lo, hi int) *batch {
+	out := newBatch(rows.width, hi-lo)
 	produced := 0
 	for r := lo; r < hi; r++ {
 		if (r-lo)%64 == 0 && ev.cancel.aborted() {
@@ -572,15 +496,18 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht hashRun, joinPos, freePos []in
 		row := rows.row(r)
 		var key [3]rdf.ID
 		for k, posI := range joinPos {
-			key[k] = row[pp.pos[posI]]
+			key[k] = row[pp.slot[posI]]
 		}
-		for _, m := range ht[key] {
+		b := ht.keys.find(key[:len(joinPos)])
+		if b < 0 {
+			continue
+		}
+		for _, m := range ht.matches[ht.start[b]:ht.start[b+1]] {
 			base := len(out.vals)
 			out.vals = append(out.vals, row...)
 			for _, posI := range freePos {
-				out.vals[base+pp.pos[posI]] = m[posI]
+				out.vals[base+pp.slot[posI]] = m[posI]
 			}
-			out.parents = append(out.parents, rows.parents[r])
 			if produced++; produced >= 256 {
 				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
 					return out
@@ -591,113 +518,4 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht hashRun, joinPos, freePos []in
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 	return out
-}
-
-// materialize turns the surviving ID rows back into Bindings: one clone of
-// the parent input binding per row, extended with the run's newly bound
-// variables. This is the only per-row map allocation of the whole run, and
-// it is partitioned across the workers (the clone is the dominant cost).
-// Projection pushdown happens here: a run variable whose global reference
-// count equals its in-run position count is referenced nowhere else in the
-// query — not by later patterns, filters, projection, modifiers or nested
-// groups — so its bindings are dead weight and are skipped.
-func (ev *evaluator) materialize(rp *runPlan, rows *idRows, input []Binding) []Binding {
-	skip := ev.pruneableRunVars(rp)
-	build := func(lo, hi int, out []Binding, memo *termMemo) []Binding {
-		for r := lo; r < hi; r++ {
-			if (r-lo)%256 == 0 && ev.cancel.aborted() {
-				return out
-			}
-			parent := input[rows.parents[r]]
-			nb := make(Binding, len(parent)+len(rp.vars))
-			for k, v := range parent {
-				nb[k] = v
-			}
-			row := rows.row(r)
-			for j, name := range rp.vars {
-				if row[j] == 0 || (skip != nil && skip[j]) {
-					continue
-				}
-				if _, exists := nb[name]; !exists {
-					nb[name] = memo.term(row[j])
-				}
-			}
-			out = append(out, nb)
-		}
-		return out
-	}
-	n := rows.n()
-	if ev.workers <= 1 || n < parallelThreshold {
-		return build(0, n, make([]Binding, 0, n), newTermMemo(ev.g))
-	}
-	chunks := par.Chunks(n, ev.workers)
-	parts := make([][]Binding, len(chunks))
-	par.Do(len(chunks), ev.workers, func(i int) {
-		lo, hi := chunks[i][0], chunks[i][1]
-		parts[i] = build(lo, hi, make([]Binding, 0, hi-lo), newTermMemo(ev.g))
-	})
-	out := make([]Binding, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// pruneableRunVars returns, per run-plan column, whether the variable can
-// be dropped at materialization: its total reference count across the whole
-// query (countVarUses, set by execSelect) equals its position count within
-// this run. Nil when pruning is off — no SELECT in scope (ASK/CONSTRUCT/
-// DESCRIBE evaluate groups directly), SELECT *, or nothing pruneable.
-func (ev *evaluator) pruneableRunVars(rp *runPlan) []bool {
-	if ev.varUses == nil || ev.varStar {
-		return nil
-	}
-	counts := make([]int, len(rp.vars))
-	for _, pp := range rp.pats {
-		for _, idx := range pp.pos {
-			if idx >= 0 {
-				counts[idx]++
-			}
-		}
-	}
-	var skip []bool
-	for j, name := range rp.vars {
-		if total, ok := ev.varUses[name]; ok && total == counts[j] {
-			if skip == nil {
-				skip = make([]bool, len(rp.vars))
-			}
-			skip[j] = true
-		}
-	}
-	return skip
-}
-
-// termMemo caches dictionary lookups in both directions for one batch, so
-// repeated values don't pay the graph's read lock per row.
-type termMemo struct {
-	g   *rdf.Graph
-	ids map[rdf.Term]rdf.ID // 0 = not in the dictionary
-	ts  map[rdf.ID]rdf.Term
-}
-
-func newTermMemo(g *rdf.Graph) *termMemo {
-	return &termMemo{g: g, ids: map[rdf.Term]rdf.ID{}, ts: map[rdf.ID]rdf.Term{}}
-}
-
-func (m *termMemo) id(t rdf.Term) rdf.ID {
-	if id, hit := m.ids[t]; hit {
-		return id
-	}
-	id, _ := m.g.TermID(t)
-	m.ids[t] = id
-	return id
-}
-
-func (m *termMemo) term(id rdf.ID) rdf.Term {
-	if t, hit := m.ts[id]; hit {
-		return t
-	}
-	t := m.g.TermOf(id)
-	m.ts[id] = t
-	return t
 }

@@ -74,7 +74,7 @@ func assertSameResults(t *testing.T, label string, seq, parR *Results) {
 	if len(seq.Rows) != len(parR.Rows) {
 		t.Fatalf("%s: sequential %d rows, parallel %d rows", label, len(seq.Rows), len(parR.Rows))
 	}
-	for i := range seq.Rows {
+	for i := range bindings(seq) {
 		if !reflect.DeepEqual(seq.Rows[i], parR.Rows[i]) {
 			t.Fatalf("%s: row %d differs (order or content):\n  seq: %v\n  par: %v",
 				label, i, seq.Rows[i], parR.Rows[i])
@@ -100,8 +100,8 @@ func TestParallelDifferentialRandom(t *testing.T) {
 			tp := patterns[i]
 			gp.Elems = append(gp.Elems, PatternElem{Triple: &tp})
 		}
-		seq := newEvaluator(context.Background(), g, Options{Parallelism: 1}).evalGroup(gp, []Binding{{}})
-		parR := newEvaluator(context.Background(), g, Options{Parallelism: 8}).evalGroup(gp, []Binding{{}})
+		seq := groupBindings(newEvaluator(context.Background(), g, Options{Parallelism: 1}), gp)
+		parR := groupBindings(newEvaluator(context.Background(), g, Options{Parallelism: 8}), gp)
 		if len(seq) != len(parR) {
 			t.Fatalf("trial %d: sequential %d rows, parallel %d\npatterns: %v",
 				trial, len(seq), len(parR), patterns)

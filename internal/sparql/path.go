@@ -5,23 +5,34 @@ import (
 	"rdfanalytics/internal/rdf"
 )
 
-// Property-path evaluation. Paths are evaluated by node-set expansion:
-// forward from bound subjects, backward from bound objects, and — when both
-// ends are variables — from the candidate sources of the path's first step.
+// Property-path evaluation, in ID space like everything else. Paths are
+// evaluated by node-set expansion: forward from bound subjects, backward
+// from bound objects, and — when both ends are variables — from the
+// candidate sources of the path's first step. Constant ends and predicates
+// the graph has never seen carry scratch IDs, which match nothing but still
+// relate to themselves under a zero-length path.
 
-func (ev *evaluator) evalPathTriple(tp *TriplePattern, input []Binding) []Binding {
+type idSet map[rdf.ID]struct{}
+
+func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 	ps := ev.cur.StartChild("path_scan")
 	if ps != nil {
 		ps.SetAttr("pattern", tp.String())
-		ps.SetAttr("rows_in", len(input))
+		ps.SetAttr("rows_in", input.n())
 	}
-	plabel := ""
-	if ev.prof != nil {
-		plabel = tp.String()
+	pp, ppt := ev.profEnter("path_scan", ev.profLabel(tp))
+	// Each end is a constant, a slot, or (a variable nothing reads) neither.
+	end := func(n Node) (slot int, constant rdf.ID) {
+		if n.IsVar() {
+			return ev.sc.slot(n.Var), 0
+		}
+		return -1, ev.dict.id(n.Term)
 	}
-	pp, ppt := ev.profEnter("path_scan", plabel)
-	var out []Binding
-	for _, b := range input {
+	sSlot, sConst := end(tp.S)
+	oSlot, oConst := end(tp.O)
+	sameVar := tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var
+	out := newBatch(input.width, input.n())
+	for i, n := 0, input.n(); i < n; i++ {
 		if ev.cancel.poll() {
 			break
 		}
@@ -29,97 +40,85 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input []Binding) []Bindin
 			ev.cancel.abort(err)
 			break
 		}
-		if ev.overBudget(len(out)) {
+		if ev.overBudget(out.n()) {
 			break
 		}
-		s, sVar := substNode(tp.S, b)
-		o, oVar := substNode(tp.O, b)
-		emit := func(sT, oT rdf.Term) {
-			nb := b.clone()
-			if sVar != "" {
-				if cur, ok := nb[sVar]; ok && cur != sT {
-					return
-				}
-				nb[sVar] = sT
+		row := input.row(i)
+		s, o := sConst, oConst // 0: the end is free in this row
+		if sSlot >= 0 {
+			s = row[sSlot]
+		}
+		if oSlot >= 0 {
+			o = row[oSlot]
+		}
+		emit := func(sID, oID rdf.ID) {
+			if sameVar && s == 0 && sID != oID {
+				return
 			}
-			if oVar != "" {
-				if cur, ok := nb[oVar]; ok && cur != oT {
-					return
-				}
-				if sVar == oVar && sT != oT {
-					return
-				}
-				nb[oVar] = oT
+			base := len(out.vals)
+			out.vals = append(out.vals, row...)
+			if s == 0 && sSlot >= 0 {
+				out.vals[base+sSlot] = sID
 			}
-			out = append(out, nb)
+			if o == 0 && oSlot >= 0 {
+				out.vals[base+oSlot] = oID
+			}
 		}
 		switch {
-		case s != rdf.Any && o != rdf.Any:
-			if ev.pathConnects(tp.Path, s, o) {
+		case s != 0 && o != 0:
+			if _, reached := ev.pathReach(tp.Path, s, false)[o]; reached {
 				emit(s, o)
 			}
-		case s != rdf.Any:
-			for _, oT := range ev.pathForward(tp.Path, s) {
-				emit(s, oT)
+		case s != 0:
+			for oID := range ev.pathReach(tp.Path, s, false) {
+				emit(s, oID)
 			}
-		case o != rdf.Any:
-			for _, sT := range ev.pathBackward(tp.Path, o) {
-				emit(sT, o)
+		case o != 0:
+			for sID := range ev.pathReach(tp.Path, o, true) {
+				emit(sID, o)
 			}
 		default:
-			for _, sT := range ev.pathSources(tp.Path) {
-				if ev.cancel.aborted() || ev.overBudget(len(out)) {
+			sources := idSet{}
+			ev.collectSources(tp.Path, false, sources)
+			for sID := range sources {
+				if ev.cancel.aborted() || ev.overBudget(out.n()) {
 					break
 				}
-				for _, oT := range ev.pathForward(tp.Path, sT) {
-					emit(sT, oT)
+				for oID := range ev.pathReach(tp.Path, sID, false) {
+					emit(sID, oID)
 				}
 			}
 		}
 	}
-	ev.profExit(pp, ppt, len(input), len(out))
+	ev.profExit(pp, ppt, input.n(), out.n())
 	if ps != nil {
-		ps.SetAttr("rows_out", len(out))
+		ps.SetAttr("rows_out", out.n())
 		ps.Finish()
 	}
 	return out
 }
 
-// pathForward returns the distinct nodes reachable from s via the path.
-func (ev *evaluator) pathForward(p Path, s rdf.Term) []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	ev.pathStep(p, s, false, set)
-	out := make([]rdf.Term, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	return out
-}
-
-// pathBackward returns the distinct nodes from which o is reachable.
-func (ev *evaluator) pathBackward(p Path, o rdf.Term) []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	ev.pathStep(p, o, true, set)
-	out := make([]rdf.Term, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	return out
+// pathReach returns the distinct nodes reachable from n via the path, or
+// (reverse) the nodes n is reachable from.
+func (ev *evaluator) pathReach(p Path, n rdf.ID, reverse bool) idSet {
+	set := idSet{}
+	ev.pathStep(p, n, reverse, set)
+	return set
 }
 
 // pathStep expands one path from node n (reverse=true walks the inverse
 // direction) accumulating reached nodes into acc.
-func (ev *evaluator) pathStep(p Path, n rdf.Term, reverse bool, acc map[rdf.Term]struct{}) {
+func (ev *evaluator) pathStep(p Path, n rdf.ID, reverse bool, acc idSet) {
 	switch x := p.(type) {
 	case PathIRI:
 		if reverse {
-			ev.g.Match(rdf.Any, x.IRI, n, func(t rdf.Triple) bool {
-				acc[t.S] = struct{}{}
+			ev.g.MatchIDs(0, ev.dict.id(x.IRI), n, func(s, _, _ rdf.ID) bool {
+				acc[s] = struct{}{}
 				return true
 			})
 		} else {
-			ev.g.Match(n, x.IRI, rdf.Any, func(t rdf.Triple) bool {
-				acc[t.O] = struct{}{}
+			ev.g.MatchIDs(n, ev.dict.id(x.IRI), 0, func(_, _, o rdf.ID) bool {
+				acc[o] = struct{}{}
 				return true
 			})
 		}
@@ -130,9 +129,7 @@ func (ev *evaluator) pathStep(p Path, n rdf.Term, reverse bool, acc map[rdf.Term
 		if reverse {
 			first, second = x.Right, x.Left
 		}
-		mid := map[rdf.Term]struct{}{}
-		ev.pathStep(first, n, reverse, mid)
-		for m := range mid {
+		for m := range ev.pathReach(first, n, reverse) {
 			ev.pathStep(second, m, reverse, acc)
 		}
 	case PathAlt:
@@ -145,8 +142,8 @@ func (ev *evaluator) pathStep(p Path, n rdf.Term, reverse bool, acc map[rdf.Term
 		// for cancellation, so an unbounded path expansion is killable.
 		maxDepth := ev.limits.pathDepth()
 		maxVisited := ev.limits.pathVisited()
-		frontier := []rdf.Term{n}
-		visited := map[rdf.Term]struct{}{n: {}}
+		frontier := []rdf.ID{n}
+		visited := idSet{n: {}}
 		depth := 0
 		if x.Min == 0 {
 			acc[n] = struct{}{}
@@ -163,7 +160,7 @@ func (ev *evaluator) pathStep(p Path, n rdf.Term, reverse bool, acc map[rdf.Term
 				return
 			}
 			depth++
-			next := map[rdf.Term]struct{}{}
+			next := idSet{}
 			for _, f := range frontier {
 				if ev.cancel.aborted() {
 					return
@@ -189,44 +186,21 @@ func (ev *evaluator) pathStep(p Path, n rdf.Term, reverse bool, acc map[rdf.Term
 	}
 }
 
-// pathConnects reports whether o is reachable from s via the path.
-func (ev *evaluator) pathConnects(p Path, s, o rdf.Term) bool {
-	for _, t := range ev.pathForward(p, s) {
-		if t == o {
-			return true
-		}
-	}
-	return false
-}
-
-// pathSources returns candidate starting nodes for a path whose subject is
-// an unbound variable: the subjects (or objects, for inverse heads) of the
-// path's first atomic step. For zero-length-capable paths every graph node
-// is a candidate.
-func (ev *evaluator) pathSources(p Path) []rdf.Term {
-	set := map[rdf.Term]struct{}{}
-	ev.collectSources(p, false, set)
-	out := make([]rdf.Term, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	return out
-}
-
-func (ev *evaluator) collectSources(p Path, reverse bool, acc map[rdf.Term]struct{}) {
+// collectSources accumulates candidate starting nodes for a path whose
+// subject is an unbound variable: the subjects (or objects, for inverse
+// heads) of the path's first atomic step. For zero-length-capable paths
+// every graph node is a candidate.
+func (ev *evaluator) collectSources(p Path, reverse bool, acc idSet) {
 	switch x := p.(type) {
 	case PathIRI:
-		if reverse {
-			ev.g.Match(rdf.Any, x.IRI, rdf.Any, func(t rdf.Triple) bool {
-				acc[t.O] = struct{}{}
-				return true
-			})
-		} else {
-			ev.g.Match(rdf.Any, x.IRI, rdf.Any, func(t rdf.Triple) bool {
-				acc[t.S] = struct{}{}
-				return true
-			})
-		}
+		ev.g.MatchIDs(0, ev.dict.id(x.IRI), 0, func(s, _, o rdf.ID) bool {
+			if reverse {
+				acc[o] = struct{}{}
+			} else {
+				acc[s] = struct{}{}
+			}
+			return true
+		})
 	case PathInverse:
 		ev.collectSources(x.Sub, !reverse, acc)
 	case PathSeq:
@@ -241,19 +215,24 @@ func (ev *evaluator) collectSources(p Path, reverse bool, acc map[rdf.Term]struc
 	case PathMod:
 		if x.Min == 0 {
 			// Zero-length paths relate every node to itself: candidates are
-			// all subjects and objects in the graph. The full scan polls
-			// for cancellation.
+			// all subjects and resource objects in the graph. The full scan
+			// polls for cancellation; objects are told apart after it (the
+			// scan callback runs under the graph's lock).
+			objects := idSet{}
 			scanned := 0
-			ev.g.Match(rdf.Any, rdf.Any, rdf.Any, func(t rdf.Triple) bool {
+			ev.g.MatchIDs(0, 0, 0, func(s, _, o rdf.ID) bool {
 				if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 					return false
 				}
-				acc[t.S] = struct{}{}
-				if t.O.IsResource() {
-					acc[t.O] = struct{}{}
-				}
+				acc[s] = struct{}{}
+				objects[o] = struct{}{}
 				return true
 			})
+			for o := range objects {
+				if _, subject := acc[o]; !subject && ev.dict.term(o).IsResource() {
+					acc[o] = struct{}{}
+				}
+			}
 			return
 		}
 		ev.collectSources(x.Sub, reverse, acc)

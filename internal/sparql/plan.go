@@ -400,124 +400,106 @@ func cloneVarSet(m map[string]bool) map[string]bool {
 	return out
 }
 
-// countVarUses counts every textual reference to each variable across a
-// query — triple-pattern positions, filter/select/order/group/having
-// expressions, BIND targets, VALUES columns, and the whole text of nested
-// EXISTS groups, subqueries and MINUS blocks. materialize compares a run
-// variable's in-run position count against this total: equality proves the
-// variable is referenced nowhere else, so its bindings can be pruned at
-// materialization (projection pushdown). star reports SELECT *, which
-// disables pruning (every variable is observable). Overcounting is safe —
-// it only keeps a variable alive; subqueries therefore fold into the same
-// counter even though their scopes are distinct.
-func countVarUses(q *Query) (map[string]int, bool) {
-	c := map[string]int{}
-	countQueryUses(q, c)
-	return c, q.Select.Star
-}
-
-func countQueryUses(q *Query, c map[string]int) {
+// visitQueryVars calls fn for every textual variable reference of a SELECT
+// query: triple-pattern positions, BIND targets, VALUES columns, projected
+// names, and every variable an expression mentions, EXISTS patterns
+// included. deep decides what a subquery contributes: its whole text (the
+// reference count selectScope prunes single-use variables by — overcounting
+// only keeps a variable alive) or just what it can bind in the enclosing
+// scope, its projection.
+func visitQueryVars(q *Query, deep bool, fn func(string)) {
 	for _, it := range q.Select.Items {
-		if it.Expr != nil {
-			countExprUses(it.Expr, c)
-		}
 		if it.Var != "" {
-			c[it.Var]++
+			fn(it.Var)
 		}
 	}
 	if q.Where != nil {
-		countGroupUses(q.Where, c)
+		visitGroupVars(q.Where, deep, fn)
+	}
+	for _, gc := range q.GroupBy {
+		if gc.Var != "" {
+			fn(gc.Var)
+		}
+	}
+	queryExprs(q, func(e Expr) {
+		visitExprVars(e, fn, func(gp *GroupPattern) { visitGroupVars(gp, deep, fn) })
+	})
+}
+
+// queryExprs calls fn for every expression of the query outside its WHERE
+// pattern: SELECT, GROUP BY, HAVING and ORDER BY.
+func queryExprs(q *Query, fn func(Expr)) {
+	for _, it := range q.Select.Items {
+		if it.Expr != nil {
+			fn(it.Expr)
+		}
 	}
 	for _, gc := range q.GroupBy {
 		if gc.Expr != nil {
-			countExprUses(gc.Expr, c)
-		}
-		if gc.Var != "" {
-			c[gc.Var]++
+			fn(gc.Expr)
 		}
 	}
 	for _, h := range q.Having {
-		countExprUses(h, c)
+		fn(h)
 	}
 	for _, oc := range q.OrderBy {
-		countExprUses(oc.Expr, c)
-	}
-	for _, tp := range q.Template {
-		countTripleUses(&tp, c)
-	}
-	for _, n := range q.Describe {
-		if n.IsVar() && n.Var != "" {
-			c[n.Var]++
-		}
+		fn(oc.Expr)
 	}
 }
 
-func countGroupUses(gp *GroupPattern, c map[string]int) {
+func visitGroupVars(gp *GroupPattern, deep bool, fn func(string)) {
+	expr := func(e Expr) { visitExprVars(e, fn, func(gp *GroupPattern) { visitGroupVars(gp, deep, fn) }) }
 	for _, e := range gp.Elems {
 		switch {
 		case e.Triple != nil:
-			countTripleUses(e.Triple, c)
+			for _, n := range [3]Node{e.Triple.S, e.Triple.P, e.Triple.O} {
+				if n.IsVar() && n.Var != "" {
+					fn(n.Var)
+				}
+			}
 		case e.Filter != nil:
-			countExprUses(e.Filter, c)
+			expr(e.Filter)
 		case e.Optional != nil:
-			countGroupUses(e.Optional, c)
+			visitGroupVars(e.Optional, deep, fn)
 		case e.Union != nil:
 			for _, alt := range e.Union.Alternatives {
-				countGroupUses(alt, c)
+				visitGroupVars(alt, deep, fn)
 			}
 		case e.Group != nil:
-			countGroupUses(e.Group, c)
+			visitGroupVars(e.Group, deep, fn)
 		case e.Bind != nil:
-			countExprUses(e.Bind.Expr, c)
-			c[e.Bind.Var]++
+			expr(e.Bind.Expr)
+			fn(e.Bind.Var)
 		case e.Values != nil:
 			for _, v := range e.Values.Vars {
-				c[v]++
+				fn(v)
 			}
 		case e.SubQuery != nil:
-			countQueryUses(e.SubQuery, c)
+			if deep || e.SubQuery.Select.Star {
+				visitQueryVars(e.SubQuery, deep, fn)
+			} else {
+				for _, it := range e.SubQuery.Select.Items {
+					fn(it.Var)
+				}
+			}
 		case e.Minus != nil:
-			countGroupUses(e.Minus, c)
+			visitGroupVars(e.Minus, deep, fn)
 		}
 	}
 }
 
-// countTripleUses counts one occurrence per variable position, mirroring how
-// materialize counts a run's in-pattern positions (see runVarUseCounts).
-func countTripleUses(tp *TriplePattern, c map[string]int) {
-	for _, n := range [3]Node{tp.S, tp.P, tp.O} {
-		if n.IsVar() && n.Var != "" {
-			c[n.Var]++
+// visitExprVars calls fn for every variable the expression mentions and
+// exists (when non-nil) for the pattern of every EXISTS inside it.
+func visitExprVars(e Expr, fn func(string), exists func(*GroupPattern)) {
+	walkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case ExprVar:
+			fn(x.Name)
+		case ExprExists:
+			if exists != nil {
+				exists(x.Pattern)
+			}
 		}
-	}
-}
-
-// countExprUses is collectExprVars with a counter — and unlike it, descends
-// into EXISTS patterns, whose variable references must keep run variables
-// alive.
-func countExprUses(e Expr, c map[string]int) {
-	switch x := e.(type) {
-	case ExprVar:
-		c[x.Name]++
-	case ExprUnary:
-		countExprUses(x.Sub, c)
-	case ExprBinary:
-		countExprUses(x.Left, c)
-		countExprUses(x.Right, c)
-	case ExprCall:
-		for _, a := range x.Args {
-			countExprUses(a, c)
-		}
-	case ExprIn:
-		countExprUses(x.Left, c)
-		for _, a := range x.List {
-			countExprUses(a, c)
-		}
-	case ExprAggregate:
-		if x.Arg != nil {
-			countExprUses(x.Arg, c)
-		}
-	case ExprExists:
-		countGroupUses(x.Pattern, c)
-	}
+		return true
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -79,7 +80,7 @@ func TestPlannerDifferential(t *testing.T) {
 				gp.Elems = append(gp.Elems, PatternElem{Triple: &tp})
 			}
 			ev := newEvaluator(context.Background(), g, opts)
-			got := canonical(ev.evalGroup(gp, []Binding{{}}), vars)
+			got := canonical(groupBindings(ev, gp), vars)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d [%s]: %d rows, reference %d\npatterns: %v",
 					trial, name, len(got), len(want), patterns)
@@ -123,13 +124,13 @@ func TestPlannerClauseDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
-			want := canonical(base.Rows, base.Vars)
+			want := canonical(bindings(base), base.Vars)
 			for name, opts := range plannerOptionSets() {
 				res, err := ExecSelectOpts(g, q, opts)
 				if err != nil {
 					t.Fatalf("[%s] %s: %v", name, src, err)
 				}
-				got := canonical(res.Rows, res.Vars)
+				got := canonical(bindings(res), res.Vars)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d [%s] %s: %d rows, want %d", trial, name, src, len(got), len(want))
 				}
@@ -268,25 +269,23 @@ func TestGreedyLookaheadLargeRun(t *testing.T) {
 	}
 }
 
-// TestCountVarUses verifies the reference counter behind projection pruning.
-func TestCountVarUses(t *testing.T) {
-	q := MustParse(`SELECT ?b WHERE {
+// TestSelectScopeSlots verifies slot assignment and the reference count
+// behind projection pruning: a variable the query mentions once — EXISTS
+// patterns count — gets no slot, unless the query is SELECT *.
+func TestSelectScopeSlots(t *testing.T) {
+	sc := selectScope(MustParse(`SELECT ?b WHERE {
   ?a <http://e/p0> ?b .
   ?a <http://e/p1> ?c .
   FILTER EXISTS { ?d <http://e/p2> ?c }
-}`)
-	counts, star := countVarUses(q)
-	if star {
-		t.Fatal("star = true for explicit projection")
+}`))
+	if want := []string{"b", "a", "c"}; !slices.Equal(sc.names, want) {
+		t.Errorf("slots = %v, want %v", sc.names, want)
 	}
-	want := map[string]int{"a": 2, "b": 2, "c": 2, "d": 1}
-	for v, n := range want {
-		if counts[v] != n {
-			t.Errorf("count[%s] = %d, want %d (all: %v)", v, counts[v], n, counts)
-		}
+	if sc.slot("d") != -1 {
+		t.Error("?d is mentioned once and still has a slot")
 	}
-	if _, star := countVarUses(MustParse(`SELECT * WHERE { ?a ?p ?o }`)); !star {
-		t.Error("SELECT * not flagged")
+	if sc := selectScope(MustParse(`SELECT * WHERE { ?a ?p ?o }`)); len(sc.names) != 3 {
+		t.Errorf("SELECT * slots = %v, want every variable", sc.names)
 	}
 }
 

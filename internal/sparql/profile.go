@@ -218,6 +218,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// profLabel renders an operator's label, only when profiling is on.
+func (ev *evaluator) profLabel(op fmt.Stringer) string {
+	if ev.prof == nil {
+		return ""
+	}
+	return op.String()
+}
+
 // profEnter descends into (creating if needed) the current node's child for
 // (op, label) and makes it current. It returns the previous current node
 // and the start time for profExit. When profiling is off it returns nil and

@@ -5,55 +5,48 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"rdfanalytics/internal/rdf"
 )
 
-// Binding is one solution mapping: variable name -> bound term. Absent keys
-// are unbound variables.
+// Binding is one solution as a map: variable name -> bound term, absent keys
+// unbound. The evaluator and Results work on positional rows; the map form
+// is what the exported test hook OrderComparator takes.
 type Binding map[string]rdf.Term
-
-// clone returns a copy of the binding.
-func (b Binding) clone() Binding {
-	out := make(Binding, len(b)+1)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// compatible reports whether two bindings agree on every shared variable.
-func (b Binding) compatible(other Binding) bool {
-	for k, v := range b {
-		if w, ok := other[k]; ok && w != v {
-			return false
-		}
-	}
-	return true
-}
 
 // Results is a SELECT result table.
 type Results struct {
 	// Vars is the projection, in declaration order.
 	Vars []string
-	// Rows holds one binding per solution.
-	Rows []Binding
+	// Rows holds one row per solution, positional by Vars; the zero Term
+	// marks an unbound variable. The rows of an evaluated query are views
+	// into one flat term table.
+	Rows [][]rdf.Term
 }
 
 // Len returns the number of solution rows.
 func (r *Results) Len() int { return len(r.Rows) }
 
 // Get returns the term bound to v in row i (zero Term when unbound).
-func (r *Results) Get(i int, v string) rdf.Term { return r.Rows[i][v] }
+func (r *Results) Get(i int, v string) rdf.Term {
+	if j := slices.Index(r.Vars, v); j >= 0 {
+		return r.Rows[i][j]
+	}
+	return rdf.Term{}
+}
 
 // Column returns all values of one variable, in row order; unbound positions
 // hold the zero Term.
 func (r *Results) Column(v string) []rdf.Term {
 	out := make([]rdf.Term, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = row[v]
+	if j := slices.Index(r.Vars, v); j >= 0 {
+		for i, row := range r.Rows {
+			out[i] = row[j]
+		}
 	}
 	return out
 }
@@ -62,12 +55,10 @@ func (r *Results) Column(v string) []rdf.Term {
 // tables deterministic for tests and serialization.
 func (r *Results) Sort() {
 	sort.SliceStable(r.Rows, func(i, j int) bool {
-		for _, v := range r.Vars {
-			a, b := r.Rows[i][v], r.Rows[j][v]
-			if a == b {
-				continue
+		for k, a := range r.Rows[i] {
+			if b := r.Rows[j][k]; a != b {
+				return a.Less(b)
 			}
-			return a.Less(b)
 		}
 		return false
 	})
@@ -83,9 +74,9 @@ func (r *Results) String() string {
 	}
 	for i, row := range r.Rows {
 		cells[i] = make([]string, len(r.Vars))
-		for j, v := range r.Vars {
+		for j := range r.Vars {
 			s := ""
-			if t, ok := row[v]; ok {
+			if t := row[j]; !t.IsZero() {
 				s = displayTerm(t)
 			}
 			cells[i][j] = s
@@ -131,12 +122,10 @@ func (r *Results) WriteCSV(w io.Writer) error {
 	}
 	for _, row := range r.Rows {
 		rec := make([]string, len(r.Vars))
-		for i, v := range r.Vars {
-			if t, ok := row[v]; ok {
-				rec[i] = t.Value
-				if t.Kind == rdf.KindBlank {
-					rec[i] = "_:" + t.Value
-				}
+		for i, t := range row {
+			rec[i] = t.Value
+			if t.Kind == rdf.KindBlank {
+				rec[i] = "_:" + t.Value
 			}
 		}
 		if err := cw.Write(rec); err != nil {
@@ -147,82 +136,173 @@ func (r *Results) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// sparqlJSON mirrors the W3C "SPARQL 1.1 Query Results JSON Format".
-type sparqlJSON struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results struct {
-		Bindings []map[string]sparqlJSONTerm `json:"bindings"`
-	} `json:"results"`
-}
-
-type sparqlJSONTerm struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"xml:lang,omitempty"`
-}
-
 // WriteJSON writes the results in the SPARQL 1.1 JSON results format.
 func (r *Results) WriteJSON(w io.Writer) error {
-	doc := sparqlJSON{}
-	doc.Head.Vars = r.Vars
-	doc.Results.Bindings = make([]map[string]sparqlJSONTerm, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		jb := map[string]sparqlJSONTerm{}
-		for _, v := range r.Vars {
-			t, ok := row[v]
-			if !ok {
+	_, err := w.Write(r.JSON())
+	return err
+}
+
+// JSON returns the results in the SPARQL 1.1 JSON results format, in one
+// slice allocated at its exact size (rows are measured through a reused
+// scratch buffer first). The bytes are what encoding/json produces for the
+// format's natural struct-and-map document — per-binding keys in sorted
+// order, unbound variables omitted, `<`, `>`, `&`, U+2028 and U+2029
+// escaped, invalid UTF-8 replaced by U+FFFD, a trailing newline — so every
+// recorded response digest stays valid; FuzzJSONString holds the string
+// escaper to json.Encoder.
+func (r *Results) JSON() []byte {
+	// One column per distinct name, in key order, with its rendered key.
+	type column struct {
+		idx int
+		key string // "name":{"type":"
+	}
+	var cols []column
+	for i, v := range r.Vars {
+		if slices.Index(r.Vars, v) == i {
+			cols = append(cols, column{i, string(appendJSONString(nil, v)) + `:{"type":"`})
+		}
+	}
+	sort.Slice(cols, func(a, b int) bool { return r.Vars[cols[a].idx] < r.Vars[cols[b].idx] })
+	vars, _ := json.Marshal(r.Vars) // null for a nil projection
+	head := `{"head":{"vars":` + string(vars) + `},"results":{"bindings":[`
+	const tail = "]}}\n"
+	appendRow := func(dst []byte, i int) []byte {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '{')
+		for _, c := range cols {
+			t := r.Rows[i][c.idx]
+			if t.IsZero() {
 				continue
 			}
-			jt := sparqlJSONTerm{Value: t.Value}
+			if dst[len(dst)-1] != '{' {
+				dst = append(dst, ',')
+			}
+			kind := "literal"
 			switch t.Kind {
 			case rdf.KindIRI:
-				jt.Type = "uri"
+				kind = "uri"
 			case rdf.KindBlank:
-				jt.Type = "bnode"
-			default:
-				jt.Type = "literal"
-				if t.Lang != "" {
-					jt.Lang = t.Lang
-				} else if t.Datatype != "" && t.Datatype != rdf.XSDString {
-					jt.Datatype = t.Datatype
-				}
+				kind = "bnode"
 			}
-			jb[v] = jt
+			dst = append(append(append(dst, c.key...), kind...), `","value":`...)
+			dst = appendJSONString(dst, t.Value)
+			switch {
+			case t.Kind != rdf.KindLiteral:
+			case t.Lang != "":
+				dst = appendJSONString(append(dst, `,"xml:lang":`...), t.Lang)
+			case t.Datatype != "" && t.Datatype != rdf.XSDString:
+				dst = appendJSONString(append(dst, `,"datatype":`...), t.Datatype)
+			}
+			dst = append(dst, '}')
 		}
-		doc.Results.Bindings = append(doc.Results.Bindings, jb)
+		return append(dst, '}')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	size := len(head) + len(tail)
+	scratch := make([]byte, 0, 512)
+	for i := range r.Rows {
+		scratch = appendRow(scratch[:0], i)
+		size += len(scratch)
+	}
+	dst := append(make([]byte, 0, size), head...)
+	for i := range r.Rows {
+		dst = appendRow(dst, i)
+	}
+	return append(dst, tail...)
+}
+
+const jsonHex = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal, escaped exactly as
+// encoding/json escapes strings with HTML escaping on.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			c, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case c == utf8.RuneError && size == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+				start = i + size
+			case c == '\u2028' || c == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', jsonHex[c&0xF])
+				start = i + size
+			}
+			i += size
+			continue
+		}
+		esc := byte(0)
+		switch b {
+		case '"', '\\':
+			esc = b
+		case '\b':
+			esc = 'b'
+		case '\f':
+			esc = 'f'
+		case '\n':
+			esc = 'n'
+		case '\r':
+			esc = 'r'
+		case '\t':
+			esc = 't'
+		case '<', '>', '&':
+			esc = 'u'
+		default:
+			if b < 0x20 {
+				esc = 'u'
+			}
+		}
+		if esc != 0 {
+			dst = append(append(dst, s[start:i]...), '\\', esc)
+			if esc == 'u' {
+				dst = append(dst, '0', '0', jsonHex[b>>4], jsonHex[b&0xF])
+			}
+			start = i + 1
+		}
+		i++
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // ParseJSONResults parses the SPARQL 1.1 JSON results format back into
 // Results (used by the HTTP client side of the endpoint tests).
 func ParseJSONResults(r io.Reader) (*Results, error) {
-	var doc sparqlJSON
+	var doc struct {
+		Head struct {
+			Vars []string `json:"vars"`
+		} `json:"head"`
+		Results struct {
+			Bindings []map[string]struct {
+				Type     string `json:"type"`
+				Value    string `json:"value"`
+				Datatype string `json:"datatype"`
+				Lang     string `json:"xml:lang"`
+			} `json:"bindings"`
+		} `json:"results"`
+	}
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return nil, err
 	}
 	out := &Results{Vars: doc.Head.Vars}
 	for _, jb := range doc.Results.Bindings {
-		row := Binding{}
-		for v, jt := range jb {
-			switch jt.Type {
-			case "uri":
-				row[v] = rdf.NewIRI(jt.Value)
-			case "bnode":
-				row[v] = rdf.NewBlank(jt.Value)
+		row := make([]rdf.Term, len(out.Vars))
+		for i, v := range out.Vars {
+			jt, bound := jb[v]
+			switch {
+			case !bound:
+			case jt.Type == "uri":
+				row[i] = rdf.NewIRI(jt.Value)
+			case jt.Type == "bnode":
+				row[i] = rdf.NewBlank(jt.Value)
+			case jt.Lang != "":
+				row[i] = rdf.NewLangString(jt.Value, jt.Lang)
+			case jt.Datatype != "":
+				row[i] = rdf.NewTyped(jt.Value, jt.Datatype)
 			default:
-				switch {
-				case jt.Lang != "":
-					row[v] = rdf.NewLangString(jt.Value, jt.Lang)
-				case jt.Datatype != "":
-					row[v] = rdf.NewTyped(jt.Value, jt.Datatype)
-				default:
-					row[v] = rdf.NewString(jt.Value)
-				}
+				row[i] = rdf.NewString(jt.Value)
 			}
 		}
 		out.Rows = append(out.Rows, row)

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestOrderByNonProjected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		got = append(got, row["name"].Value)
 	}
 	want := []string{"carol", "alice", "bob"}
@@ -51,7 +52,7 @@ func TestOrderByNonProjected(t *testing.T) {
 	if len(res.Vars) != 1 || res.Vars[0] != "name" {
 		t.Fatalf("projection leaked: vars %v", res.Vars)
 	}
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		if _, ok := row["age"]; ok {
 			t.Fatalf("?age leaked through projection: %v", row)
 		}
@@ -73,7 +74,7 @@ func TestOrderByDateTimeTimezones(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		got = append(got, row["ev"].LocalName())
 	}
 	want := []string{"ev1", "ev2", "ev3"}
@@ -99,10 +100,10 @@ func TestMinMaxDateTime(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
-	if got := res.Rows[0]["lo"].Value; got != "2021-06-01T23:00:00+05:00" {
+	if got := res.Get(0, "lo").Value; got != "2021-06-01T23:00:00+05:00" {
 		t.Errorf("MIN = %q, want the 18:00Z instant", got)
 	}
-	if got := res.Rows[0]["hi"].Value; got != "2021-06-01T20:30:00Z" {
+	if got := res.Get(0, "hi").Value; got != "2021-06-01T20:30:00Z" {
 		t.Errorf("MAX = %q, want the 20:30Z instant", got)
 	}
 }
@@ -121,15 +122,15 @@ func TestSumInt64Precision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := res.Rows[0]["s"].Int()
+	got, ok := res.Get(0, "s").Int()
 	if !ok {
-		t.Fatalf("SUM not an integer: %v", res.Rows[0]["s"])
+		t.Fatalf("SUM not an integer: %v", res.Get(0, "s"))
 	}
 	if want := big + 2; got != want {
 		t.Fatalf("SUM = %d, want %d (float64 accumulator lost precision)", got, want)
 	}
-	if res.Rows[0]["s"].Datatype != rdf.XSDInteger {
-		t.Errorf("SUM datatype = %s, want xsd:integer", res.Rows[0]["s"].Datatype)
+	if res.Get(0, "s").Datatype != rdf.XSDInteger {
+		t.Errorf("SUM datatype = %s, want xsd:integer", res.Get(0, "s").Datatype)
 	}
 }
 
@@ -151,7 +152,7 @@ func TestMinEmptyGroupUnbound(t *testing.T) {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
 	byX := map[string]Binding{}
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		byX[row["x"].LocalName()] = row
 	}
 	if m, ok := byX["a"]["m"]; !ok || m.Value != "7" {
@@ -171,8 +172,33 @@ func TestMinEmptyGroupUnbound(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows over empty match: %d", len(res.Rows))
 	}
-	if m, ok := res.Rows[0]["m"]; ok {
+	if m := res.Get(0, "m"); !m.IsZero() {
 		t.Errorf("MAX over no rows should be unbound, got %v", m)
+	}
+}
+
+// TestCountDistinctStar: COUNT(DISTINCT *) is the number of distinct
+// solutions of the group (§18.5.1.2), not its row count — the old evaluator
+// filled the aggregate with one distinct placeholder per row and answered 2
+// here.
+func TestCountDistinctStar(t *testing.T) {
+	g := specGraph(t, rdf.NewTriple(e("a"), e("p"), e("x")))
+	res, err := Select(g, `SELECT (COUNT(DISTINCT *) AS ?n) (COUNT(*) AS ?all)
+WHERE { { ?s <http://e/p> ?o } UNION { ?s <http://e/p> ?o } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, all := res.Get(0, "n").Value, res.Get(0, "all").Value; n != "1" || all != "2" {
+		t.Errorf("COUNT(DISTINCT *) = %s, COUNT(*) = %s; want 1 and 2", n, all)
+	}
+	// Variables nothing else mentions are part of the solutions all the same.
+	g.Add(rdf.NewTriple(e("b"), e("p"), e("x")))
+	res, err = Select(g, `SELECT (COUNT(DISTINCT *) AS ?n) WHERE { ?s <http://e/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Get(0, "n").Value; n != "2" {
+		t.Errorf("COUNT(DISTINCT *) over two solutions = %s, want 2", n)
 	}
 }
 
@@ -192,13 +218,13 @@ func TestOrderByAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		got = append(got, row["b"].LocalName())
 	}
 	if len(got) != 2 || got[0] != "b1" || got[1] != "b2" {
 		t.Fatalf("ORDER BY DESC(SUM): got %v, want [b1 b2]", got)
 	}
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		for v := range row {
 			if v != "b" {
 				t.Fatalf("hidden sort key leaked into projection: %v", row)
@@ -224,7 +250,7 @@ func TestOrderByDescStrictWeakOrder(t *testing.T) {
 	}
 	// A DESC sort over many equivalent keys must terminate and stay a
 	// permutation (the broken comparator could corrupt the slice).
-	rows := []Binding{a, b, a.clone(), b.clone(), {"v": rdf.NewInteger(2)}}
+	rows := []Binding{a, b, maps.Clone(a), maps.Clone(b), {"v": rdf.NewInteger(2)}}
 	sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
 	if rows[0]["v"].Value != "2" {
 		t.Fatalf("DESC sort: want 2 first, got %v", rows[0]["v"])
@@ -244,7 +270,7 @@ func TestOrderBySelectAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, row := range res.Rows {
+	for _, row := range bindings(res) {
 		got = append(got, row["x"].LocalName())
 	}
 	want := []string{"a", "c", "b"}

@@ -249,21 +249,9 @@ func ApplyUpdateCtx(ctx context.Context, g *rdf.Graph, u *Update) (UpdateResult,
 			}
 			tmpl = append(tmpl, *e.Triple)
 		}
-		ev := newEvaluator(ctx, g, Options{})
-		rows := ev.evalGroup(u.Where, []Binding{{}})
-		if err := ev.cancel.cause(); err != nil {
-			observeAbort(nil, err)
-			return res, err
-		}
-		return res, deleteInsert(g, rows, tmpl, nil, &res)
+		return res, deleteInsert(ctx, g, u.Where, tmpl, nil, &res)
 	case UpdateModify:
-		ev := newEvaluator(ctx, g, Options{})
-		rows := ev.evalGroup(u.Where, []Binding{{}})
-		if err := ev.cancel.cause(); err != nil {
-			observeAbort(nil, err)
-			return res, err
-		}
-		return res, deleteInsert(g, rows, u.DeleteTempl, u.InsertTempl, &res)
+		return res, deleteInsert(ctx, g, u.Where, u.DeleteTempl, u.InsertTempl, &res)
 	case UpdateClear:
 		for _, t := range g.Triples() {
 			g.Remove(t)
@@ -275,27 +263,18 @@ func ApplyUpdateCtx(ctx context.Context, g *rdf.Graph, u *Update) (UpdateResult,
 	}
 }
 
-// deleteInsert instantiates the delete template for every solution (removing
-// matches), then the insert template (adding instantiations). Deletions are
-// collected before application so a solution's own deletions cannot hide
-// later matches.
-func deleteInsert(g *rdf.Graph, rows []Binding, del, ins []TriplePattern, res *UpdateResult) error {
-	var toDelete, toInsert []rdf.Triple
-	inst := func(tmpl []TriplePattern, b Binding, acc *[]rdf.Triple) {
-		for _, tp := range tmpl {
-			s, okS := instantiate(tp.S, b)
-			p, okP := instantiate(tp.P, b)
-			o, okO := instantiate(tp.O, b)
-			if !okS || !okP || !okO || s.IsLiteral() || p.Kind != rdf.KindIRI {
-				continue
-			}
-			*acc = append(*acc, rdf.Triple{S: s, P: p, O: o})
-		}
+// deleteInsert evaluates the WHERE pattern, then instantiates the delete
+// template for every solution (removing matches) and the insert template
+// (adding instantiations). Both are instantiated before anything is applied,
+// so a solution's own deletions cannot hide later matches, and an aborted
+// evaluation touches nothing.
+func deleteInsert(ctx context.Context, g *rdf.Graph, where *GroupPattern, del, ins []TriplePattern, res *UpdateResult) error {
+	ev := newEvaluator(ctx, g, Options{})
+	rows, err := ev.evalWhere(where)
+	if err != nil {
+		return err
 	}
-	for _, b := range rows {
-		inst(del, b, &toDelete)
-		inst(ins, b, &toInsert)
-	}
+	toDelete, toInsert := ev.instantiate(del, rows), ev.instantiate(ins, rows)
 	for _, t := range toDelete {
 		if g.Remove(t) {
 			res.Deleted++

@@ -150,7 +150,7 @@ SELECT ?b WHERE { ?t ex:branch ?b . ?t ex:total ?v . FILTER(?v > 300) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["b"].LocalName() != "b2" {
+	if res.Len() != 1 || res.Get(0, "b").LocalName() != "b2" {
 		t.Fatalf("rows: %s", res)
 	}
 }

@@ -56,8 +56,8 @@ SELECT ?t WHERE { ?ds a void:Dataset . ?ds void:triples ?t }`)
 	if res.Len() != 1 {
 		t.Fatalf("datasets: %s", res)
 	}
-	if n, _ := res.Rows[0]["t"].Int(); n != int64(g.Len()) {
-		t.Errorf("void:triples = %v", res.Rows[0]["t"])
+	if n, _ := res.Get(0, "t").Int(); n != int64(g.Len()) {
+		t.Errorf("void:triples = %v", res.Get(0, "t"))
 	}
 	// Property partitions carry per-predicate counts.
 	res, err = sparql.Select(vd, `PREFIX void: <`+VoIDNS+`>

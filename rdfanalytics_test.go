@@ -58,8 +58,8 @@ INSERT DATA { ex:a ex:p 1 . ex:b ex:p 2 . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0]["s"].Value != "3" {
-		t.Fatalf("sum = %v", res.Rows[0]["s"])
+	if res.Get(0, "s").Value != "3" {
+		t.Fatalf("sum = %v", res.Get(0, "s"))
 	}
 	yes, err := rdfanalytics.Ask(g, `ASK { <http://e/a> ?p ?o }`)
 	if err != nil || !yes {
