@@ -30,6 +30,14 @@ import (
 // variable (not const) so tests can shrink it to force evictions.
 var levelCacheBytes int64 = 8 << 20 // 8 MiB
 
+// dropStaleAnswers empties the answer memo and the cubes when the level's
+// graph mutated since they were filled.
+func (l *level) dropStaleAnswers() {
+	if v := l.model.G.Version(); v != l.answersVersion {
+		l.cache, l.cubes, l.answersVersion = nil, nil, v
+	}
+}
+
 // ensureCache lazily builds the level's bounded answer cache.
 func (l *level) ensureCache() {
 	if l.cache == nil {
@@ -116,10 +124,13 @@ type level struct {
 	// cache memoizes answers by (intention, HIFUN query): repeated runs of
 	// the same analytic state (e.g. switching chart types in the GUI) skip
 	// re-evaluation. Bounded by byte-size accounting (levelCacheBytes) with
-	// LRU eviction — a long-lived session cannot grow it without limit —
-	// and invalidated whenever the level's graph mutates. A nil cache is
-	// valid and empty (see resilience.SizedLRU).
+	// LRU eviction — a long-lived session cannot grow it without limit. A
+	// nil cache is valid and empty (see resilience.SizedLRU).
 	cache *resilience.SizedLRU[*hifun.Answer]
+	// answersVersion is the graph version cache and cubes were filled at;
+	// dropStaleAnswers empties both when the graph has moved since, whoever
+	// moved it.
+	answersVersion uint64
 	// log records the replayable click sequence for snapshots.
 	log actionLog
 	// cubes retains recent decomposable answers for roll-up reuse.
@@ -509,6 +520,7 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (ans *hifun.Answer, err 
 	}
 	bq.SetAttr("hifun", q.String())
 	l := s.top()
+	l.dropStaleAnswers()
 	intentionKey := l.state().Int.String()
 	key := intentionKey + "\x00" + q.String()
 	if cached, ok := l.cache.Get(key); ok {
@@ -574,25 +586,6 @@ func (s *Session) ProfileAnalytics(qctx context.Context) (*hifun.Answer, *sparql
 	return ans, prof, nil
 }
 
-// InvalidateCache drops memoized answers and cubes at every level; call
-// after any out-of-band mutation of the underlying graph (e.g. a SPARQL
-// update).
-func (s *Session) InvalidateCache() {
-	for _, l := range s.levels {
-		l.cache = nil
-		l.cubes = nil
-	}
-}
-
-// InvalidateExactCache drops only the exact-answer memoization, keeping the
-// materialized cubes. Benchmarks and diagnostics use it to exercise the
-// cube roll-up path repeatedly.
-func (s *Session) InvalidateExactCache() {
-	for _, l := range s.levels {
-		l.cache = nil
-	}
-}
-
 // Answer returns the last computed Answer Frame at the current level.
 func (s *Session) Answer() *hifun.Answer { return s.top().answer }
 
@@ -631,7 +624,6 @@ func (s *Session) CloseLevel() error {
 // non-functional properties usable as HIFUN attributes.
 func (s *Session) ApplyTransform(spec hifun.FeatureSpec) (int, error) {
 	l := s.top()
-	s.InvalidateCache()
 	n, err := hifun.ApplyFeature(l.model.G, l.state().Ext.Items(), spec)
 	if err == nil && s.durability != nil {
 		// Group commit: the materialized triples were journaled as they

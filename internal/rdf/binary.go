@@ -58,24 +58,25 @@ const (
 // deterministic: two calls over the same graph content produce identical
 // bytes regardless of insertion history.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	_, err := g.SnapshotBinary(w)
+	_, _, err := g.SnapshotBinary(w)
 	return err
 }
 
 // SnapshotBinary is WriteBinary returning the graph version the snapshot
-// captured. The version is read under the same lock that guards the
-// serialization, so the pair (bytes, version) is atomic — the durable store
-// uses it as the checkpoint epoch.
-func (g *Graph) SnapshotBinary(w io.Writer) (uint64, error) {
+// captured and the number of triples it holds. Both are read under the same
+// lock that guards the serialization, so (bytes, version, triples) is
+// atomic — the durable store uses the version as the checkpoint epoch and
+// records the count without decoding its own output.
+func (g *Graph) SnapshotBinary(w io.Writer) (version uint64, triples int, err error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	version := g.version
+	version = g.version
 	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if err := bw.WriteByte(binaryVersion); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var buf [binary.MaxVarintLen64]byte
 	writeUvarint := func(v uint64) error {
@@ -92,20 +93,20 @@ func (g *Graph) SnapshotBinary(w io.Writer) (uint64, error) {
 	}
 	// Dictionary, in ID order (toTerm[i] holds the term for ID i+1).
 	if err := writeUvarint(uint64(g.dict.Len())); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for _, t := range g.dict.toTerm {
 		if err := bw.WriteByte(byte(t.Kind)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := writeString(t.Value); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := writeString(t.Datatype); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := writeString(t.Lang); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	// Triples, sorted by (s, p, o) ID so the byte stream is canonical.
@@ -115,24 +116,23 @@ func (g *Graph) SnapshotBinary(w io.Writer) (uint64, error) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	if err := writeUvarint(uint64(len(keys))); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	for _, key := range keys {
 		if err := writeUvarint(uint64(key.s)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := writeUvarint(uint64(key.p)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if err := writeUvarint(uint64(key.o)); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
-	return version, bw.Flush()
+	return version, len(keys), bw.Flush()
 }
 
-// less orders triple keys by (s, p, o) — the canonical snapshot order and
-// the SPO key-section order of segment files.
+// less orders triple keys by (s, p, o) — the canonical snapshot order.
 func (k tripleKey) less(o tripleKey) bool {
 	if k.s != o.s {
 		return k.s < o.s

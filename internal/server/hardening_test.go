@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -256,6 +257,43 @@ func TestBudgetEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), `"reason":"budget"`) {
 		t.Fatalf("422 body missing budget reason: %s", rec.Body.String())
+	}
+}
+
+// TestGraphFormsHonorRowBudget: Config.Limits governs every read form, not
+// only SELECT — a cross product over budget through ASK, CONSTRUCT or
+// DESCRIBE is refused with the structured 422 the SELECT gets.
+func TestGraphFormsHonorRowBudget(t *testing.T) {
+	srv := NewWithConfig(hardeningGraph(200), "http://e/", Config{
+		Limits: sparql.Limits{MaxIntermediateRows: 1000},
+	})
+	const cross = "WHERE { ?a <http://e/p> ?x . ?b <http://e/q> ?y }"
+	var want string
+	for _, q := range []string{
+		"SELECT * " + cross,
+		"ASK " + cross,
+		"CONSTRUCT { ?a <http://e/r> ?b } " + cross,
+		"DESCRIBE ?a " + cross,
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(q), nil))
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422 (body: %.200s)", q, rec.Code, rec.Body.String())
+			continue
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Errorf("%s: 422 body is not the structured error: %v", q, err)
+			continue
+		}
+		delete(body, "request_id")
+		got := fmt.Sprint(body)
+		if want == "" {
+			want = got // SELECT's
+		}
+		if body["reason"] != "budget" || got != want {
+			t.Errorf("%s: error %s, want SELECT's %s", q, got, want)
+		}
 	}
 }
 

@@ -102,6 +102,104 @@ func (s *Server) shedCostSeconds() float64 {
 	return defaultDegradedShedCost.Seconds()
 }
 
+// execution identifies one engine execution to the gate, the breaker and the
+// trace store.
+type execution struct {
+	raw, shape, fpID string
+	reqID, traceID   string
+	cache            string // the X-Cache outcome it serves: "miss" or "bypass"
+}
+
+// newExecution reads the request's ids; each read allocates (the header
+// names are not in canonical form), so it is kept off the cache-hit path.
+func newExecution(r *http.Request, raw, shape, fpID, cache string) execution {
+	return execution{
+		raw: raw, shape: shape, fpID: fpID,
+		reqID: requestID(r), traceID: traceIDOf(r), cache: cache,
+	}
+}
+
+// breakerAllows asks the circuit breaker for the shape; on refusal it has
+// already written the 503.
+func (s *Server) breakerAllows(w http.ResponseWriter, fpID string) bool {
+	aerr := s.breakers.Allow(fpID, time.Now())
+	if aerr != nil {
+		breakerRejected.Inc()
+		admitReject(w, aerr)
+	}
+	return aerr == nil
+}
+
+// guarded is the one body every engine execution behind /sparql runs in:
+// admission gate (admit/wait/reject metrics), a trace carrying the request's
+// ids, exec, the breaker's cost-and-abort observation and the tail-sampling
+// retention offer — made after the outcome and duration are known, exactly
+// the information head sampling lacks. exec returns the operator profile to
+// retain with the trace (nil for none). The admission slot is the caller's
+// until it calls release (never nil), so a response can be rendered under it.
+func (s *Server) guarded(ctx context.Context, e execution, exec func(tr *obs.Trace, start time.Time) (*sparql.Profile, error)) (release func(), err error) {
+	waitStart := time.Now()
+	release, aerr := s.gate.Acquire(ctx, e.fpID, s.Degraded())
+	if aerr != nil {
+		admissionRejected(aerr.Reason).Inc()
+		return func() {}, aerr
+	}
+	admissionAdmitted.Inc()
+	admissionWait.Observe(time.Since(waitStart).Seconds())
+
+	start := time.Now()
+	tr := obs.NewTrace("sparql")
+	tr.SetID(e.traceID)
+	if e.reqID != "" {
+		tr.Root().SetAttr("request_id", e.reqID)
+	}
+	prof, err := exec(tr, start)
+	dur := time.Since(start)
+	tr.Finish()
+	s.breakers.Observe(e.fpID, dur, abortedForBreaker(err), time.Now())
+	outcome, msg := traceOutcome(err)
+	cand := obs.TraceCandidate{
+		Trace: tr, Kind: "sparql",
+		FingerprintID: e.fpID, Shape: e.shape, Query: e.raw,
+		RequestID: e.reqID, Duration: dur,
+		Outcome: outcome, Cache: e.cache, Err: msg,
+	}
+	if exp := prof.Export(); exp != nil {
+		cand.Profile = exp
+	}
+	s.traces.Offer(cand)
+	return release, err
+}
+
+// execSelect runs a SELECT inside guarded: profiled, planned with the shared
+// feedback store, and recorded in the slow-query log and workload profiler.
+func (s *Server) execSelect(ctx context.Context, q *sparql.Query, e execution, tr *obs.Trace, start time.Time) (*sparql.Results, *sparql.Profile, error) {
+	prof := sparql.NewProfile("sparql")
+	res, err := sparql.ExecSelectCtx(ctx, s.graph, q, sparql.Options{
+		Trace: tr, Limits: s.cfg.Limits, Profile: prof,
+		Feedback: s.feedback, FingerprintID: e.fpID,
+	})
+	dur := time.Since(start)
+	s.slow.Observe("sparql", e.raw, e.fpID, e.reqID, dur, tr)
+	rows := 0
+	if res != nil {
+		rows = len(res.Rows)
+	}
+	s.recordWorkload("sparql", e.raw, e.shape, dur, rows, err, prof)
+	return res, prof, err
+}
+
+// execError maps a guarded execution's error onto the wire: the structured
+// 503 for a shed request, the abort/engine error otherwise.
+func execError(w http.ResponseWriter, err error) {
+	var aerr *resilience.AdmitError
+	if errors.As(err, &aerr) {
+		admitReject(w, aerr)
+		return
+	}
+	queryError(w, err)
+}
+
 // serveQuery is the SELECT/ASK read path. raw is the query text exactly as
 // received — it is part of the cache key, so queries that share a structural
 // fingerprint but differ in any constant (value, datatype, language tag,
@@ -115,7 +213,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 		// query); execute directly under the admission gate.
 		cacheBypass.Inc()
 		w.Header().Set("X-Cache", "bypass")
-		s.execSelectCSV(w, r, ctx, q, raw, shape, fpID)
+		s.execSelectCSV(w, ctx, q, newExecution(r, raw, shape, fpID, "bypass"))
 		return
 	}
 
@@ -133,9 +231,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 			return
 		}
 	}
-	if aerr := s.breakers.Allow(fpID, time.Now()); aerr != nil {
-		breakerRejected.Inc()
-		admitReject(w, aerr)
+	if !s.breakerAllows(w, fpID) {
 		return
 	}
 	if degraded {
@@ -154,15 +250,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	}
 
 	v, collapsed, err := s.flight.Do(ctx, key, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
-		return s.executeQuery(execCtx, q, raw, shape, fpID, key, requestID(r), traceIDOf(r))
+		return s.executeQuery(execCtx, q, newExecution(r, raw, shape, fpID, "miss"), key)
 	})
 	if err != nil {
-		var aerr *resilience.AdmitError
-		if errors.As(err, &aerr) {
-			admitReject(w, aerr)
-			return
-		}
-		queryError(w, err)
+		execError(w, err)
 		return
 	}
 	ans := v.(*resilience.Answer)
@@ -177,98 +268,54 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	w.Write(ans.Body)
 }
 
-// executeQuery is the singleflight leader body: admission, fault site,
-// engine execution, observability recording (including the tail-sampling
-// retention offer), rendering, and the version-checked cache fill. execCtx
-// is detached from any single caller's request (see resilience.Group),
-// bounded by the query timeout. traceID is the leader's middleware-minted
-// trace ID; the retained trace and the cached answer both carry it, so
-// every response serving this execution can point at the same waterfall.
-func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, raw, shape, fpID, key, reqID, traceID string) (any, error) {
-	waitStart := time.Now()
-	release, aerr := s.gate.Acquire(execCtx, fpID, s.Degraded())
-	if aerr != nil {
-		admissionRejected(aerr.Reason).Inc()
-		return nil, aerr
-	}
-	admissionAdmitted.Inc()
-	admissionWait.Observe(time.Since(waitStart).Seconds())
-	defer release()
-
+// executeQuery is the singleflight leader body: the guarded execution of a
+// SELECT or ASK rendered to its JSON body, and the version-checked cache
+// fill. execCtx is detached from any single caller's request (see
+// resilience.Group), bounded by the query timeout. e carries the leader's
+// middleware-minted trace ID; the retained trace and the cached answer both
+// carry it, so every response serving this execution can point at the same
+// waterfall.
+func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, e execution, key string) (any, error) {
 	version := s.graph.Version()
-	start := time.Now()
-	tr := obs.NewTrace("sparql")
-	tr.SetID(traceID)
-	if reqID != "" {
-		tr.Root().SetAttr("request_id", reqID)
-	}
-	// Tail-sampling offer: fires on every exit path below, after the
-	// outcome and duration are known — exactly the information head
-	// sampling lacks. The store decides retention; this is a few map
-	// lookups when the trace is sampled out.
-	var retainProf any
-	offer := func(err error) {
-		tr.Finish()
-		outcome, msg := traceOutcome(err)
-		s.traces.Offer(obs.TraceCandidate{
-			Trace: tr, Profile: retainProf, Kind: "sparql",
-			FingerprintID: fpID, Shape: shape, Query: raw,
-			RequestID: reqID, Duration: time.Since(start),
-			Outcome: outcome, Cache: "miss", Err: msg,
-		})
-	}
-	// The chaos site sits inside the measured window so injected latency is
-	// indistinguishable from a genuinely slow execution downstream (slow-query
-	// log, workload profile, breaker cost EWMA).
-	if err := fault.InjectCtx(execCtx, "server.sparql.exec"); err != nil {
-		offer(err)
-		return nil, err
-	}
 	// The serializer hands over the body at its final size (len == cap), so
 	// what the answer cache accounts is what the answer holds.
 	var body []byte
 	var rows int
-	var execErr error
-	switch q.Form {
-	case sparql.FormSelect:
-		prof := sparql.NewProfile("sparql")
-		res, err := sparql.ExecSelectCtx(execCtx, s.graph, q, sparql.Options{
-			Trace: tr, Limits: s.cfg.Limits, Profile: prof,
-			Feedback: s.feedback, FingerprintID: fpID,
-		})
-		execErr = err
-		dur := time.Since(start)
-		s.slow.Observe("sparql", raw, fpID, reqID, dur, tr)
-		if res != nil {
-			rows = len(res.Rows)
+	var traceID string
+	release, err := s.guarded(execCtx, e, func(tr *obs.Trace, start time.Time) (*sparql.Profile, error) {
+		traceID = tr.ID()
+		// The chaos site sits inside the measured window so injected latency
+		// is indistinguishable from a genuinely slow execution downstream
+		// (slow-query log, workload profile, breaker cost EWMA).
+		if err := fault.InjectCtx(execCtx, "server.sparql.exec"); err != nil {
+			return nil, err
 		}
-		s.recordWorkload("sparql", raw, shape, dur, rows, err, prof)
-		if exp := prof.Export(); exp != nil {
-			retainProf = exp
+		if q.Form == sparql.FormAsk {
+			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, sparql.Options{Trace: tr, Limits: s.cfg.Limits})
+			if err == nil {
+				body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
+			}
+			return nil, err
 		}
+		res, prof, err := s.execSelect(execCtx, q, e, tr, start)
 		if err == nil {
+			rows = len(res.Rows)
 			res.Sort()
 			body = res.JSON()
 		}
-	case sparql.FormAsk:
-		ok, err := sparql.AskCtx(execCtx, s.graph, raw)
-		execErr = err
-		if err == nil {
-			body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
-		}
-	}
-	s.breakers.Observe(fpID, time.Since(start), abortedForBreaker(execErr), time.Now())
-	offer(execErr)
-	if execErr != nil {
-		return nil, execErr
+		return prof, err
+	})
+	release()
+	if err != nil {
+		return nil, err
 	}
 	ans := &resilience.Answer{
 		Body:        body,
 		ContentType: "application/sparql-results+json",
 		Status:      http.StatusOK,
 		Rows:        rows,
-		Shape:       shape,
-		TraceID:     tr.ID(),
+		Shape:       e.shape,
+		TraceID:     traceID,
 		Version:     version,
 		When:        time.Now(),
 	}
@@ -304,53 +351,18 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 
 // execSelectCSV is the uncached CSV rendering of a SELECT, still behind the
 // admission gate and circuit breaker.
-func (s *Server) execSelectCSV(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw, shape, fpID string) {
-	if aerr := s.breakers.Allow(fpID, time.Now()); aerr != nil {
-		breakerRejected.Inc()
-		admitReject(w, aerr)
+func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, e execution) {
+	if !s.breakerAllows(w, e.fpID) {
 		return
 	}
-	release, aerr := s.gate.Acquire(ctx, fpID, s.Degraded())
-	if aerr != nil {
-		admissionRejected(aerr.Reason).Inc()
-		admitReject(w, aerr)
-		return
-	}
-	admissionAdmitted.Inc()
+	var res *sparql.Results
+	release, err := s.guarded(ctx, e, func(tr *obs.Trace, start time.Time) (prof *sparql.Profile, err error) {
+		res, prof, err = s.execSelect(ctx, q, e, tr, start)
+		return prof, err
+	})
 	defer release()
-	start := time.Now()
-	tr := obs.NewTrace("sparql")
-	tr.SetID(traceIDOf(r))
-	if id := requestID(r); id != "" {
-		tr.Root().SetAttr("request_id", id)
-	}
-	prof := sparql.NewProfile("sparql")
-	res, err := sparql.ExecSelectCtx(ctx, s.graph, q, sparql.Options{
-		Trace: tr, Limits: s.cfg.Limits, Profile: prof,
-		Feedback: s.feedback, FingerprintID: fpID,
-	})
-	dur := time.Since(start)
-	tr.Finish()
-	s.slow.Observe("sparql", raw, fpID, requestID(r), dur, tr)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	s.recordWorkload("sparql", raw, shape, dur, rows, err, prof)
-	s.breakers.Observe(fpID, dur, abortedForBreaker(err), time.Now())
-	outcome, msg := traceOutcome(err)
-	var retainProf any
-	if exp := prof.Export(); exp != nil {
-		retainProf = exp
-	}
-	s.traces.Offer(obs.TraceCandidate{
-		Trace: tr, Profile: retainProf, Kind: "sparql",
-		FingerprintID: fpID, Shape: shape, Query: raw,
-		RequestID: requestID(r), Duration: dur,
-		Outcome: outcome, Cache: "bypass", Err: msg,
-	})
 	if err != nil {
-		queryError(w, err)
+		execError(w, err)
 		return
 	}
 	res.Sort()
@@ -359,56 +371,31 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, r *http.Request, ctx conte
 }
 
 // serveGraphQuery is the CONSTRUCT/DESCRIBE path: uncached (triple payloads
-// are unbounded and rarely repeated), but admission-gated and
-// breaker-protected like every other engine execution.
+// are unbounded and rarely repeated), but admission-gated,
+// breaker-protected and budgeted like every other engine execution.
 func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
 	shape := sparql.Fingerprint(q)
-	fpID := sparql.FingerprintID(shape)
+	e := newExecution(r, raw, shape, sparql.FingerprintID(shape), "bypass")
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
-	if aerr := s.breakers.Allow(fpID, time.Now()); aerr != nil {
-		breakerRejected.Inc()
-		admitReject(w, aerr)
+	if !s.breakerAllows(w, e.fpID) {
 		return
-	}
-	release, aerr := s.gate.Acquire(ctx, fpID, s.Degraded())
-	if aerr != nil {
-		admissionRejected(aerr.Reason).Inc()
-		admitReject(w, aerr)
-		return
-	}
-	admissionAdmitted.Inc()
-	defer release()
-	start := time.Now()
-	tr := obs.NewTrace("sparql")
-	tr.SetID(traceIDOf(r))
-	if id := requestID(r); id != "" {
-		tr.Root().SetAttr("request_id", id)
-	}
-	if q.Form == sparql.FormConstruct {
-		tr.Root().SetAttr("form", "construct")
-	} else {
-		tr.Root().SetAttr("form", "describe")
 	}
 	var out *rdf.Graph
-	var err error
-	if q.Form == sparql.FormConstruct {
-		out, err = sparql.ConstructCtx(ctx, s.graph, raw)
-	} else {
-		out, err = sparql.DescribeCtx(ctx, s.graph, raw)
-	}
-	dur := time.Since(start)
-	tr.Finish()
-	s.breakers.Observe(fpID, dur, abortedForBreaker(err), time.Now())
-	outcome, msg := traceOutcome(err)
-	s.traces.Offer(obs.TraceCandidate{
-		Trace: tr, Kind: "sparql",
-		FingerprintID: fpID, Shape: shape, Query: raw,
-		RequestID: requestID(r), Duration: dur,
-		Outcome: outcome, Cache: "bypass", Err: msg,
+	release, err := s.guarded(ctx, e, func(tr *obs.Trace, _ time.Time) (_ *sparql.Profile, err error) {
+		opts := sparql.Options{Trace: tr, Limits: s.cfg.Limits}
+		if q.Form == sparql.FormConstruct {
+			tr.Root().SetAttr("form", "construct")
+			out, err = sparql.ExecConstructCtx(ctx, s.graph, q, opts)
+		} else {
+			tr.Root().SetAttr("form", "describe")
+			out, err = sparql.ExecDescribeCtx(ctx, s.graph, q, opts)
+		}
+		return nil, err
 	})
+	defer release()
 	if err != nil {
-		queryError(w, err)
+		execError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/n-triples")

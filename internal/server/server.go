@@ -596,9 +596,10 @@ func (s *Server) recordWorkload(kind, query, shape string, dur time.Duration, ro
 	}
 }
 
-// execUpdate applies a SPARQL update and reports the change counts. The
-// interaction session keeps working over the mutated graph (its facet
-// counts reflect the new data on the next state computation).
+// execUpdate applies a SPARQL update and reports the change counts. No
+// cache is notified: everything derived from the graph — the sessions'
+// markers, answer memos and cubes included — compares Graph.Version() when
+// it is next read.
 func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -641,11 +642,6 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) 
 	}
 	tr.Root().SetAttr("inserted", res.Inserted)
 	tr.Root().SetAttr("deleted", res.Deleted)
-	if res.Inserted > 0 || res.Deleted > 0 {
-		for _, e := range s.sessions {
-			e.sess.InvalidateCache()
-		}
-	}
 	// Group commit: the mutations were journaled as they applied; fsync the
 	// WAL before acknowledging so an acked update survives kill -9.
 	if s.cfg.Store != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -313,6 +314,51 @@ func TestAPIErrors(t *testing.T) {
 		t.Fatalf("load before run: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestRunSeesUpdateWithoutBeingTold: an answer memoized by /api/run — and
+// the cube kept from it — is gone after an INSERT through /sparql, although
+// execUpdate no longer visits the sessions: the level compares the graph
+// version when it is next asked.
+func TestRunSeesUpdateWithoutBeingTold(t *testing.T) {
+	ts := testServer(t)
+	ns := datagen.ExampleNS
+	postJSON(t, ts.URL+"/api/click/class", map[string]any{"class": ns + "Laptop"})
+	postJSON(t, ts.URL+"/api/groupby", map[string]any{"path": []map[string]any{{"p": ns + "manufacturer"}}})
+	postJSON(t, ts.URL+"/api/aggregate", map[string]any{"path": []map[string]any{}, "op": "COUNT"})
+	dell := func() int {
+		t.Helper()
+		ans := postJSON(t, ts.URL+"/api/run", map[string]any{})
+		for _, row := range ans["rows"].([]any) {
+			cells := row.([]any)
+			if cells[0].(map[string]any)["value"] == ns+"DELL" {
+				n, err := strconv.Atoi(cells[1].(map[string]any)["value"].(string))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no DELL row in %v", ans["rows"])
+		return 0
+	}
+	before := dell()
+	if again := dell(); again != before {
+		t.Fatalf("repeat run: %d then %d", before, again)
+	}
+	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{
+		"update": {`PREFIX ex: <` + ns + `> INSERT DATA { ex:laptopNew a ex:Laptop ; ex:manufacturer ex:DELL . }`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update status %d", resp.StatusCode)
+	}
+	if after := dell(); after != before+1 {
+		t.Fatalf("DELL laptops after INSERT = %d, want %d", after, before+1)
+	}
 }
 
 func TestSPARQLEndpointUpdate(t *testing.T) {

@@ -219,16 +219,17 @@ func Select(g *rdf.Graph, src string) (*Results, error) {
 
 // Ask parses and executes an ASK query.
 func Ask(g *rdf.Graph, src string) (bool, error) {
-	return AskCtx(context.Background(), g, src)
-}
-
-// AskCtx is Ask under a context (see ExecSelectCtx for the semantics).
-func AskCtx(ctx context.Context, g *rdf.Graph, src string) (bool, error) {
 	q, err := parseForm(src, FormAsk, "not an ASK query")
 	if err != nil {
 		return false, err
 	}
-	rows, err := newEvaluator(ctx, g, Options{}).evalWhere(q.Where)
+	return ExecAskCtx(context.Background(), g, q, Options{})
+}
+
+// ExecAskCtx executes a parsed ASK query; ctx and opts (Trace, Limits, the
+// planner switches) mean what they mean to ExecSelectCtx.
+func ExecAskCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (bool, error) {
+	rows, err := newEvaluator(ctx, g, opts).evalWhere(q.Where)
 	if err != nil {
 		return false, err
 	}
@@ -237,16 +238,16 @@ func AskCtx(ctx context.Context, g *rdf.Graph, src string) (bool, error) {
 
 // Construct parses and executes a CONSTRUCT query, returning the built graph.
 func Construct(g *rdf.Graph, src string) (*rdf.Graph, error) {
-	return ConstructCtx(context.Background(), g, src)
-}
-
-// ConstructCtx is Construct under a context (see ExecSelectCtx).
-func ConstructCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, error) {
 	q, err := parseForm(src, FormConstruct, "not a CONSTRUCT query")
 	if err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(ctx, g, Options{})
+	return ExecConstructCtx(context.Background(), g, q, Options{})
+}
+
+// ExecConstructCtx executes a parsed CONSTRUCT query (see ExecAskCtx).
+func ExecConstructCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*rdf.Graph, error) {
+	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
 		return nil, err
@@ -262,16 +263,16 @@ func ConstructCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, er
 // every triple whose subject is a described resource, with one level of
 // blank-node closure (a simple concise bounded description).
 func Describe(g *rdf.Graph, src string) (*rdf.Graph, error) {
-	return DescribeCtx(context.Background(), g, src)
-}
-
-// DescribeCtx is Describe under a context (see ExecSelectCtx).
-func DescribeCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, error) {
 	q, err := parseForm(src, FormDescribe, "not a DESCRIBE query")
 	if err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(ctx, g, Options{})
+	return ExecDescribeCtx(context.Background(), g, q, Options{})
+}
+
+// ExecDescribeCtx executes a parsed DESCRIBE query (see ExecAskCtx).
+func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*rdf.Graph, error) {
+	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
 		return nil, err
@@ -301,7 +302,7 @@ func DescribeCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, err
 			return true
 		})
 		if err != nil {
-			observeAbort(nil, err)
+			observeAbort(opts.Trace.Root(), err)
 			return nil, err
 		}
 	}
@@ -314,9 +315,10 @@ func DescribeCtx(ctx context.Context, g *rdf.Graph, src string) (*rdf.Graph, err
 func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
 	ev.sc = &scope{slots: map[string]int{}}
 	visitGroupVars(gp, false, ev.sc.add)
+	root := ev.cur // the trace root, when the caller traces
 	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()))
 	if err := ev.cancel.cause(); err != nil {
-		observeAbort(nil, err)
+		observeAbort(root, err)
 		return nil, err
 	}
 	return rows, nil

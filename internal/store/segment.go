@@ -8,117 +8,49 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"rdfanalytics/internal/rdf"
 )
 
-// Segment file layout:
+// Segment file layout (version 2):
 //
 //	magic "RDFS" | version u8 | epoch u64 BE
 //	snapLen u64 BE | snapshot bytes        (the v2 binary graph snapshot)
 //	tripleCount u64 BE
-//	SPO section | POS section | OSP section
 //	crc32 u32 BE                           (over everything before it)
 //
-// Each key section is tripleCount fixed-width 12-byte keys — three
-// big-endian u32 dictionary IDs in the section's component order — sorted
-// ascending, so point and range lookups are binary searches over a flat
-// byte array and a future replica can mmap the file and scan it without
-// decoding the snapshot at all. The snapshot is length-prefixed so the
-// reader can hand ReadBinary an exactly-bounded stream (ReadBinary rejects
-// trailing bytes, which here would be the key sections).
+// The snapshot is length-prefixed so the reader can hand ReadBinary an
+// exactly-bounded stream (ReadBinary rejects trailing bytes). Version-1
+// files carried three sorted 12-byte key sections (SPO, POS, OSP; tripleCount
+// keys each) between the count and the CRC; nothing read them, so version 2
+// dropped them, and the loader length-checks and skips them in the
+// version-1 files existing data dirs still hold.
 const (
 	segmentMagic   = "RDFS"
-	segmentVersion = 1
-	keyWidth       = 12
+	segmentVersion = 2
+	// v1KeyWidth is the size of one key in a version-1 key section.
+	v1KeyWidth = 12
 	// maxSegmentSnap bounds the embedded snapshot size read back from the
 	// header; larger means corruption.
 	maxSegmentSnap = 1 << 40
 )
 
-// A Segment is an immutable on-disk image of the graph at one epoch, held
-// in memory as the decoded graph plus the three sorted key arrays (for
-// ID-order range scans). The image is decoded eagerly when the segment is
-// built or loaded, so a snapshot the current ReadBinary rejects surfaces
-// as a load error — where Open's recovery logic can handle it — instead of
-// failing at first read.
+// A Segment names the installed on-disk image of the graph at one epoch.
+// The graph itself lives in memory once, as Store.Graph().
 type Segment struct {
-	Epoch uint64
-	Path  string
-	// image is the decoded snapshot. It is never mutated after decode;
-	// MVCC snapshots read it concurrently without locking beyond the
-	// graph's own.
-	image *rdf.Graph
-	// spo, pos, osp are the raw key sections: len = 12*tripleCount each.
-	spo, pos, osp []byte
-}
-
-// Image returns the decoded segment graph. Callers must treat it as
-// read-only.
-func (s *Segment) Image() *rdf.Graph { return s.image }
-
-// Triples returns the number of triples in the segment.
-func (s *Segment) Triples() int { return len(s.spo) / keyWidth }
-
-// A KeyOrder names one of the three key sections.
-type KeyOrder int
-
-const (
-	SPO KeyOrder = iota
-	POS
-	OSP
-)
-
-func (s *Segment) section(order KeyOrder) []byte {
-	switch order {
-	case POS:
-		return s.pos
-	case OSP:
-		return s.osp
-	default:
-		return s.spo
-	}
-}
-
-// Scan visits keys of the chosen section in sorted order, starting at the
-// first key ≥ (a, b, c) in the section's component order, until fn returns
-// false. Pass zeros to scan from the start. Components are reported in the
-// section's own order (e.g. POS reports p, o, s).
-func (s *Segment) Scan(order KeyOrder, a, b, c uint32, fn func(a, b, c uint32) bool) {
-	sec := s.section(order)
-	n := len(sec) / keyWidth
-	var probe [keyWidth]byte
-	binary.BigEndian.PutUint32(probe[0:], a)
-	binary.BigEndian.PutUint32(probe[4:], b)
-	binary.BigEndian.PutUint32(probe[8:], c)
-	// Keys are big-endian, so byte order equals numeric order and the lower
-	// bound is a bytes.Compare binary search.
-	i := sort.Search(n, func(i int) bool {
-		return bytes.Compare(sec[i*keyWidth:(i+1)*keyWidth], probe[:]) >= 0
-	})
-	for ; i < n; i++ {
-		k := sec[i*keyWidth:]
-		if !fn(binary.BigEndian.Uint32(k), binary.BigEndian.Uint32(k[4:]), binary.BigEndian.Uint32(k[8:])) {
-			return
-		}
-	}
+	Epoch   uint64
+	Path    string
+	Triples int
 }
 
 func segmentPath(dir string, epoch uint64) string {
 	return fmt.Sprintf("%s/segment-%016x.seg", dir, epoch)
 }
 
-// writeSegment builds and atomically installs the segment file for the
-// given snapshot bytes: write to a temp file, fsync, rename into place,
-// fsync the directory. It returns the loaded segment.
-func writeSegment(dir string, epoch uint64, snap []byte) (*Segment, error) {
-	image, err := rdf.ReadBinary(bytes.NewReader(snap))
-	if err != nil {
-		return nil, fmt.Errorf("store: snapshot rejected while building segment: %w", err)
-	}
-	spo, pos, osp := buildKeySections(image)
-
+// writeSegment atomically installs the segment file for the given snapshot
+// bytes (as produced by Graph.SnapshotBinary, which also reported triples):
+// write to a temp file, fsync, rename into place, fsync the directory.
+func writeSegment(dir string, epoch uint64, snap []byte, triples int) (*Segment, error) {
 	tmp, err := os.CreateTemp(dir, "segment-*.tmp")
 	if err != nil {
 		return nil, err
@@ -126,30 +58,22 @@ func writeSegment(dir string, epoch uint64, snap []byte) (*Segment, error) {
 	defer os.Remove(tmp.Name())
 	sum := crc32.NewIEEE()
 	w := io.MultiWriter(tmp, sum)
-	var hdr [13]byte
+	var hdr [21]byte
 	copy(hdr[:], segmentMagic)
 	hdr[4] = segmentVersion
 	binary.BigEndian.PutUint64(hdr[5:], epoch)
-	var n8 [8]byte
+	binary.BigEndian.PutUint64(hdr[13:], uint64(len(snap)))
 	writeErr := func() error {
 		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint64(n8[:], uint64(len(snap)))
-		if _, err := w.Write(n8[:]); err != nil {
 			return err
 		}
 		if _, err := w.Write(snap); err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint64(n8[:], uint64(len(spo)/keyWidth))
+		var n8 [8]byte
+		binary.BigEndian.PutUint64(n8[:], uint64(triples))
 		if _, err := w.Write(n8[:]); err != nil {
 			return err
-		}
-		for _, sec := range [][]byte{spo, pos, osp} {
-			if _, err := w.Write(sec); err != nil {
-				return err
-			}
 		}
 		var trailer [4]byte
 		binary.BigEndian.PutUint32(trailer[:], sum.Sum32())
@@ -174,63 +98,13 @@ func writeSegment(dir string, epoch uint64, snap []byte) (*Segment, error) {
 	if err := syncDir(dir); err != nil {
 		return nil, err
 	}
-	return &Segment{Epoch: epoch, Path: path, image: image, spo: spo, pos: pos, osp: osp}, nil
+	return &Segment{Epoch: epoch, Path: path, Triples: triples}, nil
 }
 
-// buildKeySections materializes the three sorted key arrays from the
-// decoded image. The snapshot already stores triples in (s,p,o) order, so
-// SPO comes out sorted for free; POS and OSP are permuted copies re-sorted
-// by their component order.
-func buildKeySections(image *rdf.Graph) (spo, pos, osp []byte) {
-	n := image.Len()
-	spo = make([]byte, 0, n*keyWidth)
-	pos = make([]byte, 0, n*keyWidth)
-	osp = make([]byte, 0, n*keyWidth)
-	image.MatchIDs(0, 0, 0, func(s, p, o rdf.ID) bool {
-		spo = appendKey(spo, uint32(s), uint32(p), uint32(o))
-		pos = appendKey(pos, uint32(p), uint32(o), uint32(s))
-		osp = appendKey(osp, uint32(o), uint32(s), uint32(p))
-		return true
-	})
-	sortKeys(spo)
-	sortKeys(pos)
-	sortKeys(osp)
-	return spo, pos, osp
-}
-
-func appendKey(dst []byte, a, b, c uint32) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, a)
-	dst = binary.BigEndian.AppendUint32(dst, b)
-	return binary.BigEndian.AppendUint32(dst, c)
-}
-
-// sortKeys sorts a flat key section in place; big-endian keys sort
-// bytewise.
-func sortKeys(sec []byte) {
-	n := len(sec) / keyWidth
-	sort.Sort(&keySlice{sec, n})
-}
-
-type keySlice struct {
-	b []byte
-	n int
-}
-
-func (k *keySlice) Len() int { return k.n }
-func (k *keySlice) Less(i, j int) bool {
-	return bytes.Compare(k.b[i*keyWidth:(i+1)*keyWidth], k.b[j*keyWidth:(j+1)*keyWidth]) < 0
-}
-func (k *keySlice) Swap(i, j int) {
-	var tmp [keyWidth]byte
-	copy(tmp[:], k.b[i*keyWidth:])
-	copy(k.b[i*keyWidth:(i+1)*keyWidth], k.b[j*keyWidth:])
-	copy(k.b[j*keyWidth:(j+1)*keyWidth], tmp[:])
-}
-
-// loadSegment reads and verifies a segment file. It returns the segment and
-// the raw snapshot bytes (the caller re-decodes them to materialize the
-// mutable live graph — the image inside the Segment stays immutable).
-func loadSegment(path string) (*Segment, []byte, error) {
+// loadSegment reads and verifies a segment file (version 1 or 2) and
+// decodes its snapshot — the one decode of the Open path; the caller adopts
+// the returned graph as the live graph.
+func loadSegment(path string) (*Segment, *rdf.Graph, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
@@ -245,8 +119,9 @@ func loadSegment(path string) (*Segment, []byte, error) {
 	if string(body[:4]) != segmentMagic {
 		return nil, nil, fmt.Errorf("store: %s is not a segment file (magic %q)", path, body[:4])
 	}
-	if body[4] != segmentVersion {
-		return nil, nil, fmt.Errorf("store: %s: unsupported segment version %d", path, body[4])
+	version := body[4]
+	if version != 1 && version != segmentVersion {
+		return nil, nil, fmt.Errorf("store: %s: unsupported segment version %d", path, version)
 	}
 	epoch := binary.BigEndian.Uint64(body[5:])
 	snapLen := binary.BigEndian.Uint64(body[13:])
@@ -257,31 +132,29 @@ func loadSegment(path string) (*Segment, []byte, error) {
 	snap := rest[:snapLen]
 	rest = rest[snapLen:]
 	if len(rest) < 8 {
-		return nil, nil, fmt.Errorf("store: %s: truncated key index", path)
+		return nil, nil, fmt.Errorf("store: %s: truncated triple count", path)
 	}
 	tripleCount := binary.BigEndian.Uint64(rest[:8])
 	rest = rest[8:]
-	want := tripleCount * 3 * keyWidth
-	if uint64(len(rest)) != want {
-		return nil, nil, fmt.Errorf("store: %s: key sections are %d bytes, want %d", path, len(rest), want)
+	var want uint64 // bytes after the count: the key sections of a version-1 file
+	if version == 1 {
+		want = tripleCount * 3 * v1KeyWidth
 	}
-	secLen := tripleCount * keyWidth
-	// Decode the snapshot now, even though the CRC already vouches for the
-	// bytes: a snapshot that a changed/stricter ReadBinary rejects while the
-	// segment container still validates must fail here, where the caller
-	// can refuse the segment, not at first Image() use in the read path.
-	image, err := rdf.ReadBinary(bytes.NewReader(snap))
+	if uint64(len(rest)) != want {
+		return nil, nil, fmt.Errorf("store: %s: %d bytes after the triple count, want %d", path, len(rest), want)
+	}
+	// The CRC vouches for the bytes, not for their meaning: a snapshot that
+	// a changed/stricter ReadBinary rejects while the segment container
+	// still validates must fail here, where the caller can refuse the
+	// segment and fall back.
+	g, err := rdf.ReadBinary(bytes.NewReader(snap))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %s: segment snapshot rejected: %w", path, err)
 	}
-	return &Segment{
-		Epoch: epoch,
-		Path:  path,
-		image: image,
-		spo:   rest[:secLen],
-		pos:   rest[secLen : 2*secLen],
-		osp:   rest[2*secLen:],
-	}, snap, nil
+	if uint64(g.Len()) != tripleCount {
+		return nil, nil, fmt.Errorf("store: %s: snapshot holds %d triples, segment records %d", path, g.Len(), tripleCount)
+	}
+	return &Segment{Epoch: epoch, Path: path, Triples: g.Len()}, g, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

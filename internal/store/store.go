@@ -61,8 +61,9 @@ type Store struct {
 	seg *Segment // nil until the first checkpoint
 	wal *wal
 	// tail holds the records journaled since the current segment's epoch —
-	// exactly the WAL's surviving contents. MVCC snapshots fold it over the
-	// segment image; checkpoints carry the still-newer suffix forward.
+	// exactly the WAL's surviving contents. Checkpoints carry the suffix
+	// newer than their cut into the fresh WAL, and Open consolidates it into
+	// one log after a crash mid-swap.
 	tail []record
 
 	// counters for Stats; guarded by mu.
@@ -77,9 +78,9 @@ type Store struct {
 	// journalDropped counts mutations the WAL failed to journal while they
 	// still applied in memory (the hook cannot abort the graph mutation).
 	// While any such drop since the last checkpoint cut is outstanding,
-	// diverged is true: the tail — and so Snapshot() views — lags the live
-	// graph until a successful checkpoint folds the full graph into a
-	// segment and reconverges the on-disk state.
+	// diverged is true: the live graph is ahead of the WAL until a
+	// successful checkpoint folds the full graph into a segment and
+	// reconverges the on-disk state.
 	journalDropped int64
 	diverged       bool
 
@@ -88,9 +89,10 @@ type Store struct {
 }
 
 // Open loads (or initializes) the store in opts.Dir: the newest intact
-// segment is decoded, every WAL with records newer than its epoch is
-// replayed on top (torn tails truncated, stale records skipped), and the
-// graph's journal hook is attached so all further mutations are logged.
+// segment is decoded — once, straight into the live graph — every WAL with
+// records newer than its epoch is replayed on top (torn tails truncated,
+// stale records skipped), and the graph's journal hook is attached so all
+// further mutations are logged.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: no data directory")
@@ -113,30 +115,20 @@ func Open(opts Options) (*Store, error) {
 	// WALs created after the corrupt checkpoint only hold records above its
 	// epoch, so without that coverage every record in between is gone and
 	// Open must refuse rather than boot a silently partial graph.
-	var snap []byte
 	var skipped []string
 	for i := len(segPaths) - 1; i >= 0; i-- {
-		seg, raw, err := loadSegment(segPaths[i])
+		seg, g, err := loadSegment(segPaths[i])
 		if err != nil {
 			slog.Error("store: segment failed to load", "path", segPaths[i], "error", err)
 			skipped = append(skipped, filepath.Base(segPaths[i]))
 			continue
 		}
-		s.seg = seg
-		snap = raw
+		s.seg, s.g = seg, g
 		break
 	}
 	var epoch uint64
 	if s.seg != nil {
 		epoch = s.seg.Epoch
-		// Materialize the live graph by decoding the snapshot a second
-		// time: the segment's own image must stay immutable for MVCC
-		// readers, and decoding preserves every dictionary ID.
-		g, err := rdf.ReadBinary(bytes.NewReader(snap))
-		if err != nil {
-			return nil, err
-		}
-		s.g = g
 	} else {
 		s.g = rdf.NewGraph()
 	}
@@ -284,12 +276,11 @@ func (s *Store) journal(op rdf.JournalOp, t rdf.Triple, version uint64) {
 		// surface it, so the update can't be acknowledged as durable. But
 		// the in-memory mutation still applies (this hook cannot abort
 		// it), so from here until a successful checkpoint the live graph
-		// holds records the tail is missing: Snapshot() views lag it, and
-		// only the next segment — a full image of the live graph — makes
-		// the dropped mutation durable and reconverges state. Record that
-		// divergence so operators see it (Stats.Diverged, the
-		// rdfa_store_journal_dropped_total counter) instead of a silent
-		// gap.
+		// holds records the WAL is missing, and only the next segment — a
+		// full image of the live graph — makes the dropped mutation
+		// durable and reconverges state. Record that divergence so
+		// operators see it (Stats.Diverged, the
+		// rdfa_store_journal_dropped_total counter) instead of a silent gap.
 		if !s.diverged {
 			slog.Error("store: WAL append failed; live graph diverges from the journal until the next checkpoint", "error", err)
 		}
@@ -328,8 +319,8 @@ func (s *Store) Bootstrap(g *rdf.Graph) error {
 }
 
 // Checkpoint compacts the store: snapshot the live graph (atomically with
-// its version, under the graph read lock only), build and install a segment
-// file at that epoch, then swap in a fresh WAL carrying just the records
+// its version, under the graph read lock only), install those bytes as the
+// segment file at that epoch, then swap in a fresh WAL carrying just the records
 // newer than the epoch. Readers and writers keep running throughout; only
 // the final swap holds s.mu. Checkpoints are serialized by cpMu — the HTTP
 // trigger and the background loop may race, and overlapping runs could
@@ -371,7 +362,7 @@ func (s *Store) checkpoint(parent *obs.Span) error {
 
 	snapSpan := parent.StartChild("snapshot_encode")
 	var buf bytes.Buffer
-	epoch, err := s.g.SnapshotBinary(&buf)
+	epoch, triples, err := s.g.SnapshotBinary(&buf)
 	if snapSpan != nil {
 		snapSpan.SetAttr("bytes", buf.Len())
 		snapSpan.Finish()
@@ -389,7 +380,7 @@ func (s *Store) checkpoint(parent *obs.Span) error {
 		return nil
 	}
 	segSpan := parent.StartChild("segment_write")
-	seg, err := writeSegment(s.dir, epoch, buf.Bytes())
+	seg, err := writeSegment(s.dir, epoch, buf.Bytes(), triples)
 	segSpan.Finish()
 	if err != nil {
 		return err
@@ -521,8 +512,9 @@ type Stats struct {
 	ReplayRecords    int
 	ReplayDiscarded  int64
 	// JournalDropped counts mutations the WAL failed to journal; Diverged
-	// is true while any of them is not yet covered by a checkpoint, i.e.
-	// the live graph is ahead of tail-backed Snapshot() views.
+	// is true while any of them is not yet covered by a checkpoint: the
+	// live graph is ahead of the WAL (a crash now would lose them) until
+	// the next checkpoint.
 	JournalDropped int64
 	Diverged       bool
 }
@@ -546,7 +538,7 @@ func (s *Store) Stats() Stats {
 	if s.seg != nil {
 		st.Epoch = s.seg.Epoch
 		st.Segments = 1
-		st.SegmentTriples = s.seg.Triples()
+		st.SegmentTriples = s.seg.Triples
 	}
 	return st
 }
