@@ -67,9 +67,10 @@ resilience-smoke:
 durability-smoke:
 	sh scripts/durability-smoke.sh
 
-# fuzz-smoke runs each fuzz target for a short burst — the parsers, and the
-# results serializer's string escaper against encoding/json; a discovered
-# panic or mismatch fails the build and leaves its input in testdata/fuzz/.
+# fuzz-smoke runs each fuzz target for a short burst — the parsers, the
+# results serializer's string escaper against encoding/json, and the graph's
+# sorted permutations against the map-of-maps oracle; a discovered panic or
+# mismatch fails the build and leaves its input in testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzJSONString$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
+	$(GO) test -fuzz '^FuzzGraphOps$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 
 race:

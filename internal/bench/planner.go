@@ -13,7 +13,7 @@ import (
 // Planner feedback benchmark (the q-error loop of the adaptive planner):
 // a fixed workload of multi-join SPARQL queries is replayed over the
 // products KG in several passes sharing one feedback store. Pass 1 plans
-// cold from the stats cache; later passes plan from the cardinalities the
+// cold from the graph counts; later passes plan from the cardinalities the
 // earlier passes observed. The per-pass worst q-error must fall — ideally
 // to 1 — while latency does not regress.
 

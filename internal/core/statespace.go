@@ -78,13 +78,13 @@ func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 		items = items[:maxObjects]
 	}
 	typeT := rdf.NewIRI(rdf.RDFType)
+	var types []rdf.Term
 	for _, o := range items {
 		card := ObjectCard{Object: o}
+		types = types[:0]
 		l.model.G.Match(o, rdf.Any, rdf.Any, func(t rdf.Triple) bool {
 			if t.P == typeT {
-				if card.Type.IsZero() {
-					card.Type = t.O
-				}
+				types = append(types, t.O)
 				return true
 			}
 			if len(card.Props) < 8 {
@@ -92,6 +92,7 @@ func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 			}
 			return true
 		})
+		card.Type = displayType(l.model.Schema, types)
 		ui.Objects = append(ui.Objects, card)
 	}
 	// Parts B and C: class facets, and property facets with button states.
@@ -110,6 +111,35 @@ func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 		ui.HIFUN = q.String()
 	}
 	return ui
+}
+
+// displayType picks the type an object card shows from the object's
+// rdf:type values: a most specific one — a class none of the others is a
+// subclass of — and the first in term order when several are. The choice
+// depends on the triples alone, not on the order a scan yields them in, so a
+// card reads the same before and after a restart. With no such class (a
+// subclass cycle) it is the first type in term order.
+func displayType(schema *rdf.Schema, types []rdf.Term) rdf.Term {
+	var best, first rdf.Term
+	for _, c := range types {
+		if first.IsZero() || c.Less(first) {
+			first = c
+		}
+		specific := true
+		for _, d := range types {
+			if _, sub := schema.SuperClasses[d][c]; sub {
+				specific = false
+				break
+			}
+		}
+		if specific && (best.IsZero() || c.Less(best)) {
+			best = c
+		}
+	}
+	if best.IsZero() {
+		return first
+	}
+	return best
 }
 
 // markerSlot is the one remembered result of transitionMarkers: the class

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/facet"
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/rdf"
@@ -116,5 +119,75 @@ func TestPoppedStatesAreCollectable(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("only %d of 3 popped states were collected", got)
 		}
+	}
+}
+
+// TestUIStateSurvivesSnapshotRoundTrip: what a session renders depends on
+// the graph's triples, not on how the graph came to hold them. The state
+// over G and over ReadBinary(WriteBinary(G)) — what a restart serves — is
+// the same byte for byte, object cards' display types and first properties
+// included, before and after a click.
+func TestUIStateSurvivesSnapshotRoundTrip(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := rdf.ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewSession(g, datagen.ExampleNS), NewSession(back, datagen.ExampleNS)
+	for step, click := range []func(*Session){
+		func(*Session) {},
+		func(s *Session) { s.ClickClass(pe("Product")) },
+		func(s *Session) { s.ClickClass(pe("Laptop")) },
+	} {
+		click(a)
+		click(b)
+		sa, err := json.Marshal(a.ComputeUIState(50, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, _ := json.Marshal(b.ComputeUIState(50, true))
+		if !bytes.Equal(sa, sb) {
+			t.Errorf("step %d: the state over the reloaded graph differs:\n%s\n%s", step, sa, sb)
+		}
+	}
+	// A laptop is a Laptop, not the Product every laptop also is.
+	for _, card := range a.ComputeUIState(50, true).Objects {
+		if card.Type != pe("Laptop") {
+			t.Errorf("card of %v shows type %v, want its most specific class Laptop", card.Object, card.Type)
+		}
+	}
+}
+
+func TestDisplayType(t *testing.T) {
+	schema := rdf.SchemaOf(func() *rdf.Graph {
+		g := datagen.SmallProducts()
+		rdf.Materialize(g)
+		return g
+	}())
+	for _, c := range []struct {
+		types []string
+		want  string
+	}{
+		{[]string{"Product", "Laptop"}, "Laptop"},
+		{[]string{"Laptop", "Product"}, "Laptop"},
+		{[]string{"Product", "HDType", "SSD"}, "SSD"},
+		{[]string{"Person", "Company"}, "Company"}, // unrelated classes: term order
+		{[]string{"Product"}, "Product"},
+	} {
+		var types []rdf.Term
+		for _, name := range c.types {
+			types = append(types, pe(name))
+		}
+		if got := displayType(schema, types); got != pe(c.want) {
+			t.Errorf("displayType(%v) = %v, want %s", c.types, got, c.want)
+		}
+	}
+	if got := displayType(schema, nil); !got.IsZero() {
+		t.Errorf("displayType of no types = %v, want the zero term", got)
 	}
 }

@@ -61,7 +61,7 @@ type OpEstimate struct {
 	QError float64 `json:"q_error"`
 	Count  uint64  `json:"count"`
 	// Feedback marks an estimate that was seeded from the planner's
-	// execution-feedback store rather than the cold stats cache.
+	// execution-feedback store rather than the cold graph count.
 	Feedback bool `json:"feedback,omitempty"`
 }
 

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Binary snapshot format for graphs: a dictionary section (terms in ID
@@ -29,8 +29,8 @@ import (
 //   - Determinism: triples are emitted in sorted ID order, so two snapshots
 //     of the same graph are byte-identical (checksummable, dedup-able).
 //   - ID stability: ReadBinary interns the dictionary section first, in ID
-//     order, then adds triples by ID — every term keeps the exact ID it had
-//     when the snapshot was written, including terms no triple references.
+//     order, then takes the triples by ID — every term keeps the exact ID it
+//     had when the snapshot was written, including terms no triple references.
 //
 // Version-1 files (same layout, unsorted triples) are still readable: the
 // dictionary-first decode path restores their IDs too; only the sorted-order
@@ -109,50 +109,23 @@ func (g *Graph) SnapshotBinary(w io.Writer) (version uint64, triples int, err er
 			return 0, 0, err
 		}
 	}
-	// Triples, sorted by (s, p, o) ID so the byte stream is canonical.
-	keys := make([]tripleKey, 0, len(g.triples))
-	for key := range g.triples {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	if err := writeUvarint(uint64(len(keys))); err != nil {
+	// Triples: the SPO permutation as it stands, which is the canonical order.
+	triples = g.matchCountIDsLocked(0, 0, 0)
+	if err := writeUvarint(uint64(triples)); err != nil {
 		return 0, 0, err
 	}
-	for _, key := range keys {
-		if err := writeUvarint(uint64(key.s)); err != nil {
-			return 0, 0, err
+	g.ix[spo].scan(spo, key{}, 0, func(s, p, o ID) bool {
+		for _, id := range [3]ID{s, p, o} {
+			if err = writeUvarint(uint64(id)); err != nil {
+				return false
+			}
 		}
-		if err := writeUvarint(uint64(key.p)); err != nil {
-			return 0, 0, err
-		}
-		if err := writeUvarint(uint64(key.o)); err != nil {
-			return 0, 0, err
-		}
+		return true
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	return version, len(keys), bw.Flush()
-}
-
-// less orders triple keys by (s, p, o) — the canonical snapshot order.
-func (k tripleKey) less(o tripleKey) bool {
-	if k.s != o.s {
-		return k.s < o.s
-	}
-	if k.p != o.p {
-		return k.p < o.p
-	}
-	return k.o < o.o
-}
-
-// compare is less as a three-way comparison, for slices.SortFunc.
-func (k tripleKey) compare(o tripleKey) int {
-	switch {
-	case k.less(o):
-		return -1
-	case o.less(k):
-		return 1
-	default:
-		return 0
-	}
+	return version, triples, bw.Flush()
 }
 
 // ReadBinary loads a graph from the snapshot format, preserving dictionary
@@ -250,16 +223,6 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version == 1 {
-		// Version 1 inserts triple-at-a-time; pre-size the triple map and the
-		// two index maps whose outer key count can approach the term count
-		// (subjects, objects) so growth doesn't rehash. Version 2 skips this:
-		// loadSorted below replaces the maps wholesale at exact sizes.
-		g.triples = make(map[tripleKey]struct{}, int(min(tripleCount, maxBinaryPresize)))
-		outerHint := int(min(termCount, maxBinaryPresize))
-		g.spo = make(map[ID]map[ID][]ID, outerHint)
-		g.osp = make(map[ID]map[ID][]ID, outerHint)
-	}
 	readID := func() (ID, error) {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -270,45 +233,28 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 		}
 		return ID(v), nil
 	}
-	var prev tripleKey
-	var keys []tripleKey // v2 only: collected for the bulk index build
-	if version >= 2 {
-		keys = make([]tripleKey, 0, int(min(tripleCount, maxBinaryPresize)))
-	}
+	keys := make([]key, 0, int(min(tripleCount, maxBinaryPresize)))
 	for i := uint64(0); i < tripleCount; i++ {
-		s, err := readID()
-		if err != nil {
-			return nil, err
-		}
-		p, err := readID()
-		if err != nil {
-			return nil, err
-		}
-		o, err := readID()
-		if err != nil {
-			return nil, err
-		}
-		key := tripleKey{s, p, o}
-		if version >= 2 {
-			// Version 2 promises canonical order; out-of-order or duplicate
-			// keys mean the file was not produced by WriteBinary. Strict
-			// ascent doubles as the duplicate check, which is what lets
-			// loadSorted build the indexes without probing.
-			if i > 0 && !prev.less(key) {
-				return nil, fmt.Errorf("rdf: snapshot triples out of canonical order at index %d", i)
+		var k key
+		for c := range k {
+			if k[c], err = readID(); err != nil {
+				return nil, err
 			}
-			prev = key
-			keys = append(keys, key)
-			continue
 		}
-		// Version 1 made no ordering promise: insert one at a time, by ID (the
-		// dictionary is already populated, so no re-interning happens and no
-		// term can change identity), tolerating duplicates.
-		g.addIDLocked(s, p, o)
+		// Version 2 promises canonical order; out-of-order or duplicate keys
+		// mean the file was not produced by WriteBinary. Strict ascent is what
+		// lets the decoded slice become the SPO permutation as is.
+		if version >= 2 && i > 0 && keys[i-1].compare(k) >= 0 {
+			return nil, fmt.Errorf("rdf: snapshot triples out of canonical order at index %d", i)
+		}
+		keys = append(keys, k)
 	}
-	if version >= 2 {
-		g.loadSorted(keys)
+	if version == 1 {
+		// Version 1 made no ordering promise and tolerated duplicates.
+		slices.SortFunc(keys, key.compare)
+		keys = slices.Compact(keys)
 	}
+	g.load(keys)
 	return g, nil
 }
 

@@ -1,9 +1,10 @@
 package rdf
 
 import (
+	"cmp"
 	"context"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,32 +13,275 @@ import (
 // every term. It is not a valid RDF term and can never be stored in a graph.
 var Any = Term{Kind: TermKind(0xFF)}
 
-type tripleKey struct{ s, p, o ID }
+// key is an ID triple with its components in one permutation's sort order.
+type key [3]ID
 
-// Graph is an in-memory RDF triple store with dictionary encoding and three
-// access-path indexes (SPO, POS, OSP). All read operations are safe for
-// concurrent use; writes are serialized by an internal lock.
+// order names a permutation of (s, p, o).
+type order uint8
+
+const (
+	spo order = iota // keys are (s, p, o)
+	pos              // keys are (p, o, s)
+	osp              // keys are (o, s, p)
+)
+
+// key permutes a triple into ord's component order.
+func (ord order) key(s, p, o ID) key {
+	switch ord {
+	case pos:
+		return key{p, o, s}
+	case osp:
+		return key{o, s, p}
+	}
+	return key{s, p, o}
+}
+
+// triple is the inverse of key.
+func (ord order) triple(k key) (s, p, o ID) {
+	switch ord {
+	case pos:
+		return k[2], k[0], k[1]
+	case osp:
+		return k[1], k[2], k[0]
+	}
+	return k[0], k[1], k[2]
+}
+
+// comparePrefix orders k against q on their first n components.
+func (k key) comparePrefix(q key, n int) int {
+	switch {
+	case n > 0 && k[0] != q[0]:
+		return cmp.Compare(k[0], q[0])
+	case n > 1 && k[1] != q[1]:
+		return cmp.Compare(k[1], q[1])
+	case n > 2:
+		return cmp.Compare(k[2], q[2])
+	}
+	return 0
+}
+
+func (k key) compare(q key) int { return k.comparePrefix(q, 3) }
+
+// lowerBound returns the first index of the sorted keys ks whose first n
+// components are not below q's.
+func lowerBound(ks []key, q key, n int) int {
+	lo, hi := 0, len(ks)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ks[m].comparePrefix(q, n) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// runEnd returns the end of the run of keys from lo on whose first n
+// components equal q's (lo when ks[lo] is already past them). It gallops
+// from lo instead of bisecting the tail, because a run (a subject's
+// properties, a value's subjects) is short next to the array.
+func runEnd(ks []key, lo int, q key, n int) int {
+	a, b := lo-1, len(ks) // a: last index known inside the run; b: first known outside
+	for step := 1; a+step < len(ks); step <<= 1 {
+		if ks[a+step].comparePrefix(q, n) != 0 {
+			b = a + step
+			break
+		}
+		a += step
+	}
+	for a+1 < b {
+		if m := int(uint(a+b) >> 1); ks[m].comparePrefix(q, n) == 0 {
+			a = m
+		} else {
+			b = m
+		}
+	}
+	return b
+}
+
+// span returns the half-open range of ks whose first n components equal q's.
+func span(ks []key, q key, n int) (lo, hi int) {
+	if n == 0 {
+		return 0, len(ks)
+	}
+	lo = lowerBound(ks, q, n)
+	return lo, runEnd(ks, lo, q, n)
+}
+
+// index is one sorted permutation of the graph's triples: a flat base array
+// plus the changes made since the base was last rewritten.
+type index struct {
+	base []key // ascending, no duplicates
+	// delta holds the pending changes, ascending; dead[i] says delta[i] is a
+	// tombstone for a key in base, otherwise delta[i] is an addition absent
+	// from base. The live set is base minus tombstones plus additions.
+	delta []key
+	dead  []bool
+}
+
+// find returns where k is, or would be inserted, in the sorted keys ks.
+func find(ks []key, k key) (int, bool) {
+	i := lowerBound(ks, k, 3)
+	return i, i < len(ks) && ks[i] == k
+}
+
+// has reports whether k is in the live set.
+func (ix *index) has(k key) bool {
+	if j, pending := find(ix.delta, k); pending {
+		return !ix.dead[j]
+	}
+	_, ok := find(ix.base, k)
+	return ok
+}
+
+// count returns how many live keys share q's first n components.
+func (ix *index) count(q key, n int) int {
+	lo, hi := span(ix.base, q, n)
+	dlo, dhi := span(ix.delta, q, n)
+	return hi - lo + pending(ix.dead[dlo:dhi])
+}
+
+// pending is what a run of delta entries adds to a count of base keys.
+func pending(dead []bool) int {
+	n := len(dead)
+	for _, d := range dead {
+		if d {
+			n -= 2
+		}
+	}
+	return n
+}
+
+// scan calls fn for every live key sharing q's first n components, as the
+// triple it stands for under ord, in ascending key order, until fn returns
+// false.
+func (ix *index) scan(ord order, q key, n int, fn func(s, p, o ID) bool) {
+	lo, hi := span(ix.base, q, n)
+	dlo, dhi := span(ix.delta, q, n)
+	for lo < hi || dlo < dhi {
+		var k key
+		if dlo < dhi && (lo == hi || ix.base[lo].compare(ix.delta[dlo]) >= 0) {
+			k = ix.delta[dlo]
+			dlo++
+			if ix.dead[dlo-1] { // k is base[lo], removed
+				lo++
+				continue
+			}
+		} else {
+			k = ix.base[lo]
+			lo++
+		}
+		if !fn(ord.triple(k)) {
+			return
+		}
+	}
+}
+
+// distinct calls fn with every distinct value of component n among the live
+// keys sharing q's first n components, ascending. It steps from one value's
+// run to the next, so the cost follows the number of values.
+func (ix *index) distinct(q key, n int, fn func(ID)) {
+	lo, hi := span(ix.base, q, n)
+	dlo, dhi := span(ix.delta, q, n)
+	for lo < hi || dlo < dhi {
+		if lo < hi && (dlo == dhi || ix.base[lo][n] <= ix.delta[dlo][n]) {
+			q[n] = ix.base[lo][n]
+		} else {
+			q[n] = ix.delta[dlo][n]
+		}
+		end, dend := runEnd(ix.base[:hi], lo, q, n+1), runEnd(ix.delta[:dhi], dlo, q, n+1)
+		if end-lo+pending(ix.dead[dlo:dend]) > 0 {
+			fn(q[n])
+		}
+		lo, dlo = end, dend
+	}
+}
+
+// apply records one effective change: the addition of a key the live set
+// lacks, or (del) the removal of one it has. A change that undoes a pending
+// one cancels it instead of stacking on it.
+func (ix *index) apply(k key, del bool) {
+	j, pending := find(ix.delta, k)
+	if pending {
+		ix.delta = slices.Delete(ix.delta, j, j+1)
+		ix.dead = slices.Delete(ix.dead, j, j+1)
+		return
+	}
+	ix.delta = slices.Insert(ix.delta, j, k)
+	ix.dead = slices.Insert(ix.dead, j, del)
+}
+
+// merge rewrites base as the live set and empties the delta, in place: a
+// forward pass drops the tombstoned keys, then the additions go in from the
+// highest down, each moving the block of base keys above it up by one copy.
+// Nothing below the lowest change moves.
+func (ix *index) merge() {
+	base, adds := ix.base, ix.delta[:0]
+	if slices.Contains(ix.dead, true) {
+		j, w := 0, 0
+		for _, k := range base {
+			for j < len(ix.delta) && (!ix.dead[j] || ix.delta[j].compare(k) < 0) {
+				j++
+			}
+			if j < len(ix.delta) && ix.delta[j] == k {
+				j++
+				continue
+			}
+			base[w] = k
+			w++
+		}
+		base = base[:w]
+	}
+	for j, k := range ix.delta {
+		if !ix.dead[j] {
+			adds = append(adds, k)
+		}
+	}
+	end := len(base) // base[:end] is still where it was
+	if n := end + len(adds); n > cap(base) {
+		// A sixteenth of headroom, not append's quarter: the arrays are the
+		// bulk of the graph's memory, and a regrowth is one more copy among
+		// merges that each move most of the array anyway.
+		base = append(make([]key, 0, n+n/16), base...)
+	}
+	base = base[:end+len(adds)]
+	for j := len(adds) - 1; j >= 0; j-- {
+		at := lowerBound(base[:end], adds[j], 3)
+		copy(base[at+j+1:], base[at:end]) // above adds[0..j], so up by j+1
+		base[at+j] = adds[j]
+		end = at
+	}
+	ix.base, ix.delta, ix.dead = base, ix.delta[:0], ix.dead[:0]
+}
+
+// maxDelta is how many pending changes an index holds before they are merged
+// into its base: few enough that inserting into the sorted delta moves a few
+// KB and a scan's extra bisection stays in cache, enough that a bulk load
+// through Add rewrites the base arrays once per maxDelta triples.
+const maxDelta = 1024
+
+// Graph is an in-memory RDF triple store with dictionary encoding: the
+// triples are kept as three sorted flat arrays of ID triples (the SPO, POS
+// and OSP permutations), every read is a range of one of them, and writes
+// go to a small sorted delta that is merged into the arrays when it fills.
+// All read operations are safe for concurrent use; writes are serialized by
+// an internal lock.
 //
 // Graph is the "triple store" substrate of the reproduction: the paper runs
 // against a remote SPARQL endpoint, which we replace by this store plus the
 // engine in internal/sparql.
 type Graph struct {
-	mu      sync.RWMutex
-	dict    *Dict
-	triples map[tripleKey]struct{}
-	spo     map[ID]map[ID][]ID // subject -> predicate -> objects
-	pos     map[ID]map[ID][]ID // predicate -> object -> subjects
-	osp     map[ID]map[ID][]ID // object -> subject -> predicates
-	psCount map[ID]int         // predicate -> triple count (facet statistics)
-	// version moves on every mutation; derived caches (cards, callers of
-	// Version) validate against it instead of subscribing to writes.
+	mu   sync.RWMutex
+	dict *Dict
+	ix   [3]index // by order
+	// version moves on every mutation; callers of Version validate their
+	// derived caches against it instead of subscribing to writes.
 	version uint64
 	// journal, when installed, receives every effective mutation (an Add of
 	// a new triple, a Remove of a present one) before it is applied — the
 	// write-ahead hook of the durable store (internal/store). It runs with
 	// the graph write lock held and must not call back into the graph.
 	journal func(op JournalOp, t Triple, version uint64)
-	cards   cardCache
 	// scans counts index scan operations (Match / MatchIDs calls) for the
 	// metrics endpoint; one relaxed atomic add per scan, negligible next to
 	// the read lock the scan already takes.
@@ -46,21 +290,14 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		dict:    NewDict(),
-		triples: make(map[tripleKey]struct{}),
-		spo:     make(map[ID]map[ID][]ID),
-		pos:     make(map[ID]map[ID][]ID),
-		osp:     make(map[ID]map[ID][]ID),
-		psCount: make(map[ID]int),
-	}
+	return &Graph{dict: NewDict()}
 }
 
 // Len returns the number of triples stored.
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.triples)
+	return g.matchCountIDsLocked(0, 0, 0)
 }
 
 // TermCount returns the number of distinct terms in the dictionary.
@@ -94,232 +331,72 @@ func (g *Graph) addLocked(t Triple) bool {
 	s := g.dict.Intern(t.S)
 	p := g.dict.Intern(t.P)
 	o := g.dict.Intern(t.O)
-	key := tripleKey{s, p, o}
-	if _, dup := g.triples[key]; dup {
+	if g.ix[spo].has(key{s, p, o}) {
 		return false
 	}
 	if g.journal != nil {
 		g.journal(JournalAdd, t, g.version+1)
 	}
-	return g.addIDLocked(s, p, o)
-}
-
-// addIDLocked inserts a triple whose terms are already interned, by ID.
-// The snapshot reader uses it to rebuild a graph without re-interning (which
-// would reassign dictionary IDs); addLocked funnels through it so the index
-// bookkeeping lives in one place. It does not journal — ID-level inserts
-// only happen while restoring from media that IS the journal.
-func (g *Graph) addIDLocked(s, p, o ID) bool {
-	key := tripleKey{s, p, o}
-	if _, dup := g.triples[key]; dup {
-		return false
-	}
-	g.triples[key] = struct{}{}
-	addIndex(g.spo, s, p, o)
-	addIndex(g.pos, p, o, s)
-	addIndex(g.osp, o, s, p)
-	g.psCount[p]++
-	g.version++
+	g.applyLocked(s, p, o, false)
 	return true
-}
-
-// loadSorted replaces the (empty) graph's triple set and indexes with keys
-// that arrive in strictly ascending (s, p, o) order — the canonical snapshot
-// order. The ordering contract is what makes bulk building fast: keys cannot
-// repeat (no duplicate probes), every index can be built from contiguous runs
-// with exactly-sized maps and slices (no incremental rehashing or slice
-// regrowth), and the two permuted orders are obtained by one sort each over a
-// flat, pointer-free array. The caller (the snapshot reader) owns the graph
-// exclusively; no locking here.
-func (g *Graph) loadSorted(keys []tripleKey) {
-	n := len(keys)
-	g.triples = make(map[tripleKey]struct{}, n)
-	for _, k := range keys {
-		g.triples[k] = struct{}{}
-	}
-	g.spo = buildRunIndex(keys)
-	// The two permuted orders need a sort each. When every ID fits in 21
-	// bits (up to ~2M terms — effectively always), the three components pack
-	// into one uint64 whose numeric order IS the permuted key order, and
-	// slices.Sort's integer fast path beats a comparator sort on 12-byte
-	// structs by a wide margin. Larger dictionaries take the comparator path.
-	if ID(g.dict.Len()) <= packedIDMask {
-		packed := make([]uint64, n)
-		for i, k := range keys {
-			packed[i] = uint64(k.p)<<42 | uint64(k.o)<<21 | uint64(k.s) // (p, o, s)
-		}
-		slices.Sort(packed)
-		g.pos = buildRunIndexPacked(packed)
-		for i, k := range keys {
-			packed[i] = uint64(k.o)<<42 | uint64(k.s)<<21 | uint64(k.p) // (o, s, p)
-		}
-		slices.Sort(packed)
-		g.osp = buildRunIndexPacked(packed)
-	} else {
-		perm := make([]tripleKey, n)
-		for i, k := range keys {
-			perm[i] = tripleKey{s: k.p, p: k.o, o: k.s} // (p, o, s)
-		}
-		slices.SortFunc(perm, tripleKey.compare)
-		g.pos = buildRunIndex(perm)
-		for i, k := range keys {
-			perm[i] = tripleKey{s: k.o, p: k.s, o: k.p} // (o, s, p)
-		}
-		slices.SortFunc(perm, tripleKey.compare)
-		g.osp = buildRunIndex(perm)
-	}
-	g.psCount = make(map[ID]int, len(g.pos))
-	for p, inner := range g.pos {
-		count := 0
-		for _, subjects := range inner {
-			count += len(subjects)
-		}
-		g.psCount[p] = count
-	}
-	g.version += uint64(n)
-}
-
-// packedIDMask is the largest ID that fits a 21-bit packed component.
-const packedIDMask = 1<<21 - 1
-
-// buildRunIndex builds a two-level index from keys sorted ascending in the
-// index's own component order (fields of each key already permuted to
-// (outer, inner, value)). Runs give exact sizes up front: each outer map,
-// inner map, and value slice is allocated at final size.
-func buildRunIndex(sorted []tripleKey) map[ID]map[ID][]ID {
-	n := len(sorted)
-	outer := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || sorted[i].s != sorted[i-1].s {
-			outer++
-		}
-	}
-	idx := make(map[ID]map[ID][]ID, outer)
-	for i := 0; i < n; {
-		a := sorted[i].s
-		end, innerCount := i, 0
-		for end < n && sorted[end].s == a {
-			if end == i || sorted[end].p != sorted[end-1].p {
-				innerCount++
-			}
-			end++
-		}
-		inner := make(map[ID][]ID, innerCount)
-		for j := i; j < end; {
-			b := sorted[j].p
-			k := j
-			for k < end && sorted[k].p == b {
-				k++
-			}
-			vals := make([]ID, k-j)
-			for x := j; x < k; x++ {
-				vals[x-j] = sorted[x].o
-			}
-			inner[b] = vals
-			j = k
-		}
-		idx[a] = inner
-		i = end
-	}
-	return idx
-}
-
-// buildRunIndexPacked is buildRunIndex over 21-bit-packed keys
-// (outer<<42 | inner<<21 | value), sorted ascending.
-func buildRunIndexPacked(sorted []uint64) map[ID]map[ID][]ID {
-	n := len(sorted)
-	outer := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || sorted[i]>>42 != sorted[i-1]>>42 {
-			outer++
-		}
-	}
-	idx := make(map[ID]map[ID][]ID, outer)
-	for i := 0; i < n; {
-		a := sorted[i] >> 42
-		end, innerCount := i, 0
-		for end < n && sorted[end]>>42 == a {
-			if end == i || sorted[end]>>21&packedIDMask != sorted[end-1]>>21&packedIDMask {
-				innerCount++
-			}
-			end++
-		}
-		inner := make(map[ID][]ID, innerCount)
-		for j := i; j < end; {
-			b := sorted[j] >> 21 & packedIDMask
-			k := j
-			for k < end && sorted[k]>>21&packedIDMask == b {
-				k++
-			}
-			vals := make([]ID, k-j)
-			for x := j; x < k; x++ {
-				vals[x-j] = ID(sorted[x] & packedIDMask)
-			}
-			inner[ID(b)] = vals
-			j = k
-		}
-		idx[ID(a)] = inner
-		i = end
-	}
-	return idx
-}
-
-func addIndex(idx map[ID]map[ID][]ID, a, b, c ID) {
-	inner, ok := idx[a]
-	if !ok {
-		inner = make(map[ID][]ID)
-		idx[a] = inner
-	}
-	inner[b] = append(inner[b], c)
 }
 
 // Remove deletes a triple, reporting whether it was present.
 func (g *Graph) Remove(t Triple) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s, ok1 := g.dict.Lookup(t.S)
-	p, ok2 := g.dict.Lookup(t.P)
-	o, ok3 := g.dict.Lookup(t.O)
-	if !ok1 || !ok2 || !ok3 {
-		return false
-	}
-	key := tripleKey{s, p, o}
-	if _, present := g.triples[key]; !present {
+	s, p, o, ok := g.resolve(t.S, t.P, t.O)
+	if !ok || !g.ix[spo].has(key{s, p, o}) {
 		return false
 	}
 	if g.journal != nil {
 		g.journal(JournalRemove, t, g.version+1)
 	}
-	delete(g.triples, key)
-	removeIndex(g.spo, s, p, o)
-	removeIndex(g.pos, p, o, s)
-	removeIndex(g.osp, o, s, p)
-	g.version++
-	g.psCount[p]--
-	if g.psCount[p] == 0 {
-		delete(g.psCount, p)
-	}
+	g.applyLocked(s, p, o, true)
 	return true
 }
 
-func removeIndex(idx map[ID]map[ID][]ID, a, b, c ID) {
-	inner := idx[a]
-	list := inner[b]
-	for i, v := range list {
-		if v == c {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+// applyLocked records an effective change in all three permutations.
+func (g *Graph) applyLocked(s, p, o ID, del bool) {
+	for ord := range g.ix {
+		g.ix[ord].apply(order(ord).key(s, p, o), del)
+	}
+	g.version++
+	if len(g.ix[spo].delta) > maxDelta {
+		for ord := range g.ix {
+			g.ix[ord].merge()
 		}
 	}
-	if len(list) == 0 {
-		delete(inner, b)
-		if len(inner) == 0 {
-			delete(idx, a)
-		}
-	} else {
-		inner[b] = list
+}
+
+// load makes keys — strictly ascending (s, p, o), every ID issued by the
+// dictionary — the (empty) graph's triple set. The slice becomes the SPO
+// permutation as is; the other two come from one stable counting sort each.
+// The caller (the snapshot reader) owns the graph exclusively.
+func (g *Graph) load(keys []key) {
+	g.ix[spo].base = keys
+	g.ix[osp].base = rotate(keys, g.dict.Len())
+	g.ix[pos].base = rotate(g.ix[osp].base, g.dict.Len())
+	g.version += uint64(len(keys))
+}
+
+// rotate returns keys sorted as (x, y, z) re-sorted and rewritten as
+// (z, x, y): a stable counting sort on z, whose values are IDs up to maxID.
+// SPO rotates into OSP, OSP into POS.
+func rotate(keys []key, maxID int) []key {
+	next := make([]uint32, maxID+2) // next[v]: where the next key with z = v goes
+	for _, k := range keys {
+		next[k[2]+1]++
 	}
+	for v := 1; v < len(next); v++ {
+		next[v] += next[v-1]
+	}
+	out := make([]key, len(keys))
+	for _, k := range keys {
+		out[next[k[2]]] = key{k[2], k[0], k[1]}
+		next[k[2]]++
+	}
+	return out
 }
 
 // JournalOp discriminates the two graph mutations for the write-ahead
@@ -364,24 +441,35 @@ func (g *Graph) SetVersion(v uint64) {
 func (g *Graph) Has(t Triple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s, ok1 := g.dict.Lookup(t.S)
-	p, ok2 := g.dict.Lookup(t.P)
-	o, ok3 := g.dict.Lookup(t.O)
-	if !ok1 || !ok2 || !ok3 {
-		return false
-	}
-	_, present := g.triples[tripleKey{s, p, o}]
-	return present
+	s, p, o, ok := g.resolve(t.S, t.P, t.O)
+	return ok && g.ix[spo].has(key{s, p, o})
 }
 
 // Match calls fn for every triple matching the pattern; rdf.Any in any
 // position acts as a wildcard. Iteration stops early when fn returns false.
-// The triple passed to fn is fully materialized (terms, not IDs).
+// The triple passed to fn is fully materialized (terms, not IDs); the order
+// is that of MatchIDs.
 func (g *Graph) Match(s, p, o Term, fn func(Triple) bool) {
 	g.scans.Add(1)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	g.matchLocked(s, p, o, fn)
+	sID, pID, oID, ok := g.resolve(s, p, o)
+	if !ok {
+		return
+	}
+	t := Triple{s, p, o}
+	g.matchIDsLocked(sID, pID, oID, func(si, pi, oi ID) bool {
+		if sID == 0 {
+			t.S = g.dict.Term(si)
+		}
+		if pID == 0 {
+			t.P = g.dict.Term(pi)
+		}
+		if oID == 0 {
+			t.O = g.dict.Term(oi)
+		}
+		return fn(t)
+	})
 }
 
 // IndexScans returns the lifetime count of index scan operations (Match and
@@ -421,181 +509,98 @@ func (g *Graph) MatchCtx(ctx context.Context, s, p, o Term, fn func(Triple) bool
 	return ctxErr
 }
 
-func (g *Graph) matchLocked(s, p, o Term, fn func(Triple) bool) {
-	sID, sOK := g.resolve(s)
-	pID, pOK := g.resolve(p)
-	oID, oOK := g.resolve(o)
-	// A bound position with an unknown term can never match.
-	if !sOK || !pOK || !oOK {
-		return
-	}
-	switch {
-	case sID != 0 && pID != 0 && oID != 0:
-		if _, present := g.triples[tripleKey{sID, pID, oID}]; present {
-			fn(Triple{g.dict.Term(sID), g.dict.Term(pID), g.dict.Term(oID)})
-		}
-	case sID != 0 && pID != 0:
-		st, pt := g.dict.Term(sID), g.dict.Term(pID)
-		for _, obj := range g.spo[sID][pID] {
-			if !fn(Triple{st, pt, g.dict.Term(obj)}) {
-				return
-			}
-		}
-	case sID != 0 && oID != 0:
-		st, ot := g.dict.Term(sID), g.dict.Term(oID)
-		for _, pred := range g.osp[oID][sID] {
-			if !fn(Triple{st, g.dict.Term(pred), ot}) {
-				return
-			}
-		}
-	case pID != 0 && oID != 0:
-		pt, ot := g.dict.Term(pID), g.dict.Term(oID)
-		for _, sub := range g.pos[pID][oID] {
-			if !fn(Triple{g.dict.Term(sub), pt, ot}) {
-				return
-			}
-		}
-	case sID != 0:
-		st := g.dict.Term(sID)
-		for pred, objs := range g.spo[sID] {
-			pt := g.dict.Term(pred)
-			for _, obj := range objs {
-				if !fn(Triple{st, pt, g.dict.Term(obj)}) {
-					return
-				}
-			}
-		}
-	case pID != 0:
-		pt := g.dict.Term(pID)
-		for obj, subs := range g.pos[pID] {
-			ot := g.dict.Term(obj)
-			for _, sub := range subs {
-				if !fn(Triple{g.dict.Term(sub), pt, ot}) {
-					return
-				}
-			}
-		}
-	case oID != 0:
-		ot := g.dict.Term(oID)
-		for sub, preds := range g.osp[oID] {
-			st := g.dict.Term(sub)
-			for _, pred := range preds {
-				if !fn(Triple{st, g.dict.Term(pred), ot}) {
-					return
-				}
-			}
-		}
-	default:
-		for key := range g.triples {
-			t := Triple{g.dict.Term(key.s), g.dict.Term(key.p), g.dict.Term(key.o)}
-			if !fn(t) {
-				return
+// resolve maps pattern terms to IDs: Any yields the wildcard 0, a known term
+// its ID; ok is false when a bound position holds a term the dictionary has
+// never seen, which can match nothing.
+func (g *Graph) resolve(s, p, o Term) (sID, pID, oID ID, ok bool) {
+	ids := [3]ID{}
+	for i, t := range [3]Term{s, p, o} {
+		if t != Any {
+			if ids[i], ok = g.dict.Lookup(t); !ok {
+				return 0, 0, 0, false
 			}
 		}
 	}
-}
-
-// resolve maps a pattern term to an ID: Any yields (0, true); a known term
-// yields its ID; an unknown term yields (0, false), meaning "cannot match".
-func (g *Graph) resolve(t Term) (ID, bool) {
-	if t == Any {
-		return 0, true
-	}
-	id, ok := g.dict.Lookup(t)
-	if !ok {
-		return 0, false
-	}
-	return id, true
+	return ids[0], ids[1], ids[2], true
 }
 
 // MatchCount returns the number of triples matching the pattern without
-// materializing them. It is the cardinality estimator used for BGP join
-// ordering in the SPARQL engine.
+// materializing them.
 func (g *Graph) MatchCount(s, p, o Term) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	sID, sOK := g.resolve(s)
-	pID, pOK := g.resolve(p)
-	oID, oOK := g.resolve(o)
-	if !sOK || !pOK || !oOK {
+	sID, pID, oID, ok := g.resolve(s, p, o)
+	if !ok {
 		return 0
 	}
-	switch {
-	case sID != 0 && pID != 0 && oID != 0:
-		if _, present := g.triples[tripleKey{sID, pID, oID}]; present {
-			return 1
-		}
-		return 0
-	case sID != 0 && pID != 0:
-		return len(g.spo[sID][pID])
-	case sID != 0 && oID != 0:
-		return len(g.osp[oID][sID])
-	case pID != 0 && oID != 0:
-		return len(g.pos[pID][oID])
-	case sID != 0:
-		n := 0
-		for _, objs := range g.spo[sID] {
-			n += len(objs)
-		}
-		return n
-	case pID != 0:
-		return g.psCount[pID]
-	case oID != 0:
-		n := 0
-		for _, preds := range g.osp[oID] {
-			n += len(preds)
-		}
-		return n
-	default:
-		return len(g.triples)
-	}
+	return g.matchCountIDsLocked(sID, pID, oID)
 }
 
 // Triples returns all triples in deterministic (sorted) order. Intended for
-// serialization and tests; prefer Match for queries.
+// serialization and tests; prefer Match for queries. The dictionary is
+// ranked once (SortTerms parses each lexical form once) and the ID triples
+// are sorted by rank, so no comparison touches a term.
 func (g *Graph) Triples() []Triple {
-	out := make([]Triple, 0, g.Len())
-	g.Match(Any, Any, Any, func(t Triple) bool {
-		out = append(out, t)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	terms := slices.Clone(g.dict.toTerm)
+	SortTerms(terms)
+	rank := make([]ID, len(terms)+1)
+	for r, t := range terms {
+		rank[g.dict.toID[t]] = ID(r)
+	}
+	ranked := make([]key, 0, g.matchCountIDsLocked(0, 0, 0))
+	g.ix[spo].scan(spo, key{}, 0, func(s, p, o ID) bool {
+		ranked = append(ranked, key{rank[s], rank[p], rank[o]})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(ranked, key.compare)
+	out := make([]Triple, len(ranked))
+	for i, k := range ranked {
+		out[i] = Triple{terms[k[0]], terms[k[1]], terms[k[2]]}
+	}
 	return out
 }
 
-// Objects returns the distinct objects of (s, p, ?o). The result slice is
-// preallocated from the index entry; since triples are unique, the object
-// list of a fixed (s, p) needs no deduplication.
-func (g *Graph) Objects(s, p Term) []Term {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	sID, sOK := g.resolve(s)
-	pID, pOK := g.resolve(p)
-	if !sOK || !pOK {
-		return nil
-	}
-	if sID != 0 && pID != 0 {
-		objs := g.spo[sID][pID]
-		if len(objs) == 0 {
+// column returns the distinct terms in position at (0 = s, 1 = p, 2 = o), a
+// wildcard of the ID pattern, over the triples matching it, in scan order.
+// When at is the only wildcard the values cannot repeat (triples are unique)
+// and the result is sized from the count; otherwise a set filters repeats.
+func (g *Graph) column(s, p, o ID, at int) []Term {
+	var seen map[ID]struct{}
+	var out []Term
+	if bound := [3]ID{s, p, o}; bound[(at+1)%3] != 0 && bound[(at+2)%3] != 0 {
+		n := g.matchCountIDsLocked(s, p, o)
+		if n == 0 {
 			return nil
 		}
-		out := make([]Term, len(objs))
-		for i, o := range objs {
-			out[i] = g.dict.Term(o)
-		}
-		return out
+		out = make([]Term, 0, n)
+	} else {
+		seen = make(map[ID]struct{})
 	}
-	// Wildcard position(s): fall back to a dedup scan.
-	var out []Term
-	seen := make(map[ID]struct{})
-	g.matchIDsLocked(sID, pID, 0, func(_, _, o ID) bool {
-		if _, dup := seen[o]; !dup {
-			seen[o] = struct{}{}
-			out = append(out, g.dict.Term(o))
+	g.matchIDsLocked(s, p, o, func(s, p, o ID) bool {
+		id := [3]ID{s, p, o}[at]
+		if seen != nil {
+			if _, dup := seen[id]; dup {
+				return true
+			}
+			seen[id] = struct{}{}
 		}
+		out = append(out, g.dict.Term(id))
 		return true
 	})
 	return out
+}
+
+// Objects returns the distinct objects of (s, p, ?o).
+func (g *Graph) Objects(s, p Term) []Term {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	sID, pID, _, ok := g.resolve(s, p, Any)
+	if !ok {
+		return nil
+	}
+	return g.column(sID, pID, 0, 2)
 }
 
 // Object returns one object of (s, p, ?o), or the zero Term if none exists.
@@ -608,46 +613,22 @@ func (g *Graph) Object(s, p Term) Term {
 	return out
 }
 
-// Subjects returns the distinct subjects of (?s, p, o), preallocated from
-// the POS index entry (unique triples make the subject list duplicate-free).
+// Subjects returns the distinct subjects of (?s, p, o).
 func (g *Graph) Subjects(p, o Term) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	pID, pOK := g.resolve(p)
-	oID, oOK := g.resolve(o)
-	if !pOK || !oOK {
+	_, pID, oID, ok := g.resolve(Any, p, o)
+	if !ok {
 		return nil
 	}
-	if pID != 0 && oID != 0 {
-		subs := g.pos[pID][oID]
-		if len(subs) == 0 {
-			return nil
-		}
-		out := make([]Term, len(subs))
-		for i, s := range subs {
-			out[i] = g.dict.Term(s)
-		}
-		return out
-	}
-	var out []Term
-	seen := make(map[ID]struct{})
-	g.matchIDsLocked(0, pID, oID, func(s, _, _ ID) bool {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, g.dict.Term(s))
-		}
-		return true
-	})
-	return out
+	return g.column(0, pID, oID, 0)
 }
 
 // Predicates returns the distinct predicates appearing in the graph, sorted.
 func (g *Graph) Predicates() []Term {
 	g.mu.RLock()
-	out := make([]Term, 0, len(g.psCount))
-	for p := range g.psCount {
-		out = append(out, g.dict.Term(p))
-	}
+	var out []Term
+	g.ix[pos].distinct(key{}, 0, func(p ID) { out = append(out, g.dict.Term(p)) })
 	g.mu.RUnlock()
 	SortTerms(out)
 	return out
@@ -655,46 +636,33 @@ func (g *Graph) Predicates() []Term {
 
 // PredicateCount returns the number of triples whose predicate is p.
 func (g *Graph) PredicateCount(p Term) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	id, ok := g.dict.Lookup(p)
-	if !ok {
+	if p == Any {
 		return 0
 	}
-	return g.psCount[id]
+	return g.MatchCount(Any, p, Any)
 }
 
 // SubjectsWithPredicate returns the distinct subjects that have at least one
-// value for predicate p. The dedup set and result are presized from the
-// predicate's triple count (an upper bound on its distinct subjects).
+// value for predicate p.
 func (g *Graph) SubjectsWithPredicate(p Term) []Term {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	pID, ok := g.resolve(p)
-	if !ok || pID == 0 {
+	if p == Any {
 		return nil
 	}
-	n := g.psCount[pID]
-	seen := make(map[ID]struct{}, n)
-	out := make([]Term, 0, n)
-	for _, subs := range g.pos[pID] {
-		for _, s := range subs {
-			if _, dup := seen[s]; !dup {
-				seen[s] = struct{}{}
-				out = append(out, g.dict.Term(s))
-			}
-		}
-	}
-	return out
+	return g.Subjects(p, Any)
 }
 
-// Clone returns a deep copy of the graph (fresh dictionary and indexes).
+// Clone returns a deep copy of the graph: same triples, same dictionary IDs,
+// same version; the journal hook and the scan counter stay behind.
 func (g *Graph) Clone() *Graph {
-	out := NewGraph()
-	g.Match(Any, Any, Any, func(t Triple) bool {
-		out.Add(t)
-		return true
-	})
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := &Graph{
+		dict:    &Dict{toID: maps.Clone(g.dict.toID), toTerm: slices.Clone(g.dict.toTerm)},
+		version: g.version,
+	}
+	for ord, ix := range g.ix {
+		out.ix[ord] = index{base: slices.Clone(ix.base), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}
+	}
 	return out
 }
 
@@ -724,19 +692,16 @@ type Stats struct {
 func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	st := Stats{
-		Triples:    len(g.triples),
-		Terms:      g.dict.Len(),
-		Subjects:   len(g.spo),
-		Predicates: len(g.psCount),
-	}
+	st := Stats{Triples: g.matchCountIDsLocked(0, 0, 0), Terms: g.dict.Len()}
+	g.ix[spo].distinct(key{}, 0, func(ID) { st.Subjects++ })
+	g.ix[pos].distinct(key{}, 0, func(ID) { st.Predicates++ })
 	for _, t := range g.dict.toTerm {
 		if t.IsLiteral() {
 			st.Literals++
 		}
 	}
 	if typeID, ok := g.dict.Lookup(NewIRI(RDFType)); ok {
-		st.Classes = len(g.pos[typeID])
+		g.ix[pos].distinct(key{typeID}, 1, func(ID) { st.Classes++ })
 	}
 	return st
 }

@@ -104,34 +104,6 @@ func TestTermIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCardCacheInvalidation: cached counts must follow mutations, and the
-// hit counter must move on repeated lookups of a summing pattern.
-func TestCardCacheInvalidation(t *testing.T) {
-	g := testGraph()
-	sID, _ := g.TermID(ex("laptop1"))
-	before := g.CachedCountIDs(sID, 0, 0)
-	if want := g.MatchCountIDs(sID, 0, 0); before != want {
-		t.Fatalf("cached %d, direct %d", before, want)
-	}
-	_, hits0, _ := g.CardCacheStats()
-	g.CachedCountIDs(sID, 0, 0)
-	if _, hits, _ := g.CardCacheStats(); hits <= hits0 {
-		t.Errorf("second lookup did not hit the cache (hits %d -> %d)", hits0, hits)
-	}
-	v0 := g.Version()
-	g.Add(Triple{ex("laptop1"), ex("weight"), NewInteger(2)})
-	if g.Version() == v0 {
-		t.Fatal("Add did not move the graph version")
-	}
-	if after := g.CachedCountIDs(sID, 0, 0); after != before+1 {
-		t.Errorf("after Add: cached %d, want %d", after, before+1)
-	}
-	g.Remove(Triple{ex("laptop1"), ex("weight"), NewInteger(2)})
-	if final := g.CachedCountIDs(sID, 0, 0); final != before {
-		t.Errorf("after Remove: cached %d, want %d", final, before)
-	}
-}
-
 func benchGraph(n int) *Graph {
 	g := NewGraph()
 	for j := 0; j < n; j++ {
@@ -173,19 +145,4 @@ func BenchmarkObjects(b *testing.B) {
 	for b.Loop() {
 		g.Objects(s, p)
 	}
-}
-
-func BenchmarkCachedCountIDs(b *testing.B) {
-	g := benchGraph(10000)
-	sid, _ := g.TermID(ex("s3"))
-	b.Run("cached", func(b *testing.B) {
-		for b.Loop() {
-			g.CachedCountIDs(sid, 0, 0)
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		for b.Loop() {
-			g.MatchCountIDs(sid, 0, 0)
-		}
-	})
 }

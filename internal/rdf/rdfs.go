@@ -340,12 +340,7 @@ func Materialize(g *Graph) InferenceStats {
 			}
 		}
 		// rdfs9: (x type c), (c subClassOf d) => (x type d).
-		var typeTriples []Triple
-		g.Match(Any, typeT, Any, func(t Triple) bool {
-			typeTriples = append(typeTriples, t)
-			return true
-		})
-		for _, t := range typeTriples {
+		for _, t := range triplesWith(g, typeT) {
 			for sup := range schema.SuperClasses[t.O] {
 				if g.Add(Triple{t.S, typeT, sup}) {
 					stats.TypeFromSubClass++
@@ -355,12 +350,7 @@ func Materialize(g *Graph) InferenceStats {
 		}
 		// rdfs7: (x p y), (p subPropertyOf q) => (x q y).
 		for p, supers := range schema.SuperProperties {
-			var uses []Triple
-			g.Match(Any, p, Any, func(t Triple) bool {
-				uses = append(uses, t)
-				return true
-			})
-			for _, t := range uses {
+			for _, t := range triplesWith(g, p) {
 				for sup := range supers {
 					if g.Add(Triple{t.S, sup, t.O}) {
 						stats.PropFromSubProp++
@@ -371,12 +361,7 @@ func Materialize(g *Graph) InferenceStats {
 		}
 		// rdfs2/rdfs3: domain and range typing.
 		for p, domains := range schema.Domains {
-			var uses []Triple
-			g.Match(Any, p, Any, func(t Triple) bool {
-				uses = append(uses, t)
-				return true
-			})
-			for _, t := range uses {
+			for _, t := range triplesWith(g, p) {
 				for _, d := range domains {
 					if g.Add(Triple{t.S, typeT, d}) {
 						stats.TypeFromDomain++
@@ -386,12 +371,7 @@ func Materialize(g *Graph) InferenceStats {
 			}
 		}
 		for p, ranges := range schema.Ranges {
-			var uses []Triple
-			g.Match(Any, p, Any, func(t Triple) bool {
-				uses = append(uses, t)
-				return true
-			})
-			for _, t := range uses {
+			for _, t := range triplesWith(g, p) {
 				if !t.O.IsResource() {
 					continue
 				}
@@ -407,6 +387,18 @@ func Materialize(g *Graph) InferenceStats {
 			return stats
 		}
 	}
+}
+
+// triplesWith returns the triples whose predicate is p, copied out so the
+// caller can add to the graph while walking them; sized from the count, so a
+// large predicate costs one allocation instead of a doubling series.
+func triplesWith(g *Graph, p Term) []Triple {
+	out := make([]Triple, 0, g.MatchCount(Any, p, Any))
+	g.Match(Any, p, Any, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }
 
 // InstancesOf returns the instances of class c in g, honoring materialized

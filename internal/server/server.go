@@ -67,7 +67,7 @@ type Server struct {
 	// profiled query seeds it with per-scan actual cardinalities, and
 	// replans of the same fingerprint (interactive sessions re-run the same
 	// shapes every facet click) plan with those actuals instead of cold
-	// stats-cache estimates.
+	// graph-count estimates.
 	feedback *sparql.FeedbackStore
 	// sampler/slos/alerts are the telemetry time-series engine: the sampler
 	// scrapes every metric into bounded ring buffers, the SLO set evaluates
@@ -280,6 +280,9 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	// Graph-level statistics are exported as functions evaluated at
 	// scrape time; re-registering (tests build many servers) rebinds the
 	// closures to the newest server's graph.
+	// The three cardinality-cache families read zero since the graph counts
+	// patterns by search; they stay registered for the dashboards, the
+	// metrics lint and the benchmark probe that still name them.
 	obs.Default.CounterFunc("rdfa_rdf_cardinality_cache_hits_total", func() float64 {
 		_, hits, _ := g.CardCacheStats()
 		return float64(hits)
@@ -761,6 +764,9 @@ func (s *Server) stateLocked(sess *core.Session) stateJSON {
 		fj := facetJSON{
 			P: f.P.Value, Label: f.P.LocalName(), Inverse: f.Inverse,
 			Grouped: f.Grouped, Measured: f.Measured, Numeric: f.Numeric,
+		}
+		if len(f.Values) > 0 { // an empty facet stays nil: it encodes as null
+			fj.Values = make([]valJSON, 0, len(f.Values))
 		}
 		for _, vc := range f.Values {
 			fj.Values = append(fj.Values, valJSON{Term: toTermJSON(vc.Value), Count: vc.Count})

@@ -65,7 +65,7 @@ func TestWorkloadEndpoint(t *testing.T) {
 	if len(snap.Recent) == 0 || snap.Recent[0].Outcome != "ok" {
 		t.Errorf("recent ring empty or wrong outcome: %+v", snap.Recent)
 	}
-	// The profiled scans carried stats-cache estimates, so the misestimation
+	// The profiled scans carried graph-count estimates, so the misestimation
 	// table has at least one site with a sane q-error.
 	if len(snap.Misestimates) == 0 {
 		t.Fatal("misestimation table empty after profiled queries")

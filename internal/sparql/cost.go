@@ -19,10 +19,10 @@ import (
 //     one plan position must not seed the same pattern under different
 //     bindings — a context miss falls back to the cold estimate instead
 //     of a confidently wrong number;
-//  2. the version-invalidated cardinality-stats cache (pattern count with
-//     constants only, rdf.Graph.CachedCountIDs);
+//  2. the graph's own count of the pattern with constants only
+//     (rdf.Graph.MatchCountIDs: two searches in a sorted permutation);
 //  3. the bound-variable reduction heuristic: each pattern variable that
-//     arrives bound divides the stats-cache count by boundVarFactor — the
+//     arrives bound divides the graph count by boundVarFactor — the
 //     same factor the legacy greedy orderer used, so the two planners rank
 //     single patterns identically when no feedback is available.
 
@@ -79,7 +79,7 @@ type stepEstimate struct {
 	// predicted input size.
 	strategy joinStrategy
 	// card is the per-pattern cardinality the scan's profile q-error is
-	// measured against: the feedback actual on a hit, the stats-cache count
+	// measured against: the feedback actual on a hit, the graph count
 	// otherwise (the pre-feedback convention, so cold q-errors compare).
 	card int
 	// fbSeeded reports whether feedback supplied the cardinality.

@@ -866,10 +866,10 @@ func (ev *evaluator) orderRun(run []*TriplePattern, pre map[string]bool) []*Trip
 }
 
 // estimate approximates the cardinality of a pattern assuming bound
-// variables act as constants of unknown value. Counts come from the graph's
-// version-invalidated cardinality cache, so repeated estimation (join
-// reordering is O(k²) in pattern count, and interactive sessions re-plan
-// the same patterns every click) never rescans an index.
+// variables act as constants of unknown value. Counts are two searches in a
+// sorted permutation of the graph (rdf.Graph.MatchCountIDs), so repeated
+// estimation (join reordering is O(k²) in pattern count, and interactive
+// sessions re-plan the same patterns every click) never scans an index.
 func (ev *evaluator) estimate(tp *TriplePattern, bound map[string]bool) int {
 	if tp.Path != nil {
 		return 1 << 20 // paths are expensive; schedule late
@@ -878,7 +878,7 @@ func (ev *evaluator) estimate(tp *TriplePattern, bound map[string]bool) int {
 	if !ok {
 		return 0 // a constant term the graph has never seen: no matches
 	}
-	base := ev.g.CachedCountIDs(ids[0], ids[1], ids[2])
+	base := ev.g.MatchCountIDs(ids[0], ids[1], ids[2])
 	// Each bound variable position cuts the estimate (heuristic factor 10).
 	for _, n := range []Node{tp.S, tp.O} {
 		if n.IsVar() && bound[n.Var] && base > 1 {

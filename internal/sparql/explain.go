@@ -29,9 +29,6 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT plan: (workers: %d)\n", ev.workers)
 	explainGroup(ev, q.Where, &sb, 1)
-	if size, hits, misses := g.CardCacheStats(); size > 0 || hits+misses > 0 {
-		fmt.Fprintf(&sb, "  stats cache: %d entries, %d hits, %d misses\n", size, hits, misses)
-	}
 	if len(q.GroupBy) > 0 {
 		naggs := 0
 		for _, it := range q.Select.Items {
@@ -59,7 +56,7 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 // ExplainAnalyze executes a SELECT query with the operator-level profiler
 // enabled and returns the EXPLAIN ANALYZE tree: every operator node carries
 // its invocation count, actual rows in/out and wall time, and every index
-// scan additionally shows the planner's stats-cache estimate next to the
+// scan additionally shows the planner's graph-count estimate next to the
 // actual cardinality with the q-error max(est/act, act/est). The query's
 // results are computed and discarded; profiling never changes them (see
 // TestProfileDifferential).
@@ -174,7 +171,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 				}
 				baseEst := 0
 				if ids, ok := ev.constIDs(e.Triple); ok {
-					baseEst = ev.g.CachedCountIDs(ids[0], ids[1], ids[2])
+					baseEst = ev.g.MatchCountIDs(ids[0], ids[1], ids[2])
 				}
 				strategy = chooseStrategy(baseEst, rows, nJoinVars, false).String()
 			}

@@ -16,7 +16,7 @@ import (
 // a fixed context the output scales with the input, so feedback is applied
 // as an observed per-input-row selectivity, never as an absolute row count
 // (see SiteActual). When the same fingerprint replans, observed
-// selectivities override the cold cardinality-stats-cache estimates for
+// selectivities override the cold graph-count estimates for
 // matching contexts (a context miss falls back to the cold estimate),
 // closing the q-error feedback loop: interactive sessions re-run the same
 // query shapes every facet click, so the second click of a shape plans

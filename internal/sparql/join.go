@@ -108,7 +108,7 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 			}
 			pp.ids[i] = id
 		}
-		pp.baseEst = ev.g.CachedCountIDs(pp.ids[0], pp.ids[1], pp.ids[2])
+		pp.baseEst = ev.g.MatchCountIDs(pp.ids[0], pp.ids[1], pp.ids[2])
 		rp.pats = append(rp.pats, pp)
 	}
 	return rp
@@ -160,11 +160,6 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 		plan = textualPlan(rp, ev.planner)
 	}
 	if ps != nil {
-		// The plan phase is where the cardinality-stats cache is consulted
-		// (one CachedCountIDs per pattern); surface its running totals.
-		_, hits, misses := ev.g.CardCacheStats()
-		ps.SetAttr("stats_cache_hits", hits)
-		ps.SetAttr("stats_cache_misses", misses)
 		ps.SetAttr("planner", plan.mode.String())
 		if costBased {
 			ps.SetAttr("order", plan.order())
@@ -265,7 +260,7 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // strategy is honored unless runtime boundness is mixed (a variable bound
 // in only part of the rows forces per-row handling for correctness), and
 // step.card is the estimate the profile's q-error measures against — the
-// feedback actual on a seeded scan, the stats-cache count otherwise.
+// feedback actual on a seeded scan, the graph count otherwise.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
@@ -314,7 +309,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	}
 	psc, psct := ev.profEnter("scan", ev.profLabel(tp))
 	// The scan's estimate is what the planner priced it with: the
-	// cardinality-stats-cache count for the pattern's constant positions, or
+	// graph count for the pattern's constant positions, or
 	// the feedback-observed actual on a seeded scan — so q-error measures
 	// the planner's own input either way.
 	ev.prof.addEst(step.card)

@@ -133,8 +133,8 @@ func TestParallelDifferentialRandom(t *testing.T) {
 }
 
 // TestReorderInvariance: join reordering and estimation must be stable —
-// warming the cardinality cache by running queries must not change the
-// order reorderTriples picks or the values estimate returns.
+// running queries must not change the order reorderTriples picks or the
+// values estimate returns.
 func TestReorderInvariance(t *testing.T) {
 	g := chainGraph(300)
 	q := MustParse(`PREFIX ex: <http://e/>
@@ -156,22 +156,16 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . ?s ex:tag ex:hot 
 		return out
 	}
 	coldOrder, coldEst := order(), estimates()
-	// Warm the cache: evaluate the query and re-plan several times.
+	// Evaluate the query and re-plan several times.
 	for i := 0; i < 3; i++ {
 		if _, err := ExecSelect(g, q); err != nil {
 			t.Fatal(err)
 		}
 		if warm := order(); !reflect.DeepEqual(coldOrder, warm) {
-			t.Fatalf("reorder changed after cache warm-up:\ncold: %v\nwarm: %v", coldOrder, warm)
+			t.Fatalf("reorder changed after evaluation:\ncold: %v\nwarm: %v", coldOrder, warm)
 		}
 		if warm := estimates(); !reflect.DeepEqual(coldEst, warm) {
-			t.Fatalf("estimates changed after cache warm-up:\ncold: %v\nwarm: %v", coldEst, warm)
-		}
-	}
-	// Cached counts must equal uncached counts for every pattern shape.
-	for _, ids := range [][3]rdf.ID{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}, {1, 2, 0}, {0, 2, 3}, {1, 0, 3}, {0, 0, 0}} {
-		if got, want := g.CachedCountIDs(ids[0], ids[1], ids[2]), g.MatchCountIDs(ids[0], ids[1], ids[2]); got != want {
-			t.Errorf("CachedCountIDs(%v) = %d, MatchCountIDs = %d", ids, got, want)
+			t.Fatalf("estimates changed after evaluation:\ncold: %v\nwarm: %v", coldEst, warm)
 		}
 	}
 }

@@ -44,7 +44,7 @@ const (
 	// per scan at execution time). Kept for ablation A/B runs.
 	PlannerGreedy
 	// PlannerDP is the cost-based planner without feedback reads: DP (or
-	// greedy+lookahead) join-order search over stats-cache estimates with
+	// greedy+lookahead) join-order search over graph-count estimates with
 	// join-type selection folded into the cost model.
 	PlannerDP
 	// PlannerFeedback is PlannerDP plus the q-error feedback loop: scan
@@ -95,7 +95,7 @@ type planStep struct {
 	// reference mid-query re-planning compares actual row counts against.
 	estOut float64
 	// card is the scan's per-pattern cardinality estimate recorded in the
-	// profile (feedback actual on a hit, stats-cache count otherwise).
+	// profile (feedback actual on a hit, graph count otherwise).
 	card int
 	// fbSeeded reports whether feedback supplied the estimate.
 	fbSeeded bool

@@ -100,12 +100,12 @@ type ProfNode struct {
 	RowsIn, RowsOut int64
 	// EstRows totals the planner's estimated output cardinality across
 	// calls; -1 means the operator carries no estimate (only index scans
-	// do — their estimate is the PR 1 cardinality-stats-cache count).
+	// do — their estimate is the graph count (rdf.Graph.MatchCountIDs)).
 	EstRows int64
 	// Strategy is the join strategy an index scan chose (last call wins).
 	Strategy string
 	// FbSeeded marks a scan whose cardinality estimate came from the
-	// planner's execution-feedback store rather than the cold stats cache.
+	// planner's execution-feedback store rather than the cold graph count.
 	FbSeeded bool
 	// FbCtx is the scan's bound-variable context under the executed plan —
 	// the feedback store keys observed actuals by (label, context) so an

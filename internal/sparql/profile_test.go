@@ -59,8 +59,8 @@ func TestProfileDifferential(t *testing.T) {
 
 // TestProfileEstimatesFromStatsCache pins the provenance of the profile's
 // cardinality estimates: a scan node's EstRows must be exactly the
-// cardinality-stats-cache count for the pattern's constant positions
-// (rdf.Graph.CachedCountIDs — the same number the planner ordered with),
+// graph count for the pattern's constant positions
+// (rdf.Graph.MatchCountIDs — the same number the planner ordered with),
 // and its q-error must be max(est/act, act/est).
 func TestProfileEstimatesFromStatsCache(t *testing.T) {
 	g := chainGraph(300)
@@ -77,15 +77,15 @@ func TestProfileEstimatesFromStatsCache(t *testing.T) {
 	link, _ := g.TermID(rdf.NewIRI("http://e/link"))
 	w, _ := g.TermID(rdf.NewIRI("http://e/w"))
 	wantEsts := []int{
-		g.CachedCountIDs(0, link, 0), // scan 1: ?s ex:link ?t, constants only
-		g.CachedCountIDs(0, w, 0),    // scan 2: ?t ex:w ?w
+		g.MatchCountIDs(0, link, 0), // scan 1: ?s ex:link ?t, constants only
+		g.MatchCountIDs(0, w, 0),    // scan 2: ?t ex:w ?w
 	}
 	for i, sc := range scans {
 		if sc.EstRows != int64(wantEsts[i]) {
-			t.Errorf("scan %d (%s): EstRows = %d, want stats-cache count %d",
+			t.Errorf("scan %d (%s): EstRows = %d, want graph count %d",
 				i, sc.Label, sc.EstRows, wantEsts[i])
 		}
-		// q-error must be the symmetric ratio of the stats-cache estimate
+		// q-error must be the symmetric ratio of the graph-count estimate
 		// and the actual output cardinality.
 		e, a := float64(sc.EstRows), float64(sc.RowsOut)
 		if e < 1 {

@@ -77,7 +77,7 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) }
 	}
 
 	tree := tr.Tree()
-	for _, frag := range []string{"strategy=", "rows_out=", "stats_cache_hits="} {
+	for _, frag := range []string{"strategy=", "rows_out=", "planner="} {
 		if !strings.Contains(tree, frag) {
 			t.Errorf("trace tree missing %q:\n%s", frag, tree)
 		}
