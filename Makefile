@@ -86,7 +86,7 @@ race:
 
 bench:
 	$(GO) test -bench . -benchtime 5x -run XXX .
-	$(GO) test -bench 'BenchmarkMatch|BenchmarkCachedCountIDs' -run XXX ./internal/rdf/
+	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
 
 # bench-standing runs the standing benchmark (benchmark/README.md): each of
 # its four workloads once — or just WORKLOAD — end to end over HTTP with

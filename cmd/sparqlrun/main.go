@@ -31,17 +31,12 @@ func main() {
 		"run the query and print the operator profile: per-operator wall time, rows, est vs actual cardinality with q-error (SELECT only)")
 	trace := flag.Bool("trace", false, "print the per-phase timing tree after the results (SELECT only)")
 	noReorder := flag.Bool("no-reorder", false, "evaluate BGPs in textual order (join-ordering ablation)")
-	plannerName := flag.String("planner", "auto", "BGP join-order planner: auto, greedy, dp or feedback")
-	repeat := flag.Int("repeat", 1, "run the query this many times (with -planner=feedback, later passes plan from observed cardinalities)")
+	repeat := flag.Int("repeat", 1, "run the query this many times; unless -no-reorder, later passes plan from the cardinalities earlier ones observed")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Printf("sparqlrun %s (%s)\n", obs.Version(), runtime.Version())
 		return
-	}
-	planner, err := sparql.ParsePlannerMode(*plannerName)
-	if err != nil {
-		log.Fatalf("sparqlrun: %v", err)
 	}
 	var query string
 	switch {
@@ -60,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	planOpts := sparql.Options{NoReorder: *noReorder, Planner: planner}
+	planOpts := sparql.Options{NoReorder: *noReorder}
 	if *explain {
 		plan, err := sparql.ExplainOpts(g, query, planOpts)
 		if err != nil {
@@ -90,7 +85,7 @@ func main() {
 		// from the cardinalities the first pass observed (the closed loop
 		// the server runs continuously).
 		var fb *sparql.FeedbackStore
-		if *repeat > 1 && planner != sparql.PlannerGreedy && !*noReorder {
+		if *repeat > 1 && !*noReorder {
 			fb = sparql.NewFeedbackStore()
 		}
 		var tr *obs.Trace

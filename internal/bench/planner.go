@@ -128,7 +128,6 @@ func RunPlannerFeedback(cfg PlannerConfig) ([]PlannerPass, error) {
 				// feedback-seeded from pass 2 on.
 				prof := sparql.NewProfile("query")
 				opts := sparql.Options{
-					Planner:       sparql.PlannerFeedback,
 					Feedback:      fb,
 					FingerprintID: pq.fpID,
 					Profile:       prof,

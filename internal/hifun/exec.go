@@ -43,9 +43,6 @@ type Context struct {
 	// evaluation (intermediate rows, path depth/visited). Zero values use
 	// the engine defaults.
 	Limits sparql.Limits
-	// Planner selects the BGP join-order planner for the generated SPARQL
-	// (zero value auto-resolves; see sparql.Options.Planner).
-	Planner sparql.PlannerMode
 	// Feedback, when non-nil, closes the planner's q-error loop for
 	// analytic queries: Execute fingerprints the generated SPARQL, plans
 	// with the store's observed cardinalities when the same shape ran
@@ -218,7 +215,6 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 		Trace:   obs.SubTrace(es),
 		Limits:  c.Limits,
 		Profile: c.Profile.Sub("exec", ""),
-		Planner: c.Planner,
 	}
 	if c.Feedback != nil {
 		execOpts.Feedback = c.Feedback

@@ -27,9 +27,9 @@ import (
 // Results.WriteJSON output as recorded *before* the evaluator moved to
 // fixed-width ID rows. One digest pins the rows, their order, the SELECT *
 // variable discovery and the serializer at once; the test demands byte
-// equality at Parallelism 1 and 4. Queries whose row order the engine never
-// fixed (property paths enumerate a Go map) are recorded after Results.Sort
-// and marked "sorted".
+// equality at Parallelism 1 and 4. Every entry is the engine's own order
+// ("raw"): since property paths emit in ascending node-ID order no SELECT is
+// left whose order had to be fixed by Results.Sort first.
 //
 //	go test ./internal/sparql -run TestSelectBytesOracle -update-bytes   # re-record
 //	go test ./internal/sparql -run TestSelectBytesOracle -dump-bytes DIR # write actual bodies
@@ -47,10 +47,10 @@ const (
 )
 
 type bytesCase struct {
-	kind, name, mode string // kind: corpus|random; mode: raw|sorted
-	size             int
-	sum              string
-	query            string // random cases only; corpus cases read query.rq
+	kind, name string // kind: corpus|random
+	size       int
+	sum        string
+	query      string // random cases only; corpus cases read query.rq
 }
 
 func productsOracleGraph() *rdf.Graph {
@@ -58,7 +58,7 @@ func productsOracleGraph() *rdf.Graph {
 }
 
 // selectBytes runs the query and returns the WriteJSON body.
-func selectBytes(g *rdf.Graph, src string, parallelism int, sorted bool) ([]byte, error) {
+func selectBytes(g *rdf.Graph, src string, parallelism int) ([]byte, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -72,9 +72,6 @@ func selectBytes(g *rdf.Graph, src string, parallelism int, sorted bool) ([]byte
 	})
 	if err != nil {
 		return nil, err
-	}
-	if sorted {
-		res.Sort()
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
@@ -151,7 +148,7 @@ func TestSelectBytesOracle(t *testing.T) {
 			g, query = loadCorpusCase(t, c.name)
 		}
 		for _, par := range []int{1, 4} {
-			got, err := selectBytes(g, query, par, c.mode == "sorted")
+			got, err := selectBytes(g, query, par)
 			if err != nil {
 				t.Errorf("%s %s (parallelism %d): %v", c.kind, c.name, par, err)
 				continue
@@ -167,8 +164,8 @@ func TestSelectBytesOracle(t *testing.T) {
 				if len(head) > 400 {
 					head = head[:400]
 				}
-				t.Errorf("%s %s (parallelism %d, %s): body differs from the recorded bytes: %d bytes, recorded %d\nquery: %s\nbody starts: %s",
-					c.kind, c.name, par, c.mode, len(got), c.size, query, head)
+				t.Errorf("%s %s (parallelism %d): body differs from the recorded bytes: %d bytes, recorded %d\nquery: %s\nbody starts: %s",
+					c.kind, c.name, par, len(got), c.size, query, head)
 			}
 		}
 	}
@@ -190,14 +187,14 @@ func readBytesGolden(t *testing.T) []bytesCase {
 			continue
 		}
 		f := strings.Split(line, "\t")
-		if len(f) < 5 {
+		if len(f) < 5 || f[2] != "raw" {
 			t.Fatalf("malformed golden line %q", line)
 		}
 		size, err := strconv.Atoi(f[3])
 		if err != nil {
 			t.Fatalf("malformed golden line %q: %v", line, err)
 		}
-		c := bytesCase{kind: f[0], name: f[1], mode: f[2], size: size, sum: f[4]}
+		c := bytesCase{kind: f[0], name: f[1], size: size, sum: f[4]}
 		if c.kind == "random" {
 			if len(f) != 6 {
 				t.Fatalf("random golden line without query: %q", line)
@@ -216,11 +213,11 @@ func readBytesGolden(t *testing.T) []bytesCase {
 
 // stableBytes runs the query repeatedly at both parallelism levels and
 // reports the body and whether every run produced the same bytes.
-func stableBytes(g *rdf.Graph, query string, sorted bool) ([]byte, bool, error) {
+func stableBytes(g *rdf.Graph, query string) ([]byte, bool, error) {
 	var first []byte
 	for run := 0; run < 4; run++ {
 		for _, par := range []int{1, 4} {
-			b, err := selectBytes(g, query, par, sorted)
+			b, err := selectBytes(g, query, par)
 			if err != nil {
 				return nil, false, err
 			}
@@ -239,29 +236,19 @@ func recordBytesGolden(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("# kind\tname\tmode\tbytes\tsha256\t[query] — recorded by go test -run TestSelectBytesOracle -update-bytes\n")
 	record := func(kind, name string, g *rdf.Graph, query string) bool {
-		modes := []string{"raw", "sorted"}
-		if strings.HasPrefix(name, "paths/") {
-			// Path expansion enumerates a Go map: a small result can come out
-			// in the same order many times in a row by chance.
-			modes = modes[1:]
+		body, stable, err := stableBytes(g, query)
+		if err != nil {
+			return false
 		}
-		for _, mode := range modes {
-			body, stable, err := stableBytes(g, query, mode == "sorted")
-			if err != nil {
-				return false
-			}
-			if !stable {
-				continue
-			}
-			fmt.Fprintf(&sb, "%s\t%s\t%s\t%d\t%s", kind, name, mode, len(body), digest(body))
-			if kind == "random" {
-				sb.WriteString("\t" + strconv.Quote(query))
-			}
-			sb.WriteByte('\n')
-			return true
+		if !stable {
+			t.Fatalf("%s %s: output differs between runs", kind, name)
 		}
-		t.Fatalf("%s %s: output differs between runs even after Results.Sort", kind, name)
-		return false
+		fmt.Fprintf(&sb, "%s\t%s\traw\t%d\t%s", kind, name, len(body), digest(body))
+		if kind == "random" {
+			sb.WriteString("\t" + strconv.Quote(query))
+		}
+		sb.WriteByte('\n')
+		return true
 	}
 	for _, c := range corpusSelects(t) {
 		name := c.Category + "/" + c.Name

@@ -22,24 +22,20 @@ import (
 //  2. the graph's own count of the pattern with constants only
 //     (rdf.Graph.MatchCountIDs: two searches in a sorted permutation);
 //  3. the bound-variable reduction heuristic: each pattern variable that
-//     arrives bound divides the graph count by boundVarFactor — the
-//     same factor the legacy greedy orderer used, so the two planners rank
-//     single patterns identically when no feedback is available.
+//     arrives bound divides the graph count by boundVarFactor.
 
 const (
 	// boundVarFactor is the selectivity credit for a join variable: a bound
 	// S/O position is assumed to cut the pattern's match count by this
-	// factor (no distinct-value statistics are kept; this matches the
-	// legacy estimate() heuristic).
+	// factor (no distinct-value statistics are kept).
 	boundVarFactor = 10
 	// costCap keeps the cost arithmetic away from float overflow on
 	// pathological cross products; plans beyond it are all "equally awful".
 	costCap = 1e30
 	// nlProbeCost is the priced overhead of one index probe relative to one
-	// hash probe. hashBuildFactor+1 makes the cost model's break-even point
-	// coincide with the runtime heuristic's (hash wins iff the build side is
-	// under hashBuildFactor× the input), so plan-time and legacy run-time
-	// join-type choices agree on single steps.
+	// hash probe. At hashBuildFactor+1 a joining step that chooseStrategy
+	// sends to a hash join (build side at most hashBuildFactor× the input) is
+	// never priced above the index loop it replaces.
 	nlProbeCost = float64(hashBuildFactor + 1)
 )
 
@@ -73,10 +69,9 @@ func newCostModel(rp *runPlan, run []*TriplePattern, fb map[string]SiteActual) *
 type stepEstimate struct {
 	// outRows is the predicted output cardinality of the step.
 	outRows float64
-	// cost is the predicted work of the step under the chosen strategy.
+	// cost is the predicted work of the step under strategy.
 	cost float64
-	// strategy is the cheaper of index-nested-loop and hash join at the
-	// predicted input size.
+	// strategy is what chooseStrategy picks at the predicted input size.
 	strategy joinStrategy
 	// card is the per-pattern cardinality the scan's profile q-error is
 	// measured against: the feedback actual on a hit, the graph count
@@ -88,25 +83,28 @@ type stepEstimate struct {
 
 // step prices joining pattern i into a partial plan with inRows input rows
 // and the variable columns of boundCols already bound (a bitmask over
-// rp.vars). This is where join-type selection lives: both strategies are
-// priced and the cheaper one is folded into the plan, instead of being
-// re-decided per scan at execution time.
+// rp.vars). The join type is not searched over: the step is priced as the
+// strategy chooseStrategy — the rule execution applies to the live rows —
+// picks at the estimated input.
 func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate {
 	pp := &cm.rp.pats[i]
 	base := float64(pp.baseEst)
-	// Per-row match estimate: bound variable positions cut the base count.
+	// Per-row match estimate: bound S and O positions cut the base count.
 	perRow := base
+	nJoin := 0
 	seen := uint64(0)
-	for _, pos := range []int{0, 2} { // S and O positions, matching estimate()
+	for _, pos := range [3]int{0, 2, 1} { // S and O first: only they cut the estimate
 		idx := pp.pos[pos]
 		if idx < 0 || seen&(1<<uint(idx)) != 0 {
 			continue
 		}
 		seen |= 1 << uint(idx)
-		if boundCols&(1<<uint(idx)) != 0 {
-			if perRow > 1 {
-				perRow = perRow/boundVarFactor + 1
-			}
+		if boundCols&(1<<uint(idx)) == 0 {
+			continue
+		}
+		nJoin++
+		if pos != 1 && perRow > 1 {
+			perRow = perRow/boundVarFactor + 1
 		}
 	}
 	if inRows < 1 {
@@ -137,28 +135,19 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 		out = costCap
 	}
 	est.outRows = out
-	// Index nested loop: one index probe per input row plus the produced
-	// rows (an index probe touches only matching triples, but pays more per
-	// call than a hash probe).
-	costNL := nlProbeCost*inRows + out
-	// Hash join: scan the build side once (constants-only match count),
-	// probe each input row, produce the output.
-	costHash := base + inRows + out
-	if costNL > costCap {
-		costNL = costCap
-	}
-	if costHash > costCap {
-		costHash = costCap
-	}
-	// Tiny inputs never amortize a build (mirrors the runtime
-	// hashJoinMinInput guard, keeping plan and execution consistent).
-	if inRows < hashJoinMinInput {
-		costHash = costCap
-	}
-	if costHash < costNL {
-		est.cost, est.strategy = costHash, strategyHashJoin
+	est.strategy = chooseStrategy(base, inRows, nJoin, false)
+	if est.strategy == strategyHashJoin {
+		// Scan the build side once (constants-only match count), probe each
+		// input row, produce the output.
+		est.cost = base + inRows + out
 	} else {
-		est.cost, est.strategy = costNL, strategyNestedLoop
+		// One index probe per input row plus the produced rows (an index
+		// probe touches only matching triples, but pays more per call than a
+		// hash probe).
+		est.cost = nlProbeCost*inRows + out
+	}
+	if est.cost > costCap {
+		est.cost = costCap
 	}
 	return est
 }
@@ -168,9 +157,7 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 // or "[]" when none do. It is the second half of a feedback site key —
 // observed actuals only transfer to replans where the same join variables
 // are bound, since a scan's output cardinality is a function of its input
-// bindings, not of the pattern alone. Always non-empty for planned steps;
-// unplanned (textual/greedy) scans carry the empty context and are never
-// recorded (FeedbackStore.Observe skips them).
+// bindings, not of the pattern alone. Never empty.
 func (cm *costModel) ctxKey(i int, boundCols uint64) string {
 	pp := &cm.rp.pats[i]
 	var names []string

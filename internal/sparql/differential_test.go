@@ -21,19 +21,24 @@ import (
 func naiveBGP(triples []rdf.Triple, patterns []TriplePattern) []Binding {
 	results := []Binding{{}}
 	for _, tp := range patterns {
-		var next []Binding
-		for _, b := range results {
-			for _, tr := range triples {
-				nb := maps.Clone(b)
-				if !naiveBind(nb, tp.S, tr.S) || !naiveBind(nb, tp.P, tr.P) || !naiveBind(nb, tp.O, tr.O) {
-					continue
-				}
-				next = append(next, nb)
-			}
-		}
-		results = next
+		results = naiveJoin(results, tp, triples)
 	}
 	return results
+}
+
+// naiveJoin extends every binding by every triple of rel the pattern matches.
+func naiveJoin(results []Binding, tp TriplePattern, rel []rdf.Triple) []Binding {
+	var next []Binding
+	for _, b := range results {
+		for _, tr := range rel {
+			nb := maps.Clone(b)
+			if !naiveBind(nb, tp.S, tr.S) || !naiveBind(nb, tp.P, tr.P) || !naiveBind(nb, tp.O, tr.O) {
+				continue
+			}
+			next = append(next, nb)
+		}
+	}
+	return next
 }
 
 // groupBindings evaluates a bare group pattern and decodes the solution rows

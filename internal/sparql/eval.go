@@ -16,8 +16,8 @@ import (
 // evaluator executes parsed queries against a graph.
 type evaluator struct {
 	g *rdf.Graph
-	// noReorder disables selectivity-based BGP join ordering (ablation #3
-	// in DESIGN.md): patterns evaluate in textual order.
+	// noReorder disables join ordering (ablation #3 in DESIGN.md): patterns
+	// evaluate in textual order, and no run is re-planned mid-query.
 	noReorder bool
 	// noPushdown disables early filter application: filters evaluate only
 	// after the whole group, as the SPARQL algebra literally states.
@@ -36,14 +36,11 @@ type evaluator struct {
 	cancel *evalCancel
 	// limits are the resolved resource caps for this evaluation.
 	limits Limits
-	// planner is the resolved BGP planner mode (PlannerAuto is resolved at
-	// construction, so this is never PlannerAuto).
-	planner PlannerMode
 	// fbSites is the per-query feedback snapshot: scan site key (label +
 	// bound-variable context) → observed (input, output) cardinality for
 	// this query's fingerprint, taken once at construction so planning and
-	// mid-query replans never lock the store. Nil when feedback is off or
-	// the fingerprint has no valid entries.
+	// mid-query replans never lock the store. Nil when no store or no
+	// fingerprint was passed, or the fingerprint has no valid entries.
 	fbSites map[string]SiteActual
 	// replanFactor is the mid-query re-planning trigger: a scan whose actual
 	// output exceeds its estimate by this factor re-optimizes the remaining
@@ -72,8 +69,9 @@ func (ev *evaluator) overBudget(n int) bool {
 
 // Options tune query evaluation.
 type Options struct {
-	// NoReorder evaluates BGPs in textual order instead of
-	// selectivity-ordered (for the join-ordering ablation).
+	// NoReorder evaluates BGPs in textual order instead of the cost-based
+	// order (the join-ordering ablation, and the differential tests'
+	// reference).
 	NoReorder bool
 	// NoPushdown applies filters only at group end (for the filter-pushdown
 	// ablation).
@@ -99,12 +97,6 @@ type Options struct {
 	// zero value means "no row budget, default path caps". Violations
 	// return a *BudgetError matching ErrBudgetExceeded.
 	Limits
-	// Planner selects the BGP join-order planner. The zero value
-	// (PlannerAuto) resolves to PlannerFeedback when Feedback is set and
-	// PlannerDP otherwise; PlannerGreedy keeps the legacy single-pass
-	// orderer for ablation runs. Ignored when NoReorder is set (textual
-	// order wins).
-	Planner PlannerMode
 	// Feedback, when non-nil, closes the q-error loop: scans of a query
 	// whose FingerprintID ran before (on the current graph version) are
 	// costed with their observed actual cardinalities, and — when Profile
@@ -118,7 +110,7 @@ type Options struct {
 	// actual cardinality exceeds its estimate by this factor and at least
 	// two patterns of the run remain, the rest of the run is re-optimized
 	// with the observed row count. 0 means the default (8); negative
-	// disables mid-query re-planning. Only cost-based planners replan.
+	// disables mid-query re-planning, as does NoReorder.
 	ReplanQError float64
 }
 
@@ -126,20 +118,12 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mode := opts.Planner
-	if mode == PlannerAuto {
-		if opts.Feedback != nil {
-			mode = PlannerFeedback
-		} else {
-			mode = PlannerDP
-		}
-	}
 	replan := opts.ReplanQError
 	switch {
+	case replan < 0 || opts.NoReorder:
+		replan = 0
 	case replan == 0:
 		replan = defaultReplanQError
-	case replan < 0:
-		replan = 0
 	}
 	ev := &evaluator{
 		g:            g,
@@ -150,11 +134,10 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		prof:         opts.Profile.Root(),
 		cancel:       &evalCancel{ctx: ctx},
 		limits:       opts.Limits,
-		planner:      mode,
 		replanFactor: replan,
 		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}, terms: map[rdf.ID]rdf.Term{}},
 	}
-	if mode == PlannerFeedback && opts.Feedback != nil && g != nil {
+	if g != nil {
 		ev.fbSites = opts.Feedback.SiteActuals(opts.FingerprintID, g.Version())
 	}
 	return ev
@@ -472,56 +455,29 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 	cur := input
 	empty := &batch{width: input.width}
-	var filters []*groupFilter
-	// Reorder consecutive triple patterns for join selectivity (ablation #3
-	// in DESIGN.md), leaving every other element in place. Under the
-	// cost-based planners this greedy pass only fixes the placement of
-	// property-path triples; plain-triple runs are re-ordered by the
-	// join-order search inside runTriples.
-	elems := ev.reorderTriples(gp.Elems)
 	// Variables surely bound so far (input rows may bind more per-row, but
 	// only guarantees matter here).
 	bound := map[string]bool{}
-	// costBased switches BGP runs to the cost-based planner: runs span
-	// intervening filters (the planner places them inside the run), and
 	// estBound tracks estimation-only bindings — variables bound via
 	// VALUES/BIND/input rows that the sure-bound set cannot claim but the
-	// cardinality math should credit.
-	costBased := ev.planner != PlannerGreedy && !ev.noReorder
-	var estBound map[string]bool
-	if costBased {
-		estBound = map[string]bool{}
-		if input.n() > 0 {
-			for slot, id := range input.row(0) {
-				if id != 0 {
-					estBound[ev.sc.names[slot]] = true
-				}
+	// cardinality math and the placement of property paths should credit.
+	estBound := map[string]bool{}
+	if input.n() > 0 {
+		for slot, id := range input.row(0) {
+			if id != 0 {
+				estBound[ev.sc.names[slot]] = true
 			}
 		}
-		if !ev.noPushdown {
-			// Pre-register the group's filters so a run can pick up a filter
-			// that textually follows it; group scoping makes filters apply to
-			// the whole group regardless of position, and the sure-bound gate
-			// plus deferToEnd keep pushdown semantics unchanged.
-			filters = groupFilters(gp)
-		}
 	}
-	// ready reports whether a pending filter can be pushed down now.
-	ready := func(f *groupFilter) bool { return !ev.noPushdown && f.ready(bound) }
-	anyReady := func() bool {
-		for _, f := range filters {
-			if ready(f) {
-				return true
-			}
-		}
-		return false
-	}
+	// The group's filters are registered before the walk so a run can pick
+	// up a filter that textually follows it; group scoping makes filters
+	// apply to the whole group regardless of position, and the sure-bound
+	// gate plus deferToEnd keep pushdown semantics unchanged.
+	filters := groupFilters(gp, ev.noPushdown)
 	bind := func(vars ...string) {
 		for _, v := range vars {
 			bound[v] = true
-			if estBound != nil {
-				estBound[v] = true
-			}
+			estBound[v] = true
 		}
 	}
 	bindSet := func(vars map[string]bool) {
@@ -529,55 +485,30 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 			bind(v)
 		}
 	}
-	for i := 0; i < len(elems); i++ {
+	walk := groupWalk{elems: gp.Elems, spanFilters: !ev.noPushdown, textual: ev.noReorder}
+	for {
 		if ev.cancel.poll() {
 			return empty
 		}
-		elem := elems[i]
+		triples, elem := walk.next(estBound)
+		if triples == nil && elem == nil {
+			break
+		}
 		switch {
-		case elem.Triple != nil && elem.Triple.Path != nil:
-			cur = ev.evalPathTriple(elem.Triple, cur)
-			bind(elem.Triple.Vars()...)
-		case elem.Triple != nil && costBased:
-			// Gather the maximal run of plain triple patterns, spanning
-			// intervening filters (pre-registered above): the cost-based
-			// planner re-orders the whole run and places each pushed-down
-			// filter right after the step that binds its last variable, so
-			// filters prune inside the run instead of breaking it.
-			var run []*TriplePattern
-			run, i = gatherRun(elems, i, !ev.noPushdown)
+		case triples != nil && triples[0].Path != nil:
+			cur = ev.evalPathTriple(triples[0], cur)
+			bind(triples[0].Vars()...)
+		case triples != nil:
+			// One run of plain triple patterns: the planner orders it and
+			// places each pushed-down filter right after the step that binds
+			// its last variable, so filters prune inside the run instead of
+			// breaking it.
 			preSure := cloneVarSet(bound)
 			preEst := cloneVarSet(estBound)
-			for _, tp := range run {
+			for _, tp := range triples {
 				bind(tp.Vars()...)
 			}
-			var pushed []*runFilter
-			for _, f := range filters {
-				if ready(f) {
-					f.applied = true
-					pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
-				}
-			}
-			cur = ev.evalTripleRun(run, pushed, preSure, preEst, cur)
-		case elem.Triple != nil:
-			// Legacy greedy path: fuse the maximal run of consecutive plain
-			// triple patterns into one pipeline. The run breaks where a
-			// pushed-down filter becomes applicable, so filter pushdown still
-			// prunes between patterns.
-			run := []*TriplePattern{elem.Triple}
-			bind(elem.Triple.Vars()...)
-			for i+1 < len(elems) && elems[i+1].Triple != nil &&
-				elems[i+1].Triple.Path == nil && !anyReady() {
-				tp := elems[i+1].Triple
-				run = append(run, tp)
-				bind(tp.Vars()...)
-				i++
-			}
-			cur = ev.evalTripleRun(run, nil, nil, nil, cur)
-		case elem.Filter != nil:
-			if !costBased || ev.noPushdown { // else pre-registered before the walk
-				filters = append(filters, newGroupFilter(elem.Filter))
-			}
+			cur = ev.evalTripleRun(triples, takeReady(filters, bound), preSure, preEst, cur)
 		case elem.Optional != nil:
 			cur = ev.evalOptional(elem.Optional, cur)
 			// OPTIONAL binds nothing surely.
@@ -592,9 +523,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 			// BIND may leave the var unbound on expression error, so it binds
 			// nothing surely — but for cardinality estimation the variable
 			// arrives bound in (almost) every row.
-			if estBound != nil {
-				estBound[elem.Bind.Var] = true
-			}
+			estBound[elem.Bind.Var] = true
 		case elem.Values != nil:
 			cur = ev.evalValues(elem.Values, cur)
 			// A VALUES column with no UNDEF binds its variable in every row;
@@ -604,9 +533,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 				if elem.Values.sure(j) {
 					bound[v] = true
 				}
-				if estBound != nil {
-					estBound[v] = true
-				}
+				estBound[v] = true
 			}
 		case elem.SubQuery != nil:
 			cur = ev.evalSubQuery(elem.SubQuery, cur)
@@ -621,7 +548,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 			return empty
 		}
 		for _, f := range filters {
-			if ready(f) {
+			if f.ready(bound) {
 				cur = ev.applyFilter(f.expr, cur, false)
 				f.applied = true
 			}
@@ -647,26 +574,38 @@ type groupFilter struct {
 	// vars are the variables the expression mentions (EXISTS patterns
 	// excluded: they make the filter wait for group end anyway).
 	vars map[string]bool
-	// deferToEnd forces evaluation after the whole group.
+	// deferToEnd forces evaluation after the whole group: the filter uses
+	// BOUND or EXISTS, or pushdown is off.
 	deferToEnd bool
 	applied    bool
 }
 
-func newGroupFilter(e Expr) *groupFilter {
-	f := &groupFilter{expr: e, vars: map[string]bool{}, deferToEnd: usesBoundOrExists(e)}
-	visitExprVars(e, func(v string) { f.vars[v] = true }, nil)
-	return f
-}
-
-// groupFilters pre-registers every FILTER of the group.
-func groupFilters(gp *GroupPattern) []*groupFilter {
+// groupFilters registers every FILTER of the group; with noPushdown all of
+// them wait for group end.
+func groupFilters(gp *GroupPattern, noPushdown bool) []*groupFilter {
 	var out []*groupFilter
 	for _, e := range gp.Elems {
-		if e.Filter != nil {
-			out = append(out, newGroupFilter(e.Filter))
+		if e.Filter == nil {
+			continue
 		}
+		f := &groupFilter{expr: e.Filter, vars: map[string]bool{}, deferToEnd: noPushdown || usesBoundOrExists(e.Filter)}
+		visitExprVars(e.Filter, func(v string) { f.vars[v] = true }, nil)
+		out = append(out, f)
 	}
 	return out
+}
+
+// takeReady marks the pending filters that can be pushed down now as applied
+// and returns them for the plan of the run about to execute to place.
+func takeReady(filters []*groupFilter, bound map[string]bool) []*runFilter {
+	var pushed []*runFilter
+	for _, f := range filters {
+		if f.ready(bound) {
+			f.applied = true
+			pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
+		}
+	}
+	return pushed
 }
 
 // ready reports whether the filter is still pending and may apply as soon
@@ -683,23 +622,135 @@ func (f *groupFilter) ready(bound map[string]bool) bool {
 	return true
 }
 
-// gatherRun returns the maximal run of plain triple patterns starting at
-// elems[i] and the index of its last element; with spanFilters the run
-// reaches across intervening FILTERs (pre-registered by the caller).
-func gatherRun(elems []PatternElem, i int, spanFilters bool) ([]*TriplePattern, int) {
-	run := []*TriplePattern{elems[i].Triple}
-	for i+1 < len(elems) {
-		nx := elems[i+1]
-		switch {
-		case nx.Triple != nil && nx.Triple.Path == nil:
-			run = append(run, nx.Triple)
-		case nx.Filter != nil && spanFilters:
-		default:
-			return run, i
+// groupWalk hands out the elements of a group pattern in evaluation order —
+// the one place that order is decided, for evalGroup and explainGroup alike.
+// Everything but a triple pattern comes at its textual position. Triple
+// patterns come by the stretch: the maximal sequence of consecutive triple
+// patterns, reaching across FILTERs when spanFilters is set (the caller
+// pre-registers those). A stretch without a property path is one run, joined
+// in the order the planner picks. A stretch with paths is cut into pieces by
+// placeTriples, one piece per call.
+type groupWalk struct {
+	elems                []PatternElem
+	spanFilters, textual bool
+	i                    int
+	rest                 []*TriplePattern // of the current stretch, not yet handed out
+}
+
+// next returns a run of plain triple patterns, a single path triple, or the
+// next element of another kind; both results are nil at the end of the group.
+// bound names the variables bound so far, for estimation purposes.
+func (w *groupWalk) next(bound map[string]bool) ([]*TriplePattern, *PatternElem) {
+	if len(w.rest) == 0 {
+		if w.i == len(w.elems) {
+			return nil, nil
 		}
-		i++
+		if w.elems[w.i].Triple == nil {
+			w.i++
+			return nil, &w.elems[w.i-1]
+		}
+		for ; w.i < len(w.elems); w.i++ {
+			if e := w.elems[w.i]; e.Triple != nil {
+				w.rest = append(w.rest, e.Triple)
+			} else if e.Filter == nil || !w.spanFilters {
+				break
+			}
+		}
 	}
-	return run, i
+	var piece []*TriplePattern
+	piece, w.rest = placeTriples(w.rest, bound, w.textual)
+	return piece, nil
+}
+
+// placeTriples splits what a stretch has left into the piece to evaluate
+// next and the remainder, both in textual order. Without a path the stretch
+// is one piece. With paths (a path is always a piece of its own):
+//
+//  1. every plain triple connected, directly or through other remaining
+//     plain triples, to a bound variable is the next run;
+//  2. otherwise the first path with a bound or constant end is next;
+//  3. otherwise — nothing left touches what is bound — the first plain
+//     triple and what is connected to it is the next run;
+//  4. otherwise only paths with two free ends remain, and the first is next.
+//
+// So a path is never expanded from all sources while an order exists that
+// binds one of its ends. In textual mode the stretch is cut at its paths and
+// nowhere else.
+func placeTriples(rest []*TriplePattern, bound map[string]bool, textual bool) (piece, remaining []*TriplePattern) {
+	firstPath, anchoredPath, firstPlain := -1, -1, -1
+	for i, tp := range rest {
+		if tp.Path == nil {
+			if firstPlain < 0 {
+				firstPlain = i
+			}
+			continue
+		}
+		if firstPath < 0 {
+			firstPath = i
+		}
+		if anchoredPath < 0 && (!tp.S.IsVar() || !tp.O.IsVar() || tp.touches(bound)) {
+			anchoredPath = i
+		}
+	}
+	switch {
+	case firstPath < 0:
+		return rest, nil
+	case textual:
+		n := max(firstPath, 1)
+		return rest[:n], rest[n:]
+	}
+	in := make([]bool, len(rest))
+	// connected marks the plain triples reachable from the variables of
+	// reach, which it grows as it goes, and reports whether there are any.
+	connected := func(reach map[string]bool) bool {
+		found := false
+		for grew := true; grew; {
+			grew = false
+			for i, tp := range rest {
+				if in[i] || tp.Path != nil || !tp.touches(reach) {
+					continue
+				}
+				in[i], grew, found = true, true, true
+				for _, v := range tp.Vars() {
+					reach[v] = true
+				}
+			}
+		}
+		return found
+	}
+	switch {
+	case connected(cloneVarSet(bound)):
+	case anchoredPath >= 0:
+		in[anchoredPath] = true
+	case firstPlain >= 0:
+		in[firstPlain] = true
+		seed := map[string]bool{}
+		for _, v := range rest[firstPlain].Vars() {
+			seed[v] = true
+		}
+		connected(seed)
+	default:
+		in[firstPath] = true
+	}
+	for i, tp := range rest {
+		if in[i] {
+			piece = append(piece, tp)
+		} else {
+			remaining = append(remaining, tp)
+		}
+	}
+	return piece, remaining
+}
+
+// touches reports whether the pattern mentions a variable of the set. (The
+// predicate of a path triple is the zero Node, a variable without a name.)
+func (tp TriplePattern) touches(vars map[string]bool) bool {
+	for _, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if n.IsVar() && n.Var != "" && vars[n.Var] {
+			return true
+		}
+	}
+	return false
 }
 
 // sure reports whether VALUES column j binds its variable in every row: the
@@ -767,143 +818,6 @@ func surelyBoundInUnion(u *UnionPattern) map[string]bool {
 		}
 	}
 	return out
-}
-
-// reorderTriples greedily orders maximal runs of triple patterns by
-// estimated cardinality, preferring patterns connected to already-bound
-// variables. Non-triple elements act as barriers — but the bindings they
-// introduce (VALUES columns, BIND aliases, sure bindings of nested groups
-// and unions, and the variables of earlier runs) seed the next run's
-// estimation, so a pattern joined only through a VALUES/BIND variable no
-// longer costs as fully unbound.
-func (ev *evaluator) reorderTriples(elems []PatternElem) []PatternElem {
-	if ev.noReorder {
-		return elems
-	}
-	out := make([]PatternElem, 0, len(elems))
-	pre := map[string]bool{}
-	i := 0
-	for i < len(elems) {
-		if elems[i].Triple == nil {
-			switch e := elems[i]; {
-			case e.Values != nil:
-				for _, v := range e.Values.Vars {
-					pre[v] = true
-				}
-			case e.Bind != nil:
-				pre[e.Bind.Var] = true
-			case e.Group != nil:
-				for v := range surelyBound(e.Group) {
-					pre[v] = true
-				}
-			case e.Union != nil:
-				for v := range surelyBoundInUnion(e.Union) {
-					pre[v] = true
-				}
-			}
-			out = append(out, elems[i])
-			i++
-			continue
-		}
-		j := i
-		for j < len(elems) && elems[j].Triple != nil {
-			j++
-		}
-		run := make([]*TriplePattern, 0, j-i)
-		for _, e := range elems[i:j] {
-			run = append(run, e.Triple)
-		}
-		for _, tp := range ev.orderRun(run, pre) {
-			out = append(out, PatternElem{Triple: tp})
-		}
-		for _, tp := range run {
-			for _, v := range tp.Vars() {
-				pre[v] = true
-			}
-		}
-		i = j
-	}
-	return out
-}
-
-// orderRun is the legacy greedy orderer: cheapest-estimate-first with a
-// connectivity preference. pre seeds the bound set with variables flowing in
-// from elements before the run.
-func (ev *evaluator) orderRun(run []*TriplePattern, pre map[string]bool) []*TriplePattern {
-	if len(run) <= 1 {
-		return run
-	}
-	bound := cloneVarSet(pre)
-	var ordered []*TriplePattern
-	remaining := append([]*TriplePattern(nil), run...)
-	for len(remaining) > 0 {
-		bestIdx, bestScore := -1, 1<<62
-		for idx, tp := range remaining {
-			score := ev.estimate(tp, bound)
-			// Prefer patterns sharing a variable with the bound set.
-			connected := len(bound) == 0
-			for _, v := range tp.Vars() {
-				if bound[v] {
-					connected = true
-					break
-				}
-			}
-			if !connected {
-				score += 1 << 40
-			}
-			if score < bestScore {
-				bestScore, bestIdx = score, idx
-			}
-		}
-		tp := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		ordered = append(ordered, tp)
-		for _, v := range tp.Vars() {
-			bound[v] = true
-		}
-	}
-	return ordered
-}
-
-// estimate approximates the cardinality of a pattern assuming bound
-// variables act as constants of unknown value. Counts are two searches in a
-// sorted permutation of the graph (rdf.Graph.MatchCountIDs), so repeated
-// estimation (join reordering is O(k²) in pattern count, and interactive
-// sessions re-plan the same patterns every click) never scans an index.
-func (ev *evaluator) estimate(tp *TriplePattern, bound map[string]bool) int {
-	if tp.Path != nil {
-		return 1 << 20 // paths are expensive; schedule late
-	}
-	ids, ok := ev.constIDs(tp)
-	if !ok {
-		return 0 // a constant term the graph has never seen: no matches
-	}
-	base := ev.g.MatchCountIDs(ids[0], ids[1], ids[2])
-	// Each bound variable position cuts the estimate (heuristic factor 10).
-	for _, n := range []Node{tp.S, tp.O} {
-		if n.IsVar() && bound[n.Var] && base > 1 {
-			base = base/10 + 1
-		}
-	}
-	return base
-}
-
-// constIDs resolves the pattern's constant positions to dictionary IDs
-// (0 where variable). ok is false when a constant is absent from the
-// dictionary, meaning the pattern can never match.
-func (ev *evaluator) constIDs(tp *TriplePattern) ([3]rdf.ID, bool) {
-	var ids [3]rdf.ID
-	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
-		if n.IsVar() {
-			continue
-		}
-		id, known := ev.g.TermID(n.Term)
-		if !known {
-			return ids, false
-		}
-		ids[i] = id
-	}
-	return ids, true
 }
 
 func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {

@@ -81,37 +81,49 @@ func ExplainAnalyzeCtx(ctx context.Context, g *rdf.Graph, src string, opts Optio
 
 func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth int) {
 	indent := strings.Repeat("  ", depth)
-	elems := ev.reorderTriples(gp.Elems)
-	costBased := ev.planner != PlannerGreedy && !ev.noReorder
 	step := 0
 	bound := map[string]bool{}
 	estB := map[string]bool{}
-	// rows tracks the estimated input cardinality flowing into each scan,
-	// mirroring what the planner sees at run time, so the reported strategy
-	// matches the one the executor would pick.
+	// rows tracks the estimated input cardinality flowing into each run: the
+	// plan is priced, and its join types predicted, from it. Execution plans
+	// with the live count and decides each join type from the live rows.
 	rows := 1
-	// Mirror evalGroup's cost-mode filter pre-registration so the report
-	// shows where each filter actually applies: inside a run, pushed down
-	// when bound, or at group end.
-	var pending []*groupFilter
-	if costBased && !ev.noPushdown {
-		pending = groupFilters(gp)
+	// Mirror evalGroup's filter registration so the report shows where each
+	// filter actually applies: inside a run, pushed down when bound, or at
+	// group end.
+	pending := groupFilters(gp, ev.noPushdown)
+	bind := func(tp *TriplePattern) {
+		for _, v := range tp.Vars() {
+			bound[v] = true
+			estB[v] = true
+		}
 	}
-	for idx := 0; idx < len(elems); idx++ {
-		e := elems[idx]
+	walk := groupWalk{elems: gp.Elems, spanFilters: !ev.noPushdown, textual: ev.noReorder}
+	for {
+		run, e := walk.next(estB)
+		if run == nil && e == nil {
+			break
+		}
 		switch {
-		case e.Triple != nil && e.Triple.Path == nil && costBased:
-			// Gather the run exactly as evalGroup does (spanning filters when
-			// pushdown is on) and render the cost-based plan.
-			var run []*TriplePattern
-			run, idx = gatherRun(elems, idx, !ev.noPushdown)
+		case run != nil && run[0].Path != nil:
+			step++
+			tp := run[0]
+			from := "from every source"
+			switch s, o := !tp.S.IsVar() || estB[tp.S.Var], !tp.O.IsVar() || estB[tp.O.Var]; {
+			case s && o:
+				from = "both ends bound"
+			case s:
+				from = "from the subject"
+			case o:
+				from = "from the object"
+			}
+			fmt.Fprintf(sb, "%s%d. path %s  (%s)\n", indent, step, tp, from)
+			bind(tp)
+		case run != nil:
 			preSure := cloneVarSet(bound)
 			preEst := cloneVarSet(estB)
 			for _, tp := range run {
-				for _, v := range tp.Vars() {
-					bound[v] = true
-					estB[v] = true
-				}
+				bind(tp)
 			}
 			step++
 			rp := ev.planRun(run)
@@ -125,22 +137,13 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 				rows = 1
 			}
 			plan, _ := ev.planBGP(rp, run, colsFromVars(rp, preEst), rows)
-			var pushed []*runFilter
-			for _, f := range pending {
-				if f.ready(bound) {
-					f.applied = true
-					pushed = append(pushed, &runFilter{expr: f.expr, vars: f.vars})
-				}
-			}
-			if len(pushed) > 0 {
-				attachFilters(plan, run, pushed, preSure)
-			}
+			attachFilters(plan, run, takeReady(pending, bound), preSure)
 			seeded := ""
 			if plan.fbSeeded() {
 				seeded = ", feedback-seeded"
 			}
-			fmt.Fprintf(sb, "%s%d. bgp %d pattern(s)  (planner=%s, order=%s, cost=%d%s)\n",
-				indent, step, len(run), plan.mode, plan.order(), int(plan.cost), seeded)
+			fmt.Fprintf(sb, "%s%d. bgp %d pattern(s)  (order=%s, cost=%d%s)\n",
+				indent, step, len(run), plan.order(), int(plan.cost), seeded)
 			for _, st := range plan.steps {
 				fb := ""
 				if st.fbSeeded {
@@ -152,51 +155,12 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 					fmt.Fprintf(sb, "%s     · filter %s  (in-run)\n", indent, f.expr)
 				}
 			}
-			out := plan.steps[len(plan.steps)-1].estOut
+			out := plan.steps[len(plan.steps)-1].outRows
 			if out > 1<<30 {
 				rows = 1 << 30
 			} else {
 				rows = int(out)
 			}
-		case e.Triple != nil:
-			step++
-			est := ev.estimate(e.Triple, bound)
-			strategy := "index loop"
-			if e.Triple.Path == nil {
-				nJoinVars := 0
-				for _, v := range e.Triple.Vars() {
-					if bound[v] {
-						nJoinVars++
-					}
-				}
-				baseEst := 0
-				if ids, ok := ev.constIDs(e.Triple); ok {
-					baseEst = ev.g.MatchCountIDs(ids[0], ids[1], ids[2])
-				}
-				strategy = chooseStrategy(baseEst, rows, nJoinVars, false).String()
-			}
-			fmt.Fprintf(sb, "%s%d. scan %s  (est. %d, %s)\n", indent, step, e.Triple, est, strategy)
-			if est > 0 && rows < 1<<30/(est+1) {
-				rows *= est
-			} else if est > 0 {
-				rows = 1 << 30
-			} else {
-				rows = 0
-			}
-			for _, v := range e.Triple.Vars() {
-				bound[v] = true
-				estB[v] = true
-			}
-		case e.Filter != nil:
-			if costBased && !ev.noPushdown {
-				continue // reported inside a run or after the group walk
-			}
-			step++
-			when := "pushed down when bound"
-			if usesBoundOrExists(e.Filter) {
-				when = "at group end"
-			}
-			fmt.Fprintf(sb, "%s%d. filter %s  (%s)\n", indent, step, e.Filter, when)
 		case e.Optional != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. optional {\n", indent, step)
@@ -238,7 +202,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 			fmt.Fprintf(sb, "%s}\n", indent)
 		}
 	}
-	// Filters the cost-based planner did not fold into a run.
+	// Filters the planner did not fold into a run.
 	for _, f := range pending {
 		if f.applied {
 			continue

@@ -83,12 +83,11 @@ func NewFeedbackStore() *FeedbackStore {
 // Observe folds one finished query's plan-vs-actual rows into the store:
 // every scan-operator estimate of ests that carries a bound-variable
 // context records its actual cardinality under the fingerprint, keyed by
-// (label, context). Context-less scans — textual-order or legacy-greedy
-// executions, whose join positions the cost model never saw — are skipped:
-// their actuals could not be matched back to a planned step. graphVersion
-// is the graph mutation counter the query ran at; a version different from
-// the store's drops every seeded entry first (a mutated graph invalidates
-// all remembered cardinalities).
+// (label, context). An estimate without a context could not be matched back
+// to a plan step and is skipped (every scan the engine profiles carries
+// one). graphVersion is the graph mutation counter the query ran at; a
+// version different from the store's drops every seeded entry first (a
+// mutated graph invalidates all remembered cardinalities).
 func (f *FeedbackStore) Observe(fpID string, graphVersion uint64, ests []EstimateStat) {
 	if f == nil || fpID == "" || len(ests) == 0 {
 		return

@@ -112,7 +112,6 @@ func runWithFeedback(t *testing.T, g *rdf.Graph, fb *FeedbackStore, src string) 
 	q := MustParse(src)
 	prof := NewProfile("query")
 	_, err := ExecSelectOpts(g, q, Options{
-		Planner:       PlannerFeedback,
 		Feedback:      fb,
 		FingerprintID: FingerprintID(Fingerprint(q)),
 		Profile:       prof,
@@ -168,7 +167,6 @@ func TestFeedbackResultsUnchanged(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		prof := NewProfile("query")
 		res, err := ExecSelectOpts(g, q, Options{
-			Planner:       PlannerFeedback,
 			Feedback:      fb,
 			FingerprintID: FingerprintID(Fingerprint(q)),
 			Profile:       prof,
@@ -225,7 +223,6 @@ func TestFeedbackConcurrentReplans(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				prof := NewProfile("query")
 				if _, err := ExecSelectOpts(g, q, Options{
-					Planner:       PlannerFeedback,
 					Feedback:      fb,
 					FingerprintID: fpID,
 					Profile:       prof,

@@ -168,10 +168,10 @@ func TestUnlimitedPathCaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// The BFS visited-set includes the start node, so a cycle yields every
-	// node except the origin itself: 49 of the 50.
-	if len(res.Rows) != 49 {
-		t.Fatalf("got %d rows, want 49 (rest of the cycle)", len(res.Rows))
+	// A cycle of 50 leads back to its origin, so next+ reaches all 50 nodes
+	// (see TestPathPlusThroughCycle).
+	if len(res.Rows) != 50 {
+		t.Fatalf("got %d rows, want 50 (the whole cycle)", len(res.Rows))
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 // against the scope's slots (runPlan) and joined into the input batch
 // pattern by pattern: rows go in and come out as the same flat ID rows every
 // other operator uses — no Term hashing, nothing for the garbage collector
-// to trace. Each pattern picks a join strategy from its cached cardinality
-// estimate and the live row count, and row batches are partitioned across
-// the worker pool with an order-preserving merge.
+// to trace. The plan (plan.go) fixes the order of the patterns; each pattern
+// picks its join strategy as it executes, from its constants-only match count
+// and the live row count, and row batches are partitioned across the worker
+// pool with an order-preserving merge.
 
 const (
 	// parallelThreshold is the minimum row count before a pattern evaluation
@@ -43,13 +44,15 @@ func (s joinStrategy) String() string {
 	return "index loop"
 }
 
-// chooseStrategy picks the join strategy for one pattern: est is the
-// pattern's match count with only constants bound, inputLen the number of
-// input rows, nJoinVars how many pattern variables arrive bound, and mixed
-// whether some variable is bound in only part of the input (which forces
-// per-row handling). The choice never depends on the worker count, so
-// output order is identical at every parallelism level.
-func chooseStrategy(est, inputLen, nJoinVars int, mixed bool) joinStrategy {
+// chooseStrategy is the one join-type rule: est is the pattern's match count
+// with only constants bound, inputLen the number of input rows, nJoinVars how
+// many pattern variables arrive bound, and mixed whether some variable is
+// bound in only part of the input (which forces per-row handling). Execution
+// calls it with the live row count of each step (evalPattern); the cost model
+// calls it with the estimated one to price a step and to predict the strategy
+// EXPLAIN prints. The choice never depends on the worker count, so output
+// order is identical at every parallelism level.
+func chooseStrategy[N int | float64](est, inputLen N, nJoinVars int, mixed bool) joinStrategy {
 	if mixed || inputLen < hashJoinMinInput {
 		return strategyNestedLoop
 	}
@@ -117,10 +120,9 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 // evalTripleRun joins the input rows with every pattern of the run and
 // returns the extended rows. Output order is deterministic: input order
 // crossed with the deterministic MatchIDs enumeration order per pattern.
-// filters are pushed-down filter expressions the cost-based planner may
-// place inside the run; sureOutside names the variables surely bound before
-// the run, estBound the variables bound for estimation purposes (both may
-// be nil on the legacy greedy path, which never pushes filters into runs).
+// filters are the pushed-down filter expressions the plan places inside the
+// run; sureOutside names the variables surely bound before the run, estBound
+// the variables bound for estimation purposes.
 func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch) *batch {
 	bs := ev.enterSpan("bgp")
 	if bs != nil {
@@ -146,39 +148,24 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	}
 	ps := ev.cur.StartChild("plan")
 	rp := ev.planRun(run)
-	costBased := rp.ok && !ev.noReorder && ev.planner != PlannerGreedy
-	var plan *bgpPlan
-	var cm *costModel
-	var boundCols uint64
-	if costBased {
-		boundCols = colsFromVars(rp, estBound)
-		plan, cm = ev.planBGP(rp, run, boundCols, rows.n())
-		if len(filters) > 0 {
-			attachFilters(plan, run, filters, sureOutside)
-		}
-	} else {
-		plan = textualPlan(rp, ev.planner)
+	if !rp.ok {
+		ps.Finish()
+		return &batch{width: rows.width}
 	}
+	boundCols := colsFromVars(rp, estBound)
+	plan, cm := ev.planBGP(rp, run, boundCols, rows.n())
+	attachFilters(plan, run, filters, sureOutside)
 	if ps != nil {
-		ps.SetAttr("planner", plan.mode.String())
-		if costBased {
-			ps.SetAttr("order", plan.order())
-			ps.SetAttr("cost", int(plan.cost))
-			if plan.fbSeeded() {
-				ps.SetAttr("feedback_seeded", true)
-			}
+		ps.SetAttr("order", plan.order())
+		ps.SetAttr("cost", int(plan.cost))
+		if plan.fbSeeded() {
+			ps.SetAttr("feedback_seeded", true)
 		}
 		ps.Finish()
 	}
-	if !rp.ok {
-		return &batch{width: rows.width}
-	}
 	// sureRun accumulates the surely-bound variables as steps execute, for
 	// re-placing pushed-down filters when the tail is re-planned.
-	var sureRun map[string]bool
-	if costBased {
-		sureRun = cloneVarSet(sureOutside)
-	}
+	sureRun := cloneVarSet(sureOutside)
 	for si := 0; si < len(plan.steps); si++ {
 		if rows.n() == 0 || ev.cancel.poll() {
 			break
@@ -196,19 +183,17 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 			}
 			rows = ev.applyFilter(f.expr, rows, true)
 		}
-		if costBased {
-			boundCols |= cm.patternCols(step.pat)
-			for _, v := range run[step.pat].Vars() {
-				sureRun[v] = true
-			}
-			// Adaptive re-planning: when the scan blew past its estimate by
-			// the q-error factor and at least two patterns remain, re-order
-			// the tail with the observed cardinality.
-			if ev.replanFactor > 0 && len(plan.steps)-si-1 >= 2 &&
-				scanOut >= replanMinRows &&
-				float64(scanOut) > step.estOut*ev.replanFactor {
-				replanTail(plan, cm, run, si, rows.n(), boundCols, sureRun)
-			}
+		boundCols |= cm.patternCols(step.pat)
+		for _, v := range run[step.pat].Vars() {
+			sureRun[v] = true
+		}
+		// Adaptive re-planning: when the scan blew past its estimate by the
+		// q-error factor and at least two patterns remain, re-order the tail
+		// with the observed cardinality.
+		if ev.replanFactor > 0 && len(plan.steps)-si-1 >= 2 &&
+			scanOut >= replanMinRows &&
+			float64(scanOut) > step.outRows*ev.replanFactor {
+			replanTail(plan, cm, run, si, rows.n(), boundCols, sureRun)
 		}
 	}
 	if plan.replans > 0 {
@@ -256,11 +241,10 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // is classified over the full row set and the strategy chosen once; only
 // the per-row work is partitioned, so the strategy (and output order) is
 // independent of the worker count. tp is the source pattern, used only to
-// label the trace span. step carries the plan's decisions: a planned join
-// strategy is honored unless runtime boundness is mixed (a variable bound
-// in only part of the rows forces per-row handling for correctness), and
-// step.card is the estimate the profile's q-error measures against — the
-// feedback actual on a seeded scan, the graph count otherwise.
+// label the trace span. The join type is decided here, from the live row
+// count — the plan only predicted one from its estimate. step.card is the
+// estimate the profile's q-error measures against — the feedback actual on a
+// seeded scan, the graph count otherwise.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
@@ -292,11 +276,6 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 		}
 	}
 	strategy := chooseStrategy(pp.baseEst, rows.n(), nJoin, mixed)
-	if step.planned && !mixed {
-		// Honor the cost model's join-type choice; mixed boundness still
-		// overrides it because a hash probe needs fully-bound join columns.
-		strategy = step.strategy
-	}
 	ss := ev.cur.StartChild("scan")
 	if ss != nil {
 		ss.SetAttr("pattern", tp.String())

@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"slices"
+
 	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 )
@@ -10,9 +12,21 @@ import (
 // from bound objects, and — when both ends are variables — from the
 // candidate sources of the path's first step. Constant ends and predicates
 // the graph has never seen carry scratch IDs, which match nothing but still
-// relate to themselves under a zero-length path.
+// relate to themselves under a zero-length path. Node sets are Go maps while
+// they are built and emit in ascending ID order, so a path's solutions come
+// in an order the content defines, like every scan's.
 
 type idSet map[rdf.ID]struct{}
+
+// sorted returns the set's members in ascending ID order.
+func (s idSet) sorted() []rdf.ID {
+	ids := make([]rdf.ID, 0, len(s))
+	for id := range s {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 	ps := ev.cur.StartChild("path_scan")
@@ -70,21 +84,21 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 				emit(s, o)
 			}
 		case s != 0:
-			for oID := range ev.pathReach(tp.Path, s, false) {
+			for _, oID := range ev.pathReach(tp.Path, s, false).sorted() {
 				emit(s, oID)
 			}
 		case o != 0:
-			for sID := range ev.pathReach(tp.Path, o, true) {
+			for _, sID := range ev.pathReach(tp.Path, o, true).sorted() {
 				emit(sID, o)
 			}
 		default:
 			sources := idSet{}
 			ev.collectSources(tp.Path, false, sources)
-			for sID := range sources {
+			for _, sID := range sources.sorted() {
 				if ev.cancel.aborted() || ev.overBudget(out.n()) {
 					break
 				}
-				for oID := range ev.pathReach(tp.Path, sID, false) {
+				for _, oID := range ev.pathReach(tp.Path, sID, false).sorted() {
 					emit(sID, oID)
 				}
 			}
@@ -143,10 +157,12 @@ func (ev *evaluator) pathStep(p Path, n rdf.ID, reverse bool, acc idSet) {
 		maxDepth := ev.limits.pathDepth()
 		maxVisited := ev.limits.pathVisited()
 		frontier := []rdf.ID{n}
-		visited := idSet{n: {}}
+		// Under p+ the start node is reached only if a cycle leads back to it.
+		visited := idSet{}
 		depth := 0
 		if x.Min == 0 {
 			acc[n] = struct{}{}
+			visited[n] = struct{}{}
 		}
 		for len(frontier) > 0 {
 			if ev.cancel.poll() {

@@ -8,12 +8,14 @@ import (
 
 // Cost-based BGP planning. A run of triple patterns is compiled to an
 // explicit plan: an ordered sequence of scan steps, each carrying the
-// cardinality estimate it was costed with, the join strategy the cost model
-// selected (index-nested-loop vs hash, priced — not re-decided per scan at
-// execution time), whether feedback supplied the estimate, and the filters
-// pushed inside the run. Join-order search is exact dynamic programming
-// over pattern subsets for runs of up to dpMaxPatterns, and greedy with
-// one-step lookahead beyond; both read the costModel in cost.go.
+// cardinality estimate it was costed with, whether feedback supplied the
+// estimate, and the filters pushed inside the run. The plan fixes the join
+// order only; the join type of a step is decided when it executes, from the
+// live row count (chooseStrategy in join.go), and the cost model prices a
+// step with that same rule on its estimated input. Join-order search is
+// exact dynamic programming over pattern subsets for runs of up to
+// dpMaxPatterns, and greedy with one-step lookahead beyond; both read the
+// costModel in cost.go.
 //
 // The plan is adaptive: when a scan's actual cardinality exceeds its
 // estimate by the configured q-error factor mid-run, the remaining steps
@@ -32,77 +34,20 @@ const (
 	defaultReplanQError = 8.0
 )
 
-// PlannerMode selects the BGP join-order planner.
-type PlannerMode int
-
-const (
-	// PlannerAuto resolves to PlannerFeedback when a feedback store is
-	// configured and PlannerDP otherwise. It is the zero value.
-	PlannerAuto PlannerMode = iota
-	// PlannerGreedy is the legacy single-pass greedy scan orderer
-	// (selectivity sort with a connectivity preference, strategy chosen
-	// per scan at execution time). Kept for ablation A/B runs.
-	PlannerGreedy
-	// PlannerDP is the cost-based planner without feedback reads: DP (or
-	// greedy+lookahead) join-order search over graph-count estimates with
-	// join-type selection folded into the cost model.
-	PlannerDP
-	// PlannerFeedback is PlannerDP plus the q-error feedback loop: scan
-	// sites whose fingerprint ran before are costed with their observed
-	// actual cardinalities, and estimates that blow up mid-query trigger
-	// re-planning of the remaining patterns.
-	PlannerFeedback
-)
-
-func (m PlannerMode) String() string {
-	switch m {
-	case PlannerGreedy:
-		return "greedy"
-	case PlannerDP:
-		return "dp"
-	case PlannerFeedback:
-		return "feedback"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePlannerMode parses a -planner CLI value.
-func ParsePlannerMode(s string) (PlannerMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return PlannerAuto, nil
-	case "greedy":
-		return PlannerGreedy, nil
-	case "dp":
-		return PlannerDP, nil
-	case "feedback":
-		return PlannerFeedback, nil
-	}
-	return PlannerAuto, fmt.Errorf("sparql: unknown planner %q (want greedy, dp or feedback)", s)
-}
-
 // planStep is one scan of a BGP plan.
 type planStep struct {
-	// pat indexes the pattern in the source run / runPlan.
+	// pat indexes the pattern in the source run / runPlan: its textual
+	// position within the run.
 	pat int
-	// strategy is the join strategy the cost model selected. Only honored
-	// when planned is true (and never when runtime boundness is mixed,
-	// which forces per-row handling for correctness).
-	strategy joinStrategy
-	planned  bool
-	// estOut is the predicted output cardinality after this step — the
-	// reference mid-query re-planning compares actual row counts against.
-	estOut float64
-	// card is the scan's per-pattern cardinality estimate recorded in the
-	// profile (feedback actual on a hit, graph count otherwise).
-	card int
-	// fbSeeded reports whether feedback supplied the estimate.
-	fbSeeded bool
+	// stepEstimate is what the cost model predicted for the step at this
+	// position. outRows is the reference mid-query re-planning compares the
+	// actual row count against, card the estimate the profile's q-error
+	// measures, and strategy the join type EXPLAIN predicts — execution
+	// decides the join type again, from the live row count.
+	stepEstimate
 	// fbCtx is the step's bound-variable context (costModel.ctxKey) — the
 	// feedback site key half recorded into the profile so Observe can store
-	// the scan's actual under the context it actually ran in. Empty on
-	// unplanned (textual/greedy) steps, which are never recorded.
+	// the scan's actual under the context it actually ran in.
 	fbCtx string
 	// filters are pushed-down filters applied right after this step,
 	// inside the run's ID space.
@@ -113,7 +58,6 @@ type planStep struct {
 type bgpPlan struct {
 	steps []planStep
 	cost  float64
-	mode  PlannerMode
 	// replans counts mid-query re-optimizations of this run.
 	replans int
 }
@@ -128,8 +72,8 @@ func (p *bgpPlan) fbSeeded() bool {
 	return false
 }
 
-// order renders the plan's pattern order as "3→1→2" (1-based source
-// positions) for traces and EXPLAIN.
+// order renders the plan's pattern order as "3→1→2" — 1-based textual
+// positions within the run — for traces and EXPLAIN.
 func (p *bgpPlan) order() string {
 	var sb strings.Builder
 	for i, s := range p.steps {
@@ -148,32 +92,22 @@ type runFilter struct {
 	vars map[string]bool
 }
 
-// textualPlan is the no-reorder / legacy plan: patterns in the given order,
-// strategies left to execution time.
-func textualPlan(rp *runPlan, mode PlannerMode) *bgpPlan {
-	plan := &bgpPlan{mode: mode, steps: make([]planStep, len(rp.pats))}
-	for i := range rp.pats {
-		plan.steps[i] = planStep{pat: i, card: rp.pats[i].baseEst, estOut: math.Inf(1)}
-	}
-	return plan
-}
-
-// planBGP builds the cost-based plan for a run: join-order search over the
-// cost model, with estimation-only bound columns (variables flowing in from
-// VALUES/BIND/earlier elements) seeding the selectivity math.
+// planBGP builds the plan for a run: join-order search over the cost model
+// (the identity order under NoReorder), with estimation-only bound columns
+// (variables flowing in from VALUES/BIND/earlier elements) seeding the
+// selectivity math. Feedback is on exactly when the evaluator holds a
+// snapshot of the query's observed scan sites.
 func (ev *evaluator) planBGP(rp *runPlan, run []*TriplePattern, boundCols uint64, inRows int) (*bgpPlan, *costModel) {
-	var fb map[string]SiteActual
-	if ev.planner == PlannerFeedback {
-		fb = ev.fbSites
+	cm := newCostModel(rp, run, ev.fbSites)
+	order := make([]int, len(rp.pats))
+	for i := range order {
+		order[i] = i
 	}
-	cm := newCostModel(rp, run, fb)
-	pats := make([]int, len(rp.pats))
-	for i := range pats {
-		pats[i] = i
+	if !ev.noReorder {
+		order = planOrder(cm, order, boundCols, float64(inRows))
 	}
-	order, cost := planOrder(cm, pats, boundCols, float64(inRows))
-	plan := &bgpPlan{mode: ev.planner, cost: cost}
-	plan.steps = buildSteps(cm, order, boundCols, float64(inRows))
+	plan := &bgpPlan{}
+	plan.steps, plan.cost = buildSteps(cm, order, boundCols, float64(inRows))
 	return plan, cm
 }
 
@@ -181,11 +115,11 @@ func (ev *evaluator) planBGP(rp *runPlan, run []*TriplePattern, boundCols uint64
 // indexes: exact subset DP up to dpMaxPatterns, greedy with one-step
 // lookahead beyond (or when the run has more variables than the bitmask
 // width). Deterministic: ties break toward lower estimated rows, then
-// lower pattern index.
-func planOrder(cm *costModel, pats []int, boundCols uint64, inRows float64) ([]int, float64) {
+// lower pattern index, which is the pattern's textual position.
+func planOrder(cm *costModel, pats []int, boundCols uint64, inRows float64) []int {
 	n := len(pats)
 	if n <= 1 {
-		return append([]int(nil), pats...), 0
+		return pats
 	}
 	if n > dpMaxPatterns || len(cm.rp.vars) > 64 {
 		return greedyLookahead(cm, pats, boundCols, inRows)
@@ -201,7 +135,7 @@ type dpCell struct {
 }
 
 // dpOrder is Selinger-style exhaustive search over pattern subsets.
-func dpOrder(cm *costModel, pats []int, boundCols uint64, inRows float64) ([]int, float64) {
+func dpOrder(cm *costModel, pats []int, boundCols uint64, inRows float64) []int {
 	n := len(pats)
 	cols := make([]uint64, n)
 	for i, p := range pats {
@@ -247,18 +181,18 @@ func dpOrder(cm *costModel, pats []int, boundCols uint64, inRows float64) ([]int
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
-	return order, cells[1<<uint(n)-1].cost
+	return order
 }
 
 // greedyLookahead orders patterns by picking, at each step, the candidate
 // minimizing its own cost plus the cheapest immediate follow-up — one step
 // of lookahead on top of plain greedy, which avoids the classic trap of a
 // cheap-now scan that unbinds nothing.
-func greedyLookahead(cm *costModel, pats []int, boundCols uint64, inRows float64) ([]int, float64) {
+func greedyLookahead(cm *costModel, pats []int, boundCols uint64, inRows float64) []int {
 	n := len(pats)
 	remaining := append([]int(nil), pats...)
 	order := make([]int, 0, n)
-	rows, total := inRows, 0.0
+	rows := inRows
 	bc := boundCols
 	for len(remaining) > 0 {
 		bestIdx := -1
@@ -287,34 +221,27 @@ func greedyLookahead(cm *costModel, pats []int, boundCols uint64, inRows float64
 		p := remaining[bestIdx]
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 		order = append(order, p)
-		total += bestSelf.cost
 		rows = bestSelf.outRows
 		bc |= cm.patternCols(p)
 	}
-	return order, total
+	return order
 }
 
 // buildSteps walks an order through the cost model, filling per-step
-// estimates, strategies and feedback provenance.
-func buildSteps(cm *costModel, order []int, boundCols uint64, inRows float64) []planStep {
+// estimates, predicted strategies and feedback provenance, and returns the
+// order's total cost.
+func buildSteps(cm *costModel, order []int, boundCols uint64, inRows float64) ([]planStep, float64) {
 	steps := make([]planStep, len(order))
-	rows := inRows
+	rows, cost := inRows, 0.0
 	bc := boundCols
 	for i, p := range order {
 		se := cm.step(p, rows, bc)
-		steps[i] = planStep{
-			pat:      p,
-			strategy: se.strategy,
-			planned:  true,
-			estOut:   se.outRows,
-			card:     se.card,
-			fbSeeded: se.fbSeeded,
-			fbCtx:    cm.ctxKey(p, bc),
-		}
+		steps[i] = planStep{pat: p, stepEstimate: se, fbCtx: cm.ctxKey(p, bc)}
+		cost = min(cost+se.cost, costCap)
 		rows = se.outRows
 		bc |= cm.patternCols(p)
 	}
-	return steps
+	return steps, cost
 }
 
 // attachFilters places each pushed-down filter on the earliest plan step
@@ -368,9 +295,9 @@ func replanTail(plan *bgpPlan, cm *costModel, run []*TriplePattern, done int, li
 		pats[i] = s.pat
 		filters = append(filters, s.filters...)
 	}
-	order, _ := planOrder(cm, pats, boundCols, float64(liveRows))
-	steps := buildSteps(cm, order, boundCols, float64(liveRows))
-	sub := &bgpPlan{steps: steps}
+	order := planOrder(cm, pats, boundCols, float64(liveRows))
+	sub := &bgpPlan{}
+	sub.steps, _ = buildSteps(cm, order, boundCols, float64(liveRows))
 	attachFilters(sub, run, filters, sureBound)
 	copy(tail, sub.steps)
 	plan.replans++

@@ -12,41 +12,14 @@ import (
 	"rdfanalytics/internal/rdf"
 )
 
-func TestParsePlannerMode(t *testing.T) {
-	cases := map[string]PlannerMode{
-		"":           PlannerAuto,
-		"auto":       PlannerAuto,
-		"greedy":     PlannerGreedy,
-		"DP":         PlannerDP,
-		" feedback ": PlannerFeedback,
-	}
-	for in, want := range cases {
-		got, err := ParsePlannerMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePlannerMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePlannerMode("selinger"); err == nil {
-		t.Error("unknown planner accepted")
-	}
-	for _, m := range []PlannerMode{PlannerAuto, PlannerGreedy, PlannerDP, PlannerFeedback} {
-		rt, err := ParsePlannerMode(m.String())
-		if err != nil || rt != m {
-			t.Errorf("round trip %v -> %q -> %v, %v", m, m.String(), rt, err)
-		}
-	}
-}
-
 // plannerOptionSets are the ablation configurations every differential test
 // runs: all must produce identical answers.
 func plannerOptionSets() map[string]Options {
 	return map[string]Options{
 		"no-reorder": {NoReorder: true},
-		"greedy":     {Planner: PlannerGreedy},
-		"dp":         {Planner: PlannerDP},
-		"dp-nopush":  {Planner: PlannerDP, NoPushdown: true},
-		"dp-replan":  {Planner: PlannerDP, ReplanQError: 1e-9},
-		"feedback":   {Planner: PlannerFeedback},
+		"dp":         {},
+		"dp-nopush":  {NoPushdown: true},
+		"dp-replan":  {ReplanQError: 1e-9},
 	}
 }
 
@@ -146,7 +119,7 @@ func TestPlannerClauseDifferential(t *testing.T) {
 }
 
 // TestPlannerDeterminism: repeated planning of the same query must yield an
-// identical plan (EXPLAIN text), for both search strategies.
+// identical plan (EXPLAIN text), in planned and in textual order.
 func TestPlannerDeterminism(t *testing.T) {
 	g := invoices(t)
 	src := `PREFIX ex: <http://e/>
@@ -156,32 +129,32 @@ SELECT ?i ?b ?q ?p ?w WHERE {
   ?i ex:delivers ?p .
   ?p ex:brand ?w .
 }`
-	for _, mode := range []PlannerMode{PlannerDP, PlannerGreedy, PlannerFeedback} {
-		first, err := ExplainOpts(g, src, Options{Planner: mode})
+	for _, opts := range []Options{{}, {NoReorder: true}} {
+		first, err := ExplainOpts(g, src, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			again, err := ExplainOpts(g, src, Options{Planner: mode})
+			again, err := ExplainOpts(g, src, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again != first {
-				t.Fatalf("[%v] plan not deterministic:\n--- first\n%s\n--- again\n%s", mode, first, again)
+				t.Fatalf("[%+v] plan not deterministic:\n--- first\n%s\n--- again\n%s", opts, first, again)
 			}
 		}
 	}
 }
 
 // TestPlannerSelectiveFirst: the DP order must schedule the selective
-// pattern before the full scan, same contract the greedy orderer had.
+// pattern before the full scan, and report it by textual position.
 func TestPlannerSelectiveFirst(t *testing.T) {
 	g := invoices(t)
 	plan, err := ExplainOpts(g, `PREFIX ex: <http://e/>
 SELECT ?i WHERE {
   ?i ?p ?o .
   ?i ex:delivers ex:fanta .
-}`, Options{Planner: PlannerDP})
+}`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +163,8 @@ SELECT ?i WHERE {
 	if fanta < 0 || scanAll < 0 || fanta > scanAll {
 		t.Errorf("selective pattern not first:\n%s", plan)
 	}
-	if !strings.Contains(plan, "planner=dp") {
-		t.Errorf("planner tag missing:\n%s", plan)
+	if !strings.Contains(plan, "(order=2→1, cost=") || strings.Contains(plan, "planner=") {
+		t.Errorf("plan header does not read (order=2→1, cost=…):\n%s", plan)
 	}
 }
 
@@ -223,7 +196,7 @@ func TestReplanTriggers(t *testing.T) {
 	g := replanGraph(100)
 	q := MustParse(replanQuery)
 	prof := NewProfile("query")
-	res, err := ExecSelectOpts(g, q, Options{Planner: PlannerDP, ReplanQError: 1e-9, Profile: prof})
+	res, err := ExecSelectOpts(g, q, Options{ReplanQError: 1e-9, Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +213,7 @@ func TestReplanDisabled(t *testing.T) {
 	g := replanGraph(100)
 	q := MustParse(replanQuery)
 	prof := NewProfile("query")
-	if _, err := ExecSelectOpts(g, q, Options{Planner: PlannerDP, ReplanQError: -1, Profile: prof}); err != nil {
+	if _, err := ExecSelectOpts(g, q, Options{ReplanQError: -1, Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(prof.Tree(), "replans=") {
@@ -260,7 +233,7 @@ func TestGreedyLookaheadLargeRun(t *testing.T) {
 		fmt.Fprintf(&sb, "  ?s <http://e/q%d> ?v%d .\n", i, i)
 	}
 	sb.WriteString("}")
-	res, err := ExecSelectOpts(g, MustParse(sb.String()), Options{Planner: PlannerDP})
+	res, err := ExecSelectOpts(g, MustParse(sb.String()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +262,9 @@ func TestSelectScopeSlots(t *testing.T) {
 	}
 }
 
-// TestValuesSeededEstimates (estimate() edge case): a variable bound only by
-// VALUES upstream must count as bound when ordering the run — the selective
-// ?a p0 ?b scan with ?b pinned should come first even under the legacy
-// greedy orderer, which used to cost it as fully unbound.
+// TestValuesSeededEstimates: a variable bound only by VALUES upstream must
+// count as bound when ordering the run — the selective ?a p0 ?b scan with ?b
+// pinned comes first instead of being costed as fully unbound.
 func TestValuesSeededEstimates(t *testing.T) {
 	g, _ := randomGraph(rand.New(rand.NewSource(5)), 30)
 	src := `SELECT ?a WHERE {
@@ -300,16 +272,14 @@ func TestValuesSeededEstimates(t *testing.T) {
   ?a <http://e/p0> ?b .
   ?a <http://e/p1> ?c .
 }`
-	for _, mode := range []PlannerMode{PlannerGreedy, PlannerDP} {
-		plan, err := ExplainOpts(g, src, Options{Planner: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p0 := strings.Index(plan, "p0")
-		p1 := strings.Index(plan, "p1")
-		if p0 < 0 || p1 < 0 || p0 > p1 {
-			t.Errorf("[%v] VALUES-bound scan not scheduled first:\n%s", mode, plan)
-		}
+	plan, err := Explain(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := strings.Index(plan, "p0")
+	p1 := strings.Index(plan, "p1")
+	if p0 < 0 || p1 < 0 || p0 > p1 {
+		t.Errorf("VALUES-bound scan not scheduled first:\n%s", plan)
 	}
 }
 
@@ -317,7 +287,7 @@ func TestValuesSeededEstimates(t *testing.T) {
 func TestPlanOrderEmptyAndSingle(t *testing.T) {
 	g := invoices(t)
 	res, err := ExecSelectOpts(g, MustParse(`PREFIX ex: <http://e/>
-SELECT ?b WHERE { ?i ex:takesPlaceAt ?b }`), Options{Planner: PlannerDP})
+SELECT ?b WHERE { ?i ex:takesPlaceAt ?b }`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,6 @@ type ProfNode struct {
 	// FbCtx is the scan's bound-variable context under the executed plan —
 	// the feedback store keys observed actuals by (label, context) so an
 	// actual never seeds the same pattern at a different join position.
-	// Empty for scans executed outside a cost-based plan.
 	FbCtx string
 	// Replans counts mid-query re-optimizations under a BGP node.
 	Replans int
@@ -377,8 +376,7 @@ type EstimateStat struct {
 	// Feedback marks an estimate seeded from the planner's feedback store.
 	Feedback bool `json:"feedback,omitempty"`
 	// Ctx is the scan's bound-variable context, the second half of its
-	// feedback site key (empty for scans outside a cost-based plan, which
-	// the feedback store never records).
+	// feedback site key (empty on operators that are not scans).
 	Ctx string `json:"ctx,omitempty"`
 	// ActualIn is the input binding count the operator consumed — with
 	// Actual it gives the feedback store the site's observed per-input-row

@@ -313,3 +313,31 @@ func TestTemporalVsStringCompare(t *testing.T) {
 		t.Fatal("typed dateTime literals did not compare temporally")
 	}
 }
+
+// TestPathPlusThroughCycle: x p+ x holds when a cycle of p leads back to x
+// (SPARQL 1.1 §18.4, OneOrMorePath: the start node is a result if a path of
+// length ≥ 1 reaches it). The expansion used to mark the start as visited
+// before the first step and never reported it; the path+plain differential
+// (TestPathGroupDifferential) found it the moment it ran.
+func TestPathPlusThroughCycle(t *testing.T) {
+	g := specGraph(t,
+		rdf.NewTriple(e("a"), e("p"), e("b")),
+		rdf.NewTriple(e("b"), e("p"), e("a")),
+		rdf.NewTriple(e("b"), e("p"), e("c")),
+	)
+	for src, want := range map[string]int{
+		`SELECT ?x WHERE { <http://e/a> <http://e/p>+ ?x }`: 3, // b, a, c
+		`SELECT ?x WHERE { ?x <http://e/p>+ ?x }`:           2, // a, b
+		`SELECT ?x WHERE { <http://e/c> <http://e/p>+ ?x }`: 0,
+		`SELECT ?x WHERE { <http://e/c> <http://e/p>* ?x }`: 1, // c itself, once
+		`SELECT ?x WHERE { <http://e/a> <http://e/p>* ?x }`: 3,
+	} {
+		res, err := Select(g, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != want {
+			t.Errorf("%s: %d rows, want %d: %v", src, res.Len(), want, bindings(res))
+		}
+	}
+}

@@ -77,10 +77,14 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) }
 	}
 
 	tree := tr.Tree()
-	for _, frag := range []string{"strategy=", "rows_out=", "planner="} {
+	// order= holds textual positions: the plan starts with the third pattern.
+	for _, frag := range []string{"strategy=", "rows_out=", "order=3→2→1", "cost="} {
 		if !strings.Contains(tree, frag) {
 			t.Errorf("trace tree missing %q:\n%s", frag, tree)
 		}
+	}
+	if strings.Contains(tree, "planner=") {
+		t.Errorf("the plan span still names a planner mode:\n%s", tree)
 	}
 }
 
