@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-standing bench-json bench-planner bench-herd bench-store obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
+.PHONY: build test check race bench bench-scale bench-standing bench-json bench-planner bench-herd bench-store obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,13 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 5x -run XXX .
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
+
+# bench-scale loads the products graph once at 200k, 1M and 2M triples and
+# reports load seconds, bytes per triple, match, add/remove and snapshot I/O
+# (internal/rdf/scale_test.go; ≈15 s, 400 MB at the 2M step). Outside the
+# standing benchmark: compare it across commits as alternating loads.
+bench-scale:
+	$(GO) test ./internal/rdf -run '^$$' -bench GraphScale -benchtime 1x
 
 # bench-standing runs the standing benchmark (benchmark/README.md): each of
 # its four workloads once — or just WORKLOAD — end to end over HTTP with

@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"rdfanalytics/internal/rdf"
@@ -195,5 +197,55 @@ func TestCountryStats(t *testing.T) {
 func BenchmarkProductsGeneration(b *testing.B) {
 	for b.Loop() {
 		Products(ProductsConfig{Laptops: 1000, Companies: 20, Seed: 1})
+	}
+}
+
+// TestLoadDigests pins what a load produces — the snapshot bytes (dictionary
+// IDs included), the per-rule inference counts and the version — to the
+// values recorded at the commit where every triple still entered the graph
+// through Graph.Add and Materialize ran on terms. A loader or closure change
+// that alters an ID, a triple, a rule's attribution or the number of
+// effective adds fails here before it reaches the benchmark's fingerprints.
+func TestLoadDigests(t *testing.T) {
+	sub := func(n int) rdf.InferenceStats {
+		return rdf.InferenceStats{TypeFromSubClass: n, SubClassTransitive: 2}
+	}
+	for _, c := range []struct {
+		name    string
+		load    func() *rdf.Graph
+		big     bool
+		digest  string
+		stats   rdf.InferenceStats
+		version uint64
+	}{
+		{"products-120", func() *rdf.Graph { return Products(ProductsConfig{Laptops: 120, Companies: 16, Seed: 1}) }, false,
+			"9f5d88a7c103f6922e9ac470bf5ee69f6c284de1268a199b5f33bf57ebc52289", sub(235), 1246},
+		{"products-11200", func() *rdf.Graph { return Products(ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1}) }, false,
+			"f2c97799c75589ebb5bf518ce4bd7f755038ec12e0212825721e51978a706c85", sub(20530), 99101},
+		{"products-22400", func() *rdf.Graph { return Products(ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1}) }, true,
+			"fccf852c3868f4ff5655148c1ff6ab974d2c1940d117fa5c2efe926c5e55d9e7", sub(41011), 197982},
+		{"invoices-5000", func() *rdf.Graph { return Invoices(InvoicesConfig{Invoices: 5000, Seed: 1, Timestamps: true}) }, false,
+			"e80df9313c30f990b0e2e39b7b8b3bfcf4f58a3b90b481c72432a78679d0dc81", rdf.InferenceStats{}, 30110},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.big && testing.Short() {
+				t.Skip("loads 198k triples")
+			}
+			g := c.load()
+			stats := rdf.Materialize(g)
+			h := sha256.New()
+			if err := g.WriteBinary(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+				t.Errorf("WriteBinary SHA-256 = %s, recorded %s", got, c.digest)
+			}
+			if stats != c.stats {
+				t.Errorf("InferenceStats = %+v, recorded %+v", stats, c.stats)
+			}
+			if g.Version() != c.version {
+				t.Errorf("Version = %d, recorded %d", g.Version(), c.version)
+			}
+		})
 	}
 }

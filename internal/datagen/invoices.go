@@ -83,36 +83,38 @@ func Invoices(cfg InvoicesConfig) *rdf.Graph {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := rdf.NewGraph()
+	add, flush := chunked(g)
 	for b := 0; b < cfg.Branches; b++ {
-		g.Add(rdf.Triple{S: ie(fmt.Sprintf("branch%d", b+1)), P: typeT(), O: ie("Branch")})
+		add(rdf.Triple{S: ie(fmt.Sprintf("branch%d", b+1)), P: typeT(), O: ie("Branch")})
 	}
 	for p := 0; p < cfg.Products; p++ {
 		prod := ie(fmt.Sprintf("product%d", p+1))
-		g.Add(rdf.Triple{S: prod, P: typeT(), O: ie("ProductType")})
-		g.Add(rdf.Triple{S: prod, P: ie("brand"), O: ie(fmt.Sprintf("Brand%d", 1+p%cfg.Brands))})
+		add(rdf.Triple{S: prod, P: typeT(), O: ie("ProductType")})
+		add(rdf.Triple{S: prod, P: ie("brand"), O: ie(fmt.Sprintf("Brand%d", 1+p%cfg.Brands))})
 	}
 	for i := 0; i < cfg.Invoices; i++ {
 		inv := ie(fmt.Sprintf("invoice%d", i+1))
-		g.Add(rdf.Triple{S: inv, P: typeT(), O: ie("Invoice")})
-		g.Add(rdf.Triple{S: inv, P: ie("takesPlaceAt"),
+		add(rdf.Triple{S: inv, P: typeT(), O: ie("Invoice")})
+		add(rdf.Triple{S: inv, P: ie("takesPlaceAt"),
 			O: ie(fmt.Sprintf("branch%d", 1+rng.Intn(cfg.Branches)))})
-		g.Add(rdf.Triple{S: inv, P: ie("delivers"),
+		add(rdf.Triple{S: inv, P: ie("delivers"),
 			O: ie(fmt.Sprintf("product%d", 1+rng.Intn(cfg.Products)))})
 		month := 1 + rng.Intn(12)
 		day := 1 + rng.Intn(28)
-		g.Add(rdf.Triple{S: inv, P: ie("hasDate"),
+		add(rdf.Triple{S: inv, P: ie("hasDate"),
 			O: rdf.NewTyped(fmt.Sprintf("2021-%02d-%02d", month, day), rdf.XSDDate)})
-		g.Add(rdf.Triple{S: inv, P: ie("inQuantity"),
+		add(rdf.Triple{S: inv, P: ie("inQuantity"),
 			O: rdf.NewInteger(int64(10 * (1 + rng.Intn(60))))})
 		if cfg.Timestamps {
 			// Drawn only when enabled so existing seeds keep their streams.
 			offsets := []string{"Z", "+05:00", "+01:00", "-04:00", "-11:00"}
-			g.Add(rdf.Triple{S: inv, P: ie("hasTimestamp"),
+			add(rdf.Triple{S: inv, P: ie("hasTimestamp"),
 				O: rdf.NewTyped(fmt.Sprintf("2021-%02d-%02dT%02d:%02d:00%s",
 					month, day, rng.Intn(24), rng.Intn(60), offsets[rng.Intn(len(offsets))]),
 					rdf.XSDDateTime)})
 		}
 	}
+	flush()
 	return g
 }
 

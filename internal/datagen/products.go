@@ -189,11 +189,12 @@ func Products(cfg ProductsConfig) *rdf.Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := rdf.NewGraph()
 	ProductsSchema(g)
+	load, flush := chunked(g)
 	add := func(s, p string, o rdf.Term) {
-		g.Add(rdf.Triple{S: pe(s), P: pe(p), O: o})
+		load(rdf.Triple{S: pe(s), P: pe(p), O: o})
 	}
 	typ := func(s, c string) {
-		g.Add(rdf.Triple{S: pe(s), P: typeT(), O: pe(c)})
+		load(rdf.Triple{S: pe(s), P: typeT(), O: pe(c)})
 	}
 	continents := map[string]bool{}
 	for _, c := range countryPool {
@@ -244,8 +245,29 @@ func Products(cfg ProductsConfig) *rdf.Graph {
 		add(name, "USBPorts", rdf.NewInteger(int64(1+rng.Intn(5))))
 		add(name, "price", rdf.NewInteger(int64(500+rng.Intn(1500))))
 	}
+	flush()
 	if cfg.Materialize {
 		rdf.Materialize(g)
 	}
 	return g
+}
+
+// loadChunk is how many generated triples wait between two AddAll calls: far
+// past the size from which the graph sorts a batch in instead of inserting it
+// triple by triple, while the buffer (168 B a Triple, ≈5 MB) stays small.
+const loadChunk = 32 << 10
+
+// chunked returns add, which hands the triples it is given to g.AddAll a chunk
+// at a time in the order they came, and flush for the last ones.
+func chunked(g *rdf.Graph) (add func(rdf.Triple), flush func()) {
+	var ts []rdf.Triple
+	flush = func() {
+		g.AddAll(ts)
+		ts = ts[:0]
+	}
+	return func(t rdf.Triple) {
+		if ts = append(ts, t); len(ts) == loadChunk {
+			flush()
+		}
+	}, flush
 }

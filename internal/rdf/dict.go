@@ -9,8 +9,9 @@ type ID uint32
 // a single integer compare. Dict is not safe for concurrent mutation; Graph
 // serializes access with its own lock.
 type Dict struct {
-	toID   map[Term]ID
-	toTerm []Term // toTerm[id-1] is the term for id
+	toID     map[Term]ID
+	toTerm   []Term // toTerm[id-1] is the term for id
+	literals int    // how many of them are literals, for Stats
 }
 
 // NewDict returns an empty dictionary.
@@ -41,6 +42,9 @@ func (d *Dict) Intern(t Term) ID {
 		return id
 	}
 	d.toTerm = append(d.toTerm, t)
+	if t.IsLiteral() {
+		d.literals++
+	}
 	id := ID(len(d.toTerm))
 	d.toID[t] = id
 	return id

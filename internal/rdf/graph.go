@@ -76,6 +76,19 @@ func lowerBound(ks []key, q key, n int) int {
 	return lo
 }
 
+// lowerBoundBelow is lowerBound(ks[:hi], k, 3) galloping down from hi: walking
+// a sorted batch from its highest key down costs by the gaps, not the array.
+func lowerBoundBelow(ks []key, hi int, k key) int {
+	for step := 1; hi > 0; step <<= 1 {
+		p := max(hi-step, 0)
+		if ks[p].compare(k) < 0 {
+			return p + 1 + lowerBound(ks[p+1:hi], k, 3)
+		}
+		hi = p
+	}
+	return 0
+}
+
 // runEnd returns the end of the run of keys from lo on whose first n
 // components equal q's (lo when ks[lo] is already past them). It gallops
 // from lo instead of bisecting the tail, because a run (a subject's
@@ -212,8 +225,7 @@ func (ix *index) apply(k key, del bool) {
 }
 
 // merge rewrites base as the live set and empties the delta, in place: a
-// forward pass drops the tombstoned keys, then the additions go in from the
-// highest down, each moving the block of base keys above it up by one copy.
+// forward pass drops the tombstoned keys, then the additions go in (insert).
 // Nothing below the lowest change moves.
 func (ix *index) merge() {
 	base, adds := ix.base, ix.delta[:0]
@@ -237,7 +249,15 @@ func (ix *index) merge() {
 			adds = append(adds, k)
 		}
 	}
-	end := len(base) // base[:end] is still where it was
+	ix.base = base
+	ix.insert(adds)
+	ix.delta, ix.dead = ix.delta[:0], ix.dead[:0]
+}
+
+// insert puts adds — ascending, none in base — into base in one pass: from the
+// highest down, each moves the block of base keys above it up by one copy.
+func (ix *index) insert(adds []key) {
+	base, end := ix.base, len(ix.base) // base[:end] is still where it was
 	if n := end + len(adds); n > cap(base) {
 		// A sixteenth of headroom, not append's quarter: the arrays are the
 		// bulk of the graph's memory, and a regrowth is one more copy among
@@ -246,12 +266,12 @@ func (ix *index) merge() {
 	}
 	base = base[:end+len(adds)]
 	for j := len(adds) - 1; j >= 0; j-- {
-		at := lowerBound(base[:end], adds[j], 3)
+		at := lowerBoundBelow(base, end, adds[j])
 		copy(base[at+j+1:], base[at:end]) // above adds[0..j], so up by j+1
 		base[at+j] = adds[j]
 		end = at
 	}
-	ix.base, ix.delta, ix.dead = base, ix.delta[:0], ix.dead[:0]
+	ix.base = base
 }
 
 // maxDelta is how many pending changes an index holds before they are merged
@@ -311,34 +331,86 @@ func (g *Graph) TermCount() int {
 func (g *Graph) Add(t Triple) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addLocked(t)
+	return g.addKeyLocked(g.intern(t))
 }
 
-// AddAll inserts a batch of triples and returns how many were new.
+// AddAll inserts a batch of triples and returns how many were new. It leaves
+// graph, dictionary and version as Add on each triple in turn would: terms
+// get their IDs in call order, and every effective add is journaled once, in
+// input order, with the version it establishes, before the indexes change.
+// The batch size alone selects how: up to maxDelta triples go through the
+// sorted delta like Add; a larger batch, which would force a merge anyway, is
+// sorted once and merged into each permutation in one pass (addKeysLocked).
 func (g *Graph) AddAll(ts []Triple) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := 0
-	for _, t := range ts {
-		if g.addLocked(t) {
-			n++
-		}
+	keys := make([]key, len(ts))
+	for i, t := range ts {
+		keys[i] = g.intern(t)
 	}
-	return n
+	return g.addKeysLocked(keys)
 }
 
-func (g *Graph) addLocked(t Triple) bool {
-	s := g.dict.Intern(t.S)
-	p := g.dict.Intern(t.P)
-	o := g.dict.Intern(t.O)
-	if g.ix[spo].has(key{s, p, o}) {
+// intern returns t as (s, p, o) of dictionary IDs, issuing those it lacks.
+func (g *Graph) intern(t Triple) key {
+	return key{g.dict.Intern(t.S), g.dict.Intern(t.P), g.dict.Intern(t.O)}
+}
+
+// addKeyLocked adds one (s, p, o) of interned IDs through the delta.
+func (g *Graph) addKeyLocked(k key) bool {
+	if g.ix[spo].has(k) {
 		return false
 	}
 	if g.journal != nil {
-		g.journal(JournalAdd, t, g.version+1)
+		g.journal(JournalAdd, g.tripleOf(k), g.version+1)
 	}
-	g.applyLocked(s, p, o, false)
+	g.applyLocked(k[0], k[1], k[2], false)
 	return true
+}
+
+func (g *Graph) tripleOf(k key) Triple {
+	return Triple{g.dict.Term(k[0]), g.dict.Term(k[1]), g.dict.Term(k[2])}
+}
+
+// addKeysLocked is AddAll past the dictionary: in holds (s, p, o) of issued
+// IDs in input order and is not changed. The bulk path sorts a copy, drops
+// duplicates and keys already live (in base, once the pending writes are
+// merged), journals the rest in input order, and only then touches the arrays.
+func (g *Graph) addKeysLocked(in []key) int {
+	if len(in) <= maxDelta {
+		n := 0
+		for _, k := range in {
+			if g.addKeyLocked(k) {
+				n++
+			}
+		}
+		return n
+	}
+	for ord := range g.ix {
+		g.ix[ord].merge()
+	}
+	n := g.dict.Len()
+	keys, base := slices.Compact(rotate(rotate(rotate(in, n), n), n)), g.ix[spo].base
+	w, hi := len(keys), len(base)
+	for i := len(keys) - 1; i >= 0; i-- {
+		if hi = lowerBoundBelow(base, hi, keys[i]); hi == len(base) || base[hi] != keys[i] {
+			w--
+			keys[w] = keys[i]
+		}
+	}
+	keys = keys[w:]
+	if g.journal != nil {
+		done, v := make([]bool, len(keys)), g.version
+		for _, k := range in {
+			if i, fresh := find(keys, k); fresh && !done[i] {
+				done[i] = true
+				v++
+				g.journal(JournalAdd, g.tripleOf(k), v)
+			}
+		}
+	}
+	g.load(keys)
+	return len(keys)
 }
 
 // Remove deletes a triple, reporting whether it was present.
@@ -369,21 +441,37 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 	}
 }
 
-// load makes keys — strictly ascending (s, p, o), every ID issued by the
-// dictionary — the (empty) graph's triple set. The slice becomes the SPO
-// permutation as is; the other two come from one stable counting sort each.
-// The caller (the snapshot reader) owns the graph exclusively.
+// load adds keys — strictly ascending (s, p, o) of issued IDs, none live, no
+// write pending — to the triple set, a version each. The batch's other two
+// permutations come from one stable sort each; an empty graph (the snapshot
+// reader's) takes the three slices as its arrays, any other merges them in.
+// The caller holds the write lock or owns the graph exclusively.
 func (g *Graph) load(keys []key) {
-	g.ix[spo].base = keys
-	g.ix[osp].base = rotate(keys, g.dict.Len())
-	g.ix[pos].base = rotate(g.ix[osp].base, g.dict.Len())
+	byOSP := rotate(keys, g.dict.Len())
+	for ord, ks := range [...][]key{spo: keys, pos: rotate(byOSP, g.dict.Len()), osp: byOSP} {
+		if len(g.ix[ord].base) == 0 {
+			g.ix[ord].base = ks
+		} else {
+			g.ix[ord].insert(ks)
+		}
+	}
 	g.version += uint64(len(keys))
 }
 
 // rotate returns keys sorted as (x, y, z) re-sorted and rewritten as
-// (z, x, y): a stable counting sort on z, whose values are IDs up to maxID.
-// SPO rotates into OSP, OSP into POS.
+// (z, x, y): a stable sort on z, whose values are IDs up to maxID. SPO rotates
+// into OSP, OSP into POS; keys in any order come back ordered by z alone, so
+// three rotations are a radix sort. It counts, unless the batch is so small
+// next to the dictionary that the counting array costs more than comparing.
 func rotate(keys []key, maxID int) []key {
+	out := make([]key, len(keys))
+	if len(keys) < maxID/16 {
+		for i, k := range keys {
+			out[i] = key{k[2], k[0], k[1]}
+		}
+		slices.SortStableFunc(out, func(a, b key) int { return cmp.Compare(a[0], b[0]) })
+		return out
+	}
 	next := make([]uint32, maxID+2) // next[v]: where the next key with z = v goes
 	for _, k := range keys {
 		next[k[2]+1]++
@@ -391,7 +479,6 @@ func rotate(keys []key, maxID int) []key {
 	for v := 1; v < len(next); v++ {
 		next[v] += next[v-1]
 	}
-	out := make([]key, len(keys))
 	for _, k := range keys {
 		out[next[k[2]]] = key{k[2], k[0], k[1]}
 		next[k[2]]++
@@ -657,7 +744,7 @@ func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := &Graph{
-		dict:    &Dict{toID: maps.Clone(g.dict.toID), toTerm: slices.Clone(g.dict.toTerm)},
+		dict:    &Dict{toID: maps.Clone(g.dict.toID), toTerm: slices.Clone(g.dict.toTerm), literals: g.dict.literals},
 		version: g.version,
 	}
 	for ord, ix := range g.ix {
@@ -692,14 +779,9 @@ type Stats struct {
 func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	st := Stats{Triples: g.matchCountIDsLocked(0, 0, 0), Terms: g.dict.Len()}
+	st := Stats{Triples: g.matchCountIDsLocked(0, 0, 0), Terms: g.dict.Len(), Literals: g.dict.literals}
 	g.ix[spo].distinct(key{}, 0, func(ID) { st.Subjects++ })
 	g.ix[pos].distinct(key{}, 0, func(ID) { st.Predicates++ })
-	for _, t := range g.dict.toTerm {
-		if t.IsLiteral() {
-			st.Literals++
-		}
-	}
 	if typeID, ok := g.dict.Lookup(NewIRI(RDFType)); ok {
 		g.ix[pos].distinct(key{typeID}, 1, func(ID) { st.Classes++ })
 	}

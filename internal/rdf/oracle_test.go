@@ -218,11 +218,50 @@ func opTriple(a, b, c byte) Triple {
 	return Triple{ex(fmt.Sprintf("s%d", a%37)), p, o}
 }
 
+// isBigBatch says which batch opcodes (one in 32 of them) carry a bigBatch.
+func isBigBatch(code byte) bool { return code == 0xFF }
+
+// bigBatch derives from an op's three bytes a batch that AddAll sorts in
+// instead of inserting: more than maxDelta triples, a quarter of them from
+// four thousand only batches add (new keys and new terms, or present since an
+// earlier batch), a quarter repeats from the batch itself, and the rest from
+// opTriple's few thousand — which the single ops around it leave in base,
+// pending in the delta, tombstoned there, or absent.
+func bigBatch(a, b, c byte) []Triple {
+	rng := rand.New(rand.NewSource(int64(a)<<16 | int64(b)<<8 | int64(c)))
+	batch := make([]Triple, maxDelta+1+rng.Intn(maxDelta))
+	for i := range batch {
+		switch rng.Intn(4) {
+		case 0:
+			batch[i] = Triple{ex(fmt.Sprintf("b%d", rng.Intn(100))), ex(fmt.Sprintf("p%d", rng.Intn(5))), NewInteger(int64(rng.Intn(8)))}
+		case 1:
+			batch[i] = batch[rng.Intn(i+1)]
+		}
+		if batch[i] == (Triple{}) {
+			batch[i] = opTriple(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+	}
+	return batch
+}
+
 // journalLog records what a graph's journal hook was called with.
 type journalLog []string
 
 func (l *journalLog) hook(op JournalOp, t Triple, version uint64) {
 	*l = append(*l, fmt.Sprintf("%d %v %d", op, t, version))
+}
+
+// hookOn is hook for the journal of g, checking the write-ahead promise on
+// the way: when the journal hears of a change, no index has it yet. (The
+// journal runs under the write lock, so it reads the index without locking.)
+func (l *journalLog) hookOn(t testing.TB, g *Graph) func(JournalOp, Triple, uint64) {
+	return func(op JournalOp, tr Triple, version uint64) {
+		s, p, o, known := g.resolve(tr.S, tr.P, tr.O)
+		if live := known && g.ix[spo].has(key{s, p, o}); live != (op == JournalRemove) {
+			t.Errorf("journal called with op %d of %v at version %d while the triple's presence is %v", op, tr, version, live)
+		}
+		l.hook(op, tr, version)
+	}
 }
 
 // runOps applies an op stream — three bytes of triple and one of opcode per
@@ -231,7 +270,7 @@ func (l *journalLog) hook(op JournalOp, t Triple, version uint64) {
 func runOps(t testing.TB, ops []byte, checkEvery int) (*Graph, *oracleGraph) {
 	g, want := NewGraph(), newOracleGraph()
 	var got, expect journalLog
-	g.SetJournal(got.hook)
+	g.SetJournal(got.hookOn(t, g))
 	for i := 0; i+4 <= len(ops); i += 4 {
 		tr := opTriple(ops[i], ops[i+1], ops[i+2])
 		switch code := ops[i+3] % 8; {
@@ -251,8 +290,11 @@ func runOps(t testing.TB, ops []byte, checkEvery int) (*Graph, *oracleGraph) {
 			if g.Remove(tr) != ok {
 				t.Fatalf("op %d: Remove(%v) = %v, oracle %v", i/4, tr, !ok, ok)
 			}
-		default: // a batch: the triple and two neighbours
+		default: // a batch: the triple and two neighbours, or one past maxDelta
 			batch := []Triple{tr, opTriple(ops[i]+1, ops[i+1], ops[i+2]), opTriple(ops[i], ops[i+1]+1, ops[i+2]+1)}
+			if isBigBatch(ops[i+3]) {
+				batch = bigBatch(ops[i], ops[i+1], ops[i+2])
+			}
 			n := 0
 			for _, b := range batch {
 				if want.add(b) {
@@ -377,8 +419,10 @@ func randomOps(seed int64, n int) []byte {
 // the merge threshold several times with tombstones and re-adds pending.
 func TestGraphAgainstOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		g, want := runOps(t, randomOps(seed, 6*maxDelta), 509)
-		// A snapshot round-trip holds the same graph, base arrays only.
+		g, want := runOps(t, randomOps(seed, 6*maxDelta), 1021)
+		// A snapshot round-trip holds the same graph, base arrays only, and so
+		// does a clone — Stats' literal count, which the dictionary keeps
+		// instead of recounting, included.
 		var buf bytes.Buffer
 		if err := g.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
@@ -388,6 +432,9 @@ func TestGraphAgainstOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSameGraph(t, back, want)
+		if st := g.Stats(); st.Literals == 0 || back.Stats() != st || g.Clone().Stats() != st {
+			t.Fatalf("Stats = %+v, after a round-trip %+v, of a clone %+v", st, back.Stats(), g.Clone().Stats())
+		}
 	}
 }
 
@@ -485,7 +532,13 @@ func enumeration(g *Graph) []string {
 // round) enumerate identically for every pattern; so does a graph given the
 // same triples in another order after the same terms.
 func TestEnumerationIsContentDefined(t *testing.T) {
-	g, _ := runOps(t, randomOps(5, 1500), 0)
+	ops := randomOps(5, 1500)
+	for i := 3; i < len(ops); i += 4 {
+		if isBigBatch(ops[i]) {
+			ops[i] = 7 // a small batch: enumeration is quadratic in the graph
+		}
+	}
+	g, _ := runOps(t, ops, 0)
 	want := enumeration(g)
 
 	var buf bytes.Buffer
@@ -595,14 +648,157 @@ func TestScansDuringMerges(t *testing.T) {
 	}
 }
 
+// TestAddAllAtTheBoundary holds AddAll to a loop of Add on both sides of the
+// batch size at which it stops inserting and sorts: the same count, snapshot
+// bytes (so the same dictionary IDs and arrays), version, statistics and
+// journal calls, from an empty graph, from a merged base, from a half-full
+// delta with tombstones in it, and with a dictionary wide enough that the
+// batch is sorted by comparison. A reader scans throughout (run it with
+// -race): it sees the graph before the batch or after it, ascending.
+func TestAddAllAtTheBoundary(t *testing.T) {
+	universe := func(i int) Triple {
+		return Triple{ex(fmt.Sprintf("s%d", i%97)), ex(fmt.Sprintf("p%d", i%7)), NewInteger(int64(i))}
+	}
+	starts := []struct {
+		name  string
+		build func(t *testing.T, g *Graph)
+	}{
+		{"empty graph", func(*testing.T, *Graph) {}},
+		{"empty delta", func(_ *testing.T, g *Graph) {
+			for i := 0; i < 2000; i++ {
+				g.Add(universe(i))
+			}
+			for ord := range g.ix {
+				g.ix[ord].merge()
+			}
+		}},
+		{"half-full delta", func(t *testing.T, g *Graph) {
+			for i := 0; i < 2000; i++ {
+				g.Add(universe(i))
+			}
+			for ord := range g.ix {
+				g.ix[ord].merge()
+			}
+			for i := 0; i < maxDelta/4; i++ {
+				g.Add(universe(2000 + i))
+				g.Remove(universe(3 * i))
+			}
+			if n := len(g.ix[spo].delta); n != maxDelta/2 {
+				t.Fatalf("delta holds %d changes, want %d", n, maxDelta/2)
+			}
+		}},
+		{"wide dictionary", func(_ *testing.T, g *Graph) {
+			for i := 0; i < 2000; i++ {
+				g.Add(universe(i))
+			}
+			for i := 0; i < 16*3*maxDelta; i++ {
+				g.dict.Intern(ex(fmt.Sprintf("orphan%d", i)))
+			}
+		}},
+	}
+	for _, start := range starts {
+		for _, size := range []int{maxDelta - 1, maxDelta, maxDelta + 1, 3 * maxDelta} {
+			t.Run(fmt.Sprintf("%s/%d", start.name, size), func(t *testing.T) {
+				// Indexes below 2000 are in base (the first few hundred perhaps
+				// tombstoned), the next 256 perhaps pending, the rest new; drawing
+				// with replacement repeats some.
+				rng := rand.New(rand.NewSource(int64(size)))
+				batch := make([]Triple, size)
+				for i := range batch {
+					batch[i] = universe(rng.Intn(4000))
+				}
+				all, one := NewGraph(), NewGraph()
+				start.build(t, all)
+				start.build(t, one)
+				var gotLog, wantLog journalLog
+				all.SetJournal(gotLog.hookOn(t, all))
+				one.SetJournal(wantLog.hook)
+				before := all.Len()
+
+				want := 0
+				for _, tr := range batch {
+					if one.Add(tr) {
+						want++
+					}
+				}
+				stop, done := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(done)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var prev key
+						n := 0
+						all.MatchIDs(0, 0, 0, func(s, p, o ID) bool {
+							if k := (key{s, p, o}); n > 0 && prev.compare(k) >= 0 {
+								t.Errorf("scan out of order: %v then %v", prev, k)
+								return false
+							} else {
+								prev = k
+							}
+							n++
+							return true
+						})
+						if n != before && n != before+want {
+							t.Errorf("scan saw %d triples, want %d (before the batch) or %d (after)", n, before, before+want)
+						}
+					}
+				}()
+				got := all.AddAll(batch)
+				close(stop)
+				<-done
+
+				if got != want {
+					t.Errorf("AddAll = %d, a loop of Add %d", got, want)
+				}
+				if all.Version() != one.Version() {
+					t.Errorf("Version = %d, a loop of Add %d", all.Version(), one.Version())
+				}
+				if all.Stats() != one.Stats() {
+					t.Errorf("Stats = %+v, a loop of Add %+v", all.Stats(), one.Stats())
+				}
+				if !slices.Equal(gotLog, wantLog) {
+					t.Errorf("journal saw %d calls, a loop of Add %d, or in another order", len(gotLog), len(wantLog))
+				}
+				var a, b bytes.Buffer
+				if err := all.WriteBinary(&a); err != nil {
+					t.Fatal(err)
+				}
+				if err := one.WriteBinary(&b); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Error("WriteBinary differs from a loop of Add")
+				}
+				for ord := range all.ix {
+					if ks := all.ix[ord].base; size > maxDelta && (len(all.ix[ord].delta) != 0 || len(ks) != all.Len() || !slices.IsSortedFunc(ks, key.compare)) {
+						t.Errorf("%v: a sorted-in batch left %d pending, base %d of %d triples", order(ord), len(all.ix[ord].delta), len(ks), all.Len())
+					}
+				}
+			})
+		}
+	}
+}
+
 // FuzzGraphOps feeds arbitrary op bytes to the graph and the oracle.
 func FuzzGraphOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 4, 1, 2, 3, 0})
 	f.Add(randomOps(3, 300))
 	f.Add(randomOps(4, maxDelta+50))
+	f.Add(append(randomOps(5, maxDelta/2), 7, 7, 7, 0xFF, 1, 2, 3, 5, 9, 9, 9, 0xFF))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*4*maxDelta {
 			return
+		}
+		for i, big := 3, 0; i < len(ops); i += 4 {
+			if isBigBatch(ops[i]) {
+				if big++; big > 8 { // each costs the oracle a few thousand map inserts
+					return
+				}
+			}
 		}
 		runOps(t, ops, 1021)
 	})

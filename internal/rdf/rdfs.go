@@ -1,5 +1,11 @@
 package rdf
 
+import (
+	"iter"
+	"maps"
+	"slices"
+)
+
 // Schema is a pre-computed view of the RDFS vocabulary of a graph: the class
 // and property hierarchies (with their transitive closures), domains, ranges
 // and functional-property declarations. It backs both the inference rules of
@@ -56,13 +62,16 @@ func SchemaOf(g *Graph) *Schema {
 			return true
 		})
 	}
-	// Classes used as objects of rdf:type.
-	g.Match(Any, typeT, Any, func(t Triple) bool {
-		if t.O.IsIRI() && !isBuiltinMetaClass(t.O.Value) {
-			s.Classes[t.O] = struct{}{}
-		}
-		return true
-	})
+	// Classes used as objects of rdf:type: one step per class, not per triple.
+	g.mu.RLock()
+	if typeID, ok := g.dict.Lookup(typeT); ok {
+		g.ix[pos].distinct(key{typeID}, 1, func(o ID) {
+			if c := g.dict.Term(o); c.IsIRI() && !isBuiltinMetaClass(c.Value) {
+				s.Classes[c] = struct{}{}
+			}
+		})
+	}
+	g.mu.RUnlock()
 	// Declared properties.
 	for _, propClass := range []string{RDFProperty, OWLObjectProperty, OWLDatatypeProperty, OWLFunctionalProperty} {
 		g.Match(Any, typeT, NewIRI(propClass), func(t Triple) bool {
@@ -149,32 +158,24 @@ func addEdge(m map[Term]map[Term]struct{}, from, to Term) {
 	inner[to] = struct{}{}
 }
 
-// transitiveClosure computes the transitive closure of a DAG-ish relation
-// (cycles are tolerated: members of a cycle become ancestors of each other).
+// transitiveClosure maps every node with an outgoing edge to all it reaches
+// in one step or more. Cycles are tolerated: the members of a cycle become
+// ancestors of each other and of themselves.
 func transitiveClosure(edges map[Term]map[Term]struct{}) map[Term]map[Term]struct{} {
 	closure := map[Term]map[Term]struct{}{}
-	var visit func(n Term, seen map[Term]struct{}) map[Term]struct{}
-	visit = func(n Term, seen map[Term]struct{}) map[Term]struct{} {
-		if done, ok := closure[n]; ok {
-			return done
-		}
-		if _, cyc := seen[n]; cyc {
-			return map[Term]struct{}{}
-		}
-		seen[n] = struct{}{}
-		out := map[Term]struct{}{}
-		for parent := range edges[n] {
-			out[parent] = struct{}{}
-			for anc := range visit(parent, seen) {
-				out[anc] = struct{}{}
+	for n := range edges {
+		reached := map[Term]struct{}{}
+		for todo := []Term{n}; len(todo) > 0; {
+			last := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			for parent := range edges[last] {
+				if _, seen := reached[parent]; !seen {
+					reached[parent] = struct{}{}
+					todo = append(todo, parent)
+				}
 			}
 		}
-		delete(seen, n)
-		closure[n] = out
-		return out
-	}
-	for n := range edges {
-		visit(n, map[Term]struct{}{})
+		closure[n] = reached
 	}
 	return closure
 }
@@ -313,92 +314,95 @@ func (st InferenceStats) Total() int {
 // subClassOf/subPropertyOf, rdf:type propagation along subClassOf,
 // predicate propagation along subPropertyOf, and typing from rdfs:domain /
 // rdfs:range. It iterates to a fixpoint and returns per-rule counts.
+//
+// A round takes the schema once and runs the rules in ID space under the
+// write lock: a rule scans one permutation for candidate keys and hands them
+// to the write path AddAll uses, so an inferred triple is neither decoded nor
+// interned, every effective add is journaled exactly once before the indexes
+// change (in no specified order within a rule), and a later rule — in rdfs7,
+// rdfs2 and rdfs3 a later predicate — sees what an earlier one added.
 func Materialize(g *Graph) InferenceStats {
 	var stats InferenceStats
-	typeT := NewIRI(RDFType)
-	subClassT := NewIRI(RDFSSubClassOf)
-	subPropT := NewIRI(RDFSSubPropertyOf)
+	var buf []key // one rule's candidates, reused
 	for {
-		added := 0
 		schema := SchemaOf(g)
-		// rdfs11: subClassOf transitivity.
+		before := stats.Total()
+		g.mu.Lock()
+		id := func(t Term) ID { return g.dict.toID[t] } // schema terms are interned
+		ids := func(ts iter.Seq[Term]) (out []ID) {
+			for t := range ts {
+				out = append(out, id(t))
+			}
+			return out
+		}
+		// rdf:type may be absent, and only a rule with a typing to add interns it.
+		typeID := id(NewIRI(RDFType))
+		typed := func() ID {
+			if typeID == 0 {
+				typeID = g.dict.Intern(NewIRI(RDFType))
+			}
+			return typeID
+		}
+		// derive collects infer(x, y, t) for every live (x p y) under the POS
+		// prefix q[:n] and every target t; flush adds them and counts the new.
+		derive := func(q key, n int, targets iter.Seq[Term], infer func(x, y, t ID) key) {
+			ts := ids(targets)
+			g.ix[pos].scan(pos, q, n, func(x, _, y ID) bool {
+				for _, t := range ts {
+					buf = append(buf, infer(x, y, t))
+				}
+				return true
+			})
+		}
+		flush := func(n *int) {
+			*n += g.addKeysLocked(buf)
+			buf = buf[:0]
+		}
+		// rdfs11, rdfs5: subClassOf and subPropertyOf transitivity.
 		for c, supers := range schema.SuperClasses {
 			for sup := range supers {
-				if g.Add(Triple{c, subClassT, sup}) {
-					stats.SubClassTransitive++
-					added++
-				}
+				buf = append(buf, key{id(c), id(NewIRI(RDFSSubClassOf)), id(sup)})
 			}
 		}
-		// rdfs5: subPropertyOf transitivity.
+		flush(&stats.SubClassTransitive)
 		for p, supers := range schema.SuperProperties {
 			for sup := range supers {
-				if g.Add(Triple{p, subPropT, sup}) {
-					stats.SubPropTransitive++
-					added++
-				}
+				buf = append(buf, key{id(p), id(NewIRI(RDFSSubPropertyOf)), id(sup)})
 			}
 		}
+		flush(&stats.SubPropTransitive)
 		// rdfs9: (x type c), (c subClassOf d) => (x type d).
-		for _, t := range triplesWith(g, typeT) {
-			for sup := range schema.SuperClasses[t.O] {
-				if g.Add(Triple{t.S, typeT, sup}) {
-					stats.TypeFromSubClass++
-					added++
-				}
-			}
+		for c, supers := range schema.SuperClasses {
+			derive(key{typeID, id(c)}, 2, maps.Keys(supers), func(x, _, d ID) key { return key{x, typeID, d} })
 		}
+		flush(&stats.TypeFromSubClass)
 		// rdfs7: (x p y), (p subPropertyOf q) => (x q y).
 		for p, supers := range schema.SuperProperties {
-			for _, t := range triplesWith(g, p) {
-				for sup := range supers {
-					if g.Add(Triple{t.S, sup, t.O}) {
-						stats.PropFromSubProp++
-						added++
-					}
-				}
-			}
+			derive(key{id(p)}, 1, maps.Keys(supers), func(x, y, q ID) key { return key{x, q, y} })
+			flush(&stats.PropFromSubProp)
 		}
-		// rdfs2/rdfs3: domain and range typing.
+		// rdfs2, rdfs3: domain typing of subjects, range typing of the distinct
+		// resource objects.
 		for p, domains := range schema.Domains {
-			for _, t := range triplesWith(g, p) {
-				for _, d := range domains {
-					if g.Add(Triple{t.S, typeT, d}) {
-						stats.TypeFromDomain++
-						added++
-					}
-				}
-			}
+			derive(key{id(p)}, 1, slices.Values(domains), func(x, _, d ID) key { return key{x, typed(), d} })
+			flush(&stats.TypeFromDomain)
 		}
 		for p, ranges := range schema.Ranges {
-			for _, t := range triplesWith(g, p) {
-				if !t.O.IsResource() {
-					continue
-				}
-				for _, r := range ranges {
-					if g.Add(Triple{t.O, typeT, r}) {
-						stats.TypeFromRange++
-						added++
+			rs := ids(slices.Values(ranges))
+			g.ix[pos].distinct(key{id(p)}, 1, func(y ID) {
+				if g.dict.Term(y).IsResource() {
+					for _, r := range rs {
+						buf = append(buf, key{y, typed(), r})
 					}
 				}
-			}
+			})
+			flush(&stats.TypeFromRange)
 		}
-		if added == 0 {
+		g.mu.Unlock()
+		if stats.Total() == before {
 			return stats
 		}
 	}
-}
-
-// triplesWith returns the triples whose predicate is p, copied out so the
-// caller can add to the graph while walking them; sized from the count, so a
-// large predicate costs one allocation instead of a doubling series.
-func triplesWith(g *Graph, p Term) []Triple {
-	out := make([]Triple, 0, g.MatchCount(Any, p, Any))
-	g.Match(Any, p, Any, func(t Triple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
 }
 
 // InstancesOf returns the instances of class c in g, honoring materialized

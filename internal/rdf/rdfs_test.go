@@ -1,6 +1,11 @@
 package rdf
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 const productSchema = `@prefix ex: <http://ex.org/> .
 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
@@ -64,6 +69,35 @@ ex:b rdfs:subClassOf ex:a .
 	s := SchemaOf(MustLoadTurtle(doc)) // must not hang or panic
 	if s == nil {
 		t.Fatal("nil schema")
+	}
+}
+
+// TestSchemaCycleClosedWhateverTheOrder: every member of a subClassOf cycle
+// has every member as an ancestor, and what hangs below the cycle has them
+// all — on every call, though SchemaOf walks Go maps. (A closure memoized
+// while the cycle was still open used to leave out whichever members the map
+// order made it meet first, and the materialized graph varied with it.)
+func TestSchemaCycleClosedWhateverTheOrder(t *testing.T) {
+	g := MustLoadTurtle(`@prefix ex: <http://ex.org/> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+ex:a rdfs:subClassOf ex:b .
+ex:b rdfs:subClassOf ex:c .
+ex:c rdfs:subClassOf ex:a .
+ex:d rdfs:subClassOf ex:b .
+ex:c rdfs:subClassOf ex:top .
+`)
+	for i := 0; i < 20; i++ {
+		s := SchemaOf(g)
+		for _, c := range []string{"a", "b", "c", "d"} {
+			for _, anc := range []string{"a", "b", "c", "top"} {
+				if _, ok := s.SuperClasses[ex(c)][ex(anc)]; !ok {
+					t.Fatalf("call %d: %s lacks ancestor %s", i, c, anc)
+				}
+			}
+		}
+		if len(s.SuperClasses[ex("d")]) != 4 || len(s.SuperClasses[ex("top")]) != 0 {
+			t.Fatalf("call %d: d has %d ancestors, top %d; want 4 and 0", i, len(s.SuperClasses[ex("d")]), len(s.SuperClasses[ex("top")]))
+		}
 	}
 }
 
@@ -222,5 +256,185 @@ func BenchmarkMaterialize(b *testing.B) {
 	for b.Loop() {
 		g := MustLoadTurtle(productSchema)
 		Materialize(g)
+	}
+}
+
+// materializeReference is Materialize as it was while the closure ran on
+// terms through the public API: one Add per candidate, predicates copied out
+// as []Triple before the adds. The ID-space Materialize is held to it.
+func materializeReference(g *Graph) InferenceStats {
+	var stats InferenceStats
+	typeT := NewIRI(RDFType)
+	subClassT := NewIRI(RDFSSubClassOf)
+	subPropT := NewIRI(RDFSSubPropertyOf)
+	for {
+		added := 0
+		schema := SchemaOf(g)
+		// rdfs11: subClassOf transitivity.
+		for c, supers := range schema.SuperClasses {
+			for sup := range supers {
+				if g.Add(Triple{c, subClassT, sup}) {
+					stats.SubClassTransitive++
+					added++
+				}
+			}
+		}
+		// rdfs5: subPropertyOf transitivity.
+		for p, supers := range schema.SuperProperties {
+			for sup := range supers {
+				if g.Add(Triple{p, subPropT, sup}) {
+					stats.SubPropTransitive++
+					added++
+				}
+			}
+		}
+		// rdfs9: (x type c), (c subClassOf d) => (x type d).
+		for _, t := range triplesWith(g, typeT) {
+			for sup := range schema.SuperClasses[t.O] {
+				if g.Add(Triple{t.S, typeT, sup}) {
+					stats.TypeFromSubClass++
+					added++
+				}
+			}
+		}
+		// rdfs7: (x p y), (p subPropertyOf q) => (x q y).
+		for p, supers := range schema.SuperProperties {
+			for _, t := range triplesWith(g, p) {
+				for sup := range supers {
+					if g.Add(Triple{t.S, sup, t.O}) {
+						stats.PropFromSubProp++
+						added++
+					}
+				}
+			}
+		}
+		// rdfs2/rdfs3: domain and range typing.
+		for p, domains := range schema.Domains {
+			for _, t := range triplesWith(g, p) {
+				for _, d := range domains {
+					if g.Add(Triple{t.S, typeT, d}) {
+						stats.TypeFromDomain++
+						added++
+					}
+				}
+			}
+		}
+		for p, ranges := range schema.Ranges {
+			for _, t := range triplesWith(g, p) {
+				if !t.O.IsResource() {
+					continue
+				}
+				for _, r := range ranges {
+					if g.Add(Triple{t.O, typeT, r}) {
+						stats.TypeFromRange++
+						added++
+					}
+				}
+			}
+		}
+		if added == 0 {
+			return stats
+		}
+	}
+}
+
+// triplesWith returns the triples whose predicate is p, copied out so the
+// caller can add to the graph while walking them.
+func triplesWith(g *Graph, p Term) []Triple {
+	out := make([]Triple, 0, g.MatchCount(Any, p, Any))
+	g.Match(Any, p, Any, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// randomSchemaGraph is a seeded graph that gives every rule of the closure
+// work, and rules something to leave for each other: a subClassOf hierarchy
+// over C0..C9 with shortcuts, a three-level subPropertyOf chain among other
+// sub-properties, properties with several domains and several ranges,
+// resource and literal objects under ranged properties, and typed instances.
+// shape selects what else: 1 closes subClassOf cycles through the root (every
+// class reaches C0); 2 drops every rdf:type triple; 3 keeps only the schema,
+// no instance data at all.
+func randomSchemaGraph(seed int64, shape int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := NewGraph()
+	class := func(i int) Term { return ex(fmt.Sprintf("C%d", i)) }
+	prop := func(i int) Term { return ex(fmt.Sprintf("P%d", i)) }
+	inst := func(i int) Term { return ex(fmt.Sprintf("i%d", i)) }
+	add := func(s Term, p string, o Term) { g.Add(Triple{s, NewIRI(p), o}) }
+	for i := 1; i < 10; i++ {
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			add(class(i), RDFSSubClassOf, class(rng.Intn(i)))
+		}
+	}
+	add(prop(0), RDFSSubPropertyOf, prop(1))
+	add(prop(1), RDFSSubPropertyOf, prop(2))
+	add(prop(2), RDFSSubPropertyOf, prop(3))
+	for i := 4; i < 8; i++ {
+		add(prop(i), RDFSSubPropertyOf, prop(rng.Intn(i)))
+	}
+	for i := 0; i < 8; i++ {
+		for n := rng.Intn(3); n > 0; n-- {
+			add(prop(i), RDFSDomain, class(rng.Intn(10)))
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			add(prop(i), RDFSRange, class(rng.Intn(10)))
+		}
+	}
+	if shape == 1 {
+		add(class(0), RDFSSubClassOf, class(5+rng.Intn(5)))
+		add(class(1), RDFSSubClassOf, class(2+rng.Intn(8)))
+	}
+	if shape == 3 {
+		return g
+	}
+	for i := 0; i < 150; i++ {
+		var o Term = inst(rng.Intn(60))
+		if rng.Intn(3) == 0 {
+			o = NewInteger(int64(rng.Intn(20)))
+		}
+		g.Add(Triple{inst(rng.Intn(60)), prop(rng.Intn(8)), o})
+	}
+	if shape != 2 {
+		for i := 0; i < 40; i++ {
+			add(inst(rng.Intn(60)), RDFType, class(rng.Intn(10)))
+		}
+	}
+	return g
+}
+
+// TestMaterializeMatchesReference: on seeded random schema graphs the
+// ID-space closure adds the triples the term-level one adds, attributes them
+// to the same rules, and leaves the same dictionary — rdf:type enters it only
+// where a rule has a typing to add — while the journal hears of each inferred
+// triple exactly once, before the indexes hold it, under consecutive versions.
+func TestMaterializeMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		shape := int(seed % 4)
+		g, ref := randomSchemaGraph(seed, shape), randomSchemaGraph(seed, shape)
+		var log journalLog
+		g.SetJournal(log.hookOn(t, g))
+		got, want := Materialize(g), materializeReference(ref)
+		if got != want {
+			t.Errorf("seed %d shape %d: InferenceStats = %+v, reference %+v", seed, shape, got, want)
+		}
+		if !slices.Equal(g.Triples(), ref.Triples()) {
+			t.Errorf("seed %d shape %d: %d triples, reference %d, or not the same ones", seed, shape, g.Len(), ref.Len())
+		}
+		if g.TermCount() != ref.TermCount() {
+			t.Errorf("seed %d shape %d: TermCount = %d, reference %d", seed, shape, g.TermCount(), ref.TermCount())
+		}
+		if _, typed := g.TermID(NewIRI(RDFType)); shape == 3 && typed {
+			t.Errorf("seed %d: rdf:type interned by a closure with no typing to add", seed)
+		}
+		if g.Version() != ref.Version() || len(log) != got.Total() {
+			t.Errorf("seed %d shape %d: version %d after %d journal calls, reference version %d after %d adds", seed, shape, g.Version(), len(log), ref.Version(), want.Total())
+		}
+		slices.Sort(log) // lines end in the version
+		if len(slices.Compact(log)) != got.Total() {
+			t.Errorf("seed %d shape %d: a triple was journaled twice", seed, shape)
+		}
 	}
 }

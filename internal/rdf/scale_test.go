@@ -102,7 +102,7 @@ func measureScale(laptops int) scaleReport {
 
 // BenchmarkGraphScale loads the products graph at the standing benchmark's
 // largest scale and at the two ROADMAP item 1 names beyond it. Run one load
-// per size: go test ./internal/rdf -run '^$' -bench GraphScale -benchtime 1x
+// per size: make bench-scale
 func BenchmarkGraphScale(b *testing.B) {
 	for _, sc := range []struct {
 		name    string

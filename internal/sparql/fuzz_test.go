@@ -89,5 +89,8 @@ func FuzzJSONString(f *testing.F) {
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want.Bytes())
 		}
+		if n := jsonStringLen(s); n != len(got)-1 {
+			t.Fatalf("jsonStringLen(%q) = %d, appendJSONString writes %d bytes", s, n, len(got)-1)
+		}
 	})
 }

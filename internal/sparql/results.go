@@ -143,13 +143,13 @@ func (r *Results) WriteJSON(w io.Writer) error {
 }
 
 // JSON returns the results in the SPARQL 1.1 JSON results format, in one
-// slice allocated at its exact size (rows are measured through a reused
-// scratch buffer first). The bytes are what encoding/json produces for the
+// slice allocated at its exact size (rows are measured by counting first,
+// then rendered once). The bytes are what encoding/json produces for the
 // format's natural struct-and-map document — per-binding keys in sorted
 // order, unbound variables omitted, `<`, `>`, `&`, U+2028 and U+2029
 // escaped, invalid UTF-8 replaced by U+FFFD, a trailing newline — so every
 // recorded response digest stays valid; FuzzJSONString holds the string
-// escaper to json.Encoder.
+// escaper, and the count to the escaper, to json.Encoder.
 func (r *Results) JSON() []byte {
 	// One column per distinct name, in key order, with its rendered key.
 	type column struct {
@@ -165,63 +165,90 @@ func (r *Results) JSON() []byte {
 	sort.Slice(cols, func(a, b int) bool { return r.Vars[cols[a].idx] < r.Vars[cols[b].idx] })
 	vars, _ := json.Marshal(r.Vars) // null for a nil projection
 	head := `{"head":{"vars":` + string(vars) + `},"results":{"bindings":[`
-	const tail = "]}}\n"
-	appendRow := func(dst []byte, i int) []byte {
+	const tail, valueKey = "]}}\n", `","value":`
+	kinds := [...]string{rdf.KindIRI: "uri", rdf.KindBlank: "bnode", rdf.KindLiteral: "literal"}
+	// note is the member carrying a literal's language or datatype, if it has one.
+	note := func(t rdf.Term) (key, value string) {
+		switch {
+		case t.Kind != rdf.KindLiteral:
+		case t.Lang != "":
+			return `,"xml:lang":`, t.Lang
+		case t.Datatype != "" && t.Datatype != rdf.XSDString:
+			return `,"datatype":`, t.Datatype
+		}
+		return "", ""
+	}
+	size := len(head) + len(tail) + max(len(r.Rows)-1, 0) // with the commas between rows
+	for _, row := range r.Rows {
+		empty := len(`{`)
+		for _, c := range cols {
+			if t := row[c.idx]; !t.IsZero() {
+				noteKey, noteValue := note(t)
+				// One byte before every binding, the brace or a comma.
+				size += 1 + len(c.key) + len(kinds[t.Kind]) + len(valueKey) + jsonStringLen(t.Value) + len(noteKey) + len(`}`)
+				if noteKey != "" {
+					size += jsonStringLen(noteValue)
+				}
+				empty = 0
+			}
+		}
+		size += empty + len(`}`)
+	}
+	dst := append(make([]byte, 0, size), head...)
+	for i, row := range r.Rows {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '{')
 		for _, c := range cols {
-			t := r.Rows[i][c.idx]
+			t := row[c.idx]
 			if t.IsZero() {
 				continue
 			}
 			if dst[len(dst)-1] != '{' {
 				dst = append(dst, ',')
 			}
-			kind := "literal"
-			switch t.Kind {
-			case rdf.KindIRI:
-				kind = "uri"
-			case rdf.KindBlank:
-				kind = "bnode"
-			}
-			dst = append(append(append(dst, c.key...), kind...), `","value":`...)
+			dst = append(append(append(dst, c.key...), kinds[t.Kind]...), valueKey...)
 			dst = appendJSONString(dst, t.Value)
-			switch {
-			case t.Kind != rdf.KindLiteral:
-			case t.Lang != "":
-				dst = appendJSONString(append(dst, `,"xml:lang":`...), t.Lang)
-			case t.Datatype != "" && t.Datatype != rdf.XSDString:
-				dst = appendJSONString(append(dst, `,"datatype":`...), t.Datatype)
+			if noteKey, noteValue := note(t); noteKey != "" {
+				dst = appendJSONString(append(dst, noteKey...), noteValue)
 			}
 			dst = append(dst, '}')
 		}
-		return append(dst, '}')
-	}
-	size := len(head) + len(tail)
-	scratch := make([]byte, 0, 512)
-	for i := range r.Rows {
-		scratch = appendRow(scratch[:0], i)
-		size += len(scratch)
-	}
-	dst := append(make([]byte, 0, size), head...)
-	for i := range r.Rows {
-		dst = appendRow(dst, i)
+		dst = append(dst, '}')
 	}
 	return append(dst, tail...)
 }
 
 const jsonHex = "0123456789abcdef"
 
+// jsonEscape says what encoding/json, HTML escaping on, does with a byte of a
+// string: 0 copies it, utf8.RuneSelf marks the bytes of a multi-byte sequence
+// (judged as a rune), anything else is the character after the backslash —
+// 'u' for the six-byte \u00XX form.
+var jsonEscape = func() (t [256]byte) {
+	for b := range t {
+		switch {
+		case b >= utf8.RuneSelf:
+			t[b] = utf8.RuneSelf
+		case b < 0x20, b == '<', b == '>', b == '&':
+			t[b] = 'u'
+		}
+	}
+	t['"'], t['\\'] = '"', '\\'
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
+	return t
+}()
+
 // appendJSONString appends s as a JSON string literal, escaped exactly as
 // encoding/json escapes strings with HTML escaping on.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b >= utf8.RuneSelf {
+	for i := 0; i < len(s); i++ {
+		switch esc := jsonEscape[s[i]]; esc {
+		case 0:
+		case utf8.RuneSelf:
 			c, size := utf8.DecodeRuneInString(s[i:])
 			switch {
 			case c == utf8.RuneError && size == 1:
@@ -231,40 +258,37 @@ func appendJSONString(dst []byte, s string) []byte {
 				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', jsonHex[c&0xF])
 				start = i + size
 			}
-			i += size
-			continue
-		}
-		esc := byte(0)
-		switch b {
-		case '"', '\\':
-			esc = b
-		case '\b':
-			esc = 'b'
-		case '\f':
-			esc = 'f'
-		case '\n':
-			esc = 'n'
-		case '\r':
-			esc = 'r'
-		case '\t':
-			esc = 't'
-		case '<', '>', '&':
-			esc = 'u'
+			i += size - 1
 		default:
-			if b < 0x20 {
-				esc = 'u'
-			}
-		}
-		if esc != 0 {
 			dst = append(append(dst, s[start:i]...), '\\', esc)
 			if esc == 'u' {
-				dst = append(dst, '0', '0', jsonHex[b>>4], jsonHex[b&0xF])
+				dst = append(dst, '0', '0', jsonHex[s[i]>>4], jsonHex[s[i]&0xF])
 			}
 			start = i + 1
 		}
-		i++
 	}
 	return append(append(dst, s[start:]...), '"')
+}
+
+// jsonStringLen is len(appendJSONString(nil, s)) without the rendering.
+func jsonStringLen(s string) int {
+	n := len(s) + len(`""`)
+	for i := 0; i < len(s); i++ {
+		switch jsonEscape[s[i]] {
+		case 0:
+		case utf8.RuneSelf:
+			c, size := utf8.DecodeRuneInString(s[i:])
+			if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+				n += len(`\ufffd`) - size
+			}
+			i += size - 1
+		case 'u':
+			n += len(`\u0000`) - 1
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // ParseJSONResults parses the SPARQL 1.1 JSON results format back into

@@ -69,6 +69,30 @@ func TestWriteJSONAllocations(t *testing.T) {
 	}
 }
 
+// TestJSONFillsItsSlice: the size JSON() counts before rendering is the size
+// it renders — unbound cells, a repeated variable, every term shape and every
+// escape class included — so the body is one allocation with no slack and no
+// regrowth.
+func TestJSONFillsItsSlice(t *testing.T) {
+	terms := []rdf.Term{
+		{}, rdf.NewIRI("http://e/<a>&b"), rdf.NewBlank("b0"), rdf.NewString("tab\t \"q\" \\ \x01 \u2028 caf\u00e9 \xff"),
+		rdf.NewLangString("chat", "fr"), rdf.NewInteger(7), rdf.NewTyped("x", "http://e/dt\n"),
+	}
+	for rows := 0; rows <= len(terms)+1; rows++ {
+		res := &Results{Vars: []string{"b", "a\"", "b", "c"}}
+		for i := 0; i < rows; i++ {
+			res.Rows = append(res.Rows, []rdf.Term{terms[i%len(terms)], terms[(i+1)%len(terms)], {}, terms[(i+i/len(terms))%len(terms)]})
+		}
+		body := res.JSON()
+		if len(body) != cap(body) {
+			t.Errorf("%d rows: body of %d bytes in a slice of %d", rows, len(body), cap(body))
+		}
+		if back, err := ParseJSONResults(strings.NewReader(string(body))); err != nil || back.Len() != rows {
+			t.Errorf("%d rows: body does not parse back: %v", rows, err)
+		}
+	}
+}
+
 func scratchGraph(t *testing.T) *rdf.Graph {
 	t.Helper()
 	return specGraph(t,
