@@ -84,9 +84,13 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
+# bench runs the efficiency cells, rdf's match micro-benches and the engine's
+# BenchmarkJoinStep: one query of each sparql-cold shape on that workload's
+# graph, in process, so B/op is what the engine allocates for the shape.
 bench:
 	$(GO) test -bench . -benchtime 5x -run XXX .
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
+	$(GO) test -bench '^BenchmarkJoinStep$$' -benchmem -run XXX ./internal/sparql/
 
 # bench-scale loads the products graph once at 200k, 1M and 2M triples and
 # reports load seconds, bytes per triple, match, add/remove and snapshot I/O

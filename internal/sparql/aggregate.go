@@ -112,6 +112,7 @@ next:
 		}
 	}
 	// Extend each surviving group's representative row.
+	work.vals = make([]rdf.ID, 0, groups.count*rows.width)
 	rep := make([]rdf.ID, rows.width)
 	// Aggregates evaluate over the group's rows, everything around them over
 	// the representative row.

@@ -51,7 +51,7 @@ type evaluator struct {
 	// own and restores the outer one) and by evalWhere for bare patterns.
 	sc *scope
 	// dict is the evaluation's dictionary view: graph IDs plus scratch IDs
-	// for computed terms, and the decode cache (see rows.go).
+	// for computed terms (see rows.go).
 	dict *termDict
 }
 
@@ -135,7 +135,7 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		cancel:       &evalCancel{ctx: ctx},
 		limits:       opts.Limits,
 		replanFactor: replan,
-		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}, terms: map[rdf.ID]rdf.Term{}},
+		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
 	}
 	if g != nil {
 		ev.fbSites = opts.Feedback.SiteActuals(opts.FingerprintID, g.Version())
@@ -824,7 +824,7 @@ func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 	s := ev.enterSpan("optional")
 	s.SetAttr("rows_in", input.n())
 	po, pot := ev.profEnter("optional", "")
-	out := newBatch(input.width, input.n())
+	w := rowWriter{width: input.width}
 	one := batch{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {
 		if ev.cancel.aborted() {
@@ -832,11 +832,12 @@ func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 		}
 		one.vals = input.row(i)
 		if ext := ev.evalGroup(opt, &one); ext.n() > 0 {
-			out.vals = append(out.vals, ext.vals...)
+			w.addAll(ext)
 		} else {
-			out.vals = append(out.vals, one.vals...)
+			w.add(one.vals)
 		}
 	}
+	out := w.batch()
 	ev.profExit(po, pot, input.n(), out.n())
 	s.SetAttr("rows_out", out.n())
 	ev.exitSpan(s)
@@ -847,10 +848,11 @@ func (ev *evaluator) evalUnion(u *UnionPattern, input *batch) *batch {
 	s := ev.enterSpan("union")
 	s.SetAttr("alternatives", len(u.Alternatives))
 	pu, put := ev.profEnter("union", "")
-	out := &batch{width: input.width}
+	w := rowWriter{width: input.width}
 	for _, alt := range u.Alternatives {
-		out.vals = append(out.vals, ev.evalGroup(alt, input).vals...)
+		w.addAll(ev.evalGroup(alt, input))
 	}
+	out := w.batch()
 	ev.profExit(pu, put, input.n(), out.n())
 	s.SetAttr("rows_out", out.n())
 	ev.exitSpan(s)
@@ -928,7 +930,7 @@ func (ev *evaluator) joinTable(input *batch, vars []string, table []rdf.ID, nrow
 	for j, v := range vars {
 		slots[j] = ev.sc.slot(v)
 	}
-	out := newBatch(input.width, input.n())
+	w := rowWriter{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {
 		if ev.cancel.aborted() {
 			break
@@ -942,16 +944,15 @@ func (ev *evaluator) joinTable(input *batch, vars []string, table []rdf.ID, nrow
 					continue next
 				}
 			}
-			base := len(out.vals)
-			out.vals = append(out.vals, row...)
+			out := w.add(row)
 			for j, s := range slots {
 				if s >= 0 && vals[j] != 0 {
-					out.vals[base+s] = vals[j]
+					out[s] = vals[j]
 				}
 			}
 		}
 	}
-	return out
+	return w.batch()
 }
 
 func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
@@ -959,7 +960,7 @@ func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
 	defer ev.exitSpan(s)
 	pm, pmt := ev.profEnter("minus", "")
 	removed := ev.evalGroup(m, unitBatch(input.width))
-	out := newBatch(input.width, input.n())
+	w := rowWriter{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {
 		if i%pollEvery == 0 && ev.cancel.poll() {
 			break
@@ -982,9 +983,10 @@ func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
 			excluded = shared && agree
 		}
 		if !excluded {
-			out.vals = append(out.vals, row...)
+			w.add(row)
 		}
 	}
+	out := w.batch()
 	ev.profExit(pm, pmt, input.n(), out.n())
 	return out
 }

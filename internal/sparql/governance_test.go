@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +115,33 @@ func TestRowBudgetKillsCrossProduct(t *testing.T) {
 	}
 	if AbortReason(err) != "budget" {
 		t.Fatalf("AbortReason = %q, want budget", AbortReason(err))
+	}
+}
+
+// TestRowBudgetStopsTheScan: the budget ends an index-loop scan where it
+// trips. One input row matching the whole graph is accounted while the scan
+// runs, not after its matches have been buffered, so a killed SELECT * over
+// 100 000 triples has allocated a block, not the graph.
+func TestRowBudgetStopsTheScan(t *testing.T) {
+	g := starGraph(33400) // 100 200 triples
+	q := mustParse(t, "SELECT * WHERE { ?s ?p ?o }")
+	const limit = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ExecSelectCtx(context.Background(), g, q, Options{
+		Parallelism: 1,
+		Limits:      Limits{MaxIntermediateRows: limit},
+	})
+	runtime.ReadMemStats(&after)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" {
+		t.Fatalf("want a rows BudgetError, got %v", err)
+	}
+	if be.Used <= limit || be.Used > limit+256 {
+		t.Errorf("Used = %d, want within one 256-row flush above %d", be.Used, limit)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("the killed query allocated %d bytes: the scan ran on past the budget", alloc)
 	}
 }
 

@@ -207,29 +207,46 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 
 // applyFilter keeps the rows the expression holds for; rows whose expression
 // errors or is false drop. inRun marks a filter the planner pushed inside a
-// BGP run (placement guarantees its variables are bound there).
+// BGP run (placement guarantees its variables are bound there): its input is
+// the batch the step before it just produced, which the run owns, so the kept
+// rows are compacted in place. A group-level filter copies them: evalGroup
+// never modifies its input.
 func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
+	nIn := rows.n()
 	fs := ev.cur.StartChild("filter")
 	if fs != nil {
 		fs.SetAttr("expr", expr.String())
 		if inRun {
 			fs.SetAttr("pushed", "in-run")
 		}
-		fs.SetAttr("rows_in", rows.n())
+		fs.SetAttr("rows_in", nIn)
 	}
 	pf, pft := ev.profEnter("filter", ev.profLabel(expr))
 	env := exprEnv{ev: ev}
-	out := newBatch(rows.width, rows.n())
-	for r, n := 0, rows.n(); r < n; r++ {
+	w := rowWriter{width: rows.width}
+	kept := 0 // in-run: rows compacted to the front so far
+	for r := 0; r < nIn; r++ {
 		if r%pollEvery == 0 && ev.cancel.poll() {
 			break
 		}
 		row := rows.row(r)
-		if v, err := env.evalBool(expr, row); err == nil && v {
-			out.vals = append(out.vals, row...)
+		if v, err := env.evalBool(expr, row); err != nil || !v {
+			continue
+		}
+		if inRun {
+			copy(rows.row(kept), row)
+			kept++
+		} else {
+			w.add(row)
 		}
 	}
-	ev.profExit(pf, pft, rows.n(), out.n())
+	out := rows
+	if inRun {
+		rows.vals = rows.vals[:kept*rows.width]
+	} else {
+		out = w.batch()
+	}
+	ev.profExit(pf, pft, nIn, out.n())
 	if fs != nil {
 		fs.SetAttr("rows_out", out.n())
 		fs.Finish()
@@ -301,17 +318,11 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	// size of any one intermediate row set, counted live across the worker
 	// partitions while this join produces.
 	ev.cancel.resetRows()
-	var out *batch
+	var ht *hashRun // nil: index loop
 	if strategy == strategyHashJoin {
-		ht := ev.buildHashRun(pp, joinPos)
-		out = ev.runPartitioned(rows, func(lo, hi int) *batch {
-			return ev.probeHashRun(pp, ht, joinPos, freePos, rows, lo, hi)
-		})
-	} else {
-		out = ev.runPartitioned(rows, func(lo, hi int) *batch {
-			return ev.nestedLoopRun(pp, rows, lo, hi)
-		})
+		ht = ev.buildHashRun(pp, joinPos, freePos)
 	}
+	out := ev.runPartitioned(pp, ht, rows)
 	ev.profExit(psc, psct, rows.n(), out.n())
 	if ss != nil {
 		ss.SetAttr("rows_out", out.n())
@@ -320,29 +331,43 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	return out
 }
 
-// runPartitioned splits the rows into contiguous chunks, runs exec on each
-// (concurrently when the batch is large enough) and concatenates the chunk
-// results in input order. exec must be safe for concurrent invocation on
-// distinct ranges.
-func (ev *evaluator) runPartitioned(rows *batch, exec func(lo, hi int) *batch) *batch {
+// runPartitioned splits the rows into contiguous chunks, joins each with the
+// pattern (concurrently when the batch is large enough) through a writer of
+// its own — probing ht, or with one index lookup per row when there is none —
+// and copies what the chunks wrote, in input order, into one batch of exactly
+// that size.
+func (ev *evaluator) runPartitioned(pp *patPlan, ht *hashRun, rows *batch) *batch {
 	n := rows.n()
 	if ev.workers <= 1 || n < parallelThreshold {
-		return exec(0, n)
+		w := rowWriter{width: rows.width}
+		ev.joinRange(pp, ht, rows, 0, n, &w)
+		return w.batch()
 	}
 	chunks := par.Chunks(n, ev.workers)
-	parts := make([]*batch, len(chunks))
+	parts := make([]*rowWriter, len(chunks))
 	par.Do(len(chunks), ev.workers, func(i int) {
-		parts[i] = exec(chunks[i][0], chunks[i][1])
+		// Allocated by the worker, so that two workers' writers share no cache line.
+		parts[i] = &rowWriter{width: rows.width}
+		ev.joinRange(pp, ht, rows, chunks[i][0], chunks[i][1], parts[i])
 	})
 	total := 0
 	for _, p := range parts {
-		total += len(p.vals)
+		total += p.rows
 	}
-	out := &batch{width: rows.width, vals: make([]rdf.ID, 0, total)}
+	out := newBatch(rows.width, total)
 	for _, p := range parts {
-		out.vals = append(out.vals, p.vals...)
+		p.drainTo(out)
 	}
 	return out
+}
+
+// joinRange joins rows [lo, hi) with the pattern, writing to w.
+func (ev *evaluator) joinRange(pp *patPlan, ht *hashRun, rows *batch, lo, hi int, w *rowWriter) {
+	if ht != nil {
+		ev.probeHashRun(pp, ht, rows, lo, hi, w)
+	} else {
+		ev.nestedLoopRun(pp, rows, lo, hi, w)
+	}
 }
 
 // sameVarDiffers reports whether a match binds one variable of the pattern
@@ -362,71 +387,80 @@ func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
 // nestedLoopRun evaluates the pattern with one ID index lookup per row:
 // bound columns tighten the pattern to its most selective access path. It
 // also covers mixed boundness (a variable bound in only part of the rows).
-func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int) *batch {
-	out := newBatch(rows.width, hi-lo)
-	produced := 0           // rows appended since the last budget flush
-	var matches [][3]rdf.ID // scratch, reused across rows
-	for r := lo; r < hi; r++ {
-		if (r-lo)%64 == 0 && ev.cancel.aborted() {
-			return out
+// Every match is written from inside the scan callback, which accounts it
+// against the row budget and polls for cancellation: one row of an unselective
+// pattern can match a large slice of the graph, and the scan stops where the
+// budget does.
+func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int, w *rowWriter) {
+	produced := 0 // rows written since the last budget flush
+	scanned := 0
+	stopped := false
+	var row []rdf.ID
+	var lookup [3]rdf.ID
+	match := func(s, p, o rdf.ID) bool {
+		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
+			stopped = true
+			return false
 		}
-		row := rows.row(r)
-		lookup := pp.ids
+		m := [3]rdf.ID{s, p, o}
+		if pp.sameVarDiffers(lookup, m) {
+			return true
+		}
+		out := w.add(row)
+		for i := 0; i < 3; i++ {
+			if pp.slot[i] >= 0 && lookup[i] == 0 {
+				out[pp.slot[i]] = m[i]
+			}
+		}
+		if produced++; produced >= 256 {
+			stopped = ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
+			produced = 0
+		}
+		return !stopped
+	}
+	for r := lo; r < hi && !stopped; r++ {
+		if (r-lo)%64 == 0 && ev.cancel.aborted() {
+			return
+		}
+		row = rows.row(r)
+		lookup = pp.ids
 		for i := 0; i < 3; i++ {
 			if pp.slot[i] >= 0 {
 				lookup[i] = row[pp.slot[i]]
 			}
 		}
-		matches = matches[:0]
-		ev.g.MatchIDs(lookup[0], lookup[1], lookup[2], func(s, p, o rdf.ID) bool {
-			// One row of an unselective pattern can match a large slice of
-			// the graph; keep the scan itself interruptible.
-			if len(matches)%pollEvery == pollEvery-1 && ev.cancel.poll() {
-				return false
-			}
-			matches = append(matches, [3]rdf.ID{s, p, o})
-			return true
-		})
-		for _, m := range matches {
-			if pp.sameVarDiffers(lookup, m) {
-				continue
-			}
-			base := len(out.vals)
-			out.vals = append(out.vals, row...)
-			for i := 0; i < 3; i++ {
-				if pp.slot[i] >= 0 && lookup[i] == 0 {
-					out.vals[base+pp.slot[i]] = m[i]
-				}
-			}
-			if produced++; produced >= 256 {
-				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
-					return out
-				}
-				produced = 0
-			}
-		}
+		ev.g.MatchIDs(lookup[0], lookup[1], lookup[2], match)
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
-	return out
 }
 
 // hashRun is the build side of a hash join: every match of the pattern
-// (constants only) in one flat slice, bucketed by the IDs at the
-// join-variable positions. A bucket keeps MatchIDs' deterministic scan
-// order, and the table allocates nothing per key.
+// (constants only), kept once, in scan order, and chained by the IDs at the
+// join-variable positions. A bucket's chain keeps MatchIDs' deterministic
+// scan order, and the table allocates nothing per key.
 type hashRun struct {
-	keys    *tupleIndex // join-key tuple -> bucket number
-	start   []int32     // bucket b is matches[start[b]:start[b+1]]
-	matches [][3]rdf.ID
+	// joinPos and freePos are the pattern positions (the first, of a repeated
+	// variable) every input row binds and no input row binds.
+	joinPos, freePos []int
+	keys             *tupleIndex // join-key tuple -> bucket number
+	matches          [][3]rdf.ID
+	// Bucket b is a circular chain through next: last[b] is its last match
+	// and next[last[b]] its first.
+	last, next []int32
 }
 
-// buildHashRun scans the pattern once and buckets the matches by joinPos in
-// two passes: number each match's bucket while scanning, then counting-sort
-// the matches into bucket order (bucketize).
-func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) *hashRun {
-	ht := &hashRun{keys: newTupleIndex(len(joinPos), pp.baseEst)}
-	scan := make([][3]rdf.ID, 0, pp.baseEst)
-	bucket := make([]int32, 0, pp.baseEst)
+// buildHashRun scans the pattern once, chaining each match behind the last
+// one with its join key. The pattern's count sizes everything up front; a
+// scan that finds more (triples inserted since the count) grows by append.
+func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun {
+	ht := &hashRun{
+		joinPos: joinPos,
+		freePos: freePos,
+		keys:    newTupleIndex(len(joinPos), pp.baseEst),
+		matches: make([][3]rdf.ID, 0, pp.baseEst),
+		last:    make([]int32, 0, pp.baseEst),
+		next:    make([]int32, 0, pp.baseEst),
+	}
 	scanned := 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
@@ -441,17 +475,18 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) *hashRun {
 		for k, posI := range joinPos {
 			key[k] = m[posI]
 		}
-		b, _ := ht.keys.add(key[:len(joinPos)])
-		scan = append(scan, m)
-		bucket = append(bucket, int32(b))
+		i := int32(len(ht.matches))
+		ht.matches = append(ht.matches, m)
+		if b, fresh := ht.keys.add(key[:len(joinPos)]); fresh {
+			ht.last = append(ht.last, i)
+			ht.next = append(ht.next, i)
+		} else {
+			last := ht.last[b]
+			ht.next = append(ht.next, ht.next[last])
+			ht.next[last], ht.last[b] = i, i
+		}
 		return true
 	})
-	var order []int32
-	ht.start, order = bucketize(bucket, ht.keys.count)
-	ht.matches = make([][3]rdf.ID, len(scan))
-	for i, m := range order {
-		ht.matches[i] = scan[m]
-	}
 	return ht
 }
 
@@ -460,36 +495,37 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos []int) *hashRun {
 // lands here (every probe hits the full build side), so the inner loop
 // accounts produced rows against the budget and polls for cancellation —
 // this is where a pathological query dies early.
-func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, joinPos, freePos []int, rows *batch, lo, hi int) *batch {
-	out := newBatch(rows.width, hi-lo)
+func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, lo, hi int, w *rowWriter) {
 	produced := 0
 	for r := lo; r < hi; r++ {
 		if (r-lo)%64 == 0 && ev.cancel.aborted() {
-			return out
+			return
 		}
 		row := rows.row(r)
 		var key [3]rdf.ID
-		for k, posI := range joinPos {
+		for k, posI := range ht.joinPos {
 			key[k] = row[pp.slot[posI]]
 		}
-		b := ht.keys.find(key[:len(joinPos)])
+		b := ht.keys.find(key[:len(ht.joinPos)])
 		if b < 0 {
 			continue
 		}
-		for _, m := range ht.matches[ht.start[b]:ht.start[b+1]] {
-			base := len(out.vals)
-			out.vals = append(out.vals, row...)
-			for _, posI := range freePos {
-				out.vals[base+pp.slot[posI]] = m[posI]
+		last := ht.last[b]
+		for i := ht.next[last]; ; i = ht.next[i] {
+			out := w.add(row)
+			for _, posI := range ht.freePos {
+				out[pp.slot[posI]] = ht.matches[i][posI]
 			}
 			if produced++; produced >= 256 {
 				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
-					return out
+					return
 				}
 				produced = 0
+			}
+			if i == last {
+				break
 			}
 		}
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
-	return out
 }

@@ -45,7 +45,7 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 	sSlot, sConst := end(tp.S)
 	oSlot, oConst := end(tp.O)
 	sameVar := tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var
-	out := newBatch(input.width, input.n())
+	w := rowWriter{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {
 		if ev.cancel.poll() {
 			break
@@ -54,7 +54,7 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 			ev.cancel.abort(err)
 			break
 		}
-		if ev.overBudget(out.n()) {
+		if ev.overBudget(w.rows) {
 			break
 		}
 		row := input.row(i)
@@ -69,13 +69,12 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 			if sameVar && s == 0 && sID != oID {
 				return
 			}
-			base := len(out.vals)
-			out.vals = append(out.vals, row...)
+			out := w.add(row)
 			if s == 0 && sSlot >= 0 {
-				out.vals[base+sSlot] = sID
+				out[sSlot] = sID
 			}
 			if o == 0 && oSlot >= 0 {
-				out.vals[base+oSlot] = oID
+				out[oSlot] = oID
 			}
 		}
 		switch {
@@ -95,7 +94,7 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 			sources := idSet{}
 			ev.collectSources(tp.Path, false, sources)
 			for _, sID := range sources.sorted() {
-				if ev.cancel.aborted() || ev.overBudget(out.n()) {
+				if ev.cancel.aborted() || ev.overBudget(w.rows) {
 					break
 				}
 				for _, oID := range ev.pathReach(tp.Path, sID, false).sorted() {
@@ -104,6 +103,7 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 			}
 		}
 	}
+	out := w.batch()
 	ev.profExit(pp, ppt, input.n(), out.n())
 	if ps != nil {
 		ps.SetAttr("rows_out", out.n())

@@ -54,13 +54,16 @@ func (r *Results) Column(v string) []rdf.Term {
 // Sort orders rows by the projected variables (term order), making result
 // tables deterministic for tests and serialization.
 func (r *Results) Sort() {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		for k, a := range r.Rows[i] {
-			if b := r.Rows[j][k]; a != b {
-				return a.Less(b)
+	slices.SortStableFunc(r.Rows, func(x, y []rdf.Term) int {
+		for k, a := range x {
+			if b := y[k]; a != b {
+				if a.Less(b) {
+					return -1
+				}
+				return 1
 			}
 		}
-		return false
+		return 0
 	})
 }
 

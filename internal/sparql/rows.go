@@ -3,6 +3,7 @@ package sparql
 import (
 	"slices"
 	"strconv"
+	"sync"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -107,6 +108,82 @@ func (b *batch) n() int { return len(b.vals) / b.width }
 
 func (b *batch) row(i int) []rdf.ID { return b.vals[i*b.width : (i+1)*b.width] }
 
+// rowBlockIDs is the size of a row block: 64 KiB of IDs.
+const rowBlockIDs = 16 << 10
+
+// rowBlocks recycles row blocks across steps, queries and workers. A block
+// holds no pointers, and one that is never put back is ordinary garbage.
+var rowBlocks = sync.Pool{New: func() any { return new([rowBlockIDs]rdf.ID) }}
+
+// rowWriter is where an operator that cannot know its output size in advance
+// puts its rows: in pooled fixed-size blocks, whole rows to a block, which
+// batch (or drainTo, for the partitions of one step) copies once into a batch
+// allocated at exactly the final size. So no operator's output grows by
+// append, and what a step allocates is what it returns. One goroutine writes
+// to a rowWriter, and the row add returns is good until the next add.
+type rowWriter struct {
+	width int
+	rows  int
+	full  [][]rdf.ID // filled blocks, in order
+	cur   []rdf.ID   // the block being filled; its length is what is used
+}
+
+// add appends a copy of the row and returns it for the caller to extend.
+func (w *rowWriter) add(row []rdf.ID) []rdf.ID {
+	if cap(w.cur)-len(w.cur) < w.width {
+		w.nextBlock()
+	}
+	base := len(w.cur)
+	w.cur = w.cur[:base+w.width]
+	w.rows++
+	copy(w.cur[base:], row)
+	return w.cur[base:]
+}
+
+// addAll appends a copy of every row of b.
+func (w *rowWriter) addAll(b *batch) {
+	for i, n := 0, b.n(); i < n; i++ {
+		w.add(b.row(i))
+	}
+}
+
+func (w *rowWriter) nextBlock() {
+	if w.cur != nil {
+		w.full = append(w.full, w.cur)
+	}
+	if w.width > rowBlockIDs {
+		w.cur = make([]rdf.ID, 0, w.width) // a row wider than a block gets one of its own
+		return
+	}
+	w.cur = rowBlocks.Get().(*[rowBlockIDs]rdf.ID)[:0]
+}
+
+// drainTo appends the writer's rows to out, which must have room for them,
+// and hands the blocks back: nothing may still refer into them.
+func (w *rowWriter) drainTo(out *batch) {
+	for _, blk := range w.full {
+		out.vals = append(out.vals, blk...)
+		putRowBlock(blk)
+	}
+	out.vals = append(out.vals, w.cur...)
+	putRowBlock(w.cur)
+	*w = rowWriter{width: w.width}
+}
+
+// putRowBlock recycles a block if it is a pooled one.
+func putRowBlock(blk []rdf.ID) {
+	if cap(blk) == rowBlockIDs {
+		rowBlocks.Put((*[rowBlockIDs]rdf.ID)(blk[:rowBlockIDs]))
+	}
+}
+
+// batch returns the rows written, in a batch of exactly their size.
+func (w *rowWriter) batch() *batch {
+	out := newBatch(w.width, w.rows)
+	w.drainTo(out)
+	return out
+}
+
 // scratchBit marks the IDs the scratch dictionary issues. Graph IDs are
 // dense from 1, so no graph — not even one growing under a concurrent
 // INSERT DATA — hands out an ID with the high bit set.
@@ -114,14 +191,12 @@ const scratchBit rdf.ID = 1 << 31
 
 // termDict is the per-evaluation dictionary view: the graph's dictionary
 // extended by scratch IDs for terms the graph does not hold (BIND and SELECT
-// expression values, aggregates, VALUES constants), plus the one decode
-// cache expressions read variables through. Only the coordinating goroutine
-// uses it (worker partitions touch nothing but IDs).
+// expression values, aggregates, VALUES constants). Only the coordinating
+// goroutine uses it (worker partitions touch nothing but IDs).
 type termDict struct {
 	g       *rdf.Graph
 	ids     map[rdf.Term]rdf.ID // terms interned so far: graph or scratch ID
 	scratch []rdf.Term          // scratch[id&^scratchBit]
-	terms   map[rdf.ID]rdf.Term // decoded graph IDs
 }
 
 // id interns a term: the graph's ID when the graph knows the term, a
@@ -144,12 +219,7 @@ func (d *termDict) term(id rdf.ID) rdf.Term {
 	if id&scratchBit != 0 {
 		return d.scratch[id&^scratchBit]
 	}
-	if t, ok := d.terms[id]; ok {
-		return t
-	}
-	t := d.g.TermOf(id)
-	d.terms[id] = t
-	return t
+	return d.g.TermOf(id)
 }
 
 // bucketize is a stable counting sort: given each item's bucket number it

@@ -2,6 +2,10 @@ package sparql
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +48,57 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 	}
 	if allocs >= subjects/10 {
 		t.Errorf("%v allocations for %d joined rows in %d groups: something allocates per row", allocs, subjects, res.Len())
+	}
+}
+
+// TestStepAllocatesItsOutput: a join step allocates its output once, at its
+// final size, and its build side once. The bytes a 4-pattern star with a
+// pushed-down filter allocates stay within twice what its own profile says
+// the steps returned (rows × width × 4 B) plus 24 B per build-side match —
+// the rest being the plan, the aggregate's row numbers and the hash index
+// (1.3× measured). Output grown by append, a scratch copy of every scan and a
+// second copy of the build side put the same query at 4×.
+func TestStepAllocatesItsOutput(t *testing.T) {
+	g := starGraph(10000)
+	q := MustParse(`PREFIX ex: <http://e/>
+SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (SUM(?v) AS ?total)
+WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . FILTER(?v >= 2500) }`)
+	run := func(prof *Profile) {
+		res, err := ExecSelectOpts(g, q, Options{Parallelism: 1, Profile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Get(0, "n").Value; n != "7500" {
+			t.Fatalf("COUNT(?s) = %s, want 7500", n)
+		}
+	}
+	prof := NewProfile("test")
+	run(prof) // also warms the block pool
+	width := int64(selectScope(q).width())
+	var returned, built int64
+	var walk func(n *ProfNode)
+	walk = func(n *ProfNode) {
+		if n.Op == "scan" {
+			returned += n.RowsOut * width * 4
+			if n.Strategy == strategyHashJoin.String() {
+				built += n.EstRows * 24
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(prof.root)
+	if built == 0 {
+		t.Fatalf("no hash join ran:\n%s", prof.Tree())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(nil)
+	runtime.ReadMemStats(&after)
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > 2*(returned+built) {
+		t.Errorf("allocated %d bytes for steps returning %d and building %d: %.1f× (want ≤ 2×)\n%s",
+			alloc, returned, built, float64(alloc)/float64(returned+built), prof.Tree())
 	}
 }
 
@@ -93,6 +148,41 @@ func TestJSONFillsItsSlice(t *testing.T) {
 	}
 }
 
+// TestSortKeepsSliceStablesPermutation: Results.Sort leaves the rows in the
+// permutation sort.SliceStable left them in with the same comparison — the
+// recorded response digests are of that permutation. It is the same merge
+// sort asking the same questions, so this holds even where Term.Less is no
+// strict weak order (10 < "9" by value, "9" < 9.5 by value, 9.5 < 10 by
+// number) and "sorted" does not name one order.
+func TestSortKeepsSliceStablesPermutation(t *testing.T) {
+	pool := []rdf.Term{
+		{}, e("a"), e("b"), rdf.NewBlank("b0"), rdf.NewString("9"), rdf.NewString("10"), rdf.NewInteger(9), rdf.NewInteger(10),
+		rdf.NewDecimal(9.5), rdf.NewLangString("9", "en"), rdf.NewTyped("x", rdf.XSDInteger), rdf.NewTyped("2021-06-01", rdf.XSDDate),
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{0, 1, 2, 19, 20, 21, 40, 41, 333, 5000} {
+		rows := make([][]rdf.Term, n)
+		for i := range rows {
+			rows[i] = []rdf.Term{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+		}
+		res := &Results{Vars: []string{"a", "b"}, Rows: slices.Clone(rows)}
+		res.Sort()
+		sort.SliceStable(rows, func(i, j int) bool {
+			for k, a := range rows[i] {
+				if b := rows[j][k]; a != b {
+					return a.Less(b)
+				}
+			}
+			return false
+		})
+		for i := range rows {
+			if &rows[i][0] != &res.Rows[i][0] {
+				t.Fatalf("%d rows: position %d holds %v, sort.SliceStable put %v there", n, i, res.Rows[i], rows[i])
+			}
+		}
+	}
+}
+
 func scratchGraph(t *testing.T) *rdf.Graph {
 	t.Helper()
 	return specGraph(t,
@@ -130,7 +220,7 @@ func TestScratchValueMeetsGraphTerm(t *testing.T) {
 // are one ID — in the dictionary itself and through DISTINCT / GROUP BY.
 func TestScratchEqualTermsShareID(t *testing.T) {
 	g := scratchGraph(t)
-	d := &termDict{g: g, ids: map[rdf.Term]rdf.ID{}, terms: map[rdf.ID]rdf.Term{}}
+	d := &termDict{g: g, ids: map[rdf.Term]rdf.ID{}}
 	seven, again := d.id(rdf.NewInteger(7)), d.id(rdf.NewTyped("7", rdf.XSDInteger))
 	if seven != again || seven&scratchBit == 0 {
 		t.Errorf("ids of two equal computed terms: %#x and %#x, want one scratch ID", seven, again)
