@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-scale bench-standing bench-json bench-planner bench-herd bench-store obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
+.PHONY: build test check race paper bench bench-scale bench-standing obs-smoke metrics-lint chaos-smoke resilience-smoke durability-smoke fuzz-smoke conformance clean
 
 build:
 	$(GO) build ./...
@@ -9,15 +9,16 @@ test:
 	$(GO) test ./...
 
 # check is the full verification gate: formatting, static analysis, the
-# whole test suite under the race detector (the parallel evaluator paths
-# run with Parallelism > 1 in tests, so races surface here), the telemetry
-# and chaos smoke tests against live servers, and a fuzz smoke pass over
-# the three parsers.
+# whole test suite under the race detector in a shuffled test order (the
+# parallel evaluator paths run with Parallelism > 1 in tests, so races
+# surface here; a test that depends on its neighbours fails and prints its
+# seed), the telemetry and chaos smoke tests against live servers, and a
+# fuzz smoke pass over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
 	$(MAKE) metrics-lint
@@ -82,14 +83,23 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
-# bench runs the efficiency cells, rdf's match micro-benches and the engine's
-# BenchmarkJoinStep: one query of each sparql-cold shape on that workload's
-# graph, in process, so B/op is what the engine allocates for the shape.
+# paper prints the paper's tables and figures that need no participants
+# (E1–E7, E10, E11 of EXPERIMENTS.md; ≈7 s at full scale). It records
+# nothing: E11's SVG/JSON artifacts go to a fresh temp directory it names.
+paper:
+	$(GO) run ./cmd/papertables -all
+
+# bench runs the in-process micro-benchmarks, each next to the code it
+# measures: rdf's match micro-benches, the answer-cache cube ablation, the
+# tracing on/off cost, and the engine's BenchmarkJoinStep — one query of each
+# sparql-cold shape on that workload's graph, so B/op is what the engine
+# allocates for the shape.
 bench:
-	$(GO) test -bench . -benchtime 5x -run XXX .
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
+	$(GO) test -bench '^BenchmarkCubeReuse$$' -run XXX ./internal/core/
+	$(GO) test -bench '^BenchmarkTraceOverhead$$' -run XXX ./internal/sparql/
 	$(GO) test -bench '^BenchmarkJoinStep$$' -benchmem -run XXX ./internal/sparql/
 
 # bench-scale loads the products graph once at 200k, 1M and 2M triples and
@@ -110,34 +120,6 @@ bench-standing:
 	@for w in $(WORKLOAD); do \
 		$(GO) run ./benchmark -workload $$w -seed $(SEED) -trace 0 || exit 1; done
 
-# bench-json regenerates the machine-readable BENCH_results.json via the
-# experiment runner (quick scales; drop -quick for the full sweep) and
-# appends the run — timestamped, with its configuration and git describe —
-# to the cumulative BENCH_history.json, so successive runs build a
-# performance timeline to diff regressions against (-history "" disables).
-bench-json:
-	$(GO) run ./cmd/benchrunner -exp E6 -quick
-
-# bench-planner runs the adaptive-planner feedback-convergence experiment
-# (E12): the workload replays twice over one feedback store and the per-pass
-# worst q-error and latency quantiles are appended to BENCH_history.json —
-# the acceptance evidence that the second pass plans strictly better.
-bench-planner:
-	$(GO) run ./cmd/benchrunner -exp E12
-
-# bench-herd runs the hot-fingerprint herd experiment (E13): concurrent
-# clients replay a hot query set against an uncached server and against the
-# answer-cache + singleflight stack; the throughput ratio is appended to
-# BENCH_history.json — acceptance is cached >= 5x uncached.
-bench-herd:
-	$(GO) run ./cmd/benchrunner -exp E13
-
-# bench-store runs the durable-store restart experiment (E14): cold-start by
-# Turtle re-parse + materialize versus segment + WAL-replay restore of the
-# same graph; both means land in BENCH_history.json — acceptance is restore
-# >= 5x faster.
-bench-store:
-	$(GO) run ./cmd/benchrunner -exp E14
-
+# clean removes what the standing benchmark leaves behind (.gitignore).
 clean:
-	rm -f BENCH_results.json spiral.svg city.svg city.json
+	rm -rf .bench_out .bench_build

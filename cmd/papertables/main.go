@@ -1,24 +1,23 @@
-// Command benchrunner regenerates every evaluation artifact of the paper
-// (the experiment index E1–E14 of DESIGN.md): translation examples, facet
-// trees, the §5.1 interaction walk-throughs, the efficiency tables
-// (Tables 6.1–6.2), the OLAP correspondence (Fig 7.1–7.2), the simulated
-// user study (Figs 8.1–8.2), the evaluation-strategy ablation, the
-// spiral/3D layouts, the planner feedback-convergence run, and the
-// hot-fingerprint herd (answer cache + singleflight vs uncached).
+// Command papertables prints the paper's tables and figures that are
+// reproducible without participants (E1–E7, E10, E11 of the experiment index
+// in DESIGN.md): the running-example queries, the HIFUN→SPARQL translation
+// cases, the facet trees, the §5.1 interaction walk-throughs, the efficiency
+// tables (Tables 6.1–6.2), the OLAP correspondence (Fig 7.1–7.2), the
+// evaluation-strategy ablation and the spiral/3D layouts. It measures nothing
+// for the record — performance claims go through the standing benchmark
+// (benchmark/README.md).
 //
 // Usage:
 //
-//	benchrunner -all              run everything
-//	benchrunner -exp E5 -quick    one experiment, reduced scales
+//	papertables -all              print everything
+//	papertables -exp E5 -quick    one experiment, reduced scales
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -27,105 +26,48 @@ import (
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/facet"
 	"rdfanalytics/internal/hifun"
-	"rdfanalytics/internal/obs"
-	"rdfanalytics/internal/par"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/sparql"
-	"rdfanalytics/internal/userstudy"
 	"rdfanalytics/internal/viz"
 )
 
 var (
-	quick       = flag.Bool("quick", false, "reduced scales / repetitions")
-	outDir      = flag.String("out", ".", "directory for SVG/JSON artifacts (E11)")
-	jsonOut     = flag.String("json", "BENCH_results.json", "machine-readable results file (empty to disable)")
-	historyOut  = flag.String("history", "BENCH_history.json", "cumulative run-history file the run is appended to (empty to disable)")
-	parallelism = flag.Int("parallelism", 0, "evaluator worker pool (0 = GOMAXPROCS, 1 = sequential)")
+	quick  = flag.Bool("quick", false, "reduced scales / repetitions")
+	outDir = flag.String("out", "", "directory for the SVG/JSON artifacts of E11 (default: a fresh directory under the system temp dir)")
 )
 
-// records accumulates the machine-readable measurements of the timing
-// experiments (E5, E6, E10) for the -json output.
-var records []bench.Record
+// experiments in print order; E8/E9 (the user study) need participants and
+// E12–E14 are standing-benchmark metrics (EXPERIMENTS.md).
+var experiments = []struct {
+	id  string
+	run func() error
+}{
+	{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5}, {"E6", e6},
+	{"E7", e7}, {"E10", e10}, {"E11", e11},
+}
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (E1..E14)")
+	exp := flag.String("exp", "", "experiment id (E1..E7, E10, E11)")
 	all := flag.Bool("all", false, "run every experiment")
 	flag.Parse()
-	// Sample runtime telemetry (heap, GC, goroutines) across the whole run;
-	// the end-of-run summary rides into BENCH_history.json so regressions
-	// correlate with memory/GC pressure, not just wall time.
-	obs.RegisterRuntimeMetrics(obs.Default)
-	sampler := obs.NewSampler(obs.Default, nil, nil,
-		obs.TSDBConfig{Interval: time.Second}).Start()
-	defer sampler.Close()
-	experiments := map[string]func() error{
-		"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5, "E6": e6,
-		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11, "E12": e12,
-		"E13": e13, "E14": e14,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"}
-	switch {
-	case *all:
-		for _, id := range order {
-			header(id)
-			if err := experiments[id](); err != nil {
-				log.Fatalf("%s: %v", id, err)
-			}
-		}
-	case *exp != "":
-		fn, ok := experiments[strings.ToUpper(*exp)]
-		if !ok {
-			log.Fatalf("unknown experiment %q (want E1..E14)", *exp)
-		}
-		header(strings.ToUpper(*exp))
-		if err := fn(); err != nil {
-			log.Fatal(err)
-		}
-	default:
+	if !*all && *exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *jsonOut != "" && len(records) > 0 {
-		path := *jsonOut
-		if !strings.ContainsAny(path, "/") {
-			path = *outDir + "/" + path
+	ran := false
+	for _, e := range experiments {
+		if !*all && !strings.EqualFold(e.id, *exp) {
+			continue
 		}
-		if err := bench.WriteJSON(path, records); err != nil {
-			log.Fatalf("writing %s: %v", path, err)
+		ran = true
+		header(e.id)
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.id, err)
 		}
-		fmt.Println("\nwrote", path)
 	}
-	if *historyOut != "" && len(records) > 0 {
-		path := *historyOut
-		if !strings.ContainsAny(path, "/") {
-			path = *outDir + "/" + path
-		}
-		sampler.Tick(time.Now())
-		entry := bench.HistoryEntry{
-			When: time.Now().UTC(),
-			Git:  gitDescribe(),
-			Config: map[string]any{
-				"exp": strings.ToUpper(*exp), "all": *all,
-				"quick": *quick, "parallelism": *parallelism,
-			},
-			Records:   records,
-			Telemetry: sampler.TelemetrySummary(),
-		}
-		if err := bench.AppendHistory(path, entry); err != nil {
-			log.Fatalf("appending %s: %v", path, err)
-		}
-		fmt.Println("appended run to", path)
+	if !ran {
+		log.Fatalf("unknown experiment %q (want E1..E7, E10 or E11)", *exp)
 	}
-}
-
-// gitDescribe identifies the working tree for the run history; empty when
-// git is unavailable or the directory is not a repository.
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func header(id string) {
@@ -280,7 +222,7 @@ func e4() error {
 }
 
 func benchConfig() bench.Config {
-	cfg := bench.Config{Parallelism: *parallelism}
+	var cfg bench.Config
 	if *quick {
 		cfg.Scales = []bench.Scale{{Name: "5k", Laptops: 350}, {Name: "20k", Laptops: 1450}}
 		cfg.Runs = 3
@@ -296,7 +238,6 @@ func e5() error {
 		return err
 	}
 	bench.WriteTable(os.Stdout, "Table 6.1 — efficiency under load (peak)", results)
-	records = append(records, bench.Records("E5", results)...)
 	return nil
 }
 
@@ -307,7 +248,6 @@ func e6() error {
 		return err
 	}
 	bench.WriteTable(os.Stdout, "Table 6.2 — efficiency uncontended (off-peak)", results)
-	records = append(records, bench.Records("E6", results)...)
 	return nil
 }
 
@@ -356,36 +296,6 @@ func e7() error {
 	return nil
 }
 
-func studyConfig() userstudy.Config {
-	cfg := userstudy.Config{UsersPerLevel: 10, Seed: 2023}
-	if *quick {
-		cfg.UsersPerLevel = 4
-	}
-	return cfg
-}
-
-// E8 — Fig 8.1: per-task completion and rating.
-func e8() error {
-	results, err := userstudy.Run(studyConfig())
-	if err != nil {
-		return err
-	}
-	userstudy.WriteFig81(os.Stdout, results)
-	fmt.Println("\n-- per-expertise breakdown --")
-	userstudy.WriteByExpertise(os.Stdout, results)
-	return nil
-}
-
-// E9 — Fig 8.2: aggregate completion and rating.
-func e9() error {
-	results, err := userstudy.Run(studyConfig())
-	if err != nil {
-		return err
-	}
-	userstudy.WriteFig82(os.Stdout, results)
-	return nil
-}
-
 // E10 — evaluation-strategy ablation (Tables 5.1 vs 5.2 / Fig 8.3).
 func e10() error {
 	laptops := 2000
@@ -395,7 +305,6 @@ func e10() error {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: laptops, Companies: 12, Seed: 1, Materialize: true})
 	ns := datagen.ExampleNS
 	m := facet.NewModel(g)
-	m.Parallelism = *parallelism
 	s0 := m.ClickClass(m.Start(), rdf.NewIRI(ns+"Laptop"))
 	path := facet.Path{{P: rdf.NewIRI(ns + "manufacturer")}, {P: rdf.NewIRI(ns + "origin")}}
 	vals := m.ExpandPath(s0, path)
@@ -424,17 +333,18 @@ func e10() error {
 	fmt.Printf("  in-memory set evaluation (Table 5.1): %v per transition\n", setDur.Round(time.Microsecond))
 	fmt.Printf("  SPARQL-only evaluation   (Table 5.2): %v per transition\n", sparqlDur.Round(time.Microsecond))
 	fmt.Printf("  extension size agrees: %d objects\n", st.Ext.Len())
-	records = append(records,
-		bench.Record{Experiment: "E10", Label: "set evaluation", Triples: g.Len(),
-			Parallelism: par.Workers(*parallelism), Runs: iters, NsPerOp: setDur.Nanoseconds()},
-		bench.Record{Experiment: "E10", Label: "sparql evaluation", Triples: g.Len(),
-			Parallelism: par.Workers(*parallelism), Runs: iters, NsPerOp: sparqlDur.Nanoseconds()})
 	return nil
 }
 
 // E11 — spiral and 3D-city layouts (§6.3, Figs 6.4–6.5).
 func e11() error {
-	rng := rand.New(rand.NewSource(1))
+	dir := *outDir
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "papertables-"); err != nil {
+			return err
+		}
+	}
 	items := make([]viz.SpiralItem, 64)
 	for i := range items {
 		items[i] = viz.SpiralItem{
@@ -442,12 +352,11 @@ func e11() error {
 			Value: float64(int(1000 / float64(i+1))), // power-law-ish
 		}
 	}
-	_ = rng
 	placed := viz.SpiralLayout{}.Layout(items)
 	minX, minY, maxX, maxY := viz.Bounds(placed)
 	fmt.Printf("spiral layout: %d values placed, bounding box %.0fx%.0f, center value %q\n",
 		len(placed), maxX-minX, maxY-minY, placed[0].Label)
-	spiralPath := *outDir + "/spiral.svg"
+	spiralPath := dir + "/spiral.svg"
 	if err := os.WriteFile(spiralPath, []byte(viz.SpiralSVG(placed, 4)), 0o644); err != nil {
 		return err
 	}
@@ -469,7 +378,7 @@ func e11() error {
 	}
 	scene := viz.BuildCity(entities, viz.CityConfig{})
 	fmt.Printf("3D city: %d buildings, %d features\n", len(scene.Buildings), len(scene.Features))
-	cityPath := *outDir + "/city.svg"
+	cityPath := dir + "/city.svg"
 	if err := os.WriteFile(cityPath, []byte(scene.IsometricSVG(3)), 0o644); err != nil {
 		return err
 	}
@@ -478,69 +387,10 @@ func e11() error {
 	if err != nil {
 		return err
 	}
-	jsonPath := *outDir + "/city.json"
+	jsonPath := dir + "/city.json"
 	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
 		return err
 	}
 	fmt.Println("wrote", jsonPath)
-	return nil
-}
-
-// E12 — adaptive-planner feedback convergence: the workload replays twice
-// over a shared feedback store; the second pass plans from the first pass's
-// observed cardinalities, so its worst q-error must fall while p95 latency
-// does not regress. The per-pass q-error rides into BENCH_history.json via
-// the record labels.
-func e12() error {
-	cfg := bench.PlannerConfig{Seed: 1}
-	if *quick {
-		cfg.Laptops = 500
-		cfg.Runs = 3
-	}
-	passes, err := bench.RunPlannerFeedback(cfg)
-	if err != nil {
-		return err
-	}
-	bench.WritePlannerTable(os.Stdout, passes)
-	records = append(records, bench.PlannerRecords("E12", passes)...)
-	return nil
-}
-
-// E13 — overload-resilient serving: a herd of concurrent clients replays a
-// small hot query set against an uncached server and against the resilience
-// stack (fingerprint answer cache + singleflight collapse). The acceptance
-// bar is cached throughput at least 5× uncached on the hot workload.
-func e13() error {
-	cfg := bench.HerdConfig{Seed: 1}
-	if *quick {
-		cfg.Laptops = 500
-		cfg.Clients = 8
-		cfg.Requests = 60
-	}
-	scenarios, err := bench.RunHerd(cfg)
-	if err != nil {
-		return err
-	}
-	bench.WriteHerdTable(os.Stdout, cfg, scenarios)
-	records = append(records, bench.HerdRecords("E13", scenarios)...)
-	return nil
-}
-
-// E14 — durable-store restart: cold start from Turtle (parse + materialize)
-// vs restore from checkpoint segment + WAL tail replay. The acceptance bar
-// is restore at least 5× faster than the re-parse.
-func e14() error {
-	cfg := bench.StoreConfig{Seed: 1}
-	if *quick {
-		cfg.Laptops = 500
-		cfg.Updates = 100
-		cfg.Runs = 3
-	}
-	res, err := bench.RunStoreRestart(cfg)
-	if err != nil {
-		return err
-	}
-	bench.WriteStoreTable(os.Stdout, res)
-	records = append(records, bench.StoreRecords("E14", res)...)
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +19,6 @@ import (
 
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/hifun"
-	"rdfanalytics/internal/par"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/sparql"
 )
@@ -68,12 +66,6 @@ type Result struct {
 	Mean    time.Duration
 	P50     time.Duration
 	P95     time.Duration
-	// AllocsPerOp is the heap allocation count per measured execution
-	// (process-wide mallocs delta over the measured loop; in peak mode the
-	// background workers contribute, so compare like regimes only).
-	AllocsPerOp uint64
-	// Parallelism is the evaluator worker-pool setting the cell ran with.
-	Parallelism int
 }
 
 // Config parameterizes a run.
@@ -85,9 +77,6 @@ type Config struct {
 	// Workers is the background query pool size in peak mode (default 8).
 	Workers int
 	Seed    int64
-	// Parallelism is passed to the SPARQL evaluator (sparql.Options):
-	// 0 = GOMAXPROCS, 1 = sequential ablation.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -202,22 +191,18 @@ func RunCell(spec QuerySpec, scale Scale, peak bool, cfg Config) (Result, error)
 		stop = StartWorkers(ctx.Graph, cfg.Workers)
 	}
 	defer stop()
-	opts := sparql.Options{Parallelism: cfg.Parallelism}
 	// Warmup.
-	if _, err := sparql.ExecSelectOpts(ctx.Graph, parsed, opts); err != nil {
+	if _, err := sparql.ExecSelect(ctx.Graph, parsed); err != nil {
 		return Result{}, err
 	}
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
 	durs := make([]time.Duration, 0, cfg.Runs)
 	for i := 0; i < cfg.Runs; i++ {
 		start := time.Now()
-		if _, err := sparql.ExecSelectOpts(ctx.Graph, parsed, opts); err != nil {
+		if _, err := sparql.ExecSelect(ctx.Graph, parsed); err != nil {
 			return Result{}, err
 		}
 		durs = append(durs, time.Since(start))
 	}
-	runtime.ReadMemStats(&msAfter)
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	var total time.Duration
 	for _, d := range durs {
@@ -227,8 +212,6 @@ func RunCell(spec QuerySpec, scale Scale, peak bool, cfg Config) (Result, error)
 		Query: spec, Scale: scale, Triples: triples, Peak: peak,
 		Runs: cfg.Runs, Mean: total / time.Duration(len(durs)),
 		P50: durs[len(durs)/2], P95: durs[(len(durs)*95)/100],
-		AllocsPerOp: (msAfter.Mallocs - msBefore.Mallocs) / uint64(cfg.Runs),
-		Parallelism: par.Workers(cfg.Parallelism),
 	}
 	if peak {
 		res.Workers = cfg.Workers

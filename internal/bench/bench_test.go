@@ -151,58 +151,6 @@ func TestPeakSlowerThanOffPeak(t *testing.T) {
 		float64(peak.Mean)/float64(off.Mean))
 }
 
-// TestPlannerFeedbackConvergence is the acceptance check of the adaptive
-// planner: replaying the seeded workload a second time must strictly lower
-// the worst q-error (the second pass plans from observed cardinalities) and
-// must read the feedback store. Latency is logged, not asserted: a p95 over
-// a sub-millisecond 3-run sample is noise on a shared box.
-func TestPlannerFeedbackConvergence(t *testing.T) {
-	cfg := PlannerConfig{Laptops: 400, Passes: 2, Runs: 3, Seed: 1}
-	passes, err := RunPlannerFeedback(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(passes) != 2 {
-		t.Fatalf("passes = %d, want 2", len(passes))
-	}
-	p1, p2 := passes[0], passes[1]
-	if p1.MaxQError <= 1 {
-		t.Fatalf("cold pass max q-error = %v; workload no longer misestimates, pick harder queries", p1.MaxQError)
-	}
-	if p2.MaxQError >= p1.MaxQError {
-		t.Errorf("q-error did not drop: pass1 %v, pass2 %v", p1.MaxQError, p2.MaxQError)
-	}
-	if p2.FeedbackHits == 0 {
-		t.Error("second pass recorded no feedback hits")
-	}
-	var sb strings.Builder
-	WritePlannerTable(&sb, passes)
-	if !strings.Contains(sb.String(), "max q-error") {
-		t.Errorf("table malformed:\n%s", sb.String())
-	}
-	recs := PlannerRecords("E12", passes)
-	if len(recs) != 2 || recs[0].Query != "pass1" || recs[1].P95Ns <= 0 {
-		t.Errorf("records malformed: %+v", recs)
-	}
-	t.Logf("pass1: q-err %.2f p95 %v; pass2: q-err %.2f p95 %v",
-		p1.MaxQError, p1.P95, p2.MaxQError, p2.P95)
-}
-
-// BenchmarkPlannerFeedback measures one warm replay of the planner workload
-// (the steady state a server converges to).
-func BenchmarkPlannerFeedback(b *testing.B) {
-	cfg := PlannerConfig{Laptops: 400, Passes: 1, Runs: 1, Seed: 1}
-	if _, err := RunPlannerFeedback(cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPlannerFeedback(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Runs != 7 || c.Workers != 8 || len(c.Scales) != 3 || len(c.Queries) != 4 {

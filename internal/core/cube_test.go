@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/facet"
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/rdf"
@@ -140,4 +141,52 @@ func TestCubeReuseDeclinedAcrossStates(t *testing.T) {
 	}
 }
 
-var _ = rdf.Term{}
+// BenchmarkCubeReuse — materialized-cube ablation: answering a coarser
+// grouping by re-running SPARQL vs rolling up the cached cube (the
+// [16]/[51] technique of the survey, applied to the Answer-Frame cache).
+func BenchmarkCubeReuse(b *testing.B) {
+	g := datagen.Invoices(datagen.InvoicesConfig{Invoices: 5000, Branches: 20, Products: 100, Seed: 1})
+	rdf.Materialize(g)
+	setup := func(fineFirst bool) *Session {
+		s := NewSession(g, datagen.InvoicesNS)
+		s.ClickClass(ie("Invoice"))
+		s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: ie("takesPlaceAt")}}})
+		if fineFirst {
+			s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: ie("delivers")}}})
+		}
+		s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: ie("inQuantity")}}},
+			hifun.Operation{Op: hifun.OpSum})
+		return s
+	}
+	b.Run("direct", func(b *testing.B) {
+		for b.Loop() {
+			s := setup(false)
+			if _, err := s.RunAnalytics(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("from-cube", func(b *testing.B) {
+		// A roll-up is served once per session state (its answer then sits
+		// in the exact memo), so every iteration builds its own session and
+		// fine cube off the clock; what is timed is the coarsening click and
+		// the in-memory roll-up. (A b.N loop: with most of an iteration off
+		// the clock, b.Loop ran for minutes before settling.)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := setup(true)
+			if _, err := s.RunAnalytics(); err != nil { // materializes the fine cube
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: ie("delivers")}}}) // coarsen
+			ans, err := s.RunAnalytics()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !strings.Contains(ans.SPARQL, "materialized cube") {
+				b.Fatal("answer not served from the cube")
+			}
+		}
+	})
+}

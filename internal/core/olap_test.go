@@ -97,6 +97,50 @@ func TestRollUpPath(t *testing.T) {
 	}
 }
 
+// TestDrillDownPath: Fig 7.2's drill-down along a dimension hierarchy.
+// Extending delivers to delivers/brand regroups the product totals by brand
+// (each brand cell is the sum of its products' cells), and RollUpPath undoes
+// it: the first answer comes back.
+func TestDrillDownPath(t *testing.T) {
+	s := invoiceSession(t)
+	s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: ie("delivers")}}})
+	s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: ie("inQuantity")}}}, hifun.Operation{Op: hifun.OpSum})
+	byProduct, err := s.RunAnalytics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBrand, err := s.DrillDownPath(0, facet.PathStep{P: ie("brand")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromProducts := map[rdf.Term]int64{}
+	for _, row := range byProduct.Rows {
+		n, _ := row[1].Int()
+		fromProducts[s.Model().G.Object(row[0], ie("brand"))] += n
+	}
+	if len(byBrand.Rows) != len(fromProducts) || len(byBrand.Rows) >= len(byProduct.Rows) {
+		t.Fatalf("%d brand rows from %d product rows, want %d:\n%s", len(byBrand.Rows), len(byProduct.Rows), len(fromProducts), byBrand)
+	}
+	for _, row := range byBrand.Rows {
+		if n, _ := row[1].Int(); n != fromProducts[row[0]] {
+			t.Errorf("%s = %d, its products sum to %d", row[0].LocalName(), n, fromProducts[row[0]])
+		}
+	}
+	back, err := s.RollUpPath(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.String() != byProduct.String() {
+		t.Errorf("drill-down then roll-up:\n%s\nwant the first answer:\n%s", back, byProduct)
+	}
+	if _, err := s.DrillDownPath(5, facet.PathStep{P: ie("brand")}); err == nil {
+		t.Error("bad index accepted")
+	}
+	if _, err := s.DrillDownPath(-1, facet.PathStep{P: ie("brand")}); err == nil {
+		t.Error("negative index accepted")
+	}
+}
+
 func TestSlice(t *testing.T) {
 	s := invoiceSession(t)
 	s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: ie("takesPlaceAt")}}})

@@ -456,9 +456,6 @@ func (g *Gauge) Add(delta float64) {
 // Inc adds one.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

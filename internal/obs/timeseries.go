@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -298,23 +297,6 @@ func (db *TSDB) WindowIncrease(key string, now time.Time, window time.Duration) 
 		return 0
 	}
 	return increase(db.windowPoints(s, now, window))
-}
-
-// WindowIncreaseSum sums WindowIncrease over every series whose key starts
-// with prefix (e.g. all status codes of one endpoint family).
-func (db *TSDB) WindowIncreaseSum(prefix string, now time.Time, window time.Duration) float64 {
-	if db == nil {
-		return 0
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	total := 0.0
-	for key, s := range db.series {
-		if strings.HasPrefix(key, prefix) {
-			total += increase(db.windowPoints(s, now, window))
-		}
-	}
-	return total
 }
 
 // RateSeries derives a per-second rate series from the newest n+1 fine
@@ -688,27 +670,4 @@ func (s *Sampler) Close() {
 		close(s.stop)
 		<-s.done
 	})
-}
-
-// TelemetrySummary condenses the current runtime/series state into a flat
-// map — the snapshot benchrunner attaches to BENCH_history.json entries so
-// performance runs carry the telemetry context they ran under.
-func (s *Sampler) TelemetrySummary() map[string]float64 {
-	if s == nil {
-		return nil
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	out := map[string]float64{
-		"heap_alloc_bytes":     float64(ms.HeapAlloc),
-		"total_alloc_bytes":    float64(ms.TotalAlloc),
-		"gc_pause_seconds":     float64(ms.PauseTotalNs) / 1e9,
-		"gc_cycles":            float64(ms.NumGC),
-		"goroutines":           float64(runtime.NumGoroutine()),
-		"sampler_ticks":        float64(s.ticks.Value()),
-		"tracked_series":       float64(s.db.SeriesCount()),
-		"dropped_samples":      float64(s.db.Dropped()),
-		"sampler_tick_seconds": s.duration.Value(),
-	}
-	return out
 }

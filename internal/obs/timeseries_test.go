@@ -239,7 +239,7 @@ func TestExport(t *testing.T) {
 
 // TestSamplerTick drives a passive sampler with a synthetic clock over a
 // fresh registry and checks scraped metrics, fingerprint series and the
-// telemetry summary.
+// tick count.
 func TestSamplerTick(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("rdfa_test_total")
@@ -265,22 +265,13 @@ func TestSamplerTick(t *testing.T) {
 	if got := db.WindowIncrease("rdfa_test_total", t0.Add(10*time.Second), time.Minute); got != 1 {
 		t.Fatalf("counter increase across ticks = %v, want 1", got)
 	}
-	sum := s.TelemetrySummary()
-	for _, key := range []string{"heap_alloc_bytes", "goroutines", "sampler_ticks", "tracked_series"} {
-		if _, ok := sum[key]; !ok {
-			t.Errorf("telemetry summary missing %q", key)
-		}
-	}
-	if sum["sampler_ticks"] != 2 {
-		t.Errorf("sampler_ticks = %v, want 2", sum["sampler_ticks"])
+	if got := s.ticks.Value(); got != 2 {
+		t.Errorf("sampler ticks = %v, want 2", got)
 	}
 	// Nil receivers are inert.
 	var nilS *Sampler
 	nilS.Tick(t0)
 	nilS.Close()
-	if nilS.TelemetrySummary() != nil {
-		t.Error("nil sampler summary should be nil")
-	}
 }
 
 // TestRegistrySamples checks the scrape API's series shapes: counters and

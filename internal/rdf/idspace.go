@@ -109,10 +109,8 @@ func (g *Graph) matchCountIDsLocked(s, p, o ID) int {
 }
 
 // CardCacheStats reports zeros: counts are two searches now and the
-// cardinality cache is gone. The accessor stays because benchmark/trace.go,
-// which a change claiming a gain may not edit, still reads it for
-// rdf.cardcache_hit_ratio (and the server's rdfa_rdf_cardinality_cache_*
-// families read it for the same reason); it goes with that probe.
+// cardinality cache is gone. Its one caller is benchmark/trace.go's
+// rdf.cardcache_hit_ratio probe; it goes with that probe.
 func (g *Graph) CardCacheStats() (size int, hits, misses uint64) { return 0, 0, 0 }
 
 // Version returns the graph's mutation counter: it moves on every Add and

@@ -124,15 +124,6 @@ func (c *AnswerCache) Store(key string, a *Answer) {
 	c.lru.Put(key, a, int64(len(a.Body)+len(a.ContentType)+len(key))+entryOverhead)
 }
 
-// Invalidate drops one positive entry (e.g. after its replay proved
-// unusable).
-func (c *AnswerCache) Invalidate(key string) {
-	if c == nil {
-		return
-	}
-	c.lru.Delete(key)
-}
-
 // LookupNegative returns a remembered parse/plan failure for the query, if
 // it is still within TTL.
 func (c *AnswerCache) LookupNegative(query string, now time.Time) (status int, reason, msg string, ok bool) {

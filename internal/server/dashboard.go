@@ -366,10 +366,10 @@ footer { margin-top: 2rem; font-size: 0.75rem; color: #666; }
 {{range .Misestimates}}<tr>
 <td>{{.Op}}</td><td><code>{{.Label}}</code></td>
 <td class="num">{{.Est}}</td><td class="num">{{.Actual}}</td><td class="num">{{qe .QError}}</td><td class="num">{{.Count}}</td>
-<td>{{if .Feedback}}feedback{{else}}stats cache{{end}}</td>
+<td>{{if .Feedback}}feedback{{else}}pattern count{{end}}</td>
 </tr>{{end}}
 </table>
-<p>q-error = max(est/actual, actual/est); estimates come from the cardinality-stats cache the planner ordered joins with, or from the execution-feedback store once a fingerprint has run before (marked “feedback”).</p>
+<p>q-error = max(est/actual, actual/est); estimates come from the graph’s own pattern counts (two searches in a sorted permutation), or from the execution-feedback store once a fingerprint has run before (marked “feedback”).</p>
 {{else}}<p>No profiled operators yet.</p>{{end}}
 
 <h2>Recent queries</h2>

@@ -80,8 +80,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`rdfa_sparql_query_phase_seconds_count{phase="parse"}`,
 		`rdfa_sparql_query_phase_seconds_count{phase="match"}`,
 		`rdfa_sparql_exec_seconds_count`,
-		`rdfa_rdf_cardinality_cache_hits_total`,
-		`rdfa_rdf_cardinality_cache_misses_total`,
 		`rdfa_rdf_index_scans_total`,
 	} {
 		if _, ok := values[want]; !ok {

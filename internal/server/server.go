@@ -280,21 +280,6 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	// Graph-level statistics are exported as functions evaluated at
 	// scrape time; re-registering (tests build many servers) rebinds the
 	// closures to the newest server's graph.
-	// The three cardinality-cache families read zero since the graph counts
-	// patterns by search; they stay registered for the dashboards, the
-	// metrics lint and the benchmark probe that still name them.
-	obs.Default.CounterFunc("rdfa_rdf_cardinality_cache_hits_total", func() float64 {
-		_, hits, _ := g.CardCacheStats()
-		return float64(hits)
-	})
-	obs.Default.CounterFunc("rdfa_rdf_cardinality_cache_misses_total", func() float64 {
-		_, _, misses := g.CardCacheStats()
-		return float64(misses)
-	})
-	obs.Default.GaugeFunc("rdfa_rdf_cardinality_cache_size", func() float64 {
-		size, _, _ := g.CardCacheStats()
-		return float64(size)
-	})
 	obs.Default.CounterFunc("rdfa_rdf_index_scans_total", func() float64 {
 		return float64(g.IndexScans())
 	})

@@ -65,6 +65,14 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 		if oSlot >= 0 {
 			o = row[oSlot]
 		}
+		// A variable end ranges over the nodes of the graph (SPARQL 1.1
+		// §18.4), wherever it was bound: a value that is no subject or object
+		// — a predicate, a VALUES or BIND term — is no path end, so the
+		// answer does not depend on which pattern ran first. A constant end
+		// relates to itself under a zero-length path, in the graph or not.
+		if (sSlot >= 0 && s != 0 && !ev.isNode(s)) || (oSlot >= 0 && o != 0 && !ev.isNode(o)) {
+			continue
+		}
 		emit := func(sID, oID rdf.ID) {
 			if sameVar && s == 0 && sID != oID {
 				return
@@ -110,6 +118,11 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 		ps.Finish()
 	}
 	return out
+}
+
+// isNode reports whether some triple has id as its subject or object.
+func (ev *evaluator) isNode(id rdf.ID) bool {
+	return ev.g.MatchCountIDs(id, 0, 0) > 0 || ev.g.MatchCountIDs(0, 0, id) > 0
 }
 
 // pathReach returns the distinct nodes reachable from n via the path, or
@@ -230,25 +243,18 @@ func (ev *evaluator) collectSources(p Path, reverse bool, acc idSet) {
 		ev.collectSources(x.Right, reverse, acc)
 	case PathMod:
 		if x.Min == 0 {
-			// Zero-length paths relate every node to itself: candidates are
-			// all subjects and resource objects in the graph. The full scan
-			// polls for cancellation; objects are told apart after it (the
-			// scan callback runs under the graph's lock).
-			objects := idSet{}
+			// Zero-length paths relate every node of the graph to itself
+			// (SPARQL 1.1 §18.4: every term used as subject or object,
+			// literals included). The full scan polls for cancellation.
 			scanned := 0
 			ev.g.MatchIDs(0, 0, 0, func(s, _, o rdf.ID) bool {
 				if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 					return false
 				}
 				acc[s] = struct{}{}
-				objects[o] = struct{}{}
+				acc[o] = struct{}{}
 				return true
 			})
-			for o := range objects {
-				if _, subject := acc[o]; !subject && ev.dict.term(o).IsResource() {
-					acc[o] = struct{}{}
-				}
-			}
 			return
 		}
 		ev.collectSources(x.Sub, reverse, acc)

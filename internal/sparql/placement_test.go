@@ -238,9 +238,11 @@ func TestPathPlacementProfile(t *testing.T) {
 	}
 }
 
-// naivePairs is the (subject, object) relation of a path without zero-length
-// steps, by brute force.
-func naivePairs(triples []rdf.Triple, p Path) map[[2]rdf.Term]bool {
+// naivePairs is the (subject, object) relation of a path, by brute force.
+// nodes is what a zero-length step relates to itself: every subject and object
+// of the graph, plus the constant ends of the pattern the path stands in
+// (SPARQL 1.1 §18.4, ZeroLengthPath).
+func naivePairs(triples []rdf.Triple, nodes []rdf.Term, p Path) map[[2]rdf.Term]bool {
 	out := map[[2]rdf.Term]bool{}
 	switch x := p.(type) {
 	case PathIRI:
@@ -250,29 +252,34 @@ func naivePairs(triples []rdf.Triple, p Path) map[[2]rdf.Term]bool {
 			}
 		}
 	case PathInverse:
-		for pr := range naivePairs(triples, x.Sub) {
+		for pr := range naivePairs(triples, nodes, x.Sub) {
 			out[[2]rdf.Term{pr[1], pr[0]}] = true
 		}
 	case PathAlt:
-		out = naivePairs(triples, x.Left)
-		for pr := range naivePairs(triples, x.Right) {
+		out = naivePairs(triples, nodes, x.Left)
+		for pr := range naivePairs(triples, nodes, x.Right) {
 			out[pr] = true
 		}
 	case PathSeq:
-		right := naivePairs(triples, x.Right)
-		for l := range naivePairs(triples, x.Left) {
+		right := naivePairs(triples, nodes, x.Right)
+		for l := range naivePairs(triples, nodes, x.Left) {
 			for r := range right {
 				if l[1] == r[0] {
 					out[[2]rdf.Term{l[0], r[1]}] = true
 				}
 			}
 		}
-	case PathMod: // + only
-		step := naivePairs(triples, x.Sub)
+	case PathMod: // + (Min 1), * (Min 0), ? (Min 0, Max 1)
+		step := naivePairs(triples, nodes, x.Sub)
 		for pr := range step {
 			out[pr] = true
 		}
-		for grew := true; grew; {
+		if x.Min == 0 {
+			for _, n := range nodes {
+				out[[2]rdf.Term{n, n}] = true
+			}
+		}
+		for grew := x.Max != 1; grew; {
 			grew = false
 			for l := range out {
 				for r := range step {
@@ -288,10 +295,8 @@ func naivePairs(triples []rdf.Triple, p Path) map[[2]rdf.Term]bool {
 
 // TestPathGroupDifferential: groups mixing plain and path triples agree with
 // a brute-force reference in textual order and under every planner option
-// set, so moving a path within its group never changes the answer. (Paths
-// with a zero-length step stay out: the engine relates a literal to itself
-// only when the literal arrives bound, which is an order-dependent answer
-// this test is not about.)
+// set, so moving a path within its group never changes the answer — zero-length
+// steps included, over graphs whose objects are literals as well as resources.
 func TestPathGroupDifferential(t *testing.T) {
 	iri := func(s string) Path { return PathIRI{IRI: rdf.NewIRI("http://e/" + s)} }
 	paths := []Path{
@@ -301,6 +306,12 @@ func TestPathGroupDifferential(t *testing.T) {
 		PathAlt{Left: iri("p0"), Right: iri("p1")},
 		PathMod{Sub: PathSeq{Left: iri("p0"), Right: iri("p1")}, Min: 1, Max: -1},
 		PathMod{Sub: PathInverse{Sub: iri("p2")}, Min: 1, Max: -1},
+		PathMod{Sub: iri("p0"), Min: 0, Max: -1},
+		PathMod{Sub: iri("p1"), Min: 0, Max: 1},
+		PathMod{Sub: PathInverse{Sub: iri("p2")}, Min: 0, Max: -1},
+		PathSeq{Left: iri("p1"), Right: PathMod{Sub: iri("p0"), Min: 0, Max: -1}},
+		PathSeq{Left: PathMod{Sub: iri("p2"), Min: 0, Max: 1}, Right: iri("p0")},
+		PathAlt{Left: PathMod{Sub: iri("p0"), Min: 0, Max: 1}, Right: iri("p2")},
 	}
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 150; trial++ {
@@ -325,12 +336,22 @@ func TestPathGroupDifferential(t *testing.T) {
 			vars = append(vars, v)
 		}
 		sort.Strings(vars)
+		var graphNodes []rdf.Term
+		for _, tr := range triples {
+			graphNodes = append(graphNodes, tr.S, tr.O)
+		}
 		ref := []Binding{{}}
 		for _, tp := range patterns {
 			rel := triples
 			if tp.Path != nil {
+				nodes := graphNodes
+				for _, end := range []Node{tp.S, tp.O} {
+					if !end.IsVar() {
+						nodes = append(nodes[:len(nodes):len(nodes)], end.Term)
+					}
+				}
 				rel = nil
-				for pr := range naivePairs(triples, tp.Path) {
+				for pr := range naivePairs(triples, nodes, tp.Path) {
 					rel = append(rel, rdf.Triple{S: pr[0], O: pr[1]})
 				}
 			}

@@ -197,11 +197,6 @@ func ExecUpdateCtx(ctx context.Context, g *rdf.Graph, src string) (UpdateResult,
 	return ApplyUpdateCtx(ctx, g, u)
 }
 
-// ApplyUpdate applies a parsed update to g.
-func ApplyUpdate(g *rdf.Graph, u *Update) (UpdateResult, error) {
-	return ApplyUpdateCtx(context.Background(), g, u)
-}
-
 // ApplyUpdateCtx applies a parsed update to g, honoring ctx during the
 // WHERE-pattern evaluation. If the evaluation is cancelled or exceeds a
 // budget, the update is abandoned before any triple is touched.

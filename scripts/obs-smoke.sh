@@ -76,8 +76,6 @@ for name in \
     rdfa_http_sessions_created_total \
     rdfa_sparql_query_phase_seconds_bucket \
     rdfa_sparql_exec_seconds_count \
-    rdfa_rdf_cardinality_cache_hits_total \
-    rdfa_rdf_cardinality_cache_misses_total \
     rdfa_rdf_index_scans_total \
     rdfa_hifun_execute_seconds_count \
     rdfa_core_run_analytics_seconds_count \
