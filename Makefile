@@ -35,8 +35,9 @@ conformance:
 	sh scripts/corpus-lint.sh
 	$(GO) test -v -run 'TestCorpus|TestMetamorphic|TestHIFUNDifferential' ./internal/conformance/
 
-# obs-smoke starts the server and asserts /metrics, /api/trace and pprof
-# respond with the expected content (see scripts/obs-smoke.sh).
+# obs-smoke starts the server and asserts /metrics, /api/traces/{id},
+# /api/workload and pprof respond with the expected content (see
+# scripts/obs-smoke.sh).
 obs-smoke:
 	sh scripts/obs-smoke.sh
 

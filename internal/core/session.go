@@ -157,12 +157,16 @@ func (l *level) truncateHistory(n int) {
 type Session struct {
 	levels []*level
 	// lastTrace is the span tree of the most recent RunAnalytics, serving
-	// GET /api/trace and the CLI's `trace` command.
+	// the server's record of the run and the CLI's `trace` command.
 	lastTrace *obs.Trace
 	// lastProfile is the operator-level runtime profile of the most recent
 	// RunAnalytics (empty below the root for cache and cube-rollup hits,
 	// which never touch the engine).
 	lastProfile *sparql.Profile
+	// lastSource is how the most recent RunAnalytics produced its answer:
+	// "cache", "cube_rollup", "query", or "" when it failed before an
+	// answer source was chosen.
+	lastSource string
 	// limits are the resource budgets applied to every analytic query the
 	// session runs (see sparql.Limits). Zero values mean engine defaults.
 	limits sparql.Limits
@@ -175,33 +179,7 @@ type Session struct {
 	// store backing the session's graph: mutating operations call it before
 	// reporting success, so an acknowledged mutation is on disk.
 	durability func() error
-	// traceSink, when non-nil, receives every completed RunAnalytics trace
-	// so the owner can retain it beyond last-trace-only (the server offers
-	// these to its tail-sampling trace store).
-	traceSink func(TraceEvent)
 }
-
-// TraceEvent describes one completed analytic run, delivered to the
-// session's trace sink after the trace is finished. The sink runs on the
-// calling goroutine and must not call back into the session.
-type TraceEvent struct {
-	Trace   *obs.Trace
-	Profile *sparql.Profile
-	// HIFUN is the analytic query text ("" when query building failed).
-	HIFUN string
-	// SPARQL is the generated SPARQL ("" for cache/cube hits and errors).
-	SPARQL string
-	Rows   int
-	// Source is how the answer was produced: "cache", "cube_rollup",
-	// "query", or "" when the run failed before an answer source was chosen.
-	Source    string
-	Duration  time.Duration
-	Err       error
-	RequestID string
-}
-
-// SetTraceSink installs the completed-trace hook (nil disables it).
-func (s *Session) SetTraceSink(sink func(TraceEvent)) { s.traceSink = sink }
 
 // SetDurability installs the store sync barrier called after mutating
 // operations (e.g. ApplyTransform). Pass nil when the session's graph is
@@ -223,9 +201,12 @@ func (s *Session) SetFeedback(fb *sparql.FeedbackStore) { s.feedback = fb }
 // when no analytic query has run yet.
 func (s *Session) LastTrace() *obs.Trace { return s.lastTrace }
 
-// LastProfile returns the operator profile of the most recent RunAnalytics
-// (or ProfileAnalytics) call, or nil when no analytic query has run yet.
-func (s *Session) LastProfile() *sparql.Profile { return s.lastProfile }
+// LastRun returns what the most recent RunAnalytics left for its caller to
+// report: the finished trace, the operator profile and the answer source.
+// All are zero before the first run.
+func (s *Session) LastRun() (*obs.Trace, *sparql.Profile, string) {
+	return s.lastTrace, s.lastProfile, s.lastSource
+}
 
 // NewSession starts a session over g (which should be materialized) with
 // attribute namespace ns. The initial state is s0 (§5.3.2).
@@ -472,48 +453,24 @@ func (s *Session) RunAnalytics() (*hifun.Answer, error) {
 // the generated SPARQL evaluation observe ctx's deadline/cancellation and
 // the session's Limits. Cache and cube-rollup hits are unaffected (they
 // never touch the engine).
-func (s *Session) RunAnalyticsCtx(qctx context.Context) (ans *hifun.Answer, err error) {
+func (s *Session) RunAnalyticsCtx(qctx context.Context) (*hifun.Answer, error) {
 	start := time.Now()
 	defer func() { runSeconds.Observe(time.Since(start).Seconds()) }()
 	tr := obs.NewTrace("run_analytics")
+	defer tr.Finish()
 	// Adopt the IDs the HTTP layer minted, so the retained trace matches
 	// the X-Trace-ID / X-Request-ID the client saw.
 	tr.SetID(obs.TraceIDFrom(qctx))
-	reqID := obs.RequestIDFrom(qctx)
-	if reqID != "" {
+	if reqID := obs.RequestIDFrom(qctx); reqID != "" {
 		tr.Root().SetAttr("request_id", reqID)
 	}
-	s.lastTrace = tr
+	s.lastTrace, s.lastSource = tr, ""
 	prof := sparql.NewProfile("run_analytics")
 	prof.SetTraceID(tr.ID())
 	s.lastProfile = prof
-	var q *hifun.Query
-	source := ""
-	defer func() {
-		tr.Finish()
-		if s.traceSink == nil {
-			return
-		}
-		ev := TraceEvent{
-			Trace:     tr,
-			Profile:   prof,
-			Source:    source,
-			Duration:  time.Since(start),
-			Err:       err,
-			RequestID: reqID,
-		}
-		if q != nil {
-			ev.HIFUN = q.String()
-		}
-		if ans != nil {
-			ev.SPARQL = ans.SPARQL
-			ev.Rows = len(ans.Rows)
-		}
-		s.traceSink(ev)
-	}()
 
 	bq := tr.Root().StartChild("build_query")
-	q, err = s.BuildHIFUNQuery()
+	q, err := s.BuildHIFUNQuery()
 	bq.Finish()
 	if err != nil {
 		return nil, err
@@ -525,8 +482,8 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (ans *hifun.Answer, err 
 	key := intentionKey + "\x00" + q.String()
 	if cached, ok := l.cache.Get(key); ok {
 		answerHits.Inc()
-		source = "cache"
-		tr.Root().SetAttr("answer_source", source)
+		s.lastSource = "cache"
+		tr.Root().SetAttr("answer_source", s.lastSource)
 		prof.Record(time.Since(start), 1, len(cached.Rows))
 		l.answer = cached
 		return cached, nil
@@ -535,8 +492,8 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (ans *hifun.Answer, err 
 	// in memory instead of re-querying (see cube.go).
 	if rolled := l.tryCubeReuse(intentionKey, l.analytics); rolled != nil {
 		answerCubes.Inc()
-		source = "cube_rollup"
-		tr.Root().SetAttr("answer_source", source)
+		s.lastSource = "cube_rollup"
+		tr.Root().SetAttr("answer_source", s.lastSource)
 		prof.Record(time.Since(start), 1, len(rolled.Rows))
 		l.ensureCache()
 		l.cache.Put(key, rolled, answerBytes(rolled))
@@ -544,12 +501,12 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (ans *hifun.Answer, err 
 		return rolled, nil
 	}
 	answerMisses.Inc()
-	source = "query"
-	tr.Root().SetAttr("answer_source", source)
+	s.lastSource = "query"
+	tr.Root().SetAttr("answer_source", s.lastSource)
 	ctx := s.Context()
 	ctx.Trace = tr
 	ctx.Profile = prof
-	ans, err = ctx.ExecuteCtx(qctx, q)
+	ans, err := ctx.ExecuteCtx(qctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +538,6 @@ func (s *Session) ProfileAnalytics(qctx context.Context) (*hifun.Answer, *sparql
 		return nil, nil, err
 	}
 	prof.Record(time.Since(start), 1, len(ans.Rows))
-	s.lastProfile = prof
 	s.top().answer = ans
 	return ans, prof, nil
 }

@@ -48,25 +48,27 @@ func (l *SlowQueryLog) Threshold() time.Duration {
 	return l.threshold
 }
 
-// Observe records one finished operation, logging it when dur reaches the
-// threshold. fingerprint is the query's structural fingerprint id (may be
-// empty), so slow-log lines join against the workload profiler's
-// aggregates; requestID (may be empty) joins them against access logs and
-// trace exports. The raw query text is truncated rune-safely to
-// maxLoggedQuery bytes, so a pathological multi-KB query cannot bloat the
-// log line. tr may be nil.
-func (l *SlowQueryLog) Observe(kind, query, fingerprint, requestID string, dur time.Duration, tr *Trace) {
-	if l == nil || dur < l.threshold {
+// Observe records one finished operation, logging it when its duration
+// reaches the threshold. The line carries the record's fingerprint id (joins
+// the workload profiler's aggregates), request id (joins access logs) and
+// trace id (joins /api/traces/{id}). The raw query text is truncated
+// rune-safely to maxLoggedQuery bytes, so a pathological multi-KB query
+// cannot bloat the log line. The plan summary comes from rec.Trace and is
+// empty for a cache serve.
+func (l *SlowQueryLog) Observe(rec QueryRecord) {
+	if l == nil || rec.Duration < l.threshold {
 		return
 	}
 	l.count.Inc()
 	l.logger.Warn("slow query",
-		slog.String("kind", kind),
-		slog.String("fingerprint", fingerprint),
-		slog.String("request_id", requestID),
-		slog.String("trace_id", tr.ID()),
-		slog.Duration("duration", dur),
-		slog.String("query", TruncateText(query, maxLoggedQuery)),
-		slog.String("plan", tr.Summary()),
+		slog.String("kind", rec.Kind),
+		slog.String("fingerprint", rec.FingerprintID),
+		slog.String("request_id", rec.RequestID),
+		slog.String("trace_id", rec.TraceID),
+		slog.String("outcome", rec.Outcome),
+		slog.String("cache", rec.Cache),
+		slog.Duration("duration", rec.Duration),
+		slog.String("query", TruncateText(rec.Query, maxLoggedQuery)),
+		slog.String("plan", rec.Trace.Summary()),
 	)
 }

@@ -250,7 +250,7 @@ func TestSamplerTick(t *testing.T) {
 	w.Observe(QueryRecord{
 		FingerprintID: "fp1", Shape: "S", Kind: "sparql",
 		Duration: 20 * time.Millisecond, Outcome: "ok", When: t0,
-	}, nil)
+	})
 	s.Tick(t0)
 	c.Inc()
 	s.Tick(t0.Add(10 * time.Second))

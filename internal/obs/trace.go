@@ -155,7 +155,7 @@ func (s *Span) Duration() time.Duration {
 	return time.Since(s.start)
 }
 
-// SpanJSON is the wire form of a span subtree (GET /api/trace). TraceID is
+// SpanJSON is the wire form of a span subtree (GET /api/traces/{id}). TraceID is
 // populated only at the root of an exported trace.
 type SpanJSON struct {
 	Name       string         `json:"name"`

@@ -31,7 +31,7 @@ func TestTraceTree(t *testing.T) {
 	if exp.Children[1].Children[0].Attrs["strategy"] != "hash join" {
 		t.Errorf("nested attr lost")
 	}
-	// The export must round-trip through JSON (the /api/trace contract).
+	// The export must round-trip through JSON (the /api/traces/{id} contract).
 	data, err := json.Marshal(exp)
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +92,13 @@ func TestSlowQueryLog(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	reg := NewRegistry()
 	l := NewSlowQueryLog(logger, 10*time.Millisecond, reg)
-	l.Observe("sparql", "SELECT fast", "fp1", "req-fast", time.Millisecond, nil)
+	l.Observe(QueryRecord{Kind: "sparql", Query: "SELECT fast", FingerprintID: "fp1", RequestID: "req-fast", Duration: time.Millisecond})
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %s", buf.String())
 	}
 	tr := NewTrace("sparql")
 	tr.Finish()
-	l.Observe("sparql", "SELECT slow", "fp1", "req-slow", 50*time.Millisecond, tr)
+	l.Observe(QueryRecord{Kind: "sparql", Query: "SELECT slow", FingerprintID: "fp1", RequestID: "req-slow", Duration: 50 * time.Millisecond, Trace: tr})
 	out := buf.String()
 	if !strings.Contains(out, "slow query") || !strings.Contains(out, "SELECT slow") {
 		t.Fatalf("slow query not logged: %s", out)
@@ -112,7 +112,7 @@ func TestSlowQueryLog(t *testing.T) {
 	// A pathological multi-KB query is truncated to a bounded length,
 	// without splitting the trailing multi-byte rune.
 	buf.Reset()
-	l.Observe("sparql", strings.Repeat("é", 2000), "fp2", "", 50*time.Millisecond, nil)
+	l.Observe(QueryRecord{Kind: "sparql", Query: strings.Repeat("é", 2000), FingerprintID: "fp2", Duration: 50 * time.Millisecond})
 	out = buf.String()
 	if len(out) > 2*maxLoggedQuery {
 		t.Fatalf("oversized query not truncated: %d bytes", len(out))
@@ -128,7 +128,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Error("threshold 0 must disable")
 	}
 	var nilLog *SlowQueryLog
-	nilLog.Observe("x", "y", "", "", time.Hour, nil)
+	nilLog.Observe(QueryRecord{Kind: "x", Query: "y", Duration: time.Hour})
 	if nilLog.Threshold() != 0 {
 		t.Error("nil log threshold must be 0")
 	}

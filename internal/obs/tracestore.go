@@ -17,7 +17,8 @@ import (
 //     budget is retained (100%); these are exactly the traces an operator
 //     goes looking for after an alert.
 //  2. slowest — the slowest N completions per query fingerprint, so every
-//     recurring query shape keeps its worst observed executions.
+//     recurring query shape keeps its worst observed executions. A slower
+//     newcomer evicts the fastest of them, so a shape holds at most N.
 //  3. outlier — completions slower than OutlierFactor × the fingerprint's
 //     rolling p95 (supplied by the workload profiler), catching latency
 //     spikes on shapes whose slowest-N is already saturated with slower
@@ -101,34 +102,6 @@ const (
 	DropEvicted    = "evicted"
 	DropOversize   = "oversize"
 )
-
-// TraceCandidate is a completed trace offered for retention.
-type TraceCandidate struct {
-	Trace *Trace
-	// Profile is the operator profile to retain alongside the spans
-	// (typically a *sparql.ProfNodeJSON export); opaque to the store.
-	Profile any
-	// Kind classifies the operation: "sparql", "analytics", "update",
-	// "checkpoint".
-	Kind string
-	// FingerprintID is the structural fingerprint joining this trace to
-	// workload stats, SLOs and the answer cache.
-	FingerprintID string
-	// Shape is the human-readable fingerprint text.
-	Shape string
-	// Query is the raw query text (truncated for storage).
-	Query     string
-	RequestID string
-	Duration  time.Duration
-	// Outcome is "ok" or the abort taxonomy: "timeout", "canceled",
-	// "budget", "error".
-	Outcome string
-	// Cache is the X-Cache result that produced this execution ("miss",
-	// "bypass", ""), recorded so retained traces explain cache decisions.
-	Cache string
-	// Err is the error message for non-ok outcomes.
-	Err string
-}
 
 // TraceSummary is the search-result wire form of a retained trace.
 type TraceSummary struct {
@@ -229,11 +202,12 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 	return s
 }
 
-// Offer submits a completed trace for the retention decision. It returns
-// the trace's ID and whether it was retained. The decision itself is a
-// few map lookups; the serialization cost of actually storing a trace is
-// paid only for retained ones.
-func (s *TraceStore) Offer(c TraceCandidate) (id string, retained bool) {
+// Offer submits a finished operation's record for the retention decision.
+// It returns the trace's ID and whether it was retained; a record without a
+// Trace (a cache serve) is never retained. The decision itself is a few map
+// lookups; the serialization cost of actually storing a trace is paid only
+// for retained ones.
+func (s *TraceStore) Offer(c QueryRecord) (id string, retained bool) {
 	if s == nil || c.Trace == nil {
 		return "", false
 	}
@@ -282,8 +256,8 @@ func (s *TraceStore) Offer(c TraceCandidate) (id string, retained bool) {
 }
 
 // decideLocked applies the tail-sampling policy and reserves slow-slot /
-// residual-counter state for the candidate. Returns "" to drop.
-func (s *TraceStore) decideLocked(c TraceCandidate) string {
+// residual-counter state for the record. Returns "" to drop.
+func (s *TraceStore) decideLocked(c QueryRecord) string {
 	if c.Outcome != "" && c.Outcome != "ok" {
 		return ReasonError
 	}
@@ -311,12 +285,18 @@ func (s *TraceStore) decideLocked(c TraceCandidate) string {
 // insertLocked stores rt, updates the slowest-N bookkeeping and evicts
 // down to the configured bounds.
 func (s *TraceStore) insertLocked(rt *retainedTrace) {
-	s.seq++
-	rt.seq = s.seq
-	s.byID[rt.id] = rt
-	s.list = append(s.list, rt)
-	s.bytes += rt.bytes
 	if rt.reason == ReasonSlowest {
+		// Exactly the slowest N stay: a newcomer that displaces the fastest
+		// of them evicts that execution's trace, so a shape whose latency
+		// drifts upward cannot fill the store with its slowest-so-far runs.
+		if slow := s.fpSlow[rt.fingerprintID]; len(slow) >= s.cfg.SlowestPerFingerprint && rt.duration > slow[0] {
+			for _, old := range s.list {
+				if old.reason == ReasonSlowest && old.fingerprintID == rt.fingerprintID && old.duration == slow[0] {
+					s.removeLocked(old, DropEvicted)
+					break
+				}
+			}
+		}
 		slow := append(s.fpSlow[rt.fingerprintID], rt.duration)
 		sort.Slice(slow, func(i, j int) bool { return slow[i] < slow[j] })
 		if len(slow) > s.cfg.SlowestPerFingerprint {
@@ -324,6 +304,11 @@ func (s *TraceStore) insertLocked(rt *retainedTrace) {
 		}
 		s.fpSlow[rt.fingerprintID] = slow
 	}
+	s.seq++
+	rt.seq = s.seq
+	s.byID[rt.id] = rt
+	s.list = append(s.list, rt)
+	s.bytes += rt.bytes
 	for (len(s.list) > s.cfg.MaxTraces || s.bytes > s.cfg.MaxBytes) && len(s.list) > 0 {
 		victim := s.pickVictimLocked()
 		cause := DropEvicted
@@ -504,21 +489,6 @@ func (s *TraceStore) Get(id string) (TraceDetail, bool) {
 		return TraceDetail{}, false
 	}
 	return rt.detailLocked(), true
-}
-
-// Latest returns the newest retained trace of the given kind ("" for any).
-func (s *TraceStore) Latest(kind string) (TraceDetail, bool) {
-	if s == nil {
-		return TraceDetail{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.list) - 1; i >= 0; i-- {
-		if kind == "" || s.list[i].kind == kind {
-			return s.list[i].detailLocked(), true
-		}
-	}
-	return TraceDetail{}, false
 }
 
 func (rt *retainedTrace) summaryLocked() TraceSummary {

@@ -9,10 +9,10 @@ import (
 
 // cand builds a completed-trace candidate for the sampler: a one-span
 // trace plus the metadata the decision consumes.
-func cand(fp string, dur time.Duration, outcome string) TraceCandidate {
+func cand(fp string, dur time.Duration, outcome string) QueryRecord {
 	tr := NewTrace("test")
 	tr.Finish()
-	c := TraceCandidate{
+	c := QueryRecord{
 		Trace:         tr,
 		Kind:          "sparql",
 		FingerprintID: fp,
@@ -273,9 +273,6 @@ func TestTraceStoreNilSafe(t *testing.T) {
 	if _, ok := ts.Get("x"); ok {
 		t.Fatal("nil Get ok")
 	}
-	if _, ok := ts.Latest(""); ok {
-		t.Fatal("nil Latest ok")
-	}
 	if st := ts.Stats(); st.Retained != 0 {
 		t.Fatal("nil Stats non-zero")
 	}
@@ -320,7 +317,6 @@ func TestTraceStoreConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ts.Search(TraceQuery{Fingerprint: fmt.Sprintf("fp%d", i%5)})
 				ts.Stats()
-				ts.Latest("sparql")
 				ids.Range(func(k, _ any) bool {
 					ts.Get(k.(string))
 					ts.Contains(k.(string))

@@ -7,14 +7,14 @@ import (
 	"unicode/utf8"
 )
 
-// Workload profiling. A Workload aggregates completed queries by their
+// Workload profiling. A Workload aggregates finished operations by their
 // structural fingerprint (computed by the caller — internal/sparql owns the
 // query AST, this package only stores shapes as opaque strings): a
-// fixed-size ring buffer of recent queries, per-fingerprint aggregates
-// (count, p50/p95 latency, rows, outcome tallies) with the worst-case
-// execution retained as an exemplar, and a bounded plan-vs-actual
-// misestimation table fed from operator profiles. This is the data behind
-// GET /api/workload and the /debug/dashboard page.
+// fixed-size ring buffer of recent records, per-fingerprint aggregates
+// (count, p50/p95 latency, rows, outcome tallies) naming the trace of the
+// worst-case execution, and a bounded plan-vs-actual misestimation table
+// fed from operator profiles. This is the data behind GET /api/workload and
+// the /debug/dashboard page.
 
 const (
 	// maxFingerprints bounds the per-fingerprint aggregate map; beyond it
@@ -27,13 +27,18 @@ const (
 	maxShapeLen = 400
 )
 
-// QueryRecord is one completed query as the workload profiler stores it.
+// QueryRecord is the one description of a finished operation — a query,
+// analytic run, update or checkpoint, executed or served from a cache. The
+// server builds it once and hands the same record to the trace store, the
+// workload profiler and the slow-query log. The workload ring keeps it with
+// Trace, Profile and Estimates cleared.
 type QueryRecord struct {
 	// FingerprintID is the short stable id of the fingerprint.
 	FingerprintID string `json:"fingerprint"`
 	// Shape is the canonical fingerprint text (bounded).
 	Shape string `json:"shape"`
-	// Kind is the query class: "sparql", "analytics", "update", ...
+	// Kind is the operation class: "sparql", "analytics", "update",
+	// "checkpoint".
 	Kind string `json:"kind"`
 	// Query is the (truncated) raw query text.
 	Query string `json:"query"`
@@ -43,10 +48,28 @@ type QueryRecord struct {
 	Rows int `json:"rows"`
 	// Outcome is "ok", "timeout", "cancelled", "budget" or "error".
 	Outcome string `json:"outcome"`
+	// Err is the error message for non-ok outcomes.
+	Err string `json:"error,omitempty"`
+	// Cache is how the answer was produced: the X-Cache result of a /sparql
+	// request ("miss", "bypass", "hit", "stale", "collapsed") or the answer
+	// source of an analytic run ("query", "cache", "cube_rollup").
+	Cache     string `json:"cache,omitempty"`
+	RequestID string `json:"request_id,omitempty"`
+	// TraceID names the execution's trace — for a cache serve, the trace of
+	// the execution that filled the answer.
+	TraceID string `json:"trace_id,omitempty"`
 	// MaxQError is the worst operator q-error of the run (0 = unprofiled).
 	MaxQError float64 `json:"max_q_error,omitempty"`
 	// When is the completion time.
 	When time.Time `json:"when"`
+	// Trace is the finished span tree of an execution; nil for a cache
+	// serve, which the trace store is not offered.
+	Trace *Trace `json:"-"`
+	// Profile is the operator profile to retain alongside the spans
+	// (typically a *sparql.ProfNodeJSON export); opaque to this package.
+	Profile any `json:"-"`
+	// Estimates are the profile's plan-vs-actual rows.
+	Estimates []OpEstimate `json:"-"`
 }
 
 // OpEstimate is one operator's plan-vs-actual comparison: the planner's
@@ -75,7 +98,7 @@ type fpStats struct {
 	maxQErr         float64
 	worstDur        time.Duration
 	worstQuery      string
-	exemplar        any
+	worstTrace      string
 	lastSeen        time.Time
 }
 
@@ -107,15 +130,18 @@ func NewWorkload(ringSize int) *Workload {
 	}
 }
 
-// Observe folds one completed query into the workload. exemplar is an
-// opaque JSON-marshalable view of the execution (trace or profile export);
-// it is retained only when this run is the fingerprint's new worst case.
-func (w *Workload) Observe(rec QueryRecord, exemplar any) {
+// Observe folds one finished operation into the workload, merging its
+// plan-vs-actual rows into the misestimation table. The ring keeps the
+// record without its trace, profile and estimates.
+func (w *Workload) Observe(rec QueryRecord) {
 	if w == nil {
 		return
 	}
+	ests := rec.Estimates
+	rec.Trace, rec.Profile, rec.Estimates = nil, nil, nil
 	rec.Shape = TruncateText(rec.Shape, maxShapeLen)
 	rec.Query = TruncateText(rec.Query, maxShapeLen)
+	rec.Err = TruncateText(rec.Err, maxShapeLen)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.ring[w.next] = rec
@@ -151,10 +177,9 @@ func (w *Workload) Observe(rec QueryRecord, exemplar any) {
 	if rec.Duration > fs.worstDur {
 		fs.worstDur = rec.Duration
 		fs.worstQuery = rec.Query
-		if exemplar != nil {
-			fs.exemplar = exemplar
-		}
+		fs.worstTrace = rec.TraceID
 	}
+	w.observeEstimatesLocked(ests)
 }
 
 // P95Seconds reports the fingerprint's rolling p95 latency in seconds.
@@ -206,6 +231,10 @@ func (w *Workload) ObserveEstimates(ests []OpEstimate) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.observeEstimatesLocked(ests)
+}
+
+func (w *Workload) observeEstimatesLocked(ests []OpEstimate) {
 	for _, e := range ests {
 		key := e.Op + "\x00" + TruncateText(e.Label, maxShapeLen)
 		cur, ok := w.ests[key]
@@ -252,8 +281,11 @@ type FingerprintSummary struct {
 	MaxQError  float64           `json:"max_q_error,omitempty"`
 	WorstMs    float64           `json:"worst_ms"`
 	WorstQuery string            `json:"worst_query,omitempty"`
-	Exemplar   any               `json:"exemplar,omitempty"`
-	LastSeen   time.Time         `json:"last_seen"`
+	// WorstTrace is the trace ID of the worst-case execution; the trace
+	// store's slowest-N rule retains it, so it resolves through
+	// /api/traces/{id} until evicted.
+	WorstTrace string    `json:"worst_trace,omitempty"`
+	LastSeen   time.Time `json:"last_seen"`
 }
 
 // WorkloadSnapshot is the JSON shape of GET /api/workload: RED aggregates,
@@ -307,7 +339,7 @@ func (w *Workload) Snapshot() WorkloadSnapshot {
 			MaxQError:  fs.maxQErr,
 			WorstMs:    float64(fs.worstDur.Microseconds()) / 1000,
 			WorstQuery: fs.worstQuery,
-			Exemplar:   fs.exemplar,
+			WorstTrace: fs.worstTrace,
 			LastSeen:   fs.lastSeen,
 		})
 	}
@@ -340,8 +372,7 @@ type FPLatency struct {
 
 // Latencies returns the k most frequent fingerprints with their current
 // latency quantiles (deterministic order: count desc, then id). Cheaper
-// than Snapshot — no ring copy, no exemplars — so the sampler can call it
-// every tick.
+// than Snapshot — no ring copy — so the sampler can call it every tick.
 func (w *Workload) Latencies(k int) []FPLatency {
 	if w == nil || k <= 0 {
 		return nil

@@ -24,10 +24,12 @@ func TestWorkloadAggregates(t *testing.T) {
 	w := NewWorkload(16)
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
-		w.Observe(wlRec("fpA", 10*time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)), nil)
+		w.Observe(wlRec("fpA", 10*time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)))
 	}
-	w.Observe(wlRec("fpA", 200*time.Millisecond, "timeout", base.Add(10*time.Second)), map[string]any{"worst": true})
-	w.Observe(wlRec("fpB", 1*time.Millisecond, "ok", base), nil)
+	worst := wlRec("fpA", 200*time.Millisecond, "timeout", base.Add(10*time.Second))
+	worst.TraceID = "worst-trace"
+	w.Observe(worst)
+	w.Observe(wlRec("fpB", 1*time.Millisecond, "ok", base))
 	snap := w.Snapshot()
 	if snap.Total != 7 || snap.Errors != 1 {
 		t.Fatalf("total/errors = %d/%d, want 7/1", snap.Total, snap.Errors)
@@ -46,9 +48,9 @@ func TestWorkloadAggregates(t *testing.T) {
 	if a.P95Ms < a.P50Ms || a.P50Ms <= 0 {
 		t.Fatalf("quantiles broken: p50=%v p95=%v", a.P50Ms, a.P95Ms)
 	}
-	// The worst-case run keeps its exemplar.
-	if a.Exemplar == nil || a.WorstMs < 100 {
-		t.Fatalf("worst-case exemplar not retained: worst=%vms exemplar=%v", a.WorstMs, a.Exemplar)
+	// The worst-case run names its trace.
+	if a.WorstTrace != "worst-trace" || a.WorstMs < 100 {
+		t.Fatalf("worst-case trace not named: worst=%vms trace=%q", a.WorstMs, a.WorstTrace)
 	}
 	// Snapshot must be JSON-marshalable as served by /api/workload.
 	if _, err := json.Marshal(snap); err != nil {
@@ -60,7 +62,7 @@ func TestWorkloadRingWraps(t *testing.T) {
 	w := NewWorkload(16)
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 40; i++ {
-		w.Observe(wlRec(fmt.Sprintf("fp%d", i), time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)), nil)
+		w.Observe(wlRec(fmt.Sprintf("fp%d", i), time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)))
 	}
 	snap := w.Snapshot()
 	if len(snap.Recent) != 16 {
@@ -79,7 +81,7 @@ func TestWorkloadFingerprintEviction(t *testing.T) {
 	w := NewWorkload(16)
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < maxFingerprints+50; i++ {
-		w.Observe(wlRec(fmt.Sprintf("fp%d", i), time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)), nil)
+		w.Observe(wlRec(fmt.Sprintf("fp%d", i), time.Millisecond, "ok", base.Add(time.Duration(i)*time.Second)))
 	}
 	if n := len(w.Snapshot().Fingerprints); n != maxFingerprints {
 		t.Fatalf("fingerprint map = %d entries, want bounded at %d", n, maxFingerprints)
@@ -127,15 +129,15 @@ func TestWorkloadMisestimates(t *testing.T) {
 
 func TestWorkloadNilAndTopSlow(t *testing.T) {
 	var w *Workload
-	w.Observe(QueryRecord{}, nil)
+	w.Observe(QueryRecord{})
 	w.ObserveEstimates([]OpEstimate{{QError: 2}})
 	if snap := w.Snapshot(); snap.Total != 0 {
 		t.Fatal("nil workload must be inert")
 	}
 	ww := NewWorkload(16)
 	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	ww.Observe(wlRec("slow", 500*time.Millisecond, "ok", base), nil)
-	ww.Observe(wlRec("fast", time.Millisecond, "ok", base), nil)
+	ww.Observe(wlRec("slow", 500*time.Millisecond, "ok", base))
+	ww.Observe(wlRec("fast", time.Millisecond, "ok", base))
 	top := ww.TopSlow(1)
 	if len(top) != 1 || top[0].ID != "slow" {
 		t.Fatalf("TopSlow = %+v", top)

@@ -401,6 +401,6 @@ footer { margin-top: 2rem; font-size: 0.75rem; color: #666; }
 <p>Errors, timeouts and budget aborts are retained at 100%; the rest are each fingerprint's slowest runs, p95 outliers, and a residual sample. Search: <a href="/api/traces">/api/traces</a>.</p>
 {{else}}<p>No trace retained yet.</p>{{end}}
 
-<footer>Raw data: <a href="/api/workload">/api/workload</a> · <a href="/api/timeseries">/api/timeseries</a> · <a href="/api/alerts">/api/alerts</a> · <a href="/api/traces">/api/traces</a> · <a href="/api/trace">/api/trace</a> · <a href="/metrics">/metrics</a></footer>
+<footer>Raw data: <a href="/api/workload">/api/workload</a> · <a href="/api/timeseries">/api/timeseries</a> · <a href="/api/alerts">/api/alerts</a> · <a href="/api/traces">/api/traces</a> · <a href="/metrics">/metrics</a></footer>
 </body></html>
 `

@@ -43,9 +43,10 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// requestID returns the id the middleware stamped on the request.
+// requestID returns the id the middleware stamped on the request. The key
+// is spelled canonically, so the read does not allocate.
 func requestID(r *http.Request) string {
-	return r.Header.Get("X-Request-ID")
+	return r.Header.Get("X-Request-Id")
 }
 
 // ---- health probes ----

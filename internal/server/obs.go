@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -160,58 +159,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)
-}
-
-// traceJSON is the wire form of GET /api/trace: the span tree and operator
-// profile of the newest analytic query and of the newest protocol-endpoint
-// query, whichever exist.
-//
-// Deprecated surface: /api/trace predates the retention store and keeps its
-// single-slot "latest of each kind" semantics as an alias over the store
-// (with the session's own last trace as fallback when retention is
-// disabled). New integrations should use GET /api/traces — search over
-// every retained trace — and GET /api/traces/{id}. The handler advertises
-// this via Deprecation and Link headers.
-type traceJSON struct {
-	Analytics        *obs.SpanJSON `json:"analytics,omitempty"`
-	AnalyticsProfile any           `json:"analytics_profile,omitempty"`
-	SPARQL           *obs.SpanJSON `json:"sparql,omitempty"`
-	SPARQLProfile    any           `json:"sparql_profile,omitempty"`
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</api/traces>; rel="alternate"`)
-	var out traceJSON
-	if d, ok := s.traces.Latest("analytics"); ok {
-		spans := d.Spans
-		out.Analytics = &spans
-		out.AnalyticsProfile = d.Profile
-	}
-	if d, ok := s.traces.Latest("sparql"); ok {
-		spans := d.Spans
-		out.SPARQL = &spans
-		out.SPARQLProfile = d.Profile
-	}
-	// Fallback for retention-disabled servers (and for analytic queries the
-	// sampler dropped): the session still holds its own last trace.
-	if out.Analytics == nil {
-		s.mu.Lock()
-		sess := s.sessionFor(r)
-		if tr := sess.LastTrace(); tr != nil {
-			e := tr.Export()
-			out.Analytics = &e
-			if p := sess.LastProfile().Export(); p != nil {
-				out.AnalyticsProfile = p
-			}
-		}
-		s.mu.Unlock()
-	}
-	if out.Analytics == nil && out.SPARQL == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no query traced yet; POST /api/run or /sparql first"))
-		return
-	}
-	writeJSON(w, out)
 }
 
 // workloadJSON is the GET /api/workload payload: the workload snapshot plus

@@ -188,59 +188,89 @@ func TestSessionLRUEviction(t *testing.T) {
 	}
 }
 
-// TestTraceEndpoint runs an analytic query and a protocol query, then
-// fetches their span trees from GET /api/trace.
-func TestTraceEndpoint(t *testing.T) {
-	ts := testServer(t)
-
-	resp, err := http.Get(ts.URL + "/api/trace")
+// postTraced POSTs an empty JSON body to url and returns the response's
+// X-Trace-ID, failing on a non-200.
+func postTraced(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("trace before any query = %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d", url, resp.StatusCode)
 	}
+	return resp.Header.Get("X-Trace-ID")
+}
+
+// getTraced GETs url and returns the response's X-Trace-ID, failing on a
+// non-200.
+func getTraced(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+	return resp.Header.Get("X-Trace-ID")
+}
+
+// fetchTrace decodes GET /api/traces/{id} into out, failing on a non-200.
+func fetchTrace(t *testing.T, base, id string, out any) {
+	t.Helper()
+	resp, err := http.Get(base + "/api/traces/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/traces/%s = %d", id, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceEndpoint runs an analytic query and a protocol query, then
+// fetches their span trees from GET /api/traces/{id} by the X-Trace-ID of
+// each response.
+func TestTraceEndpoint(t *testing.T) {
+	ts := testServer(t)
 
 	// Analytic query: Laptop count grouped by manufacturer.
 	postJSON(t, ts.URL+"/api/click/class", map[string]any{"class": datagen.ExampleNS + "Laptop"})
 	postJSON(t, ts.URL+"/api/groupby", map[string]any{
 		"path": []map[string]any{{"p": datagen.ExampleNS + "manufacturer"}}})
 	postJSON(t, ts.URL+"/api/aggregate", map[string]any{"op": "COUNT"})
-	postJSON(t, ts.URL+"/api/run", map[string]any{})
+	runID := postTraced(t, ts.URL+"/api/run")
 	// Protocol query.
-	resp, err = http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(
+	sparqlID := getTraced(t, ts.URL+"/sparql?query="+url.QueryEscape(
 		`SELECT ?s WHERE { ?s a <`+datagen.ExampleNS+`Laptop> }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 
-	var out struct {
-		Analytics *struct {
+	var analytics struct {
+		Spans struct {
 			Name     string `json:"name"`
 			Children []json.RawMessage
-		} `json:"analytics"`
-		SPARQL *struct {
-			Name string `json:"name"`
-		} `json:"sparql"`
+		} `json:"spans"`
 	}
-	resp, err = http.Get(ts.URL + "/api/trace")
-	if err != nil {
-		t.Fatal(err)
+	fetchTrace(t, ts.URL, runID, &analytics)
+	if analytics.Spans.Name != "run_analytics" {
+		t.Errorf("analytics trace = %+v", analytics.Spans)
 	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Analytics == nil || out.Analytics.Name != "run_analytics" {
-		t.Errorf("analytics trace = %+v", out.Analytics)
-	}
-	if out.Analytics != nil && len(out.Analytics.Children) == 0 {
+	if len(analytics.Spans.Children) == 0 {
 		t.Error("analytics trace has no child spans")
 	}
-	if out.SPARQL == nil || out.SPARQL.Name != "sparql" {
-		t.Errorf("sparql trace = %+v", out.SPARQL)
+	var protocol struct {
+		Spans struct {
+			Name string `json:"name"`
+		} `json:"spans"`
+	}
+	fetchTrace(t, ts.URL, sparqlID, &protocol)
+	if protocol.Spans.Name != "sparql" {
+		t.Errorf("sparql trace = %+v", protocol.Spans)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // (operators call it before planned restarts to make the next replay
 // near-empty). Answers the resulting store stats. The phases of the
 // checkpoint — snapshot encode, segment write, WAL swap — are recorded as
-// spans and the trace offered for retention, so a slow checkpoint is
-// inspectable through /api/traces like any slow query.
+// spans and the checkpoint recorded like any operation, so a slow one is in
+// the workload view, the slow-query log and /api/traces.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Store
 	if st == nil {
@@ -28,20 +28,17 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr := obs.NewTrace("checkpoint")
 	tr.SetID(traceIDOf(r))
-	if id := requestID(r); id != "" {
-		tr.Root().SetAttr("request_id", id)
+	rec := obs.QueryRecord{
+		Kind: "checkpoint", Shape: "checkpoint", FingerprintID: sparql.FingerprintID("checkpoint"),
+		RequestID: requestID(r), Trace: tr,
+	}
+	if rec.RequestID != "" {
+		tr.Root().SetAttr("request_id", rec.RequestID)
 	}
 	err := st.CheckpointTraced(tr.Root())
 	tr.Finish()
-	outcome, msg := traceOutcome(err)
-	s.traces.Offer(obs.TraceCandidate{
-		Trace: tr, Kind: "checkpoint",
-		FingerprintID: sparql.FingerprintID("checkpoint"),
-		Shape:         "checkpoint",
-		RequestID:     requestID(r),
-		Duration:      time.Since(start),
-		Outcome:       outcome, Err: msg,
-	})
+	rec.Duration = time.Since(start)
+	s.record(rec, err, nil)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return

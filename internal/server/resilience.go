@@ -81,41 +81,25 @@ var _ = []*obs.Counter{
 	breakerTransition(resilience.StateClosed),
 }
 
-// defaultDegradedShedCost is the per-shape EWMA execution cost above which
-// uncached shapes are shed while degraded, when Config.DegradedShedCost is
-// zero.
-const defaultDegradedShedCost = 250 * time.Millisecond
+// degradedShedCost is the per-shape EWMA execution cost above which uncached
+// shapes are shed while degraded.
+const degradedShedCost = 250 * time.Millisecond
 
 // Degraded reports whether the server is in graceful-degradation mode:
 // graceful shutdown has begun, or a page-severity SLO alert is firing. While
 // degraded the serving flow prefers slightly-stale cache hits, refuses to
 // queue new work, and sheds uncached shapes whose learned cost exceeds
-// DegradedShedCost.
+// degradedShedCost.
 func (s *Server) Degraded() bool {
 	return s.draining.Load() || s.alerts.MaxSeverity() == obs.SeverityPage
 }
 
-func (s *Server) shedCostSeconds() float64 {
-	if s.cfg.DegradedShedCost > 0 {
-		return s.cfg.DegradedShedCost.Seconds()
-	}
-	return defaultDegradedShedCost.Seconds()
-}
-
-// execution identifies one engine execution to the gate, the breaker and the
-// trace store.
-type execution struct {
-	raw, shape, fpID string
-	reqID, traceID   string
-	cache            string // the X-Cache outcome it serves: "miss" or "bypass"
-}
-
-// newExecution reads the request's ids; each read allocates (the header
-// names are not in canonical form), so it is kept off the cache-hit path.
-func newExecution(r *http.Request, raw, shape, fpID, cache string) execution {
-	return execution{
-		raw: raw, shape: shape, fpID: fpID,
-		reqID: requestID(r), traceID: traceIDOf(r), cache: cache,
+// sparqlRecord starts the record of one /sparql operation: the query, its
+// fingerprint, the request's ids and the X-Cache result it answers with.
+func sparqlRecord(r *http.Request, raw, shape, fpID, cache string) obs.QueryRecord {
+	return obs.QueryRecord{
+		Kind: "sparql", Query: raw, Shape: shape, FingerprintID: fpID,
+		RequestID: requestID(r), TraceID: traceIDOf(r), Cache: cache,
 	}
 }
 
@@ -132,14 +116,14 @@ func (s *Server) breakerAllows(w http.ResponseWriter, fpID string) bool {
 
 // guarded is the one body every engine execution behind /sparql runs in:
 // admission gate (admit/wait/reject metrics), a trace carrying the request's
-// ids, exec, the breaker's cost-and-abort observation and the tail-sampling
-// retention offer — made after the outcome and duration are known, exactly
-// the information head sampling lacks. exec returns the operator profile to
-// retain with the trace (nil for none). The admission slot is the caller's
-// until it calls release (never nil), so a response can be rendered under it.
-func (s *Server) guarded(ctx context.Context, e execution, exec func(tr *obs.Trace, start time.Time) (*sparql.Profile, error)) (release func(), err error) {
+// ids, exec, the breaker's cost-and-abort observation and the operation's
+// record — made after the outcome and duration are known, exactly the
+// information head sampling lacks. exec returns the result row count and the
+// operator profile (nil for none). The admission slot is the caller's until
+// it calls release (never nil), so a response can be rendered under it.
+func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr *obs.Trace) (int, *sparql.Profile, error)) (release func(), err error) {
 	waitStart := time.Now()
-	release, aerr := s.gate.Acquire(ctx, e.fpID, s.Degraded())
+	release, aerr := s.gate.Acquire(ctx, rec.FingerprintID, s.Degraded())
 	if aerr != nil {
 		admissionRejected(aerr.Reason).Inc()
 		return func() {}, aerr
@@ -149,43 +133,27 @@ func (s *Server) guarded(ctx context.Context, e execution, exec func(tr *obs.Tra
 
 	start := time.Now()
 	tr := obs.NewTrace("sparql")
-	tr.SetID(e.traceID)
-	if e.reqID != "" {
-		tr.Root().SetAttr("request_id", e.reqID)
+	tr.SetID(rec.TraceID)
+	if rec.RequestID != "" {
+		tr.Root().SetAttr("request_id", rec.RequestID)
 	}
-	prof, err := exec(tr, start)
-	dur := time.Since(start)
+	rows, prof, err := exec(tr)
+	rec.Duration = time.Since(start)
 	tr.Finish()
-	s.breakers.Observe(e.fpID, dur, abortedForBreaker(err), time.Now())
-	outcome, msg := traceOutcome(err)
-	cand := obs.TraceCandidate{
-		Trace: tr, Kind: "sparql",
-		FingerprintID: e.fpID, Shape: e.shape, Query: e.raw,
-		RequestID: e.reqID, Duration: dur,
-		Outcome: outcome, Cache: e.cache, Err: msg,
-	}
-	if exp := prof.Export(); exp != nil {
-		cand.Profile = exp
-	}
-	s.traces.Offer(cand)
+	s.breakers.Observe(rec.FingerprintID, rec.Duration, abortedForBreaker(err), time.Now())
+	rec.Trace, rec.Rows = tr, rows
+	s.record(rec, err, prof)
 	return release, err
 }
 
-// execSelect runs a SELECT inside guarded: profiled, planned with the shared
-// feedback store, and recorded in the slow-query log and workload profiler.
-func (s *Server) execSelect(ctx context.Context, q *sparql.Query, e execution, tr *obs.Trace, start time.Time) (*sparql.Results, *sparql.Profile, error) {
+// execSelect runs a SELECT profiled and planned with the shared feedback
+// store.
+func (s *Server) execSelect(ctx context.Context, q *sparql.Query, fpID string, tr *obs.Trace) (*sparql.Results, *sparql.Profile, error) {
 	prof := sparql.NewProfile("sparql")
 	res, err := sparql.ExecSelectCtx(ctx, s.graph, q, sparql.Options{
 		Trace: tr, Limits: s.cfg.Limits, Profile: prof,
-		Feedback: s.feedback, FingerprintID: e.fpID,
+		Feedback: s.feedback, FingerprintID: fpID,
 	})
-	dur := time.Since(start)
-	s.slow.Observe("sparql", e.raw, e.fpID, e.reqID, dur, tr)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	s.recordWorkload("sparql", e.raw, e.shape, dur, rows, err, prof)
 	return res, prof, err
 }
 
@@ -213,21 +181,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 		// query); execute directly under the admission gate.
 		cacheBypass.Inc()
 		w.Header().Set("X-Cache", "bypass")
-		s.execSelectCSV(w, ctx, q, newExecution(r, raw, shape, fpID, "bypass"))
+		s.execSelectCSV(w, ctx, q, sparqlRecord(r, raw, shape, fpID, "bypass"))
 		return
 	}
 
 	key := resilience.CacheKey(fpID, raw)
 	if ans, ok := s.answers.Lookup(key, s.graph.Version()); ok {
 		cacheHit.Inc()
-		s.serveCachedAnswer(w, ans, "hit", raw, shape, start)
+		s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "hit"), start)
 		return
 	}
 	degraded := s.Degraded()
 	if degraded {
 		if ans, ok := s.answers.LookupStale(key, time.Now(), s.cfg.StaleWindow); ok {
 			cacheStale.Inc()
-			s.serveCachedAnswer(w, ans, "stale", raw, shape, start)
+			s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "stale"), start)
 			return
 		}
 	}
@@ -237,7 +205,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	if degraded {
 		// Shed known-expensive uncached shapes first: their learned EWMA
 		// cost is exactly the work a degraded server cannot afford.
-		if ewma, ok := s.breakers.EWMASeconds(fpID); ok && ewma > s.shedCostSeconds() {
+		if ewma, ok := s.breakers.EWMASeconds(fpID); ok && ewma > degradedShedCost.Seconds() {
 			aerr := &resilience.AdmitError{
 				Reason:     resilience.ReasonDegraded,
 				Msg:        "server degraded: shedding expensive uncached query shape",
@@ -250,7 +218,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	}
 
 	v, collapsed, err := s.flight.Do(ctx, key, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
-		return s.executeQuery(execCtx, q, newExecution(r, raw, shape, fpID, "miss"), key)
+		return s.executeQuery(execCtx, q, sparqlRecord(r, raw, shape, fpID, "miss"), key)
 	})
 	if err != nil {
 		execError(w, err)
@@ -259,7 +227,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	ans := v.(*resilience.Answer)
 	if collapsed {
 		cacheCollapsed.Inc()
-		s.serveCachedAnswer(w, ans, "collapsed", raw, shape, start)
+		s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "collapsed"), start)
 		return
 	}
 	cacheMiss.Inc()
@@ -271,39 +239,39 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 // executeQuery is the singleflight leader body: the guarded execution of a
 // SELECT or ASK rendered to its JSON body, and the version-checked cache
 // fill. execCtx is detached from any single caller's request (see
-// resilience.Group), bounded by the query timeout. e carries the leader's
+// resilience.Group), bounded by the query timeout. rec carries the leader's
 // middleware-minted trace ID; the retained trace and the cached answer both
 // carry it, so every response serving this execution can point at the same
 // waterfall.
-func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, e execution, key string) (any, error) {
+func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, rec obs.QueryRecord, key string) (any, error) {
 	version := s.graph.Version()
 	// The serializer hands over the body at its final size (len == cap), so
 	// what the answer cache accounts is what the answer holds.
 	var body []byte
 	var rows int
 	var traceID string
-	release, err := s.guarded(execCtx, e, func(tr *obs.Trace, start time.Time) (*sparql.Profile, error) {
+	release, err := s.guarded(execCtx, rec, func(tr *obs.Trace) (int, *sparql.Profile, error) {
 		traceID = tr.ID()
 		// The chaos site sits inside the measured window so injected latency
 		// is indistinguishable from a genuinely slow execution downstream
 		// (slow-query log, workload profile, breaker cost EWMA).
 		if err := fault.InjectCtx(execCtx, "server.sparql.exec"); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 		if q.Form == sparql.FormAsk {
 			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, sparql.Options{Trace: tr, Limits: s.cfg.Limits})
 			if err == nil {
 				body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
 			}
-			return nil, err
+			return 0, nil, err
 		}
-		res, prof, err := s.execSelect(execCtx, q, e, tr, start)
+		res, prof, err := s.execSelect(execCtx, q, rec.FingerprintID, tr)
 		if err == nil {
 			rows = len(res.Rows)
 			res.Sort()
 			body = res.JSON()
 		}
-		return prof, err
+		return rows, prof, err
 	})
 	release()
 	if err != nil {
@@ -314,7 +282,7 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, e execut
 		ContentType: "application/sparql-results+json",
 		Status:      http.StatusOK,
 		Rows:        rows,
-		Shape:       e.shape,
+		Shape:       rec.Shape,
 		TraceID:     traceID,
 		Version:     version,
 		When:        time.Now(),
@@ -330,35 +298,39 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, e execut
 
 // serveCachedAnswer replays a cached/shared answer. The request went through
 // the regular middleware, so X-Request-ID and the per-endpoint latency/SLO
-// recording are already in place; here we additionally fold the serve into
-// the workload profiler so cached traffic stays visible in RED metrics and
-// per-shape SLOs, and point the response at the trace of the execution
-// that produced the answer (overwriting the middleware-minted ID — this
-// request did no execution of its own).
-func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer, result, raw, shape string, start time.Time) {
-	w.Header().Set("X-Cache", result)
+// recording are already in place; here we additionally record the serve so
+// cached traffic stays visible in the workload profile, the slow-query log
+// and per-shape SLOs, and point the response and the record at the trace
+// of the execution that produced the answer (overwriting the
+// middleware-minted ID — this request did no execution of its own).
+func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer, rec obs.QueryRecord, start time.Time) {
+	w.Header().Set("X-Cache", rec.Cache)
 	w.Header().Set("Content-Type", ans.ContentType)
 	if ans.TraceID != "" {
 		w.Header().Set("X-Trace-ID", ans.TraceID)
-		s.traces.RecordServe(ans.TraceID, result)
+		s.traces.RecordServe(ans.TraceID, rec.Cache)
 	}
 	if ans.Status != 0 && ans.Status != http.StatusOK {
 		w.WriteHeader(ans.Status)
 	}
 	w.Write(ans.Body)
-	s.recordWorkload("sparql", raw, shape, time.Since(start), ans.Rows, nil, nil)
+	rec.Rows, rec.TraceID, rec.Duration = ans.Rows, ans.TraceID, time.Since(start)
+	s.record(rec, nil, nil)
 }
 
 // execSelectCSV is the uncached CSV rendering of a SELECT, still behind the
 // admission gate and circuit breaker.
-func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, e execution) {
-	if !s.breakerAllows(w, e.fpID) {
+func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
+	if !s.breakerAllows(w, rec.FingerprintID) {
 		return
 	}
 	var res *sparql.Results
-	release, err := s.guarded(ctx, e, func(tr *obs.Trace, start time.Time) (prof *sparql.Profile, err error) {
-		res, prof, err = s.execSelect(ctx, q, e, tr, start)
-		return prof, err
+	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (rows int, prof *sparql.Profile, err error) {
+		res, prof, err = s.execSelect(ctx, q, rec.FingerprintID, tr)
+		if err == nil {
+			rows = len(res.Rows)
+		}
+		return rows, prof, err
 	})
 	defer release()
 	if err != nil {
@@ -375,15 +347,16 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 // breaker-protected and budgeted like every other engine execution.
 func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
 	shape := sparql.Fingerprint(q)
-	e := newExecution(r, raw, shape, sparql.FingerprintID(shape), "bypass")
+	rec := sparqlRecord(r, raw, shape, sparql.FingerprintID(shape), "bypass")
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
-	if !s.breakerAllows(w, e.fpID) {
+	if !s.breakerAllows(w, rec.FingerprintID) {
 		return
 	}
 	var out *rdf.Graph
-	release, err := s.guarded(ctx, e, func(tr *obs.Trace, _ time.Time) (_ *sparql.Profile, err error) {
+	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (int, *sparql.Profile, error) {
 		opts := sparql.Options{Trace: tr, Limits: s.cfg.Limits}
+		var err error
 		if q.Form == sparql.FormConstruct {
 			tr.Root().SetAttr("form", "construct")
 			out, err = sparql.ExecConstructCtx(ctx, s.graph, q, opts)
@@ -391,7 +364,10 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx con
 			tr.Root().SetAttr("form", "describe")
 			out, err = sparql.ExecDescribeCtx(ctx, s.graph, q, opts)
 		}
-		return nil, err
+		if err != nil {
+			return 0, nil, err
+		}
+		return out.Len(), nil, nil
 	})
 	defer release()
 	if err != nil {

@@ -136,9 +136,6 @@ type Config struct {
 	// resilience layer (rendered /sparql responses, keyed by fingerprint ×
 	// query text, invalidated by graph version). 0 disables caching.
 	CacheBytes int64
-	// NegativeTTL bounds how long a remembered parse error is served from
-	// the negative cache; 0 takes resilience.DefaultNegativeTTL.
-	NegativeTTL time.Duration
 	// MaxConcurrent caps concurrently executing /sparql queries via the
 	// admission controller; 0 disables the gate (unbounded concurrency).
 	MaxConcurrent int
@@ -152,9 +149,6 @@ type Config struct {
 	// NoCollapse disables the singleflight group that collapses concurrent
 	// identical queries into one execution.
 	NoCollapse bool
-	// DegradedShedCost is the per-shape EWMA cost above which uncached
-	// query shapes are shed while degraded; 0 takes 250ms.
-	DegradedShedCost time.Duration
 	// BreakerThreshold/BreakerCooldown tune the per-fingerprint circuit
 	// breaker (consecutive budget/timeout aborts to open; reject window
 	// before the half-open probe). Zero values take the resilience-package
@@ -170,8 +164,7 @@ type Config struct {
 	// TraceRetention tunes the tail-sampling trace store backing
 	// GET /api/traces and metric exemplars. The zero value enables
 	// retention with the obs package defaults; set Disabled to turn the
-	// store off (trace-dependent surfaces degrade to the last-trace
-	// fallback).
+	// store off (GET /api/traces then answers 409).
 	TraceRetention obs.TraceStoreConfig
 }
 
@@ -191,9 +184,6 @@ type SLOConfig struct {
 	// named "shape:<fingerprint>").
 	ShapeLatencyTarget    float64
 	ShapeLatencyThreshold time.Duration
-	// Burn overrides the evaluation windows/factors; zero fields take
-	// obs.DefaultBurnConfig.
-	Burn obs.BurnConfig
 }
 
 // maxBodyBytes resolves the configured POST body cap.
@@ -237,7 +227,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	obs.RegisterRuntimeMetrics(obs.Default)
 	obs.RegisterBuildInfo(obs.Default)
 	s.alerts = obs.NewAlertLog(obs.Default)
-	s.slos = obs.NewSLOSet(obs.Default, s.alerts, cfg.SLO.Burn)
+	s.slos = obs.NewSLOSet(obs.Default, s.alerts, obs.BurnConfig{})
 	if t := cfg.SLO.AvailabilityTarget; t > 0 {
 		s.sloHTTPAvail = s.slos.Add("http-availability", obs.SLOAvailability, t, 0)
 	}
@@ -249,7 +239,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	// Overload-resilience layer (see resilience.go): each piece degrades to
 	// a nil no-op when its knob is off, so the zero Config keeps today's
 	// direct-execution behavior.
-	s.answers = resilience.NewAnswerCache(cfg.CacheBytes, cfg.NegativeTTL,
+	s.answers = resilience.NewAnswerCache(cfg.CacheBytes, 0,
 		func(string, int64) { cacheEvictAnswer.Inc() })
 	if !cfg.NoCollapse {
 		s.flight = &resilience.Group{}
@@ -310,7 +300,6 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	mux.HandleFunc("GET /api/chart", s.handleChart)
 	mux.HandleFunc("GET /api/answer.csv", s.handleAnswerCSV)
 	mux.HandleFunc("GET /api/stats", s.handleStats)
-	mux.HandleFunc("GET /api/trace", s.handleTrace)
 	mux.HandleFunc("GET /api/traces", s.handleTraces)
 	mux.HandleFunc("GET /api/traces/{id}", s.handleTraceByID)
 	mux.HandleFunc("GET /api/workload", s.handleWorkload)
@@ -364,9 +353,6 @@ func (s *Server) sessionFor(r *http.Request) *core.Session {
 	sess := core.NewSession(s.graph, s.ns)
 	sess.SetLimits(s.cfg.Limits)
 	sess.SetFeedback(s.feedback)
-	// The sink fires inside RunAnalyticsCtx while the caller holds s.mu;
-	// retainAnalytics only touches the trace store (its own lock).
-	sess.SetTraceSink(s.retainAnalytics)
 	if s.cfg.Store != nil {
 		sess.SetDurability(s.cfg.Store.Sync)
 	}
@@ -512,9 +498,9 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The read path deliberately does NOT hold s.mu: graph reads are
-	// internally locked (rdf.Graph is an RWMutex), and the slow-query log,
-	// workload profiler, feedback store and SLO set all carry their own
-	// locks. Running queries concurrently is what lets the singleflight
+	// internally locked (rdf.Graph is an RWMutex), and the trace store,
+	// slow-query log, workload profiler, feedback store and SLO set all
+	// carry their own locks. Running queries concurrently is what lets the singleflight
 	// group collapse a thundering herd into one execution (resilience.go).
 	if st, _, msg, ok := s.answers.LookupNegative(query, time.Now()); ok {
 		cacheNegative.Inc()
@@ -538,50 +524,17 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// recordWorkload folds one finished query into the workload profiler:
-// outcome from the error's abort taxonomy, worst q-error and plan-vs-actual
-// rows from the operator profile, and the profile export retained as the
-// fingerprint's worst-case exemplar. Safe with a nil profile.
-func (s *Server) recordWorkload(kind, query, shape string, dur time.Duration, rows int, err error, prof *sparql.Profile) {
-	outcome := "ok"
-	if err != nil {
-		outcome = sparql.AbortReason(err)
-		if outcome == "" {
-			outcome = "error"
-		}
-	}
-	var exemplar any
-	if exp := prof.Export(); exp != nil {
-		exemplar = exp
-	}
-	s.workload.Observe(obs.QueryRecord{
-		FingerprintID: sparql.FingerprintID(shape),
-		Shape:         shape,
-		Kind:          kind,
-		Query:         query,
-		Duration:      dur,
-		Rows:          rows,
-		Outcome:       outcome,
-		MaxQError:     prof.MaxQError(),
-		When:          time.Now(),
-	}, exemplar)
-	if ests := prof.Estimates(); len(ests) > 0 {
-		conv := make([]obs.OpEstimate, len(ests))
-		for i, e := range ests {
-			conv[i] = obs.OpEstimate{
-				Op: e.Op, Label: e.Label, Est: e.Est, Actual: e.Actual,
-				QError: e.QError, Feedback: e.Feedback,
-			}
-		}
-		s.workload.ObserveEstimates(conv)
-	}
-	// Per-query-shape latency objectives, created lazily as shapes appear.
-	// Add is idempotent and degrades to nil past the objective cap, and a
-	// nil objective's Observe is a no-op.
-	if t := s.cfg.SLO.ShapeLatencyTarget; t > 0 && s.cfg.SLO.ShapeLatencyThreshold > 0 {
-		s.slos.Add("shape:"+sparql.FingerprintID(shape), obs.SLOLatency, t, s.cfg.SLO.ShapeLatencyThreshold).
-			Observe(dur, err != nil)
-	}
+// updateShapes fingerprint updates by operation kind, the way checkpoints
+// use the constant shape "checkpoint": an update's text is mostly data, and
+// a text fingerprint made every distinct INSERT DATA the first of its shape
+// — retained as slowest, flooding the trace store. The raw text stays in
+// the record's Query.
+var updateShapes = [...]string{
+	sparql.UpdateInsertData:  "update insert_data",
+	sparql.UpdateDeleteData:  "update delete_data",
+	sparql.UpdateDeleteWhere: "update delete_where",
+	sparql.UpdateModify:      "update modify",
+	sparql.UpdateClear:       "update clear",
 }
 
 // execUpdate applies a SPARQL update and reports the change counts. No
@@ -596,27 +549,25 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) 
 	start := time.Now()
 	tr := obs.NewTrace("update")
 	tr.SetID(obs.TraceIDFrom(ctx))
-	if id := requestID(r); id != "" {
-		tr.Root().SetAttr("request_id", id)
+	// An unparseable update keeps the generic shape "update".
+	rec := obs.QueryRecord{Kind: "update", Shape: "update", Query: src, RequestID: requestID(r), Trace: tr}
+	if rec.RequestID != "" {
+		tr.Root().SetAttr("request_id", rec.RequestID)
 	}
 	var updErr error
 	defer func() {
 		tr.Finish()
-		outcome, msg := traceOutcome(updErr)
-		s.traces.Offer(obs.TraceCandidate{
-			Trace:         tr,
-			Kind:          "update",
-			FingerprintID: sparql.FingerprintID("update " + src),
-			Shape:         "update",
-			Query:         src,
-			RequestID:     requestID(r),
-			Duration:      time.Since(start),
-			Outcome:       outcome,
-			Err:           msg,
-		})
+		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+		rec.Duration = time.Since(start)
+		s.record(rec, updErr, nil)
 	}()
 	es := tr.Root().StartChild("exec")
-	res, err := sparql.ExecUpdateCtx(ctx, s.graph, src)
+	var res sparql.UpdateResult
+	u, err := sparql.ParseUpdate(src)
+	if err == nil {
+		rec.Shape = updateShapes[u.Kind]
+		res, err = sparql.ApplyUpdateCtx(ctx, s.graph, u)
+	}
 	es.Finish()
 	if err != nil {
 		updErr = err
@@ -628,6 +579,7 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) 
 		}
 		return
 	}
+	rec.Rows = res.Inserted + res.Deleted
 	tr.Root().SetAttr("inserted", res.Inserted)
 	tr.Root().SetAttr("deleted", res.Deleted)
 	// Group commit: the mutations were journaled as they applied; fsync the
@@ -958,24 +910,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	ans, err := sess.RunAnalyticsCtx(ctx)
-	dur := time.Since(start)
+	rec := obs.QueryRecord{Kind: "analytics", Query: q.String(), RequestID: requestID(r), Duration: time.Since(start)}
 	// Analytic queries fingerprint by the generated SPARQL when available
 	// (it carries the full shape); the HIFUN text stands in on failure.
-	shape := "analytics " + q.String()
-	rows := 0
+	rec.Shape = "analytics " + rec.Query
 	if err == nil {
-		shape = sparql.FingerprintQuery(ans.SPARQL)
-		rows = len(ans.Rows)
+		rec.Shape, rec.Rows = sparql.FingerprintQuery(ans.SPARQL), len(ans.Rows)
 	}
-	s.slow.Observe("analytics", q.String(), sparql.FingerprintID(shape), requestID(r), dur, sess.LastTrace())
-	s.recordWorkload("analytics", q.String(), shape, dur, rows, err, sess.LastProfile())
+	rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+	// s.mu is held across the run, so the session's last run is this one.
+	var prof *sparql.Profile
+	rec.Trace, prof, rec.Cache = sess.LastRun()
+	s.record(rec, err, prof)
 	if err != nil {
 		queryError(w, err)
 		return
 	}
 	out := answerJSON{
 		GroupCols: ans.GroupCols, MeasureCols: ans.MeasureCols,
-		SPARQL: ans.SPARQL, HIFUN: q.String(),
+		SPARQL: ans.SPARQL, HIFUN: rec.Query,
 	}
 	for _, row := range ans.Rows {
 		jr := make([]TermJSON, len(row))

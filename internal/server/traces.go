@@ -2,9 +2,9 @@
 // (obs.TraceStore): GET /api/traces searches retained traces by
 // fingerprint, duration, outcome, retention reason, kind and recency;
 // GET /api/traces/{id} returns one trace's full span waterfall and
-// operator profile. This file also owns the glue that feeds the store —
-// the per-layer retention offers share traceOutcome and the session trace
-// sink lives here.
+// operator profile. This file also owns record, the one hand-off that
+// feeds the store: every finished operation reaches it, and through it the
+// workload profiler, the slow-query log and the per-shape objectives.
 //
 // The drill-down this enables, with no scripting anywhere: an SLO alert
 // names an offending "shape:<fingerprint>" objective → /api/traces
@@ -21,60 +21,63 @@ import (
 	"strconv"
 	"time"
 
-	"rdfanalytics/internal/core"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/sparql"
 )
 
 // traceIDOf returns the trace ID the middleware stamped on the request.
+// The key is spelled canonically, so the read does not allocate.
 func traceIDOf(r *http.Request) string {
-	return r.Header.Get("X-Trace-ID")
+	return r.Header.Get("X-Trace-Id")
 }
 
-// traceOutcome maps an execution error onto the retention outcome
-// taxonomy: "ok" for nil, otherwise the abort reason ("timeout",
-// "cancelled", "budget", …) with "error" as the fallback, plus the
-// message to retain.
-func traceOutcome(err error) (outcome, msg string) {
-	if err == nil {
-		return "ok", ""
+// record is the one hand-off of a finished operation: every /sparql
+// execution or cache serve, analytic run, update and checkpoint ends here,
+// so the trace store, the workload profiler, the slow-query log and the
+// per-shape latency objectives all read the same record. It fills in what
+// every caller would otherwise derive: the outcome from err's abort
+// taxonomy ("ok", or "timeout", "cancelled", "budget", … with "error" as
+// the fallback), and the profile's worst q-error, plan-vs-actual rows and —
+// for the trace store only — its export (prof may be nil). A record without
+// a trace (a cache serve) keeps the filler's trace ID and is not offered.
+// Only reads count against a shape objective: an update or checkpoint is as
+// long as the graph is big.
+func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
+	rec.Outcome = "ok"
+	if err != nil {
+		rec.Outcome, rec.Err = sparql.AbortReason(err), err.Error()
+		if rec.Outcome == "" {
+			rec.Outcome = "error"
+		}
 	}
-	outcome = sparql.AbortReason(err)
-	if outcome == "" {
-		outcome = "error"
+	if prof != nil {
+		rec.MaxQError = prof.MaxQError()
+		ests := prof.Estimates()
+		rec.Estimates = make([]obs.OpEstimate, len(ests))
+		for i, e := range ests {
+			rec.Estimates[i] = obs.OpEstimate{
+				Op: e.Op, Label: e.Label, Est: e.Est, Actual: e.Actual,
+				QError: e.QError, Feedback: e.Feedback,
+			}
+		}
+		if s.traces != nil {
+			rec.Profile = prof.Export()
+		}
 	}
-	return outcome, err.Error()
-}
-
-// retainAnalytics is the session trace sink: every completed
-// RunAnalyticsCtx — cache hit, cube roll-up or full execution — is
-// offered for retention. It runs while the caller holds s.mu, so it must
-// only touch the trace store (which has its own lock).
-func (s *Server) retainAnalytics(ev core.TraceEvent) {
-	// Analytic queries fingerprint by the generated SPARQL when available
-	// (it carries the full shape); the HIFUN text stands in on failure.
-	shape := "analytics " + ev.HIFUN
-	if ev.Err == nil && ev.SPARQL != "" {
-		shape = sparql.FingerprintQuery(ev.SPARQL)
+	rec.When = time.Now()
+	if rec.Trace != nil {
+		s.traces.Offer(rec)
+		rec.TraceID = rec.Trace.ID()
 	}
-	outcome, msg := traceOutcome(ev.Err)
-	var prof any
-	if exp := ev.Profile.Export(); exp != nil {
-		prof = exp
+	s.workload.Observe(rec)
+	s.slow.Observe(rec)
+	if t := s.cfg.SLO.ShapeLatencyTarget; t > 0 && s.cfg.SLO.ShapeLatencyThreshold > 0 &&
+		(rec.Kind == "sparql" || rec.Kind == "analytics") {
+		// Created lazily as shapes appear: Add is idempotent and degrades to
+		// nil past the objective cap, and a nil objective's Observe is a no-op.
+		s.slos.Add("shape:"+rec.FingerprintID, obs.SLOLatency, t, s.cfg.SLO.ShapeLatencyThreshold).
+			Observe(rec.Duration, err != nil)
 	}
-	s.traces.Offer(obs.TraceCandidate{
-		Trace:         ev.Trace,
-		Profile:       prof,
-		Kind:          "analytics",
-		FingerprintID: sparql.FingerprintID(shape),
-		Shape:         shape,
-		Query:         ev.HIFUN,
-		RequestID:     ev.RequestID,
-		Duration:      ev.Duration,
-		Outcome:       outcome,
-		Cache:         ev.Source,
-		Err:           msg,
-	})
 }
 
 // tracesJSON is the GET /api/traces payload: the matching summaries plus

@@ -287,21 +287,15 @@ func TestTraceErrorRetainedAlways(t *testing.T) {
 	}
 }
 
-// TestTraceAliasDeprecated: the legacy single-slot /api/trace keeps working
-// but advertises its replacement.
+// TestTraceAliasDeprecated: the legacy single-slot GET /api/trace is gone;
+// traces resolve by ID through /api/traces/{id}.
 func TestTraceAliasDeprecated(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	doSparqlTraced(s, laptopQuery(), nil)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/trace?kind=sparql", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/api/trace = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("alias missing Deprecation header")
-	}
-	if !strings.Contains(rec.Header().Get("Link"), "/api/traces") {
-		t.Errorf("alias Link header = %q, want pointer to /api/traces", rec.Header().Get("Link"))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/trace", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("/api/trace = %d, want 404: %s", rec.Code, rec.Body.String())
 	}
 }
 

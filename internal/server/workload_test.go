@@ -14,23 +14,17 @@ import (
 )
 
 // driveWorkload sends one protocol SELECT and one analytic run through ts,
-// so the workload profiler has both kinds of traffic.
-func driveWorkload(t *testing.T, base string) {
+// so the workload profiler has both kinds of traffic. It returns the
+// X-Trace-ID of each.
+func driveWorkload(t *testing.T, base string) (sparqlID, runID string) {
 	t.Helper()
-	resp, err := http.Get(base + "/sparql?query=" + url.QueryEscape(
+	sparqlID = getTraced(t, base+"/sparql?query="+url.QueryEscape(
 		`SELECT ?s ?m WHERE { ?s a <`+datagen.ExampleNS+`Laptop> . ?s <`+datagen.ExampleNS+`manufacturer> ?m }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sparql status = %d", resp.StatusCode)
-	}
 	postJSON(t, base+"/api/click/class", map[string]any{"class": datagen.ExampleNS + "Laptop"})
 	postJSON(t, base+"/api/groupby", map[string]any{
 		"path": []map[string]any{{"p": datagen.ExampleNS + "manufacturer"}}})
 	postJSON(t, base+"/api/aggregate", map[string]any{"op": "COUNT"})
-	postJSON(t, base+"/api/run", map[string]any{})
+	return sparqlID, postTraced(t, base+"/api/run")
 }
 
 // TestWorkloadEndpoint drives both query kinds and checks GET /api/workload
@@ -149,37 +143,33 @@ func TestDashboard(t *testing.T) {
 	}
 }
 
-// TestTraceProfile checks GET /api/trace carries the operator profiles next
-// to the span trees for both query kinds.
+// TestTraceProfile checks GET /api/traces/{id} carries the operator
+// profiles next to the span trees for both query kinds.
 func TestTraceProfile(t *testing.T) {
 	ts := testServer(t)
-	driveWorkload(t, ts.URL)
+	sparqlID, runID := driveWorkload(t, ts.URL)
 
-	resp, err := http.Get(ts.URL + "/api/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		AnalyticsProfile *struct {
-			Op       string            `json:"op"`
-			Children []json.RawMessage `json:"children"`
-		} `json:"analytics_profile"`
-		SPARQLProfile *struct {
+	var protocol struct {
+		Profile *struct {
 			Op       string            `json:"op"`
 			Calls    int               `json:"calls"`
 			Children []json.RawMessage `json:"children"`
-		} `json:"sparql_profile"`
+		} `json:"profile"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	fetchTrace(t, ts.URL, sparqlID, &protocol)
+	if protocol.Profile == nil || protocol.Profile.Op != "sparql" ||
+		protocol.Profile.Calls != 1 || len(protocol.Profile.Children) == 0 {
+		t.Errorf("sparql profile = %+v", protocol.Profile)
 	}
-	if out.SPARQLProfile == nil || out.SPARQLProfile.Op != "sparql" ||
-		out.SPARQLProfile.Calls != 1 || len(out.SPARQLProfile.Children) == 0 {
-		t.Errorf("sparql profile = %+v", out.SPARQLProfile)
+	var analytics struct {
+		Profile *struct {
+			Op       string            `json:"op"`
+			Children []json.RawMessage `json:"children"`
+		} `json:"profile"`
 	}
-	if out.AnalyticsProfile == nil || out.AnalyticsProfile.Op != "run_analytics" ||
-		len(out.AnalyticsProfile.Children) == 0 {
-		t.Errorf("analytics profile = %+v", out.AnalyticsProfile)
+	fetchTrace(t, ts.URL, runID, &analytics)
+	if analytics.Profile == nil || analytics.Profile.Op != "run_analytics" ||
+		len(analytics.Profile.Children) == 0 {
+		t.Errorf("analytics profile = %+v", analytics.Profile)
 	}
 }

@@ -44,7 +44,7 @@ func AbortReason(err error) string {
 }
 
 // observeAbort counts an aborted evaluation and annotates the trace root,
-// so /metrics and /api/trace both show why a query died.
+// so /metrics and /api/traces/{id} both show why a query died.
 func observeAbort(root *obs.Span, err error) {
 	reason := AbortReason(err)
 	switch reason {

@@ -309,7 +309,7 @@ func fmtProfDur(d time.Duration) string {
 	}
 }
 
-// ProfNodeJSON is the wire form of a profile node (GET /api/trace).
+// ProfNodeJSON is the wire form of a profile node (GET /api/traces/{id}).
 type ProfNodeJSON struct {
 	Op         string         `json:"op"`
 	TraceID    string         `json:"trace_id,omitempty"`

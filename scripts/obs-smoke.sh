@@ -1,10 +1,12 @@
 #!/bin/sh
 # obs-smoke: end-to-end check of the telemetry surface. Builds and starts the
-# server on a scratch port, drives one SPARQL query and one analytic query
-# through it, then asserts /metrics exposes the promised metric families and
-# /api/trace returns a span tree. The first /sparql query is fault-injected
-# slow (delay on the first exec activation only) so the tail sampler provably
-# retains it — the trace-retention section then walks the whole drill-down:
+# server on a scratch port, drives SPARQL queries, one analytic query and one
+# update through it, then asserts /metrics exposes the promised metric
+# families, the run's X-Trace-ID resolves through /api/traces/{id} to its
+# span tree, and /api/workload lists the update. The first /sparql query is
+# fault-injected slow (delay on the first exec activation only) so the tail
+# sampler provably retains it — the trace-retention section then walks the
+# whole drill-down:
 # slow query -> /api/traces search -> span waterfall -> OpenMetrics exemplar
 # whose trace ID resolves back through the API. Needs only sh + curl + grep.
 set -eu
@@ -57,7 +59,14 @@ curl -sf -X POST "$BASE/api/groupby" -H 'Content-Type: application/json' \
     -d "{\"path\":[{\"p\":\"${NS}manufacturer\"}]}" >/dev/null
 curl -sf -X POST "$BASE/api/aggregate" -H 'Content-Type: application/json' \
     -d '{"op":"COUNT"}' >/dev/null
-curl -sf -X POST "$BASE/api/run" >/dev/null
+RUN_HDRS="$(mktemp)"
+curl -sf -D "$RUN_HDRS" -X POST "$BASE/api/run" >/dev/null
+RUN_TID="$(awk 'tolower($1) == "x-trace-id:" {print $2}' "$RUN_HDRS" | tr -d '\r')"
+rm -f "$RUN_HDRS"
+
+# One update: every operation kind reaches the workload view.
+curl -sf "$BASE/sparql" --data-urlencode \
+    "update=INSERT DATA { <${NS}smokeProbe> a <${NS}Laptop> . }" >/dev/null
 
 sleep 0.5 # at least one sampler tick, so the time-series ring has points
 
@@ -90,10 +99,10 @@ for name in \
     fi
 done
 
-TRACE="$(curl -sf "$BASE/api/trace")"
+TRACE="$(curl -sf "$BASE/api/traces/$RUN_TID")"
 for frag in run_analytics translate exec; do
     if ! printf '%s' "$TRACE" | grep -q "$frag"; then
-        echo "obs-smoke: FAIL — /api/trace missing span \"$frag\": $TRACE" >&2
+        echo "obs-smoke: FAIL — /api/traces/$RUN_TID missing span \"$frag\": $TRACE" >&2
         exit 1
     fi
 done
@@ -146,9 +155,9 @@ if printf '%s\n' "$METRICS" | grep -q '# {'; then
     exit 1
 fi
 
-# The workload profiler aggregated both query kinds.
+# The workload profiler aggregated every operation kind, the update included.
 WORKLOAD="$(curl -sf "$BASE/api/workload")"
-for frag in fingerprints misestimates q_error; do
+for frag in fingerprints misestimates q_error '"kind":"update"'; do
     if ! printf '%s' "$WORKLOAD" | grep -q "$frag"; then
         echo "obs-smoke: FAIL — /api/workload missing \"$frag\": $WORKLOAD" >&2
         exit 1
