@@ -53,6 +53,13 @@ type evaluator struct {
 	// dict is the evaluation's dictionary view: graph IDs plus scratch IDs
 	// for computed terms (see rows.go).
 	dict *termDict
+	// inBody is set while an OPTIONAL body runs (evalOptional). No decision
+	// in a body reads the batch's size or one of its rows, so each input row
+	// gets what it would alone: runs are planned for one row (planBGP) and
+	// not re-planned, nested groups start from their parent's credit, and a
+	// join on the predicate alone keeps the index loop's order (evalPattern).
+	inBody   bool
+	optional func(ev *evaluator, opt *GroupPattern, input *batch) *batch // evalOptional, or a test's reference
 }
 
 // overBudget checks an intermediate row set against the row
@@ -136,6 +143,7 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		limits:       opts.Limits,
 		replanFactor: replan,
 		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
+		optional:     (*evaluator).evalOptional,
 	}
 	if g != nil {
 		ev.fbSites = opts.Feedback.SiteActuals(opts.FingerprintID, g.Version())
@@ -299,7 +307,7 @@ func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
 	ev.sc = &scope{slots: map[string]int{}}
 	visitGroupVars(gp, false, ev.sc.add)
 	root := ev.cur // the trace root, when the caller traces
-	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()))
+	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()), nil)
 	if err := ev.cancel.cause(); err != nil {
 		observeAbort(root, err)
 		return nil, err
@@ -374,14 +382,14 @@ func (ev *evaluator) execSelect(q *Query) (*Results, error) {
 // selectRows runs a SELECT through its whole pipeline in ID space and
 // returns the projection with one column per projected variable.
 func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
-	// A subquery re-enters here with its own scope.
-	saved := ev.sc
-	ev.sc = selectScope(q)
-	defer func() { ev.sc = saved }()
+	// A subquery re-enters here with its own scope, outside any body.
+	saved, inBody := ev.sc, ev.inBody
+	ev.sc, ev.inBody = selectScope(q), false
+	defer func() { ev.sc, ev.inBody = saved, inBody }()
 	t0 := time.Now()
 	ms := ev.enterSpan("match")
 	pm, pmt := ev.profEnter("match", "")
-	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()))
+	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
 	ev.profExit(pm, pmt, 1, rows.n())
 	ms.SetAttr("rows", rows.n())
 	ev.exitSpan(ms)
@@ -451,8 +459,9 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 // *pushed down* — applied as soon as every variable it mentions is surely
 // bound — which prunes intermediate results early. Filters using BOUND or
 // EXISTS always wait until group end (their truth can change while the
-// group is still being built). The input batch is never modified.
-func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
+// group is still being built). The input batch is never modified. credit is
+// the enclosing group's estBound, which a group nested in a body starts from.
+func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string]bool) *batch {
 	cur := input
 	empty := &batch{width: input.width}
 	// Variables surely bound so far (input rows may bind more per-row, but
@@ -462,7 +471,9 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 	// VALUES/BIND/input rows that the sure-bound set cannot claim but the
 	// cardinality math and the placement of property paths should credit.
 	estBound := map[string]bool{}
-	if input.n() > 0 {
+	if ev.inBody && credit != nil {
+		estBound = cloneVarSet(credit)
+	} else if input.n() > 0 {
 		for slot, id := range input.row(0) {
 			if id != 0 {
 				estBound[ev.sc.names[slot]] = true
@@ -510,13 +521,13 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch) *batch {
 			}
 			cur = ev.evalTripleRun(triples, takeReady(filters, bound), preSure, preEst, cur)
 		case elem.Optional != nil:
-			cur = ev.evalOptional(elem.Optional, cur)
+			cur = ev.optional(ev, elem.Optional, cur)
 			// OPTIONAL binds nothing surely.
 		case elem.Union != nil:
-			cur = ev.evalUnion(elem.Union, cur)
+			cur = ev.evalUnion(elem.Union, cur, estBound)
 			bindSet(surelyBoundInUnion(elem.Union))
 		case elem.Group != nil:
-			cur = ev.evalGroup(elem.Group, cur)
+			cur = ev.evalGroup(elem.Group, cur, estBound)
 			bindSet(surelyBound(elem.Group))
 		case elem.Bind != nil:
 			cur = ev.evalBind(elem.Bind, cur)
@@ -820,21 +831,50 @@ func surelyBoundInUnion(u *UnionPattern) map[string]bool {
 	return out
 }
 
+// evalOptional is the left outer join of the input with the group: each row
+// is extended by the group's solutions for it, in their order, or kept when
+// there are none. The group runs as a body (inBody) once per boundness class
+// of the rows, each row carrying its number in the optional slot, and the
+// merge walks the input through the body's rows bucketed by that number.
+// Rows leave with the slot as they came: an enclosing OPTIONAL's number, or 0.
 func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 	s := ev.enterSpan("optional")
 	s.SetAttr("rows_in", input.n())
 	po, pot := ev.profEnter("optional", "")
-	w := rowWriter{width: input.width}
-	one := batch{width: input.width}
-	for i, n := 0, input.n(); i < n; i++ {
-		if ev.cancel.aborted() {
-			break
+	n, width, tag := input.n(), input.width, ev.sc.slot(optionalVar)
+	classes, sig, class := newTupleIndex(width, 1), make([]rdf.ID, width), make([]int32, n)
+	for i := range class {
+		for k, id := range input.row(i) {
+			sig[k] = min(id, 1)
 		}
-		one.vals = input.row(i)
-		if ext := ev.evalGroup(opt, &one); ext.n() > 0 {
-			w.addAll(ext)
-		} else {
-			w.add(one.vals)
+		c, _ := classes.add(sig)
+		class[i] = int32(c)
+	}
+	cstart, corder := bucketize(class, classes.count)
+	w := rowWriter{width: width}
+	for _, i := range corder {
+		w.add(input.row(int(i)))[tag] = rdf.ID(i + 1)
+	}
+	tagged := w.batch()
+	defer func(inBody bool) { ev.inBody = inBody }(ev.inBody)
+	ev.inBody = true
+	for c := 0; c < classes.count; c++ {
+		part := batch{width: width, vals: tagged.vals[int(cstart[c])*width : int(cstart[c+1])*width]}
+		w.addAll(ev.evalGroup(opt, &part, nil))
+	}
+	body := w.batch()
+	bucket := make([]int32, body.n())
+	for r := range bucket {
+		bucket[r] = int32(body.row(r)[tag] - 1)
+	}
+	start, order := bucketize(bucket, n)
+	for i := 0; i < n; i++ {
+		row := input.row(i)
+		if start[i] == start[i+1] {
+			w.add(row)
+		}
+		for _, r := range order[start[i]:start[i+1]] {
+			w.add(body.row(int(r)))[tag] = row[tag]
 		}
 	}
 	out := w.batch()
@@ -844,13 +884,13 @@ func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 	return out
 }
 
-func (ev *evaluator) evalUnion(u *UnionPattern, input *batch) *batch {
+func (ev *evaluator) evalUnion(u *UnionPattern, input *batch, credit map[string]bool) *batch {
 	s := ev.enterSpan("union")
 	s.SetAttr("alternatives", len(u.Alternatives))
 	pu, put := ev.profEnter("union", "")
 	w := rowWriter{width: input.width}
 	for _, alt := range u.Alternatives {
-		w.addAll(ev.evalGroup(alt, input))
+		w.addAll(ev.evalGroup(alt, input, credit))
 	}
 	out := w.batch()
 	ev.profExit(pu, put, input.n(), out.n())
@@ -959,7 +999,7 @@ func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
 	s := ev.enterSpan("minus")
 	defer ev.exitSpan(s)
 	pm, pmt := ev.profEnter("minus", "")
-	removed := ev.evalGroup(m, unitBatch(input.width))
+	removed := ev.evalGroup(m, unitBatch(input.width), nil)
 	w := rowWriter{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {
 		if i%pollEvery == 0 && ev.cancel.poll() {
@@ -1108,7 +1148,7 @@ func OrderComparator(g *rdf.Graph, conds []OrderCond) func(a, b Binding) int {
 	ev := newEvaluator(context.Background(), g, Options{})
 	ev.sc = &scope{slots: map[string]int{}}
 	for _, c := range conds {
-		visitExprVars(c.Expr, ev.sc.add, nil)
+		visitExprVars(c.Expr, ev.sc.add, func(gp *GroupPattern) { visitGroupVars(gp, false, ev.sc.add) })
 	}
 	keys := func(b Binding) []rdf.OrderKey { return ev.orderKeys(nil, conds, ev.bindingRow(b)) }
 	return func(a, b Binding) int { return compareOrderKeys(conds, keys(a), keys(b)) }

@@ -28,7 +28,7 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 	ev.sc = selectScope(q)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT plan: (workers: %d)\n", ev.workers)
-	explainGroup(ev, q.Where, &sb, 1)
+	explainGroup(ev, q.Where, &sb, 1, nil, 1)
 	if len(q.GroupBy) > 0 {
 		naggs := 0
 		for _, it := range q.Select.Items {
@@ -79,15 +79,13 @@ func ExplainAnalyzeCtx(ctx context.Context, g *rdf.Graph, src string, opts Optio
 	return prof.Tree(), nil
 }
 
-func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth int) {
+// explainGroup reports a group as evalGroup runs it, from what the enclosing
+// group credits as bound and the estimated rows flowing into each run.
+func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth int, estIn map[string]bool, rows int) {
 	indent := strings.Repeat("  ", depth)
 	step := 0
 	bound := map[string]bool{}
-	estB := map[string]bool{}
-	// rows tracks the estimated input cardinality flowing into each run: the
-	// plan is priced, and its join types predicted, from it. Execution plans
-	// with the live count and decides each join type from the live rows.
-	rows := 1
+	estB := cloneVarSet(estIn)
 	// Mirror evalGroup's filter registration so the report shows where each
 	// filter actually applies: inside a run, pushed down when bound, or at
 	// group end.
@@ -133,9 +131,6 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 				rows = 0
 				continue
 			}
-			if rows < 1 {
-				rows = 1
-			}
 			plan, _ := ev.planBGP(rp, run, colsFromVars(rp, preEst), rows)
 			attachFilters(plan, run, takeReady(pending, bound), preSure)
 			seeded := ""
@@ -164,18 +159,21 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 		case e.Optional != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. optional {\n", indent, step)
-			explainGroup(ev, e.Optional, sb, depth+1)
+			inBody := ev.inBody
+			ev.inBody = true
+			explainGroup(ev, e.Optional, sb, depth+1, estB, 1)
+			ev.inBody = inBody
 			fmt.Fprintf(sb, "%s}\n", indent)
 		case e.Union != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. union of %d alternatives\n", indent, step, len(e.Union.Alternatives))
 			for _, alt := range e.Union.Alternatives {
-				explainGroup(ev, alt, sb, depth+1)
+				explainGroup(ev, alt, sb, depth+1, estB, rows)
 			}
 		case e.Group != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. group {\n", indent, step)
-			explainGroup(ev, e.Group, sb, depth+1)
+			explainGroup(ev, e.Group, sb, depth+1, estB, rows)
 			fmt.Fprintf(sb, "%s}\n", indent)
 		case e.Bind != nil:
 			step++
@@ -193,12 +191,12 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 		case e.SubQuery != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. subquery {\n", indent, step)
-			explainGroup(ev, e.SubQuery.Where, sb, depth+1)
+			explainGroup(ev, e.SubQuery.Where, sb, depth+1, nil, 1)
 			fmt.Fprintf(sb, "%s}\n", indent)
 		case e.Minus != nil:
 			step++
 			fmt.Fprintf(sb, "%s%d. minus {\n", indent, step)
-			explainGroup(ev, e.Minus, sb, depth+1)
+			explainGroup(ev, e.Minus, sb, depth+1, nil, 1)
 			fmt.Fprintf(sb, "%s}\n", indent)
 		}
 	}

@@ -1,8 +1,12 @@
 package sparql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/rdf"
 )
 
 func TestExplainJoinOrder(t *testing.T) {
@@ -63,5 +67,44 @@ func TestExplainErrors(t *testing.T) {
 	}
 	if _, err := Explain(g, `NOT A QUERY`); err == nil {
 		t.Error("garbage accepted by Explain")
+	}
+}
+
+// optionalCompanyQuery is the standing benchmark's optional/company-1 query.
+const optionalCompanyQuery = `PREFIX ex: <http://example.org/products#>
+SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > %d)
+  OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`
+
+// TestExplainPricesOptionalBodyAsRun: EXPLAIN prices an OPTIONAL body the way
+// it runs — with the variables its input binds, for one input row — so the
+// body's scans, their order and their join types are the ones EXPLAIN
+// ANALYZE then executes. Planned from nothing bound and the whole laptop
+// set, the body's second scan was reported as a hash join that never ran.
+func TestExplainPricesOptionalBodyAsRun(t *testing.T) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 2240, Companies: 16, Seed: 1})
+	rdf.Materialize(g)
+	src := fmt.Sprintf(optionalCompanyQuery, 1900)
+	plan, err := Explain(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var explained []string
+	_, body, _ := strings.Cut(plan, "optional {")
+	for _, line := range strings.Split(body, "\n") {
+		if pat, rest, ok := strings.Cut(strings.TrimSpace(line), "  (est. "); ok && strings.HasPrefix(pat, "- scan ") {
+			_, strategy, _ := strings.Cut(strings.TrimSuffix(rest, ")"), ", ")
+			explained = append(explained, strings.TrimPrefix(pat, "- scan ")+" ["+strategy+"]")
+		}
+	}
+	prof := NewProfile("query")
+	if _, err := ExecSelectOpts(g, MustParse(src), Options{Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	var executed []string
+	for _, scan := range findProfNodes(&Profile{root: findProfNodes(prof, "optional")[0]}, "scan") {
+		executed = append(executed, scan.Label+" ["+scan.Strategy+"]")
+	}
+	if len(executed) != 2 || strings.Join(explained, "\n") != strings.Join(executed, "\n") {
+		t.Errorf("EXPLAIN's body:\n  %s\nexecuted:\n  %s\n%s", strings.Join(explained, "\n  "), strings.Join(executed, "\n  "), plan)
 	}
 }

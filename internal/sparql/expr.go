@@ -351,7 +351,7 @@ func (env exprEnv) evalIn(x ExprIn, row []rdf.ID) (rdf.Term, error) {
 }
 
 func (env exprEnv) evalExists(x ExprExists, row []rdf.ID) (rdf.Term, error) {
-	found := env.ev.evalGroup(x.Pattern, &batch{width: len(row), vals: row}).n() > 0
+	found := env.ev.evalGroup(x.Pattern, &batch{width: len(row), vals: row}, nil).n() > 0
 	if x.Not {
 		found = !found
 	}

@@ -65,6 +65,36 @@ func TestTimeoutMidJoin(t *testing.T) {
 	}
 }
 
+// TestTimeoutInOptionalBody: a deadline that passes while a batched OPTIONAL
+// body joins returns the typed timeout promptly, with no partial results. The
+// body's run is the query's only join, so that is where the delay holds it.
+func TestTimeoutInOptionalBody(t *testing.T) {
+	if err := fault.Configure("sparql.join=delay:50ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+	g := governanceGraph(50)
+	q := mustParse(t, `SELECT * WHERE { VALUES ?a { <http://e/a0> <http://e/a1> <http://e/a2> <http://e/a3> }
+  OPTIONAL { ?a <http://e/p> ?x . ?a <http://e/next> ?b } }`)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := ExecSelectCtx(ctx, g, q, Options{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || AbortReason(err) != "timeout" {
+		t.Fatalf("want a timeout, got %v", err)
+	}
+	if res != nil {
+		t.Fatalf("aborted query returned partial results: %d rows", len(res.Rows))
+	}
+	if fault.Hits("sparql.join") == 0 {
+		t.Fatal("the body never reached its join")
+	}
+	if elapsed > time.Second {
+		t.Fatalf("abort took %s, cancellation not cooperative", elapsed)
+	}
+}
+
 // TestCancelMidPath cancels the context while a property-path expansion is
 // underway (held open by an injected delay at the path fault site).
 func TestCancelMidPath(t *testing.T) {
@@ -115,6 +145,33 @@ func TestRowBudgetKillsCrossProduct(t *testing.T) {
 	}
 	if AbortReason(err) != "budget" {
 		t.Fatalf("AbortReason = %q, want budget", AbortReason(err))
+	}
+}
+
+// TestRowBudgetCapsOptionalBody: the row budget caps an OPTIONAL body's join
+// step over the whole batch, like any other step. Three extensions per input
+// row is far under the budget; a thousand input rows' worth is not, and the
+// step stops within one flush of the budget instead of the OPTIONAL's output
+// tripping the group-level backstop afterwards.
+func TestRowBudgetCapsOptionalBody(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("@prefix ex: <http://e/> .\n")
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&sb, "ex:s%d ex:p %d ; ex:tag ex:t%d, ex:t%d, ex:t%d .\n", i, i, i%7, i%7+7, i%7+14)
+	}
+	g := rdf.MustLoadTurtle(sb.String())
+	q := mustParse(t, "SELECT * WHERE { ?s <http://e/p> ?x OPTIONAL { ?s <http://e/tag> ?t } }")
+	if res, err := ExecSelectCtx(context.Background(), g, q, Options{}); err != nil || len(res.Rows) != 3000 {
+		t.Fatalf("unbounded: %v, want 3000 rows", err)
+	}
+	const limit = 1500
+	_, err := ExecSelectCtx(context.Background(), g, q, Options{Limits: Limits{MaxIntermediateRows: limit}})
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" {
+		t.Fatalf("want a rows BudgetError, got %v", err)
+	}
+	if be.Used <= limit || be.Used > limit+256 {
+		t.Errorf("Used = %d, want within one 256-row flush above %d: the body step itself should trip", be.Used, limit)
 	}
 }
 

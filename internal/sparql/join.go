@@ -190,7 +190,7 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 		// Adaptive re-planning: when the scan blew past its estimate by the
 		// q-error factor and at least two patterns remain, re-order the tail
 		// with the observed cardinality.
-		if ev.replanFactor > 0 && len(plan.steps)-si-1 >= 2 &&
+		if ev.replanFactor > 0 && !ev.inBody && len(plan.steps)-si-1 >= 2 &&
 			scanOut >= replanMinRows &&
 			float64(scanOut) > step.outRows*ev.replanFactor {
 			replanTail(plan, cm, run, si, rows.n(), boundCols, sureRun)
@@ -293,6 +293,9 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 		}
 	}
 	strategy := chooseStrategy(pp.baseEst, rows.n(), nJoin, mixed)
+	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
+		strategy = strategyNestedLoop // the build scans SPO, the loop POS
+	}
 	ss := ev.cur.StartChild("scan")
 	if ss != nil {
 		ss.SetAttr("pattern", tp.String())

@@ -22,6 +22,7 @@ func BenchmarkJoinStep(b *testing.B) {
 		{"star-filter", `SELECT ?m (AVG(?p) AS ?a) WHERE { ?l ex:manufacturer ?m ; ex:USBPorts ?u ; ex:price ?p . FILTER(?u >= 2) } GROUP BY ?m`},
 		{"group-by", `SELECT ?x2 ?x4 (SUM(?x5) AS ?sum_price) WHERE { ?x1 a ex:Laptop . ?x1 ex:manufacturer ?x2 . ?x1 ex:manufacturer ?x3 . ?x3 ex:origin ?x4 . ?x1 ex:price ?x5 . } GROUP BY ?x2 ?x4 HAVING (SUM(?x5) > 0)`},
 		{"big-select", `SELECT ?l ?p ?d ?u WHERE { ?l a ex:Laptop ; ex:price ?p ; ex:releaseDate ?d ; ex:USBPorts ?u . FILTER(?p >= 600) }`},
+		{"optional", `SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > 1900) OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`},
 	} {
 		q := sparql.MustParse(prefix + c.query)
 		b.Run(c.name, func(b *testing.B) {

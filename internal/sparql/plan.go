@@ -96,15 +96,19 @@ type runFilter struct {
 // (the identity order under NoReorder), with estimation-only bound columns
 // (variables flowing in from VALUES/BIND/earlier elements) seeding the
 // selectivity math. Feedback is on exactly when the evaluator holds a
-// snapshot of the query's observed scan sites.
+// snapshot of the query's observed scan sites. A run in an OPTIONAL body is
+// ordered for one input row (evaluator.inBody) and estimated for the batch.
 func (ev *evaluator) planBGP(rp *runPlan, run []*TriplePattern, boundCols uint64, inRows int) (*bgpPlan, *costModel) {
 	cm := newCostModel(rp, run, ev.fbSites)
 	order := make([]int, len(rp.pats))
 	for i := range order {
 		order[i] = i
 	}
-	if !ev.noReorder {
-		order = planOrder(cm, order, boundCols, float64(inRows))
+	if orderRows := float64(inRows); !ev.noReorder {
+		if ev.inBody {
+			orderRows = 1
+		}
+		order = planOrder(cm, order, boundCols, orderRows)
 	}
 	plan := &bgpPlan{}
 	plan.steps, plan.cost = buildSteps(cm, order, boundCols, float64(inRows))
@@ -329,11 +333,11 @@ func cloneVarSet(m map[string]bool) map[string]bool {
 
 // visitQueryVars calls fn for every textual variable reference of a SELECT
 // query: triple-pattern positions, BIND targets, VALUES columns, projected
-// names, and every variable an expression mentions, EXISTS patterns
-// included. deep decides what a subquery contributes: its whole text (the
-// reference count selectScope prunes single-use variables by — overcounting
-// only keeps a variable alive) or just what it can bind in the enclosing
-// scope, its projection.
+// names, every variable an expression mentions, EXISTS patterns included,
+// and optionalVar per OPTIONAL. deep decides what a subquery contributes:
+// its whole text (the reference count selectScope prunes single-use
+// variables by — overcounting only keeps a variable alive) or just what it
+// can bind in the enclosing scope, its projection.
 func visitQueryVars(q *Query, deep bool, fn func(string)) {
 	for _, it := range q.Select.Items {
 		if it.Var != "" {
@@ -387,6 +391,7 @@ func visitGroupVars(gp *GroupPattern, deep bool, fn func(string)) {
 		case e.Filter != nil:
 			expr(e.Filter)
 		case e.Optional != nil:
+			fn(optionalVar)
 			visitGroupVars(e.Optional, deep, fn)
 		case e.Union != nil:
 			for _, alt := range e.Union.Alternatives {

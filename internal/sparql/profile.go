@@ -15,8 +15,8 @@ import (
 // wall time, rows in/out, invocation count, and — for index scans — the
 // planner's cardinality estimate next to the actual output, summarized as
 // the q-error max(est/act, act/est). Repeated invocations of the same
-// operator at the same site (e.g. a per-binding OPTIONAL body, or the scans
-// of a correlated subquery) fold into one node keyed by (op, label), so the
+// operator at the same site (e.g. a FILTER EXISTS pattern, run once per row
+// it tests) fold into one node keyed by (op, label), so the
 // tree stays bounded regardless of data size.
 //
 // Profiling follows the tracer's nil-safety convention: a nil *Profile (and

@@ -160,27 +160,36 @@ SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s ex:link+ ?t . ?t ex:w ?w } GROUP BY ?t OR
 }
 
 // TestProfileAggregatesRepeatedCalls checks that per-binding re-evaluation
-// (the OPTIONAL body runs once per input row) folds into one node with a
-// call count instead of growing the tree.
+// (a FILTER EXISTS pattern runs once per row it tests) folds into one node
+// with a call count instead of growing the tree — and that an OPTIONAL body,
+// which runs once over the whole batch, is one call that saw every input row.
 func TestProfileAggregatesRepeatedCalls(t *testing.T) {
 	g := chainGraph(100)
 	prof := NewProfile("query")
-	q := MustParse(`PREFIX ex: <http://e/> SELECT ?s ?w WHERE { ?s ex:v ?v . OPTIONAL { ?s ex:link ?t . ?t ex:w ?w } }`)
+	q := MustParse(`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ex:v ?v . FILTER EXISTS { ?s ex:link ?t . ?t ex:w ?w } }`)
+	if _, err := ExecSelectOpts(g, q, Options{Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	filters := findProfNodes(prof, "filter")
+	if len(filters) != 1 {
+		t.Fatalf("want 1 filter node, got %d:\n%s", len(filters), prof.Tree())
+	}
+	if inner := findProfNodes(&Profile{root: filters[0]}, "bgp"); len(inner) != 1 || inner[0].Calls != 100 {
+		t.Fatalf("want the EXISTS pattern as one bgp node with a call per row:\n%s", prof.Tree())
+	}
+
+	prof = NewProfile("query")
+	q = MustParse(`PREFIX ex: <http://e/> SELECT ?s ?w WHERE { ?s ex:v ?v . OPTIONAL { ?s ex:link ?t . ?t ex:w ?w } }`)
 	if _, err := ExecSelectOpts(g, q, Options{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	opts := findProfNodes(prof, "optional")
-	if len(opts) != 1 {
-		t.Fatalf("want 1 optional node, got %d", len(opts))
+	if len(opts) != 1 || opts[0].RowsIn != 100 {
+		t.Fatalf("want 1 optional node over 100 rows:\n%s", prof.Tree())
 	}
-	var inner []*ProfNode
-	for _, n := range findProfNodes(prof, "bgp") {
-		if n.Calls > 1 {
-			inner = append(inner, n)
-		}
-	}
-	if len(inner) == 0 {
-		t.Fatalf("expected an aggregated inner bgp node with calls > 1:\n%s", prof.Tree())
+	body := findProfNodes(&Profile{root: opts[0]}, "bgp")
+	if len(body) != 1 || body[0].Calls != 1 || body[0].RowsIn != opts[0].RowsIn {
+		t.Fatalf("want the OPTIONAL body as one bgp call over all %d input rows:\n%s", opts[0].RowsIn, prof.Tree())
 	}
 }
 

@@ -48,9 +48,9 @@ func (sc *scope) width() int { return max(1, len(sc.names)) }
 
 // selectScope assigns the slots of a SELECT query: every variable in order
 // of first appearance — unless the query mentions it exactly once and
-// observes whole solutions nowhere (SELECT *, COUNT(DISTINCT *)) — then the
-// SELECT aliases, the derived names of GROUP BY expressions and the hidden
-// sort keys of aggregate-bearing ORDER BY conditions.
+// observes whole solutions nowhere (SELECT *, COUNT(DISTINCT *)) — and the
+// optional slot, then the SELECT aliases, the derived names of GROUP BY
+// expressions and the hidden sort keys of aggregate ORDER BY conditions.
 func selectScope(q *Query) *scope {
 	uses := map[string]int{}
 	visitQueryVars(q, true, func(v string) { uses[v]++ })
@@ -64,7 +64,7 @@ func selectScope(q *Query) *scope {
 	})
 	sc := &scope{slots: map[string]int{}}
 	visitQueryVars(q, false, func(v string) {
-		if keepAll || uses[v] > 1 {
+		if keepAll || uses[v] > 1 || v == optionalVar {
 			sc.add(v)
 		}
 	})
@@ -87,6 +87,10 @@ func selectScope(q *Query) *scope {
 }
 
 func hiddenOrderVar(i int) string { return "_anon_ord" + strconv.Itoa(i) }
+
+// optionalVar holds an OPTIONAL body row's input row number (evalOptional);
+// no query can spell the name, and SELECT * skips it as it skips every _anon.
+const optionalVar = "_anon opt"
 
 // batch is a sequence of solution rows: n rows of width IDs each, flat in
 // one backing slice.
