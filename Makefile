@@ -41,24 +41,26 @@ conformance:
 obs-smoke:
 	sh scripts/obs-smoke.sh
 
-# chaos-smoke boots the server with fault injection armed and asserts the
-# governance layer holds: query timeout -> structured 504, handler panic ->
-# 500 with the process still up, oversized body -> 413, SIGTERM -> clean
-# drain (see scripts/chaos-smoke.sh).
 # metrics-lint asserts every /metrics family follows the naming
 # conventions (rdfa_ prefix, _total counters, _seconds histograms) — see
 # scripts/metrics-lint.sh.
 metrics-lint:
 	sh scripts/metrics-lint.sh
 
+# chaos-smoke boots the server with fault injection armed and asserts the
+# governance layer holds: query timeout -> structured 504, handler panic ->
+# 500 with the process still up, oversized body -> 413, SIGTERM -> clean
+# drain (see scripts/chaos-smoke.sh).
 chaos-smoke:
 	sh scripts/chaos-smoke.sh
 
 # resilience-smoke boots live servers and drives the overload-resilience
 # layer end to end: herd collapse (identical queries share one execution),
 # queue-overflow shedding (structured 503 + Retry-After while cached
-# fingerprints keep serving), and degraded-mode stale serving under a paging
-# latency SLO (see scripts/resilience-smoke.sh).
+# fingerprints keep serving), and stale serving only on request (after an
+# update, Cache-Control: max-stale gets the outdated answer marked stale
+# with an Age, a plain request a fresh miss, and /readyz stays 200) — see
+# scripts/resilience-smoke.sh.
 resilience-smoke:
 	sh scripts/resilience-smoke.sh
 

@@ -42,7 +42,6 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "expire interaction sessions idle longer than this (0 disables)")
 	maxRows := flag.Int("max-intermediate-rows", 0, "row budget on intermediate binding sets (0 = unlimited)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain window on SIGINT/SIGTERM")
-	sampleInterval := flag.Duration("sample-interval", 10*time.Second, "telemetry sampling period for /api/timeseries and SLO evaluation (0 disables)")
 	sloAvailability := flag.Float64("slo-availability", 0.999, "availability SLO target in (0,1); 0 disables")
 	sloLatency := flag.Float64("slo-latency", 0.95, "latency SLO target in (0,1); 0 disables")
 	sloLatencyThreshold := flag.Duration("slo-latency-threshold", 250*time.Millisecond, "latency SLO threshold (requests faster than this count as good)")
@@ -51,7 +50,7 @@ func main() {
 	cacheSize := flag.Int64("cache-size", 64<<20, "fingerprint answer cache size in bytes (0 disables)")
 	maxConcurrent := flag.Int("max-concurrent", 64, "max concurrently executing queries (0 = unbounded)")
 	queueDepth := flag.Int("queue-depth", 128, "admission wait-queue depth; overflow sheds with 503 + Retry-After")
-	staleWindow := flag.Duration("stale-window", 30*time.Second, "degraded-mode staleness window for serving cached answers of older graph versions (0 disables)")
+	staleWindow := flag.Duration("stale-window", 30*time.Second, "oldest cached answer of an earlier graph version a request with Cache-Control: max-stale may get (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (WAL + segment files); empty runs in-memory only")
 	walSync := flag.String("wal-sync", "batch", "WAL durability: off (no fsync), batch (fsync per update ack), always (fsync per record)")
 	checkpointInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "background WAL compaction period when -data-dir is set (0 disables)")
@@ -117,17 +116,16 @@ func main() {
 		fmt.Println("rdf-analytics: pprof enabled at /debug/pprof/")
 	}
 	srv := server.NewWithConfig(g, ns, server.Config{
-		SlowQuery:      *slowQuery,
-		Debug:          *debug,
-		QueryTimeout:   *queryTimeout,
-		MaxBodyBytes:   *maxBody,
-		SessionTTL:     *sessionTTL,
-		Limits:         sparql.Limits{MaxIntermediateRows: *maxRows},
-		SampleInterval: *sampleInterval,
-		CacheBytes:     *cacheSize,
-		MaxConcurrent:  *maxConcurrent,
-		QueueDepth:     *queueDepth,
-		StaleWindow:    *staleWindow,
+		SlowQuery:     *slowQuery,
+		Debug:         *debug,
+		QueryTimeout:  *queryTimeout,
+		MaxBodyBytes:  *maxBody,
+		SessionTTL:    *sessionTTL,
+		Limits:        sparql.Limits{MaxIntermediateRows: *maxRows},
+		CacheBytes:    *cacheSize,
+		MaxConcurrent: *maxConcurrent,
+		QueueDepth:    *queueDepth,
+		StaleWindow:   *staleWindow,
 		SLO: server.SLOConfig{
 			AvailabilityTarget:    *sloAvailability,
 			LatencyTarget:         *sloLatency,

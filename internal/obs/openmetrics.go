@@ -139,72 +139,3 @@ func (h *Histogram) exemplarSuffix(bucket int) string {
 	return fmt.Sprintf(" # {trace_id=\"%s\"} %s %d.%03d",
 		escapeLabel(ex.traceID), formatValue(ex.value), ex.whenMS/1000, ex.whenMS%1000)
 }
-
-// ExemplarView is one exemplar as surfaced on /api/timeseries, linking a
-// histogram series to a retained trace.
-type ExemplarView struct {
-	Series  string    `json:"series"`
-	LE      string    `json:"le"`
-	TraceID string    `json:"trace_id"`
-	Value   float64   `json:"value"`
-	When    time.Time `json:"when"`
-}
-
-// ExemplarsMatching returns up to limit recorded exemplars whose series
-// key contains substr ("" matches all), newest first.
-func (r *Registry) ExemplarsMatching(substr string, limit int) []ExemplarView {
-	if limit <= 0 {
-		limit = 32
-	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.order))
-	for _, n := range r.order {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-	var out []ExemplarView
-	for _, f := range fams {
-		if f.kind != kindHistogram {
-			continue
-		}
-		f.mu.Lock()
-		for _, key := range f.order {
-			sk := seriesKey(f.name, key)
-			if substr != "" && !strings.Contains(sk, substr) {
-				continue
-			}
-			h := f.series[key].(*Histogram)
-			for i := range h.exemplars {
-				ex := h.exemplars[i].Load()
-				if ex == nil {
-					continue
-				}
-				le := "+Inf"
-				if i < len(h.bounds) {
-					le = formatValue(h.bounds[i])
-				}
-				out = append(out, ExemplarView{
-					Series:  sk,
-					LE:      le,
-					TraceID: ex.traceID,
-					Value:   ex.value,
-					When:    time.UnixMilli(ex.whenMS),
-				})
-			}
-		}
-		f.mu.Unlock()
-	}
-	sortExemplarsNewestFirst(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-func sortExemplarsNewestFirst(ex []ExemplarView) {
-	for i := 1; i < len(ex); i++ {
-		for j := i; j > 0 && ex[j].When.After(ex[j-1].When); j-- {
-			ex[j], ex[j-1] = ex[j-1], ex[j]
-		}
-	}
-}

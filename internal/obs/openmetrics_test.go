@@ -52,7 +52,8 @@ func TestWriteOpenMetricsExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("om_test_seconds", []float64{0.1, 1})
 	h.Observe(0.05)
-	h.ObserveExemplar(0.5, "abcdef0123456789")
+	h.ObserveExemplar(0.4, "1111111111111111")
+	h.ObserveExemplar(0.5, "abcdef0123456789") // same bucket: last writer wins
 	c := r.Counter("om_requests_total")
 	c.Inc()
 
@@ -73,8 +74,11 @@ func TestWriteOpenMetricsExemplars(t *testing.T) {
 	}
 	// The 0.5 observation lands in the le="1" bucket and carries the
 	// exemplar; the le="0.1" bucket has none.
-	if !strings.Contains(out, `om_test_seconds_bucket{le="1"} 2 # {trace_id="abcdef0123456789"} 0.5 `) {
+	if !strings.Contains(out, `om_test_seconds_bucket{le="1"} 3 # {trace_id="abcdef0123456789"} 0.5 `) {
 		t.Fatalf("exemplar missing from le=1 bucket:\n%s", out)
+	}
+	if strings.Contains(out, "1111111111111111") {
+		t.Fatalf("overwritten exemplar still rendered:\n%s", out)
 	}
 	if strings.Contains(out, `le="0.1"} 1 #`) {
 		t.Fatalf("exemplar on wrong bucket:\n%s", out)
@@ -85,31 +89,6 @@ func TestWriteOpenMetricsExemplars(t *testing.T) {
 	r.WritePrometheus(&prom)
 	if strings.Contains(prom.String(), "# {") {
 		t.Fatalf("exemplar leaked into 0.0.4 exposition:\n%s", prom.String())
-	}
-}
-
-func TestExemplarsMatching(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("em_seconds", []float64{0.1, 1}, "endpoint", "/sparql")
-	h.ObserveExemplar(0.3, "1111111111111111")
-	h.ObserveExemplar(0.4, "2222222222222222") // same bucket: last writer wins
-	r.Histogram("other_seconds", nil).ObserveExemplar(3, "3333333333333333")
-
-	got := r.ExemplarsMatching("em_seconds", 0)
-	if len(got) != 1 {
-		t.Fatalf("got %d exemplars, want 1 (filtered): %+v", len(got), got)
-	}
-	if got[0].TraceID != "2222222222222222" {
-		t.Fatalf("last-writer-wins violated: %+v", got[0])
-	}
-	if !strings.Contains(got[0].Series, `endpoint="/sparql"`) {
-		t.Fatalf("series key lost labels: %q", got[0].Series)
-	}
-	if all := r.ExemplarsMatching("", 0); len(all) != 2 {
-		t.Fatalf("unfiltered: got %d, want 2", len(all))
-	}
-	if lim := r.ExemplarsMatching("", 1); len(lim) != 1 {
-		t.Fatalf("limit: got %d, want 1", len(lim))
 	}
 }
 

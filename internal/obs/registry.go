@@ -277,121 +277,6 @@ func (f *family) write(w io.Writer) error {
 	return nil
 }
 
-// SampleKind classifies a scraped sample for rate derivation: counters are
-// cumulative (the time-series layer derives deltas, handling resets),
-// gauges are instantaneous.
-type SampleKind int
-
-// The sample kinds.
-const (
-	// SampleCounter marks a cumulative, monotonically increasing value.
-	SampleCounter SampleKind = iota
-	// SampleGauge marks an instantaneous value.
-	SampleGauge
-)
-
-// Sample is one scraped metric value, keyed exactly as the Prometheus
-// exposition renders it (`name{labels}`), so time-series keys and scrape
-// output line up one-to-one.
-type Sample struct {
-	Key   string
-	Kind  SampleKind
-	Value float64
-}
-
-// Samples scrapes every registered metric into a flat sample list for the
-// time-series sampler: counters and gauges one sample per label set,
-// histograms as `name_count`/`name_sum` counters per label set plus
-// family-aggregated `name_bucket{le="..."}` cumulative counters (aggregated
-// across label sets, so bucket-series cardinality stays bounded by the
-// bucket ladder, not by labels — windowed quantiles are derived from their
-// deltas). Func metrics are evaluated at scrape time.
-func (r *Registry) Samples() []Sample {
-	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	for i, n := range r.order {
-		fams[i] = r.families[n]
-	}
-	r.mu.Unlock()
-	var out []Sample
-	for _, f := range fams {
-		f.mu.Lock()
-		switch f.kind {
-		case kindCounterFunc, kindGaugeFunc:
-			v := 0.0
-			if f.fn != nil {
-				v = f.fn()
-			}
-			k := SampleCounter
-			if f.kind == kindGaugeFunc {
-				k = SampleGauge
-			}
-			out = append(out, Sample{Key: f.name, Kind: k, Value: v})
-		case kindCounter:
-			for _, key := range f.order {
-				out = append(out, Sample{
-					Key: seriesKey(f.name, key), Kind: SampleCounter,
-					Value: float64(f.series[key].(*Counter).Value()),
-				})
-			}
-		case kindGauge:
-			for _, key := range f.order {
-				out = append(out, Sample{
-					Key: seriesKey(f.name, key), Kind: SampleGauge,
-					Value: f.series[key].(*Gauge).Value(),
-				})
-			}
-		case kindHistogram:
-			var bounds []float64
-			var bucketCum []uint64
-			var total uint64
-			for _, key := range f.order {
-				h := f.series[key].(*Histogram)
-				out = append(out,
-					Sample{Key: seriesKey(f.name+"_count", key), Kind: SampleCounter, Value: float64(h.Count())},
-					Sample{Key: seriesKey(f.name+"_sum", key), Kind: SampleCounter, Value: h.Sum()})
-				if bounds == nil {
-					// All series of a family share the same (sorted) bounds.
-					bounds = h.bounds
-					bucketCum = make([]uint64, len(bounds))
-				}
-				cum := uint64(0)
-				for i := range h.bounds {
-					cum += h.counts[i].Load()
-					bucketCum[i] += cum
-				}
-				total += h.Count()
-			}
-			for i, b := range bounds {
-				out = append(out, Sample{
-					Key:   f.name + `_bucket{le="` + formatValue(b) + `"}`,
-					Kind:  SampleCounter,
-					Value: float64(bucketCum[i]),
-				})
-			}
-			// The implicit +Inf bucket carries the family total, so windowed
-			// quantiles count observations above the top finite bound.
-			if bounds != nil {
-				out = append(out, Sample{
-					Key:   f.name + `_bucket{le="+Inf"}`,
-					Kind:  SampleCounter,
-					Value: float64(total),
-				})
-			}
-		}
-		f.mu.Unlock()
-	}
-	return out
-}
-
-// seriesKey renders the exposition identity of one series.
-func seriesKey(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
-}
-
 func formatValue(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))

@@ -9,8 +9,8 @@ import (
 )
 
 // Go runtime telemetry: heap, GC and scheduler statistics exposed as
-// ordinary registry metrics (rdfa_go_*), so the sampler retains their
-// history and /metrics scrapes them like everything else. ReadMemStats is
+// ordinary registry metrics (rdfa_go_*), so /metrics scrapes them like
+// everything else and an external scraper keeps their history. ReadMemStats is
 // not free, so one cached reader refreshes at most once per second and all
 // the gauge funcs share it.
 

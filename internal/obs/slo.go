@@ -1,35 +1,25 @@
 package obs
 
 import (
-	"fmt"
-	"math"
 	"sync"
 	"time"
 )
 
-// SLO objectives and multi-window burn-rate evaluation.
+// SLO counters.
 //
 // Every objective reduces to a pair of cumulative event counters — good
 // events and total events — registered as ordinary metrics
-// (rdfa_slo_good_total / rdfa_slo_events_total, labelled by objective), so
-// the sampler retains their history and burn rates are computed from
-// windowed increases of the objective's own series. An availability
-// objective counts a non-5xx response as good; a latency objective counts
-// a response faster than its threshold as good (errors are slow by
-// definition: they consumed the user's patience without an answer).
+// (rdfa_slo_good_total / rdfa_slo_events_total, labelled by objective). An
+// availability objective counts a non-5xx response as good; a latency
+// objective counts a response faster than its threshold as good (errors are
+// slow by definition: they consumed the user's patience without an answer).
 //
-// Burn rate over window W is the classic SRE definition:
+// Burn rates and alerts are the scraper's job, not the process's: over a
+// window W, an external Prometheus evaluates
 //
-//	burn(W) = badFraction(W) / (1 - target)
+//	(1 - increase(rdfa_slo_good_total[W]) / increase(rdfa_slo_events_total[W])) / (1 - target)
 //
-// i.e. how many times faster than "exactly on budget" the error budget is
-// being spent. Evaluation uses two window pairs: the fast pair (default
-// 5m + 1h) catches sharp regressions and fires a page-severity alert when
-// BOTH windows exceed the fast factor (default 14.4 — budget gone in ~6h
-// at a 30-day period); the slow pair (default 30m + 6h) catches slow leaks
-// and fires warn-severity above the slow factor (default 6). Requiring
-// both windows of a pair suppresses flapping: the short window proves the
-// burn is current, the long window proves it is sustained.
+// per objective, and pages on it. Nothing on the request path reads it.
 
 // SLOKind distinguishes objective semantics.
 type SLOKind int
@@ -41,53 +31,6 @@ const (
 	// SLOLatency targets a fraction of events faster than a threshold.
 	SLOLatency
 )
-
-func (k SLOKind) String() string {
-	if k == SLOLatency {
-		return "latency"
-	}
-	return "availability"
-}
-
-// BurnConfig are the evaluation windows and thresholds.
-type BurnConfig struct {
-	FastShort, FastLong time.Duration // page pair
-	SlowShort, SlowLong time.Duration // warn pair
-	FastFactor          float64
-	SlowFactor          float64
-}
-
-// DefaultBurnConfig is the multiwindow setup from the SRE workbook,
-// compressed to the retention of the in-process store.
-func DefaultBurnConfig() BurnConfig {
-	return BurnConfig{
-		FastShort: 5 * time.Minute, FastLong: time.Hour, FastFactor: 14.4,
-		SlowShort: 30 * time.Minute, SlowLong: 6 * time.Hour, SlowFactor: 6,
-	}
-}
-
-func (c BurnConfig) withDefaults() BurnConfig {
-	d := DefaultBurnConfig()
-	if c.FastShort <= 0 {
-		c.FastShort = d.FastShort
-	}
-	if c.FastLong <= 0 {
-		c.FastLong = d.FastLong
-	}
-	if c.SlowShort <= 0 {
-		c.SlowShort = d.SlowShort
-	}
-	if c.SlowLong <= 0 {
-		c.SlowLong = d.SlowLong
-	}
-	if c.FastFactor <= 0 {
-		c.FastFactor = d.FastFactor
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = d.SlowFactor
-	}
-	return c
-}
 
 // Objective is one declarative service-level objective.
 type Objective struct {
@@ -123,72 +66,27 @@ func (o *Objective) Observe(d time.Duration, failed bool) {
 	}
 }
 
-// seriesKeys returns the TSDB keys of the objective's counters.
-func (o *Objective) seriesKeys() (good, total string) {
-	labels := labelKey([]string{"objective", o.Name})
-	return seriesKey("rdfa_slo_good_total", labels), seriesKey("rdfa_slo_events_total", labels)
-}
-
-// ObjectiveStatus is one objective's evaluated state (GET /api/alerts and
-// the dashboard's SLO table).
-type ObjectiveStatus struct {
-	Name        string  `json:"name"`
-	Kind        string  `json:"kind"`
-	Target      float64 `json:"target"`
-	ThresholdMs float64 `json:"threshold_ms,omitempty"`
-	// Windowed burn rates, keyed fast_short/fast_long/slow_short/slow_long.
-	Burn map[string]float64 `json:"burn"`
-	// BudgetRemaining is the fraction of the error budget left over the
-	// slow-long window (1 = untouched, 0 = exactly spent, negative =
-	// overspent). NaN-free: no traffic reports 1.
-	BudgetRemaining float64 `json:"budget_remaining"`
-	// Events/Good are lifetime totals.
-	Events   uint64 `json:"events"`
-	Good     uint64 `json:"good"`
-	Severity string `json:"severity,omitempty"`
-}
-
 // maxObjectives bounds dynamically created objectives (per-endpoint,
 // per-fingerprint); static ones are added first and always fit.
 const maxObjectives = 128
 
-// SLOSet owns the objectives and runs the evaluator. All methods are safe
-// for concurrent use; a nil *SLOSet is a valid no-op.
+// SLOSet owns the objectives. All methods are safe for concurrent use; a
+// nil *SLOSet is a valid no-op.
 type SLOSet struct {
 	mu         sync.Mutex
 	reg        *Registry
-	alerts     *AlertLog
-	burn       BurnConfig
 	objectives map[string]*Objective
-	order      []string
-	status     map[string]*ObjectiveStatus
 }
 
-// NewSLOSet builds an empty SLO set over reg (nil means Default) reporting
-// transitions into alerts.
-func NewSLOSet(reg *Registry, alerts *AlertLog, burn BurnConfig) *SLOSet {
+// NewSLOSet builds an empty SLO set whose counters live on reg (nil means
+// Default).
+func NewSLOSet(reg *Registry) *SLOSet {
 	if reg == nil {
 		reg = Default
 	}
 	reg.Help("rdfa_slo_events_total", "SLO-tracked events per objective.")
 	reg.Help("rdfa_slo_good_total", "SLO-good events per objective.")
-	reg.Help("rdfa_slo_burn_rate", "Error-budget burn rate per objective and window.")
-	reg.Help("rdfa_slo_budget_remaining_ratio", "Error budget remaining over the slow-long window.")
-	return &SLOSet{
-		reg:        reg,
-		alerts:     alerts,
-		burn:       burn.withDefaults(),
-		objectives: map[string]*Objective{},
-		status:     map[string]*ObjectiveStatus{},
-	}
-}
-
-// Alerts returns the attached alert log.
-func (s *SLOSet) Alerts() *AlertLog {
-	if s == nil {
-		return nil
-	}
-	return s.alerts
+	return &SLOSet{reg: reg, objectives: map[string]*Objective{}}
 }
 
 // Add registers (or returns the existing) objective. Returns nil when the
@@ -212,116 +110,5 @@ func (s *SLOSet) Add(name string, kind SLOKind, target float64, threshold time.D
 		total: s.reg.Counter("rdfa_slo_events_total", "objective", name),
 	}
 	s.objectives[name] = o
-	s.order = append(s.order, name)
 	return o
-}
-
-// Get returns the named objective or nil.
-func (s *SLOSet) Get(name string) *Objective {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.objectives[name]
-}
-
-// burnRate computes badFraction/budget over one window from the TSDB.
-func burnRate(db *TSDB, goodKey, totalKey string, now time.Time, w time.Duration, budget float64) float64 {
-	total := db.WindowIncrease(totalKey, now, w)
-	if total <= 0 {
-		return 0
-	}
-	bad := total - db.WindowIncrease(goodKey, now, w)
-	if bad < 0 {
-		bad = 0
-	}
-	return (bad / total) / budget
-}
-
-// Evaluate recomputes every objective's burn rates against db at time now,
-// updates the rdfa_slo_* gauges, and reconciles alert state: page when
-// both fast windows burn above the fast factor, warn when both slow
-// windows burn above the slow factor.
-func (s *SLOSet) Evaluate(now time.Time, db *TSDB) {
-	if s == nil || db == nil {
-		return
-	}
-	s.mu.Lock()
-	names := append([]string(nil), s.order...)
-	objs := make([]*Objective, len(names))
-	for i, n := range names {
-		objs[i] = s.objectives[n]
-	}
-	cfg := s.burn
-	s.mu.Unlock()
-
-	for _, o := range objs {
-		goodKey, totalKey := o.seriesKeys()
-		budget := 1 - o.Target
-		burns := map[string]float64{
-			"fast_short": burnRate(db, goodKey, totalKey, now, cfg.FastShort, budget),
-			"fast_long":  burnRate(db, goodKey, totalKey, now, cfg.FastLong, budget),
-			"slow_short": burnRate(db, goodKey, totalKey, now, cfg.SlowShort, budget),
-			"slow_long":  burnRate(db, goodKey, totalKey, now, cfg.SlowLong, budget),
-		}
-		severity := ""
-		burnFast, burnSlow := burns["fast_short"], burns["slow_short"]
-		switch {
-		case burns["fast_short"] >= cfg.FastFactor && burns["fast_long"] >= cfg.FastFactor:
-			severity = SeverityPage
-			burnSlow = burns["fast_long"]
-		case burns["slow_short"] >= cfg.SlowFactor && burns["slow_long"] >= cfg.SlowFactor:
-			severity = SeverityWarn
-			burnFast, burnSlow = burns["slow_short"], burns["slow_long"]
-		}
-		remaining := 1 - burns["slow_long"]
-		if math.IsNaN(remaining) || math.IsInf(remaining, 0) {
-			remaining = 1
-		}
-		for win, v := range burns {
-			s.reg.Gauge("rdfa_slo_burn_rate", "objective", o.Name, "window", win).Set(v)
-		}
-		s.reg.Gauge("rdfa_slo_budget_remaining_ratio", "objective", o.Name).Set(remaining)
-		msg := fmt.Sprintf("%s %s SLO target %g burning at %.1fx budget",
-			o.Kind, o.Name, o.Target, math.Max(burnFast, burnSlow))
-		s.alerts.Update(o.Name, severity, now, burnFast, burnSlow, msg)
-
-		st := &ObjectiveStatus{
-			Name: o.Name, Kind: o.Kind.String(), Target: o.Target,
-			Burn: burns, BudgetRemaining: remaining,
-			Events: o.total.Value(), Good: o.good.Value(),
-			Severity: severity,
-		}
-		if o.Kind == SLOLatency {
-			st.ThresholdMs = float64(o.Threshold.Microseconds()) / 1000
-		}
-		s.mu.Lock()
-		s.status[o.Name] = st
-		s.mu.Unlock()
-	}
-}
-
-// Statuses returns the last evaluated state of every objective, in
-// registration order (objectives never evaluated yet report zero burns).
-func (s *SLOSet) Statuses() []ObjectiveStatus {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ObjectiveStatus, 0, len(s.order))
-	for _, name := range s.order {
-		if st, ok := s.status[name]; ok {
-			out = append(out, *st)
-			continue
-		}
-		o := s.objectives[name]
-		out = append(out, ObjectiveStatus{
-			Name: o.Name, Kind: o.Kind.String(), Target: o.Target,
-			Burn: map[string]float64{}, BudgetRemaining: 1,
-			Events: o.total.Value(), Good: o.good.Value(),
-		})
-	}
-	return out
 }

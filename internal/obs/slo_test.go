@@ -1,150 +1,53 @@
 package obs
 
 import (
-	"math"
+	"strings"
 	"testing"
 	"time"
 )
 
-// sloFixture wires a fresh registry, alert log, SLO set and sampler so a
-// test can record events, tick a synthetic clock and evaluate burn rates
-// deterministically.
-type sloFixture struct {
-	reg     *Registry
-	alerts  *AlertLog
-	slos    *SLOSet
-	sampler *Sampler
-}
-
-func newSLOFixture(burn BurnConfig) *sloFixture {
+// TestObjectiveCounters pins the two counters an external burn-rate rule
+// reads: events count every observation, good only the successes within
+// the threshold, both labelled by objective.
+func TestObjectiveCounters(t *testing.T) {
 	reg := NewRegistry()
-	alerts := NewAlertLog(reg)
-	slos := NewSLOSet(reg, alerts, burn)
-	return &sloFixture{
-		reg: reg, alerts: alerts, slos: slos,
-		sampler: NewSampler(reg, nil, slos, TSDBConfig{Interval: 10 * time.Second}),
-	}
-}
-
-// TestBurnRateHandComputed fixes a synthetic timeline and checks the burn
-// rates against hand-computed values: target 0.9 (budget 0.1), 10 events of
-// which 5 bad inside the window → badFraction 0.5 → burn 5.0.
-func TestBurnRateHandComputed(t *testing.T) {
-	f := newSLOFixture(BurnConfig{})
-	o := f.slos.Add("t", SLOAvailability, 0.9, 0)
-	if o == nil {
-		t.Fatal("Add returned nil")
-	}
-	f.sampler.Tick(t0) // baseline: good=0 total=0
+	slos := NewSLOSet(reg)
+	avail := slos.Add("avail", SLOAvailability, 0.9, 0)
 	for i := 0; i < 10; i++ {
-		o.Record(i >= 5) // 5 bad, 5 good
+		avail.Record(i >= 5) // 5 bad, 5 good
 	}
-	now := t0.Add(10 * time.Second)
-	f.sampler.Tick(now)
+	lat := slos.Add("lat", SLOLatency, 0.95, 100*time.Millisecond)
+	lat.Observe(time.Millisecond, false)     // good
+	lat.Observe(time.Second, false)          // slow
+	lat.Observe(time.Millisecond, true)      // failed fast
+	lat.Observe(100*time.Millisecond, false) // at the threshold: good
 
-	st := f.slos.Statuses()
-	if len(st) != 1 {
-		t.Fatalf("statuses = %d, want 1", len(st))
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
 	}
-	for _, win := range []string{"fast_short", "fast_long", "slow_short", "slow_long"} {
-		if got := st[0].Burn[win]; math.Abs(got-5) > 1e-9 {
-			t.Errorf("burn[%s] = %v, want 5", win, got)
+	for _, want := range []string{
+		`rdfa_slo_good_total{objective="avail"} 5`,
+		`rdfa_slo_events_total{objective="avail"} 10`,
+		`rdfa_slo_good_total{objective="lat"} 2`,
+		`rdfa_slo_events_total{objective="lat"} 4`,
+	} {
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, out.String())
 		}
-	}
-	// Budget remaining over slow-long: 1 - 5 = -4 (overspent).
-	if got := st[0].BudgetRemaining; math.Abs(got-(-4)) > 1e-9 {
-		t.Errorf("budget remaining = %v, want -4", got)
-	}
-	if st[0].Events != 10 || st[0].Good != 5 {
-		t.Errorf("lifetime events/good = %d/%d, want 10/5", st[0].Events, st[0].Good)
-	}
-	// Burn 5 is below both factors (14.4 page / 6 warn) → no alert.
-	if sev := f.alerts.MaxSeverity(); sev != "" {
-		t.Errorf("severity = %q, want none", sev)
-	}
-	// The burn gauges are exported as metrics.
-	if v := f.reg.Gauge("rdfa_slo_burn_rate", "objective", "t", "window", "fast_short").Value(); math.Abs(v-5) > 1e-9 {
-		t.Errorf("burn gauge = %v, want 5", v)
-	}
-}
-
-// TestMultiWindowAlerting walks an objective through the full loop: quiet →
-// page (both fast windows burning) → resolved after the bad traffic ages
-// out of the windows.
-func TestMultiWindowAlerting(t *testing.T) {
-	f := newSLOFixture(BurnConfig{})
-	o := f.slos.Add("lat", SLOLatency, 0.95, 100*time.Millisecond)
-	f.sampler.Tick(t0)
-
-	// Every event fails: badFraction 1 → burn 1/0.05 = 20 ≥ 14.4 in every
-	// window that saw the traffic.
-	for i := 0; i < 50; i++ {
-		o.Observe(time.Second, false) // slow → bad even without an error
-	}
-	now := t0.Add(10 * time.Second)
-	f.sampler.Tick(now)
-	if sev := f.alerts.MaxSeverity(); sev != SeverityPage {
-		t.Fatalf("severity = %q, want page", sev)
-	}
-	snap := f.alerts.Snapshot()
-	if len(snap.Active) != 1 || snap.Active[0].Objective != "lat" {
-		t.Fatalf("active alerts = %+v", snap.Active)
-	}
-	if len(snap.Recent) != 1 || snap.Recent[0].State != "firing" {
-		t.Fatalf("events = %+v", snap.Recent)
-	}
-
-	// Two hours later the bad burst is outside every window; a trickle of
-	// good traffic keeps the series fresh. The alert must resolve.
-	for i := 1; i <= 3; i++ {
-		o.Observe(time.Millisecond, false)
-		f.sampler.Tick(now.Add(time.Duration(i) * time.Hour))
-	}
-	if sev := f.alerts.MaxSeverity(); sev != "" {
-		t.Fatalf("severity after recovery = %q, want none", sev)
-	}
-	snap = f.alerts.Snapshot()
-	if len(snap.Active) != 0 {
-		t.Fatalf("active after recovery = %+v", snap.Active)
-	}
-	if len(snap.Recent) != 2 || snap.Recent[0].State != "resolved" {
-		t.Fatalf("timeline after recovery = %+v", snap.Recent)
-	}
-	if v := f.reg.Counter("rdfa_slo_alert_transitions_total", "state", "firing").Value(); v != 1 {
-		t.Errorf("firing transitions = %d, want 1", v)
-	}
-	if v := f.reg.Counter("rdfa_slo_alert_transitions_total", "state", "resolved").Value(); v != 1 {
-		t.Errorf("resolved transitions = %d, want 1", v)
-	}
-}
-
-// TestWarnSeverity drives a slow leak that trips only the 6x slow pair.
-func TestWarnSeverity(t *testing.T) {
-	// Custom windows so one tick pair covers both slow windows but the burn
-	// stays under the page factor: badFraction 0.8 at target 0.9 → burn 8,
-	// warn (≥6) but not page (<14.4).
-	f := newSLOFixture(BurnConfig{})
-	o := f.slos.Add("leak", SLOAvailability, 0.9, 0)
-	f.sampler.Tick(t0)
-	for i := 0; i < 10; i++ {
-		o.Record(i >= 8) // 8 bad, 2 good
-	}
-	f.sampler.Tick(t0.Add(10 * time.Second))
-	if sev := f.alerts.MaxSeverity(); sev != SeverityWarn {
-		t.Fatalf("severity = %q, want warn", sev)
 	}
 }
 
 func TestSLOSetAddValidation(t *testing.T) {
-	f := newSLOFixture(BurnConfig{})
-	if f.slos.Add("bad", SLOAvailability, 0, 0) != nil {
+	slos := NewSLOSet(NewRegistry())
+	if slos.Add("bad", SLOAvailability, 0, 0) != nil {
 		t.Error("target 0 must be rejected")
 	}
-	if f.slos.Add("bad", SLOAvailability, 1, 0) != nil {
+	if slos.Add("bad", SLOAvailability, 1, 0) != nil {
 		t.Error("target 1 must be rejected")
 	}
-	a := f.slos.Add("x", SLOAvailability, 0.99, 0)
-	b := f.slos.Add("x", SLOLatency, 0.5, time.Second)
+	a := slos.Add("x", SLOAvailability, 0.99, 0)
+	b := slos.Add("x", SLOLatency, 0.5, time.Second)
 	if a == nil || a != b {
 		t.Error("Add must be idempotent per name")
 	}
@@ -153,58 +56,7 @@ func TestSLOSetAddValidation(t *testing.T) {
 	if nilSet.Add("x", SLOAvailability, 0.9, 0) != nil {
 		t.Error("nil set Add must return nil")
 	}
-	nilSet.Evaluate(t0, nil)
 	var nilObj *Objective
 	nilObj.Record(true)
 	nilObj.Observe(time.Second, false)
-}
-
-func TestAlertLogUpdateTransitions(t *testing.T) {
-	reg := NewRegistry()
-	l := NewAlertLog(reg)
-	// Quiet → warn → page (resolve+fire) → quiet.
-	l.Update("o", "", t0, 0, 0, "")
-	if snap := l.Snapshot(); len(snap.Recent) != 0 {
-		t.Fatalf("no-op update recorded events: %+v", snap.Recent)
-	}
-	l.Update("o", SeverityWarn, t0, 7, 6.5, "leak")
-	l.Update("o", SeverityWarn, t0.Add(time.Minute), 8, 7, "leak") // refresh, no event
-	snap := l.Snapshot()
-	if len(snap.Recent) != 1 || snap.Active[0].BurnFast != 8 {
-		t.Fatalf("after refresh: %+v", snap)
-	}
-	l.Update("o", SeverityPage, t0.Add(2*time.Minute), 20, 15, "worse")
-	if got := l.MaxSeverity(); got != SeverityPage {
-		t.Fatalf("severity = %q, want page", got)
-	}
-	snap = l.Snapshot()
-	// Newest first: firing(page), resolved(warn), firing(warn).
-	if len(snap.Recent) != 3 || snap.Recent[0].State != "firing" ||
-		snap.Recent[0].Severity != SeverityPage || snap.Recent[1].State != "resolved" {
-		t.Fatalf("timeline = %+v", snap.Recent)
-	}
-	l.Update("o", "", t0.Add(3*time.Minute), 0.1, 0.1, "ok")
-	if got := l.MaxSeverity(); got != "" {
-		t.Fatalf("severity after resolve = %q", got)
-	}
-	if v := reg.Gauge("rdfa_slo_alerts_firing").Value(); v != 0 {
-		t.Fatalf("firing gauge = %v, want 0", v)
-	}
-	// The event ring is bounded.
-	for i := 0; i < 2*maxAlertEvents; i++ {
-		sev := SeverityWarn
-		if i%2 == 1 {
-			sev = ""
-		}
-		l.Update("churn", sev, t0.Add(time.Duration(i)*time.Second), 9, 9, "flap")
-	}
-	if got := len(l.Snapshot().Recent); got != maxAlertEvents {
-		t.Fatalf("event ring = %d, want %d", got, maxAlertEvents)
-	}
-	// Nil log is inert.
-	var nilLog *AlertLog
-	nilLog.Update("x", SeverityPage, t0, 1, 1, "")
-	if nilLog.MaxSeverity() != "" {
-		t.Error("nil log severity")
-	}
 }

@@ -361,45 +361,6 @@ func (w *Workload) Snapshot() WorkloadSnapshot {
 	return snap
 }
 
-// FPLatency is one fingerprint's latency summary for the sampler's
-// per-fingerprint time series.
-type FPLatency struct {
-	ID    string
-	Count uint64
-	P50Ms float64
-	P95Ms float64
-}
-
-// Latencies returns the k most frequent fingerprints with their current
-// latency quantiles (deterministic order: count desc, then id). Cheaper
-// than Snapshot — no ring copy — so the sampler can call it every tick.
-func (w *Workload) Latencies(k int) []FPLatency {
-	if w == nil || k <= 0 {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]FPLatency, 0, len(w.byFP))
-	for _, fs := range w.byFP {
-		out = append(out, FPLatency{
-			ID:    fs.id,
-			Count: fs.count,
-			P50Ms: fs.lat.Quantile(0.50) * 1000,
-			P95Ms: fs.lat.Quantile(0.95) * 1000,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
 // TopSlow returns the k fingerprints with the highest p95 latency.
 func (w *Workload) TopSlow(k int) []FingerprintSummary {
 	snap := w.Snapshot()

@@ -13,7 +13,7 @@ const (
 	ReasonQueueFull  = "queue_full"
 	ReasonShapeLimit = "shape_limit"
 	ReasonDeadline   = "deadline"
-	ReasonDegraded   = "degraded"
+	ReasonDegraded   = "degraded" // a draining server does not queue
 	ReasonBreaker    = "breaker_open"
 )
 
@@ -42,7 +42,7 @@ func (e *AdmitError) Error() string {
 //	arrive → [deadline unmeetable]        → reject(deadline)
 //	       → [queue full]                 → reject(queue_full)
 //	       → [shape over fair share]      → reject(shape_limit)
-//	       → [degraded && must queue]     → reject(degraded)
+//	       → [draining && must queue]     → reject(degraded)
 //	       → wait for slot ──ctx ends──   → reject(deadline)
 //	                       └─slot free──  → admitted → release()
 type Admission struct {
@@ -94,10 +94,10 @@ func (a *Admission) shapeWaitCap() int {
 
 // Acquire admits the request or rejects it with an AdmitError. On success
 // the returned release must be called exactly once when execution finishes.
-// degraded admits only if a slot is immediately free — a degraded server
-// must not grow its queue. shape is the query's fingerprint ID ("" opts out
-// of per-shape fairness).
-func (a *Admission) Acquire(ctx context.Context, shape string, degraded bool) (release func(), aerr *AdmitError) {
+// draining admits only if a slot is immediately free — a server that is
+// shutting down must not grow its queue. shape is the query's fingerprint
+// ID ("" opts out of per-shape fairness).
+func (a *Admission) Acquire(ctx context.Context, shape string, draining bool) (release func(), aerr *AdmitError) {
 	if a == nil {
 		return func() {}, nil
 	}
@@ -113,10 +113,10 @@ func (a *Admission) Acquire(ctx context.Context, shape string, degraded bool) (r
 	default:
 	}
 
-	if degraded {
+	if draining {
 		return nil, &AdmitError{
 			Reason:     ReasonDegraded,
-			Msg:        "server degraded: not queueing new work",
+			Msg:        "server draining: not queueing new work",
 			RetryAfter: 2 * time.Second,
 		}
 	}

@@ -13,19 +13,14 @@ const (
 	StateHalfOpen = "half_open"
 )
 
-// breakerEntry is one fingerprint's breaker + cost statistics.
+// breakerEntry is one fingerprint's breaker.
 type breakerEntry struct {
 	state       string
 	consecAbort int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
 
-	// ewmaSeconds tracks the shape's typical execution cost; degraded mode
-	// uses it to shed known-expensive shapes before cheap ones.
-	ewmaSeconds float64
-	observed    bool
-
-	// recency ring position (see Breakers.touch).
+	// lastTouch orders entries for dropColdestLocked.
 	lastTouch time.Time
 }
 
@@ -119,9 +114,8 @@ func (b *Breakers) Allow(shape string, now time.Time) *AdmitError {
 
 // Observe records one finished execution for shape. aborted marks a
 // budget/timeout abort (the failure class that trips the breaker); other
-// errors and successes reset the consecutive-abort count. dur feeds the
-// shape's cost EWMA regardless of outcome.
-func (b *Breakers) Observe(shape string, dur time.Duration, aborted bool, now time.Time) {
+// errors and successes reset the consecutive-abort count.
+func (b *Breakers) Observe(shape string, aborted bool, now time.Time) {
 	if b == nil || shape == "" {
 		return
 	}
@@ -136,13 +130,6 @@ func (b *Breakers) Observe(shape string, dur time.Duration, aborted bool, now ti
 		b.entries[shape] = e
 	}
 	e.lastTouch = now
-
-	s := dur.Seconds()
-	if !e.observed {
-		e.ewmaSeconds, e.observed = s, true
-	} else {
-		e.ewmaSeconds = 0.8*e.ewmaSeconds + 0.2*s
-	}
 
 	wasProbe := e.state == StateHalfOpen
 	e.probing = false
@@ -163,22 +150,6 @@ func (b *Breakers) Observe(shape string, dur time.Duration, aborted bool, now ti
 		e.state = StateClosed
 		b.transition(StateClosed)
 	}
-}
-
-// EWMASeconds returns the shape's smoothed execution cost and whether any
-// observation exists. Degraded mode sheds uncached shapes whose EWMA
-// exceeds the configured cutoff.
-func (b *Breakers) EWMASeconds(shape string) (float64, bool) {
-	if b == nil || shape == "" {
-		return 0, false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.entries[shape]
-	if !ok || !e.observed {
-		return 0, false
-	}
-	return e.ewmaSeconds, true
 }
 
 // State returns the breaker state for shape (StateClosed if untracked).

@@ -8,7 +8,7 @@ import (
 // Answer is one cached /sparql response: the fully rendered body plus the
 // metadata needed to replay it faithfully and to decide freshness. Version
 // is the graph version the answer was computed against; When is the fill
-// time, used to bound how stale a degraded-mode hit may be.
+// time, used to bound how stale an answer a max-stale request may get.
 type Answer struct {
 	Body        []byte
 	ContentType string
@@ -89,7 +89,7 @@ func (c *AnswerCache) Enabled() bool { return c != nil }
 
 // Lookup returns a fresh hit: an entry computed against exactly the current
 // graph version. Entries from older versions are left resident (they may
-// still satisfy a degraded-mode stale lookup) and reported as a miss.
+// still satisfy a max-stale lookup) and reported as a miss.
 func (c *AnswerCache) Lookup(key string, version uint64) (*Answer, bool) {
 	if c == nil {
 		return nil, false
@@ -102,8 +102,8 @@ func (c *AnswerCache) Lookup(key string, version uint64) (*Answer, bool) {
 }
 
 // LookupStale returns a hit regardless of graph version provided the entry
-// was filled within the staleness window — the degraded-mode read path.
-// window <= 0 disables stale serving.
+// was filled within the staleness window — the read path of a request that
+// carries Cache-Control: max-stale. window <= 0 disables stale serving.
 func (c *AnswerCache) LookupStale(key string, now time.Time, window time.Duration) (*Answer, bool) {
 	if c == nil || window <= 0 {
 		return nil, false

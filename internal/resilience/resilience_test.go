@@ -401,12 +401,12 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 	now := time.Now()
 
 	for i := 0; i < 2; i++ {
-		b.Observe("fp", 10*time.Millisecond, true, now)
+		b.Observe("fp", true, now)
 		if err := b.Allow("fp", now); err != nil {
 			t.Fatalf("breaker must stay closed below threshold: %v", err)
 		}
 	}
-	b.Observe("fp", 10*time.Millisecond, true, now) // third consecutive abort
+	b.Observe("fp", true, now) // third consecutive abort
 	if b.State("fp") != StateOpen {
 		t.Fatalf("state = %s, want open", b.State("fp"))
 	}
@@ -424,7 +424,7 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 		t.Fatal("second caller during probe must be rejected")
 	}
 	// Probe succeeds: breaker closes.
-	b.Observe("fp", 10*time.Millisecond, false, probeAt)
+	b.Observe("fp", false, probeAt)
 	if b.State("fp") != StateClosed {
 		t.Fatalf("state after good probe = %s, want closed", b.State("fp"))
 	}
@@ -441,12 +441,12 @@ func TestBreakerOpensHalfOpensCloses(t *testing.T) {
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	b := NewBreakers(1, 100*time.Millisecond, nil)
 	now := time.Now()
-	b.Observe("fp", time.Millisecond, true, now) // threshold 1: opens
+	b.Observe("fp", true, now) // threshold 1: opens
 	probeAt := now.Add(200 * time.Millisecond)
 	if err := b.Allow("fp", probeAt); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	b.Observe("fp", time.Millisecond, true, probeAt) // probe aborts again
+	b.Observe("fp", true, probeAt) // probe aborts again
 	if b.State("fp") != StateOpen {
 		t.Fatalf("state after failed probe = %s, want open", b.State("fp"))
 	}
@@ -456,28 +456,12 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerEWMA(t *testing.T) {
-	b := NewBreakers(0, 0, nil)
-	now := time.Now()
-	if _, ok := b.EWMASeconds("fp"); ok {
-		t.Fatal("unobserved shape must report no EWMA")
-	}
-	b.Observe("fp", time.Second, false, now)
-	if s, ok := b.EWMASeconds("fp"); !ok || s != 1.0 {
-		t.Fatalf("first observation EWMA = %v, %v", s, ok)
-	}
-	b.Observe("fp", 2*time.Second, false, now)
-	if s, _ := b.EWMASeconds("fp"); s <= 1.0 || s >= 2.0 {
-		t.Fatalf("smoothed EWMA = %v, want in (1,2)", s)
-	}
-}
-
 func TestBreakerCapBoundsEntries(t *testing.T) {
 	b := NewBreakers(0, 0, nil)
 	b.maxShapes = 8
 	now := time.Now()
 	for i := 0; i < 50; i++ {
-		b.Observe(fmt.Sprintf("fp%d", i), time.Millisecond, false, now.Add(time.Duration(i)*time.Millisecond))
+		b.Observe(fmt.Sprintf("fp%d", i), false, now.Add(time.Duration(i)*time.Millisecond))
 	}
 	b.mu.Lock()
 	n := len(b.entries)
@@ -492,12 +476,9 @@ func TestBreakerNil(t *testing.T) {
 	if err := b.Allow("fp", time.Now()); err != nil {
 		t.Fatal("nil breakers must allow")
 	}
-	b.Observe("fp", time.Second, true, time.Now())
+	b.Observe("fp", true, time.Now())
 	if s := b.State("fp"); s != StateClosed {
 		t.Fatalf("nil breakers state = %s", s)
-	}
-	if _, ok := b.EWMASeconds("fp"); ok {
-		t.Fatal("nil breakers must report no EWMA")
 	}
 }
 

@@ -153,16 +153,15 @@ func (s *Server) startSweeper(ttl time.Duration) {
 	}()
 }
 
-// Close stops the server's background work (the session sweeper and the
-// telemetry sampler). Safe to call when neither is running, and idempotent
-// is not required — call once when tearing the server down.
+// Close stops the server's background work, the session sweeper. Safe to
+// call when it is not running, and idempotent is not required — call once
+// when tearing the server down.
 func (s *Server) Close() {
 	if s.sweepStop != nil {
 		close(s.sweepStop)
 		<-s.sweepDone
 		s.sweepStop = nil
 	}
-	s.sampler.Close()
 }
 
 // ---- graceful shutdown ----

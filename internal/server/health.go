@@ -1,15 +1,11 @@
-// Health and telemetry-history endpoints: Kubernetes-style /healthz and
-// /readyz probes wired to the server's drain state and the SLO alert
-// severity, GET /api/timeseries over the sampler's ring buffers, and
-// GET /api/alerts over the burn-rate evaluator's alert log.
+// Request IDs and the Kubernetes-style /healthz and /readyz probes, wired
+// to the server's drain state.
 package server
 
 import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-
-	"rdfanalytics/internal/obs"
 )
 
 // ---- request IDs ----
@@ -63,10 +59,12 @@ func (s *Server) Draining() bool {
 	return s.draining.Load()
 }
 
-// handleHealthz is the liveness probe: 200 while the process serves, 503
-// once draining (tells the balancer to stop routing here; in-flight
-// requests still complete under the shutdown grace).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// handleProbe answers both probes, liveness (/healthz) and readiness
+// (/readyz): 200 while the process serves, 503 once draining (tells the
+// balancer to stop routing here; in-flight requests still complete under
+// the shutdown grace). Nothing else takes an instance out of rotation: an
+// SLO burning its budget is for the operator's alerting to act on.
+func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -74,66 +72,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is the readiness probe: 503 while draining or while a
-// page-severity SLO alert fires (the service is up but violating its
-// latency/availability objectives hard enough to shed traffic); warn-level
-// alerts degrade the body but keep the probe green.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSONBody(w, map[string]string{"status": "draining"})
-		return
-	}
-	snap := s.alerts.Snapshot()
-	switch s.alerts.MaxSeverity() {
-	case obs.SeverityPage:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSONBody(w, map[string]any{"status": "degraded", "alerts": snap.Active})
-	case obs.SeverityWarn:
-		writeJSONBody(w, map[string]any{"status": "warn", "alerts": snap.Active})
-	default:
-		writeJSONBody(w, map[string]string{"status": "ok"})
-	}
-}
-
-// ---- telemetry history ----
-
-// timeseriesJSON is the GET /api/timeseries payload: the ring-buffer
-// export plus the exemplars currently attached to matching histogram
-// buckets, so a latency spike in the history links to retained traces.
-type timeseriesJSON struct {
-	obs.TimeseriesJSON
-	Exemplars []obs.ExemplarView `json:"exemplars,omitempty"`
-}
-
-// handleTimeseries serves the sampler's retained history:
-// ?series=<substring> filters keys, ?res=coarse selects the roll-up ring.
-// Counter series carry derived per-second rates next to the raw
-// cumulative points.
-func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	filter := r.URL.Query().Get("series")
-	res := r.URL.Query().Get("res")
-	writeJSON(w, timeseriesJSON{
-		TimeseriesJSON: s.sampler.DB().Export(filter, res),
-		Exemplars:      obs.Default.ExemplarsMatching(filter, 0),
-	})
-}
-
-// alertsJSON is the GET /api/alerts payload: the alert log plus every
-// objective's last evaluated burn-rate state.
-type alertsJSON struct {
-	obs.AlertsSnapshot
-	SLOs []obs.ObjectiveStatus `json:"slos"`
-}
-
-// handleAlerts serves active alerts, the firing/resolved timeline and the
-// SLO objective statuses.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, alertsJSON{
-		AlertsSnapshot: s.alerts.Snapshot(),
-		SLOs:           s.slos.Statuses(),
-	})
 }

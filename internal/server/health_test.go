@@ -13,14 +13,13 @@ import (
 	"time"
 
 	"rdfanalytics/internal/datagen"
-	"rdfanalytics/internal/fault"
-	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/sparql"
 )
 
 // newTestServer builds a server with cfg over the small products graph and
-// returns both the raw *Server (for SetDraining / sampler ticks) and an
-// httptest wrapper.
+// returns both the raw *Server (for SetDraining and in-process requests)
+// and an httptest wrapper.
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	g := datagen.SmallProducts()
@@ -167,41 +166,6 @@ func TestRequestIDMiddleware(t *testing.T) {
 	}
 }
 
-// TestTimeseriesEndpoint ticks the passive sampler and checks the export
-// contains scraped series with derived rates.
-func TestTimeseriesEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	now := time.Now()
-	s.sampler.Tick(now)
-	getStatus(t, ts.URL+"/api/state") // traffic between ticks
-	s.sampler.Tick(now.Add(10 * time.Second))
-
-	code, body := getStatus(t, ts.URL+"/api/timeseries?series=rdfa_http_requests_total")
-	if code != http.StatusOK {
-		t.Fatalf("timeseries = %d", code)
-	}
-	var out obs.TimeseriesJSON
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Series) == 0 {
-		t.Fatal("no request-counter series exported")
-	}
-	for _, sj := range out.Series {
-		if !strings.Contains(sj.Key, "rdfa_http_requests_total") {
-			t.Errorf("filter leaked series %q", sj.Key)
-		}
-		if sj.Kind != "counter" {
-			t.Errorf("series %q kind = %q", sj.Key, sj.Kind)
-		}
-	}
-	// The runtime gauges are scraped too.
-	code, body = getStatus(t, ts.URL+"/api/timeseries?series=rdfa_go_heap_alloc_bytes")
-	if code != http.StatusOK || !strings.Contains(string(body), "rdfa_go_heap_alloc_bytes") {
-		t.Errorf("heap series missing: %d %s", code, body)
-	}
-}
-
 // chaosSLOConfig is a latency SLO tight enough that fault-injected delays
 // violate it while normal test-server requests stay well inside.
 func chaosSLOConfig() Config {
@@ -214,164 +178,22 @@ func chaosSLOConfig() Config {
 	}
 }
 
-// TestChaosLatencyAlertLoop closes the observability loop end to end:
-// inject latency through the fault harness, drive traffic, tick the sampler
-// over a synthetic timeline, observe the latency SLO alert fire in
-// GET /api/alerts and /readyz degrade; remove the fault, drive good traffic
-// past the burn windows, observe the alert resolve and readiness recover.
-func TestChaosLatencyAlertLoop(t *testing.T) {
-	if err := fault.Configure("server.handler.slow=delay:400ms"); err != nil {
-		t.Fatal(err)
-	}
-	defer fault.Reset()
-	s, ts := newTestServer(t, chaosSLOConfig())
-
-	t0 := time.Now()
-	s.sampler.Tick(t0) // baseline
-
-	// Slow traffic: every request rides through the armed fault site.
-	for i := 0; i < 8; i++ {
-		req, _ := http.NewRequest("GET", ts.URL+"/api/state", nil)
-		req.Header.Set("X-Fault", "slow")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	if fault.Hits("server.handler.slow") == 0 {
-		t.Fatal("fault site never activated")
-	}
-	s.sampler.Tick(t0.Add(10 * time.Second))
-
-	// The alert must be visible through the public API...
-	code, body := getStatus(t, ts.URL+"/api/alerts")
-	if code != http.StatusOK {
-		t.Fatalf("alerts = %d", code)
-	}
-	var alerts struct {
-		Active []obs.Alert           `json:"active"`
-		Recent []obs.AlertEvent      `json:"recent"`
-		SLOs   []obs.ObjectiveStatus `json:"slos"`
-	}
-	if err := json.Unmarshal(body, &alerts); err != nil {
-		t.Fatal(err)
-	}
-	var firing *obs.Alert
-	for i := range alerts.Active {
-		if alerts.Active[i].Objective == "http-latency" {
-			firing = &alerts.Active[i]
-		}
-	}
-	if firing == nil || firing.Severity != obs.SeverityPage {
-		t.Fatalf("http-latency page alert not firing: %+v", alerts.Active)
-	}
-	if len(alerts.SLOs) == 0 {
-		t.Error("alerts payload missing SLO statuses")
-	}
-	// ...and /readyz must shed traffic while paging.
-	if code, body := getStatus(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable ||
-		!strings.Contains(string(body), "degraded") {
-		t.Fatalf("readyz while paging = %d %s, want 503 degraded", code, body)
-	}
-
-	// Recovery: disarm the fault, drive fast traffic, and advance the clock
-	// past every burn window so the bad burst ages out.
-	fault.Reset()
-	for i := 1; i <= 3; i++ {
-		getStatus(t, ts.URL+"/api/state")
-		s.sampler.Tick(t0.Add(time.Duration(i) * 7 * time.Hour))
-	}
-	code, body = getStatus(t, ts.URL+"/api/alerts")
-	if code != http.StatusOK {
-		t.Fatalf("alerts after recovery = %d", code)
-	}
-	if err := json.Unmarshal(body, &alerts); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range alerts.Active {
-		if a.Objective == "http-latency" {
-			t.Fatalf("alert still firing after recovery: %+v", a)
-		}
-	}
-	resolved := false
-	for _, e := range alerts.Recent {
-		if e.Objective == "http-latency" && e.State == "resolved" {
-			resolved = true
-		}
-	}
-	if !resolved {
-		t.Errorf("timeline missing resolved transition: %+v", alerts.Recent)
-	}
-	if code, _ := getStatus(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Errorf("readyz after recovery = %d, want 200", code)
-	}
-}
-
-// TestSamplingDifferential proves sampling and SLO evaluation change no
-// query results: the same queries against an instrumented and a bare server
-// return byte-identical bodies.
-func TestSamplingDifferential(t *testing.T) {
-	bare, bareTS := newTestServer(t, Config{})
-	inst, instTS := newTestServer(t, chaosSLOConfig())
-	_ = bare
-
-	queries := []string{
-		`SELECT ?s ?m WHERE { ?s a <` + datagen.ExampleNS + `Laptop> . ?s <` + datagen.ExampleNS + `manufacturer> ?m }`,
-		`SELECT ?m (COUNT(?l) AS ?n) WHERE { ?l a <` + datagen.ExampleNS + `Laptop> . ?l <` + datagen.ExampleNS + `manufacturer> ?m } GROUP BY ?m`,
-		`ASK { ?s a <` + datagen.ExampleNS + `Laptop> }`,
-	}
-	now := time.Now()
-	for i, q := range queries {
-		// Interleave sampler ticks and SLO evaluation with the instrumented
-		// server's queries to prove they cannot perturb results.
-		inst.sampler.Tick(now.Add(time.Duration(i) * 10 * time.Second))
-		_, bareBody := getStatus(t, bareTS.URL+"/sparql?query="+url.QueryEscape(q))
-		_, instBody := getStatus(t, instTS.URL+"/sparql?query="+url.QueryEscape(q))
-		if string(bareBody) != string(instBody) {
-			t.Errorf("query %d differs with sampling on:\nbare: %s\ninst: %s", i, bareBody, instBody)
-		}
-	}
-}
-
 // TestShapeLatencyObjectives checks per-fingerprint objectives appear
-// lazily once configured.
+// lazily once configured, as event counters on /metrics.
 func TestShapeLatencyObjectives(t *testing.T) {
 	cfg := Config{SLO: SLOConfig{
 		ShapeLatencyTarget:    0.9,
 		ShapeLatencyThreshold: time.Second,
 	}}
-	s, ts := newTestServer(t, cfg)
-	getStatus(t, ts.URL+"/sparql?query="+url.QueryEscape(
-		`SELECT ?s WHERE { ?s a <`+datagen.ExampleNS+`Laptop> } LIMIT 1`))
-	found := false
-	for _, st := range s.slos.Statuses() {
-		if strings.HasPrefix(st.Name, "shape:") && st.Events > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no shape objective recorded: %+v", s.slos.Statuses())
-	}
-}
-
-// BenchmarkSamplerOverhead measures one sampler tick over the live default
-// registry — the steady-state cost the -sample-interval flag adds. The
-// acceptance bar is that at the default 10s interval this amortises to well
-// under 2% of query throughput (a tick costs microseconds-to-milliseconds
-// once every 10 seconds).
-func BenchmarkSamplerOverhead(b *testing.B) {
-	s, ts := newTestServer(b, chaosSLOConfig())
-	// Populate the registry and workload like live traffic would.
-	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(
-		`SELECT ?s WHERE { ?s a <`+datagen.ExampleNS+`Laptop> } LIMIT 1`))
+	_, ts := newTestServer(t, cfg)
+	q := `SELECT ?s WHERE { ?s a <` + datagen.ExampleNS + `Laptop> } LIMIT 1`
+	getStatus(t, ts.URL+"/sparql?query="+url.QueryEscape(q))
+	parsed, err := sparql.Parse(q)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	resp.Body.Close()
-	now := time.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.sampler.Tick(now.Add(time.Duration(i) * 10 * time.Second))
+	series := `rdfa_slo_events_total{objective="shape:` + sparql.FingerprintID(sparql.Fingerprint(parsed)) + `"} `
+	if body := metricsBody(t, ts.URL); !strings.Contains(body, series) {
+		t.Errorf("no %q on /metrics", series)
 	}
 }

@@ -101,7 +101,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Exemplar link: when the trace this request produced (or was served
 	// from — cached answers overwrite the response header) was retained,
 	// attach its ID to the latency observation so a p95 spike on /metrics
-	// or /api/timeseries resolves to a concrete span waterfall. Only IDs
+	// resolves to a concrete span waterfall. Only IDs
 	// that will actually resolve through /api/traces are attached.
 	if tid := sw.Header().Get("X-Trace-ID"); s.traces.Contains(tid) {
 		lat.ObserveExemplar(dur.Seconds(), tid)
@@ -117,8 +117,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // are excluded from the per-endpoint set — they are not user traffic and
 // would dilute the burn rates — and the operator's checkpoint trigger from
 // both latency objectives: a checkpoint is as long as the graph is big, and
-// holding it to a user route's threshold pages, degrades the server and
-// makes /sparql serve stale answers because an operator compacted the WAL.
+// holding it to a user route's threshold would burn the latency budget
+// because an operator compacted the WAL.
 func (s *Server) recordHTTPSLO(endpoint string, status int, dur time.Duration) {
 	failed := status >= 500
 	s.sloHTTPAvail.Record(!failed)
@@ -139,8 +139,7 @@ const checkpointEndpoint = "POST /api/checkpoint"
 // own latency objective.
 func sloTrackedEndpoint(pattern string) bool {
 	switch pattern {
-	case "", "unmatched", "GET /metrics", "GET /healthz", "GET /readyz",
-		"GET /api/timeseries", "GET /api/alerts", checkpointEndpoint:
+	case "", "unmatched", "GET /metrics", "GET /healthz", "GET /readyz", checkpointEndpoint:
 		return false
 	}
 	return !strings.Contains(pattern, "/debug/")

@@ -160,10 +160,12 @@ func TestOneRecordPerOperation(t *testing.T) {
 			setup: func() {
 				must(get(qStale))
 				must(update(`PREFIX ex: <` + ns + `> INSERT DATA { ex:staleProbe a ex:Laptop . }`))
-				s.SetDraining(true)
 			},
-			act:      one(func() *http.Request { return get(qStale) }),
-			teardown: func() { s.SetDraining(false) }},
+			act: one(func() *http.Request {
+				req := get(qStale)
+				req.Header.Set("Cache-Control", "max-stale=600")
+				return req
+			})},
 		{name: "collapsed", kind: "sparql", cache: []string{"miss", "collapsed"}, offers: 1,
 			setup: func() {
 				if err := fault.Configure("server.sparql.exec=delay:300ms"); err != nil {

@@ -1,15 +1,17 @@
-// The overload-resilient /sparql serving flow: answer cache → degraded-mode
-// stale serving → circuit breaker → singleflight collapse → admission gate →
-// engine. Assembled from the primitives in internal/resilience; this file
-// owns the HTTP-facing policy — what is cacheable, what each rejection looks
-// like on the wire, and which metrics each outcome feeds.
+// The overload-resilient /sparql serving flow: answer cache → stale serving
+// (only when the request asks) → circuit breaker → singleflight collapse →
+// admission gate → engine. Assembled from the primitives in
+// internal/resilience; this file owns the HTTP-facing policy — what is
+// cacheable, what each rejection looks like on the wire, and which metrics
+// each outcome feeds. Every decision reads request-path state only: the
+// cache, the breaker, the gate's occupancy and the drain flag.
 //
 // Outcome taxonomy on the X-Cache response header: "hit" (fresh cache),
-// "stale" (degraded-mode serve of a previous graph version within the
-// staleness window), "collapsed" (shared a concurrent identical execution),
-// "miss" (executed, possibly filling the cache), "negative" (remembered
-// parse error), "bypass" (shape not cacheable: CSV accept, CONSTRUCT,
-// DESCRIBE).
+// "stale" (an earlier graph version's answer, for a request carrying
+// Cache-Control: max-stale, see maxStale), "collapsed" (shared a concurrent
+// identical execution at the same graph version), "miss" (executed,
+// possibly filling the cache), "negative" (remembered parse error),
+// "bypass" (shape not cacheable: CSV accept, CONSTRUCT, DESCRIBE).
 package server
 
 import (
@@ -81,19 +83,6 @@ var _ = []*obs.Counter{
 	breakerTransition(resilience.StateClosed),
 }
 
-// degradedShedCost is the per-shape EWMA execution cost above which uncached
-// shapes are shed while degraded.
-const degradedShedCost = 250 * time.Millisecond
-
-// Degraded reports whether the server is in graceful-degradation mode:
-// graceful shutdown has begun, or a page-severity SLO alert is firing. While
-// degraded the serving flow prefers slightly-stale cache hits, refuses to
-// queue new work, and sheds uncached shapes whose learned cost exceeds
-// degradedShedCost.
-func (s *Server) Degraded() bool {
-	return s.draining.Load() || s.alerts.MaxSeverity() == obs.SeverityPage
-}
-
 // sparqlRecord starts the record of one /sparql operation: the query, its
 // fingerprint, the request's ids and the X-Cache result it answers with.
 func sparqlRecord(r *http.Request, raw, shape, fpID, cache string) obs.QueryRecord {
@@ -120,10 +109,11 @@ func (s *Server) breakerAllows(w http.ResponseWriter, fpID string) bool {
 // record — made after the outcome and duration are known, exactly the
 // information head sampling lacks. exec returns the result row count and the
 // operator profile (nil for none). The admission slot is the caller's until
-// it calls release (never nil), so a response can be rendered under it.
+// it calls release (never nil), so a response can be rendered under it. A
+// draining server admits only into a free slot, never into the queue.
 func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr *obs.Trace) (int, *sparql.Profile, error)) (release func(), err error) {
 	waitStart := time.Now()
-	release, aerr := s.gate.Acquire(ctx, rec.FingerprintID, s.Degraded())
+	release, aerr := s.gate.Acquire(ctx, rec.FingerprintID, s.draining.Load())
 	if aerr != nil {
 		admissionRejected(aerr.Reason).Inc()
 		return func() {}, aerr
@@ -140,7 +130,7 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr 
 	rows, prof, err := exec(tr)
 	rec.Duration = time.Since(start)
 	tr.Finish()
-	s.breakers.Observe(rec.FingerprintID, rec.Duration, abortedForBreaker(err), time.Now())
+	s.breakers.Observe(rec.FingerprintID, abortedForBreaker(err), time.Now())
 	rec.Trace, rec.Rows = tr, rows
 	s.record(rec, err, prof)
 	return release, err
@@ -186,15 +176,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	}
 
 	key := resilience.CacheKey(fpID, raw)
-	if ans, ok := s.answers.Lookup(key, s.graph.Version()); ok {
+	version := s.graph.Version()
+	if ans, ok := s.answers.Lookup(key, version); ok {
 		cacheHit.Inc()
 		s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "hit"), start)
 		return
 	}
-	degraded := s.Degraded()
-	if degraded {
-		if ans, ok := s.answers.LookupStale(key, time.Now(), s.cfg.StaleWindow); ok {
+	if window, ok := s.maxStale(r); ok {
+		if ans, ok := s.answers.LookupStale(key, time.Now(), window); ok {
 			cacheStale.Inc()
+			w.Header().Set("Age", strconv.Itoa(int(time.Since(ans.When).Seconds())))
+			w.Header().Set("X-Graph-Version", strconv.FormatUint(ans.Version, 10))
 			s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "stale"), start)
 			return
 		}
@@ -202,22 +194,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	if !s.breakerAllows(w, fpID) {
 		return
 	}
-	if degraded {
-		// Shed known-expensive uncached shapes first: their learned EWMA
-		// cost is exactly the work a degraded server cannot afford.
-		if ewma, ok := s.breakers.EWMASeconds(fpID); ok && ewma > degradedShedCost.Seconds() {
-			aerr := &resilience.AdmitError{
-				Reason:     resilience.ReasonDegraded,
-				Msg:        "server degraded: shedding expensive uncached query shape",
-				RetryAfter: 5 * time.Second,
-			}
-			admissionRejected(aerr.Reason).Inc()
-			admitReject(w, aerr)
-			return
-		}
-	}
 
-	v, collapsed, err := s.flight.Do(ctx, key, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
+	// A follower only joins a leader that looked the answer up at the same
+	// graph version: one arriving after an update never shares an execution
+	// that may have read the graph before it.
+	flightKey := key + "\x00" + strconv.FormatUint(version, 10)
+	v, collapsed, err := s.flight.Do(ctx, flightKey, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
 		return s.executeQuery(execCtx, q, sparqlRecord(r, raw, shape, fpID, "miss"), key)
 	})
 	if err != nil {
@@ -234,6 +216,34 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	w.Header().Set("X-Cache", "miss")
 	w.Header().Set("Content-Type", ans.ContentType)
 	w.Write(ans.Body)
+}
+
+// maxStale reads the request's Cache-Control max-stale directive (RFC 9111
+// §5.2.1.2): how long ago an answer of an earlier graph version may have
+// been filled for the client to take it. That is min(N s, StaleWindow) for
+// max-stale=N and StaleWindow for a bare max-stale. ok is false without the
+// directive or when stale serving is off; a malformed value is ignored.
+func (s *Server) maxStale(r *http.Request) (window time.Duration, ok bool) {
+	if s.cfg.StaleWindow <= 0 {
+		return 0, false
+	}
+	for _, line := range r.Header.Values("Cache-Control") {
+		for _, directive := range strings.Split(line, ",") {
+			name, value, hasValue := strings.Cut(strings.TrimSpace(directive), "=")
+			if !strings.EqualFold(name, "max-stale") {
+				continue
+			}
+			if !hasValue {
+				return s.cfg.StaleWindow, true
+			}
+			n, err := strconv.ParseUint(strings.Trim(value, `"`), 10, 32)
+			if err != nil {
+				continue
+			}
+			return min(time.Duration(n)*time.Second, s.cfg.StaleWindow), true
+		}
+	}
+	return 0, false
 }
 
 // executeQuery is the singleflight leader body: the guarded execution of a
@@ -254,7 +264,7 @@ func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, rec obs.
 		traceID = tr.ID()
 		// The chaos site sits inside the measured window so injected latency
 		// is indistinguishable from a genuinely slow execution downstream
-		// (slow-query log, workload profile, breaker cost EWMA).
+		// (slow-query log, workload profile, retained traces).
 		if err := fault.InjectCtx(execCtx, "server.sparql.exec"); err != nil {
 			return 0, nil, err
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -194,97 +195,90 @@ func TestQueueOverflowShedsWhileCachedServes(t *testing.T) {
 	wg.Wait() // slow + queued both still complete
 }
 
-// TestDegradedStaleServing drives a paging latency SLO (the chaos loop from
-// the health tests), then checks the three degraded-mode behaviors: stale
-// cache entries of an older graph version are served within the window,
-// known-expensive uncached shapes are shed, and cheap unknown shapes still
-// execute while capacity remains.
-func TestDegradedStaleServing(t *testing.T) {
-	cfg := resilienceConfig()
-	cfg.SLO = chaosSLOConfig().SLO
-	s, ts := newTestServer(t, cfg)
+// sparqlWith runs one GET /sparql carrying a Cache-Control header ("" for
+// none) through the full middleware stack in-process.
+func sparqlWith(s *Server, query, cacheControl string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(query), nil)
+	if cacheControl != "" {
+		req.Header.Set("Cache-Control", cacheControl)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	return rec
+}
 
-	// Prime the hot fingerprint (graph version v1).
-	qHot := laptopQuery()
-	code, xc, _, hotBody := doSparql(s, qHot)
-	if code != http.StatusOK || xc != "miss" {
-		t.Fatalf("prime = %d %q", code, xc)
-	}
-
-	// Teach the breaker that the "manufacturer = const" shape is expensive:
-	// one 400ms execution sets its cost EWMA well above the 250ms shed cutoff.
-	if err := fault.Configure("server.sparql.exec=delay:400ms"); err != nil {
-		t.Fatal(err)
-	}
-	qExpensive := func(m string) string {
-		return `SELECT ?s WHERE { ?s <` + datagen.ExampleNS + `manufacturer> "` + m + `" }`
-	}
-	if code, _, _, body := doSparql(s, qExpensive("alpha")); code != http.StatusOK {
-		t.Fatalf("expensive prime = %d %s", code, body)
-	}
-	fault.Reset()
-
-	// Mutate the graph: the hot entry is now one version stale.
-	resp, err := http.PostForm(ts.URL+"/sparql", url.Values{
-		"update": {`PREFIX ex: <` + datagen.ExampleNS + `> INSERT DATA { ex:staleProbe a ex:Laptop . }`},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("update = %d", resp.StatusCode)
-	}
-
-	// Flip the latency SLO to page severity via the chaos fault site.
-	if err := fault.Configure("server.handler.slow=delay:400ms"); err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Now()
-	s.sampler.Tick(t0)
-	for i := 0; i < 8; i++ {
-		req, _ := http.NewRequest("GET", ts.URL+"/api/state", nil)
-		req.Header.Set("X-Fault", "slow")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+// TestStaleOnlyWhenAsked: an answer of an earlier graph version is served
+// only to a request carrying Cache-Control: max-stale, only if it was filled
+// within min(max-stale, StaleWindow), and it says so — X-Cache: stale, Age,
+// and the version it was computed at. Without the directive an update is
+// always seen, draining or not.
+func TestStaleOnlyWhenAsked(t *testing.T) {
+	ns := datagen.ExampleNS
+	updates := 0
+	// outdated primes the cache entry of a query new to s, then moves the
+	// graph past it. It returns the query, the primed body and the version
+	// the body was computed at.
+	outdated := func(s *Server) (string, string, uint64) {
+		t.Helper()
+		q := fmt.Sprintf("%s LIMIT %d", laptopQuery(), 100+updates)
+		code, xc, _, body := doSparql(s, q)
+		if code != http.StatusOK || xc != "miss" {
+			t.Fatalf("prime %q = %d %q", q, code, xc)
 		}
-		resp.Body.Close()
+		version := s.graph.Version()
+		updates++
+		if code := doUpdate(s, fmt.Sprintf(`INSERT DATA { <%sstaleProbe%d> a <%sLaptop> }`, ns, updates, ns)); code != http.StatusOK {
+			t.Fatalf("update = %d", code)
+		}
+		return q, string(body), version
 	}
-	s.sampler.Tick(t0.Add(10 * time.Second))
-	fault.Reset()
-	if !s.Degraded() {
-		t.Fatal("page alert did not flip degraded mode")
+	fresh := func(what string, rec *httptest.ResponseRecorder, outdatedBody string) {
+		t.Helper()
+		if xc := rec.Header().Get("X-Cache"); rec.Code != http.StatusOK || xc != "miss" ||
+			rec.Body.String() == outdatedBody || rec.Header().Get("Age") != "" {
+			t.Errorf("%s = %d X-Cache %q Age %q, want a fresh 200 miss with the update in it",
+				what, rec.Code, xc, rec.Header().Get("Age"))
+		}
+	}
+	s, _ := newTestServer(t, resilienceConfig()) // StaleWindow: one hour
+
+	// No directive: a fresh answer, also while draining.
+	q, body, _ := outdated(s)
+	fresh("plain request", sparqlWith(s, q, ""), body)
+	q, body, _ = outdated(s)
+	s.SetDraining(true)
+	fresh("plain request while draining", sparqlWith(s, q, ""), body)
+	s.SetDraining(false)
+
+	// max-stale=600, or a bare max-stale: the outdated answer, marked.
+	for _, cc := range []string{"max-stale=600", "no-transform, max-stale"} {
+		q, body, version := outdated(s)
+		rec := sparqlWith(s, q, cc)
+		if xc := rec.Header().Get("X-Cache"); rec.Code != http.StatusOK || xc != "stale" || rec.Body.String() != body {
+			t.Errorf("%s = %d X-Cache %q, want 200 stale with the primed body", cc, rec.Code, xc)
+		}
+		if age, err := strconv.Atoi(rec.Header().Get("Age")); err != nil || age < 0 {
+			t.Errorf("%s: Age %q, want delta-seconds", cc, rec.Header().Get("Age"))
+		}
+		if got := rec.Header().Get("X-Graph-Version"); got != strconv.FormatUint(version, 10) {
+			t.Errorf("%s: X-Graph-Version %q, want %d", cc, got, version)
+		}
 	}
 
-	// (a) Stale entry served within the window, byte-identical to the primed
-	// answer even though the graph has since changed.
-	code, xc, _, body := doSparql(s, qHot)
-	if code != http.StatusOK || xc != "stale" {
-		t.Fatalf("degraded hot query = %d X-Cache=%q, want 200 stale", code, xc)
-	}
-	if string(body) != string(hotBody) {
-		t.Error("stale serve does not match the cached answer")
+	// max-stale=0 accepts nothing stale; a malformed value is ignored.
+	for _, cc := range []string{"max-stale=0", "max-stale=x", "max-stale=-1"} {
+		q, body, _ := outdated(s)
+		fresh(cc, sparqlWith(s, q, cc), body)
 	}
 
-	// (b) Same expensive shape, different constant: uncached, learned EWMA
-	// over the cutoff → shed.
-	code, _, retryAfter, body := doSparql(s, qExpensive("beta"))
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("expensive uncached shape while degraded = %d %s, want 503", code, body)
-	}
-	var shed map[string]string
-	json.Unmarshal(body, &shed)
-	if shed["reason"] != "degraded" || retryAfter == "" {
-		t.Errorf("shed = reason %q Retry-After %q, want degraded + hint", shed["reason"], retryAfter)
-	}
-
-	// (c) A cheap never-seen shape still executes: degraded mode sheds by
-	// learned cost, not indiscriminately, while slots are free.
-	qCheap := `SELECT ?s ?u WHERE { ?s <` + datagen.ExampleNS + `USBPorts> ?u } LIMIT 1`
-	if code, xc, _, body := doSparql(s, qCheap); code != http.StatusOK || xc != "miss" {
-		t.Errorf("cheap unknown shape while degraded = %d %q %s, want 200 miss", code, xc, body)
-	}
+	// A fill older than StaleWindow is never served, whatever the request
+	// accepts.
+	cfg := resilienceConfig()
+	cfg.StaleWindow = time.Millisecond
+	short, _ := newTestServer(t, cfg)
+	q, body, _ = outdated(short)
+	time.Sleep(5 * time.Millisecond)
+	fresh("max-stale=600 past StaleWindow", sparqlWith(short, q, "max-stale=600"), body)
 }
 
 // TestDrainDuringQueuedAdmission covers the shutdown race: a request already
@@ -320,8 +314,8 @@ func TestDrainDuringQueuedAdmission(t *testing.T) {
 
 	s.SetDraining(true)
 	defer s.SetDraining(false)
-	if !s.Degraded() {
-		t.Fatal("drain flag did not flip degraded mode")
+	if !s.Draining() {
+		t.Fatal("drain flag not set")
 	}
 
 	// New arrival while draining: rejected rather than queued.
@@ -510,9 +504,8 @@ func TestBreakerOpensOverHTTP(t *testing.T) {
 }
 
 // TestResilienceDifferential is the satellite differential oracle: over the
-// whole SELECT/ASK conformance corpus, every combination of {cache on/off} ×
-// {singleflight on/off} — and cold vs warm cache — returns byte-identical
-// /sparql responses.
+// whole SELECT/ASK conformance corpus, cache on and off — and cold vs warm
+// cache — return byte-identical /sparql responses.
 func TestResilienceDifferential(t *testing.T) {
 	cases, err := conformance.LoadCases(filepath.Join("..", "conformance", "testdata"))
 	if err != nil {
@@ -522,10 +515,8 @@ func TestResilienceDifferential(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"plain", Config{NoCollapse: true}},
-		{"collapse", Config{}},
-		{"cache", Config{CacheBytes: 1 << 20, NoCollapse: true}},
-		{"cache+collapse", Config{CacheBytes: 1 << 20}},
+		{"plain", Config{}},
+		{"cache", Config{CacheBytes: 1 << 20}},
 	}
 	ran := 0
 	for _, c := range cases {

@@ -57,7 +57,7 @@ type Server struct {
 	// concurrent queries, the admission controller, and the per-fingerprint
 	// circuit breaker (see internal/resilience and resilience.go here).
 	answers  *resilience.AnswerCache
-	flight   *resilience.Group
+	flight   resilience.Group
 	gate     *resilience.Admission
 	breakers *resilience.Breakers
 	// workload aggregates every completed query by structural fingerprint,
@@ -69,20 +69,15 @@ type Server struct {
 	// shapes every facet click) plan with those actuals instead of cold
 	// graph-count estimates.
 	feedback *sparql.FeedbackStore
-	// sampler/slos/alerts are the telemetry time-series engine: the sampler
-	// scrapes every metric into bounded ring buffers, the SLO set evaluates
-	// multi-window burn rates on each tick, and the alert log records the
-	// firing/resolved transitions (see internal/obs timeseries.go, slo.go,
-	// alerts.go).
-	sampler *obs.Sampler
-	slos    *obs.SLOSet
-	alerts  *obs.AlertLog
+	// slos counts good and total events per objective on /metrics (see
+	// internal/obs slo.go); burn rates are an external scraper's business.
+	slos *obs.SLOSet
 	// sloHTTPAvail/sloHTTPLat are the process-wide HTTP objectives the
 	// middleware records into (nil when disabled by config).
 	sloHTTPAvail *obs.Objective
 	sloHTTPLat   *obs.Objective
 	// draining flips when graceful shutdown begins; /healthz and /readyz
-	// answer 503 from then on.
+	// answer 503 from then on, and the admission gate stops queueing.
 	draining atomic.Bool
 	// sweepStop/sweepDone control the idle-session sweeper goroutine
 	// (started only when Config.SessionTTL is set; see hardening.go).
@@ -125,12 +120,13 @@ type Config struct {
 	// Limits are the per-query resource budgets applied to every session
 	// and protocol-endpoint evaluation.
 	Limits sparql.Limits
-	// SampleInterval starts the background telemetry sampler at this
-	// period. Zero leaves the sampler passive (no goroutine): endpoints
-	// still work and tests drive ticks manually.
+	// SampleInterval is ignored: the server keeps no time series of its
+	// own, and /metrics is the history for a scraper to keep.
+	//
+	// Deprecated: nothing reads it; it goes once no caller sets it.
 	SampleInterval time.Duration
-	// SLO configures the declarative objectives the burn-rate evaluator
-	// watches. The zero value disables all of them.
+	// SLO configures the declarative objectives whose good/total counters
+	// /metrics exposes. The zero value disables all of them.
 	SLO SLOConfig
 	// CacheBytes bounds the fingerprint answer cache of the overload-
 	// resilience layer (rendered /sparql responses, keyed by fingerprint ×
@@ -142,13 +138,11 @@ type Config struct {
 	// QueueDepth bounds the admission wait queue; beyond it requests are
 	// shed with 503 + Retry-After. Only meaningful with MaxConcurrent > 0.
 	QueueDepth int
-	// StaleWindow bounds degraded-mode stale serving: while degraded,
-	// cache entries from older graph versions are served if filled within
-	// this window. 0 disables stale serving.
+	// StaleWindow bounds stale serving: a request carrying
+	// Cache-Control: max-stale[=N] may be answered from a cache entry of an
+	// older graph version filled within min(N s, StaleWindow). 0 disables
+	// stale serving.
 	StaleWindow time.Duration
-	// NoCollapse disables the singleflight group that collapses concurrent
-	// identical queries into one execution.
-	NoCollapse bool
 	// BreakerThreshold/BreakerCooldown tune the per-fingerprint circuit
 	// breaker (consecutive budget/timeout aborts to open; reject window
 	// before the half-open probe). Zero values take the resilience-package
@@ -221,29 +215,22 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 		trCfg.P95 = s.workload.P95Seconds
 	}
 	s.traces = obs.NewTraceStore(trCfg)
-	// Telemetry engine: runtime + build-info metrics feed the registry, the
-	// sampler retains everything in ring buffers, and the SLO set evaluates
-	// burn rates on every tick.
+	// Runtime and build-info metrics join the registry; the SLO set counts
+	// each objective's good and total events there.
 	obs.RegisterRuntimeMetrics(obs.Default)
 	obs.RegisterBuildInfo(obs.Default)
-	s.alerts = obs.NewAlertLog(obs.Default)
-	s.slos = obs.NewSLOSet(obs.Default, s.alerts, obs.BurnConfig{})
+	s.slos = obs.NewSLOSet(obs.Default)
 	if t := cfg.SLO.AvailabilityTarget; t > 0 {
 		s.sloHTTPAvail = s.slos.Add("http-availability", obs.SLOAvailability, t, 0)
 	}
 	if t := cfg.SLO.LatencyTarget; t > 0 && cfg.SLO.LatencyThreshold > 0 {
 		s.sloHTTPLat = s.slos.Add("http-latency", obs.SLOLatency, t, cfg.SLO.LatencyThreshold)
 	}
-	s.sampler = obs.NewSampler(obs.Default, s.workload, s.slos,
-		obs.TSDBConfig{Interval: cfg.SampleInterval})
-	// Overload-resilience layer (see resilience.go): each piece degrades to
-	// a nil no-op when its knob is off, so the zero Config keeps today's
-	// direct-execution behavior.
+	// Overload-resilience layer (see resilience.go): the cache, gate and
+	// breakers each degrade to a nil no-op when their knob is off, so the
+	// zero Config neither caches nor gates; collapse is always on.
 	s.answers = resilience.NewAnswerCache(cfg.CacheBytes, 0,
 		func(string, int64) { cacheEvictAnswer.Inc() })
-	if !cfg.NoCollapse {
-		s.flight = &resilience.Group{}
-	}
 	s.gate = resilience.NewAdmission(cfg.MaxConcurrent, cfg.QueueDepth)
 	if cfg.CacheBytes > 0 || cfg.MaxConcurrent > 0 || cfg.BreakerThreshold > 0 {
 		s.breakers = resilience.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown,
@@ -260,12 +247,6 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	})
 	obs.Default.GaugeFunc("rdfa_admission_waiting", func() float64 {
 		return float64(s.gate.Waiting())
-	})
-	obs.Default.GaugeFunc("rdfa_server_degraded", func() float64 {
-		if s.Degraded() {
-			return 1
-		}
-		return 0
 	})
 	// Graph-level statistics are exported as functions evaluated at
 	// scrape time; re-registering (tests build many servers) rebinds the
@@ -303,11 +284,9 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	mux.HandleFunc("GET /api/traces", s.handleTraces)
 	mux.HandleFunc("GET /api/traces/{id}", s.handleTraceByID)
 	mux.HandleFunc("GET /api/workload", s.handleWorkload)
-	mux.HandleFunc("GET /api/timeseries", s.handleTimeseries)
-	mux.HandleFunc("GET /api/alerts", s.handleAlerts)
 	mux.HandleFunc(checkpointEndpoint, s.handleCheckpoint)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	mux.HandleFunc("GET /healthz", s.handleProbe)
+	mux.HandleFunc("GET /readyz", s.handleProbe)
 	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /ui", s.handleUI)
@@ -317,9 +296,6 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	s.mux = mux
 	if cfg.SessionTTL > 0 {
 		s.startSweeper(cfg.SessionTTL)
-	}
-	if cfg.SampleInterval > 0 {
-		s.sampler.Start()
 	}
 	return s
 }

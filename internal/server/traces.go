@@ -6,10 +6,11 @@
 // feeds the store: every finished operation reaches it, and through it the
 // workload profiler, the slow-query log and the per-shape objectives.
 //
-// The drill-down this enables, with no scripting anywhere: an SLO alert
-// names an offending "shape:<fingerprint>" objective → /api/traces
+// The drill-down this enables, with no scripting anywhere: a slow shape —
+// a "shape:<fingerprint>" objective burning its budget on /metrics, or a
+// row of the dashboard's slowest fingerprints — → /api/traces
 // ?fingerprint=<fp> lists the retained exemplar executions of that shape
-// (the errors and the slowest ones first, because those are what the
+// (the errors and the slowest ones first, because those are what the tail
 // sampler keeps) → /api/traces/{id} shows where the time went, span by
 // span and operator by operator.
 package server

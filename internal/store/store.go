@@ -17,7 +17,7 @@ import (
 
 // Latency histograms for the store's three stall-prone operations. The
 // families are registered at package init so scrapers always see them;
-// checkpoint stalls and fsync outliers show up in the TSDB and — via the
+// checkpoint stalls and fsync outliers show up on /metrics and — via the
 // spans recorded by CheckpointTraced — in retained traces.
 var (
 	fsyncSeconds      = obs.Default.Histogram("rdfa_store_fsync_seconds", nil)

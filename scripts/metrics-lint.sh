@@ -6,8 +6,7 @@
 #   * every name matches ^rdfa_[a-z0-9_]+$  (one product prefix, snake_case)
 #   * counters end in _total
 #   * duration histograms/summaries use a _seconds base unit
-#   * gauges never end in _total (a _seconds unit suffix is fine — e.g.
-#     rdfa_sampler_tick_seconds, like Prometheus's scrape_duration_seconds)
+#   * gauges never end in _total
 #
 # A second, content-negotiated scrape checks the OpenMetrics exposition:
 # it must terminate with "# EOF", exemplars must only ever decorate
@@ -25,7 +24,7 @@ LOG="$(mktemp)"
 
 go build -o "$BIN" ./cmd/rdfanalytics
 
-"$BIN" -addr "127.0.0.1:$PORT" -data products-small -sample-interval 200ms >"$LOG" 2>&1 &
+"$BIN" -addr "127.0.0.1:$PORT" -data products-small >"$LOG" 2>&1 &
 PID=$!
 trap 'kill $PID 2>/dev/null; rm -f "$LOG"; rm -rf "$(dirname "$BIN")"' EXIT
 
@@ -43,7 +42,6 @@ done
 NS='http://example.org/products#'
 curl -sf "$BASE/sparql" --data-urlencode \
     "query=SELECT ?s WHERE { ?s a <${NS}Laptop> } LIMIT 3" >/dev/null
-sleep 0.5 # let the sampler tick so rdfa_go_* / rdfa_slo_* gauges exist
 
 METRICS="$(curl -sf "$BASE/metrics")"
 
@@ -100,17 +98,16 @@ printf '%s\n' "$TYPES" | while read -r name kind; do
     esac
 done || FAIL=1
 
-# Families the telemetry layer promises must be present after one tick, and
-# the resilience families the serving flow registers eagerly at boot.
+# Families the telemetry layer promises at boot, and the resilience families
+# the serving flow registers eagerly.
 for name in rdfa_build_info rdfa_go_heap_alloc_bytes rdfa_go_goroutines \
-    rdfa_sampler_ticks_total rdfa_slo_good_total rdfa_slo_events_total \
+    rdfa_slo_good_total rdfa_slo_events_total \
     rdfa_cache_requests_total rdfa_cache_collapsed_total \
     rdfa_cache_fills_total rdfa_cache_evictions_total rdfa_cache_bytes \
     rdfa_cache_entries rdfa_admission_admitted_total \
     rdfa_admission_rejected_total rdfa_admission_wait_seconds \
     rdfa_admission_inflight rdfa_admission_waiting \
-    rdfa_breaker_rejected_total rdfa_breaker_transitions_total \
-    rdfa_server_degraded; do
+    rdfa_breaker_rejected_total rdfa_breaker_transitions_total; do
     if ! printf '%s\n' "$METRICS" | grep -q "^$name"; then
         echo "metrics-lint: FAIL — promised family $name missing" >&2
         FAIL=1

@@ -19,7 +19,7 @@ LOG="$(mktemp)"
 go build -o "$BIN" ./cmd/rdfanalytics
 
 RDFA_FAULT='server.sparql.exec=delay:300ms@1' \
-    "$BIN" -addr "127.0.0.1:$PORT" -data products-small -debug -sample-interval 200ms >"$LOG" 2>&1 &
+    "$BIN" -addr "127.0.0.1:$PORT" -data products-small -debug >"$LOG" 2>&1 &
 PID=$!
 trap 'kill $PID 2>/dev/null; rm -f "$LOG"; rm -rf "$(dirname "$BIN")"' EXIT
 
@@ -68,18 +68,14 @@ rm -f "$RUN_HDRS"
 curl -sf "$BASE/sparql" --data-urlencode \
     "update=INSERT DATA { <${NS}smokeProbe> a <${NS}Laptop> . }" >/dev/null
 
-sleep 0.5 # at least one sampler tick, so the time-series ring has points
-
 METRICS="$(curl -sf "$BASE/metrics")"
 for name in \
     rdfa_http_requests_total \
     rdfa_build_info \
     rdfa_go_heap_alloc_bytes \
     rdfa_go_goroutines \
-    rdfa_sampler_ticks_total \
     rdfa_slo_good_total \
     rdfa_slo_events_total \
-    rdfa_slo_budget_remaining_ratio \
     rdfa_http_request_seconds_bucket \
     rdfa_http_active_sessions \
     rdfa_http_sessions_created_total \
@@ -182,20 +178,12 @@ if printf '%s' "$DASH" | grep -Eq '(src|href)="(https?:)?//'; then
     exit 1
 fi
 
-# The sampler's ring buffer serves windowed series with derived rates.
-TS="$(curl -sf "$BASE/api/timeseries?series=rdfa_http_requests_total")"
-for frag in interval_seconds rdfa_http_requests_total rates; do
-    if ! printf '%s' "$TS" | grep -q "$frag"; then
-        echo "obs-smoke: FAIL — /api/timeseries missing \"$frag\": $TS" >&2
-        exit 1
-    fi
-done
-
-# The burn-rate evaluator publishes objective statuses and the alert log.
-ALERTS="$(curl -sf "$BASE/api/alerts")"
-for frag in active recent slos http-availability; do
-    if ! printf '%s' "$ALERTS" | grep -q "$frag"; then
-        echo "obs-smoke: FAIL — /api/alerts missing \"$frag\": $ALERTS" >&2
+# The process keeps no time series and evaluates no alerts: /metrics is the
+# history, for a scraper to keep.
+for gone in timeseries alerts; do
+    CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/api/$gone")"
+    if [ "$CODE" != 404 ]; then
+        echo "obs-smoke: FAIL — /api/$gone answered $CODE, want 404" >&2
         exit 1
     fi
 done
@@ -208,17 +196,13 @@ for probe in healthz readyz; do
     fi
 done
 
-# The dashboard is cache-busted and carries inline SVG sparklines.
+# The dashboard is cache-busted.
 if ! curl -sfI "$BASE/debug/dashboard" | grep -qi 'cache-control: no-store'; then
     echo "obs-smoke: FAIL — dashboard missing Cache-Control: no-store" >&2
-    exit 1
-fi
-if ! printf '%s' "$DASH" | grep -q '<svg'; then
-    echo "obs-smoke: FAIL — dashboard missing inline SVG sparklines" >&2
     exit 1
 fi
 
 # -debug must mount pprof.
 curl -sf "$BASE/debug/pprof/cmdline" >/dev/null
 
-echo "obs-smoke: OK — metrics, exemplars, timeseries, alerts, health, trace retention, workload, dashboard and pprof endpoints all healthy"
+echo "obs-smoke: OK — metrics, exemplars, health, trace retention, workload, dashboard and pprof endpoints all healthy"
