@@ -1,11 +1,10 @@
 // Package resilience is the server-wide overload-protection layer: a
-// bounded, byte-accounted answer cache with graph-version invalidation and
-// negative caching, a singleflight group that collapses concurrent identical
-// queries into one execution, an admission controller (concurrency gate with
-// a bounded, deadline-aware wait queue and per-shape fairness), and a
-// per-fingerprint circuit breaker. Everything is stdlib-only and safe for
-// concurrent use; internal/server wires the pieces into the /sparql path and
-// internal/core reuses the LRU for per-session answer memoization.
+// bounded, byte-accounted answer cache with graph-version invalidation, a
+// singleflight group that collapses concurrent identical queries into one
+// execution, and an admission gate (a semaphore with a bounded wait queue).
+// Everything is stdlib-only and safe for concurrent use; internal/server
+// wires the pieces into the /sparql path and internal/core reuses the LRU
+// for per-session answer memoization.
 package resilience
 
 import (

@@ -191,18 +191,10 @@ func TestSingleflightLastWaiterCancels(t *testing.T) {
 	<-done
 }
 
-func TestSingleflightNilGroup(t *testing.T) {
-	var g *Group
-	v, shared, err := g.Do(context.Background(), "k", 0, func(ctx context.Context) (any, error) { return 7, nil })
-	if v != 7 || shared || err != nil {
-		t.Fatalf("nil group Do = %v, %v, %v", v, shared, err)
-	}
-}
-
 // ---- AnswerCache ----
 
-func TestAnswerCacheFreshStaleNegative(t *testing.T) {
-	c := NewAnswerCache(1<<20, 50*time.Millisecond, nil)
+func TestAnswerCacheFreshStale(t *testing.T) {
+	c := NewAnswerCache(1<<20, 0, nil)
 	now := time.Now()
 	key := CacheKey("fp1", "SELECT 1")
 	c.Store(key, &Answer{Body: []byte("r"), Status: 200, Version: 7, When: now})
@@ -223,14 +215,6 @@ func TestAnswerCacheFreshStaleNegative(t *testing.T) {
 	}
 	if _, ok := c.LookupStale(key, now, 0); ok {
 		t.Fatal("window<=0 must disable stale serving")
-	}
-
-	c.StoreNegative("BROKEN {", 400, "parse_error", "syntax", now)
-	if st, reason, _, ok := c.LookupNegative("BROKEN {", now.Add(10*time.Millisecond)); !ok || st != 400 || reason != "parse_error" {
-		t.Fatalf("negative lookup = %d %q %v", st, reason, ok)
-	}
-	if _, _, _, ok := c.LookupNegative("BROKEN {", now.Add(time.Second)); ok {
-		t.Fatal("negative entry must expire after TTL")
 	}
 }
 
@@ -255,32 +239,14 @@ func TestAnswerCacheNil(t *testing.T) {
 	if _, ok := c.Lookup("k", 0); ok {
 		t.Fatal("nil cache must miss")
 	}
-	c.StoreNegative("q", 400, "r", "m", time.Now())
-	if _, _, _, ok := c.LookupNegative("q", time.Now()); ok {
-		t.Fatal("nil negative cache must miss")
-	}
 	c.Purge()
-}
-
-func TestAnswerCacheNegativeBounded(t *testing.T) {
-	c := NewAnswerCache(1024, time.Hour, nil)
-	now := time.Now()
-	for i := 0; i < maxNegEntries+10; i++ {
-		c.StoreNegative(fmt.Sprintf("q%d", i), 400, "parse_error", "x", now)
-	}
-	c.negMu.Lock()
-	n := len(c.neg)
-	c.negMu.Unlock()
-	if n > maxNegEntries {
-		t.Fatalf("negative cache grew to %d > cap %d", n, maxNegEntries)
-	}
 }
 
 // ---- Admission ----
 
 func TestAdmissionGateAndQueue(t *testing.T) {
 	a := NewAdmission(1, 1)
-	rel1, err := a.Acquire(context.Background(), "s1", false)
+	rel1, err := a.Acquire(context.Background(), false)
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
@@ -293,7 +259,7 @@ func TestAdmissionGateAndQueue(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		rel2, err := a.Acquire(context.Background(), "s2", false)
+		rel2, err := a.Acquire(context.Background(), false)
 		got2 <- err
 		if err == nil {
 			rel2()
@@ -302,12 +268,12 @@ func TestAdmissionGateAndQueue(t *testing.T) {
 	<-started
 	waitFor(t, func() bool { return a.Waiting() == 1 })
 
-	_, err3 := a.Acquire(context.Background(), "s3", false)
+	_, err3 := a.Acquire(context.Background(), false)
 	if err3 == nil || err3.Reason != ReasonQueueFull {
 		t.Fatalf("overflow: %+v, want queue_full", err3)
 	}
-	if err3.RetryAfter <= 0 {
-		t.Fatal("queue_full rejection must carry RetryAfter")
+	if err3.RetryAfter != time.Second {
+		t.Fatalf("queue_full RetryAfter = %v, want 1s", err3.RetryAfter)
 	}
 
 	rel1()
@@ -317,65 +283,69 @@ func TestAdmissionGateAndQueue(t *testing.T) {
 	waitFor(t, func() bool { return a.Inflight() == 0 && a.Waiting() == 0 })
 }
 
-func TestAdmissionDegradedNoQueue(t *testing.T) {
+func TestAdmissionDrainingNoQueue(t *testing.T) {
 	a := NewAdmission(1, 8)
-	rel, err := a.Acquire(context.Background(), "", false)
+	rel, err := a.Acquire(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	_, derr := a.Acquire(context.Background(), "", true)
-	if derr == nil || derr.Reason != ReasonDegraded {
-		t.Fatalf("degraded acquire with busy gate = %+v, want degraded rejection", derr)
+	_, derr := a.Acquire(context.Background(), true)
+	if derr == nil || derr.Reason != ReasonDraining || derr.RetryAfter != 2*time.Second {
+		t.Fatalf("draining acquire with busy gate = %+v, want draining rejection with a 2s RetryAfter", derr)
+	}
+	if a.Waiting() != 0 {
+		t.Fatalf("Waiting = %d, a draining gate must not queue", a.Waiting())
 	}
 }
 
+// TestAdmissionQueuedDeadline: a queued waiter whose context ends leaves
+// with deadline and a 1s RetryAfter, and gives its queue position back.
+func TestAdmissionQueuedDeadline(t *testing.T) {
+	a := NewAdmission(1, 4)
+	rel, err := a.Acquire(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan *AdmitError, 1)
+	go func() {
+		rel, err := a.Acquire(ctx, false)
+		if err == nil {
+			rel()
+		}
+		got <- err
+	}()
+	waitFor(t, func() bool { return a.Waiting() == 1 })
+	cancel()
+	derr := <-got
+	if derr == nil || derr.Reason != ReasonDeadline || derr.RetryAfter != time.Second {
+		t.Fatalf("cancelled waiter = %+v, want deadline with a 1s RetryAfter", derr)
+	}
+	rel()
+	if a.Inflight() != 0 || a.Waiting() != 0 {
+		t.Fatalf("Inflight/Waiting = %d/%d, want 0/0", a.Inflight(), a.Waiting())
+	}
+}
+
+// TestAdmissionDeadlineUnmeetable: a waiter whose deadline passes before a
+// slot frees leaves with deadline and a 1s RetryAfter, without a slot.
 func TestAdmissionDeadlineUnmeetable(t *testing.T) {
 	a := NewAdmission(1, 8)
-	rel, err := a.Acquire(context.Background(), "", false)
+	rel, err := a.Acquire(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	// Zero-ish deadline cannot beat even the 50ms default service estimate.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, derr := a.Acquire(ctx, "", false)
-	if derr == nil || derr.Reason != ReasonDeadline {
-		t.Fatalf("unmeetable deadline = %+v, want deadline rejection", derr)
+	_, derr := a.Acquire(ctx, false)
+	if derr == nil || derr.Reason != ReasonDeadline || derr.RetryAfter != time.Second {
+		t.Fatalf("unmeetable deadline = %+v, want deadline rejection with a 1s RetryAfter", derr)
 	}
-}
-
-func TestAdmissionShapeFairness(t *testing.T) {
-	a := NewAdmission(1, 4) // per-shape wait cap = 2
-	rel, err := a.Acquire(context.Background(), "hot", false)
-	if err != nil {
-		t.Fatal(err)
+	if a.Inflight() != 1 || a.Waiting() != 0 {
+		t.Fatalf("Inflight/Waiting = %d/%d, want 1/0", a.Inflight(), a.Waiting())
 	}
-	defer rel()
-
-	ctxs := make([]context.CancelFunc, 0, 2)
-	for i := 0; i < 2; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		ctxs = append(ctxs, cancel)
-		go a.Acquire(ctx, "hot", false)
-	}
-	waitFor(t, func() bool { return a.Waiting() == 2 })
-
-	// Third hot waiter exceeds the shape's fair share of the queue…
-	_, serr := a.Acquire(context.Background(), "hot", false)
-	if serr == nil || serr.Reason != ReasonShapeLimit {
-		t.Fatalf("hot shape over fair share = %+v, want shape_limit", serr)
-	}
-	// …but a different shape still gets a queue position.
-	ctx, cancel := context.WithCancel(context.Background())
-	go a.Acquire(ctx, "cold", false)
-	waitFor(t, func() bool { return a.Waiting() == 3 })
-	cancel()
-	for _, c := range ctxs {
-		c()
-	}
-	waitFor(t, func() bool { return a.Waiting() == 0 })
 }
 
 func TestAdmissionNil(t *testing.T) {
@@ -383,102 +353,13 @@ func TestAdmissionNil(t *testing.T) {
 	if a := NewAdmission(0, 4); a != nil {
 		t.Fatal("maxConcurrent<=0 must return nil")
 	}
-	rel, err := a.Acquire(context.Background(), "s", true)
+	rel, err := a.Acquire(context.Background(), true)
 	if err != nil {
 		t.Fatalf("nil gate must admit: %v", err)
 	}
 	rel()
-	if a.Inflight() != 0 || a.Waiting() != 0 || a.RetryAfter() != 0 {
+	if a.Inflight() != 0 || a.Waiting() != 0 {
 		t.Fatal("nil gate accessors must return zero")
-	}
-}
-
-// ---- Breakers ----
-
-func TestBreakerOpensHalfOpensCloses(t *testing.T) {
-	var transitions []string
-	b := NewBreakers(3, 100*time.Millisecond, func(to string) { transitions = append(transitions, to) })
-	now := time.Now()
-
-	for i := 0; i < 2; i++ {
-		b.Observe("fp", true, now)
-		if err := b.Allow("fp", now); err != nil {
-			t.Fatalf("breaker must stay closed below threshold: %v", err)
-		}
-	}
-	b.Observe("fp", true, now) // third consecutive abort
-	if b.State("fp") != StateOpen {
-		t.Fatalf("state = %s, want open", b.State("fp"))
-	}
-	err := b.Allow("fp", now.Add(10*time.Millisecond))
-	if err == nil || err.Reason != ReasonBreaker || err.RetryAfter <= 0 {
-		t.Fatalf("open breaker must reject with retry-after: %+v", err)
-	}
-
-	// Cooldown elapsed: first caller becomes the probe, second is rejected.
-	probeAt := now.Add(200 * time.Millisecond)
-	if err := b.Allow("fp", probeAt); err != nil {
-		t.Fatalf("probe must be admitted after cooldown: %v", err)
-	}
-	if err := b.Allow("fp", probeAt); err == nil {
-		t.Fatal("second caller during probe must be rejected")
-	}
-	// Probe succeeds: breaker closes.
-	b.Observe("fp", false, probeAt)
-	if b.State("fp") != StateClosed {
-		t.Fatalf("state after good probe = %s, want closed", b.State("fp"))
-	}
-	if err := b.Allow("fp", probeAt); err != nil {
-		t.Fatalf("closed breaker must admit: %v", err)
-	}
-
-	want := []string{StateOpen, StateHalfOpen, StateClosed}
-	if fmt.Sprint(transitions) != fmt.Sprint(want) {
-		t.Fatalf("transitions = %v, want %v", transitions, want)
-	}
-}
-
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreakers(1, 100*time.Millisecond, nil)
-	now := time.Now()
-	b.Observe("fp", true, now) // threshold 1: opens
-	probeAt := now.Add(200 * time.Millisecond)
-	if err := b.Allow("fp", probeAt); err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	b.Observe("fp", true, probeAt) // probe aborts again
-	if b.State("fp") != StateOpen {
-		t.Fatalf("state after failed probe = %s, want open", b.State("fp"))
-	}
-	// And the cooldown restarts from the probe.
-	if err := b.Allow("fp", probeAt.Add(50*time.Millisecond)); err == nil {
-		t.Fatal("breaker must stay open through the restarted cooldown")
-	}
-}
-
-func TestBreakerCapBoundsEntries(t *testing.T) {
-	b := NewBreakers(0, 0, nil)
-	b.maxShapes = 8
-	now := time.Now()
-	for i := 0; i < 50; i++ {
-		b.Observe(fmt.Sprintf("fp%d", i), false, now.Add(time.Duration(i)*time.Millisecond))
-	}
-	b.mu.Lock()
-	n := len(b.entries)
-	b.mu.Unlock()
-	if n > 8 {
-		t.Fatalf("breaker entries = %d > cap 8", n)
-	}
-}
-
-func TestBreakerNil(t *testing.T) {
-	var b *Breakers
-	if err := b.Allow("fp", time.Now()); err != nil {
-		t.Fatal("nil breakers must allow")
-	}
-	b.Observe("fp", true, time.Now())
-	if s := b.State("fp"); s != StateClosed {
-		t.Fatalf("nil breakers state = %s", s)
 	}
 }
 

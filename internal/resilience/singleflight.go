@@ -25,7 +25,7 @@ type call struct {
 }
 
 // Group collapses concurrent executions by key. The zero value is ready to
-// use; a nil *Group runs every fn directly (no collapsing).
+// use.
 type Group struct {
 	mu    sync.Mutex
 	calls map[string]*call
@@ -49,10 +49,6 @@ type Group struct {
 // client disconnect even when the abandonment cancel beats the execution
 // context's own identical timer (a scheduling race otherwise).
 func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
-	if g == nil {
-		v, err = fn(ctx)
-		return v, false, err
-	}
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*call{}

@@ -63,7 +63,6 @@ type resilienceCard struct {
 	Evictions    uint64
 	HitPct       float64
 	Shed         uint64 // admission rejections, all reasons
-	BreakerOpens uint64
 	Inflight     int
 	Waiting      int
 	Draining     bool
@@ -80,13 +79,11 @@ func (s *Server) resilienceSnapshot() resilienceCard {
 		Misses:       cacheMiss.Value(),
 		Collapsed:    cacheCollapsed.Value(),
 		Evictions:    s.answers.Evictions(),
-		BreakerOpens: breakerTransition("open").Value(),
 		Inflight:     s.gate.Inflight(),
 		Waiting:      s.gate.Waiting(),
 		Draining:     s.draining.Load(),
 	}
-	c.Shed = breakerRejected.Value()
-	for _, reason := range []string{"queue_full", "shape_limit", "deadline", "degraded"} {
+	for _, reason := range shedReasons {
 		c.Shed += admissionRejected(reason).Value()
 	}
 	if served := c.Hits + c.Stale + c.Collapsed + c.Misses; served > 0 {
@@ -184,7 +181,6 @@ footer { margin-top: 2rem; font-size: 0.75rem; color: #666; }
 {{else}}<div class="card"><b>off</b>answer cache (-cache-size 0)</div>{{end}}
 <div class="card"><b{{if gt .Shed 0}} class="warn"{{end}}>{{.Shed}}</b>requests shed (503)</div>
 <div class="card"><b>{{.Inflight}} / {{.Waiting}}</b>executing / queued</div>
-<div class="card"><b{{if gt .BreakerOpens 0}} class="warn"{{end}}>{{.BreakerOpens}}</b>breaker opens</div>
 <div class="card"><b{{if .Draining}} class="bad"{{end}}>{{if .Draining}}draining{{else}}normal{{end}}</b>serving mode</div>
 </div>{{end}}
 

@@ -132,7 +132,13 @@ func TestOverloadCounts(t *testing.T) {
 	}
 
 	hits0, collapsed0 := fault.Hits("server.sparql.exec"), cacheCollapsed.Value()
-	queueFull0, stale0, breaker0 := admissionRejected("queue_full").Value(), cacheStale.Value(), breakerRejected.Value()
+	rejected := func() (n uint64) {
+		for _, reason := range shedReasons {
+			n += admissionRejected(reason).Value()
+		}
+		return n
+	}
+	rejected0, stale0 := rejected(), cacheStale.Value()
 	for r := 0; r < rounds; r++ {
 		applyUpdate() // every cached answer is outdated now
 		var clients sync.WaitGroup
@@ -190,13 +196,10 @@ func TestOverloadCounts(t *testing.T) {
 			if err := json.Unmarshal([]byte(rsp.body), &shed); err != nil {
 				t.Errorf("shed body not JSON: %s", rsp.body)
 			}
-			switch shed["reason"] {
-			case "queue_full":
-				queueFull++
-			case "shape_limit":
-			default:
-				t.Errorf("shed reason %q, want queue_full or shape_limit (%s)", shed["reason"], rsp.body)
+			if shed["reason"] != "queue_full" {
+				t.Errorf("shed reason %q, want queue_full (%s)", shed["reason"], rsp.body)
 			}
+			queueFull++
 			if rsp.retry == "" {
 				t.Errorf("shed %q without Retry-After", rsp.query)
 			}
@@ -215,16 +218,11 @@ func TestOverloadCounts(t *testing.T) {
 	if d := fault.Hits("server.sparql.exec") - hits0; d != uint64(byCache["miss"]) {
 		t.Errorf("%d engine executions for %d miss responses", d, byCache["miss"])
 	}
-	// A shed leader's followers share its 503, so the rejection counter
-	// moves at most once per queue_full response.
-	if d := admissionRejected("queue_full").Value() - queueFull0; queueFull == 0 || d == 0 || d > uint64(queueFull) {
-		t.Errorf("queue_full: %d responses, counter moved %d; want both > 0, counter <= responses", queueFull, d)
+	if d := rejected() - rejected0; queueFull == 0 || d != uint64(queueFull) {
+		t.Errorf("%d queue_full responses, rdfa_admission_rejected_total moved %d; want equal and > 0", queueFull, d)
 	}
 	if byCache["stale"] != 0 || cacheStale.Value() != stale0 {
 		t.Errorf("%d stale responses (counter +%d) to requests that never asked for one", byCache["stale"], cacheStale.Value()-stale0)
-	}
-	if d := breakerRejected.Value() - breaker0; d != 0 {
-		t.Errorf("breaker rejected %d requests; no execution aborted", d)
 	}
 }
 

@@ -1,17 +1,17 @@
 // The overload-resilient /sparql serving flow: answer cache → stale serving
-// (only when the request asks) → circuit breaker → singleflight collapse →
-// admission gate → engine. Assembled from the primitives in
-// internal/resilience; this file owns the HTTP-facing policy — what is
-// cacheable, what each rejection looks like on the wire, and which metrics
-// each outcome feeds. Every decision reads request-path state only: the
-// cache, the breaker, the gate's occupancy and the drain flag.
+// (only when the request asks) → singleflight collapse → admission gate →
+// engine. Assembled from the primitives in internal/resilience; this file
+// owns the HTTP-facing policy — what is cacheable, what each rejection looks
+// like on the wire, and which metrics each outcome feeds. Every decision
+// reads request-path state only: the cache, the gate's occupancy and the
+// drain flag.
 //
 // Outcome taxonomy on the X-Cache response header: "hit" (fresh cache),
 // "stale" (an earlier graph version's answer, for a request carrying
 // Cache-Control: max-stale, see maxStale), "collapsed" (shared a concurrent
 // identical execution at the same graph version), "miss" (executed,
-// possibly filling the cache), "negative" (remembered parse error),
-// "bypass" (shape not cacheable: CSV accept, CONSTRUCT, DESCRIBE).
+// possibly filling the cache), "bypass" (shape not cacheable: CSV accept,
+// CONSTRUCT, DESCRIBE).
 package server
 
 import (
@@ -37,7 +37,6 @@ var (
 	cacheHit       = obs.Default.Counter("rdfa_cache_requests_total", "result", "hit")
 	cacheStale     = obs.Default.Counter("rdfa_cache_requests_total", "result", "stale")
 	cacheMiss      = obs.Default.Counter("rdfa_cache_requests_total", "result", "miss")
-	cacheNegative  = obs.Default.Counter("rdfa_cache_requests_total", "result", "negative")
 	cacheBypass    = obs.Default.Counter("rdfa_cache_requests_total", "result", "bypass")
 	cacheCollapsed = obs.Default.Counter("rdfa_cache_collapsed_total")
 	cacheFills     = obs.Default.Counter("rdfa_cache_fills_total")
@@ -46,7 +45,6 @@ var (
 	_                 = obs.Default.Counter("rdfa_cache_evictions_total", "cache", "session")
 	admissionAdmitted = obs.Default.Counter("rdfa_admission_admitted_total")
 	admissionWait     = obs.Default.Histogram("rdfa_admission_wait_seconds", nil)
-	breakerRejected   = obs.Default.Counter("rdfa_breaker_rejected_total")
 )
 
 // admissionRejected resolves the rejection counter for one shed reason.
@@ -54,33 +52,18 @@ func admissionRejected(reason string) *obs.Counter {
 	return obs.Default.Counter("rdfa_admission_rejected_total", "reason", reason)
 }
 
-// breakerTransition resolves the transition counter for one target state.
-func breakerTransition(to string) *obs.Counter {
-	return obs.Default.Counter("rdfa_breaker_transitions_total", "to", to)
+// shedReasons are every reason a /sparql request can be shed for: the
+// label values registered eagerly and the dashboard's shed sum.
+var shedReasons = []string{
+	resilience.ReasonQueueFull,
+	resilience.ReasonDeadline,
+	resilience.ReasonDraining,
 }
 
-// abortedForBreaker reports whether an execution error belongs to the
-// failure class that trips the circuit breaker (timeout/budget). The
-// evaluator reports a cancellation made on behalf of an expired deadline as
-// that timeout (context.Cause), so a plain "cancelled" here is a client
-// that went away.
-func abortedForBreaker(err error) bool {
-	switch sparql.AbortReason(err) {
-	case "timeout", "budget":
-		return true
+func init() {
+	for _, reason := range shedReasons {
+		admissionRejected(reason)
 	}
-	return false
-}
-
-// Eager registration of the label values the flow can emit.
-var _ = []*obs.Counter{
-	admissionRejected(resilience.ReasonQueueFull),
-	admissionRejected(resilience.ReasonShapeLimit),
-	admissionRejected(resilience.ReasonDeadline),
-	admissionRejected(resilience.ReasonDegraded),
-	breakerTransition(resilience.StateOpen),
-	breakerTransition(resilience.StateHalfOpen),
-	breakerTransition(resilience.StateClosed),
 }
 
 // sparqlRecord starts the record of one /sparql operation: the query, its
@@ -92,30 +75,18 @@ func sparqlRecord(r *http.Request, raw, shape, fpID, cache string) obs.QueryReco
 	}
 }
 
-// breakerAllows asks the circuit breaker for the shape; on refusal it has
-// already written the 503.
-func (s *Server) breakerAllows(w http.ResponseWriter, fpID string) bool {
-	aerr := s.breakers.Allow(fpID, time.Now())
-	if aerr != nil {
-		breakerRejected.Inc()
-		admitReject(w, aerr)
-	}
-	return aerr == nil
-}
-
 // guarded is the one body every engine execution behind /sparql runs in:
-// admission gate (admit/wait/reject metrics), a trace carrying the request's
-// ids, exec, the breaker's cost-and-abort observation and the operation's
-// record — made after the outcome and duration are known, exactly the
-// information head sampling lacks. exec returns the result row count and the
-// operator profile (nil for none). The admission slot is the caller's until
-// it calls release (never nil), so a response can be rendered under it. A
-// draining server admits only into a free slot, never into the queue.
+// admission gate (admit/wait metrics), a trace carrying the request's ids,
+// exec and the operation's record — made after the outcome and duration are
+// known, exactly the information head sampling lacks. exec returns the
+// result row count and the operator profile (nil for none). The admission
+// slot is the caller's until it calls release (never nil), so a response can
+// be rendered under it. A draining server admits only into a free slot,
+// never into the queue.
 func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr *obs.Trace) (int, *sparql.Profile, error)) (release func(), err error) {
 	waitStart := time.Now()
-	release, aerr := s.gate.Acquire(ctx, rec.FingerprintID, s.draining.Load())
+	release, aerr := s.gate.Acquire(ctx, s.draining.Load())
 	if aerr != nil {
-		admissionRejected(aerr.Reason).Inc()
 		return func() {}, aerr
 	}
 	admissionAdmitted.Inc()
@@ -130,7 +101,6 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr 
 	rows, prof, err := exec(tr)
 	rec.Duration = time.Since(start)
 	tr.Finish()
-	s.breakers.Observe(rec.FingerprintID, abortedForBreaker(err), time.Now())
 	rec.Trace, rec.Rows = tr, rows
 	s.record(rec, err, prof)
 	return release, err
@@ -191,10 +161,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 			return
 		}
 	}
-	if !s.breakerAllows(w, fpID) {
-		return
-	}
-
 	// A follower only joins a leader that looked the answer up at the same
 	// graph version: one arriving after an update never shares an execution
 	// that may have read the graph before it.
@@ -329,11 +295,8 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 }
 
 // execSelectCSV is the uncached CSV rendering of a SELECT, still behind the
-// admission gate and circuit breaker.
+// admission gate.
 func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
-	if !s.breakerAllows(w, rec.FingerprintID) {
-		return
-	}
 	var res *sparql.Results
 	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (rows int, prof *sparql.Profile, err error) {
 		res, prof, err = s.execSelect(ctx, q, rec.FingerprintID, tr)
@@ -353,16 +316,13 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 }
 
 // serveGraphQuery is the CONSTRUCT/DESCRIBE path: uncached (triple payloads
-// are unbounded and rarely repeated), but admission-gated,
-// breaker-protected and budgeted like every other engine execution.
+// are unbounded and rarely repeated), but admission-gated and budgeted like
+// every other engine execution.
 func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
 	shape := sparql.Fingerprint(q)
 	rec := sparqlRecord(r, raw, shape, sparql.FingerprintID(shape), "bypass")
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
-	if !s.breakerAllows(w, rec.FingerprintID) {
-		return
-	}
 	var out *rdf.Graph
 	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (int, *sparql.Profile, error) {
 		opts := sparql.Options{Trace: tr, Limits: s.cfg.Limits}
@@ -388,16 +348,13 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx con
 	rdf.WriteNTriples(w, out)
 }
 
-// admitReject writes the structured 503 for a shed request: machine-readable
-// reason, the request id, and a Retry-After back-off hint.
+// admitReject writes and counts the structured 503 for a shed request:
+// machine-readable reason, the request id, and a Retry-After back-off hint.
+// A follower sharing a shed leader's error is a shed request too, so the
+// counter moves once per 503, not once per refused execution.
 func admitReject(w http.ResponseWriter, aerr *resilience.AdmitError) {
-	if aerr.RetryAfter > 0 {
-		secs := int(aerr.RetryAfter.Round(time.Second).Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
+	admissionRejected(aerr.Reason).Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(int(aerr.RetryAfter/time.Second)))
 	body := map[string]string{"error": aerr.Msg, "reason": aerr.Reason}
 	if id := w.Header().Get("X-Request-ID"); id != "" {
 		body["request_id"] = id

@@ -52,14 +52,13 @@ type Server struct {
 	// for singleflight collapse.
 	traces *obs.TraceStore
 	slow   *obs.SlowQueryLog
-	// answers/flight/gate/breakers are the overload-resilience layer: the
+	// answers/flight/gate are the overload-resilience layer: the
 	// fingerprint answer cache, the singleflight group collapsing identical
-	// concurrent queries, the admission controller, and the per-fingerprint
-	// circuit breaker (see internal/resilience and resilience.go here).
-	answers  *resilience.AnswerCache
-	flight   resilience.Group
-	gate     *resilience.Admission
-	breakers *resilience.Breakers
+	// concurrent queries, and the admission gate (see internal/resilience
+	// and resilience.go here).
+	answers *resilience.AnswerCache
+	flight  resilience.Group
+	gate    *resilience.Admission
 	// workload aggregates every completed query by structural fingerprint,
 	// feeding GET /api/workload and /debug/dashboard.
 	workload *obs.Workload
@@ -143,13 +142,6 @@ type Config struct {
 	// older graph version filled within min(N s, StaleWindow). 0 disables
 	// stale serving.
 	StaleWindow time.Duration
-	// BreakerThreshold/BreakerCooldown tune the per-fingerprint circuit
-	// breaker (consecutive budget/timeout aborts to open; reject window
-	// before the half-open probe). Zero values take the resilience-package
-	// defaults. The breaker is active whenever the resilience layer is
-	// (CacheBytes > 0, MaxConcurrent > 0, or BreakerThreshold set).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Store, when non-nil, is the durable store backing the served graph:
 	// updates are acknowledged only after the store's group-commit sync,
 	// POST /api/checkpoint triggers compaction, and rdfa_store_* metrics
@@ -226,16 +218,12 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	if t := cfg.SLO.LatencyTarget; t > 0 && cfg.SLO.LatencyThreshold > 0 {
 		s.sloHTTPLat = s.slos.Add("http-latency", obs.SLOLatency, t, cfg.SLO.LatencyThreshold)
 	}
-	// Overload-resilience layer (see resilience.go): the cache, gate and
-	// breakers each degrade to a nil no-op when their knob is off, so the
-	// zero Config neither caches nor gates; collapse is always on.
+	// Overload-resilience layer (see resilience.go): the cache and the gate
+	// each degrade to a nil no-op when their knob is off, so the zero Config
+	// neither caches nor gates; collapse is always on.
 	s.answers = resilience.NewAnswerCache(cfg.CacheBytes, 0,
 		func(string, int64) { cacheEvictAnswer.Inc() })
 	s.gate = resilience.NewAdmission(cfg.MaxConcurrent, cfg.QueueDepth)
-	if cfg.CacheBytes > 0 || cfg.MaxConcurrent > 0 || cfg.BreakerThreshold > 0 {
-		s.breakers = resilience.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown,
-			func(to string) { breakerTransition(to).Inc() })
-	}
 	obs.Default.GaugeFunc("rdfa_cache_bytes", func() float64 {
 		return float64(s.answers.Bytes())
 	})
@@ -478,15 +466,8 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// slow-query log, workload profiler, feedback store and SLO set all
 	// carry their own locks. Running queries concurrently is what lets the singleflight
 	// group collapse a thundering herd into one execution (resilience.go).
-	if st, _, msg, ok := s.answers.LookupNegative(query, time.Now()); ok {
-		cacheNegative.Inc()
-		w.Header().Set("X-Cache", "negative")
-		httpError(w, st, errors.New(msg))
-		return
-	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		s.answers.StoreNegative(query, http.StatusBadRequest, "parse_error", err.Error(), time.Now())
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -106,8 +106,7 @@ for name in rdfa_build_info rdfa_go_heap_alloc_bytes rdfa_go_goroutines \
     rdfa_cache_fills_total rdfa_cache_evictions_total rdfa_cache_bytes \
     rdfa_cache_entries rdfa_admission_admitted_total \
     rdfa_admission_rejected_total rdfa_admission_wait_seconds \
-    rdfa_admission_inflight rdfa_admission_waiting \
-    rdfa_breaker_rejected_total rdfa_breaker_transitions_total; do
+    rdfa_admission_inflight rdfa_admission_waiting; do
     if ! printf '%s\n' "$METRICS" | grep -q "^$name"; then
         echo "metrics-lint: FAIL — promised family $name missing" >&2
         FAIL=1
