@@ -12,13 +12,15 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # parallel evaluator paths run with Parallelism > 1 in tests, so races
 # surface here; a test that depends on its neighbours fails and prints its
-# seed), the telemetry and chaos smoke tests against live servers, and a
-# fuzz smoke pass over the three parsers.
+# seed), one pass of every BenchmarkJoinStep shape (so none can rot), the
+# telemetry and chaos smoke tests against live servers, and a fuzz smoke pass
+# over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
 	$(MAKE) metrics-lint
@@ -97,8 +99,9 @@ paper:
 # bench runs the in-process micro-benchmarks, each next to the code it
 # measures: rdf's match micro-benches, the answer-cache cube ablation, the
 # tracing on/off cost, and the engine's BenchmarkJoinStep — one query of each
-# sparql-cold shape (chain, star-filter, group-by, big-select, optional) on
-# that workload's graph, so B/op is what the engine allocates for the shape.
+# sparql-cold shape (chain, star-filter, group-by, big-select, optional,
+# bind-year) and the HIFUN semi-join on that workload's graph, so B/op is what
+# the engine allocates for the shape.
 bench:
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
 	$(GO) test -bench '^BenchmarkCubeReuse$$' -run XXX ./internal/core/

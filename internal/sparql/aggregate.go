@@ -1,87 +1,203 @@
 package sparql
 
 import (
+	"cmp"
+	"reflect"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rdfanalytics/internal/rdf"
 )
 
-// groupRows is one group of a grouped query: the rows (by index into the
-// ungrouped batch, in input order) sharing one GROUP BY key.
-type groupRows struct {
-	rows    *batch
-	members []int32
+// groupFold is GROUP BY and aggregation as one pass over the solutions in
+// their order: a row is keyed by the ID tuple of the group conditions, and a
+// group keeps its first row (the representative) and one accumulator per
+// distinct aggregate of SELECT, HAVING and ORDER BY, never its rows. Rows come
+// from the WHERE's last join step as it writes them (evalGroup, runTriples) or
+// from the WHERE's batch (selectRows), in batch order either way: double sums,
+// MIN/MAX ties and GROUP_CONCAT come out as a pass over the batch makes them.
+type groupFold struct {
+	ev       *evaluator
+	q        *Query
+	from, to []int // per condition: the slot a variable is read from, its key's slot (-1: none)
+	aggs     []aggSpec
+	groups   *tupleIndex // key tuple -> group number, in order of first appearance
+	key      []rdf.ID
+	reps     []rdf.ID // group g's representative is reps[g*width:(g+1)*width]
+	accs     []aggAcc // and its accumulators accs[g*len(aggs):(g+1)*len(aggs)]
+	// The SELECT expressions and aggregate ORDER BY conditions (into hidden
+	// variables conds references), aggregates rewritten to aggRefs.
+	cells   []foldCell
+	having  []Expr
+	conds   []OrderCond
+	rows    int          // rows handed to add
+	filters []*runFilter // of the step feeding the fold
+	pass    []int        // rows that reached filters[i]; at len(filters), passed all
 }
 
-// aggregate implements GROUP BY + aggregate evaluation: rows are partitioned
-// by the ID tuple of the group conditions, every aggregate in the
-// projection/HAVING/ORDER BY is computed per group, and HAVING prunes
-// groups. It returns one *extended* solution per surviving group — the
-// group's first row overlaid with the group-condition values, the
-// SELECT-expression values and hidden precomputed values for any
-// aggregate-bearing ORDER BY condition — plus the ORDER BY conditions
-// rewritten to reference those hidden variables. Projection happens later
-// (selectRows), after ORDER BY has seen the extended rows. Groups come out
-// sorted by their N-Triples-rendered key: LIMIT without ORDER BY, the HIFUN
-// path and stable-sort ties all observe that order.
-func (ev *evaluator) aggregate(q *Query, rows *batch) (*batch, []OrderCond, error) {
-	env := exprEnv{ev: ev}
-	work := &batch{width: rows.width}
-	nconds := len(q.GroupBy)
-	// Per condition: the slot a plain variable is read from, and the slot
-	// the key value is written to in the group's row (-1: none).
-	from, to := make([]int, nconds), make([]int, nconds)
+type foldCell struct {
+	expr Expr
+	slot int
+}
+
+// aggSpec is one distinct aggregate of a grouped query.
+type aggSpec struct {
+	ExprAggregate
+	isVar bool // the argument is a plain variable, read from slot (-1: none)
+	slot  int
+	sep   string // GROUP_CONCAT's separator
+}
+
+// aggAcc is one group's accumulator for one aggregate.
+type aggAcc struct {
+	n      int         // values folded
+	isum   int64       // SUM while every value is an integer
+	fsum   float64     // the sum once a value is not
+	float  bool        // fsum is the sum
+	t      rdf.Term    // MIN/MAX's best, SAMPLE's first, SUM/AVG's first non-numeric value
+	concat []byte      // GROUP_CONCAT
+	seen   *tupleIndex // DISTINCT: the values (rows, for COUNT(DISTINCT *)) folded
+}
+
+// aggRef stands in a rewritten expression for aggregate number i: it
+// evaluates to that aggregate's value over the group exprEnv names.
+type aggRef int
+
+func (aggRef) isExpr()          {}
+func (r aggRef) String() string { return "$agg" + strconv.Itoa(int(r)) }
+
+func (ev *evaluator) newGroupFold(q *Query) *groupFold {
+	n := len(q.GroupBy)
+	f := &groupFold{ev: ev, q: q, from: make([]int, n), to: make([]int, n), groups: newTupleIndex(n, 0),
+		key: make([]rdf.ID, n), reps: make([]rdf.ID, 0, 8*ev.sc.width()), conds: slices.Clone(q.OrderBy)}
 	for c, gc := range q.GroupBy {
-		from[c], to[c] = ev.sc.slot(gc.Var), ev.sc.slot(groupCondName(c, gc))
+		f.from[c], f.to[c] = ev.sc.slot(gc.Var), ev.sc.slot(groupCondName(c, gc))
 	}
-	// Partition: number the distinct key tuples. A huge GROUP BY is governed
-	// the same way joins are: the partitioning loop polls for cancellation.
-	groups := newTupleIndex(nconds, 0)
-	key := make([]rdf.ID, nconds)
-	gid := make([]int32, 0, rows.n())    // group of each kept row
-	member := make([]int32, 0, rows.n()) // its row index
-next:
-	for i, n := 0, rows.n(); i < n; i++ {
-		if i%pollEvery == 0 && ev.cancel.poll() {
-			return work, nil, ev.cancel.cause()
+	for _, it := range q.Select.Items {
+		if it.Expr != nil { // a bare variable is already in the representative
+			f.cells = append(f.cells, foldCell{f.ref(it.Expr), ev.sc.slot(it.Var)})
 		}
-		row := rows.row(i)
-		for c, gc := range q.GroupBy {
-			switch {
-			case gc.Expr != nil:
-				v, err := env.evalExpr(gc.Expr, row)
-				if err != nil {
-					continue next // no key, no group
-				}
-				key[c] = ev.dict.id(v)
-			case from[c] >= 0:
-				key[c] = row[from[c]] // 0: grouped under the unbound key
+	}
+	for i, c := range f.conds {
+		if HasAggregate(c.Expr) {
+			f.cells = append(f.cells, foldCell{f.ref(c.Expr), ev.sc.slot(hiddenOrderVar(i))})
+			f.conds[i].Expr = ExprVar{Name: hiddenOrderVar(i)}
+		}
+	}
+	for _, h := range q.Having {
+		f.having = append(f.having, f.ref(h))
+	}
+	f.accs = make([]aggAcc, 0, 8*len(f.aggs)) // room for a few groups, like reps
+	return f
+}
+
+// ref copies the expression with each aggregate replaced by an aggRef.
+func (f *groupFold) ref(e Expr) Expr {
+	refs := func(es []Expr) []Expr {
+		out := make([]Expr, len(es))
+		for i, x := range es {
+			out[i] = f.ref(x)
+		}
+		return out
+	}
+	switch x := e.(type) {
+	case ExprAggregate:
+		i := slices.IndexFunc(f.aggs, func(a aggSpec) bool { return reflect.DeepEqual(a.ExprAggregate, x) })
+		if i < 0 {
+			i, f.aggs = len(f.aggs), append(f.aggs, aggSpec{ExprAggregate: x, slot: -1, sep: cmp.Or(x.Separator, " ")})
+			if v, ok := x.Arg.(ExprVar); ok {
+				f.aggs[i].isVar, f.aggs[i].slot = true, f.ev.sc.slot(v.Name)
 			}
 		}
-		g, _ := groups.add(key)
-		gid = append(gid, int32(g))
-		member = append(member, int32(i))
+		return aggRef(i)
+	case ExprUnary:
+		x.Sub = f.ref(x.Sub)
+		return x
+	case ExprBinary:
+		x.Left, x.Right = f.ref(x.Left), f.ref(x.Right)
+		return x
+	case ExprCall:
+		x.Args = refs(x.Args)
+		return x
+	case ExprIn:
+		x.Left, x.List = f.ref(x.Left), refs(x.List)
+		return x
 	}
+	return e
+}
+
+// feed folds a row the feeding step wrote, if the step's filters hold for it.
+func (f *groupFold) feed(row []rdf.ID) {
+	for i, flt := range f.filters {
+		f.pass[i]++
+		if ok, err := (exprEnv{ev: f.ev}).evalBool(flt.expr, row); err != nil || !ok {
+			return
+		}
+	}
+	f.pass[len(f.filters)]++
+	f.add(row)
+}
+
+// add folds one solution row, polling for cancellation as joins do.
+func (f *groupFold) add(row []rdf.ID) {
+	if f.rows++; f.rows%pollEvery == 0 && f.ev.cancel.poll() {
+		return
+	}
+	for c, gc := range f.q.GroupBy {
+		switch {
+		case gc.Expr != nil:
+			v, err := exprEnv{ev: f.ev}.evalExpr(gc.Expr, row)
+			if err != nil {
+				return // no key, no group
+			}
+			f.key[c] = f.ev.dict.id(v)
+		case f.from[c] >= 0:
+			f.key[c] = row[f.from[c]] // 0: grouped under the unbound key
+		}
+	}
+	g, fresh := f.groups.add(f.key)
+	if fresh { // the representative carries the group's first row under the key
+		f.open(row)
+	}
+	for i := range f.aggs {
+		f.aggs[i].fold(&f.accs[g*len(f.aggs)+i], row, f.ev)
+	}
+}
+
+// open starts a group: a representative and an accumulator per aggregate.
+func (f *groupFold) open(row []rdf.ID) {
+	base := len(f.reps)
+	f.reps = append(f.reps, row...)
+	for c, id := range f.key {
+		if f.to[c] >= 0 && id != 0 {
+			f.reps[base+f.to[c]] = id
+		}
+	}
+	f.accs = append(f.accs, make([]aggAcc, len(f.aggs))...)
+}
+
+// finish returns one extended solution per group HAVING keeps — the
+// representative with the cells' values — and the ORDER BY conditions.
+// Projection comes later (selectRows), after ORDER BY has seen the extended
+// rows. Groups come out sorted by their N-Triples-rendered key: LIMIT without
+// ORDER BY, the HIFUN path and stable-sort ties all observe that order.
+func (f *groupFold) finish() (*batch, []OrderCond, error) {
+	ev, width := f.ev, f.ev.sc.width()
 	// A grouped query with no GROUP BY and no rows still yields one group
 	// (e.g. SELECT (COUNT(*) AS ?n) over an empty match).
-	if nconds == 0 && groups.count == 0 {
-		groups.add(nil)
+	if len(f.key) == 0 && f.groups.count == 0 {
+		f.groups.add(nil)
+		f.open(make([]rdf.ID, width))
 	}
-	// Bucket the kept rows by group, input order within a group.
-	start, byGroup := bucketize(gid, groups.count)
-	for i, k := range byGroup {
-		byGroup[i] = member[k]
-	}
-	// Output order: groups sorted by the rendered key, built once per group.
-	order := make([]int, groups.count)
-	names := make([]string, groups.count)
+	order := make([]int, f.groups.count)
+	names := make([]string, f.groups.count)
 	var sb strings.Builder
 	for g := range order {
 		order[g] = g
 		sb.Reset()
-		for _, id := range groups.tuple(g) {
+		for _, id := range f.groups.tuple(g) {
 			if id != 0 {
 				sb.WriteString(ev.dict.term(id).String())
 			}
@@ -90,74 +206,33 @@ next:
 		names[g] = sb.String()
 	}
 	sort.SliceStable(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
-	// What each group computes: the SELECT expressions and, because ORDER BY
-	// conditions that contain aggregates need the group's rows, which are
-	// gone once grouping finishes, each such condition — into a hidden
-	// variable the rewritten condition references.
-	type cell struct {
-		expr Expr
-		slot int
-	}
-	var cells []cell
-	for _, it := range q.Select.Items {
-		if it.Expr != nil { // a bare variable is already in the representative
-			cells = append(cells, cell{it.Expr, ev.sc.slot(it.Var)})
-		}
-	}
-	conds := slices.Clone(q.OrderBy)
-	for i, c := range conds {
-		if HasAggregate(c.Expr) {
-			conds[i].Expr = ExprVar{Name: hiddenOrderVar(i)}
-			cells = append(cells, cell{c.Expr, ev.sc.slot(hiddenOrderVar(i))})
-		}
-	}
-	// Extend each surviving group's representative row.
-	work.vals = make([]rdf.ID, 0, groups.count*rows.width)
-	rep := make([]rdf.ID, rows.width)
-	// Aggregates evaluate over the group's rows, everything around them over
-	// the representative row.
-	grp := groupRows{rows: rows}
-	genv := exprEnv{ev: ev, grp: &grp}
+	work := newBatch(width, f.groups.count)
+	env := exprEnv{ev: ev, fold: f}
+next:
 	for i, g := range order {
 		if i%256 == 0 && ev.cancel.poll() {
 			return work, nil, ev.cancel.cause()
 		}
-		grp.members = byGroup[start[g]:start[g+1]]
-		// The representative carries the group's first row — variables
-		// constant within the group keep their value — under the key values.
-		clear(rep)
-		if len(grp.members) > 0 {
-			copy(rep, rows.row(int(grp.members[0])))
-		}
-		for c, id := range groups.tuple(g) {
-			if to[c] >= 0 && id != 0 {
-				rep[to[c]] = id
+		env.group = g
+		rep := f.reps[g*width : (g+1)*width]
+		for _, h := range f.having {
+			if ok, err := env.evalBool(h, rep); err != nil || !ok {
+				continue next
 			}
 		}
-		keep := true
-		for _, h := range q.Having {
-			if ok, err := genv.evalBool(h, rep); err != nil || !ok {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		base := len(work.vals)
 		work.vals = append(work.vals, rep...)
-		out := work.vals[base:]
-		for _, c := range cells {
+		out := work.vals[len(work.vals)-width:]
+		for _, c := range f.cells {
 			// An erroring aggregate (e.g. MIN over an empty group, §18.5)
 			// leaves the cell unbound — it must not shadow a same-named
 			// representative variable.
 			out[c.slot] = 0
-			if v, err := genv.evalExpr(c.expr, rep); err == nil {
+			if v, err := env.evalExpr(c.expr, rep); err == nil {
 				out[c.slot] = ev.dict.id(v)
 			}
 		}
 	}
-	return work, conds, nil
+	return work, f.conds, nil
 }
 
 func groupCondName(i int, gc GroupCond) string {
@@ -180,182 +255,121 @@ func groupCondName(i int, gc GroupCond) string {
 	return ""
 }
 
-// aggValues folds over the aggregate's argument column: fn sees, in row
-// order, the value of every row of the group that has one (unbound and
-// erroring rows are skipped, §18.5), once per distinct value under DISTINCT.
-// A plain-variable argument is read as an ID and decoded only when
-// wantTerms; equal terms have equal IDs, so DISTINCT is an ID set.
-func (ev *evaluator) aggValues(agg ExprAggregate, grp groupRows, wantTerms bool, fn func(rdf.Term)) {
-	env := exprEnv{ev: ev}
-	slot, isVar := -1, false
-	if v, ok := agg.Arg.(ExprVar); ok {
-		slot, isVar = ev.sc.slot(v.Name), true
-	}
-	var seen *tupleIndex
-	if agg.Distinct {
-		seen = newTupleIndex(1, 0)
-	}
+// fold adds the row's value to the accumulator. Unbound and erroring values
+// are skipped (§18.5), and under DISTINCT a value folded before. A plain
+// variable is read as an ID and decoded only for a function that needs the
+// term; equal terms have equal IDs, so DISTINCT is an ID set.
+func (a *aggSpec) fold(acc *aggAcc, row []rdf.ID, ev *evaluator) {
 	var key [1]rdf.ID
-	for _, r := range grp.members {
-		row := grp.rows.row(int(r))
-		var t rdf.Term
-		if isVar {
-			if slot < 0 || row[slot] == 0 {
-				continue
-			}
-			key[0] = row[slot]
-		} else {
-			v, err := env.evalExpr(agg.Arg, row)
-			if err != nil {
-				continue
-			}
-			if t = v; seen != nil {
-				key[0] = ev.dict.id(v)
+	var v rdf.Term
+	switch {
+	case a.Star:
+		// COUNT(DISTINCT *) counts distinct solutions (§18.5.1.2): ID rows.
+		if !a.Distinct || acc.fresh(row) {
+			acc.n++
+		}
+		return
+	case a.isVar:
+		if a.slot < 0 || row[a.slot] == 0 {
+			return
+		}
+		key[0] = row[a.slot]
+	default:
+		t, err := exprEnv{ev: ev}.evalExpr(a.Arg, row)
+		if err != nil {
+			return
+		}
+		if v = t; a.Distinct {
+			key[0] = ev.dict.id(t)
+		}
+	}
+	if a.Distinct && !acc.fresh(key[:]) {
+		return
+	}
+	if a.isVar && a.Func != "COUNT" {
+		v = ev.dict.term(key[0])
+	}
+	switch a.Func {
+	case "COUNT":
+		acc.n++
+	case "SUM", "AVG":
+		f, ok := v.Float()
+		if !ok {
+			acc.t = cmp.Or(acc.t, v) // the first non-numeric value: an error
+			return
+		}
+		// An all-integer SUM stays in int64 (float64 loses precision past
+		// 2^53) until a non-integer value promotes it to xsd:decimal, §18.5.1.3.
+		if acc.n++; a.Func == "SUM" && !acc.float && v.Datatype == rdf.XSDInteger {
+			if i, okI := v.Int(); okI {
+				acc.isum += i
+				return
 			}
 		}
-		if seen != nil {
-			if _, fresh := seen.add(key[:]); !fresh {
-				continue
+		if !acc.float {
+			acc.float, acc.fsum = true, float64(acc.isum)
+		}
+		acc.fsum += f
+	case "MIN", "MAX":
+		if acc.n++; acc.n == 1 {
+			acc.t = v
+			return
+		}
+		c, err := compareTerms(v, acc.t)
+		if err != nil { // fall back to term order for mixed types
+			if c = 1; v.Less(acc.t) {
+				c = -1
 			}
 		}
-		if isVar && wantTerms {
-			t = ev.dict.term(key[0])
+		if (a.Func == "MIN" && c < 0) || (a.Func == "MAX" && c > 0) {
+			acc.t = v
 		}
-		fn(t)
+	case "SAMPLE":
+		if acc.n++; acc.n == 1 {
+			acc.t = v
+		}
+	case "GROUP_CONCAT":
+		if acc.n++; acc.n > 1 {
+			acc.concat = append(acc.concat, a.sep...)
+		}
+		acc.concat = append(acc.concat, v.Value...)
 	}
 }
 
-// computeAggregate evaluates one aggregate over the group's rows.
-func (ev *evaluator) computeAggregate(agg ExprAggregate, grp groupRows) (rdf.Term, error) {
-	if agg.Star {
-		if agg.Func != "COUNT" {
-			return rdf.Term{}, evalErrf("%s(*) is not defined", agg.Func)
-		}
-		n := len(grp.members)
-		if agg.Distinct {
-			// The number of distinct solutions (§18.5.1.2): distinct ID rows.
-			seen := newTupleIndex(grp.rows.width, n)
-			for _, r := range grp.members {
-				seen.add(grp.rows.row(int(r)))
-			}
-			n = seen.count
-		}
-		return rdf.NewInteger(int64(n)), nil
+// fresh reports whether the accumulator meets the tuple for the first time.
+func (acc *aggAcc) fresh(tuple []rdf.ID) bool {
+	if acc.seen == nil {
+		acc.seen = newTupleIndex(len(tuple), 0)
 	}
-	switch agg.Func {
-	case "COUNT":
-		n := 0
-		ev.aggValues(agg, grp, false, func(rdf.Term) { n++ })
-		return rdf.NewInteger(int64(n)), nil
-	case "SUM":
-		// All-integer groups accumulate in int64: going through float64 and
-		// casting back silently loses precision past 2^53. The accumulator
-		// switches to float64 only when a non-integer value appears (numeric
-		// promotion to xsd:decimal, §18.5.1.3).
-		var isum int64
-		fsum := 0.0
-		allInt := true
-		var bad rdf.Term // first non-numeric value
-		ev.aggValues(agg, grp, true, func(v rdf.Term) {
-			f, ok := v.Float()
-			if !ok {
-				if bad.IsZero() {
-					bad = v
-				}
-				return
-			}
-			if allInt && v.Datatype == rdf.XSDInteger {
-				if i, okI := v.Int(); okI {
-					isum += i
-					return
-				}
-			}
-			if allInt {
-				allInt = false
-				fsum = float64(isum)
-			}
-			fsum += f
-		})
-		if !bad.IsZero() {
-			return rdf.Term{}, evalErrf("SUM over non-numeric %s", bad)
-		}
-		if allInt {
-			return rdf.NewInteger(isum), nil
-		}
-		return rdf.NewDecimal(fsum), nil
-	case "AVG":
-		sum, n := 0.0, 0
-		var bad rdf.Term // first non-numeric value
-		ev.aggValues(agg, grp, true, func(v rdf.Term) {
-			f, ok := v.Float()
-			if !ok && bad.IsZero() {
-				bad = v
-			}
-			sum += f
-			n++
-		})
-		if !bad.IsZero() {
-			return rdf.Term{}, evalErrf("AVG over non-numeric %s", bad)
-		}
-		if n == 0 {
-			return rdf.NewInteger(0), nil
-		}
-		return rdf.NewDecimal(sum / float64(n)), nil
-	case "MIN", "MAX":
-		var best rdf.Term
-		n := 0
-		ev.aggValues(agg, grp, true, func(v rdf.Term) {
-			if n++; n == 1 {
-				best = v
-				return
-			}
-			c, err := compareTerms(v, best)
-			if err != nil {
-				// fall back to term order for mixed types
-				if v.Less(best) {
-					c = -1
-				} else {
-					c = 1
-				}
-			}
-			if (agg.Func == "MIN" && c < 0) || (agg.Func == "MAX" && c > 0) {
-				best = v
-			}
-		})
-		if n == 0 {
-			// Per §18.5 the aggregate errors on an empty group; callers map
-			// the wrapped errEval to an unbound cell (aggregate), never to a
-			// query-level failure.
-			return rdf.Term{}, evalErrf("%s of empty group", agg.Func)
-		}
-		return best, nil
-	case "SAMPLE":
-		var first rdf.Term
-		n := 0
-		ev.aggValues(agg, grp, true, func(v rdf.Term) {
-			if n++; n == 1 {
-				first = v
-			}
-		})
-		if n == 0 {
-			return rdf.Term{}, evalErrf("SAMPLE of empty group")
-		}
-		return first, nil
-	case "GROUP_CONCAT":
-		sep := agg.Separator
-		if sep == "" {
-			sep = " "
-		}
-		var sb strings.Builder
-		n := 0
-		ev.aggValues(agg, grp, true, func(v rdf.Term) {
-			if n++; n > 1 {
-				sb.WriteString(sep)
-			}
-			sb.WriteString(v.Value)
-		})
-		return rdf.NewString(sb.String()), nil
-	default:
-		return rdf.Term{}, evalErrf("unknown aggregate %s", agg.Func)
+	_, fresh := acc.seen.add(tuple)
+	return fresh
+}
+
+// result is the aggregate's value over the group. An error leaves the cell
+// unbound (aggregate), never fails the query.
+func (a *aggSpec) result(acc *aggAcc) (rdf.Term, error) {
+	switch {
+	case a.Star && a.Func != "COUNT":
+		return rdf.Term{}, evalErrf("%s(*) is not defined", a.Func)
+	case a.Func == "COUNT":
+		return rdf.NewInteger(int64(acc.n)), nil
+	case (a.Func == "SUM" || a.Func == "AVG") && !acc.t.IsZero():
+		return rdf.Term{}, evalErrf("%s over non-numeric %s", a.Func, acc.t)
+	case a.Func == "SUM" && acc.float:
+		return rdf.NewDecimal(acc.fsum), nil
+	case a.Func == "SUM":
+		return rdf.NewInteger(acc.isum), nil
+	case a.Func == "AVG" && acc.n == 0:
+		return rdf.NewInteger(0), nil
+	case a.Func == "AVG":
+		return rdf.NewDecimal(acc.fsum / float64(acc.n)), nil
+	case a.Func == "GROUP_CONCAT":
+		return rdf.NewString(string(acc.concat)), nil
+	case a.Func != "MIN" && a.Func != "MAX" && a.Func != "SAMPLE":
+		return rdf.Term{}, evalErrf("unknown aggregate %s", a.Func)
+	case acc.n == 0:
+		// Per §18.5 the aggregate errors on an empty group.
+		return rdf.Term{}, evalErrf("%s of empty group", a.Func)
 	}
+	return acc.t, nil
 }

@@ -301,10 +301,13 @@ func TestKilledStepHandsBackItsBlocks(t *testing.T) {
 	}
 }
 
-// TestHashBuildMatchesReference: the build side holds every match of the
-// pattern once, and a key's chain is its matches in MatchIDs order — with
-// duplicate keys, a repeated variable, no join variable (a cross product), two
-// of them, and a scan that finds more than the count the build was sized by.
+// TestHashBuildMatchesReference: the build side keeps of each match only what
+// a probe reads. With free positions, a key's chain holds its matches' IDs at
+// those positions, in MatchIDs order; with none, the key holds its match
+// count and nothing else. Covered: duplicate keys, a repeated variable, no
+// join variable (a cross product), two of them, a pattern whose other
+// variable has no slot, and a scan that finds more than the count the build
+// was sized by.
 func TestHashBuildMatchesReference(t *testing.T) {
 	var ts []rdf.Triple
 	for i := 0; i < 400; i++ {
@@ -317,15 +320,17 @@ func TestHashBuildMatchesReference(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddAll(ts)
 	for _, c := range []struct {
-		name, pattern string
-		joinPos       []int
+		name, pattern    string
+		joinPos, freePos []int
 	}{
-		{"duplicate keys", "?s <http://e/p> ?o", []int{0}},
-		{"keyed by object", "?s <http://e/p> ?o", []int{2}},
-		{"two join variables", "?s <http://e/p> ?o", []int{0, 2}},
-		{"cross product", "?s <http://e/p> ?o", nil},
-		{"repeated variable", "?x <http://e/p> ?x", []int{0}},
-		{"repeated variable, cross product", "?x <http://e/p> ?x", nil},
+		{"duplicate keys", "?s <http://e/p> ?o", []int{0}, []int{2}},
+		{"keyed by object", "?s <http://e/p> ?o", []int{2}, []int{0}},
+		{"two join variables", "?s <http://e/p> ?o", []int{0, 2}, nil},
+		{"object without a slot", "?s <http://e/p> ?o", []int{0}, nil},
+		{"cross product", "?s <http://e/p> ?o", nil, []int{0, 2}},
+		{"cross product, nothing free", "?s <http://e/p> ?o", nil, nil},
+		{"repeated variable", "?x <http://e/p> ?x", []int{0}, nil},
+		{"repeated variable, cross product", "?x <http://e/p> ?x", nil, []int{0}},
 	} {
 		q := MustParse("SELECT * WHERE { " + c.pattern + " }")
 		for _, late := range []int{0, 300} {
@@ -339,9 +344,9 @@ func TestHashBuildMatchesReference(t *testing.T) {
 				g.Add(rdf.NewTriple(s, e("p"), s))
 			}
 			label := fmt.Sprintf("%s, %d late inserts", c.name, late)
-			ht := ev.buildHashRun(pp, c.joinPos, nil)
-			if repeated := pp.slot[0] == pp.slot[2]; late > 0 && !repeated && len(ht.matches) <= pp.baseEst {
-				t.Fatalf("%s: the scan found %d matches, no more than the %d the build was sized by", label, len(ht.matches), pp.baseEst)
+			ht := ev.buildHashRun(pp, c.joinPos, c.freePos)
+			if repeated := pp.slot[0] == pp.slot[2]; late > 0 && !repeated && hashMatches(ht) <= pp.baseEst {
+				t.Fatalf("%s: the scan found %d matches, no more than the %d the build was sized by", label, hashMatches(ht), pp.baseEst)
 			}
 			checkHashRun(t, label, g, pp, ht, true)
 		}
@@ -367,59 +372,100 @@ func TestHashBuildMatchesReference(t *testing.T) {
 		ev := newEvaluator(context.Background(), g, Options{})
 		ev.sc = selectScope(q)
 		pp := &ev.planRun([]*TriplePattern{q.Where.Elems[0].Triple}).pats[0]
-		checkHashRun(t, "racing inserts", g, pp, ev.buildHashRun(pp, []int{0}, nil), false)
+		checkHashRun(t, "racing inserts", g, pp, ev.buildHashRun(pp, []int{0}, []int{2}), false)
+		checkHashRun(t, "racing inserts, nothing free", g, pp, ev.buildHashRun(pp, []int{0}, nil), false)
 	}
 	close(stop)
 	wg.Wait()
 }
 
-// checkHashRun holds a build side to its invariants — every match in exactly
-// one chain, under its own key, chains in scan order — and, when the graph is
-// quiescent, to the pattern's matches as MatchIDs enumerates them now.
+// hashMatches is the number of matches a build side holds.
+func hashMatches(ht *hashRun) int {
+	if len(ht.freePos) > 0 {
+		return len(ht.next)
+	}
+	n := 0
+	for _, c := range ht.count {
+		n += int(c)
+	}
+	return n
+}
+
+// checkHashRun holds a build side to its invariants — with free positions
+// every match in exactly one chain, chains in scan order, their IDs and
+// nothing else stored; without, a positive count per key and no match stored
+// — and, when the graph is quiescent, to the pattern's matches as MatchIDs
+// enumerates them now: per key the free-position IDs in that order, or their
+// number.
 func checkHashRun(t *testing.T, label string, g *rdf.Graph, pp *patPlan, ht *hashRun, quiescent bool) {
 	t.Helper()
-	keyOf := func(m [3]rdf.ID) (key [3]rdf.ID) {
-		for k, pos := range ht.joinPos {
-			key[k] = m[pos]
+	nf := len(ht.freePos)
+	got := map[[3]rdf.ID][]rdf.ID{} // key -> free IDs of its matches, or its count
+	if nf == 0 {
+		if ht.free != nil || ht.next != nil || ht.last != nil || len(ht.count) != ht.keys.count {
+			t.Fatalf("%s: no free position, yet %d free IDs, %d chain links and %d counts for %d keys", label, len(ht.free), len(ht.next), len(ht.count), ht.keys.count)
 		}
-		return key
-	}
-	chained := 0
-	got := map[[3]rdf.ID][][3]rdf.ID{}
-	for b := 0; b < ht.keys.count; b++ {
-		var key [3]rdf.ID
-		copy(key[:], ht.keys.tuple(b))
-		last, prev := ht.last[b], int32(-1)
-		for i := ht.next[last]; ; i = ht.next[i] {
-			if i <= prev {
-				t.Fatalf("%s: bucket %d chains match %d after match %d", label, b, i, prev)
+		for b, n := range ht.count {
+			if n <= 0 {
+				t.Fatalf("%s: key %d counts %d matches", label, b, n)
 			}
-			if keyOf(ht.matches[i]) != key {
-				t.Fatalf("%s: match %v chained under key %v", label, ht.matches[i], key)
-			}
-			got[key] = append(got[key], ht.matches[i])
-			prev = i
-			chained++
-			if i == last {
-				break
+			var key [3]rdf.ID
+			copy(key[:], ht.keys.tuple(b))
+			got[key] = []rdf.ID{rdf.ID(n)}
+		}
+	} else {
+		if ht.count != nil || len(ht.free) != nf*len(ht.next) || len(ht.last) != ht.keys.count {
+			t.Fatalf("%s: %d free IDs for %d matches of %d free positions, %d chains for %d keys, %d counts",
+				label, len(ht.free), len(ht.next), nf, len(ht.last), ht.keys.count, len(ht.count))
+		}
+		chained := 0
+		for b := 0; b < ht.keys.count; b++ {
+			var key [3]rdf.ID
+			copy(key[:], ht.keys.tuple(b))
+			last, prev := ht.last[b], int32(-1)
+			for i := ht.next[last]; ; i = ht.next[i] {
+				if i <= prev {
+					t.Fatalf("%s: bucket %d chains match %d after match %d", label, b, i, prev)
+				}
+				got[key] = append(got[key], ht.free[int(i)*nf:int(i+1)*nf]...)
+				prev = i
+				chained++
+				if i == last {
+					break
+				}
 			}
 		}
-	}
-	if chained != len(ht.matches) {
-		t.Fatalf("%s: %d matches, %d of them in a chain", label, len(ht.matches), chained)
+		if chained != len(ht.next) {
+			t.Fatalf("%s: %d matches, %d of them in a chain", label, len(ht.next), chained)
+		}
 	}
 	if !quiescent {
 		return
 	}
-	want := map[[3]rdf.ID][][3]rdf.ID{}
+	want := map[[3]rdf.ID][]rdf.ID{}
 	g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
-		if m := [3]rdf.ID{s, p, o}; !pp.sameVarDiffers([3]rdf.ID{}, m) {
-			want[keyOf(m)] = append(want[keyOf(m)], m)
+		m := [3]rdf.ID{s, p, o}
+		if pp.sameVarDiffers([3]rdf.ID{}, m) {
+			return true
+		}
+		var key [3]rdf.ID
+		for k, pos := range ht.joinPos {
+			key[k] = m[pos]
+		}
+		if nf == 0 {
+			if want[key] == nil {
+				want[key] = []rdf.ID{0}
+			}
+			want[key][0]++
+			return true
+		}
+		for _, pos := range ht.freePos {
+			want[key] = append(want[key], m[pos])
 		}
 		return true
 	})
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: chains differ from the pattern's matches in MatchIDs order (%d keys built, %d expected)", label, len(got), len(want))
+		t.Errorf("%s: the build side differs from the pattern's matches in MatchIDs order (%d keys built, %d expected)", label, len(got), len(want))
 	}
 }
 

@@ -60,6 +60,8 @@ type evaluator struct {
 	// join on the predicate alone keeps the index loop's order (evalPattern).
 	inBody   bool
 	optional func(ev *evaluator, opt *GroupPattern, input *batch) *batch // evalOptional, or a test's reference
+	// fold is offered by selectRows to the WHERE's evalGroup, which takes it.
+	fold *groupFold
 }
 
 // overBudget checks an intermediate row set against the row
@@ -386,19 +388,28 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	saved, inBody := ev.sc, ev.inBody
 	ev.sc, ev.inBody = selectScope(q), false
 	defer func() { ev.sc, ev.inBody = saved, inBody }()
+	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 ||
+		slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return HasAggregate(it.Expr) })
+	var fold *groupFold // the WHERE may feed it its last join step; the rest is folded below
+	if grouped {
+		fold = ev.newGroupFold(q)
+		ev.fold = fold
+	}
 	t0 := time.Now()
 	ms := ev.enterSpan("match")
 	pm, pmt := ev.profEnter("match", "")
 	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
-	ev.profExit(pm, pmt, 1, rows.n())
-	ms.SetAttr("rows", rows.n())
+	matched := rows.n()
+	if fold != nil {
+		matched += fold.rows
+	}
+	ev.profExit(pm, pmt, 1, matched)
+	ms.SetAttr("rows", matched)
 	ev.exitSpan(ms)
 	observeSince(phaseMatch, t0)
 	if err := ev.cancel.cause(); err != nil {
 		return nil, nil, err
 	}
-	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 ||
-		slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return HasAggregate(it.Expr) })
 	// The modifier pipeline follows SPARQL 1.1 §18.2.4: the solution
 	// sequence is first extended with the SELECT-expression values (grouping
 	// and aggregation produce one extended solution per group), then ORDER BY
@@ -413,8 +424,11 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		as := ev.enterSpan("aggregate")
 		as.SetAttr("groupBy", len(q.GroupBy))
 		pa, pat := ev.profEnter("aggregate", "")
-		work, order, err = ev.aggregate(q, rows)
-		ev.profExit(pa, pat, rows.n(), work.n())
+		for i, n := 0, rows.n(); i < n; i++ {
+			fold.add(rows.row(i))
+		}
+		work, order, err = fold.finish()
+		ev.profExit(pa, pat, fold.rows, work.n())
 		ev.exitSpan(as)
 		observeSince(phaseAggregate, t1)
 	} else {
@@ -462,6 +476,8 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 // group is still being built). The input batch is never modified. credit is
 // the enclosing group's estBound, which a group nested in a body starts from.
 func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string]bool) *batch {
+	fold := ev.fold
+	ev.fold = nil
 	cur := input
 	empty := &batch{width: input.width}
 	// Variables surely bound so far (input rows may bind more per-row, but
@@ -519,7 +535,11 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 			for _, tp := range triples {
 				bind(tp.Vars()...)
 			}
-			cur = ev.evalTripleRun(triples, takeReady(filters, bound), preSure, preEst, cur)
+			pushed, into := takeReady(filters, bound), fold
+			if walk.i < len(walk.elems) || len(walk.rest) > 0 || slices.ContainsFunc(filters, func(f *groupFilter) bool { return !f.applied }) {
+				into = nil // only the last element, with every filter placed, feeds the fold
+			}
+			cur = ev.evalTripleRun(triples, pushed, preSure, preEst, cur, into)
 		case elem.Optional != nil:
 			cur = ev.optional(ev, elem.Optional, cur)
 			// OPTIONAL binds nothing surely.

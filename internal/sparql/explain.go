@@ -61,19 +61,13 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 // results are computed and discarded; profiling never changes them (see
 // TestProfileDifferential).
 func ExplainAnalyze(g *rdf.Graph, src string, opts Options) (string, error) {
-	return ExplainAnalyzeCtx(context.Background(), g, src, opts)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under a context (see ExecSelectCtx
-// for cancellation/limit semantics).
-func ExplainAnalyzeCtx(ctx context.Context, g *rdf.Graph, src string, opts Options) (string, error) {
 	q, err := parseForm(src, FormSelect, "EXPLAIN ANALYZE supports SELECT queries")
 	if err != nil {
 		return "", err
 	}
 	prof := NewProfile("query")
 	opts.Profile = prof
-	if _, err := ExecSelectCtx(ctx, g, q, opts); err != nil {
+	if _, err := ExecSelectOpts(g, q, opts); err != nil {
 		return "", err
 	}
 	return prof.Tree(), nil

@@ -108,3 +108,37 @@ func TestExplainPricesOptionalBodyAsRun(t *testing.T) {
 		t.Errorf("EXPLAIN's body:\n  %s\nexecuted:\n  %s\n%s", strings.Join(explained, "\n  "), strings.Join(executed, "\n  "), plan)
 	}
 }
+
+// TestExplainAnalyzeShowsTheFold: EXPLAIN ANALYZE of a grouped star query
+// marks the one scan whose rows went straight to the group fold, next to its
+// join type; with an OPTIONAL in the WHERE the fold reads a batch and no line
+// is marked.
+func TestExplainAnalyzeShowsTheFold(t *testing.T) {
+	g := invoices(t)
+	for _, c := range []struct {
+		where string
+		marks int
+	}{
+		{`?i ex:takesPlaceAt ?b . ?i ex:inQuantity ?q . FILTER(?q > 10)`, 1},
+		{`?i ex:takesPlaceAt ?b . ?i ex:inQuantity ?q . OPTIONAL { ?i ex:delivers ?x }`, 0},
+	} {
+		out, err := ExplainAnalyze(g, `PREFIX ex: <http://e/> SELECT ?b (SUM(?q) AS ?t) WHERE { `+c.where+` } GROUP BY ?b`, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var marked []string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "[fold]") {
+				marked = append(marked, line)
+			}
+		}
+		if len(marked) != c.marks {
+			t.Fatalf("%s: %d lines marked [fold], want %d:\n%s", c.where, len(marked), c.marks, out)
+		}
+		for _, line := range marked {
+			if !strings.HasPrefix(strings.TrimSpace(line), "scan ") || !strings.Contains(line, "] [fold]") {
+				t.Errorf("%s: [fold] is not on a scan line, next to its join type: %q", c.where, line)
+			}
+		}
+	}
+}

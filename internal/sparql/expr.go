@@ -29,9 +29,10 @@ var errUnbound = fmt.Errorf("%w: unbound variable", errEval)
 // decoded), and which matches the pattern of an EXISTS.
 type exprEnv struct {
 	ev *evaluator
-	// grp, when set, is the group an aggregate in the expression folds over
-	// (HAVING, SELECT and ORDER BY expressions of a grouped query).
-	grp *groupRows
+	// fold and group, for the SELECT, HAVING and ORDER BY expressions of a
+	// grouped query, are the group whose aggregates its aggRefs read.
+	fold  *groupFold
+	group int
 }
 
 // evalExpr evaluates an expression against a solution row. Returned errors
@@ -56,11 +57,10 @@ func (env exprEnv) evalExpr(e Expr, row []rdf.ID) (rdf.Term, error) {
 		return env.evalIn(x, row)
 	case ExprExists:
 		return env.evalExists(x, row)
+	case aggRef:
+		return env.fold.aggs[x].result(&env.fold.accs[env.group*len(env.fold.aggs)+int(x)])
 	case ExprAggregate:
-		if env.grp == nil {
-			return rdf.Term{}, evalErrf("aggregate %s outside grouping context", x.Func)
-		}
-		return env.ev.computeAggregate(x, *env.grp)
+		return rdf.Term{}, evalErrf("aggregate %s outside grouping context", x.Func)
 	default:
 		return rdf.Term{}, evalErrf("unknown expression %T", e)
 	}
@@ -395,14 +395,16 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 		}
 		return arg(2)
 	}
-	// Strict builtins: evaluate all arguments first.
-	args := make([]rdf.Term, len(x.Args))
+	// Strict builtins: evaluate all arguments first, into an array on the
+	// stack for the usual arities.
+	var buf [3]rdf.Term
+	args := buf[:0]
 	for i := range x.Args {
 		t, err := arg(i)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		args[i] = t
+		args = append(args, t)
 	}
 	switch name {
 	case "STR":

@@ -217,19 +217,3 @@ func (f *FeedbackStore) Stats() FeedbackStats {
 	}
 	return st
 }
-
-// SeededFingerprints returns the set of fingerprint IDs currently holding
-// valid seeded estimates (used by the dashboard to mark feedback-seeded
-// rows). Nil-safe.
-func (f *FeedbackStore) SeededFingerprints() map[string]bool {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]bool, len(f.byFP))
-	for k := range f.byFP {
-		out[k] = true
-	}
-	return out
-}

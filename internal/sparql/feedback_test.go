@@ -49,13 +49,10 @@ func TestFeedbackStoreBasics(t *testing.T) {
 	if st.Fingerprints != 1 || st.Seeds != 1 || st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 fingerprint, 1 seed, 2 hits, 1 miss", st)
 	}
-	if !fb.SeededFingerprints()["fp1"] {
-		t.Fatal("fp1 missing from SeededFingerprints")
-	}
 
 	var nilFB *FeedbackStore
 	nilFB.Observe("fp", 1, []EstimateStat{scanEst("scan", "x", 1)})
-	if nilFB.SiteActuals("fp", 1) != nil || nilFB.SeededFingerprints() != nil {
+	if nilFB.SiteActuals("fp", 1) != nil {
 		t.Fatal("nil store must be a no-op")
 	}
 	if (nilFB.Stats() != FeedbackStats{}) {

@@ -122,8 +122,8 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 // crossed with the deterministic MatchIDs enumeration order per pattern.
 // filters are the pushed-down filter expressions the plan places inside the
 // run; sureOutside names the variables surely bound before the run, estBound
-// the variables bound for estimation purposes.
-func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch) *batch {
+// the variables bound for estimation purposes. A fold takes the last step's rows.
+func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch, fold *groupFold) *batch {
 	bs := ev.enterSpan("bgp")
 	if bs != nil {
 		bs.SetAttr("patterns", len(run))
@@ -131,10 +131,14 @@ func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, s
 		bs.SetAttr("workers", ev.workers)
 	}
 	pb, pbt := ev.profEnter("bgp", "")
-	out := ev.runTriples(run, filters, sureOutside, estBound, input)
-	ev.profExit(pb, pbt, input.n(), out.n())
+	out := ev.runTriples(run, filters, sureOutside, estBound, input, fold)
+	n := out.n()
+	if fold != nil {
+		n = fold.rows
+	}
+	ev.profExit(pb, pbt, input.n(), n)
 	if bs != nil {
-		bs.SetAttr("rows_out", out.n())
+		bs.SetAttr("rows_out", n)
 	}
 	ev.exitSpan(bs)
 	return out
@@ -142,7 +146,7 @@ func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, s
 
 // runTriples plans the run and executes the plan step by step. An aborted
 // evaluation returns no rows.
-func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, rows *batch) *batch {
+func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, rows *batch, into *groupFold) *batch {
 	if rows.n() == 0 {
 		return rows
 	}
@@ -175,7 +179,18 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 			break
 		}
 		step := &plan.steps[si]
-		rows = ev.evalPattern(run[step.pat], &rp.pats[step.pat], rows, step)
+		var fold *groupFold // the last step writes into it, through its in-run filters
+		if si == len(plan.steps)-1 && into != nil {
+			fold, into.filters, into.pass = into, step.filters, make([]int, len(step.filters)+1)
+		}
+		rows = ev.evalPattern(run[step.pat], &rp.pats[step.pat], rows, step, fold)
+		for i := 0; fold != nil && i < len(step.filters); i++ {
+			pf, pft := ev.profEnter("filter", ev.profLabel(step.filters[i].expr))
+			ev.profExit(pf, pft, fold.pass[i], fold.pass[i+1])
+		}
+		if fold != nil {
+			break
+		}
 		scanOut := rows.n()
 		for _, f := range step.filters {
 			if rows.n() == 0 {
@@ -261,8 +276,8 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // label the trace span. The join type is decided here, from the live row
 // count — the plan only predicted one from its estimate. step.card is the
 // estimate the profile's q-error measures against — the feedback actual on a
-// seeded scan, the graph count otherwise.
-func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep) *batch {
+// seeded scan, the graph count otherwise. A fold takes the rows instead.
+func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep, fold *groupFold) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
 	seen := [3]bool{}
@@ -312,7 +327,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	// the feedback-observed actual on a seeded scan — so q-error measures
 	// the planner's own input either way.
 	ev.prof.addEst(step.card)
-	ev.prof.setStrategy(strategy.String())
+	ev.prof.setStrategy(strategy.String(), fold != nil)
 	ev.prof.setFbCtx(step.fbCtx)
 	if step.fbSeeded {
 		ev.prof.setFeedback()
@@ -325,10 +340,10 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	if strategy == strategyHashJoin {
 		ht = ev.buildHashRun(pp, joinPos, freePos)
 	}
-	out := ev.runPartitioned(pp, ht, rows)
-	ev.profExit(psc, psct, rows.n(), out.n())
+	out, produced := ev.runPartitioned(pp, ht, rows, fold)
+	ev.profExit(psc, psct, rows.n(), produced)
 	if ss != nil {
-		ss.SetAttr("rows_out", out.n())
+		ss.SetAttr("rows_out", produced)
 		ss.Finish()
 	}
 	return out
@@ -337,14 +352,13 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 // runPartitioned splits the rows into contiguous chunks, joins each with the
 // pattern (concurrently when the batch is large enough) through a writer of
 // its own — probing ht, or with one index lookup per row when there is none —
-// and copies what the chunks wrote, in input order, into one batch of exactly
-// that size.
-func (ev *evaluator) runPartitioned(pp *patPlan, ht *hashRun, rows *batch) *batch {
+// and collects what the chunks wrote, in input order.
+func (ev *evaluator) runPartitioned(pp *patPlan, ht *hashRun, rows *batch, fold *groupFold) (*batch, int) {
 	n := rows.n()
 	if ev.workers <= 1 || n < parallelThreshold {
 		w := rowWriter{width: rows.width}
 		ev.joinRange(pp, ht, rows, 0, n, &w)
-		return w.batch()
+		return collect(rows.width, fold, &w)
 	}
 	chunks := par.Chunks(n, ev.workers)
 	parts := make([]*rowWriter, len(chunks))
@@ -353,15 +367,27 @@ func (ev *evaluator) runPartitioned(pp *patPlan, ht *hashRun, rows *batch) *batc
 		parts[i] = &rowWriter{width: rows.width}
 		ev.joinRange(pp, ht, rows, chunks[i][0], chunks[i][1], parts[i])
 	})
+	return collect(rows.width, fold, parts...)
+}
+
+// collect copies the rows the partitions wrote, in order, into one batch of
+// exactly their number, or hands them to the fold; it says how many there were.
+func collect(width int, fold *groupFold, parts ...*rowWriter) (*batch, int) {
 	total := 0
 	for _, p := range parts {
 		total += p.rows
 	}
-	out := newBatch(rows.width, total)
+	if fold != nil {
+		for _, p := range parts {
+			p.drainRows(fold.feed)
+		}
+		return &batch{width: width}, total
+	}
+	out := newBatch(width, total)
 	for _, p := range parts {
 		p.drainTo(out)
 	}
-	return out
+	return out, total
 }
 
 // joinRange joins rows [lo, hi) with the pattern, writing to w.
@@ -437,32 +463,32 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int, w *rowW
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }
 
-// hashRun is the build side of a hash join: every match of the pattern
-// (constants only), kept once, in scan order, and chained by the IDs at the
-// join-variable positions. A bucket's chain keeps MatchIDs' deterministic
-// scan order, and the table allocates nothing per key.
+// hashRun is the build side of a hash join: the pattern's matches (constants
+// only), bucketed by their IDs at the join positions, keeping what a probe
+// reads — IDs at the free positions, chained per bucket in MatchIDs' scan
+// order, or with no free position just a count per bucket (a variable
+// without a slot still repeats a row). Nothing is allocated per key.
 type hashRun struct {
 	// joinPos and freePos are the pattern positions (the first, of a repeated
 	// variable) every input row binds and no input row binds.
 	joinPos, freePos []int
 	keys             *tupleIndex // join-key tuple -> bucket number
-	matches          [][3]rdf.ID
+	free             []rdf.ID    // match i's free IDs are free[i*len(freePos):]
 	// Bucket b is a circular chain through next: last[b] is its last match
-	// and next[last[b]] its first.
-	last, next []int32
+	// and next[last[b]] its first. Without a free position, count[b] is all.
+	last, next, count []int32
 }
 
 // buildHashRun scans the pattern once, chaining each match behind the last
 // one with its join key. The pattern's count sizes everything up front; a
 // scan that finds more (triples inserted since the count) grows by append.
 func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun {
-	ht := &hashRun{
-		joinPos: joinPos,
-		freePos: freePos,
-		keys:    newTupleIndex(len(joinPos), pp.baseEst),
-		matches: make([][3]rdf.ID, 0, pp.baseEst),
-		last:    make([]int32, 0, pp.baseEst),
-		next:    make([]int32, 0, pp.baseEst),
+	nf := len(freePos)
+	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), pp.baseEst)}
+	if nf == 0 {
+		ht.count = make([]int32, 0, pp.baseEst)
+	} else {
+		ht.free, ht.last, ht.next = make([]rdf.ID, 0, pp.baseEst*nf), make([]int32, 0, pp.baseEst), make([]int32, 0, pp.baseEst)
 	}
 	scanned := 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
@@ -478,9 +504,19 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 		for k, posI := range joinPos {
 			key[k] = m[posI]
 		}
-		i := int32(len(ht.matches))
-		ht.matches = append(ht.matches, m)
-		if b, fresh := ht.keys.add(key[:len(joinPos)]); fresh {
+		b, fresh := ht.keys.add(key[:len(joinPos)])
+		if nf == 0 {
+			if fresh {
+				ht.count = append(ht.count, 0)
+			}
+			ht.count[b]++
+			return true
+		}
+		i := int32(len(ht.next))
+		for _, posI := range freePos {
+			ht.free = append(ht.free, m[posI])
+		}
+		if fresh {
 			ht.last = append(ht.last, i)
 			ht.next = append(ht.next, i)
 		} else {
@@ -499,7 +535,16 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 // accounts produced rows against the budget and polls for cancellation —
 // this is where a pathological query dies early.
 func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, lo, hi int, w *rowWriter) {
+	nf := len(ht.freePos)
 	produced := 0
+	emit := func() bool { // false: the budget or an abort stops the probe
+		if produced++; produced < 256 {
+			return true
+		}
+		stop := ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
+		produced = 0
+		return !stop
+	}
 	for r := lo; r < hi; r++ {
 		if (r-lo)%64 == 0 && ev.cancel.aborted() {
 			return
@@ -510,23 +555,27 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, lo, hi 
 			key[k] = row[pp.slot[posI]]
 		}
 		b := ht.keys.find(key[:len(ht.joinPos)])
-		if b < 0 {
-			continue
-		}
-		last := ht.last[b]
-		for i := ht.next[last]; ; i = ht.next[i] {
-			out := w.add(row)
-			for _, posI := range ht.freePos {
-				out[pp.slot[posI]] = ht.matches[i][posI]
-			}
-			if produced++; produced >= 256 {
-				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
+		switch {
+		case b < 0:
+		case nf == 0:
+			for k := ht.count[b]; k > 0; k-- {
+				if w.add(row); !emit() {
 					return
 				}
-				produced = 0
 			}
-			if i == last {
-				break
+		default:
+			last := ht.last[b]
+			for i := ht.next[last]; ; i = ht.next[i] {
+				out := w.add(row)
+				for k, posI := range ht.freePos {
+					out[pp.slot[posI]] = ht.free[int(i)*nf+k]
+				}
+				if !emit() {
+					return
+				}
+				if i == last {
+					break
+				}
 			}
 		}
 	}

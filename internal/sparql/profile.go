@@ -104,6 +104,8 @@ type ProfNode struct {
 	EstRows int64
 	// Strategy is the join strategy an index scan chose (last call wins).
 	Strategy string
+	// Fold marks the scan whose rows went straight to the group fold.
+	Fold bool
 	// FbSeeded marks a scan whose cardinality estimate came from the
 	// planner's execution-feedback store rather than the cold graph count.
 	FbSeeded bool
@@ -163,10 +165,11 @@ func (n *ProfNode) addEst(est int) {
 	n.EstRows += int64(est)
 }
 
-// setStrategy records the chosen join strategy.
-func (n *ProfNode) setStrategy(s string) {
+// setStrategy records the chosen join strategy and whether the scan fed the
+// group fold.
+func (n *ProfNode) setStrategy(s string, fold bool) {
 	if n != nil {
-		n.Strategy = s
+		n.Strategy, n.Fold = s, fold
 	}
 }
 
@@ -203,18 +206,11 @@ func (n *ProfNode) QError() float64 {
 
 // QError computes max(est/act, act/est) with both sides clamped to >= 1.
 func QError(est, act int64) float64 {
-	e, a := float64(max64(est, 1)), float64(max64(act, 1))
+	e, a := float64(max(est, 1)), float64(max(act, 1))
 	if e > a {
 		return e / a
 	}
 	return a / e
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // profLabel renders an operator's label, only when profiling is on.
@@ -291,6 +287,9 @@ func (n *ProfNode) writeTree(sb *strings.Builder, depth int) {
 	if n.Strategy != "" {
 		fmt.Fprintf(sb, " [%s]", n.Strategy)
 	}
+	if n.Fold {
+		sb.WriteString(" [fold]")
+	}
 	sb.WriteString("  " + fmtProfDur(n.Dur) + "\n")
 	for _, c := range n.children {
 		c.writeTree(sb, depth+1)
@@ -320,6 +319,7 @@ type ProfNodeJSON struct {
 	EstRows    *int64         `json:"est_rows,omitempty"`
 	QError     float64        `json:"q_error,omitempty"`
 	Strategy   string         `json:"strategy,omitempty"`
+	Fold       bool           `json:"fold,omitempty"`
 	FbSeeded   bool           `json:"feedback_seeded,omitempty"`
 	Replans    int            `json:"replans,omitempty"`
 	DurationMS float64        `json:"duration_ms"`
@@ -345,6 +345,7 @@ func (n *ProfNode) export() ProfNodeJSON {
 		RowsIn:     n.RowsIn,
 		RowsOut:    n.RowsOut,
 		Strategy:   n.Strategy,
+		Fold:       n.Fold,
 		FbSeeded:   n.FbSeeded,
 		Replans:    n.Replans,
 		DurationMS: float64(n.Dur.Microseconds()) / 1000,

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -190,6 +191,51 @@ func TestProfileAggregatesRepeatedCalls(t *testing.T) {
 	body := findProfNodes(&Profile{root: opts[0]}, "bgp")
 	if len(body) != 1 || body[0].Calls != 1 || body[0].RowsIn != opts[0].RowsIn {
 		t.Fatalf("want the OPTIONAL body as one bgp call over all %d input rows:\n%s", opts[0].RowsIn, prof.Tree())
+	}
+}
+
+// TestProfileMarksTheFold: the scan whose rows went straight to the group
+// fold is marked — the last step of a grouped query's one-run WHERE, and no
+// other — and the operators around it still count the rows folded: the match,
+// bgp and aggregate nodes read what the same WHERE answers ungrouped. A WHERE
+// that is not one run folds its batch, and no scan is marked.
+func TestProfileMarksTheFold(t *testing.T) {
+	g := chainGraph(300)
+	const where = `?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40)`
+	ungrouped, err := Select(g, `PREFIX ex: <http://e/> SELECT * WHERE { `+where+` }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where string
+		fold  bool
+	}{
+		{where, true},
+		{where + ` OPTIONAL { ?s ex:tag ?g }`, false},
+	} {
+		prof := NewProfile("query")
+		q := MustParse(`PREFIX ex: <http://e/> SELECT ?t (COUNT(?s) AS ?n) WHERE { ` + c.where + ` } GROUP BY ?t`)
+		if _, err := ExecSelectOpts(g, q, Options{Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+		scans := findProfNodes(prof, "scan")
+		for i, sc := range scans {
+			if want := c.fold && i == len(scans)-1; sc.Fold != want {
+				t.Errorf("%s: scan %s marked fold=%v, want %v:\n%s", c.where, sc.Label, sc.Fold, want, prof.Tree())
+			}
+		}
+		counts := []int64{findProfNodes(prof, "match")[0].RowsOut, findProfNodes(prof, "aggregate")[0].RowsIn}
+		if c.fold {
+			counts = append(counts, findProfNodes(prof, "bgp")[0].RowsOut)
+		}
+		for _, n := range counts {
+			if n != int64(ungrouped.Len()) {
+				t.Errorf("%s: an operator around the fold counts %d rows, the WHERE answers %d:\n%s", c.where, n, ungrouped.Len(), prof.Tree())
+			}
+		}
+		if body, err := json.Marshal(prof); err != nil || c.fold != strings.Contains(string(body), `"fold":true`) {
+			t.Errorf("%s: the exported profile does not say where the fold happened", c.where)
+		}
 	}
 }
 

@@ -174,6 +174,22 @@ func (w *rowWriter) drainTo(out *batch) {
 	*w = rowWriter{width: w.width}
 }
 
+// drainRows calls fn with every row written, in order, and hands the blocks
+// back: fn must not keep the row it is given.
+func (w *rowWriter) drainRows(fn func(row []rdf.ID)) {
+	for b := 0; b <= len(w.full); b++ {
+		blk := w.cur
+		if b < len(w.full) {
+			blk = w.full[b]
+		}
+		for i := 0; i < len(blk); i += w.width {
+			fn(blk[i : i+w.width])
+		}
+		putRowBlock(blk)
+	}
+	*w = rowWriter{width: w.width}
+}
+
 // putRowBlock recycles a block if it is a pooled one.
 func putRowBlock(blk []rdf.ID) {
 	if cap(blk) == rowBlockIDs {
