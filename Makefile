@@ -12,15 +12,16 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # parallel evaluator paths run with Parallelism > 1 in tests, so races
 # surface here; a test that depends on its neighbours fails and prints its
-# seed), one pass of every BenchmarkJoinStep shape (so none can rot), the
-# telemetry and chaos smoke tests against live servers, and a fuzz smoke pass
-# over the three parsers.
+# seed), one pass of every BenchmarkJoinStep shape and of BenchmarkStateWrite
+# (so none can rot), the telemetry and chaos smoke tests against live servers,
+# and a fuzz smoke pass over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
+	$(GO) test -run '^$$' -bench StateWrite -benchmem -benchtime 1x ./internal/server
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
 	$(MAKE) metrics-lint
@@ -73,15 +74,17 @@ resilience-smoke:
 durability-smoke:
 	sh scripts/durability-smoke.sh
 
-# fuzz-smoke runs each fuzz target for a short burst — the parsers, the
-# results serializer's string escaper against encoding/json, and the graph's
-# sorted permutations against the map-of-maps oracle; a discovered panic or
-# mismatch fails the build and leaves its input in testdata/fuzz/.
+# fuzz-smoke runs each fuzz target for a short burst — the parsers, the JSON
+# string escaper and the state writer's float formatter against encoding/json,
+# and the graph's sorted permutations against the map-of-maps oracle; a
+# discovered panic or mismatch fails the build and leaves its input in
+# testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzJSONString$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
+	$(GO) test -fuzz '^FuzzJSONFloat$$' -fuzztime $(FUZZTIME) -run XXX ./internal/server/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzGraphOps$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/

@@ -16,18 +16,11 @@ import (
 // facets with their transition markers and G/Σ button states (Part C), the
 // breadcrumb (intention) and the analytics selections.
 
-// ObjectCard is one entry of the right frame: an object with a few of its
-// property values for display.
+// ObjectCard is one entry of the right frame: an object and the type it is
+// displayed with.
 type ObjectCard struct {
 	Object rdf.Term
 	Type   rdf.Term
-	Props  []PropValue
-}
-
-// PropValue is a displayed property/value pair.
-type PropValue struct {
-	P rdf.Term
-	V rdf.Term
 }
 
 // FacetView is a property facet as rendered: the facet plus its button
@@ -79,21 +72,14 @@ func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 	}
 	typeT := rdf.NewIRI(rdf.RDFType)
 	var types []rdf.Term
+	ui.Objects = make([]ObjectCard, 0, len(items))
 	for _, o := range items {
-		card := ObjectCard{Object: o}
 		types = types[:0]
-		l.model.G.Match(o, rdf.Any, rdf.Any, func(t rdf.Triple) bool {
-			if t.P == typeT {
-				types = append(types, t.O)
-				return true
-			}
-			if len(card.Props) < 8 {
-				card.Props = append(card.Props, PropValue{P: t.P, V: t.O})
-			}
+		l.model.G.Match(o, typeT, rdf.Any, func(t rdf.Triple) bool {
+			types = append(types, t.O)
 			return true
 		})
-		card.Type = displayType(l.model.Schema, types)
-		ui.Objects = append(ui.Objects, card)
+		ui.Objects = append(ui.Objects, ObjectCard{Object: o, Type: displayType(l.model.Schema, types)})
 	}
 	// Parts B and C: class facets, and property facets with button states.
 	ui.Classes, ui.Facets = l.transitionMarkers(st, includeInverse)

@@ -27,19 +27,21 @@ func (b Bucket) Contains(v float64, last bool) bool {
 // NumericBuckets partitions the numeric values of facet p over the state's
 // extension into n equal-width buckets with counts — the data behind the
 // range-filter form of Example 3 (§5.1). Entities with several values count
-// once per distinct bucket. Returns nil when fewer than two distinct
-// numeric values exist (a plain value facet serves better then).
+// once per distinct bucket. Only finite values are bucketed ("INF" is a
+// numeric literal, but no interval holds it), so every bound is finite.
+// Returns nil when fewer than two distinct finite values exist (a plain value
+// facet serves better then).
 func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 	if n <= 0 {
 		n = 5
 	}
 	r := m.valueRuns(m.idsOf(s.Ext), p)
-	// One parse per distinct value; NaN marks the non-numeric ones.
+	// One parse per distinct value; NaN marks the ones not bucketed.
 	vals := make([]float64, len(r.objects))
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, o := range r.objects {
 		v, ok := o.Float()
-		if ok {
+		if ok && !math.IsInf(v, 0) {
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
 		} else {
@@ -47,21 +49,29 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 		}
 		vals[i] = v
 	}
-	if !(lo < hi) { // fewer than two distinct numeric values
+	if !(lo < hi) { // fewer than two distinct finite values
 		return nil
 	}
+	// A spread past the largest float (values near ±1.8e308) is cut at half
+	// scale, where neither it nor any bound overflows; at scale 1 the
+	// arithmetic is exactly the unscaled one.
+	scale := 1.0
+	if math.IsInf(hi-lo, 0) {
+		scale = 0.5
+	}
+	lo, hi = lo*scale, hi*scale
 	width := (hi - lo) / float64(n)
 	buckets := make([]Bucket, n)
 	for i := range buckets {
-		buckets[i] = Bucket{Lo: lo + float64(i)*width, Hi: lo + float64(i+1)*width}
+		buckets[i] = Bucket{Lo: (lo + float64(i)*width) / scale, Hi: (lo + float64(i+1)*width) / scale}
 	}
-	buckets[n-1].Hi = hi
+	buckets[n-1].Hi = hi / scale
 	hits := make([]entityHit, 0, len(r.subjects))
 	for i, v := range vals {
 		if math.IsNaN(v) {
 			continue
 		}
-		idx := int((v - lo) / width)
+		idx := int((v*scale - lo) / width)
 		if idx >= n {
 			idx = n - 1
 		}

@@ -1,6 +1,7 @@
 package facet
 
 import (
+	"math"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
@@ -43,6 +44,41 @@ ex:a ex:v 5 . ex:b ex:v 5 .
 	// Non-numeric property.
 	if b := m.NumericBuckets(s, rdf.NewIRI(rdf.RDFType), 3); b != nil {
 		t.Errorf("non-numeric property must yield nil, got %v", b)
+	}
+}
+
+// TestNumericBucketsFinite: an infinite value ("INF"^^xsd:double parses) is
+// not bucketed, and a spread wider than the largest float does not overflow
+// the width — every bound stays finite and the counts add up to the entities
+// with a finite value. Either graph used to yield NaN or infinite bounds,
+// which no JSON encoder can write.
+func TestNumericBucketsFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		finite    int // entities with a finite value
+	}{
+		{"infinite values", `ex:a ex:v 1 . ex:b ex:v 2.5 . ex:c ex:v "INF"^^xsd:double . ex:d ex:v "-INF"^^xsd:double . ex:e ex:v 7 .`, 3},
+		{"overflowing spread", `ex:a ex:v -1.7e308 . ex:b ex:v 1.7e308 . ex:c ex:v 0 . ex:d ex:v 1.0e308 .`, 4},
+	} {
+		g := rdf.MustLoadTurtle("@prefix ex: <http://e/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n" + tc.src)
+		m := NewModel(g)
+		buckets := m.NumericBuckets(m.Start(), rdf.NewIRI("http://e/v"), 5)
+		if len(buckets) != 5 {
+			t.Fatalf("%s: buckets = %v", tc.name, buckets)
+		}
+		total := 0
+		for i, b := range buckets {
+			if math.IsNaN(b.Lo) || math.IsInf(b.Lo, 0) || math.IsNaN(b.Hi) || math.IsInf(b.Hi, 0) || b.Hi < b.Lo {
+				t.Errorf("%s: bucket %d = %+v", tc.name, i, b)
+			}
+			if i > 0 && b.Lo != buckets[i-1].Hi {
+				t.Errorf("%s: bucket %d not contiguous", tc.name, i)
+			}
+			total += b.Count
+		}
+		if total != tc.finite {
+			t.Errorf("%s: counts sum to %d, want %d: %v", tc.name, total, tc.finite, buckets)
+		}
 	}
 }
 

@@ -327,26 +327,12 @@ func (s *Server) sessionFor(r *http.Request) *core.Session {
 
 // ---- term and path JSON codecs ----
 
-// TermJSON is the wire form of an RDF term.
+// TermJSON is the wire form of an RDF term in a request.
 type TermJSON struct {
 	Kind     string `json:"kind"` // iri | blank | literal
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"lang,omitempty"`
-	Label    string `json:"label,omitempty"` // display hint (output only)
-}
-
-func toTermJSON(t rdf.Term) TermJSON {
-	out := TermJSON{Value: t.Value, Datatype: t.Datatype, Lang: t.Lang, Label: t.LocalName()}
-	switch t.Kind {
-	case rdf.KindIRI:
-		out.Kind = "iri"
-	case rdf.KindBlank:
-		out.Kind = "blank"
-	default:
-		out.Kind = "literal"
-	}
-	return out
 }
 
 func fromTermJSON(j TermJSON) (rdf.Term, error) {
@@ -574,119 +560,10 @@ func copyBody(dst *strings.Builder, r *http.Request) (int64, error) {
 
 // ---- interaction API ----
 
-// stateJSON is the wire form of the UI state.
-type stateJSON struct {
-	Breadcrumb   string        `json:"breadcrumb"`
-	TotalObjects int           `json:"totalObjects"`
-	Depth        int           `json:"depth"`
-	HIFUN        string        `json:"hifun,omitempty"`
-	Objects      []objectJSON  `json:"objects"`
-	Classes      []classJSON   `json:"classes"`
-	Facets       []facetJSON   `json:"facets"`
-	Analytics    analyticsJSON `json:"analytics"`
-}
-
-type objectJSON struct {
-	IRI   string `json:"iri"`
-	Label string `json:"label"`
-	Type  string `json:"type,omitempty"`
-}
-
-type classJSON struct {
-	IRI      string      `json:"iri"`
-	Label    string      `json:"label"`
-	Count    int         `json:"count"`
-	Children []classJSON `json:"children,omitempty"`
-}
-
-type facetJSON struct {
-	P        string       `json:"p"`
-	Label    string       `json:"label"`
-	Inverse  bool         `json:"inverse,omitempty"`
-	Grouped  bool         `json:"grouped,omitempty"`
-	Measured bool         `json:"measured,omitempty"`
-	Numeric  bool         `json:"numeric,omitempty"`
-	Values   []valJSON    `json:"values"`
-	Buckets  []bucketJSON `json:"buckets,omitempty"`
-}
-
-type bucketJSON struct {
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	Count int     `json:"count"`
-}
-
-type valJSON struct {
-	Term  TermJSON `json:"term"`
-	Count int      `json:"count"`
-}
-
-type analyticsJSON struct {
-	GroupBy []string `json:"groupBy"`
-	Measure string   `json:"measure,omitempty"`
-	Ops     []string `json:"ops"`
-}
-
-func toClassJSON(nodes []facet.ClassNode) []classJSON {
-	out := make([]classJSON, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, classJSON{
-			IRI: n.Class.Value, Label: n.Class.LocalName(), Count: n.Count,
-			Children: toClassJSON(n.Children),
-		})
-	}
-	return out
-}
-
-func (s *Server) stateLocked(sess *core.Session) stateJSON {
-	ui := sess.ComputeUIState(50, true)
-	out := stateJSON{
-		Breadcrumb:   ui.Breadcrumb,
-		TotalObjects: ui.TotalObjects,
-		Depth:        ui.Depth,
-		HIFUN:        ui.HIFUN,
-		Classes:      toClassJSON(ui.Classes),
-	}
-	for _, o := range ui.Objects {
-		oj := objectJSON{IRI: o.Object.Value, Label: o.Object.LocalName()}
-		if !o.Type.IsZero() {
-			oj.Type = o.Type.LocalName()
-		}
-		out.Objects = append(out.Objects, oj)
-	}
-	for _, f := range ui.Facets {
-		fj := facetJSON{
-			P: f.P.Value, Label: f.P.LocalName(), Inverse: f.Inverse,
-			Grouped: f.Grouped, Measured: f.Measured, Numeric: f.Numeric,
-		}
-		if len(f.Values) > 0 { // an empty facet stays nil: it encodes as null
-			fj.Values = make([]valJSON, 0, len(f.Values))
-		}
-		for _, vc := range f.Values {
-			fj.Values = append(fj.Values, valJSON{Term: toTermJSON(vc.Value), Count: vc.Count})
-		}
-		for _, b := range f.Buckets {
-			fj.Buckets = append(fj.Buckets, bucketJSON{Lo: b.Lo, Hi: b.Hi, Count: b.Count})
-		}
-		out.Facets = append(out.Facets, fj)
-	}
-	a := ui.Analytics
-	for _, g := range a.GroupBy {
-		out.Analytics.GroupBy = append(out.Analytics.GroupBy, g.String())
-	}
-	if a.Measure.Path != nil || len(a.Ops) > 0 {
-		out.Analytics.Measure = a.Measure.String()
-	}
-	for _, op := range a.Ops {
-		out.Analytics.Ops = append(out.Analytics.Ops, op.String())
-	}
-	return out
-}
-
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	writeJSON(w, s.stateLocked(s.sessionFor(r)))
+	writeState(w, s.sessionFor(r))
 }
 
 func (s *Server) handleClickClass(w http.ResponseWriter, r *http.Request) {
@@ -701,7 +578,7 @@ func (s *Server) handleClickClass(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
 	sess.ClickClass(rdf.NewIRI(req.Class))
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleClickValue(w http.ResponseWriter, r *http.Request) {
@@ -741,7 +618,7 @@ func (s *Server) handleClickValue(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("value or values required"))
 		return
 	}
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
@@ -763,7 +640,7 @@ func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
 	sess.ClickRange(fromPathJSON(req.Path), req.Op, t)
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
@@ -777,12 +654,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	vals := sess.Model().ExpandPath(sess.State(), fromPathJSON(req.Path))
-	out := make([]valJSON, 0, len(vals))
-	for _, vc := range vals {
-		out = append(out, valJSON{Term: toTermJSON(vc.Value), Count: vc.Count})
-	}
-	writeJSON(w, map[string]any{"values": out})
+	writeValues(w, sess.Model().ExpandPath(sess.State(), fromPathJSON(req.Path)))
 }
 
 func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
@@ -802,7 +674,7 @@ func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
 	sess.SwitchFocus(facet.PathStep{P: rdf.NewIRI(req.P), Inverse: req.Inverse})
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
@@ -818,7 +690,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
 	sess.ClickGroupBy(core.GroupSpec{Path: fromPathJSON(req.Path), Derive: req.Derive})
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
@@ -842,16 +714,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		core.MeasureSpec{Path: fromPathJSON(req.Path), Derive: req.Derive},
 		hifun.Operation{Op: hifun.AggOp(strings.ToUpper(req.Op))},
 	)
-	writeJSON(w, s.stateLocked(sess))
-}
-
-// answerJSON is the wire form of an Answer Frame.
-type answerJSON struct {
-	GroupCols   []string     `json:"groupCols"`
-	MeasureCols []string     `json:"measureCols"`
-	Rows        [][]TermJSON `json:"rows"`
-	SPARQL      string       `json:"sparql"`
-	HIFUN       string       `json:"hifun"`
+	writeState(w, sess)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -883,18 +746,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		queryError(w, err)
 		return
 	}
-	out := answerJSON{
-		GroupCols: ans.GroupCols, MeasureCols: ans.MeasureCols,
-		SPARQL: ans.SPARQL, HIFUN: rec.Query,
-	}
-	for _, row := range ans.Rows {
-		jr := make([]TermJSON, len(row))
-		for i, t := range row {
-			jr[i] = toTermJSON(t)
-		}
-		out.Rows = append(out.Rows, jr)
-	}
-	writeJSON(w, out)
+	writeAnswer(w, ans, rec.Query)
 }
 
 func (s *Server) handleLoadAnswer(w http.ResponseWriter, r *http.Request) {
@@ -905,7 +757,7 @@ func (s *Server) handleLoadAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleCloseLevel(w http.ResponseWriter, r *http.Request) {
@@ -916,7 +768,7 @@ func (s *Server) handleCloseLevel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
@@ -927,7 +779,7 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
@@ -935,7 +787,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
 	sess.Reset()
-	writeJSON(w, s.stateLocked(sess))
+	writeState(w, sess)
 }
 
 func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {

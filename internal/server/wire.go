@@ -1,0 +1,227 @@
+package server
+
+import (
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+
+	"rdfanalytics/internal/core"
+	"rdfanalytics/internal/facet"
+	"rdfanalytics/internal/hifun"
+	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/sparql"
+)
+
+// The interaction API's answers (a state, an expansion, an Answer Frame) are
+// written straight from the session's values, in the bytes encoding/json
+// wrote for the mirror structs state_ref_test.go keeps as the oracle
+// (DESIGN.md §5.1, "The wire format").
+
+// A body is appended into one chunkSize buffer, which is written to the
+// response whenever an element leaves less than chunkSlack of it free.
+const chunkSize, chunkSlack = 32 << 10, 1 << 10
+
+// bodyWriter appends one JSON body into a fixed-size chunk and writes the
+// chunk to the response each time it fills. After a failed write the rest of
+// the body is dropped, as json.Encoder's ignored error did. A key argument
+// is a member's separator and name, as in `,"label":`.
+type bodyWriter struct {
+	w   io.Writer
+	b   []byte
+	err error
+}
+
+func newBodyWriter(w http.ResponseWriter) *bodyWriter {
+	w.Header().Set("Content-Type", "application/json")
+	return &bodyWriter{w: w, b: make([]byte, 0, chunkSize)}
+}
+
+func (c *bodyWriter) raw(s string) { c.b = append(c.b, s...) }
+func (c *bodyWriter) str(s string) { c.b = sparql.AppendJSONString(c.b, s) }
+
+func (c *bodyWriter) field(key, s string) {
+	c.raw(key)
+	c.str(s)
+}
+
+// omitEmpty writes a string member unless it is empty, as omitempty does.
+func (c *bodyWriter) omitEmpty(key, s string) {
+	if s != "" {
+		c.field(key, s)
+	}
+}
+
+func (c *bodyWriter) count(key string, n int) {
+	c.raw(key)
+	c.b = strconv.AppendInt(c.b, int64(n), 10)
+}
+
+// flag writes member (`,"name":true`) when on, as omitempty does for a bool.
+func (c *bodyWriter) flag(member string, on bool) {
+	if on {
+		c.raw(member)
+	}
+}
+
+func (c *bodyWriter) flush() {
+	if c.err == nil && len(c.b) > 0 {
+		_, c.err = c.w.Write(c.b)
+	}
+	c.b = c.b[:0]
+}
+
+// end closes the body with encoding/json's newline and writes what is left.
+func (c *bodyWriter) end(closing string) {
+	c.raw(closing)
+	c.raw("\n")
+	c.flush()
+}
+
+// list writes n elements as an array, sending the chunk out after any
+// element that leaves it nearly full. An empty list is null when null is set
+// (a nil slice to encoding/json), [] otherwise.
+func (c *bodyWriter) list(key string, n int, null bool, elem func(i int)) {
+	c.raw(key)
+	if n == 0 && null {
+		c.raw("null")
+		return
+	}
+	c.raw("[")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			c.raw(",")
+		}
+		elem(i)
+		if len(c.b) >= chunkSize-chunkSlack {
+			c.flush()
+		}
+	}
+	c.raw("]")
+}
+
+// term writes an RDF term: kind, value, and datatype, language and display
+// label when they are not empty.
+func (c *bodyWriter) term(t rdf.Term) {
+	switch t.Kind {
+	case rdf.KindIRI:
+		c.field(`{"kind":"iri","value":`, t.Value)
+	case rdf.KindBlank:
+		c.field(`{"kind":"blank","value":`, t.Value)
+	default:
+		c.field(`{"kind":"literal","value":`, t.Value)
+	}
+	c.omitEmpty(`,"datatype":`, t.Datatype)
+	c.omitEmpty(`,"lang":`, t.Lang)
+	c.omitEmpty(`,"label":`, t.LocalName())
+	c.raw("}")
+}
+
+// values writes facet values with their counts.
+func (c *bodyWriter) values(key string, vs []facet.ValueCount, null bool) {
+	c.list(key, len(vs), null, func(i int) {
+		c.raw(`{"term":`)
+		c.term(vs[i].Value)
+		c.count(`,"count":`, vs[i].Count)
+		c.raw("}")
+	})
+}
+
+func (c *bodyWriter) classes(key string, nodes []facet.ClassNode) {
+	c.list(key, len(nodes), false, func(i int) {
+		n := &nodes[i]
+		c.field(`{"iri":`, n.Class.Value)
+		c.field(`,"label":`, n.Class.LocalName())
+		c.count(`,"count":`, n.Count)
+		if len(n.Children) > 0 {
+			c.classes(`,"children":`, n.Children)
+		}
+		c.raw("}")
+	})
+}
+
+// writeState answers with the session's UI state. The state is computed in
+// full before the first byte is written, so a failure there still gets a
+// clean status.
+func writeState(w http.ResponseWriter, sess *core.Session) {
+	ui := sess.ComputeUIState(50, true)
+	c := newBodyWriter(w)
+	c.field(`{"breadcrumb":`, ui.Breadcrumb)
+	c.count(`,"totalObjects":`, ui.TotalObjects)
+	c.count(`,"depth":`, ui.Depth)
+	c.omitEmpty(`,"hifun":`, ui.HIFUN)
+	c.list(`,"objects":`, len(ui.Objects), true, func(i int) {
+		o := &ui.Objects[i]
+		c.field(`{"iri":`, o.Object.Value)
+		c.field(`,"label":`, o.Object.LocalName())
+		c.omitEmpty(`,"type":`, o.Type.LocalName()) // "" for an untyped object
+		c.raw("}")
+	})
+	c.classes(`,"classes":`, ui.Classes)
+	c.list(`,"facets":`, len(ui.Facets), true, func(i int) {
+		f := &ui.Facets[i]
+		c.field(`{"p":`, f.P.Value)
+		c.field(`,"label":`, f.P.LocalName())
+		c.flag(`,"inverse":true`, f.Inverse)
+		c.flag(`,"grouped":true`, f.Grouped)
+		c.flag(`,"measured":true`, f.Measured)
+		c.flag(`,"numeric":true`, f.Numeric)
+		c.values(`,"values":`, f.Values, true)
+		if len(f.Buckets) > 0 {
+			c.list(`,"buckets":`, len(f.Buckets), false, func(j int) {
+				b := f.Buckets[j]
+				c.b = appendJSONFloat(append(c.b, `{"lo":`...), b.Lo)
+				c.b = appendJSONFloat(append(c.b, `,"hi":`...), b.Hi)
+				c.count(`,"count":`, b.Count)
+				c.raw("}")
+			})
+		}
+		c.raw("}")
+	})
+	a := ui.Analytics
+	c.list(`,"analytics":{"groupBy":`, len(a.GroupBy), true, func(i int) { c.str(a.GroupBy[i].String()) })
+	if a.Measure.Path != nil || len(a.Ops) > 0 {
+		c.omitEmpty(`,"measure":`, a.Measure.String())
+	}
+	c.list(`,"ops":`, len(a.Ops), true, func(i int) { c.str(a.Ops[i].String()) })
+	c.end("}}")
+}
+
+// writeValues answers an expansion: {"values":[…]}, [] when there are none.
+func writeValues(w http.ResponseWriter, vals []facet.ValueCount) {
+	c := newBodyWriter(w)
+	c.values(`{"values":`, vals, false)
+	c.end("}")
+}
+
+// writeAnswer answers a run with its Answer Frame and the two queries.
+func writeAnswer(w http.ResponseWriter, ans *hifun.Answer, hifunQuery string) {
+	c := newBodyWriter(w)
+	// A column list is null only when nil: the frame's slices go out as they are.
+	c.list(`{"groupCols":`, len(ans.GroupCols), ans.GroupCols == nil, func(i int) { c.str(ans.GroupCols[i]) })
+	c.list(`,"measureCols":`, len(ans.MeasureCols), ans.MeasureCols == nil, func(i int) { c.str(ans.MeasureCols[i]) })
+	c.list(`,"rows":`, len(ans.Rows), true, func(i int) {
+		row := ans.Rows[i]
+		c.list("", len(row), false, func(j int) { c.term(row[j]) })
+	})
+	c.field(`,"sparql":`, ans.SPARQL)
+	c.field(`,"hifun":`, hifunQuery)
+	c.end("}")
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest representation in 'f' form, or in 'e' form below 1e-6 and from
+// 1e21 with a one-digit negative exponent unpadded (e-07 → e-7).
+// FuzzJSONFloat holds it to encoding/json.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}

@@ -70,7 +70,7 @@ func FuzzParseUpdate(f *testing.F) {
 }
 
 // FuzzJSONString holds the hand-written JSON string escaper of the results
-// serializer to encoding/json's (HTML escaping on, the Encoder default) for
+// serializer and the server's state writer to encoding/json's (HTML escaping on, the Encoder default) for
 // arbitrary byte strings: control characters, `<>&`, U+2028/U+2029 and
 // invalid UTF-8 included. Byte-identical response bodies rest on it.
 func FuzzJSONString(f *testing.F) {
@@ -85,12 +85,12 @@ func FuzzJSONString(f *testing.F) {
 		if err := json.NewEncoder(&want).Encode(s); err != nil {
 			t.Skip(err)
 		}
-		got := append(appendJSONString(nil, s), '\n')
+		got := append(AppendJSONString(nil, s), '\n')
 		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want.Bytes())
+			t.Fatalf("AppendJSONString(%q) = %s, encoding/json writes %s", s, got, want.Bytes())
 		}
 		if n := jsonStringLen(s); n != len(got)-1 {
-			t.Fatalf("jsonStringLen(%q) = %d, appendJSONString writes %d bytes", s, n, len(got)-1)
+			t.Fatalf("jsonStringLen(%q) = %d, AppendJSONString writes %d bytes", s, n, len(got)-1)
 		}
 	})
 }

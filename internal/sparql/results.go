@@ -162,7 +162,7 @@ func (r *Results) JSON() []byte {
 	var cols []column
 	for i, v := range r.Vars {
 		if slices.Index(r.Vars, v) == i {
-			cols = append(cols, column{i, string(appendJSONString(nil, v)) + `:{"type":"`})
+			cols = append(cols, column{i, string(AppendJSONString(nil, v)) + `:{"type":"`})
 		}
 	}
 	sort.Slice(cols, func(a, b int) bool { return r.Vars[cols[a].idx] < r.Vars[cols[b].idx] })
@@ -212,9 +212,9 @@ func (r *Results) JSON() []byte {
 				dst = append(dst, ',')
 			}
 			dst = append(append(append(dst, c.key...), kinds[t.Kind]...), valueKey...)
-			dst = appendJSONString(dst, t.Value)
+			dst = AppendJSONString(dst, t.Value)
 			if noteKey, noteValue := note(t); noteKey != "" {
-				dst = appendJSONString(append(dst, noteKey...), noteValue)
+				dst = AppendJSONString(append(dst, noteKey...), noteValue)
 			}
 			dst = append(dst, '}')
 		}
@@ -243,9 +243,11 @@ var jsonEscape = func() (t [256]byte) {
 	return t
 }()
 
-// appendJSONString appends s as a JSON string literal, escaped exactly as
-// encoding/json escapes strings with HTML escaping on.
-func appendJSONString(dst []byte, s string) []byte {
+// AppendJSONString appends s as a JSON string literal, escaped exactly as
+// encoding/json escapes strings with HTML escaping on. It is the one string
+// escaper of every hand-written JSON body: these results and the server's
+// interaction API.
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -273,7 +275,7 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// jsonStringLen is len(appendJSONString(nil, s)) without the rendering.
+// jsonStringLen is len(AppendJSONString(nil, s)) without the rendering.
 func jsonStringLen(s string) int {
 	n := len(s) + len(`""`)
 	for i := 0; i < len(s); i++ {
