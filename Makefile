@@ -100,14 +100,12 @@ paper:
 	$(GO) run ./cmd/papertables -all
 
 # bench runs the in-process micro-benchmarks, each next to the code it
-# measures: rdf's match micro-benches, the answer-cache cube ablation, the
-# tracing on/off cost, and the engine's BenchmarkJoinStep — one query of each
+# measures: rdf's match micro-benches, the tracing on/off cost, and the engine's BenchmarkJoinStep — one query of each
 # sparql-cold shape (chain, star-filter, group-by, big-select, optional,
 # bind-year) and the HIFUN semi-join on that workload's graph, so B/op is what
 # the engine allocates for the shape.
 bench:
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/
-	$(GO) test -bench '^BenchmarkCubeReuse$$' -run XXX ./internal/core/
 	$(GO) test -bench '^BenchmarkTraceOverhead$$' -run XXX ./internal/sparql/
 	$(GO) test -bench '^BenchmarkJoinStep$$' -benchmem -run XXX ./internal/sparql/
 

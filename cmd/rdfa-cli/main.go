@@ -23,15 +23,14 @@
 //	hifun | sparql <query>        show the HIFUN query / run raw SPARQL
 //	trace                         print the timing tree of the last run
 //	profile                       EXPLAIN ANALYZE the current analytic query:
-//	                              re-execute it bypassing the answer cache and
-//	                              print the operator profile (wall time, rows,
-//	                              est vs actual cardinality with q-error)
+//	                              run it and print the operator profile (wall
+//	                              time, rows, est vs actual cardinality with
+//	                              q-error)
 //	quit
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -190,10 +189,11 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 		}
 		fmt.Fprint(out, tr.Tree())
 	case "profile":
-		ans, prof, err := sess.ProfileAnalytics(context.Background())
+		ans, err := sess.RunAnalytics()
 		if err != nil {
 			return err
 		}
+		_, prof := sess.LastRun()
 		fmt.Fprint(out, prof.Tree())
 		fmt.Fprintf(out, "(%d rows)\n", len(ans.Rows))
 	case "chart":

@@ -1,7 +1,6 @@
 // OLAP walkthrough: the Chapter 7 correspondence — the interaction model's
 // actions realize roll-up, drill-down, slice, dice and pivot over an
-// invoices cube (Fig 7.1–7.2), with the coarser roll-up served from the
-// materialized cube cache.
+// invoices cube (Fig 7.1–7.2).
 //
 //	go run ./examples/olap
 package main
@@ -9,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"rdfanalytics/internal/core"
 	"rdfanalytics/internal/datagen"
@@ -45,14 +43,10 @@ func main() {
 	fmt.Println("\n== pivot ==")
 	fmt.Print(pt.String())
 
-	// Roll-up: drop the brand dimension; this is answered from the cached
-	// cube, not by re-running SPARQL.
+	// Roll-up: drop the brand dimension.
 	rolled := must(s.RollUp(1))
 	fmt.Println("\n== roll-up to (branch) ==")
 	fmt.Print(rolled.String())
-	if strings.Contains(rolled.SPARQL, "materialized cube") {
-		fmt.Println("   (served from the materialized cube — no SPARQL re-run)")
-	}
 
 	// Drill-down: add the month dimension (a derived attribute).
 	fine := must(s.DrillDown(core.GroupSpec{Path: facet.Path{{P: ie("hasDate")}}, Derive: "MONTH"}))

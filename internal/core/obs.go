@@ -7,20 +7,10 @@ import (
 )
 
 // Metric handles for the interaction layer, resolved once at package init.
-// rdfa_core_answer_cache_total partitions RunAnalytics outcomes: "hit"
-// (exact answer memoized), "cube" (answered by rolling up a retained cube),
-// "miss" (full translate + SPARQL evaluation).
 var (
 	runSeconds     = obs.Default.Histogram("rdfa_core_run_analytics_seconds", nil)
 	reloadSeconds  = obs.Default.Histogram("rdfa_core_reload_seconds", nil)
 	uiStateSeconds = obs.Default.Histogram("rdfa_core_uistate_seconds", nil)
-	answerHits     = obs.Default.Counter("rdfa_core_answer_cache_total", "result", "hit")
-	answerCubes    = obs.Default.Counter("rdfa_core_answer_cache_total", "result", "cube")
-	answerMisses   = obs.Default.Counter("rdfa_core_answer_cache_total", "result", "miss")
-	// answerEvicted counts size-pressure evictions from the per-level answer
-	// LRU; it shares the rdfa_cache_evictions_total family with the server's
-	// fingerprint answer cache (label cache="answer").
-	answerEvicted = obs.Default.Counter("rdfa_cache_evictions_total", "cache", "session")
 )
 
 // observeSince records a duration on h; evaluate time.Now() at the defer

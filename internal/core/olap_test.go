@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,6 +64,87 @@ func TestRollUpDrillDown(t *testing.T) {
 	}
 	if len(fine2.Rows) != len(fine.Rows) {
 		t.Fatalf("drill-down rows = %d, want %d", len(fine2.Rows), len(fine.Rows))
+	}
+}
+
+// TestRollUpEqualsFresh: rolling up — dropping a grouping attribute — answers
+// what a fresh session asking the coarser question answers, for every
+// aggregate and every measure type. MIN and MAX of a date used to roll up to
+// an empty frame: a roll-up computed in memory from the finer answer
+// dropped every row whose measure did not parse as a number.
+func TestRollUpEqualsFresh(t *testing.T) {
+	inv := func(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: ie(local)}}} }
+	lap := func(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: pe(local)}}} }
+	quantity := MeasureSpec{Path: facet.Path{{P: ie("inQuantity")}}}
+	released := MeasureSpec{Path: facet.Path{{P: pe("releaseDate")}}}
+	laptops := func(t testing.TB) *Session {
+		s := productSession(t)
+		s.ClickClass(pe("Laptop"))
+		return s
+	}
+	cocaLight := func(s *Session) { s.ClickValue(facet.Path{{P: ie("delivers")}}, ie("CocaLight")) }
+	for _, tc := range []struct {
+		name       string
+		session    func(testing.TB) *Session
+		click      func(*Session) // a faceted click before the analytics, or nil
+		keep, drop GroupSpec
+		measure    MeasureSpec
+		op         hifun.AggOp
+		// want maps the kept column's local name to the measure's lexical form.
+		want map[string]string
+	}{
+		{"invoices SUM", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
+			map[string]string{"branch1": "300", "branch2": "600", "branch3": "600"}},
+		{"invoices MIN", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMin,
+			map[string]string{"branch1": "100", "branch2": "200", "branch3": "100"}},
+		{"invoices MAX", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMax,
+			map[string]string{"branch1": "200", "branch2": "400", "branch3": "400"}},
+		{"invoices COUNT", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), MeasureSpec{}, hifun.OpCount,
+			map[string]string{"branch1": "2", "branch2": "2", "branch3": "3"}},
+		{"invoices AVG", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpAvg,
+			map[string]string{"branch1": "150", "branch2": "300", "branch3": "200"}},
+		{"invoices SUM after a click", invoiceSession, cocaLight, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
+			map[string]string{"branch1": "200", "branch2": "600", "branch3": "400"}},
+		{"laptops MIN releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMin,
+			map[string]string{"DELL": "2021-06-10", "Lenovo": "2021-10-10"}},
+		{"laptops MAX releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMax,
+			map[string]string{"DELL": "2021-09-03", "Lenovo": "2021-10-10"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			analyze := func(groups ...GroupSpec) *Session {
+				s := tc.session(t)
+				if tc.click != nil {
+					tc.click(s)
+				}
+				for _, g := range groups {
+					s.ClickGroupBy(g)
+				}
+				s.ClickAggregate(tc.measure, hifun.Operation{Op: tc.op})
+				return s
+			}
+			s := analyze(tc.keep, tc.drop)
+			if _, err := s.RunAnalytics(); err != nil {
+				t.Fatal(err)
+			}
+			rolled, err := s.RollUp(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := analyze(tc.keep).RunAnalytics()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rolled.Columns(), fresh.Columns()) || !reflect.DeepEqual(rolled.Rows, fresh.Rows) {
+				t.Errorf("roll-up, %d rows:\n%s\nfresh session, %d rows:\n%s", len(rolled.Rows), rolled, len(fresh.Rows), fresh)
+			}
+			got := map[string]string{}
+			for _, row := range rolled.Rows {
+				got[row[0].LocalName()] = row[1].Value
+			}
+			if !maps.Equal(got, tc.want) {
+				t.Errorf("roll-up = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

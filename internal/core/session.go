@@ -20,50 +20,8 @@ import (
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
-	"rdfanalytics/internal/resilience"
 	"rdfanalytics/internal/sparql"
 )
-
-// levelCacheBytes bounds each level's answer memoization: enough for
-// hundreds of typical Answer Frames, small enough that MaxSessions
-// concurrent sessions stay within a predictable memory envelope. A
-// variable (not const) so tests can shrink it to force evictions.
-var levelCacheBytes int64 = 8 << 20 // 8 MiB
-
-// dropStaleAnswers empties the answer memo and the cubes when the level's
-// graph mutated since they were filled.
-func (l *level) dropStaleAnswers() {
-	if v := l.model.G.Version(); v != l.answersVersion {
-		l.cache, l.cubes, l.answersVersion = nil, nil, v
-	}
-}
-
-// ensureCache lazily builds the level's bounded answer cache.
-func (l *level) ensureCache() {
-	if l.cache == nil {
-		l.cache = resilience.NewSizedLRU[*hifun.Answer](levelCacheBytes,
-			func(string, int64) { answerEvicted.Inc() })
-	}
-}
-
-// answerBytes estimates an Answer Frame's resident size for the cache's
-// byte accounting: string payloads plus per-term/per-row overhead.
-func answerBytes(a *hifun.Answer) int64 {
-	n := int64(len(a.SPARQL)) + 128
-	for _, c := range a.GroupCols {
-		n += int64(len(c)) + 16
-	}
-	for _, c := range a.MeasureCols {
-		n += int64(len(c)) + 16
-	}
-	for _, row := range a.Rows {
-		n += 24
-		for _, t := range row {
-			n += int64(len(t.Value)+len(t.Datatype)+len(t.Lang)) + 48
-		}
-	}
-	return n
-}
 
 // GroupSpec is one grouping condition selected with the G button: a facet
 // path, optionally wrapped by a derived function (the transform button used
@@ -119,22 +77,11 @@ type level struct {
 	ns        string
 	history   []*facet.State // history[len-1] is current
 	analytics Analytics
-	// answer holds the last Answer Frame computed at this level.
+	// answer holds the last Answer Frame computed at this level. It may be
+	// shared with other sessions (see SetAnswer) and is never modified.
 	answer *hifun.Answer
-	// cache memoizes answers by (intention, HIFUN query): repeated runs of
-	// the same analytic state (e.g. switching chart types in the GUI) skip
-	// re-evaluation. Bounded by byte-size accounting (levelCacheBytes) with
-	// LRU eviction — a long-lived session cannot grow it without limit. A
-	// nil cache is valid and empty (see resilience.SizedLRU).
-	cache *resilience.SizedLRU[*hifun.Answer]
-	// answersVersion is the graph version cache and cubes were filled at;
-	// dropStaleAnswers empties both when the graph has moved since, whoever
-	// moved it.
-	answersVersion uint64
 	// log records the replayable click sequence for snapshots.
 	log actionLog
-	// cubes retains recent decomposable answers for roll-up reuse.
-	cubes []cubeEntry
 	// markers holds the transition markers of the state ComputeUIState last
 	// rendered at this level, so G / Σ clicks — which leave the extension
 	// alone (§5.2.2) — do not recount them.
@@ -160,13 +107,8 @@ type Session struct {
 	// the server's record of the run and the CLI's `trace` command.
 	lastTrace *obs.Trace
 	// lastProfile is the operator-level runtime profile of the most recent
-	// RunAnalytics (empty below the root for cache and cube-rollup hits,
-	// which never touch the engine).
+	// RunAnalytics.
 	lastProfile *sparql.Profile
-	// lastSource is how the most recent RunAnalytics produced its answer:
-	// "cache", "cube_rollup", "query", or "" when it failed before an
-	// answer source was chosen.
-	lastSource string
 	// limits are the resource budgets applied to every analytic query the
 	// session runs (see sparql.Limits). Zero values mean engine defaults.
 	limits sparql.Limits
@@ -202,10 +144,11 @@ func (s *Session) SetFeedback(fb *sparql.FeedbackStore) { s.feedback = fb }
 func (s *Session) LastTrace() *obs.Trace { return s.lastTrace }
 
 // LastRun returns what the most recent RunAnalytics left for its caller to
-// report: the finished trace, the operator profile and the answer source.
-// All are zero before the first run.
-func (s *Session) LastRun() (*obs.Trace, *sparql.Profile, string) {
-	return s.lastTrace, s.lastProfile, s.lastSource
+// report: the finished trace and the operator profile (EXPLAIN ANALYZE for
+// the analytics pipeline — the CLI's `profile` command). Both are nil
+// before the first run.
+func (s *Session) LastRun() (*obs.Trace, *sparql.Profile) {
+	return s.lastTrace, s.lastProfile
 }
 
 // NewSession starts a session over g (which should be materialized) with
@@ -442,20 +385,89 @@ func (s *Session) Context() *hifun.Context {
 	return ctx
 }
 
+// Run is the session's current analytic query, ready to evaluate. Exec
+// touches no session, so the evaluation can run wherever the caller likes —
+// behind a server's shared answer cache, say — and every session that asked
+// for it adopts the frame with SetAnswer.
+type Run struct {
+	// Query is the HIFUN query the analytic state denotes.
+	Query *hifun.Query
+	// Key names the answer over one graph version and namespace: the
+	// intention's graph patterns, which the translation injects, and the
+	// analytic selections with full IRIs and typed values. The breadcrumb and
+	// the HIFUN text print IRIs as local names and literals without their
+	// datatype, so two different questions can print alike; their keys
+	// cannot. The translation is a pure function of what the key holds, so
+	// equal keys denote equal Answer Frames.
+	Key string
+	ctx *hifun.Context
+}
+
+// PrepareRun builds the current analytic query, the context it ranges over
+// and its key; nothing is translated or evaluated.
+func (s *Session) PrepareRun() (*Run, error) {
+	q, err := s.BuildHIFUNQuery()
+	if err != nil {
+		return nil, err
+	}
+	ctx := s.Context()
+	return &Run{Query: q, Key: runKey(ctx.ExtraPatterns, s.top().analytics), ctx: ctx}, nil
+}
+
+// runKey renders a Run.Key from the context's injected patterns and the
+// analytic selections.
+func runKey(patterns []string, a Analytics) string {
+	var key strings.Builder
+	key.WriteString(strings.Join(patterns, "\n"))
+	path := func(tag string, p facet.Path, derive string) {
+		key.WriteString("\x00" + tag)
+		for _, step := range p {
+			if step.Inverse {
+				key.WriteByte('^')
+			}
+			key.WriteString(step.P.String())
+		}
+		key.WriteString(derive)
+	}
+	for _, g := range a.GroupBy {
+		path("G", g.Path, g.Derive)
+	}
+	path("M", a.Measure.Path, a.Measure.Derive)
+	for _, op := range a.Ops {
+		fmt.Fprintf(&key, "\x00%s %t %s %s", op.Op, op.Distinct, op.RestrictOp, op.RestrictValue)
+	}
+	return key.String()
+}
+
+// Exec translates and evaluates the run, once, recording spans under tr and
+// operators in prof (either may be nil). The evaluation observes qctx's
+// deadline and cancellation and the session's Limits.
+func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*hifun.Answer, error) {
+	start := time.Now()
+	defer observeSince(runSeconds, start)
+	r.ctx.Trace, r.ctx.Profile = tr, prof
+	ans, err := r.ctx.ExecuteCtx(qctx, r.Query)
+	if err != nil {
+		return nil, err
+	}
+	prof.Record(time.Since(start), 1, len(ans.Rows))
+	return ans, nil
+}
+
+// SetAnswer adopts a frame computed for the current level's run — by this
+// session's own Exec or by a shared execution another session started —
+// as the level's answer, the one charts, CSV export and reloading read.
+func (s *Session) SetAnswer(a *hifun.Answer) { s.top().answer = a }
+
 // RunAnalytics builds, translates and executes the current analytic query,
-// storing and returning the Answer Frame. Identical (state, query) pairs
-// are served from a per-level cache until the graph mutates.
+// storing and returning the Answer Frame.
 func (s *Session) RunAnalytics() (*hifun.Answer, error) {
 	return s.RunAnalyticsCtx(context.Background())
 }
 
-// RunAnalyticsCtx is RunAnalytics honoring ctx: the HIFUN translation and
-// the generated SPARQL evaluation observe ctx's deadline/cancellation and
-// the session's Limits. Cache and cube-rollup hits are unaffected (they
-// never touch the engine).
+// RunAnalyticsCtx is RunAnalytics honoring ctx (see Run.Exec). Its trace and
+// operator profile are left for LastRun.
 func (s *Session) RunAnalyticsCtx(qctx context.Context) (*hifun.Answer, error) {
-	start := time.Now()
-	defer func() { runSeconds.Observe(time.Since(start).Seconds()) }()
 	tr := obs.NewTrace("run_analytics")
 	defer tr.Finish()
 	// Adopt the IDs the HTTP layer minted, so the retained trace matches
@@ -464,82 +476,22 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (*hifun.Answer, error) {
 	if reqID := obs.RequestIDFrom(qctx); reqID != "" {
 		tr.Root().SetAttr("request_id", reqID)
 	}
-	s.lastTrace, s.lastSource = tr, ""
 	prof := sparql.NewProfile("run_analytics")
-	prof.SetTraceID(tr.ID())
-	s.lastProfile = prof
+	s.lastTrace, s.lastProfile = tr, prof
 
 	bq := tr.Root().StartChild("build_query")
-	q, err := s.BuildHIFUNQuery()
+	run, err := s.PrepareRun()
 	bq.Finish()
 	if err != nil {
 		return nil, err
 	}
-	bq.SetAttr("hifun", q.String())
-	l := s.top()
-	l.dropStaleAnswers()
-	intentionKey := l.state().Int.String()
-	key := intentionKey + "\x00" + q.String()
-	if cached, ok := l.cache.Get(key); ok {
-		answerHits.Inc()
-		s.lastSource = "cache"
-		tr.Root().SetAttr("answer_source", s.lastSource)
-		prof.Record(time.Since(start), 1, len(cached.Rows))
-		l.answer = cached
-		return cached, nil
-	}
-	// Materialized-cube reuse: a coarser grouping of a cached cube rolls up
-	// in memory instead of re-querying (see cube.go).
-	if rolled := l.tryCubeReuse(intentionKey, l.analytics); rolled != nil {
-		answerCubes.Inc()
-		s.lastSource = "cube_rollup"
-		tr.Root().SetAttr("answer_source", s.lastSource)
-		prof.Record(time.Since(start), 1, len(rolled.Rows))
-		l.ensureCache()
-		l.cache.Put(key, rolled, answerBytes(rolled))
-		l.answer = rolled
-		return rolled, nil
-	}
-	answerMisses.Inc()
-	s.lastSource = "query"
-	tr.Root().SetAttr("answer_source", s.lastSource)
-	ctx := s.Context()
-	ctx.Trace = tr
-	ctx.Profile = prof
-	ans, err := ctx.ExecuteCtx(qctx, q)
+	bq.SetAttr("hifun", run.Query.String())
+	ans, err := run.Exec(qctx, tr, prof)
 	if err != nil {
 		return nil, err
 	}
-	prof.Record(time.Since(start), 1, len(ans.Rows))
-	l.ensureCache()
-	l.cache.Put(key, ans, answerBytes(ans))
-	l.rememberCube(intentionKey, l.analytics, ans)
-	l.answer = ans
+	s.SetAnswer(ans)
 	return ans, nil
-}
-
-// ProfileAnalytics executes the current analytic query bypassing the answer
-// cache and the cube roll-up, so the returned operator profile reflects a
-// real end-to-end evaluation (EXPLAIN ANALYZE for the analytics pipeline —
-// the CLI's `profile` command). The computed answer is not cached: repeated
-// profiling keeps measuring the engine, and a later RunAnalytics still
-// benefits from its own memoization.
-func (s *Session) ProfileAnalytics(qctx context.Context) (*hifun.Answer, *sparql.Profile, error) {
-	q, err := s.BuildHIFUNQuery()
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	prof := sparql.NewProfile("run_analytics")
-	ctx := s.Context()
-	ctx.Profile = prof
-	ans, err := ctx.ExecuteCtx(qctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	prof.Record(time.Since(start), 1, len(ans.Rows))
-	s.top().answer = ans
-	return ans, prof, nil
 }
 
 // Answer returns the last computed Answer Frame at the current level.

@@ -442,55 +442,57 @@ func TestBuildHIFUNQueryShape(t *testing.T) {
 	}
 }
 
+// TestAnswerCache: a run's key — what a shared answer cache files the
+// answer under — repeats for an identical re-run, and differs for another
+// query, another state, or a state that only prints like it.
 func TestAnswerCache(t *testing.T) {
 	s := productSession(t)
 	s.ClickClass(pe("Laptop"))
 	s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("manufacturer")}}})
 	s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.Operation{Op: hifun.OpAvg})
-	a1, err := s.RunAnalytics()
-	if err != nil {
-		t.Fatal(err)
+	key := func(s *Session) string {
+		t.Helper()
+		run, err := s.PrepareRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.Key
 	}
-	a2, err := s.RunAnalytics()
-	if err != nil {
-		t.Fatal(err)
+	k1 := key(s)
+	if k2 := key(s); k2 != k1 {
+		t.Errorf("identical re-run keyed %q, then %q", k1, k2)
 	}
-	if a1 != a2 {
-		t.Error("identical re-run not served from cache")
-	}
-	// A different query misses the cache.
+	// A different query is another key.
 	s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.Operation{Op: hifun.OpMax})
-	a3, err := s.RunAnalytics()
-	if err != nil {
-		t.Fatal(err)
+	k3 := key(s)
+	if k3 == k1 {
+		t.Error("AVG and MAX share a key")
 	}
-	if a3 == a1 {
-		t.Error("different query served stale answer")
-	}
-	// A transform invalidates: the same query recomputes.
-	if _, err := s.ApplyTransform(hifun.FeatureSpec{
-		Op: hifun.FCOCount, P: pe("manufacturer"), Feature: pe("nMakers"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	a4, err := s.RunAnalytics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a4 == a3 {
-		t.Error("cache not invalidated by transform")
-	}
-	// A faceted click changes the state: cache key differs.
+	// A faceted click changes the state: another key, and the answer sees it.
 	s.ClickValue(facet.Path{{P: pe("manufacturer")}}, pe("DELL"))
-	a5, err := s.RunAnalytics()
-	if err != nil {
-		t.Fatal(err)
+	k4 := key(s)
+	if k4 == k3 {
+		t.Error("a faceted click left the key alone")
 	}
-	if a5 == a4 {
-		t.Error("state change served stale answer")
+	if a, err := s.RunAnalytics(); err != nil || len(a.Rows) != 1 {
+		t.Fatalf("restricted answer = %v, %v; want one row", a, err)
 	}
-	if len(a5.Rows) != 1 {
-		t.Errorf("restricted answer rows = %d", len(a5.Rows))
+	// Another manufacturer with the same local name prints the same
+	// breadcrumb and HIFUN text, and keys apart.
+	other := productSession(t)
+	other.ClickClass(pe("Laptop"))
+	other.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("manufacturer")}}})
+	for _, op := range s.Analytics().Ops {
+		other.ClickAggregate(MeasureSpec{Path: facet.Path{{P: pe("price")}}}, op)
+	}
+	other.ClickValue(facet.Path{{P: pe("manufacturer")}}, rdf.NewIRI("http://other.example/DELL"))
+	qs, _ := s.BuildHIFUNQuery()
+	qo, _ := other.BuildHIFUNQuery()
+	if other.State().Int.String() != s.State().Int.String() || qo.String() != qs.String() {
+		t.Fatalf("%q %s and %q %s print apart; the check needs them alike", other.State().Int, qo, s.State().Int, qs)
+	}
+	if key(other) == k4 {
+		t.Error("two manufacturers named DELL share a key")
 	}
 }
 
@@ -540,5 +542,66 @@ func TestSessionFromResults(t *testing.T) {
 	}
 	if n, _ := ans.Rows[0][0].Int(); n != 1720 { // 900 + 820
 		t.Errorf("sum = %v\n%s", ans.Rows[0][0], ans)
+	}
+}
+
+// countsByFirstColumn runs the session's analytics and sums the last
+// column per local name of the first.
+func countsByFirstColumn(t *testing.T, s *Session) map[string]int64 {
+	t.Helper()
+	ans, err := s.RunAnalytics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, row := range ans.Rows {
+		n, _ := row[len(row)-1].Int()
+		out[row[0].LocalName()] += n
+	}
+	return out
+}
+
+// TestSecondSessionSeesMutationThroughFirst: two sessions over one graph.
+// A transform applied through one, or a plain graph.Add, is a write the
+// other is never told about; no answer it ran before may outlive it.
+func TestSecondSessionSeesMutationThroughFirst(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	a, b := NewSession(g, datagen.ExampleNS), NewSession(g, datagen.ExampleNS)
+
+	// b runs "companies by founder count" before the feature exists.
+	a.ClickClass(pe("Company"))
+	b.ClickClass(pe("Company"))
+	b.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("nFounders")}}})
+	b.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+	if got := countsByFirstColumn(t, b); len(got) != 0 {
+		t.Fatalf("grouping by a feature nobody created yet = %v", got)
+	}
+	if n, err := a.ApplyTransform(hifun.FeatureSpec{Op: hifun.FCOCount, P: pe("founder"), Feature: pe("nFounders")}); err != nil || n == 0 {
+		t.Fatalf("transform through a: %d, %v", n, err)
+	}
+	if got := countsByFirstColumn(t, b); len(got) == 0 {
+		t.Error("b still answers from before a's transform")
+	}
+
+	// b runs laptops by (manufacturer, USB ports), and a DELL laptop then
+	// arrives through the graph alone.
+	b.Reset()
+	b.ClickClass(pe("Laptop"))
+	b.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("manufacturer")}}})
+	b.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("USBPorts")}}})
+	b.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+	dell := countsByFirstColumn(t, b)["DELL"]
+	nl := pe("laptopNew")
+	g.Add(rdf.Triple{S: nl, P: rdf.NewIRI(rdf.RDFType), O: pe("Laptop")})
+	g.Add(rdf.Triple{S: nl, P: pe("manufacturer"), O: pe("DELL")})
+	g.Add(rdf.Triple{S: nl, P: pe("USBPorts"), O: rdf.NewInteger(2)})
+	b.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("USBPorts")}}}) // coarsen
+	if got := countsByFirstColumn(t, b)["DELL"]; got != dell+1 {
+		t.Errorf("coarse grouping after graph.Add: DELL = %d, want %d", got, dell+1)
+	}
+	b.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("USBPorts")}}}) // back to the fine grouping
+	if got := countsByFirstColumn(t, b)["DELL"]; got != dell+1 {
+		t.Errorf("fine grouping after graph.Add: DELL = %d, want %d", got, dell+1)
 	}
 }

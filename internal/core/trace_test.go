@@ -8,9 +8,9 @@ import (
 	"rdfanalytics/internal/hifun"
 )
 
-// TestSessionLastTrace checks RunAnalytics records a span tree: the first
-// run goes through translate/exec (answer_source=query), the second is
-// served from the answer cache and says so.
+// TestSessionLastTrace checks RunAnalytics leaves a span tree and an
+// operator profile for LastRun, and that a repeat run — a session memoizes
+// nothing — evaluates again, under a trace of its own.
 func TestSessionLastTrace(t *testing.T) {
 	s := productSession(t)
 	if s.LastTrace() != nil {
@@ -23,8 +23,9 @@ func TestSessionLastTrace(t *testing.T) {
 	if _, err := s.RunAnalytics(); err != nil {
 		t.Fatal(err)
 	}
-	tree := s.LastTrace().Tree()
-	for _, want := range []string{"run_analytics", "answer_source=query", "build_query", "translate", "exec", "build_answer", "bgp"} {
+	first := s.LastTrace()
+	tree := first.Tree()
+	for _, want := range []string{"run_analytics", "build_query", "translate", "exec", "build_answer", "bgp"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("trace missing %q:\n%s", want, tree)
 		}
@@ -32,7 +33,11 @@ func TestSessionLastTrace(t *testing.T) {
 	if _, err := s.RunAnalytics(); err != nil {
 		t.Fatal(err)
 	}
-	if tree := s.LastTrace().Tree(); !strings.Contains(tree, "answer_source=cache") {
-		t.Errorf("second run should be a cache hit:\n%s", tree)
+	tr, prof := s.LastRun()
+	if tr == first || !strings.Contains(tr.Tree(), "exec") {
+		t.Errorf("second run did not evaluate under its own trace:\n%s", tr.Tree())
+	}
+	if pt := prof.Tree(); !strings.Contains(pt, "translate") || !strings.Contains(pt, "exec") {
+		t.Errorf("profile of the second run:\n%s", pt)
 	}
 }

@@ -51,8 +51,8 @@ type QueryRecord struct {
 	// Err is the error message for non-ok outcomes.
 	Err string `json:"error,omitempty"`
 	// Cache is how the answer was produced: the X-Cache result of a /sparql
-	// request ("miss", "bypass", "hit", "stale", "collapsed") or the answer
-	// source of an analytic run ("query", "cache", "cube_rollup").
+	// request or an analytic run ("miss", "bypass", "hit", "stale",
+	// "collapsed").
 	Cache     string `json:"cache,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
 	// TraceID names the execution's trace — for a cache serve, the trace of

@@ -1,26 +1,35 @@
 package resilience
 
-import "time"
+import (
+	"time"
 
-// Answer is one cached /sparql response: the fully rendered body plus the
-// metadata needed to replay it faithfully and to decide freshness. Version
-// is the graph version the answer was computed against; When is the fill
-// time, used to bound how stale an answer a max-stale request may get.
+	"rdfanalytics/internal/hifun"
+)
+
+// Answer is one cached response to a /sparql SELECT or ASK or to an
+// analytic run: the fully rendered body plus the metadata needed to replay
+// it faithfully and to decide freshness. Version is the graph version the
+// answer was computed against; When is the fill time, used to bound how
+// stale an answer a max-stale request may get.
 type Answer struct {
 	Body        []byte
 	ContentType string
 	Status      int
 	Rows        int
-	Shape       string // fingerprint ID, for per-shape metrics on replay
+	Shape       string // fingerprint text, for per-shape metrics on replay
 	TraceID     string // trace retained for the execution that filled this entry
 	Version     uint64
 	When        time.Time
+	// Frame is a run's Answer Frame, which the body renders: every session
+	// served this entry adopts it, read-only. Nil for a /sparql answer.
+	Frame *hifun.Answer
 }
 
 // AnswerCache is the fingerprint answer cache: a byte-bounded LRU of
 // rendered responses keyed by FingerprintID × raw query text (the raw text
 // keeps constants, datatypes and timezones distinct — the fingerprint alone
-// normalizes them away, see CacheKey), invalidated by graph-version
+// normalizes them away, see CacheKey) — or, for an analytic run, by a
+// namespace of its own × the session's run key — invalidated by graph-version
 // comparison at lookup time rather than by eager purging. A nil
 // *AnswerCache disables caching: every method is a safe no-op/miss.
 type AnswerCache struct {
@@ -46,7 +55,9 @@ func NewAnswerCache(maxBytes int64, _ time.Duration, onEvict func(key string, si
 // normalizes every constant to "$", so two queries differing only in a
 // literal, datatype or timezone share a fingerprint; embedding the raw
 // query text keeps their answers separate while the fingerprint prefix
-// keeps shape-level locality for eviction statistics.
+// keeps shape-level locality for eviction statistics. A fingerprint ID is
+// 16 hex digits, so any other prefix (an analytic run's namespace) names
+// keys no /sparql query can have.
 func CacheKey(fingerprintID, rawQuery string) string {
 	return fingerprintID + "\x00" + rawQuery
 }
@@ -88,7 +99,29 @@ func (c *AnswerCache) Store(key string, a *Answer) {
 	if c == nil || a == nil {
 		return
 	}
-	c.lru.Put(key, a, int64(len(a.Body)+len(a.ContentType)+len(key))+entryOverhead)
+	c.lru.Put(key, a, int64(len(a.Body)+len(a.ContentType)+len(key))+entryOverhead+frameBytes(a.Frame))
+}
+
+// frameBytes estimates an Answer Frame's resident size: string payloads
+// plus per-term/per-row overhead (0 for no frame).
+func frameBytes(a *hifun.Answer) int64 {
+	if a == nil {
+		return 0
+	}
+	n := int64(len(a.SPARQL)) + 128
+	for _, c := range a.GroupCols {
+		n += int64(len(c)) + 16
+	}
+	for _, c := range a.MeasureCols {
+		n += int64(len(c)) + 16
+	}
+	for _, row := range a.Rows {
+		n += 24
+		for _, t := range row {
+			n += int64(len(t.Value)+len(t.Datatype)+len(t.Lang)) + 48
+		}
+	}
+	return n
 }
 
 // Bytes returns the accounted size of resident entries.

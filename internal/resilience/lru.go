@@ -2,9 +2,8 @@
 // bounded, byte-accounted answer cache with graph-version invalidation, a
 // singleflight group that collapses concurrent identical queries into one
 // execution, and an admission gate (a semaphore with a bounded wait queue).
-// Everything is stdlib-only and safe for concurrent use; internal/server
-// wires the pieces into the /sparql path and internal/core reuses the LRU
-// for per-session answer memoization.
+// Everything is safe for concurrent use; internal/server wires the pieces
+// into the /sparql and /api/run paths.
 package resilience
 
 import (

@@ -27,18 +27,19 @@ func doUpdate(s *Server, update string) int {
 	return rec.Code
 }
 
-// TestOverloadCounts drives 16 concurrent clients through three rounds
+// TestOverloadCounts drives 18 concurrent clients through three rounds
 // against a fault-slowed engine behind two execution slots and a four-deep
 // queue. Per round, six clients send one query new to the cache (the
 // first is already executing when the other five arrive), eight send one
-// distinct shape each, two send a hot query, and single-triple INSERT DATA
-// updates land while executions are in flight. The counts come from the
-// responses and agree with the metrics: followers collapse onto a leader,
-// the distinct shapes overflow the queue and are shed with the structured
-// 503 + Retry-After, and nothing is served stale. Every 200 body is its
-// query's answer at a graph version that was current at some point of the
-// request's lifetime; the answers at every version come from replaying the
-// same updates on a clone.
+// distinct shape each, two send a hot query, two sessions make the same
+// analytic run, and single-triple INSERT DATA updates land while executions
+// are in flight. The counts come from the responses and agree with the
+// metrics: followers collapse onto a leader, every miss is one engine
+// execution — a run's as much as a query's — the distinct shapes overflow
+// the queue and are shed with the structured 503 + Retry-After, and nothing
+// is served stale. Every 200 body is its query's answer at a graph version
+// that was current at some point of the request's lifetime; the answers at
+// every version come from replaying the same updates on a clone.
 func TestOverloadCounts(t *testing.T) {
 	const (
 		rounds          = 3
@@ -62,13 +63,23 @@ func TestOverloadCounts(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		queries = append(queries, identicalQuery(r))
 	}
-
+	// A client named run-* is a session whose Σ click is laptops counted by
+	// manufacturer; its "query" is POST /api/run.
+	const run = "run"
+	runners := []string{"run-a", "run-b"}
+	do := func(s *Server, q string) (int, string, string, []byte) {
+		if strings.HasPrefix(q, run) {
+			return doRun(s, q)
+		}
+		return doSparql(s, q)
+	}
 	g := datagen.SmallProducts()
 	rdf.Materialize(g)
 	// answers[q][k] is q's body after the first k updates, from a server
 	// over a clone that applies the same updates in the same order.
 	ref := NewWithConfig(g.Clone(), ns, Config{})
 	defer ref.Close()
+	laptopsBy(t, ref, run, "manufacturer")
 	answers := map[string][]string{}
 	for k := 0; k <= updates; k++ {
 		if k > 0 {
@@ -76,19 +87,25 @@ func TestOverloadCounts(t *testing.T) {
 				t.Fatalf("reference update %d = %d", k, code)
 			}
 		}
-		for _, q := range queries {
-			code, _, _, body := doSparql(ref, q)
+		for _, q := range append(queries, run) {
+			code, _, _, body := do(ref, q)
 			if code != http.StatusOK {
 				t.Fatalf("reference %q at %d = %d %s", q, k, code, body)
 			}
 			answers[q] = append(answers[q], string(body))
 		}
 	}
+	for _, r := range runners {
+		answers[r] = answers[run]
+	}
 
 	cfg := resilienceConfig()
 	cfg.MaxConcurrent, cfg.QueueDepth = 2, 4
 	s := NewWithConfig(g, ns, cfg)
 	defer s.Close()
+	for _, r := range runners {
+		laptopsBy(t, s, r, "manufacturer")
+	}
 	// Cached answers for the hot and distinct queries, which every round's
 	// updates outdate: a stale serve is always on offer, and must not be
 	// taken.
@@ -124,7 +141,7 @@ func TestOverloadCounts(t *testing.T) {
 	var responses []response
 	send := func(q string) {
 		lo := int(acked.Load())
-		code, xc, retry, body := doSparql(s, q)
+		code, xc, retry, body := do(s, q)
 		hi := int(started.Load())
 		mu.Lock()
 		responses = append(responses, response{q, lo, hi, code, xc, retry, string(body)})
@@ -160,7 +177,7 @@ func TestOverloadCounts(t *testing.T) {
 		for i := 1; i < identical; i++ {
 			launch(identicalQuery(r), release)
 		}
-		for _, q := range append(distinct, hotQuery, hotQuery) {
+		for _, q := range append(append(distinct, hotQuery, hotQuery), runners...) {
 			launch(q, release)
 		}
 		close(release)
@@ -173,8 +190,8 @@ func TestOverloadCounts(t *testing.T) {
 		clients.Wait()
 	}
 
-	if len(responses) != rounds*16 {
-		t.Fatalf("%d responses, want %d", len(responses), rounds*16)
+	if len(responses) != rounds*18 {
+		t.Fatalf("%d responses, want %d", len(responses), rounds*18)
 	}
 	byCache := map[string]int{}
 	queueFull := 0

@@ -58,8 +58,9 @@ type sentOp struct {
 }
 
 // TestOneRecordPerOperation: every operation class — /sparql SELECT (JSON,
-// CSV, hit, stale, collapsed), ASK, CONSTRUCT, DESCRIBE, /api/run (query,
-// level-cache hit, cube roll-up, failure), update and checkpoint — ends in
+// CSV, hit, stale, collapsed), ASK, CONSTRUCT, DESCRIBE, /api/run (miss, a
+// hit on another session's run, a reloaded level's bypass, failure), update
+// and checkpoint — ends in
 // exactly one record: one workload entry, one slow-log line, and for an
 // execution one offered trace, all carrying the same trace and request IDs.
 // A cache serve offers nothing and tallies a serve on the filler's trace.
@@ -199,30 +200,43 @@ func TestOneRecordPerOperation(t *testing.T) {
 			})},
 		{name: "describe", kind: "sparql", cache: []string{"bypass"}, offers: 1,
 			act: one(func() *http.Request { return get(`PREFIX ex: <` + ns + `> DESCRIBE ex:laptop1`) })},
-		{name: "run", kind: "analytics", cache: []string{"query"}, offers: 1,
+		{name: "run", kind: "analytics", cache: []string{"miss"}, offers: 1,
 			setup: func() { analytic("rec-run", "manufacturer") },
 			act:   one(run("rec-run"))},
-		{name: "run-level-cache", kind: "analytics", cache: []string{"cache"}, offers: 1,
+		{name: "run-hit", kind: "analytics", cache: []string{"hit"},
 			setup: func() {
-				analytic("rec-cache", "manufacturer")
-				must(run("rec-cache")())
+				analytic("rec-hit-a", "USBPorts")
+				must(run("rec-hit-a")())
+				analytic("rec-hit-b", "USBPorts")
 			},
-			act: one(run("rec-cache"))},
-		{name: "run-cube-rollup", kind: "analytics", cache: []string{"cube_rollup"}, offers: 1,
+			act: one(run("rec-hit-b"))},
+		{name: "run-bypass", kind: "analytics", cache: []string{"bypass"}, offers: 1,
 			setup: func() {
-				analytic("rec-cube", "manufacturer", "origin")
-				must(run("rec-cube")())
-				// Ungroup origin: manufacturer alone rolls up from the cube.
-				must(session("rec-cube", "/api/groupby", map[string]any{"path": []map[string]any{{"p": ns + "origin"}}}))
+				analytic("rec-bypass", "manufacturer")
+				must(run("rec-bypass")())
+				must(session("rec-bypass", "/api/load-answer", map[string]any{}))
+				must(session("rec-bypass", "/api/aggregate", map[string]any{"op": "COUNT"}))
 			},
-			act: one(run("rec-cube"))},
-		{name: "run-failure", kind: "analytics", cache: []string{"query"}, offers: 1, outcome: "cancelled",
-			setup: func() { analytic("rec-fail", "origin") },
-			act: one(func() *http.Request {
+			act: one(run("rec-bypass"))},
+		{name: "run-failure", kind: "analytics", cache: []string{"miss"}, offers: 1, outcome: "cancelled",
+			setup: func() {
+				analytic("rec-fail", "origin")
+				if err := fault.Configure("sparql.join=delay:1h"); err != nil {
+					t.Fatal(err)
+				}
+			},
+			act: func() []sentOp {
 				ctx, cancel := context.WithCancel(context.Background())
-				cancel() // the client is gone before the engine starts
-				return run("rec-fail")().WithContext(ctx)
-			})},
+				defer cancel()
+				go func() {
+					for fault.Hits("sparql.join") == 0 { // the join has started: hang up
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				}()
+				return []sentOp{send(run("rec-fail")().WithContext(ctx), newID())}
+			},
+			teardown: fault.Reset},
 		{name: "update", kind: "update", cache: []string{""}, offers: 1,
 			act: one(func() *http.Request {
 				return update(`PREFIX ex: <` + ns + `> INSERT DATA { ex:recProbe a ex:Laptop . }`)

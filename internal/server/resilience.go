@@ -1,17 +1,17 @@
-// The overload-resilient /sparql serving flow: answer cache → stale serving
-// (only when the request asks) → singleflight collapse → admission gate →
-// engine. Assembled from the primitives in internal/resilience; this file
-// owns the HTTP-facing policy — what is cacheable, what each rejection looks
-// like on the wire, and which metrics each outcome feeds. Every decision
-// reads request-path state only: the cache, the gate's occupancy and the
-// drain flag.
+// The overload-resilient read flow of /sparql and /api/run: answer cache →
+// stale serving (only when the request asks) → singleflight collapse →
+// admission gate → engine. Assembled from the primitives in
+// internal/resilience; this file owns the HTTP-facing policy — what is
+// cacheable, what each rejection looks like on the wire, and which metrics
+// each outcome feeds. Every decision reads request-path state only: the
+// cache, the gate's occupancy and the drain flag.
 //
 // Outcome taxonomy on the X-Cache response header: "hit" (fresh cache),
 // "stale" (an earlier graph version's answer, for a request carrying
 // Cache-Control: max-stale, see maxStale), "collapsed" (shared a concurrent
 // identical execution at the same graph version), "miss" (executed,
 // possibly filling the cache), "bypass" (shape not cacheable: CSV accept,
-// CONSTRUCT, DESCRIBE).
+// CONSTRUCT, DESCRIBE, a run at a reloaded level).
 package server
 
 import (
@@ -42,7 +42,6 @@ var (
 	cacheFills     = obs.Default.Counter("rdfa_cache_fills_total")
 
 	cacheEvictAnswer  = obs.Default.Counter("rdfa_cache_evictions_total", "cache", "answer")
-	_                 = obs.Default.Counter("rdfa_cache_evictions_total", "cache", "session")
 	admissionAdmitted = obs.Default.Counter("rdfa_admission_admitted_total")
 	admissionWait     = obs.Default.Histogram("rdfa_admission_wait_seconds", nil)
 )
@@ -67,23 +66,24 @@ func init() {
 }
 
 // sparqlRecord starts the record of one /sparql operation: the query, its
-// fingerprint, the request's ids and the X-Cache result it answers with.
-func sparqlRecord(r *http.Request, raw, shape, fpID, cache string) obs.QueryRecord {
+// fingerprint and the request's ids.
+func sparqlRecord(r *http.Request, raw, shape, fpID string) obs.QueryRecord {
 	return obs.QueryRecord{
 		Kind: "sparql", Query: raw, Shape: shape, FingerprintID: fpID,
-		RequestID: requestID(r), TraceID: traceIDOf(r), Cache: cache,
+		RequestID: requestID(r), TraceID: traceIDOf(r),
 	}
 }
 
-// guarded is the one body every engine execution behind /sparql runs in:
-// admission gate (admit/wait metrics), a trace carrying the request's ids,
-// exec and the operation's record — made after the outcome and duration are
-// known, exactly the information head sampling lacks. exec returns the
-// result row count and the operator profile (nil for none). The admission
-// slot is the caller's until it calls release (never nil), so a response can
-// be rendered under it. A draining server admits only into a free slot,
-// never into the queue.
-func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr *obs.Trace) (int, *sparql.Profile, error)) (release func(), err error) {
+// guarded is the one body every engine execution behind /sparql and
+// /api/run runs in: admission gate (admit/wait metrics), a trace carrying the
+// request's ids (rec.Trace while exec runs), exec and the operation's record
+// — made after the outcome and duration are known, exactly the information
+// head sampling lacks. exec fills in the record's rows (a run also its
+// shape) and returns the operator profile (nil for none). The admission slot
+// is the caller's until it calls release (never nil), so a response can be
+// rendered under it. A draining server admits only into a free slot, never
+// into the queue.
+func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(rec *obs.QueryRecord) (*sparql.Profile, error)) (release func(), err error) {
 	waitStart := time.Now()
 	release, aerr := s.gate.Acquire(ctx, s.draining.Load())
 	if aerr != nil {
@@ -93,15 +93,18 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(tr 
 	admissionWait.Observe(time.Since(waitStart).Seconds())
 
 	start := time.Now()
-	tr := obs.NewTrace("sparql")
-	tr.SetID(rec.TraceID)
-	if rec.RequestID != "" {
-		tr.Root().SetAttr("request_id", rec.RequestID)
+	root := "sparql"
+	if rec.Kind == "analytics" {
+		root = "run_analytics"
 	}
-	rows, prof, err := exec(tr)
+	rec.Trace = obs.NewTrace(root)
+	rec.Trace.SetID(rec.TraceID)
+	if rec.RequestID != "" {
+		rec.Trace.Root().SetAttr("request_id", rec.RequestID)
+	}
+	prof, err := exec(&rec)
 	rec.Duration = time.Since(start)
-	tr.Finish()
-	rec.Trace, rec.Rows = tr, rows
+	rec.Trace.Finish()
 	s.record(rec, err, prof)
 	return release, err
 }
@@ -133,55 +136,93 @@ func execError(w http.ResponseWriter, err error) {
 // fingerprint but differ in any constant (value, datatype, language tag,
 // timezone) can never share an entry.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
-	start := time.Now()
 	shape := sparql.Fingerprint(q)
 	fpID := sparql.FingerprintID(shape)
+	rec := sparqlRecord(r, raw, shape, fpID)
 	if q.Form == sparql.FormSelect && strings.Contains(r.Header.Get("Accept"), "text/csv") {
 		// CSV rendering is not cached (the cache stores one rendering per
 		// query); execute directly under the admission gate.
 		cacheBypass.Inc()
 		w.Header().Set("X-Cache", "bypass")
-		s.execSelectCSV(w, ctx, q, sparqlRecord(r, raw, shape, fpID, "bypass"))
+		rec.Cache = "bypass"
+		s.execSelectCSV(w, ctx, q, rec)
 		return
 	}
+	s.serveCached(w, r, ctx, resilience.CacheKey(fpID, raw), rec, func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
+		ans := &resilience.Answer{ContentType: "application/sparql-results+json"}
+		if q.Form == sparql.FormAsk {
+			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, sparql.Options{Trace: rec.Trace, Limits: s.cfg.Limits})
+			ans.Body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
+			return ans, nil, err
+		}
+		res, prof, err := s.execSelect(execCtx, q, rec.FingerprintID, rec.Trace)
+		if err != nil {
+			return nil, prof, err
+		}
+		rec.Rows = len(res.Rows)
+		res.Sort()
+		// The serializer hands over the body at its final size (len == cap),
+		// so what the answer cache accounts is what the answer holds.
+		ans.Body = res.JSON()
+		return ans, prof, nil
+	})
+}
 
-	key := resilience.CacheKey(fpID, raw)
+// cachedExec is what a cached read runs on a miss: the engine execution
+// under rec's trace, the record's rows (and a run's shape) filled in, and
+// the answer rendered to its body.
+type cachedExec func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error)
+
+// serveCached is the one cached read path, taken by /sparql SELECT/ASK and by
+// /api/run at the base level: a fresh hit; a stale hit for a request that
+// asks for one (maxStale); a follower collapsed onto an identical execution
+// at the same graph version; or a miss, whose leader runs exec (see fill).
+// rec is the operation's record, its Cache still unset. The response is
+// written here; the answer served is returned, nil after an error response.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context, key string, rec obs.QueryRecord, exec cachedExec) *resilience.Answer {
+	start := time.Now()
 	version := s.graph.Version()
 	if ans, ok := s.answers.Lookup(key, version); ok {
 		cacheHit.Inc()
-		s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "hit"), start)
-		return
+		rec.Cache = "hit"
+		s.serveCachedAnswer(w, ans, rec, start)
+		return ans
 	}
 	if window, ok := s.maxStale(r); ok {
 		if ans, ok := s.answers.LookupStale(key, time.Now(), window); ok {
 			cacheStale.Inc()
 			w.Header().Set("Age", strconv.Itoa(int(time.Since(ans.When).Seconds())))
 			w.Header().Set("X-Graph-Version", strconv.FormatUint(ans.Version, 10))
-			s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "stale"), start)
-			return
+			rec.Cache = "stale"
+			s.serveCachedAnswer(w, ans, rec, start)
+			return ans
 		}
 	}
 	// A follower only joins a leader that looked the answer up at the same
 	// graph version: one arriving after an update never shares an execution
 	// that may have read the graph before it.
 	flightKey := key + "\x00" + strconv.FormatUint(version, 10)
+	leader := rec
+	leader.Cache = "miss"
 	v, collapsed, err := s.flight.Do(ctx, flightKey, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
-		return s.executeQuery(execCtx, q, sparqlRecord(r, raw, shape, fpID, "miss"), key)
+		return s.fill(execCtx, key, leader, exec)
 	})
 	if err != nil {
 		execError(w, err)
-		return
+		return nil
 	}
 	ans := v.(*resilience.Answer)
 	if collapsed {
 		cacheCollapsed.Inc()
-		s.serveCachedAnswer(w, ans, sparqlRecord(r, raw, shape, fpID, "collapsed"), start)
-		return
+		rec.Cache = "collapsed"
+		s.serveCachedAnswer(w, ans, rec, start)
+		return ans
 	}
 	cacheMiss.Inc()
 	w.Header().Set("X-Cache", "miss")
 	w.Header().Set("Content-Type", ans.ContentType)
 	w.Write(ans.Body)
+	return ans
 }
 
 // maxStale reads the request's Cache-Control max-stale directive (RFC 9111
@@ -212,57 +253,32 @@ func (s *Server) maxStale(r *http.Request) (window time.Duration, ok bool) {
 	return 0, false
 }
 
-// executeQuery is the singleflight leader body: the guarded execution of a
-// SELECT or ASK rendered to its JSON body, and the version-checked cache
-// fill. execCtx is detached from any single caller's request (see
-// resilience.Group), bounded by the query timeout. rec carries the leader's
-// middleware-minted trace ID; the retained trace and the cached answer both
-// carry it, so every response serving this execution can point at the same
-// waterfall.
-func (s *Server) executeQuery(execCtx context.Context, q *sparql.Query, rec obs.QueryRecord, key string) (any, error) {
+// fill is the singleflight leader body: exec guarded, and the cache filled
+// when the graph version did not move meanwhile. execCtx is detached from
+// any single caller's request (see resilience.Group), bounded by the query
+// timeout. rec carries the leader's middleware-minted trace ID; the
+// retained trace and the cached answer both carry it, so every response
+// serving this execution can point at the same waterfall.
+func (s *Server) fill(execCtx context.Context, key string, rec obs.QueryRecord, exec cachedExec) (*resilience.Answer, error) {
 	version := s.graph.Version()
-	// The serializer hands over the body at its final size (len == cap), so
-	// what the answer cache accounts is what the answer holds.
-	var body []byte
-	var rows int
-	var traceID string
-	release, err := s.guarded(execCtx, rec, func(tr *obs.Trace) (int, *sparql.Profile, error) {
-		traceID = tr.ID()
+	var ans *resilience.Answer
+	release, err := s.guarded(execCtx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
 		// The chaos site sits inside the measured window so injected latency
 		// is indistinguishable from a genuinely slow execution downstream
 		// (slow-query log, workload profile, retained traces).
 		if err := fault.InjectCtx(execCtx, "server.sparql.exec"); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		if q.Form == sparql.FormAsk {
-			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, sparql.Options{Trace: tr, Limits: s.cfg.Limits})
-			if err == nil {
-				body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
-			}
-			return 0, nil, err
+		if ans, prof, err = exec(execCtx, rec); err == nil {
+			ans.Status, ans.Rows, ans.Shape, ans.TraceID = http.StatusOK, rec.Rows, rec.Shape, rec.Trace.ID()
 		}
-		res, prof, err := s.execSelect(execCtx, q, rec.FingerprintID, tr)
-		if err == nil {
-			rows = len(res.Rows)
-			res.Sort()
-			body = res.JSON()
-		}
-		return rows, prof, err
+		return prof, err
 	})
 	release()
 	if err != nil {
 		return nil, err
 	}
-	ans := &resilience.Answer{
-		Body:        body,
-		ContentType: "application/sparql-results+json",
-		Status:      http.StatusOK,
-		Rows:        rows,
-		Shape:       rec.Shape,
-		TraceID:     traceID,
-		Version:     version,
-		When:        time.Now(),
-	}
+	ans.Version, ans.When = version, time.Now()
 	// Fill only if the graph version is unchanged: a mutation mid-execution
 	// means the result reflects neither version cleanly.
 	if s.answers.Enabled() && s.graph.Version() == version {
@@ -291,6 +307,9 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 	}
 	w.Write(ans.Body)
 	rec.Rows, rec.TraceID, rec.Duration = ans.Rows, ans.TraceID, time.Since(start)
+	if rec.Shape != ans.Shape { // a run's shape is known once its SPARQL is
+		rec.Shape, rec.FingerprintID = ans.Shape, sparql.FingerprintID(ans.Shape)
+	}
 	s.record(rec, nil, nil)
 }
 
@@ -298,12 +317,12 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 // admission gate.
 func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
 	var res *sparql.Results
-	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (rows int, prof *sparql.Profile, err error) {
-		res, prof, err = s.execSelect(ctx, q, rec.FingerprintID, tr)
+	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
+		res, prof, err = s.execSelect(ctx, q, rec.FingerprintID, rec.Trace)
 		if err == nil {
-			rows = len(res.Rows)
+			rec.Rows = len(res.Rows)
 		}
-		return rows, prof, err
+		return prof, err
 	})
 	defer release()
 	if err != nil {
@@ -320,24 +339,25 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 // every other engine execution.
 func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
 	shape := sparql.Fingerprint(q)
-	rec := sparqlRecord(r, raw, shape, sparql.FingerprintID(shape), "bypass")
+	rec := sparqlRecord(r, raw, shape, sparql.FingerprintID(shape))
+	rec.Cache = "bypass"
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
 	var out *rdf.Graph
-	release, err := s.guarded(ctx, rec, func(tr *obs.Trace) (int, *sparql.Profile, error) {
-		opts := sparql.Options{Trace: tr, Limits: s.cfg.Limits}
+	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
+		opts := sparql.Options{Trace: rec.Trace, Limits: s.cfg.Limits}
 		var err error
 		if q.Form == sparql.FormConstruct {
-			tr.Root().SetAttr("form", "construct")
+			rec.Trace.Root().SetAttr("form", "construct")
 			out, err = sparql.ExecConstructCtx(ctx, s.graph, q, opts)
 		} else {
-			tr.Root().SetAttr("form", "describe")
+			rec.Trace.Root().SetAttr("form", "describe")
 			out, err = sparql.ExecDescribeCtx(ctx, s.graph, q, opts)
 		}
-		if err != nil {
-			return 0, nil, err
+		if err == nil {
+			rec.Rows = out.Len()
 		}
-		return out.Len(), nil, nil
+		return nil, err
 	})
 	defer release()
 	if err != nil {

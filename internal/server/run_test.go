@@ -1,0 +1,189 @@
+package server
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/viz"
+)
+
+// inSession sends one request of session through the full middleware stack
+// in-process.
+func inSession(s *Server, session, method, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	req.Header.Set("X-Session", session)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	return rec
+}
+
+// doRun sends one POST /api/run for session and returns status, X-Cache,
+// Retry-After and body.
+func doRun(s *Server, session string) (int, string, string, []byte) {
+	rec := inSession(s, session, "POST", "/api/run", "")
+	return rec.Code, rec.Header().Get("X-Cache"), rec.Header().Get("Retry-After"), rec.Body.Bytes()
+}
+
+// clicks sends session's requests, each a path and a JSON body, and fails
+// on any but a 200.
+func clicks(t *testing.T, s *Server, session string, calls ...string) {
+	t.Helper()
+	for i := 0; i+1 < len(calls); i += 2 {
+		if rec := inSession(s, session, "POST", calls[i], calls[i+1]); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d %s", session, calls[i], rec.Code, rec.Body)
+		}
+	}
+}
+
+// laptopsBy puts session on laptops, grouped by the property named local and
+// counted.
+func laptopsBy(t *testing.T, s *Server, session, local string) {
+	t.Helper()
+	ns := datagen.ExampleNS
+	clicks(t, s, session,
+		"/api/click/class", `{"class":"`+ns+`Laptop"}`,
+		"/api/groupby", `{"path":[{"p":"`+ns+local+`"}]}`,
+		"/api/aggregate", `{"op":"COUNT"}`)
+}
+
+// TestRunSharesTheAnswerCache: two sessions make the same Σ click. The
+// second is a hit on the first one's execution — the same bytes, the
+// filler's trace, no trace of its own — and its chart, CSV export and reload
+// all read the frame it adopted, which the two sessions then read at once.
+// An update in between makes the next run a miss.
+func TestRunSharesTheAnswerCache(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	laptopsBy(t, s, "a", "manufacturer")
+	laptopsBy(t, s, "b", "manufacturer")
+	offers := func() int {
+		st := s.traces.Stats()
+		return st.Retained + int(st.DroppedSampled+st.DroppedEvicted+st.DroppedOversize)
+	}
+
+	first := inSession(s, "a", "POST", "/api/run", "")
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first run = %d, X-Cache %q", first.Code, first.Header().Get("X-Cache"))
+	}
+	offers0 := offers()
+	second := inSession(s, "b", "POST", "/api/run", "")
+	if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("same run from another session = %d, X-Cache %q", second.Code, second.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+		t.Errorf("hit body differs from the miss body:\n%s\n%s", second.Body, first.Body)
+	}
+	if got, want := second.Header().Get("X-Trace-ID"), first.Header().Get("X-Trace-ID"); got != want {
+		t.Errorf("hit points at trace %q, the filler's is %q", got, want)
+	}
+	if d := offers() - offers0; d != 0 {
+		t.Errorf("a hit offered %d traces", d)
+	}
+
+	// An update between two runs: the next one executes again.
+	if code := doUpdate(s, `INSERT DATA { <`+datagen.ExampleNS+`lateLaptop> a <`+datagen.ExampleNS+`Laptop> }`); code != http.StatusOK {
+		t.Fatalf("update = %d", code)
+	}
+	if code, xc, _, body := doRun(s, "a"); code != http.StatusOK || xc != "miss" {
+		t.Fatalf("run after an update = %d, X-Cache %q: %s", code, xc, body)
+	}
+	if _, xc, _, _ := doRun(s, "b"); xc != "hit" {
+		t.Fatalf("b after a's refill: X-Cache %q", xc)
+	}
+
+	s.mu.Lock()
+	frame := s.sessions["b"].sess.Answer()
+	shared := frame == s.sessions["a"].sess.Answer()
+	s.mu.Unlock()
+	if !shared {
+		t.Fatal("the sessions hold two frames for one answer")
+	}
+	var wg sync.WaitGroup
+	for _, session := range []string{"a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chart := inSession(s, session, "GET", "/api/chart?type=bar", "")
+			csv := inSession(s, session, "GET", "/api/answer.csv", "")
+			reload := inSession(s, session, "POST", "/api/load-answer", "")
+			if chart.Code != http.StatusOK || !strings.Contains(chart.Body.String(), "<svg") ||
+				csv.Code != http.StatusOK || strings.Count(csv.Body.String(), "\n") != len(frame.Rows)+1 ||
+				reload.Code != http.StatusOK {
+				t.Errorf("%s: chart %d, csv %d %q, load-answer %d", session, chart.Code, csv.Code, csv.Body, reload.Code)
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := viz.AnswerSeries(frame, 0); err != nil {
+				t.Error(err)
+			}
+			if n := frame.LoadAsDataset().Len(); n == 0 {
+				t.Error("the shared frame reloads as an empty dataset")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReloadedRunsBypass: two sessions reload different answers and make
+// the same Σ click on them — the same HIFUN text over the same intention,
+// each over its own copied graph. Neither run is cached; each session gets
+// its own frame.
+func TestReloadedRunsBypass(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	groups := map[string]int{}
+	for session, local := range map[string]string{"a": "manufacturer", "b": "releaseDate"} {
+		laptopsBy(t, s, session, local)
+		code, _, _, _ := doRun(s, session)
+		s.mu.Lock()
+		groups[session] = len(s.sessions[session].sess.Answer().Rows)
+		s.mu.Unlock()
+		if code != http.StatusOK {
+			t.Fatalf("%s: first-level run = %d", session, code)
+		}
+		clicks(t, s, session, "/api/load-answer", "", "/api/aggregate", `{"op":"COUNT"}`)
+	}
+	if groups["a"] == groups["b"] {
+		t.Fatalf("both first-level answers have %d rows; the check needs them apart", groups["a"])
+	}
+	for _, session := range []string{"a", "b", "a"} {
+		code, xc, _, body := doRun(s, session)
+		if code != http.StatusOK || xc != "bypass" {
+			t.Fatalf("%s: reloaded-level run = %d, X-Cache %q", session, code, xc)
+		}
+		s.mu.Lock()
+		ans := s.sessions[session].sess.Answer()
+		s.mu.Unlock()
+		if n, _ := ans.Rows[0][0].Int(); int(n) != groups[session] {
+			t.Errorf("%s counts %d tuples, its reloaded answer has %d: %s", session, n, groups[session], body)
+		}
+	}
+}
+
+// TestRunKeyIsNotItsDisplayText: two manufacturers share a local name, so
+// the two sessions' breadcrumbs and HIFUN texts print alike; each still gets
+// its own answer.
+func TestRunKeyIsNotItsDisplayText(t *testing.T) {
+	g := rdf.MustLoadTurtle(`@prefix ex: <http://e/> . @prefix o: <http://o/> .
+ex:l1 a ex:Laptop ; ex:maker ex:DELL ; ex:price 10 .
+ex:l2 a ex:Laptop ; ex:maker o:DELL ; ex:price 20 .
+`)
+	s := NewWithConfig(g, "http://e/", resilienceConfig())
+	defer s.Close()
+	for session, want := range map[string]string{"http://e/DELL": "10", "http://o/DELL": "20"} {
+		clicks(t, s, session,
+			"/api/click/class", `{"class":"http://e/Laptop"}`,
+			"/api/click/value", `{"path":[{"p":"http://e/maker"}],"value":{"kind":"iri","value":"`+session+`"}}`,
+			"/api/aggregate", `{"path":[{"p":"http://e/price"}],"op":"SUM"}`)
+		code, xc, _, body := doRun(s, session)
+		if code != http.StatusOK || xc != "miss" || !bytes.Contains(body, []byte(`"value":"`+want+`"`)) {
+			t.Errorf("SUM over %s's laptops = %d, X-Cache %q: %s; want %s", session, code, xc, body, want)
+		}
+	}
+}

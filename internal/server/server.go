@@ -7,6 +7,7 @@
 package server
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -481,9 +482,9 @@ var updateShapes = [...]string{
 }
 
 // execUpdate applies a SPARQL update and reports the change counts. No
-// cache is notified: everything derived from the graph — the sessions'
-// markers, answer memos and cubes included — compares Graph.Version() when
-// it is next read.
+// cache is notified: everything derived from the graph — the answer cache
+// and the sessions' markers included — compares Graph.Version() when it is
+// next read.
 func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -717,36 +718,60 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	writeState(w, sess)
 }
 
+// handleRun answers the Σ click: the session's analytic query, translated
+// to SPARQL and evaluated. At the base level a run is a query like any
+// other, served through the one cached read path (serveCached) under a key
+// of the session's making; a reloaded level queries its session's own copy
+// of an answer, which no other session shares, so it bypasses the cache.
+// Either way the session adopts the frame that was served.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	q, err := sess.BuildHIFUNQuery()
+	run, err := sess.PrepareRun()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	start := time.Now()
-	ans, err := sess.RunAnalyticsCtx(ctx)
-	rec := obs.QueryRecord{Kind: "analytics", Query: q.String(), RequestID: requestID(r), Duration: time.Since(start)}
-	// Analytic queries fingerprint by the generated SPARQL when available
-	// (it carries the full shape); the HIFUN text stands in on failure.
-	rec.Shape = "analytics " + rec.Query
-	if err == nil {
-		rec.Shape, rec.Rows = sparql.FingerprintQuery(ans.SPARQL), len(ans.Rows)
-	}
+	hq := run.Query.String()
+	// A run fingerprints by its generated SPARQL, which carries the full
+	// shape; the HIFUN text stands in until that exists, and on failure.
+	rec := obs.QueryRecord{Kind: "analytics", Query: hq, Shape: "analytics " + hq, RequestID: requestID(r), TraceID: traceIDOf(r)}
 	rec.FingerprintID = sparql.FingerprintID(rec.Shape)
-	// s.mu is held across the run, so the session's last run is this one.
-	var prof *sparql.Profile
-	rec.Trace, prof, rec.Cache = sess.LastRun()
-	s.record(rec, err, prof)
-	if err != nil {
-		queryError(w, err)
+	exec := func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
+		prof := sparql.NewProfile("run_analytics")
+		frame, err := run.Exec(execCtx, rec.Trace, prof)
+		if err != nil {
+			return nil, prof, err
+		}
+		rec.Shape, rec.Rows = sparql.FingerprintQuery(frame.SPARQL), len(frame.Rows)
+		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+		return &resilience.Answer{Body: answerBody(frame, hq), ContentType: "application/json", Frame: frame}, prof, nil
+	}
+	if sess.Depth() == 1 {
+		if ans := s.serveCached(w, r, ctx, resilience.CacheKey("analytics", run.Key), rec, exec); ans != nil {
+			sess.SetAnswer(ans.Frame)
+		}
 		return
 	}
-	writeAnswer(w, ans, rec.Query)
+	cacheBypass.Inc()
+	w.Header().Set("X-Cache", "bypass")
+	rec.Cache = "bypass"
+	var ans *resilience.Answer
+	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
+		ans, prof, err = exec(ctx, rec)
+		return prof, err
+	})
+	release()
+	if err != nil {
+		execError(w, err)
+		return
+	}
+	sess.SetAnswer(ans.Frame)
+	w.Header().Set("Content-Type", ans.ContentType)
+	w.Write(ans.Body)
 }
 
 func (s *Server) handleLoadAnswer(w http.ResponseWriter, r *http.Request) {

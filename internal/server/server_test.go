@@ -316,12 +316,12 @@ func TestAPIErrors(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestRunSeesUpdateWithoutBeingTold: an answer memoized by /api/run — and
-// the cube kept from it — is gone after an INSERT through /sparql, although
-// execUpdate no longer visits the sessions: the level compares the graph
-// version when it is next asked.
+// TestRunSeesUpdateWithoutBeingTold: a run's answer, cached by the first
+// /api/run and served to the second, is not served after an INSERT through
+// /sparql, although execUpdate notifies no cache: the lookup compares the
+// graph version.
 func TestRunSeesUpdateWithoutBeingTold(t *testing.T) {
-	ts := testServer(t)
+	_, ts := newTestServer(t, resilienceConfig())
 	ns := datagen.ExampleNS
 	postJSON(t, ts.URL+"/api/click/class", map[string]any{"class": ns + "Laptop"})
 	postJSON(t, ts.URL+"/api/groupby", map[string]any{"path": []map[string]any{{"p": ns + "manufacturer"}}})

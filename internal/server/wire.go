@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"net/http"
@@ -194,9 +195,11 @@ func writeValues(w http.ResponseWriter, vals []facet.ValueCount) {
 	c.end("}")
 }
 
-// writeAnswer answers a run with its Answer Frame and the two queries.
-func writeAnswer(w http.ResponseWriter, ans *hifun.Answer, hifunQuery string) {
-	c := newBodyWriter(w)
+// answerBody renders a run's Answer Frame and its two queries: the body the
+// answer cache keeps and every serve of the run writes.
+func answerBody(ans *hifun.Answer, hifunQuery string) []byte {
+	var body bytes.Buffer
+	c := &bodyWriter{w: &body, b: make([]byte, 0, chunkSize)}
 	// A column list is null only when nil: the frame's slices go out as they are.
 	c.list(`{"groupCols":`, len(ans.GroupCols), ans.GroupCols == nil, func(i int) { c.str(ans.GroupCols[i]) })
 	c.list(`,"measureCols":`, len(ans.MeasureCols), ans.MeasureCols == nil, func(i int) { c.str(ans.MeasureCols[i]) })
@@ -207,6 +210,7 @@ func writeAnswer(w http.ResponseWriter, ans *hifun.Answer, hifunQuery string) {
 	c.field(`,"sparql":`, ans.SPARQL)
 	c.field(`,"hifun":`, hifunQuery)
 	c.end("}")
+	return body.Bytes()
 }
 
 // appendJSONFloat appends a finite f as encoding/json writes a float64: the

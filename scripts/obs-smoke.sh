@@ -1,9 +1,10 @@
 #!/bin/sh
 # obs-smoke: end-to-end check of the telemetry surface. Builds and starts the
-# server on a scratch port, drives SPARQL queries, one analytic query and one
-# update through it, then asserts /metrics exposes the promised metric
-# families, the run's X-Trace-ID resolves through /api/traces/{id} to its
-# span tree, and /api/workload lists the update. The first /sparql query is
+# server on a scratch port, drives SPARQL queries, one analytic query (sent
+# twice: the repeat must be an answer-cache hit) and one update through it,
+# then asserts /metrics exposes the promised metric families, the run's
+# X-Trace-ID resolves through /api/traces/{id} to its span tree, and
+# /api/workload lists the update. The first /sparql query is
 # fault-injected slow (delay on the first exec activation only) so the tail
 # sampler provably retains it — the trace-retention section then walks the
 # whole drill-down:
@@ -63,6 +64,15 @@ RUN_HDRS="$(mktemp)"
 curl -sf -D "$RUN_HDRS" -X POST "$BASE/api/run" >/dev/null
 RUN_TID="$(awk 'tolower($1) == "x-trace-id:" {print $2}' "$RUN_HDRS" | tr -d '\r')"
 rm -f "$RUN_HDRS"
+
+# A run is a query: the same Sigma click again is served from the answer
+# cache.
+RUN_CACHE="$(curl -sf -D - -o /dev/null -X POST "$BASE/api/run" |
+    awk 'tolower($1) == "x-cache:" {print $2}' | tr -d '\r')"
+if [ "$RUN_CACHE" != hit ]; then
+    echo "obs-smoke: FAIL — a repeated /api/run answered X-Cache: \"$RUN_CACHE\", want hit" >&2
+    exit 1
+fi
 
 # One update: every operation kind reaches the workload view.
 curl -sf "$BASE/sparql" --data-urlencode \
