@@ -67,49 +67,22 @@ func TestRollUpDrillDown(t *testing.T) {
 	}
 }
 
-// TestRollUpEqualsFresh: rolling up — dropping a grouping attribute — answers
-// what a fresh session asking the coarser question answers, for every
-// aggregate and every measure type. MIN and MAX of a date used to roll up to
-// an empty frame: a roll-up computed in memory from the finer answer
-// dropped every row whose measure did not parse as a number.
-func TestRollUpEqualsFresh(t *testing.T) {
-	inv := func(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: ie(local)}}} }
-	lap := func(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: pe(local)}}} }
-	quantity := MeasureSpec{Path: facet.Path{{P: ie("inQuantity")}}}
-	released := MeasureSpec{Path: facet.Path{{P: pe("releaseDate")}}}
-	laptops := func(t testing.TB) *Session {
-		s := productSession(t)
-		s.ClickClass(pe("Laptop"))
-		return s
-	}
-	cocaLight := func(s *Session) { s.ClickValue(facet.Path{{P: ie("delivers")}}, ie("CocaLight")) }
-	for _, tc := range []struct {
-		name       string
-		session    func(testing.TB) *Session
-		click      func(*Session) // a faceted click before the analytics, or nil
-		keep, drop GroupSpec
-		measure    MeasureSpec
-		op         hifun.AggOp
-		// want maps the kept column's local name to the measure's lexical form.
-		want map[string]string
-	}{
-		{"invoices SUM", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
-			map[string]string{"branch1": "300", "branch2": "600", "branch3": "600"}},
-		{"invoices MIN", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMin,
-			map[string]string{"branch1": "100", "branch2": "200", "branch3": "100"}},
-		{"invoices MAX", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMax,
-			map[string]string{"branch1": "200", "branch2": "400", "branch3": "400"}},
-		{"invoices COUNT", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), MeasureSpec{}, hifun.OpCount,
-			map[string]string{"branch1": "2", "branch2": "2", "branch3": "3"}},
-		{"invoices AVG", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpAvg,
-			map[string]string{"branch1": "150", "branch2": "300", "branch3": "200"}},
-		{"invoices SUM after a click", invoiceSession, cocaLight, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
-			map[string]string{"branch1": "200", "branch2": "600", "branch3": "400"}},
-		{"laptops MIN releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMin,
-			map[string]string{"DELL": "2021-06-10", "Lenovo": "2021-10-10"}},
-		{"laptops MAX releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMax,
-			map[string]string{"DELL": "2021-09-03", "Lenovo": "2021-10-10"}},
-	} {
+// rollUpCase groups by keep and drop, aggregates, runs, and rolls drop up.
+// The roll-up must answer what a fresh session grouping by keep alone
+// answers, and want maps the kept column's local name to the measure's
+// lexical form.
+type rollUpCase struct {
+	name       string
+	session    func(testing.TB) *Session
+	click      func(*Session) // a faceted click before the analytics, or nil
+	keep, drop GroupSpec
+	measure    MeasureSpec
+	op         hifun.AggOp
+	want       map[string]string
+}
+
+func checkRollUpEqualsFresh(t *testing.T, cases ...rollUpCase) {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			analyze := func(groups ...GroupSpec) *Session {
 				s := tc.session(t)
@@ -146,6 +119,69 @@ func TestRollUpEqualsFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+func inv(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: ie(local)}}} }
+
+var quantity = MeasureSpec{Path: facet.Path{{P: ie("inQuantity")}}}
+
+// TestRollUpEqualsFresh: MIN and MAX of a date roll up to what a fresh
+// session answers. They used to roll up to an empty frame: a roll-up
+// computed in memory from the finer answer dropped every row whose measure
+// did not parse as a number.
+func TestRollUpEqualsFresh(t *testing.T) {
+	lap := func(local string) GroupSpec { return GroupSpec{Path: facet.Path{{P: pe(local)}}} }
+	released := MeasureSpec{Path: facet.Path{{P: pe("releaseDate")}}}
+	laptops := func(t testing.TB) *Session {
+		s := productSession(t)
+		s.ClickClass(pe("Laptop"))
+		return s
+	}
+	checkRollUpEqualsFresh(t,
+		rollUpCase{"laptops MIN releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMin,
+			map[string]string{"DELL": "2021-06-10", "Lenovo": "2021-10-10"}},
+		rollUpCase{"laptops MAX releaseDate", laptops, nil, lap("manufacturer"), lap("USBPorts"), released, hifun.OpMax,
+			map[string]string{"DELL": "2021-09-03", "Lenovo": "2021-10-10"}})
+}
+
+// The TestCubeReuse tests are named for the materialized cube that once
+// served a coarser grouping from a finer answer. Every roll-up is now a
+// fresh evaluation; they check its values per aggregate.
+
+// TestCubeReuseRollUp: SUM by (branch, product) rolls up to SUM by branch.
+func TestCubeReuseRollUp(t *testing.T) {
+	checkRollUpEqualsFresh(t,
+		rollUpCase{"invoices SUM", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
+			map[string]string{"branch1": "300", "branch2": "600", "branch3": "600"}})
+}
+
+// TestCubeReuseMinMaxCount: MIN, MAX and COUNT roll up as SUM does.
+func TestCubeReuseMinMaxCount(t *testing.T) {
+	checkRollUpEqualsFresh(t,
+		rollUpCase{"invoices MIN", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMin,
+			map[string]string{"branch1": "100", "branch2": "200", "branch3": "100"}},
+		rollUpCase{"invoices MAX", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpMax,
+			map[string]string{"branch1": "200", "branch2": "400", "branch3": "400"}},
+		rollUpCase{"invoices COUNT", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), MeasureSpec{}, hifun.OpCount,
+			map[string]string{"branch1": "2", "branch2": "2", "branch3": "3"}})
+}
+
+// TestCubeReuseDeclinedForAVG: AVG is not decomposable; the rolled-up value
+// is the true average per branch, not an average of averages
+// (branch3 = 600/3 = 200).
+func TestCubeReuseDeclinedForAVG(t *testing.T) {
+	checkRollUpEqualsFresh(t,
+		rollUpCase{"invoices AVG", invoiceSession, nil, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpAvg,
+			map[string]string{"branch1": "150", "branch2": "300", "branch3": "200"}})
+}
+
+// TestCubeReuseDeclinedAcrossStates: after a faceted click restricts the
+// extension, the roll-up answers the restricted state.
+func TestCubeReuseDeclinedAcrossStates(t *testing.T) {
+	cocaLight := func(s *Session) { s.ClickValue(facet.Path{{P: ie("delivers")}}, ie("CocaLight")) }
+	checkRollUpEqualsFresh(t,
+		rollUpCase{"invoices SUM after a click", invoiceSession, cocaLight, inv("takesPlaceAt"), inv("delivers"), quantity, hifun.OpSum,
+			map[string]string{"branch1": "200", "branch2": "600", "branch3": "400"}})
 }
 
 // TestRollUpPath climbs a dimension hierarchy: grouping by brand∘delivers
