@@ -29,7 +29,6 @@ func main() {
 	explain := flag.Bool("explain", false, "print the evaluation plan instead of running the query")
 	explainAnalyze := flag.Bool("explain-analyze", false,
 		"run the query and print the operator profile: per-operator wall time, rows, est vs actual cardinality with q-error (SELECT only)")
-	trace := flag.Bool("trace", false, "print the per-phase timing tree after the results (SELECT only)")
 	noReorder := flag.Bool("no-reorder", false, "evaluate BGPs in textual order (join-ordering ablation)")
 	repeat := flag.Int("repeat", 1, "run the query this many times; unless -no-reorder, later passes plan from the cardinalities earlier ones observed")
 	version := flag.Bool("version", false, "print build version and exit")
@@ -88,15 +87,9 @@ func main() {
 		if *repeat > 1 && !*noReorder {
 			fb = sparql.NewFeedbackStore()
 		}
-		var tr *obs.Trace
 		var res *sparql.Results
 		for pass := 1; pass <= *repeat; pass++ {
-			tr = nil
-			if *trace {
-				tr = obs.NewTrace("query")
-			}
 			opts := planOpts
-			opts.Trace = tr
 			if fb != nil {
 				opts.Feedback = fb
 				opts.FingerprintID = sparql.FingerprintID(sparql.Fingerprint(q))
@@ -105,7 +98,6 @@ func main() {
 			start := time.Now()
 			res, err = sparql.ExecSelectOpts(g, q, opts)
 			elapsed := time.Since(start)
-			tr.Finish()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -131,9 +123,6 @@ func main() {
 		default:
 			fmt.Print(res.String())
 			fmt.Printf("(%d rows)\n", res.Len())
-		}
-		if tr != nil {
-			fmt.Fprint(os.Stderr, "\n"+tr.Tree())
 		}
 	case sparql.FormAsk:
 		ok, err := sparql.Ask(g, query)

@@ -440,18 +440,12 @@ func runKey(patterns []string, a Analytics) string {
 }
 
 // Exec translates and evaluates the run, once, recording spans under tr and
-// operators in prof (either may be nil). The evaluation observes qctx's
-// deadline and cancellation and the session's Limits.
+// the engine's operators in prof (either may be nil). The evaluation
+// observes qctx's deadline and cancellation and the session's Limits.
 func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*hifun.Answer, error) {
-	start := time.Now()
-	defer observeSince(runSeconds, start)
+	defer observeSince(runSeconds, time.Now())
 	r.ctx.Trace, r.ctx.Profile = tr, prof
-	ans, err := r.ctx.ExecuteCtx(qctx, r.Query)
-	if err != nil {
-		return nil, err
-	}
-	prof.Record(time.Since(start), 1, len(ans.Rows))
-	return ans, nil
+	return r.ctx.ExecuteCtx(qctx, r.Query)
 }
 
 // SetAnswer adopts a frame computed for the current level's run — by this

@@ -8,9 +8,9 @@ import (
 	"rdfanalytics/internal/hifun"
 )
 
-// TestSessionLastTrace checks RunAnalytics leaves a span tree and an
-// operator profile for LastRun, and that a repeat run — a session memoizes
-// nothing — evaluates again, under a trace of its own.
+// TestSessionLastTrace checks RunAnalytics leaves a span tree of its layers
+// and the engine's operator profile for LastRun, and that a repeat run — a
+// session memoizes nothing — evaluates again, under a trace of its own.
 func TestSessionLastTrace(t *testing.T) {
 	s := productSession(t)
 	if s.LastTrace() != nil {
@@ -23,21 +23,27 @@ func TestSessionLastTrace(t *testing.T) {
 	if _, err := s.RunAnalytics(); err != nil {
 		t.Fatal(err)
 	}
-	first := s.LastTrace()
+	first, prof := s.LastRun()
 	tree := first.Tree()
-	for _, want := range []string{"run_analytics", "build_query", "translate", "exec", "build_answer", "bgp"} {
+	for _, want := range []string{"run_analytics", "build_query", "translate", "exec", "build_answer"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("trace missing %q:\n%s", want, tree)
 		}
 	}
+	if strings.Contains(tree, "bgp") {
+		t.Errorf("the trace names an engine operator:\n%s", tree)
+	}
+	if pt := prof.Tree(); !strings.Contains(pt, "bgp") || prof.TraceID() != first.ID() {
+		t.Errorf("profile of the run, linked to trace %q:\n%s", prof.TraceID(), pt)
+	}
 	if _, err := s.RunAnalytics(); err != nil {
 		t.Fatal(err)
 	}
-	tr, prof := s.LastRun()
+	tr, second := s.LastRun()
 	if tr == first || !strings.Contains(tr.Tree(), "exec") {
 		t.Errorf("second run did not evaluate under its own trace:\n%s", tr.Tree())
 	}
-	if pt := prof.Tree(); !strings.Contains(pt, "translate") || !strings.Contains(pt, "exec") {
-		t.Errorf("profile of the second run:\n%s", pt)
+	if second == prof || !strings.Contains(second.Tree(), "bgp") {
+		t.Errorf("profile of the second run:\n%s", second.Tree())
 	}
 }

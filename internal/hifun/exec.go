@@ -30,14 +30,14 @@ type Context struct {
 	// ExtraPatterns inject additional graph patterns rooted at ?x1 (used by
 	// the faceted layer to restrict the context to the current extension).
 	ExtraPatterns []string
-	// Trace, when non-nil, records per-phase spans of Execute (translate,
-	// parse, exec, build_answer) under its root. Tracing never changes the
-	// answer, only records how it was computed.
+	// Trace, when non-nil, records the stages of Execute as spans under its
+	// root: translate, exec (the engine, one leaf) and build_answer. Tracing
+	// never changes the answer, only records how it was computed.
 	Trace *obs.Trace
-	// Profile, when non-nil, receives the operator-level runtime profile of
-	// Execute: the translate and build_answer stages as flat nodes, and the
-	// full SPARQL operator tree under an "exec" node (EXPLAIN ANALYZE for
-	// the analytics pipeline). Like Trace, it never changes the answer.
+	// Profile, when non-nil, receives the engine's operator profile of the
+	// generated SPARQL (EXPLAIN ANALYZE for the analytics pipeline): the
+	// breakdown of the trace's exec span. Like Trace, it never changes the
+	// answer.
 	Profile *sparql.Profile
 	// Limits are the resource budgets applied to the generated SPARQL
 	// evaluation (intermediate rows, path depth/visited). Zero values use
@@ -193,12 +193,10 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 	start := time.Now()
 	defer func() { executeSeconds.Observe(time.Since(start).Seconds()) }()
 	root := c.Trace.Root()
-	c.Profile.SetTraceID(c.Trace.ID())
 
 	ts := root.StartChild("translate")
 	src, err := c.Translator().Translate(q)
 	translateSeconds.Observe(time.Since(start).Seconds())
-	c.Profile.Sub("translate", "").Record(time.Since(start), 0, 0)
 	if ts != nil {
 		ts.SetAttr("hifun", q.String())
 		ts.Finish()
@@ -211,11 +209,7 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 		return nil, fmt.Errorf("hifun: generated SPARQL failed to parse: %w\n%s", err, src)
 	}
 	es := root.StartChild("exec")
-	execOpts := sparql.Options{
-		Trace:   obs.SubTrace(es),
-		Limits:  c.Limits,
-		Profile: c.Profile.Sub("exec", ""),
-	}
+	execOpts := sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile}
 	if c.Feedback != nil {
 		execOpts.Feedback = c.Feedback
 		execOpts.FingerprintID = sparql.FingerprintID(sparql.Fingerprint(parsed))
@@ -231,7 +225,6 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 		return nil, err
 	}
 	bs := root.StartChild("build_answer")
-	bstart := time.Now()
 	res.Sort()
 	ans := &Answer{SPARQL: src}
 	nGroups := len(res.Vars) - len(q.Ops)
@@ -241,7 +234,6 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 	ans.GroupCols = append(ans.GroupCols, res.Vars[:nGroups]...)
 	ans.MeasureCols = append(ans.MeasureCols, res.Vars[nGroups:]...)
 	ans.Rows = res.Rows
-	c.Profile.Sub("build_answer", "").Record(time.Since(bstart), len(res.Rows), len(ans.Rows))
 	if bs != nil {
 		bs.SetAttr("rows", len(ans.Rows))
 		bs.Finish()

@@ -7,8 +7,8 @@ import (
 
 // SlowQueryLog emits a structured record for every operation slower than a
 // threshold: the query text (truncated), its kind, duration, and a one-line
-// plan summary from the operation's trace. A nil *SlowQueryLog is a valid
-// no-op, so the server can thread it unconditionally.
+// plan summary from the operation's trace and profile. A nil *SlowQueryLog
+// is a valid no-op, so the server can thread it unconditionally.
 type SlowQueryLog struct {
 	logger    *slog.Logger
 	threshold time.Duration
@@ -53,13 +53,18 @@ func (l *SlowQueryLog) Threshold() time.Duration {
 // the workload profiler's aggregates), request id (joins access logs) and
 // trace id (joins /api/traces/{id}). The raw query text is truncated
 // rune-safely to maxLoggedQuery bytes, so a pathological multi-KB query
-// cannot bloat the log line. The plan summary comes from rec.Trace and is
-// empty for a cache serve.
+// cannot bloat the log line. The plan summary is the layers' spans (the
+// root and its children) followed by the engine's top-level operators; it is
+// built only for a line that is logged, and is empty for a cache serve.
 func (l *SlowQueryLog) Observe(rec QueryRecord) {
 	if l == nil || rec.Duration < l.threshold {
 		return
 	}
 	l.count.Inc()
+	plan := rec.Trace.Summary()
+	if rec.Profile != nil {
+		plan += " " + rec.Profile.Summary()
+	}
 	l.logger.Warn("slow query",
 		slog.String("kind", rec.Kind),
 		slog.String("fingerprint", rec.FingerprintID),
@@ -69,6 +74,6 @@ func (l *SlowQueryLog) Observe(rec QueryRecord) {
 		slog.String("cache", rec.Cache),
 		slog.Duration("duration", rec.Duration),
 		slog.String("query", TruncateText(rec.Query, maxLoggedQuery)),
-		slog.String("plan", rec.Trace.Summary()),
+		slog.String("plan", plan),
 	)
 }

@@ -18,10 +18,9 @@ type Trace struct {
 	root *Span
 }
 
-// maxChildren caps the children recorded under one span. Constructs that
-// evaluate a subgroup per input binding (OPTIONAL over thousands of rows)
-// would otherwise materialize one span per binding; beyond the cap children
-// are counted, not stored.
+// maxChildren caps the children recorded under one span, so a span opened
+// per item of a loop cannot grow a trace without bound; beyond the cap
+// children are counted, not stored.
 const maxChildren = 128
 
 // NewTrace starts a trace whose root span is named name. The trace is
@@ -31,8 +30,7 @@ func NewTrace(name string) *Trace {
 	return &Trace{id: NewTraceID(), root: &Span{name: name, start: time.Now()}}
 }
 
-// ID returns the trace's identifier ("" for a nil trace or a SubTrace,
-// which borrows its parent's identity).
+// ID returns the trace's identifier ("" for a nil trace).
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
@@ -64,17 +62,6 @@ func (t *Trace) Root() *Span {
 // Finish ends the root span.
 func (t *Trace) Finish() { t.Root().Finish() }
 
-// SubTrace wraps an existing span as the root of a Trace, so a layer that
-// accepts a *Trace (e.g. sparql.Options.Trace) nests its spans under the
-// caller's span. Returns nil for a nil span, so tracing-off propagates.
-// Finishing the sub-trace finishes the wrapped span.
-func SubTrace(s *Span) *Trace {
-	if s == nil {
-		return nil
-	}
-	return &Trace{root: s}
-}
-
 // Span is one timed node of a trace.
 type Span struct {
 	mu       sync.Mutex
@@ -85,7 +72,6 @@ type Span struct {
 	attrs    []Attr
 	children []*Span
 	dropped  int
-	parent   *Span
 }
 
 // Attr is one key/value annotation on a span.
@@ -106,7 +92,7 @@ func (s *Span) StartChild(name string) *Span {
 		s.dropped++
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), parent: s}
+	c := &Span{name: name, start: time.Now()}
 	s.children = append(s.children, c)
 	return c
 }
@@ -122,14 +108,6 @@ func (s *Span) Finish() {
 		s.done = true
 	}
 	s.mu.Unlock()
-}
-
-// Parent returns the enclosing span (nil at the root).
-func (s *Span) Parent() *Span {
-	if s == nil {
-		return nil
-	}
-	return s.parent
 }
 
 // SetAttr annotates the span. Later values for the same key win at export.

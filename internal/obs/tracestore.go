@@ -124,8 +124,8 @@ type TraceSummary struct {
 // span waterfall and operator profile.
 type TraceDetail struct {
 	TraceSummary
-	Spans   SpanJSON `json:"spans"`
-	Profile any      `json:"profile,omitempty"`
+	Spans   SpanJSON        `json:"spans"`
+	Profile json.RawMessage `json:"profile,omitempty"`
 }
 
 type retainedTrace struct {
@@ -142,7 +142,7 @@ type retainedTrace struct {
 	duration      time.Duration
 	when          time.Time
 	spans         SpanJSON
-	profile       any
+	profile       json.RawMessage
 	serves        map[string]uint64
 	bytes         int64
 	seq           uint64
@@ -205,8 +205,9 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 // Offer submits a finished operation's record for the retention decision.
 // It returns the trace's ID and whether it was retained; a record without a
 // Trace (a cache serve) is never retained. The decision itself is a few map
-// lookups; the serialization cost of actually storing a trace is paid only
-// for retained ones.
+// lookups; the serialization cost of actually storing a trace — exporting
+// its spans and marshaling its profile, once — is paid only for retained
+// ones.
 func (s *TraceStore) Offer(c QueryRecord) (id string, retained bool) {
 	if s == nil || c.Trace == nil {
 		return "", false
@@ -243,7 +244,9 @@ func (s *TraceStore) Offer(c QueryRecord) (id string, retained bool) {
 		duration:      c.Duration,
 		when:          time.Now(),
 		spans:         c.Trace.Export(),
-		profile:       c.Profile,
+	}
+	if c.Profile != nil {
+		rt.profile, _ = c.Profile.MarshalJSON() // a profile that fails to marshal is left out
 	}
 	rt.spans.TraceID = id
 	rt.bytes = approxTraceBytes(rt)
@@ -382,12 +385,7 @@ func approxTraceBytes(rt *retainedTrace) int64 {
 	if b, err := json.Marshal(rt.spans); err == nil {
 		n += int64(len(b))
 	}
-	if rt.profile != nil {
-		if b, err := json.Marshal(rt.profile); err == nil {
-			n += int64(len(b))
-		}
-	}
-	return n
+	return n + int64(len(rt.profile))
 }
 
 // RecordServe counts a request served from this retained trace's cached

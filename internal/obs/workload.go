@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"time"
@@ -65,11 +66,20 @@ type QueryRecord struct {
 	// Trace is the finished span tree of an execution; nil for a cache
 	// serve, which the trace store is not offered.
 	Trace *Trace `json:"-"`
-	// Profile is the operator profile to retain alongside the spans
-	// (typically a *sparql.ProfNodeJSON export); opaque to this package.
-	Profile any `json:"-"`
+	// Profile is the engine's operator profile of the execution; nil when
+	// unprofiled.
+	Profile OpProfile `json:"-"`
 	// Estimates are the profile's plan-vs-actual rows.
 	Estimates []OpEstimate `json:"-"`
+}
+
+// OpProfile is what a record needs of an engine's operator profile (a
+// *sparql.Profile): its JSON, which the trace store keeps for a retained
+// trace, and a one-line summary of its top-level operators, which the
+// slow-query log appends to the plan.
+type OpProfile interface {
+	json.Marshaler
+	Summary() string
 }
 
 // OpEstimate is one operator's plan-vs-actual comparison: the planner's

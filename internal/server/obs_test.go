@@ -78,7 +78,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`rdfa_http_sessions_created_total`,
 		`rdfa_http_active_sessions`,
 		`rdfa_sparql_query_phase_seconds_count{phase="parse"}`,
-		`rdfa_sparql_query_phase_seconds_count{phase="match"}`,
+		`rdfa_sparql_operator_seconds_count{op="match"}`,
 		`rdfa_sparql_exec_seconds_count`,
 		`rdfa_rdf_index_scans_total`,
 	} {
@@ -275,7 +275,8 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 // TestSlowQueryLog checks a threshold of one nanosecond logs every query
-// with its plan summary, and the default config logs nothing.
+// with its plan summary: the layers' spans and the engine's top-level
+// operators, for a /sparql query and for a run alike.
 func TestSlowQueryLog(t *testing.T) {
 	g := datagen.SmallProducts()
 	rdf.Materialize(g)
@@ -287,16 +288,23 @@ func TestSlowQueryLog(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(
-		`SELECT ?s WHERE { ?s a <`+datagen.ExampleNS+`Laptop> } LIMIT 1`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	driveWorkload(t, srv.URL)
 	logged := buf.String()
 	for _, want := range []string{"slow query", "kind=sparql", "Laptop", "plan="} {
 		if !strings.Contains(logged, want) {
 			t.Errorf("slow log missing %q:\n%s", want, logged)
+		}
+	}
+	for _, kind := range []string{"sparql", "analytics"} {
+		var line string
+		for _, l := range strings.Split(logged, "\n") {
+			if strings.Contains(l, "kind="+kind+" ") {
+				line = l
+				break
+			}
+		}
+		if !strings.Contains(line, "match=") {
+			t.Errorf("the %s line's plan names no engine operator: %q", kind, line)
 		}
 	}
 }

@@ -109,15 +109,14 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(rec
 	return release, err
 }
 
-// execSelect runs a SELECT profiled and planned with the shared feedback
-// store.
-func (s *Server) execSelect(ctx context.Context, q *sparql.Query, fpID string, tr *obs.Trace) (*sparql.Results, *sparql.Profile, error) {
-	prof := sparql.NewProfile("sparql")
-	res, err := sparql.ExecSelectCtx(ctx, s.graph, q, sparql.Options{
-		Trace: tr, Limits: s.cfg.Limits, Profile: prof,
-		Feedback: s.feedback, FingerprintID: fpID,
-	})
-	return res, prof, err
+// engineOpts are the options of every engine execution behind /sparql, of
+// every form: budgeted, profiled under the operation's trace — the profile is
+// the trace's engine detail — and planned with the shared feedback store.
+func (s *Server) engineOpts(rec *obs.QueryRecord) sparql.Options {
+	return sparql.Options{
+		Trace: rec.Trace, Limits: s.cfg.Limits, Profile: sparql.NewProfile("sparql"),
+		Feedback: s.feedback, FingerprintID: rec.FingerprintID,
+	}
 }
 
 // execError maps a guarded execution's error onto the wire: the structured
@@ -150,21 +149,22 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 	}
 	s.serveCached(w, r, ctx, resilience.CacheKey(fpID, raw), rec, func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
 		ans := &resilience.Answer{ContentType: "application/sparql-results+json"}
+		opts := s.engineOpts(rec)
 		if q.Form == sparql.FormAsk {
-			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, sparql.Options{Trace: rec.Trace, Limits: s.cfg.Limits})
+			ok, err := sparql.ExecAskCtx(execCtx, s.graph, q, opts)
 			ans.Body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
-			return ans, nil, err
+			return ans, opts.Profile, err
 		}
-		res, prof, err := s.execSelect(execCtx, q, rec.FingerprintID, rec.Trace)
+		res, err := sparql.ExecSelectCtx(execCtx, s.graph, q, opts)
 		if err != nil {
-			return nil, prof, err
+			return nil, opts.Profile, err
 		}
 		rec.Rows = len(res.Rows)
 		res.Sort()
 		// The serializer hands over the body at its final size (len == cap),
 		// so what the answer cache accounts is what the answer holds.
 		ans.Body = res.JSON()
-		return ans, prof, nil
+		return ans, opts.Profile, nil
 	})
 }
 
@@ -317,12 +317,13 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 // admission gate.
 func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
 	var res *sparql.Results
-	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
-		res, prof, err = s.execSelect(ctx, q, rec.FingerprintID, rec.Trace)
-		if err == nil {
+	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
+		opts := s.engineOpts(rec)
+		var err error
+		if res, err = sparql.ExecSelectCtx(ctx, s.graph, q, opts); err == nil {
 			rec.Rows = len(res.Rows)
 		}
-		return prof, err
+		return opts.Profile, err
 	})
 	defer release()
 	if err != nil {
@@ -345,7 +346,7 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx con
 	w.Header().Set("X-Cache", "bypass")
 	var out *rdf.Graph
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
-		opts := sparql.Options{Trace: rec.Trace, Limits: s.cfg.Limits}
+		opts := s.engineOpts(rec)
 		var err error
 		if q.Form == sparql.FormConstruct {
 			rec.Trace.Root().SetAttr("form", "construct")
@@ -357,7 +358,7 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx con
 		if err == nil {
 			rec.Rows = out.Len()
 		}
-		return nil, err
+		return opts.Profile, err
 	})
 	defer release()
 	if err != nil {

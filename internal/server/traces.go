@@ -38,9 +38,10 @@ func traceIDOf(r *http.Request) string {
 // per-shape latency objectives all read the same record. It fills in what
 // every caller would otherwise derive: the outcome from err's abort
 // taxonomy ("ok", or "timeout", "cancelled", "budget", … with "error" as
-// the fallback), and the profile's worst q-error, plan-vs-actual rows and —
-// for the trace store only — its export (prof may be nil). A record without
-// a trace (a cache serve) keeps the filler's trace ID and is not offered.
+// the fallback), and the profile's worst q-error and plan-vs-actual rows
+// (prof may be nil). The profile itself rides along by reference: the trace
+// store marshals it only for a trace it retains. A record without a trace (a
+// cache serve) keeps the filler's trace ID and is not offered.
 // Only reads count against a shape objective: an update or checkpoint is as
 // long as the graph is big.
 func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
@@ -52,6 +53,7 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 		}
 	}
 	if prof != nil {
+		rec.Profile = prof
 		rec.MaxQError = prof.MaxQError()
 		ests := prof.Estimates()
 		rec.Estimates = make([]obs.OpEstimate, len(ests))
@@ -60,9 +62,6 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 				Op: e.Op, Label: e.Label, Est: e.Est, Actual: e.Actual,
 				QError: e.QError, Feedback: e.Feedback,
 			}
-		}
-		if s.traces != nil {
-			rec.Profile = prof.Export()
 		}
 	}
 	rec.When = time.Now()

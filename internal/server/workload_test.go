@@ -6,11 +6,13 @@ import (
 	"net/http"
 	"net/url"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/obs"
+	"rdfanalytics/internal/sparql"
 )
 
 // driveWorkload sends one protocol SELECT and one analytic run through ts,
@@ -143,33 +145,80 @@ func TestDashboard(t *testing.T) {
 	}
 }
 
-// TestTraceProfile checks GET /api/traces/{id} carries the operator
-// profiles next to the span trees for both query kinds.
+// traceDetail fetches GET /api/traces/{id}: its span tree and the nodes of
+// the engine's operator profile, root first (none without a profile).
+func traceDetail(t *testing.T, base, id string) (obs.SpanJSON, []*sparql.ProfNodeJSON) {
+	t.Helper()
+	var d struct {
+		Spans   obs.SpanJSON         `json:"spans"`
+		Profile *sparql.ProfNodeJSON `json:"profile"`
+	}
+	fetchTrace(t, base, id, &d)
+	var nodes []*sparql.ProfNodeJSON
+	var walk func(n *sparql.ProfNodeJSON)
+	walk = func(n *sparql.ProfNodeJSON) {
+		nodes = append(nodes, n)
+		for i := range n.Children {
+			walk(&n.Children[i])
+		}
+	}
+	if d.Profile != nil {
+		walk(d.Profile)
+	}
+	return d.Spans, nodes
+}
+
+// TestTraceProfile checks GET /api/traces/{id} of a /sparql miss and of a
+// run: the spans are the layers' own and name no engine operator, and the
+// profile is the engine's — match, bgp and scan nodes, every scan with its
+// estimate next to its actual rows.
 func TestTraceProfile(t *testing.T) {
 	ts := testServer(t)
 	sparqlID, runID := driveWorkload(t, ts.URL)
+	engineOps := []string{"match", "bgp", "plan", "scan", "filter", "aggregate", "project", "modifiers"}
+	for root, id := range map[string]string{"sparql": sparqlID, "run_analytics": runID} {
+		spans, nodes := traceDetail(t, ts.URL, id)
+		if spans.Name != root || len(nodes) == 0 || nodes[0].Op != root || nodes[0].Calls != 1 {
+			t.Fatalf("%s trace: spans %q, profile %+v", root, spans.Name, nodes)
+		}
+		var walk func(s obs.SpanJSON)
+		walk = func(s obs.SpanJSON) {
+			if slices.Contains(engineOps, s.Name) {
+				t.Errorf("%s trace has an engine span %q", root, s.Name)
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
+		}
+		walk(spans)
+		ops := map[string]int{}
+		for _, n := range nodes {
+			ops[n.Op]++
+			if n.Op == "scan" && n.EstRows == nil {
+				t.Errorf("%s profile: scan %s has no estimate", root, n.Label)
+			}
+		}
+		for _, op := range []string{"match", "bgp", "scan"} {
+			if ops[op] == 0 {
+				t.Errorf("%s profile has no %s node", root, op)
+			}
+		}
+	}
+}
 
-	var protocol struct {
-		Profile *struct {
-			Op       string            `json:"op"`
-			Calls    int               `json:"calls"`
-			Children []json.RawMessage `json:"children"`
-		} `json:"profile"`
-	}
-	fetchTrace(t, ts.URL, sparqlID, &protocol)
-	if protocol.Profile == nil || protocol.Profile.Op != "sparql" ||
-		protocol.Profile.Calls != 1 || len(protocol.Profile.Children) == 0 {
-		t.Errorf("sparql profile = %+v", protocol.Profile)
-	}
-	var analytics struct {
-		Profile *struct {
-			Op       string            `json:"op"`
-			Children []json.RawMessage `json:"children"`
-		} `json:"profile"`
-	}
-	fetchTrace(t, ts.URL, runID, &analytics)
-	if analytics.Profile == nil || analytics.Profile.Op != "run_analytics" ||
-		len(analytics.Profile.Children) == 0 {
-		t.Errorf("analytics profile = %+v", analytics.Profile)
+// TestEveryFormIsProfiled: a retained ASK trace and a retained CONSTRUCT
+// trace each carry the engine's profile, down to its scans.
+func TestEveryFormIsProfiled(t *testing.T) {
+	ts := testServer(t)
+	where := `{ ?s a <` + datagen.ExampleNS + `Laptop> ; <` + datagen.ExampleNS + `manufacturer> ?m }`
+	for _, q := range []string{
+		`ASK ` + where,
+		`CONSTRUCT { ?s <` + datagen.ExampleNS + `madeBy> ?m } WHERE ` + where,
+	} {
+		id := getTraced(t, ts.URL+"/sparql?query="+url.QueryEscape(q))
+		_, nodes := traceDetail(t, ts.URL, id)
+		if !slices.ContainsFunc(nodes, func(n *sparql.ProfNodeJSON) bool { return n.Op == "scan" }) {
+			t.Errorf("%s: the retained trace's profile has no scan: %+v", q, nodes)
+		}
 	}
 }

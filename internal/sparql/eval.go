@@ -25,11 +25,9 @@ type evaluator struct {
 	// workers is the resolved worker-pool size for partitioned BGP
 	// evaluation (always >= 1; 1 means fully sequential).
 	workers int
-	// cur is the span new trace children attach under; nil when tracing is
-	// off, in which case every span site is a single pointer test.
-	cur *obs.Span
 	// prof is the profile node new operator records attach under; nil when
-	// profiling is off, same single-pointer-test convention as cur.
+	// profiling is off, in which case every operator site is a single
+	// pointer test.
 	prof *ProfNode
 	// cancel is the shared abort state (deadline, client disconnect, budget
 	// kill); see limits.go. Never nil.
@@ -91,15 +89,15 @@ type Options struct {
 	// setting — the DESIGN.md §5 decision-5 ablation). 0 means GOMAXPROCS;
 	// 1 forces sequential evaluation.
 	Parallelism int
-	// Trace, when non-nil, receives a span tree of the evaluation: the
-	// match/aggregate/modifier phases, each BGP run with its join strategy
-	// and row counts, filters, and nested constructs. Tracing never changes
-	// results, only records them (see TestTraceDifferential).
+	// Trace is the caller's trace of the operation the evaluation belongs
+	// to. The engine adds no spans to it: an abort is annotated on its root,
+	// and the profile is linked to its ID. What the engine did is the
+	// profile's.
 	Trace *obs.Trace
 	// Profile, when non-nil, receives an operator-level runtime profile of
 	// the evaluation (EXPLAIN ANALYZE): per-operator wall time, rows in/out
-	// and estimated-vs-actual cardinality with q-error. Like tracing,
-	// profiling never changes results (see TestProfileDifferential).
+	// and estimated-vs-actual cardinality with q-error. Profiling never
+	// changes results (see TestProfileDifferential).
 	Profile *Profile
 	// Limits bounds the resources the evaluation may consume (row budget on
 	// intermediate binding sets, property-path depth/visited caps); the
@@ -139,7 +137,6 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		noReorder:    opts.NoReorder,
 		noPushdown:   opts.NoPushdown,
 		workers:      par.Workers(opts.Parallelism),
-		cur:          opts.Trace.Root(),
 		prof:         opts.Profile.Root(),
 		cancel:       &evalCancel{ctx: ctx},
 		limits:       opts.Limits,
@@ -166,14 +163,21 @@ func ExecSelectOpts(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 // partial results.
 func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 	start := time.Now()
-	ev := newEvaluator(ctx, g, opts)
-	res, err := ev.execSelect(q)
+	res, err := newEvaluator(ctx, g, opts).execSelect(q)
+	if err != nil {
+		return nil, finish(g, opts, start, 0, err)
+	}
+	return res, finish(g, opts, start, len(res.Rows), nil)
+}
+
+// finish is the epilogue of every Exec*Ctx entry point, for an execution
+// that started at start and produced rows: the execution histogram; for a
+// profiled one, the root's record, its link to the trace, the operator
+// metrics and — on success — the feedback store's observation; and for an
+// abort, its count and the annotation on the trace root. It returns err.
+func finish(g *rdf.Graph, opts Options, start time.Time, rows int, err error) error {
 	observeSince(execSeconds, start)
 	if p := opts.Profile; p != nil {
-		rows := 0
-		if res != nil {
-			rows = len(res.Rows)
-		}
 		p.SetTraceID(opts.Trace.ID())
 		p.root.record(time.Since(start), 1, rows)
 		p.emitMetrics()
@@ -186,9 +190,8 @@ func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*
 	}
 	if err != nil {
 		observeAbort(opts.Trace.Root(), err)
-		return nil, err
 	}
-	return res, nil
+	return err
 }
 
 // parseForm parses a query and demands the given form; what names the
@@ -219,14 +222,15 @@ func Ask(g *rdf.Graph, src string) (bool, error) {
 	return ExecAskCtx(context.Background(), g, q, Options{})
 }
 
-// ExecAskCtx executes a parsed ASK query; ctx and opts (Trace, Limits, the
-// planner switches) mean what they mean to ExecSelectCtx.
+// ExecAskCtx executes a parsed ASK query; ctx and opts mean what they mean
+// to ExecSelectCtx.
 func ExecAskCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (bool, error) {
+	start := time.Now()
 	rows, err := newEvaluator(ctx, g, opts).evalWhere(q.Where)
 	if err != nil {
-		return false, err
+		return false, finish(g, opts, start, 0, err)
 	}
-	return rows.n() > 0, nil
+	return rows.n() > 0, finish(g, opts, start, rows.n(), nil)
 }
 
 // Construct parses and executes a CONSTRUCT query, returning the built graph.
@@ -240,16 +244,17 @@ func Construct(g *rdf.Graph, src string) (*rdf.Graph, error) {
 
 // ExecConstructCtx executes a parsed CONSTRUCT query (see ExecAskCtx).
 func ExecConstructCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*rdf.Graph, error) {
+	start := time.Now()
 	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
-		return nil, err
+		return nil, finish(g, opts, start, 0, err)
 	}
 	out := rdf.NewGraph()
 	for _, t := range ev.instantiate(q.Template, rows) {
 		out.Add(t)
 	}
-	return out, nil
+	return out, finish(g, opts, start, out.Len(), nil)
 }
 
 // Describe parses and executes a DESCRIBE query: the result graph holds
@@ -265,10 +270,11 @@ func Describe(g *rdf.Graph, src string) (*rdf.Graph, error) {
 
 // ExecDescribeCtx executes a parsed DESCRIBE query (see ExecAskCtx).
 func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*rdf.Graph, error) {
+	start := time.Now()
 	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
-		return nil, err
+		return nil, finish(g, opts, start, 0, err)
 	}
 	resources := map[rdf.Term]struct{}{}
 	for _, n := range q.Describe {
@@ -295,11 +301,10 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 			return true
 		})
 		if err != nil {
-			observeAbort(opts.Trace.Root(), err)
-			return nil, err
+			return nil, finish(g, opts, start, 0, err)
 		}
 	}
-	return out, nil
+	return out, finish(g, opts, start, out.Len(), nil)
 }
 
 // evalWhere evaluates a bare group pattern — the WHERE of ASK, CONSTRUCT,
@@ -308,10 +313,8 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
 	ev.sc = &scope{slots: map[string]int{}}
 	visitGroupVars(gp, false, ev.sc.add)
-	root := ev.cur // the trace root, when the caller traces
 	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()), nil)
 	if err := ev.cancel.cause(); err != nil {
-		observeAbort(root, err)
 		return nil, err
 	}
 	return rows, nil
@@ -395,8 +398,6 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		fold = ev.newGroupFold(q)
 		ev.fold = fold
 	}
-	t0 := time.Now()
-	ms := ev.enterSpan("match")
 	pm, pmt := ev.profEnter("match", "")
 	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
 	matched := rows.n()
@@ -404,9 +405,6 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		matched += fold.rows
 	}
 	ev.profExit(pm, pmt, 1, matched)
-	ms.SetAttr("rows", matched)
-	ev.exitSpan(ms)
-	observeSince(phaseMatch, t0)
 	if err := ev.cancel.cause(); err != nil {
 		return nil, nil, err
 	}
@@ -419,25 +417,17 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	work := rows
 	order := q.OrderBy
 	var err error
-	t1 := time.Now()
 	if grouped {
-		as := ev.enterSpan("aggregate")
-		as.SetAttr("groupBy", len(q.GroupBy))
 		pa, pat := ev.profEnter("aggregate", "")
 		for i, n := 0, rows.n(); i < n; i++ {
 			fold.add(rows.row(i))
 		}
 		work, order, err = fold.finish()
 		ev.profExit(pa, pat, fold.rows, work.n())
-		ev.exitSpan(as)
-		observeSince(phaseAggregate, t1)
 	} else {
-		ps := ev.enterSpan("project")
 		pe, pet := ev.profEnter("extend", "")
 		work = ev.extend(q, rows)
 		ev.profExit(pe, pet, rows.n(), work.n())
-		ev.exitSpan(ps)
-		observeSince(phaseProject, t1)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -445,8 +435,6 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	if err := ev.cancel.cause(); err != nil {
 		return nil, nil, err
 	}
-	t2 := time.Now()
-	mods := ev.enterSpan("modifiers")
 	pmod, pmodt := ev.profEnter("modifiers", "")
 	if len(order) > 0 {
 		work = ev.orderBy(work, order)
@@ -461,9 +449,6 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	}
 	out.vals = out.vals[lo*out.width : hi*out.width]
 	ev.profExit(pmod, pmodt, work.n(), out.n())
-	mods.SetAttr("rows", out.n())
-	ev.exitSpan(mods)
-	observeSince(phaseModifiers, t2)
 	return vars, out, nil
 }
 
@@ -858,8 +843,6 @@ func surelyBoundInUnion(u *UnionPattern) map[string]bool {
 // merge walks the input through the body's rows bucketed by that number.
 // Rows leave with the slot as they came: an enclosing OPTIONAL's number, or 0.
 func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
-	s := ev.enterSpan("optional")
-	s.SetAttr("rows_in", input.n())
 	po, pot := ev.profEnter("optional", "")
 	n, width, tag := input.n(), input.width, ev.sc.slot(optionalVar)
 	classes, sig, class := newTupleIndex(width, 1), make([]rdf.ID, width), make([]int32, n)
@@ -899,14 +882,10 @@ func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 	}
 	out := w.batch()
 	ev.profExit(po, pot, input.n(), out.n())
-	s.SetAttr("rows_out", out.n())
-	ev.exitSpan(s)
 	return out
 }
 
 func (ev *evaluator) evalUnion(u *UnionPattern, input *batch, credit map[string]bool) *batch {
-	s := ev.enterSpan("union")
-	s.SetAttr("alternatives", len(u.Alternatives))
 	pu, put := ev.profEnter("union", "")
 	w := rowWriter{width: input.width}
 	for _, alt := range u.Alternatives {
@@ -914,8 +893,6 @@ func (ev *evaluator) evalUnion(u *UnionPattern, input *batch, credit map[string]
 	}
 	out := w.batch()
 	ev.profExit(pu, put, input.n(), out.n())
-	s.SetAttr("rows_out", out.n())
-	ev.exitSpan(s)
 	return out
 }
 
@@ -969,8 +946,6 @@ func (ev *evaluator) evalValues(ve *ValuesElem, input *batch) *batch {
 // evalSubQuery joins the input with the subquery's projection: the subquery
 // runs once, in its own scope.
 func (ev *evaluator) evalSubQuery(q *Query, input *batch) *batch {
-	s := ev.enterSpan("subquery")
-	defer ev.exitSpan(s)
 	ps, pst := ev.profEnter("subquery", "")
 	out := &batch{width: input.width}
 	if vars, sub, err := ev.selectRows(q); err == nil {
@@ -1016,8 +991,6 @@ func (ev *evaluator) joinTable(input *batch, vars []string, table []rdf.ID, nrow
 }
 
 func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
-	s := ev.enterSpan("minus")
-	defer ev.exitSpan(s)
 	pm, pmt := ev.profEnter("minus", "")
 	removed := ev.evalGroup(m, unitBatch(input.width), nil)
 	w := rowWriter{width: input.width}

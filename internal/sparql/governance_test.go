@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rdfanalytics/internal/fault"
+	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -123,13 +124,18 @@ func TestCancelMidPath(t *testing.T) {
 }
 
 // TestRowBudgetKillsCrossProduct asserts a cross product dies with a typed
-// budget error once its intermediate binding set exceeds the row budget.
+// budget error once its intermediate binding set exceeds the row budget, and
+// that the abort is annotated on the caller's trace root.
 func TestRowBudgetKillsCrossProduct(t *testing.T) {
 	g := governanceGraph(200) // cross product would be 40 000 rows
 	q := mustParse(t, "SELECT * WHERE { ?a <http://e/p> ?x . ?b <http://e/q> ?y }")
+	tr := obs.NewTrace("query")
 	_, err := ExecSelectCtx(context.Background(), g, q, Options{
-		Limits: Limits{MaxIntermediateRows: 1000},
+		Trace: tr, Limits: Limits{MaxIntermediateRows: 1000},
 	})
+	if tree := tr.Tree(); !strings.Contains(tree, "aborted=budget") {
+		t.Errorf("trace root not annotated with the abort:\n%s", tree)
+	}
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}

@@ -124,12 +124,6 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 // run; sureOutside names the variables surely bound before the run, estBound
 // the variables bound for estimation purposes. A fold takes the last step's rows.
 func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch, fold *groupFold) *batch {
-	bs := ev.enterSpan("bgp")
-	if bs != nil {
-		bs.SetAttr("patterns", len(run))
-		bs.SetAttr("rows_in", input.n())
-		bs.SetAttr("workers", ev.workers)
-	}
 	pb, pbt := ev.profEnter("bgp", "")
 	out := ev.runTriples(run, filters, sureOutside, estBound, input, fold)
 	n := out.n()
@@ -137,10 +131,6 @@ func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, s
 		n = fold.rows
 	}
 	ev.profExit(pb, pbt, input.n(), n)
-	if bs != nil {
-		bs.SetAttr("rows_out", n)
-	}
-	ev.exitSpan(bs)
 	return out
 }
 
@@ -150,23 +140,13 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	if rows.n() == 0 {
 		return rows
 	}
-	ps := ev.cur.StartChild("plan")
 	rp := ev.planRun(run)
 	if !rp.ok {
-		ps.Finish()
 		return &batch{width: rows.width}
 	}
 	boundCols := colsFromVars(rp, estBound)
 	plan, cm := ev.planBGP(rp, run, boundCols, rows.n())
 	attachFilters(plan, run, filters, sureOutside)
-	if ps != nil {
-		ps.SetAttr("order", plan.order())
-		ps.SetAttr("cost", int(plan.cost))
-		if plan.fbSeeded() {
-			ps.SetAttr("feedback_seeded", true)
-		}
-		ps.Finish()
-	}
 	// sureRun accumulates the surely-bound variables as steps execute, for
 	// re-placing pushed-down filters when the tail is re-planned.
 	sureRun := cloneVarSet(sureOutside)
@@ -228,14 +208,6 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 // never modifies its input.
 func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 	nIn := rows.n()
-	fs := ev.cur.StartChild("filter")
-	if fs != nil {
-		fs.SetAttr("expr", expr.String())
-		if inRun {
-			fs.SetAttr("pushed", "in-run")
-		}
-		fs.SetAttr("rows_in", nIn)
-	}
 	pf, pft := ev.profEnter("filter", ev.profLabel(expr))
 	env := exprEnv{ev: ev}
 	w := rowWriter{width: rows.width}
@@ -262,10 +234,6 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 		out = w.batch()
 	}
 	ev.profExit(pf, pft, nIn, out.n())
-	if fs != nil {
-		fs.SetAttr("rows_out", out.n())
-		fs.Finish()
-	}
 	return out
 }
 
@@ -273,7 +241,7 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // is classified over the full row set and the strategy chosen once; only
 // the per-row work is partitioned, so the strategy (and output order) is
 // independent of the worker count. tp is the source pattern, used only to
-// label the trace span. The join type is decided here, from the live row
+// label the profile's scan node. The join type is decided here, from the live row
 // count — the plan only predicted one from its estimate. step.card is the
 // estimate the profile's q-error measures against — the feedback actual on a
 // seeded scan, the graph count otherwise. A fold takes the rows instead.
@@ -311,16 +279,6 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
 	}
-	ss := ev.cur.StartChild("scan")
-	if ss != nil {
-		ss.SetAttr("pattern", tp.String())
-		ss.SetAttr("est", step.card)
-		ss.SetAttr("strategy", strategy.String())
-		ss.SetAttr("rows_in", rows.n())
-		if step.fbSeeded {
-			ss.SetAttr("feedback", true)
-		}
-	}
 	psc, psct := ev.profEnter("scan", ev.profLabel(tp))
 	// The scan's estimate is what the planner priced it with: the
 	// graph count for the pattern's constant positions, or
@@ -342,10 +300,6 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	}
 	out, produced := ev.runPartitioned(pp, ht, rows, fold)
 	ev.profExit(psc, psct, rows.n(), produced)
-	if ss != nil {
-		ss.SetAttr("rows_out", produced)
-		ss.Finish()
-	}
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rdfanalytics/internal/datagen"
-	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/sparql"
 )
@@ -37,37 +36,4 @@ func BenchmarkJoinStep(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkTraceOverhead measures the cost the telemetry layer adds to query
-// evaluation: the same Fig 1.3 query with tracing off (nil Options.Trace,
-// span sites reduce to a pointer test) and on (full span tree recorded).
-// The acceptance bar for the obs package is <5% on the off case relative to
-// the pre-instrumentation engine, and the on case shows the recording cost.
-func BenchmarkTraceOverhead(b *testing.B) {
-	g, ns, err := datagen.Load("products-small", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := sparql.MustParse(`PREFIX ex: <` + ns + `>
-SELECT ?m (AVG(?p) AS ?avgprice) WHERE {
-  ?s a ex:Laptop. ?s ex:manufacturer ?m. ?m ex:origin ex:USA.
-  ?s ex:price ?p. ?s ex:USBPorts ?u. FILTER (?u >= 2).
-} GROUP BY ?m`)
-	b.Run("off", func(b *testing.B) {
-		for b.Loop() {
-			if _, err := sparql.ExecSelectOpts(g, q, sparql.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		for b.Loop() {
-			tr := obs.NewTrace("query")
-			if _, err := sparql.ExecSelectOpts(g, q, sparql.Options{Trace: tr}); err != nil {
-				b.Fatal(err)
-			}
-			tr.Finish()
-		}
-	})
 }

@@ -8,18 +8,14 @@ import (
 	"rdfanalytics/internal/obs"
 )
 
-// Metric handles for the evaluator's phase timings, resolved once at
-// package init so the hot path pays only atomic adds. The phases mirror
-// the pipeline the trace spans describe: parse → match (BGP joins and
-// filters) → aggregate/project → modifiers.
+// Metric handles for the engine, resolved once at package init so the hot
+// path pays only atomic adds. Parsing is timed here because it is no
+// operator; what execution spends per operator is the profile's
+// rdfa_sparql_operator_seconds{op}.
 var (
-	phaseParse     = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "parse")
-	phaseMatch     = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "match")
-	phaseAggregate = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "aggregate")
-	phaseProject   = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "project")
-	phaseModifiers = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "modifiers")
-	execSeconds    = obs.Default.Histogram("rdfa_sparql_exec_seconds", nil)
-	queriesParsed  = obs.Default.Counter("rdfa_sparql_queries_parsed_total")
+	phaseParse    = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "parse")
+	execSeconds   = obs.Default.Histogram("rdfa_sparql_exec_seconds", nil)
+	queriesParsed = obs.Default.Counter("rdfa_sparql_queries_parsed_total")
 
 	// Abort outcomes: every evaluation that ends early is classified as a
 	// deadline expiry, an explicit cancellation, or a resource-budget kill.
@@ -63,29 +59,7 @@ func observeAbort(root *obs.Span, err error) {
 	}
 }
 
-// enterSpan opens a child span under the evaluator's current span and makes
-// it current. Returns nil (and changes nothing) when tracing is off.
-func (ev *evaluator) enterSpan(name string) *obs.Span {
-	if ev.cur == nil {
-		return nil
-	}
-	s := ev.cur.StartChild(name)
-	if s != nil {
-		ev.cur = s
-	}
-	return s
-}
-
-// exitSpan finishes a span opened by enterSpan and pops back to its parent.
-func (ev *evaluator) exitSpan(s *obs.Span) {
-	if s == nil {
-		return
-	}
-	s.Finish()
-	ev.cur = s.Parent()
-}
-
-// observeSince records a phase duration; shared shape for all phase sites.
+// observeSince records a duration since start.
 func observeSince(h *obs.Histogram, start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }

@@ -29,11 +29,6 @@ func (s idSet) sorted() []rdf.ID {
 }
 
 func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
-	ps := ev.cur.StartChild("path_scan")
-	if ps != nil {
-		ps.SetAttr("pattern", tp.String())
-		ps.SetAttr("rows_in", input.n())
-	}
 	pp, ppt := ev.profEnter("path_scan", ev.profLabel(tp))
 	// Each end is a constant, a slot, or (a variable nothing reads) neither.
 	end := func(n Node) (slot int, constant rdf.ID) {
@@ -113,10 +108,6 @@ func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
 	}
 	out := w.batch()
 	ev.profExit(pp, ppt, input.n(), out.n())
-	if ps != nil {
-		ps.SetAttr("rows_out", out.n())
-		ps.Finish()
-	}
 	return out
 }
 

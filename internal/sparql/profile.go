@@ -19,10 +19,12 @@ import (
 // it tests) fold into one node keyed by (op, label), so the
 // tree stays bounded regardless of data size.
 //
-// Profiling follows the tracer's nil-safety convention: a nil *Profile (and
-// the nil *ProfNode it hands out) is a valid no-op, so every instrumentation
-// site costs one pointer test when profiling is off — proven by
-// BenchmarkProfileOverhead and TestProfileDifferential.
+// The profile is the engine's one instrument: a trace of the operation the
+// query belongs to holds the engine as one leaf, and the profile is that
+// leaf's breakdown. A nil *Profile (and the nil *ProfNode it hands out) is a
+// valid no-op, so every instrumentation site costs one pointer test when
+// profiling is off — proven by BenchmarkProfileOverhead and
+// TestProfileDifferential.
 
 // qerrorBuckets are the bucket bounds of rdfa_planner_qerror: a q-error of
 // 1 is a perfect estimate, so the ladder starts there and grows
@@ -54,22 +56,11 @@ func (p *Profile) Root() *ProfNode {
 	return p.root
 }
 
-// Sub returns a profile rooted at the (op, label) child of p's root, so a
-// pipeline stage (e.g. the HIFUN exec stage) can hand the evaluator a
-// nested subtree. Nil-safe: a nil receiver yields a nil profile.
-func (p *Profile) Sub(op, label string) *Profile {
-	if p == nil {
-		return nil
-	}
-	return &Profile{root: p.root.child(op, label)}
-}
-
 // SetTraceID links the profile's root node to an obs trace, so exported
-// profiles carry the ID of the span tree recorded alongside them. Empty
-// IDs and already-linked profiles are left untouched (a sub-profile's
-// caller may have linked the shared root first).
+// profiles carry the ID of the span tree recorded alongside them. An empty
+// ID is ignored.
 func (p *Profile) SetTraceID(id string) {
-	if p == nil || p.root == nil || id == "" || p.root.TraceID != "" {
+	if p == nil || id == "" {
 		return
 	}
 	p.root.TraceID = id
@@ -89,7 +80,7 @@ func (p *Profile) TraceID() string {
 // profile) and read after the query finishes, so no locking is needed.
 type ProfNode struct {
 	// Op is the operator kind: scan, bgp, filter, optional, union, minus,
-	// subquery, path_scan, match, aggregate, extend, modifiers, translate...
+	// subquery, path_scan, match, aggregate, extend, modifiers.
 	Op string
 	// Label distinguishes operator sites of the same kind, e.g. the triple
 	// pattern of a scan or the expression of a filter.
@@ -224,7 +215,7 @@ func (ev *evaluator) profLabel(op fmt.Stringer) string {
 // profEnter descends into (creating if needed) the current node's child for
 // (op, label) and makes it current. It returns the previous current node
 // and the start time for profExit. When profiling is off it returns nil and
-// does nothing — one pointer test, mirroring enterSpan.
+// does nothing — one pointer test.
 func (ev *evaluator) profEnter(op, label string) (*ProfNode, time.Time) {
 	if ev.prof == nil {
 		return nil, time.Time{}
@@ -242,17 +233,6 @@ func (ev *evaluator) profExit(parent *ProfNode, start time.Time, rowsIn, rowsOut
 	}
 	ev.prof.record(time.Since(start), rowsIn, rowsOut)
 	ev.prof = parent
-}
-
-// Record folds one finished invocation into the profile's root node. It is
-// how pipeline stages outside the evaluator (the HIFUN translate and
-// build_answer stages, the session's end-to-end run) report their timings
-// into a profile subtree obtained via Sub. Nil-safe.
-func (p *Profile) Record(d time.Duration, rowsIn, rowsOut int) {
-	if p == nil {
-		return
-	}
-	p.root.record(d, rowsIn, rowsOut)
 }
 
 // Tree renders the profile as an indented text tree, one operator per line
@@ -294,6 +274,23 @@ func (n *ProfNode) writeTree(sb *strings.Builder, depth int) {
 	for _, c := range n.children {
 		c.writeTree(sb, depth+1)
 	}
+}
+
+// Summary renders the root's operators on one line, "op=duration" each in
+// the order they first ran — the engine's half of a slow-query log line's
+// plan.
+func (p *Profile) Summary() string {
+	if p == nil {
+		return ""
+	}
+	var sb strings.Builder
+	for i, c := range p.root.children {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(c.Op + "=" + fmtProfDur(c.Dur))
+	}
+	return sb.String()
 }
 
 // fmtProfDur renders a duration at display precision.

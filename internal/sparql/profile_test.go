@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -25,9 +26,10 @@ func findProfNodes(p *Profile, op string) []*ProfNode {
 	return out
 }
 
-// TestProfileDifferential proves profiling never changes results: the same
-// corpus the tracer differential uses, evaluated with and without a
-// profile, row for row.
+// TestProfileDifferential proves profiling never changes results: the
+// parallel corpus plus MINUS, path and subquery queries, evaluated with and
+// without a profile (and the caller's trace, which the profile links to),
+// row for row.
 func TestProfileDifferential(t *testing.T) {
 	corp := append([]string{}, parallelCorpus...)
 	corp = append(corp,
@@ -45,8 +47,8 @@ func TestProfileDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q: unprofiled: %v", gname, src, err)
 			}
-			prof := NewProfile("query")
-			profiled, err := ExecSelectOpts(g, q, Options{Profile: prof})
+			prof, tr := NewProfile("query"), obs.NewTrace("query")
+			profiled, err := ExecSelectOpts(g, q, Options{Profile: prof, Trace: tr})
 			if err != nil {
 				t.Fatalf("%s %q: profiled: %v", gname, src, err)
 			}
@@ -54,6 +56,70 @@ func TestProfileDifferential(t *testing.T) {
 			if prof.Root().Calls != 1 || prof.Root().Dur <= 0 {
 				t.Fatalf("%s %q: profile root not recorded: %+v", gname, src, prof.Root())
 			}
+			if prof.TraceID() != tr.ID() {
+				t.Fatalf("%s %q: profile linked to trace %q, want %q", gname, src, prof.TraceID(), tr.ID())
+			}
+		}
+	}
+}
+
+// TestProfileRecordsThePlan: a join query's profile holds the pipeline's
+// operators — match, the bgp run, the in-run filter, the modifiers — and one
+// scan per triple pattern with its estimate, join strategy and rows out, in
+// the order the plan ran them. EXPLAIN names the same order and its cost.
+func TestProfileRecordsThePlan(t *testing.T) {
+	g := chainGraph(300)
+	src := `PREFIX ex: <http://e/>
+SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) } ORDER BY ?s LIMIT 20`
+	q := MustParse(src)
+	prof := NewProfile("query")
+	if _, err := ExecSelectOpts(g, q, Options{Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"match", "bgp", "filter", "modifiers"} {
+		if len(findProfNodes(prof, op)) == 0 {
+			t.Errorf("profile has no %s node:\n%s", op, prof.Tree())
+		}
+	}
+	// The plan starts with the third pattern: order=3→2→1.
+	var ran, want []string
+	for _, sc := range findProfNodes(prof, "scan") {
+		if sc.Strategy == "" || sc.EstRows < 0 || sc.RowsOut == 0 {
+			t.Errorf("scan %s lacks a strategy, an estimate or rows out:\n%s", sc.Label, prof.Tree())
+		}
+		ran = append(ran, sc.Label)
+	}
+	for _, i := range []int{2, 1, 0} {
+		want = append(want, q.Where.Elems[i].Triple.String())
+	}
+	if strings.Join(ran, "\n") != strings.Join(want, "\n") {
+		t.Errorf("scans ran as\n  %s\nwant\n  %s", strings.Join(ran, "\n  "), strings.Join(want, "\n  "))
+	}
+	plan, err := Explain(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "order=3→2→1") || !strings.Contains(plan, "cost=") {
+		t.Errorf("EXPLAIN does not name the order and cost the profile ran:\n%s", plan)
+	}
+}
+
+// TestProfileOptionalUnionNodes drives the OPTIONAL, UNION, path and MINUS
+// operators and checks each has its node in the profile.
+func TestProfileOptionalUnionNodes(t *testing.T) {
+	g := chainGraph(300)
+	for src, want := range map[string]string{
+		`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ex:v ?n . OPTIONAL { ?s ex:tag ?g } } LIMIT 10`: "optional",
+		`PREFIX ex: <http://e/> SELECT ?s WHERE { { ?s ex:tag ex:hot } UNION { ?s ex:w ?w } }`:       "union",
+		`PREFIX ex: <http://e/> SELECT ?s ?w WHERE { ?s ex:link/ex:w ?w } LIMIT 5`:                   "path_scan",
+		`PREFIX ex: <http://e/> SELECT ?s WHERE { ?s ex:v ?v . MINUS { ?s ex:tag ex:hot } }`:         "minus",
+	} {
+		prof := NewProfile("query")
+		if _, err := ExecSelectOpts(g, MustParse(src), Options{Profile: prof}); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if nodes := findProfNodes(prof, want); len(nodes) != 1 || nodes[0].Calls == 0 {
+			t.Errorf("%q: want one %s node:\n%s", src, want, prof.Tree())
 		}
 	}
 }

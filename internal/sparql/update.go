@@ -267,6 +267,7 @@ func deleteInsert(ctx context.Context, g *rdf.Graph, where *GroupPattern, del, i
 	ev := newEvaluator(ctx, g, Options{})
 	rows, err := ev.evalWhere(where)
 	if err != nil {
+		observeAbort(nil, err)
 		return err
 	}
 	toDelete, toInsert := ev.instantiate(del, rows), ev.instantiate(ins, rows)

@@ -3,8 +3,8 @@
 # server on a scratch port, drives SPARQL queries, one analytic query (sent
 # twice: the repeat must be an answer-cache hit) and one update through it,
 # then asserts /metrics exposes the promised metric families, the run's
-# X-Trace-ID resolves through /api/traces/{id} to its span tree, and
-# /api/workload lists the update. The first /sparql query is
+# X-Trace-ID resolves through /api/traces/{id} to its span tree and the
+# engine's operator profile, and /api/workload lists the update. The first /sparql query is
 # fault-injected slow (delay on the first exec activation only) so the tail
 # sampler provably retains it — the trace-retention section then walks the
 # whole drill-down:
@@ -112,6 +112,11 @@ for frag in run_analytics translate exec; do
         exit 1
     fi
 done
+# The engine is one leaf of a trace; its operators are the profile's.
+if ! printf '%s' "$TRACE" | sed 's/.*"profile"://' | grep -q '"op":"scan"'; then
+    echo "obs-smoke: FAIL — /api/traces/$RUN_TID profile has no scan: $TRACE" >&2
+    exit 1
+fi
 
 # Trace retention: the fault-injected slow query must be searchable by
 # duration, its trace ID must fetch the full span waterfall, and its
@@ -128,6 +133,10 @@ for frag in spans profile durationMs; do
         exit 1
     fi
 done
+if ! printf '%s' "$DETAIL" | sed 's/.*"profile"://' | grep -q '"op":"match"'; then
+    echo "obs-smoke: FAIL — /api/traces/$SLOW_TID profile has no match: $DETAIL" >&2
+    exit 1
+fi
 SLOW_FP="$(printf '%s' "$SLOW" | grep -o '"fingerprint":"[^"]*"' | head -1 | cut -d'"' -f4)"
 if [ -z "$SLOW_FP" ]; then
     echo "obs-smoke: FAIL — retained trace has no fingerprint: $SLOW" >&2
