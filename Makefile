@@ -12,16 +12,17 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # parallel evaluator paths run with Parallelism > 1 in tests, so races
 # surface here; a test that depends on its neighbours fails and prints its
-# seed), one pass of every BenchmarkJoinStep shape and of BenchmarkStateWrite
-# (so none can rot), the telemetry and chaos smoke tests against live servers,
-# and a fuzz smoke pass over the three parsers.
+# seed), one pass of every BenchmarkJoinStep shape, of BenchmarkStateWrite and
+# of BenchmarkCachedRead (so none can rot; TestCachedReadAllocs holds a cache
+# hit to its allocation budget), the telemetry and chaos smoke tests against
+# live servers, and a fuzz smoke pass over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
-	$(GO) test -run '^$$' -bench StateWrite -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead' -benchmem -benchtime 1x ./internal/server
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
 	$(MAKE) metrics-lint
@@ -76,7 +77,8 @@ durability-smoke:
 
 # fuzz-smoke runs each fuzz target for a short burst — the parsers, the JSON
 # string escaper and the state writer's float formatter against encoding/json,
-# and the graph's sorted permutations against the map-of-maps oracle; a
+# the graph's sorted permutations against the map-of-maps oracle, and the
+# answer cache's key injectivity; a
 # discovered panic or mismatch fails the build and leaves its input in
 # testdata/fuzz/.
 FUZZTIME ?= 30s
@@ -89,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzGraphOps$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
+	$(GO) test -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) -run XXX ./internal/resilience/
 
 race:
 	$(GO) test -race -shuffle=on ./...

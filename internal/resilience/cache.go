@@ -12,28 +12,38 @@ import (
 // answer was computed against; When is the fill time, used to bound how
 // stale an answer a max-stale request may get.
 type Answer struct {
-	Body        []byte
-	ContentType string
-	Status      int
-	Rows        int
-	Shape       string // fingerprint text, for per-shape metrics on replay
-	TraceID     string // trace retained for the execution that filled this entry
-	Version     uint64
-	When        time.Time
+	Body          []byte
+	ContentType   string
+	Status        int
+	Rows          int
+	Shape         string // fingerprint text, for per-shape metrics on replay
+	FingerprintID string // the filler's ID of Shape, so a replay hashes nothing
+	TraceID       string // trace retained for the execution that filled this entry
+	Version       uint64
+	When          time.Time
 	// Frame is a run's Answer Frame, which the body renders: every session
 	// served this entry adopts it, read-only. Nil for a /sparql answer.
 	Frame *hifun.Answer
 }
 
-// AnswerCache is the fingerprint answer cache: a byte-bounded LRU of
-// rendered responses keyed by FingerprintID × raw query text (the raw text
-// keeps constants, datatypes and timezones distinct — the fingerprint alone
-// normalizes them away, see CacheKey) — or, for an analytic run, by a
-// namespace of its own × the session's run key — invalidated by graph-version
-// comparison at lookup time rather than by eager purging. A nil
+// Key names one answer-cache entry: a text within a namespace. A /sparql
+// answer is keyed by its raw query text in the empty namespace; an analytic
+// run by the session's run key in a namespace of its own, so no query text
+// can name a run's entry. The key is compared as it is, with no string built
+// for a lookup.
+type Key struct {
+	Namespace string
+	Text      string
+}
+
+// AnswerCache is the answer cache: a byte-bounded LRU of rendered responses
+// keyed by Key, invalidated by graph-version comparison at lookup time
+// rather than by eager purging. The raw text, not the structural
+// fingerprint, is the key: the fingerprint normalizes constants, datatypes
+// and timezones away, and the text decides the fingerprint anyway. A nil
 // *AnswerCache disables caching: every method is a safe no-op/miss.
 type AnswerCache struct {
-	lru *SizedLRU[*Answer]
+	lru *SizedLRU[Key, *Answer]
 }
 
 // entryOverhead approximates the per-entry bookkeeping cost (struct, map
@@ -44,31 +54,20 @@ const entryOverhead = 256
 // onEvict (may be nil) fires for every size-pressure eviction, for metrics.
 // maxBytes <= 0 returns nil (caching disabled). The second parameter is
 // deprecated and ignored; it goes once no caller passes it.
-func NewAnswerCache(maxBytes int64, _ time.Duration, onEvict func(key string, size int64)) *AnswerCache {
+func NewAnswerCache(maxBytes int64, _ time.Duration, onEvict func(key Key, size int64)) *AnswerCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &AnswerCache{lru: NewSizedLRU[*Answer](maxBytes, onEvict)}
-}
-
-// CacheKey derives the answer-cache key. The structural fingerprint
-// normalizes every constant to "$", so two queries differing only in a
-// literal, datatype or timezone share a fingerprint; embedding the raw
-// query text keeps their answers separate while the fingerprint prefix
-// keeps shape-level locality for eviction statistics. A fingerprint ID is
-// 16 hex digits, so any other prefix (an analytic run's namespace) names
-// keys no /sparql query can have.
-func CacheKey(fingerprintID, rawQuery string) string {
-	return fingerprintID + "\x00" + rawQuery
+	return &AnswerCache{lru: NewSizedLRU[Key, *Answer](maxBytes, onEvict)}
 }
 
 // Enabled reports whether the cache can hold anything.
 func (c *AnswerCache) Enabled() bool { return c != nil }
 
-// Lookup returns a fresh hit: an entry computed against exactly the current
+// Get returns a fresh hit: an entry computed against exactly the current
 // graph version. Entries from older versions are left resident (they may
 // still satisfy a max-stale lookup) and reported as a miss.
-func (c *AnswerCache) Lookup(key string, version uint64) (*Answer, bool) {
+func (c *AnswerCache) Get(key Key, version uint64) (*Answer, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -79,10 +78,10 @@ func (c *AnswerCache) Lookup(key string, version uint64) (*Answer, bool) {
 	return a, true
 }
 
-// LookupStale returns a hit regardless of graph version provided the entry
-// was filled within the staleness window — the read path of a request that
+// GetStale returns a hit regardless of graph version provided the entry was
+// filled within the staleness window — the read path of a request that
 // carries Cache-Control: max-stale. window <= 0 disables stale serving.
-func (c *AnswerCache) LookupStale(key string, now time.Time, window time.Duration) (*Answer, bool) {
+func (c *AnswerCache) GetStale(key Key, now time.Time, window time.Duration) (*Answer, bool) {
 	if c == nil || window <= 0 {
 		return nil, false
 	}
@@ -93,14 +92,35 @@ func (c *AnswerCache) LookupStale(key string, now time.Time, window time.Duratio
 	return a, true
 }
 
-// Store inserts a rendered answer. The caller is responsible for checking
-// the graph version did not change during execution before filling.
-func (c *AnswerCache) Store(key string, a *Answer) {
+// Put inserts a rendered answer. The caller is responsible for checking the
+// graph version did not change during execution before filling.
+func (c *AnswerCache) Put(key Key, a *Answer) {
 	if c == nil || a == nil {
 		return
 	}
-	c.lru.Put(key, a, int64(len(a.Body)+len(a.ContentType)+len(key))+entryOverhead+frameBytes(a.Frame))
+	size := len(a.Body) + len(a.ContentType) + len(key.Namespace) + len(key.Text)
+	c.lru.Put(key, a, int64(size)+entryOverhead+frameBytes(a.Frame))
 }
+
+// CacheKey returns the raw query text, the /sparql key's Text; the
+// fingerprint ID no longer takes part in the key.
+//
+// Deprecated: key a query by Key{Text: raw}. CacheKey, Lookup and Store
+// remain for callers that still name /sparql entries by a string; they go
+// once none does.
+func CacheKey(_, rawQuery string) string { return rawQuery }
+
+// Lookup is Get of the /sparql entry for text.
+//
+// Deprecated: use Get.
+func (c *AnswerCache) Lookup(text string, version uint64) (*Answer, bool) {
+	return c.Get(Key{Text: text}, version)
+}
+
+// Store is Put of the /sparql entry for text.
+//
+// Deprecated: use Put.
+func (c *AnswerCache) Store(text string, a *Answer) { c.Put(Key{Text: text}, a) }
 
 // frameBytes estimates an Answer Frame's resident size: string payloads
 // plus per-term/per-row overhead (0 for no frame).

@@ -1,41 +1,36 @@
 package resilience
 
 import (
-	"strings"
 	"testing"
-	"time"
 )
 
-// FuzzCacheKey checks key injectivity: two (fingerprint, query) pairs map to
-// the same cache key only if they are the same pair. Fingerprint IDs are hex
-// digests and can never contain the NUL separator; queries are arbitrary.
-// The property guards the satellite invariant that queries differing only in
-// a constant, datatype, language tag or timezone never share an entry.
+// FuzzCacheKey checks key injectivity: two keys are equal iff their
+// namespaces and texts are, and an entry stored under one key never shows
+// under another. The property guards the invariants that queries differing
+// only in a constant, datatype, language tag or timezone never share an
+// entry, and that no query text can name an analytic run's entry.
 func FuzzCacheKey(f *testing.F) {
-	f.Add("8f00b204e9800998", `SELECT ?s WHERE { ?s <p> "100" }`, "8f00b204e9800998", `SELECT ?s WHERE { ?s <p> "200" }`)
-	f.Add("aa", `ASK { ?s <p> "2020-01-01T00:00:00Z"^^xsd:dateTime }`, "aa", `ASK { ?s <p> "2020-01-01T00:00:00+00:00"^^xsd:dateTime }`)
-	f.Add("aa", `"x"^^xsd:string`, "aa", `"x"@en`)
-	f.Add("", "", "", "q")
-	f.Fuzz(func(t *testing.T, fp1, q1, fp2, q2 string) {
-		if strings.ContainsRune(fp1, 0) || strings.ContainsRune(fp2, 0) {
-			t.Skip("fingerprint IDs are hex, never contain NUL")
-		}
-		k1, k2 := CacheKey(fp1, q1), CacheKey(fp2, q2)
-		if (fp1 != fp2 || q1 != q2) && k1 == k2 {
-			t.Fatalf("distinct (fp,query) pairs collide: (%q,%q) vs (%q,%q)", fp1, q1, fp2, q2)
-		}
-		if fp1 == fp2 && q1 == q2 && k1 != k2 {
-			t.Fatalf("CacheKey not deterministic for (%q,%q)", fp1, q1)
+	f.Add("", `SELECT ?s WHERE { ?s <p> "100" }`, "", `SELECT ?s WHERE { ?s <p> "200" }`)
+	f.Add("", `ASK { ?s <p> "2020-01-01T00:00:00Z"^^xsd:dateTime }`, "", `ASK { ?s <p> "2020-01-01T00:00:00+00:00"^^xsd:dateTime }`)
+	f.Add("analytics", `laptops by manufacturer`, "", `laptops by manufacturer`)
+	f.Add("a", "\x00b", "a\x00", "b")
+	f.Fuzz(func(t *testing.T, ns1, text1, ns2, text2 string) {
+		k1, k2 := Key{Namespace: ns1, Text: text1}, Key{Namespace: ns2, Text: text2}
+		if same := ns1 == ns2 && text1 == text2; (k1 == k2) != same {
+			t.Fatalf("Key{%q,%q} == Key{%q,%q} is %v, want %v", ns1, text1, ns2, text2, k1 == k2, same)
 		}
 
 		// Distinct keys behave as distinct entries end to end: storing under
-		// k1 must never make k2 visible.
-		if k1 != k2 {
-			c := NewAnswerCache(1<<20, time.Second, nil)
-			c.Store(k1, &Answer{Body: []byte("a1"), Version: 7})
-			if _, ok := c.Lookup(k2, 7); ok {
-				t.Fatalf("entry stored under %q leaked to %q", k1, k2)
-			}
+		// k1 never makes anything visible under k2.
+		c := NewAnswerCache(1<<20, 0, nil)
+		stored := &Answer{Body: []byte("a1"), Version: 7}
+		c.Put(k1, stored)
+		got, ok := c.Get(k2, 7)
+		if k1 == k2 && (!ok || got != stored) {
+			t.Fatalf("entry stored under %+v not found under the same key", k1)
+		}
+		if k1 != k2 && ok {
+			t.Fatalf("entry stored under %+v shows under %+v", k1, k2)
 		}
 	})
 }

@@ -12,46 +12,46 @@ import (
 
 // lruEntry is one resident cache entry; prev/next thread the recency list
 // (head = most recent).
-type lruEntry[V any] struct {
-	key        string
+type lruEntry[K comparable, V any] struct {
+	key        K
 	val        V
 	size       int64
-	prev, next *lruEntry[V]
+	prev, next *lruEntry[K, V]
 }
 
-// SizedLRU is a concurrency-safe LRU keyed by string with byte-size
+// SizedLRU is a concurrency-safe LRU keyed by any comparable K with byte-size
 // accounting: every entry carries an explicit size, the cache evicts from
 // the cold end whenever the total exceeds maxBytes, and an entry larger
 // than the whole budget is refused outright. A nil *SizedLRU is a valid
 // always-empty cache (Get misses, Put is a no-op), so callers can disable
 // caching by construction instead of branching.
-type SizedLRU[V any] struct {
+type SizedLRU[K comparable, V any] struct {
 	mu        sync.Mutex
 	maxBytes  int64
 	bytes     int64
-	entries   map[string]*lruEntry[V]
-	head      *lruEntry[V] // most recently used
-	tail      *lruEntry[V] // least recently used
+	entries   map[K]*lruEntry[K, V]
+	head      *lruEntry[K, V] // most recently used
+	tail      *lruEntry[K, V] // least recently used
 	evictions uint64
-	onEvict   func(key string, size int64)
+	onEvict   func(key K, size int64)
 }
 
 // NewSizedLRU builds a cache bounded to maxBytes. onEvict (may be nil) is
 // called, outside any hot path but under the cache lock, for every entry
 // removed to make room — not for explicit Delete or Purge.
-func NewSizedLRU[V any](maxBytes int64, onEvict func(key string, size int64)) *SizedLRU[V] {
+func NewSizedLRU[K comparable, V any](maxBytes int64, onEvict func(key K, size int64)) *SizedLRU[K, V] {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &SizedLRU[V]{
+	return &SizedLRU[K, V]{
 		maxBytes: maxBytes,
-		entries:  map[string]*lruEntry[V]{},
+		entries:  map[K]*lruEntry[K, V]{},
 		onEvict:  onEvict,
 	}
 }
 
 // Get returns the entry for key, bumping its recency.
-func (c *SizedLRU[V]) Get(key string) (V, bool) {
+func (c *SizedLRU[K, V]) Get(key K) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
@@ -69,7 +69,7 @@ func (c *SizedLRU[V]) Get(key string) (V, bool) {
 // Put inserts or replaces the entry for key. Entries whose size exceeds the
 // whole budget are refused (and an existing entry under the key is dropped:
 // the caller declared the new value authoritative and the old one stale).
-func (c *SizedLRU[V]) Put(key string, val V, size int64) {
+func (c *SizedLRU[K, V]) Put(key K, val V, size int64) {
 	if c == nil {
 		return
 	}
@@ -84,7 +84,7 @@ func (c *SizedLRU[V]) Put(key string, val V, size int64) {
 	if size > c.maxBytes {
 		return
 	}
-	e := &lruEntry[V]{key: key, val: val, size: size}
+	e := &lruEntry[K, V]{key: key, val: val, size: size}
 	c.entries[key] = e
 	c.pushFront(e)
 	c.bytes += size
@@ -99,7 +99,7 @@ func (c *SizedLRU[V]) Put(key string, val V, size int64) {
 }
 
 // Delete removes the entry for key, if present.
-func (c *SizedLRU[V]) Delete(key string) {
+func (c *SizedLRU[K, V]) Delete(key K) {
 	if c == nil {
 		return
 	}
@@ -111,18 +111,18 @@ func (c *SizedLRU[V]) Delete(key string) {
 }
 
 // Purge drops every entry.
-func (c *SizedLRU[V]) Purge() {
+func (c *SizedLRU[K, V]) Purge() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*lruEntry[V]{}
+	c.entries = map[K]*lruEntry[K, V]{}
 	c.head, c.tail, c.bytes = nil, nil, 0
 }
 
 // Len returns the number of resident entries.
-func (c *SizedLRU[V]) Len() int {
+func (c *SizedLRU[K, V]) Len() int {
 	if c == nil {
 		return 0
 	}
@@ -132,7 +132,7 @@ func (c *SizedLRU[V]) Len() int {
 }
 
 // Bytes returns the accounted size of all resident entries.
-func (c *SizedLRU[V]) Bytes() int64 {
+func (c *SizedLRU[K, V]) Bytes() int64 {
 	if c == nil {
 		return 0
 	}
@@ -142,7 +142,7 @@ func (c *SizedLRU[V]) Bytes() int64 {
 }
 
 // Evictions returns how many entries were evicted to make room (lifetime).
-func (c *SizedLRU[V]) Evictions() uint64 {
+func (c *SizedLRU[K, V]) Evictions() uint64 {
 	if c == nil {
 		return 0
 	}
@@ -152,7 +152,7 @@ func (c *SizedLRU[V]) Evictions() uint64 {
 }
 
 // MaxBytes returns the configured budget (0 for a nil cache).
-func (c *SizedLRU[V]) MaxBytes() int64 {
+func (c *SizedLRU[K, V]) MaxBytes() int64 {
 	if c == nil {
 		return 0
 	}
@@ -161,7 +161,7 @@ func (c *SizedLRU[V]) MaxBytes() int64 {
 
 // ---- intrusive recency list (callers hold c.mu) ----
 
-func (c *SizedLRU[V]) pushFront(e *lruEntry[V]) {
+func (c *SizedLRU[K, V]) pushFront(e *lruEntry[K, V]) {
 	e.prev, e.next = nil, c.head
 	if c.head != nil {
 		c.head.prev = e
@@ -172,7 +172,7 @@ func (c *SizedLRU[V]) pushFront(e *lruEntry[V]) {
 	}
 }
 
-func (c *SizedLRU[V]) moveToFront(e *lruEntry[V]) {
+func (c *SizedLRU[K, V]) moveToFront(e *lruEntry[K, V]) {
 	if c.head == e {
 		return
 	}
@@ -180,7 +180,7 @@ func (c *SizedLRU[V]) moveToFront(e *lruEntry[V]) {
 	c.pushFront(e)
 }
 
-func (c *SizedLRU[V]) unlink(e *lruEntry[V]) {
+func (c *SizedLRU[K, V]) unlink(e *lruEntry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -194,7 +194,7 @@ func (c *SizedLRU[V]) unlink(e *lruEntry[V]) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *SizedLRU[V]) removeLocked(e *lruEntry[V]) {
+func (c *SizedLRU[K, V]) removeLocked(e *lruEntry[K, V]) {
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.bytes -= e.size

@@ -14,7 +14,7 @@ import (
 
 func TestSizedLRUBasics(t *testing.T) {
 	var evicted []string
-	c := NewSizedLRU[string](100, func(k string, _ int64) { evicted = append(evicted, k) })
+	c := NewSizedLRU[string, string](100, func(k string, _ int64) { evicted = append(evicted, k) })
 	c.Put("a", "A", 40)
 	c.Put("b", "B", 40)
 	if v, ok := c.Get("a"); !ok || v != "A" {
@@ -40,7 +40,7 @@ func TestSizedLRUBasics(t *testing.T) {
 }
 
 func TestSizedLRUReplaceAndOversize(t *testing.T) {
-	c := NewSizedLRU[int](100, nil)
+	c := NewSizedLRU[string, int](100, nil)
 	c.Put("k", 1, 60)
 	c.Put("k", 2, 30) // replace: bytes must drop to 30
 	if c.Bytes() != 30 || c.Len() != 1 {
@@ -65,8 +65,8 @@ func TestSizedLRUReplaceAndOversize(t *testing.T) {
 }
 
 func TestSizedLRUNilSafe(t *testing.T) {
-	var c *SizedLRU[string]
-	if c := NewSizedLRU[string](0, nil); c != nil {
+	var c *SizedLRU[string, string]
+	if c := NewSizedLRU[string, string](0, nil); c != nil {
 		t.Fatal("maxBytes<=0 must return nil")
 	}
 	c.Put("k", "v", 1)
@@ -81,7 +81,7 @@ func TestSizedLRUNilSafe(t *testing.T) {
 }
 
 func TestSizedLRUConcurrent(t *testing.T) {
-	c := NewSizedLRU[int](1<<20, nil)
+	c := NewSizedLRU[string, int](1<<20, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -196,34 +196,43 @@ func TestSingleflightLastWaiterCancels(t *testing.T) {
 func TestAnswerCacheFreshStale(t *testing.T) {
 	c := NewAnswerCache(1<<20, 0, nil)
 	now := time.Now()
-	key := CacheKey("fp1", "SELECT 1")
-	c.Store(key, &Answer{Body: []byte("r"), Status: 200, Version: 7, When: now})
+	key := Key{Text: "SELECT 1"}
+	c.Put(key, &Answer{Body: []byte("r"), Status: 200, Version: 7, When: now})
 
-	if _, ok := c.Lookup(key, 7); !ok {
+	if _, ok := c.Get(key, 7); !ok {
 		t.Fatal("fresh lookup at same version must hit")
 	}
-	if _, ok := c.Lookup(key, 8); ok {
+	if _, ok := c.Get(key, 8); ok {
 		t.Fatal("lookup at newer graph version must miss")
 	}
 	// Stale lookup ignores version within the window…
-	if _, ok := c.LookupStale(key, now.Add(time.Second), 2*time.Second); !ok {
+	if _, ok := c.GetStale(key, now.Add(time.Second), 2*time.Second); !ok {
 		t.Fatal("stale lookup within window must hit")
 	}
 	// …but not beyond it, and not when disabled.
-	if _, ok := c.LookupStale(key, now.Add(3*time.Second), 2*time.Second); ok {
+	if _, ok := c.GetStale(key, now.Add(3*time.Second), 2*time.Second); ok {
 		t.Fatal("stale lookup beyond window must miss")
 	}
-	if _, ok := c.LookupStale(key, now, 0); ok {
+	if _, ok := c.GetStale(key, now, 0); ok {
 		t.Fatal("window<=0 must disable stale serving")
 	}
 }
 
 func TestAnswerCacheKeyConstantsDistinct(t *testing.T) {
-	// Same fingerprint, different constants: distinct keys by construction.
-	k1 := CacheKey("fp", `SELECT ?s WHERE { ?s ?p "a" }`)
-	k2 := CacheKey("fp", `SELECT ?s WHERE { ?s ?p "b" }`)
-	if k1 == k2 {
-		t.Fatal("keys for different constants must differ")
+	// Same fingerprint, different constants: distinct keys by construction,
+	// and a run's key never equals a query's of the same text.
+	c := NewAnswerCache(1<<20, 0, nil)
+	k1 := Key{Text: `SELECT ?s WHERE { ?s ?p "a" }`}
+	k2 := Key{Text: `SELECT ?s WHERE { ?s ?p "b" }`}
+	run := Key{Namespace: "analytics", Text: k1.Text}
+	if k1 == k2 || k1 == run {
+		t.Fatal("keys for different constants or namespaces must differ")
+	}
+	c.Put(k1, &Answer{Body: []byte("a"), Version: 1})
+	for _, k := range []Key{k2, run} {
+		if _, ok := c.Get(k, 1); ok {
+			t.Fatalf("entry stored under %+v shows under %+v", k1, k)
+		}
 	}
 }
 
@@ -235,9 +244,12 @@ func TestAnswerCacheNil(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil cache must report disabled")
 	}
-	c.Store("k", &Answer{})
-	if _, ok := c.Lookup("k", 0); ok {
+	c.Put(Key{Text: "k"}, &Answer{})
+	if _, ok := c.Get(Key{Text: "k"}, 0); ok {
 		t.Fatal("nil cache must miss")
+	}
+	if _, ok := c.GetStale(Key{Text: "k"}, time.Now(), time.Hour); ok {
+		t.Fatal("nil cache must miss a stale lookup")
 	}
 	c.Purge()
 }

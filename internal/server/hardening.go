@@ -75,7 +75,7 @@ func queryError(w http.ResponseWriter, err error) {
 	code := abortStatus(err, http.StatusInternalServerError)
 	if reason := sparql.AbortReason(err); reason != "" {
 		body := map[string]string{"error": err.Error(), "reason": reason}
-		if id := w.Header().Get("X-Request-ID"); id != "" {
+		if id := w.Header().Get(headerRequestID); id != "" {
 			body["request_id"] = id
 		}
 		w.Header().Set("Content-Type", "application/json")

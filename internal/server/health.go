@@ -13,6 +13,14 @@ import (
 // maxRequestIDLen bounds client-supplied X-Request-ID values.
 const maxRequestIDLen = 64
 
+// The middleware's header keys, spelled canonically: Header.Get and Set
+// canonicalize any other spelling into a fresh string on every call. The
+// wire carries the canonical spelling either way.
+const (
+	headerRequestID = "X-Request-Id"
+	headerTraceID   = "X-Trace-Id"
+)
+
 // newRequestID mints a 16-hex-char random id.
 func newRequestID() string {
 	var b [8]byte
@@ -39,10 +47,9 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// requestID returns the id the middleware stamped on the request. The key
-// is spelled canonically, so the read does not allocate.
+// requestID returns the id the middleware stamped on the request.
 func requestID(r *http.Request) string {
-	return r.Header.Get("X-Request-Id")
+	return r.Header.Get(headerRequestID)
 }
 
 // ---- health probes ----

@@ -5,6 +5,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rdfanalytics/internal/fault"
@@ -54,22 +55,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// (so ids propagate through proxies and retries), mint one otherwise, and
 	// stamp it on both the request (handlers, the slow-query log and traces
 	// read it back) and the response.
-	id := r.Header.Get("X-Request-ID")
+	id := r.Header.Get(headerRequestID)
 	if !validRequestID(id) {
 		id = newRequestID()
 	}
-	r.Header.Set("X-Request-ID", id)
-	sw.Header().Set("X-Request-ID", id)
+	r.Header.Set(headerRequestID, id)
+	sw.Header().Set(headerRequestID, id)
 	// Trace-ID middleware, same contract: accept a well-formed client
 	// X-Trace-ID (distributed callers correlate their own traces), mint one
 	// otherwise. Handlers thread it into the engine via queryCtx; cached
 	// answers overwrite the response header with the retained filler's ID.
-	tid := r.Header.Get("X-Trace-ID")
+	tid := r.Header.Get(headerTraceID)
 	if !validRequestID(tid) {
 		tid = obs.NewTraceID()
 	}
-	r.Header.Set("X-Trace-ID", tid)
-	sw.Header().Set("X-Trace-ID", tid)
+	r.Header.Set(headerTraceID, tid)
+	sw.Header().Set(headerTraceID, tid)
 	if r.Method == http.MethodPost {
 		if max := s.cfg.maxBodyBytes(); max > 0 {
 			r.Body = http.MaxBytesReader(sw, r.Body, max)
@@ -94,21 +95,61 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		endpoint = "unmatched"
 	}
 	dur := time.Since(start)
-	obs.Default.Counter("rdfa_http_requests_total",
-		"endpoint", endpoint, "status", strconv.Itoa(sw.status)).Inc()
-	lat := obs.Default.Histogram("rdfa_http_request_seconds", nil,
-		"endpoint", endpoint)
+	requests, lat := s.routeMetrics.handles(endpoint, sw.status)
+	requests.Inc()
 	// Exemplar link: when the trace this request produced (or was served
 	// from — cached answers overwrite the response header) was retained,
 	// attach its ID to the latency observation so a p95 spike on /metrics
 	// resolves to a concrete span waterfall. Only IDs
 	// that will actually resolve through /api/traces are attached.
-	if tid := sw.Header().Get("X-Trace-ID"); s.traces.Contains(tid) {
+	if tid := sw.Header().Get(headerTraceID); s.traces.Contains(tid) {
 		lat.ObserveExemplar(dur.Seconds(), tid)
 	} else {
 		lat.Observe(dur.Seconds())
 	}
 	s.recordHTTPSLO(endpoint, sw.status, dur)
+}
+
+// routeMetrics memoizes the middleware's metric handles per route and
+// status: resolving a labelled handle renders its label key on every call.
+// The map is bounded by the route table and the statuses its handlers write.
+type routeMetrics struct {
+	mu      sync.Mutex
+	handled map[routeStatus]routeHandles
+}
+
+type routeStatus struct {
+	endpoint string
+	status   int
+}
+
+type routeHandles struct {
+	requests *obs.Counter
+	latency  *obs.Histogram
+}
+
+// handles returns the request counter of (endpoint, status) and the latency
+// histogram of endpoint, resolving them on their first request.
+func (m *routeMetrics) handles(endpoint string, status int) (*obs.Counter, *obs.Histogram) {
+	key := routeStatus{endpoint, status}
+	m.mu.Lock()
+	h, ok := m.handled[key]
+	m.mu.Unlock()
+	if !ok {
+		h = routeHandles{
+			requests: obs.Default.Counter("rdfa_http_requests_total",
+				"endpoint", endpoint, "status", strconv.Itoa(status)),
+			latency: obs.Default.Histogram("rdfa_http_request_seconds", nil,
+				"endpoint", endpoint),
+		}
+		m.mu.Lock()
+		if m.handled == nil {
+			m.handled = map[routeStatus]routeHandles{}
+		}
+		m.handled[key] = h
+		m.mu.Unlock()
+	}
+	return h.requests, h.latency
 }
 
 // recordHTTPSLO folds one finished request into the HTTP objectives:

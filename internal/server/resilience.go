@@ -1,6 +1,8 @@
 // The overload-resilient read flow of /sparql and /api/run: answer cache →
 // stale serving (only when the request asks) → singleflight collapse →
-// admission gate → engine. Assembled from the primitives in
+// admission gate → engine. The cache is keyed by what the request says (a
+// query's raw text, a run's key), so /sparql looks a query up before it
+// parses it: a hit runs no parser. Assembled from the primitives in
 // internal/resilience; this file owns the HTTP-facing policy — what is
 // cacheable, what each rejection looks like on the wire, and which metrics
 // each outcome feeds. Every decision reads request-path state only: the
@@ -65,13 +67,11 @@ func init() {
 	}
 }
 
-// sparqlRecord starts the record of one /sparql operation: the query, its
-// fingerprint and the request's ids.
-func sparqlRecord(r *http.Request, raw, shape, fpID string) obs.QueryRecord {
-	return obs.QueryRecord{
-		Kind: "sparql", Query: raw, Shape: shape, FingerprintID: fpID,
-		RequestID: requestID(r), TraceID: traceIDOf(r),
-	}
+// sparqlRecord starts the record of one /sparql operation: the query and
+// the request's ids. Its shape and fingerprint come from the parse on a miss
+// and from the answer on a hit.
+func sparqlRecord(r *http.Request, raw string) obs.QueryRecord {
+	return obs.QueryRecord{Kind: "sparql", Query: raw, RequestID: requestID(r), TraceID: traceIDOf(r)}
 }
 
 // guarded is the one body every engine execution behind /sparql and
@@ -130,24 +130,10 @@ func execError(w http.ResponseWriter, err error) {
 	queryError(w, err)
 }
 
-// serveQuery is the SELECT/ASK read path. raw is the query text exactly as
-// received — it is part of the cache key, so queries that share a structural
-// fingerprint but differ in any constant (value, datatype, language tag,
-// timezone) can never share an entry.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
-	shape := sparql.Fingerprint(q)
-	fpID := sparql.FingerprintID(shape)
-	rec := sparqlRecord(r, raw, shape, fpID)
-	if q.Form == sparql.FormSelect && strings.Contains(r.Header.Get("Accept"), "text/csv") {
-		// CSV rendering is not cached (the cache stores one rendering per
-		// query); execute directly under the admission gate.
-		cacheBypass.Inc()
-		w.Header().Set("X-Cache", "bypass")
-		rec.Cache = "bypass"
-		s.execSelectCSV(w, ctx, q, rec)
-		return
-	}
-	s.serveCached(w, r, ctx, resilience.CacheKey(fpID, raw), rec, func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
+// queryExec is what a SELECT or ASK runs on a miss: the engine, and the
+// answer rendered to its JSON body.
+func (s *Server) queryExec(q *sparql.Query) cachedExec {
+	return func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
 		ans := &resilience.Answer{ContentType: "application/sparql-results+json"}
 		opts := s.engineOpts(rec)
 		if q.Form == sparql.FormAsk {
@@ -165,7 +151,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 		// so what the answer cache accounts is what the answer holds.
 		ans.Body = res.JSON()
 		return ans, opts.Profile, nil
-	})
+	}
 }
 
 // cachedExec is what a cached read runs on a miss: the engine execution
@@ -174,22 +160,32 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ctx context.
 type cachedExec func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error)
 
 // serveCached is the one cached read path, taken by /sparql SELECT/ASK and by
-// /api/run at the base level: a fresh hit; a stale hit for a request that
-// asks for one (maxStale); a follower collapsed onto an identical execution
-// at the same graph version; or a miss, whose leader runs exec (see fill).
-// rec is the operation's record, its Cache still unset. The response is
-// written here; the answer served is returned, nil after an error response.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context, key string, rec obs.QueryRecord, exec cachedExec) *resilience.Answer {
+// /api/run at the base level: serveHit, then on a miss serveMiss. /sparql
+// takes the two halves apart, with its parse between them. rec is the
+// operation's record, its Cache still unset. The response is written here;
+// the answer served is returned, nil after an error response.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec) *resilience.Answer {
 	start := time.Now()
-	version := s.graph.Version()
-	if ans, ok := s.answers.Lookup(key, version); ok {
+	if ans := s.serveHit(w, r, key, rec, start); ans != nil {
+		return ans
+	}
+	return s.serveMiss(w, ctx, key, rec, exec, start)
+}
+
+// serveHit is the first half of the cached read path: a fresh hit, or a
+// stale one for a request that asks for one (maxStale). It writes the
+// response and returns the answer served, or returns nil having written
+// nothing. It reads only key and the request's headers, so /sparql calls it
+// before parsing.
+func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, key resilience.Key, rec obs.QueryRecord, start time.Time) *resilience.Answer {
+	if ans, ok := s.answers.Get(key, s.graph.Version()); ok {
 		cacheHit.Inc()
 		rec.Cache = "hit"
 		s.serveCachedAnswer(w, ans, rec, start)
 		return ans
 	}
 	if window, ok := s.maxStale(r); ok {
-		if ans, ok := s.answers.LookupStale(key, time.Now(), window); ok {
+		if ans, ok := s.answers.GetStale(key, time.Now(), window); ok {
 			cacheStale.Inc()
 			w.Header().Set("Age", strconv.Itoa(int(time.Since(ans.When).Seconds())))
 			w.Header().Set("X-Graph-Version", strconv.FormatUint(ans.Version, 10))
@@ -198,10 +194,18 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context
 			return ans
 		}
 	}
-	// A follower only joins a leader that looked the answer up at the same
-	// graph version: one arriving after an update never shares an execution
-	// that may have read the graph before it.
-	flightKey := key + "\x00" + strconv.FormatUint(version, 10)
+	return nil
+}
+
+// serveMiss is the second half of the cached read path: a follower collapsed
+// onto an identical execution at the same graph version, or a leader that
+// runs exec (see fill). rec carries the shape and fingerprint its record
+// needs before the execution.
+func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec, start time.Time) *resilience.Answer {
+	// A follower only joins a leader that read the same graph version when
+	// it missed: one arriving after an update never shares an execution that
+	// may have read the graph before it.
+	flightKey := key.Namespace + "\x00" + key.Text + "\x00" + strconv.FormatUint(s.graph.Version(), 10)
 	leader := rec
 	leader.Cache = "miss"
 	v, collapsed, err := s.flight.Do(ctx, flightKey, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
@@ -259,7 +263,7 @@ func (s *Server) maxStale(r *http.Request) (window time.Duration, ok bool) {
 // timeout. rec carries the leader's middleware-minted trace ID; the
 // retained trace and the cached answer both carry it, so every response
 // serving this execution can point at the same waterfall.
-func (s *Server) fill(execCtx context.Context, key string, rec obs.QueryRecord, exec cachedExec) (*resilience.Answer, error) {
+func (s *Server) fill(execCtx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec) (*resilience.Answer, error) {
 	version := s.graph.Version()
 	var ans *resilience.Answer
 	release, err := s.guarded(execCtx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
@@ -270,7 +274,8 @@ func (s *Server) fill(execCtx context.Context, key string, rec obs.QueryRecord, 
 			return nil, err
 		}
 		if ans, prof, err = exec(execCtx, rec); err == nil {
-			ans.Status, ans.Rows, ans.Shape, ans.TraceID = http.StatusOK, rec.Rows, rec.Shape, rec.Trace.ID()
+			ans.Status, ans.Rows, ans.TraceID = http.StatusOK, rec.Rows, rec.Trace.ID()
+			ans.Shape, ans.FingerprintID = rec.Shape, rec.FingerprintID
 		}
 		return prof, err
 	})
@@ -282,7 +287,7 @@ func (s *Server) fill(execCtx context.Context, key string, rec obs.QueryRecord, 
 	// Fill only if the graph version is unchanged: a mutation mid-execution
 	// means the result reflects neither version cleanly.
 	if s.answers.Enabled() && s.graph.Version() == version {
-		s.answers.Store(key, ans)
+		s.answers.Put(key, ans)
 		cacheFills.Inc()
 	}
 	return ans, nil
@@ -299,23 +304,26 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 	w.Header().Set("X-Cache", rec.Cache)
 	w.Header().Set("Content-Type", ans.ContentType)
 	if ans.TraceID != "" {
-		w.Header().Set("X-Trace-ID", ans.TraceID)
+		w.Header().Set(headerTraceID, ans.TraceID)
 		s.traces.RecordServe(ans.TraceID, rec.Cache)
 	}
 	if ans.Status != 0 && ans.Status != http.StatusOK {
 		w.WriteHeader(ans.Status)
 	}
 	w.Write(ans.Body)
+	// A run's shape is known once its SPARQL is, and a /sparql hit parsed
+	// nothing: the filler's shape and fingerprint stand for both.
 	rec.Rows, rec.TraceID, rec.Duration = ans.Rows, ans.TraceID, time.Since(start)
-	if rec.Shape != ans.Shape { // a run's shape is known once its SPARQL is
-		rec.Shape, rec.FingerprintID = ans.Shape, sparql.FingerprintID(ans.Shape)
-	}
+	rec.Shape, rec.FingerprintID = ans.Shape, ans.FingerprintID
 	s.record(rec, nil, nil)
 }
 
 // execSelectCSV is the uncached CSV rendering of a SELECT, still behind the
-// admission gate.
+// admission gate: the cache stores one rendering per query.
 func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
+	cacheBypass.Inc()
+	w.Header().Set("X-Cache", "bypass")
+	rec.Cache = "bypass"
 	var res *sparql.Results
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
 		opts := s.engineOpts(rec)
@@ -338,9 +346,7 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 // serveGraphQuery is the CONSTRUCT/DESCRIBE path: uncached (triple payloads
 // are unbounded and rarely repeated), but admission-gated and budgeted like
 // every other engine execution.
-func (s *Server) serveGraphQuery(w http.ResponseWriter, r *http.Request, ctx context.Context, q *sparql.Query, raw string) {
-	shape := sparql.Fingerprint(q)
-	rec := sparqlRecord(r, raw, shape, sparql.FingerprintID(shape))
+func (s *Server) serveGraphQuery(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
 	rec.Cache = "bypass"
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
@@ -377,7 +383,7 @@ func admitReject(w http.ResponseWriter, aerr *resilience.AdmitError) {
 	admissionRejected(aerr.Reason).Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(int(aerr.RetryAfter/time.Second)))
 	body := map[string]string{"error": aerr.Msg, "reason": aerr.Reason}
-	if id := w.Header().Get("X-Request-ID"); id != "" {
+	if id := w.Header().Get(headerRequestID); id != "" {
 		body["request_id"] = id
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -185,5 +186,29 @@ ex:l2 a ex:Laptop ; ex:maker o:DELL ; ex:price 20 .
 		if code != http.StatusOK || xc != "miss" || !bytes.Contains(body, []byte(`"value":"`+want+`"`)) {
 			t.Errorf("SUM over %s's laptops = %d, X-Cache %q: %s; want %s", session, code, xc, body, want)
 		}
+	}
+}
+
+// TestQueryTextCannotNameARun: a /sparql query whose text is byte-equal to
+// a cached run's key misses — the two live in different namespaces.
+func TestQueryTextCannotNameARun(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	laptopsBy(t, s, "a", "manufacturer")
+	if code, xc, _, _ := doRun(s, "a"); code != http.StatusOK || xc != "miss" {
+		t.Fatalf("run = %d, X-Cache %q", code, xc)
+	}
+	s.mu.Lock()
+	run, err := s.sessions["a"].sess.PrepareRun()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, xc, _, _ := doRun(s, "a"); xc != "hit" {
+		t.Fatalf("repeated run = X-Cache %q, want hit", xc)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(run.Key), nil))
+	if xc := rec.Header().Get("X-Cache"); xc == "hit" || xc == "stale" || rec.Code != http.StatusBadRequest {
+		t.Errorf("/sparql with the run's key text = %d X-Cache %q, want the 400 of a query that does not parse", rec.Code, xc)
 	}
 }

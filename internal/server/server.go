@@ -53,8 +53,8 @@ type Server struct {
 	// for singleflight collapse.
 	traces *obs.TraceStore
 	slow   *obs.SlowQueryLog
-	// answers/flight/gate are the overload-resilience layer: the
-	// fingerprint answer cache, the singleflight group collapsing identical
+	// answers/flight/gate are the overload-resilience layer: the answer
+	// cache, the singleflight group collapsing identical
 	// concurrent queries, and the admission gate (see internal/resilience
 	// and resilience.go here).
 	answers *resilience.AnswerCache
@@ -76,6 +76,8 @@ type Server struct {
 	// middleware records into (nil when disabled by config).
 	sloHTTPAvail *obs.Objective
 	sloHTTPLat   *obs.Objective
+	// routeMetrics are the middleware's per-route metric handles.
+	routeMetrics routeMetrics
 	// draining flips when graceful shutdown begins; /healthz and /readyz
 	// answer 503 from then on, and the admission gate stops queueing.
 	draining atomic.Bool
@@ -128,9 +130,9 @@ type Config struct {
 	// SLO configures the declarative objectives whose good/total counters
 	// /metrics exposes. The zero value disables all of them.
 	SLO SLOConfig
-	// CacheBytes bounds the fingerprint answer cache of the overload-
-	// resilience layer (rendered /sparql responses, keyed by fingerprint ×
-	// query text, invalidated by graph version). 0 disables caching.
+	// CacheBytes bounds the answer cache of the overload-resilience layer
+	// (rendered /sparql responses keyed by query text, and runs' answers,
+	// invalidated by graph version). 0 disables caching.
 	CacheBytes int64
 	// MaxConcurrent caps concurrently executing /sparql queries via the
 	// admission controller; 0 disables the gate (unbounded concurrency).
@@ -223,7 +225,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	// each degrade to a nil no-op when their knob is off, so the zero Config
 	// neither caches nor gates; collapse is always on.
 	s.answers = resilience.NewAnswerCache(cfg.CacheBytes, 0,
-		func(string, int64) { cacheEvictAnswer.Inc() })
+		func(resilience.Key, int64) { cacheEvictAnswer.Inc() })
 	s.gate = resilience.NewAdmission(cfg.MaxConcurrent, cfg.QueueDepth)
 	obs.Default.GaugeFunc("rdfa_cache_bytes", func() float64 {
 		return float64(s.answers.Bytes())
@@ -391,7 +393,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	// The middleware stamped the request id on the response headers before
 	// the handler ran; echoing it in the body lets clients quote it when
 	// reporting failures.
-	if id := w.Header().Get("X-Request-ID"); id != "" {
+	if id := w.Header().Get(headerRequestID); id != "" {
 		body["request_id"] = id
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -453,6 +455,18 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// slow-query log, workload profiler, feedback store and SLO set all
 	// carry their own locks. Running queries concurrently is what lets the singleflight
 	// group collapse a thundering herd into one execution (resilience.go).
+	//
+	// A repeated read is a lookup: the answer cache is keyed by the raw text,
+	// so a hit is served before the text is parsed (every stored text parsed
+	// once already). A SELECT asked for as CSV bypasses the cache, and only
+	// the parse tells a SELECT from an ASK, so that request looks up after it.
+	start := time.Now()
+	key := resilience.Key{Text: query}
+	rec := sparqlRecord(r, query)
+	csv := strings.Contains(r.Header.Get("Accept"), "text/csv")
+	if !csv && s.serveHit(w, r, key, rec, start) != nil {
+		return
+	}
 	q, err := sparql.Parse(query)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -460,11 +474,17 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	switch q.Form {
-	case sparql.FormSelect, sparql.FormAsk:
-		s.serveQuery(w, r, ctx, q, query)
-	case sparql.FormConstruct, sparql.FormDescribe:
-		s.serveGraphQuery(w, r, ctx, q, query)
+	rec.Shape = sparql.Fingerprint(q)
+	rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+	switch {
+	case q.Form == sparql.FormConstruct || q.Form == sparql.FormDescribe:
+		s.serveGraphQuery(w, ctx, q, rec)
+	case csv && q.Form == sparql.FormSelect:
+		s.execSelectCSV(w, ctx, q, rec)
+	case csv: // an ASK answers JSON whatever the request accepts
+		s.serveCached(w, r, ctx, key, rec, s.queryExec(q))
+	default:
+		s.serveMiss(w, ctx, key, rec, s.queryExec(q), start)
 	}
 }
 
@@ -751,7 +771,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return &resilience.Answer{Body: answerBody(frame, hq), ContentType: "application/json", Frame: frame}, prof, nil
 	}
 	if sess.Depth() == 1 {
-		if ans := s.serveCached(w, r, ctx, resilience.CacheKey("analytics", run.Key), rec, exec); ans != nil {
+		if ans := s.serveCached(w, r, ctx, resilience.Key{Namespace: "analytics", Text: run.Key}, rec, exec); ans != nil {
 			sess.SetAnswer(ans.Frame)
 		}
 		return

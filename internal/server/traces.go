@@ -27,9 +27,8 @@ import (
 )
 
 // traceIDOf returns the trace ID the middleware stamped on the request.
-// The key is spelled canonically, so the read does not allocate.
 func traceIDOf(r *http.Request) string {
-	return r.Header.Get("X-Trace-Id")
+	return r.Header.Get(headerTraceID)
 }
 
 // record is the one hand-off of a finished operation: every /sparql

@@ -11,7 +11,8 @@ import (
 // Metric handles for the engine, resolved once at package init so the hot
 // path pays only atomic adds. Parsing is timed here because it is no
 // operator; what execution spends per operator is the profile's
-// rdfa_sparql_operator_seconds{op}.
+// rdfa_sparql_operator_seconds{op}. The parse phase counts parses, not
+// requests: the server answers a cached /sparql query before parsing it.
 var (
 	phaseParse    = obs.Default.Histogram("rdfa_sparql_query_phase_seconds", nil, "phase", "parse")
 	execSeconds   = obs.Default.Histogram("rdfa_sparql_exec_seconds", nil)
@@ -23,6 +24,11 @@ var (
 	queriesCancelled = obs.Default.Counter("rdfa_sparql_queries_cancelled_total")
 	queriesBudget    = obs.Default.Counter("rdfa_sparql_queries_budget_exceeded_total")
 )
+
+func init() {
+	obs.Default.Help("rdfa_sparql_query_phase_seconds",
+		"Query parse time. phase=parse counts parses, so /sparql cache misses only: a hit is answered before any parse.")
+}
 
 // AbortReason classifies an evaluation error into the metric/annotation
 // taxonomy: "timeout", "cancelled", "budget", or "" for ordinary errors.
