@@ -10,9 +10,9 @@ test:
 
 # check is the full verification gate: formatting, static analysis, the
 # whole test suite under the race detector in a shuffled test order (the
-# parallel evaluator paths run with Parallelism > 1 in tests, so races
-# surface here; a test that depends on its neighbours fails and prints its
-# seed), one pass of every BenchmarkJoinStep shape, of BenchmarkStateWrite and
+# tests run concurrent queries over one shared graph and the facet layer's
+# per-property fan-out, so races surface here; a test that depends on its
+# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkStateWrite and
 # of BenchmarkCachedRead (so none can rot; TestCachedReadAllocs holds a cache
 # hit to its allocation budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rdfanalytics/internal/facet"
 	"rdfanalytics/internal/hifun"
 )
 
@@ -63,9 +64,7 @@ func Expressible(q *hifun.Query) (bool, []string) {
 		if r.Path != nil {
 			reasons = append(reasons, pathExprReasons("restriction", r.Path)...)
 		}
-		switch r.Op {
-		case "", "=", "!=", "<", "<=", ">", ">=":
-		default:
+		if !facet.ValidRangeOp(r.Op) {
 			reasons = append(reasons, fmt.Sprintf("restriction operator %q has no UI control", r.Op))
 		}
 	}

@@ -216,6 +216,9 @@ func (s *Session) replay(a actionJSON) error {
 		if a.Value == nil {
 			return fmt.Errorf("range action without value")
 		}
+		if !facet.ValidRangeOp(a.Op) {
+			return fmt.Errorf("range action with unknown operator %q", a.Op)
+		}
 		s.ClickRange(pathFromJSON(a.Path), a.Op, termFromJSON(*a.Value))
 	case "pivot":
 		p := pathFromJSON(a.Path)

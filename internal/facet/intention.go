@@ -66,6 +66,17 @@ type Cond struct {
 	Op string
 }
 
+// ValidRangeOp reports whether op is a comparison a range click can make:
+// "" (equality, as "="), =, !=, <, <=, > or >=. An intention writes its
+// operator verbatim into a FILTER, so nothing else may reach one.
+func ValidRangeOp(op string) bool {
+	switch op {
+	case "", "=", "!=", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
+}
+
 func (c Cond) String() string {
 	if len(c.Values) > 0 {
 		vals := make([]string, len(c.Values))
@@ -171,7 +182,7 @@ func (in Intention) patternsAt(rootVar string, depth int) string {
 		fmt.Fprintf(&sb, "  VALUES %s {", rootVar)
 		for _, t := range in.Seed {
 			sb.WriteByte(' ')
-			sb.WriteString(sparqlLex(t))
+			sb.WriteString(t.SPARQL())
 		}
 		sb.WriteString(" }\n")
 	}
@@ -200,40 +211,19 @@ func (in Intention) patternsAt(rootVar string, depth int) string {
 				case len(c.Values) > 0:
 					vals := make([]string, len(c.Values))
 					for j, v := range c.Values {
-						vals[j] = sparqlLex(v)
+						vals[j] = v.SPARQL()
 					}
 					fmt.Fprintf(&sb, "  FILTER(%s IN (%s))\n", next, strings.Join(vals, ", "))
 				case c.Op != "" && c.Op != "=":
-					fmt.Fprintf(&sb, "  FILTER(%s %s %s)\n", next, c.Op, sparqlLex(c.Value))
+					fmt.Fprintf(&sb, "  FILTER(%s %s %s)\n", next, c.Op, c.Value.SPARQL())
 				default:
-					fmt.Fprintf(&sb, "  FILTER(%s = %s)\n", next, sparqlLex(c.Value))
+					fmt.Fprintf(&sb, "  FILTER(%s = %s)\n", next, c.Value.SPARQL())
 				}
 			}
 			cur = next
 		}
 	}
 	return sb.String()
-}
-
-func sparqlLex(t rdf.Term) string {
-	switch t.Kind {
-	case rdf.KindIRI:
-		return "<" + t.Value + ">"
-	case rdf.KindBlank:
-		return "_:" + t.Value
-	default:
-		if t.Datatype == rdf.XSDInteger || t.Datatype == rdf.XSDDecimal || t.Datatype == rdf.XSDBoolean {
-			return t.Value
-		}
-		s := "\"" + strings.ReplaceAll(t.Value, `"`, `\"`) + "\""
-		if t.Lang != "" {
-			return s + "@" + t.Lang
-		}
-		if t.Datatype != "" && t.Datatype != rdf.XSDString {
-			return s + "^^<" + t.Datatype + ">"
-		}
-		return s
-	}
 }
 
 // Answer evaluates the intention against g via the SPARQL engine (the

@@ -109,7 +109,7 @@ func (tr *Translator) Translate(q *Query) (string, error) {
 		t.selects = append(t.selects, fmt.Sprintf("(%s AS ?%s)", agg, name))
 		if op.RestrictOp != "" {
 			t.havings = append(t.havings,
-				fmt.Sprintf("(%s %s %s)", agg, op.RestrictOp, sparqlTerm(op.RestrictValue)))
+				fmt.Sprintf("(%s %s %s)", agg, op.RestrictOp, op.RestrictValue.SPARQL()))
 		}
 	}
 	return t.render(), nil
@@ -271,10 +271,10 @@ func (t *translation) addMeasureRestriction(r Restriction, measureVar string) er
 	}
 	if r.Value.Kind == rdf.KindIRI && r.Op == "=" {
 		// URI measuring restriction: right(m) is the URI itself.
-		t.filters = append(t.filters, fmt.Sprintf("(%s = %s)", measureVar, sparqlTerm(r.Value)))
+		t.filters = append(t.filters, fmt.Sprintf("(%s = %s)", measureVar, r.Value.SPARQL()))
 		return nil
 	}
-	t.filters = append(t.filters, fmt.Sprintf("(%s %s %s)", measureVar, r.Op, sparqlTerm(r.Value)))
+	t.filters = append(t.filters, fmt.Sprintf("(%s %s %s)", measureVar, r.Op, r.Value.SPARQL()))
 	return nil
 }
 
@@ -292,7 +292,7 @@ func (t *translation) emitRestriction(path Attr, r Restriction) error {
 		t.filters = append(t.filters, inFilter(v, r.Values))
 		return nil
 	}
-	t.filters = append(t.filters, fmt.Sprintf("(%s %s %s)", v, r.Op, sparqlTerm(r.Value)))
+	t.filters = append(t.filters, fmt.Sprintf("(%s %s %s)", v, r.Op, r.Value.SPARQL()))
 	return nil
 }
 
@@ -303,9 +303,9 @@ func (t *translation) walkWithFixedEnd(a Attr, from string, end rdf.Term) error 
 	case Prop:
 		iri := t.tr.resolve(x.Name)
 		if x.Inverse {
-			t.patterns = append(t.patterns, fmt.Sprintf("%s <%s> %s .", sparqlTerm(end), iri.Value, from))
+			t.patterns = append(t.patterns, fmt.Sprintf("%s <%s> %s .", end.SPARQL(), iri.Value, from))
 		} else {
-			t.patterns = append(t.patterns, fmt.Sprintf("%s <%s> %s .", from, iri.Value, sparqlTerm(end)))
+			t.patterns = append(t.patterns, fmt.Sprintf("%s <%s> %s .", from, iri.Value, end.SPARQL()))
 		}
 		return nil
 	case Comp:
@@ -323,7 +323,7 @@ func (t *translation) walkWithFixedEnd(a Attr, from string, end rdf.Term) error 
 		if err != nil {
 			return err
 		}
-		t.filters = append(t.filters, fmt.Sprintf("(%s = %s)", v, sparqlTerm(end)))
+		t.filters = append(t.filters, fmt.Sprintf("(%s = %s)", v, end.SPARQL()))
 		return nil
 	default:
 		return fmt.Errorf("hifun: cannot fix end of %T", a)
@@ -333,34 +333,9 @@ func (t *translation) walkWithFixedEnd(a Attr, from string, end rdf.Term) error 
 func inFilter(v string, values []rdf.Term) string {
 	parts := make([]string, len(values))
 	for i, t := range values {
-		parts[i] = sparqlTerm(t)
+		parts[i] = t.SPARQL()
 	}
 	return fmt.Sprintf("(%s IN (%s))", v, strings.Join(parts, ", "))
-}
-
-// sparqlTerm renders a term in SPARQL surface syntax.
-func sparqlTerm(t rdf.Term) string {
-	switch t.Kind {
-	case rdf.KindIRI:
-		return "<" + t.Value + ">"
-	case rdf.KindBlank:
-		return "_:" + t.Value
-	default:
-		if t.Datatype == rdf.XSDInteger || t.Datatype == rdf.XSDDecimal {
-			return t.Value
-		}
-		if t.Datatype == rdf.XSDBoolean {
-			return t.Value
-		}
-		s := "\"" + strings.ReplaceAll(t.Value, `"`, `\"`) + "\""
-		if t.Lang != "" {
-			return s + "@" + t.Lang
-		}
-		if t.Datatype != "" && t.Datatype != rdf.XSDString {
-			return s + "^^<" + t.Datatype + ">"
-		}
-		return s
-	}
 }
 
 // render assembles the final SPARQL string (the Q template of §4.2.5).

@@ -1,9 +1,8 @@
-// Package par is the bounded worker pool shared by the parallel evaluation
-// paths: BGP join execution in internal/sparql partitions input-binding
-// slices over it, and internal/facet fans per-property transition-marker
-// counting across it. Tasks are indexed, so callers write results into
-// per-index slots and assemble them in order — parallel execution never
-// changes output order.
+// Package par is a bounded worker pool: internal/facet fans per-property
+// transition-marker counting across it. (The SPARQL engine runs each query
+// on the goroutine that calls it.) Tasks are indexed, so callers write
+// results into per-index slots and assemble them in order — parallel
+// execution never changes output order.
 package par
 
 import (
@@ -54,33 +53,4 @@ func Do(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Chunks splits length n into at most `workers` contiguous [lo, hi) ranges
-// of near-equal size, preserving order. It is how a binding slice is
-// partitioned so that concatenating per-chunk results reproduces the
-// sequential output exactly.
-func Chunks(n, workers int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([][2]int, 0, workers)
-	chunk := n / workers
-	rem := n % workers
-	lo := 0
-	for i := 0; i < workers; i++ {
-		hi := lo + chunk
-		if i < rem {
-			hi++
-		}
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
 }

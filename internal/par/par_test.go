@@ -42,33 +42,3 @@ func TestDoZeroAndOne(t *testing.T) {
 		t.Errorf("Do(1) ran %d times", ran)
 	}
 }
-
-func TestChunksPartition(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{10, 3}, {1, 8}, {8, 8}, {100, 7}, {5, 1}, {0, 4},
-	} {
-		chunks := Chunks(tc.n, tc.workers)
-		if tc.n == 0 {
-			if chunks != nil {
-				t.Errorf("Chunks(0) = %v", chunks)
-			}
-			continue
-		}
-		prev := 0
-		for _, c := range chunks {
-			if c[0] != prev {
-				t.Fatalf("Chunks(%d,%d): gap at %v", tc.n, tc.workers, c)
-			}
-			if c[1] <= c[0] {
-				t.Fatalf("Chunks(%d,%d): empty chunk %v", tc.n, tc.workers, c)
-			}
-			prev = c[1]
-		}
-		if prev != tc.n {
-			t.Fatalf("Chunks(%d,%d): covers %d", tc.n, tc.workers, prev)
-		}
-		if len(chunks) > tc.workers {
-			t.Fatalf("Chunks(%d,%d): %d chunks", tc.n, tc.workers, len(chunks))
-		}
-	}
-}

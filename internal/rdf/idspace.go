@@ -57,8 +57,8 @@ func (g *Graph) SubjectIDs() []ID {
 // all-wildcard scan, POS for (p) and (p, o), OSP for (o) and (s, o) — with
 // pending writes merged in. It is a function of the graph's content and its
 // dictionary alone: the history of insertions and removals, a snapshot
-// round-trip or a restart do not change it. The parallel evaluator depends
-// on this to produce identical output row order at every parallelism level.
+// round-trip or a restart do not change it. The SPARQL engine's answers are
+// byte-identical across runs, restarts and concurrent queries because of it.
 //
 // fn runs while the graph read lock is held: it must not call other Graph
 // methods (collect IDs and materialize after the scan instead).

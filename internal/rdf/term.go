@@ -233,6 +233,48 @@ func (t Term) String() string {
 	}
 }
 
+// SPARQL renders the term for a generated SPARQL query: an xsd:integer,
+// xsd:decimal or xsd:boolean literal whose lexical form is valid is written
+// bare, as SPARQL's own numeric and boolean literals; every other term —
+// one with an invalid lexical form included — as String writes it, escaped,
+// so no value can end the literal it is written in.
+func (t Term) SPARQL() string {
+	if t.Kind == KindLiteral && t.Lang == "" && bareLexical(t.Datatype, t.Value) {
+		return t.Value
+	}
+	return t.String()
+}
+
+// bareLexical reports whether lex is a valid lexical form of the datatype
+// that SPARQL reads back as a number or boolean: [+-]digits for xsd:integer,
+// [+-]digits, optionally with a fraction of at least one digit, for
+// xsd:decimal, and true or false for xsd:boolean.
+func bareLexical(datatype, lex string) bool {
+	switch datatype {
+	case XSDBoolean:
+		return lex == "true" || lex == "false"
+	case XSDInteger, XSDDecimal:
+		if lex != "" && (lex[0] == '+' || lex[0] == '-') {
+			lex = lex[1:]
+		}
+		whole, frac, dot := strings.Cut(lex, ".")
+		if dot && (datatype == XSDInteger || frac == "") {
+			return false
+		}
+		return (whole != "" || frac != "") && digitsOnly(whole) && digitsOnly(frac)
+	}
+	return false
+}
+
+func digitsOnly(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
 // Less imposes a total order on terms: IRIs < blanks < literals, then by
 // value, datatype and language. It is the order used by deterministic
 // iteration helpers and result sorting.

@@ -42,6 +42,44 @@ func TestTermString(t *testing.T) {
 	}
 }
 
+// TestTermSPARQL: numbers and booleans with a valid lexical form are written
+// bare; every other term, one with an invalid lexical form included, as
+// String writes it.
+func TestTermSPARQL(t *testing.T) {
+	const integer, decimal = `^^<http://www.w3.org/2001/XMLSchema#integer>`, `^^<http://www.w3.org/2001/XMLSchema#decimal>`
+	cases := []struct {
+		term Term
+		want string
+	}{
+		{NewInteger(42), "42"},
+		{NewInteger(-7), "-7"},
+		{NewTyped("+7", XSDInteger), "+7"},
+		{NewDecimal(1500), "1500"},
+		{NewDecimal(-2.5), "-2.5"},
+		{NewTyped(".5", XSDDecimal), ".5"},
+		{NewBool(false), "false"},
+		{NewTyped("1) || (true", XSDInteger), `"1) || (true"` + integer},
+		{NewTyped(" 1 ", XSDInteger), `" 1 "` + integer},
+		{NewTyped("1.5", XSDInteger), `"1.5"` + integer},
+		{NewTyped("", XSDInteger), `""` + integer},
+		{NewTyped("-", XSDInteger), `"-"` + integer},
+		{NewTyped("1.", XSDDecimal), `"1."` + decimal},
+		{NewTyped(".", XSDDecimal), `"."` + decimal},
+		{NewTyped("1", XSDBoolean), `"1"^^<http://www.w3.org/2001/XMLSchema#boolean>`},
+		{NewTyped("1e3", XSDDouble), `"1e3"^^<http://www.w3.org/2001/XMLSchema#double>`},
+		{NewString(`a\`), `"a\\"`},
+		{NewString("a\nb"), `"a\nb"`},
+		{NewLangString("hi", "en"), `"hi"@en`},
+		{NewIRI("http://ex.org/a"), "<http://ex.org/a>"},
+		{NewBlank("x"), "_:x"},
+	}
+	for _, c := range cases {
+		if got := c.term.SPARQL(); got != c.want {
+			t.Errorf("SPARQL(%+v) = %s, want %s", c.term, got, c.want)
+		}
+	}
+}
+
 func TestNumericAccessors(t *testing.T) {
 	if f, ok := NewInteger(7).Float(); !ok || f != 7 {
 		t.Errorf("Float of integer literal = %v, %v", f, ok)

@@ -652,6 +652,10 @@ func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	if !facet.ValidRangeOp(req.Op) {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown range operator %q", req.Op))
+		return
+	}
 	t, err := fromTermJSON(req.Value)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -845,9 +849,12 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 	}
 	measure := 0
 	if m := r.URL.Query().Get("measure"); m != "" {
-		if n, err := strconv.Atoi(m); err == nil {
-			measure = n
+		n, err := strconv.Atoi(m)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("measure %q is not an integer", m))
+			return
 		}
+		measure = n
 	}
 	series, err := viz.AnswerSeries(ans, measure)
 	if err != nil {

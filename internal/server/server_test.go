@@ -217,6 +217,27 @@ func TestInteractionAPIRangeAndValue(t *testing.T) {
 	}
 }
 
+// TestRangeClickChecksItsOperator: the operator of a range click ends up in
+// the FILTER a run executes, so one that is not a comparison is refused and
+// leaves the session as it was.
+func TestRangeClickChecksItsOperator(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	s := New(g, datagen.ExampleNS)
+	ns := datagen.ExampleNS
+	clicks(t, s, "a", "/api/click/class", `{"class":"`+ns+`Laptop"}`)
+	before := inSession(s, "a", "GET", "/api/state", "").Body.String()
+	const op = "> 0 || true ||"
+	rec := inSession(s, "a", "POST", "/api/click/range",
+		`{"path":[{"p":"`+ns+`USBPorts"}],"op":"`+op+`","value":{"kind":"literal","value":"2","datatype":"`+rdf.XSDInteger+`"}}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("range click with operator %q: %d, want 400", op, rec.Code)
+	}
+	if after := inSession(s, "a", "GET", "/api/state", "").Body.String(); after != before {
+		t.Errorf("the refused click changed the session's state:\nbefore %.200s\nafter  %.200s", before, after)
+	}
+}
+
 func TestInteractionAPIExpand(t *testing.T) {
 	ts := testServer(t)
 	ns := datagen.ExampleNS
@@ -518,12 +539,14 @@ func TestChartTypes(t *testing.T) {
 			t.Errorf("chart type %s: status %d, body %q", typ, resp.StatusCode, buf.String()[:40])
 		}
 	}
-	// Bad measure index errors.
-	resp, _ := http.Get(ts.URL + "/api/chart?measure=99")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad measure: %d", resp.StatusCode)
+	// A bad measure index errors; so does one that is not an integer.
+	for _, measure := range []string{"99", "abc", "1.5"} {
+		resp, _ := http.Get(ts.URL + "/api/chart?measure=" + measure)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("measure=%s: %d, want 400", measure, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
 }
 
 func TestAnswerCSV(t *testing.T) {

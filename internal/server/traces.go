@@ -18,6 +18,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -111,8 +112,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Kind:        q.Get("kind"),
 	}
 	if v := q.Get("min_ms"); v != "" {
+		// The bound keeps the conversion to a Duration defined; NaN fails
+		// both comparisons.
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || !(ms >= 0 && ms <= float64(math.MaxInt64/int64(time.Millisecond))) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q (want non-negative milliseconds)", v))
 			return
 		}

@@ -182,7 +182,7 @@ func TestTraceSearchAPI(t *testing.T) {
 	}
 
 	// Bad parameters are rejected, not ignored.
-	for _, bad := range []string{"min_ms=-1", "min_ms=fast", "since=yesterday", "limit=0", "limit=x"} {
+	for _, bad := range []string{"min_ms=-1", "min_ms=fast", "min_ms=NaN", "min_ms=Inf", "min_ms=1e300", "since=yesterday", "limit=0", "limit=x"} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/traces?"+bad, nil))
 		if rec.Code != http.StatusBadRequest {

@@ -228,8 +228,8 @@ func mapAggregates(e Expr, fn func(ExprAggregate) Expr) Expr {
 // refSelectJSON runs a grouped SELECT the way selectRows did before the fold
 // — the WHERE as one batch, aggregate, then the modifiers — and serializes
 // the answer as execSelect decodes it.
-func refSelectJSON(g *rdf.Graph, q *Query, parallelism int) ([]byte, error) {
-	ev := newEvaluator(context.Background(), g, Options{Parallelism: parallelism})
+func refSelectJSON(g *rdf.Graph, q *Query) ([]byte, error) {
+	ev := newEvaluator(context.Background(), g, Options{})
 	ev.sc = selectScope(q)
 	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
 	if err := ev.cancel.cause(); err != nil {
@@ -277,10 +277,9 @@ func foldedInRun(prof *Profile) bool {
 }
 
 // TestFoldMatchesReference: the group fold's answers are byte for byte the
-// reference pipeline's, at Parallelism 1 and 4, for every grouped query of
-// the conformance corpus and of the parallel corpus, and for seeded random
-// grouped queries over a datagen products graph — fed from the join's last
-// step or from a batch.
+// reference pipeline's for every grouped query of the conformance corpus and
+// of the parallel corpus, and for seeded random grouped queries over a
+// datagen products graph — fed from the join's last step or from a batch.
 func TestFoldMatchesReference(t *testing.T) {
 	folded, batched := 0, 0
 	check := func(label string, g *rdf.Graph, src string) {
@@ -292,24 +291,22 @@ func TestFoldMatchesReference(t *testing.T) {
 		if q.Form != FormSelect || !isGrouped(q) {
 			return
 		}
-		for _, par := range []int{1, 4} {
-			prof := NewProfile("query")
-			res, err := ExecSelectOpts(g, q, Options{Parallelism: par, Profile: prof})
-			want, refErr := refSelectJSON(g, q, par)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("%s (parallelism %d): fold error %v, reference error %v\n%s", label, par, err, refErr, src)
-			}
-			if err != nil {
-				continue
-			}
-			if got := res.JSON(); string(got) != string(want) {
-				t.Fatalf("%s (parallelism %d): the fold answers\n%s\nthe reference\n%s\nquery: %s\n%s", label, par, got, want, src, prof.Tree())
-			}
-			if par == 1 && foldedInRun(prof) {
-				folded++
-			} else if par == 1 {
-				batched++
-			}
+		prof := NewProfile("query")
+		res, err := ExecSelectOpts(g, q, Options{Profile: prof})
+		want, refErr := refSelectJSON(g, q)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%s: fold error %v, reference error %v\n%s", label, err, refErr, src)
+		}
+		if err != nil {
+			return
+		}
+		if got := res.JSON(); string(got) != string(want) {
+			t.Fatalf("%s: the fold answers\n%s\nthe reference\n%s\nquery: %s\n%s", label, got, want, src, prof.Tree())
+		}
+		if foldedInRun(prof) {
+			folded++
+		} else {
+			batched++
 		}
 	}
 	corpus, err := filepath.Glob("../conformance/testdata/*/*/query.rq")

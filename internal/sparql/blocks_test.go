@@ -41,11 +41,15 @@ func (c blockCase) rows() int {
 	return n
 }
 
+// minMembers is the fewest input rows a case's fan step gets; the recorded
+// digests depend on it.
+const minMembers = 64
+
 // blockCases are the step outputs of one row width, perBlock rows to a block:
 // none, one row short of a block, exactly a block, one row over — produced by
-// two neighbouring input rows, every other partition producing nothing — and
-// several blocks in the last partition after a few rows per input row in the
-// others. A hash join needs the pattern's count within
+// two neighbouring input rows, every other input row producing nothing — and
+// several blocks from the last input row after a few rows per input row
+// before it. A hash join needs the pattern's count within
 // hashBuildFactor × its input, an index loop needs it above.
 func blockCases(perBlock int) []blockCase {
 	fans := func(members, rest int, at ...int) []int {
@@ -63,17 +67,17 @@ func blockCases(perBlock int) []blockCase {
 		hash := strategy == "hash join"
 		members := func(out int) int {
 			if hash {
-				return max(parallelThreshold, out/hashBuildFactor+1)
+				return max(minMembers, out/hashBuildFactor+1)
 			}
-			return parallelThreshold
+			return minMembers
 		}
 		add := func(name string, f []int, outsider int) {
 			cases = append(cases, blockCase{name: name, strategy: strategy, fans: f, outsider: outsider})
 		}
 		if hash {
-			add("empty", fans(parallelThreshold, 0), parallelThreshold+1)
+			add("empty", fans(minMembers, 0), minMembers+1)
 		} else {
-			add("empty", fans(parallelThreshold, 0), parallelThreshold*hashBuildFactor+1)
+			add("empty", fans(minMembers, 0), minMembers*hashBuildFactor+1)
 		}
 		for _, out := range []int{perBlock - 1, perBlock, perBlock + 1} {
 			add(fmt.Sprintf("block%+d", out-perBlock), fans(members(out), 0, 3, out-3, 4, 3), 0)
@@ -81,7 +85,7 @@ func blockCases(perBlock int) []blockCase {
 		if hash {
 			add("several", fans(perBlock, 1, perBlock-1, 2*perBlock+5), 0)
 		} else {
-			add("several", fans(parallelThreshold, 5, parallelThreshold-1, 2*perBlock+5), 0)
+			add("several", fans(minMembers, 5, minMembers-1, 2*perBlock+5), 0)
 		}
 	}
 	return cases
@@ -166,9 +170,8 @@ var stepBlockDigests = map[string]string{
 }
 
 // TestStepOutputAcrossBlocks: step outputs that end around a block edge, and
-// one spanning several blocks of a partition, serialize to the recorded bytes
-// — sequentially, and the same rows in the same order from 2 and 8 workers —
-// and are the rows textual order produces.
+// one spanning several blocks, serialize to the recorded bytes and are the
+// rows textual order produces.
 func TestStepOutputAcrossBlocks(t *testing.T) {
 	for width := 1; width <= 9; width++ {
 		cases := blockCases(rowBlockIDs / width)
@@ -180,39 +183,27 @@ func TestStepOutputAcrossBlocks(t *testing.T) {
 				t.Fatalf("width %d %s: scope is %d wide", width, c.name, got)
 			}
 			name := fmt.Sprintf("width %d %s", width, c.strategy)
-			var seq *Results
-			for _, par := range []int{1, 2, 8} {
-				label := fmt.Sprintf("%s %s parallelism %d", name, c.name, par)
-				prof := NewProfile("test")
-				res, err := ExecSelectOpts(g, q, Options{Parallelism: par, Profile: prof})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if res.Len() != c.rows() {
-					t.Fatalf("%s: %d rows, want %d", label, res.Len(), c.rows())
-				}
-				if !fanStepRan(prof.root, c) {
-					t.Fatalf("%s: no %s step from %d rows to %d:\n%s", label, c.strategy, len(c.fans), c.rows(), prof.Tree())
-				}
-				if par == 1 {
-					seq = res
-					continue
-				}
-				for i, row := range res.Rows {
-					if !slices.Equal(row, seq.Rows[i]) {
-						t.Fatalf("%s: row %d is %v, sequentially %v", label, i, row, seq.Rows[i])
-					}
-				}
+			label := name + " " + c.name
+			prof := NewProfile("test")
+			res, err := ExecSelectOpts(g, q, Options{Profile: prof})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Len() != c.rows() {
+				t.Fatalf("%s: %d rows, want %d", label, res.Len(), c.rows())
+			}
+			if !fanStepRan(prof.root, c) {
+				t.Fatalf("%s: no %s step from %d rows to %d:\n%s", label, c.strategy, len(c.fans), c.rows(), prof.Tree())
 			}
 			if sums[name] == nil {
 				sums[name] = sha256.New()
 			}
-			sums[name].Write(seq.JSON())
-			ref, err := ExecSelectOpts(g, q, Options{NoReorder: true, Parallelism: 1})
+			sums[name].Write(res.JSON())
+			ref, err := ExecSelectOpts(g, q, Options{NoReorder: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(renderedRows(seq), renderedRows(ref)) {
+			if !slices.Equal(renderedRows(res), renderedRows(ref)) {
 				t.Errorf("%s %s: rows differ from textual order's", name, c.name)
 			}
 		}
@@ -256,8 +247,7 @@ func fanStepRan(n *ProfNode, c blockCase) bool {
 // TestKilledStepHandsBackItsBlocks: a step killed while it holds blocks — by
 // the row budget, then by a deadline that may fall anywhere in it — leaves
 // nothing behind that the next query could see. The same query, unbounded,
-// returns the sequential rows each time; under -race a block put back while a
-// worker still wrote to it would show as well.
+// returns the first run's rows each time.
 func TestKilledStepHandsBackItsBlocks(t *testing.T) {
 	const width = 3
 	perBlock := rowBlockIDs / width
@@ -268,35 +258,33 @@ func TestKilledStepHandsBackItsBlocks(t *testing.T) {
 			continue
 		}
 		q := MustParse(blockQuery(width, ci))
-		want, err := ExecSelectOpts(g, q, Options{Parallelism: 1})
+		want, err := ExecSelect(g, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 8} {
-			rerun := func(after string) {
-				t.Helper()
-				res, err := ExecSelectOpts(g, q, Options{Parallelism: par})
-				if err != nil {
-					t.Fatalf("%s, parallelism %d, after %s: %v", c.strategy, par, after, err)
-				}
-				assertSameResults(t, fmt.Sprintf("%s, parallelism %d, after %s", c.strategy, par, after), want, res)
+		rerun := func(after string) {
+			t.Helper()
+			res, err := ExecSelect(g, q)
+			if err != nil {
+				t.Fatalf("%s, after %s: %v", c.strategy, after, err)
 			}
-			_, err := ExecSelectOpts(g, q, Options{Parallelism: par, Limits: Limits{MaxIntermediateRows: perBlock + perBlock/2}})
-			if !errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("%s, parallelism %d: want ErrBudgetExceeded, got %v", c.strategy, par, err)
+			assertSameResults(t, fmt.Sprintf("%s, after %s", c.strategy, after), want, res)
+		}
+		_, err = ExecSelectOpts(g, q, Options{Limits: Limits{MaxIntermediateRows: perBlock + perBlock/2}})
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s: want ErrBudgetExceeded, got %v", c.strategy, err)
+		}
+		rerun("a budget kill")
+		for _, d := range []time.Duration{20 * time.Microsecond, 100 * time.Microsecond, 400 * time.Microsecond, 2 * time.Millisecond} {
+			ctx, cancel := context.WithTimeout(context.Background(), d)
+			res, err := ExecSelectCtx(ctx, g, q, Options{})
+			cancel()
+			if err == nil {
+				assertSameResults(t, fmt.Sprintf("%s, inside %s", c.strategy, d), want, res)
+			} else if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s, deadline %s: %v", c.strategy, d, err)
 			}
-			rerun("a budget kill")
-			for _, d := range []time.Duration{20 * time.Microsecond, 100 * time.Microsecond, 400 * time.Microsecond, 2 * time.Millisecond} {
-				ctx, cancel := context.WithTimeout(context.Background(), d)
-				res, err := ExecSelectCtx(ctx, g, q, Options{Parallelism: par})
-				cancel()
-				if err == nil {
-					assertSameResults(t, fmt.Sprintf("%s, parallelism %d, inside %s", c.strategy, par, d), want, res)
-				} else if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("%s, parallelism %d, deadline %s: %v", c.strategy, par, d, err)
-				}
-				rerun("a deadline of " + d.String())
-			}
+			rerun("a deadline of " + d.String())
 		}
 	}
 }

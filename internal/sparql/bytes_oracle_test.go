@@ -27,7 +27,7 @@ import (
 // Results.WriteJSON output as recorded *before* the evaluator moved to
 // fixed-width ID rows. One digest pins the rows, their order, the SELECT *
 // variable discovery and the serializer at once; the test demands byte
-// equality at Parallelism 1 and 4. Every entry is the engine's own order
+// equality. Every entry is the engine's own order
 // ("raw"): since property paths emit in ascending node-ID order no SELECT is
 // left whose order had to be fixed by Results.Sort first.
 //
@@ -58,7 +58,7 @@ func productsOracleGraph() *rdf.Graph {
 }
 
 // selectBytes runs the query and returns the WriteJSON body.
-func selectBytes(g *rdf.Graph, src string, parallelism int) ([]byte, error) {
+func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -67,8 +67,7 @@ func selectBytes(g *rdf.Graph, src string, parallelism int) ([]byte, error) {
 		return nil, fmt.Errorf("not a SELECT")
 	}
 	res, err := sparql.ExecSelectOpts(g, q, sparql.Options{
-		Parallelism: parallelism,
-		Limits:      sparql.Limits{MaxIntermediateRows: oracleRowBudget},
+		Limits: sparql.Limits{MaxIntermediateRows: oracleRowBudget},
 	})
 	if err != nil {
 		return nil, err
@@ -147,26 +146,24 @@ func TestSelectBytesOracle(t *testing.T) {
 		if c.kind == "corpus" {
 			g, query = loadCorpusCase(t, c.name)
 		}
-		for _, par := range []int{1, 4} {
-			got, err := selectBytes(g, query, par)
-			if err != nil {
-				t.Errorf("%s %s (parallelism %d): %v", c.kind, c.name, par, err)
-				continue
+		got, err := selectBytes(g, query)
+		if err != nil {
+			t.Errorf("%s %s: %v", c.kind, c.name, err)
+			continue
+		}
+		if *dumpBytes != "" {
+			path := filepath.Join(*dumpBytes, strings.ReplaceAll(c.kind+"_"+c.name, "/", "_")+".srj")
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if *dumpBytes != "" && par == 1 {
-				path := filepath.Join(*dumpBytes, strings.ReplaceAll(c.kind+"_"+c.name, "/", "_")+".srj")
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if len(got) != c.size || digest(got) != c.sum {
+			head := got
+			if len(head) > 400 {
+				head = head[:400]
 			}
-			if len(got) != c.size || digest(got) != c.sum {
-				head := got
-				if len(head) > 400 {
-					head = head[:400]
-				}
-				t.Errorf("%s %s (parallelism %d): body differs from the recorded bytes: %d bytes, recorded %d\nquery: %s\nbody starts: %s",
-					c.kind, c.name, par, len(got), c.size, query, head)
-			}
+			t.Errorf("%s %s: body differs from the recorded bytes: %d bytes, recorded %d\nquery: %s\nbody starts: %s",
+				c.kind, c.name, len(got), c.size, query, head)
 		}
 	}
 }
@@ -211,21 +208,19 @@ func readBytesGolden(t *testing.T) []bytesCase {
 	return out
 }
 
-// stableBytes runs the query repeatedly at both parallelism levels and
-// reports the body and whether every run produced the same bytes.
+// stableBytes runs the query repeatedly and reports the body and whether
+// every run produced the same bytes.
 func stableBytes(g *rdf.Graph, query string) ([]byte, bool, error) {
 	var first []byte
 	for run := 0; run < 4; run++ {
-		for _, par := range []int{1, 4} {
-			b, err := selectBytes(g, query, par)
-			if err != nil {
-				return nil, false, err
-			}
-			if first == nil {
-				first = b
-			} else if !bytes.Equal(first, b) {
-				return nil, false, nil
-			}
+		b, err := selectBytes(g, query)
+		if err != nil {
+			return nil, false, err
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(first, b) {
+			return nil, false, nil
 		}
 	}
 	return first, true, nil

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rdfanalytics/internal/obs"
-	"rdfanalytics/internal/par"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -22,9 +21,6 @@ type evaluator struct {
 	// noPushdown disables early filter application: filters evaluate only
 	// after the whole group, as the SPARQL algebra literally states.
 	noPushdown bool
-	// workers is the resolved worker-pool size for partitioned BGP
-	// evaluation (always >= 1; 1 means fully sequential).
-	workers int
 	// prof is the profile node new operator records attach under; nil when
 	// profiling is off, in which case every operator site is a single
 	// pointer test.
@@ -83,12 +79,6 @@ type Options struct {
 	// NoPushdown applies filters only at group end (for the filter-pushdown
 	// ablation).
 	NoPushdown bool
-	// Parallelism is the worker-pool size for BGP evaluation: input-binding
-	// slices above a threshold are partitioned across this many goroutines
-	// (results merge in input order, so answers are identical at every
-	// setting — the DESIGN.md §5 decision-5 ablation). 0 means GOMAXPROCS;
-	// 1 forces sequential evaluation.
-	Parallelism int
 	// Trace is the caller's trace of the operation the evaluation belongs
 	// to. The engine adds no spans to it: an abort is annotated on its root,
 	// and the profile is linked to its ID. What the engine did is the
@@ -136,7 +126,6 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		g:            g,
 		noReorder:    opts.NoReorder,
 		noPushdown:   opts.NoPushdown,
-		workers:      par.Workers(opts.Parallelism),
 		prof:         opts.Profile.Root(),
 		cancel:       &evalCancel{ctx: ctx},
 		limits:       opts.Limits,
@@ -157,10 +146,9 @@ func ExecSelectOpts(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 
 // ExecSelectCtx executes a parsed SELECT query under a context: evaluation
 // polls ctx cooperatively (at operator boundaries and inside join/path/scan
-// loops, including worker-pool partitions) and aborts with context.Cause(ctx)
-// when the deadline passes or the context is cancelled. Resource-limit
-// violations abort with a *BudgetError. Aborted evaluations never return
-// partial results.
+// loops) and aborts with context.Cause(ctx) when the deadline passes or the
+// context is cancelled. Resource-limit violations abort with a
+// *BudgetError. Aborted evaluations never return partial results.
 func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 	start := time.Now()
 	res, err := newEvaluator(ctx, g, opts).execSelect(q)

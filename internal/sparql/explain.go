@@ -18,7 +18,7 @@ func Explain(g *rdf.Graph, src string) (string, error) {
 }
 
 // ExplainOpts is Explain with evaluation options applied, so the reported
-// worker count and strategy choices match what ExecSelectOpts would do.
+// join order and strategy choices match what ExecSelectOpts would do.
 func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 	q, err := parseForm(src, FormSelect, "EXPLAIN supports SELECT queries")
 	if err != nil {
@@ -27,7 +27,7 @@ func ExplainOpts(g *rdf.Graph, src string, opts Options) (string, error) {
 	ev := newEvaluator(context.Background(), g, opts)
 	ev.sc = selectScope(q)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "SELECT plan: (workers: %d)\n", ev.workers)
+	sb.WriteString("SELECT plan:\n")
 	explainGroup(ev, q.Where, &sb, 1, nil, 1)
 	if len(q.GroupBy) > 0 {
 		naggs := 0

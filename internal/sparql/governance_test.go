@@ -192,8 +192,7 @@ func TestRowBudgetStopsTheScan(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ExecSelectCtx(context.Background(), g, q, Options{
-		Parallelism: 1,
-		Limits:      Limits{MaxIntermediateRows: limit},
+		Limits: Limits{MaxIntermediateRows: limit},
 	})
 	runtime.ReadMemStats(&after)
 	var be *BudgetError

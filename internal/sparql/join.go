@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"rdfanalytics/internal/fault"
-	"rdfanalytics/internal/par"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -12,14 +11,9 @@ import (
 // other operator uses — no Term hashing, nothing for the garbage collector
 // to trace. The plan (plan.go) fixes the order of the patterns; each pattern
 // picks its join strategy as it executes, from its constants-only match count
-// and the live row count, and row batches are partitioned across the worker
-// pool with an order-preserving merge.
+// and the live row count. A query runs on the goroutine that calls it.
 
 const (
-	// parallelThreshold is the minimum row count before a pattern evaluation
-	// is partitioned across workers: below it, goroutine and merge overhead
-	// dominates and evaluation stays sequential.
-	parallelThreshold = 64
 	// hashJoinMinInput is the minimum input size for which building a hash
 	// table can pay off at all.
 	hashJoinMinInput = 8
@@ -50,8 +44,7 @@ func (s joinStrategy) String() string {
 // bound in only part of the input (which forces per-row handling). Execution
 // calls it with the live row count of each step (evalPattern); the cost model
 // calls it with the estimated one to price a step and to predict the strategy
-// EXPLAIN prints. The choice never depends on the worker count, so output
-// order is identical at every parallelism level.
+// EXPLAIN prints.
 func chooseStrategy[N int | float64](est, inputLen N, nJoinVars int, mixed bool) joinStrategy {
 	if mixed || inputLen < hashJoinMinInput {
 		return strategyNestedLoop
@@ -238,13 +231,12 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 }
 
 // evalPattern joins the current rows with one pattern. Variable boundness
-// is classified over the full row set and the strategy chosen once; only
-// the per-row work is partitioned, so the strategy (and output order) is
-// independent of the worker count. tp is the source pattern, used only to
-// label the profile's scan node. The join type is decided here, from the live row
-// count — the plan only predicted one from its estimate. step.card is the
-// estimate the profile's q-error measures against — the feedback actual on a
-// seeded scan, the graph count otherwise. A fold takes the rows instead.
+// is classified over the full row set and the strategy chosen once. tp is
+// the source pattern, used only to label the profile's scan node. The join
+// type is decided here, from the live row count — the plan only predicted
+// one from its estimate. step.card is the estimate the profile's q-error
+// measures against — the feedback actual on a seeded scan, the graph count
+// otherwise. A fold takes the rows instead.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep, fold *groupFold) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
@@ -291,66 +283,24 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 		ev.prof.setFeedback()
 	}
 	// Each pattern opens a fresh row-budget window: the budget caps the
-	// size of any one intermediate row set, counted live across the worker
-	// partitions while this join produces.
+	// size of any one intermediate row set, counted while this join produces.
 	ev.cancel.resetRows()
-	var ht *hashRun // nil: index loop
+	w := rowWriter{width: rows.width}
 	if strategy == strategyHashJoin {
-		ht = ev.buildHashRun(pp, joinPos, freePos)
+		ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), rows, &w)
+	} else {
+		ev.nestedLoopRun(pp, rows, &w)
 	}
-	out, produced := ev.runPartitioned(pp, ht, rows, fold)
+	produced := w.rows
+	var out *batch
+	if fold != nil {
+		w.drainRows(fold.feed)
+		out = &batch{width: rows.width}
+	} else {
+		out = w.batch()
+	}
 	ev.profExit(psc, psct, rows.n(), produced)
 	return out
-}
-
-// runPartitioned splits the rows into contiguous chunks, joins each with the
-// pattern (concurrently when the batch is large enough) through a writer of
-// its own — probing ht, or with one index lookup per row when there is none —
-// and collects what the chunks wrote, in input order.
-func (ev *evaluator) runPartitioned(pp *patPlan, ht *hashRun, rows *batch, fold *groupFold) (*batch, int) {
-	n := rows.n()
-	if ev.workers <= 1 || n < parallelThreshold {
-		w := rowWriter{width: rows.width}
-		ev.joinRange(pp, ht, rows, 0, n, &w)
-		return collect(rows.width, fold, &w)
-	}
-	chunks := par.Chunks(n, ev.workers)
-	parts := make([]*rowWriter, len(chunks))
-	par.Do(len(chunks), ev.workers, func(i int) {
-		// Allocated by the worker, so that two workers' writers share no cache line.
-		parts[i] = &rowWriter{width: rows.width}
-		ev.joinRange(pp, ht, rows, chunks[i][0], chunks[i][1], parts[i])
-	})
-	return collect(rows.width, fold, parts...)
-}
-
-// collect copies the rows the partitions wrote, in order, into one batch of
-// exactly their number, or hands them to the fold; it says how many there were.
-func collect(width int, fold *groupFold, parts ...*rowWriter) (*batch, int) {
-	total := 0
-	for _, p := range parts {
-		total += p.rows
-	}
-	if fold != nil {
-		for _, p := range parts {
-			p.drainRows(fold.feed)
-		}
-		return &batch{width: width}, total
-	}
-	out := newBatch(width, total)
-	for _, p := range parts {
-		p.drainTo(out)
-	}
-	return out, total
-}
-
-// joinRange joins rows [lo, hi) with the pattern, writing to w.
-func (ev *evaluator) joinRange(pp *patPlan, ht *hashRun, rows *batch, lo, hi int, w *rowWriter) {
-	if ht != nil {
-		ev.probeHashRun(pp, ht, rows, lo, hi, w)
-	} else {
-		ev.nestedLoopRun(pp, rows, lo, hi, w)
-	}
 }
 
 // sameVarDiffers reports whether a match binds one variable of the pattern
@@ -374,7 +324,7 @@ func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
 // against the row budget and polls for cancellation: one row of an unselective
 // pattern can match a large slice of the graph, and the scan stops where the
 // budget does.
-func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int, w *rowWriter) {
+func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, w *rowWriter) {
 	produced := 0 // rows written since the last budget flush
 	scanned := 0
 	stopped := false
@@ -401,8 +351,8 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, lo, hi int, w *rowW
 		}
 		return !stopped
 	}
-	for r := lo; r < hi && !stopped; r++ {
-		if (r-lo)%64 == 0 && ev.cancel.aborted() {
+	for r, n := 0, rows.n(); r < n && !stopped; r++ {
+		if r%64 == 0 && ev.cancel.poll() {
 			return
 		}
 		row = rows.row(r)
@@ -488,7 +438,7 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 // lands here (every probe hits the full build side), so the inner loop
 // accounts produced rows against the budget and polls for cancellation —
 // this is where a pathological query dies early.
-func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, lo, hi int, w *rowWriter) {
+func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, w *rowWriter) {
 	nf := len(ht.freePos)
 	produced := 0
 	emit := func() bool { // false: the budget or an abort stops the probe
@@ -499,8 +449,8 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, lo, hi 
 		produced = 0
 		return !stop
 	}
-	for r := lo; r < hi; r++ {
-		if (r-lo)%64 == 0 && ev.cancel.aborted() {
+	for r, n := 0, rows.n(); r < n; r++ {
+		if r%64 == 0 && ev.cancel.poll() {
 			return
 		}
 		row := rows.row(r)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // Resource governance for query evaluation. The paper's promise is
@@ -14,9 +12,9 @@ import (
 // observable. Three mechanisms compose:
 //
 //  1. Cooperative cancellation: the evaluator polls its context at every
-//     operator boundary and every pollEvery rows inside hot loops (including
-//     worker-pool partitions), so a deadline or client disconnect aborts
-//     evaluation within a bounded amount of extra work.
+//     operator boundary and every pollEvery rows inside hot loops, so a
+//     deadline or client disconnect aborts evaluation within a bounded
+//     amount of extra work.
 //  2. A row budget (Limits.MaxIntermediateRows) on intermediate binding
 //     sets, checked incrementally while a join is producing rows — a
 //     cross-product is killed while it is still small, not after it has
@@ -28,7 +26,7 @@ import (
 // results are never returned.
 
 // pollEvery is the number of rows a hot loop processes between cancellation
-// and budget checks: large enough that the atomic load is amortized to
+// and budget checks: large enough that the context check is amortized to
 // noise, small enough that abort latency stays far below any realistic
 // deadline.
 const pollEvery = 1024
@@ -102,43 +100,32 @@ func (e *BudgetError) Error() string {
 // Is makes errors.Is(err, ErrBudgetExceeded) true for every BudgetError.
 func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded }
 
-// evalCancel is the evaluator's shared abort state. Worker goroutines
-// observe `stopped` with one atomic load; the first abort wins and records
-// the cause. It is shared by reference between an evaluator and the
+// evalCancel is the evaluator's abort state: the first abort wins and
+// records the cause. It is shared by reference between an evaluator and the
 // sub-evaluators it spawns (subqueries, EXISTS), so a deadline tears down
-// the whole tree.
+// the whole tree. One goroutine evaluates a query, so nothing here is
+// synchronized.
 type evalCancel struct {
-	ctx     context.Context
-	stopped atomic.Bool
-	once    sync.Once
-	err     error
+	ctx context.Context
+	err error // the abort cause; nil while evaluation is live
 	// patRows counts rows produced by the join currently executing (reset
-	// per pattern); incremented in batches from worker partitions so the
-	// row budget is enforced while a join is still producing.
-	patRows atomic.Int64
+	// per pattern), so the row budget is enforced while a join is still
+	// producing.
+	patRows int
 }
 
-// abort records the first abort cause and flips the stop flag. Safe for
-// concurrent use from worker goroutines.
+// abort records the abort cause unless an earlier one was recorded.
 func (c *evalCancel) abort(err error) {
-	c.once.Do(func() {
+	if c.err == nil {
 		c.err = err
-		c.stopped.Store(true)
-	})
-}
-
-// aborted reports whether evaluation must stop. One atomic load.
-func (c *evalCancel) aborted() bool { return c.stopped.Load() }
-
-// cause returns the abort cause, or nil when evaluation is still live. Only
-// meaningful after aborted() returned true (the Once store ordering makes
-// err visible then).
-func (c *evalCancel) cause() error {
-	if !c.stopped.Load() {
-		return nil
 	}
-	return c.err
 }
+
+// aborted reports whether evaluation must stop.
+func (c *evalCancel) aborted() bool { return c.err != nil }
+
+// cause returns the abort cause, or nil when evaluation is still live.
+func (c *evalCancel) cause() error { return c.err }
 
 // poll checks the context (deadline, client disconnect) and returns whether
 // evaluation must stop. Operator boundaries call it directly; hot loops
@@ -147,7 +134,7 @@ func (c *evalCancel) cause() error {
 // deadline expired is cancelled with that deadline as cause, moments before
 // its own identical timer fires, and must report as the timeout it is.
 func (c *evalCancel) poll() bool {
-	if c.stopped.Load() {
+	if c.err != nil {
 		return true
 	}
 	if c.ctx.Err() != nil {
@@ -162,16 +149,16 @@ func (c *evalCancel) poll() bool {
 // the caller must stop producing.
 func (c *evalCancel) addRows(n int, maxRows int) bool {
 	if maxRows <= 0 {
-		return c.stopped.Load()
+		return c.err != nil
 	}
-	total := c.patRows.Add(int64(n))
-	if total > int64(maxRows) {
-		c.abort(&BudgetError{Resource: "rows", Used: int(total), Limit: maxRows})
+	c.patRows += n
+	if c.patRows > maxRows {
+		c.abort(&BudgetError{Resource: "rows", Used: c.patRows, Limit: maxRows})
 		return true
 	}
-	return c.stopped.Load()
+	return c.err != nil
 }
 
 // resetRows starts a fresh row-budget window (called at each operator that
 // materializes a new intermediate binding set).
-func (c *evalCancel) resetRows() { c.patRows.Store(0) }
+func (c *evalCancel) resetRows() { c.patRows = 0 }

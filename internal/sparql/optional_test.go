@@ -127,8 +127,8 @@ func optionalQuery(rng *rand.Rand) string {
 }
 
 // TestOptionalMatchesPerRow: the batched left outer join returns the rows the
-// per-row evaluation returned, in the same sequence, at Parallelism 1 and 4 —
-// on 300 seeded random queries whose bodies hold every kind of group element.
+// per-row evaluation returned, in the same sequence — on 300 seeded random
+// queries whose bodies hold every kind of group element.
 // A query whose per-row evaluation outgrows the row budget is drawn again.
 func TestOptionalMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -145,38 +145,32 @@ func TestOptionalMatchesPerRow(t *testing.T) {
 		}
 		compared++
 		// A batched body step holds what the per-row steps held together.
-		opts := Options{Limits: Limits{MaxIntermediateRows: 500000}}
-		for _, par := range []int{1, 4} {
-			opts.Parallelism = par
-			want, err := selectPerRow(g, q, opts)
-			if err != nil {
-				t.Fatalf("trial %d %s: per-row: %v", trial, src, err)
+		limits := Limits{MaxIntermediateRows: 500000}
+		want, err := selectPerRow(g, q, Options{Limits: limits})
+		if err != nil {
+			t.Fatalf("trial %d %s: per-row: %v", trial, src, err)
+		}
+		prof := NewProfile("test")
+		got, err := ExecSelectOpts(g, q, Options{Limits: limits, Profile: prof})
+		if err != nil {
+			t.Fatalf("trial %d %s: batched: %v", trial, src, err)
+		}
+		assertSameResults(t, fmt.Sprintf("trial %d: %s", trial, src), want, got)
+		rows += got.Len()
+		for _, b := range bindings(got) {
+			if _, ok := b["d"]; ok {
+				extended++
 			}
-			prof := NewProfile("test")
-			got, err := ExecSelectOpts(g, q, Options{Parallelism: par, Limits: opts.Limits, Profile: prof})
-			if err != nil {
-				t.Fatalf("trial %d %s: batched: %v", trial, src, err)
-			}
-			assertSameResults(t, fmt.Sprintf("trial %d, parallelism %d: %s", trial, par, src), want, got)
-			if par > 1 {
-				continue
-			}
-			rows += got.Len()
-			for _, b := range bindings(got) {
-				if _, ok := b["d"]; ok {
-					extended++
+		}
+		for _, opt := range findProfNodes(prof, "optional") {
+			for _, c := range opt.children {
+				if c.Calls > opt.Calls {
+					split++ // a body ran once per boundness class
 				}
 			}
-			for _, opt := range findProfNodes(prof, "optional") {
-				for _, c := range opt.children {
-					if c.Calls > opt.Calls {
-						split++ // a body ran once per boundness class
-					}
-				}
-				for _, scan := range findProfNodes(&Profile{root: opt}, "scan") {
-					if scan.Strategy == strategyHashJoin.String() {
-						hashed++
-					}
+			for _, scan := range findProfNodes(&Profile{root: opt}, "scan") {
+				if scan.Strategy == strategyHashJoin.String() {
+					hashed++
 				}
 			}
 		}
@@ -203,7 +197,7 @@ func TestOptionalAllocsFlatInRows(t *testing.T) {
 		var res *Results
 		n := testing.AllocsPerRun(10, func() {
 			var err error
-			if res, err = ExecSelectOpts(g, q, Options{Parallelism: 1}); err != nil {
+			if res, err = ExecSelect(g, q); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,19 +6,19 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rdfanalytics/internal/rdf"
 )
 
-// Differential tests for the parallel ID-space engine: evaluation with
-// Parallelism: 1 and Parallelism: 8 must produce identical Results — the
-// same rows in the same order — for every query. This is the contract that
-// makes Options.Parallelism a pure ablation knob.
+// Differential tests for the engine under concurrency. A query runs on the
+// goroutine that calls it, and many queries run at once over one shared
+// graph (the server's traffic): each must return the rows, in the order, it
+// returns alone.
 
-// chainGraph builds a three-hop graph large enough that intermediate
-// binding sets cross parallelThreshold, so the partitioned paths (and the
-// hash-join strategy) actually execute.
+// chainGraph builds a three-hop graph large enough that intermediate binding
+// sets fill many rows and the hash-join strategy actually executes.
 func chainGraph(n int) *rdf.Graph {
 	var sb strings.Builder
 	sb.WriteString("@prefix ex: <http://e/> .\n")
@@ -45,47 +45,76 @@ var parallelCorpus = []string{
 	`PREFIX ex: <http://e/> SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 500`,
 }
 
+// TestParallelDifferentialCorpus: every corpus query, run by several
+// goroutines at once over one shared graph — each goroutine walking the
+// corpus from a different start, so different queries overlap — returns in
+// every run the rows a lone run returned, in the same order. Under -race it
+// also shows that concurrent queries share nothing but the graph and the
+// block pool.
 func TestParallelDifferentialCorpus(t *testing.T) {
-	graphs := map[string]*rdf.Graph{
-		"invoices": invoices(t),
-		"chain":    chainGraph(600),
-	}
-	for name, g := range graphs {
-		for _, src := range parallelCorpus {
-			q := MustParse(src)
-			seq, err := ExecSelectOpts(g, q, Options{Parallelism: 1})
+	const goroutines, rounds = 4, 3
+	for name, g := range map[string]*rdf.Graph{"invoices": invoices(t), "chain": chainGraph(600)} {
+		qs := make([]*Query, len(parallelCorpus))
+		lone := make([]*Results, len(parallelCorpus))
+		for i, src := range parallelCorpus {
+			qs[i] = MustParse(src)
+			res, err := ExecSelect(g, qs[i])
 			if err != nil {
-				t.Fatalf("%s %q: sequential: %v", name, src, err)
+				t.Fatalf("%s %q: %v", name, src, err)
 			}
-			parR, err := ExecSelectOpts(g, q, Options{Parallelism: 8})
-			if err != nil {
-				t.Fatalf("%s %q: parallel: %v", name, src, err)
+			lone[i] = res
+		}
+		got := make([][]*Results, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for w := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range rounds * len(qs) {
+					i := (w + k) % len(qs)
+					res, err := ExecSelect(g, qs[i])
+					if err != nil {
+						errs[w] = fmt.Errorf("%q: %w", parallelCorpus[i], err)
+						return
+					}
+					got[w] = append(got[w], res)
+				}
+			}()
+		}
+		wg.Wait()
+		for w := range goroutines {
+			if errs[w] != nil {
+				t.Fatalf("%s, goroutine %d: %v", name, w, errs[w])
 			}
-			assertSameResults(t, name+" "+src, seq, parR)
+			for k, res := range got[w] {
+				i := (w + k) % len(qs)
+				assertSameResults(t, fmt.Sprintf("%s, goroutine %d, run %d: %s", name, w, k, parallelCorpus[i]), lone[i], res)
+			}
 		}
 	}
 }
 
-func assertSameResults(t *testing.T, label string, seq, parR *Results) {
+// assertSameResults demands the same variables and the same rows in the same
+// order.
+func assertSameResults(t *testing.T, label string, want, got *Results) {
 	t.Helper()
-	if !reflect.DeepEqual(seq.Vars, parR.Vars) {
-		t.Fatalf("%s: vars differ: %v vs %v", label, seq.Vars, parR.Vars)
+	if !reflect.DeepEqual(want.Vars, got.Vars) {
+		t.Fatalf("%s: vars differ: %v vs %v", label, want.Vars, got.Vars)
 	}
-	if len(seq.Rows) != len(parR.Rows) {
-		t.Fatalf("%s: sequential %d rows, parallel %d rows", label, len(seq.Rows), len(parR.Rows))
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("%s: want %d rows, got %d rows", label, len(want.Rows), len(got.Rows))
 	}
-	for i := range bindings(seq) {
-		if !reflect.DeepEqual(seq.Rows[i], parR.Rows[i]) {
-			t.Fatalf("%s: row %d differs (order or content):\n  seq: %v\n  par: %v",
-				label, i, seq.Rows[i], parR.Rows[i])
+	for i := range want.Rows {
+		if !reflect.DeepEqual(want.Rows[i], got.Rows[i]) {
+			t.Fatalf("%s: row %d differs (order or content):\n  want: %v\n  got:  %v",
+				label, i, want.Rows[i], got.Rows[i])
 		}
 	}
 }
 
-// TestParallelDifferentialRandom repeats the random-BGP differential at
-// both parallelism levels and additionally demands order equality between
-// them (the naive reference fixes the multiset; the levels must also agree
-// on sequence).
+// TestParallelDifferentialRandom: random BGPs over random graphs give the
+// naive reference's multiset of solutions.
 func TestParallelDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 150; trial++ {
@@ -100,19 +129,7 @@ func TestParallelDifferentialRandom(t *testing.T) {
 			tp := patterns[i]
 			gp.Elems = append(gp.Elems, PatternElem{Triple: &tp})
 		}
-		seq := groupBindings(newEvaluator(context.Background(), g, Options{Parallelism: 1}), gp)
-		parR := groupBindings(newEvaluator(context.Background(), g, Options{Parallelism: 8}), gp)
-		if len(seq) != len(parR) {
-			t.Fatalf("trial %d: sequential %d rows, parallel %d\npatterns: %v",
-				trial, len(seq), len(parR), patterns)
-		}
-		for i := range seq {
-			if !reflect.DeepEqual(seq[i], parR[i]) {
-				t.Fatalf("trial %d: row %d differs between parallelism levels\n  seq: %v\n  par: %v\npatterns: %v",
-					trial, i, seq[i], parR[i], patterns)
-			}
-		}
-		// And both must agree with the naive reference on the multiset.
+		rows := groupBindings(newEvaluator(context.Background(), g, Options{}), gp)
 		varSet := map[string]bool{}
 		for i := range patterns {
 			for _, v := range patterns[i].Vars() {
@@ -124,7 +141,7 @@ func TestParallelDifferentialRandom(t *testing.T) {
 			vars = append(vars, v)
 		}
 		ref := naiveBGP(triples, patterns)
-		got := canonical(parR, vars)
+		got := canonical(rows, vars)
 		want := canonical(ref, vars)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: engine disagrees with naive reference\npatterns: %v", trial, patterns)
@@ -191,15 +208,12 @@ func TestStrategySelection(t *testing.T) {
 	// plan: the first scan feeds enough rows that a selective second pattern
 	// switches to hash join.
 	g := chainGraph(600)
-	plan, err := ExplainOpts(g, `PREFIX ex: <http://e/>
-SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w }`, Options{Parallelism: 4})
+	plan, err := Explain(g, `PREFIX ex: <http://e/>
+SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "hash join") {
 		t.Errorf("plan shows no hash join:\n%s", plan)
-	}
-	if !strings.Contains(plan, "workers: 4") {
-		t.Errorf("plan does not report worker count:\n%s", plan)
 	}
 }

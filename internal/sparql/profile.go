@@ -76,8 +76,8 @@ func (p *Profile) TraceID() string {
 
 // ProfNode is one operator of the profile tree. Fields accumulate across
 // invocations of the operator at this site. Nodes are written only by the
-// evaluation's orchestration goroutine (worker partitions never touch the
-// profile) and read after the query finishes, so no locking is needed.
+// goroutine that evaluates the query and read after the query finishes, so
+// no locking is needed.
 type ProfNode struct {
 	// Op is the operator kind: scan, bgp, filter, optional, union, minus,
 	// subquery, path_scan, match, aggregate, extend, modifiers.

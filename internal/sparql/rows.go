@@ -115,16 +115,15 @@ func (b *batch) row(i int) []rdf.ID { return b.vals[i*b.width : (i+1)*b.width] }
 // rowBlockIDs is the size of a row block: 64 KiB of IDs.
 const rowBlockIDs = 16 << 10
 
-// rowBlocks recycles row blocks across steps, queries and workers. A block
+// rowBlocks recycles row blocks across steps and concurrent queries. A block
 // holds no pointers, and one that is never put back is ordinary garbage.
 var rowBlocks = sync.Pool{New: func() any { return new([rowBlockIDs]rdf.ID) }}
 
 // rowWriter is where an operator that cannot know its output size in advance
 // puts its rows: in pooled fixed-size blocks, whole rows to a block, which
-// batch (or drainTo, for the partitions of one step) copies once into a batch
-// allocated at exactly the final size. So no operator's output grows by
-// append, and what a step allocates is what it returns. One goroutine writes
-// to a rowWriter, and the row add returns is good until the next add.
+// batch copies once into a batch allocated at exactly the final size. So no
+// operator's output grows by append, and what a step allocates is what it
+// returns. The row add returns is good until the next add.
 type rowWriter struct {
 	width int
 	rows  int
@@ -162,18 +161,6 @@ func (w *rowWriter) nextBlock() {
 	w.cur = rowBlocks.Get().(*[rowBlockIDs]rdf.ID)[:0]
 }
 
-// drainTo appends the writer's rows to out, which must have room for them,
-// and hands the blocks back: nothing may still refer into them.
-func (w *rowWriter) drainTo(out *batch) {
-	for _, blk := range w.full {
-		out.vals = append(out.vals, blk...)
-		putRowBlock(blk)
-	}
-	out.vals = append(out.vals, w.cur...)
-	putRowBlock(w.cur)
-	*w = rowWriter{width: w.width}
-}
-
 // drainRows calls fn with every row written, in order, and hands the blocks
 // back: fn must not keep the row it is given.
 func (w *rowWriter) drainRows(fn func(row []rdf.ID)) {
@@ -197,10 +184,17 @@ func putRowBlock(blk []rdf.ID) {
 	}
 }
 
-// batch returns the rows written, in a batch of exactly their size.
+// batch returns the rows written, in a batch of exactly their size, and
+// hands the blocks back: nothing may still refer into them.
 func (w *rowWriter) batch() *batch {
 	out := newBatch(w.width, w.rows)
-	w.drainTo(out)
+	for _, blk := range w.full {
+		out.vals = append(out.vals, blk...)
+		putRowBlock(blk)
+	}
+	out.vals = append(out.vals, w.cur...)
+	putRowBlock(w.cur)
+	*w = rowWriter{width: w.width}
 	return out
 }
 
@@ -211,8 +205,8 @@ const scratchBit rdf.ID = 1 << 31
 
 // termDict is the per-evaluation dictionary view: the graph's dictionary
 // extended by scratch IDs for terms the graph does not hold (BIND and SELECT
-// expression values, aggregates, VALUES constants). Only the coordinating
-// goroutine uses it (worker partitions touch nothing but IDs).
+// expression values, aggregates, VALUES constants). Only the goroutine that
+// evaluates the query uses it.
 type termDict struct {
 	g       *rdf.Graph
 	ids     map[rdf.Term]rdf.ID // terms interned so far: graph or scratch ID

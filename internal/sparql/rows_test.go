@@ -41,7 +41,7 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 	var res *Results
 	allocs := testing.AllocsPerRun(5, func() {
 		var err error
-		if res, err = ExecSelectOpts(g, q, Options{Parallelism: 1}); err != nil {
+		if res, err = ExecSelect(g, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -70,7 +70,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (SUM(?v) AS ?total)
 WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . FILTER(?v >= 2500) }`)
 	run := func(prof *Profile) {
-		res, err := ExecSelectOpts(g, q, Options{Parallelism: 1, Profile: prof})
+		res, err := ExecSelectOpts(g, q, Options{Profile: prof})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestBindYearAllocsPerRow(t *testing.T) {
 	g := rdf.NewGraph()
 	g.AddAll(ts)
 	q := MustParse(`SELECT ?y WHERE { ?s <http://e/d> ?d BIND(YEAR(?d) AS ?y) }`)
-	ev := newEvaluator(context.Background(), g, Options{Parallelism: 1})
+	ev := newEvaluator(context.Background(), g, Options{})
 	ev.sc = selectScope(q)
 	in := ev.evalGroup(&GroupPattern{Elems: q.Where.Elems[:1]}, unitBatch(ev.sc.width()), nil)
 	if in.n() != rows {
@@ -307,7 +307,7 @@ func TestScratchIDsSurviveConcurrentInserts(t *testing.T) {
 	q := MustParse(`PREFIX ex: <http://e/>
 SELECT ?v ?y WHERE { ?s ex:v ?v . ?s ex:link ?t . BIND(CONCAT("computed-", STR(?v)) AS ?y) }`)
 	for run := 0; run < 20; run++ {
-		res, err := ExecSelectOpts(g, q, Options{Parallelism: 4})
+		res, err := ExecSelect(g, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@
 # Needs only sh + curl + grep/awk.
 set -eu
 
-PORT="${METRICS_LINT_PORT:-18931}"
+PORT="${METRICS_LINT_PORT:-18934}"
 BASE="http://127.0.0.1:$PORT"
 BIN="$(mktemp -d)/rdfanalytics"
 LOG="$(mktemp)"
