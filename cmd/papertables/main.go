@@ -37,7 +37,7 @@ var (
 )
 
 // experiments in print order; E8/E9 (the user study) need participants and
-// E12–E14 are standing-benchmark metrics (EXPERIMENTS.md).
+// E13–E14 are standing-benchmark metrics (EXPERIMENTS.md).
 var experiments = []struct {
 	id  string
 	run func() error

@@ -30,7 +30,7 @@ func main() {
 	explainAnalyze := flag.Bool("explain-analyze", false,
 		"run the query and print the operator profile: per-operator wall time, rows, est vs actual cardinality with q-error (SELECT only)")
 	noReorder := flag.Bool("no-reorder", false, "evaluate BGPs in textual order (join-ordering ablation)")
-	repeat := flag.Int("repeat", 1, "run the query this many times; unless -no-reorder, later passes plan from the cardinalities earlier ones observed")
+	repeat := flag.Int("repeat", 1, "run the query this many times, printing each pass's wall time to stderr")
 	version := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 	if *version {
@@ -80,30 +80,18 @@ func main() {
 		if *repeat < 1 {
 			*repeat = 1
 		}
-		// With -repeat, a per-process feedback store lets later passes plan
-		// from the cardinalities the first pass observed (the closed loop
-		// the server runs continuously).
-		var fb *sparql.FeedbackStore
-		if *repeat > 1 && !*noReorder {
-			fb = sparql.NewFeedbackStore()
-		}
+		// -repeat is a timing loop: every pass plans and runs the query the
+		// same way, so the spread across passes is the run-to-run noise.
 		var res *sparql.Results
 		for pass := 1; pass <= *repeat; pass++ {
-			opts := planOpts
-			if fb != nil {
-				opts.Feedback = fb
-				opts.FingerprintID = sparql.FingerprintID(sparql.Fingerprint(q))
-				opts.Profile = sparql.NewProfile("query")
-			}
 			start := time.Now()
-			res, err = sparql.ExecSelectOpts(g, q, opts)
+			res, err = sparql.ExecSelectOpts(g, q, planOpts)
 			elapsed := time.Since(start)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if *repeat > 1 {
-				fmt.Fprintf(os.Stderr, "pass %d/%d: %s, max q-error %.2f\n",
-					pass, *repeat, elapsed.Round(time.Microsecond), opts.Profile.MaxQError())
+				fmt.Fprintf(os.Stderr, "pass %d/%d: %s\n", pass, *repeat, elapsed.Round(time.Microsecond))
 			}
 		}
 		if len(q.OrderBy) == 0 {

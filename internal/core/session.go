@@ -56,6 +56,35 @@ func (m MeasureSpec) String() string {
 	return m.Path.String()
 }
 
+// Check reports why the G button cannot group by g: a path facet.CheckPath
+// refuses, or a derive function hifun does not know. A spec it passes
+// translates, so a click the server's handlers and the snapshot replay
+// accept never leaves the session unable to run.
+func (g GroupSpec) Check() error {
+	if err := facet.CheckPath(g.Path); err != nil {
+		return err
+	}
+	return checkDerive(g.Derive)
+}
+
+// Check reports why the Σ button cannot measure m, as GroupSpec.Check does;
+// an empty path is the identity measure.
+func (m MeasureSpec) Check() error {
+	if len(m.Path) > 0 {
+		if err := facet.CheckPath(m.Path); err != nil {
+			return err
+		}
+	}
+	return checkDerive(m.Derive)
+}
+
+func checkDerive(derive string) error {
+	if derive != "" && !hifun.IsDerivedFunc(derive) {
+		return fmt.Errorf("core: unsupported derived function %q", derive)
+	}
+	return nil
+}
+
 // Analytics is the analytic part of a state: what the G and Σ buttons have
 // accumulated. Per §5.2.2, these actions change the intention but leave the
 // extension and the transitions untouched.
@@ -112,11 +141,6 @@ type Session struct {
 	// limits are the resource budgets applied to every analytic query the
 	// session runs (see sparql.Limits). Zero values mean engine defaults.
 	limits sparql.Limits
-	// feedback, when non-nil, is the planner feedback store shared with the
-	// owner of the session (e.g. the HTTP server): every analytic query
-	// plans with — and reports actuals back to — the same store, so
-	// repeated analytic shapes converge on true cardinalities.
-	feedback *sparql.FeedbackStore
 	// durability, when non-nil, is the group-commit barrier of the durable
 	// store backing the session's graph: mutating operations call it before
 	// reporting success, so an acknowledged mutation is on disk.
@@ -135,9 +159,8 @@ func (s *Session) SetLimits(l sparql.Limits) { s.limits = l }
 // Limits returns the session's current resource budgets.
 func (s *Session) Limits() sparql.Limits { return s.limits }
 
-// SetFeedback installs the planner feedback store used by the session's
-// analytic queries. Pass nil to disable feedback-driven planning.
-func (s *Session) SetFeedback(fb *sparql.FeedbackStore) { s.feedback = fb }
+// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
+func (s *Session) SetFeedback(*sparql.FeedbackStore) {}
 
 // LastTrace returns the trace of the most recent RunAnalytics call, or nil
 // when no analytic query has run yet.
@@ -359,8 +382,8 @@ func pathToAttr(p facet.Path, derive string) (hifun.Attr, error) {
 		}
 	}
 	if derive != "" {
-		if !hifun.IsDerivedFunc(derive) {
-			return nil, fmt.Errorf("core: unsupported derived function %q", derive)
+		if err := checkDerive(derive); err != nil {
+			return nil, err
 		}
 		attr = hifun.Derived{Func: strings.ToUpper(derive), Sub: attr}
 	}
@@ -374,7 +397,6 @@ func (s *Session) Context() *hifun.Context {
 	l := s.top()
 	ctx := hifun.NewContext(l.model.G, l.ns)
 	ctx.Limits = s.limits
-	ctx.Feedback = s.feedback
 	patterns := l.state().Int.Patterns(hifun.RootVar)
 	if strings.TrimSpace(patterns) != "" {
 		// Wrap in a subquery so the extension contributes each entity once,

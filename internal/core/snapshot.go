@@ -180,13 +180,20 @@ func RestoreSession(base *rdf.Graph, data []byte) (*Session, error) {
 			}
 		}
 		for _, g := range lj.GroupBy {
-			s.ClickGroupBy(GroupSpec{Path: pathFromJSON(g.Path), Derive: g.Derive})
+			spec := GroupSpec{Path: pathFromJSON(g.Path), Derive: g.Derive}
+			if err := spec.Check(); err != nil {
+				return nil, fmt.Errorf("core: level %d group-by: %w", li, err)
+			}
+			s.ClickGroupBy(spec)
+		}
+		m := MeasureSpec{}
+		if lj.Measure != nil {
+			m = MeasureSpec{Path: pathFromJSON(lj.Measure.Path), Derive: lj.Measure.Derive}
+		}
+		if err := m.Check(); err != nil {
+			return nil, fmt.Errorf("core: level %d measure: %w", li, err)
 		}
 		for _, oj := range lj.Ops {
-			m := MeasureSpec{}
-			if lj.Measure != nil {
-				m = MeasureSpec{Path: pathFromJSON(lj.Measure.Path), Derive: lj.Measure.Derive}
-			}
 			op := hifun.Operation{Op: hifun.AggOp(oj.Op), Distinct: oj.Distinct, RestrictOp: oj.RestrictOp}
 			if oj.RestrictValue != nil {
 				op.RestrictValue = termFromJSON(*oj.RestrictValue)
@@ -198,20 +205,37 @@ func RestoreSession(base *rdf.Graph, data []byte) (*Session, error) {
 }
 
 func (s *Session) replay(a actionJSON) error {
+	p := pathFromJSON(a.Path)
+	switch a.Kind {
+	case "value", "valueset", "range":
+		if err := facet.CheckPath(p); err != nil {
+			return fmt.Errorf("%s action: %w", a.Kind, err)
+		}
+	case "pivot":
+		if len(p) != 1 {
+			return fmt.Errorf("pivot action needs exactly one step")
+		}
+		if err := facet.CheckPath(p); err != nil {
+			return fmt.Errorf("pivot action: %w", err)
+		}
+	}
 	switch a.Kind {
 	case "class":
+		if a.Class == "" {
+			return fmt.Errorf("class action without class")
+		}
 		s.ClickClass(rdf.NewIRI(a.Class))
 	case "value":
 		if a.Value == nil {
 			return fmt.Errorf("value action without value")
 		}
-		s.ClickValue(pathFromJSON(a.Path), termFromJSON(*a.Value))
+		s.ClickValue(p, termFromJSON(*a.Value))
 	case "valueset":
 		vs := make([]rdf.Term, len(a.Values))
 		for i, v := range a.Values {
 			vs[i] = termFromJSON(v)
 		}
-		s.ClickValueSet(pathFromJSON(a.Path), vs)
+		s.ClickValueSet(p, vs)
 	case "range":
 		if a.Value == nil {
 			return fmt.Errorf("range action without value")
@@ -219,12 +243,8 @@ func (s *Session) replay(a actionJSON) error {
 		if !facet.ValidRangeOp(a.Op) {
 			return fmt.Errorf("range action with unknown operator %q", a.Op)
 		}
-		s.ClickRange(pathFromJSON(a.Path), a.Op, termFromJSON(*a.Value))
+		s.ClickRange(p, a.Op, termFromJSON(*a.Value))
 	case "pivot":
-		p := pathFromJSON(a.Path)
-		if len(p) != 1 {
-			return fmt.Errorf("pivot action needs exactly one step")
-		}
 		s.SwitchFocus(p[0])
 	default:
 		return fmt.Errorf("unknown action kind %q", a.Kind)

@@ -137,4 +137,19 @@ func TestRestoreErrors(t *testing.T) {
 	if _, err := RestoreSession(g, []byte(`{"version":1,"levels":[{"ns":"x","actions":[{"kind":"alien"}]}]}`)); err == nil {
 		t.Error("unknown action accepted")
 	}
+	// What the click handlers refuse, the replay refuses too.
+	for _, level := range []string{
+		`"actions":[{"kind":"class","class":""}]`,
+		`"actions":[{"kind":"value","path":[],"value":{"kind":"iri","value":"x"}}]`,
+		`"actions":[{"kind":"valueset","values":[{"kind":"iri","value":"x"}]}]`,
+		`"actions":[{"kind":"range","path":[{"p":""}],"op":">","value":{"value":"2"}}]`,
+		`"actions":[{"kind":"pivot","path":[{"p":""}]}]`,
+		`"actions":[],"groupBy":[{"path":[]}]`,
+		`"actions":[],"groupBy":[{"path":[{"p":"x"}],"derive":"nosuch"}]`,
+		`"actions":[],"measure":{"path":[{"p":"x"}],"derive":"nosuch"},"ops":[{"op":"SUM"}]`,
+	} {
+		if _, err := RestoreSession(g, []byte(`{"version":1,"levels":[{"ns":"x",`+level+`}]}`)); err == nil {
+			t.Errorf("restored a level with %s", level)
+		}
+	}
 }

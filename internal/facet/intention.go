@@ -8,6 +8,7 @@
 package facet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -75,6 +76,22 @@ func ValidRangeOp(op string) bool {
 		return true
 	}
 	return false
+}
+
+// CheckPath reports why a click cannot restrict along p: the path has no
+// step, or a step names no property. An intention writes no pattern for an
+// empty path, so such a click would show one extension and analyze another.
+// The server's handlers and the snapshot replay both ask it.
+func CheckPath(p Path) error {
+	if len(p) == 0 {
+		return errors.New("facet: empty path")
+	}
+	for _, s := range p {
+		if s.P.Value == "" {
+			return errors.New("facet: path step without a property")
+		}
+	}
+	return nil
 }
 
 func (c Cond) String() string {

@@ -43,11 +43,6 @@ type Context struct {
 	// evaluation (intermediate rows, path depth/visited). Zero values use
 	// the engine defaults.
 	Limits sparql.Limits
-	// Feedback, when non-nil, closes the planner's q-error loop for
-	// analytic queries: Execute fingerprints the generated SPARQL, plans
-	// with the store's observed cardinalities when the same shape ran
-	// before, and (when Profile is set) feeds actuals back after success.
-	Feedback *sparql.FeedbackStore
 }
 
 // NewContext builds an analysis context over g with attribute namespace ns.
@@ -209,17 +204,7 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 		return nil, fmt.Errorf("hifun: generated SPARQL failed to parse: %w\n%s", err, src)
 	}
 	es := root.StartChild("exec")
-	execOpts := sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile}
-	if c.Feedback != nil {
-		execOpts.Feedback = c.Feedback
-		execOpts.FingerprintID = sparql.FingerprintID(sparql.Fingerprint(parsed))
-		if execOpts.Profile == nil {
-			// Feedback needs actual cardinalities; attach a throwaway profile
-			// when the caller did not request one.
-			execOpts.Profile = sparql.NewProfile("exec")
-		}
-	}
-	res, err := sparql.ExecSelectCtx(ctx, c.Graph, parsed, execOpts)
+	res, err := sparql.ExecSelectCtx(ctx, c.Graph, parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile})
 	es.Finish()
 	if err != nil {
 		return nil, err

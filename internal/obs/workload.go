@@ -93,9 +93,6 @@ type OpEstimate struct {
 	Actual int64   `json:"actual"`
 	QError float64 `json:"q_error"`
 	Count  uint64  `json:"count"`
-	// Feedback marks an estimate that was seeded from the planner's
-	// execution-feedback store rather than the cold graph count.
-	Feedback bool `json:"feedback,omitempty"`
 }
 
 // fpStats aggregates all completed queries of one fingerprint.
@@ -269,9 +266,6 @@ func (w *Workload) observeEstimatesLocked(ests []OpEstimate) {
 			continue
 		}
 		cur.Count++
-		if e.Feedback {
-			cur.Feedback = true
-		}
 		if e.QError > cur.QError {
 			cur.QError, cur.Est, cur.Actual = e.QError, e.Est, e.Actual
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rdfanalytics/internal/obs"
-	"rdfanalytics/internal/sparql"
 )
 
 // The built-in observability dashboard: one self-contained HTML page
@@ -35,10 +34,6 @@ type dashboardData struct {
 	TopSlow      []obs.FingerprintSummary
 	Misestimates []obs.OpEstimate
 	Recent       []obs.QueryRecord
-	// Feedback is the planner feedback store's counters; FeedbackPct is the
-	// hit rate hits/(hits+misses) in percent (0 when nothing was looked up).
-	Feedback    sparql.FeedbackStats
-	FeedbackPct float64
 	// Resilience is the overload-protection card row: answer-cache
 	// occupancy and outcome counters, admission gate state, and the drain
 	// flag (see resilience.go).
@@ -100,13 +95,9 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		TopSlow:      s.workload.TopSlow(dashboardTopK),
 		Misestimates: snap.Misestimates,
 		Recent:       snap.Recent,
-		Feedback:     s.feedback.Stats(),
 		Resilience:   s.resilienceSnapshot(),
 		TraceStats:   s.traces.Stats(),
 		Traces:       s.traces.Search(obs.TraceQuery{Limit: dashboardTopK}),
-	}
-	if n := data.Feedback.Hits + data.Feedback.Misses; n > 0 {
-		data.FeedbackPct = 100 * float64(data.Feedback.Hits) / float64(n)
 	}
 	if len(data.Misestimates) > dashboardTopK {
 		data.Misestimates = data.Misestimates[:dashboardTopK]
@@ -140,7 +131,6 @@ var dashboardTmpl = template.Must(template.New("dashboard").Funcs(template.FuncM
 	"durms": func(d time.Duration) string {
 		return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000)
 	},
-	"add":   func(a, b uint64) uint64 { return a + b },
 	"trunc": func(s string) string { return obs.TruncateText(s, 96) },
 }).Parse(dashboardHTML))
 
@@ -171,7 +161,6 @@ footer { margin-top: 2rem; font-size: 0.75rem; color: #666; }
 <div class="card"><b{{if gt .Snap.Errors 0}} class="bad"{{end}}>{{.Snap.Errors}}</b>errors ({{ms .ErrorPct}}%)</div>
 <div class="card"><b>{{ms .Snap.P50Ms}} ms</b>p50 latency</div>
 <div class="card"><b>{{ms .Snap.P95Ms}} ms</b>p95 latency</div>
-<div class="card"><b>{{ms .FeedbackPct}}%</b>feedback hit rate ({{.Feedback.Hits}}/{{add .Feedback.Hits .Feedback.Misses}}, {{.Feedback.Fingerprints}} shapes)</div>
 </div>
 
 <h2>Overload resilience</h2>
@@ -197,14 +186,12 @@ footer { margin-top: 2rem; font-size: 0.75rem; color: #666; }
 
 <h2>Plan vs. actual (worst misestimated operator sites)</h2>
 {{if .Misestimates}}<table>
-<tr><th>operator</th><th>site</th><th class="num">est</th><th class="num">actual</th><th class="num">q-error</th><th class="num">seen</th><th>est. source</th></tr>
+<tr><th>operator</th><th>site</th><th class="num">est</th><th class="num">actual</th><th class="num">q-error</th><th class="num">seen</th></tr>
 {{range .Misestimates}}<tr>
 <td>{{.Op}}</td><td><code>{{.Label}}</code></td>
 <td class="num">{{.Est}}</td><td class="num">{{.Actual}}</td><td class="num">{{qe .QError}}</td><td class="num">{{.Count}}</td>
-<td>{{if .Feedback}}feedback{{else}}pattern count{{end}}</td>
 </tr>{{end}}
 </table>
-<p>q-error = max(est/actual, actual/est); estimates come from the graph’s own pattern counts (two searches in a sorted permutation), or from the execution-feedback store once a fingerprint has run before (marked “feedback”).</p>
 {{else}}<p>No profiled operators yet.</p>{{end}}
 
 <h2>Recent queries</h2>

@@ -10,7 +10,6 @@ import (
 
 	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/obs"
-	"rdfanalytics/internal/sparql"
 )
 
 // Counters for session lifecycle events; the active-session count is a
@@ -201,20 +200,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default.WritePrometheus(w)
 }
 
-// workloadJSON is the GET /api/workload payload: the workload snapshot plus
-// the planner feedback store's counters.
-type workloadJSON struct {
-	obs.WorkloadSnapshot
-	Feedback sparql.FeedbackStats `json:"feedback"`
-}
-
 // handleWorkload serves the workload profiler's snapshot: RED aggregates,
-// the recent-query ring, per-fingerprint summaries, the plan-vs-actual
-// misestimation table and the feedback store's hit/miss/seed counters. The
-// workload and feedback stores have their own locks, so the server mutex is
-// not taken — the endpoint stays responsive while a query runs.
+// the recent-query ring, per-fingerprint summaries and the plan-vs-actual
+// misestimation table. The workload has its own lock, so the server mutex
+// is not taken — the endpoint stays responsive while a query runs.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, workloadJSON{WorkloadSnapshot: s.workload.Snapshot(), Feedback: s.feedback.Stats()})
+	writeJSON(w, s.workload.Snapshot())
 }
 
 // mountDebug exposes net/http/pprof on the server's own mux (the stdlib

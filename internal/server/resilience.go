@@ -110,13 +110,10 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(rec
 }
 
 // engineOpts are the options of every engine execution behind /sparql, of
-// every form: budgeted, profiled under the operation's trace — the profile is
-// the trace's engine detail — and planned with the shared feedback store.
+// every form: budgeted, and profiled under the operation's trace — the
+// profile is the trace's engine detail.
 func (s *Server) engineOpts(rec *obs.QueryRecord) sparql.Options {
-	return sparql.Options{
-		Trace: rec.Trace, Limits: s.cfg.Limits, Profile: sparql.NewProfile("sparql"),
-		Feedback: s.feedback, FingerprintID: rec.FingerprintID,
-	}
+	return sparql.Options{Trace: rec.Trace, Limits: s.cfg.Limits, Profile: sparql.NewProfile("sparql")}
 }
 
 // execError maps a guarded execution's error onto the wire: the structured

@@ -708,6 +708,46 @@ func TestCachedReadAllocs(t *testing.T) {
 	}
 }
 
+// repeatedMissAllocBudget is what one GET /sparql of the chain/usb-1 shape
+// may allocate through ServeHTTP when the answer cache is off, so the read
+// is a miss, and the shape already ran. Measured with go1.24 on
+// linux/amd64: 378 (391–393 under -race). When the planner kept an
+// execution-feedback store, the same read measured 699: the second run of a
+// shape copied the shape's observed cardinalities, priced every step from
+// them and folded its own back in. The budget is the measurement plus 10 %.
+const repeatedMissAllocBudget = 416
+
+// repeatedMiss returns one GET /sparql of sparql-cold's chain/usb-1 shape
+// over 500 generated laptops, on a fresh request and recorder, through a
+// server with no answer cache and no trace retention whose engine has run
+// the shape before.
+func repeatedMiss(tb testing.TB) func() *httptest.ResponseRecorder {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 500, Companies: 16, Seed: 1})
+	s := NewWithConfig(g, datagen.ExampleNS, Config{TraceRetention: obs.TraceStoreConfig{Disabled: true}})
+	tb.Cleanup(s.Close)
+	target := "/sparql?query=" + url.QueryEscape(`PREFIX ex: <`+datagen.ExampleNS+`>
+SELECT DISTINCT ?cont ?c WHERE { ?l ex:USBPorts 1 ; ex:hardDrive ?h . ?h ex:manufacturer ?m . ?m ex:origin ?c . ?c ex:locatedAt ?cont }`)
+	read := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		return rec
+	}
+	if rec := read(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" || !strings.Contains(rec.Body.String(), `"cont"`) {
+		tb.Fatalf("first read = %d X-Cache %q: %.200s", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
+	}
+	return read
+}
+
+// TestRepeatedMissAllocs holds a re-run of a shape to its allocation budget:
+// a planner that remembers earlier executions, or anything else that makes a
+// shape's second run costlier than its first, breaks it.
+func TestRepeatedMissAllocs(t *testing.T) {
+	read := repeatedMiss(t)
+	if n := testing.AllocsPerRun(20, func() { read() }); n > repeatedMissAllocBudget {
+		t.Errorf("a repeated miss allocates %v times, budget %d", n, repeatedMissAllocBudget)
+	}
+}
+
 // BenchmarkCachedRead times a warmed GET /sparql hit through ServeHTTP.
 func BenchmarkCachedRead(b *testing.B) {
 	read := cachedRead(b)

@@ -63,12 +63,6 @@ type Server struct {
 	// workload aggregates every completed query by structural fingerprint,
 	// feeding GET /api/workload and /debug/dashboard.
 	workload *obs.Workload
-	// feedback is the cost-based planner's execution-feedback store: every
-	// profiled query seeds it with per-scan actual cardinalities, and
-	// replans of the same fingerprint (interactive sessions re-run the same
-	// shapes every facet click) plan with those actuals instead of cold
-	// graph-count estimates.
-	feedback *sparql.FeedbackStore
 	// slos counts good and total events per objective on /metrics (see
 	// internal/obs slo.go); burn rates are an external scraper's business.
 	slos *obs.SLOSet
@@ -202,7 +196,6 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	}
 	s.slow = obs.NewSlowQueryLog(logger, cfg.SlowQuery, obs.Default)
 	s.workload = obs.NewWorkload(256)
-	s.feedback = sparql.NewFeedbackStore()
 	// Tail-sampling trace retention: the outlier test borrows the workload
 	// profiler's rolling per-fingerprint p95 as its baseline.
 	trCfg := cfg.TraceRetention
@@ -319,7 +312,6 @@ func (s *Server) sessionFor(r *http.Request) *core.Session {
 	}
 	sess := core.NewSession(s.graph, s.ns)
 	sess.SetLimits(s.cfg.Limits)
-	sess.SetFeedback(s.feedback)
 	if s.cfg.Store != nil {
 		sess.SetDurability(s.cfg.Store.Sync)
 	}
@@ -452,8 +444,8 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	// The read path deliberately does NOT hold s.mu: graph reads are
 	// internally locked (rdf.Graph is an RWMutex), and the trace store,
-	// slow-query log, workload profiler, feedback store and SLO set all
-	// carry their own locks. Running queries concurrently is what lets the singleflight
+	// slow-query log, workload profiler and SLO set all carry their own
+	// locks. Running queries concurrently is what lets the singleflight
 	// group collapse a thundering herd into one execution (resilience.go).
 	//
 	// A repeated read is a lookup: the answer cache is keyed by the raw text,
@@ -595,6 +587,10 @@ func (s *Server) handleClickClass(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	if req.Class == "" {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("class required"))
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
@@ -613,6 +609,10 @@ func (s *Server) handleClickValue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	path := fromPathJSON(req.Path)
+	if err := facet.CheckPath(path); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
@@ -656,6 +656,11 @@ func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown range operator %q", req.Op))
 		return
 	}
+	path := fromPathJSON(req.Path)
+	if err := facet.CheckPath(path); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	t, err := fromTermJSON(req.Value)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -664,7 +669,7 @@ func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	sess.ClickRange(fromPathJSON(req.Path), req.Op, t)
+	sess.ClickRange(path, req.Op, t)
 	writeState(w, sess)
 }
 
@@ -711,10 +716,15 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	spec := core.GroupSpec{Path: fromPathJSON(req.Path), Derive: req.Derive}
+	if err := spec.Check(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	sess.ClickGroupBy(core.GroupSpec{Path: fromPathJSON(req.Path), Derive: req.Derive})
+	sess.ClickGroupBy(spec)
 	writeState(w, sess)
 }
 
@@ -732,13 +742,15 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown aggregate %q", req.Op))
 		return
 	}
+	measure := core.MeasureSpec{Path: fromPathJSON(req.Path), Derive: req.Derive}
+	if err := measure.Check(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	sess.ClickAggregate(
-		core.MeasureSpec{Path: fromPathJSON(req.Path), Derive: req.Derive},
-		hifun.Operation{Op: hifun.AggOp(strings.ToUpper(req.Op))},
-	)
+	sess.ClickAggregate(measure, hifun.Operation{Op: hifun.AggOp(strings.ToUpper(req.Op))})
 	writeState(w, sess)
 }
 

@@ -226,15 +226,62 @@ func TestRangeClickChecksItsOperator(t *testing.T) {
 	s := New(g, datagen.ExampleNS)
 	ns := datagen.ExampleNS
 	clicks(t, s, "a", "/api/click/class", `{"class":"`+ns+`Laptop"}`)
-	before := inSession(s, "a", "GET", "/api/state", "").Body.String()
-	const op = "> 0 || true ||"
-	rec := inSession(s, "a", "POST", "/api/click/range",
-		`{"path":[{"p":"`+ns+`USBPorts"}],"op":"`+op+`","value":{"kind":"literal","value":"2","datatype":"`+rdf.XSDInteger+`"}}`)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("range click with operator %q: %d, want 400", op, rec.Code)
+	refused(t, s, "a", "/api/click/range",
+		`{"path":[{"p":"`+ns+`USBPorts"}],"op":"> 0 || true ||","value":{"kind":"literal","value":"2","datatype":"`+rdf.XSDInteger+`"}}`)
+}
+
+// refused sends each (path, body) pair for session and demands a 400 that
+// leaves GET /api/state byte-identical.
+func refused(t *testing.T, s *Server, session string, calls ...string) {
+	t.Helper()
+	before := inSession(s, session, "GET", "/api/state", "").Body.String()
+	for i := 0; i+1 < len(calls); i += 2 {
+		if rec := inSession(s, session, "POST", calls[i], calls[i+1]); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s = %d, want 400", calls[i], calls[i+1], rec.Code)
+		}
+		if after := inSession(s, session, "GET", "/api/state", "").Body.String(); after != before {
+			t.Errorf("%s %s changed the session's state:\nbefore %.200s\nafter  %.200s", calls[i], calls[i+1], before, after)
+		}
 	}
-	if after := inSession(s, "a", "GET", "/api/state", "").Body.String(); after != before {
-		t.Errorf("the refused click changed the session's state:\nbefore %.200s\nafter  %.200s", before, after)
+}
+
+// TestClickRejectsAnEmptyPath: an intention writes no pattern for an empty
+// path, so a value or range click along one would show an extension the
+// next run does not range over. Such clicks, and a path step or a class
+// without an IRI, are refused and leave the session as it was.
+func TestClickRejectsAnEmptyPath(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	s := New(g, datagen.ExampleNS)
+	ns := datagen.ExampleNS
+	dell := `{"kind":"iri","value":"` + ns + `DELL"}`
+	two := `{"kind":"literal","value":"2","datatype":"` + rdf.XSDInteger + `"}`
+	clicks(t, s, "a", "/api/click/class", `{"class":"`+ns+`Laptop"}`)
+	refused(t, s, "a",
+		"/api/click/value", `{"path":[],"value":`+dell+`}`,
+		"/api/click/value", `{"value":`+dell+`}`,
+		"/api/click/value", `{"path":[],"values":[`+dell+`]}`,
+		"/api/click/range", `{"path":[],"op":">","value":`+two+`}`,
+		"/api/click/value", `{"path":[{"p":""}],"value":`+dell+`}`,
+		"/api/click/range", `{"path":[{"p":"`+ns+`hardDrive"},{"p":""}],"op":">","value":`+two+`}`,
+		"/api/click/class", `{"class":""}`)
+}
+
+// TestAnalyticClickRejectsBadSpec: a G click without a path, or a G or Σ
+// click with a derive function HIFUN does not know, would make every later
+// run of the session fail. It is refused, and the session still runs.
+func TestAnalyticClickRejectsBadSpec(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	s := New(g, datagen.ExampleNS)
+	ns := datagen.ExampleNS
+	laptopsBy(t, s, "a", "manufacturer")
+	refused(t, s, "a",
+		"/api/groupby", `{"path":[]}`,
+		"/api/groupby", `{"path":[{"p":"`+ns+`releaseDate"}],"derive":"nosuch"}`,
+		"/api/aggregate", `{"path":[{"p":"`+ns+`price"}],"derive":"nosuch","op":"SUM"}`)
+	if code, _, _, body := doRun(s, "a"); code != http.StatusOK {
+		t.Fatalf("run after the refused clicks = %d %s", code, body)
 	}
 }
 

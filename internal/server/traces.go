@@ -60,7 +60,7 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 		for i, e := range ests {
 			rec.Estimates[i] = obs.OpEstimate{
 				Op: e.Op, Label: e.Label, Est: e.Est, Actual: e.Actual,
-				QError: e.QError, Feedback: e.Feedback,
+				QError: e.QError,
 			}
 		}
 	}

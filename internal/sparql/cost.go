@@ -1,28 +1,17 @@
 package sparql
 
-import (
-	"sort"
-	"strings"
-)
-
 // The planner's cost model. Costs are abstract row-touch counts: one unit
 // per index probe, per build-side row scanned, and per output row produced.
 // They only need to rank plans, not predict wall time. Cardinalities come
-// from three sources, best first:
+// from two sources:
 //
-//  1. feedback — the (input, output) cardinality this scan site observed
-//     the last time the same query fingerprint ran on this graph version
-//     (FeedbackStore.SiteActuals), applied as a per-input-row selectivity:
-//     predicted out = in × observedOut/observedIn. Sites are keyed by
-//     (pattern label, bound-variable context): a scan's selectivity
-//     depends on which join variables arrived bound, so an observation at
-//     one plan position must not seed the same pattern under different
-//     bindings — a context miss falls back to the cold estimate instead
-//     of a confidently wrong number;
-//  2. the graph's own count of the pattern with constants only
+//  1. the graph's own count of the pattern with constants only
 //     (rdf.Graph.MatchCountIDs: two searches in a sorted permutation);
-//  3. the bound-variable reduction heuristic: each pattern variable that
+//  2. the bound-variable reduction heuristic: each pattern variable that
 //     arrives bound divides the graph count by boundVarFactor.
+//
+// Nothing an earlier execution observed enters it, so a plan is a function
+// of the query text and the graph (DESIGN.md §8).
 
 const (
 	// boundVarFactor is the selectivity credit for a join variable: a bound
@@ -40,28 +29,9 @@ const (
 )
 
 // costModel prices pattern joins for one BGP run. It is built per run and
-// read-only while planning, so DP and mid-query replans can share it.
+// read-only while planning.
 type costModel struct {
 	rp *runPlan
-	// labels[i] is the pattern's canonical string (equal to the profiler's
-	// scan label), the first half of the feedback site key.
-	labels []string
-	// fb maps feedback site keys — label + "\x00" + bound-variable context
-	// (see ctxKey) — to observed (input, output) cardinalities (nil when
-	// the query has no feedback). A hit overrides the estimate's per-row
-	// selectivity entirely.
-	fb map[string]SiteActual
-}
-
-// newCostModel prices the patterns of rp. run supplies the pattern labels
-// (rp stores only compiled IDs); fb is the evaluator's per-query feedback
-// snapshot, possibly nil.
-func newCostModel(rp *runPlan, run []*TriplePattern, fb map[string]SiteActual) *costModel {
-	cm := &costModel{rp: rp, fb: fb, labels: make([]string, len(run))}
-	for i, tp := range run {
-		cm.labels[i] = tp.String()
-	}
-	return cm
 }
 
 // stepEstimate is the cost model's prediction for joining one pattern into
@@ -74,11 +44,8 @@ type stepEstimate struct {
 	// strategy is what chooseStrategy picks at the predicted input size.
 	strategy joinStrategy
 	// card is the per-pattern cardinality the scan's profile q-error is
-	// measured against: the feedback actual on a hit, the graph count
-	// otherwise (the pre-feedback convention, so cold q-errors compare).
+	// measured against: the graph count of its constant positions.
 	card int
-	// fbSeeded reports whether feedback supplied the cardinality.
-	fbSeeded bool
 }
 
 // step prices joining pattern i into a partial plan with inRows input rows
@@ -110,69 +77,20 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 	if inRows < 1 {
 		inRows = 1
 	}
-	out := inRows * perRow
-	est := stepEstimate{card: pp.baseEst}
-	if cm.fb != nil {
-		if site, ok := cm.fb[cm.labels[i]+"\x00"+cm.ctxKey(i, boundCols)]; ok {
-			// Feedback: scale the site's observed per-input-row selectivity
-			// to this candidate's input — never reuse the output as an
-			// absolute (a 16-row observation at 1 input row must price as
-			// 32k rows when crossed against 2000).
-			obsIn := float64(site.In)
-			if obsIn < 1 {
-				obsIn = 1
-			}
-			obsOut := float64(site.Out)
-			if obsOut < 0 {
-				obsOut = 0
-			}
-			out = inRows * (obsOut / obsIn)
-			est.card = int(out + 0.5)
-			est.fbSeeded = true
-		}
-	}
-	if out > costCap {
-		out = costCap
-	}
-	est.outRows = out
+	est := stepEstimate{outRows: min(inRows*perRow, costCap), card: pp.baseEst}
 	est.strategy = chooseStrategy(base, inRows, nJoin, false)
 	if est.strategy == strategyHashJoin {
 		// Scan the build side once (constants-only match count), probe each
 		// input row, produce the output.
-		est.cost = base + inRows + out
+		est.cost = base + inRows + est.outRows
 	} else {
 		// One index probe per input row plus the produced rows (an index
 		// probe touches only matching triples, but pays more per call than a
 		// hash probe).
-		est.cost = nlProbeCost*inRows + out
+		est.cost = nlProbeCost*inRows + est.outRows
 	}
-	if est.cost > costCap {
-		est.cost = costCap
-	}
+	est.cost = min(est.cost, costCap)
 	return est
-}
-
-// ctxKey renders pattern i's bound-variable context under boundCols: the
-// sorted names of the pattern's variables that arrive bound, e.g. "[s,o]",
-// or "[]" when none do. It is the second half of a feedback site key —
-// observed actuals only transfer to replans where the same join variables
-// are bound, since a scan's output cardinality is a function of its input
-// bindings, not of the pattern alone. Never empty.
-func (cm *costModel) ctxKey(i int, boundCols uint64) string {
-	pp := &cm.rp.pats[i]
-	var names []string
-	seen := uint64(0)
-	for _, idx := range pp.pos {
-		if idx < 0 || seen&(1<<uint(idx)) != 0 {
-			continue
-		}
-		seen |= 1 << uint(idx)
-		if boundCols&(1<<uint(idx)) != 0 {
-			names = append(names, cm.rp.vars[idx])
-		}
-	}
-	sort.Strings(names)
-	return "[" + strings.Join(names, ",") + "]"
 }
 
 // patternCols returns the bitmask of variable columns pattern i binds.

@@ -16,7 +16,7 @@ import (
 type evaluator struct {
 	g *rdf.Graph
 	// noReorder disables join ordering (ablation #3 in DESIGN.md): patterns
-	// evaluate in textual order, and no run is re-planned mid-query.
+	// evaluate in textual order.
 	noReorder bool
 	// noPushdown disables early filter application: filters evaluate only
 	// after the whole group, as the SPARQL algebra literally states.
@@ -30,16 +30,6 @@ type evaluator struct {
 	cancel *evalCancel
 	// limits are the resolved resource caps for this evaluation.
 	limits Limits
-	// fbSites is the per-query feedback snapshot: scan site key (label +
-	// bound-variable context) → observed (input, output) cardinality for
-	// this query's fingerprint, taken once at construction so planning and
-	// mid-query replans never lock the store. Nil when no store or no
-	// fingerprint was passed, or the fingerprint has no valid entries.
-	fbSites map[string]SiteActual
-	// replanFactor is the mid-query re-planning trigger: a scan whose actual
-	// output exceeds its estimate by this factor re-optimizes the remaining
-	// patterns of its run. 0 disables adaptive re-planning.
-	replanFactor float64
 	// sc is the scope whose slots the rows being evaluated are laid out by:
 	// set by selectRows for the SELECT in progress (a subquery installs its
 	// own and restores the outer one) and by evalWhere for bare patterns.
@@ -49,8 +39,8 @@ type evaluator struct {
 	dict *termDict
 	// inBody is set while an OPTIONAL body runs (evalOptional). No decision
 	// in a body reads the batch's size or one of its rows, so each input row
-	// gets what it would alone: runs are planned for one row (planBGP) and
-	// not re-planned, nested groups start from their parent's credit, and a
+	// gets what it would alone: runs are planned for one row (planBGP),
+	// nested groups start from their parent's credit, and a
 	// join on the predicate alone keeps the index loop's order (evalPattern).
 	inBody   bool
 	optional func(ev *evaluator, opt *GroupPattern, input *batch) *batch // evalOptional, or a test's reference
@@ -94,49 +84,32 @@ type Options struct {
 	// zero value means "no row budget, default path caps". Violations
 	// return a *BudgetError matching ErrBudgetExceeded.
 	Limits
-	// Feedback, when non-nil, closes the q-error loop: scans of a query
-	// whose FingerprintID ran before (on the current graph version) are
-	// costed with their observed actual cardinalities, and — when Profile
-	// is also set — the finished query's actuals are folded back into the
-	// store for the next replan of the same fingerprint.
+	// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
 	Feedback *FeedbackStore
-	// FingerprintID keys feedback lookups and observations; use
-	// FingerprintID(Fingerprint(q)). Feedback is inert without it.
+	// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
 	FingerprintID string
-	// ReplanQError is the adaptive re-planning trigger: when a scan's
-	// actual cardinality exceeds its estimate by this factor and at least
-	// two patterns of the run remain, the rest of the run is re-optimized
-	// with the observed row count. 0 means the default (8); negative
-	// disables mid-query re-planning, as does NoReorder.
-	ReplanQError float64
 }
+
+// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
+type FeedbackStore struct{}
+
+// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
+func NewFeedbackStore() *FeedbackStore { return &FeedbackStore{} }
 
 func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	replan := opts.ReplanQError
-	switch {
-	case replan < 0 || opts.NoReorder:
-		replan = 0
-	case replan == 0:
-		replan = defaultReplanQError
+	return &evaluator{
+		g:          g,
+		noReorder:  opts.NoReorder,
+		noPushdown: opts.NoPushdown,
+		prof:       opts.Profile.Root(),
+		cancel:     &evalCancel{ctx: ctx},
+		limits:     opts.Limits,
+		dict:       &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
+		optional:   (*evaluator).evalOptional,
 	}
-	ev := &evaluator{
-		g:            g,
-		noReorder:    opts.NoReorder,
-		noPushdown:   opts.NoPushdown,
-		prof:         opts.Profile.Root(),
-		cancel:       &evalCancel{ctx: ctx},
-		limits:       opts.Limits,
-		replanFactor: replan,
-		dict:         &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
-		optional:     (*evaluator).evalOptional,
-	}
-	if g != nil {
-		ev.fbSites = opts.Feedback.SiteActuals(opts.FingerprintID, g.Version())
-	}
-	return ev
 }
 
 // ExecSelectOpts executes a parsed SELECT query with explicit options.
@@ -153,28 +126,22 @@ func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*
 	start := time.Now()
 	res, err := newEvaluator(ctx, g, opts).execSelect(q)
 	if err != nil {
-		return nil, finish(g, opts, start, 0, err)
+		return nil, finish(opts, start, 0, err)
 	}
-	return res, finish(g, opts, start, len(res.Rows), nil)
+	return res, finish(opts, start, len(res.Rows), nil)
 }
 
 // finish is the epilogue of every Exec*Ctx entry point, for an execution
 // that started at start and produced rows: the execution histogram; for a
-// profiled one, the root's record, its link to the trace, the operator
-// metrics and — on success — the feedback store's observation; and for an
-// abort, its count and the annotation on the trace root. It returns err.
-func finish(g *rdf.Graph, opts Options, start time.Time, rows int, err error) error {
+// profiled one, the root's record, its link to the trace and the operator
+// metrics; and for an abort, its count and the annotation on the trace root.
+// It returns err.
+func finish(opts Options, start time.Time, rows int, err error) error {
 	observeSince(execSeconds, start)
 	if p := opts.Profile; p != nil {
 		p.SetTraceID(opts.Trace.ID())
 		p.root.record(time.Since(start), 1, rows)
 		p.emitMetrics()
-		if err == nil && opts.Feedback != nil && opts.FingerprintID != "" {
-			// Close the loop: fold this run's per-scan actuals into the
-			// feedback store so the next replan of the same fingerprint
-			// plans with true cardinalities.
-			opts.Feedback.Observe(opts.FingerprintID, g.Version(), p.Estimates())
-		}
 	}
 	if err != nil {
 		observeAbort(opts.Trace.Root(), err)
@@ -216,9 +183,9 @@ func ExecAskCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (bool
 	start := time.Now()
 	rows, err := newEvaluator(ctx, g, opts).evalWhere(q.Where)
 	if err != nil {
-		return false, finish(g, opts, start, 0, err)
+		return false, finish(opts, start, 0, err)
 	}
-	return rows.n() > 0, finish(g, opts, start, rows.n(), nil)
+	return rows.n() > 0, finish(opts, start, rows.n(), nil)
 }
 
 // Construct parses and executes a CONSTRUCT query, returning the built graph.
@@ -236,13 +203,13 @@ func ExecConstructCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options)
 	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
-		return nil, finish(g, opts, start, 0, err)
+		return nil, finish(opts, start, 0, err)
 	}
 	out := rdf.NewGraph()
 	for _, t := range ev.instantiate(q.Template, rows) {
 		out.Add(t)
 	}
-	return out, finish(g, opts, start, out.Len(), nil)
+	return out, finish(opts, start, out.Len(), nil)
 }
 
 // Describe parses and executes a DESCRIBE query: the result graph holds
@@ -262,7 +229,7 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 	ev := newEvaluator(ctx, g, opts)
 	rows, err := ev.evalWhere(q.Where)
 	if err != nil {
-		return nil, finish(g, opts, start, 0, err)
+		return nil, finish(opts, start, 0, err)
 	}
 	resources := map[rdf.Term]struct{}{}
 	for _, n := range q.Describe {
@@ -289,10 +256,10 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 			return true
 		})
 		if err != nil {
-			return nil, finish(g, opts, start, 0, err)
+			return nil, finish(opts, start, 0, err)
 		}
 	}
-	return out, finish(g, opts, start, out.Len(), nil)
+	return out, finish(opts, start, out.Len(), nil)
 }
 
 // evalWhere evaluates a bare group pattern — the WHERE of ASK, CONSTRUCT,

@@ -125,21 +125,13 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 				rows = 0
 				continue
 			}
-			plan, _ := ev.planBGP(rp, run, colsFromVars(rp, preEst), rows)
+			plan := ev.planBGP(rp, colsFromVars(rp, preEst), rows)
 			attachFilters(plan, run, takeReady(pending, bound), preSure)
-			seeded := ""
-			if plan.fbSeeded() {
-				seeded = ", feedback-seeded"
-			}
-			fmt.Fprintf(sb, "%s%d. bgp %d pattern(s)  (order=%s, cost=%d%s)\n",
-				indent, step, len(run), plan.order(), int(plan.cost), seeded)
+			fmt.Fprintf(sb, "%s%d. bgp %d pattern(s)  (order=%s, cost=%d)\n",
+				indent, step, len(run), plan.order(), int(plan.cost))
 			for _, st := range plan.steps {
-				fb := ""
-				if st.fbSeeded {
-					fb = ", feedback"
-				}
-				fmt.Fprintf(sb, "%s   - scan %s  (est. %d, %s%s)\n",
-					indent, run[st.pat], st.card, st.strategy, fb)
+				fmt.Fprintf(sb, "%s   - scan %s  (est. %d, %s)\n",
+					indent, run[st.pat], st.card, st.strategy)
 				for _, f := range st.filters {
 					fmt.Fprintf(sb, "%s     · filter %s  (in-run)\n", indent, f.expr)
 				}

@@ -137,13 +137,9 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	if !rp.ok {
 		return &batch{width: rows.width}
 	}
-	boundCols := colsFromVars(rp, estBound)
-	plan, cm := ev.planBGP(rp, run, boundCols, rows.n())
+	plan := ev.planBGP(rp, colsFromVars(rp, estBound), rows.n())
 	attachFilters(plan, run, filters, sureOutside)
-	// sureRun accumulates the surely-bound variables as steps execute, for
-	// re-placing pushed-down filters when the tail is re-planned.
-	sureRun := cloneVarSet(sureOutside)
-	for si := 0; si < len(plan.steps); si++ {
+	for si := range plan.steps {
 		if rows.n() == 0 || ev.cancel.poll() {
 			break
 		}
@@ -164,28 +160,12 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 		if fold != nil {
 			break
 		}
-		scanOut := rows.n()
 		for _, f := range step.filters {
 			if rows.n() == 0 {
 				break
 			}
 			rows = ev.applyFilter(f.expr, rows, true)
 		}
-		boundCols |= cm.patternCols(step.pat)
-		for _, v := range run[step.pat].Vars() {
-			sureRun[v] = true
-		}
-		// Adaptive re-planning: when the scan blew past its estimate by the
-		// q-error factor and at least two patterns remain, re-order the tail
-		// with the observed cardinality.
-		if ev.replanFactor > 0 && !ev.inBody && len(plan.steps)-si-1 >= 2 &&
-			scanOut >= replanMinRows &&
-			float64(scanOut) > step.outRows*ev.replanFactor {
-			replanTail(plan, cm, run, si, rows.n(), boundCols, sureRun)
-		}
-	}
-	if plan.replans > 0 {
-		ev.prof.addReplans(plan.replans)
 	}
 	if ev.cancel.aborted() {
 		return &batch{width: rows.width}
@@ -235,8 +215,7 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // the source pattern, used only to label the profile's scan node. The join
 // type is decided here, from the live row count — the plan only predicted
 // one from its estimate. step.card is the estimate the profile's q-error
-// measures against — the feedback actual on a seeded scan, the graph count
-// otherwise. A fold takes the rows instead.
+// measures against, the graph count. A fold takes the rows instead.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep, fold *groupFold) *batch {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
@@ -272,16 +251,11 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
 	}
 	psc, psct := ev.profEnter("scan", ev.profLabel(tp))
-	// The scan's estimate is what the planner priced it with: the
-	// graph count for the pattern's constant positions, or
-	// the feedback-observed actual on a seeded scan — so q-error measures
-	// the planner's own input either way.
+	// The scan's estimate is what the planner priced it with, the graph
+	// count for the pattern's constant positions, so q-error measures the
+	// planner's own input.
 	ev.prof.addEst(step.card)
 	ev.prof.setStrategy(strategy.String(), fold != nil)
-	ev.prof.setFbCtx(step.fbCtx)
-	if step.fbSeeded {
-		ev.prof.setFeedback()
-	}
 	// Each pattern opens a fresh row-budget window: the budget caps the
 	// size of any one intermediate row set, counted while this join produces.
 	ev.cancel.resetRows()

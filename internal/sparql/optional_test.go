@@ -256,34 +256,3 @@ func TestOptionalSlotInEveryScope(t *testing.T) {
 		t.Error("OrderComparator: a binding does not compare equal to itself")
 	}
 }
-
-// TestOptionalBodyNeverReplans: a body's scan that blows past its estimate
-// does not re-plan the rest of its run, since the count it would re-plan on
-// is the batch's, not one input row's. The same run outside an OPTIONAL does
-// re-plan, so the trigger holds.
-func TestOptionalBodyNeverReplans(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("@prefix e: <http://e/> .\ne:s1 e:p e:o0 .\n")
-	for i := 0; i < 1000; i++ {
-		fmt.Fprintf(&sb, "e:s0 e:p e:o%d . e:o%d e:q e:x%d . e:x%d e:r %d .\n", i, i, i%10, i%10, i)
-	}
-	g := rdf.MustLoadTurtle(sb.String())
-	replans := func(src string) int {
-		prof := NewProfile("test")
-		if _, err := ExecSelectOpts(g, MustParse("PREFIX e: <http://e/> "+src), Options{Profile: prof}); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, b := range findProfNodes(prof, "bgp") {
-			n += b.Replans
-		}
-		return n
-	}
-	run := `?s e:p ?o . ?o e:q ?x . ?x e:r ?y`
-	if n := replans(`SELECT * WHERE { VALUES ?s { e:s0 } ` + run + ` }`); n == 0 {
-		t.Fatal("the run does not re-plan outside an OPTIONAL: the case no longer trips the trigger")
-	}
-	if n := replans(`SELECT * WHERE { VALUES ?s { e:s0 } OPTIONAL { ` + run + ` } }`); n != 0 {
-		t.Errorf("the OPTIONAL body re-planned %d times", n)
-	}
-}

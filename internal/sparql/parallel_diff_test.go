@@ -149,8 +149,8 @@ func TestParallelDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestReorderInvariance: without a feedback store, planning is a function of
-// the query and the graph alone — running queries must not change the order
+// TestReorderInvariance: planning is a function of the query and the graph
+// alone — running queries must not change the order
 // planBGP picks, its cost, or the estimates it was priced with.
 func TestReorderInvariance(t *testing.T) {
 	g := chainGraph(300)
@@ -163,7 +163,7 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . ?s ex:tag ex:hot 
 	plan := func() string {
 		ev := newEvaluator(context.Background(), g, Options{})
 		ev.sc = selectScope(q)
-		p, _ := ev.planBGP(ev.planRun(run), run, 0, 1)
+		p := ev.planBGP(ev.planRun(run), 0, 1)
 		out := fmt.Sprintf("order=%s cost=%v", p.order(), p.cost)
 		for _, st := range p.steps {
 			out += fmt.Sprintf(" %d", st.card)

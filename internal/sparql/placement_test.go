@@ -114,8 +114,8 @@ func TestExplainOrderIsTextual(t *testing.T) {
 	}
 }
 
-// TestColdPlanJoinType: with no feedback the plan's input estimates for the
-// price and releaseDate steps are far above the rows that arrive (q-error
+// TestColdPlanJoinType: the plan's input estimates for the price and
+// releaseDate steps are far above the rows that arrive (q-error
 // ≈ 40 at 198k triples), and a join type fixed at plan time built a hash
 // table over every laptop to probe a few dozen rows. Decided from the live
 // count, no build side exceeds hashBuildFactor × its input.

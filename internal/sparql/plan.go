@@ -8,31 +8,20 @@ import (
 
 // Cost-based BGP planning. A run of triple patterns is compiled to an
 // explicit plan: an ordered sequence of scan steps, each carrying the
-// cardinality estimate it was costed with, whether feedback supplied the
-// estimate, and the filters pushed inside the run. The plan fixes the join
-// order only; the join type of a step is decided when it executes, from the
-// live row count (chooseStrategy in join.go), and the cost model prices a
-// step with that same rule on its estimated input. Join-order search is
+// cardinality estimate it was costed with and the filters pushed inside the
+// run. The plan fixes the join order only; the join type of a step is
+// decided when it executes, from the live row count (chooseStrategy in
+// join.go), and the cost model prices a step with that same rule on its
+// estimated input. Join-order search is
 // exact dynamic programming over pattern subsets for runs of up to
 // dpMaxPatterns, and greedy with one-step lookahead beyond; both read the
-// costModel in cost.go.
-//
-// The plan is adaptive: when a scan's actual cardinality exceeds its
-// estimate by the configured q-error factor mid-run, the remaining steps
-// are re-optimized with the observed row count (see runTriples in join.go).
+// costModel in cost.go. A run is planned once, before its first step, and
+// executes in that order.
 
-const (
-	// dpMaxPatterns is the largest run planned by exhaustive subset DP
-	// (2^10 × 10 transitions ≈ 10k cost evaluations, microseconds); longer
-	// runs use greedy ordering with one-step lookahead.
-	dpMaxPatterns = 10
-	// replanMinRows keeps mid-query re-planning away from tiny
-	// intermediates where any order finishes instantly.
-	replanMinRows = 64
-	// defaultReplanQError is the q-error factor that triggers mid-query
-	// re-planning when Options.ReplanQError is zero.
-	defaultReplanQError = 8.0
-)
+// dpMaxPatterns is the largest run planned by exhaustive subset DP (2^10 ×
+// 10 transitions ≈ 10k cost evaluations, microseconds); longer runs use
+// greedy ordering with one-step lookahead.
+const dpMaxPatterns = 10
 
 // planStep is one scan of a BGP plan.
 type planStep struct {
@@ -40,15 +29,10 @@ type planStep struct {
 	// position within the run.
 	pat int
 	// stepEstimate is what the cost model predicted for the step at this
-	// position. outRows is the reference mid-query re-planning compares the
-	// actual row count against, card the estimate the profile's q-error
-	// measures, and strategy the join type EXPLAIN predicts — execution
-	// decides the join type again, from the live row count.
+	// position: card is the estimate the profile's q-error measures, and
+	// strategy the join type EXPLAIN predicts — execution decides the join
+	// type again, from the live row count.
 	stepEstimate
-	// fbCtx is the step's bound-variable context (costModel.ctxKey) — the
-	// feedback site key half recorded into the profile so Observe can store
-	// the scan's actual under the context it actually ran in.
-	fbCtx string
 	// filters are pushed-down filters applied right after this step,
 	// inside the run's ID space.
 	filters []*runFilter
@@ -58,18 +42,6 @@ type planStep struct {
 type bgpPlan struct {
 	steps []planStep
 	cost  float64
-	// replans counts mid-query re-optimizations of this run.
-	replans int
-}
-
-// fbSeeded reports whether any step's estimate came from feedback.
-func (p *bgpPlan) fbSeeded() bool {
-	for _, s := range p.steps {
-		if s.fbSeeded {
-			return true
-		}
-	}
-	return false
 }
 
 // order renders the plan's pattern order as "3→1→2" — 1-based textual
@@ -95,11 +67,10 @@ type runFilter struct {
 // planBGP builds the plan for a run: join-order search over the cost model
 // (the identity order under NoReorder), with estimation-only bound columns
 // (variables flowing in from VALUES/BIND/earlier elements) seeding the
-// selectivity math. Feedback is on exactly when the evaluator holds a
-// snapshot of the query's observed scan sites. A run in an OPTIONAL body is
-// ordered for one input row (evaluator.inBody) and estimated for the batch.
-func (ev *evaluator) planBGP(rp *runPlan, run []*TriplePattern, boundCols uint64, inRows int) (*bgpPlan, *costModel) {
-	cm := newCostModel(rp, run, ev.fbSites)
+// selectivity math. A run in an OPTIONAL body is ordered for one input row
+// (evaluator.inBody) and estimated for the batch.
+func (ev *evaluator) planBGP(rp *runPlan, boundCols uint64, inRows int) *bgpPlan {
+	cm := &costModel{rp: rp}
 	order := make([]int, len(rp.pats))
 	for i := range order {
 		order[i] = i
@@ -112,7 +83,7 @@ func (ev *evaluator) planBGP(rp *runPlan, run []*TriplePattern, boundCols uint64
 	}
 	plan := &bgpPlan{}
 	plan.steps, plan.cost = buildSteps(cm, order, boundCols, float64(inRows))
-	return plan, cm
+	return plan
 }
 
 // planOrder searches for the cheapest execution order of the given pattern
@@ -232,15 +203,14 @@ func greedyLookahead(cm *costModel, pats []int, boundCols uint64, inRows float64
 }
 
 // buildSteps walks an order through the cost model, filling per-step
-// estimates, predicted strategies and feedback provenance, and returns the
-// order's total cost.
+// estimates and predicted strategies, and returns the order's total cost.
 func buildSteps(cm *costModel, order []int, boundCols uint64, inRows float64) ([]planStep, float64) {
 	steps := make([]planStep, len(order))
 	rows, cost := inRows, 0.0
 	bc := boundCols
 	for i, p := range order {
 		se := cm.step(p, rows, bc)
-		steps[i] = planStep{pat: p, stepEstimate: se, fbCtx: cm.ctxKey(p, bc)}
+		steps[i] = planStep{pat: p, stepEstimate: se}
 		cost = min(cost+se.cost, costCap)
 		rows = se.outRows
 		bc |= cm.patternCols(p)
@@ -281,30 +251,6 @@ func attachFilters(plan *bgpPlan, run []*TriplePattern, filters []*runFilter, su
 			plan.steps[last].filters = append(plan.steps[last].filters, f)
 		}
 	}
-}
-
-// replanTail re-optimizes the remaining steps of a running plan after the
-// step at index done produced liveRows rows (its estimate blown past the
-// re-planning threshold). Pushed-down filters attached to the tail are
-// re-placed on the new order. boundCols/sureBound describe the variables
-// bound by the executed prefix plus the run's inputs.
-func replanTail(plan *bgpPlan, cm *costModel, run []*TriplePattern, done int, liveRows int, boundCols uint64, sureBound map[string]bool) {
-	tail := plan.steps[done+1:]
-	if len(tail) < 2 {
-		return
-	}
-	pats := make([]int, len(tail))
-	var filters []*runFilter
-	for i, s := range tail {
-		pats[i] = s.pat
-		filters = append(filters, s.filters...)
-	}
-	order := planOrder(cm, pats, boundCols, float64(liveRows))
-	sub := &bgpPlan{}
-	sub.steps, _ = buildSteps(cm, order, boundCols, float64(liveRows))
-	attachFilters(sub, run, filters, sureBound)
-	copy(tail, sub.steps)
-	plan.replans++
 }
 
 // colsFromVars maps a set of variable names to a bitmask over the run

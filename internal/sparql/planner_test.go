@@ -19,7 +19,6 @@ func plannerOptionSets() map[string]Options {
 		"no-reorder": {NoReorder: true},
 		"dp":         {},
 		"dp-nopush":  {NoPushdown: true},
-		"dp-replan":  {ReplanQError: 1e-9},
 	}
 }
 
@@ -165,59 +164,6 @@ SELECT ?i WHERE {
 	}
 	if !strings.Contains(plan, "(order=2→1, cost=") || strings.Contains(plan, "planner=") {
 		t.Errorf("plan header does not read (order=2→1, cost=…):\n%s", plan)
-	}
-}
-
-// replanGraph builds n subjects each carrying a 3-step property chain, so
-// every pattern of a 3-pattern chain query matches n triples.
-func replanGraph(n int) *rdf.Graph {
-	g := rdf.NewGraph()
-	for i := 0; i < n; i++ {
-		s := rdf.NewIRI(fmt.Sprintf("http://e/s%d", i))
-		v := rdf.NewIRI(fmt.Sprintf("http://e/v%d", i))
-		w := rdf.NewIRI(fmt.Sprintf("http://e/w%d", i))
-		g.Add(rdf.Triple{S: s, P: rdf.NewIRI("http://e/p0"), O: v})
-		g.Add(rdf.Triple{S: v, P: rdf.NewIRI("http://e/p1"), O: w})
-		g.Add(rdf.Triple{S: w, P: rdf.NewIRI("http://e/p2"), O: rdf.NewInteger(int64(i))})
-	}
-	return g
-}
-
-const replanQuery = `SELECT ?a ?d WHERE {
-  ?a <http://e/p0> ?b .
-  ?b <http://e/p1> ?c .
-  ?c <http://e/p2> ?d .
-}`
-
-// TestReplanTriggers: with an absurdly low q-error threshold every scan that
-// produces >= replanMinRows rows re-plans the remaining patterns; the run
-// must still return correct results and the profile must record the replans.
-func TestReplanTriggers(t *testing.T) {
-	g := replanGraph(100)
-	q := MustParse(replanQuery)
-	prof := NewProfile("query")
-	res, err := ExecSelectOpts(g, q, Options{ReplanQError: 1e-9, Profile: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 100 {
-		t.Fatalf("rows = %d, want 100", res.Len())
-	}
-	if !strings.Contains(prof.Tree(), "replans=") {
-		t.Fatalf("profile records no replans:\n%s", prof.Tree())
-	}
-}
-
-// TestReplanDisabled: a negative ReplanQError switches adaptivity off.
-func TestReplanDisabled(t *testing.T) {
-	g := replanGraph(100)
-	q := MustParse(replanQuery)
-	prof := NewProfile("query")
-	if _, err := ExecSelectOpts(g, q, Options{ReplanQError: -1, Profile: prof}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(prof.Tree(), "replans=") {
-		t.Fatalf("replanning ran despite being disabled:\n%s", prof.Tree())
 	}
 }
 

@@ -97,15 +97,6 @@ type ProfNode struct {
 	Strategy string
 	// Fold marks the scan whose rows went straight to the group fold.
 	Fold bool
-	// FbSeeded marks a scan whose cardinality estimate came from the
-	// planner's execution-feedback store rather than the cold graph count.
-	FbSeeded bool
-	// FbCtx is the scan's bound-variable context under the executed plan —
-	// the feedback store keys observed actuals by (label, context) so an
-	// actual never seeds the same pattern at a different join position.
-	FbCtx string
-	// Replans counts mid-query re-optimizations under a BGP node.
-	Replans int
 	// Dur totals wall time across calls.
 	Dur time.Duration
 	// TraceID links the profile to the obs trace of the execution that
@@ -161,27 +152,6 @@ func (n *ProfNode) addEst(est int) {
 func (n *ProfNode) setStrategy(s string, fold bool) {
 	if n != nil {
 		n.Strategy, n.Fold = s, fold
-	}
-}
-
-// setFeedback marks the scan's estimate as feedback-seeded.
-func (n *ProfNode) setFeedback() {
-	if n != nil {
-		n.FbSeeded = true
-	}
-}
-
-// setFbCtx records the scan's bound-variable context (last call wins).
-func (n *ProfNode) setFbCtx(ctx string) {
-	if n != nil && ctx != "" {
-		n.FbCtx = ctx
-	}
-}
-
-// addReplans accumulates mid-query re-optimizations of a BGP run.
-func (n *ProfNode) addReplans(k int) {
-	if n != nil {
-		n.Replans += k
 	}
 }
 
@@ -258,12 +228,6 @@ func (n *ProfNode) writeTree(sb *strings.Builder, depth int) {
 	if n.EstRows >= 0 {
 		fmt.Fprintf(sb, " est=%d act=%d q-err=%.2f", n.EstRows, n.RowsOut, n.QError())
 	}
-	if n.FbSeeded {
-		sb.WriteString(" [feedback]")
-	}
-	if n.Replans > 0 {
-		fmt.Fprintf(sb, " replans=%d", n.Replans)
-	}
 	if n.Strategy != "" {
 		fmt.Fprintf(sb, " [%s]", n.Strategy)
 	}
@@ -317,8 +281,6 @@ type ProfNodeJSON struct {
 	QError     float64        `json:"q_error,omitempty"`
 	Strategy   string         `json:"strategy,omitempty"`
 	Fold       bool           `json:"fold,omitempty"`
-	FbSeeded   bool           `json:"feedback_seeded,omitempty"`
-	Replans    int            `json:"replans,omitempty"`
 	DurationMS float64        `json:"duration_ms"`
 	Children   []ProfNodeJSON `json:"children,omitempty"`
 }
@@ -343,8 +305,6 @@ func (n *ProfNode) export() ProfNodeJSON {
 		RowsOut:    n.RowsOut,
 		Strategy:   n.Strategy,
 		Fold:       n.Fold,
-		FbSeeded:   n.FbSeeded,
-		Replans:    n.Replans,
 		DurationMS: float64(n.Dur.Microseconds()) / 1000,
 	}
 	if n.EstRows >= 0 {
@@ -371,15 +331,6 @@ type EstimateStat struct {
 	Est    int64   `json:"est"`
 	Actual int64   `json:"actual"`
 	QError float64 `json:"q_error"`
-	// Feedback marks an estimate seeded from the planner's feedback store.
-	Feedback bool `json:"feedback,omitempty"`
-	// Ctx is the scan's bound-variable context, the second half of its
-	// feedback site key (empty on operators that are not scans).
-	Ctx string `json:"ctx,omitempty"`
-	// ActualIn is the input binding count the operator consumed — with
-	// Actual it gives the feedback store the site's observed per-input-row
-	// selectivity.
-	ActualIn int64 `json:"actual_in,omitempty"`
 }
 
 // Estimates collects every estimate-carrying operator of the profile,
@@ -398,8 +349,7 @@ func (n *ProfNode) collectEstimates(acc *[]EstimateStat) {
 	if n.EstRows >= 0 {
 		*acc = append(*acc, EstimateStat{
 			Op: n.Op, Label: n.Label, Est: n.EstRows, Actual: n.RowsOut,
-			QError: n.QError(), Feedback: n.FbSeeded, Ctx: n.FbCtx,
-			ActualIn: n.RowsIn,
+			QError: n.QError(),
 		})
 	}
 	for _, c := range n.children {

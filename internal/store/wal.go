@@ -14,7 +14,7 @@
 //     at any point loses nothing that was acknowledged (synced).
 //
 // Epochs are rdf.Graph version counters: the same token that invalidates
-// the cardinality, feedback, and answer caches is the snapshot epoch here.
+// the answer cache is the snapshot epoch here.
 package store
 
 import (
