@@ -100,7 +100,7 @@ race:
 # (E1–E7, E10, E11 of EXPERIMENTS.md; ≈7 s at full scale). It records
 # nothing: E11's SVG/JSON artifacts go to a fresh temp directory it names.
 paper:
-	$(GO) run ./cmd/papertables -all
+	$(GO) run ./cmd/rdfa-cli paper
 
 # bench runs the in-process micro-benchmarks, each next to the code it
 # measures: rdf's match micro-benches and the engine's BenchmarkJoinStep — one query of each

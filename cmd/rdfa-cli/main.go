@@ -1,10 +1,16 @@
-// Command rdfa-cli is a terminal client for the faceted-analytics
-// interaction model: the GUI of Fig 5.1/6.2 rendered as text, driven by
-// commands instead of clicks.
+// Command rdfa-cli is the terminal side of RDF-Analytics. With no
+// subcommand it is a client for the faceted-analytics interaction model:
+// the GUI of Fig 5.1/6.2 rendered as text, driven by commands instead of
+// clicks. Its subcommands are the reproduction's command-line tools.
 //
 // Usage:
 //
-//	rdfa-cli -data products-small
+//	rdfa-cli -data products-small                  the REPL
+//	rdfa-cli sparql -data products-small '<query>' evaluate SPARQL
+//	rdfa-cli hifun -data invoices-small -run '(takesPlaceAt, inQuantity, SUM)'
+//	rdfa-cli void -data products -scale 1000       VoID statistics as Turtle
+//	rdfa-cli gen -data products -format nt         emit a dataset
+//	rdfa-cli paper [-quick] [E1 E5 …]              the paper's tables and figures
 //
 // Commands (inside the REPL):
 //
@@ -31,9 +37,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -44,51 +51,124 @@ import (
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
-	"rdfanalytics/internal/sparql"
 	"rdfanalytics/internal/viz"
 )
 
+// A command registers its flags on fs and returns what runs once they are
+// parsed.
+type command func(fs *flag.FlagSet) func(in io.Reader, out, errOut io.Writer) error
+
+var subcommands = map[string]command{
+	"sparql": sparqlCommand,
+	"hifun":  hifunCommand,
+	"void":   voidCommand,
+	"gen":    genCommand,
+	"paper":  paperCommand,
+}
+
+const usage = `usage:
+  rdfa-cli [flags]                 the faceted-analytics REPL
+  rdfa-cli sparql [flags] <query>  evaluate SPARQL against a dataset
+  rdfa-cli hifun [flags] <query>   translate (and with -run execute) a HIFUN query
+  rdfa-cli void [flags]            profile a dataset as VoID RDF
+  rdfa-cli gen [flags]             emit a dataset as Turtle, N-Triples or a binary snapshot
+  rdfa-cli paper [flags] [E…]      print the paper's tables and figures (all without arguments)
+Run 'rdfa-cli <subcommand> -h' for a subcommand's flags.
+`
+
 func main() {
-	data := flag.String("data", "products-small", "dataset spec (see datagen.Load)")
-	scale := flag.Int("scale", 0, "dataset scale")
-	restore := flag.String("restore", "", "restore a session snapshot (JSON file) over the dataset")
-	flag.BoolVar(&traceRuns, "trace", false, "print the per-phase timing tree after every run")
-	version := flag.Bool("version", false, "print build version and exit")
-	flag.Parse()
-	if *version {
-		fmt.Printf("rdfa-cli %s (%s)\n", obs.Version(), runtime.Version())
-		return
-	}
-	g, ns, err := datagen.Load(*data, *scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var sess *core.Session
-	if *restore != "" {
-		snap, err := os.ReadFile(*restore)
-		if err != nil {
-			log.Fatal(err)
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run dispatches args to the REPL or a subcommand and returns the exit
+// status: 2 for a usage error, 1 for a failed command.
+func run(args []string, in io.Reader, out, errOut io.Writer) int {
+	name, cmd := "rdfa-cli", command(replCommand)
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		if cmd = subcommands[args[0]]; cmd == nil {
+			fmt.Fprintf(errOut, "rdfa-cli: unknown subcommand %q\n%s", args[0], usage)
+			return 2
 		}
-		sess, err = core.RestoreSession(g, snap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("restored session from %s (level %d, %d objects)\n",
-			*restore, sess.Depth(), sess.State().Ext.Len())
-	} else {
-		sess = core.NewSession(g, ns)
+		name, args = "rdfa-cli "+args[0], args[1:]
 	}
-	st := g.Stats()
-	fmt.Printf("rdfa-cli: %q loaded (%d triples). Type 'show' to see the state, 'quit' to exit.\n",
-		*data, st.Triples)
-	repl(sess, ns, os.Stdin, os.Stdout)
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.Usage = func() {
+		fmt.Fprint(errOut, usage)
+		fmt.Fprintf(errOut, "flags of %s:\n", name)
+		fs.PrintDefaults()
+	}
+	exec := cmd(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := exec(in, out, errOut); err != nil {
+		fmt.Fprintf(errOut, "%s: %v\n", name, err)
+		return 1
+	}
+	return 0
+}
+
+// source is the dataset a command works on, as -data and -scale name it.
+type source struct {
+	data  string
+	scale int
+}
+
+// dataset registers -data (defaulting to def) and -scale on fs: the one
+// place a command declares them.
+func dataset(fs *flag.FlagSet, def string) *source {
+	src := &source{}
+	fs.StringVar(&src.data, "data", def, "dataset: products[-small], invoices[-small], stats, or a .ttl/.nt file")
+	fs.IntVar(&src.scale, "scale", 0, "dataset scale for generated datasets (0 = default)")
+	return src
+}
+
+func (s *source) load() (*rdf.Graph, string, error) { return datagen.Load(s.data, s.scale) }
+
+func replCommand(fs *flag.FlagSet) func(io.Reader, io.Writer, io.Writer) error {
+	src := dataset(fs, "products-small")
+	restore := fs.String("restore", "", "restore a session snapshot (JSON file) over the dataset")
+	fs.BoolVar(&traceRuns, "trace", false, "print the per-phase timing tree after every run")
+	version := fs.Bool("version", false, "print build version and exit")
+	return func(in io.Reader, out, _ io.Writer) error {
+		if *version {
+			fmt.Fprintf(out, "rdfa-cli %s (%s)\n", obs.Version(), runtime.Version())
+			return nil
+		}
+		g, ns, err := src.load()
+		if err != nil {
+			return err
+		}
+		var sess *core.Session
+		if *restore != "" {
+			snap, err := os.ReadFile(*restore)
+			if err != nil {
+				return err
+			}
+			if sess, err = core.RestoreSession(g, snap); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "restored session from %s (level %d, %d objects)\n",
+				*restore, sess.Depth(), sess.State().Ext.Len())
+		} else {
+			sess = core.NewSession(g, ns)
+		}
+		fmt.Fprintf(out, "rdfa-cli: %q loaded (%d triples). Type 'show' to see the state, 'quit' to exit.\n",
+			src.data, g.Stats().Triples)
+		repl(sess, ns, in, out)
+		return nil
+	}
 }
 
 // traceRuns makes `run` print its timing tree (also available on demand
 // via the `trace` command).
 var traceRuns bool
 
-func repl(sess *core.Session, ns string, in *os.File, out *os.File) {
+func repl(sess *core.Session, ns string, in io.Reader, out io.Writer) {
 	scanner := bufio.NewScanner(in)
 	for {
 		fmt.Fprint(out, "> ")
@@ -108,7 +188,7 @@ func repl(sess *core.Session, ns string, in *os.File, out *os.File) {
 	}
 }
 
-func execute(sess *core.Session, ns string, line string, out *os.File) error {
+func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 	ns = sess.NS() // nested levels resolve names in the answer namespace
 	fields := strings.Fields(line)
 	cmd, args := fields[0], fields[1:]
@@ -130,6 +210,9 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 	case "range":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: range <path> <op> <value>")
+		}
+		if !facet.ValidRangeOp(args[1]) {
+			return fmt.Errorf("unknown range operator %q", args[1])
 		}
 		sess.ClickRange(parsePath(ns, args[0]), args[1], parseValue(ns, args[2]))
 		fmt.Fprintf(out, "%d objects\n", sess.State().Ext.Len())
@@ -158,6 +241,9 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 		if len(args) > 1 {
 			spec.Derive = strings.ToUpper(args[1])
 		}
+		if err := spec.Check(); err != nil {
+			return err
+		}
 		sess.ClickGroupBy(spec)
 		fmt.Fprintf(out, "group-by: %v\n", sess.Analytics().GroupBy)
 	case "agg":
@@ -170,6 +256,9 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 		}
 		if !hifun.ValidOp(args[1]) {
 			return fmt.Errorf("unknown aggregate %q", args[1])
+		}
+		if err := m.Check(); err != nil {
+			return err
 		}
 		sess.ClickAggregate(m, hifun.Operation{Op: hifun.AggOp(strings.ToUpper(args[1]))})
 		fmt.Fprintf(out, "measure: %s, ops: %v\n", sess.Analytics().Measure, sess.Analytics().Ops)
@@ -208,26 +297,7 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		var svg string
-		switch args[0] {
-		case "pie":
-			svg = viz.PieChartSVG(series, 420)
-		case "column":
-			svg = viz.ColumnChartSVG(series, 640, 320)
-		case "line":
-			svg = viz.LineChartSVG(series, 640, 320)
-		case "treemap":
-			svg = viz.TreemapSVG(series, 640, 400)
-		case "spiral":
-			items := make([]viz.SpiralItem, len(series.Values))
-			for i := range series.Values {
-				items[i] = viz.SpiralItem{Label: series.Labels[i], Value: series.Values[i]}
-			}
-			svg = viz.SpiralSVG(viz.SpiralLayout{}.Layout(items), 4)
-		default:
-			svg = viz.BarChartSVG(series, 640)
-		}
-		if err := os.WriteFile(args[1], []byte(svg), 0o644); err != nil {
+		if err := os.WriteFile(args[1], []byte(viz.ChartSVG(args[0], series)), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n", args[1])
@@ -271,12 +341,7 @@ func execute(sess *core.Session, ns string, line string, out *os.File) error {
 		if len(args) == 0 {
 			return fmt.Errorf("usage: sparql <query>")
 		}
-		res, err := sparql.Select(sess.Model().G, strings.Join(args, " "))
-		if err != nil {
-			return err
-		}
-		res.Sort()
-		fmt.Fprint(out, res.String())
+		return queryRun{}.print(out, sess.Model().G, strings.Join(args, " "))
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}

@@ -65,6 +65,28 @@ func TestRollUpDrillDown(t *testing.T) {
 	if len(fine2.Rows) != len(fine.Rows) {
 		t.Fatalf("drill-down rows = %d, want %d", len(fine2.Rows), len(fine.Rows))
 	}
+	// Drill down along a derived attribute: each branch's month cells sum
+	// to its rolled-up total.
+	if _, err := s.RollUp(1); err != nil {
+		t.Fatal(err)
+	}
+	byMonth, err := s.DrillDown(GroupSpec{Path: facet.Path{{P: ie("hasDate")}}, Derive: "MONTH"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMonths := map[rdf.Term]int64{}
+	for _, row := range byMonth.Rows {
+		n, _ := row[2].Int()
+		fromMonths[row[0]] += n
+	}
+	if len(byMonth.Rows) <= len(coarse.Rows) {
+		t.Errorf("month drill-down has %d rows, the branch totals %d", len(byMonth.Rows), len(coarse.Rows))
+	}
+	for _, row := range coarse.Rows {
+		if n, _ := row[1].Int(); n != fromMonths[row[0]] {
+			t.Errorf("%s: months sum to %d, total %d", row[0].LocalName(), fromMonths[row[0]], n)
+		}
+	}
 }
 
 // rollUpCase groups by keep and drop, aggregates, runs, and rolls drop up.

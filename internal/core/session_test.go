@@ -129,6 +129,19 @@ func TestExample4(t *testing.T) {
 	if man != pe("DELL") {
 		t.Errorf("surviving group = %v", man)
 	}
+	// The filtered level is analyzable in turn: a COUNT over it counts the
+	// groups the HAVING kept.
+	s.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+	kept, err := s.RunAnalytics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept.Rows) != 1 {
+		t.Fatalf("COUNT over the HAVING-filtered answer:\n%s", kept)
+	}
+	if n, _ := kept.Rows[0][0].Int(); n != 1 {
+		t.Errorf("COUNT over the HAVING-filtered answer = %d, want 1", n)
+	}
 	// Closing the level returns to the base dataset.
 	if err := s.CloseLevel(); err != nil {
 		t.Fatal(err)

@@ -159,7 +159,7 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 		return nil, err
 	}
 	if version != 1 && version != binaryVersion {
-		return nil, fmt.Errorf("rdf: unsupported snapshot version %d (this build reads versions 1 and %d; re-export the snapshot with datagen)", version, binaryVersion)
+		return nil, fmt.Errorf("rdf: unsupported snapshot version %d (this build reads versions 1 and %d; re-export the snapshot with rdfa-cli gen -format rdfb)", version, binaryVersion)
 	}
 	var scratch []byte
 	readString := func() (string, error) {

@@ -920,9 +920,6 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 	fmt.Fprintln(bw)
 	compact := func(t Term) string {
 		if t.Kind == KindIRI {
-			if t.Value == RDFType {
-				return "a"
-			}
 			for _, l := range labels {
 				ns := all[l]
 				if strings.HasPrefix(t.Value, ns) {
@@ -935,6 +932,13 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 		}
 		return t.String()
 	}
+	// "a" abbreviates rdf:type only as a predicate; elsewhere it is no term.
+	predicate := func(t Term) string {
+		if t.Value == RDFType {
+			return "a"
+		}
+		return compact(t)
+	}
 	var prevSubj Term
 	first := true
 	for _, t := range g.Triples() {
@@ -942,12 +946,12 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 			if !first {
 				fmt.Fprintln(bw, " .")
 			}
-			fmt.Fprintf(bw, "%s %s %s", compact(t.S), compact(t.P), compact(t.O))
+			fmt.Fprintf(bw, "%s %s %s", compact(t.S), predicate(t.P), compact(t.O))
 			prevSubj = t.S
 			first = false
 			continue
 		}
-		fmt.Fprintf(bw, " ;\n    %s %s", compact(t.P), compact(t.O))
+		fmt.Fprintf(bw, " ;\n    %s %s", predicate(t.P), compact(t.O))
 	}
 	if !first {
 		fmt.Fprintln(bw, " .")

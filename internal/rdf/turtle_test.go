@@ -200,6 +200,7 @@ ex:laptop1 a ex:Laptop ;
     ex:price 900 ;
     ex:manufacturer ex:dell .
 ex:dell ex:origin ex:USA .
+ex:typePartition ex:property <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> .
 `
 	g, err := LoadTurtleString(doc)
 	if err != nil {

@@ -873,27 +873,8 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var svg string
-	switch r.URL.Query().Get("type") {
-	case "pie":
-		svg = viz.PieChartSVG(series, 420)
-	case "column":
-		svg = viz.ColumnChartSVG(series, 640, 320)
-	case "line":
-		svg = viz.LineChartSVG(series, 640, 320)
-	case "treemap":
-		svg = viz.TreemapSVG(series, 640, 400)
-	case "spiral":
-		items := make([]viz.SpiralItem, len(series.Values))
-		for i := range series.Values {
-			items[i] = viz.SpiralItem{Label: series.Labels[i], Value: series.Values[i]}
-		}
-		svg = viz.SpiralSVG(viz.SpiralLayout{}.Layout(items), 4)
-	default:
-		svg = viz.BarChartSVG(series, 640)
-	}
 	w.Header().Set("Content-Type", "image/svg+xml")
-	fmt.Fprint(w, svg)
+	fmt.Fprint(w, viz.ChartSVG(r.URL.Query().Get("type"), series))
 }
 
 // handleAnswerCSV downloads the current Answer Frame as CSV.

@@ -208,7 +208,7 @@ func (ev *evaluator) profExit(parent *ProfNode, start time.Time, rowsIn, rowsOut
 // Tree renders the profile as an indented text tree, one operator per line
 // with calls, rows in/out, wall time, and — on scan nodes — the planner
 // estimate, actual cardinality and q-error. This is the EXPLAIN ANALYZE
-// output of sparqlrun -explain-analyze and the rdfa-cli profile command.
+// output of rdfa-cli sparql -explain-analyze and the REPL's profile command.
 func (p *Profile) Tree() string {
 	if p == nil {
 		return ""

@@ -39,6 +39,29 @@ func AnswerSeries(a *hifun.Answer, measureIdx int) (Series, error) {
 	return s, nil
 }
 
+// ChartSVG renders the series as the named chart kind: pie, column, line,
+// treemap or spiral; any other kind is a bar chart. It fixes every chart's
+// size, so the renderers take theirs as given.
+func ChartSVG(kind string, s Series) string {
+	switch kind {
+	case "pie":
+		return PieChartSVG(s, 420)
+	case "column":
+		return ColumnChartSVG(s, 640, 320)
+	case "line":
+		return LineChartSVG(s, 640, 320)
+	case "treemap":
+		return TreemapSVG(s, 640, 400)
+	case "spiral":
+		items := make([]SpiralItem, len(s.Values))
+		for i := range s.Values {
+			items[i] = SpiralItem{Label: s.Labels[i], Value: s.Values[i]}
+		}
+		return SpiralSVG(SpiralLayout{}.Layout(items), 4)
+	}
+	return BarChartSVG(s, 640)
+}
+
 const svgHeader = `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" font-family="sans-serif" font-size="11">` + "\n"
 
 var palette = []string{
@@ -48,9 +71,6 @@ var palette = []string{
 
 // BarChartSVG renders a horizontal bar chart of the series.
 func BarChartSVG(s Series, width int) string {
-	if width <= 0 {
-		width = 640
-	}
 	rowH := 22
 	labelW := 140
 	height := rowH*len(s.Values) + 40
@@ -77,12 +97,6 @@ func BarChartSVG(s Series, width int) string {
 
 // ColumnChartSVG renders a vertical column chart.
 func ColumnChartSVG(s Series, width, height int) string {
-	if width <= 0 {
-		width = 640
-	}
-	if height <= 0 {
-		height = 320
-	}
 	n := len(s.Values)
 	if n == 0 {
 		return fmt.Sprintf(svgHeader, width, height, width, height) + "</svg>\n"
@@ -113,9 +127,6 @@ func ColumnChartSVG(s Series, width, height int) string {
 
 // PieChartSVG renders a pie chart (absolute values).
 func PieChartSVG(s Series, size int) string {
-	if size <= 0 {
-		size = 360
-	}
 	total := 0.0
 	for _, v := range s.Values {
 		total += math.Abs(v)
@@ -157,12 +168,6 @@ func PieChartSVG(s Series, size int) string {
 
 // LineChartSVG renders a line chart (labels along x in order).
 func LineChartSVG(s Series, width, height int) string {
-	if width <= 0 {
-		width = 640
-	}
-	if height <= 0 {
-		height = 320
-	}
 	n := len(s.Values)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, svgHeader, width, height, width, height)
