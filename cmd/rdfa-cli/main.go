@@ -199,22 +199,25 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: class <Name>")
 		}
-		sess.ClickClass(resolve(ns, args[0]))
+		if err := sess.ClickClass(resolve(ns, args[0])); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "%d objects\n", sess.State().Ext.Len())
 	case "click":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: click <path> <value>")
 		}
-		sess.ClickValue(parsePath(ns, args[0]), parseValue(ns, args[1]))
+		if err := sess.ClickValue(parsePath(ns, args[0]), parseValue(ns, args[1])); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "%d objects\n", sess.State().Ext.Len())
 	case "range":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: range <path> <op> <value>")
 		}
-		if !facet.ValidRangeOp(args[1]) {
-			return fmt.Errorf("unknown range operator %q", args[1])
+		if err := sess.ClickRange(parsePath(ns, args[0]), args[1], parseValue(ns, args[2])); err != nil {
+			return err
 		}
-		sess.ClickRange(parsePath(ns, args[0]), args[1], parseValue(ns, args[2]))
 		fmt.Fprintf(out, "%d objects\n", sess.State().Ext.Len())
 	case "expand":
 		if len(args) != 1 {
@@ -231,7 +234,9 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		hop := args[0]
 		inverse := strings.HasPrefix(hop, "^")
 		hop = strings.TrimPrefix(hop, "^")
-		sess.SwitchFocus(facet.PathStep{P: resolve(ns, hop), Inverse: inverse})
+		if err := sess.SwitchFocus(facet.PathStep{P: resolve(ns, hop), Inverse: inverse}); err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "focus switched: %d objects\n", sess.State().Ext.Len())
 	case "group":
 		if len(args) < 1 {
@@ -241,10 +246,9 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		if len(args) > 1 {
 			spec.Derive = strings.ToUpper(args[1])
 		}
-		if err := spec.Check(); err != nil {
+		if err := sess.ClickGroupBy(spec); err != nil {
 			return err
 		}
-		sess.ClickGroupBy(spec)
 		fmt.Fprintf(out, "group-by: %v\n", sess.Analytics().GroupBy)
 	case "agg":
 		if len(args) != 2 {
@@ -254,13 +258,9 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		if !strings.EqualFold(args[0], "ID") {
 			m.Path = parsePath(ns, args[0])
 		}
-		if !hifun.ValidOp(args[1]) {
-			return fmt.Errorf("unknown aggregate %q", args[1])
-		}
-		if err := m.Check(); err != nil {
+		if err := sess.ClickAggregate(m, hifun.Operation{Op: hifun.AggOp(strings.ToUpper(args[1]))}); err != nil {
 			return err
 		}
-		sess.ClickAggregate(m, hifun.Operation{Op: hifun.AggOp(strings.ToUpper(args[1]))})
 		fmt.Fprintf(out, "measure: %s, ops: %v\n", sess.Analytics().Measure, sess.Analytics().Ops)
 	case "run":
 		ans, err := sess.RunAnalytics()

@@ -47,6 +47,9 @@ func (s *Session) RollUpPath(i int) (*hifun.Answer, error) {
 // DrillDown refines the analysis by adding a grouping attribute — Fig 7.2's
 // downward direction.
 func (s *Session) DrillDown(spec GroupSpec) (*hifun.Answer, error) {
+	if err := (&click{kind: "group", path: spec.Path, derive: spec.Derive}).check(); err != nil {
+		return nil, err
+	}
 	l := s.top()
 	l.analytics.GroupBy = append(l.analytics.GroupBy, spec)
 	return s.RunAnalytics()
@@ -67,7 +70,9 @@ func (s *Session) DrillDownPath(i int, step facet.PathStep) (*hifun.Answer, erro
 // Slice fixes one dimension to a single value (a faceted click) and removes
 // it from the grouping, then re-runs: the OLAP slice.
 func (s *Session) Slice(path facet.Path, v rdf.Term) (*hifun.Answer, error) {
-	s.ClickValue(path, v)
+	if err := s.ClickValue(path, v); err != nil {
+		return nil, err
+	}
 	l := s.top()
 	for i, g := range l.analytics.GroupBy {
 		if g.Path.Equal(path) {
@@ -81,7 +86,9 @@ func (s *Session) Slice(path facet.Path, v rdf.Term) (*hifun.Answer, error) {
 // Dice restricts a dimension to a value set (multi-select click), keeping
 // the dimension in the grouping: the OLAP dice.
 func (s *Session) Dice(path facet.Path, vs []rdf.Term) (*hifun.Answer, error) {
-	s.ClickValueSet(path, vs)
+	if err := s.ClickValueSet(path, vs); err != nil {
+		return nil, err
+	}
 	return s.RunAnalytics()
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,35 +57,6 @@ func (m MeasureSpec) String() string {
 	return m.Path.String()
 }
 
-// Check reports why the G button cannot group by g: a path facet.CheckPath
-// refuses, or a derive function hifun does not know. A spec it passes
-// translates, so a click the server's handlers and the snapshot replay
-// accept never leaves the session unable to run.
-func (g GroupSpec) Check() error {
-	if err := facet.CheckPath(g.Path); err != nil {
-		return err
-	}
-	return checkDerive(g.Derive)
-}
-
-// Check reports why the Σ button cannot measure m, as GroupSpec.Check does;
-// an empty path is the identity measure.
-func (m MeasureSpec) Check() error {
-	if len(m.Path) > 0 {
-		if err := facet.CheckPath(m.Path); err != nil {
-			return err
-		}
-	}
-	return checkDerive(m.Derive)
-}
-
-func checkDerive(derive string) error {
-	if derive != "" && !hifun.IsDerivedFunc(derive) {
-		return fmt.Errorf("core: unsupported derived function %q", derive)
-	}
-	return nil
-}
-
 // Analytics is the analytic part of a state: what the G and Σ buttons have
 // accumulated. Per §5.2.2, these actions change the intention but leave the
 // extension and the transitions untouched.
@@ -100,32 +72,152 @@ func (a Analytics) Active() bool {
 }
 
 // level is one dataset level of the session; reloading an answer as a new
-// dataset (§5.3.3) pushes a level, enabling nested analytics.
+// dataset (§5.3.3) pushes a level, enabling nested analytics. Its state is
+// its log: the current state is the start state with the logged clicks
+// replayed, rebuilt whenever the graph has been written since (§5.3: the
+// extension is the intention's answer over the KG).
 type level struct {
-	model     *facet.Model
-	ns        string
-	history   []*facet.State // history[len-1] is current
+	model *facet.Model
+	ns    string
+	// start is the level's initial state: s0, a keyword seed's extension, or
+	// a reloaded answer's tuples. It is rebuilt from its own intention.
+	start *facet.State
+	// log is the level's path from start: the faceted clicks Back has not
+	// undone, in order. Snapshots write it out and replay it.
+	log []click
+	cur *facet.State
+	// version is the graph version model's schema, start and cur were built at.
+	version   uint64
 	analytics Analytics
 	// answer holds the last Answer Frame computed at this level. It may be
 	// shared with other sessions (see SetAnswer) and is never modified.
 	answer *hifun.Answer
-	// log records the replayable click sequence for snapshots.
-	log actionLog
-	// markers holds the transition markers of the state ComputeUIState last
-	// rendered at this level, so G / Σ clicks — which leave the extension
-	// alone (§5.2.2) — do not recount them.
-	markers markerSlot
+	// markers holds the transition markers of cur, once ComputeUIState has
+	// counted them, so G / Σ clicks — which leave the extension alone
+	// (§5.2.2) — do not recount them.
+	markers *markerSlot
 }
 
-func (l *level) state() *facet.State { return l.history[len(l.history)-1] }
+// newLevel starts a level over g at the state start denotes.
+func newLevel(g *rdf.Graph, ns string, start facet.Intention) *level {
+	l := &level{model: &facet.Model{G: g}, ns: ns, start: &facet.State{Int: start}}
+	l.state() // builds the schema and the start state
+	return l
+}
 
-// truncateHistory drops the states after the first n, clearing the popped
-// tail of the backing array and the marker slot so the states — each
-// holding an extension — can be collected.
-func (l *level) truncateHistory(n int) {
-	clear(l.history[n:])
-	l.history = l.history[:n]
-	l.markers = markerSlot{}
+// state returns the current state. When the graph has been written since
+// the level was built (DESIGN.md §10, "One staleness rule"), the schema and
+// the start state are rebuilt first, the latter from its own intention: a
+// seed's extension or every object, narrowed to its class. When the current
+// state is unset, the log is replayed from the start state.
+func (l *level) state() *facet.State {
+	if v := l.model.G.Version(); v != l.version || l.model.Schema == nil {
+		l.version = v
+		l.model.Schema = rdf.SchemaOf(l.model.G)
+		in, st := l.start.Int, l.model.Start()
+		if len(in.Seed) > 0 {
+			st = l.model.StartFrom(in.Seed)
+		}
+		if !in.Class.IsZero() {
+			st = l.model.ClickClass(st, in.Class)
+		}
+		l.start = st
+		l.setState(nil)
+	}
+	if l.cur == nil {
+		st := l.start
+		for _, c := range l.log {
+			st = l.apply(st, c)
+		}
+		l.setState(st)
+	}
+	return l.cur
+}
+
+// setState makes st current, nil meaning the log's replay, and forgets the
+// markers of the state before.
+func (l *level) setState(st *facet.State) {
+	l.cur, l.markers = st, nil
+}
+
+// click is one press of a button of the interaction model. The faceted ones
+// (class, value, valueset, range, pivot) are what a level's log records; G
+// (group) and Σ (aggregate) change the analytics alone.
+type click struct {
+	kind   string
+	class  rdf.Term
+	path   facet.Path // a pivot's one step; a G or Σ path
+	op     string     // a range's comparison
+	values []rdf.Term // one for value and range
+	derive string     // G and Σ
+	agg    hifun.Operation
+}
+
+// check reports why c cannot be made: every click the session takes, from
+// the HTTP API, the REPL or a snapshot, passes here first. A click it passes
+// leaves the session able to show and to run what it denotes.
+func (c *click) check() error {
+	switch c.kind {
+	case "class":
+		if c.class.Value == "" {
+			return errors.New("core: class click without a class")
+		}
+		return nil
+	case "value", "range":
+		if len(c.values) != 1 || c.values[0].IsZero() {
+			return fmt.Errorf("core: %s click without a value", c.kind)
+		}
+		if c.kind == "range" && !facet.ValidRangeOp(c.op) {
+			return fmt.Errorf("core: unknown range operator %q", c.op)
+		}
+	case "valueset":
+		if len(c.values) == 0 {
+			return errors.New("core: value set click without values")
+		}
+	case "pivot":
+		if len(c.path) != 1 {
+			return errors.New("core: a pivot takes exactly one step")
+		}
+	case "group":
+	case "aggregate":
+		if !hifun.ValidOp(string(c.agg.Op)) {
+			return fmt.Errorf("core: unknown aggregate %q", c.agg.Op)
+		}
+		// A restriction is written verbatim into HAVING.
+		if !facet.ValidRangeOp(c.agg.RestrictOp) {
+			return fmt.Errorf("core: unknown restriction operator %q", c.agg.RestrictOp)
+		}
+		if c.agg.RestrictOp != "" && c.agg.RestrictValue.IsZero() {
+			return errors.New("core: restriction without a value")
+		}
+	default:
+		return fmt.Errorf("core: unknown click %q", c.kind)
+	}
+	if c.kind != "aggregate" || len(c.path) > 0 { // a Σ on no path measures ID
+		if err := facet.CheckPath(c.path); err != nil {
+			return err
+		}
+	}
+	if c.derive != "" && !hifun.IsDerivedFunc(c.derive) {
+		return fmt.Errorf("core: unsupported derived function %q", c.derive)
+	}
+	return nil
+}
+
+// apply is the transition a faceted click makes from st.
+func (l *level) apply(st *facet.State, c click) *facet.State {
+	switch c.kind {
+	case "class":
+		return l.model.ClickClass(st, c.class)
+	case "value":
+		return l.model.ClickValue(st, c.path, c.values[0])
+	case "valueset":
+		return l.model.ClickValueSet(st, c.path, c.values)
+	case "range":
+		return l.model.ClickRange(st, c.path, c.op, c.values[0])
+	default: // pivot
+		return l.model.SwitchFocus(st, c.path[0])
+	}
 }
 
 // Session is an interactive faceted-analytics session over a graph: the
@@ -177,28 +269,20 @@ func (s *Session) LastRun() (*obs.Trace, *sparql.Profile) {
 // NewSession starts a session over g (which should be materialized) with
 // attribute namespace ns. The initial state is s0 (§5.3.2).
 func NewSession(g *rdf.Graph, ns string) *Session {
-	m := facet.NewModel(g)
-	return &Session{levels: []*level{{
-		model:   m,
-		ns:      ns,
-		history: []*facet.State{m.Start()},
-	}}}
+	return &Session{levels: []*level{newLevel(g, ns, facet.Intention{})}}
 }
 
 // NewSessionFrom starts a session whose initial extension is an external
-// result set (keyword search hand-off, §5.4.1).
+// result set (keyword search hand-off, §5.4.1); no results seed nothing, and
+// the session starts at s0.
 func NewSessionFrom(g *rdf.Graph, ns string, results []rdf.Term) *Session {
-	m := facet.NewModel(g)
-	return &Session{levels: []*level{{
-		model:   m,
-		ns:      ns,
-		history: []*facet.State{m.StartFrom(results)},
-	}}}
+	return &Session{levels: []*level{newLevel(g, ns, facet.Intention{Seed: results})}}
 }
 
 func (s *Session) top() *level { return s.levels[len(s.levels)-1] }
 
-// Model exposes the current level's facet model (read-only use).
+// Model exposes the current level's facet model (read-only use). Reading
+// the state brings its schema up to date with the graph.
 func (s *Session) Model() *facet.Model { return s.top().model }
 
 // State returns the current interaction state.
@@ -213,72 +297,74 @@ func (s *Session) Depth() int { return len(s.levels) }
 // NS returns the current level's attribute namespace.
 func (s *Session) NS() string { return s.top().ns }
 
-func (s *Session) push(st *facet.State) {
+// click checks a faceted click, makes its transition at the current level
+// and logs it. A pivot clears the analytic selections when it is made, not
+// when the log is replayed.
+func (s *Session) click(c click) error {
+	if err := c.check(); err != nil {
+		return err
+	}
 	l := s.top()
-	l.history = append(l.history, st)
+	c.path, c.values = slices.Clone(c.path), slices.Clone(c.values)
+	l.setState(l.apply(l.state(), c))
+	l.log = append(l.log, c)
+	if c.kind == "pivot" {
+		l.analytics = Analytics{}
+	}
+	return nil
 }
 
 // ClickClass applies a class-based transition (Fig 5.4 a–b).
-func (s *Session) ClickClass(c rdf.Term) {
-	l := s.top()
-	s.push(l.model.ClickClass(l.state(), c))
-	l.log.actions = append(l.log.actions, actionJSON{Kind: "class", Class: c.Value})
+func (s *Session) ClickClass(c rdf.Term) error {
+	return s.click(click{kind: "class", class: c})
 }
 
 // ClickValue applies a property-value transition, possibly at the end of an
 // expanded path (Fig 5.4 c–d, Fig 5.5).
-func (s *Session) ClickValue(path facet.Path, v rdf.Term) {
-	l := s.top()
-	s.push(l.model.ClickValue(l.state(), path, v))
-	vj := termToJSON(v)
-	l.log.actions = append(l.log.actions, actionJSON{Kind: "value", Path: pathToJSON(path), Value: &vj})
+func (s *Session) ClickValue(path facet.Path, v rdf.Term) error {
+	return s.click(click{kind: "value", path: path, values: []rdf.Term{v}})
 }
 
 // ClickValueSet applies a multi-value transition.
-func (s *Session) ClickValueSet(path facet.Path, vs []rdf.Term) {
-	l := s.top()
-	s.push(l.model.ClickValueSet(l.state(), path, vs))
-	a := actionJSON{Kind: "valueset", Path: pathToJSON(path)}
-	for _, v := range vs {
-		a.Values = append(a.Values, termToJSON(v))
-	}
-	l.log.actions = append(l.log.actions, a)
+func (s *Session) ClickValueSet(path facet.Path, vs []rdf.Term) error {
+	return s.click(click{kind: "valueset", path: path, values: vs})
 }
 
 // ClickRange applies the range-filter button (Example 3 of §5.1).
-func (s *Session) ClickRange(path facet.Path, op string, v rdf.Term) {
-	l := s.top()
-	s.push(l.model.ClickRange(l.state(), path, op, v))
-	vj := termToJSON(v)
-	l.log.actions = append(l.log.actions, actionJSON{Kind: "range", Path: pathToJSON(path), Op: op, Value: &vj})
+func (s *Session) ClickRange(path facet.Path, op string, v rdf.Term) error {
+	return s.click(click{kind: "range", path: path, op: op, values: []rdf.Term{v}})
 }
 
 // SwitchFocus pivots the focus along a property, changing the entity type
 // under analysis (e.g. from laptops to their manufacturers). The analytic
 // selections are cleared: they referred to the previous entity type.
-func (s *Session) SwitchFocus(step facet.PathStep) {
-	l := s.top()
-	s.push(l.model.SwitchFocus(l.state(), step))
-	l.analytics = Analytics{}
-	l.log.actions = append(l.log.actions, actionJSON{Kind: "pivot", Path: pathToJSON(facet.Path{step})})
+func (s *Session) SwitchFocus(step facet.PathStep) error {
+	return s.click(click{kind: "pivot", path: facet.Path{step}})
 }
 
 // ClickGroupBy toggles the G button on a facet path: clicking an already
 // selected path removes it (the "remove some of them" dialog of §5.1).
-func (s *Session) ClickGroupBy(spec GroupSpec) {
+func (s *Session) ClickGroupBy(spec GroupSpec) error {
+	if err := (&click{kind: "group", path: spec.Path, derive: spec.Derive}).check(); err != nil {
+		return err
+	}
 	l := s.top()
 	for i, g := range l.analytics.GroupBy {
 		if g.Path.Equal(spec.Path) && g.Derive == spec.Derive {
 			l.analytics.GroupBy = append(l.analytics.GroupBy[:i], l.analytics.GroupBy[i+1:]...)
-			return
+			return nil
 		}
 	}
 	l.analytics.GroupBy = append(l.analytics.GroupBy, spec)
+	return nil
 }
 
 // ClickAggregate sets the measure (Σ button on a facet) and adds the chosen
 // operation; clicking an operation already present removes it.
-func (s *Session) ClickAggregate(measure MeasureSpec, op hifun.Operation) {
+func (s *Session) ClickAggregate(measure MeasureSpec, op hifun.Operation) error {
+	if err := (&click{kind: "aggregate", path: measure.Path, derive: measure.Derive, agg: op}).check(); err != nil {
+		return err
+	}
 	l := s.top()
 	if !samePath(l.analytics.Measure, measure) {
 		l.analytics.Measure = measure
@@ -287,10 +373,11 @@ func (s *Session) ClickAggregate(measure MeasureSpec, op hifun.Operation) {
 	for i, o := range l.analytics.Ops {
 		if o.Op == op.Op && o.RestrictOp == op.RestrictOp && o.RestrictValue == op.RestrictValue {
 			l.analytics.Ops = append(l.analytics.Ops[:i], l.analytics.Ops[i+1:]...)
-			return
+			return nil
 		}
 	}
 	l.analytics.Ops = append(l.analytics.Ops, op)
+	return nil
 }
 
 func samePath(a, b MeasureSpec) bool {
@@ -302,26 +389,26 @@ func (s *Session) ClearAnalytics() {
 	s.top().analytics = Analytics{}
 }
 
-// Back undoes the last faceted transition at the current level.
+// Back undoes the last faceted transition at the current level: the click
+// leaves the log, which is replayed when the state is next read. The G/Σ
+// selections stay as they are.
 func (s *Session) Back() error {
 	l := s.top()
-	if len(l.history) <= 1 {
+	if len(l.log) == 0 {
 		return errors.New("core: at initial state")
 	}
-	l.truncateHistory(len(l.history) - 1)
-	if n := len(l.log.actions); n > 0 {
-		l.log.actions = l.log.actions[:n-1]
-	}
+	l.log = l.log[:len(l.log)-1]
+	l.setState(nil)
 	return nil
 }
 
 // Reset returns the current level to its initial state and clears analytics.
 func (s *Session) Reset() {
 	l := s.top()
-	l.truncateHistory(1)
+	l.log = nil
+	l.setState(nil)
 	l.analytics = Analytics{}
 	l.answer = nil
-	l.log.actions = nil
 }
 
 // BuildHIFUNQuery assembles the HIFUN query the current analytic state
@@ -382,9 +469,6 @@ func pathToAttr(p facet.Path, derive string) (hifun.Attr, error) {
 		}
 	}
 	if derive != "" {
-		if err := checkDerive(derive); err != nil {
-			return nil, err
-		}
 		attr = hifun.Derived{Func: strings.ToUpper(derive), Sub: attr}
 	}
 	return attr, nil
@@ -523,14 +607,8 @@ func (s *Session) LoadAnswerAsDataset() error {
 		return errors.New("core: no answer to load (run an analytic query first)")
 	}
 	defer observeSince(reloadSeconds, time.Now())
-	g := l.answer.LoadAsDataset()
-	m := facet.NewModel(g)
-	start := m.ClickClass(m.Start(), rdf.NewIRI(hifun.AnswerNS+"Tuple"))
-	s.levels = append(s.levels, &level{
-		model:   m,
-		ns:      hifun.AnswerNS,
-		history: []*facet.State{start},
-	})
+	start := facet.Intention{Class: rdf.NewIRI(hifun.AnswerNS + "Tuple")}
+	s.levels = append(s.levels, newLevel(l.answer.LoadAsDataset(), hifun.AnswerNS, start))
 	return nil
 }
 

@@ -259,6 +259,30 @@ func TestBackAndReset(t *testing.T) {
 	}
 }
 
+// TestBackKeepsTheAnalytics: Back undoes a faceted click and leaves the G/Σ
+// selections alone, even when the click it undoes is the pivot that once
+// cleared them; a refused click changes nothing.
+func TestBackKeepsTheAnalytics(t *testing.T) {
+	s := productSession(t)
+	s.ClickClass(pe("Laptop"))
+	s.SwitchFocus(facet.PathStep{P: pe("manufacturer")})
+	s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("origin")}}})
+	s.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+	want := s.Analytics()
+	if err := s.ClickValue(facet.Path{}, pe("USA")); err == nil {
+		t.Fatal("a value click along an empty path was taken")
+	}
+	if err := s.Back(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Analytics(); len(got.GroupBy) != 1 || !got.GroupBy[0].Path.Equal(want.GroupBy[0].Path) || len(got.Ops) != 1 {
+		t.Errorf("analytics after Back = %+v, want %+v", got, want)
+	}
+	if s.State().Int.String() != "type=Laptop" || s.State().Ext.Len() != 3 {
+		t.Errorf("after Back: %s, %d objects", s.State().Int, s.State().Ext.Len())
+	}
+}
+
 func TestRunAnalyticsWithoutOp(t *testing.T) {
 	s := productSession(t)
 	if _, err := s.RunAnalytics(); err == nil {

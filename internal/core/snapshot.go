@@ -9,20 +9,22 @@ import (
 	"rdfanalytics/internal/rdf"
 )
 
-// Session snapshots: the full interaction state — every level's click
-// history and analytic selections — serialized as JSON, so a session can be
+// Session snapshots: the full interaction state — every level's click log
+// and analytic selections — serialized as JSON, so a session can be
 // bookmarked, shared and replayed against the same base graph. Nested
 // levels are reconstructed by re-running the analytics that produced them.
 
-type termJSON struct {
-	Kind     string `json:"kind"`
+// TermJSON is the wire form of an RDF term, in the interaction API's
+// requests and in snapshots.
+type TermJSON struct {
+	Kind     string `json:"kind"` // iri | blank | literal
 	Value    string `json:"value"`
 	Datatype string `json:"datatype,omitempty"`
 	Lang     string `json:"lang,omitempty"`
 }
 
-func termToJSON(t rdf.Term) termJSON {
-	j := termJSON{Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
+func termToJSON(t rdf.Term) TermJSON {
+	j := TermJSON{Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
 	switch t.Kind {
 	case rdf.KindIRI:
 		j.Kind = "iri"
@@ -34,31 +36,43 @@ func termToJSON(t rdf.Term) termJSON {
 	return j
 }
 
-func termFromJSON(j termJSON) rdf.Term {
+// Term decodes j; a missing kind is a literal, and a literal without a
+// datatype or language is a plain string.
+func (j TermJSON) Term() (rdf.Term, error) {
 	switch j.Kind {
 	case "iri":
-		return rdf.NewIRI(j.Value)
+		return rdf.NewIRI(j.Value), nil
 	case "blank":
-		return rdf.NewBlank(j.Value)
+		return rdf.NewBlank(j.Value), nil
+	case "literal", "":
+		if j.Lang != "" {
+			return rdf.NewLangString(j.Value, j.Lang), nil
+		}
+		if j.Datatype != "" {
+			return rdf.NewTyped(j.Value, j.Datatype), nil
+		}
+		return rdf.NewString(j.Value), nil
 	default:
-		return rdf.Term{Kind: rdf.KindLiteral, Value: j.Value, Datatype: j.Datatype, Lang: j.Lang}
+		return rdf.Term{}, fmt.Errorf("core: unknown term kind %q", j.Kind)
 	}
 }
 
-type stepJSON struct {
+// StepJSON is the wire form of a facet path step.
+type StepJSON struct {
 	P       string `json:"p"`
 	Inverse bool   `json:"inverse,omitempty"`
 }
 
-func pathToJSON(p facet.Path) []stepJSON {
-	out := make([]stepJSON, len(p))
+func pathToJSON(p facet.Path) []StepJSON {
+	out := make([]StepJSON, len(p))
 	for i, s := range p {
-		out[i] = stepJSON{P: s.P.Value, Inverse: s.Inverse}
+		out[i] = StepJSON{P: s.P.Value, Inverse: s.Inverse}
 	}
 	return out
 }
 
-func pathFromJSON(steps []stepJSON) facet.Path {
+// PathOf decodes the wire form of a facet path.
+func PathOf(steps []StepJSON) facet.Path {
 	out := make(facet.Path, len(steps))
 	for i, s := range steps {
 		out[i] = facet.PathStep{P: rdf.NewIRI(s.P), Inverse: s.Inverse}
@@ -66,19 +80,60 @@ func pathFromJSON(steps []stepJSON) facet.Path {
 	return out
 }
 
-// actionJSON is one replayable interaction step.
+// termsOf decodes a list of wire terms.
+func termsOf(js []TermJSON) ([]rdf.Term, error) {
+	var out []rdf.Term
+	for _, j := range js {
+		t, err := j.Term()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
+// actionJSON is one logged faceted click.
 type actionJSON struct {
 	// Kind: class | value | valueset | range | pivot
 	Kind   string     `json:"kind"`
 	Class  string     `json:"class,omitempty"`
-	Path   []stepJSON `json:"path,omitempty"`
+	Path   []StepJSON `json:"path,omitempty"`
 	Op     string     `json:"op,omitempty"`
-	Value  *termJSON  `json:"value,omitempty"`
-	Values []termJSON `json:"values,omitempty"`
+	Value  *TermJSON  `json:"value,omitempty"`
+	Values []TermJSON `json:"values,omitempty"`
+}
+
+func (c click) toJSON() actionJSON {
+	a := actionJSON{Kind: c.kind, Class: c.class.Value, Path: pathToJSON(c.path), Op: c.op}
+	if c.kind == "valueset" {
+		for _, v := range c.values {
+			a.Values = append(a.Values, termToJSON(v))
+		}
+	} else if len(c.values) == 1 {
+		v := termToJSON(c.values[0])
+		a.Value = &v
+	}
+	return a
+}
+
+// click decodes a; the session checks what it decodes to.
+func (a actionJSON) click() (click, error) {
+	c := click{kind: a.Kind, path: PathOf(a.Path), op: a.Op}
+	if a.Kind == "class" {
+		c.class = rdf.NewIRI(a.Class)
+	}
+	js := a.Values
+	if a.Value != nil {
+		js = []TermJSON{*a.Value}
+	}
+	var err error
+	c.values, err = termsOf(js)
+	return c, err
 }
 
 type groupJSON struct {
-	Path   []stepJSON `json:"path"`
+	Path   []StepJSON `json:"path"`
 	Derive string     `json:"derive,omitempty"`
 }
 
@@ -86,7 +141,7 @@ type opJSON struct {
 	Op            string    `json:"op"`
 	Distinct      bool      `json:"distinct,omitempty"`
 	RestrictOp    string    `json:"restrictOp,omitempty"`
-	RestrictValue *termJSON `json:"restrictValue,omitempty"`
+	RestrictValue *TermJSON `json:"restrictValue,omitempty"`
 }
 
 type levelJSON struct {
@@ -95,7 +150,7 @@ type levelJSON struct {
 	GroupBy []groupJSON  `json:"groupBy,omitempty"`
 	Measure *groupJSON   `json:"measure,omitempty"`
 	Ops     []opJSON     `json:"ops,omitempty"`
-	Seed    []termJSON   `json:"seed,omitempty"`
+	Seed    []TermJSON   `json:"seed,omitempty"`
 }
 
 // SnapshotJSON is the serialized session.
@@ -104,20 +159,15 @@ type SnapshotJSON struct {
 	Levels  []levelJSON `json:"levels"`
 }
 
-// Because sessions only record resulting states, the replayable action list
-// is tracked alongside the history.
-type actionLog struct {
-	actions []actionJSON
-}
-
-// Snapshot serializes the session. It relies on the per-level action logs
-// the Session records for every click.
+// Snapshot serializes the session: each level's log and analytic selections.
 func (s *Session) Snapshot() ([]byte, error) {
 	snap := SnapshotJSON{Version: 1}
 	for _, l := range s.levels {
-		lj := levelJSON{NS: l.ns, Actions: l.log.actions}
-		start := l.history[0]
-		for _, t := range start.Int.Seed {
+		lj := levelJSON{NS: l.ns}
+		for _, c := range l.log {
+			lj.Actions = append(lj.Actions, c.toJSON())
+		}
+		for _, t := range l.start.Int.Seed {
 			lj.Seed = append(lj.Seed, termToJSON(t))
 		}
 		for _, g := range l.analytics.GroupBy {
@@ -140,8 +190,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 }
 
 // RestoreSession rebuilds a session over base from a snapshot: each level's
-// actions are replayed; nested levels re-run the outer analytics and reload
-// the answer.
+// clicks are replayed through the session's own click methods, so the
+// snapshot is refused where a click would be; nested levels re-run the outer
+// analytics and reload the answer.
 func RestoreSession(base *rdf.Graph, data []byte) (*Session, error) {
 	var snap SnapshotJSON
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -156,15 +207,11 @@ func RestoreSession(base *rdf.Graph, data []byte) (*Session, error) {
 	var s *Session
 	for li, lj := range snap.Levels {
 		if li == 0 {
-			if len(lj.Seed) > 0 {
-				seed := make([]rdf.Term, len(lj.Seed))
-				for i, t := range lj.Seed {
-					seed[i] = termFromJSON(t)
-				}
-				s = NewSessionFrom(base, lj.NS, seed)
-			} else {
-				s = NewSession(base, lj.NS)
+			seed, err := termsOf(lj.Seed)
+			if err != nil {
+				return nil, fmt.Errorf("core: seed: %w", err)
 			}
+			s = NewSessionFrom(base, lj.NS, seed)
 		} else {
 			// Descend: the previous level's analytics produce this dataset.
 			if _, err := s.RunAnalytics(); err != nil {
@@ -174,80 +221,45 @@ func RestoreSession(base *rdf.Graph, data []byte) (*Session, error) {
 				return nil, fmt.Errorf("core: level %d: %w", li, err)
 			}
 		}
-		for ai, a := range lj.Actions {
-			if err := s.replay(a); err != nil {
-				return nil, fmt.Errorf("core: level %d action %d: %w", li, ai, err)
-			}
-		}
-		for _, g := range lj.GroupBy {
-			spec := GroupSpec{Path: pathFromJSON(g.Path), Derive: g.Derive}
-			if err := spec.Check(); err != nil {
-				return nil, fmt.Errorf("core: level %d group-by: %w", li, err)
-			}
-			s.ClickGroupBy(spec)
-		}
-		m := MeasureSpec{}
-		if lj.Measure != nil {
-			m = MeasureSpec{Path: pathFromJSON(lj.Measure.Path), Derive: lj.Measure.Derive}
-		}
-		if err := m.Check(); err != nil {
-			return nil, fmt.Errorf("core: level %d measure: %w", li, err)
-		}
-		for _, oj := range lj.Ops {
-			op := hifun.Operation{Op: hifun.AggOp(oj.Op), Distinct: oj.Distinct, RestrictOp: oj.RestrictOp}
-			if oj.RestrictValue != nil {
-				op.RestrictValue = termFromJSON(*oj.RestrictValue)
-			}
-			s.ClickAggregate(m, op)
+		if err := s.restoreLevel(lj); err != nil {
+			return nil, fmt.Errorf("core: level %d: %w", li, err)
 		}
 	}
 	return s, nil
 }
 
-func (s *Session) replay(a actionJSON) error {
-	p := pathFromJSON(a.Path)
-	switch a.Kind {
-	case "value", "valueset", "range":
-		if err := facet.CheckPath(p); err != nil {
-			return fmt.Errorf("%s action: %w", a.Kind, err)
+// restoreLevel replays lj's clicks and analytic selections at the top level.
+func (s *Session) restoreLevel(lj levelJSON) error {
+	for ai, a := range lj.Actions {
+		c, err := a.click()
+		if err == nil {
+			err = s.click(c)
 		}
-	case "pivot":
-		if len(p) != 1 {
-			return fmt.Errorf("pivot action needs exactly one step")
-		}
-		if err := facet.CheckPath(p); err != nil {
-			return fmt.Errorf("pivot action: %w", err)
+		if err != nil {
+			return fmt.Errorf("action %d: %w", ai, err)
 		}
 	}
-	switch a.Kind {
-	case "class":
-		if a.Class == "" {
-			return fmt.Errorf("class action without class")
+	for _, g := range lj.GroupBy {
+		if err := s.ClickGroupBy(GroupSpec{Path: PathOf(g.Path), Derive: g.Derive}); err != nil {
+			return fmt.Errorf("group-by: %w", err)
 		}
-		s.ClickClass(rdf.NewIRI(a.Class))
-	case "value":
-		if a.Value == nil {
-			return fmt.Errorf("value action without value")
+	}
+	m := MeasureSpec{}
+	if lj.Measure != nil {
+		m = MeasureSpec{Path: PathOf(lj.Measure.Path), Derive: lj.Measure.Derive}
+	}
+	for _, oj := range lj.Ops {
+		op := hifun.Operation{Op: hifun.AggOp(oj.Op), Distinct: oj.Distinct, RestrictOp: oj.RestrictOp}
+		if oj.RestrictValue != nil {
+			t, err := oj.RestrictValue.Term()
+			if err != nil {
+				return fmt.Errorf("aggregate: %w", err)
+			}
+			op.RestrictValue = t
 		}
-		s.ClickValue(p, termFromJSON(*a.Value))
-	case "valueset":
-		vs := make([]rdf.Term, len(a.Values))
-		for i, v := range a.Values {
-			vs[i] = termFromJSON(v)
+		if err := s.ClickAggregate(m, op); err != nil {
+			return fmt.Errorf("aggregate: %w", err)
 		}
-		s.ClickValueSet(p, vs)
-	case "range":
-		if a.Value == nil {
-			return fmt.Errorf("range action without value")
-		}
-		if !facet.ValidRangeOp(a.Op) {
-			return fmt.Errorf("range action with unknown operator %q", a.Op)
-		}
-		s.ClickRange(p, a.Op, termFromJSON(*a.Value))
-	case "pivot":
-		s.SwitchFocus(p[0])
-	default:
-		return fmt.Errorf("unknown action kind %q", a.Kind)
 	}
 	return nil
 }

@@ -147,6 +147,9 @@ func TestRestoreErrors(t *testing.T) {
 		`"actions":[],"groupBy":[{"path":[]}]`,
 		`"actions":[],"groupBy":[{"path":[{"p":"x"}],"derive":"nosuch"}]`,
 		`"actions":[],"measure":{"path":[{"p":"x"}],"derive":"nosuch"},"ops":[{"op":"SUM"}]`,
+		`"actions":[{"kind":"value","path":[{"p":"x"}],"value":{"kind":"alien","value":"x"}}]`,
+		`"actions":[],"ops":[{"op":"MEDIAN"}]`,
+		`"actions":[],"ops":[{"op":"SUM","restrictOp":"> 0) || (1 =","restrictValue":{"kind":"literal","value":"1"}}]`,
 	} {
 		if _, err := RestoreSession(g, []byte(`{"version":1,"levels":[{"ns":"x",`+level+`}]}`)); err == nil {
 			t.Errorf("restored a level with %s", level)

@@ -129,25 +129,22 @@ func displayType(schema *rdf.Schema, types []rdf.Term) rdf.Term {
 }
 
 // markerSlot is the one remembered result of transitionMarkers: the class
-// tree, facets and buckets of a state, valid while the level is still at
-// that state pointer, the graph has not mutated since and the same inverse
-// setting is asked for.
+// tree, facets and buckets of the level's current state, for one inverse
+// setting. The level drops it whenever its current state changes, a rebuild
+// after a write to the graph included.
 type markerSlot struct {
-	state          *facet.State
-	version        uint64
 	includeInverse bool
 	classes        []facet.ClassNode
 	facets         []FacetView // button states unset
 }
 
-// transitionMarkers computes Part B and Part C of Algorithm 5 for st, or
-// returns what the last call computed when nothing they depend on changed.
-// The facet views are a fresh copy each time (the caller sets the button
-// states on them); the class tree and the value lists are shared, read-only.
+// transitionMarkers computes Part B and Part C of Algorithm 5 for the
+// current state st, or returns what the last call computed for it. The facet
+// views are a fresh copy each time (the caller sets the button states on
+// them); the class tree and the value lists are shared, read-only.
 func (l *level) transitionMarkers(st *facet.State, includeInverse bool) ([]facet.ClassNode, []FacetView) {
-	version := l.model.G.Version()
-	if m := &l.markers; m.state != st || m.version != version || m.includeInverse != includeInverse {
-		*m = markerSlot{state: st, version: version, includeInverse: includeInverse, classes: l.model.ClassFacet(st)}
+	if m := l.markers; m == nil || m.includeInverse != includeInverse {
+		m = &markerSlot{includeInverse: includeInverse, classes: l.model.ClassFacet(st)}
 		for _, f := range l.model.PropertyFacets(st, includeInverse) {
 			fv := FacetView{Facet: f}
 			numeric := 0
@@ -162,6 +159,7 @@ func (l *level) transitionMarkers(st *facet.State, includeInverse bool) ([]facet
 			}
 			m.facets = append(m.facets, fv)
 		}
+		l.markers = m
 	}
 	return l.markers.classes, append([]FacetView(nil), l.markers.facets...)
 }

@@ -91,9 +91,10 @@ func TestAnalyticClicksReuseMarkers(t *testing.T) {
 	}
 }
 
-// TestPoppedStatesAreCollectable: Back and Reset shrink the history; the
-// states they pop — each holding a whole extension — must not stay
-// reachable through the history's backing array or the marker slot.
+// TestPoppedStatesAreCollectable: a level keeps its start state and its
+// current one, no path of states. The states Back and Reset leave — each
+// holding a whole extension — must not stay reachable, through the level or
+// its marker slot, and Reset's state is the start state itself.
 func TestPoppedStatesAreCollectable(t *testing.T) {
 	s := productSession(t)
 	collected := make(chan struct{}, 3)
@@ -109,8 +110,8 @@ func TestPoppedStatesAreCollectable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Reset()
-	if l := s.top(); len(l.history) != 1 || l.history[:cap(l.history)][1] != nil {
-		t.Fatalf("history after Reset: len %d, tail not cleared", len(l.history))
+	if l := s.top(); s.State() != l.start || len(l.log) != 0 || l.markers != nil {
+		t.Fatalf("after Reset: at start %v, %d clicks logged, markers kept %v", s.State() == l.start, len(l.log), l.markers != nil)
 	}
 	for got := 0; got < 3; got++ {
 		runtime.GC()

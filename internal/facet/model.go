@@ -70,9 +70,9 @@ func (s *TermSet) Len() int { return s.ids.n + len(s.free) }
 // Items returns the members, sorted.
 func (s *TermSet) Items() []rdf.Term {
 	if s.items == nil {
-		s.items = make([]rdf.Term, 0, s.Len())
+		s.items = []rdf.Term{}
 		if s.ids.n > 0 {
-			s.items = append(s.items, s.g.TermsOf(s.ids.appendTo(nil))...)
+			s.items = s.g.TermsOf(s.ids.appendTo(make([]rdf.ID, 0, s.ids.n)))
 		}
 		for t := range s.free {
 			s.items = append(s.items, t)

@@ -108,10 +108,8 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	if snap.Total > 0 {
 		data.ErrorPct = 100 * float64(snap.Errors) / float64(snap.Total)
 	}
-	s.mu.Lock()
 	st := s.graph.Stats()
-	data.Sessions = len(s.sessions)
-	s.mu.Unlock()
+	data.Sessions = int(s.active.Load())
 	data.Triples, data.Terms = st.Triples, st.Terms
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")

@@ -123,6 +123,7 @@ func (s *Server) sweepExpired(cutoff time.Time) int {
 			n++
 		}
 	}
+	s.active.Store(int64(len(s.sessions)))
 	return n
 }
 

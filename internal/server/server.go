@@ -34,16 +34,19 @@ import (
 // Server wires one graph and per-client interaction sessions to HTTP
 // handlers. Clients carry a session id in the X-Session header (or
 // ?session= query parameter); requests without one share the default
-// session, matching the paper's public-demo semantics. All access is
-// serialized by a mutex.
+// session, matching the paper's public-demo semantics. Session access is
+// serialized by a mutex; /sparql reads and the operator reads take none.
 type Server struct {
 	mu       sync.Mutex
 	graph    *rdf.Graph
 	ns       string
 	sessions map[string]*sessEntry
-	clock    uint64 // logical tick for LRU eviction; advanced under mu
-	mux      *http.ServeMux
-	cfg      Config
+	// active is len(sessions), kept where sessions come and go so operator
+	// reads (/metrics, /api/stats, the dashboard) never wait on mu.
+	active atomic.Int64
+	clock  uint64 // logical tick for LRU eviction; advanced under mu
+	mux    *http.ServeMux
+	cfg    Config
 	// traces is the tail-sampling retention store of completed traces:
 	// every errored/aborted execution, the slowest-N per fingerprint,
 	// latency outliers against the fingerprint's rolling p95, and a
@@ -242,9 +245,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 		registerStoreMetrics(cfg.Store)
 	}
 	obs.Default.GaugeFunc("rdfa_http_active_sessions", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.sessions))
+		return float64(s.active.Load())
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", s.handleIndex)
@@ -316,51 +317,9 @@ func (s *Server) sessionFor(r *http.Request) *core.Session {
 		sess.SetDurability(s.cfg.Store.Sync)
 	}
 	s.sessions[id] = &sessEntry{sess: sess, lastUsed: s.clock, lastAt: time.Now()}
+	s.active.Store(int64(len(s.sessions)))
 	sessionsCreated.Inc()
 	return sess
-}
-
-// ---- term and path JSON codecs ----
-
-// TermJSON is the wire form of an RDF term in a request.
-type TermJSON struct {
-	Kind     string `json:"kind"` // iri | blank | literal
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"lang,omitempty"`
-}
-
-func fromTermJSON(j TermJSON) (rdf.Term, error) {
-	switch j.Kind {
-	case "iri":
-		return rdf.NewIRI(j.Value), nil
-	case "blank":
-		return rdf.NewBlank(j.Value), nil
-	case "literal", "":
-		if j.Lang != "" {
-			return rdf.NewLangString(j.Value, j.Lang), nil
-		}
-		if j.Datatype != "" {
-			return rdf.NewTyped(j.Value, j.Datatype), nil
-		}
-		return rdf.NewString(j.Value), nil
-	default:
-		return rdf.Term{}, fmt.Errorf("unknown term kind %q", j.Kind)
-	}
-}
-
-// StepJSON is the wire form of a facet path step.
-type StepJSON struct {
-	P       string `json:"p"`
-	Inverse bool   `json:"inverse,omitempty"`
-}
-
-func fromPathJSON(steps []StepJSON) facet.Path {
-	out := make(facet.Path, len(steps))
-	for i, s := range steps {
-		out[i] = facet.PathStep{P: rdf.NewIRI(s.P), Inverse: s.Inverse}
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -393,7 +352,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func decode[T any](r *http.Request, into *T) error {
+func decode(r *http.Request, into any) error {
 	defer r.Body.Close()
 	return json.NewDecoder(r.Body).Decode(into)
 }
@@ -579,103 +538,74 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeState(w, s.sessionFor(r))
 }
 
+// click decodes the request into req, makes the click do on the request's
+// session and answers the state it leads to. The session checks every click:
+// one it refuses answers 400 and changes nothing.
+func (s *Server) click(w http.ResponseWriter, r *http.Request, req any, do func(*core.Session) error) {
+	if err := decode(r, req); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess := s.sessionFor(r)
+	if err := do(sess); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	writeState(w, sess)
+}
+
 func (s *Server) handleClickClass(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Class string `json:"class"`
 	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Class == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("class required"))
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	sess.ClickClass(rdf.NewIRI(req.Class))
-	writeState(w, sess)
+	s.click(w, r, &req, func(sess *core.Session) error { return sess.ClickClass(rdf.NewIRI(req.Class)) })
 }
 
 func (s *Server) handleClickValue(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Path   []StepJSON `json:"path"`
-		Value  *TermJSON  `json:"value"`
-		Values []TermJSON `json:"values"`
+		Path   []core.StepJSON `json:"path"`
+		Value  *core.TermJSON  `json:"value"`
+		Values []core.TermJSON `json:"values"`
 	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	path := fromPathJSON(req.Path)
-	if err := facet.CheckPath(path); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	switch {
-	case len(req.Values) > 0:
-		vs := make([]rdf.Term, 0, len(req.Values))
-		for _, j := range req.Values {
-			t, err := fromTermJSON(j)
+	s.click(w, r, &req, func(sess *core.Session) error {
+		if req.Value != nil && len(req.Values) == 0 {
+			t, err := req.Value.Term()
 			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
+				return err
 			}
-			vs = append(vs, t)
+			return sess.ClickValue(core.PathOf(req.Path), t)
 		}
-		sess.ClickValueSet(path, vs)
-	case req.Value != nil:
-		t, err := fromTermJSON(*req.Value)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
+		vs := make([]rdf.Term, len(req.Values))
+		for i, j := range req.Values {
+			var err error
+			if vs[i], err = j.Term(); err != nil {
+				return err
+			}
 		}
-		sess.ClickValue(path, t)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("value or values required"))
-		return
-	}
-	writeState(w, sess)
+		return sess.ClickValueSet(core.PathOf(req.Path), vs)
+	})
 }
 
 func (s *Server) handleClickRange(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Path  []StepJSON `json:"path"`
-		Op    string     `json:"op"`
-		Value TermJSON   `json:"value"`
+		Path  []core.StepJSON `json:"path"`
+		Op    string          `json:"op"`
+		Value core.TermJSON   `json:"value"`
 	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !facet.ValidRangeOp(req.Op) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown range operator %q", req.Op))
-		return
-	}
-	path := fromPathJSON(req.Path)
-	if err := facet.CheckPath(path); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	t, err := fromTermJSON(req.Value)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	sess.ClickRange(path, req.Op, t)
-	writeState(w, sess)
+	s.click(w, r, &req, func(sess *core.Session) error {
+		t, err := req.Value.Term()
+		if err != nil {
+			return err
+		}
+		return sess.ClickRange(core.PathOf(req.Path), req.Op, t)
+	})
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Path []StepJSON `json:"path"`
+		Path []core.StepJSON `json:"path"`
 	}
 	if err := decode(r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -684,74 +614,36 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	writeValues(w, sess.Model().ExpandPath(sess.State(), fromPathJSON(req.Path)))
+	writeValues(w, sess.Model().ExpandPath(sess.State(), core.PathOf(req.Path)))
 }
 
 func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		P       string `json:"p"`
-		Inverse bool   `json:"inverse,omitempty"`
-	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.P == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("property required"))
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	sess.SwitchFocus(facet.PathStep{P: rdf.NewIRI(req.P), Inverse: req.Inverse})
-	writeState(w, sess)
+	var req core.StepJSON
+	s.click(w, r, &req, func(sess *core.Session) error {
+		return sess.SwitchFocus(facet.PathStep{P: rdf.NewIRI(req.P), Inverse: req.Inverse})
+	})
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Path   []StepJSON `json:"path"`
-		Derive string     `json:"derive,omitempty"`
+		Path   []core.StepJSON `json:"path"`
+		Derive string          `json:"derive,omitempty"`
 	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := core.GroupSpec{Path: fromPathJSON(req.Path), Derive: req.Derive}
-	if err := spec.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	sess.ClickGroupBy(spec)
-	writeState(w, sess)
+	s.click(w, r, &req, func(sess *core.Session) error {
+		return sess.ClickGroupBy(core.GroupSpec{Path: core.PathOf(req.Path), Derive: req.Derive})
+	})
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	var req struct {
-		Path   []StepJSON `json:"path"`
-		Derive string     `json:"derive,omitempty"`
-		Op     string     `json:"op"`
+		Path   []core.StepJSON `json:"path"`
+		Derive string          `json:"derive,omitempty"`
+		Op     string          `json:"op"`
 	}
-	if err := decode(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !hifun.ValidOp(req.Op) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown aggregate %q", req.Op))
-		return
-	}
-	measure := core.MeasureSpec{Path: fromPathJSON(req.Path), Derive: req.Derive}
-	if err := measure.Check(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessionFor(r)
-	sess.ClickAggregate(measure, hifun.Operation{Op: hifun.AggOp(strings.ToUpper(req.Op))})
-	writeState(w, sess)
+	s.click(w, r, &req, func(sess *core.Session) error {
+		return sess.ClickAggregate(core.MeasureSpec{Path: core.PathOf(req.Path), Derive: req.Derive},
+			hifun.Operation{Op: hifun.AggOp(strings.ToUpper(req.Op))})
+	})
 }
 
 // handleRun answers the Σ click: the session's analytic query, translated
@@ -901,8 +793,6 @@ func (s *Server) handleAnswerCSV(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.graph.Stats()
 	writeJSON(w, map[string]int{
 		"triples": st.Triples, "terms": st.Terms, "subjects": st.Subjects,

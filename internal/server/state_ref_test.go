@@ -10,7 +10,7 @@ import (
 // The reference the interaction API's hand-written bodies are held to: the
 // mirror structs its answers were encoded through with encoding/json before
 // wire.go wrote them directly, with the conversions that filled them,
-// verbatim. stateLocked lost only its unused receiver; termJSON is TermJSON
+// verbatim. stateLocked lost only its unused receiver; termJSON is core.TermJSON
 // as it was, with the display label answers carry. TestBodiesMatchReference
 // compares json.NewEncoder(w).Encode of these to what the handlers write.
 

@@ -115,8 +115,8 @@ func referenceBody(t *testing.T, s *Server, id string, c call) []byte {
 	var v any
 	switch c.path {
 	case "/api/expand":
-		steps := c.body.(map[string]any)["path"].([]StepJSON)
-		v = refValues(sess.Model().ExpandPath(sess.State(), fromPathJSON(steps)))
+		steps := c.body.(map[string]any)["path"].([]core.StepJSON)
+		v = refValues(sess.Model().ExpandPath(sess.State(), core.PathOf(steps)))
 	case "/api/run":
 		q, err := sess.BuildHIFUNQuery()
 		if err != nil {
@@ -155,10 +155,10 @@ func nextCall(rng *rand.Rand, st *stateJSON) call {
 			}
 		}
 	}
-	step := func(f facetJSON) StepJSON { return StepJSON{P: f.P, Inverse: f.Inverse} }
-	term := func(f facetJSON) TermJSON {
+	step := func(f facetJSON) core.StepJSON { return core.StepJSON{P: f.P, Inverse: f.Inverse} }
+	term := func(f facetJSON) core.TermJSON {
 		t := f.Values[rng.Intn(len(f.Values))].Term
-		return TermJSON{Kind: t.Kind, Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
+		return core.TermJSON{Kind: t.Kind, Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
 	}
 	pick := func(fs []facetJSON) facetJSON { return fs[rng.Intn(len(fs))] }
 	switch r := rng.Intn(16); {
@@ -169,21 +169,21 @@ func nextCall(rng *rand.Rand, st *stateJSON) call {
 	case r <= 4 && len(valued) > 0:
 		f := pick(valued)
 		if rng.Intn(3) == 0 {
-			return call{"POST", "/api/click/value", map[string]any{"path": []StepJSON{step(f)}, "values": []TermJSON{term(f), term(f)}}}
+			return call{"POST", "/api/click/value", map[string]any{"path": []core.StepJSON{step(f)}, "values": []core.TermJSON{term(f), term(f)}}}
 		}
-		return call{"POST", "/api/click/value", map[string]any{"path": []StepJSON{step(f)}, "value": term(f)}}
+		return call{"POST", "/api/click/value", map[string]any{"path": []core.StepJSON{step(f)}, "value": term(f)}}
 	case r == 5 && len(numeric) > 0:
 		f := pick(numeric)
 		op := []string{"<", "<=", ">", ">="}[rng.Intn(4)]
-		return call{"POST", "/api/click/range", map[string]any{"path": []StepJSON{step(f)}, "op": op, "value": term(f)}}
+		return call{"POST", "/api/click/range", map[string]any{"path": []core.StepJSON{step(f)}, "op": op, "value": term(f)}}
 	case r == 6 && len(valued) > 0:
-		return call{"POST", "/api/expand", map[string]any{"path": []StepJSON{step(pick(valued)), step(pick(valued))}}}
+		return call{"POST", "/api/expand", map[string]any{"path": []core.StepJSON{step(pick(valued)), step(pick(valued))}}}
 	case r == 7 && len(valued) > 0:
 		f := pick(valued)
 		return call{"POST", "/api/pivot", map[string]any{"p": f.P, "inverse": f.Inverse}}
 	case r <= 9 && len(valued) > 0:
 		f := pick(valued)
-		body := map[string]any{"path": []StepJSON{step(f)}}
+		body := map[string]any{"path": []core.StepJSON{step(f)}}
 		if t := term(f); t.Datatype == rdf.XSDDate && rng.Intn(2) == 0 {
 			body["derive"] = "year"
 		}
@@ -191,9 +191,9 @@ func nextCall(rng *rand.Rand, st *stateJSON) call {
 	case r <= 11:
 		ops := []string{"count", "sum", "avg", "min", "max"}
 		if len(numeric) == 0 || rng.Intn(4) == 0 {
-			return call{"POST", "/api/aggregate", map[string]any{"path": []StepJSON{}, "op": "count"}}
+			return call{"POST", "/api/aggregate", map[string]any{"path": []core.StepJSON{}, "op": "count"}}
 		}
-		return call{"POST", "/api/aggregate", map[string]any{"path": []StepJSON{step(pick(numeric))}, "op": ops[rng.Intn(len(ops))]}}
+		return call{"POST", "/api/aggregate", map[string]any{"path": []core.StepJSON{step(pick(numeric))}, "op": ops[rng.Intn(len(ops))]}}
 	case r <= 13:
 		return call{"POST", "/api/run", nil}
 	}
