@@ -7,8 +7,12 @@ package conformance
 // query shapes no human enumerated.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -287,5 +291,104 @@ func TestMetamorphicOrderComparator(t *testing.T) {
 		if cmp(a, a) != 0 {
 			t.Fatalf("irreflexivity violated: cmp(a,a)=%d for %v", cmp(a, a), a)
 		}
+	}
+}
+
+// TestMetamorphicUnreadPredicates: a query's answer depends only on the
+// triples of the predicates it reads (sparql.ReadSet), which is what lets
+// the answer cache keep an answer across writes to other predicates. For
+// every corpus query that does not read all predicates, seeded random
+// triples on fresh predicates and on the case's other predicates (rdf:type
+// included) leave the answer byte-identical: the same SELECT body in the
+// same row order, the same ASK boolean, the same CONSTRUCT graph.
+func TestMetamorphicUnreadPredicates(t *testing.T) {
+	cases, err := LoadCases("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := 0
+	for _, c := range cases {
+		data, err := os.ReadFile(filepath.Join(c.Dir, "data.ttl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := os.ReadFile(filepath.Join(c.Dir, "query.rq"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := rdf.LoadTurtleString(string(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := sparql.Parse(string(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := sparql.ReadSet(q)
+		if reads.All {
+			continue
+		}
+		covered++
+		answer := func(g *rdf.Graph) string {
+			switch q.Form {
+			case sparql.FormAsk:
+				ok, err := sparql.ExecAskCtx(context.Background(), g, q, sparql.Options{})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", c.Category, c.Name, err)
+				}
+				return fmt.Sprint(ok)
+			case sparql.FormConstruct:
+				out, err := sparql.ExecConstructCtx(context.Background(), g, q, sparql.Options{})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", c.Category, c.Name, err)
+				}
+				return canonicalNT(out)
+			}
+			res, err := sparql.ExecSelect(g, q)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Category, c.Name, err)
+			}
+			return string(res.JSON())
+		}
+		want := answer(g)
+		for seed := int64(1); seed <= 3; seed++ {
+			h := g.Clone()
+			addUnread(rand.New(rand.NewSource(seed)), h, reads.Preds)
+			if got := answer(h); got != want {
+				t.Errorf("%s/%s, seed %d: writes to predicates it does not read (%v) changed the answer\ngot:\n%s\nwant:\n%s",
+					c.Category, c.Name, seed, reads.Preds, got, want)
+			}
+		}
+	}
+	t.Logf("%d of %d corpus queries read a bounded set of predicates", covered, len(cases))
+	if covered < len(cases)/2 {
+		t.Errorf("%d of %d corpus queries read a bounded set of predicates, want at least half", covered, len(cases))
+	}
+}
+
+// addUnread adds 40 random triples to g on predicates outside reads: fresh
+// ones and g's own others, rdf:type among them. Subjects and objects are
+// g's terms, fresh IRIs and literals of several datatypes.
+func addUnread(rng *rand.Rand, g *rdf.Graph, reads []rdf.Term) {
+	var preds, terms []rdf.Term
+	for i := 0; i < 3; i++ {
+		preds = append(preds, rdf.NewIRI(fmt.Sprintf("http://example.org/unread#p%d", i)))
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://example.org/unread#x%d", i)))
+	}
+	for _, p := range append(g.Predicates(), rdf.NewIRI(rdf.RDFType)) {
+		if !slices.Contains(reads, p) && !slices.Contains(preds, p) {
+			preds = append(preds, p)
+		}
+	}
+	for _, tr := range g.Triples() {
+		terms = append(terms, tr.S, tr.O)
+	}
+	terms = append(terms, rdf.NewInteger(7), rdf.NewString("x"), rdf.NewLangString("x", "en"), rdf.NewTyped("2021-01-01", rdf.XSDDate))
+	for i := 0; i < 40; i++ {
+		s := terms[rng.Intn(len(terms))]
+		if s.IsLiteral() {
+			s = terms[rng.Intn(3)]
+		}
+		g.Add(rdf.Triple{S: s, P: preds[rng.Intn(len(preds))], O: terms[rng.Intn(len(terms))]})
 	}
 }

@@ -106,7 +106,8 @@ func newLevel(g *rdf.Graph, ns string, start facet.Intention) *level {
 }
 
 // state returns the current state. When the graph has been written since
-// the level was built (DESIGN.md §10, "One staleness rule"), the schema and
+// the level was built — a level reads every predicate, since any can become
+// a facet (DESIGN.md §10, "One staleness rule") — the schema and
 // the start state are rebuilt first, the latter from its own intention: a
 // seed's extension or every object, narrowed to its class. When the current
 // state is unset, the log is replayed from the start state.
@@ -505,8 +506,9 @@ type Run struct {
 	// datatype, so two different questions can print alike; their keys
 	// cannot. The translation is a pure function of what the key holds, so
 	// equal keys denote equal Answer Frames.
-	Key string
-	ctx *hifun.Context
+	Key  string
+	ctx  *hifun.Context
+	prep *hifun.Prepared // set by Prepare
 }
 
 // PrepareRun builds the current analytic query, the context it ranges over
@@ -545,12 +547,30 @@ func runKey(patterns []string, a Analytics) string {
 	return key.String()
 }
 
-// Exec translates and evaluates the run, once, recording spans under tr and
-// the engine's operators in prof (either may be nil). The evaluation
-// observes qctx's deadline and cancellation and the session's Limits.
+// Prepare translates the run to SPARQL and parses it, once: the query Exec
+// then evaluates. A caller that needs the query before the evaluation — its
+// shape, what it reads — takes it from here and parses nothing again.
+func (r *Run) Prepare() (*sparql.Query, error) {
+	if r.prep == nil {
+		p, err := r.ctx.Prepare(r.Query)
+		if err != nil {
+			return nil, err
+		}
+		r.prep = p
+	}
+	return r.prep.Parsed, nil
+}
+
+// Exec evaluates the run, once, recording spans under tr and the engine's
+// operators in prof (either may be nil); it translates the run first unless
+// Prepare did. The evaluation observes qctx's deadline and cancellation and
+// the session's Limits.
 func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*hifun.Answer, error) {
 	defer observeSince(runSeconds, time.Now())
 	r.ctx.Trace, r.ctx.Profile = tr, prof
+	if r.prep != nil {
+		return r.ctx.ExecutePrepared(qctx, r.prep)
+	}
 	return r.ctx.ExecuteCtx(qctx, r.Query)
 }
 

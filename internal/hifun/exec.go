@@ -185,17 +185,33 @@ func (c *Context) Execute(q *Query) (*Answer, error) {
 // cancelled when ctx's deadline expires or it is cancelled, and the
 // context's Limits govern intermediate result sizes.
 func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
-	start := time.Now()
-	defer func() { executeSeconds.Observe(time.Since(start).Seconds()) }()
-	root := c.Trace.Root()
-
-	ts := root.StartChild("translate")
-	src, err := c.Translator().Translate(q)
-	translateSeconds.Observe(time.Since(start).Seconds())
-	if ts != nil {
-		ts.SetAttr("hifun", q.String())
-		ts.Finish()
+	p, err := c.Prepare(q)
+	if err != nil {
+		return nil, err
 	}
+	return c.ExecutePrepared(ctx, p)
+}
+
+// Prepared is a HIFUN query translated to SPARQL and parsed: what
+// ExecutePrepared evaluates, and what a caller reads the generated query's
+// shape and read set from without parsing it again.
+type Prepared struct {
+	Query  *Query
+	SPARQL string
+	Parsed *sparql.Query
+	// translated and took time the translation, for the translate span of
+	// the trace the evaluation records under, which may start later.
+	translated time.Time
+	took       time.Duration
+}
+
+// Prepare translates q against the context and parses the SPARQL it
+// generates. Nothing is evaluated.
+func (c *Context) Prepare(q *Query) (*Prepared, error) {
+	start := time.Now()
+	src, err := c.Translator().Translate(q)
+	took := time.Since(start)
+	translateSeconds.Observe(took.Seconds())
 	if err != nil {
 		return nil, err
 	}
@@ -203,16 +219,28 @@ func (c *Context) ExecuteCtx(ctx context.Context, q *Query) (*Answer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hifun: generated SPARQL failed to parse: %w\n%s", err, src)
 	}
+	return &Prepared{Query: q, SPARQL: src, Parsed: parsed, translated: start, took: took}, nil
+}
+
+// ExecutePrepared evaluates a prepared query (see ExecuteCtx). Its trace
+// holds the translation as it was timed by Prepare.
+func (c *Context) ExecutePrepared(ctx context.Context, p *Prepared) (*Answer, error) {
+	start := time.Now()
+	defer func() { executeSeconds.Observe(time.Since(start).Seconds()) }()
+	root := c.Trace.Root()
+	if ts := root.AddChild("translate", p.translated, p.took); ts != nil {
+		ts.SetAttr("hifun", p.Query.String())
+	}
 	es := root.StartChild("exec")
-	res, err := sparql.ExecSelectCtx(ctx, c.Graph, parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile})
+	res, err := sparql.ExecSelectCtx(ctx, c.Graph, p.Parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile})
 	es.Finish()
 	if err != nil {
 		return nil, err
 	}
 	bs := root.StartChild("build_answer")
 	res.Sort()
-	ans := &Answer{SPARQL: src}
-	nGroups := len(res.Vars) - len(q.Ops)
+	ans := &Answer{SPARQL: p.SPARQL}
+	nGroups := len(res.Vars) - len(p.Query.Ops)
 	if nGroups < 0 {
 		nGroups = 0
 	}

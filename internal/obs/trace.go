@@ -97,6 +97,17 @@ func (s *Span) StartChild(name string) *Span {
 	return c
 }
 
+// AddChild records a child span that has already run: it started at start
+// and took dur. It is for work timed before the trace existed. Returns nil
+// (safely usable) when the receiver is nil or the child cap is reached.
+func (s *Span) AddChild(name string, start time.Time, dur time.Duration) *Span {
+	c := s.StartChild(name)
+	if c != nil {
+		c.start, c.dur, c.done = start, dur, true
+	}
+	return c
+}
+
 // Finish fixes the span's duration; further calls are no-ops.
 func (s *Span) Finish() {
 	if s == nil {

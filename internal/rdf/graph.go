@@ -297,6 +297,11 @@ type Graph struct {
 	// version moves on every mutation; callers of Version validate their
 	// derived caches against it instead of subscribing to writes.
 	version uint64
+	// changed holds, per predicate ID, the version of the last mutation of
+	// one of that predicate's triples; floor is the last version at which
+	// everything moved (SetVersion). ReadVersion reads both.
+	changed map[ID]uint64
+	floor   uint64
 	// journal, when installed, receives every effective mutation (an Add of
 	// a new triple, a Remove of a present one) before it is applied — the
 	// write-ahead hook of the durable store (internal/store). It runs with
@@ -310,7 +315,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{dict: NewDict()}
+	return &Graph{dict: NewDict(), changed: map[ID]uint64{}}
 }
 
 // Len returns the number of triples stored.
@@ -434,6 +439,7 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 		g.ix[ord].apply(order(ord).key(s, p, o), del)
 	}
 	g.version++
+	g.changed[p] = g.version
 	if len(g.ix[spo].delta) > maxDelta {
 		for ord := range g.ix {
 			g.ix[ord].merge()
@@ -445,17 +451,25 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 // write pending — to the triple set, a version each. The batch's other two
 // permutations come from one stable sort each; an empty graph (the snapshot
 // reader's) takes the three slices as its arrays, any other merges them in.
-// The caller holds the write lock or owns the graph exclusively.
+// Each predicate of the batch is noted changed at the batch's last version,
+// once per run of the POS order. The caller holds the write lock or owns the
+// graph exclusively.
 func (g *Graph) load(keys []key) {
 	byOSP := rotate(keys, g.dict.Len())
-	for ord, ks := range [...][]key{spo: keys, pos: rotate(byOSP, g.dict.Len()), osp: byOSP} {
+	byPOS := rotate(byOSP, g.dict.Len())
+	g.version += uint64(len(keys))
+	for i, k := range byPOS {
+		if i == 0 || k[0] != byPOS[i-1][0] {
+			g.changed[k[0]] = g.version
+		}
+	}
+	for ord, ks := range [...][]key{spo: keys, pos: byPOS, osp: byOSP} {
 		if len(g.ix[ord].base) == 0 {
 			g.ix[ord].base = ks
 		} else {
 			g.ix[ord].insert(ks)
 		}
 	}
-	g.version += uint64(len(keys))
 }
 
 // rotate returns keys sorted as (x, y, z) re-sorted and rewritten as
@@ -517,10 +531,11 @@ func (g *Graph) SetJournal(fn func(op JournalOp, t Triple, version uint64)) {
 // restarts (a freshly rebuilt graph would otherwise restart counting at its
 // triple count, and write-ahead-log records stamped by the previous process
 // could alias older epochs). Derived caches validate against the version, so
-// moving it simply invalidates them.
+// moving it simply invalidates them: v is also the floor of every read
+// version, as if every predicate changed at v.
 func (g *Graph) SetVersion(v uint64) {
 	g.mu.Lock()
-	g.version = v
+	g.version, g.floor = v, v
 	g.mu.Unlock()
 }
 
@@ -739,13 +754,16 @@ func (g *Graph) SubjectsWithPredicate(p Term) []Term {
 }
 
 // Clone returns a deep copy of the graph: same triples, same dictionary IDs,
-// same version; the journal hook and the scan counter stay behind.
+// same version and read versions; the journal hook and the scan counter stay
+// behind.
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := &Graph{
 		dict:    &Dict{toID: maps.Clone(g.dict.toID), toTerm: slices.Clone(g.dict.toTerm), literals: g.dict.literals},
 		version: g.version,
+		changed: maps.Clone(g.changed),
+		floor:   g.floor,
 	}
 	for ord, ix := range g.ix {
 		out.ix[ord] = index{base: slices.Clone(ix.base), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}

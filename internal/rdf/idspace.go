@@ -120,3 +120,30 @@ func (g *Graph) Version() uint64 {
 	defer g.mu.RUnlock()
 	return g.version
 }
+
+// ReadSet names what an answer read of a graph: the predicates of the
+// triples its patterns can match, or every predicate (All).
+type ReadSet struct {
+	All   bool
+	Preds []Term
+}
+
+// ReadVersion returns the version of what rs reads: the last version that
+// changed a triple of one of its predicates, at least the last SetVersion,
+// and Version() when rs reads all. A predicate the dictionary has never
+// seen has no triple to change. An answer computed at version v is the one
+// the graph gives now iff ReadVersion of its read set is at most v.
+func (g *Graph) ReadVersion(rs ReadSet) uint64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if rs.All {
+		return g.version
+	}
+	v := g.floor
+	for _, p := range rs.Preds {
+		if id, ok := g.dict.toID[p]; ok {
+			v = max(v, g.changed[id])
+		}
+	}
+	return v
+}

@@ -4,13 +4,15 @@ import (
 	"time"
 
 	"rdfanalytics/internal/hifun"
+	"rdfanalytics/internal/rdf"
 )
 
 // Answer is one cached response to a /sparql SELECT or ASK or to an
 // analytic run: the fully rendered body plus the metadata needed to replay
 // it faithfully and to decide freshness. Version is the graph version the
-// answer was computed against; When is the fill time, used to bound how
-// stale an answer a max-stale request may get.
+// answer was computed against and Reads what its query read of the graph
+// (Fresh); When is the fill time, used to bound how stale an answer a
+// max-stale request may get.
 type Answer struct {
 	Body          []byte
 	ContentType   string
@@ -20,6 +22,7 @@ type Answer struct {
 	FingerprintID string // the filler's ID of Shape, so a replay hashes nothing
 	TraceID       string // trace retained for the execution that filled this entry
 	Version       uint64
+	Reads         rdf.ReadSet
 	When          time.Time
 	// Frame is a run's Answer Frame, which the body renders: every session
 	// served this entry adopts it, read-only. Nil for a /sparql answer.
@@ -36,9 +39,16 @@ type Key struct {
 	Text      string
 }
 
+// Fresh reports whether a is the answer g gives now: no triple of a
+// predicate a read changed after the version a was computed against. It is
+// the one freshness rule — of a lookup, of a fill that straddled a write,
+// and (through the same read version) of singleflight's join.
+func (a *Answer) Fresh(g *rdf.Graph) bool { return g.ReadVersion(a.Reads) <= a.Version }
+
 // AnswerCache is the answer cache: a byte-bounded LRU of rendered responses
-// keyed by Key, invalidated by graph-version comparison at lookup time
-// rather than by eager purging. The raw text, not the structural
+// keyed by Key, checked for freshness (Answer.Fresh) at lookup time rather
+// than purged by writes: a write outdates only the entries that read a
+// predicate it changed. The raw text, not the structural
 // fingerprint, is the key: the fingerprint normalizes constants, datatypes
 // and timezones away, and the text decides the fingerprint anyway. A nil
 // *AnswerCache disables caching: every method is a safe no-op/miss.
@@ -64,9 +74,23 @@ func NewAnswerCache(maxBytes int64, _ time.Duration, onEvict func(key Key, size 
 // Enabled reports whether the cache can hold anything.
 func (c *AnswerCache) Enabled() bool { return c != nil }
 
-// Get returns a fresh hit: an entry computed against exactly the current
-// graph version. Entries from older versions are left resident (they may
-// still satisfy a max-stale lookup) and reported as a miss.
+// GetFresh returns a fresh hit: the entry for key, if it is Fresh in g.
+// An outdated entry is left resident (it may still satisfy a max-stale
+// lookup) and reported as a miss.
+func (c *AnswerCache) GetFresh(key Key, g *rdf.Graph) (*Answer, bool) {
+	if c == nil {
+		return nil, false
+	}
+	a, ok := c.lru.Get(key)
+	if !ok || !a.Fresh(g) {
+		return nil, false
+	}
+	return a, true
+}
+
+// Get returns the entry for key if it was computed against exactly version.
+//
+// Deprecated: it serves Lookup; the read path uses GetFresh.
 func (c *AnswerCache) Get(key Key, version uint64) (*Answer, bool) {
 	if c == nil {
 		return nil, false
@@ -78,7 +102,7 @@ func (c *AnswerCache) Get(key Key, version uint64) (*Answer, bool) {
 	return a, true
 }
 
-// GetStale returns a hit regardless of graph version provided the entry was
+// GetStale returns a hit regardless of freshness provided the entry was
 // filled within the staleness window — the read path of a request that
 // carries Cache-Control: max-stale. window <= 0 disables stale serving.
 func (c *AnswerCache) GetStale(key Key, now time.Time, window time.Duration) (*Answer, bool) {
@@ -92,8 +116,9 @@ func (c *AnswerCache) GetStale(key Key, now time.Time, window time.Duration) (*A
 	return a, true
 }
 
-// Put inserts a rendered answer. The caller is responsible for checking the
-// graph version did not change during execution before filling.
+// Put inserts a rendered answer. The caller is responsible for checking that
+// no predicate the answer read changed during execution (Answer.Fresh)
+// before filling.
 func (c *AnswerCache) Put(key Key, a *Answer) {
 	if c == nil || a == nil {
 		return

@@ -53,11 +53,16 @@ func TestOverloadCounts(t *testing.T) {
 	}
 	hotQuery := `SELECT (COUNT(?s) AS ?n) WHERE { ?s a <` + ns + `Laptop> }`
 	var distinct []string
-	for _, p := range []string{"manufacturer", "price", "origin", "USBPorts", "releaseDate", "hardDrive", "founder", "size"} {
+	distinctPreds := []string{"manufacturer", "price", "origin", "USBPorts", "releaseDate", "hardDrive", "founder", "size"}
+	for _, p := range distinctPreds {
 		distinct = append(distinct, `SELECT ?s ?o WHERE { ?s <`+ns+p+`> ?o }`)
 	}
 	update := func(k int) string {
-		return fmt.Sprintf(`INSERT DATA { <%soverload%d> a <%sLaptop> }`, ns, k, ns)
+		text := fmt.Sprintf(`INSERT DATA { <%soverload%d> a <%sLaptop>`, ns, k, ns)
+		for _, p := range distinctPreds {
+			text += fmt.Sprintf(` ; <%s%s> %d`, ns, p, k)
+		}
+		return text + ` }`
 	}
 	queries := append([]string{hotQuery}, distinct...)
 	for r := 0; r < rounds; r++ {

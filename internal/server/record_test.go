@@ -160,7 +160,7 @@ func TestOneRecordPerOperation(t *testing.T) {
 		{name: "stale", kind: "sparql", cache: []string{"stale"},
 			setup: func() {
 				must(get(qStale))
-				must(update(`PREFIX ex: <` + ns + `> INSERT DATA { ex:staleProbe a ex:Laptop . }`))
+				must(update(`PREFIX ex: <` + ns + `> INSERT DATA { ex:staleProbe a ex:Laptop ; ex:USBPorts 9 . }`))
 			},
 			act: one(func() *http.Request {
 				req := get(qStale)

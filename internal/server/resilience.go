@@ -8,10 +8,14 @@
 // each outcome feeds. Every decision reads request-path state only: the
 // cache, the gate's occupancy and the drain flag.
 //
+// An answer is fresh while no predicate its query reads has changed since it
+// was computed (resilience.Answer.Fresh): a write outdates only the answers
+// that read what it wrote.
+//
 // Outcome taxonomy on the X-Cache response header: "hit" (fresh cache),
-// "stale" (an earlier graph version's answer, for a request carrying
-// Cache-Control: max-stale, see maxStale), "collapsed" (shared a concurrent
-// identical execution at the same graph version), "miss" (executed,
+// "stale" (an outdated answer, for a request carrying Cache-Control:
+// max-stale, see maxStale), "collapsed" (shared a concurrent identical
+// execution over the same version of what it reads), "miss" (executed,
 // possibly filling the cache), "bypass" (shape not cacheable: CSV accept,
 // CONSTRUCT, DESCRIBE, a run at a reloaded level).
 package server
@@ -152,30 +156,19 @@ func (s *Server) queryExec(q *sparql.Query) cachedExec {
 }
 
 // cachedExec is what a cached read runs on a miss: the engine execution
-// under rec's trace, the record's rows (and a run's shape) filled in, and
-// the answer rendered to its body.
+// under rec's trace, the record's rows filled in, and the answer rendered to
+// its body.
 type cachedExec func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error)
 
-// serveCached is the one cached read path, taken by /sparql SELECT/ASK and by
-// /api/run at the base level: serveHit, then on a miss serveMiss. /sparql
-// takes the two halves apart, with its parse between them. rec is the
-// operation's record, its Cache still unset. The response is written here;
-// the answer served is returned, nil after an error response.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, ctx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec) *resilience.Answer {
-	start := time.Now()
-	if ans := s.serveHit(w, r, key, rec, start); ans != nil {
-		return ans
-	}
-	return s.serveMiss(w, ctx, key, rec, exec, start)
-}
-
-// serveHit is the first half of the cached read path: a fresh hit, or a
-// stale one for a request that asks for one (maxStale). It writes the
-// response and returns the answer served, or returns nil having written
-// nothing. It reads only key and the request's headers, so /sparql calls it
-// before parsing.
+// serveHit is the first half of the one cached read path, taken by /sparql
+// SELECT/ASK and by /api/run at the base level: a fresh hit, or a stale one
+// for a request that asks for one (maxStale). It writes the response and
+// returns the answer served, or returns nil having written nothing. It reads
+// only key and the request's headers, so the caller parses its query — what
+// the miss needs for its read set and shape — only after it. rec is the
+// operation's record, its Cache still unset.
 func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, key resilience.Key, rec obs.QueryRecord, start time.Time) *resilience.Answer {
-	if ans, ok := s.answers.Get(key, s.graph.Version()); ok {
+	if ans, ok := s.answers.GetFresh(key, s.graph); ok {
 		cacheHit.Inc()
 		rec.Cache = "hit"
 		s.serveCachedAnswer(w, ans, rec, start)
@@ -195,18 +188,19 @@ func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, key resilience
 }
 
 // serveMiss is the second half of the cached read path: a follower collapsed
-// onto an identical execution at the same graph version, or a leader that
-// runs exec (see fill). rec carries the shape and fingerprint its record
+// onto an identical execution over the same version of what it reads, or a
+// leader that runs exec (see fill). reads is what the query reads of the
+// graph (sparql.ReadSet); rec carries the shape and fingerprint its record
 // needs before the execution.
-func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec, start time.Time) *resilience.Answer {
-	// A follower only joins a leader that read the same graph version when
-	// it missed: one arriving after an update never shares an execution that
-	// may have read the graph before it.
-	flightKey := key.Namespace + "\x00" + key.Text + "\x00" + strconv.FormatUint(s.graph.Version(), 10)
+func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resilience.Key, reads rdf.ReadSet, rec obs.QueryRecord, exec cachedExec, start time.Time) *resilience.Answer {
+	// A follower only joins a leader that missed at the same read version:
+	// one arriving after a write to a predicate the query reads never shares
+	// an execution that may have read the graph before that write.
+	flightKey := key.Namespace + "\x00" + key.Text + "\x00" + strconv.FormatUint(s.graph.ReadVersion(reads), 10)
 	leader := rec
 	leader.Cache = "miss"
 	v, collapsed, err := s.flight.Do(ctx, flightKey, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
-		return s.fill(execCtx, key, leader, exec)
+		return s.fill(execCtx, key, reads, leader, exec)
 	})
 	if err != nil {
 		execError(w, err)
@@ -227,8 +221,8 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 }
 
 // maxStale reads the request's Cache-Control max-stale directive (RFC 9111
-// §5.2.1.2): how long ago an answer of an earlier graph version may have
-// been filled for the client to take it. That is min(N s, StaleWindow) for
+// §5.2.1.2): how long ago an outdated answer may have been filled for the
+// client to take it. That is min(N s, StaleWindow) for
 // max-stale=N and StaleWindow for a bare max-stale. ok is false without the
 // directive or when stale serving is off; a malformed value is ignored.
 func (s *Server) maxStale(r *http.Request) (window time.Duration, ok bool) {
@@ -255,12 +249,12 @@ func (s *Server) maxStale(r *http.Request) (window time.Duration, ok bool) {
 }
 
 // fill is the singleflight leader body: exec guarded, and the cache filled
-// when the graph version did not move meanwhile. execCtx is detached from
+// unless a predicate the answer read changed meanwhile. execCtx is detached from
 // any single caller's request (see resilience.Group), bounded by the query
 // timeout. rec carries the leader's middleware-minted trace ID; the
 // retained trace and the cached answer both carry it, so every response
 // serving this execution can point at the same waterfall.
-func (s *Server) fill(execCtx context.Context, key resilience.Key, rec obs.QueryRecord, exec cachedExec) (*resilience.Answer, error) {
+func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.ReadSet, rec obs.QueryRecord, exec cachedExec) (*resilience.Answer, error) {
 	version := s.graph.Version()
 	var ans *resilience.Answer
 	release, err := s.guarded(execCtx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
@@ -280,10 +274,10 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, rec obs.Query
 	if err != nil {
 		return nil, err
 	}
-	ans.Version, ans.When = version, time.Now()
-	// Fill only if the graph version is unchanged: a mutation mid-execution
-	// means the result reflects neither version cleanly.
-	if s.answers.Enabled() && s.graph.Version() == version {
+	ans.Version, ans.Reads, ans.When = version, reads, time.Now()
+	// Fill only if the answer is still fresh: a write mid-execution to a
+	// predicate it read means the result reflects neither version cleanly.
+	if s.answers.Enabled() && ans.Fresh(s.graph) {
 		s.answers.Put(key, ans)
 		cacheFills.Inc()
 	}

@@ -212,3 +212,25 @@ func TestQueryTextCannotNameARun(t *testing.T) {
 		t.Errorf("/sparql with the run's key text = %d X-Cache %q, want the 400 of a query that does not parse", rec.Code, xc)
 	}
 }
+
+// TestRunParsesOnce: a run's miss parses its generated SPARQL once — the
+// execution, the record's shape and the read set all come from that parse —
+// and a run's hit parses nothing.
+func TestRunParsesOnce(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	laptopsBy(t, s, "a", "manufacturer")
+	laptopsBy(t, s, "b", "manufacturer")
+	for _, c := range []struct {
+		session, xc string
+		parses      uint64
+	}{{"a", "miss", 1}, {"b", "hit", 0}, {"a", "hit", 0}} {
+		p0 := parses()
+		code, xc, _, body := doRun(s, c.session)
+		if code != http.StatusOK || xc != c.xc {
+			t.Fatalf("run of %s = %d %q, want 200 %q: %s", c.session, code, xc, c.xc, body)
+		}
+		if d := parses() - p0; d != c.parses {
+			t.Errorf("a run %s parsed %d times, want %d", c.xc, d, c.parses)
+		}
+	}
+}

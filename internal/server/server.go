@@ -432,10 +432,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		s.serveGraphQuery(w, ctx, q, rec)
 	case csv && q.Form == sparql.FormSelect:
 		s.execSelectCSV(w, ctx, q, rec)
-	case csv: // an ASK answers JSON whatever the request accepts
-		s.serveCached(w, r, ctx, key, rec, s.queryExec(q))
+	case csv && s.serveHit(w, r, key, rec, start) != nil:
+		// An ASK answers JSON whatever the request accepts, a cached one too.
 	default:
-		s.serveMiss(w, ctx, key, rec, s.queryExec(q), start)
+		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(q), start)
 	}
 }
 
@@ -453,9 +453,10 @@ var updateShapes = [...]string{
 }
 
 // execUpdate applies a SPARQL update and reports the change counts. No
-// cache is notified: everything derived from the graph — the answer cache
-// and the sessions' markers included — compares Graph.Version() when it is
-// next read.
+// cache is notified: everything derived from the graph checks, when it is
+// next read, whether a predicate it read has changed since — a cached answer
+// its query's predicates (Graph.ReadVersion), a session level all of them
+// (Graph.Version).
 func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -648,10 +649,10 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 
 // handleRun answers the Σ click: the session's analytic query, translated
 // to SPARQL and evaluated. At the base level a run is a query like any
-// other, served through the one cached read path (serveCached) under a key
-// of the session's making; a reloaded level queries its session's own copy
-// of an answer, which no other session shares, so it bypasses the cache.
-// Either way the session adopts the frame that was served.
+// other, served through the one cached read path (serveHit, serveMiss) under
+// a key of the session's making; a reloaded level queries its session's own
+// copy of an answer, which no other session shares, so it bypasses the
+// cache. Either way the session adopts the frame that was served.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -663,10 +664,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	start := time.Now()
 	hq := run.Query.String()
-	// A run fingerprints by its generated SPARQL, which carries the full
-	// shape; the HIFUN text stands in until that exists, and on failure.
-	rec := obs.QueryRecord{Kind: "analytics", Query: hq, Shape: "analytics " + hq, RequestID: requestID(r), TraceID: traceIDOf(r)}
+	rec := obs.QueryRecord{Kind: "analytics", Query: hq, RequestID: requestID(r), TraceID: traceIDOf(r)}
+	key := resilience.Key{Namespace: "analytics", Text: run.Key}
+	if sess.Depth() == 1 {
+		if ans := s.serveHit(w, r, key, rec, start); ans != nil {
+			sess.SetAnswer(ans.Frame)
+			return
+		}
+	}
+	// A miss translates the run and parses its SPARQL, once: the shape, the
+	// read set and the execution all come from that one parse. The HIFUN
+	// text stands in for the shape when the translation fails.
+	q, err := run.Prepare()
+	if err != nil {
+		rec.Shape = "analytics " + hq
+		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+		s.record(rec, err, nil)
+		queryError(w, err)
+		return
+	}
+	rec.Shape = sparql.Fingerprint(q)
 	rec.FingerprintID = sparql.FingerprintID(rec.Shape)
 	exec := func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
 		prof := sparql.NewProfile("run_analytics")
@@ -674,12 +693,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, prof, err
 		}
-		rec.Shape, rec.Rows = sparql.FingerprintQuery(frame.SPARQL), len(frame.Rows)
-		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+		rec.Rows = len(frame.Rows)
 		return &resilience.Answer{Body: answerBody(frame, hq), ContentType: "application/json", Frame: frame}, prof, nil
 	}
 	if sess.Depth() == 1 {
-		if ans := s.serveCached(w, r, ctx, resilience.Key{Namespace: "analytics", Text: run.Key}, rec, exec); ans != nil {
+		if ans := s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, exec, start); ans != nil {
 			sess.SetAnswer(ans.Frame)
 		}
 		return

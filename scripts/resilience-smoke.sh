@@ -9,7 +9,8 @@
 #      Retry-After while the cached fingerprint keeps serving hits.
 #   3. stale — after a graph update, a request carrying
 #      Cache-Control: max-stale=600 gets the outdated cache entry, marked
-#      X-Cache: stale with an Age; a plain request gets a fresh miss; /readyz
+#      X-Cache: stale with an Age; a plain request gets a fresh miss, and
+#      still a hit after a write to a predicate it does not read; /readyz
 #      stays 200 throughout.
 # Needs only sh + curl + grep.
 set -eu
@@ -171,4 +172,15 @@ if [ "$XCACHE" != "miss" ]; then
 fi
 ready "after the fresh miss"
 
-echo "resilience-smoke: OK — herd collapse, overflow shedding and stale-on-request serving all healthy"
+# A write to a predicate QHOT does not read leaves its fresh answer cached.
+curl -sf -o /dev/null --data-urlencode \
+    "update=PREFIX ex: <$NS> INSERT DATA { ex:resilienceSmoke ex:smokeNote \"unread\" . }" "$BASE/sparql"
+XCACHE=$(curl -s -D - -o /dev/null --get --data-urlencode "query=$QHOT" "$BASE/sparql" \
+    | tr -d '\r' | grep -i '^X-Cache:' | awk '{print $2}')
+if [ "$XCACHE" != "hit" ]; then
+    echo "resilience-smoke: FAIL — plain request after a write to an unread predicate X-Cache=$XCACHE, want hit" >&2
+    exit 1
+fi
+ready "after the unrelated write"
+
+echo "resilience-smoke: OK — herd collapse, overflow shedding, stale-on-request serving and per-predicate freshness all healthy"
