@@ -12,9 +12,9 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
-# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkStateWrite and
-# of BenchmarkCachedRead (so none can rot; TestCachedReadAllocs holds a cache
-# hit to its allocation budget), the telemetry and chaos smoke tests against
+# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkDictionary,
+# of BenchmarkStateWrite and of BenchmarkCachedRead (so none can rot;
+# TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -22,6 +22,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
+	$(GO) test -run '^$$' -bench Dictionary -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead' -benchmem -benchtime 1x ./internal/server
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
@@ -77,8 +78,9 @@ durability-smoke:
 
 # fuzz-smoke runs each fuzz target for a short burst — the parsers, the JSON
 # string escaper and the state writer's float formatter against encoding/json,
-# the graph's sorted permutations against the map-of-maps oracle, and the
-# answer cache's key injectivity; a
+# the graph's sorted permutations against the map-of-maps oracle, the term
+# dictionary against the map-and-slice one, and the answer cache's key
+# injectivity; a
 # discovered panic or mismatch fails the build and leaves its input in
 # testdata/fuzz/.
 FUZZTIME ?= 30s
@@ -90,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzGraphOps$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
+	$(GO) test -fuzz '^FuzzDict$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 	$(GO) test -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) -run XXX ./internal/resilience/
 

@@ -91,11 +91,12 @@ func (g *Graph) SnapshotBinary(w io.Writer) (version uint64, triples int, err er
 		_, err := bw.WriteString(s)
 		return err
 	}
-	// Dictionary, in ID order (toTerm[i] holds the term for ID i+1).
+	// Dictionary, in ID order.
 	if err := writeUvarint(uint64(g.dict.Len())); err != nil {
 		return 0, 0, err
 	}
-	for _, t := range g.dict.toTerm {
+	for id := ID(1); int(id) <= g.dict.Len(); id++ {
+		t := g.dict.Term(id)
 		if err := bw.WriteByte(byte(t.Kind)); err != nil {
 			return 0, 0, err
 		}

@@ -562,13 +562,13 @@ func (g *Graph) Match(s, p, o Term, fn func(Triple) bool) {
 	t := Triple{s, p, o}
 	g.matchIDsLocked(sID, pID, oID, func(si, pi, oi ID) bool {
 		if sID == 0 {
-			t.S = g.dict.Term(si)
+			g.dict.termInto(&t.S, si)
 		}
 		if pID == 0 {
-			t.P = g.dict.Term(pi)
+			g.dict.termInto(&t.P, pi)
 		}
 		if oID == 0 {
-			t.O = g.dict.Term(oi)
+			g.dict.termInto(&t.O, oi)
 		}
 		return fn(t)
 	})
@@ -645,11 +645,15 @@ func (g *Graph) MatchCount(s, p, o Term) int {
 func (g *Graph) Triples() []Triple {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	terms := slices.Clone(g.dict.toTerm)
+	terms := make([]Term, g.dict.Len())
+	for i := range terms {
+		terms[i] = g.dict.Term(ID(i + 1))
+	}
 	SortTerms(terms)
 	rank := make([]ID, len(terms)+1)
 	for r, t := range terms {
-		rank[g.dict.toID[t]] = ID(r)
+		id, _ := g.dict.Lookup(t)
+		rank[id] = ID(r)
 	}
 	ranked := make([]key, 0, g.matchCountIDsLocked(0, 0, 0))
 	g.ix[spo].scan(spo, key{}, 0, func(s, p, o ID) bool {
@@ -688,7 +692,8 @@ func (g *Graph) column(s, p, o ID, at int) []Term {
 			}
 			seen[id] = struct{}{}
 		}
-		out = append(out, g.dict.Term(id))
+		out = append(out, Term{})
+		g.dict.termInto(&out[len(out)-1], id)
 		return true
 	})
 	return out
@@ -760,7 +765,7 @@ func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := &Graph{
-		dict:    &Dict{toID: maps.Clone(g.dict.toID), toTerm: slices.Clone(g.dict.toTerm), literals: g.dict.literals},
+		dict:    g.dict.clone(),
 		version: g.version,
 		changed: maps.Clone(g.changed),
 		floor:   g.floor,

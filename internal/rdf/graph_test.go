@@ -310,36 +310,3 @@ func BenchmarkGraphMatchPO(b *testing.B) {
 		g.Match(Any, ex("p3"), ex("o13"), func(Triple) bool { n++; return true })
 	}
 }
-
-// BenchmarkDictionary quantifies dictionary interning vs raw map-of-strings
-// (ablation #4 in DESIGN.md).
-func BenchmarkDictionary(b *testing.B) {
-	terms := make([]Term, 1000)
-	for i := range terms {
-		terms[i] = ex(fmt.Sprintf("term%d", i))
-	}
-	b.Run("intern", func(b *testing.B) {
-		d := NewDict()
-		for _, t := range terms {
-			d.Intern(t)
-		}
-		b.ResetTimer()
-		for b.Loop() {
-			for _, t := range terms {
-				d.Intern(t)
-			}
-		}
-	})
-	b.Run("stringmap", func(b *testing.B) {
-		m := map[string]int{}
-		for i, t := range terms {
-			m[t.String()] = i
-		}
-		b.ResetTimer()
-		for b.Loop() {
-			for _, t := range terms {
-				_ = m[t.String()]
-			}
-		}
-	})
-}

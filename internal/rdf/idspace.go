@@ -17,10 +17,11 @@ func (g *Graph) TermID(t Term) (ID, bool) {
 
 // TermOf materializes the term for a valid ID. It panics on an ID the
 // dictionary never issued (always a programming error).
-func (g *Graph) TermOf(id ID) Term {
+func (g *Graph) TermOf(id ID) (t Term) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.dict.Term(id)
+	g.dict.termInto(&t, id)
+	return t
 }
 
 // TermsOf materializes the terms for IDs under one lock acquisition. An ID
@@ -32,7 +33,7 @@ func (g *Graph) TermsOf(ids []ID) []Term {
 	out := make([]Term, len(ids))
 	for i, id := range ids {
 		if id != 0 && int(id) <= g.dict.Len() {
-			out[i] = g.dict.Term(id)
+			g.dict.termInto(&out[i], id)
 		}
 	}
 	return out
@@ -141,7 +142,7 @@ func (g *Graph) ReadVersion(rs ReadSet) uint64 {
 	}
 	v := g.floor
 	for _, p := range rs.Preds {
-		if id, ok := g.dict.toID[p]; ok {
+		if id, ok := g.dict.Lookup(p); ok {
 			v = max(v, g.changed[id])
 		}
 	}

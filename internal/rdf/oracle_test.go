@@ -9,13 +9,56 @@ import (
 	"testing"
 )
 
+// refDict is the dictionary the columnar Dict replaced — a map from term to
+// ID plus a slice back — kept verbatim as the reference the oracle graph
+// interns into, so a dictionary bug cannot hide behind the code under test.
+type refDict struct {
+	toID     map[Term]ID
+	toTerm   []Term // toTerm[id-1] is the term for id
+	literals int    // how many of them are literals, for Stats
+}
+
+// newRefDict returns an empty dictionary.
+func newRefDict() *refDict {
+	return &refDict{toID: make(map[Term]ID)}
+}
+
+// Intern returns the ID for t, assigning a fresh one if t is new.
+func (d *refDict) Intern(t Term) ID {
+	if id, ok := d.toID[t]; ok {
+		return id
+	}
+	d.toTerm = append(d.toTerm, t)
+	if t.IsLiteral() {
+		d.literals++
+	}
+	id := ID(len(d.toTerm))
+	d.toID[t] = id
+	return id
+}
+
+// Lookup returns the ID for t, or 0 if t has never been interned.
+func (d *refDict) Lookup(t Term) (ID, bool) {
+	id, ok := d.toID[t]
+	return id, ok
+}
+
+// Term returns the term for a valid ID. It panics on an ID the dictionary
+// never issued, which always indicates a programming error.
+func (d *refDict) Term(id ID) Term {
+	return d.toTerm[id-1]
+}
+
+// Len returns the number of distinct interned terms.
+func (d *refDict) Len() int { return len(d.toTerm) }
+
 // oracleGraph is the graph representation the sorted permutations replaced:
 // a set of ID triples plus three map-of-maps indexes, kept here as the
 // reference the flat layout is held to. It answers in whatever order its
 // maps and slices give; the tests compare sets against it and check the new
 // graph's order against its documented contract separately.
 type oracleGraph struct {
-	dict    *Dict
+	dict    *refDict
 	triples map[[3]ID]struct{}
 	spo     map[ID]map[ID][]ID // subject -> predicate -> objects
 	pos     map[ID]map[ID][]ID // predicate -> object -> subjects
@@ -26,7 +69,7 @@ type oracleGraph struct {
 
 func newOracleGraph() *oracleGraph {
 	return &oracleGraph{
-		dict:    NewDict(),
+		dict:    newRefDict(),
 		triples: make(map[[3]ID]struct{}),
 		spo:     make(map[ID]map[ID][]ID),
 		pos:     make(map[ID]map[ID][]ID),
@@ -323,7 +366,7 @@ func runOps(t testing.TB, ops []byte, checkEvery int) (*Graph, *oracleGraph) {
 	return g, want
 }
 
-func mustLookup(d *Dict, t Term) ID {
+func mustLookup(d *refDict, t Term) ID {
 	id, _ := d.Lookup(t)
 	return id
 }

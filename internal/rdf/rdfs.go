@@ -328,7 +328,7 @@ func Materialize(g *Graph) InferenceStats {
 		schema := SchemaOf(g)
 		before := stats.Total()
 		g.mu.Lock()
-		id := func(t Term) ID { return g.dict.toID[t] } // schema terms are interned
+		id := func(t Term) ID { id, _ := g.dict.Lookup(t); return id } // schema terms are interned
 		ids := func(ts iter.Seq[Term]) (out []ID) {
 			for t := range ts {
 				out = append(out, id(t))
