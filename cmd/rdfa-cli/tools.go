@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -103,10 +104,10 @@ func (r queryRun) print(out io.Writer, g *rdf.Graph, query string) error {
 		}
 		return rdf.WriteNTriples(out, res)
 	}
-	var res *sparql.Results
+	var tab *sparql.Table
 	for pass := 1; pass <= max(r.repeat, 1); pass++ {
 		start := time.Now()
-		if res, err = sparql.ExecSelectOpts(g, q, r.opts); err != nil {
+		if tab, err = sparql.ExecSelectTable(context.Background(), g, q, r.opts); err != nil {
 			return err
 		}
 		if r.repeat > 1 {
@@ -116,14 +117,16 @@ func (r queryRun) print(out io.Writer, g *rdf.Graph, query string) error {
 	if len(q.OrderBy) == 0 {
 		// Canonical order for deterministic display — but an ORDER BY
 		// query is already in its answer order; re-sorting would undo it.
-		res.Sort()
+		tab.Sort()
 	}
 	switch r.format {
 	case "csv":
-		return res.WriteCSV(out)
+		return tab.WriteCSV(out)
 	case "json":
-		return res.WriteJSON(out)
+		_, err = out.Write(tab.JSON())
+		return err
 	}
+	res := tab.Results()
 	_, err = fmt.Fprintf(out, "%s(%d rows)\n", res.String(), res.Len())
 	return err
 }

@@ -344,11 +344,11 @@ func TestMetamorphicUnreadPredicates(t *testing.T) {
 				}
 				return canonicalNT(out)
 			}
-			res, err := sparql.ExecSelect(g, q)
+			tab, err := sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", c.Category, c.Name, err)
 			}
-			return string(res.JSON())
+			return string(tab.JSON())
 		}
 		want := answer(g)
 		for seed := int64(1); seed <= 3; seed++ {

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,9 +44,9 @@ func TestProfileCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, plainErr := sparql.ExecSelectOpts(g, q, sparql.Options{})
+			plain, plainErr := sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{})
 			prof := sparql.NewProfile("query")
-			profiled, profErr := sparql.ExecSelectOpts(g, q, sparql.Options{Profile: prof})
+			profiled, profErr := sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{Profile: prof})
 			if (plainErr == nil) != (profErr == nil) {
 				t.Fatalf("error divergence: plain=%v profiled=%v", plainErr, profErr)
 			}
@@ -60,15 +61,8 @@ func TestProfileCorpusDifferential(t *testing.T) {
 				plain.Sort()
 				profiled.Sort()
 			}
-			var a, b bytes.Buffer
-			if err := plain.WriteJSON(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := profiled.WriteJSON(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("profiled run diverged:\nplain:    %s\nprofiled: %s", a.String(), b.String())
+			if a, b := plain.JSON(), profiled.JSON(); !bytes.Equal(a, b) {
+				t.Errorf("profiled run diverged:\nplain:    %s\nprofiled: %s", a, b)
 			}
 			if prof.Root() == nil || prof.Tree() == "" {
 				t.Error("profile empty after profiled run")

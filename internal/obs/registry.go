@@ -116,65 +116,68 @@ func (r *Registry) Help(name, text string) {
 	}
 }
 
-// labelKey renders "k1=v1,k2=v2,..." pairs into the exposition label string
-// `k1="v1",k2="v2"`. Pairs must come in a consistent order per call site
-// (they are not sorted: call sites own their label order, and sorting per
-// call would allocate).
-func labelKey(pairs []string) string {
-	if len(pairs) == 0 {
-		return ""
-	}
-	var sb strings.Builder
+// appendLabelKey renders "k1=v1,k2=v2,..." pairs into the exposition label
+// string `k1="v1",k2="v2"`. Pairs must come in a consistent order per call
+// site (they are not sorted: call sites own their label order, and sorting
+// per call would allocate).
+func appendLabelKey(dst []byte, pairs []string) []byte {
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		sb.WriteString(pairs[i])
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(pairs[i+1]))
-		sb.WriteByte('"')
+		dst = append(append(dst, pairs[i]...), `="`...)
+		dst = append(appendEscapedLabel(dst, pairs[i+1]), '"')
 	}
-	return sb.String()
+	return dst
 }
 
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
+	return string(appendEscapedLabel(nil, v))
+}
+
+func appendEscapedLabel(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// lookup returns the series of f under the label pairs, creating it with
+// create on first use. A lookup of an existing series renders its key on the
+// stack and allocates nothing.
+func (f *family) lookup(labels []string, create func() any) any {
+	var buf [128]byte
+	key := appendLabelKey(buf[:0], labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m, ok := f.series[string(key)]; ok {
+		return m
+	}
+	m, k := create(), string(key)
+	f.series[k] = m
+	f.order = append(f.order, k)
+	return m
 }
 
 // Counter returns the counter for name with the given label pairs
 // (k1, v1, k2, v2, ...), creating it on first use.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	f := r.family(name, kindCounter, nil)
-	key := labelKey(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.series[key]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{}
-	f.series[key] = c
-	f.order = append(f.order, key)
-	return c
+	return r.family(name, kindCounter, nil).lookup(labels, func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns the gauge for name with the given label pairs.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	f := r.family(name, kindGauge, nil)
-	key := labelKey(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.series[key]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{}
-	f.series[key] = g
-	f.order = append(f.order, key)
-	return g
+	return r.family(name, kindGauge, nil).lookup(labels, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the histogram for name with the given label pairs.
@@ -182,16 +185,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // DefBuckets); later calls may pass nil to reuse the family's bounds.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *Histogram {
 	f := r.family(name, kindHistogram, buckets)
-	key := labelKey(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if h, ok := f.series[key]; ok {
-		return h.(*Histogram)
-	}
-	h := newHistogram(f.buckets)
-	f.series[key] = h
-	f.order = append(f.order, key)
-	return h
+	return f.lookup(labels, func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
 // CounterFunc registers (or replaces) a counter whose value is computed at

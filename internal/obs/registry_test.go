@@ -141,6 +141,29 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestLookupsDoNotAllocate: asking the registry for a series it holds —
+// with one label pair, two, an escaped value, or none — returns that series
+// and allocates nothing, so a call site need not cache its handles.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "op", "scan")
+	c2 := r.Counter("c_total", "op", "scan", "phase", "a\"b\nc")
+	g := r.Gauge("g")
+	h := r.Histogram("h_seconds", nil, "op", "filter")
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.Counter("c_total", "op", "scan") != c || r.Counter("c_total", "op", "scan", "phase", "a\"b\nc") != c2 ||
+			r.Gauge("g") != g || r.Histogram("h_seconds", nil, "op", "filter") != h {
+			t.Fatal("a lookup returned another series")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("looking up existing series allocates %v times, want 0", allocs)
+	}
+	if r.Counter("c_total", "op", "filter") == c {
+		t.Error("another label value found the same series")
+	}
+}
+
 func TestNilMetricHandles(t *testing.T) {
 	var c *Counter
 	var g *Gauge

@@ -20,6 +20,8 @@ type ID uint32
 // graph holds (IRI, blank node, one per datatype, one per language tag).
 // An open-addressed table of IDs, at most half full, finds a term's ID by
 // content; Term rebuilds the struct from the columns without allocating.
+// The columns only append: an issued ID's entries are never written again,
+// which is what lets a TermView read them without the graph's lock.
 type Dict struct {
 	values   []string // values[id-1] is the lexical form of id
 	shapeOf  []uint32 // shapeOf[id-1] indexes shapes

@@ -39,6 +39,32 @@ func (g *Graph) TermsOf(ids []ID) []Term {
 	return out
 }
 
+// TermView returns the terms of every ID the dictionary has issued so far,
+// for a caller that decodes many of them (a result table being sorted or
+// encoded). It takes the read lock once, to copy three slice headers; the
+// view then decodes without it, so no write waits on the caller. The
+// dictionary only appends, so an issued ID's term never changes under it.
+func (g *Graph) TermView() TermView {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	d := g.dict
+	return TermView{values: d.values, shapeOf: d.shapeOf, shapes: d.shapes}
+}
+
+// TermView decodes the IDs a dictionary had issued when it was taken
+// (Graph.TermView).
+type TermView struct {
+	values  []string
+	shapeOf []uint32
+	shapes  []Term
+}
+
+// Term returns the term for an ID issued before the view was taken.
+func (v TermView) Term(id ID) Term {
+	s := &v.shapes[v.shapeOf[id-1]]
+	return Term{Kind: s.Kind, Value: v.values[id-1], Datatype: s.Datatype, Lang: s.Lang}
+}
+
 // SubjectIDs returns the ID of every term in subject position, ascending.
 func (g *Graph) SubjectIDs() []ID {
 	g.scans.Add(1)

@@ -104,6 +104,37 @@ func TestTermIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTermViewDuringWrites: a view decodes every ID issued before it was
+// taken as TermOf does, while writes grow the dictionary past the capacity
+// of the columns the view read — under -race, with no lock held.
+func TestTermViewDuringWrites(t *testing.T) {
+	g := testGraph()
+	n := g.dict.Len()
+	want := make([]Term, n+1)
+	for id := 1; id <= n; id++ {
+		want[id] = g.TermOf(ID(id))
+	}
+	v := g.TermView()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 5000; i++ {
+			g.Add(Triple{ex(fmt.Sprint("w", i)), ex("p"), NewLangString(fmt.Sprint(i), fmt.Sprint("x-", i%7))})
+		}
+	}()
+	for pass := 0; pass < 50; pass++ {
+		for id := 1; id <= n; id++ {
+			if got := v.Term(ID(id)); got != want[id] {
+				t.Fatalf("pass %d: view decodes %d as %v, want %v", pass, id, got, want[id])
+			}
+		}
+	}
+	<-done
+	if g.dict.Len() <= 2*n {
+		t.Fatalf("the writes grew the dictionary from %d to only %d terms", n, g.dict.Len())
+	}
+}
+
 func benchGraph(n int) *Graph {
 	g := NewGraph()
 	for j := 0; j < n; j++ {

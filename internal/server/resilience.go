@@ -142,15 +142,15 @@ func (s *Server) queryExec(q *sparql.Query) cachedExec {
 			ans.Body = []byte(`{"boolean":` + strconv.FormatBool(ok) + `,"head":{}}` + "\n")
 			return ans, opts.Profile, err
 		}
-		res, err := sparql.ExecSelectCtx(execCtx, s.graph, q, opts)
+		tab, err := sparql.ExecSelectTable(execCtx, s.graph, q, opts)
 		if err != nil {
 			return nil, opts.Profile, err
 		}
-		rec.Rows = len(res.Rows)
-		res.Sort()
+		rec.Rows = tab.Len()
+		tab.Sort()
 		// The serializer hands over the body at its final size (len == cap),
 		// so what the answer cache accounts is what the answer holds.
-		ans.Body = res.JSON()
+		ans.Body = tab.JSON()
 		return ans, opts.Profile, nil
 	}
 }
@@ -315,12 +315,12 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 	cacheBypass.Inc()
 	w.Header().Set("X-Cache", "bypass")
 	rec.Cache = "bypass"
-	var res *sparql.Results
+	var tab *sparql.Table
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
 		opts := s.engineOpts(rec)
 		var err error
-		if res, err = sparql.ExecSelectCtx(ctx, s.graph, q, opts); err == nil {
-			rec.Rows = len(res.Rows)
+		if tab, err = sparql.ExecSelectTable(ctx, s.graph, q, opts); err == nil {
+			rec.Rows = tab.Len()
 		}
 		return opts.Profile, err
 	})
@@ -329,9 +329,9 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 		execError(w, err)
 		return
 	}
-	res.Sort()
+	tab.Sort()
 	w.Header().Set("Content-Type", "text/csv")
-	res.WriteCSV(w)
+	tab.WriteCSV(w)
 }
 
 // serveGraphQuery is the CONSTRUCT/DESCRIBE path: uncached (triple payloads

@@ -29,12 +29,10 @@ type groupFold struct {
 	accs     []aggAcc // and its accumulators accs[g*len(aggs):(g+1)*len(aggs)]
 	// The SELECT expressions and aggregate ORDER BY conditions (into hidden
 	// variables conds references), aggregates rewritten to aggRefs.
-	cells   []foldCell
-	having  []Expr
-	conds   []OrderCond
-	rows    int          // rows handed to add
-	filters []*runFilter // of the step feeding the fold
-	pass    []int        // rows that reached filters[i]; at len(filters), passed all
+	cells  []foldCell
+	having []Expr
+	conds  []OrderCond
+	rows   int // rows handed to add
 }
 
 type foldCell struct {
@@ -126,18 +124,6 @@ func (f *groupFold) ref(e Expr) Expr {
 		return x
 	}
 	return e
-}
-
-// feed folds a row the feeding step wrote, if the step's filters hold for it.
-func (f *groupFold) feed(row []rdf.ID) {
-	for i, flt := range f.filters {
-		f.pass[i]++
-		if ok, err := (exprEnv{ev: f.ev}).evalBool(flt.expr, row); err != nil || !ok {
-			return
-		}
-	}
-	f.pass[len(f.filters)]++
-	f.add(row)
 }
 
 // add folds one solution row, polling for cancellation as joins do.

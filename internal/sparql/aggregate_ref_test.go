@@ -292,7 +292,7 @@ func TestFoldMatchesReference(t *testing.T) {
 			return
 		}
 		prof := NewProfile("query")
-		res, err := ExecSelectOpts(g, q, Options{Profile: prof})
+		res, err := ExecSelectTable(context.Background(), g, q, Options{Profile: prof})
 		want, refErr := refSelectJSON(g, q)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%s: fold error %v, reference error %v\n%s", label, err, refErr, src)

@@ -3,6 +3,7 @@ package sparql_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -57,7 +58,7 @@ func productsOracleGraph() *rdf.Graph {
 	return datagen.Products(datagen.ProductsConfig{Laptops: 60, Companies: 6, Seed: 3})
 }
 
-// selectBytes runs the query and returns the WriteJSON body.
+// selectBytes runs the query and returns its JSON body.
 func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
@@ -66,17 +67,13 @@ func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
 	if q.Form != sparql.FormSelect {
 		return nil, fmt.Errorf("not a SELECT")
 	}
-	res, err := sparql.ExecSelectOpts(g, q, sparql.Options{
+	tab, err := sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{
 		Limits: sparql.Limits{MaxIntermediateRows: oracleRowBudget},
 	})
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return tab.JSON(), nil
 }
 
 func digest(b []byte) string {

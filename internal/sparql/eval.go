@@ -121,14 +121,25 @@ func ExecSelectOpts(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 // polls ctx cooperatively (at operator boundaries and inside join/path/scan
 // loops) and aborts with context.Cause(ctx) when the deadline passes or the
 // context is cancelled. Resource-limit violations abort with a
-// *BudgetError. Aborted evaluations never return partial results.
+// *BudgetError. Aborted evaluations never return partial results. It is
+// ExecSelectTable, decoded.
 func ExecSelectCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Results, error) {
+	t, err := ExecSelectTable(ctx, g, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return t.Results(), nil
+}
+
+// ExecSelectTable executes a parsed SELECT query as ExecSelectCtx does and
+// returns its answer undecoded, for a caller that only sorts and encodes it.
+func ExecSelectTable(ctx context.Context, g *rdf.Graph, q *Query, opts Options) (*Table, error) {
 	start := time.Now()
-	res, err := newEvaluator(ctx, g, opts).execSelect(q)
+	t, err := newEvaluator(ctx, g, opts).execSelect(q)
 	if err != nil {
 		return nil, finish(opts, start, 0, err)
 	}
-	return res, finish(opts, start, len(res.Rows), nil)
+	return t, finish(opts, start, t.Len(), nil)
 }
 
 // finish is the epilogue of every Exec*Ctx entry point, for an execution
@@ -312,31 +323,14 @@ func ExecSelect(g *rdf.Graph, q *Query) (*Results, error) {
 	return ExecSelectOpts(g, q, Options{})
 }
 
-// execSelect evaluates the query and decodes its solutions: the one place
-// IDs become terms. The projected ID table goes through the graph
-// dictionary under a single lock acquisition into one flat term table, and
-// Results.Rows are views into it.
-func (ev *evaluator) execSelect(q *Query) (*Results, error) {
+// execSelect evaluates the query into its answer: the projected ID rows and
+// what decodes them.
+func (ev *evaluator) execSelect(q *Query) (*Table, error) {
 	vars, rows, err := ev.selectRows(q)
 	if err != nil {
 		return nil, err
 	}
-	res := &Results{Vars: vars, Rows: make([][]rdf.Term, rows.n())}
-	if len(vars) == 0 {
-		return res, nil
-	}
-	table := ev.g.TermsOf(rows.vals)
-	if len(ev.dict.scratch) > 0 {
-		for i, id := range rows.vals {
-			if id&scratchBit != 0 {
-				table[i] = ev.dict.term(id)
-			}
-		}
-	}
-	for i := range res.Rows {
-		res.Rows[i] = table[i*len(vars) : (i+1)*len(vars) : (i+1)*len(vars)]
-	}
-	return res, nil
+	return &Table{Vars: vars, rows: rows, g: ev.g, scratch: ev.dict.scratch}, nil
 }
 
 // selectRows runs a SELECT through its whole pipeline in ID space and
@@ -391,6 +385,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		return nil, nil, err
 	}
 	pmod, pmodt := ev.profEnter("modifiers", "")
+	nIn := work.n() // project may hand back work itself, which the slicing below shortens
 	if len(order) > 0 {
 		work = ev.orderBy(work, order)
 	}
@@ -403,7 +398,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		hi = lo + q.Limit
 	}
 	out.vals = out.vals[lo*out.width : hi*out.width]
-	ev.profExit(pmod, pmodt, work.n(), out.n())
+	ev.profExit(pmod, pmodt, nIn, out.n())
 	return vars, out, nil
 }
 
@@ -520,7 +515,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 		}
 		for _, f := range filters {
 			if f.ready(bound) {
-				cur = ev.applyFilter(f.expr, cur, false)
+				cur = ev.applyFilter(f.expr, cur)
 				f.applied = true
 			}
 		}
@@ -533,7 +528,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 			return empty
 		}
 		if !f.applied {
-			cur = ev.applyFilter(f.expr, cur, false)
+			cur = ev.applyFilter(f.expr, cur)
 		}
 	}
 	return cur
@@ -993,8 +988,9 @@ func (ev *evaluator) extend(q *Query, rows *batch) *batch {
 }
 
 // project keeps the projected variables of the (extended, ordered) solution
-// rows: one output column per variable. SELECT * lists the variables bound
-// in at least one row, sorted.
+// rows: one output column per variable — the rows themselves when the
+// scope's slots are the projection's columns. SELECT * lists the variables
+// bound in at least one row, sorted.
 func (ev *evaluator) project(q *Query, rows *batch) ([]string, *batch) {
 	var vars []string
 	if q.Select.Star {
@@ -1014,6 +1010,13 @@ func (ev *evaluator) project(q *Query, rows *batch) ([]string, *batch) {
 		for _, it := range q.Select.Items {
 			vars = append(vars, it.Var)
 		}
+	}
+	identity := rows.width == len(vars)
+	for j, v := range vars {
+		identity = identity && ev.sc.slot(v) == j
+	}
+	if identity {
+		return vars, rows
 	}
 	out := newBatch(max(1, len(vars)), rows.n())
 	out.vals = out.vals[:cap(out.vals)]

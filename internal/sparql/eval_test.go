@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -641,24 +642,21 @@ SELECT ?i (YEAR(?d) AS ?y) (STR(?d) AS ?s) WHERE { ?i ex:hasDate ?d } LIMIT 1`)
 
 func TestResultsCSVAndJSON(t *testing.T) {
 	g := invoices(t)
-	res, err := Select(g, `PREFIX ex: <http://e/>
-SELECT ?b (SUM(?q) AS ?total) WHERE { ?i ex:takesPlaceAt ?b . ?i ex:inQuantity ?q } GROUP BY ?b`)
+	tab, err := ExecSelectTable(context.Background(), g, MustParse(`PREFIX ex: <http://e/>
+SELECT ?b (SUM(?q) AS ?total) WHERE { ?i ex:takesPlaceAt ?b . ?i ex:inQuantity ?q } GROUP BY ?b`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Sort()
+	tab.Sort()
+	res := tab.Results()
 	var csvBuf bytes.Buffer
-	if err := res.WriteCSV(&csvBuf); err != nil {
+	if err := tab.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(csvBuf.String(), "b,total\n") {
 		t.Errorf("csv header: %q", csvBuf.String())
 	}
-	var jsonBuf bytes.Buffer
-	if err := res.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseJSONResults(&jsonBuf)
+	back, err := ParseJSONResults(bytes.NewReader(tab.JSON()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,23 +293,20 @@ func TestDeadlineDifferential(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := mustParse(t, src)
-		plain, err := ExecSelectOpts(g, q, Options{})
+		plain, err := ExecSelectTable(context.Background(), g, q, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-		bounded, err := ExecSelectCtx(ctx, g, q, Options{})
+		bounded, err := ExecSelectTable(ctx, g, q, Options{})
 		cancel()
 		if err != nil {
 			t.Fatalf("%s under deadline: %v", src, err)
 		}
 		plain.Sort()
 		bounded.Sort()
-		var a, b bytes.Buffer
-		plain.WriteJSON(&a)
-		bounded.WriteJSON(&b)
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("%s: deadline changed the answer\nplain:   %s\nbounded: %s", src, a.String(), b.String())
+		if a, b := plain.JSON(), bounded.JSON(); !bytes.Equal(a, b) {
+			t.Fatalf("%s: deadline changed the answer\nplain:   %s\nbounded: %s", src, a, b)
 		}
 	}
 }

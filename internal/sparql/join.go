@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"time"
+
 	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 )
@@ -127,8 +129,11 @@ func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, s
 	return out
 }
 
-// runTriples plans the run and executes the plan step by step. An aborted
-// evaluation returns no rows.
+// runTriples plans the run and executes the plan step by step. A step reads
+// its input from the blocks the step before it wrote, and hands them back
+// once it is done; the first reads the caller's batch, which stays the
+// caller's. Only the last step's rows are copied into a batch, or go to the
+// fold. An aborted evaluation returns no rows.
 func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, rows *batch, into *groupFold) *batch {
 	if rows.n() == 0 {
 		return rows
@@ -139,75 +144,103 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	}
 	plan := ev.planBGP(rp, colsFromVars(rp, estBound), rows.n())
 	attachFilters(plan, run, filters, sureOutside)
+	in, owned := readRows(rows), false // owned: in is a step's output, no longer the caller's batch
 	for si := range plan.steps {
-		if rows.n() == 0 || ev.cancel.poll() {
+		if in.rows == 0 || ev.cancel.poll() {
 			break
 		}
 		if err := fault.InjectCtx(ev.cancel.ctx, "sparql.join"); err != nil {
 			ev.cancel.abort(err)
 			break
 		}
-		step := &plan.steps[si]
-		var fold *groupFold // the last step writes into it, through its in-run filters
-		if si == len(plan.steps)-1 && into != nil {
-			fold, into.filters, into.pass = into, step.filters, make([]int, len(step.filters)+1)
+		step, last := &plan.steps[si], si == len(plan.steps)-1
+		var fold *groupFold // the last step writes into it
+		if last {
+			fold = into
 		}
-		rows = ev.evalPattern(run[step.pat], &rp.pats[step.pat], rows, step, fold)
-		for i := 0; fold != nil && i < len(step.filters); i++ {
-			pf, pft := ev.profEnter("filter", ev.profLabel(step.filters[i].expr))
-			ev.profExit(pf, pft, fold.pass[i], fold.pass[i+1])
+		out := ev.evalPattern(run[step.pat], &rp.pats[step.pat], in, step, fold)
+		if owned {
+			in.release()
 		}
-		if fold != nil {
-			break
-		}
-		for _, f := range step.filters {
-			if rows.n() == 0 {
-				break
-			}
-			rows = ev.applyFilter(f.expr, rows, true)
+		in, owned = out, true
+		if last && !ev.cancel.aborted() {
+			return in.batch()
 		}
 	}
-	if ev.cancel.aborted() {
-		return &batch{width: rows.width}
+	if owned {
+		in.release()
 	}
-	return rows
+	return &batch{width: rows.width}
 }
 
 // applyFilter keeps the rows the expression holds for; rows whose expression
-// errors or is false drop. inRun marks a filter the planner pushed inside a
-// BGP run (placement guarantees its variables are bound there): its input is
-// the batch the step before it just produced, which the run owns, so the kept
-// rows are compacted in place. A group-level filter copies them: evalGroup
-// never modifies its input.
-func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
+// errors or is false drop. It is a group-level filter's: the kept rows are
+// copied, as evalGroup never modifies its input. (A filter the planner
+// pushed inside a BGP run goes with its step's writes: stepFilter.)
+func (ev *evaluator) applyFilter(expr Expr, rows *batch) *batch {
 	nIn := rows.n()
 	pf, pft := ev.profEnter("filter", ev.profLabel(expr))
 	env := exprEnv{ev: ev}
 	w := rowWriter{width: rows.width}
-	kept := 0 // in-run: rows compacted to the front so far
 	for r := 0; r < nIn; r++ {
 		if r%pollEvery == 0 && ev.cancel.poll() {
 			break
 		}
 		row := rows.row(r)
-		if v, err := env.evalBool(expr, row); err != nil || !v {
-			continue
-		}
-		if inRun {
-			copy(rows.row(kept), row)
-			kept++
-		} else {
+		if v, err := env.evalBool(expr, row); err == nil && v {
 			w.add(row)
 		}
 	}
-	out := rows
-	if inRun {
-		rows.vals = rows.vals[:kept*rows.width]
-	} else {
-		out = w.batch()
-	}
+	out := w.batch()
 	ev.profExit(pf, pft, nIn, out.n())
 	return out
+}
+
+// stepFilter is the in-run filters of one join step, applied to the rows the
+// step writes: the step sieves them between the scans (or probes) of its
+// input rows — a filter decodes terms, which a scan callback may not — once
+// a block's worth waits, and at its end. pass[i] counts the rows that
+// reached filters[i]; pass[len(filters)] the rows that passed them all.
+// When the query is profiled, dur[i] sums the time filters[i] took.
+type stepFilter struct {
+	env     exprEnv
+	filters []*runFilter
+	pass    []int
+	dur     []time.Duration // nil when not profiled
+	from    int             // the first row written that has not been sieved
+	cur     int             // the filter keep applies
+}
+
+// keep reports whether the current filter holds for the row.
+func (sf *stepFilter) keep(row []rdf.ID) bool {
+	v, err := sf.env.evalBool(sf.filters[sf.cur].expr, row)
+	return err == nil && v
+}
+
+// sieve applies the filters, one after the other, to the rows w holds that
+// have not met them: all of them when all is set, else only once they fill
+// a block.
+func (sf *stepFilter) sieve(w *rowWriter, all bool) {
+	if sf == nil || !all && w.rows-sf.from < max(1, rowBlockIDs/w.width) {
+		return
+	}
+	for i := range sf.filters {
+		if sf.from >= w.rows {
+			break
+		}
+		sf.pass[i] += w.rows - sf.from
+		var start time.Time
+		if sf.dur != nil {
+			start = time.Now()
+		}
+		sf.cur = i
+		w.sieve(sf.from, sf.keep)
+		if sf.dur != nil {
+			sf.dur[i] += time.Since(start)
+		}
+	}
+	sf.pass[len(sf.filters)] += w.rows - sf.from
+	sf.from = w.rows
 }
 
 // evalPattern joins the current rows with one pattern. Variable boundness
@@ -215,8 +248,10 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch, inRun bool) *batch {
 // the source pattern, used only to label the profile's scan node. The join
 // type is decided here, from the live row count — the plan only predicted
 // one from its estimate. step.card is the estimate the profile's q-error
-// measures against, the graph count. A fold takes the rows instead.
-func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, step *planStep, fold *groupFold) *batch {
+// measures against, the graph count. The step's rows, its filters applied,
+// are returned in the writer's blocks, or go to the fold, which leaves the
+// writer empty.
+func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, step *planStep, fold *groupFold) *rowWriter {
 	nJoin, mixed := 0, false
 	var joinPos, freePos []int // first pattern position of each distinct var
 	seen := [3]bool{}
@@ -231,13 +266,13 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 			}
 		}
 		bound := 0
-		for r, n := 0, rows.n(); r < n; r++ {
-			if rows.vals[r*rows.width+idx] != 0 {
+		for _, row := range in.all() {
+			if row[idx] != 0 {
 				bound++
 			}
 		}
 		switch bound {
-		case rows.n():
+		case in.rows:
 			nJoin++
 			joinPos = append(joinPos, i)
 		case 0:
@@ -246,7 +281,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 			mixed = true
 		}
 	}
-	strategy := chooseStrategy(pp.baseEst, rows.n(), nJoin, mixed)
+	strategy := chooseStrategy(pp.baseEst, in.rows, nJoin, mixed)
 	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
 	}
@@ -259,22 +294,41 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, rows *batch, st
 	// Each pattern opens a fresh row-budget window: the budget caps the
 	// size of any one intermediate row set, counted while this join produces.
 	ev.cancel.resetRows()
-	w := rowWriter{width: rows.width}
+	var sf *stepFilter
+	if len(step.filters) > 0 {
+		sf = &stepFilter{env: exprEnv{ev: ev}, filters: step.filters, pass: make([]int, len(step.filters)+1)}
+		if ev.prof != nil {
+			sf.dur = make([]time.Duration, len(step.filters))
+		}
+	}
+	w := &rowWriter{width: in.width}
 	if strategy == strategyHashJoin {
-		ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), rows, &w)
+		ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), in, w, sf)
 	} else {
-		ev.nestedLoopRun(pp, rows, &w)
+		ev.nestedLoopRun(pp, in, w, sf)
 	}
+	sf.sieve(w, true)
 	produced := w.rows
-	var out *batch
-	if fold != nil {
-		w.drainRows(fold.feed)
-		out = &batch{width: rows.width}
-	} else {
-		out = w.batch()
+	if sf != nil {
+		produced = sf.pass[0]
 	}
-	ev.profExit(psc, psct, rows.n(), produced)
-	return out
+	if fold != nil {
+		for _, row := range w.all() {
+			fold.add(row)
+		}
+		w.release()
+	}
+	var filtering time.Duration // the filters' time is theirs, not the scan's
+	for i := 0; sf != nil && i < len(sf.dur); i++ {
+		filtering += sf.dur[i]
+	}
+	ev.profExit(psc, psct.Add(filtering), in.rows, produced)
+	// A filter node per filter that had rows to test, as when each filtered
+	// a batch of its own; the fold's record every filter.
+	for i := 0; sf != nil && i < len(sf.dur) && (fold != nil || sf.pass[i] > 0); i++ {
+		ev.profAdd("filter", ev.profLabel(sf.filters[i].expr), sf.dur[i], sf.pass[i], sf.pass[i+1])
+	}
+	return w
 }
 
 // sameVarDiffers reports whether a match binds one variable of the pattern
@@ -297,8 +351,8 @@ func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
 // Every match is written from inside the scan callback, which accounts it
 // against the row budget and polls for cancellation: one row of an unselective
 // pattern can match a large slice of the graph, and the scan stops where the
-// budget does.
-func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, w *rowWriter) {
+// budget does. The filters sieve the rows written between scans.
+func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter) {
 	produced := 0 // rows written since the last budget flush
 	scanned := 0
 	stopped := false
@@ -325,11 +379,14 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, w *rowWriter) {
 		}
 		return !stopped
 	}
-	for r, n := 0, rows.n(); r < n && !stopped; r++ {
+	for r, inRow := range in.all() {
+		if stopped {
+			break
+		}
 		if r%64 == 0 && ev.cancel.poll() {
 			return
 		}
-		row = rows.row(r)
+		row = inRow
 		lookup = pp.ids
 		for i := 0; i < 3; i++ {
 			if pp.slot[i] >= 0 {
@@ -337,6 +394,7 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, rows *batch, w *rowWriter) {
 			}
 		}
 		ev.g.MatchIDs(lookup[0], lookup[1], lookup[2], match)
+		sf.sieve(w, false)
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }
@@ -411,8 +469,9 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 // the row with the free columns of every bucket match. A cross-product run
 // lands here (every probe hits the full build side), so the inner loop
 // accounts produced rows against the budget and polls for cancellation —
-// this is where a pathological query dies early.
-func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, w *rowWriter) {
+// this is where a pathological query dies early. The filters sieve the rows
+// written between probes.
+func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, in, w *rowWriter, sf *stepFilter) {
 	nf := len(ht.freePos)
 	produced := 0
 	emit := func() bool { // false: the budget or an abort stops the probe
@@ -423,11 +482,10 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, w *rowW
 		produced = 0
 		return !stop
 	}
-	for r, n := 0, rows.n(); r < n; r++ {
+	for r, row := range in.all() {
 		if r%64 == 0 && ev.cancel.poll() {
 			return
 		}
-		row := rows.row(r)
 		var key [3]rdf.ID
 		for k, posI := range ht.joinPos {
 			key[k] = row[pp.slot[posI]]
@@ -456,6 +514,7 @@ func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, rows *batch, w *rowW
 				}
 			}
 		}
+		sf.sieve(w, false)
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }

@@ -45,7 +45,11 @@ func (ev *evaluator) evalOptionalPerRow(opt *GroupPattern, input *batch) *batch 
 func selectPerRow(g *rdf.Graph, q *Query, opts Options) (*Results, error) {
 	ev := newEvaluator(context.Background(), g, opts)
 	ev.optional = (*evaluator).evalOptionalPerRow
-	return ev.execSelect(q)
+	t, err := ev.execSelect(q)
+	if err != nil {
+		return nil, err
+	}
+	return t.Results(), nil
 }
 
 // optionalGraph is a random graph with enough fan-out per subject that an

@@ -54,16 +54,13 @@ func TestPathOrderDeterministic(t *testing.T) {
 		q := MustParse(src)
 		var first []byte
 		for run := 0; run < 30; run++ {
-			res, err := ExecSelect(g, q)
+			tab, err := ExecSelectTable(context.Background(), g, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
+			res, body := tab.Results(), tab.JSON()
 			if first == nil {
-				first = buf.Bytes()
+				first = body
 				var got []string
 				for _, row := range res.Rows {
 					for _, term := range row {
@@ -73,8 +70,8 @@ func TestPathOrderDeterministic(t *testing.T) {
 				if strings.Join(got, " ") != want {
 					t.Errorf("%s\n  = %v, want %s (ascending node ID)", src, got, want)
 				}
-			} else if !bytes.Equal(first, buf.Bytes()) {
-				t.Fatalf("%s: run %d differs from the first:\n%s\n%s", src, run, first, buf.Bytes())
+			} else if !bytes.Equal(first, body) {
+				t.Fatalf("%s: run %d differs from the first:\n%s\n%s", src, run, first, body)
 			}
 		}
 	}

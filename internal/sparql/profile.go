@@ -205,6 +205,15 @@ func (ev *evaluator) profExit(parent *ProfNode, start time.Time, rowsIn, rowsOut
 	ev.prof = parent
 }
 
+// profAdd records one invocation of the current node's child (op, label)
+// that ran inside the operator that measured its time d: an in-run filter,
+// applied as its join step writes.
+func (ev *evaluator) profAdd(op, label string, d time.Duration, rowsIn, rowsOut int) {
+	if ev.prof != nil {
+		ev.prof.child(op, label).record(d, rowsIn, rowsOut)
+	}
+}
+
 // Tree renders the profile as an indented text tree, one operator per line
 // with calls, rows in/out, wall time, and — on scan nodes — the planner
 // estimate, actual cardinality and q-error. This is the EXPLAIN ANALYZE
@@ -380,23 +389,22 @@ func (p *Profile) MaxQError() float64 {
 // emitMetrics publishes the finished profile into the Prometheus registry:
 // one rdfa_planner_qerror observation per estimate-carrying operator, and
 // per-operator row/time totals. Called once per profiled query, off the
-// evaluation hot path.
+// evaluation hot path; it allocates nothing once its operators' series exist.
 func (p *Profile) emitMetrics() {
-	if p == nil {
-		return
+	if p != nil {
+		p.root.emitMetrics()
 	}
-	var walk func(n *ProfNode)
-	walk = func(n *ProfNode) {
-		if n.Calls > 0 {
-			obs.Default.Counter("rdfa_sparql_operator_rows_total", "op", n.Op).Add(uint64(n.RowsOut))
-			obs.Default.Histogram("rdfa_sparql_operator_seconds", nil, "op", n.Op).Observe(n.Dur.Seconds())
-		}
-		if n.EstRows >= 0 {
-			plannerQError.Observe(n.QError())
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+}
+
+func (n *ProfNode) emitMetrics() {
+	if n.Calls > 0 {
+		obs.Default.Counter("rdfa_sparql_operator_rows_total", "op", n.Op).Add(uint64(n.RowsOut))
+		obs.Default.Histogram("rdfa_sparql_operator_seconds", nil, "op", n.Op).Observe(n.Dur.Seconds())
 	}
-	walk(p.root)
+	if n.EstRows >= 0 {
+		plannerQError.Observe(n.QError())
+	}
+	for _, c := range n.children {
+		c.emitMetrics()
+	}
 }

@@ -104,6 +104,49 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) }
 	}
 }
 
+// TestModifiersCountTheirInput: the modifiers node counts every row that
+// reaches ORDER BY/projection/DISTINCT/LIMIT as its input and the sliced
+// answer as its output — also when the projection is the scope's own slots,
+// and project hands back the rows it was given.
+func TestModifiersCountTheirInput(t *testing.T) {
+	g := chainGraph(300)
+	all, err := ExecSelect(g, MustParse(`PREFIX ex: <http://e/> SELECT * WHERE { ?s ex:v ?v }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`PREFIX ex: <http://e/> SELECT ?s ?v WHERE { ?s ex:v ?v } LIMIT 10`,
+		`PREFIX ex: <http://e/> SELECT ?v WHERE { ?s ex:v ?v } LIMIT 10`,
+		`PREFIX ex: <http://e/> SELECT ?s ?v WHERE { ?s ex:v ?v } ORDER BY ?v OFFSET 5 LIMIT 10`,
+	} {
+		prof := NewProfile("query")
+		if _, err := ExecSelectOpts(g, MustParse(src), Options{Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+		mods := findProfNodes(prof, "modifiers")
+		if len(mods) != 1 || mods[0].RowsIn != int64(all.Len()) || mods[0].RowsOut != 10 || all.Len() <= 10 {
+			t.Errorf("%q: want one modifiers node with %d rows in and 10 out:\n%s", src, all.Len(), prof.Tree())
+		}
+	}
+}
+
+// TestInRunFiltersAreTimed: a filter applied as its join step writes gets
+// its own time in the profile, taken out of its scan's — grouped or not.
+func TestInRunFiltersAreTimed(t *testing.T) {
+	g := starGraph(10000)
+	for _, sel := range []string{"?s ?v", "(COUNT(?s) AS ?n)"} {
+		prof := NewProfile("query")
+		src := `PREFIX ex: <http://e/> SELECT ` + sel + ` WHERE { ?s ex:cat ?c ; ex:val ?v . FILTER(REGEX(STR(?v), "^2")) }`
+		if _, err := ExecSelectOpts(g, MustParse(src), Options{Profile: prof}); err != nil {
+			t.Fatal(err)
+		}
+		filters := findProfNodes(prof, "filter")
+		if len(filters) != 1 || filters[0].RowsIn != 10000 || filters[0].RowsOut != 1111 || filters[0].Dur <= 0 {
+			t.Errorf("%s: want one timed filter node with 10000 rows in and 1111 out:\n%s", sel, prof.Tree())
+		}
+	}
+}
+
 // TestProfileOptionalUnionNodes drives the OPTIONAL, UNION, path and MINUS
 // operators and checks each has its node in the profile.
 func TestProfileOptionalUnionNodes(t *testing.T) {
@@ -348,4 +391,23 @@ func BenchmarkProfileOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestWarmProfileEmitsWithoutAllocating: publishing a profile whose
+// operators already have their series allocates nothing — the registry
+// finds a series by a label key it renders on the stack.
+func TestWarmProfileEmitsWithoutAllocating(t *testing.T) {
+	g := chainGraph(300)
+	prof := NewProfile("query")
+	q := MustParse(`PREFIX ex: <http://e/>
+SELECT ?s (COUNT(?w) AS ?n) WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) } GROUP BY ?s ORDER BY ?s LIMIT 20`)
+	if _, err := ExecSelectOpts(g, q, Options{Profile: prof}); err != nil { // emits once: the series exist
+		t.Fatal(err)
+	}
+	if len(findProfNodes(prof, "scan")) == 0 || len(findProfNodes(prof, "filter")) == 0 {
+		t.Fatalf("profile without scans or a filter:\n%s", prof.Tree())
+	}
+	if allocs := testing.AllocsPerRun(100, prof.emitMetrics); allocs != 0 {
+		t.Errorf("emitting a warm profile allocates %v times, want 0", allocs)
+	}
 }

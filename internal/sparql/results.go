@@ -56,15 +56,27 @@ func (r *Results) Column(v string) []rdf.Term {
 func (r *Results) Sort() {
 	slices.SortStableFunc(r.Rows, func(x, y []rdf.Term) int {
 		for k, a := range x {
-			if b := y[k]; a != b {
-				if a.Less(b) {
-					return -1
-				}
-				return 1
+			if c := termOrder(a, y[k]); c != 0 {
+				return c
 			}
 		}
 		return 0
 	})
+}
+
+// termOrder is the one comparison of Results.Sort and Table.Sort: 0 for
+// equal terms, otherwise Term.Less decides. Term.Less is no strict weak order
+// (10 < "9" by value, "9" < 9.5 by value, 9.5 < 10 by number), so the two
+// sorts agree on a permutation only because both are the same stable sort
+// asking this function the same questions.
+func termOrder(a, b rdf.Term) int {
+	switch {
+	case a == b:
+		return 0
+	case a.Less(b):
+		return -1
+	}
+	return 1
 }
 
 // String renders the results as an aligned text table (debug/REPL helper).
@@ -117,18 +129,116 @@ func displayTerm(t rdf.Term) string {
 	}
 }
 
-// WriteCSV writes the results as CSV with a header row of variable names.
-func (r *Results) WriteCSV(w io.Writer) error {
+// WriteJSON writes the results in the SPARQL 1.1 JSON results format.
+//
+// Deprecated: a SELECT's body is its Table's (Table.JSON); this stays while
+// benchmark/trace.go measures it (ROADMAP 1a).
+func (r *Results) WriteJSON(w io.Writer) error {
+	_, err := w.Write(appendJSON(r.Vars, len(r.Rows), func(i int) []rdf.Term { return r.Rows[i] }))
+	return err
+}
+
+// Table is a SELECT's answer as evaluation leaves it: one row of dictionary
+// IDs per solution, positional by Vars, 0 = unbound. IDs decode through the
+// graph's dictionary, and a computed value's through the evaluation's
+// scratch terms. Its writers encode the response bodies straight from the
+// IDs; Results is the decoded table, for callers that work on terms.
+type Table struct {
+	// Vars is the projection, in declaration order.
+	Vars    []string
+	rows    *batch // max(1, len(Vars)) wide
+	g       *rdf.Graph
+	scratch []rdf.Term // the evaluation's termDict.scratch
+}
+
+// Len returns the number of solution rows.
+func (t *Table) Len() int { return t.rows.n() }
+
+// term decodes one cell's ID: the zero Term when unbound.
+func (t *Table) term(v rdf.TermView, id rdf.ID) rdf.Term {
+	switch {
+	case id == 0:
+		return rdf.Term{}
+	case id&scratchBit != 0:
+		return t.scratch[id&^scratchBit]
+	}
+	return v.Term(id)
+}
+
+// decoder returns row(i), which decodes row i into a buffer the next call
+// reuses. It reads the dictionary through one view (Graph.TermView), so
+// the graph's lock is not held while the table is worked on.
+func (t *Table) decoder() func(i int) []rdf.Term {
+	v, buf := t.g.TermView(), make([]rdf.Term, len(t.Vars))
+	return func(i int) []rdf.Term {
+		for j, id := range t.rows.row(i)[:len(buf)] {
+			buf[j] = t.term(v, id)
+		}
+		return buf
+	}
+}
+
+// Results decodes the table: the one place a SELECT's IDs become terms. The
+// rows are views into one flat term table.
+func (t *Table) Results() *Results {
+	res := &Results{Vars: t.Vars, Rows: make([][]rdf.Term, t.Len())}
+	if len(t.Vars) == 0 {
+		return res
+	}
+	w, row := len(t.Vars), t.decoder()
+	cells := make([]rdf.Term, len(res.Rows)*w)
+	for i := range res.Rows {
+		res.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		copy(res.Rows[i], row(i))
+	}
+	return res
+}
+
+// Sort orders the rows as Results.Sort orders the decoded ones, into the
+// same permutation: the same stable sort, over row numbers, asking
+// termOrder the same questions. Equal IDs are equal terms; only cells whose
+// IDs differ are decoded.
+func (t *Table) Sort() {
+	perm := make([]int32, t.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	v := t.g.TermView()
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		x, y := t.rows.row(int(a)), t.rows.row(int(b))
+		for k := range t.Vars {
+			if x[k] != y[k] {
+				if c := termOrder(t.term(v, x[k]), t.term(v, y[k])); c != 0 {
+					return c
+				}
+			}
+		}
+		return 0
+	})
+	sorted := make([]rdf.ID, 0, len(t.rows.vals))
+	for _, i := range perm {
+		sorted = append(sorted, t.rows.row(int(i))...)
+	}
+	t.rows.vals = sorted
+}
+
+// JSON returns the table in the SPARQL 1.1 JSON results format (appendJSON).
+func (t *Table) JSON() []byte {
+	return appendJSON(t.Vars, t.Len(), t.decoder())
+}
+
+// WriteCSV writes the table as CSV with a header row of variable names.
+func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Vars); err != nil {
+	if err := cw.Write(t.Vars); err != nil {
 		return err
 	}
-	for _, row := range r.Rows {
-		rec := make([]string, len(r.Vars))
-		for i, t := range row {
-			rec[i] = t.Value
-			if t.Kind == rdf.KindBlank {
-				rec[i] = "_:" + t.Value
+	rec, row := make([]string, len(t.Vars)), t.decoder()
+	for i, n := 0, t.Len(); i < n; i++ {
+		for j, c := range row(i) {
+			rec[j] = c.Value
+			if c.Kind == rdf.KindBlank {
+				rec[j] = "_:" + c.Value
 			}
 		}
 		if err := cw.Write(rec); err != nil {
@@ -139,39 +249,34 @@ func (r *Results) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSON writes the results in the SPARQL 1.1 JSON results format.
-func (r *Results) WriteJSON(w io.Writer) error {
-	_, err := w.Write(r.JSON())
-	return err
-}
-
-// JSON returns the results in the SPARQL 1.1 JSON results format, in one
-// slice allocated at its exact size (rows are measured by counting first,
-// then rendered once). The bytes are what encoding/json produces for the
-// format's natural struct-and-map document — per-binding keys in sorted
-// order, unbound variables omitted, `<`, `>`, `&`, U+2028 and U+2029
-// escaped, invalid UTF-8 replaced by U+FFFD, a trailing newline — so every
-// recorded response digest stays valid; FuzzJSONString holds the string
-// escaper, and the count to the escaper, to json.Encoder.
-func (r *Results) JSON() []byte {
+// appendJSON renders n solution rows over vars in the SPARQL 1.1 JSON
+// results format — row(i) is row i's terms, the zero Term where a variable
+// is unbound — in one slice allocated at its exact size (rows are measured
+// by counting first, then rendered once). The bytes are what encoding/json
+// produces for the format's natural struct-and-map document — per-binding
+// keys in sorted order, unbound variables omitted, `<`, `>`, `&`, U+2028 and
+// U+2029 escaped, invalid UTF-8 replaced by U+FFFD, a trailing newline — so
+// every recorded response digest stays valid; FuzzJSONString holds the
+// string escaper, and the count to the escaper, to json.Encoder.
+func appendJSON(vars []string, n int, row func(i int) []rdf.Term) []byte {
 	// One column per distinct name, in key order, with its rendered key.
 	type column struct {
 		idx int
 		key string // "name":{"type":"
 	}
 	var cols []column
-	for i, v := range r.Vars {
-		if slices.Index(r.Vars, v) == i {
+	for i, v := range vars {
+		if slices.Index(vars, v) == i {
 			cols = append(cols, column{i, string(AppendJSONString(nil, v)) + `:{"type":"`})
 		}
 	}
-	sort.Slice(cols, func(a, b int) bool { return r.Vars[cols[a].idx] < r.Vars[cols[b].idx] })
-	vars, _ := json.Marshal(r.Vars) // null for a nil projection
-	head := `{"head":{"vars":` + string(vars) + `},"results":{"bindings":[`
+	sort.Slice(cols, func(a, b int) bool { return vars[cols[a].idx] < vars[cols[b].idx] })
+	varsJSON, _ := json.Marshal(vars) // null for a nil projection
+	head := `{"head":{"vars":` + string(varsJSON) + `},"results":{"bindings":[`
 	const tail, valueKey = "]}}\n", `","value":`
 	kinds := [...]string{rdf.KindIRI: "uri", rdf.KindBlank: "bnode", rdf.KindLiteral: "literal"}
 	// note is the member carrying a literal's language or datatype, if it has one.
-	note := func(t rdf.Term) (key, value string) {
+	note := func(t *rdf.Term) (key, value string) {
 		switch {
 		case t.Kind != rdf.KindLiteral:
 		case t.Lang != "":
@@ -181,11 +286,12 @@ func (r *Results) JSON() []byte {
 		}
 		return "", ""
 	}
-	size := len(head) + len(tail) + max(len(r.Rows)-1, 0) // with the commas between rows
-	for _, row := range r.Rows {
+	size := len(head) + len(tail) + max(n-1, 0) // with the commas between rows
+	for i := 0; i < n; i++ {
 		empty := len(`{`)
+		r := row(i)
 		for _, c := range cols {
-			if t := row[c.idx]; !t.IsZero() {
+			if t := &r[c.idx]; !t.IsZero() {
 				noteKey, noteValue := note(t)
 				// One byte before every binding, the brace or a comma.
 				size += 1 + len(c.key) + len(kinds[t.Kind]) + len(valueKey) + jsonStringLen(t.Value) + len(noteKey) + len(`}`)
@@ -198,13 +304,14 @@ func (r *Results) JSON() []byte {
 		size += empty + len(`}`)
 	}
 	dst := append(make([]byte, 0, size), head...)
-	for i, row := range r.Rows {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '{')
+		r := row(i)
 		for _, c := range cols {
-			t := row[c.idx]
+			t := &r[c.idx]
 			if t.IsZero() {
 				continue
 			}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"iter"
 	"slices"
 	"strconv"
 	"sync"
@@ -10,11 +11,13 @@ import (
 
 // The evaluator's one solution representation. A solution is a fixed-width
 // row of dictionary IDs — one column ("slot") per variable of the SELECT
-// scope, 0 = unbound — from the first index scan to the last modifier; rows
-// live flat in a batch, and terms are decoded once, at the edge
-// (execSelect). Computed values get IDs from a per-evaluation scratch
-// dictionary, so equal terms ⇔ equal IDs and join compatibility, DISTINCT,
-// GROUP BY keys and COUNT(DISTINCT …) are integer comparisons.
+// scope, 0 = unbound — from the first index scan to the response body; rows
+// live flat in a batch (or, between join steps, in pooled row blocks), and
+// a SELECT's answer is its projected ID rows (Table), decoded only by its
+// writers and by Table.Results. Computed values get IDs from a
+// per-evaluation scratch dictionary, so equal terms ⇔ equal IDs and join
+// compatibility, DISTINCT, GROUP BY keys and COUNT(DISTINCT …) are integer
+// comparisons.
 
 // scope maps the variables of one SELECT — or of a bare group pattern (ASK,
 // CONSTRUCT, DESCRIBE, update WHERE) — to row columns, assigned once before
@@ -120,15 +123,24 @@ const rowBlockIDs = 16 << 10
 var rowBlocks = sync.Pool{New: func() any { return new([rowBlockIDs]rdf.ID) }}
 
 // rowWriter is where an operator that cannot know its output size in advance
-// puts its rows: in pooled fixed-size blocks, whole rows to a block, which
-// batch copies once into a batch allocated at exactly the final size. So no
-// operator's output grows by append, and what a step allocates is what it
-// returns. The row add returns is good until the next add.
+// puts its rows: in pooled fixed-size blocks, whole rows to a block, every
+// block but the last full — so row i is in block i/(rows per block). A join step's
+// rows stay there for the next step to read; an operator's final output is
+// copied once, by batch, into a batch allocated at exactly its size. So no
+// operator's output grows by append. The row add returns is good until the
+// next add.
 type rowWriter struct {
 	width int
 	rows  int
 	full  [][]rdf.ID // filled blocks, in order
 	cur   []rdf.ID   // the block being filled; its length is what is used
+}
+
+// readRows views a batch as a written row set, for a join step to read. The
+// batch stays its owner's, in one block of its own size: nothing may add to,
+// sieve or release the view.
+func readRows(b *batch) *rowWriter {
+	return &rowWriter{width: b.width, rows: b.n(), cur: b.vals}
 }
 
 // add appends a copy of the row and returns it for the caller to extend.
@@ -161,18 +173,58 @@ func (w *rowWriter) nextBlock() {
 	w.cur = rowBlocks.Get().(*[rowBlockIDs]rdf.ID)[:0]
 }
 
-// drainRows calls fn with every row written, in order, and hands the blocks
-// back: fn must not keep the row it is given.
-func (w *rowWriter) drainRows(fn func(row []rdf.ID)) {
+// block returns block b: a filled one, or at len(w.full) the current one.
+func (w *rowWriter) block(b int) []rdf.ID {
+	if b < len(w.full) {
+		return w.full[b]
+	}
+	return w.cur
+}
+
+// all yields every row written, in order, with its number.
+func (w *rowWriter) all() iter.Seq2[int, []rdf.ID] {
+	return func(yield func(int, []rdf.ID) bool) {
+		r := 0
+		for b := 0; b <= len(w.full); b++ {
+			blk := w.block(b)
+			for i := 0; i < len(blk); i += w.width {
+				if !yield(r, blk[i:i+w.width]) {
+					return
+				}
+				r++
+			}
+		}
+	}
+}
+
+// sieve drops, of the rows written from row from on, those keep refuses,
+// moving the kept ones up in place and handing back the blocks this empties.
+func (w *rowWriter) sieve(from int, keep func(row []rdf.ID) bool) {
+	per, kept := max(1, rowBlockIDs/w.width), from // rows to a block
+	for i := from; i < w.rows; i++ {
+		row := w.block(i / per)[i%per*w.width:][:w.width]
+		if keep(row) {
+			if kept != i {
+				copy(w.block(kept / per)[kept%per*w.width:], row)
+			}
+			kept++
+		}
+	}
+	if kept == w.rows {
+		return
+	}
+	next := kept / per // the block the next row goes to, which exists: kept < w.rows
+	for b := next + 1; b <= len(w.full); b++ {
+		putRowBlock(w.block(b))
+	}
+	w.cur = w.block(next)[:(kept-next*per)*w.width]
+	w.full, w.rows = w.full[:next], kept
+}
+
+// release hands the blocks back: nothing may still refer into them.
+func (w *rowWriter) release() {
 	for b := 0; b <= len(w.full); b++ {
-		blk := w.cur
-		if b < len(w.full) {
-			blk = w.full[b]
-		}
-		for i := 0; i < len(blk); i += w.width {
-			fn(blk[i : i+w.width])
-		}
-		putRowBlock(blk)
+		putRowBlock(w.block(b))
 	}
 	*w = rowWriter{width: w.width}
 }
@@ -188,13 +240,10 @@ func putRowBlock(blk []rdf.ID) {
 // hands the blocks back: nothing may still refer into them.
 func (w *rowWriter) batch() *batch {
 	out := newBatch(w.width, w.rows)
-	for _, blk := range w.full {
-		out.vals = append(out.vals, blk...)
-		putRowBlock(blk)
+	for b := 0; b <= len(w.full); b++ {
+		out.vals = append(out.vals, w.block(b)...)
 	}
-	out.vals = append(out.vals, w.cur...)
-	putRowBlock(w.cur)
-	*w = rowWriter{width: w.width}
+	w.release()
 	return out
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -53,62 +54,138 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 	}
 }
 
-// TestStepAllocatesItsOutput: a join step allocates its output once, at its
-// final size, and its build side once, keeping of each match only what a
-// probe reads; the step that feeds the group fold returns no output at all,
-// and the fold keeps no row numbers. The bytes a 4-pattern star with a
-// pushed-down filter allocates stay within 1.2× what its own profile says
-// the other steps returned (rows × width × 4 B) plus, per build-side match,
-// 4 B for its one free column and 28 B of key table — with one key per
-// match: 4 B of key, 4 B of chain, 4 B of bucket end, at most 16 B of
-// open-addressing slots (0.98× measured). Budgeting the last step's output,
-// the aggregate's row numbers or a [3]rdf.ID per match puts the same query
-// at 1.3× before the fold.
+// TestStepAllocatesItsOutput: a join run allocates its output once, at its
+// final size, and each build side once, keeping of each match only what a
+// probe reads; the steps before the last pass their rows on in pooled blocks
+// and allocate nothing, and a step that feeds the group fold returns no
+// output at all. The bytes a 4-pattern star with a pushed-down filter
+// allocates — executed and encoded, as a /sparql miss does — stay within
+// 1.2× its output batch (rows × width × 4 B) plus its JSON body plus, per
+// build-side match, 4 B for its one free column and 28 B of key table — with
+// one key per match: 4 B of key, 4 B of chain, 4 B of bucket end, at most
+// 16 B of open-addressing slots. Grouped, the output is the fold's. Copying
+// an intermediate step's rows into a batch of its own, or decoding the
+// answer into terms before encoding it, puts the star far past that.
 func TestStepAllocatesItsOutput(t *testing.T) {
 	g := starGraph(10000)
-	q := MustParse(`PREFIX ex: <http://e/>
-SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (SUM(?v) AS ?total)
-WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . FILTER(?v >= 2500) }`)
-	run := func(prof *Profile) {
-		res, err := ExecSelectOpts(g, q, Options{Profile: prof})
-		if err != nil {
-			t.Fatal(err)
+	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . FILTER(?v >= 2500) }`
+	for _, c := range []struct {
+		name, query string
+		grouped     bool
+	}{
+		{"grouped", `SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (SUM(?v) AS ?total) ` + where, true},
+		{"select", `SELECT ?s ?f ?c ?v ` + where, false},
+	} {
+		q := MustParse("PREFIX ex: <http://e/>\n" + c.query)
+		var body []byte
+		run := func(prof *Profile) *Table {
+			tab, err := ExecSelectTable(context.Background(), g, q, Options{Profile: prof})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = tab.JSON()
+			return tab
 		}
-		if n := res.Get(0, "n").Value; n != "7500" {
-			t.Fatalf("COUNT(?s) = %s, want 7500", n)
+		prof := NewProfile("test")
+		tab := run(prof) // also warms the block pool
+		if c.grouped {
+			if n := tab.Results().Get(0, "n").Value; n != "7500" {
+				t.Fatalf("%s: COUNT(?s) = %s, want 7500", c.name, n)
+			}
+		} else if tab.Len() != 7500 {
+			t.Fatalf("%s: %d rows, want 7500", c.name, tab.Len())
+		}
+		const perMatch = 4 + 28 // every hash join here keys on ?s and has one free column
+		var built int64
+		folded := false
+		for _, n := range findProfNodes(prof, "scan") {
+			if n.Strategy == strategyHashJoin.String() {
+				built += n.EstRows * perMatch
+			}
+			folded = folded || n.Fold
+		}
+		if built == 0 || folded != c.grouped {
+			t.Fatalf("%s: no hash join ran, or the fold was fed %v:\n%s", c.name, folded, prof.Tree())
+		}
+		output := int64(0)
+		if !c.grouped {
+			output = int64(tab.Len() * selectScope(q).width() * 4)
+		}
+		// The least of three runs. Under the race detector each run is less
+		// the blocks the pool had to make for it, as sync.Pool drops some of
+		// what is put back there; elsewhere a fresh block counts, so a block
+		// a step leaks instead of handing back shows.
+		alloc := int64(math.MaxInt64)
+		for range 3 {
+			var before, after runtime.MemStats
+			made := blocksMade(func() {
+				runtime.ReadMemStats(&before)
+				run(nil)
+				runtime.ReadMemStats(&after)
+			})
+			if !raceDetector {
+				made = 0
+			}
+			alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc)-int64(made*rowBlockIDs*4))
+		}
+		if budget := output + built + int64(len(body)); alloc*10 > budget*12 {
+			t.Errorf("%s: allocated %d bytes for an output of %d, builds of %d and a body of %d: %.2f× (want ≤ 1.2×)\n%s",
+				c.name, alloc, output, built, len(body), float64(alloc)/float64(budget), prof.Tree())
 		}
 	}
-	prof := NewProfile("test")
-	run(prof) // also warms the block pool
-	width := int64(selectScope(q).width())
-	const perMatch = 4 + 28 // every hash join here keys on ?s and has one free column
-	var returned, built int64
-	folded := false
-	for _, n := range findProfNodes(prof, "scan") {
-		if n.Strategy == strategyHashJoin.String() {
-			built += n.EstRows * perMatch
+}
+
+// TestSieveAcrossBlocks: sieving the rows written from some row on keeps
+// exactly the rows a filter over a flat copy keeps, in order — whether the
+// sieved rows start mid-block, span several blocks or empty some of them —
+// and the writer goes on writing after its last kept row.
+func TestSieveAcrossBlocks(t *testing.T) {
+	for _, width := range []int{1, 3, 7, rowBlockIDs + 1} {
+		per := max(1, rowBlockIDs/width)
+		for _, c := range []struct {
+			rows, from int
+			keep       func(i int) bool
+		}{
+			{0, 0, func(int) bool { return false }},
+			{3 * per, 0, func(int) bool { return false }},
+			{3*per + 5, per / 2, func(i int) bool { return i%3 == 0 }},
+			{3*per + 5, per, func(i int) bool { return i > 2*per }},
+			{2*per + 1, 1, func(i int) bool { return i == 2*per }},
+			{2 * per, per - 1, func(i int) bool { return i%2 == 1 }},
+			{per + 1, 0, func(int) bool { return true }},
+		} {
+			w := rowWriter{width: width}
+			row := make([]rdf.ID, width)
+			var want []rdf.ID
+			for i := 0; i < c.rows; i++ {
+				row[0], row[width-1] = rdf.ID(i+1), rdf.ID(i+1)
+				w.add(row)
+				if i < c.from || c.keep(i) {
+					want = append(want, row...)
+				}
+			}
+			w.sieve(c.from, func(r []rdf.ID) bool { return c.keep(int(r[0]) - 1) })
+			row[0], row[width-1] = 0, 0
+			w.add(row)
+			want = append(want, row...)
+			label := fmt.Sprintf("width %d, %d rows sieved from %d", width, c.rows, c.from)
+			if w.rows != len(want)/width {
+				t.Fatalf("%s: %d rows, want %d", label, w.rows, len(want)/width)
+			}
+			if got := w.batch(); !slices.Equal(got.vals, want) {
+				t.Errorf("%s: the rows differ from a flat filter's", label)
+			}
 		}
-		if folded = folded || n.Fold; !n.Fold {
-			returned += n.RowsOut * width * 4
-		}
 	}
-	if built == 0 || !folded {
-		t.Fatalf("no hash join ran, or no step fed the fold:\n%s", prof.Tree())
-	}
-	// The least of three runs: a collection that empties the block pool
-	// between two of them costs the next one its blocks again.
-	alloc := int64(math.MaxInt64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run(nil)
-		runtime.ReadMemStats(&after)
-		alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc))
-	}
-	if budget := returned + built; alloc*10 > budget*12 {
-		t.Errorf("allocated %d bytes for steps returning %d and building %d: %.2f× (want ≤ 1.2×)\n%s",
-			alloc, returned, built, float64(alloc)/float64(budget), prof.Tree())
-	}
+}
+
+// blocksMade runs fn and returns how many row blocks the pool made for it.
+func blocksMade(fn func()) int {
+	made, newBlock := 0, rowBlocks.New
+	rowBlocks.New = func() any { made++; return newBlock() }
+	defer func() { rowBlocks.New = newBlock }()
+	fn()
+	return made
 }
 
 // TestBindYearAllocsPerRow: a strict builtin evaluates its arguments into an
@@ -143,19 +220,20 @@ func TestBindYearAllocsPerRow(t *testing.T) {
 	}
 }
 
-// TestWriteJSONAllocations: serializing allocates a constant number of
+// TestWriteJSONAllocations: encoding a table allocates a constant number of
 // times, whatever the row count.
 func TestWriteJSONAllocations(t *testing.T) {
 	g := starGraph(10000)
 	allocsFor := func(limit int) float64 {
-		res, err := Select(g, fmt.Sprintf(`SELECT ?s ?c ?v WHERE { ?s <http://e/cat> ?c ; <http://e/val> ?v } LIMIT %d`, limit))
+		q := MustParse(fmt.Sprintf(`SELECT ?s ?c ?v WHERE { ?s <http://e/cat> ?c ; <http://e/val> ?v } LIMIT %d`, limit))
+		tab, err := ExecSelectTable(context.Background(), g, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() != limit {
-			t.Fatalf("rows = %d, want %d", res.Len(), limit)
+		if tab.Len() != limit {
+			t.Fatalf("rows = %d, want %d", tab.Len(), limit)
 		}
-		return testing.AllocsPerRun(5, func() { res.JSON() })
+		return testing.AllocsPerRun(5, func() { tab.JSON() })
 	}
 	// The slack is the runtime's own bookkeeping when a multi-MB body makes
 	// the collector run inside the measured window.
@@ -165,23 +243,50 @@ func TestWriteJSONAllocations(t *testing.T) {
 	}
 }
 
+// tableOf lays rows of terms out as an answer table over g: a term the graph
+// holds gets its ID, any other a scratch ID, as a computed value does.
+func tableOf(g *rdf.Graph, vars []string, rows [][]rdf.Term) *Table {
+	d := &termDict{g: g, ids: map[rdf.Term]rdf.ID{}}
+	b := newBatch(max(1, len(vars)), len(rows))
+	for _, row := range rows {
+		for j := 0; j < b.width; j++ {
+			id := rdf.ID(0)
+			if j < len(row) && !row[j].IsZero() {
+				id = d.id(row[j])
+			}
+			b.vals = append(b.vals, id)
+		}
+	}
+	return &Table{Vars: vars, rows: b, g: g, scratch: d.scratch}
+}
+
 // TestJSONFillsItsSlice: the size JSON() counts before rendering is the size
 // it renders — unbound cells, a repeated variable, every term shape and every
-// escape class included — so the body is one allocation with no slack and no
-// regrowth.
+// escape class included, decoded from the graph or from scratch — so the
+// body is one allocation with no slack and no regrowth, and it is the bytes
+// the term table's writer produced.
 func TestJSONFillsItsSlice(t *testing.T) {
 	terms := []rdf.Term{
 		{}, rdf.NewIRI("http://e/<a>&b"), rdf.NewBlank("b0"), rdf.NewString("tab\t \"q\" \\ \x01 \u2028 caf\u00e9 \xff"),
 		rdf.NewLangString("chat", "fr"), rdf.NewInteger(7), rdf.NewTyped("x", "http://e/dt\n"),
+	}
+	g := rdf.NewGraph()
+	for i, term := range terms[1:] {
+		if i%2 == 0 { // the others are scratch terms
+			g.Add(rdf.NewTriple(e("s"), e("p"), term))
+		}
 	}
 	for rows := 0; rows <= len(terms)+1; rows++ {
 		res := &Results{Vars: []string{"b", "a\"", "b", "c"}}
 		for i := 0; i < rows; i++ {
 			res.Rows = append(res.Rows, []rdf.Term{terms[i%len(terms)], terms[(i+1)%len(terms)], {}, terms[(i+i/len(terms))%len(terms)]})
 		}
-		body := res.JSON()
+		body := tableOf(g, res.Vars, res.Rows).JSON()
 		if len(body) != cap(body) {
 			t.Errorf("%d rows: body of %d bytes in a slice of %d", rows, len(body), cap(body))
+		}
+		if want := res.JSON(); string(body) != string(want) {
+			t.Errorf("%d rows: the table encodes\n%s\nthe term table\n%s", rows, body, want)
 		}
 		if back, err := ParseJSONResults(strings.NewReader(string(body))); err != nil || back.Len() != rows {
 			t.Errorf("%d rows: body does not parse back: %v", rows, err)
@@ -189,16 +294,56 @@ func TestJSONFillsItsSlice(t *testing.T) {
 	}
 }
 
+// TestTableDecodesWithoutTheLock: a table's decoder holds no graph lock — a
+// write that grows the dictionary goes through between two of its rows —
+// and it decodes every row as it did before the write.
+func TestTableDecodesWithoutTheLock(t *testing.T) {
+	g := starGraph(1000)
+	q := MustParse(`SELECT ?s ?c ?v (?v + 1 AS ?next) WHERE { ?s <http://e/cat> ?c ; <http://e/val> ?v }`)
+	tab, err := ExecSelectTable(context.Background(), g, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tab.Results()
+	row := tab.decoder()
+	for i := range want.Rows {
+		if i == 1 {
+			wrote := make(chan struct{})
+			go func() {
+				defer close(wrote)
+				for k := 0; k < 5000; k++ {
+					g.Add(rdf.NewTriple(e(fmt.Sprint("new", k)), e("val"), rdf.NewInteger(int64(100000+k))))
+				}
+			}()
+			select {
+			case <-wrote:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a write waited on the table's decoder")
+			}
+		}
+		if got := row(i); !slices.Equal(got, want.Rows[i]) {
+			t.Fatalf("row %d decodes as %v after the write, %v before", i, got, want.Rows[i])
+		}
+	}
+}
+
 // TestSortKeepsSliceStablesPermutation: Results.Sort leaves the rows in the
 // permutation sort.SliceStable left them in with the same comparison — the
-// recorded response digests are of that permutation. It is the same merge
-// sort asking the same questions, so this holds even where Term.Less is no
-// strict weak order (10 < "9" by value, "9" < 9.5 by value, 9.5 < 10 by
-// number) and "sorted" does not name one order.
+// recorded response digests are of that permutation — and Table.Sort leaves
+// the same rows in the same places. It is the same merge sort asking the
+// same questions, so this holds even where Term.Less is no strict weak order
+// (10 < "9" by value, "9" < 9.5 by value, 9.5 < 10 by number) and "sorted"
+// does not name one order.
 func TestSortKeepsSliceStablesPermutation(t *testing.T) {
 	pool := []rdf.Term{
 		{}, e("a"), e("b"), rdf.NewBlank("b0"), rdf.NewString("9"), rdf.NewString("10"), rdf.NewInteger(9), rdf.NewInteger(10),
 		rdf.NewDecimal(9.5), rdf.NewLangString("9", "en"), rdf.NewTyped("x", rdf.XSDInteger), rdf.NewTyped("2021-06-01", rdf.XSDDate),
+	}
+	g := rdf.NewGraph()
+	for i, term := range pool[1:] {
+		if i%2 == 1 { // the others are scratch terms
+			g.Add(rdf.NewTriple(e("s"), e("p"), term))
+		}
 	}
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{0, 1, 2, 19, 20, 21, 40, 41, 333, 5000} {
@@ -207,7 +352,9 @@ func TestSortKeepsSliceStablesPermutation(t *testing.T) {
 			rows[i] = []rdf.Term{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
 		}
 		res := &Results{Vars: []string{"a", "b"}, Rows: slices.Clone(rows)}
+		tab := tableOf(g, res.Vars, rows)
 		res.Sort()
+		tab.Sort()
 		sort.SliceStable(rows, func(i, j int) bool {
 			for k, a := range rows[i] {
 				if b := rows[j][k]; a != b {
@@ -216,9 +363,13 @@ func TestSortKeepsSliceStablesPermutation(t *testing.T) {
 			}
 			return false
 		})
+		sorted := tab.Results().Rows
 		for i := range rows {
 			if &rows[i][0] != &res.Rows[i][0] {
 				t.Fatalf("%d rows: position %d holds %v, sort.SliceStable put %v there", n, i, res.Rows[i], rows[i])
+			}
+			if !slices.Equal(sorted[i], rows[i]) {
+				t.Fatalf("%d rows: Table.Sort put %v at position %d, sort.SliceStable %v", n, sorted[i], i, rows[i])
 			}
 		}
 	}
