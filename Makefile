@@ -13,7 +13,8 @@ test:
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkDictionary,
-# of BenchmarkStateWrite and of BenchmarkCachedRead (so none can rot;
+# of BenchmarkStateWrite, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
+# BenchmarkTailSamplerDecision (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.
 check:
@@ -23,7 +24,8 @@ check:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench Dictionary -benchmem -benchtime 1x ./internal/rdf
-	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead' -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
 	$(MAKE) metrics-lint

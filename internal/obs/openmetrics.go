@@ -12,7 +12,7 @@ import (
 // scrapers and tests; scrapers that negotiate
 // `Accept: application/openmetrics-text` get this rendering, which is the
 // only text format that can carry exemplars — the trace IDs that link a
-// latency bucket back to a retained trace in the TraceStore.
+// latency bucket back to a trace the operations log retained (OpLog).
 
 // OpenMetricsContentType is the content type of WriteOpenMetrics output.
 const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"

@@ -90,15 +90,15 @@ func TestTraceChildCap(t *testing.T) {
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	reg := NewRegistry()
-	l := NewSlowQueryLog(logger, 10*time.Millisecond, reg)
-	l.Observe(QueryRecord{Kind: "sparql", Query: "SELECT fast", FingerprintID: "fp1", RequestID: "req-fast", Duration: time.Millisecond})
+	before := slowQueries.Value()
+	l := NewOpLog(TraceStoreConfig{Disabled: true}, 10*time.Millisecond, logger)
+	l.Record(QueryRecord{Kind: "sparql", Query: "SELECT fast", FingerprintID: "fp1", RequestID: "req-fast", Duration: time.Millisecond})
 	if buf.Len() != 0 {
 		t.Fatalf("fast query logged: %s", buf.String())
 	}
 	tr := NewTrace("sparql")
 	tr.Finish()
-	l.Observe(QueryRecord{Kind: "sparql", Query: "SELECT slow", FingerprintID: "fp1", RequestID: "req-slow", Duration: 50 * time.Millisecond, Trace: tr})
+	l.Record(QueryRecord{Kind: "sparql", Query: "SELECT slow", FingerprintID: "fp1", RequestID: "req-slow", Duration: 50 * time.Millisecond, Trace: tr})
 	out := buf.String()
 	if !strings.Contains(out, "slow query") || !strings.Contains(out, "SELECT slow") {
 		t.Fatalf("slow query not logged: %s", out)
@@ -112,7 +112,7 @@ func TestSlowQueryLog(t *testing.T) {
 	// A pathological multi-KB query is truncated to a bounded length,
 	// without splitting the trailing multi-byte rune.
 	buf.Reset()
-	l.Observe(QueryRecord{Kind: "sparql", Query: strings.Repeat("é", 2000), FingerprintID: "fp2", Duration: 50 * time.Millisecond})
+	l.Record(QueryRecord{Kind: "sparql", Query: strings.Repeat("é", 2000), FingerprintID: "fp2", Duration: 50 * time.Millisecond})
 	out = buf.String()
 	if len(out) > 2*maxLoggedQuery {
 		t.Fatalf("oversized query not truncated: %d bytes", len(out))
@@ -120,16 +120,15 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(out, "…") {
 		t.Fatalf("truncation marker missing: %s", out)
 	}
-	if got := reg.Counter("rdfa_slow_queries_total").Value(); got != 2 {
-		t.Fatalf("slow counter = %d, want 2", got)
+	if got := slowQueries.Value() - before; got != 2 {
+		t.Fatalf("slow counter grew by %d, want 2", got)
 	}
 	// Disabled and nil logs are inert.
-	if NewSlowQueryLog(logger, 0, reg) != nil {
-		t.Error("threshold 0 must disable")
-	}
-	var nilLog *SlowQueryLog
-	nilLog.Observe(QueryRecord{Kind: "x", Query: "y", Duration: time.Hour})
-	if nilLog.Threshold() != 0 {
-		t.Error("nil log threshold must be 0")
+	buf.Reset()
+	NewOpLog(TraceStoreConfig{Disabled: true}, 0, logger).Record(QueryRecord{Kind: "x", Query: "y", Duration: time.Hour})
+	var nilLog *OpLog
+	nilLog.Record(QueryRecord{Kind: "x", Query: "y", Duration: time.Hour})
+	if buf.Len() != 0 || slowQueries.Value()-before != 2 {
+		t.Errorf("threshold 0 and a nil log must not log: %s", buf.String())
 	}
 }

@@ -38,8 +38,8 @@ type dashboardData struct {
 	// occupancy and outcome counters, admission gate state, and the drain
 	// flag (see resilience.go).
 	Resilience resilienceCard
-	// TraceStats/Traces are the tail-sampling retention store's accounting
-	// and the newest retained traces; fingerprints throughout the page link
+	// TraceStats/Traces are the operations log's retention accounting and
+	// the newest retained traces; fingerprints throughout the page link
 	// into /api/traces so a slow shape drills down to concrete span
 	// waterfalls without any scripting.
 	TraceStats obs.TraceStoreStats
@@ -88,16 +88,16 @@ func (s *Server) resilienceSnapshot() resilienceCard {
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	snap := s.workload.Snapshot()
+	snap := s.oplog.Snapshot()
 	data := dashboardData{
 		Now:          time.Now().UTC(),
 		Snap:         snap,
-		TopSlow:      s.workload.TopSlow(dashboardTopK),
+		TopSlow:      snap.TopSlow(dashboardTopK),
 		Misestimates: snap.Misestimates,
 		Recent:       snap.Recent,
 		Resilience:   s.resilienceSnapshot(),
-		TraceStats:   s.traces.Stats(),
-		Traces:       s.traces.Search(obs.TraceQuery{Limit: dashboardTopK}),
+		TraceStats:   s.oplog.TraceStats(),
+		Traces:       s.oplog.Search(obs.TraceQuery{Limit: dashboardTopK}),
 	}
 	if len(data.Misestimates) > dashboardTopK {
 		data.Misestimates = data.Misestimates[:dashboardTopK]

@@ -110,20 +110,18 @@ func recoverPanic(w *statusWriter, r *http.Request) {
 // ---- idle-session expiry ----
 
 // sweepExpired removes sessions idle since before cutoff, returning how
-// many were expired. Exposed separately from the background sweeper so
-// tests can drive it deterministically.
+// many were expired. It walks the recency order from its cold end and stops
+// at the first live session. Exposed separately from the background
+// sweeper so tests can drive it deterministically.
 func (s *Server) sweepExpired(cutoff time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for id, e := range s.sessions {
-		if e.lastAt.Before(cutoff) {
-			delete(s.sessions, id)
-			sessionsExpired.Inc()
-			n++
-		}
+	for el := s.recency.Back(); el != nil && el.Value.(*sessEntry).lastAt.Before(cutoff); el = s.recency.Back() {
+		s.dropSession(el.Value.(*sessEntry))
+		sessionsExpired.Inc()
+		n++
 	}
-	s.active.Store(int64(len(s.sessions)))
 	return n
 }
 

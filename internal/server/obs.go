@@ -101,7 +101,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// attach its ID to the latency observation so a p95 spike on /metrics
 	// resolves to a concrete span waterfall. Only IDs
 	// that will actually resolve through /api/traces are attached.
-	if tid := sw.Header().Get(headerTraceID); s.traces.Contains(tid) {
+	if tid := sw.Header().Get(headerTraceID); s.oplog.Contains(tid) {
 		lat.ObserveExemplar(dur.Seconds(), tid)
 	} else {
 		lat.Observe(dur.Seconds())
@@ -200,12 +200,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default.WritePrometheus(w)
 }
 
-// handleWorkload serves the workload profiler's snapshot: RED aggregates,
+// handleWorkload serves the operations log's workload view: RED aggregates,
 // the recent-query ring, per-fingerprint summaries and the plan-vs-actual
-// misestimation table. The workload has its own lock, so the server mutex
-// is not taken — the endpoint stays responsive while a query runs.
+// misestimation table. The log has its own lock, so the server mutex is not
+// taken — the endpoint stays responsive while a query runs.
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.workload.Snapshot())
+	writeJSON(w, s.oplog.Snapshot())
 }
 
 // mountDebug exposes net/http/pprof on the server's own mux (the stdlib

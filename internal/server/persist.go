@@ -18,7 +18,8 @@ import (
 // near-empty). Answers the resulting store stats. The phases of the
 // checkpoint — snapshot encode, segment write, WAL swap — are recorded as
 // spans and the checkpoint recorded like any operation, so a slow one is in
-// the workload view, the slow-query log and /api/traces.
+// the operations log: the workload view, the slow-query log and
+// /api/traces.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Store
 	if st == nil {
@@ -26,19 +27,13 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	tr := obs.NewTrace("checkpoint")
-	tr.SetID(traceIDOf(r))
 	rec := obs.QueryRecord{
 		Kind: "checkpoint", Shape: "checkpoint", FingerprintID: sparql.FingerprintID("checkpoint"),
-		RequestID: requestID(r), Trace: tr,
+		RequestID: requestID(r), TraceID: traceIDOf(r),
 	}
-	if rec.RequestID != "" {
-		tr.Root().SetAttr("request_id", rec.RequestID)
-	}
-	err := st.CheckpointTraced(tr.Root())
-	tr.Finish()
-	rec.Duration = time.Since(start)
-	s.record(rec, err, nil)
+	err := s.operation("checkpoint", rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
+		return nil, st.CheckpointTraced(rec.Trace.Root())
+	})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return

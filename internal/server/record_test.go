@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -259,7 +260,7 @@ func TestOneRecordPerOperation(t *testing.T) {
 	// offers counts every trace the store was offered: each offer is
 	// retained, sampled out, evicted or rejected as oversize.
 	offers := func() int {
-		st := s.traces.Stats()
+		st := s.oplog.TraceStats()
 		return st.Retained + int(st.DroppedSampled+st.DroppedEvicted+st.DroppedOversize)
 	}
 	for _, r := range rows {
@@ -312,7 +313,7 @@ func TestOneRecordPerOperation(t *testing.T) {
 				if e.TraceID != tid || logged[0]["trace_id"] != tid {
 					t.Errorf("request %s: ring trace %q, log trace %v, response trace %q", op.id, e.TraceID, logged[0]["trace_id"], tid)
 				}
-				d, ok := s.traces.Get(tid)
+				d, ok := s.oplog.Get(tid)
 				if !ok {
 					t.Fatalf("request %s: trace %s not retained", op.id, tid)
 				}
@@ -339,11 +340,11 @@ func TestUpdatesDoNotFloodTraceStore(t *testing.T) {
 	s, _ := newTestServer(t, Config{TraceRetention: obs.TraceStoreConfig{
 		SlowestPerFingerprint: slowest,
 		ResidualEvery:         residualEvery,
-		// No rolling p95: the outlier rule would retain timing noise.
-		P95: func(string) (float64, bool) { return 0, false },
+		// No outlier rule: it would retain timing noise.
+		OutlierFactor: math.Inf(1),
 	}})
 	sel := doSparqlTraced(s, laptopQuery(), nil).Header().Get("X-Trace-ID")
-	if !s.traces.Contains(sel) {
+	if !s.oplog.Contains(sel) {
 		t.Fatal("setup: SELECT trace not retained")
 	}
 	for i := 0; i < updates; i++ {
@@ -357,7 +358,7 @@ func TestUpdatesDoNotFloodTraceStore(t *testing.T) {
 			t.Fatalf("update %d = %d %s", i, rec.Code, rec.Body)
 		}
 	}
-	if !s.traces.Contains(sel) {
+	if !s.oplog.Contains(sel) {
 		t.Error("the SELECT trace was evicted by updates")
 	}
 	out := searchTraces(t, s, "kind=update&limit=500")

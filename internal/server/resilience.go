@@ -79,14 +79,12 @@ func sparqlRecord(r *http.Request, raw string) obs.QueryRecord {
 }
 
 // guarded is the one body every engine execution behind /sparql and
-// /api/run runs in: admission gate (admit/wait metrics), a trace carrying the
-// request's ids (rec.Trace while exec runs), exec and the operation's record
-// — made after the outcome and duration are known, exactly the information
-// head sampling lacks. exec fills in the record's rows (a run also its
-// shape) and returns the operator profile (nil for none). The admission slot
-// is the caller's until it calls release (never nil), so a response can be
-// rendered under it. A draining server admits only into a free slot, never
-// into the queue.
+// /api/run runs in: the admission gate (admit/wait metrics), then exec as
+// one recorded operation (see operation) — recorded after the outcome and
+// duration are known, exactly the information head sampling lacks. The
+// admission slot is the caller's until it calls release (never nil), so a
+// response can be rendered under it. A draining server admits only into a
+// free slot, never into the queue.
 func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(rec *obs.QueryRecord) (*sparql.Profile, error)) (release func(), err error) {
 	waitStart := time.Now()
 	release, aerr := s.gate.Acquire(ctx, s.draining.Load())
@@ -95,22 +93,11 @@ func (s *Server) guarded(ctx context.Context, rec obs.QueryRecord, exec func(rec
 	}
 	admissionAdmitted.Inc()
 	admissionWait.Observe(time.Since(waitStart).Seconds())
-
-	start := time.Now()
 	root := "sparql"
 	if rec.Kind == "analytics" {
 		root = "run_analytics"
 	}
-	rec.Trace = obs.NewTrace(root)
-	rec.Trace.SetID(rec.TraceID)
-	if rec.RequestID != "" {
-		rec.Trace.Root().SetAttr("request_id", rec.RequestID)
-	}
-	prof, err := exec(&rec)
-	rec.Duration = time.Since(start)
-	rec.Trace.Finish()
-	s.record(rec, err, prof)
-	return release, err
+	return release, s.operation(root, rec, exec)
 }
 
 // engineOpts are the options of every engine execution behind /sparql, of
@@ -287,16 +274,16 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.Rea
 // serveCachedAnswer replays a cached/shared answer. The request went through
 // the regular middleware, so X-Request-ID and the per-endpoint latency/SLO
 // recording are already in place; here we additionally record the serve so
-// cached traffic stays visible in the workload profile, the slow-query log
-// and per-shape SLOs, and point the response and the record at the trace
-// of the execution that produced the answer (overwriting the
-// middleware-minted ID — this request did no execution of its own).
+// cached traffic stays visible in the operations log — which tallies it on
+// the filler's trace — and the per-shape SLOs, and point the response and
+// the record at the trace of the execution that produced the answer
+// (overwriting the middleware-minted ID — this request did no execution of
+// its own).
 func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer, rec obs.QueryRecord, start time.Time) {
 	w.Header().Set("X-Cache", rec.Cache)
 	w.Header().Set("Content-Type", ans.ContentType)
 	if ans.TraceID != "" {
 		w.Header().Set(headerTraceID, ans.TraceID)
-		s.traces.RecordServe(ans.TraceID, rec.Cache)
 	}
 	if ans.Status != 0 && ans.Status != http.StatusOK {
 		w.WriteHeader(ans.Status)

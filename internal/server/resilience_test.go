@@ -412,7 +412,7 @@ func TestHitsRunNoParser(t *testing.T) {
 			t.Fatalf("%s: repeat = X-Cache %q, want a hit with the miss's body", q, hit.Header().Get("X-Cache"))
 		}
 		byID := map[string]obs.QueryRecord{}
-		for _, e := range s.workload.Snapshot().Recent {
+		for _, e := range s.oplog.Snapshot().Recent {
 			byID[e.RequestID] = e
 		}
 		m, h := byID[missID], byID[hitID]

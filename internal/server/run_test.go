@@ -63,7 +63,7 @@ func TestRunSharesTheAnswerCache(t *testing.T) {
 	laptopsBy(t, s, "a", "manufacturer")
 	laptopsBy(t, s, "b", "manufacturer")
 	offers := func() int {
-		st := s.traces.Stats()
+		st := s.oplog.TraceStats()
 		return st.Retained + int(st.DroppedSampled+st.DroppedEvicted+st.DroppedOversize)
 	}
 

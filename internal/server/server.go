@@ -7,11 +7,13 @@
 package server
 
 import (
+	"container/list"
 	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -41,21 +43,20 @@ type Server struct {
 	graph    *rdf.Graph
 	ns       string
 	sessions map[string]*sessEntry
+	// recency orders the sessions' entries, most recently used at the
+	// front: eviction takes the back, the idle sweep walks from it.
+	recency list.List
 	// active is len(sessions), kept where sessions come and go so operator
 	// reads (/metrics, /api/stats, the dashboard) never wait on mu.
 	active atomic.Int64
-	clock  uint64 // logical tick for LRU eviction; advanced under mu
 	mux    *http.ServeMux
 	cfg    Config
-	// traces is the tail-sampling retention store of completed traces:
-	// every errored/aborted execution, the slowest-N per fingerprint,
-	// latency outliers against the fingerprint's rolling p95, and a
-	// probabilistic residual (see obs.TraceStore). It carries its own lock
-	// because the /sparql read path runs without s.mu — graph reads are
-	// internally locked, so queries execute concurrently, a prerequisite
-	// for singleflight collapse.
-	traces *obs.TraceStore
-	slow   *obs.SlowQueryLog
+	// oplog is the operations log every finished operation is recorded in
+	// (see record): the workload view, trace retention and the slow-query
+	// log. It carries its own lock because the /sparql read path runs
+	// without s.mu — graph reads are internally locked, so queries execute
+	// concurrently, a prerequisite for singleflight collapse.
+	oplog *obs.OpLog
 	// answers/flight/gate are the overload-resilience layer: the answer
 	// cache, the singleflight group collapsing identical
 	// concurrent queries, and the admission gate (see internal/resilience
@@ -63,9 +64,6 @@ type Server struct {
 	answers *resilience.AnswerCache
 	flight  resilience.Group
 	gate    *resilience.Admission
-	// workload aggregates every completed query by structural fingerprint,
-	// feeding GET /api/workload and /debug/dashboard.
-	workload *obs.Workload
 	// slos counts good and total events per objective on /metrics (see
 	// internal/obs slo.go); burn rates are an external scraper's business.
 	slos *obs.SLOSet
@@ -84,12 +82,13 @@ type Server struct {
 	sweepDone chan struct{}
 }
 
-// sessEntry pairs a session with its last-use tick for LRU eviction and
-// wall-clock timestamp for idle-TTL expiry.
+// sessEntry is a session with its place in the recency order and its last
+// use for idle-TTL expiry.
 type sessEntry struct {
-	sess     *core.Session
-	lastUsed uint64
-	lastAt   time.Time
+	id     string
+	sess   *core.Session
+	lastAt time.Time
+	elem   *list.Element
 }
 
 // MaxSessions caps concurrently tracked sessions; creating one beyond the
@@ -147,10 +146,11 @@ type Config struct {
 	// POST /api/checkpoint triggers compaction, and rdfa_store_* metrics
 	// are exported.
 	Store *store.Store
-	// TraceRetention tunes the tail-sampling trace store backing
-	// GET /api/traces and metric exemplars. The zero value enables
-	// retention with the obs package defaults; set Disabled to turn the
-	// store off (GET /api/traces then answers 409).
+	// TraceRetention tunes the operations log's trace retention, which
+	// backs GET /api/traces and metric exemplars. The zero value enables
+	// retention with the obs package defaults; Disabled turns retention off
+	// (GET /api/traces then answers 409) and leaves the workload view and
+	// the slow-query log on.
 	TraceRetention obs.TraceStoreConfig
 }
 
@@ -193,19 +193,7 @@ func New(g *rdf.Graph, ns string) *Server {
 // NewWithConfig builds a server with explicit observability settings.
 func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	s := &Server{graph: g, ns: ns, sessions: map[string]*sessEntry{}, cfg: cfg}
-	logger := cfg.SlowQueryLogger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	s.slow = obs.NewSlowQueryLog(logger, cfg.SlowQuery, obs.Default)
-	s.workload = obs.NewWorkload(256)
-	// Tail-sampling trace retention: the outlier test borrows the workload
-	// profiler's rolling per-fingerprint p95 as its baseline.
-	trCfg := cfg.TraceRetention
-	if trCfg.P95 == nil {
-		trCfg.P95 = s.workload.P95Seconds
-	}
-	s.traces = obs.NewTraceStore(trCfg)
+	s.oplog = obs.NewOpLog(cfg.TraceRetention, cfg.SlowQuery, cfg.SlowQueryLogger)
 	// Runtime and build-info metrics join the registry; the SLO set counts
 	// each objective's good and total events there.
 	obs.RegisterRuntimeMetrics(obs.Default)
@@ -286,29 +274,21 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 }
 
 // sessionFor returns (creating if needed) the session for the request's
-// X-Session header / ?session= parameter, bumping its LRU tick. When the
-// session table is full, the least-recently-used session is evicted.
-// Callers must hold s.mu.
+// X-Session header / ?session= parameter, moving it to the front of the
+// recency order. When the session table is full, the least recently used
+// session is evicted. Callers must hold s.mu.
 func (s *Server) sessionFor(r *http.Request) *core.Session {
 	id := r.Header.Get("X-Session")
 	if id == "" {
 		id = r.URL.Query().Get("session")
 	}
-	s.clock++
 	if e, ok := s.sessions[id]; ok {
-		e.lastUsed = s.clock
 		e.lastAt = time.Now()
+		s.recency.MoveToFront(e.elem)
 		return e.sess
 	}
 	if len(s.sessions) >= MaxSessions {
-		var victim string
-		oldest := uint64(1<<64 - 1)
-		for k, e := range s.sessions {
-			if e.lastUsed < oldest {
-				oldest, victim = e.lastUsed, k
-			}
-		}
-		delete(s.sessions, victim)
+		s.dropSession(s.recency.Back().Value.(*sessEntry))
 		sessionsEvicted.Inc()
 	}
 	sess := core.NewSession(s.graph, s.ns)
@@ -316,10 +296,19 @@ func (s *Server) sessionFor(r *http.Request) *core.Session {
 	if s.cfg.Store != nil {
 		sess.SetDurability(s.cfg.Store.Sync)
 	}
-	s.sessions[id] = &sessEntry{sess: sess, lastUsed: s.clock, lastAt: time.Now()}
+	e := &sessEntry{id: id, sess: sess, lastAt: time.Now()}
+	e.elem = s.recency.PushFront(e)
+	s.sessions[id] = e
 	s.active.Store(int64(len(s.sessions)))
 	sessionsCreated.Inc()
 	return sess
+}
+
+// dropSession forgets a session. Callers must hold s.mu.
+func (s *Server) dropSession(e *sessEntry) {
+	s.recency.Remove(e.elem)
+	delete(s.sessions, e.id)
+	s.active.Store(int64(len(s.sessions)))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -366,22 +355,19 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		query = r.URL.Query().Get("query")
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
+		update := strings.HasPrefix(ct, "application/sparql-update")
 		switch {
-		case strings.HasPrefix(ct, "application/sparql-query"):
-			buf := new(strings.Builder)
-			if _, err := copyBody(buf, r); err != nil {
-				httpError(w, http.StatusBadRequest, err)
+		case update || strings.HasPrefix(ct, "application/sparql-query"):
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, err) // 413 past the body cap
 				return
 			}
-			query = buf.String()
-		case strings.HasPrefix(ct, "application/sparql-update"):
-			buf := new(strings.Builder)
-			if _, err := copyBody(buf, r); err != nil {
-				httpError(w, http.StatusBadRequest, err)
+			if update {
+				s.execUpdate(w, r, string(body))
 				return
 			}
-			s.execUpdate(w, r, buf.String())
-			return
+			query = string(body)
 		default:
 			if err := r.ParseForm(); err != nil {
 				httpError(w, http.StatusBadRequest, err)
@@ -402,10 +388,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The read path deliberately does NOT hold s.mu: graph reads are
-	// internally locked (rdf.Graph is an RWMutex), and the trace store,
-	// slow-query log, workload profiler and SLO set all carry their own
-	// locks. Running queries concurrently is what lets the singleflight
-	// group collapse a thundering herd into one execution (resilience.go).
+	// internally locked (rdf.Graph is an RWMutex), and the operations log
+	// and the SLO set carry their own locks. Running queries concurrently is
+	// what lets the singleflight group collapse a thundering herd into one
+	// execution (resilience.go).
 	//
 	// A repeated read is a lookup: the answer cache is keyed by the raw text,
 	// so a hit is served before the text is parsed (every stored text parsed
@@ -462,72 +448,45 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) 
 	defer cancel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	start := time.Now()
-	tr := obs.NewTrace("update")
-	tr.SetID(obs.TraceIDFrom(ctx))
 	// An unparseable update keeps the generic shape "update".
-	rec := obs.QueryRecord{Kind: "update", Shape: "update", Query: src, RequestID: requestID(r), Trace: tr}
-	if rec.RequestID != "" {
-		tr.Root().SetAttr("request_id", rec.RequestID)
-	}
-	var updErr error
-	defer func() {
-		tr.Finish()
-		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
-		rec.Duration = time.Since(start)
-		s.record(rec, updErr, nil)
-	}()
-	es := tr.Root().StartChild("exec")
+	rec := obs.QueryRecord{Kind: "update", Shape: "update", Query: src, RequestID: requestID(r), TraceID: traceIDOf(r)}
 	var res sparql.UpdateResult
-	u, err := sparql.ParseUpdate(src)
-	if err == nil {
-		rec.Shape = updateShapes[u.Kind]
-		res, err = sparql.ApplyUpdateCtx(ctx, s.graph, u)
-	}
-	es.Finish()
-	if err != nil {
-		updErr = err
-		code := abortStatus(err, http.StatusBadRequest)
-		if code == http.StatusBadRequest {
-			httpError(w, code, err)
-		} else {
-			queryError(w, err)
+	applied := false
+	err := s.operation("update", rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
+		root := rec.Trace.Root()
+		es := root.StartChild("exec")
+		u, err := sparql.ParseUpdate(src)
+		if err == nil {
+			rec.Shape = updateShapes[u.Kind]
+			res, err = sparql.ApplyUpdateCtx(ctx, s.graph, u)
 		}
-		return
-	}
-	rec.Rows = res.Inserted + res.Deleted
-	tr.Root().SetAttr("inserted", res.Inserted)
-	tr.Root().SetAttr("deleted", res.Deleted)
-	// Group commit: the mutations were journaled as they applied; fsync the
-	// WAL before acknowledging so an acked update survives kill -9.
-	if s.cfg.Store != nil {
-		gc := tr.Root().StartChild("group_commit")
-		err := s.cfg.Store.Sync()
-		gc.Finish()
+		rec.FingerprintID = sparql.FingerprintID(rec.Shape)
+		es.Finish()
 		if err != nil {
-			updErr = err
-			httpError(w, http.StatusInternalServerError,
-				fmt.Errorf("update applied but not durable: %w", err))
-			return
+			return nil, err
 		}
-	}
-	writeJSON(w, map[string]int{"inserted": res.Inserted, "deleted": res.Deleted})
-}
-
-func copyBody(dst *strings.Builder, r *http.Request) (int64, error) {
-	defer r.Body.Close()
-	buf := make([]byte, 4096)
-	var n int64
-	for {
-		m, err := r.Body.Read(buf)
-		dst.Write(buf[:m])
-		n += int64(m)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return n, nil
-			}
-			return n, err
+		applied = true
+		rec.Rows = res.Inserted + res.Deleted
+		root.SetAttr("inserted", res.Inserted)
+		root.SetAttr("deleted", res.Deleted)
+		if s.cfg.Store == nil {
+			return nil, nil
 		}
+		// Group commit: the mutations were journaled as they applied; fsync
+		// the WAL before acknowledging so an acked update survives kill -9.
+		gc := root.StartChild("group_commit")
+		defer gc.Finish()
+		return nil, s.cfg.Store.Sync()
+	})
+	switch {
+	case err == nil:
+		writeJSON(w, map[string]int{"inserted": res.Inserted, "deleted": res.Deleted})
+	case applied:
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("update applied but not durable: %w", err))
+	case abortStatus(err, http.StatusBadRequest) == http.StatusBadRequest:
+		httpError(w, http.StatusBadRequest, err)
+	default:
+		queryError(w, err)
 	}
 }
 

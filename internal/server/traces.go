@@ -1,10 +1,10 @@
-// The trace search API over the tail-sampling retention store
-// (obs.TraceStore): GET /api/traces searches retained traces by
-// fingerprint, duration, outcome, retention reason, kind and recency;
-// GET /api/traces/{id} returns one trace's full span waterfall and
-// operator profile. This file also owns record, the one hand-off that
-// feeds the store: every finished operation reaches it, and through it the
-// workload profiler, the slow-query log and the per-shape objectives.
+// Recording operations, and the trace search API over what the operations
+// log (obs.OpLog) retains. Every finished operation is opened by operation
+// and reaches record, the one hand-off into the log and the per-shape
+// objectives. GET /api/traces searches retained traces by fingerprint,
+// duration, outcome, retention reason, kind and recency; GET
+// /api/traces/{id} returns one trace's full span waterfall and operator
+// profile.
 //
 // The drill-down this enables, with no scripting anywhere: a slow shape —
 // a "shape:<fingerprint>" objective burning its budget on /metrics, or a
@@ -32,18 +32,36 @@ func traceIDOf(r *http.Request) string {
 	return r.Header.Get(headerTraceID)
 }
 
+// operation runs do as one recorded operation: a trace rooted at root that
+// carries the request's trace and request IDs (rec.Trace while do runs), do
+// timed, the trace finished and the record made. do fills in what it learns
+// (rows, a shape) and returns the operator profile (nil for none). Every
+// engine execution, update and checkpoint runs in it.
+func (s *Server) operation(root string, rec obs.QueryRecord, do func(rec *obs.QueryRecord) (*sparql.Profile, error)) error {
+	start := time.Now()
+	rec.Trace = obs.NewTrace(root)
+	rec.Trace.SetID(rec.TraceID)
+	if rec.RequestID != "" {
+		rec.Trace.Root().SetAttr("request_id", rec.RequestID)
+	}
+	prof, err := do(&rec)
+	rec.Duration = time.Since(start)
+	rec.Trace.Finish()
+	s.record(rec, err, prof)
+	return err
+}
+
 // record is the one hand-off of a finished operation: every /sparql
 // execution or cache serve, analytic run, update and checkpoint ends here,
-// so the trace store, the workload profiler, the slow-query log and the
-// per-shape latency objectives all read the same record. It fills in what
-// every caller would otherwise derive: the outcome from err's abort
-// taxonomy ("ok", or "timeout", "cancelled", "budget", … with "error" as
-// the fallback), and the profile's worst q-error and plan-vs-actual rows
-// (prof may be nil). The profile itself rides along by reference: the trace
-// store marshals it only for a trace it retains. A record without a trace (a
-// cache serve) keeps the filler's trace ID and is not offered.
-// Only reads count against a shape objective: an update or checkpoint is as
-// long as the graph is big.
+// in one record for the operations log and the per-shape latency
+// objectives. It fills in what every caller would otherwise derive: the
+// outcome from err's abort taxonomy ("ok", or "timeout", "cancelled",
+// "budget", … with "error" as the fallback), and the profile's worst
+// q-error and plan-vs-actual rows (prof may be nil). The profile itself
+// rides along by reference: the log marshals it only for a trace it
+// retains. A record without a trace (a cache serve) carries the filler's
+// trace ID. Only reads count against a shape objective: an update or
+// checkpoint is as long as the graph is big.
 func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 	rec.Outcome = "ok"
 	if err != nil {
@@ -65,12 +83,6 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 		}
 	}
 	rec.When = time.Now()
-	if rec.Trace != nil {
-		s.traces.Offer(rec)
-		rec.TraceID = rec.Trace.ID()
-	}
-	s.workload.Observe(rec)
-	s.slow.Observe(rec)
 	if t := s.cfg.SLO.ShapeLatencyTarget; t > 0 && s.cfg.SLO.ShapeLatencyThreshold > 0 &&
 		(rec.Kind == "sparql" || rec.Kind == "analytics") {
 		// Created lazily as shapes appear: Add is idempotent and degrades to
@@ -78,11 +90,12 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 		s.slos.Add("shape:"+rec.FingerprintID, obs.SLOLatency, t, s.cfg.SLO.ShapeLatencyThreshold).
 			Observe(rec.Duration, err != nil)
 	}
+	s.oplog.Record(rec)
 }
 
 // tracesJSON is the GET /api/traces payload: the matching summaries plus
-// the store's retention/drop accounting, so a consumer can tell an empty
-// result from a disabled or saturated store.
+// the log's retention/drop accounting, so a consumer can tell an empty
+// result from disabled or saturated retention.
 type tracesJSON struct {
 	Traces []obs.TraceSummary  `json:"traces"`
 	Stats  obs.TraceStoreStats `json:"stats"`
@@ -100,7 +113,7 @@ type tracesJSON struct {
 //
 // Results are newest first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
+	if !s.oplog.Retains() {
 		httpError(w, http.StatusConflict, errors.New("trace retention is disabled"))
 		return
 	}
@@ -137,7 +150,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		tq.Limit = n
 	}
-	out := tracesJSON{Traces: s.traces.Search(tq), Stats: s.traces.Stats()}
+	out := tracesJSON{Traces: s.oplog.Search(tq), Stats: s.oplog.TraceStats()}
 	if out.Traces == nil {
 		out.Traces = []obs.TraceSummary{}
 	}
@@ -148,12 +161,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // waterfall, operator profile, and the serve counts accumulated while its
 // cached answer was replayed.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
+	if !s.oplog.Retains() {
 		httpError(w, http.StatusConflict, errors.New("trace retention is disabled"))
 		return
 	}
 	id := r.PathValue("id")
-	d, ok := s.traces.Get(id)
+	d, ok := s.oplog.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound,
 			fmt.Errorf("no retained trace %q (never retained, or evicted since)", id))
