@@ -12,7 +12,8 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
-# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkDictionary,
+# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
+# BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary,
 # of BenchmarkStateWrite, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
 # BenchmarkTailSamplerDecision (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
@@ -22,7 +23,7 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
-	$(GO) test -run '^$$' -bench JoinStep -benchmem -benchtime 1x ./internal/sparql
+	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench Dictionary -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
@@ -78,7 +79,8 @@ resilience-smoke:
 durability-smoke:
 	sh scripts/durability-smoke.sh
 
-# fuzz-smoke runs each fuzz target for a short burst — the parsers, the JSON
+# fuzz-smoke runs each fuzz target for a short burst — the parsers, the lexer
+# against the rune lexer it replaced, the JSON
 # string escaper and the state writer's float formatter against encoding/json,
 # the graph's sorted permutations against the map-of-maps oracle, the term
 # dictionary against the map-and-slice one, and the answer cache's key
@@ -89,6 +91,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
+	$(GO) test -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzJSONString$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzJSONFloat$$' -fuzztime $(FUZZTIME) -run XXX ./internal/server/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
@@ -110,7 +113,8 @@ paper:
 # bench runs the in-process micro-benchmarks, each next to the code it
 # measures: rdf's match micro-benches and the engine's BenchmarkJoinStep — one query of each
 # sparql-cold shape (chain, star-filter, group-by, big-select, optional,
-# bind-year) and the HIFUN semi-join on that workload's graph, so B/op is what
+# bind-year), a SUM by manufacturer, an ORDER BY date and the HIFUN semi-join
+# on that workload's graph, so B/op is what
 # the engine allocates for the shape.
 bench:
 	$(GO) test -bench '^BenchmarkMatch(IDs)?$$' -run XXX ./internal/rdf/

@@ -8,7 +8,7 @@ import (
 
 // minCorpusCases is the floor the corpus must not shrink below (the harness
 // is only as good as its coverage; deleting cases should hurt).
-const minCorpusCases = 83
+const minCorpusCases = 84
 
 // TestCorpus runs every testdata case against the engine and prints a
 // per-category pass/fail table.

@@ -1,10 +1,10 @@
 package sparql
 
 import (
+	"bytes"
 	"cmp"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -177,21 +177,23 @@ func (f *groupFold) finish() (*batch, []OrderCond, error) {
 		f.groups.add(nil)
 		f.open(make([]rdf.ID, width))
 	}
-	order := make([]int, f.groups.count)
-	names := make([]string, f.groups.count)
-	var sb strings.Builder
+	// Every group's name goes into one buffer: group g's is
+	// names[ends[g]:ends[g+1]].
+	order, ends := make([]int, f.groups.count), make([]int, f.groups.count+1)
+	var names []byte
 	for g := range order {
 		order[g] = g
-		sb.Reset()
 		for _, id := range f.groups.tuple(g) {
 			if id != 0 {
-				sb.WriteString(ev.dict.term(id).String())
+				names = appendNT(names, ev.dict.term(id))
 			}
-			sb.WriteByte(0)
+			names = append(names, 0)
 		}
-		names[g] = sb.String()
+		ends[g+1] = len(names)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int {
+		return bytes.Compare(names[ends[a]:ends[a+1]], names[ends[b]:ends[b+1]])
+	})
 	work := newBatch(width, f.groups.count)
 	env := exprEnv{ev: ev, fold: f}
 next:
@@ -333,22 +335,22 @@ func (acc *aggAcc) fresh(tuple []rdf.ID) bool {
 
 // result is the aggregate's value over the group. An error leaves the cell
 // unbound (aggregate), never fails the query.
-func (a *aggSpec) result(acc *aggAcc) (rdf.Term, error) {
+func (a *aggSpec) result(acc *aggAcc, d *termDict) (rdf.Term, error) {
 	switch {
 	case a.Star && a.Func != "COUNT":
 		return rdf.Term{}, evalErrf("%s(*) is not defined", a.Func)
 	case a.Func == "COUNT":
-		return rdf.NewInteger(int64(acc.n)), nil
+		return d.integer(int64(acc.n)), nil
 	case (a.Func == "SUM" || a.Func == "AVG") && !acc.t.IsZero():
 		return rdf.Term{}, evalErrf("%s over non-numeric %s", a.Func, acc.t)
 	case a.Func == "SUM" && acc.float:
-		return rdf.NewDecimal(acc.fsum), nil
+		return d.number('f', 0, acc.fsum), nil
 	case a.Func == "SUM":
-		return rdf.NewInteger(acc.isum), nil
+		return d.integer(acc.isum), nil
 	case a.Func == "AVG" && acc.n == 0:
-		return rdf.NewInteger(0), nil
+		return d.integer(0), nil
 	case a.Func == "AVG":
-		return rdf.NewDecimal(acc.fsum / float64(acc.n)), nil
+		return d.number('f', 0, acc.fsum/float64(acc.n)), nil
 	case a.Func == "GROUP_CONCAT":
 		return rdf.NewString(string(acc.concat)), nil
 	case a.Func != "MIN" && a.Func != "MAX" && a.Func != "SAMPLE":

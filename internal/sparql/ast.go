@@ -13,6 +13,7 @@ package sparql
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -159,22 +160,63 @@ type TriplePattern struct {
 }
 
 func (tp TriplePattern) String() string {
-	pred := tp.P.String()
-	if tp.Path != nil {
-		pred = tp.Path.String()
+	var buf [128]byte
+	b := buf[:0]
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		switch {
+		case i == 1 && tp.Path != nil:
+			b = append(b, tp.Path.String()...)
+		case n.IsVar():
+			b = append(append(b, '?'), n.Var...)
+		default:
+			b = appendNT(b, n.Term)
+		}
+		b = append(b, ' ')
 	}
-	return fmt.Sprintf("%s %s %s .", tp.S, pred, tp.O)
+	return string(append(b, '.'))
 }
 
-// Vars returns the variables of the pattern in S, P, O order.
-func (tp TriplePattern) Vars() []string {
-	var out []string
-	for _, n := range []Node{tp.S, tp.P, tp.O} {
-		if n.IsVar() {
-			out = append(out, n.Var)
+// appendNT appends the term in N-Triples syntax: rdf.Term.String's bytes.
+func appendNT(b []byte, t rdf.Term) []byte {
+	switch t.Kind {
+	case rdf.KindIRI:
+		return append(append(append(b, '<'), t.Value...), '>')
+	case rdf.KindBlank:
+		return append(append(b, "_:"...), t.Value...)
+	}
+	b = append(b, '"')
+	for _, r := range t.Value {
+		switch r {
+		case '"', '\\':
+			b = append(b, '\\', byte(r))
+		case '\n':
+			b = append(b, `\n`...)
+		case '\r':
+			b = append(b, `\r`...)
+		case '\t':
+			b = append(b, `\t`...)
+		default:
+			b = utf8.AppendRune(b, r)
 		}
 	}
-	return out
+	b = append(b, '"')
+	switch {
+	case t.Lang != "":
+		b = append(append(b, '@'), t.Lang...)
+	case t.Datatype != "" && t.Datatype != rdf.XSDString:
+		b = append(append(append(b, "^^<"...), t.Datatype...), '>')
+	}
+	return b
+}
+
+// Vars yields the variables of the pattern in S, P, O order, allocating
+// nothing: for v := range tp.Vars { … }.
+func (tp *TriplePattern) Vars(yield func(string) bool) {
+	for _, n := range [3]*Node{&tp.S, &tp.P, &tp.O} {
+		if n.IsVar() && !yield(n.Var) {
+			return
+		}
+	}
 }
 
 // Path is a SPARQL 1.1 property path.

@@ -139,7 +139,7 @@ func TestBGPDifferential(t *testing.T) {
 		varSet := map[string]bool{}
 		for i := range patterns {
 			patterns[i] = randomPattern(rng)
-			for _, v := range patterns[i].Vars() {
+			for v := range patterns[i].Vars {
 				varSet[v] = true
 			}
 		}

@@ -347,7 +347,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		fold = ev.newGroupFold(q)
 		ev.fold = fold
 	}
-	pm, pmt := ev.profEnter("match", "")
+	pm, pmt := ev.profEnter("match", nil)
 	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
 	matched := rows.n()
 	if fold != nil {
@@ -367,14 +367,14 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	order := q.OrderBy
 	var err error
 	if grouped {
-		pa, pat := ev.profEnter("aggregate", "")
+		pa, pat := ev.profEnter("aggregate", nil)
 		for i, n := 0, rows.n(); i < n; i++ {
 			fold.add(rows.row(i))
 		}
 		work, order, err = fold.finish()
 		ev.profExit(pa, pat, fold.rows, work.n())
 	} else {
-		pe, pet := ev.profEnter("extend", "")
+		pe, pet := ev.profEnter("extend", nil)
 		work = ev.extend(q, rows)
 		ev.profExit(pe, pet, rows.n(), work.n())
 	}
@@ -384,7 +384,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	if err := ev.cancel.cause(); err != nil {
 		return nil, nil, err
 	}
-	pmod, pmodt := ev.profEnter("modifiers", "")
+	pmod, pmodt := ev.profEnter("modifiers", nil)
 	nIn := work.n() // project may hand back work itself, which the slicing below shortens
 	if len(order) > 0 {
 		work = ev.orderBy(work, order)
@@ -436,12 +436,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 	// apply to the whole group regardless of position, and the sure-bound
 	// gate plus deferToEnd keep pushdown semantics unchanged.
 	filters := groupFilters(gp, ev.noPushdown)
-	bind := func(vars ...string) {
-		for _, v := range vars {
-			bound[v] = true
-			estBound[v] = true
-		}
-	}
+	bind := func(v string) { bound[v], estBound[v] = true, true }
 	bindSet := func(vars map[string]bool) {
 		for v := range vars {
 			bind(v)
@@ -459,7 +454,9 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 		switch {
 		case triples != nil && triples[0].Path != nil:
 			cur = ev.evalPathTriple(triples[0], cur)
-			bind(triples[0].Vars()...)
+			for v := range triples[0].Vars {
+				bind(v)
+			}
 		case triples != nil:
 			// One run of plain triple patterns: the planner orders it and
 			// places each pushed-down filter right after the step that binds
@@ -468,7 +465,9 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 			preSure := cloneVarSet(bound)
 			preEst := cloneVarSet(estBound)
 			for _, tp := range triples {
-				bind(tp.Vars()...)
+				for v := range tp.Vars {
+					bind(v)
+				}
 			}
 			pushed, into := takeReady(filters, bound), fold
 			if walk.i < len(walk.elems) || len(walk.rest) > 0 || slices.ContainsFunc(filters, func(f *groupFilter) bool { return !f.applied }) {
@@ -536,7 +535,7 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 
 // groupFilter is one FILTER of a group pattern on its way to being applied.
 type groupFilter struct {
-	expr Expr
+	expr *Expr // the pattern element's: the filter's profile site
 	// vars are the variables the expression mentions (EXISTS patterns
 	// excluded: they make the filter wait for group end anyway).
 	vars map[string]bool
@@ -550,11 +549,12 @@ type groupFilter struct {
 // them wait for group end.
 func groupFilters(gp *GroupPattern, noPushdown bool) []*groupFilter {
 	var out []*groupFilter
-	for _, e := range gp.Elems {
+	for i := range gp.Elems {
+		e := &gp.Elems[i]
 		if e.Filter == nil {
 			continue
 		}
-		f := &groupFilter{expr: e.Filter, vars: map[string]bool{}, deferToEnd: noPushdown || usesBoundOrExists(e.Filter)}
+		f := &groupFilter{expr: &e.Filter, vars: map[string]bool{}, deferToEnd: noPushdown || usesBoundOrExists(e.Filter)}
 		visitExprVars(e.Filter, func(v string) { f.vars[v] = true }, nil)
 		out = append(out, f)
 	}
@@ -677,7 +677,7 @@ func placeTriples(rest []*TriplePattern, bound map[string]bool, textual bool) (p
 					continue
 				}
 				in[i], grew, found = true, true, true
-				for _, v := range tp.Vars() {
+				for v := range tp.Vars {
 					reach[v] = true
 				}
 			}
@@ -691,7 +691,7 @@ func placeTriples(rest []*TriplePattern, bound map[string]bool, textual bool) (p
 	case firstPlain >= 0:
 		in[firstPlain] = true
 		seed := map[string]bool{}
-		for _, v := range rest[firstPlain].Vars() {
+		for v := range rest[firstPlain].Vars {
 			seed[v] = true
 		}
 		connected(seed)
@@ -752,7 +752,7 @@ func surelyBound(gp *GroupPattern) map[string]bool {
 	for _, e := range gp.Elems {
 		switch {
 		case e.Triple != nil:
-			for _, v := range e.Triple.Vars() {
+			for v := range e.Triple.Vars {
 				out[v] = true
 			}
 		case e.Group != nil:
@@ -793,7 +793,7 @@ func surelyBoundInUnion(u *UnionPattern) map[string]bool {
 // merge walks the input through the body's rows bucketed by that number.
 // Rows leave with the slot as they came: an enclosing OPTIONAL's number, or 0.
 func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
-	po, pot := ev.profEnter("optional", "")
+	po, pot := ev.profEnter("optional", nil)
 	n, width, tag := input.n(), input.width, ev.sc.slot(optionalVar)
 	classes, sig, class := newTupleIndex(width, 1), make([]rdf.ID, width), make([]int32, n)
 	for i := range class {
@@ -836,7 +836,7 @@ func (ev *evaluator) evalOptional(opt *GroupPattern, input *batch) *batch {
 }
 
 func (ev *evaluator) evalUnion(u *UnionPattern, input *batch, credit map[string]bool) *batch {
-	pu, put := ev.profEnter("union", "")
+	pu, put := ev.profEnter("union", nil)
 	w := rowWriter{width: input.width}
 	for _, alt := range u.Alternatives {
 		w.addAll(ev.evalGroup(alt, input, credit))
@@ -896,7 +896,7 @@ func (ev *evaluator) evalValues(ve *ValuesElem, input *batch) *batch {
 // evalSubQuery joins the input with the subquery's projection: the subquery
 // runs once, in its own scope.
 func (ev *evaluator) evalSubQuery(q *Query, input *batch) *batch {
-	ps, pst := ev.profEnter("subquery", "")
+	ps, pst := ev.profEnter("subquery", nil)
 	out := &batch{width: input.width}
 	if vars, sub, err := ev.selectRows(q); err == nil {
 		out = ev.joinTable(input, vars, sub.vals, sub.n())
@@ -941,7 +941,7 @@ func (ev *evaluator) joinTable(input *batch, vars []string, table []rdf.ID, nrow
 }
 
 func (ev *evaluator) evalMinus(m *GroupPattern, input *batch) *batch {
-	pm, pmt := ev.profEnter("minus", "")
+	pm, pmt := ev.profEnter("minus", nil)
 	removed := ev.evalGroup(m, unitBatch(input.width), nil)
 	w := rowWriter{width: input.width}
 	for i, n := 0, input.n(); i < n; i++ {

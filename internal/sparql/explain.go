@@ -85,7 +85,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 	// group end.
 	pending := groupFilters(gp, ev.noPushdown)
 	bind := func(tp *TriplePattern) {
-		for _, v := range tp.Vars() {
+		for v := range tp.Vars {
 			bound[v] = true
 			estB[v] = true
 		}
@@ -133,7 +133,7 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 				fmt.Fprintf(sb, "%s   - scan %s  (est. %d, %s)\n",
 					indent, run[st.pat], st.card, st.strategy)
 				for _, f := range st.filters {
-					fmt.Fprintf(sb, "%s     · filter %s  (in-run)\n", indent, f.expr)
+					fmt.Fprintf(sb, "%s     · filter %s  (in-run)\n", indent, *f.expr)
 				}
 			}
 			out := plan.steps[len(plan.steps)-1].outRows
@@ -196,6 +196,6 @@ func explainGroup(ev *evaluator, gp *GroupPattern, sb *strings.Builder, depth in
 		if f.deferToEnd {
 			when = "at group end"
 		}
-		fmt.Fprintf(sb, "%s%d. filter %s  (%s)\n", indent, step, f.expr, when)
+		fmt.Fprintf(sb, "%s%d. filter %s  (%s)\n", indent, step, *f.expr, when)
 	}
 }

@@ -1,12 +1,14 @@
 package sparql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -58,7 +60,7 @@ func (env exprEnv) evalExpr(e Expr, row []rdf.ID) (rdf.Term, error) {
 	case ExprExists:
 		return env.evalExists(x, row)
 	case aggRef:
-		return env.fold.aggs[x].result(&env.fold.accs[env.group*len(env.fold.aggs)+int(x)])
+		return env.fold.aggs[x].result(&env.fold.accs[env.group*len(env.fold.aggs)+int(x)], env.ev.dict)
 	case ExprAggregate:
 		return rdf.Term{}, evalErrf("aggregate %s outside grouping context", x.Func)
 	default:
@@ -116,47 +118,28 @@ func (env exprEnv) evalUnary(x ExprUnary, row []rdf.ID) (rdf.Term, error) {
 		if !ok {
 			return rdf.Term{}, evalErrf("unary minus on non-numeric %s", t)
 		}
-		return numericResult(-f, t, t), nil
+		return env.ev.dict.numericResult(-f, t, t), nil
 	default:
 		return rdf.Term{}, evalErrf("unknown unary op %q", x.Op)
 	}
 }
 
 func (env exprEnv) evalBinary(x ExprBinary, row []rdf.ID) (rdf.Term, error) {
-	switch x.Op {
-	case "&&":
-		l, errL := env.evalBool(x.Left, row)
-		r, errR := env.evalBool(x.Right, row)
-		// SPARQL three-valued logic: false && error = false.
-		switch {
-		case errL == nil && errR == nil:
-			return rdf.NewBool(l && r), nil
-		case errL == nil && !l:
-			return rdf.NewBool(false), nil
-		case errR == nil && !r:
-			return rdf.NewBool(false), nil
-		default:
-			if errL != nil {
-				return rdf.Term{}, errL
-			}
-			return rdf.Term{}, errR
-		}
-	case "||":
+	if x.Op == "&&" || x.Op == "||" {
+		// SPARQL three-valued logic: an operand with the deciding value —
+		// false for &&, true for || — decides even when the other errs.
+		decides := x.Op == "||"
 		l, errL := env.evalBool(x.Left, row)
 		r, errR := env.evalBool(x.Right, row)
 		switch {
+		case errL == nil && l == decides || errR == nil && r == decides:
+			return rdf.NewBool(decides), nil
 		case errL == nil && errR == nil:
-			return rdf.NewBool(l || r), nil
-		case errL == nil && l:
-			return rdf.NewBool(true), nil
-		case errR == nil && r:
-			return rdf.NewBool(true), nil
-		default:
-			if errL != nil {
-				return rdf.Term{}, errL
-			}
-			return rdf.Term{}, errR
+			return rdf.NewBool(!decides), nil
+		case errL != nil:
+			return rdf.Term{}, errL
 		}
+		return rdf.Term{}, errR
 	}
 	l, err := env.evalExpr(x.Left, row)
 	if err != nil {
@@ -181,18 +164,8 @@ func (env exprEnv) evalBinary(x ExprBinary, row []rdf.ID) (rdf.Term, error) {
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		var v bool
-		switch x.Op {
-		case "<":
-			v = c < 0
-		case "<=":
-			v = c <= 0
-		case ">":
-			v = c > 0
-		case ">=":
-			v = c >= 0
-		}
-		return rdf.NewBool(v), nil
+		// < and <= hold below, > and >= above, <= and >= at equality.
+		return rdf.NewBool(c < 0 && x.Op[0] == '<' || c > 0 && x.Op[0] == '>' || c == 0 && len(x.Op) == 2), nil
 	case "+", "-", "*", "/":
 		lf, okL := l.Float()
 		rf, okR := r.Float()
@@ -215,9 +188,9 @@ func (env exprEnv) evalBinary(x ExprBinary, row []rdf.ID) (rdf.Term, error) {
 		}
 		if x.Op == "/" {
 			// xsd:integer / xsd:integer yields xsd:decimal per spec.
-			return rdf.NewDecimal(f), nil
+			return env.ev.dict.number('f', 0, f), nil
 		}
-		return numericResult(f, l, r), nil
+		return env.ev.dict.numericResult(f, l, r), nil
 	default:
 		return rdf.Term{}, evalErrf("unknown binary op %q", x.Op)
 	}
@@ -226,7 +199,7 @@ func (env exprEnv) evalBinary(x ExprBinary, row []rdf.ID) (rdf.Term, error) {
 // numericResult picks the result datatype by numeric promotion: integer if
 // both operands are integers and the value is integral, decimal/double
 // otherwise.
-func numericResult(f float64, l, r rdf.Term) rdf.Term {
+func (d *termDict) numericResult(f float64, l, r rdf.Term) rdf.Term {
 	isInt := func(t rdf.Term) bool {
 		switch t.Datatype {
 		case rdf.XSDInteger, rdf.XSDInt, rdf.XSDLong, rdf.XSDShort, rdf.XSDByte,
@@ -236,12 +209,12 @@ func numericResult(f float64, l, r rdf.Term) rdf.Term {
 		return false
 	}
 	if isInt(l) && isInt(r) && f == math.Trunc(f) {
-		return rdf.NewInteger(int64(f))
+		return d.integer(int64(f))
 	}
 	if l.Datatype == rdf.XSDDouble || r.Datatype == rdf.XSDDouble {
-		return rdf.NewDouble(f)
+		return d.number('g', 0, f)
 	}
-	return rdf.NewDecimal(f)
+	return d.number('f', 0, f)
 }
 
 // termsEqual implements SPARQL "=": numeric comparison for numerics, value
@@ -283,14 +256,7 @@ func compareTerms(l, r rdf.Term) (int, error) {
 		if !okL || !okR {
 			return 0, evalErrf("malformed numeric literal")
 		}
-		switch {
-		case lf < rf:
-			return -1, nil
-		case lf > rf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(lf, rf), nil // never NaN: Float refuses it
 	}
 	// Only literals typed xsd:date / xsd:dateTime compare on the time line;
 	// a plain string that merely looks like a date keeps string comparison.
@@ -300,14 +266,7 @@ func compareTerms(l, r rdf.Term) (int, error) {
 		if !okL || !okR {
 			return 0, evalErrf("malformed temporal literal")
 		}
-		switch {
-		case lt.Before(rt):
-			return -1, nil
-		case lt.After(rt):
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return lt.Compare(rt), nil
 	}
 	lb, okL2 := l.Bool()
 	rb, okR2 := r.Bool()
@@ -358,19 +317,12 @@ func (env exprEnv) evalExists(x ExprExists, row []rdf.ID) (rdf.Term, error) {
 	return rdf.NewBool(found), nil
 }
 
+// evalCall evaluates a builtin call or a datatype cast. The parser spells a
+// builtin's name in upper case and a cast's as the datatype IRI, so the name
+// is the switch key as it stands.
 func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
-	// Datatype casts: the function name is an IRI.
-	if strings.Contains(x.Func, "://") {
-		return env.evalCast(x, row)
-	}
-	name := strings.ToUpper(x.Func)
-	arg := func(i int) (rdf.Term, error) {
-		if i >= len(x.Args) {
-			return rdf.Term{}, evalErrf("%s: missing argument %d", name, i)
-		}
-		return env.evalExpr(x.Args[i], row)
-	}
-	switch name {
+	d := env.ev.dict
+	switch x.Func {
 	case "BOUND":
 		v, ok := x.Args[0].(ExprVar)
 		if !ok {
@@ -390,23 +342,27 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 		if err != nil {
 			return rdf.Term{}, err
 		}
+		i := 2
 		if cond {
-			return arg(1)
+			i = 1
 		}
-		return arg(2)
+		if i >= len(x.Args) {
+			return rdf.Term{}, evalErrf("IF: missing argument %d", i)
+		}
+		return env.evalExpr(x.Args[i], row)
 	}
-	// Strict builtins: evaluate all arguments first, into an array on the
-	// stack for the usual arities.
+	// Strict builtins and casts: evaluate all arguments first, into an array
+	// on the stack for the usual arities.
 	var buf [3]rdf.Term
 	args := buf[:0]
-	for i := range x.Args {
-		t, err := arg(i)
+	for _, a := range x.Args {
+		t, err := env.evalExpr(a, row)
 		if err != nil {
 			return rdf.Term{}, err
 		}
 		args = append(args, t)
 	}
-	switch name {
+	switch x.Func {
 	case "STR":
 		return rdf.NewString(args[0].Value), nil
 	case "LANG":
@@ -441,9 +397,9 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	case "ABS", "CEIL", "FLOOR", "ROUND":
 		f, ok := args[0].Float()
 		if !ok {
-			return rdf.Term{}, evalErrf("%s on non-numeric", name)
+			return rdf.Term{}, evalErrf("%s on non-numeric", x.Func)
 		}
-		switch name {
+		switch x.Func {
 		case "ABS":
 			f = math.Abs(f)
 		case "CEIL":
@@ -453,9 +409,9 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 		case "ROUND":
 			f = math.Round(f)
 		}
-		return numericResult(f, args[0], args[0]), nil
+		return d.numericResult(f, args[0], args[0]), nil
 	case "STRLEN":
-		return rdf.NewInteger(int64(len([]rune(args[0].Value)))), nil
+		return d.integer(int64(utf8.RuneCountInString(args[0].Value))), nil
 	case "UCASE":
 		return stringLike(args[0], strings.ToUpper(args[0].Value)), nil
 	case "LCASE":
@@ -524,21 +480,21 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	case "YEAR", "MONTH", "DAY", "HOURS", "MINUTES", "SECONDS":
 		tm, ok := args[0].Time()
 		if !ok {
-			return rdf.Term{}, evalErrf("%s on non-temporal %s", name, args[0])
+			return rdf.Term{}, evalErrf("%s on non-temporal %s", x.Func, args[0])
 		}
-		switch name {
+		switch x.Func {
 		case "YEAR":
-			return rdf.NewInteger(int64(tm.Year())), nil
+			return d.integer(int64(tm.Year())), nil
 		case "MONTH":
-			return rdf.NewInteger(int64(tm.Month())), nil
+			return d.integer(int64(tm.Month())), nil
 		case "DAY":
-			return rdf.NewInteger(int64(tm.Day())), nil
+			return d.integer(int64(tm.Day())), nil
 		case "HOURS":
-			return rdf.NewInteger(int64(tm.Hour())), nil
+			return d.integer(int64(tm.Hour())), nil
 		case "MINUTES":
-			return rdf.NewInteger(int64(tm.Minute())), nil
+			return d.integer(int64(tm.Minute())), nil
 		default:
-			return rdf.NewInteger(int64(tm.Second())), nil
+			return d.integer(int64(tm.Second())), nil
 		}
 	case "STRLANG":
 		return rdf.NewLangString(args[0].Value, args[1].Value), nil
@@ -547,7 +503,7 @@ func (env exprEnv) evalCall(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	case "ENCODE_FOR_URI":
 		return rdf.NewString(encodeForURI(args[0].Value)), nil
 	default:
-		return rdf.Term{}, evalErrf("unsupported builtin %s", name)
+		return d.cast(x.Func, args)
 	}
 }
 
@@ -573,34 +529,32 @@ func encodeForURI(s string) string {
 	return sb.String()
 }
 
-func (env exprEnv) evalCast(x ExprCall, row []rdf.ID) (rdf.Term, error) {
-	if len(x.Args) != 1 {
-		return rdf.Term{}, evalErrf("cast takes one argument")
+// cast converts the one argument of a datatype cast <dt>(v).
+func (d *termDict) cast(dt string, args []rdf.Term) (rdf.Term, error) {
+	if len(args) != 1 {
+		return rdf.Term{}, evalErrf("%s is no builtin, and a cast takes one argument", dt)
 	}
-	v, err := env.evalExpr(x.Args[0], row)
-	if err != nil {
-		return rdf.Term{}, err
-	}
+	v := args[0]
 	lex := strings.TrimSpace(v.Value)
-	switch x.Func {
+	switch dt {
 	case rdf.XSDInteger, rdf.XSDInt, rdf.XSDLong:
 		if f, ok := v.Float(); ok {
-			return rdf.NewInteger(int64(f)), nil
+			return d.integer(int64(f)), nil
 		}
 		n, err := strconv.ParseInt(lex, 10, 64)
 		if err != nil {
 			return rdf.Term{}, evalErrf("cannot cast %q to integer", lex)
 		}
-		return rdf.NewInteger(n), nil
+		return d.integer(n), nil
 	case rdf.XSDDecimal, rdf.XSDDouble, rdf.XSDFloat:
 		f, err := strconv.ParseFloat(lex, 64)
 		if err != nil {
-			return rdf.Term{}, evalErrf("cannot cast %q to %s", lex, x.Func)
+			return rdf.Term{}, evalErrf("cannot cast %q to %s", lex, dt)
 		}
-		if x.Func == rdf.XSDDecimal {
-			return rdf.NewDecimal(f), nil
+		if dt == rdf.XSDDecimal {
+			return d.number('f', 0, f), nil
 		}
-		return rdf.NewDouble(f), nil
+		return d.number('g', 0, f), nil
 	case rdf.XSDBoolean:
 		switch lex {
 		case "true", "1":
@@ -612,11 +566,11 @@ func (env exprEnv) evalCast(x ExprCall, row []rdf.ID) (rdf.Term, error) {
 	case rdf.XSDString:
 		return rdf.NewString(v.Value), nil
 	case rdf.XSDDate, rdf.XSDDateTime:
-		if _, ok := rdf.NewTyped(lex, x.Func).Time(); !ok {
-			return rdf.Term{}, evalErrf("cannot cast %q to %s", lex, x.Func)
+		if _, ok := rdf.NewTyped(lex, dt).Time(); !ok {
+			return rdf.Term{}, evalErrf("cannot cast %q to %s", lex, dt)
 		}
-		return rdf.NewTyped(lex, x.Func), nil
+		return rdf.NewTyped(lex, dt), nil
 	default:
-		return rdf.Term{}, evalErrf("unsupported cast to <%s>", x.Func)
+		return rdf.Term{}, evalErrf("unsupported function or cast %s", dt)
 	}
 }

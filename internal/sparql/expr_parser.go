@@ -91,27 +91,26 @@ func (p *parser) parseRelational() (Expr, error) {
 
 func (p *parser) parseAdditive() (Expr, error) {
 	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
+	for err == nil {
+		t := p.cur()
+		op := t.text
 		switch {
-		case p.acceptPunct("+"):
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = ExprBinary{Op: "+", Left: left, Right: right}
-		case p.acceptPunct("-"):
-			right, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			left = ExprBinary{Op: "-", Left: left, Right: right}
+		case t.kind == tokPunct && (op == "+" || op == "-"):
+			p.advance()
+		case t.kind == tokNumber && (op[0] == '+' || op[0] == '-'):
+			// A signed number right after an operand is the operator and an
+			// unsigned number, which a following * or / binds to (SPARQL 1.1
+			// grammar rule [116]): ?a-1/2 is ?a - (1/2).
+			op, p.toks[p.pos].text = op[:1], op[1:]
 		default:
 			return left, nil
 		}
+		var right Expr
+		if right, err = p.parseMultiplicative(); err == nil {
+			left = ExprBinary{Op: op, Left: left, Right: right}
+		}
 	}
+	return nil, err
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {

@@ -119,7 +119,7 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 // run; sureOutside names the variables surely bound before the run, estBound
 // the variables bound for estimation purposes. A fold takes the last step's rows.
 func (ev *evaluator) evalTripleRun(run []*TriplePattern, filters []*runFilter, sureOutside, estBound map[string]bool, input *batch, fold *groupFold) *batch {
-	pb, pbt := ev.profEnter("bgp", "")
+	pb, pbt := ev.profEnter("bgp", nil)
 	out := ev.runTriples(run, filters, sureOutside, estBound, input, fold)
 	n := out.n()
 	if fold != nil {
@@ -177,9 +177,9 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 // errors or is false drop. It is a group-level filter's: the kept rows are
 // copied, as evalGroup never modifies its input. (A filter the planner
 // pushed inside a BGP run goes with its step's writes: stepFilter.)
-func (ev *evaluator) applyFilter(expr Expr, rows *batch) *batch {
+func (ev *evaluator) applyFilter(expr *Expr, rows *batch) *batch {
 	nIn := rows.n()
-	pf, pft := ev.profEnter("filter", ev.profLabel(expr))
+	pf, pft := ev.profEnter("filter", expr)
 	env := exprEnv{ev: ev}
 	w := rowWriter{width: rows.width}
 	for r := 0; r < nIn; r++ {
@@ -187,7 +187,7 @@ func (ev *evaluator) applyFilter(expr Expr, rows *batch) *batch {
 			break
 		}
 		row := rows.row(r)
-		if v, err := env.evalBool(expr, row); err == nil && v {
+		if v, err := env.evalBool(*expr, row); err == nil && v {
 			w.add(row)
 		}
 	}
@@ -213,7 +213,7 @@ type stepFilter struct {
 
 // keep reports whether the current filter holds for the row.
 func (sf *stepFilter) keep(row []rdf.ID) bool {
-	v, err := sf.env.evalBool(sf.filters[sf.cur].expr, row)
+	v, err := sf.env.evalBool(*sf.filters[sf.cur].expr, row)
 	return err == nil && v
 }
 
@@ -285,7 +285,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
 	}
-	psc, psct := ev.profEnter("scan", ev.profLabel(tp))
+	psc, psct := ev.profEnter("scan", tp)
 	// The scan's estimate is what the planner priced it with, the graph
 	// count for the pattern's constant positions, so q-error measures the
 	// planner's own input.
@@ -326,7 +326,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	// A filter node per filter that had rows to test, as when each filtered
 	// a batch of its own; the fold's record every filter.
 	for i := 0; sf != nil && i < len(sf.dur) && (fold != nil || sf.pass[i] > 0); i++ {
-		ev.profAdd("filter", ev.profLabel(sf.filters[i].expr), sf.dur[i], sf.pass[i], sf.pass[i+1])
+		ev.profAdd("filter", sf.filters[i].expr, sf.dur[i], sf.pass[i], sf.pass[i+1])
 	}
 	return w
 }

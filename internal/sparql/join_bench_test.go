@@ -15,7 +15,9 @@ import (
 // shape is what the engine allocates for it, decoded into Results, with no
 // server, client or response body in the reading. big-select-json is the
 // server's side of a /sparql miss for big-select instead: the answer table
-// executed, sorted and encoded.
+// executed, sorted and encoded. sum-by-maker and order-by-date are the
+// numeric aggregate and the date sort of an analytic click, next to
+// bind-year's derived attribute.
 func BenchmarkJoinStep(b *testing.B) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
 	rdf.Materialize(g)
@@ -29,6 +31,8 @@ func BenchmarkJoinStep(b *testing.B) {
 		{"optional", `SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > 1900) OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`},
 		{"semi-join", `SELECT (AVG(?x2) AS ?a) WHERE { ?x1 a ex:Laptop . ?x1 ex:price ?x2 }`},
 		{"bind-year", `SELECT ?y (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d . BIND(YEAR(?d) AS ?y) } GROUP BY ?y`},
+		{"sum-by-maker", `SELECT ?m (SUM(?p) AS ?s) WHERE { ?l ex:manufacturer ?m ; ex:price ?p } GROUP BY ?m`},
+		{"order-by-date", `SELECT ?l ?d WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d } ORDER BY ?d`},
 	} {
 		q := sparql.MustParse(prefix + c.query)
 		b.Run(c.name, func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -43,40 +44,27 @@ func (t token) String() string {
 }
 
 // sparqlKeywords is the set of case-insensitive reserved words recognized by
-// the lexer. Everything else alphabetic becomes a PName candidate.
-var sparqlKeywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "REDUCED": true, "WHERE": true,
-	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "OFFSET": true, "PREFIX": true, "BASE": true,
-	"AS": true, "FILTER": true, "OPTIONAL": true, "UNION": true, "MINUS": true,
-	"BIND": true, "VALUES": true, "UNDEF": true, "ASK": true,
-	"CONSTRUCT": true, "DESCRIBE": true, "FROM": true, "NAMED": true,
-	"EXISTS": true, "NOT": true, "IN": true, "TRUE": true, "FALSE": true,
-	"SEPARATOR": true, "GRAPH": true,
-	// SPARQL Update keywords.
-	"INSERT": true, "DELETE": true, "DATA": true, "CLEAR": true, "ALL": true,
-}
+// the lexer, SPARQL Update's included. Everything else alphabetic becomes a
+// PName candidate.
+var sparqlKeywords = wordSet(`SELECT DISTINCT REDUCED WHERE GROUP BY HAVING ORDER ASC DESC
+	LIMIT OFFSET PREFIX BASE AS FILTER OPTIONAL UNION MINUS BIND VALUES UNDEF ASK CONSTRUCT
+	DESCRIBE FROM NAMED EXISTS NOT IN TRUE FALSE SEPARATOR GRAPH INSERT DELETE DATA CLEAR ALL`)
 
 // aggregateNames recognizes aggregate function keywords.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"GROUP_CONCAT": true, "SAMPLE": true,
-}
+var aggregateNames = wordSet("COUNT SUM AVG MIN MAX GROUP_CONCAT SAMPLE")
 
 // builtinNames recognizes non-aggregate builtin call keywords.
-var builtinNames = map[string]bool{
-	"STR": true, "LANG": true, "LANGMATCHES": true, "DATATYPE": true,
-	"BOUND": true, "IRI": true, "URI": true, "BNODE": true, "RAND": true,
-	"ABS": true, "CEIL": true, "FLOOR": true, "ROUND": true, "CONCAT": true,
-	"STRLEN": true, "UCASE": true, "LCASE": true, "ENCODE_FOR_URI": true,
-	"CONTAINS": true, "STRSTARTS": true, "STRENDS": true, "STRBEFORE": true,
-	"STRAFTER": true, "YEAR": true, "MONTH": true, "DAY": true, "HOURS": true,
-	"MINUTES": true, "SECONDS": true, "TIMEZONE": true, "TZ": true,
-	"NOW": true, "UUID": true, "STRUUID": true, "MD5": true, "SHA1": true,
-	"SHA256": true, "COALESCE": true, "IF": true, "STRLANG": true,
-	"STRDT": true, "SAMETERM": true, "ISIRI": true, "ISURI": true,
-	"ISBLANK": true, "ISLITERAL": true, "ISNUMERIC": true, "REGEX": true,
-	"SUBSTR": true, "REPLACE": true,
+var builtinNames = wordSet(`STR LANG LANGMATCHES DATATYPE BOUND IRI URI BNODE RAND ABS CEIL
+	FLOOR ROUND CONCAT STRLEN UCASE LCASE ENCODE_FOR_URI CONTAINS STRSTARTS STRENDS STRBEFORE
+	STRAFTER YEAR MONTH DAY HOURS MINUTES SECONDS TIMEZONE TZ NOW UUID STRUUID MD5 SHA1 SHA256
+	COALESCE IF STRLANG STRDT SAMETERM ISIRI ISURI ISBLANK ISLITERAL ISNUMERIC REGEX SUBSTR REPLACE`)
+
+func wordSet(words string) map[string]bool {
+	set := map[string]bool{}
+	for _, w := range strings.Fields(words) {
+		set[w] = true
+	}
+	return set
 }
 
 type lexError struct {
@@ -88,15 +76,20 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("sparql: line %d col %d: %s", e.line, e.col, e.msg)
 }
 
+// lexer walks the query's bytes a rune at a time. A token's text is a
+// substring of the query; only a string literal with an escape builds a new
+// string, and an IRI or string holding invalid UTF-8 gets U+FFFD for each bad
+// byte, as a []rune conversion of the query would give it. line and col
+// count runes.
 type lexer struct {
-	src       []rune
-	pos       int
+	src       string
+	pos       int // byte offset
 	line, col int
 	toks      []token
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: []rune(src), line: 1, col: 1}
+	l := &lexer{src: src, line: 1, col: 1, toks: make([]token, 0, min(len(src)/5+1, 4096))}
 	if err := l.run(); err != nil {
 		return nil, err
 	}
@@ -107,23 +100,32 @@ func (l *lexer) errf(format string, args ...any) error {
 	return &lexError{line: l.line, col: l.col, msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) cur() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset i: 0 and width 0 past the end.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
 
-func (l *lexer) at(off int) rune {
-	if l.pos+off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+off]
+func (l *lexer) cur() rune {
+	r, _ := l.runeAt(l.pos)
+	return r
+}
+
+// next returns the rune after the current one.
+func (l *lexer) next() rune {
+	_, w := l.runeAt(l.pos)
+	r, _ := l.runeAt(l.pos + w)
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
+	r, w := l.runeAt(l.pos)
+	l.pos += w
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -137,10 +139,24 @@ func (l *lexer) emit(kind tokKind, text string, line, col int) {
 	l.toks = append(l.toks, token{kind: kind, text: text, line: line, col: col})
 }
 
+// text is the query's text from byte start to the current position.
+func (l *lexer) text(start int) string { return l.src[start:l.pos] }
+
+// validText gives each invalid UTF-8 byte of s as U+FFFD.
+func validText(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
 func (l *lexer) run() error {
 	for l.pos < len(l.src) {
 		r := l.cur()
-		line, col := l.line, l.col
+		line, col, start, iriEnd := l.line, l.col, l.pos, -1
+		if r == '<' {
+			iriEnd = l.iriEnd()
+		}
 		switch {
 		case unicode.IsSpace(r):
 			l.advance()
@@ -151,32 +167,18 @@ func (l *lexer) run() error {
 		case r == '?' || r == '$':
 			// A variable only if followed by a name char; bare '?' is the
 			// zero-or-one path modifier.
-			if nxt := l.at(1); unicode.IsLetter(nxt) || unicode.IsDigit(nxt) || nxt == '_' {
-				l.advance()
-				name := l.lexName()
-				l.emit(tokVar, name, line, col)
+			l.advance()
+			if nxt := l.cur(); unicode.IsLetter(nxt) || unicode.IsDigit(nxt) || nxt == '_' {
+				l.lexName()
+				l.emit(tokVar, l.text(start+1), line, col)
 			} else {
-				l.advance()
 				l.emit(tokPunct, "?", line, col)
 			}
-		case r == '<':
-			// IRI or comparison operator: IRI when followed by a non-space,
-			// non-'=' run ending in '>'.
-			if l.looksLikeIRI() {
-				iri, err := l.lexIRI()
-				if err != nil {
-					return err
-				}
-				l.emit(tokIRI, iri, line, col)
-			} else {
+		case iriEnd >= 0:
+			for l.pos <= iriEnd {
 				l.advance()
-				if l.cur() == '=' {
-					l.advance()
-					l.emit(tokPunct, "<=", line, col)
-				} else {
-					l.emit(tokPunct, "<", line, col)
-				}
 			}
+			l.emit(tokIRI, validText(l.src[start+1:iriEnd]), line, col)
 		case r == '"' || r == '\'':
 			s, err := l.lexString()
 			if err != nil {
@@ -185,92 +187,55 @@ func (l *lexer) run() error {
 			l.emit(tokLiteral, s, line, col)
 		case r == '@':
 			l.advance()
-			var b strings.Builder
-			for l.pos < len(l.src) {
-				c := l.cur()
-				if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '-' {
-					b.WriteRune(c)
-					l.advance()
-					continue
-				}
-				break
+			for c := l.cur(); unicode.IsLetter(c) || unicode.IsDigit(c) || c == '-'; c = l.cur() {
+				l.advance()
 			}
-			l.emit(tokLangTag, b.String(), line, col)
-		case r == '^':
-			if l.at(1) == '^' {
-				l.advance()
-				l.advance()
-				l.emit(tokDTSep, "^^", line, col)
-			} else {
-				l.advance()
-				l.emit(tokPunct, "^", line, col)
-			}
-		case unicode.IsDigit(r) || (r == '.' && unicode.IsDigit(l.at(1))):
-			l.emit(tokNumber, l.lexNumber(), line, col)
+			l.emit(tokLangTag, l.text(start+1), line, col)
+		case unicode.IsDigit(r) || (r == '.' && unicode.IsDigit(l.next())):
+			l.lexNumber()
+			l.emit(tokNumber, l.text(start), line, col)
 		case r == '+' || r == '-':
 			// Sign glued to a digit is a signed number.
-			if unicode.IsDigit(l.at(1)) {
-				sign := string(l.advance())
-				l.emit(tokNumber, sign+l.lexNumber(), line, col)
+			signed := unicode.IsDigit(l.next())
+			if l.advance(); signed {
+				l.lexNumber()
+				l.emit(tokNumber, l.text(start), line, col)
 			} else {
-				l.advance()
-				l.emit(tokPunct, string(r), line, col)
+				l.emit(tokPunct, l.text(start), line, col)
 			}
-		case r == '!':
-			l.advance()
-			if l.cur() == '=' {
+		case strings.ContainsRune("{}().,;*/=!<>&|^", r):
+			// One character, or two: <= != >= && || and the datatype's ^^.
+			switch two := l.src[start:min(start+2, len(l.src))]; {
+			case two == "&&" || two == "||" || two == "^^" || two[len(two)-1] == '=' && strings.ContainsRune("<!>", r):
 				l.advance()
-				l.emit(tokPunct, "!=", line, col)
-			} else {
-				l.emit(tokPunct, "!", line, col)
-			}
-		case r == '>':
-			l.advance()
-			if l.cur() == '=' {
-				l.advance()
-				l.emit(tokPunct, ">=", line, col)
-			} else {
-				l.emit(tokPunct, ">", line, col)
-			}
-		case r == '&':
-			if l.at(1) != '&' {
+			case r == '&':
 				return l.errf("unexpected '&'")
 			}
 			l.advance()
-			l.advance()
-			l.emit(tokPunct, "&&", line, col)
-		case r == '|':
-			if l.at(1) == '|' {
-				l.advance()
-				l.advance()
-				l.emit(tokPunct, "||", line, col)
-			} else {
-				l.advance()
-				l.emit(tokPunct, "|", line, col)
+			kind := tokPunct
+			if l.text(start) == "^^" {
+				kind = tokDTSep
 			}
-		case r == '=':
-			l.advance()
-			l.emit(tokPunct, "=", line, col)
-		case strings.ContainsRune("{}().,;*/", r):
-			l.advance()
-			l.emit(tokPunct, string(r), line, col)
-		case r == '_' && l.at(1) == ':':
+			l.emit(kind, l.text(start), line, col)
+		case r == '_' && l.next() == ':':
 			l.advance()
 			l.advance()
-			name := l.lexName()
-			l.emit(tokPName, "_:"+name, line, col)
+			l.lexName()
+			l.emit(tokPName, l.text(start), line, col)
 		case unicode.IsLetter(r) || r == '_':
-			word := l.lexPNameOrKeyword()
-			upper := strings.ToUpper(word)
+			l.lexPNameOrKeyword()
+			word := l.text(start)
 			switch {
 			case word == "a":
 				l.emit(tokA, "a", line, col)
 			case strings.Contains(word, ":"):
 				l.emit(tokPName, word, line, col)
-			case sparqlKeywords[upper] || aggregateNames[upper] || builtinNames[upper]:
-				l.emit(tokKeyword, upper, line, col)
 			default:
-				return l.errf("unexpected identifier %q (missing ':'?)", word)
+				upper := strings.ToUpper(word)
+				if !sparqlKeywords[upper] && !aggregateNames[upper] && !builtinNames[upper] {
+					return l.errf("unexpected identifier %q (missing ':'?)", word)
+				}
+				l.emit(tokKeyword, upper, line, col)
 			}
 		default:
 			return l.errf("unexpected character %q", r)
@@ -280,129 +245,113 @@ func (l *lexer) run() error {
 	return nil
 }
 
-// looksLikeIRI scans ahead from '<' for '>' with no whitespace in between.
-func (l *lexer) looksLikeIRI() bool {
-	for i := l.pos + 1; i < len(l.src); i++ {
-		r := l.src[i]
-		if r == '>' {
-			return true
+// iriEnd returns the offset of the '>' that closes the IRI the '<' at pos
+// opens, or -1 when the '<' is a comparison: an IRI is a run of non-space
+// runes other than '<'.
+func (l *lexer) iriEnd() int {
+	for i := l.pos + 1; i < len(l.src); {
+		r, w := l.runeAt(i)
+		switch {
+		case r == '>':
+			return i
+		case unicode.IsSpace(r) || r == '<':
+			return -1
 		}
-		if unicode.IsSpace(r) || r == '<' {
-			return false
-		}
+		i += w
 	}
-	return false
+	return -1
 }
 
-func (l *lexer) lexIRI() (string, error) {
-	l.advance() // '<'
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		r := l.advance()
-		if r == '>' {
-			return b.String(), nil
-		}
-		b.WriteRune(r)
-	}
-	return "", l.errf("unterminated IRI")
-}
-
+// lexString reads a quoted literal: a substring of the query, or — once an
+// escape is met — the unescaped text built in b.
 func (l *lexer) lexString() (string, error) {
 	quote := l.advance()
-	var b strings.Builder
+	start := l.pos
+	var b []byte
 	for l.pos < len(l.src) {
+		end := l.pos
 		r := l.advance()
 		if r == quote {
-			return b.String(), nil
+			if b == nil {
+				return validText(l.src[start:end]), nil
+			}
+			return string(b), nil
 		}
 		if r == '\\' {
+			if b == nil {
+				b = []byte(validText(l.src[start:end]))
+			}
 			if l.pos >= len(l.src) {
 				return "", l.errf("unterminated escape")
 			}
 			e := l.advance()
 			switch e {
 			case 'n':
-				b.WriteRune('\n')
+				b = append(b, '\n')
 			case 't':
-				b.WriteRune('\t')
+				b = append(b, '\t')
 			case 'r':
-				b.WriteRune('\r')
+				b = append(b, '\r')
 			case '"', '\'', '\\':
-				b.WriteRune(e)
+				b = append(b, byte(e))
 			default:
 				return "", l.errf("unknown escape \\%c", e)
 			}
 			continue
 		}
-		b.WriteRune(r)
+		if b != nil {
+			b = utf8.AppendRune(b, r)
+		}
 	}
 	return "", l.errf("unterminated string literal")
 }
 
-func (l *lexer) lexNumber() string {
-	var b strings.Builder
+func (l *lexer) lexNumber() {
 	for l.pos < len(l.src) {
 		r := l.cur()
-		if unicode.IsDigit(r) || r == '.' || r == 'e' || r == 'E' {
-			// A '.' not followed by a digit/e terminates the number.
-			if r == '.' {
-				nxt := l.at(1)
-				if !unicode.IsDigit(nxt) {
-					break
-				}
-			}
-			if r == 'e' || r == 'E' {
-				nxt := l.at(1)
-				if !unicode.IsDigit(nxt) && nxt != '+' && nxt != '-' {
-					break
-				}
-				b.WriteRune(l.advance()) // e
-				if c := l.cur(); c == '+' || c == '-' {
-					b.WriteRune(l.advance())
-				}
-				continue
-			}
-			b.WriteRune(l.advance())
-			continue
+		if !unicode.IsDigit(r) && r != '.' && r != 'e' && r != 'E' {
+			return
 		}
-		break
+		nxt := l.next()
+		switch {
+		case r == '.' && !unicode.IsDigit(nxt):
+			return // a '.' not followed by a digit terminates the number
+		case r == 'e' || r == 'E':
+			if !unicode.IsDigit(nxt) && nxt != '+' && nxt != '-' {
+				return
+			}
+			if l.advance(); nxt == '+' || nxt == '-' { // e, and its sign
+				l.advance()
+			}
+		default:
+			l.advance()
+		}
 	}
-	return b.String()
 }
 
-func (l *lexer) lexName() string {
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		r := l.cur()
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			b.WriteRune(l.advance())
-			continue
-		}
-		break
+func (l *lexer) lexName() {
+	for r := l.cur(); l.pos < len(l.src) && (unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'); r = l.cur() {
+		l.advance()
 	}
-	return b.String()
 }
 
 // lexPNameOrKeyword reads a word that may contain one ':' (prefixed name)
 // and name characters including '-' and '.' (dot only when followed by a
 // name character).
-func (l *lexer) lexPNameOrKeyword() string {
-	var b strings.Builder
+func (l *lexer) lexPNameOrKeyword() {
 	for l.pos < len(l.src) {
 		r := l.cur()
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == ':':
-			b.WriteRune(l.advance())
+			l.advance()
 		case r == '.':
-			nxt := l.at(1)
-			if unicode.IsLetter(nxt) || unicode.IsDigit(nxt) || nxt == '_' {
-				b.WriteRune(l.advance())
-			} else {
-				return b.String()
+			nxt := l.next()
+			if !unicode.IsLetter(nxt) && !unicode.IsDigit(nxt) && nxt != '_' {
+				return
 			}
+			l.advance()
 		default:
-			return b.String()
+			return
 		}
 	}
-	return b.String()
 }

@@ -132,7 +132,7 @@ func TestParallelDifferentialRandom(t *testing.T) {
 		rows := groupBindings(newEvaluator(context.Background(), g, Options{}), gp)
 		varSet := map[string]bool{}
 		for i := range patterns {
-			for _, v := range patterns[i].Vars() {
+			for v := range patterns[i].Vars {
 				varSet[v] = true
 			}
 		}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -337,8 +338,9 @@ func TestParseKeywordCaseInsensitive(t *testing.T) {
 	}
 }
 
-func BenchmarkParse(b *testing.B) {
-	src := `PREFIX ex: <http://e/>
+// parseBenchQuery is the text BenchmarkParse parses and
+// TestQueryAllocBudgets holds to its allocation budget.
+const parseBenchQuery = `PREFIX ex: <http://e/>
 SELECT ?x2 ?x5 (SUM(?x3) AS ?t) WHERE {
   ?x1 ex:takesPlaceAt ?x2 .
   ?x1 ex:inQuantity ?x3 .
@@ -346,12 +348,42 @@ SELECT ?x2 ?x5 (SUM(?x3) AS ?t) WHERE {
   ?x4 ex:brand ?x5 .
   FILTER(?x3 >= 2)
 } GROUP BY ?x2 ?x5 HAVING (SUM(?x3) > 1000)`
-	b.SetBytes(int64(len(src)))
+
+func BenchmarkParse(b *testing.B) {
+	b.SetBytes(int64(len(parseBenchQuery)))
+	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := Parse(src); err != nil {
+		if _, err := Parse(parseBenchQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 var _ = strings.TrimSpace
+
+// TestParseAdditiveSignedLiteral: a signed number right after an operand is
+// the + or - operator and an unsigned number, and a following * or / binds
+// to that number (SPARQL 1.1 grammar rule [116]); the lexer still reads +1
+// as one number token.
+func TestParseAdditiveSignedLiteral(t *testing.T) {
+	num := func(s string) Expr { return ExprTerm{Term: rdf.NewTyped(s, rdf.XSDInteger)} }
+	a := ExprVar{Name: "a"}
+	for src, want := range map[string]Expr{
+		"?a+1*2":  ExprBinary{Op: "+", Left: a, Right: ExprBinary{Op: "*", Left: num("1"), Right: num("2")}},
+		"?a-1/2":  ExprBinary{Op: "-", Left: a, Right: ExprBinary{Op: "/", Left: num("1"), Right: num("2")}},
+		"?a -1":   ExprBinary{Op: "-", Left: a, Right: num("1")},
+		"?a - -1": ExprBinary{Op: "-", Left: a, Right: num("-1")},
+		"-1+?a":   ExprBinary{Op: "+", Left: num("-1"), Right: a},
+	} {
+		q, err := Parse(`SELECT ?x WHERE { ?s ?p ?a BIND(` + src + ` AS ?x) }`)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := q.Where.Elems[1].Bind.Expr; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s parses as %s, want %s", src, got, want)
+		}
+	}
+	if toks, _ := lex("?a+1"); len(toks) != 3 || toks[1].kind != tokNumber || toks[1].text != "+1" {
+		t.Errorf("lex(?a+1) = %v, want ?a, the number +1, EOF", toks)
+	}
+}

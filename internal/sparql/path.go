@@ -29,7 +29,7 @@ func (s idSet) sorted() []rdf.ID {
 }
 
 func (ev *evaluator) evalPathTriple(tp *TriplePattern, input *batch) *batch {
-	pp, ppt := ev.profEnter("path_scan", ev.profLabel(tp))
+	pp, ppt := ev.profEnter("path_scan", tp)
 	// Each end is a constant, a slot, or (a variable nothing reads) neither.
 	end := func(n Node) (slot int, constant rdf.ID) {
 		if n.IsVar() {

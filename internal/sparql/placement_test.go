@@ -187,7 +187,7 @@ func TestPlaceTriples(t *testing.T) {
 			var ps []int
 			for _, tp := range piece {
 				ps = append(ps, pos[tp])
-				for _, v := range tp.Vars() {
+				for v := range tp.Vars {
 					bound[v] = true
 				}
 			}
@@ -319,7 +319,7 @@ func TestPathGroupDifferential(t *testing.T) {
 			if i < nPaths {
 				patterns[i].P, patterns[i].Path = Node{}, paths[rng.Intn(len(paths))]
 			}
-			for _, v := range patterns[i].Vars() {
+			for v := range patterns[i].Vars {
 				if v != "" { // a path triple's predicate: the zero Node
 					varSet[v] = true
 				}

@@ -60,7 +60,7 @@ func (p *bgpPlan) order() string {
 // runFilter is a filter expression pushed inside a BGP run, applied in ID
 // space as soon as its variables are bound.
 type runFilter struct {
-	expr Expr
+	expr *Expr
 	vars map[string]bool
 }
 
@@ -228,7 +228,7 @@ func attachFilters(plan *bgpPlan, run []*TriplePattern, filters []*runFilter, su
 		placed := false
 		boundHere := map[string]bool{}
 		for i := range plan.steps {
-			for _, v := range run[plan.steps[i].pat].Vars() {
+			for v := range run[plan.steps[i].pat].Vars {
 				boundHere[v] = true
 			}
 			ok := true

@@ -16,8 +16,8 @@ import (
 // planner's cardinality estimate next to the actual output, summarized as
 // the q-error max(est/act, act/est). Repeated invocations of the same
 // operator at the same site (e.g. a FILTER EXISTS pattern, run once per row
-// it tests) fold into one node keyed by (op, label), so the
-// tree stays bounded regardless of data size.
+// it tests) fold into one node, found by (op, site) and labelled once, so
+// the tree stays bounded regardless of data size.
 //
 // The profile is the engine's one instrument: a trace of the operation the
 // query belongs to holds the engine as one leaf, and the profile is that
@@ -104,23 +104,35 @@ type ProfNode struct {
 	TraceID string
 
 	children []*ProfNode
-	index    map[string]*ProfNode
+	site     any // the first site folded into the node
 }
 
-// child returns (creating on first use) the child node for (op, label).
-func (n *ProfNode) child(op, label string) *ProfNode {
+// child returns (creating on first use) the child node for op at site: the
+// query's *TriplePattern or *Expr the operator runs, or nil for one without
+// a label. A site is found by identity, so its label is rendered once per
+// node; two sites of one text share the node their label names.
+func (n *ProfNode) child(op string, site any) *ProfNode {
 	if n == nil {
 		return nil
 	}
-	key := op + "\x00" + label
-	if c, ok := n.index[key]; ok {
-		return c
+	for _, c := range n.children {
+		if c.Op == op && c.site == site {
+			return c
+		}
 	}
-	c := &ProfNode{Op: op, Label: label, EstRows: -1}
-	if n.index == nil {
-		n.index = map[string]*ProfNode{}
+	label := ""
+	switch s := site.(type) {
+	case *TriplePattern:
+		label = s.String()
+	case *Expr:
+		label = (*s).String()
 	}
-	n.index[key] = c
+	for _, c := range n.children {
+		if c.Op == op && c.Label == label {
+			return c
+		}
+	}
+	c := &ProfNode{Op: op, Label: label, EstRows: -1, site: site}
 	n.children = append(n.children, c)
 	return c
 }
@@ -174,24 +186,16 @@ func QError(est, act int64) float64 {
 	return a / e
 }
 
-// profLabel renders an operator's label, only when profiling is on.
-func (ev *evaluator) profLabel(op fmt.Stringer) string {
-	if ev.prof == nil {
-		return ""
-	}
-	return op.String()
-}
-
 // profEnter descends into (creating if needed) the current node's child for
-// (op, label) and makes it current. It returns the previous current node
+// op at site and makes it current. It returns the previous current node
 // and the start time for profExit. When profiling is off it returns nil and
 // does nothing — one pointer test.
-func (ev *evaluator) profEnter(op, label string) (*ProfNode, time.Time) {
+func (ev *evaluator) profEnter(op string, site any) (*ProfNode, time.Time) {
 	if ev.prof == nil {
 		return nil, time.Time{}
 	}
 	parent := ev.prof
-	ev.prof = parent.child(op, label)
+	ev.prof = parent.child(op, site)
 	return parent, time.Now()
 }
 
@@ -205,12 +209,12 @@ func (ev *evaluator) profExit(parent *ProfNode, start time.Time, rowsIn, rowsOut
 	ev.prof = parent
 }
 
-// profAdd records one invocation of the current node's child (op, label)
+// profAdd records one invocation of the current node's child for op at site
 // that ran inside the operator that measured its time d: an in-run filter,
 // applied as its join step writes.
-func (ev *evaluator) profAdd(op, label string, d time.Duration, rowsIn, rowsOut int) {
+func (ev *evaluator) profAdd(op string, site any, d time.Duration, rowsIn, rowsOut int) {
 	if ev.prof != nil {
-		ev.prof.child(op, label).record(d, rowsIn, rowsOut)
+		ev.prof.child(op, site).record(d, rowsIn, rowsOut)
 	}
 }
 

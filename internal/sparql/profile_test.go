@@ -303,6 +303,22 @@ func TestProfileAggregatesRepeatedCalls(t *testing.T) {
 	}
 }
 
+// TestProfileFoldsSitesOfOneText: a node is found by its site, but two sites
+// of one text under one parent still share the node their label names — the
+// same pattern in both arms of a UNION is one scan node with two calls — and
+// a site entered once per row (an EXISTS pattern) stays one node.
+func TestProfileFoldsSitesOfOneText(t *testing.T) {
+	prof := NewProfile("query")
+	q := MustParse(`PREFIX ex: <http://e/> SELECT ?s WHERE { { ?s ex:v ?v } UNION { ?s ex:v ?v } FILTER EXISTS { ?s ex:v ?v } }`)
+	if _, err := ExecSelectOpts(chainGraph(30), q, Options{Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	scans := findProfNodes(prof, "scan")
+	if len(scans) != 2 || scans[0].Calls != 2 || scans[1].Calls != 60 || scans[0].Label != "?s <http://e/v> ?v ." || scans[1].Label != scans[0].Label {
+		t.Fatalf("want one scan node for both UNION arms (2 calls) and one for the EXISTS pattern (60 calls):\n%s", prof.Tree())
+	}
+}
+
 // TestProfileMarksTheFold: the scan whose rows went straight to the group
 // fold is marked — the last step of a grouped query's one-run WHERE, and no
 // other — and the operators around it still count the rows folded: the match,
@@ -372,11 +388,16 @@ func TestProfileExport(t *testing.T) {
 	}
 }
 
+// profileBenchQuery is the query BenchmarkProfileOverhead runs on
+// chainGraph(300), and TestQueryAllocBudgets holds to its profiling budget.
+const profileBenchQuery = `PREFIX ex: <http://e/> SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) } ORDER BY ?s LIMIT 20`
+
 // BenchmarkProfileOverhead measures the evaluator with profiling off (the
 // nil-safe no-op path — one pointer test per site) against profiling on.
 func BenchmarkProfileOverhead(b *testing.B) {
 	g := chainGraph(300)
-	q := MustParse(`PREFIX ex: <http://e/> SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) } ORDER BY ?s LIMIT 20`)
+	q := MustParse(profileBenchQuery)
+	b.ReportAllocs()
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := ExecSelectOpts(g, q, Options{}); err != nil {

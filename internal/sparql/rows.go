@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"iter"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -260,7 +261,45 @@ type termDict struct {
 	g       *rdf.Graph
 	ids     map[rdf.Term]rdf.ID // terms interned so far: graph or scratch ID
 	scratch []rdf.Term          // scratch[id&^scratchBit]
+	nums    map[numKey]rdf.Term // computed numbers, each formatted once
 }
+
+// numKey is a computed number: its format — 'i' xsd:integer, 'f'
+// xsd:decimal, 'g' xsd:double — and its bits, so that 0 and -0 stay apart
+// as their lexical forms do.
+type numKey struct {
+	format byte
+	bits   uint64
+}
+
+// number returns the literal of a number an expression or aggregate
+// computed: the xsd:integer i, or f as an xsd:decimal ('f') or xsd:double
+// ('g'). Each distinct value is formatted once per evaluation, so a derived
+// attribute such as YEAR(?d) costs per distinct value, not per row.
+func (d *termDict) number(format byte, i int64, f float64) rdf.Term {
+	k := numKey{format, uint64(i)}
+	if format != 'i' {
+		k.bits = math.Float64bits(f)
+	}
+	t, ok := d.nums[k]
+	if !ok {
+		switch format {
+		case 'i':
+			t = rdf.NewInteger(i)
+		case 'f':
+			t = rdf.NewDecimal(f)
+		default:
+			t = rdf.NewDouble(f)
+		}
+		if d.nums == nil {
+			d.nums = map[numKey]rdf.Term{}
+		}
+		d.nums[k] = t
+	}
+	return t
+}
+
+func (d *termDict) integer(i int64) rdf.Term { return d.number('i', i, 0) }
 
 // id interns a term: the graph's ID when the graph knows the term, a
 // scratch ID otherwise. One term always maps to one ID within an evaluation.

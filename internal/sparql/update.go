@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -208,7 +209,7 @@ func ApplyUpdateCtx(ctx context.Context, g *rdf.Graph, u *Update) (UpdateResult,
 			if tp.S.IsVar() || tp.P.IsVar() || tp.O.IsVar() || tp.Path != nil {
 				return nil, fmt.Errorf("sparql: DATA block must be ground (no variables)")
 			}
-			out = append(out, rdf.Triple{S: tp.S.Term, P: tp.P.Term, O: tp.O.Term})
+			out = append(out, rdf.Triple{S: detach(g, tp.S.Term), P: detach(g, tp.P.Term), O: detach(g, tp.O.Term)})
 		}
 		return out, nil
 	}
@@ -258,6 +259,16 @@ func ApplyUpdateCtx(ctx context.Context, g *rdf.Graph, u *Update) (UpdateResult,
 	}
 }
 
+// detach copies the strings of a term the graph does not hold yet. A term
+// an update spells is a substring of the update's text, which the graph's
+// dictionary would otherwise keep alive whole.
+func detach(g *rdf.Graph, t rdf.Term) rdf.Term {
+	if _, known := g.TermID(t); !known {
+		t.Value, t.Datatype, t.Lang = strings.Clone(t.Value), strings.Clone(t.Datatype), strings.Clone(t.Lang)
+	}
+	return t
+}
+
 // deleteInsert evaluates the WHERE pattern, then instantiates the delete
 // template for every solution (removing matches) and the insert template
 // (adding instantiations). Both are instantiated before anything is applied,
@@ -277,7 +288,7 @@ func deleteInsert(ctx context.Context, g *rdf.Graph, where *GroupPattern, del, i
 		}
 	}
 	for _, t := range toInsert {
-		if g.Add(t) {
+		if g.Add(rdf.Triple{S: detach(g, t.S), P: detach(g, t.P), O: detach(g, t.O)}) {
 			res.Inserted++
 		}
 	}

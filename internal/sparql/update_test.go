@@ -1,7 +1,9 @@
 package sparql
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -152,5 +154,37 @@ SELECT ?b WHERE { ?t ex:branch ?b . ?t ex:total ?v . FILTER(?v > 300) }`)
 	}
 	if res.Len() != 1 || res.Get(0, "b").LocalName() != "b2" {
 		t.Fatalf("rows: %s", res)
+	}
+}
+
+// TestInsertedTermsOwnTheirStrings: a term an update spells is a substring of
+// the update's text, and the graph keeps what it inserts for good; so a new
+// term is copied out first, and the graph holds none of the text.
+func TestInsertedTermsOwnTheirStrings(t *testing.T) {
+	g := rdf.NewGraph()
+	pad := strings.Repeat(" ", 1<<12)
+	srcs := []string{
+		`INSERT DATA { <http://e/s> <http://e/p> "new literal"@en , "typed"^^<http://e/dt> }` + pad,
+		`DELETE { } INSERT { ?s <http://e/q> "from a template" } WHERE { ?s <http://e/p> ?o }` + pad,
+	}
+	for _, src := range srcs {
+		if _, err := ExecUpdate(g, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range srcs {
+		start := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		for _, tr := range g.Triples() {
+			for _, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+				for _, s := range []string{term.Value, term.Datatype, term.Lang} {
+					if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && p >= start && p < start+uintptr(len(src)) {
+						t.Errorf("%s: %q points into the text of %.40q", tr, s, src)
+					}
+				}
+			}
+		}
+	}
+	if n := len(g.Triples()); n != 3 {
+		t.Fatalf("%d triples, want 3", n)
 	}
 }
