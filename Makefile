@@ -14,7 +14,7 @@ test:
 # per-property fan-out, so races surface here; a test that depends on its
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
 # BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary,
-# of BenchmarkStateWrite, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
+# of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
 # BenchmarkTailSamplerDecision (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.
@@ -26,6 +26,7 @@ check:
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench Dictionary -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench PropertyFacets -benchmem -benchtime 1x ./internal/facet
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
 	$(MAKE) conformance
 	$(MAKE) obs-smoke

@@ -223,8 +223,8 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: expand <path>")
 		}
-		vals := sess.Model().ExpandPath(sess.State(), parsePath(ns, args[0]))
-		for _, vc := range vals {
+		m := sess.Model()
+		for _, vc := range m.Decode(m.ExpandPath(sess.State(), parsePath(ns, args[0]))) {
 			fmt.Fprintf(out, "  %s (%d)\n", vc.Value.LocalName(), vc.Count)
 		}
 	case "pivot":

@@ -157,7 +157,7 @@ func (p *paper) e3() error {
 		{{P: rdf.NewIRI(ns + "hardDrive")}, {P: rdf.NewIRI(ns + "manufacturer")}, {P: rdf.NewIRI(ns + "origin")}},
 	} {
 		fmt.Fprintf(p.out, "  by %s:\n", path)
-		for _, vc := range s.Model().ExpandPath(s.State(), path) {
+		for _, vc := range s.Model().Decode(s.Model().ExpandPath(s.State(), path)) {
 			fmt.Fprintf(p.out, "    %s (%d)\n", vc.Value.LocalName(), vc.Count)
 		}
 	}
@@ -309,7 +309,7 @@ func (p *paper) e10() error {
 	m := facet.NewModel(g)
 	s0 := m.ClickClass(m.Start(), rdf.NewIRI(ns+"Laptop"))
 	path := facet.Path{{P: rdf.NewIRI(ns + "manufacturer")}, {P: rdf.NewIRI(ns + "origin")}}
-	vals := m.ExpandPath(s0, path)
+	vals := m.Decode(m.ExpandPath(s0, path))
 	if len(vals) == 0 {
 		return fmt.Errorf("no expansion values")
 	}

@@ -49,40 +49,29 @@ type UIState struct {
 	Breadcrumb   string
 	Analytics    Analytics
 	Depth        int
-	HIFUN        string // the current analytic query, if expressible
+	HIFUN        string       // the current analytic query, if expressible
+	model        *facet.Model // decodes the markers RenderText prints
 }
 
 // ComputeUIState runs Algorithm 5 for the current state: Part A computes
 // the right-frame objects, Part B the class facets, Part C the property
-// facets. maxObjects caps the right frame (paging).
+// facets. maxObjects caps the right frame (paging). The objects, the class
+// tree and the value lists are the level's own: shared, and read-only.
 func (s *Session) ComputeUIState(maxObjects int, includeInverse bool) *UIState {
 	defer observeSince(uiStateSeconds, time.Now())
 	l := s.top()
 	st := l.state()
+	m := l.render(st, maxObjects, includeInverse)
 	ui := &UIState{
+		Objects:      m.objects,
 		TotalObjects: st.Ext.Len(),
-		Breadcrumb:   st.Int.String(),
+		Classes:      m.classes,
+		Facets:       append([]FacetView(nil), m.facets...),
+		Breadcrumb:   m.breadcrumb,
 		Analytics:    l.analytics,
 		Depth:        len(s.levels),
+		model:        l.model,
 	}
-	// Part A: objects of the right frame.
-	items := st.Ext.Items()
-	if maxObjects > 0 && len(items) > maxObjects {
-		items = items[:maxObjects]
-	}
-	typeT := rdf.NewIRI(rdf.RDFType)
-	var types []rdf.Term
-	ui.Objects = make([]ObjectCard, 0, len(items))
-	for _, o := range items {
-		types = types[:0]
-		l.model.G.Match(o, typeT, rdf.Any, func(t rdf.Triple) bool {
-			types = append(types, t.O)
-			return true
-		})
-		ui.Objects = append(ui.Objects, ObjectCard{Object: o, Type: displayType(l.model.Schema, types)})
-	}
-	// Parts B and C: class facets, and property facets with button states.
-	ui.Classes, ui.Facets = l.transitionMarkers(st, includeInverse)
 	for i := range ui.Facets {
 		fv := &ui.Facets[i]
 		p1 := facet.Path{{P: fv.P, Inverse: fv.Inverse}}
@@ -128,40 +117,59 @@ func displayType(schema *rdf.Schema, types []rdf.Term) rdf.Term {
 	return best
 }
 
-// markerSlot is the one remembered result of transitionMarkers: the class
-// tree, facets and buckets of the level's current state, for one inverse
-// setting. The level drops it whenever its current state changes, a rebuild
-// after a write to the graph included.
+// markerSlot is the one remembered render of the level's current state, for
+// one page size and inverse setting: the first objects, the class tree, and
+// the facets with their markers as dictionary IDs. The level drops it when
+// its current state changes (a rebuild after a write included), not on G/Σ.
 type markerSlot struct {
+	maxObjects     int
 	includeInverse bool
+	breadcrumb     string
+	objects        []ObjectCard
 	classes        []facet.ClassNode
 	facets         []FacetView // button states unset
 }
 
-// transitionMarkers computes Part B and Part C of Algorithm 5 for the
-// current state st, or returns what the last call computed for it. The facet
-// views are a fresh copy each time (the caller sets the button states on
-// them); the class tree and the value lists are shared, read-only.
-func (l *level) transitionMarkers(st *facet.State, includeInverse bool) ([]facet.ClassNode, []FacetView) {
-	if m := l.markers; m == nil || m.includeInverse != includeInverse {
-		m = &markerSlot{includeInverse: includeInverse, classes: l.model.ClassFacet(st)}
-		for _, f := range l.model.PropertyFacets(st, includeInverse) {
-			fv := FacetView{Facet: f}
-			numeric := 0
-			for _, vc := range f.Values {
-				if vc.Value.IsNumeric() {
-					numeric++
-				}
-			}
-			fv.Numeric = len(f.Values) > 0 && numeric*2 > len(f.Values)
-			if fv.Numeric && !f.Inverse {
-				fv.Buckets = l.model.NumericBuckets(st, f.P, 5)
-			}
-			m.facets = append(m.facets, fv)
-		}
-		l.markers = m
+// render computes Parts A, B and C of Algorithm 5 for the current state st,
+// or returns what the last call computed for it, shared and read-only.
+func (l *level) render(st *facet.State, maxObjects int, includeInverse bool) *markerSlot {
+	if m := l.markers; m != nil && m.maxObjects == maxObjects && m.includeInverse == includeInverse {
+		return m
 	}
-	return l.markers.classes, append([]FacetView(nil), l.markers.facets...)
+	m := &markerSlot{maxObjects: maxObjects, includeInverse: includeInverse, breadcrumb: st.Int.String(), classes: l.model.ClassFacet(st)}
+	typeT := rdf.NewIRI(rdf.RDFType)
+	var types []rdf.Term
+	// Part A: the objects of the right frame, all of them when uncapped.
+	if maxObjects <= 0 {
+		maxObjects = st.Ext.Len()
+	}
+	for _, o := range st.Ext.First(maxObjects) {
+		types = types[:0]
+		l.model.G.Match(o, typeT, rdf.Any, func(t rdf.Triple) bool {
+			types = append(types, t.O)
+			return true
+		})
+		m.objects = append(m.objects, ObjectCard{Object: o, Type: displayType(l.model.Schema, types)})
+	}
+	// Part C: a facet is numeric when most of its values' shapes are.
+	facets := l.model.PropertyFacets(st, includeInverse)
+	view := l.model.G.TermView()
+	for _, f := range facets {
+		fv := FacetView{Facet: f}
+		numeric := 0
+		for _, vc := range f.Values {
+			if view.Shape(vc.ID).IsNumeric() {
+				numeric++
+			}
+		}
+		fv.Numeric = len(f.Values) > 0 && numeric*2 > len(f.Values)
+		if fv.Numeric && !f.Inverse {
+			fv.Buckets = l.model.NumericBuckets(st, f.P, 5)
+		}
+		m.facets = append(m.facets, fv)
+	}
+	l.markers = m
+	return m
 }
 
 // RenderText renders the UI state as the two-frame text layout of Fig 5.1
@@ -195,7 +203,7 @@ func (ui *UIState) RenderText() string {
 			marks += " [Σ]"
 		}
 		fmt.Fprintf(&sb, "  by %s%s\n", name, marks)
-		for i, vc := range f.Values {
+		for i, vc := range ui.model.Decode(f.Values[:min(len(f.Values), 9)]) {
 			if i >= 8 {
 				fmt.Fprintf(&sb, "      … %d more\n", len(f.Values)-i)
 				break

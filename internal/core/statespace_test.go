@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,9 +25,9 @@ func scansOf(g *rdf.Graph, fn func()) uint64 {
 }
 
 // TestAnalyticClicksReuseMarkers: G and Σ leave the extension alone
-// (§5.2.2), so the state they render reuses the level's class tree, facets
-// and buckets — the only scans left are the right frame's object cards —
-// and differs from the state before only in the button flags. Anything that
+// (§5.2.2), so the state they render reuses the level's object cards, class
+// tree, facets and buckets — it scans nothing — and differs from the state
+// before only in the button flags. Anything that
 // can change the markers recounts them: a faceted click, the other inverse
 // setting, a write to the graph.
 func TestAnalyticClicksReuseMarkers(t *testing.T) {
@@ -43,8 +45,11 @@ func TestAnalyticClicksReuseMarkers(t *testing.T) {
 	s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("manufacturer")}}})
 	s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.Operation{Op: hifun.OpAvg})
 	var after *UIState
-	if n := scansOf(g, func() { after = s.ComputeUIState(10, true) }); n != cards {
-		t.Fatalf("render after G and Σ cost %d scans, want the %d object cards only", n, cards)
+	if n := scansOf(g, func() { after = s.ComputeUIState(10, true) }); n != 0 {
+		t.Fatalf("render after G and Σ cost %d scans, want none", n)
+	}
+	if !reflect.DeepEqual(after.Objects, first.Objects) {
+		t.Fatal("reused object cards differ from the computed ones")
 	}
 	if !reflect.DeepEqual(after.Classes, first.Classes) || len(after.Facets) != len(first.Facets) {
 		t.Fatal("reused markers differ from the computed ones")
@@ -78,7 +83,7 @@ func TestAnalyticClicksReuseMarkers(t *testing.T) {
 	}
 	seven := false
 	for _, f := range written.Facets {
-		for _, vc := range f.Values {
+		for _, vc := range s.Model().Decode(f.Values) {
 			seven = seven || (f.P == pe("USBPorts") && vc.Value == rdf.NewInteger(7))
 		}
 	}
@@ -140,6 +145,24 @@ func TestUIStateSurvivesSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := NewSession(g, datagen.ExampleNS), NewSession(back, datagen.ExampleNS)
+	// The markers are compared as the terms they decode to, not as IDs.
+	render := func(s *Session) []byte {
+		st := *s.ComputeUIState(50, true)
+		st.Facets = slices.Clone(st.Facets)
+		values := make([][]facet.TermCount, len(st.Facets))
+		for i := range st.Facets {
+			values[i] = st.model.Decode(st.Facets[i].Values)
+			st.Facets[i].Values = nil
+		}
+		out, err := json.Marshal(struct {
+			State  UIState
+			Values [][]facet.TermCount
+		}{st, values})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for step, click := range []func(*Session){
 		func(*Session) {},
 		func(s *Session) { s.ClickClass(pe("Product")) },
@@ -147,11 +170,7 @@ func TestUIStateSurvivesSnapshotRoundTrip(t *testing.T) {
 	} {
 		click(a)
 		click(b)
-		sa, err := json.Marshal(a.ComputeUIState(50, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, _ := json.Marshal(b.ComputeUIState(50, true))
+		sa, sb := render(a), render(b)
 		if !bytes.Equal(sa, sb) {
 			t.Errorf("step %d: the state over the reloaded graph differs:\n%s\n%s", step, sa, sb)
 		}
@@ -190,5 +209,112 @@ func TestDisplayType(t *testing.T) {
 	}
 	if got := displayType(schema, nil); !got.IsZero() {
 		t.Errorf("displayType of no types = %v, want the zero term", got)
+	}
+}
+
+// allocsIn runs fn and returns how many objects it allocated with a function
+// of the package path pkg on the stack, read from the runtime's memory
+// profile at a sampling rate of one.
+func allocsIn(pkg string, fn func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	count := func() (n int64) {
+		// The profile lags two collections behind the allocations.
+		runtime.GC()
+		runtime.GC()
+		k, ok := runtime.MemProfile(nil, true)
+		var recs []runtime.MemProfileRecord
+		for !ok {
+			recs = make([]runtime.MemProfileRecord, k+64)
+			k, ok = runtime.MemProfile(recs, true)
+		}
+		for _, r := range recs[:k] {
+			frames := runtime.CallersFrames(r.Stack())
+			for f, more := frames.Next(); ; f, more = frames.Next() {
+				if strings.HasPrefix(f.Function, pkg+".") {
+					n += r.AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return n
+	}
+	before := count()
+	fn()
+	return count() - before
+}
+
+// TestClickAllocBudget: what a click's state costs on the 11 200-laptop
+// products graph, for the start state and the Laptop state. A render counts
+// every marker as a dictionary ID and builds no term for one: from cold
+// buffers it stays within a byte and allocation budget (it reads ≈2.65 MB
+// and ≈0.71 MB, ≈2.71 MB and ≈0.71 MB under -race; with term-keyed markers
+// a render cost ≈12.9 MB and ≈3.0 MB).
+// The marker slot retains at most 12 B per marker value — the
+// values' IDs and counts, with the object cards, class tree and buckets
+// amortized over them. A G or Σ click renders from the slot and allocates
+// nothing in internal/facet.
+func TestClickAllocBudget(t *testing.T) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1, Materialize: true})
+	s := NewSession(g, datagen.ExampleNS)
+	for _, c := range []struct {
+		name             string
+		click            func()
+		maxKB, maxAllocs uint64
+	}{
+		{"start", func() {}, 3000, 380},
+		{"Laptop", func() { s.ClickClass(pe("Laptop")) }, 1300, 240},
+	} {
+		c.click()
+		l := s.top()
+		render := func() {
+			l.markers = nil
+			s.ComputeUIState(50, true)
+		}
+		render()
+		// A render from cold buffers: the counters' pool emptied.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		render()
+		runtime.ReadMemStats(&after)
+		values := 0
+		for _, f := range l.markers.facets {
+			values += len(f.Values)
+		}
+		kb, allocs := (after.TotalAlloc-before.TotalAlloc)>>10, after.Mallocs-before.Mallocs
+		t.Logf("%s: %d marker values, %d objects; a render allocates %d KB in %d allocations", c.name, values, len(l.markers.objects), kb, allocs)
+		if kb > c.maxKB || allocs > c.maxAllocs {
+			t.Errorf("%s: a render allocates %d KB in %d allocations, want ≤ %d KB and ≤ %d", c.name, kb, allocs, c.maxKB, c.maxAllocs)
+		}
+
+		// Retention: the heap with the slot, less the heap without it.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l.markers = nil
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		s.ComputeUIState(50, true)
+		if perValue := float64(int64(before.HeapAlloc)-int64(after.HeapAlloc)) / float64(values); perValue > 12 {
+			t.Errorf("%s: the marker slot retains %.1f B per value, want ≤ 12", c.name, perValue)
+		} else {
+			t.Logf("%s: the marker slot retains %.1f B per value", c.name, perValue)
+		}
+
+		if n := allocsIn("rdfanalytics/internal/facet", render); n == 0 {
+			t.Fatalf("%s: a render shows no allocation in internal/facet: the profile reads nothing", c.name)
+		}
+		s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("manufacturer")}}})
+		s.ClickAggregate(MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.Operation{Op: hifun.OpAvg})
+		if n := allocsIn("rdfanalytics/internal/facet", func() { s.ComputeUIState(50, true) }); n != 0 {
+			t.Errorf("%s: a render after G and Σ allocates %d objects in internal/facet, want none", c.name, n)
+		}
+		s.ClearAnalytics()
 	}
 }

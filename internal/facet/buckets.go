@@ -3,7 +3,6 @@ package facet
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -39,8 +38,8 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 	// One parse per distinct value; NaN marks the ones not bucketed.
 	vals := make([]float64, len(r.objects))
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, o := range r.objects {
-		v, ok := o.Float()
+	for i := range r.objects {
+		v, ok := r.object(i).Float()
 		if ok && !math.IsInf(v, 0) {
 			lo = math.Min(lo, v)
 			hi = math.Max(hi, v)
@@ -86,13 +85,14 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 }
 
 // entityHit is one (entity, group) pair — group being a bucket index or a
-// year — packed into an integer, so that counting each pair once is an
-// in-place sort instead of a map keyed on boxed pairs.
+// year — packed into an integer, group first, so that counting each pair
+// once is an in-place sort instead of a map keyed on boxed pairs, and the
+// distinct pairs come out grouped.
 type entityHit uint64
 
-func hit(e rdf.ID, group int) entityHit { return entityHit(e)<<32 | entityHit(uint32(group)) }
+func hit(e rdf.ID, group int) entityHit { return entityHit(uint32(group))<<32 | entityHit(e) }
 
-func (h entityHit) group() int { return int(int32(h)) }
+func (h entityHit) group() int { return int(int32(h >> 32)) }
 
 // distinctHits sorts hits and drops the duplicates, in place.
 func distinctHits(hits []entityHit) []entityHit {
@@ -115,11 +115,11 @@ func (m *Model) ClickBucket(s *State, p rdf.Term, b Bucket, last bool) *State {
 // DateBuckets groups the date values of facet p by year, returning
 // (year, count) pairs sorted by year — the calendar drill-down the
 // transform button's YEAR/MONTH decomposition supports.
-func (m *Model) DateBuckets(s *State, p rdf.Term) []ValueCount {
+func (m *Model) DateBuckets(s *State, p rdf.Term) []TermCount {
 	r := m.valueRuns(m.idsOf(s.Ext), p)
 	var hits []entityHit
-	for i, o := range r.objects {
-		tm, ok := o.Time()
+	for i := range r.objects {
+		tm, ok := r.object(i).Time()
 		if !ok {
 			continue
 		}
@@ -127,18 +127,12 @@ func (m *Model) DateBuckets(s *State, p rdf.Term) []ValueCount {
 			hits = append(hits, hit(e, tm.Year()))
 		}
 	}
-	counts := map[int]int{}
-	for _, h := range distinctHits(hits) {
-		counts[h.group()]++
-	}
-	years := make([]int, 0, len(counts))
-	for y := range counts {
-		years = append(years, y)
-	}
-	sort.Ints(years)
-	out := make([]ValueCount, len(years))
-	for i, y := range years {
-		out[i] = ValueCount{Value: rdf.NewInteger(int64(y)), Count: counts[y]}
+	out, hits := []TermCount{}, distinctHits(hits)
+	for i, h := range hits {
+		if i == 0 || h.group() != hits[i-1].group() {
+			out = append(out, TermCount{Value: rdf.NewInteger(int64(h.group()))})
+		}
+		out[len(out)-1].Count++
 	}
 	return out
 }

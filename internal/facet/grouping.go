@@ -12,24 +12,28 @@ import (
 type ValueGroup struct {
 	Class  rdf.Term
 	Count  int
-	Values []ValueCount
+	Values []TermCount
 }
 
 // GroupedValues organizes the transition markers of a property facet by the
 // classes of the values, as in Fig 5.4 (d): "by hardDrive (3) — SSD (2):
 // SSD1, SSD2; NVMe (1): NVMe1". Each value is filed under its most specific
 // class (minimal w.r.t. the subclass order); multi-typed values pick the
-// term-order-smallest minimal class for determinism.
+// term-order-smallest minimal class for determinism. A group lists its
+// values in the facet's display order.
 func (m *Model) GroupedValues(s *State, p rdf.Term, inverse bool) []ValueGroup {
-	joins := m.Joins(s.Ext, p, inverse)
-	byClass := map[rdf.Term][]ValueCount{}
-	for v, count := range joins {
-		cls := m.specificClass(v)
-		byClass[cls] = append(byClass[cls], ValueCount{Value: v, Count: count})
+	var markers []ValueCount
+	if pid, ok := m.G.TermID(p); ok {
+		var c counter
+		markers = m.markers(&c, m.joinCounts(&c, m.idsOf(s.Ext), pid, inverse), 0)
+	}
+	byClass := map[rdf.Term][]TermCount{}
+	for _, vc := range m.Decode(markers) {
+		cls := m.specificClass(vc.Value)
+		byClass[cls] = append(byClass[cls], vc)
 	}
 	out := make([]ValueGroup, 0, len(byClass))
 	for cls, vals := range byClass {
-		sortValueCounts(vals)
 		total := 0
 		for _, vc := range vals {
 			total += vc.Count

@@ -2,10 +2,10 @@ package facet
 
 import (
 	"cmp"
-	"math"
+	"iter"
 	"math/bits"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"rdfanalytics/internal/par"
@@ -14,15 +14,15 @@ import (
 
 // TermSet is an extension: a set of resources with deterministic iteration.
 // Members the graph knows are held as dictionary IDs (the model's operators
-// scan and intersect on integers); terms are materialized by Items only. A
-// set built by NewTermSet has no graph and holds every member as a term.
+// scan and intersect on integers); terms are materialized by Items and
+// First only. A set built by NewTermSet has no graph and holds every member
+// as a term.
 type TermSet struct {
 	g   *rdf.Graph // whose dictionary ids refers to; nil for a free-standing set
 	ids idSet
 	// free holds the members g has no ID for (all of them when g is nil):
 	// they are counted and listed, and can never join.
-	free  map[rdf.Term]struct{}
-	items []rdf.Term // sorted lazily; nil when stale
+	free map[rdf.Term]struct{}
 }
 
 // NewTermSet builds a free-standing set from the given terms.
@@ -39,7 +39,6 @@ func (s *TermSet) Add(t rdf.Term) {
 	if _, ok := s.free[t]; ok {
 		return
 	}
-	s.items = nil
 	if s.g != nil {
 		if id, ok := s.g.TermID(t); ok {
 			s.ids.add(id)
@@ -69,17 +68,32 @@ func (s *TermSet) Len() int { return s.ids.n + len(s.free) }
 
 // Items returns the members, sorted.
 func (s *TermSet) Items() []rdf.Term {
-	if s.items == nil {
-		s.items = []rdf.Term{}
-		if s.ids.n > 0 {
-			s.items = s.g.TermsOf(s.ids.appendTo(make([]rdf.ID, 0, s.ids.n)))
-		}
-		for t := range s.free {
-			s.items = append(s.items, t)
-		}
-		rdf.SortTerms(s.items)
+	items := []rdf.Term{}
+	if s.ids.n > 0 {
+		items = s.g.TermsOf(slices.AppendSeq(make([]rdf.ID, 0, s.ids.n), s.ids.members()))
 	}
-	return s.items
+	for t := range s.free {
+		items = append(items, t)
+	}
+	rdf.SortTerms(items)
+	return items
+}
+
+// First returns Items()[:k], or all of Items when k exceeds Len, building
+// no term for the other members (rdf.TermView.Least). A set holding
+// members with no ID — a free-standing one included — falls back on Items.
+func (s *TermSet) First(k int) []rdf.Term {
+	if len(s.free) > 0 || s.g == nil {
+		items := s.Items()
+		return items[:min(max(k, 0), len(items))]
+	}
+	view := s.g.TermView()
+	ids := view.Least(s.ids.members(), k)
+	out := make([]rdf.Term, len(ids))
+	for i, id := range ids {
+		out[i] = view.Term(id)
+	}
+	return out
 }
 
 // idSet is a set of dictionary IDs: a bitmap over the dense ID space, so
@@ -106,14 +120,17 @@ func (s *idSet) has(id rdf.ID) bool {
 	return w < len(s.words) && s.words[w]&(1<<(id&63)) != 0
 }
 
-// appendTo appends the members to dst in ascending order.
-func (s *idSet) appendTo(dst []rdf.ID) []rdf.ID {
-	for w, word := range s.words {
-		for ; word != 0; word &= word - 1 {
-			dst = append(dst, rdf.ID(w<<6+bits.TrailingZeros64(word)))
+// members yields the members in ascending order.
+func (s *idSet) members() iter.Seq[rdf.ID] {
+	return func(yield func(rdf.ID) bool) {
+		for w, word := range s.words {
+			for ; word != 0; word &= word - 1 {
+				if !yield(rdf.ID(w<<6 + bits.TrailingZeros64(word))) {
+					return
+				}
+			}
 		}
 	}
-	return dst
 }
 
 // State is one interaction state: an extension (the displayed objects) and
@@ -176,27 +193,26 @@ func (m *Model) idsOf(e *TermSet) *idSet {
 
 // Start returns the initial state s0: the extension holds every resource
 // that appears as a subject (the named individuals of the dataset) and the
-// intention is unrestricted.
+// intention is unrestricted. Classes and properties are left out, by ID; a
+// subject's kind is read from the dictionary's shape column.
 func (m *Model) Start() *State {
+	schema := m.newIDSet()
+	for _, ts := range []map[rdf.Term]struct{}{m.Schema.Classes, m.Schema.Properties} {
+		for t := range ts {
+			if id, ok := m.G.TermID(t); ok {
+				schema.add(id)
+			}
+		}
+	}
 	ext := m.newSet()
 	ids := m.G.SubjectIDs()
-	for i, t := range m.G.TermsOf(ids) {
-		if t.IsResource() && !m.isSchemaEntity(t) {
-			ext.ids.add(ids[i])
+	view := m.G.TermView()
+	for _, id := range ids {
+		if view.Shape(id).IsResource() && !schema.has(id) {
+			ext.ids.add(id)
 		}
 	}
 	return &State{Ext: ext}
-}
-
-// isSchemaEntity filters classes and properties out of the object list.
-func (m *Model) isSchemaEntity(t rdf.Term) bool {
-	if _, ok := m.Schema.Classes[t]; ok {
-		return true
-	}
-	if _, ok := m.Schema.Properties[t]; ok {
-		return true
-	}
-	return false
 }
 
 // StartFrom returns a state whose extension is an externally produced
@@ -245,7 +261,7 @@ func (m *Model) RestrictSet(e *TermSet, p rdf.Term, inverse bool, vset *TermSet)
 	out := m.newSet()
 	if pid, ok := m.G.TermID(p); ok {
 		eIDs := m.idsOf(e)
-		for _, vid := range m.idsOf(vset).appendTo(nil) {
+		for vid := range m.idsOf(vset).members() {
 			m.restrictInto(&out.ids, eIDs, pid, inverse, vid)
 		}
 	}
@@ -258,11 +274,13 @@ func (m *Model) RestrictClass(e *TermSet, c rdf.Term) *TermSet {
 }
 
 // valueRuns is one scan of a predicate's index restricted to an extension:
-// the distinct objects carried by extension members, each materialized
-// once, with the members carrying it. A literal's number or date is then
-// parsed once per distinct value, not once per triple.
+// the distinct objects carried by extension members, with the members
+// carrying each. An object is decoded through the view taken after the
+// scan, so a literal's number or date is parsed once per distinct value,
+// not once per triple, and no term is kept.
 type valueRuns struct {
-	objects  []rdf.Term
+	view     rdf.TermView
+	objects  []rdf.ID
 	starts   []int // subjects[starts[i]:starts[i+1]] carry objects[i]
 	subjects []rdf.ID
 }
@@ -274,23 +292,27 @@ func (m *Model) valueRuns(e *idSet, p rdf.Term) valueRuns {
 		return r
 	}
 	// A predicate scan yields each object's subjects as one run (MatchIDs
-	// walks the POS index object by object).
-	var objs []rdf.ID
+	// walks the POS index object by object). Most members have at most one
+	// value of a property, which sizes the subjects.
+	r.subjects = make([]rdf.ID, 0, min(e.n, m.G.MatchCountIDs(0, pid, 0)))
 	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
 		if !e.has(s) {
 			return true
 		}
-		if n := len(objs); n == 0 || objs[n-1] != o {
-			objs = append(objs, o)
+		if n := len(r.objects); n == 0 || r.objects[n-1] != o {
+			r.objects = append(r.objects, o)
 			r.starts = append(r.starts, len(r.subjects))
 		}
 		r.subjects = append(r.subjects, s)
 		return true
 	})
-	r.objects = m.G.TermsOf(objs)
+	r.view = m.G.TermView()
 	r.starts = append(r.starts, len(r.subjects))
 	return r
 }
+
+// object returns the term of objects[i].
+func (r valueRuns) object(i int) rdf.Term { return r.view.Term(r.objects[i]) }
 
 // run returns the extension members carrying objects[i].
 func (r valueRuns) run(i int) []rdf.ID { return r.subjects[r.starts[i]:r.starts[i+1]] }
@@ -300,8 +322,8 @@ func (r valueRuns) run(i int) []rdf.ID { return r.subjects[r.starts[i]:r.starts[
 func (m *Model) RestrictOp(e *TermSet, p rdf.Term, op string, v rdf.Term) *TermSet {
 	out := m.newSet()
 	r := m.valueRuns(m.idsOf(e), p)
-	for i, o := range r.objects {
-		if compareHolds(o, op, v) {
+	for i := range r.objects {
+		if compareHolds(r.object(i), op, v) {
 			for _, s := range r.run(i) {
 				out.ids.add(s)
 			}
@@ -310,46 +332,26 @@ func (m *Model) RestrictOp(e *TermSet, p rdf.Term, op string, v rdf.Term) *TermS
 	return out
 }
 
+// compareHolds reports whether a op b holds: term equality for = and !=,
+// an order in a shared value space (numbers, or dates and date-times on the
+// time line — not a plain string that reads like one) for the others.
 func compareHolds(a rdf.Term, op string, b rdf.Term) bool {
-	if op == "" || op == "=" {
+	switch op {
+	case "", "=":
 		return a == b
-	}
-	if op == "!=" {
+	case "!=":
 		return a != b
 	}
-	af, okA := a.Float()
-	bf, okB := b.Float()
-	if okA && okB {
-		switch op {
-		case "<":
-			return af < bf
-		case "<=":
-			return af <= bf
-		case ">":
-			return af > bf
-		case ">=":
-			return af >= bf
-		}
-		return false
-	}
-	// Only genuinely temporal literals (xsd:date / xsd:dateTime) compare on
-	// the time line; a plain string that parses like a date does not.
-	if !a.IsTemporal() || !b.IsTemporal() {
-		return false
-	}
-	at, okA2 := a.Time()
-	bt, okB2 := b.Time()
-	if okA2 && okB2 {
-		switch op {
-		case "<":
-			return at.Before(bt)
-		case "<=":
-			return !at.After(bt)
-		case ">":
-			return at.After(bt)
-		case ">=":
-			return !at.Before(bt)
-		}
+	c, ok := rdf.CompareValues(a, b)
+	switch op {
+	case "<":
+		return ok && c < 0
+	case "<=":
+		return ok && c <= 0
+	case ">":
+		return ok && c > 0
+	case ">=":
+		return ok && c >= 0
 	}
 	return false
 }
@@ -357,115 +359,133 @@ func compareHolds(a rdf.Term, op string, b rdf.Term) bool {
 // Joins implements Joins(E, p) of §5.3.1: the values linked with the
 // elements of E via p, with the count of E-members carrying each value.
 func (m *Model) Joins(e *TermSet, p rdf.Term, inverse bool) map[rdf.Term]int {
-	pid, ok := m.G.TermID(p)
-	if !ok {
-		return map[rdf.Term]int{}
-	}
-	counts := m.joinCounts(m.idsOf(e), pid, inverse)
-	out := make(map[rdf.Term]int, len(counts))
-	for i, t := range m.G.TermsOf(countIDs(counts)) {
-		out[t] = counts[i].n
-	}
-	return out
-}
-
-// idCount is one joined value, still an ID, with its count.
-type idCount struct {
-	id rdf.ID
-	n  int
-}
-
-func countIDs(counts []idCount) []rdf.ID {
-	ids := make([]rdf.ID, len(counts))
-	for i, c := range counts {
-		ids[i] = c.id
-	}
-	return ids
-}
-
-// joinCounts is the ID-space core of Joins. Triples are set-unique per
-// predicate, so counting needs no dedup pass. Forward, a predicate scan
-// yields each object's subjects as one run (MatchIDs walks the POS index
-// object by object), so the counts are run lengths; inverse, the joined
-// values are subjects scattered over the scan and are tallied in a map (in
-// no particular order — every caller sorts or only collects).
-func (m *Model) joinCounts(e *idSet, pid rdf.ID, inverse bool) []idCount {
-	var out []idCount
-	if !inverse {
-		m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
-			if !e.has(s) {
-				return true
-			}
-			if n := len(out); n > 0 && out[n-1].id == o {
-				out[n-1].n++
-			} else {
-				out = append(out, idCount{o, 1})
-			}
-			return true
-		})
-		return out
-	}
-	counts := map[rdf.ID]int{}
-	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
-		if e.has(o) {
-			counts[s]++
+	out := map[rdf.Term]int{}
+	if pid, ok := m.G.TermID(p); ok {
+		for _, vc := range m.Decode(m.joinCounts(&counter{}, m.idsOf(e), pid, inverse)) {
+			out[vc.Value] = vc.Count
 		}
-		return true
-	})
-	for id, n := range counts {
-		out = append(out, idCount{id, n})
 	}
 	return out
 }
 
-// joined returns the values joinCounts found, as a set.
-func (m *Model) joined(counts []idCount) *idSet {
-	set := m.newIDSet()
-	for _, c := range counts {
-		set.add(c.id)
-	}
-	return &set
+// ValueCount is one transition marker, 8 bytes: a clickable value as an ID
+// of the model's dictionary, with its count.
+type ValueCount struct {
+	ID    rdf.ID
+	Count int32
 }
 
-// ValueCount is one transition marker: a clickable value with its count.
-type ValueCount struct {
+// TermCount is a value decoded to its term, with its count.
+type TermCount struct {
 	Value rdf.Term
 	Count int
 }
 
-// sortValueCounts orders markers by descending count, then term order — the
-// usual facet display order. Each value's ordering key is computed once.
-func sortValueCounts(vcs []ValueCount) {
-	type keyed struct {
-		key   rdf.OrderKey
-		count int
+// Decode returns markers with their values as terms (nil for none): where a
+// marker becomes a term, but for the server's body writer.
+func (m *Model) Decode(vcs []ValueCount) []TermCount {
+	if len(vcs) == 0 {
+		return nil
 	}
-	ks := make([]keyed, len(vcs))
+	view := m.G.TermView()
+	out := make([]TermCount, len(vcs))
 	for i, vc := range vcs {
-		ks[i] = keyed{vc.Value.OrderKey(), vc.Count}
+		out[i] = TermCount{view.Term(vc.ID), int(vc.Count)}
 	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
-		}
-		return a.key.Compare(b.key)
-	})
-	for i, k := range ks {
-		vcs[i] = ValueCount{Value: k.key.Term(), Count: k.count}
-	}
+	return out
 }
 
-// markers materializes joined values as sorted transition markers (nil when
-// there are none).
-func (m *Model) markers(counts []idCount) []ValueCount {
+// counter is the scratch a task's joins reuse: the last join's runs, an
+// inverse scan's subjects, sort keys. It keeps nothing else, so it pools.
+type counter struct {
+	runs []ValueCount
+	subj []rdf.ID
+	keys []rdf.IDKey
+}
+
+var counters = sync.Pool{New: func() any { return new(counter) }}
+
+// joinCounts is the ID-space core of Joins: the values p joins with e, in
+// ascending ID order, in c's runs (valid until c counts again). Triples are
+// set-unique per predicate, so counting needs no dedup pass. Forward, a
+// predicate scan yields each object's subjects as one run (MatchIDs walks
+// the POS index object by object), so the counts are run lengths; inverse,
+// the joined subjects are sorted first.
+func (m *Model) joinCounts(c *counter, e *idSet, pid rdf.ID, inverse bool) []ValueCount {
+	c.runs, c.subj = c.runs[:0], c.subj[:0]
+	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
+		switch {
+		case !inverse && e.has(s):
+			c.runs = addRun(c.runs, o)
+		case inverse && e.has(o):
+			c.subj = append(c.subj, s)
+		}
+		return true
+	})
+	slices.Sort(c.subj)
+	for _, s := range c.subj {
+		c.runs = addRun(c.runs, s)
+	}
+	return c.runs
+}
+
+func addRun(runs []ValueCount, id rdf.ID) []ValueCount {
+	if n := len(runs); n > 0 && runs[n-1].ID == id {
+		runs[n-1].Count++
+		return runs
+	}
+	return append(runs, ValueCount{id, 1})
+}
+
+// join returns the values p links with the members of e, as a set: a step
+// M_i of a path, without the counts.
+func (m *Model) join(e *idSet, pid rdf.ID, inverse bool) *idSet {
+	out := m.newIDSet()
+	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
+		if inverse {
+			s, o = o, s
+		}
+		if e.has(s) {
+			out.add(o)
+		}
+		return true
+	})
+	return &out
+}
+
+// markers returns joined values as transition markers in display order —
+// descending count, then term order — the first limit of them when limit
+// is positive, in a slice of exactly that size (nil when there are none).
+// counts — c's runs — is sorted in place by count; each run of equal counts
+// that reaches the first limit is then ordered by the values' order keys
+// (kind, number or instant, lexical form read through the view), computed
+// once per value into c.
+func (m *Model) markers(c *counter, counts []ValueCount, limit int) []ValueCount {
 	if len(counts) == 0 {
 		return nil
 	}
-	out := make([]ValueCount, len(counts))
-	for i, t := range m.G.TermsOf(countIDs(counts)) {
-		out[i] = ValueCount{Value: t, Count: counts[i].n}
+	view := m.G.TermView()
+	if limit <= 0 || limit > len(counts) {
+		limit = len(counts)
 	}
-	sortValueCounts(out)
+	slices.SortFunc(counts, func(a, b ValueCount) int { return cmp.Compare(b.Count, a.Count) })
+	for i, j := 0, 0; i < limit; i = j {
+		for j = i + 1; j < len(counts) && counts[j].Count == counts[i].Count; j++ {
+		}
+		if cap(c.keys) < j-i {
+			c.keys = make([]rdf.IDKey, 0, j-i)
+		}
+		c.keys = c.keys[:0]
+		for _, vc := range counts[i:j] {
+			c.keys = append(c.keys, view.Key(vc.ID))
+		}
+		slices.SortFunc(c.keys, view.Compare)
+		for k, key := range c.keys {
+			counts[i+k].ID = key.ID
+		}
+	}
+	out := make([]ValueCount, limit)
+	copy(out, counts)
 	return out
 }
 
@@ -521,26 +541,6 @@ type Facet struct {
 	Values  []ValueCount
 }
 
-// Total returns the number of E-members having the property (the count
-// shown next to the facet name, "by manufacturer (2)").
-func (f Facet) Total(m *Model, e *TermSet) int {
-	pid, ok := m.G.TermID(f.P)
-	if !ok {
-		return 0
-	}
-	eIDs, having := m.idsOf(e), m.newIDSet()
-	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
-		if f.Inverse {
-			s = o
-		}
-		if eIDs.has(s) {
-			having.add(s)
-		}
-		return true
-	})
-	return having.n
-}
-
 // PropertyFacets computes the property-based transition markers of s
 // (Alg. 5 Part C): one facet per property applicable to the extension, each
 // with its joined values and counts, in property order with a property's
@@ -562,11 +562,10 @@ func (m *Model) PropertyFacets(s *State, includeInverse bool) []Facet {
 		if !ok {
 			return
 		}
+		c := counters.Get().(*counter)
+		defer counters.Put(c)
 		for _, inverse := range directions {
-			if values := m.markers(m.joinCounts(e, pid, inverse)); values != nil {
-				if m.MaxValues > 0 && len(values) > m.MaxValues {
-					values = values[:m.MaxValues]
-				}
+			if values := m.markers(c, m.joinCounts(c, e, pid, inverse), m.MaxValues); values != nil {
 				slots[i] = append(slots[i], Facet{P: props[i], Inverse: inverse, Values: values})
 			}
 		}
@@ -587,42 +586,6 @@ func (m *Model) applicableProperties() []rdf.Term {
 	return props
 }
 
-// RankFacets orders facets by how much a click on them would tell the user:
-// the Shannon entropy of the facet's value distribution over the extension,
-// normalized by its coverage. High-entropy facets split the focus evenly
-// (informative clicks); single-valued facets rank last. Classic faceted-UI
-// ordering; the GUI shows the most useful facets first.
-func RankFacets(m *Model, e *TermSet, facets []Facet) []Facet {
-	type scored struct {
-		f     Facet
-		score float64
-	}
-	out := make([]scored, len(facets))
-	for i, f := range facets {
-		total := 0
-		for _, vc := range f.Values {
-			total += vc.Count
-		}
-		h := 0.0
-		if total > 0 {
-			for _, vc := range f.Values {
-				p := float64(vc.Count) / float64(total)
-				if p > 0 {
-					h -= p * math.Log2(p)
-				}
-			}
-		}
-		coverage := float64(f.Total(m, e)) / float64(max(e.Len(), 1))
-		out[i] = scored{f: f, score: h * coverage}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
-	ranked := make([]Facet, len(out))
-	for i, s := range out {
-		ranked[i] = s.f
-	}
-	return ranked
-}
-
 // ExpandPath computes the transition markers at the end of a successive
 // property path p1…pk (§5.3.2, Fig 5.5): M_i = Joins(M_{i-1}, p_i) with
 // M_0 = s.Ext; literals can be joined through and grouped too. It returns
@@ -630,26 +593,33 @@ func RankFacets(m *Model, e *TermSet, facets []Facet) []Facet {
 // (produces no values).
 func (m *Model) ExpandPath(s *State, path Path) []ValueCount {
 	defer observeSince(expandPathSeconds, time.Now())
+	c := counters.Get().(*counter)
+	defer counters.Put(c)
+	return m.markers(c, m.endCounts(c, s, path), 0)
+}
+
+// endCounts returns the values path's last step joins with their counts,
+// as joinCounts does, or nil when a step joins nothing.
+func (m *Model) endCounts(c *counter, s *State, path Path) []ValueCount {
 	cur := m.idsOf(s.Ext)
-	var counts []idCount
-	for _, step := range path {
+	for i, step := range path {
 		pid, ok := m.G.TermID(step.P)
-		if !ok {
+		if !ok || cur.n == 0 {
 			return nil
 		}
-		if counts = m.joinCounts(cur, pid, step.Inverse); len(counts) == 0 {
-			return nil
+		if i == len(path)-1 {
+			return m.joinCounts(c, cur, pid, step.Inverse)
 		}
-		cur = m.joined(counts)
+		cur = m.join(cur, pid, step.Inverse)
 	}
-	return m.markers(counts)
+	return nil
 }
 
 // ClickValue performs the transition of selecting value v at the end of
 // path (Eq. 5.1): the extension is restricted backwards through the path
 // and the intention gains the corresponding condition.
 func (m *Model) ClickValue(s *State, path Path, v rdf.Term) *State {
-	ext := m.restrictThroughPath(s.Ext, path, []rdf.Term{v})
+	ext := m.restrictThroughPath(s.Ext, path, m.valueIDs([]rdf.Term{v}))
 	in := s.Int.Clone()
 	in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Value: v})
 	return &State{Ext: ext, Int: in}
@@ -657,10 +627,22 @@ func (m *Model) ClickValue(s *State, path Path, v rdf.Term) *State {
 
 // ClickValueSet selects a set of values at the path end (multi-select).
 func (m *Model) ClickValueSet(s *State, path Path, vs []rdf.Term) *State {
-	ext := m.restrictThroughPath(s.Ext, path, vs)
+	ext := m.restrictThroughPath(s.Ext, path, m.valueIDs(vs))
 	in := s.Int.Clone()
 	in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Values: append([]rdf.Term{}, vs...)})
 	return &State{Ext: ext, Int: in}
+}
+
+// valueIDs returns the IDs the dictionary holds for the clicked values;
+// a value it has never seen matches nothing and is left out.
+func (m *Model) valueIDs(vs []rdf.Term) []rdf.ID {
+	ids := make([]rdf.ID, 0, len(vs))
+	for _, v := range vs {
+		if id, ok := m.G.TermID(v); ok {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // ClickRange applies a literal comparison at the end of a path: the range
@@ -670,12 +652,16 @@ func (m *Model) ClickRange(s *State, path Path, op string, v rdf.Term) *State {
 	if len(path) == 1 {
 		ext = m.RestrictOp(s.Ext, path[0].P, op, v)
 	} else {
-		// Ranges over longer paths: restrict through the path by computing
-		// matching end values first.
-		var match []rdf.Term
-		for _, vc := range m.ExpandPath(s, path) {
-			if compareHolds(vc.Value, op, v) {
-				match = append(match, vc.Value)
+		// Ranges over longer paths: restrict through the path from the end
+		// values that pass the comparison, tested in ID order.
+		c := counters.Get().(*counter)
+		defer counters.Put(c)
+		counts := m.endCounts(c, s, path)
+		view := m.G.TermView()
+		var match []rdf.ID
+		for _, vc := range counts {
+			if compareHolds(view.Term(vc.ID), op, v) {
+				match = append(match, vc.ID)
 			}
 		}
 		ext = m.restrictThroughPath(s.Ext, path, match)
@@ -703,10 +689,11 @@ func (m *Model) ClickClass(s *State, c rdf.Term) *State {
 func (m *Model) SwitchFocus(s *State, step PathStep) *State {
 	ext := m.newSet()
 	if pid, ok := m.G.TermID(step.P); ok {
-		ids := countIDs(m.joinCounts(m.idsOf(s.Ext), pid, step.Inverse))
-		for i, v := range m.G.TermsOf(ids) {
-			if v.IsResource() {
-				ext.ids.add(ids[i])
+		joined := m.join(m.idsOf(s.Ext), pid, step.Inverse)
+		view := m.G.TermView()
+		for id := range joined.members() {
+			if view.Shape(id).IsResource() {
+				ext.ids.add(id)
 			}
 		}
 	}
@@ -721,30 +708,30 @@ func (m *Model) SwitchFocus(s *State, step PathStep) *State {
 // restrictThroughPath implements Eq. 5.1: starting from the selected end
 // markers M'_k, restrict each intermediate marker set and finally the
 // extension.
-func (m *Model) restrictThroughPath(ext *TermSet, path Path, endValues []rdf.Term) *TermSet {
+func (m *Model) restrictThroughPath(ext *TermSet, path Path, endValues []rdf.ID) *TermSet {
 	out := m.newSet()
-	// Recompute the forward marker sets M_1..M_k.
+	// Recompute the forward marker sets M_0..M_{k-1}.
 	pids := make([]rdf.ID, len(path))
-	markers := make([]*idSet, len(path)+1)
-	markers[0] = m.idsOf(ext)
+	markers := []*idSet{m.idsOf(ext)}
 	for i, step := range path {
 		var ok bool
 		if pids[i], ok = m.G.TermID(step.P); !ok {
 			return out
 		}
-		markers[i+1] = m.joined(m.joinCounts(markers[i], pids[i], step.Inverse))
-	}
-	// Backward restriction: M'_k = endValues ∩ M_k; M'_i = Restrict(M_i,
-	// p_{i+1} : M'_{i+1}).
-	for _, v := range endValues {
-		if id, ok := m.G.TermID(v); ok && markers[len(path)].has(id) {
-			out.ids.add(id)
+		if i < len(path)-1 {
+			markers = append(markers, m.join(markers[i], pids[i], step.Inverse))
 		}
 	}
+	// Backward restriction: M'_k = endValues; M'_i = Restrict(M_i, p_{i+1} :
+	// M'_{i+1}). An end value outside M_k restricts M_{k-1} to nothing, so
+	// M_k itself is never needed.
+	for _, id := range endValues {
+		out.ids.add(id)
+	}
 	for i := len(path) - 1; i >= 0; i-- {
-		selected := out.ids.appendTo(nil)
+		selected := out.ids
 		out.ids = m.newIDSet()
-		for _, vid := range selected {
+		for vid := range selected.members() {
 			m.restrictInto(&out.ids, markers[i], pids[i], path[i].Inverse, vid)
 		}
 	}

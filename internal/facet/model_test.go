@@ -84,15 +84,15 @@ func TestFig54PropertyFacets(t *testing.T) {
 	for _, f := range facets {
 		byName[f.P.LocalName()] = f
 	}
-	man := byName["manufacturer"]
-	if len(man.Values) != 2 {
-		t.Fatalf("manufacturer values: %v", man.Values)
+	man := m.Decode(byName["manufacturer"].Values)
+	if len(man) != 2 {
+		t.Fatalf("manufacturer values: %v", man)
 	}
-	if man.Values[0].Value != pe("DELL") || man.Values[0].Count != 2 {
-		t.Errorf("top manufacturer = %v (%d), want DELL (2)", man.Values[0].Value, man.Values[0].Count)
+	if man[0].Value != pe("DELL") || man[0].Count != 2 {
+		t.Errorf("top manufacturer = %v (%d), want DELL (2)", man[0].Value, man[0].Count)
 	}
-	if man.Values[1].Value != pe("Lenovo") || man.Values[1].Count != 1 {
-		t.Errorf("second manufacturer = %v (%d)", man.Values[1].Value, man.Values[1].Count)
+	if man[1].Value != pe("Lenovo") || man[1].Count != 1 {
+		t.Errorf("second manufacturer = %v (%d)", man[1].Value, man[1].Count)
 	}
 	usb := byName["USBPorts"]
 	if len(usb.Values) != 2 || usb.Values[0].Count != 2 {
@@ -122,7 +122,7 @@ func TestFig55PathExpansion(t *testing.T) {
 	vals := m.ExpandPath(s, Path{{P: pe("manufacturer")}, {P: pe("origin")}})
 	asMap := func(vcs []ValueCount) map[string]int {
 		out := map[string]int{}
-		for _, vc := range vcs {
+		for _, vc := range m.Decode(vcs) {
 			out[vc.Value.LocalName()] = vc.Count
 		}
 		return out
@@ -255,7 +255,7 @@ func TestNoEmptyResults(t *testing.T) {
 	m := model(t)
 	s := m.ClickClass(m.Start(), pe("Laptop"))
 	for _, f := range m.PropertyFacets(s, true) {
-		for _, vc := range f.Values {
+		for _, vc := range m.Decode(f.Values) {
 			s2 := m.ClickValue(s, Path{{P: f.P, Inverse: f.Inverse}}, vc.Value)
 			if s2.Ext.Len() == 0 {
 				t.Errorf("marker %s=%s leads to empty extension", f.P.LocalName(), vc.Value.LocalName())
@@ -313,7 +313,7 @@ func TestStartFrom(t *testing.T) {
 	facets := m.PropertyFacets(s, false)
 	for _, f := range facets {
 		if f.P == pe("manufacturer") {
-			if len(f.Values) != 1 || f.Values[0].Value != pe("DELL") {
+			if vals := m.Decode(f.Values); len(vals) != 1 || vals[0].Value != pe("DELL") {
 				t.Errorf("manufacturer facet: %v", f.Values)
 			}
 		}
@@ -357,42 +357,11 @@ func TestMaxValuesCap(t *testing.T) {
 	}
 }
 
-func TestRankFacets(t *testing.T) {
-	m := model(t)
-	s := m.ClickClass(m.Start(), pe("Laptop"))
-	facets := m.PropertyFacets(s, false)
-	ranked := RankFacets(m, s.Ext, facets)
-	if len(ranked) != len(facets) {
-		t.Fatalf("ranked %d of %d", len(ranked), len(facets))
-	}
-	pos := map[string]int{}
-	for i, f := range ranked {
-		pos[f.P.LocalName()] = i
-	}
-	// releaseDate/price/hardDrive split 3 laptops into 3 singleton values
-	// (entropy log2(3)≈1.58); manufacturer splits 2/1 (≈0.92); USBPorts 2/1.
-	// So manufacturer must rank below the three full-split facets.
-	if pos["manufacturer"] < pos["releaseDate"] {
-		t.Errorf("ranking: %v", pos)
-	}
-	// A constant facet ranks last: add one.
-	g := m.G
-	for _, l := range []string{"laptop1", "laptop2", "laptop3"} {
-		g.Add(rdf.Triple{S: pe(l), P: pe("kind"), O: rdf.NewString("laptop")})
-	}
-	m2 := NewModel(g)
-	s2 := m2.ClickClass(m2.Start(), pe("Laptop"))
-	ranked2 := RankFacets(m2, s2.Ext, m2.PropertyFacets(s2, false))
-	if ranked2[len(ranked2)-1].P != pe("kind") {
-		t.Errorf("constant facet not last: %v", ranked2[len(ranked2)-1].P)
-	}
-}
-
 func BenchmarkPropertyFacets(b *testing.B) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 500, Companies: 10, Seed: 1, Materialize: true})
 	m := NewModel(g)
 	s := m.ClickClass(m.Start(), pe("Laptop"))
-	b.ResetTimer()
+	b.ReportAllocs()
 	for b.Loop() {
 		m.PropertyFacets(s, false)
 	}
@@ -409,7 +378,7 @@ func BenchmarkEvalStrategies(b *testing.B) {
 	if len(vals) == 0 {
 		b.Fatal("no expansion values")
 	}
-	target := vals[0].Value
+	target := m.Decode(vals)[0].Value
 	b.Run("sets", func(b *testing.B) {
 		for b.Loop() {
 			m.ClickValue(s0, path, target)

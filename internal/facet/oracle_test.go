@@ -4,8 +4,9 @@ package facet
 // reference the differential tests compare against: sets are maps keyed on
 // rdf.Term, every scan is Graph.Match decoding a Triple per row, every sort
 // is sort.Slice over Term.Less. Nothing here is shared with model.go or
-// buckets.go except the plain result types (ValueCount, ClassNode, Facet,
-// Bucket) and Intention.
+// buckets.go except the plain result types (TermCount, ClassNode, Bucket)
+// and Intention; a facet's markers are terms here (refFacet), which the
+// differential tests compare with the model's decoded by Model.Decode.
 
 import (
 	"math"
@@ -233,7 +234,7 @@ func (m refModel) Joins(e *refSet, p rdf.Term, inverse bool) map[rdf.Term]int {
 
 // refSortValueCounts orders markers by descending count, then term order — the
 // usual facet display order.
-func refSortValueCounts(vcs []ValueCount) {
+func refSortValueCounts(vcs []TermCount) {
 	sort.Slice(vcs, func(i, j int) bool {
 		if vcs[i].Count != vcs[j].Count {
 			return vcs[i].Count > vcs[j].Count
@@ -270,26 +271,11 @@ func (m refModel) ClassFacet(s *refState) []ClassNode {
 	return out
 }
 
-// Total returns the number of E-members having the property (the count
-// shown next to the facet name, "by manufacturer (2)").
-func refTotal(f Facet, m refModel, e *refSet) int {
-	out := newRefSet()
-	if f.Inverse {
-		m.G.Match(rdf.Any, f.P, rdf.Any, func(t rdf.Triple) bool {
-			if e.Has(t.O) {
-				out.Add(t.O)
-			}
-			return true
-		})
-	} else {
-		m.G.Match(rdf.Any, f.P, rdf.Any, func(t rdf.Triple) bool {
-			if e.Has(t.S) {
-				out.Add(t.S)
-			}
-			return true
-		})
-	}
-	return out.Len()
+// refFacet is a property facet with its markers as terms.
+type refFacet struct {
+	P       rdf.Term
+	Inverse bool
+	Values  []TermCount
 }
 
 // PropertyFacets computes the property-based transition markers of s
@@ -299,8 +285,8 @@ func refTotal(f Facet, m refModel, e *refSet) int {
 // resolved once and the per-property counting fans out across the worker
 // pool (Model.Parallelism); results land in per-property slots, so output
 // is identical at every parallelism level.
-func (m refModel) PropertyFacets(s *refState, includeInverse bool) []Facet {
-	var out []Facet
+func (m refModel) PropertyFacets(s *refState, includeInverse bool) []refFacet {
+	var out []refFacet
 	for _, p := range m.applicableProperties() {
 		if values := m.Joins(s.Ext, p, false); len(values) > 0 {
 			out = append(out, m.makeFacet(p, false, values))
@@ -329,10 +315,10 @@ func (m refModel) applicableProperties() []rdf.Term {
 	return props
 }
 
-func (m refModel) makeFacet(p rdf.Term, inverse bool, values map[rdf.Term]int) Facet {
-	f := Facet{P: p, Inverse: inverse}
+func (m refModel) makeFacet(p rdf.Term, inverse bool, values map[rdf.Term]int) refFacet {
+	f := refFacet{P: p, Inverse: inverse}
 	for v, c := range values {
-		f.Values = append(f.Values, ValueCount{Value: v, Count: c})
+		f.Values = append(f.Values, TermCount{Value: v, Count: c})
 	}
 	refSortValueCounts(f.Values)
 	if m.MaxValues > 0 && len(f.Values) > m.MaxValues {
@@ -345,7 +331,7 @@ func (m refModel) makeFacet(p rdf.Term, inverse bool, values map[rdf.Term]int) F
 // property path p1…pk (§5.3.2, Fig 5.5): M_i = Joins(M_{i-1}, p_i) with
 // M_0 = s.Ext. It returns the markers of the last step, or nil when the
 // sequence is not successive (produces no values).
-func (m refModel) ExpandPath(s *refState, path Path) []ValueCount {
+func (m refModel) ExpandPath(s *refState, path Path) []TermCount {
 	cur := s.Ext
 	var values map[rdf.Term]int
 	for _, step := range path {
@@ -359,9 +345,9 @@ func (m refModel) ExpandPath(s *refState, path Path) []ValueCount {
 		}
 		cur = next
 	}
-	var out []ValueCount
+	var out []TermCount
 	for v, c := range values {
-		out = append(out, ValueCount{Value: v, Count: c})
+		out = append(out, TermCount{Value: v, Count: c})
 	}
 	refSortValueCounts(out)
 	return out
@@ -540,7 +526,7 @@ func (m refModel) ClickBucket(s *refState, p rdf.Term, b Bucket, last bool) *ref
 // DateBuckets groups the date values of facet p by year, returning
 // (year, count) pairs sorted by year — the calendar drill-down the
 // transform button's YEAR/MONTH decomposition supports.
-func (m refModel) DateBuckets(s *refState, p rdf.Term) []ValueCount {
+func (m refModel) DateBuckets(s *refState, p rdf.Term) []TermCount {
 	counts := map[int]int{}
 	seen := map[[2]interface{}]struct{}{}
 	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
@@ -564,9 +550,9 @@ func (m refModel) DateBuckets(s *refState, p rdf.Term) []ValueCount {
 		years = append(years, y)
 	}
 	sort.Ints(years)
-	out := make([]ValueCount, len(years))
+	out := make([]TermCount, len(years))
 	for i, y := range years {
-		out[i] = ValueCount{Value: rdf.NewInteger(int64(y)), Count: counts[y]}
+		out[i] = TermCount{Value: rdf.NewInteger(int64(y)), Count: counts[y]}
 	}
 	return out
 }

@@ -49,7 +49,7 @@ func TestRandomWalkInvariants(t *testing.T) {
 			if len(f.Values) == 0 {
 				continue
 			}
-			vc := f.Values[rng.Intn(len(f.Values))]
+			vc := m.Decode(f.Values)[rng.Intn(len(f.Values))]
 			path := Path{{P: f.P, Inverse: f.Inverse}}
 			next := m.ClickValue(s, path, vc.Value)
 			// Invariant 1+2: count soundness, no dead ends.
@@ -96,7 +96,7 @@ func TestRandomWalkWithPivots(t *testing.T) {
 				facets := m.PropertyFacets(s, false)
 				var resourceFacets []Facet
 				for _, f := range facets {
-					if len(f.Values) > 0 && f.Values[0].Value.IsResource() {
+					if len(f.Values) > 0 && m.Decode(f.Values)[0].Value.IsResource() {
 						resourceFacets = append(resourceFacets, f)
 					}
 				}
@@ -115,7 +115,7 @@ func TestRandomWalkWithPivots(t *testing.T) {
 					continue
 				}
 				s = m.ClickValue(s, Path{{P: f.P, Inverse: f.Inverse}},
-					f.Values[rng.Intn(len(f.Values))].Value)
+					m.Decode(f.Values)[rng.Intn(len(f.Values))].Value)
 			}
 			if s.Ext.Len() == 0 {
 				t.Fatalf("walk %d step %d: empty extension", walk, step)

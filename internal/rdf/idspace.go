@@ -65,6 +65,11 @@ func (v TermView) Term(id ID) Term {
 	return Term{Kind: s.Kind, Value: v.values[id-1], Datatype: s.Datatype, Lang: s.Lang}
 }
 
+// Shape returns the kind, datatype and language of id's term, with an empty
+// Value: what IsResource, IsNumeric and IsTemporal read, without the
+// lexical form.
+func (v TermView) Shape(id ID) Term { return v.shapes[v.shapeOf[id-1]] }
+
 // SubjectIDs returns the ID of every term in subject position, ascending.
 func (g *Graph) SubjectIDs() []ID {
 	g.scans.Add(1)

@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"cmp"
+	"iter"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -14,34 +16,79 @@ import (
 // exactly as Less on their terms, so a sort decorates n terms once instead
 // of re-parsing two lexical forms per comparison.
 type OrderKey struct {
-	term  Term
-	value orderValue
-	num   float64
-	at    time.Time
+	term Term
+	valueKey
 }
 
-// orderValue says which value space, if any, Less compares a term in before
-// it falls through to the lexical tiebreak.
-type orderValue uint8
+// valueKey is what Less compares after the kind and before the lexical
+// tiebreak: the number or instant of a term whose value space orders it.
+// word holds the number's float64 bits or the instant's Unix seconds; nsec
+// holds the instant's nanoseconds, or keyNumber, or keyLexical for a term
+// with neither.
+type valueKey struct {
+	word uint64
+	nsec int32
+}
 
 const (
-	orderLexical orderValue = iota
-	orderNumeric
-	orderTemporal
+	keyNumber  = -1
+	keyLexical = -2
 )
 
-// OrderKey computes the ordering key of t.
-func (t Term) OrderKey() OrderKey {
-	k := OrderKey{term: t}
+func valueKeyOf(t Term) valueKey {
 	if f, ok := t.Float(); ok {
-		k.value, k.num = orderNumeric, f
-	} else if t.IsTemporal() {
+		return valueKey{math.Float64bits(f), keyNumber}
+	}
+	if t.IsTemporal() {
 		if at, ok := t.Time(); ok {
-			k.value, k.at = orderTemporal, at
+			return valueKey{uint64(at.Unix()), int32(at.Nanosecond())}
 		}
 	}
-	return k
+	return valueKey{nsec: keyLexical}
 }
+
+// space is keyNumber, keyLexical, or 0 for an instant.
+func (k valueKey) space() int32 { return min(k.nsec, 0) }
+
+// compare orders the keys of two terms of one kind in the value space they
+// share; 0 when they share none leaves the order to the lexical tiebreak.
+func (k valueKey) compare(o valueKey) int {
+	switch {
+	case k.space() != o.space() || k.nsec == keyLexical:
+		return 0
+	case k.nsec == keyNumber:
+		return cmp.Compare(math.Float64frombits(k.word), math.Float64frombits(o.word))
+	}
+	if c := cmp.Compare(int64(k.word), int64(o.word)); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.nsec, o.nsec)
+}
+
+// CompareValues compares a and b in the value space they share — both
+// numbers, or both xsd:date / xsd:dateTime instants — and reports false
+// when they share none.
+func CompareValues(a, b Term) (int, bool) {
+	ka, kb := valueKeyOf(a), valueKeyOf(b)
+	if ka.nsec == keyLexical || ka.space() != kb.space() {
+		return 0, false
+	}
+	return ka.compare(kb), true
+}
+
+// compareLexical is Less's tiebreak: value, datatype, language.
+func compareLexical(t, u Term) int {
+	if c := strings.Compare(t.Value, u.Value); c != 0 {
+		return c
+	}
+	if c := strings.Compare(t.Datatype, u.Datatype); c != 0 {
+		return c
+	}
+	return strings.Compare(t.Lang, u.Lang)
+}
+
+// OrderKey computes the ordering key of t.
+func (t Term) OrderKey() OrderKey { return OrderKey{t, valueKeyOf(t)} }
 
 // Term returns the term the key was computed from.
 func (k OrderKey) Term() Term { return k.term }
@@ -50,29 +97,93 @@ func (k OrderKey) Term() Term { return k.term }
 // than k's, and 0 only for identical terms. Term.Less is the reference
 // definition; the property test in order_test.go holds the two together.
 func (k OrderKey) Compare(o OrderKey) int {
-	t, u := k.term, o.term
-	if t.Kind != u.Kind {
-		return cmp.Compare(t.Kind, u.Kind)
+	if k.term.Kind != o.term.Kind {
+		return cmp.Compare(k.term.Kind, o.term.Kind)
 	}
-	if k.value == o.value {
-		switch k.value {
-		case orderNumeric:
-			if k.num != o.num {
-				return cmp.Compare(k.num, o.num)
+	if c := k.valueKey.compare(o.valueKey); c != 0 {
+		return c
+	}
+	return compareLexical(k.term, o.term)
+}
+
+// IDKey is OrderKey for a term a TermView decodes, kept as its ID in 16
+// bytes: the number or instant is parsed once, and the kind and the lexical
+// tiebreak are read through the view when a comparison reaches them. It
+// lets a caller order dictionary IDs without building a term per ID
+// (TermView.Key, TermView.Compare).
+type IDKey struct {
+	word uint64
+	nsec int32
+	ID   ID
+}
+
+// Key computes the ordering key of id's term.
+func (v TermView) Key(id ID) IDKey {
+	k := valueKeyOf(v.Term(id))
+	return IDKey{k.word, k.nsec, id}
+}
+
+// Compare orders two keys of the view exactly as OrderKey.Compare orders
+// their terms: by kind, in a shared value space, then by value, datatype
+// and language, read from the view's columns in place.
+func (v TermView) Compare(a, b IDKey) int {
+	if a.ID == b.ID {
+		return 0
+	}
+	sa, sb := &v.shapes[v.shapeOf[a.ID-1]], &v.shapes[v.shapeOf[b.ID-1]]
+	if sa.Kind != sb.Kind {
+		return cmp.Compare(sa.Kind, sb.Kind)
+	}
+	if c := (valueKey{a.word, a.nsec}).compare(valueKey{b.word, b.nsec}); c != 0 {
+		return c
+	}
+	if c := strings.Compare(v.values[a.ID-1], v.values[b.ID-1]); c != 0 {
+		return c
+	}
+	if c := strings.Compare(sa.Datatype, sb.Datatype); c != 0 {
+		return c
+	}
+	return strings.Compare(sa.Lang, sb.Lang)
+}
+
+// Least returns the k least of ids in term order, ascending, without
+// building a term for the others: a bounded max-heap of order keys,
+// O(n log k).
+func (v TermView) Least(ids iter.Seq[ID], k int) []ID {
+	if k <= 0 {
+		return nil
+	}
+	h := make([]IDKey, 0, k) // h[0] is the greatest key kept
+	greater := func(i, j int) bool { return v.Compare(h[i], h[j]) > 0 }
+	down := func(i int) {
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && greater(c+1, c) {
+				c++
 			}
-		case orderTemporal:
-			if c := k.at.Compare(o.at); c != 0 {
-				return c
+			if !greater(c, i) {
+				return
 			}
+			h[i], h[c] = h[c], h[i]
 		}
 	}
-	if c := strings.Compare(t.Value, u.Value); c != 0 {
-		return c
+	for id := range ids {
+		if len(h) < k {
+			if h = append(h, v.Key(id)); len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					down(i)
+				}
+			}
+		} else if key := v.Key(id); v.Compare(key, h[0]) < 0 {
+			h[0] = key
+			down(0)
+		}
 	}
-	if c := strings.Compare(t.Datatype, u.Datatype); c != 0 {
-		return c
+	slices.SortFunc(h, v.Compare)
+	out := make([]ID, len(h))
+	for i, key := range h {
+		out[i] = key.ID
 	}
-	return strings.Compare(t.Lang, u.Lang)
+	return out
 }
 
 // SortTerms sorts ts in Term.Less order, parsing each lexical form once.

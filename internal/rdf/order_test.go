@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -103,6 +104,8 @@ func orderCorpus() []Term {
 		NewTyped("2021-06-01T10:00:00Z", XSDDateTime), NewTyped("2021-06-01T12:00:00+02:00", XSDDateTime),
 		NewTyped("2021-06-01T10:00:00", XSDDateTime), NewTyped("2021-06-01T00:00:00", XSDDateTime),
 		NewTyped("2021-06-01T09:59:59.5-00:30", XSDDateTime), NewTyped("yesterday", XSDDate),
+		NewTyped("2021-06-01T10:00:00.5Z", XSDDateTime), NewTyped("2021-06-01T12:00:00.25+02:00", XSDDateTime),
+		NewTyped("1969-12-31T23:59:59Z", XSDDateTime), NewTyped("1900-01-01", XSDDate),
 		NewTyped("2021-13-40", XSDDate), NewString("2021-06-01"), NewString("2021-06-01T10:00:00Z"),
 		NewString("10"), NewString("9"), NewString(""), NewLangString("chat", "fr"), NewLangString("chat", "en"),
 		NewLangString("2021-06-01", "en"), NewBool(true), NewTyped("10", XSDBoolean),
@@ -154,6 +157,58 @@ func TestOrderKeyIsLess(t *testing.T) {
 			}
 			if want == 0 && a != b {
 				t.Fatalf("Less ties distinct terms %v and %v", a, b)
+			}
+		}
+	}
+}
+
+// TestViewKeyMatchesOrderKey: on every pair of the corpus, interned, the
+// view's Compare on ID keys has the sign OrderKey.Compare gives on the terms.
+func TestViewKeyMatchesOrderKey(t *testing.T) {
+	ts := orderCorpus()
+	d := NewDict()
+	ids := make([]ID, len(ts))
+	for i, tm := range ts {
+		ids[i] = d.Intern(tm)
+	}
+	v := TermView{values: d.values, shapeOf: d.shapeOf, shapes: d.shapes}
+	for i, a := range ts {
+		ka := v.Key(ids[i])
+		if ka.ID != ids[i] || v.Shape(ids[i]) != (Term{Kind: a.Kind, Datatype: a.Datatype, Lang: a.Lang}) {
+			t.Fatalf("key or shape of %v: %+v, %v", a, ka, v.Shape(ids[i]))
+		}
+		for j, b := range ts {
+			if got, want := v.Compare(ka, v.Key(ids[j])), a.OrderKey().Compare(b.OrderKey()); got != want {
+				t.Fatalf("view Compare(%v, %v) = %d, OrderKey says %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestCompareValues: two terms compare in a value space exactly when both
+// are numbers or both are instants, and then as their numbers or instants do.
+func TestCompareValues(t *testing.T) {
+	ts := orderCorpus()
+	for _, a := range ts {
+		for _, b := range ts {
+			got, ok := CompareValues(a, b)
+			af, okA := a.Float()
+			bf, okB := b.Float()
+			at, okAT := a.Time()
+			bt, okBT := b.Time()
+			okAT = okAT && a.IsTemporal()
+			okBT = okBT && b.IsTemporal()
+			switch {
+			case okA && okB:
+				if !ok || got != cmp.Compare(af, bf) {
+					t.Fatalf("CompareValues(%v, %v) = %d, %v; numbers compare %d", a, b, got, ok, cmp.Compare(af, bf))
+				}
+			case okAT && okBT:
+				if !ok || got != at.Compare(bt) {
+					t.Fatalf("CompareValues(%v, %v) = %d, %v; instants compare %d", a, b, got, ok, at.Compare(bt))
+				}
+			case ok:
+				t.Fatalf("CompareValues(%v, %v) compares terms with no shared value space", a, b)
 			}
 		}
 	}

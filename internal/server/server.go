@@ -574,7 +574,8 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess := s.sessionFor(r)
-	writeValues(w, sess.Model().ExpandPath(sess.State(), core.PathOf(req.Path)))
+	m := sess.Model()
+	writeValues(w, m.G, m.ExpandPath(sess.State(), core.PathOf(req.Path)))
 }
 
 func (s *Server) handlePivot(w http.ResponseWriter, r *http.Request) {

@@ -124,7 +124,7 @@ func stateLocked(sess *core.Session) stateJSON {
 		if len(f.Values) > 0 { // an empty facet stays nil: it encodes as null
 			fj.Values = make([]valJSON, 0, len(f.Values))
 		}
-		for _, vc := range f.Values {
+		for _, vc := range sess.Model().Decode(f.Values) {
 			fj.Values = append(fj.Values, valJSON{Term: toTermJSON(vc.Value), Count: vc.Count})
 		}
 		for _, b := range f.Buckets {
@@ -170,10 +170,10 @@ func refAnswer(ans *hifun.Answer, hifunQuery string) answerJSON {
 	return out
 }
 
-// refValues is handleExpand's body for vals.
-func refValues(vals []facet.ValueCount) map[string]any {
+// refValues is handleExpand's body for vals, markers of m.
+func refValues(m *facet.Model, vals []facet.ValueCount) map[string]any {
 	out := make([]valJSON, 0, len(vals))
-	for _, vc := range vals {
+	for _, vc := range m.Decode(vals) {
 		out = append(out, valJSON{Term: toTermJSON(vc.Value), Count: vc.Count})
 	}
 	return map[string]any{"values": out}

@@ -103,7 +103,7 @@ func (c *bodyWriter) list(key string, n int, null bool, elem func(i int)) {
 
 // term writes an RDF term: kind, value, and datatype, language and display
 // label when they are not empty.
-func (c *bodyWriter) term(t rdf.Term) {
+func (c *bodyWriter) term(t *rdf.Term) {
 	switch t.Kind {
 	case rdf.KindIRI:
 		c.field(`{"kind":"iri","value":`, t.Value)
@@ -118,12 +118,14 @@ func (c *bodyWriter) term(t rdf.Term) {
 	c.raw("}")
 }
 
-// values writes facet values with their counts.
-func (c *bodyWriter) values(key string, vs []facet.ValueCount, null bool) {
+// values writes facet values with their counts, decoding each through view.
+func (c *bodyWriter) values(key string, vs []facet.ValueCount, null bool, view rdf.TermView) {
+	var t rdf.Term // decoded in place and passed on by pointer, not copied per value
 	c.list(key, len(vs), null, func(i int) {
 		c.raw(`{"term":`)
-		c.term(vs[i].Value)
-		c.count(`,"count":`, vs[i].Count)
+		t = view.Term(vs[i].ID)
+		c.term(&t)
+		c.count(`,"count":`, int(vs[i].Count))
 		c.raw("}")
 	})
 }
@@ -146,6 +148,7 @@ func (c *bodyWriter) classes(key string, nodes []facet.ClassNode) {
 // clean status.
 func writeState(w http.ResponseWriter, sess *core.Session) {
 	ui := sess.ComputeUIState(50, true)
+	view := sess.Model().G.TermView() // taken after the state: it decodes every ID the state holds
 	c := newBodyWriter(w)
 	c.field(`{"breadcrumb":`, ui.Breadcrumb)
 	c.count(`,"totalObjects":`, ui.TotalObjects)
@@ -167,7 +170,7 @@ func writeState(w http.ResponseWriter, sess *core.Session) {
 		c.flag(`,"grouped":true`, f.Grouped)
 		c.flag(`,"measured":true`, f.Measured)
 		c.flag(`,"numeric":true`, f.Numeric)
-		c.values(`,"values":`, f.Values, true)
+		c.values(`,"values":`, f.Values, true, view)
 		if len(f.Buckets) > 0 {
 			c.list(`,"buckets":`, len(f.Buckets), false, func(j int) {
 				b := f.Buckets[j]
@@ -189,9 +192,9 @@ func writeState(w http.ResponseWriter, sess *core.Session) {
 }
 
 // writeValues answers an expansion: {"values":[…]}, [] when there are none.
-func writeValues(w http.ResponseWriter, vals []facet.ValueCount) {
+func writeValues(w http.ResponseWriter, g *rdf.Graph, vals []facet.ValueCount) {
 	c := newBodyWriter(w)
-	c.values(`{"values":`, vals, false)
+	c.values(`{"values":`, vals, false, g.TermView())
 	c.end("}")
 }
 
@@ -205,7 +208,7 @@ func answerBody(ans *hifun.Answer, hifunQuery string) []byte {
 	c.list(`,"measureCols":`, len(ans.MeasureCols), ans.MeasureCols == nil, func(i int) { c.str(ans.MeasureCols[i]) })
 	c.list(`,"rows":`, len(ans.Rows), true, func(i int) {
 		row := ans.Rows[i]
-		c.list("", len(row), false, func(j int) { c.term(row[j]) })
+		c.list("", len(row), false, func(j int) { c.term(&row[j]) })
 	})
 	c.field(`,"sparql":`, ans.SPARQL)
 	c.field(`,"hifun":`, hifunQuery)

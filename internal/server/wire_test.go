@@ -116,7 +116,7 @@ func referenceBody(t *testing.T, s *Server, id string, c call) []byte {
 	switch c.path {
 	case "/api/expand":
 		steps := c.body.(map[string]any)["path"].([]core.StepJSON)
-		v = refValues(sess.Model().ExpandPath(sess.State(), core.PathOf(steps)))
+		v = refValues(sess.Model(), sess.Model().ExpandPath(sess.State(), core.PathOf(steps)))
 	case "/api/run":
 		q, err := sess.BuildHIFUNQuery()
 		if err != nil {
