@@ -19,13 +19,17 @@ import (
 //
 //	rdfa-cli sparql -data products-small 'SELECT ?s WHERE { ?s a <...> }'
 //	rdfa-cli sparql -data file.ttl -f query.rq -format csv
+//	rdfa-cli sparql -data products -explain-analyze '<query>'
+//
+// There is one plan output, -explain-analyze: the operator profile of the
+// run, which shows the scans in the order they ran and the join type each
+// one ran with.
 func sparqlCommand(fs *flag.FlagSet) func(io.Reader, io.Writer, io.Writer) error {
 	src := dataset(fs, "products-small")
 	file := fs.String("f", "", "read the query from this file instead of argv")
 	format := fs.String("format", "table", "output format: table, csv, json")
-	explain := fs.Bool("explain", false, "print the evaluation plan instead of running the query")
 	explainAnalyze := fs.Bool("explain-analyze", false,
-		"run the query and print the operator profile: per-operator wall time, rows, est vs actual cardinality with q-error (SELECT only)")
+		"run the query and print its plan as it ran: the scans in join order with their join type, per-operator wall time, rows, est vs actual cardinality with q-error (SELECT only)")
 	noReorder := fs.Bool("no-reorder", false, "evaluate BGPs in textual order (join-ordering ablation)")
 	repeat := fs.Int("repeat", 1, "run the query this many times, printing each pass's wall time to stderr")
 	return func(_ io.Reader, out, errOut io.Writer) error {
@@ -47,15 +51,7 @@ func sparqlCommand(fs *flag.FlagSet) func(io.Reader, io.Writer, io.Writer) error
 			return err
 		}
 		opts := sparql.Options{NoReorder: *noReorder}
-		switch {
-		case *explain:
-			plan, err := sparql.ExplainOpts(g, query, opts)
-			if err != nil {
-				return err
-			}
-			_, err = io.WriteString(out, plan)
-			return err
-		case *explainAnalyze:
+		if *explainAnalyze {
 			tree, err := sparql.ExplainAnalyze(g, query, opts)
 			if err != nil {
 				return err

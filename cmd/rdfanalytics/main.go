@@ -10,6 +10,10 @@
 // With -data-dir the graph is durable: the first boot parses the dataset
 // and checkpoints it into DIR; later boots restore from the segment + WAL
 // (no re-parse) and every acknowledged update survives kill -9.
+//
+// The server takes no objective flags: availability and latency objectives
+// are ratios a scraper reads off /metrics' rdfa_http_requests_total and
+// rdfa_http_request_seconds_bucket (DESIGN.md §6.3).
 package main
 
 import (
@@ -42,11 +46,6 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "expire interaction sessions idle longer than this (0 disables)")
 	maxRows := flag.Int("max-intermediate-rows", 0, "row budget on intermediate binding sets (0 = unlimited)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "in-flight request drain window on SIGINT/SIGTERM")
-	sloAvailability := flag.Float64("slo-availability", 0.999, "availability SLO target in (0,1); 0 disables")
-	sloLatency := flag.Float64("slo-latency", 0.95, "latency SLO target in (0,1); 0 disables")
-	sloLatencyThreshold := flag.Duration("slo-latency-threshold", 250*time.Millisecond, "latency SLO threshold (requests faster than this count as good)")
-	sloShapeLatency := flag.Float64("slo-shape-latency", 0, "per-query-shape latency SLO target in (0,1); 0 disables")
-	sloShapeThreshold := flag.Duration("slo-shape-latency-threshold", time.Second, "per-query-shape latency SLO threshold")
 	cacheSize := flag.Int64("cache-size", 64<<20, "fingerprint answer cache size in bytes (0 disables)")
 	maxConcurrent := flag.Int("max-concurrent", 64, "max concurrently executing queries (0 = unbounded)")
 	queueDepth := flag.Int("queue-depth", 128, "admission wait-queue depth; overflow sheds with 503 + Retry-After")
@@ -126,14 +125,7 @@ func main() {
 		MaxConcurrent: *maxConcurrent,
 		QueueDepth:    *queueDepth,
 		StaleWindow:   *staleWindow,
-		SLO: server.SLOConfig{
-			AvailabilityTarget:    *sloAvailability,
-			LatencyTarget:         *sloLatency,
-			LatencyThreshold:      *sloLatencyThreshold,
-			ShapeLatencyTarget:    *sloShapeLatency,
-			ShapeLatencyThreshold: *sloShapeThreshold,
-		},
-		Store: dst,
+		Store:         dst,
 		TraceRetention: obs.TraceStoreConfig{
 			Disabled:  *traceMax < 0,
 			MaxTraces: max(*traceMax, 0),

@@ -197,8 +197,9 @@ type OpProfile interface {
 
 // OpEstimate is one operator's plan-vs-actual comparison: the planner's
 // cardinality estimate next to what execution produced, with the q-error
-// max(est/act, act/est). Plain data so internal/server can convert from
-// sparql profiles without an import cycle.
+// max(est/act, act/est). sparql.Profile.Estimates writes them as the
+// profile's rows (Count 0); the log's misestimate table merges them by
+// operator and label, counting each merge in Count.
 type OpEstimate struct {
 	Op     string  `json:"op"`
 	Label  string  `json:"label"`

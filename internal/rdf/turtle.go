@@ -517,8 +517,8 @@ func (p *ttlParser) parseIRIRef() (string, error) {
 		switch r {
 		case '>':
 			iri := b.String()
-			if p.base != "" && !strings.Contains(iri, ":") {
-				iri = p.base + iri
+			if p.base != "" {
+				iri = ResolveIRI(p.base, iri)
 			}
 			return iri, nil
 		case '\\':

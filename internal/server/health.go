@@ -70,7 +70,8 @@ func (s *Server) Draining() bool {
 // (/readyz): 200 while the process serves, 503 once draining (tells the
 // balancer to stop routing here; in-flight requests still complete under
 // the shutdown grace). Nothing else takes an instance out of rotation: an
-// SLO burning its budget is for the operator's alerting to act on.
+// objective burning its budget, read off /metrics by the operator's
+// scraper, is for the operator's alerting to act on.
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Content-Type", "application/json")

@@ -7,14 +7,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/rdf"
-	"rdfanalytics/internal/sparql"
 )
 
 // newTestServer builds a server with cfg over the small products graph and
@@ -163,37 +161,5 @@ func TestRequestIDMiddleware(t *testing.T) {
 	}
 	if out["error"] == "" {
 		t.Error("error body missing message")
-	}
-}
-
-// chaosSLOConfig is a latency SLO tight enough that fault-injected delays
-// violate it while normal test-server requests stay well inside.
-func chaosSLOConfig() Config {
-	return Config{
-		SLO: SLOConfig{
-			AvailabilityTarget: 0.999,
-			LatencyTarget:      0.95,
-			LatencyThreshold:   250 * time.Millisecond,
-		},
-	}
-}
-
-// TestShapeLatencyObjectives checks per-fingerprint objectives appear
-// lazily once configured, as event counters on /metrics.
-func TestShapeLatencyObjectives(t *testing.T) {
-	cfg := Config{SLO: SLOConfig{
-		ShapeLatencyTarget:    0.9,
-		ShapeLatencyThreshold: time.Second,
-	}}
-	_, ts := newTestServer(t, cfg)
-	q := `SELECT ?s WHERE { ?s a <` + datagen.ExampleNS + `Laptop> } LIMIT 1`
-	getStatus(t, ts.URL+"/sparql?query="+url.QueryEscape(q))
-	parsed, err := sparql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := `rdfa_slo_events_total{objective="shape:` + sparql.FingerprintID(sparql.Fingerprint(parsed)) + `"} `
-	if body := metricsBody(t, ts.URL); !strings.Contains(body, series) {
-		t.Errorf("no %q on /metrics", series)
 	}
 }

@@ -14,19 +14,40 @@ import (
 	"time"
 
 	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 )
 
 // TestMetricsEndpoint drives a few requests through the server and parses
 // GET /metrics line by line, checking the exposition format and that the
 // metric families the telemetry contract promises are present with
-// plausible values.
+// plausible values — among them the two series an availability and a
+// latency objective are read off (DESIGN.md §6.3): a 5xx in
+// rdfa_http_requests_total, and the 0.25 s bucket of an endpoint's
+// rdfa_http_request_seconds.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
+	if err := fault.Configure("server.handler.boom=panic:kaboom"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
 
-	// Generate traffic: a state fetch, a SPARQL query, and a 404.
+	// Generate traffic: a state fetch, a SPARQL query, a 404 and a 500.
 	getJSON(t, ts.URL+"/api/state")
-	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(
+	req, err := http.NewRequest("GET", ts.URL+"/api/state", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Fault", "boom")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking request = %d, want 500", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(
 		`SELECT ?s WHERE { ?s a <`+datagen.ExampleNS+`Laptop> } LIMIT 3`))
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +96,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`rdfa_http_requests_total{endpoint="GET /api/state",status="200"}`,
 		`rdfa_http_request_seconds_count{endpoint="GET /api/state"}`,
+		`rdfa_http_request_seconds_bucket{endpoint="GET /api/state",le="0.25"}`,
 		`rdfa_http_sessions_created_total`,
 		`rdfa_http_active_sessions`,
 		`rdfa_sparql_query_phase_seconds_count{phase="parse"}`,
@@ -90,6 +112,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	// have hit /api/state too — assert at least this test's request landed.
 	if v := values[`rdfa_http_requests_total{endpoint="GET /api/state",status="200"}`]; v == "" || v == "0" {
 		t.Errorf("state request count = %q, want >= 1", v)
+	}
+	if v := values[`rdfa_http_request_seconds_bucket{endpoint="GET /api/state",le="0.25"}`]; v == "" || v == "0" {
+		t.Errorf("state requests under 0.25 s = %q, want >= 1", v)
+	}
+	errors5xx := 0
+	for k, v := range values {
+		if strings.HasPrefix(k, "rdfa_http_requests_total{") && strings.Contains(k, `status="500"`) && v != "0" {
+			errors5xx++
+		}
+	}
+	if errors5xx == 0 {
+		t.Errorf(`no rdfa_http_requests_total{status="500"} series counts the panicking request`)
 	}
 	if v := values[`rdfa_http_active_sessions`]; v != "1" {
 		t.Errorf("active sessions = %s, want 1", v)

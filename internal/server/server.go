@@ -64,13 +64,6 @@ type Server struct {
 	answers *resilience.AnswerCache
 	flight  resilience.Group
 	gate    *resilience.Admission
-	// slos counts good and total events per objective on /metrics (see
-	// internal/obs slo.go); burn rates are an external scraper's business.
-	slos *obs.SLOSet
-	// sloHTTPAvail/sloHTTPLat are the process-wide HTTP objectives the
-	// middleware records into (nil when disabled by config).
-	sloHTTPAvail *obs.Objective
-	sloHTTPLat   *obs.Objective
 	// routeMetrics are the middleware's per-route metric handles.
 	routeMetrics routeMetrics
 	// draining flips when graceful shutdown begins; /healthz and /readyz
@@ -123,8 +116,11 @@ type Config struct {
 	//
 	// Deprecated: nothing reads it; it goes once no caller sets it.
 	SampleInterval time.Duration
-	// SLO configures the declarative objectives whose good/total counters
-	// /metrics exposes. The zero value disables all of them.
+	// SLO is ignored: an objective's good/total ratio is read off
+	// rdfa_http_requests_total and rdfa_http_request_seconds_bucket by the
+	// scraper (DESIGN.md §6.3).
+	//
+	// Deprecated: nothing reads it; it goes once no caller sets it.
 	SLO SLOConfig
 	// CacheBytes bounds the answer cache of the overload-resilience layer
 	// (rendered /sparql responses keyed by query text, and runs' answers,
@@ -154,21 +150,13 @@ type Config struct {
 	TraceRetention obs.TraceStoreConfig
 }
 
-// SLOConfig declares the service-level objectives. A target of 0 disables
-// the corresponding objective; targets are fractions in (0, 1).
+// SLOConfig is the type of the ignored Config.SLO.
+//
+// Deprecated: the server keeps no objectives; it goes with Config.SLO.
 type SLOConfig struct {
-	// AvailabilityTarget is the good-response ratio for the whole HTTP
-	// surface (good = status < 500), e.g. 0.999.
-	AvailabilityTarget float64
-	// LatencyTarget/LatencyThreshold: LatencyTarget of all HTTP requests
-	// must finish within LatencyThreshold (e.g. 0.95 within 250ms). Also
-	// applied per endpoint (objectives named "endpoint:<pattern>").
-	LatencyTarget    float64
-	LatencyThreshold time.Duration
-	// ShapeLatencyTarget/ShapeLatencyThreshold: per-query-fingerprint
-	// latency objectives, created lazily as shapes appear (objectives
-	// named "shape:<fingerprint>").
-	ShapeLatencyTarget    float64
+	AvailabilityTarget    float64
+	LatencyTarget         float64
+	LatencyThreshold      time.Duration
 	ShapeLatencyThreshold time.Duration
 }
 
@@ -194,17 +182,9 @@ func New(g *rdf.Graph, ns string) *Server {
 func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	s := &Server{graph: g, ns: ns, sessions: map[string]*sessEntry{}, cfg: cfg}
 	s.oplog = obs.NewOpLog(cfg.TraceRetention, cfg.SlowQuery, cfg.SlowQueryLogger)
-	// Runtime and build-info metrics join the registry; the SLO set counts
-	// each objective's good and total events there.
+	// Runtime and build-info metrics join the registry.
 	obs.RegisterRuntimeMetrics(obs.Default)
 	obs.RegisterBuildInfo(obs.Default)
-	s.slos = obs.NewSLOSet(obs.Default)
-	if t := cfg.SLO.AvailabilityTarget; t > 0 {
-		s.sloHTTPAvail = s.slos.Add("http-availability", obs.SLOAvailability, t, 0)
-	}
-	if t := cfg.SLO.LatencyTarget; t > 0 && cfg.SLO.LatencyThreshold > 0 {
-		s.sloHTTPLat = s.slos.Add("http-latency", obs.SLOLatency, t, cfg.SLO.LatencyThreshold)
-	}
 	// Overload-resilience layer (see resilience.go): the cache and the gate
 	// each degrade to a nil no-op when their knob is off, so the zero Config
 	// neither caches nor gates; collapse is always on.
@@ -257,7 +237,7 @@ func NewWithConfig(g *rdf.Graph, ns string, cfg Config) *Server {
 	mux.HandleFunc("GET /api/traces", s.handleTraces)
 	mux.HandleFunc("GET /api/traces/{id}", s.handleTraceByID)
 	mux.HandleFunc("GET /api/workload", s.handleWorkload)
-	mux.HandleFunc(checkpointEndpoint, s.handleCheckpoint)
+	mux.HandleFunc("POST /api/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /healthz", s.handleProbe)
 	mux.HandleFunc("GET /readyz", s.handleProbe)
 	mux.HandleFunc("GET /debug/dashboard", s.handleDashboard)

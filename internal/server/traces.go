@@ -1,18 +1,17 @@
 // Recording operations, and the trace search API over what the operations
 // log (obs.OpLog) retains. Every finished operation is opened by operation
-// and reaches record, the one hand-off into the log and the per-shape
-// objectives. GET /api/traces searches retained traces by fingerprint,
-// duration, outcome, retention reason, kind and recency; GET
-// /api/traces/{id} returns one trace's full span waterfall and operator
-// profile.
+// and reaches record, the one hand-off into the log. GET /api/traces
+// searches retained traces by fingerprint, duration, outcome, retention
+// reason, kind and recency; GET /api/traces/{id} returns one trace's full
+// span waterfall and operator profile.
 //
 // The drill-down this enables, with no scripting anywhere: a slow shape —
-// a "shape:<fingerprint>" objective burning its budget on /metrics, or a
-// row of the dashboard's slowest fingerprints — → /api/traces
-// ?fingerprint=<fp> lists the retained exemplar executions of that shape
-// (the errors and the slowest ones first, because those are what the tail
-// sampler keeps) → /api/traces/{id} shows where the time went, span by
-// span and operator by operator.
+// a fingerprint whose p95 climbs in /api/workload, or a row of the
+// dashboard's slowest fingerprints — → /api/traces?fingerprint=<fp> lists
+// the retained exemplar executions of that shape (the errors and the
+// slowest ones first, because those are what the tail sampler keeps) →
+// /api/traces/{id} shows where the time went, span by span and operator by
+// operator.
 package server
 
 import (
@@ -53,15 +52,13 @@ func (s *Server) operation(root string, rec obs.QueryRecord, do func(rec *obs.Qu
 
 // record is the one hand-off of a finished operation: every /sparql
 // execution or cache serve, analytic run, update and checkpoint ends here,
-// in one record for the operations log and the per-shape latency
-// objectives. It fills in what every caller would otherwise derive: the
-// outcome from err's abort taxonomy ("ok", or "timeout", "cancelled",
-// "budget", … with "error" as the fallback), and the profile's worst
-// q-error and plan-vs-actual rows (prof may be nil). The profile itself
-// rides along by reference: the log marshals it only for a trace it
-// retains. A record without a trace (a cache serve) carries the filler's
-// trace ID. Only reads count against a shape objective: an update or
-// checkpoint is as long as the graph is big.
+// in one record for the operations log. It fills in what every caller
+// would otherwise derive: the outcome from err's abort taxonomy ("ok", or
+// "timeout", "cancelled", "budget", … with "error" as the fallback), and
+// the profile's worst q-error and plan-vs-actual rows (prof may be nil).
+// The profile itself rides along by reference: the log marshals it only
+// for a trace it retains. A record without a trace (a cache serve) carries
+// the filler's trace ID.
 func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 	rec.Outcome = "ok"
 	if err != nil {
@@ -73,23 +70,9 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 	if prof != nil {
 		rec.Profile = prof
 		rec.MaxQError = prof.MaxQError()
-		ests := prof.Estimates()
-		rec.Estimates = make([]obs.OpEstimate, len(ests))
-		for i, e := range ests {
-			rec.Estimates[i] = obs.OpEstimate{
-				Op: e.Op, Label: e.Label, Est: e.Est, Actual: e.Actual,
-				QError: e.QError,
-			}
-		}
+		rec.Estimates = prof.Estimates()
 	}
 	rec.When = time.Now()
-	if t := s.cfg.SLO.ShapeLatencyTarget; t > 0 && s.cfg.SLO.ShapeLatencyThreshold > 0 &&
-		(rec.Kind == "sparql" || rec.Kind == "analytics") {
-		// Created lazily as shapes appear: Add is idempotent and degrades to
-		// nil past the objective cap, and a nil objective's Observe is a no-op.
-		s.slos.Add("shape:"+rec.FingerprintID, obs.SLOLatency, t, s.cfg.SLO.ShapeLatencyThreshold).
-			Observe(rec.Duration, err != nil)
-	}
 	s.oplog.Record(rec)
 }
 

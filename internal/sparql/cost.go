@@ -39,13 +39,9 @@ type costModel struct {
 type stepEstimate struct {
 	// outRows is the predicted output cardinality of the step.
 	outRows float64
-	// cost is the predicted work of the step under strategy.
+	// cost is the predicted work of the step under the strategy
+	// chooseStrategy picks at the predicted input size.
 	cost float64
-	// strategy is what chooseStrategy picks at the predicted input size.
-	strategy joinStrategy
-	// card is the per-pattern cardinality the scan's profile q-error is
-	// measured against: the graph count of its constant positions.
-	card int
 }
 
 // step prices joining pattern i into a partial plan with inRows input rows
@@ -77,9 +73,8 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 	if inRows < 1 {
 		inRows = 1
 	}
-	est := stepEstimate{outRows: min(inRows*perRow, costCap), card: pp.baseEst}
-	est.strategy = chooseStrategy(base, inRows, nJoin, false)
-	if est.strategy == strategyHashJoin {
+	est := stepEstimate{outRows: min(inRows*perRow, costCap)}
+	if chooseStrategy(base, inRows, nJoin, false) == strategyHashJoin {
 		// Scan the build side once (constants-only match count), probe each
 		// input row, produce the output.
 		est.cost = base + inRows + est.outRows

@@ -589,7 +589,7 @@ func (f *groupFilter) ready(bound map[string]bool) bool {
 }
 
 // groupWalk hands out the elements of a group pattern in evaluation order —
-// the one place that order is decided, for evalGroup and explainGroup alike.
+// the one place that order is decided.
 // Everything but a triple pattern comes at its textual position. Triple
 // patterns come by the stretch: the maximal sequence of consecutive triple
 // patterns, reaching across FILTERs when spanFilters is set (the caller

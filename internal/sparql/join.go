@@ -45,8 +45,7 @@ func (s joinStrategy) String() string {
 // many pattern variables arrive bound, and mixed whether some variable is
 // bound in only part of the input (which forces per-row handling). Execution
 // calls it with the live row count of each step (evalPattern); the cost model
-// calls it with the estimated one to price a step and to predict the strategy
-// EXPLAIN prints.
+// calls it with the estimated one to price a step.
 func chooseStrategy[N int | float64](est, inputLen N, nJoinVars int, mixed bool) joinStrategy {
 	if mixed || inputLen < hashJoinMinInput {
 		return strategyNestedLoop
@@ -145,7 +144,7 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 	plan := ev.planBGP(rp, colsFromVars(rp, estBound), rows.n())
 	attachFilters(plan, run, filters, sureOutside)
 	in, owned := readRows(rows), false // owned: in is a step's output, no longer the caller's batch
-	for si := range plan.steps {
+	for si := range plan {
 		if in.rows == 0 || ev.cancel.poll() {
 			break
 		}
@@ -153,7 +152,7 @@ func (ev *evaluator) runTriples(run []*TriplePattern, filters []*runFilter, sure
 			ev.cancel.abort(err)
 			break
 		}
-		step, last := &plan.steps[si], si == len(plan.steps)-1
+		step, last := &plan[si], si == len(plan)-1
 		var fold *groupFold // the last step writes into it
 		if last {
 			fold = into
@@ -246,9 +245,8 @@ func (sf *stepFilter) sieve(w *rowWriter, all bool) {
 // evalPattern joins the current rows with one pattern. Variable boundness
 // is classified over the full row set and the strategy chosen once. tp is
 // the source pattern, used only to label the profile's scan node. The join
-// type is decided here, from the live row count — the plan only predicted
-// one from its estimate. step.card is the estimate the profile's q-error
-// measures against, the graph count. The step's rows, its filters applied,
+// type is decided here, from the live row count; the plan fixed only the
+// order. The step's rows, its filters applied,
 // are returned in the writer's blocks, or go to the fold, which leaves the
 // writer empty.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, step *planStep, fold *groupFold) *rowWriter {
@@ -289,7 +287,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	// The scan's estimate is what the planner priced it with, the graph
 	// count for the pattern's constant positions, so q-error measures the
 	// planner's own input.
-	ev.prof.addEst(step.card)
+	ev.prof.addEst(pp.baseEst)
 	ev.prof.setStrategy(strategy.String(), fold != nil)
 	// Each pattern opens a fresh row-budget window: the budget caps the
 	// size of any one intermediate row set, counted while this join produces.

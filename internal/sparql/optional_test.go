@@ -188,6 +188,11 @@ func TestOptionalMatchesPerRow(t *testing.T) {
 	t.Logf("%d queries: %d of %d rows extended, %d hash-joined body scans, %d split bodies", compared, extended, rows, hashed, split)
 }
 
+// optionalCompanyQuery is the standing benchmark's optional/company-1 query.
+const optionalCompanyQuery = `PREFIX ex: <http://example.org/products#>
+SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > %d)
+  OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`
+
 // TestOptionalAllocsFlatInRows: what an OPTIONAL costs in allocations does
 // not grow with its input. At FILTER(?p > 1000) the benchmark's
 // optional/company-1 query joins about ten times the rows it joins at

@@ -150,8 +150,8 @@ func TestParallelDifferentialRandom(t *testing.T) {
 }
 
 // TestReorderInvariance: planning is a function of the query and the graph
-// alone — running queries must not change the order
-// planBGP picks, its cost, or the estimates it was priced with.
+// alone — running queries must not change the order planBGP picks, or the
+// estimates it was priced with.
 func TestReorderInvariance(t *testing.T) {
 	g := chainGraph(300)
 	q := MustParse(`PREFIX ex: <http://e/>
@@ -163,15 +163,15 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . ?s ex:tag ex:hot 
 	plan := func() string {
 		ev := newEvaluator(context.Background(), g, Options{})
 		ev.sc = selectScope(q)
-		p := ev.planBGP(ev.planRun(run), 0, 1)
-		out := fmt.Sprintf("order=%s cost=%v", p.order(), p.cost)
-		for _, st := range p.steps {
-			out += fmt.Sprintf(" %d", st.card)
+		rp := ev.planRun(run)
+		out := "order="
+		for _, st := range ev.planBGP(rp, 0, 1) {
+			out += fmt.Sprintf(" %d (est. %d)", st.pat+1, rp.pats[st.pat].baseEst)
 		}
 		return out
 	}
 	cold := plan()
-	if strings.HasPrefix(cold, "order=1→2→3→4") {
+	if strings.HasPrefix(cold, "order= 1 ") {
 		t.Fatalf("the search kept the textual order, which starts with a full scan: %s", cold)
 	}
 	for i := 0; i < 3; i++ {
@@ -204,16 +204,12 @@ func TestStrategySelection(t *testing.T) {
 				c.est, c.inputLen, c.nJoinVars, c.mixed, got, c.want)
 		}
 	}
-	// A multi-hop query over a large graph must show both strategies in its
-	// plan: the first scan feeds enough rows that a selective second pattern
-	// switches to hash join.
+	// A multi-hop query over a large graph must run a hash join: the first
+	// scan feeds enough rows that a selective second pattern switches to it.
 	g := chainGraph(600)
-	plan, err := Explain(g, `PREFIX ex: <http://e/>
-SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "hash join") {
-		t.Errorf("plan shows no hash join:\n%s", plan)
+	prof := profiled(t, g, `PREFIX ex: <http://e/>
+SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w }`, Options{})
+	if !strings.Contains(strings.Join(scansRan(prof), "\n"), "[hash join]") {
+		t.Errorf("no scan ran as a hash join:\n%s", prof.Tree())
 	}
 }

@@ -874,8 +874,8 @@ func (p *parser) parseIRITerm() (rdf.Term, error) {
 	case tokIRI:
 		p.advance()
 		iri := t.text
-		if p.base != "" && !strings.Contains(iri, ":") {
-			iri = p.base + iri
+		if p.base != "" {
+			iri = rdf.ResolveIRI(p.base, iri)
 		}
 		return rdf.NewIRI(iri), nil
 	case tokPName:

@@ -387,3 +387,14 @@ func TestParseAdditiveSignedLiteral(t *testing.T) {
 		t.Errorf("lex(?a+1) = %v, want ?a, the number +1, EOF", toks)
 	}
 }
+
+// TestBaseResolvesRelativeIRIs: BASE resolves a relative IRI as RFC 3986
+// does, not by appending it — under BASE <http://ex.org/a/b>, <p> once read
+// http://ex.org/a/bp and <../y> http://ex.org/a/b../y.
+func TestBaseResolvesRelativeIRIs(t *testing.T) {
+	q := MustParse(`BASE <http://ex.org/a/b> SELECT ?o WHERE { <p> <../y> ?o }`)
+	tp := q.Where.Elems[0].Triple
+	if tp.S.Term.Value != "http://ex.org/a/p" || tp.P.Term.Value != "http://ex.org/y" {
+		t.Errorf("resolved to %s and %s, want http://ex.org/a/p and http://ex.org/y", tp.S.Term.Value, tp.P.Term.Value)
+	}
+}

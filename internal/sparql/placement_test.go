@@ -83,31 +83,28 @@ SELECT ?l ?p ?d WHERE {
   FILTER(?p < 1500)
 }`
 
-// TestExplainOrderIsTextual: order= counts positions in the query text. The
-// plan below runs the third pattern first; when a hidden pre-pass re-sorted
-// the run before the search, the same plan read order=1→2→4→3.
+// TestExplainOrderIsTextual: the plan below runs the patterns at textual
+// positions 3, 2, 4, 1 — when a hidden pre-pass re-sorted the run before
+// the search, the same plan ran 1, 2, 4, 3 of the sorted run — each scan
+// with its graph count, and the price filter inside the run, after the
+// scan that binds ?p.
 func TestExplainOrderIsTextual(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 400, Companies: 16, Seed: 1})
-	plan, err := Explain(g, starQuery)
-	if err != nil {
-		t.Fatal(err)
+	q, prof := MustParse(starQuery), profiled(t, g, starQuery, Options{})
+	scans := findProfNodes(prof, "scan")
+	var ran, want []string
+	for _, sc := range scans {
+		ran = append(ran, fmt.Sprintf("%s est=%d", sc.Label, sc.EstRows))
 	}
-	if !strings.Contains(plan, "bgp 4 pattern(s)  (order=3→2→4→1, cost=638131)\n") {
-		t.Errorf("plan header is not (order=3→2→4→1, cost=638131):\n%s", plan)
+	for _, s := range []struct{ pos, est int }{{3, 38}, {2, 85}, {4, 400}, {1, 400}} {
+		want = append(want, fmt.Sprintf("%s est=%d", q.Where.Elems[s.pos-1].Triple, s.est))
 	}
-	at := 0
-	for _, step := range []string{
-		"manufacturer> <http://example.org/products#Company1> .  (est. 38, index loop)",
-		"USBPorts> \"2\"^^<http://www.w3.org/2001/XMLSchema#integer> .  (est. 85, hash join)",
-		"releaseDate> ?d .  (est. 400, hash join)",
-		"price> ?p .  (est. 400, hash join)",
-		"filter (?p < ",
-	} {
-		i := strings.Index(plan[at:], step)
-		if i < 0 {
-			t.Fatalf("step list changed: %q missing or out of order:\n%s", step, plan)
-		}
-		at += i
+	if strings.Join(ran, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("scans ran as\n  %s\nwant\n  %s", strings.Join(ran, "\n  "), strings.Join(want, "\n  "))
+	}
+	if bgp := findProfNodes(prof, "bgp"); len(bgp) != 1 || len(bgp[0].children) != 5 ||
+		bgp[0].children[4].Op != "filter" || !strings.HasPrefix(bgp[0].children[4].Label, "(?p < ") {
+		t.Errorf("the price filter does not run inside the run, after the price scan:\n%s", prof.Tree())
 	}
 }
 

@@ -1,22 +1,17 @@
 package sparql
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Cost-based BGP planning. A run of triple patterns is compiled to an
 // explicit plan: an ordered sequence of scan steps, each carrying the
-// cardinality estimate it was costed with and the filters pushed inside the
-// run. The plan fixes the join order only; the join type of a step is
-// decided when it executes, from the live row count (chooseStrategy in
-// join.go), and the cost model prices a step with that same rule on its
-// estimated input. Join-order search is
-// exact dynamic programming over pattern subsets for runs of up to
-// dpMaxPatterns, and greedy with one-step lookahead beyond; both read the
-// costModel in cost.go. A run is planned once, before its first step, and
-// executes in that order.
+// filters pushed inside the run. The plan fixes the join order only; the
+// join type of a step is decided when it executes, from the live row count
+// (chooseStrategy in join.go), and the cost model prices a step with that
+// same rule on its estimated input. Join-order search is exact dynamic
+// programming over pattern subsets for runs of up to dpMaxPatterns, and
+// greedy with one-step lookahead beyond; both read the costModel in
+// cost.go. A run is planned once, before its first step, and executes in
+// that order; the profile's scan nodes record it (EXPLAIN ANALYZE).
 
 // dpMaxPatterns is the largest run planned by exhaustive subset DP (2^10 ×
 // 10 transitions ≈ 10k cost evaluations, microseconds); longer runs use
@@ -28,33 +23,9 @@ type planStep struct {
 	// pat indexes the pattern in the source run / runPlan: its textual
 	// position within the run.
 	pat int
-	// stepEstimate is what the cost model predicted for the step at this
-	// position: card is the estimate the profile's q-error measures, and
-	// strategy the join type EXPLAIN predicts — execution decides the join
-	// type again, from the live row count.
-	stepEstimate
 	// filters are pushed-down filters applied right after this step,
 	// inside the run's ID space.
 	filters []*runFilter
-}
-
-// bgpPlan is the compiled plan of one BGP run.
-type bgpPlan struct {
-	steps []planStep
-	cost  float64
-}
-
-// order renders the plan's pattern order as "3→1→2" — 1-based textual
-// positions within the run — for traces and EXPLAIN.
-func (p *bgpPlan) order() string {
-	var sb strings.Builder
-	for i, s := range p.steps {
-		if i > 0 {
-			sb.WriteString("→")
-		}
-		fmt.Fprintf(&sb, "%d", s.pat+1)
-	}
-	return sb.String()
 }
 
 // runFilter is a filter expression pushed inside a BGP run, applied in ID
@@ -68,8 +39,8 @@ type runFilter struct {
 // (the identity order under NoReorder), with estimation-only bound columns
 // (variables flowing in from VALUES/BIND/earlier elements) seeding the
 // selectivity math. A run in an OPTIONAL body is ordered for one input row
-// (evaluator.inBody) and estimated for the batch.
-func (ev *evaluator) planBGP(rp *runPlan, boundCols uint64, inRows int) *bgpPlan {
+// (evaluator.inBody).
+func (ev *evaluator) planBGP(rp *runPlan, boundCols uint64, inRows int) []planStep {
 	cm := &costModel{rp: rp}
 	order := make([]int, len(rp.pats))
 	for i := range order {
@@ -81,9 +52,11 @@ func (ev *evaluator) planBGP(rp *runPlan, boundCols uint64, inRows int) *bgpPlan
 		}
 		order = planOrder(cm, order, boundCols, orderRows)
 	}
-	plan := &bgpPlan{}
-	plan.steps, plan.cost = buildSteps(cm, order, boundCols, float64(inRows))
-	return plan
+	steps := make([]planStep, len(order))
+	for i, p := range order {
+		steps[i] = planStep{pat: p}
+	}
+	return steps
 }
 
 // planOrder searches for the cheapest execution order of the given pattern
@@ -202,33 +175,17 @@ func greedyLookahead(cm *costModel, pats []int, boundCols uint64, inRows float64
 	return order
 }
 
-// buildSteps walks an order through the cost model, filling per-step
-// estimates and predicted strategies, and returns the order's total cost.
-func buildSteps(cm *costModel, order []int, boundCols uint64, inRows float64) ([]planStep, float64) {
-	steps := make([]planStep, len(order))
-	rows, cost := inRows, 0.0
-	bc := boundCols
-	for i, p := range order {
-		se := cm.step(p, rows, bc)
-		steps[i] = planStep{pat: p, stepEstimate: se}
-		cost = min(cost+se.cost, costCap)
-		rows = se.outRows
-		bc |= cm.patternCols(p)
-	}
-	return steps, cost
-}
-
 // attachFilters places each pushed-down filter on the earliest plan step
 // after which every variable it mentions is bound — either outside the run
 // (sureOutside) or by the scans executed so far. Filters whose variables
 // are already bound before the run's first step attach to step 0 (they
 // could not have been applied earlier or evalGroup would have done so).
-func attachFilters(plan *bgpPlan, run []*TriplePattern, filters []*runFilter, sureOutside map[string]bool) {
+func attachFilters(steps []planStep, run []*TriplePattern, filters []*runFilter, sureOutside map[string]bool) {
 	for _, f := range filters {
 		placed := false
 		boundHere := map[string]bool{}
-		for i := range plan.steps {
-			for v := range run[plan.steps[i].pat].Vars {
+		for i := range steps {
+			for v := range run[steps[i].pat].Vars {
 				boundHere[v] = true
 			}
 			ok := true
@@ -239,7 +196,7 @@ func attachFilters(plan *bgpPlan, run []*TriplePattern, filters []*runFilter, su
 				}
 			}
 			if ok {
-				plan.steps[i].filters = append(plan.steps[i].filters, f)
+				steps[i].filters = append(steps[i].filters, f)
 				placed = true
 				break
 			}
@@ -247,8 +204,8 @@ func attachFilters(plan *bgpPlan, run []*TriplePattern, filters []*runFilter, su
 		if !placed {
 			// Defensive: eligibility should guarantee placement; fall back to
 			// the last step so the filter still applies within the run.
-			last := len(plan.steps) - 1
-			plan.steps[last].filters = append(plan.steps[last].filters, f)
+			last := len(steps) - 1
+			steps[last].filters = append(steps[last].filters, f)
 		}
 	}
 }

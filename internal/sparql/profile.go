@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rdfanalytics/internal/obs"
+	"rdfanalytics/internal/rdf"
 )
 
 // Operator-level runtime profiling (EXPLAIN ANALYZE). A Profile is an
@@ -218,6 +219,27 @@ func (ev *evaluator) profAdd(op string, site any, d time.Duration, rowsIn, rowsO
 	}
 }
 
+// ExplainAnalyze executes a SELECT query with the operator-level profiler
+// enabled and returns the EXPLAIN ANALYZE tree: every operator node carries
+// its invocation count, actual rows in/out and wall time, and every index
+// scan additionally shows the planner's graph-count estimate next to the
+// actual cardinality with the q-error max(est/act, act/est), and the join
+// type it ran. Scans appear in the order the plan ran them. The query's
+// results are computed and discarded; profiling never changes them (see
+// TestProfileDifferential).
+func ExplainAnalyze(g *rdf.Graph, src string, opts Options) (string, error) {
+	q, err := parseForm(src, FormSelect, "EXPLAIN ANALYZE supports SELECT queries")
+	if err != nil {
+		return "", err
+	}
+	prof := NewProfile("query")
+	opts.Profile = prof
+	if _, err := ExecSelectOpts(g, q, opts); err != nil {
+		return "", err
+	}
+	return prof.Tree(), nil
+}
+
 // Tree renders the profile as an indented text tree, one operator per line
 // with calls, rows in/out, wall time, and — on scan nodes — the planner
 // estimate, actual cardinality and q-error. This is the EXPLAIN ANALYZE
@@ -336,31 +358,21 @@ func (p *Profile) MarshalJSON() ([]byte, error) {
 	return json.Marshal(p.Export())
 }
 
-// EstimateStat summarizes one profiled operator that carried a planner
-// estimate — the rows of the dashboard's plan-vs-actual misestimation table.
-type EstimateStat struct {
-	Op     string  `json:"op"`
-	Label  string  `json:"label"`
-	Est    int64   `json:"est"`
-	Actual int64   `json:"actual"`
-	QError float64 `json:"q_error"`
-}
-
-// Estimates collects every estimate-carrying operator of the profile,
-// worst q-error first.
-func (p *Profile) Estimates() []EstimateStat {
+// Estimates collects every estimate-carrying operator of the profile as
+// the operations log's plan-vs-actual rows, worst q-error first.
+func (p *Profile) Estimates() []obs.OpEstimate {
 	if p == nil {
 		return nil
 	}
-	var out []EstimateStat
+	var out []obs.OpEstimate
 	p.root.collectEstimates(&out)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].QError > out[j].QError })
 	return out
 }
 
-func (n *ProfNode) collectEstimates(acc *[]EstimateStat) {
+func (n *ProfNode) collectEstimates(acc *[]obs.OpEstimate) {
 	if n.EstRows >= 0 {
-		*acc = append(*acc, EstimateStat{
+		*acc = append(*acc, obs.OpEstimate{
 			Op: n.Op, Label: n.Label, Est: n.EstRows, Actual: n.RowsOut,
 			QError: n.QError(),
 		})

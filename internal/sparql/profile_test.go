@@ -66,7 +66,7 @@ func TestProfileDifferential(t *testing.T) {
 // TestProfileRecordsThePlan: a join query's profile holds the pipeline's
 // operators — match, the bgp run, the in-run filter, the modifiers — and one
 // scan per triple pattern with its estimate, join strategy and rows out, in
-// the order the plan ran them. EXPLAIN names the same order and its cost.
+// the order the plan ran them.
 func TestProfileRecordsThePlan(t *testing.T) {
 	g := chainGraph(300)
 	src := `PREFIX ex: <http://e/>
@@ -94,13 +94,6 @@ SELECT ?s ?w WHERE { ?s ex:v ?v . ?s ex:link ?t . ?t ex:w ?w . FILTER(?w < 40) }
 	}
 	if strings.Join(ran, "\n") != strings.Join(want, "\n") {
 		t.Errorf("scans ran as\n  %s\nwant\n  %s", strings.Join(ran, "\n  "), strings.Join(want, "\n  "))
-	}
-	plan, err := Explain(g, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "order=3→2→1") || !strings.Contains(plan, "cost=") {
-		t.Errorf("EXPLAIN does not name the order and cost the profile ran:\n%s", plan)
 	}
 }
 

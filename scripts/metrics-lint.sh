@@ -101,7 +101,6 @@ done || FAIL=1
 # Families the telemetry layer promises at boot, and the resilience families
 # the serving flow registers eagerly.
 for name in rdfa_build_info rdfa_go_heap_alloc_bytes rdfa_go_goroutines \
-    rdfa_slo_good_total rdfa_slo_events_total \
     rdfa_cache_requests_total rdfa_cache_collapsed_total \
     rdfa_cache_fills_total rdfa_cache_evictions_total rdfa_cache_bytes \
     rdfa_cache_entries rdfa_admission_admitted_total \

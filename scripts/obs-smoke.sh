@@ -84,8 +84,6 @@ for name in \
     rdfa_build_info \
     rdfa_go_heap_alloc_bytes \
     rdfa_go_goroutines \
-    rdfa_slo_good_total \
-    rdfa_slo_events_total \
     rdfa_http_request_seconds_bucket \
     rdfa_http_active_sessions \
     rdfa_http_sessions_created_total \
