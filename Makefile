@@ -84,8 +84,9 @@ durability-smoke:
 # against the rune lexer it replaced, the JSON
 # string escaper and the state writer's float formatter against encoding/json,
 # the graph's sorted permutations against the map-of-maps oracle, the term
-# dictionary against the map-and-slice one, and the answer cache's key
-# injectivity; a
+# dictionary against the map-and-slice one, the answer cache's key
+# injectivity, and the segment loader (CRC before decode, and a re-checkpoint
+# of what it accepts loads back to the same triples and IDs); a
 # discovered panic or mismatch fails the build and leaves its input in
 # testdata/fuzz/.
 FUZZTIME ?= 30s
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzDict$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 	$(GO) test -fuzz '^FuzzCacheKey$$' -fuzztime $(FUZZTIME) -run XXX ./internal/resilience/
+	$(GO) test -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME) -run XXX ./internal/store/
 
 race:
 	$(GO) test -race -shuffle=on ./...
@@ -123,10 +125,13 @@ bench:
 
 # bench-scale loads the products graph once at 200k, 1M and 2M triples and
 # reports load seconds, bytes per triple, match, add/remove and snapshot I/O
-# (internal/rdf/scale_test.go; ≈15 s, 400 MB at the 2M step). Outside the
-# standing benchmark: compare it across commits as alternating loads.
+# (internal/rdf/scale_test.go; ≈15 s, 400 MB at the 2M step), then what a
+# durable store's checkpoint and Open allocate and take at the same sizes
+# (internal/store/scale_test.go). Outside the standing benchmark: compare it
+# across commits as alternating loads.
 bench-scale:
 	$(GO) test ./internal/rdf -run '^$$' -bench GraphScale -benchtime 1x
+	$(GO) test ./internal/store -run '^$$' -bench StoreScale -benchtime 1x
 
 # bench-standing runs the standing benchmark (benchmark/README.md): each of
 # its four workloads once — or just WORKLOAD — end to end over HTTP with

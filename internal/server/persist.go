@@ -16,9 +16,11 @@ import (
 // handleCheckpoint compacts the WAL into a fresh segment on demand
 // (operators call it before planned restarts to make the next replay
 // near-empty). Answers the resulting store stats. The phases of the
-// checkpoint — snapshot encode, segment write, WAL swap — are recorded as
-// spans and the checkpoint recorded like any operation, so a slow one is in
-// the operations log: the workload view, the slow-query log and
+// checkpoint are recorded as spans — snapshot_encode (the snapshot streamed
+// into the segment's temp file under the graph read lock, its size in
+// bytes), segment_write (header patch, CRC pass, fsync, rename) and
+// wal_swap — and the checkpoint recorded like any operation, so a slow one
+// is in the operations log: the workload view, the slow-query log and
 // /api/traces.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Store

@@ -122,35 +122,50 @@ func (p *parser) freshVar() string {
 	return fmt.Sprintf("_anon%d", p.genSeq)
 }
 
-func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{Limit: -1}
-	// Prologue.
+// parsePrologue reads the PREFIX and BASE declarations that open a query or
+// an update. Each declared IRI is resolved against the BASE in force where
+// it appears, as the Turtle parser resolves its directives.
+func (p *parser) parsePrologue() error {
 	for {
-		if p.acceptKeyword("PREFIX") {
+		switch {
+		case p.acceptKeyword("PREFIX"):
 			t := p.cur()
 			if t.kind != tokPName || !strings.HasSuffix(t.text, ":") {
-				return nil, p.errf("expected prefix label ending in ':', got %s", t)
+				return p.errf("expected prefix label ending in ':', got %s", t)
 			}
 			label := strings.TrimSuffix(t.text, ":")
 			p.advance()
 			iri := p.cur()
 			if iri.kind != tokIRI {
-				return nil, p.errf("expected IRI after PREFIX %s:", label)
+				return p.errf("expected IRI after PREFIX %s:", label)
 			}
 			p.advance()
-			p.prefixes[label] = iri.text
-			continue
-		}
-		if p.acceptKeyword("BASE") {
+			p.prefixes[label] = p.resolve(iri.text)
+		case p.acceptKeyword("BASE"):
 			iri := p.cur()
 			if iri.kind != tokIRI {
-				return nil, p.errf("expected IRI after BASE")
+				return p.errf("expected IRI after BASE")
 			}
 			p.advance()
-			p.base = iri.text
-			continue
+			p.base = p.resolve(iri.text)
+		default:
+			return nil
 		}
-		break
+	}
+}
+
+// resolve resolves an IRI as written against the BASE in force.
+func (p *parser) resolve(iri string) string {
+	if p.base == "" {
+		return iri
+	}
+	return rdf.ResolveIRI(p.base, iri)
+}
+
+func (p *parser) parseQuery() (*Query, error) {
+	q := &Query{Limit: -1}
+	if err := p.parsePrologue(); err != nil {
+		return nil, err
 	}
 	q.Prefixes = p.prefixes
 	switch {
@@ -873,11 +888,7 @@ func (p *parser) parseIRITerm() (rdf.Term, error) {
 	switch t.kind {
 	case tokIRI:
 		p.advance()
-		iri := t.text
-		if p.base != "" {
-			iri = rdf.ResolveIRI(p.base, iri)
-		}
-		return rdf.NewIRI(iri), nil
+		return rdf.NewIRI(p.resolve(t.text)), nil
 	case tokPName:
 		p.advance()
 		return p.expandPName(t)

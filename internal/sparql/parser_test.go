@@ -398,3 +398,28 @@ func TestBaseResolvesRelativeIRIs(t *testing.T) {
 		t.Errorf("resolved to %s and %s, want http://ex.org/a/p and http://ex.org/y", tp.S.Term.Value, tp.P.Term.Value)
 	}
 }
+
+// TestPrologueResolvesAgainstBase: a query and an update read one prologue,
+// and a PREFIX or BASE IRI in it resolves against the BASE declared before
+// it, as Turtle's directives do.
+func TestPrologueResolvesAgainstBase(t *testing.T) {
+	for _, c := range []struct{ prologue, term, want string }{
+		{`BASE <http://ex.org/a/> PREFIX p: <b/>`, `p:x`, "http://ex.org/a/b/x"},
+		{`BASE <http://ex.org/a/> BASE <c/>`, `<>`, "http://ex.org/a/c/"},
+	} {
+		q, err := Parse(c.prologue + ` SELECT ?o WHERE { ` + c.term + ` ?p ?o }`)
+		if err != nil {
+			t.Fatalf("query after %q: %v", c.prologue, err)
+		}
+		if got := q.Where.Elems[0].Triple.S.Term.Value; got != c.want {
+			t.Errorf("query after %q: %s reads %s, want %s", c.prologue, c.term, got, c.want)
+		}
+		u, err := ParseUpdate(c.prologue + ` INSERT DATA { ` + c.term + ` <http://ex.org/p> "v" }`)
+		if err != nil {
+			t.Fatalf("update after %q: %v", c.prologue, err)
+		}
+		if got := u.InsertTempl[0].S.Term.Value; got != c.want {
+			t.Errorf("update after %q: %s reads %s, want %s", c.prologue, c.term, got, c.want)
+		}
+	}
+}

@@ -60,24 +60,8 @@ func ParseUpdate(src string) (*Update, error) {
 }
 
 func (p *parser) parseUpdate() (*Update, error) {
-	// Prologue.
-	for {
-		if p.acceptKeyword("PREFIX") {
-			t := p.cur()
-			if t.kind != tokPName || t.text[len(t.text)-1] != ':' {
-				return nil, p.errf("expected prefix label, got %s", t)
-			}
-			label := t.text[:len(t.text)-1]
-			p.advance()
-			iri := p.cur()
-			if iri.kind != tokIRI {
-				return nil, p.errf("expected IRI after PREFIX")
-			}
-			p.advance()
-			p.prefixes[label] = iri.text
-			continue
-		}
-		break
+	if err := p.parsePrologue(); err != nil {
+		return nil, err
 	}
 	u := &Update{Prefixes: p.prefixes}
 	switch {

@@ -2,23 +2,26 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/rdf"
 )
 
 // buildSegment checkpoints g into dir the way Store.checkpoint does.
-func buildSegment(t *testing.T, dir string, g *rdf.Graph) *Segment {
+func buildSegment(t testing.TB, dir string, g *rdf.Graph) *Segment {
 	t.Helper()
-	var buf bytes.Buffer
-	epoch, triples, err := g.SnapshotBinary(&buf)
+	sf, err := streamSegment(dir, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := writeSegment(dir, epoch, buf.Bytes(), triples)
+	seg, err := sf.install()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +116,30 @@ func buildV1FixtureState(t *testing.T, dir string) *Store {
 	return s
 }
 
+// copyFixture copies the data dir recorded in testdata/<name> into a fresh
+// directory and returns it with the recorded files' bytes by name.
+func copyFixture(t *testing.T, name string) (string, map[string][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string][]byte{}
+	for _, file := range []string{"segment-0000000000000032.seg", "wal-0000000000000032.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[file] = raw
+	}
+	return dir, files
+}
+
 // TestOpenReadsVersion1Segment: a data dir written before the key sections
 // were dropped (version-1 segment + WAL tail) opens to exactly what the
 // same history gives through today's writer and a reopen.
 func TestOpenReadsVersion1Segment(t *testing.T) {
-	v1 := t.TempDir()
-	fixture := map[string][]byte{"segment-0000000000000032.seg": nil, "wal-0000000000000032.log": nil}
-	for name := range fixture {
-		raw, err := os.ReadFile(filepath.Join("testdata", "v1", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(v1, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fixture[name] = raw
-	}
+	v1, fixture := copyFixture(t, "v1")
 	seg := fixture["segment-0000000000000032.seg"]
 	if seg[4] != 1 {
 		t.Fatalf("fixture segment is version %d, want 1", seg[4])
@@ -178,4 +189,105 @@ func TestOpenReadsVersion1Segment(t *testing.T) {
 	if raw[4] != segmentVersion {
 		t.Fatalf("checkpoint wrote segment version %d, want %d", raw[4], segmentVersion)
 	}
+}
+
+// TestOpenReadsRecordedVersion2Segment: testdata/v2 is the history of
+// buildV1FixtureState as recorded by the buffered segment writer. It opens
+// to the same graph as the streamed writer's round trip, and the streamed
+// writer reproduces its files byte for byte.
+func TestOpenReadsRecordedVersion2Segment(t *testing.T) {
+	rec, fixture := copyFixture(t, "v2")
+	old := openTest(t, rec)
+	defer old.Close()
+
+	dir := t.TempDir()
+	buildV1FixtureState(t, dir).Close()
+	for name, want := range fixture {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: streamed writer wrote %d bytes, the recorded file holds %d, or they differ", name, len(got), len(want))
+		}
+	}
+	cur := openTest(t, dir)
+	defer cur.Close()
+	if !bytes.Equal(snapshotBytes(t, old.Graph()), snapshotBytes(t, cur.Graph())) {
+		t.Fatal("recorded version-2 data dir opened to a different graph than the streamed round trip")
+	}
+	so := old.Stats()
+	if so.Epoch != 50 || so.SegmentTriples != 50 || so.ReplayRecords != 8 || old.Graph().Len() != 54 || old.Graph().Version() != cur.Graph().Version() {
+		t.Fatalf("recorded v2 fixture opened to epoch %d / %d segment triples / %d replayed / %d triples, recorded 50 / 50 / 8 / 54",
+			so.Epoch, so.SegmentTriples, so.ReplayRecords, old.Graph().Len())
+	}
+}
+
+// FuzzLoadSegment feeds loadSegment arbitrary files, and the same files
+// with their CRC trailer recomputed (reseal) so the fuzzer reaches the
+// header checks and the snapshot decode behind the checksum. loadSegment
+// must never panic, must refuse every file whose CRC does not match with the
+// checksum error (it decodes nothing before the CRC passes), and every
+// segment it accepts must survive a re-checkpoint: the loaded graph streams
+// into a segment that loads to the same triples under the same IDs.
+func FuzzLoadSegment(f *testing.F) {
+	valid, err := os.ReadFile(buildSegment(f, f.TempDir(), datagen.SmallProducts()).Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{valid}
+	for _, name := range []string{"v1", "v2"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name, "segment-0000000000000032.seg"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, raw)
+	}
+	for _, seed := range seeds {
+		f.Add(seed, false)
+		for _, cut := range []int{0, 20, 33, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:cut], false)
+			f.Add(seed[:cut], true)
+		}
+		for _, off := range []int{4, 12, 20, 30, len(seed) / 2, len(seed) - 13, len(seed) - 2} {
+			bad := append([]byte{}, seed...)
+			bad[off] ^= 0x41
+			f.Add(bad, false)
+			f.Add(bad, true)
+		}
+	}
+	// One directory per fuzzing process: its inputs run one at a time, and a
+	// fresh directory per input would cost more than the load it tests.
+	dir := f.TempDir()
+	path := filepath.Join(dir, "fuzz.seg")
+	f.Fuzz(func(t *testing.T, raw []byte, reseal bool) {
+		if reseal && len(raw) >= 4 {
+			resealSegment(raw)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seg, g, err := loadSegment(path)
+		crcOK := len(raw) >= 4 && crc32.ChecksumIEEE(raw[:len(raw)-4]) == binary.BigEndian.Uint32(raw[len(raw)-4:])
+		if err != nil {
+			if !crcOK && len(raw) >= segmentHeaderSize+8+4 && !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("file with a bad CRC refused by a later check: %v", err)
+			}
+			return
+		}
+		if !crcOK {
+			t.Fatal("loadSegment accepted a file whose CRC does not match")
+		}
+		again := buildSegment(t, dir, g)
+		if again.Triples != seg.Triples {
+			t.Fatalf("re-checkpoint holds %d triples, loaded segment %d", again.Triples, seg.Triples)
+		}
+		_, g2, err := loadSegment(again.Path)
+		if err != nil {
+			t.Fatalf("re-checkpointed segment does not load: %v", err)
+		}
+		if !bytes.Equal(snapshotBytes(t, g2), snapshotBytes(t, g)) {
+			t.Fatal("re-checkpointed segment loads to different triples or IDs")
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"os"
@@ -318,19 +317,21 @@ func (s *Store) Bootstrap(g *rdf.Graph) error {
 	return nil
 }
 
-// Checkpoint compacts the store: snapshot the live graph (atomically with
-// its version, under the graph read lock only), install those bytes as the
-// segment file at that epoch, then swap in a fresh WAL carrying just the records
-// newer than the epoch. Readers and writers keep running throughout; only
-// the final swap holds s.mu. Checkpoints are serialized by cpMu — the HTTP
-// trigger and the background loop may race, and overlapping runs could
-// otherwise install segments out of epoch order, losing every record
-// between the two epochs.
+// Checkpoint compacts the store: stream a snapshot of the live graph
+// (atomically with its version, under the graph read lock only) into a temp
+// segment file, install that file as the segment at the snapshot's epoch,
+// then swap in a fresh WAL carrying just the records newer than the epoch.
+// Readers and writers keep running throughout; only the final swap holds
+// s.mu. Checkpoints are serialized by cpMu — the HTTP trigger and the
+// background loop may race, and overlapping runs could otherwise install
+// segments out of epoch order, losing every record between the two epochs.
 func (s *Store) Checkpoint() error { return s.CheckpointTraced(nil) }
 
-// CheckpointTraced is Checkpoint recording its phases — snapshot encode,
-// segment write, WAL swap — as child spans of parent (nil parent skips the
-// spans; the duration histogram is observed either way).
+// CheckpointTraced is Checkpoint recording its phases as child spans of
+// parent (nil parent skips the spans; the duration histogram is observed
+// either way): snapshot_encode is the snapshot streamed into the temp file
+// under the graph read lock, with the bytes it wrote; segment_write is the
+// header patch, CRC pass, fsync and rename; wal_swap the fresh WAL.
 func (s *Store) CheckpointTraced(parent *obs.Span) error {
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
@@ -360,27 +361,33 @@ func (s *Store) checkpoint(parent *obs.Span) error {
 	droppedAtCut := s.journalDropped
 	s.mu.Unlock()
 
-	snapSpan := parent.StartChild("snapshot_encode")
-	var buf bytes.Buffer
-	epoch, triples, err := s.g.SnapshotBinary(&buf)
-	if snapSpan != nil {
-		snapSpan.SetAttr("bytes", buf.Len())
-		snapSpan.Finish()
-	}
-	if err != nil {
-		return err
-	}
 	// Nothing effective happened since the current segment was cut: skip.
 	// Re-running at the same epoch would gain no compaction and would
 	// O_TRUNC the live WAL file (same epoch → same path) under the old
 	// handle. curEpoch cannot change concurrently — only checkpoints
-	// install segments, and cpMu serializes them.
-	if hadSeg && epoch <= curEpoch {
+	// install segments, and cpMu serializes them. Checked before the stream
+	// so a clean checkpoint writes no temp file, and again on the epoch the
+	// snapshot captured.
+	if hadSeg && s.g.Version() <= curEpoch {
+		parent.SetAttr("skipped", "no_new_records")
+		return nil
+	}
+	snapSpan := parent.StartChild("snapshot_encode")
+	sf, err := streamSegment(s.dir, s.g)
+	if err == nil && snapSpan != nil {
+		snapSpan.SetAttr("bytes", sf.snapLen)
+	}
+	snapSpan.Finish()
+	if err != nil {
+		return err
+	}
+	if hadSeg && sf.epoch <= curEpoch {
+		sf.discard()
 		parent.SetAttr("skipped", "no_new_records")
 		return nil
 	}
 	segSpan := parent.StartChild("segment_write")
-	seg, err := writeSegment(s.dir, epoch, buf.Bytes(), triples)
+	seg, err := sf.install()
 	segSpan.Finish()
 	if err != nil {
 		return err
@@ -401,6 +408,7 @@ func (s *Store) checkpoint(parent *obs.Span) error {
 	// Records newer than the epoch arrived after the snapshot was cut;
 	// they survive into the fresh WAL. Everything else is inside the
 	// segment now.
+	epoch := seg.Epoch
 	var survivors []record
 	for _, rec := range s.tail {
 		if rec.version > epoch {

@@ -8,11 +8,13 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -596,12 +598,16 @@ func resealSegment(raw []byte) {
 	binary.BigEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 }
 
-// TestCheckpointAllocationsIndependentOfGraphSize: a checkpoint serializes
-// the live graph and writes those bytes; it builds no per-triple structure
-// of its own (a decoded copy, key arrays), so its allocation count does not
-// grow with the graph.
+// TestCheckpointAllocationsIndependentOfGraphSize: a checkpoint streams the
+// live graph into its segment file; it builds no per-triple structure of its
+// own (a decoded copy, key arrays) and no copy of the image (a buffer the
+// snapshot is encoded into), so neither the number nor the bytes of its
+// allocations grow with the graph. What it does allocate is of the order of
+// its fixed buffers: the snapshot encoder's and the fresh WAL's 64 KB each,
+// and the CRC pass's copy buffer.
 func TestCheckpointAllocationsIndependentOfGraphSize(t *testing.T) {
-	allocs := func(n int) float64 {
+	const runs = 5
+	measure := func(n int) (allocs, bytes float64) {
 		s := openTest(t, t.TempDir())
 		defer s.Close()
 		g := s.Graph()
@@ -609,19 +615,118 @@ func TestCheckpointAllocationsIndependentOfGraphSize(t *testing.T) {
 			g.Add(rdf.Triple{S: iri(fmt.Sprintf("s%d", i/4)), P: iri(fmt.Sprintf("p%d", i%4)), O: rdf.NewInteger(int64(i))})
 		}
 		i := 0
-		return testing.AllocsPerRun(5, func() {
+		checkpoint := func() {
 			// One effective mutation per run, or the checkpoint is a no-op.
 			g.Add(rdf.Triple{S: iri("extra"), P: iri("p"), O: rdf.NewInteger(int64(i))})
 			i++
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
+		}
+		allocs = testing.AllocsPerRun(runs, checkpoint)
+		before := totalAlloc()
+		for r := 0; r < runs; r++ {
+			checkpoint()
+		}
+		return allocs, float64(totalAlloc()-before) / runs
+	}
+	smallN, smallB := measure(2000)
+	largeN, largeB := measure(20000)
+	t.Logf("per checkpoint: %.0f allocations, %.0f B at 2k triples; %.0f, %.0f B at 20k", smallN, smallB, largeN, largeB)
+	if largeN >= 2*smallN {
+		t.Fatalf("Checkpoint allocates %.0f times over 20k triples, %.0f over 2k: grows with the graph", largeN, smallN)
+	}
+	if largeB >= 2*smallB {
+		t.Fatalf("Checkpoint allocates %.0f B over 20k triples, %.0f B over 2k: grows with the graph", largeB, smallB)
+	}
+	const budget = 256 << 10
+	if largeB > budget {
+		t.Fatalf("Checkpoint allocates %.0f B over 20k triples, budget %d B", largeB, budget)
+	}
+}
+
+// TestCheckpointCrashPoints arms each fault site of the streamed segment
+// write in turn. Each failed checkpoint returns its error, leaves no temp
+// file and no new segment behind, keeps the previous segment and WAL
+// authoritative, and a reopen after a crash equals the live graph at the
+// last acknowledged write.
+func TestCheckpointCrashPoints(t *testing.T) {
+	defer fault.Reset()
+	sites := []string{
+		"store.segment.streamed", // snapshot and count written, header still placeholders
+		"store.segment.header",   // header patched, no trailer
+		"store.segment.trailer",  // trailer written, not synced
+		"store.segment.rename",   // synced and closed, still a temp file
+		"store.segment.dirsync",  // renamed, directory entry not synced
+	}
+	for _, site := range sites {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTest(t, dir)
+			g := s.Graph()
+			for i := 0; i < 300; i++ {
+				g.Add(rdf.Triple{S: iri(fmt.Sprintf("s%d", i%30)), P: iri(fmt.Sprintf("p%d", i%4)), O: rdf.NewInteger(int64(i))})
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 40; i++ {
+				g.Add(rdf.Triple{S: iri("t"), P: iri("q"), O: rdf.NewInteger(int64(i))})
+			}
+			g.Remove(rdf.Triple{S: iri("s1"), P: iri("p1"), O: rdf.NewInteger(1)})
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			files := dirNames(t, dir)
+			prev := s.Stats()
+
+			if err := fault.Configure(site + "=error"); err != nil {
+				t.Fatal(err)
+			}
+			err := s.Checkpoint()
+			fault.Reset()
+			var inj *fault.InjectedError
+			if !errors.As(err, &inj) || inj.Site != site {
+				t.Fatalf("Checkpoint returned %v, want the error injected at %s", err, site)
+			}
+			if got := dirNames(t, dir); !slices.Equal(got, files) {
+				t.Fatalf("data dir holds %v after the failed checkpoint, %v before", got, files)
+			}
+			st := s.Stats()
+			if st.Epoch != prev.Epoch || st.TailRecords != prev.TailRecords || st.Checkpoints != prev.Checkpoints || st.CheckpointErrors != prev.CheckpointErrors+1 {
+				t.Fatalf("stats after the failed checkpoint %+v, before %+v", st, prev)
+			}
+			// The store keeps journaling: one more acknowledged write, then
+			// a crash (no Close).
+			g.Add(rdf.Triple{S: iri("after"), P: iri("q"), O: iri(site)})
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			want := snapshotBytes(t, g)
+			s2 := openTest(t, dir)
+			defer s2.Close()
+			if got := snapshotBytes(t, s2.Graph()); !bytes.Equal(got, want) {
+				t.Fatal("reopen after the failed checkpoint differs from the live graph")
+			}
+			if st := s2.Stats(); st.Epoch != prev.Epoch {
+				t.Fatalf("reopen loaded the segment at epoch %d, want the previous one at %d", st.Epoch, prev.Epoch)
+			}
 		})
 	}
-	small, large := allocs(2000), allocs(20000)
-	if large >= 2*small {
-		t.Fatalf("Checkpoint allocates %.0f times over 20k triples, %.0f over 2k: grows with the graph", large, small)
+}
+
+// dirNames lists a data directory's file names, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestReopenEqualsLiveGraphAfterRandomUpdates: the write side no longer
