@@ -65,51 +65,51 @@ type segmentFile struct {
 	triples int
 }
 
-// countingWriter counts the bytes written through it to the file.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // streamSegment creates a temp segment file in dir and streams g's snapshot
-// into it through Graph.SnapshotBinary, which holds the graph read lock for
-// the encode and returns the version it captured: the segment's epoch. The
-// graph image exists once, in memory; the file gets it 64 KB at a time.
-func streamSegment(dir string, g *rdf.Graph) (sf *segmentFile, err error) {
+// into it. On any error the temp file is removed.
+func streamSegment(dir string, g *rdf.Graph) (*segmentFile, error) {
 	f, err := os.CreateTemp(dir, "segment-*.tmp")
 	if err != nil {
 		return nil, err
 	}
-	sf = &segmentFile{f: f, dir: dir}
-	defer func() {
-		if err != nil {
-			sf.discard()
-			sf = nil
-		}
-	}()
+	sf := &segmentFile{f: f, dir: dir}
+	if err := sf.stream(g); err != nil {
+		sf.discard()
+		return nil, err
+	}
+	return sf, nil
+}
+
+// stream writes the placeholder header, the snapshot through
+// Graph.SnapshotBinary — which holds the graph read lock for the encode and
+// returns the version it captured: the segment's epoch — and the triple
+// count. The graph image exists once, in memory; the file gets it 64 KB at
+// a time, and the file offset after the encode gives its length.
+func (sf *segmentFile) stream(g *rdf.Graph) error {
 	var hdr [segmentHeaderSize]byte
 	copy(hdr[:], segmentMagic)
 	hdr[4] = segmentVersion
-	if _, err := f.Write(hdr[:]); err != nil {
-		return nil, err
+	if _, err := sf.f.Write(hdr[:]); err != nil {
+		return err
 	}
-	cw := &countingWriter{w: f}
-	if sf.epoch, sf.triples, err = g.SnapshotBinary(cw); err != nil {
-		return nil, err
+	if err := fault.Inject("store.segment.begin"); err != nil {
+		return err
 	}
-	sf.snapLen = cw.n
+	var err error
+	if sf.epoch, sf.triples, err = g.SnapshotBinary(sf.f); err != nil {
+		return err
+	}
+	off, err := sf.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	sf.snapLen = off - segmentHeaderSize
 	var n8 [8]byte
 	binary.BigEndian.PutUint64(n8[:], uint64(sf.triples))
-	if _, err := f.Write(n8[:]); err != nil {
-		return nil, err
+	if _, err := sf.f.Write(n8[:]); err != nil {
+		return err
 	}
-	return sf, fault.Inject("store.segment.streamed")
+	return fault.Inject("store.segment.streamed")
 }
 
 // install atomically installs the streamed segment: write the real epoch

@@ -3,14 +3,17 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/fault"
 	"rdfanalytics/internal/rdf"
 )
 
@@ -49,6 +52,52 @@ ex:c ex:p ex:a .`)
 	// dictionary-ID equality.
 	if !bytes.Equal(snapshotBytes(t, image), snapshotBytes(t, g)) {
 		t.Fatal("decoded segment graph differs from the graph it was cut from")
+	}
+}
+
+// TestStreamSegmentWriteError makes the stream fail on a genuine I/O error
+// — a header write to a read-only handle, and the offset query on a pipe
+// once the encode is done — rather than at a fault site: stream returns the
+// error, and discard, as streamSegment calls it, removes the temp file.
+func TestStreamSegmentWriteError(t *testing.T) {
+	g := rdf.MustLoadTurtle(`<http://e/s> <http://e/p> <http://e/o> .`)
+	cases := map[string]func(t *testing.T, dir string) *os.File{
+		"read-only file": func(t *testing.T, dir string) *os.File {
+			f, err := os.CreateTemp(dir, "segment-*.tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			ro, err := os.Open(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ro
+		},
+		"pipe": func(t *testing.T, dir string) *os.File {
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			go io.Copy(io.Discard, r)
+			t.Cleanup(func() { r.Close() })
+			return w
+		},
+	}
+	for name, open := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			sf := &segmentFile{f: open(t, dir), dir: dir}
+			err := sf.stream(g)
+			var inj *fault.InjectedError
+			if err == nil || errors.As(err, &inj) {
+				t.Fatalf("stream returned %v, want an I/O error", err)
+			}
+			sf.discard()
+			if left, _ := filepath.Glob(filepath.Join(dir, "segment-*.tmp")); len(left) != 0 {
+				t.Fatalf("temp files left behind: %v", left)
+			}
+		})
 	}
 }
 

@@ -374,7 +374,7 @@ func (s *Store) checkpoint(parent *obs.Span) error {
 	}
 	snapSpan := parent.StartChild("snapshot_encode")
 	sf, err := streamSegment(s.dir, s.g)
-	if err == nil && snapSpan != nil {
+	if err == nil {
 		snapSpan.SetAttr("bytes", sf.snapLen)
 	}
 	snapSpan.Finish()

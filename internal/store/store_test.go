@@ -653,6 +653,7 @@ func TestCheckpointAllocationsIndependentOfGraphSize(t *testing.T) {
 func TestCheckpointCrashPoints(t *testing.T) {
 	defer fault.Reset()
 	sites := []string{
+		"store.segment.begin",    // placeholder header written, snapshot not yet
 		"store.segment.streamed", // snapshot and count written, header still placeholders
 		"store.segment.header",   // header patched, no trailer
 		"store.segment.trailer",  // trailer written, not synced
