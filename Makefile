@@ -13,7 +13,7 @@ test:
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
-# BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary,
+# BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary and BenchmarkObjectLookup,
 # of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
 # BenchmarkTailSamplerDecision (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
@@ -24,7 +24,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
-	$(GO) test -run '^$$' -bench Dictionary -benchmem -benchtime 1x ./internal/rdf
+	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup' -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench PropertyFacets -benchmem -benchtime 1x ./internal/facet
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
@@ -124,8 +124,9 @@ bench:
 	$(GO) test -bench '^BenchmarkJoinStep$$' -benchmem -run XXX ./internal/sparql/
 
 # bench-scale loads the products graph once at 200k, 1M and 2M triples and
-# reports load seconds, bytes per triple, match, add/remove and snapshot I/O
-# (internal/rdf/scale_test.go; ≈15 s, 400 MB at the 2M step), then what a
+# reports load seconds, bytes per triple, match, add/remove, the p99 and the
+# slowest of 5 120 single Adds (a delta merge) and snapshot I/O
+# (internal/rdf/scale_test.go; ≈12 s in all, 240 MB at the 2M step), then what a
 # durable store's checkpoint and Open allocate and take at the same sizes
 # (internal/store/scale_test.go). Outside the standing benchmark: compare it
 # across commits as alternating loads.

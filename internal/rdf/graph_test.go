@@ -139,10 +139,6 @@ func TestPredicates(t *testing.T) {
 	if g.PredicateCount(ex("price")) != 3 {
 		t.Errorf("PredicateCount(price) = %d", g.PredicateCount(ex("price")))
 	}
-	subs := g.SubjectsWithPredicate(ex("price"))
-	if len(subs) != 3 {
-		t.Errorf("SubjectsWithPredicate = %v", subs)
-	}
 }
 
 func TestCloneIsIndependent(t *testing.T) {
@@ -154,16 +150,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	c.Add(Triple{ex("new"), ex("p"), ex("o")})
 	if g.Has(Triple{ex("new"), ex("p"), ex("o")}) {
 		t.Fatal("mutation of clone leaked into original")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	g := testGraph()
-	h := NewGraph()
-	h.Add(Triple{ex("x"), ex("p"), ex("y")})
-	h.Add(Triple{ex("laptop1"), ex("price"), NewInteger(900)}) // duplicate
-	if n := g.Merge(h); n != 1 {
-		t.Errorf("Merge added %d, want 1", n)
 	}
 }
 

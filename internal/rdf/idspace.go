@@ -87,10 +87,12 @@ func (g *Graph) SubjectIDs() []ID {
 // Enumeration order is the ascending ID order of the permutation that has
 // the bound positions as a prefix — SPO for (s), (s, p), (s, p, o) and the
 // all-wildcard scan, POS for (p) and (p, o), OSP for (o) and (s, o) — with
-// pending writes merged in. It is a function of the graph's content and its
-// dictionary alone: the history of insertions and removals, a snapshot
-// round-trip or a restart do not change it. The SPARQL engine's answers are
-// byte-identical across runs, restarts and concurrent queries because of it.
+// pending writes merged in. The graph keeps no OSP index: (o) and (s, o)
+// are answered from SPO and POS in OSP order (matchObjectLocked). The order
+// is a function of the graph's content and its dictionary alone: the
+// history of insertions and removals, a snapshot round-trip or a restart do
+// not change it. The SPARQL engine's answers are byte-identical across runs,
+// restarts and concurrent queries because of it.
 //
 // fn runs while the graph read lock is held: it must not call other Graph
 // methods (collect IDs and materialize after the scan instead).
@@ -103,7 +105,8 @@ func (g *Graph) MatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
 
 // accessPath picks the permutation in which the pattern's bound positions
 // form a prefix, and returns the pattern as a key of it with the prefix
-// length.
+// length. For osp, the shapes (o) and (s, o), that is the order they
+// enumerate in, not an index.
 func accessPath(s, p, o ID) (ord order, q key, n int) {
 	switch {
 	case s != 0 && (p != 0 || o == 0):
@@ -122,13 +125,59 @@ func accessPath(s, p, o ID) (ord order, q key, n int) {
 
 func (g *Graph) matchIDsLocked(s, p, o ID, fn func(s, p, o ID) bool) {
 	ord, q, n := accessPath(s, p, o)
+	if ord == osp {
+		g.matchObjectLocked(s, o, fn)
+		return
+	}
 	g.ix[ord].scan(ord, q, n, fn)
+}
+
+// matchObjectLocked enumerates the triples with object o, and subject s
+// unless s is 0, in ascending (s, p): the OSP order, from SPO and POS. The
+// subject's SPO run holds them in ascending p already. Without a subject,
+// each predicate's POS run of (p, o) ascends in s, and the runs are merged
+// on (s, p), picking the least head of the few non-empty ones each step.
+func (g *Graph) matchObjectLocked(s, o ID, fn func(s, p, o ID) bool) {
+	if s != 0 {
+		g.ix[spo].scan(spo, key{s}, 1, func(s, p, x ID) bool { return x != o || fn(s, p, o) })
+		return
+	}
+	type head struct {
+		c cursor
+		k key // the next key of c's run, (p, o, s)
+	}
+	ix := &g.ix[pos]
+	var buf [16]head
+	heads := buf[:0]
+	ix.runsOf(o, func(c cursor) {
+		if k, ok := ix.next(&c); ok {
+			heads = append(heads, head{c, k})
+		}
+	})
+	for len(heads) > 0 {
+		m := 0
+		for i, h := range heads[1:] {
+			if least := heads[m].k; h.k[2] < least[2] || h.k[2] == least[2] && h.k[0] < least[0] {
+				m = i + 1
+			}
+		}
+		if !fn(pos.triple(heads[m].k)) {
+			return
+		}
+		var ok bool
+		if heads[m].k, ok = ix.next(&heads[m].c); !ok {
+			heads[m] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+	}
 }
 
 // MatchCountIDs returns the number of triples matching the ID pattern
 // (0 = wildcard) without materializing them: two searches in the pattern's
-// permutation. It is the cardinality estimator the SPARQL engine's join
-// ordering and strategy choice run on.
+// permutation. An object-bound pattern costs more: (s, o) walks the
+// subject's SPO run, (o) searches each predicate's POS run. It is the
+// cardinality estimator the SPARQL engine's join ordering and strategy
+// choice run on.
 func (g *Graph) MatchCountIDs(s, p, o ID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -137,7 +186,17 @@ func (g *Graph) MatchCountIDs(s, p, o ID) int {
 
 func (g *Graph) matchCountIDsLocked(s, p, o ID) int {
 	ord, q, n := accessPath(s, p, o)
-	return g.ix[ord].count(q, n)
+	if ord != osp {
+		return g.ix[ord].count(q, n)
+	}
+	n = 0
+	if s != 0 {
+		g.matchObjectLocked(s, o, func(_, _, _ ID) bool { n++; return true })
+		return n
+	}
+	ix := &g.ix[pos] // the sum of the predicates' counts
+	ix.runsOf(o, func(c cursor) { n += ix.len(c) })
+	return n
 }
 
 // CardCacheStats reports zeros: counts are two searches now and the

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -132,6 +133,55 @@ func TestTermViewDuringWrites(t *testing.T) {
 	<-done
 	if g.dict.Len() <= 2*n {
 		t.Fatalf("the writes grew the dictionary from %d to only %d terms", n, g.dict.Len())
+	}
+}
+
+// TestObjectPatternsAcrossManyPredicates holds (o) and (s, o) to a filtered
+// full scan in OSP order, on a graph whose objects recur under up to 50
+// predicates — more runs than the merge's stack buffer holds — with
+// additions and tombstones pending in the delta.
+func TestObjectPatternsAcrossManyPredicates(t *testing.T) {
+	g := NewGraph()
+	var ts []Triple
+	for s := range 60 {
+		for k := range 40 {
+			ts = append(ts, Triple{ex(fmt.Sprintf("s%d", s)), ex(fmt.Sprintf("p%d", (s+k*3)%50)), ex(fmt.Sprintf("o%d", (s*k)%7))})
+		}
+	}
+	g.AddAll(ts)
+	for i := range 300 {
+		g.Remove(ts[i*7%len(ts)])
+		g.Add(Triple{ex(fmt.Sprintf("s%d", 55+i%9)), ex(fmt.Sprintf("p%d", i%50)), ex(fmt.Sprintf("o%d", i%7))})
+	}
+	if len(g.ix[spo].delta) == 0 || !slices.Contains(g.ix[pos].dead, true) {
+		t.Fatal("no additions and tombstones pending")
+	}
+	var all []key
+	g.MatchIDs(0, 0, 0, func(s, p, o ID) bool {
+		all = append(all, osp.key(s, p, o))
+		return true
+	})
+	slices.SortFunc(all, key.compare)
+	for i := range 7 {
+		o, _ := g.TermID(ex(fmt.Sprintf("o%d", i)))
+		for _, s := range []ID{0, all[i*len(all)/7][1], all[len(all)-1-i][1]} {
+			var want, got []key
+			for _, k := range all {
+				if k[0] == o && (s == 0 || k[1] == s) {
+					want = append(want, k)
+				}
+			}
+			g.MatchIDs(s, 0, o, func(s, p, o ID) bool {
+				got = append(got, osp.key(s, p, o))
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("MatchIDs(%d, 0, %d):\ngot  %v\nwant %v", s, o, got, want)
+			}
+			if n := g.MatchCountIDs(s, 0, o); n != len(want) {
+				t.Fatalf("MatchCountIDs(%d, 0, %d) = %d, want %d", s, o, n, len(want))
+			}
+		}
 	}
 }
 

@@ -21,6 +21,8 @@ type scaleReport struct {
 	restoredPerT  float64 // the same for the graph ReadBinary restores from its snapshot
 	matchNsPerT   float64 // predicate-bound Match, per triple yielded
 	addUs, remUs  float64 // one triple of an INSERT DATA-sized batch, delta non-empty
+	addP99Us      float64 // p99 of stallAdds single Adds, a run across delta merges
+	addMaxMS      float64 // the slowest of them: a merge rewriting the arrays
 	readBinaryMS  float64
 	writeBinaryMS float64
 }
@@ -28,6 +30,11 @@ type scaleReport struct {
 // insertSize is how many triples the timed Add / Remove batches hold: what
 // one INSERT DATA of the benchmark's mixed-rw workload carries.
 const insertSize = 50
+
+// stallAdds is how many single Adds the merge-stall run times: the graph
+// merges its delta into the arrays once 1 025 changes are pending, so 5 120
+// Adds, of which one in 16 is already present, cross at least four merges.
+const stallAdds = 5 << 10
 
 func liveHeap() uint64 {
 	var ms runtime.MemStats
@@ -85,6 +92,29 @@ func measureScale(laptops int) scaleReport {
 	}
 	r.addUs, r.remUs = median(adds), median(rems)
 
+	// A second manufacturer for existing laptops: subject, predicate and
+	// object all exist, so a merge inserts into the middle of every array.
+	maker := rdf.NewIRI(datagen.ExampleNS + "manufacturer")
+	lat, added := make([]float64, stallAdds), make([]rdf.Triple, 0, stallAdds)
+	for i := range lat {
+		t := rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("%slaptop%d", datagen.ExampleNS, 1+i*7%laptops)),
+			P: maker,
+			O: rdf.NewIRI(fmt.Sprintf("%sCompany%d", datagen.ExampleNS, 1+i%16)),
+		}
+		start = time.Now()
+		fresh := g.Add(t)
+		lat[i] = float64(time.Since(start).Nanoseconds())
+		if fresh {
+			added = append(added, t)
+		}
+	}
+	slices.Sort(lat)
+	r.addP99Us, r.addMaxMS = lat[len(lat)*99/100]/1e3, lat[len(lat)-1]/1e6
+	for _, t := range added {
+		g.Remove(t)
+	}
+
 	var buf bytes.Buffer
 	start = time.Now()
 	if err := g.WriteBinary(&buf); err != nil {
@@ -125,6 +155,8 @@ func BenchmarkGraphScale(b *testing.B) {
 			b.ReportMetric(r.matchNsPerT, "match-ns/triple")
 			b.ReportMetric(r.addUs, "add-µs")
 			b.ReportMetric(r.remUs, "remove-µs")
+			b.ReportMetric(r.addP99Us, "add-p99-µs")
+			b.ReportMetric(r.addMaxMS, "add-max-ms")
 			b.ReportMetric(r.writeBinaryMS, "WriteBinary-ms")
 			b.ReportMetric(r.readBinaryMS, "ReadBinary-ms")
 		})
@@ -132,25 +164,25 @@ func BenchmarkGraphScale(b *testing.B) {
 }
 
 // TestLiveBytesPerTriple holds the graph to its memory budget at the
-// standing benchmark's 197 982 triples: dictionary and three permutations
-// together stay under 60 B a triple, loaded or restored from a snapshot (the
+// standing benchmark's 197 982 triples: dictionary and two permutations
+// together stay under 45 B a triple, loaded or restored from a snapshot (the
 // map-of-maps indexes took 235, a map-and-slice dictionary ≈81 and, restored
-// with a datatype string per literal, ≈80).
+// with a datatype string per literal, ≈80; a third permutation ≈53).
 func TestLiveBytesPerTriple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 198k triples")
 	}
 	r := measureScale(22400)
-	t.Logf("%d triples: %.1f B/triple (restored %.1f), load %.2f s, match %.1f ns/triple, add %.2f µs, remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
-		r.triples, r.bytesPerT, r.restoredPerT, r.loadS, r.matchNsPerT, r.addUs, r.remUs, r.writeBinaryMS, r.readBinaryMS)
+	t.Logf("%d triples: %.1f B/triple (restored %.1f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
+		r.triples, r.bytesPerT, r.restoredPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
 	if r.triples != 197982 {
 		t.Fatalf("datagen drifted: %d triples, want 197982", r.triples)
 	}
-	if r.bytesPerT > 60 {
-		t.Errorf("graph holds %.1f live bytes per triple, budget 60", r.bytesPerT)
+	if r.bytesPerT > 45 {
+		t.Errorf("graph holds %.1f live bytes per triple, budget 45", r.bytesPerT)
 	}
-	if r.restoredPerT > 60 {
-		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 60", r.restoredPerT)
+	if r.restoredPerT > 45 {
+		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 45", r.restoredPerT)
 	}
 }
 
@@ -198,6 +230,48 @@ func TestDictReadsDoNotAllocate(t *testing.T) {
 	_ = sink
 }
 
+// TestObjectLookupsDoNotAllocate pins the object-bound patterns on the 99k
+// products graph: enumerating and counting ?s ?p <o> and <s> ?p <o> over 256
+// sampled objects touches no heap.
+func TestObjectLookupsDoNotAllocate(t *testing.T) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1})
+	sample := objectSample(g, 256)
+	rows := 0
+	count := func(_, _, _ rdf.ID) bool { rows++; return true }
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"MatchIDs(0, 0, o)", func() {
+			for _, so := range sample {
+				g.MatchIDs(0, 0, so[1], count)
+			}
+		}},
+		{"MatchCountIDs(0, 0, o)", func() {
+			for _, so := range sample {
+				rows += g.MatchCountIDs(0, 0, so[1])
+			}
+		}},
+		{"MatchIDs(s, 0, o)", func() {
+			for _, so := range sample {
+				g.MatchIDs(so[0], 0, so[1], count)
+			}
+		}},
+		{"MatchCountIDs(s, 0, o)", func() {
+			for _, so := range sample {
+				rows += g.MatchCountIDs(so[0], 0, so[1])
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(10, c.fn); got != 0 {
+			t.Errorf("%s allocates %.1f times over %d objects, want 0", c.name, got, len(sample))
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the sampled objects matched nothing")
+	}
+}
+
 // BenchmarkDictionary measures the dictionary on the terms of the 198k
 // products graph, per operation: interning a term it holds, looking up one
 // it does not, and rebuilding a term from its ID.
@@ -234,4 +308,85 @@ func BenchmarkDictionary(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// objectSample returns n (s, o) pairs of g, spread evenly over the distinct
+// objects in ID order: each object with its first subject.
+func objectSample(g *rdf.Graph, n int) [][2]rdf.ID {
+	var objects []rdf.ID
+	for id := rdf.ID(1); int(id) <= g.TermCount(); id++ {
+		if g.MatchCountIDs(0, 0, id) > 0 {
+			objects = append(objects, id)
+		}
+	}
+	out := make([][2]rdf.ID, 0, n)
+	for i := range n {
+		o := objects[i*len(objects)/n]
+		g.MatchIDs(0, 0, o, func(s, _, _ rdf.ID) bool {
+			out = append(out, [2]rdf.ID{s, o})
+			return false
+		})
+	}
+	return out
+}
+
+// manyPredicates is a graph of 200 000 triples over 1 000 predicates: 10 000
+// subjects with 20 properties each, whose 5 000 values recur under many
+// predicates. An object-only pattern there visits a thousand predicates.
+func manyPredicates() *rdf.Graph {
+	ts := make([]rdf.Triple, 0, 200000)
+	for s := range 10000 {
+		for k := range 20 {
+			ts = append(ts, rdf.Triple{
+				S: rdf.NewIRI(fmt.Sprintf("%ss%d", datagen.ExampleNS, s)),
+				P: rdf.NewIRI(fmt.Sprintf("%sp%d", datagen.ExampleNS, (s*7+k*50)%1000)),
+				O: rdf.NewInteger(int64((s + k*13) % 5000)),
+			})
+		}
+	}
+	g := rdf.NewGraph()
+	g.AddAll(ts)
+	return g
+}
+
+// BenchmarkObjectLookup prices the patterns that bind the object and not the
+// predicate — ?s ?p <o> and <s> ?p <o> — through MatchIDs (enumerating every
+// match) and MatchCountIDs, over 256 sampled objects of the 198k products
+// graph and of a graph with 1 000 predicates.
+func BenchmarkObjectLookup(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		graph func() *rdf.Graph
+	}{
+		{"products-198k", func() *rdf.Graph {
+			g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
+			rdf.Materialize(g)
+			return g
+		}},
+		{"predicates-1000", manyPredicates},
+	} {
+		g := c.graph()
+		sample := objectSample(g, 256)
+		for _, shape := range []struct {
+			name    string
+			subject bool
+			count   bool
+		}{{"match-o", false, false}, {"count-o", false, true}, {"match-so", true, false}, {"count-so", true, true}} {
+			b.Run(c.name+"/"+shape.name, func(b *testing.B) {
+				rows := 0
+				for i := 0; b.Loop(); i++ {
+					var s rdf.ID
+					if shape.subject {
+						s = sample[i%len(sample)][0]
+					}
+					if o := sample[i%len(sample)][1]; shape.count {
+						rows += g.MatchCountIDs(s, 0, o)
+					} else {
+						g.MatchIDs(s, 0, o, func(_, _, _ rdf.ID) bool { rows++; return true })
+					}
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+			})
+		}
+	}
 }
