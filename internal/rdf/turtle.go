@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError reports a syntax error with its position in the input.
@@ -29,6 +30,7 @@ type ttlParser struct {
 	prefixes  map[string]string
 	bnodeSeq  int
 	sink      func(Triple) error
+	bad       error // the first invalid UTF-8 sequence; every read after it fails
 }
 
 // ParseTurtle reads Turtle (or N-Triples) from r and streams each triple to
@@ -43,7 +45,11 @@ func ParseTurtle(r io.Reader, sink func(Triple) error) error {
 	for k, v := range WellKnownPrefixes {
 		p.prefixes[k] = v
 	}
-	return p.parseDocument()
+	err := p.parseDocument()
+	if p.bad != nil {
+		return p.bad
+	}
+	return err
 }
 
 // loadChunk is how many parsed triples LoadTurtle buffers between two AddAll
@@ -97,9 +103,16 @@ func (p *ttlParser) read() (rune, error) {
 		p.advancePos(r)
 		return r, nil
 	}
-	r, _, err := p.r.ReadRune()
+	if p.bad != nil {
+		return 0, p.bad
+	}
+	r, size, err := p.r.ReadRune()
 	if err != nil {
 		return 0, err
+	}
+	if r == utf8.RuneError && size == 1 {
+		p.bad = p.errf("invalid UTF-8")
+		return 0, p.bad
 	}
 	p.advancePos(r)
 	return r, nil
@@ -269,7 +282,7 @@ func (p *ttlParser) parseDirective() error {
 		}
 		p.base = iri
 		if err := p.skipWS(); err != nil {
-			return err
+			return p.errf("unexpected EOF, expected '.'")
 		}
 		return p.expect('.')
 	default:
@@ -292,7 +305,7 @@ func (p *ttlParser) parsePrefixBody(dotTerminated bool) error {
 	p.prefixes[label] = iri
 	if dotTerminated {
 		if err := p.skipWS(); err != nil {
-			return err
+			return p.errf("unexpected EOF, expected '.'")
 		}
 		return p.expect('.')
 	}
@@ -464,6 +477,8 @@ func (p *ttlParser) parseObject() (Term, error) {
 	case r == '"' || r == '\'':
 		return p.parseLiteral()
 	case r == '+' || r == '-' || unicode.IsDigit(r):
+		return p.parseNumber()
+	case r == '.' && len(p.ahead(2)) == 2 && isDecimal(p.ahead(2)[1]):
 		return p.parseNumber()
 	default:
 		if word, ok := p.sniffBoolean(); ok {
@@ -760,12 +775,15 @@ func (p *ttlParser) parseLiteral() (Term, error) {
 			if err != nil {
 				break
 			}
-			if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '-' {
+			if r < utf8.RuneSelf && (unicode.IsLetter(r) || isDecimal(r) || r == '-') {
 				lang.WriteRune(r)
 				continue
 			}
 			p.unread(r)
 			break
+		}
+		if !isLangTag(lang.String()) {
+			return Term{}, p.errf("malformed language tag %q", lang.String())
 		}
 		return NewLangString(value, lang.String()), nil
 	}
@@ -794,49 +812,100 @@ func (p *ttlParser) parseLiteral() (Term, error) {
 	return NewString(value), nil
 }
 
+// parseNumber reads INTEGER, DECIMAL or DOUBLE: [+-]? digits, a fraction
+// when a '.' is followed by a digit (or, after digits, by an exponent), and
+// an exponent [eE][+-]?[0-9]+. A '.' that starts neither ends the statement.
 func (p *ttlParser) parseNumber() (Term, error) {
 	var b strings.Builder
-	sawDot, sawExp := false, false
+	dt := XSDInteger
+	if r, _ := p.peek(); r == '+' || r == '-' {
+		p.read()
+		b.WriteRune(r)
+	}
+	n := p.readDigits(&b)
+	if next := p.ahead(4); len(next) > 1 && next[0] == '.' && (isDecimal(next[1]) || n > 0 && isExponent(next[1:])) {
+		p.read()
+		b.WriteByte('.')
+		dt = XSDDecimal
+		n += p.readDigits(&b)
+	}
+	if n == 0 {
+		return Term{}, p.errf("malformed number")
+	}
+	if next := p.ahead(3); len(next) > 0 && (next[0] == 'e' || next[0] == 'E') {
+		if !isExponent(next) {
+			return Term{}, p.errf("malformed number")
+		}
+		r, _ := p.read()
+		b.WriteRune(r)
+		if r, _ := p.peek(); r == '+' || r == '-' {
+			p.read()
+			b.WriteRune(r)
+		}
+		p.readDigits(&b)
+		dt = XSDDouble
+	}
+	return NewTyped(b.String(), dt), nil
+}
+
+// readDigits consumes [0-9]* into b and returns how many it read.
+func (p *ttlParser) readDigits(b *strings.Builder) int {
+	n := 0
 	for {
+		r, err := p.read()
+		if err != nil {
+			return n
+		}
+		if !isDecimal(r) {
+			p.unread(r)
+			return n
+		}
+		b.WriteRune(r)
+		n++
+	}
+}
+
+// ahead returns up to n runes at the cursor without consuming them.
+func (p *ttlParser) ahead(n int) []rune {
+	var rs []rune
+	for len(rs) < n {
 		r, err := p.read()
 		if err != nil {
 			break
 		}
-		switch {
-		case unicode.IsDigit(r) || r == '+' || r == '-':
-			b.WriteRune(r)
-		case r == '.':
-			// A '.' followed by a non-digit terminates the statement instead.
-			nxt, err2 := p.peek()
-			if err2 != nil || !unicode.IsDigit(nxt) {
-				p.unread(r)
-				return p.finishNumber(b.String(), sawDot, sawExp)
-			}
-			sawDot = true
-			b.WriteRune(r)
-		case r == 'e' || r == 'E':
-			sawExp = true
-			b.WriteRune(r)
-		default:
-			p.unread(r)
-			return p.finishNumber(b.String(), sawDot, sawExp)
-		}
+		rs = append(rs, r)
 	}
-	return p.finishNumber(b.String(), sawDot, sawExp)
+	p.unreadAll(rs)
+	return rs
 }
 
-func (p *ttlParser) finishNumber(lex string, sawDot, sawExp bool) (Term, error) {
-	if lex == "" || lex == "+" || lex == "-" {
-		return Term{}, p.errf("malformed number")
+func isDecimal(r rune) bool { return r >= '0' && r <= '9' }
+
+// isExponent reports whether rs starts with EXPONENT: [eE] [+-]? [0-9].
+func isExponent(rs []rune) bool {
+	if len(rs) < 2 || rs[0] != 'e' && rs[0] != 'E' {
+		return false
 	}
-	switch {
-	case sawExp:
-		return NewTyped(lex, XSDDouble), nil
-	case sawDot:
-		return NewTyped(lex, XSDDecimal), nil
-	default:
-		return NewTyped(lex, XSDInteger), nil
+	if rs[1] == '+' || rs[1] == '-' {
+		rs = rs[1:]
 	}
+	return len(rs) > 1 && isDecimal(rs[1])
+}
+
+// isLangTag reports whether tag matches LANGTAG without its '@':
+// [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*.
+func isLangTag(tag string) bool {
+	for i, sub := range strings.Split(tag, "-") {
+		if sub == "" {
+			return false
+		}
+		for _, r := range sub {
+			if r > unicode.MaxASCII || !unicode.IsLetter(r) && (i == 0 || !isDecimal(r)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (p *ttlParser) parsePrefixedName() (Term, error) {
@@ -846,7 +915,18 @@ func (p *ttlParser) parsePrefixedName() (Term, error) {
 		if err != nil {
 			break
 		}
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(":_-%", r) {
+		if r == '%' {
+			h1, err1 := p.read()
+			h2, err2 := p.read()
+			if err1 != nil || err2 != nil || hexVal(h1) < 0 || hexVal(h2) < 0 {
+				return Term{}, p.errf("'%%' must be followed by two hex digits")
+			}
+			b.WriteRune(r)
+			b.WriteRune(h1)
+			b.WriteRune(h2)
+			continue
+		}
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(":_-", r) {
 			b.WriteRune(r)
 			continue
 		}

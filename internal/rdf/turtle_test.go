@@ -167,18 +167,85 @@ func TestParseEmptyString(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	bad := []string{
-		`<http://e/s> <http://e/p>`,           // missing object and dot
-		`<http://e/s> <http://e/p> "x"`,       // missing dot
-		`ex:a ex:p ex:b .`,                    // undefined prefix
-		`@prefix ex <http://e/> . ex:a a 1 .`, // malformed prefix decl
-		`<http://e/s> <http://e/p> "unterminated .`,
-		`@unknown <x> .`,
+// grammarDoc puts a term in object position on line 2 of a document.
+func grammarDoc(obj string) string {
+	return "@prefix e: <http://e/> .\n<http://e/s> <http://e/p> " + obj + " .\n"
+}
+
+// TestGrammarTerms pins the term each numeric, language-tag and
+// prefixed-name form in object position produces.
+func TestGrammarTerms(t *testing.T) {
+	for _, tc := range []struct {
+		obj  string
+		want Term
+	}{
+		{"12", NewTyped("12", XSDInteger)},
+		{"+5", NewTyped("+5", XSDInteger)},
+		{"-0", NewTyped("-0", XSDInteger)},
+		{"1.5", NewTyped("1.5", XSDDecimal)},
+		{".5", NewTyped(".5", XSDDecimal)},
+		{"+.5", NewTyped("+.5", XSDDecimal)},
+		{"1.e5", NewTyped("1.e5", XSDDouble)},
+		{"-4.2e3", NewTyped("-4.2e3", XSDDouble)},
+		{"1E+3", NewTyped("1E+3", XSDDouble)},
+		{".5e-1", NewTyped(".5e-1", XSDDouble)},
+		{"7.0", NewTyped("7.0", XSDDecimal)},
+		{`"x"@en`, NewLangString("x", "en")},
+		{`"x"@EN-gb-1996`, NewLangString("x", "EN-gb-1996")},
+		{"e:b%20c", NewIRI("http://e/b%20c")},
+		{"e:b.c", NewIRI("http://e/b.c")},
+		{`"\u00e9\U0001F600"`, NewString("\u00e9\U0001F600")},
+		{"true", NewTyped("true", XSDBoolean)},
+	} {
+		g, err := LoadTurtleString(grammarDoc(tc.obj))
+		if err != nil {
+			t.Errorf("%s: %v", tc.obj, err)
+			continue
+		}
+		if got := g.Object(NewIRI("http://e/s"), NewIRI("http://e/p")); got != tc.want || g.Len() != 1 {
+			t.Errorf("%s: got %v (%d triples), want %v", tc.obj, got, g.Len(), tc.want)
+		}
 	}
-	for _, doc := range bad {
-		if _, err := LoadTurtleString(doc); err == nil {
-			t.Errorf("expected parse error for %q", doc)
+}
+
+// TestParseErrors holds documents every loader must reject, each with the
+// line its ParseError names.
+func TestParseErrors(t *testing.T) {
+	for _, tc := range []struct {
+		doc  string
+		line int
+	}{
+		{`<http://e/s> <http://e/p>`, 1},           // missing object and dot
+		{`<http://e/s> <http://e/p> "x"`, 1},       // missing dot
+		{`ex:a ex:p ex:b .`, 1},                    // undefined prefix
+		{`@prefix ex <http://e/> . ex:a a 1 .`, 1}, // malformed prefix decl
+		{`<http://e/s> <http://e/p> "unterminated .`, 1},
+		{`@unknown <x> .`, 1},
+		{"@prefix e: <http://e/>", 1},
+		{"@base <http://e/>\n", 2},
+		{grammarDoc("12-3"), 2},    // INTEGER is [+-]?[0-9]+
+		{grammarDoc("+-5"), 2},     // one sign
+		{grammarDoc("1e"), 2},      // EXPONENT needs digits
+		{grammarDoc("1.5e+"), 2},   // ... after its sign too
+		{grammarDoc("-"), 2},       // a sign alone
+		{grammarDoc(`"x"@`), 2},    // LANGTAG is not empty
+		{grammarDoc(`"x"@1en`), 2}, // and starts with letters
+		{grammarDoc(`"x"@en-`), 2}, // a subtag is not empty
+		{grammarDoc(`"x"@en_US`), 2},
+		{grammarDoc("e:b%zz"), 2}, // PERCENT is '%' HEX HEX
+		{grammarDoc("e:b%2"), 2},
+		{grammarDoc("\"a\xffb\""), 2}, // not UTF-8
+		{grammarDoc("e:b\xc3"), 2},
+		{"<http://e/s> <http://e/p> <http://e/o> . # \xff\n", 1},
+	} {
+		_, err := LoadTurtleString(tc.doc)
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Errorf("%q: error %v (%T), want a *ParseError", tc.doc, err, err)
+			continue
+		}
+		if pe.Line != tc.line {
+			t.Errorf("%q: %v, want line %d", tc.doc, pe, tc.line)
 		}
 	}
 }
