@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"slices"
+	"unsafe"
 )
 
 // ID is a dictionary-encoded term identifier. The zero ID is never assigned
@@ -75,13 +76,13 @@ func (d *Dict) hash(value string, shape uint32) uint64 {
 	return maphash.String(d.seed, value) ^ uint64(shape)*0x9E3779B97F4A7C15
 }
 
-// find returns t's ID when interned, else 0 and the empty slot where it
-// would go.
-func (d *Dict) find(t Term, shape uint32) (ID, int) {
+// find returns the ID of the term with lexical form value and the given
+// shape when interned, else 0 and the empty slot where it would go.
+func (d *Dict) find(value string, shape uint32) (ID, int) {
 	mask := uint64(len(d.table) - 1)
-	p := d.hash(t.Value, shape) & mask
+	p := d.hash(value, shape) & mask
 	for ; d.table[p] != 0; p = (p + 1) & mask {
-		if id := d.table[p]; d.shapeOf[id-1] == shape && d.values[id-1] == t.Value {
+		if id := d.table[p]; d.shapeOf[id-1] == shape && d.values[id-1] == value {
 			return id, int(p)
 		}
 	}
@@ -102,7 +103,10 @@ func (d *Dict) rehash(size int) {
 }
 
 // Intern returns the ID for t, assigning a fresh one if t is new.
-func (d *Dict) Intern(t Term) ID {
+func (d *Dict) Intern(t Term) ID { return d.intern(t.Value, d.shape(t)) }
+
+// shape returns the index of t's shape, adding the shape when it is new.
+func (d *Dict) shape(t Term) uint32 {
 	shape, ok := d.shapeID(t)
 	if !ok {
 		shape = uint32(len(d.shapes))
@@ -110,13 +114,27 @@ func (d *Dict) Intern(t Term) ID {
 		d.shapes = append(d.shapes, key)
 		d.shapeIDs[key] = shape
 	}
-	id, slot := d.find(t, shape)
+	return shape
+}
+
+// internLex is Intern for a term given as its lexical form and shape. The
+// bytes are viewed as a string only to find the term; a new term's form is
+// copied, once, into the string the dictionary keeps.
+func (d *Dict) internLex(value []byte, shape uint32) ID {
+	if id, _ := d.find(unsafe.String(unsafe.SliceData(value), len(value)), shape); id != 0 {
+		return id
+	}
+	return d.intern(string(value), shape)
+}
+
+func (d *Dict) intern(value string, shape uint32) ID {
+	id, slot := d.find(value, shape)
 	if id != 0 {
 		return id
 	}
-	d.values = append(d.values, t.Value)
+	d.values = append(d.values, value)
 	d.shapeOf = append(d.shapeOf, shape)
-	if t.IsLiteral() {
+	if d.shapes[shape].Kind == KindLiteral {
 		d.literals++
 	}
 	id = ID(len(d.values))
@@ -134,7 +152,7 @@ func (d *Dict) Lookup(t Term) (ID, bool) {
 	if !ok {
 		return 0, false
 	}
-	id, _ := d.find(t, shape)
+	id, _ := d.find(t.Value, shape)
 	return id, id != 0
 }
 

@@ -2,14 +2,15 @@ package rdf
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
-// FuzzParseTurtle drives the Turtle reader with arbitrary bytes: any input
-// must produce triples or a parse error, never a panic. The seeds cover
-// prefixes, literals (typed, tagged, escaped, multiline), lists of objects,
-// blank nodes, comments, and malformed fragments.
+// FuzzParseTurtle drives LoadTurtle and the parser it replaced
+// (turtle_ref_test.go) with arbitrary bytes: they must agree on accepting
+// the input and, when they do, on the term of every ID, the triples and the
+// version, never panicking. The seeds cover prefixes, literals (typed,
+// tagged, escaped, multiline), lists of objects, blank nodes, comments,
+// malformed fragments, and the grammar rows of turtle_test.go.
 func FuzzParseTurtle(f *testing.F) {
 	seeds := []string{
 		"<http://e/s> <http://e/p> <http://e/o> .",
@@ -27,17 +28,19 @@ func FuzzParseTurtle(f *testing.F) {
 		"",
 		"\x00\xfe@prefix",
 	}
+	for _, tc := range grammarTerms {
+		seeds = append(seeds, grammarDoc(tc.obj))
+	}
+	for _, tc := range badDocs {
+		seeds = append(seeds, tc.doc)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		n := 0
-		err := ParseTurtle(strings.NewReader(src), func(Triple) error {
-			n++
-			return nil
-		})
-		_ = err
-		_ = n
+		if d := diffLoad(src, false); d != "" {
+			t.Fatal(d)
+		}
 	})
 }
 

@@ -2,8 +2,12 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -22,59 +26,60 @@ func (e *ParseError) Error() string {
 // ttlParser is a recursive-descent parser for the Turtle family. It accepts
 // full Turtle (prefixes, predicate-object lists, blank node property lists,
 // collections, numeric/boolean shorthand) and therefore also plain N-Triples.
+//
+// It scans one byte buffer: buf[off:] is the unread input, and need reads
+// more in fixed chunks behind it, first moving it to the front. A term's
+// lexical form goes onto hold, a stack each parse function truncates once the
+// terms it pushed are emitted. An emitted triple is interned into the graph
+// there and then, subject, predicate, object, so terms get their IDs in
+// emission order; a term the dictionary holds is found from hold's bytes.
 type ttlParser struct {
-	r         *bufio.Reader
-	pushback  []rune // multi-rune unread stack (LIFO)
-	line, col int
+	r         io.Reader
+	buf       []byte
+	off       int
+	eof       bool
+	fail      error // a read error or invalid UTF-8: the load's error
+	line, col int   // the position of buf[0]
 	base      string
 	prefixes  map[string]string
 	bnodeSeq  int
-	sink      func(Triple) error
-	bad       error // the first invalid UTF-8 sequence; every read after it fails
+	hold      []byte
+	g         *Graph
+	shapes    map[string]uint32 // a literal's dictionary shape by its tag
+	keys      []key             // the emitted triples, (s, p, o) of IDs
 }
 
-// ParseTurtle reads Turtle (or N-Triples) from r and streams each triple to
-// sink. Parsing stops at the first syntax error or sink error.
-func ParseTurtle(r io.Reader, sink func(Triple) error) error {
+// pterm is a recognized term: its ID once interned, else its lexical form
+// hold[lo:mid] and, for a literal, its tag hold[mid:hi] — "@" and the
+// language, "^" and the datatype IRI, or nothing for xsd:string.
+type pterm struct {
+	id          ID
+	kind        TermKind
+	lo, mid, hi int
+}
+
+// LoadTurtle parses Turtle (or N-Triples) from r into a new graph. Terms get
+// the dictionary IDs a loop of Add over the document's triples would give
+// them, and the triples go into the graph in one bulk load at the end; a
+// document with a syntax error yields no graph.
+func LoadTurtle(r io.Reader) (*Graph, error) {
 	p := &ttlParser{
-		r:        bufio.NewReaderSize(r, 64<<10),
+		r:        r,
+		buf:      make([]byte, 0, 64<<10),
 		line:     1,
-		prefixes: map[string]string{},
-		sink:     sink,
-	}
-	for k, v := range WellKnownPrefixes {
-		p.prefixes[k] = v
+		prefixes: maps.Clone(WellKnownPrefixes),
+		g:        NewGraph(),
+		shapes:   map[string]uint32{},
 	}
 	err := p.parseDocument()
-	if p.bad != nil {
-		return p.bad
+	if p.fail != nil {
+		err = p.fail
 	}
-	return err
-}
-
-// loadChunk is how many parsed triples LoadTurtle buffers between two AddAll
-// calls: far past maxDelta, so all but a short last chunk are sorted in, while
-// the buffer (168 B a Triple, ≈5 MB) stays small next to the document.
-const loadChunk = 32 << 10
-
-// LoadTurtle parses Turtle from r into a new graph. The triples go in through
-// AddAll in document order, so terms get the dictionary IDs a loop of Add over
-// the document would give them; a document with a syntax error yields no graph.
-func LoadTurtle(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	var chunk []Triple
-	err := ParseTurtle(r, func(t Triple) error {
-		if chunk = append(chunk, t); len(chunk) == loadChunk {
-			g.AddAll(chunk)
-			chunk = chunk[:0]
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
-	g.AddAll(chunk)
-	return g, nil
+	p.g.addKeysLocked(p.keys)
+	return p.g, nil
 }
 
 // LoadTurtleString parses a Turtle document held in a string.
@@ -92,103 +97,178 @@ func MustLoadTurtle(s string) *Graph {
 	return g
 }
 
+// need reports whether n unread bytes are buffered, reading more input when
+// they are not.
+func (p *ttlParser) need(n int) bool {
+	return len(p.buf)-p.off >= n || p.fill(n)
+}
+
+func (p *ttlParser) fill(n int) bool {
+	for len(p.buf)-p.off < n && !p.eof {
+		if p.off > 0 {
+			p.line, p.col = advance(p.line, p.col, p.buf[:p.off])
+			p.buf = p.buf[:copy(p.buf, p.buf[p.off:])]
+			p.off = 0
+		}
+		if len(p.buf) == cap(p.buf) {
+			p.buf = slices.Grow(p.buf, n)
+		}
+		m, err := p.r.Read(p.buf[len(p.buf):cap(p.buf)])
+		p.buf = p.buf[:len(p.buf)+m]
+		if err != nil {
+			p.eof = true
+			if err != io.EOF {
+				p.fail = err
+			}
+		}
+	}
+	return len(p.buf)-p.off >= n
+}
+
+// advance returns the position after b of a position (line, col).
+func advance(line, col int, b []byte) (int, int) {
+	if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+		line, col, b = line+bytes.Count(b, []byte{'\n'}), 0, b[i+1:]
+	}
+	return line, col + utf8.RuneCount(b)
+}
+
 func (p *ttlParser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
+	line, col := advance(p.line, p.col, p.buf[:p.off])
+	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *ttlParser) read() (rune, error) {
-	if n := len(p.pushback); n > 0 {
-		r := p.pushback[n-1]
-		p.pushback = p.pushback[:n-1]
-		p.advancePos(r)
-		return r, nil
+// at returns the byte i past the cursor, or 0 past the end of the input.
+func (p *ttlParser) at(i int) byte {
+	if p.need(i + 1) {
+		return p.buf[p.off+i]
 	}
-	if p.bad != nil {
-		return 0, p.bad
-	}
-	r, size, err := p.r.ReadRune()
-	if err != nil {
-		return 0, err
-	}
-	if r == utf8.RuneError && size == 1 {
-		p.bad = p.errf("invalid UTF-8")
-		return 0, p.bad
-	}
-	p.advancePos(r)
-	return r, nil
+	return 0
 }
 
-func (p *ttlParser) advancePos(r rune) {
-	if r == '\n' {
-		p.line++
-		p.col = 0
-	} else {
-		p.col++
+// runeAt decodes the rune i bytes past the cursor; its width is 0 past the
+// end of the input, and a byte sequence that is not UTF-8 is an error.
+func (p *ttlParser) runeAt(i int) (rune, int, error) {
+	if !p.need(i + 1) {
+		return 0, 0, nil
 	}
+	if c := p.buf[p.off+i]; c < utf8.RuneSelf {
+		return rune(c), 1, nil
+	}
+	p.need(i + utf8.UTFMax)
+	r, w := utf8.DecodeRune(p.buf[p.off+i:])
+	if r == utf8.RuneError && w == 1 {
+		p.off += i
+		p.fail = p.errf("invalid UTF-8")
+		return 0, 0, p.fail
+	}
+	return r, w, nil
 }
 
-func (p *ttlParser) unread(r rune) {
-	if r == '\n' {
-		p.line--
-	} else if p.col > 0 {
-		p.col--
-	}
-	p.pushback = append(p.pushback, r)
+// take moves n bytes from the cursor onto hold.
+func (p *ttlParser) take(n int) {
+	p.hold = append(p.hold, p.buf[p.off:p.off+n]...)
+	p.off += n
 }
 
-// unreadAll pushes back a sequence of runes so they will be re-read in the
-// original order.
-func (p *ttlParser) unreadAll(rs []rune) {
-	for i := len(rs) - 1; i >= 0; i-- {
-		p.unread(rs[i])
+// term returns the term whose lexical form hold has from lo on.
+func (p *ttlParser) term(kind TermKind, lo int) pterm {
+	return pterm{kind: kind, lo: lo, mid: len(p.hold), hi: len(p.hold)}
+}
+
+// constant pushes a term with a fixed lexical form.
+func (p *ttlParser) constant(kind TermKind, value string) pterm {
+	lo := len(p.hold)
+	p.hold = append(p.hold, value...)
+	return p.term(kind, lo)
+}
+
+// typed ends the literal whose lexical form hold has from lo on with a
+// datatype.
+func (p *ttlParser) typed(lo int, datatype string) pterm {
+	mid := len(p.hold)
+	p.hold = append(append(p.hold, '^'), datatype...)
+	return pterm{kind: KindLiteral, lo: lo, mid: mid, hi: len(p.hold)}
+}
+
+// emit keeps the triple (s, pr, o), interning its terms in that order.
+func (p *ttlParser) emit(s, pr, o *pterm) {
+	p.keys = append(p.keys, key{p.intern(s), p.intern(pr), p.intern(o)})
+}
+
+func (p *ttlParser) intern(t *pterm) ID {
+	if t.id == 0 {
+		shape := uint32(t.kind)
+		if t.kind == KindLiteral {
+			shape = p.shape(p.hold[t.mid:t.hi])
+		}
+		t.id = p.g.dict.internLex(p.hold[t.lo:t.mid], shape)
 	}
+	return t.id
+}
+
+// shape returns the dictionary shape of the literals with a tag.
+func (p *ttlParser) shape(tag []byte) uint32 {
+	if s, ok := p.shapes[string(tag)]; ok {
+		return s
+	}
+	t := Term{Kind: KindLiteral, Datatype: XSDString}
+	if len(tag) > 0 && tag[0] == '@' {
+		t.Datatype, t.Lang = RDFLangString, string(tag[1:])
+	} else if len(tag) > 0 {
+		t.Datatype = string(tag[1:])
+	}
+	s := p.g.dict.shape(t)
+	p.shapes[string(tag)] = s
+	return s
 }
 
 // skipWS consumes whitespace and comments; returns io.EOF at end of input.
 func (p *ttlParser) skipWS() error {
+	comment := false
 	for {
-		r, err := p.read()
-		if err != nil {
-			return err
-		}
+		r, w, err := p.runeAt(0)
 		switch {
-		case r == '#':
-			for {
-				r, err = p.read()
-				if err != nil {
-					return err
-				}
-				if r == '\n' {
-					break
-				}
-			}
-		case unicode.IsSpace(r):
-			// keep consuming
-		default:
-			p.unread(r)
+		case err != nil:
+			return err
+		case w == 0:
+			return io.EOF
+		case r == '\n':
+			comment = false
+		case comment || r == '#':
+			comment = true
+		case !unicode.IsSpace(r):
 			return nil
 		}
+		p.off += w
 	}
-}
-
-func (p *ttlParser) peek() (rune, error) {
-	r, err := p.read()
-	if err != nil {
-		return 0, err
-	}
-	p.unread(r)
-	return r, nil
 }
 
 func (p *ttlParser) expect(want rune) error {
-	r, err := p.read()
+	r, w, err := p.runeAt(0)
 	if err != nil {
+		return err
+	}
+	if w == 0 {
 		return p.errf("expected %q, got EOF", want)
 	}
+	p.off += w
 	if r != want {
 		return p.errf("expected %q, got %q", want, r)
 	}
 	return nil
+}
+
+// span returns how many bytes the runes at the cursor that ok accepts take,
+// leaving them unread.
+func (p *ttlParser) span(ok func(rune) bool) (int, error) {
+	for n := 0; ; {
+		r, w, err := p.runeAt(n)
+		if err != nil || w == 0 || !ok(r) {
+			return n, err
+		}
+		n += w
+	}
 }
 
 func (p *ttlParser) parseDocument() error {
@@ -198,165 +278,71 @@ func (p *ttlParser) parseDocument() error {
 		} else if err != nil {
 			return err
 		}
-		r, _ := p.peek()
-		if r == '@' {
-			if err := p.parseDirective(); err != nil {
-				return err
-			}
-			continue
+		var err error
+		switch p.at(0) {
+		case '@':
+			p.off++
+			err = p.parseDirective(true)
+		case 'P', 'p', 'B', 'b':
+			err = p.parseDirective(false)
+		default:
+			err = p.parseTriples()
 		}
-		// SPARQL-style PREFIX/BASE directives (case-insensitive, no dot).
-		if r == 'P' || r == 'p' || r == 'B' || r == 'b' {
-			ok, err := p.trySparqlDirective()
-			if err != nil {
-				return err
-			}
-			if ok {
-				continue
-			}
-		}
-		if err := p.parseTriples(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 }
 
-// trySparqlDirective handles "PREFIX p: <iri>" and "BASE <iri>" without a
-// leading '@'. When the leading word is not a directive keyword it is pushed
-// back and false is returned.
-func (p *ttlParser) trySparqlDirective() (bool, error) {
-	var word []rune
-	for len(word) < 8 {
-		r, err := p.read()
-		if err != nil {
-			break
-		}
-		if !unicode.IsLetter(r) {
-			p.unread(r)
-			break
-		}
-		word = append(word, r)
-	}
-	switch strings.ToLower(string(word)) {
-	case "prefix":
-		if err := p.skipWS(); err != nil {
-			return false, p.errf("unexpected EOF after PREFIX")
-		}
-		return true, p.parsePrefixBody(false)
-	case "base":
-		if err := p.skipWS(); err != nil {
-			return false, p.errf("unexpected EOF after BASE")
-		}
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return false, err
-		}
-		p.base = iri
-		return true, nil
-	}
-	p.unreadAll(word)
-	return false, nil
-}
-
-func (p *ttlParser) parseDirective() error {
-	if err := p.expect('@'); err != nil {
-		return err
-	}
-	word, err := p.readBareWord()
+// parseDirective parses "@prefix" and "@base" (after the '@': dotted) and
+// their SPARQL forms PREFIX and BASE, any case, without the dot. A word that
+// is no directive is an error after an '@' and else starts a statement.
+func (p *ttlParser) parseDirective(dotted bool) error {
+	n, err := p.span(unicode.IsLetter)
 	if err != nil {
 		return err
 	}
-	switch word {
-	case "prefix":
-		if err := p.skipWS(); err != nil {
-			return p.errf("unexpected EOF after @prefix")
-		}
-		return p.parsePrefixBody(true)
-	case "base":
-		if err := p.skipWS(); err != nil {
-			return p.errf("unexpected EOF after @base")
-		}
-		iri, err := p.parseIRIRef()
-		if err != nil {
-			return err
-		}
-		p.base = iri
-		if err := p.skipWS(); err != nil {
-			return p.errf("unexpected EOF, expected '.'")
-		}
-		return p.expect('.')
+	word := p.buf[p.off : p.off+n]
+	kw := "base"
+	switch {
+	case dotted && len(word) == 0:
+		return p.errf("expected word")
+	case dotted && string(word) == "prefix", !dotted && isKeyword(word, "prefix"):
+		kw = "prefix"
+	case dotted && string(word) == "base", !dotted && isKeyword(word, "base"):
+	case dotted:
+		p.off += len(word)
+		return p.errf("unknown directive @%s", p.buf[p.off-len(word):p.off])
 	default:
-		return p.errf("unknown directive @%s", word)
+		return p.parseTriples()
 	}
-}
-
-func (p *ttlParser) parsePrefixBody(dotTerminated bool) error {
-	label, err := p.readPrefixLabel()
-	if err != nil {
-		return err
-	}
+	p.off += len(word)
 	if err := p.skipWS(); err != nil {
-		return p.errf("unexpected EOF in prefix declaration")
+		return p.errf("unexpected EOF after %s", kw)
 	}
-	iri, err := p.parseIRIRef()
-	if err != nil {
-		return err
-	}
-	p.prefixes[label] = iri
-	if dotTerminated {
+	label := ""
+	if kw == "prefix" {
+		if label, err = p.prefixLabel(); err != nil {
+			return err
+		}
 		if err := p.skipWS(); err != nil {
-			return p.errf("unexpected EOF, expected '.'")
+			return p.errf("unexpected EOF in prefix declaration")
 		}
-		return p.expect('.')
 	}
-	return nil
-}
-
-func (p *ttlParser) readBareWord() (string, error) {
-	var b strings.Builder
-	for {
-		r, err := p.read()
-		if err != nil {
-			break
-		}
-		if unicode.IsLetter(r) {
-			b.WriteRune(r)
-			continue
-		}
-		p.unread(r)
-		break
-	}
-	if b.Len() == 0 {
-		return "", p.errf("expected word")
-	}
-	return b.String(), nil
-}
-
-// readPrefixLabel reads "label:" and returns label (may be empty).
-func (p *ttlParser) readPrefixLabel() (string, error) {
-	var b strings.Builder
-	for {
-		r, err := p.read()
-		if err != nil {
-			return "", p.errf("unexpected EOF in prefix label")
-		}
-		if r == ':' {
-			return b.String(), nil
-		}
-		if unicode.IsSpace(r) {
-			return "", p.errf("prefix label must end with ':'")
-		}
-		b.WriteRune(r)
-	}
-}
-
-func (p *ttlParser) parseTriples() error {
-	subj, err := p.parseSubject()
+	lo := len(p.hold)
+	_, err = p.iri()
+	iri := string(p.hold[lo:])
+	p.hold = p.hold[:lo]
 	if err != nil {
 		return err
 	}
-	if err := p.parsePredicateObjectList(subj); err != nil {
-		return err
+	if kw == "prefix" {
+		p.prefixes[label] = iri
+	} else {
+		p.base = iri
+	}
+	if !dotted {
+		return nil
 	}
 	if err := p.skipWS(); err != nil {
 		return p.errf("unexpected EOF, expected '.'")
@@ -364,604 +350,527 @@ func (p *ttlParser) parseTriples() error {
 	return p.expect('.')
 }
 
-func (p *ttlParser) parseSubject() (Term, error) {
-	r, err := p.peek()
-	if err != nil {
-		return Term{}, p.errf("unexpected EOF, expected subject")
+// isKeyword reports whether a run of letters is kw once lowercased. A run
+// the length of kw matches only if it is ASCII; a longer one only if some
+// letters lowercase to ASCII ones (as 'İ' does to 'i').
+func isKeyword(word []byte, kw string) bool {
+	if len(word) == len(kw) {
+		return bytes.EqualFold(word, []byte(kw))
 	}
-	switch r {
+	return utf8.RuneCount(word) == len(kw) && strings.ToLower(string(word)) == kw
+}
+
+// prefixLabel reads "label:" and returns label (may be empty).
+func (p *ttlParser) prefixLabel() (string, error) {
+	n, err := p.span(func(r rune) bool { return r != ':' && !unicode.IsSpace(r) })
+	if err != nil {
+		return "", err
+	}
+	label := string(p.buf[p.off : p.off+n])
+	p.off += n
+	r, w, _ := p.runeAt(0)
+	p.off += w
+	switch {
+	case w == 0:
+		return "", p.errf("unexpected EOF in prefix label")
+	case r != ':':
+		return "", p.errf("prefix label must end with ':'")
+	}
+	return label, nil
+}
+
+func (p *ttlParser) parseTriples() error {
+	lo := len(p.hold)
+	subj, err := p.parseSubject()
+	if err != nil {
+		return err
+	}
+	if err := p.parsePredicateObjectList(&subj); err != nil {
+		return err
+	}
+	p.hold = p.hold[:lo]
+	if err := p.skipWS(); err != nil {
+		return p.errf("unexpected EOF, expected '.'")
+	}
+	return p.expect('.')
+}
+
+func (p *ttlParser) parseSubject() (pterm, error) {
+	switch p.at(0) {
 	case '<':
-		iri, err := p.parseIRIRef()
-		return NewIRI(iri), err
+		return p.iri()
 	case '_':
 		return p.parseBlankLabel()
 	case '[':
 		return p.parseBlankPropertyList()
 	case '(':
 		return p.parseCollection()
-	default:
-		return p.parsePrefixedName()
 	}
+	return p.prefixedName()
 }
 
-func (p *ttlParser) parsePredicateObjectList(subj Term) error {
+func (p *ttlParser) parsePredicateObjectList(subj *pterm) error {
 	for {
 		if err := p.skipWS(); err != nil {
 			return p.errf("unexpected EOF in predicate-object list")
 		}
+		lo := len(p.hold)
 		pred, err := p.parsePredicate()
 		if err != nil {
 			return err
 		}
-		if err := p.parseObjectList(subj, pred); err != nil {
+		if err := p.parseObjectList(subj, &pred); err != nil {
 			return err
 		}
+		p.hold = p.hold[:lo]
 		if err := p.skipWS(); err != nil {
 			return p.errf("unexpected EOF after object list")
 		}
-		r, _ := p.peek()
-		if r != ';' {
+		if p.at(0) != ';' {
 			return nil
 		}
-		p.read()
+		p.off++
 		// Allow trailing ';' before '.' or ']'.
 		if err := p.skipWS(); err != nil {
 			return p.errf("unexpected EOF after ';'")
 		}
-		r, _ = p.peek()
-		if r == '.' || r == ']' {
+		if c := p.at(0); c == '.' || c == ']' {
 			return nil
 		}
 	}
 }
 
-func (p *ttlParser) parsePredicate() (Term, error) {
-	r, err := p.peek()
-	if err != nil {
-		return Term{}, p.errf("unexpected EOF, expected predicate")
-	}
-	if r == '<' {
-		iri, err := p.parseIRIRef()
-		return NewIRI(iri), err
-	}
-	// 'a' keyword (only when followed by whitespace).
-	if r == 'a' {
-		p.read()
-		nxt, err := p.peek()
-		if err != nil || unicode.IsSpace(nxt) {
-			return NewIRI(RDFType), nil
+func (p *ttlParser) parsePredicate() (pterm, error) {
+	switch p.at(0) {
+	case '<':
+		return p.iri()
+	case 'a': // the 'a' keyword, when whitespace or the end of input follows
+		r, w, err := p.runeAt(1)
+		if err != nil {
+			return pterm{}, err
 		}
-		p.unread('a')
+		if w == 0 || unicode.IsSpace(r) {
+			p.off++
+			return p.constant(KindIRI, RDFType), nil
+		}
 	}
-	return p.parsePrefixedName()
+	return p.prefixedName()
 }
 
-func (p *ttlParser) parseObjectList(subj, pred Term) error {
+func (p *ttlParser) parseObjectList(subj, pred *pterm) error {
 	for {
 		if err := p.skipWS(); err != nil {
 			return p.errf("unexpected EOF, expected object")
 		}
+		lo := len(p.hold)
 		obj, err := p.parseObject()
 		if err != nil {
 			return err
 		}
-		if err := p.sink(Triple{subj, pred, obj}); err != nil {
-			return err
-		}
+		p.emit(subj, pred, &obj)
+		p.hold = p.hold[:lo]
 		if err := p.skipWS(); err != nil {
 			return p.errf("unexpected EOF after object")
 		}
-		r, _ := p.peek()
-		if r != ',' {
+		if p.at(0) != ',' {
 			return nil
 		}
-		p.read()
+		p.off++
 	}
 }
 
-func (p *ttlParser) parseObject() (Term, error) {
-	r, err := p.peek()
+func (p *ttlParser) parseObject() (pterm, error) {
+	r, _, err := p.runeAt(0)
 	if err != nil {
-		return Term{}, p.errf("unexpected EOF, expected object")
+		return pterm{}, err
 	}
 	switch {
-	case r == '<':
-		iri, err := p.parseIRIRef()
-		return NewIRI(iri), err
-	case r == '_':
-		return p.parseBlankLabel()
-	case r == '[':
-		return p.parseBlankPropertyList()
-	case r == '(':
-		return p.parseCollection()
+	case r == '<' || r == '_' || r == '[' || r == '(':
+		return p.parseSubject()
 	case r == '"' || r == '\'':
 		return p.parseLiteral()
-	case r == '+' || r == '-' || unicode.IsDigit(r):
+	case r == '+' || r == '-' || unicode.IsDigit(r) || r == '.' && isDecimal(p.at(1)):
 		return p.parseNumber()
-	case r == '.' && len(p.ahead(2)) == 2 && isDecimal(p.ahead(2)[1]):
-		return p.parseNumber()
-	default:
-		if word, ok := p.sniffBoolean(); ok {
-			return NewTyped(word, XSDBoolean), nil
-		}
-		return p.parsePrefixedName()
 	}
-}
-
-// sniffBoolean consumes "true" or "false" when present at the cursor and
-// followed by a delimiter; otherwise it consumes nothing.
-func (p *ttlParser) sniffBoolean() (string, bool) {
-	var consumed []rune
-	for len(consumed) < 6 {
-		r, err := p.read()
+	for _, word := range [...]string{"true", "false"} {
+		if !p.need(len(word)) || string(p.buf[p.off:p.off+len(word)]) != word {
+			continue
+		}
+		// A boolean when a delimiter or the end of input follows.
+		r, w, err := p.runeAt(len(word))
 		if err != nil {
-			break
+			return pterm{}, err
 		}
-		consumed = append(consumed, r)
-		if !unicode.IsLetter(r) {
-			break
-		}
-	}
-	s := string(consumed)
-	for _, word := range []string{"true", "false"} {
-		if s == word {
-			return word, true // literal at EOF
-		}
-		if strings.HasPrefix(s, word) && len(s) == len(word)+1 {
-			tail := rune(s[len(word)])
-			if unicode.IsSpace(tail) || strings.ContainsRune(".;,)]", tail) {
-				p.unread(tail)
-				return word, true
-			}
+		if w == 0 || unicode.IsSpace(r) || strings.ContainsRune(".;,)]", r) {
+			lo := len(p.hold)
+			p.take(len(word))
+			return p.typed(lo, XSDBoolean), nil
 		}
 	}
-	p.unreadAll(consumed)
-	return "", false
+	return p.prefixedName()
 }
 
-func (p *ttlParser) parseIRIRef() (string, error) {
+// iri reads an IRIREF, resolved against the base.
+func (p *ttlParser) iri() (pterm, error) {
+	lo := len(p.hold)
 	if err := p.expect('<'); err != nil {
-		return "", err
+		return pterm{}, err
 	}
-	var b strings.Builder
+	if err := p.text('>', "IRI"); err != nil {
+		return pterm{}, err
+	}
+	p.off++
+	if p.base != "" {
+		iri := ResolveIRI(p.base, string(p.hold[lo:]))
+		p.hold = append(p.hold[:lo], iri...)
+	}
+	return p.term(KindIRI, lo), nil
+}
+
+// text moves input onto hold, decoding escapes, up to the next stop byte,
+// which it leaves unread; the input ending first is an error in the token
+// named what.
+func (p *ttlParser) text(stop byte, what string) error {
 	for {
-		r, err := p.read()
-		if err != nil {
-			return "", p.errf("unterminated IRI")
+		i := p.off
+		for i < len(p.buf) && p.buf[i] != stop && p.buf[i] != '\\' && p.buf[i] < utf8.RuneSelf {
+			i++
 		}
-		switch r {
-		case '>':
-			iri := b.String()
-			if p.base != "" {
-				iri = ResolveIRI(p.base, iri)
+		p.take(i - p.off)
+		r, w, err := p.runeAt(0)
+		switch {
+		case err != nil:
+			return err
+		case w == 0:
+			return p.errf("unterminated %s", what)
+		case r == rune(stop):
+			return nil
+		case r == '\\':
+			p.off++
+			if err := p.escape(); err != nil {
+				return err
 			}
-			return iri, nil
-		case '\\':
-			esc, err := p.readEscape()
-			if err != nil {
-				return "", err
-			}
-			b.WriteRune(esc)
 		default:
-			b.WriteRune(r)
+			p.take(w)
 		}
 	}
 }
 
-func (p *ttlParser) readEscape() (rune, error) {
-	r, err := p.read()
+// escape decodes the escape sequence after a backslash onto hold.
+func (p *ttlParser) escape() error {
+	r, w, err := p.runeAt(0)
 	if err != nil {
-		return 0, p.errf("unterminated escape")
+		return err
 	}
-	switch r {
-	case 't':
-		return '\t', nil
-	case 'n':
-		return '\n', nil
-	case 'r':
-		return '\r', nil
-	case 'b':
-		return '\b', nil
-	case 'f':
-		return '\f', nil
-	case '"':
-		return '"', nil
-	case '\'':
-		return '\'', nil
-	case '\\':
-		return '\\', nil
-	case 'u', 'U':
-		n := 4
-		if r == 'U' {
-			n = 8
-		}
-		var v rune
-		for i := 0; i < n; i++ {
-			h, err := p.read()
-			if err != nil {
-				return 0, p.errf("unterminated unicode escape")
-			}
-			d := hexVal(h)
-			if d < 0 {
-				return 0, p.errf("bad hex digit %q in unicode escape", h)
-			}
-			v = v<<4 | rune(d)
-		}
-		return v, nil
-	default:
-		return 0, p.errf("unknown escape \\%c", r)
+	if w == 0 {
+		return p.errf("unterminated escape")
 	}
+	p.off += w
+	if i := strings.IndexRune("tnrbf\"'\\", r); i >= 0 {
+		p.hold = append(p.hold, "\t\n\r\b\f\"'\\"[i])
+		return nil
+	}
+	n := 4
+	if r == 'U' {
+		n = 8
+	} else if r != 'u' {
+		return p.errf("unknown escape \\%c", r)
+	}
+	var v rune
+	for range n {
+		r, w, _ := p.runeAt(0)
+		if w == 0 {
+			return p.errf("unterminated unicode escape")
+		}
+		p.off += w
+		d := hexVal(r)
+		if d < 0 {
+			return p.errf("bad hex digit %q in unicode escape", r)
+		}
+		v = v<<4 | rune(d)
+	}
+	p.hold = utf8.AppendRune(p.hold, v)
+	return nil
 }
 
 func hexVal(r rune) int {
-	switch {
-	case r >= '0' && r <= '9':
-		return int(r - '0')
-	case r >= 'a' && r <= 'f':
-		return int(r-'a') + 10
-	case r >= 'A' && r <= 'F':
-		return int(r-'A') + 10
+	if 'A' <= r && r <= 'F' {
+		r += 'a' - 'A'
 	}
-	return -1
+	return strings.IndexRune("0123456789abcdef", r)
 }
 
-func (p *ttlParser) parseBlankLabel() (Term, error) {
-	if err := p.expect('_'); err != nil {
-		return Term{}, err
-	}
+// parseBlankLabel, parseBlankPropertyList and parseCollection start at the
+// byte that chose them.
+func (p *ttlParser) parseBlankLabel() (pterm, error) {
+	p.off++ // '_'
 	if err := p.expect(':'); err != nil {
-		return Term{}, err
+		return pterm{}, err
 	}
-	var b strings.Builder
-	for {
-		r, err := p.read()
-		if err != nil {
-			break
-		}
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-			b.WriteRune(r)
-			continue
-		}
-		p.unread(r)
-		break
+	n, err := p.span(func(r rune) bool {
+		return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
+	})
+	if err != nil {
+		return pterm{}, err
 	}
-	if b.Len() == 0 {
-		return Term{}, p.errf("empty blank node label")
+	if n == 0 {
+		return pterm{}, p.errf("empty blank node label")
 	}
-	return NewBlank(b.String()), nil
+	lo := len(p.hold)
+	p.take(n)
+	return p.term(KindBlank, lo), nil
 }
 
-func (p *ttlParser) freshBlank() Term {
+func (p *ttlParser) freshBlank() pterm {
 	p.bnodeSeq++
-	return NewBlank(fmt.Sprintf("genid%d", p.bnodeSeq))
+	lo := len(p.hold)
+	p.hold = strconv.AppendInt(append(p.hold, "genid"...), int64(p.bnodeSeq), 10)
+	return p.term(KindBlank, lo)
 }
 
-func (p *ttlParser) parseBlankPropertyList() (Term, error) {
-	if err := p.expect('['); err != nil {
-		return Term{}, err
-	}
+func (p *ttlParser) parseBlankPropertyList() (pterm, error) {
+	p.off++ // '['
 	node := p.freshBlank()
 	if err := p.skipWS(); err != nil {
-		return Term{}, p.errf("unterminated blank node property list")
+		return pterm{}, p.errf("unterminated blank node property list")
 	}
-	if r, _ := p.peek(); r == ']' {
-		p.read()
+	if p.at(0) == ']' {
+		p.off++
 		return node, nil
 	}
-	if err := p.parsePredicateObjectList(node); err != nil {
-		return Term{}, err
+	if err := p.parsePredicateObjectList(&node); err != nil {
+		return pterm{}, err
 	}
 	if err := p.skipWS(); err != nil {
-		return Term{}, p.errf("unterminated blank node property list")
+		return pterm{}, p.errf("unterminated blank node property list")
 	}
 	return node, p.expect(']')
 }
 
-func (p *ttlParser) parseCollection() (Term, error) {
-	if err := p.expect('('); err != nil {
-		return Term{}, err
-	}
-	var items []Term
+// parseCollection reads "( items )". Its list triples are emitted once the
+// ')' is read, after those of any blank node property list among the items.
+func (p *ttlParser) parseCollection() (pterm, error) {
+	p.off++ // '('
+	var items []pterm
 	for {
 		if err := p.skipWS(); err != nil {
-			return Term{}, p.errf("unterminated collection")
+			return pterm{}, p.errf("unterminated collection")
 		}
-		if r, _ := p.peek(); r == ')' {
-			p.read()
+		if p.at(0) == ')' {
+			p.off++
 			break
 		}
 		item, err := p.parseObject()
 		if err != nil {
-			return Term{}, err
+			return pterm{}, err
 		}
 		items = append(items, item)
 	}
 	if len(items) == 0 {
-		return NewIRI(RDFNil), nil
+		return p.constant(KindIRI, RDFNil), nil
 	}
+	first, rest, nilList := p.constant(KindIRI, RDFFirst), p.constant(KindIRI, RDFRest), p.constant(KindIRI, RDFNil)
 	head := p.freshBlank()
 	cur := head
-	for i, item := range items {
-		if err := p.sink(Triple{cur, NewIRI(RDFFirst), item}); err != nil {
-			return Term{}, err
+	for i := range items {
+		p.emit(&cur, &first, &items[i])
+		next := nilList
+		if i < len(items)-1 {
+			next = p.freshBlank()
 		}
-		var rest Term
-		if i == len(items)-1 {
-			rest = NewIRI(RDFNil)
-		} else {
-			rest = p.freshBlank()
-		}
-		if err := p.sink(Triple{cur, NewIRI(RDFRest), rest}); err != nil {
-			return Term{}, err
-		}
-		cur = rest
+		p.emit(&cur, &rest, &next)
+		cur = next
 	}
 	return head, nil
 }
 
-func (p *ttlParser) parseLiteral() (Term, error) {
-	quote, err := p.read()
-	if err != nil {
-		return Term{}, p.errf("expected literal")
+func (p *ttlParser) parseLiteral() (pterm, error) {
+	quote := p.buf[p.off]
+	long := p.need(3) && p.buf[p.off+1] == quote && p.buf[p.off+2] == quote
+	if long {
+		p.off += 3
+	} else {
+		p.off++
 	}
-	long := false
-	// Detect long quotes (""" or ''').
-	if r1, err1 := p.read(); err1 == nil {
-		if r1 == quote {
-			if r2, err2 := p.read(); err2 == nil {
-				if r2 == quote {
-					long = true
-				} else {
-					p.unread(r2)
-					p.unread(r1)
-				}
-			} else {
-				// "" at EOF is the empty string literal.
-				return NewString(""), nil
-			}
-		} else {
-			p.unread(r1)
-		}
-	}
-	var b strings.Builder
+	lo := len(p.hold)
 	for {
-		r, err := p.read()
-		if err != nil {
-			return Term{}, p.errf("unterminated string literal")
+		if err := p.text(quote, "string literal"); err != nil {
+			return pterm{}, err
 		}
-		if r == quote {
-			if !long {
-				break
-			}
-			r2, err2 := p.read()
-			if err2 != nil {
-				return Term{}, p.errf("unterminated long string literal")
-			}
-			if r2 == quote {
-				r3, err3 := p.read()
-				if err3 != nil {
-					return Term{}, p.errf("unterminated long string literal")
-				}
-				if r3 == quote {
-					break
-				}
-				b.WriteRune(r)
-				b.WriteRune(r2)
-				p.unread(r3)
-				continue
-			}
-			b.WriteRune(r)
-			p.unread(r2)
-			continue
-		}
-		if r == '\\' {
-			esc, err := p.readEscape()
-			if err != nil {
-				return Term{}, err
-			}
-			b.WriteRune(esc)
-			continue
-		}
-		b.WriteRune(r)
-	}
-	value := b.String()
-	// Optional @lang or ^^datatype suffix.
-	r, err := p.peek()
-	if err == nil && r == '@' {
-		p.read()
-		var lang strings.Builder
-		for {
-			r, err := p.read()
-			if err != nil {
-				break
-			}
-			if r < utf8.RuneSelf && (unicode.IsLetter(r) || isDecimal(r) || r == '-') {
-				lang.WriteRune(r)
-				continue
-			}
-			p.unread(r)
+		if !long {
+			p.off++
 			break
 		}
-		if !isLangTag(lang.String()) {
-			return Term{}, p.errf("malformed language tag %q", lang.String())
+		if p.need(3) && p.buf[p.off+1] == quote && p.buf[p.off+2] == quote {
+			p.off += 3
+			break
 		}
-		return NewLangString(value, lang.String()), nil
+		if !p.need(2) {
+			p.off++
+			return pterm{}, p.errf("unterminated long string literal")
+		}
+		p.take(1)
 	}
-	if err == nil && r == '^' {
-		p.read()
+	// Optional @lang or ^^datatype suffix.
+	mid := len(p.hold)
+	switch p.at(0) {
+	case '@':
+		p.off++
+		n := 0
+		for c := p.at(0); c == '-' || isDecimal(c) || 'a' <= c|0x20 && c|0x20 <= 'z'; c = p.at(n) {
+			n++
+		}
+		if !isLangTag(p.buf[p.off : p.off+n]) {
+			p.off += n
+			return pterm{}, p.errf("malformed language tag %q", p.buf[p.off-n:p.off])
+		}
+		p.hold = append(p.hold, '@')
+		p.take(n)
+	case '^':
+		p.off++
 		if err := p.expect('^'); err != nil {
-			return Term{}, err
+			return pterm{}, err
 		}
-		r, err := p.peek()
-		if err != nil {
-			return Term{}, p.errf("expected datatype after '^^'")
+		if !p.need(1) {
+			return pterm{}, p.errf("expected datatype after '^^'")
 		}
-		if r == '<' {
-			dt, err := p.parseIRIRef()
-			if err != nil {
-				return Term{}, err
-			}
-			return NewTyped(value, dt), nil
+		p.hold = append(p.hold, '^')
+		datatype := p.prefixedName
+		if p.at(0) == '<' {
+			datatype = p.iri
 		}
-		dt, err := p.parsePrefixedName()
-		if err != nil {
-			return Term{}, err
+		if _, err := datatype(); err != nil {
+			return pterm{}, err
 		}
-		return NewTyped(value, dt.Value), nil
 	}
-	return NewString(value), nil
+	return pterm{kind: KindLiteral, lo: lo, mid: mid, hi: len(p.hold)}, nil
 }
+
+// isLangTag reports whether tag matches LANGTAG without its '@':
+// [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*; tag holds only ASCII letters, digits and '-'.
+func isLangTag(tag []byte) bool {
+	first := bytes.IndexByte(tag, '-')
+	if first < 0 {
+		first = len(tag)
+	}
+	return first > 0 && !bytes.ContainsAny(tag[:first], "0123456789") &&
+		tag[len(tag)-1] != '-' && !bytes.Contains(tag, []byte("--"))
+}
+
+func isDecimal(c byte) bool { return '0' <= c && c <= '9' }
 
 // parseNumber reads INTEGER, DECIMAL or DOUBLE: [+-]? digits, a fraction
 // when a '.' is followed by a digit (or, after digits, by an exponent), and
 // an exponent [eE][+-]?[0-9]+. A '.' that starts neither ends the statement.
-func (p *ttlParser) parseNumber() (Term, error) {
-	var b strings.Builder
-	dt := XSDInteger
-	if r, _ := p.peek(); r == '+' || r == '-' {
-		p.read()
-		b.WriteRune(r)
+func (p *ttlParser) parseNumber() (pterm, error) {
+	lo, datatype := len(p.hold), XSDInteger
+	if c := p.at(0); c == '+' || c == '-' {
+		p.take(1)
 	}
-	n := p.readDigits(&b)
-	if next := p.ahead(4); len(next) > 1 && next[0] == '.' && (isDecimal(next[1]) || n > 0 && isExponent(next[1:])) {
-		p.read()
-		b.WriteByte('.')
-		dt = XSDDecimal
-		n += p.readDigits(&b)
+	n := p.digits()
+	if p.at(0) == '.' && (isDecimal(p.at(1)) || n > 0 && p.exponent(1)) {
+		p.take(1)
+		datatype = XSDDecimal
+		n += p.digits()
 	}
 	if n == 0 {
-		return Term{}, p.errf("malformed number")
+		return pterm{}, p.errf("malformed number")
 	}
-	if next := p.ahead(3); len(next) > 0 && (next[0] == 'e' || next[0] == 'E') {
-		if !isExponent(next) {
-			return Term{}, p.errf("malformed number")
+	if c := p.at(0); c == 'e' || c == 'E' {
+		if !p.exponent(0) {
+			return pterm{}, p.errf("malformed number")
 		}
-		r, _ := p.read()
-		b.WriteRune(r)
-		if r, _ := p.peek(); r == '+' || r == '-' {
-			p.read()
-			b.WriteRune(r)
+		p.take(1)
+		if c := p.at(0); c == '+' || c == '-' {
+			p.take(1)
 		}
-		p.readDigits(&b)
-		dt = XSDDouble
+		p.digits()
+		datatype = XSDDouble
 	}
-	return NewTyped(b.String(), dt), nil
+	return p.typed(lo, datatype), nil
 }
 
-// readDigits consumes [0-9]* into b and returns how many it read.
-func (p *ttlParser) readDigits(b *strings.Builder) int {
+// digits moves [0-9]* onto hold and returns how many it moved.
+func (p *ttlParser) digits() int {
 	n := 0
-	for {
-		r, err := p.read()
-		if err != nil {
-			return n
-		}
-		if !isDecimal(r) {
-			p.unread(r)
-			return n
-		}
-		b.WriteRune(r)
-		n++
+	for ; isDecimal(p.at(0)); n++ {
+		p.take(1)
 	}
+	return n
 }
 
-// ahead returns up to n runes at the cursor without consuming them.
-func (p *ttlParser) ahead(n int) []rune {
-	var rs []rune
-	for len(rs) < n {
-		r, err := p.read()
-		if err != nil {
-			break
-		}
-		rs = append(rs, r)
-	}
-	p.unreadAll(rs)
-	return rs
-}
-
-func isDecimal(r rune) bool { return r >= '0' && r <= '9' }
-
-// isExponent reports whether rs starts with EXPONENT: [eE] [+-]? [0-9].
-func isExponent(rs []rune) bool {
-	if len(rs) < 2 || rs[0] != 'e' && rs[0] != 'E' {
+// exponent reports whether [eE] [+-]? [0-9] starts i bytes past the cursor.
+func (p *ttlParser) exponent(i int) bool {
+	if c := p.at(i); c != 'e' && c != 'E' {
 		return false
 	}
-	if rs[1] == '+' || rs[1] == '-' {
-		rs = rs[1:]
+	if c := p.at(i + 1); c == '+' || c == '-' {
+		i++
 	}
-	return len(rs) > 1 && isDecimal(rs[1])
+	return isDecimal(p.at(i + 1))
 }
 
-// isLangTag reports whether tag matches LANGTAG without its '@':
-// [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*.
-func isLangTag(tag string) bool {
-	for i, sub := range strings.Split(tag, "-") {
-		if sub == "" {
-			return false
-		}
-		for _, r := range sub {
-			if r > unicode.MaxASCII || !unicode.IsLetter(r) && (i == 0 || !isDecimal(r)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (p *ttlParser) parsePrefixedName() (Term, error) {
-	var b strings.Builder
+// prefixedName reads a prefixed name as the IRI it stands for. The name
+// stays unread in the buffer until its end is found.
+func (p *ttlParser) prefixedName() (pterm, error) {
+	n, colon := 0, -1
 	for {
-		r, err := p.read()
+		r, w, err := p.runeAt(n)
 		if err != nil {
-			break
+			return pterm{}, err
 		}
-		if r == '%' {
-			h1, err1 := p.read()
-			h2, err2 := p.read()
-			if err1 != nil || err2 != nil || hexVal(h1) < 0 || hexVal(h2) < 0 {
-				return Term{}, p.errf("'%%' must be followed by two hex digits")
+		if r == '%' && w > 0 {
+			if hexVal(rune(p.at(n+1))) < 0 || hexVal(rune(p.at(n+2))) < 0 {
+				p.off += n + 1
+				for range 2 {
+					_, w, _ := p.runeAt(0)
+					p.off += w
+				}
+				return pterm{}, p.errf("'%%' must be followed by two hex digits")
 			}
-			b.WriteRune(r)
-			b.WriteRune(h1)
-			b.WriteRune(h2)
+			n += 3
 			continue
 		}
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(":_-", r) {
-			b.WriteRune(r)
+		if r == ':' && colon < 0 {
+			colon = n
+		}
+		if w > 0 && (unicode.IsLetter(r) || unicode.IsDigit(r) || strings.ContainsRune(":_-", r)) {
+			n += w
 			continue
 		}
 		// A dot inside a pname is allowed only when followed by a name char;
 		// a trailing dot terminates the statement instead.
-		if r == '.' {
-			nxt, err2 := p.peek()
-			if err2 == nil && (unicode.IsLetter(nxt) || unicode.IsDigit(nxt) || nxt == '_') {
-				b.WriteRune(r)
+		if r == '.' && w > 0 {
+			next, _, err := p.runeAt(n + 1)
+			if err != nil {
+				return pterm{}, err
+			}
+			if unicode.IsLetter(next) || unicode.IsDigit(next) || next == '_' {
+				n++
 				continue
 			}
-			p.unread(r)
-			break
 		}
-		p.unread(r)
 		break
 	}
-	pname := b.String()
-	if pname == "" {
-		r, err := p.peek()
-		if err != nil {
-			return Term{}, p.errf("expected term, got EOF")
+	name := p.buf[p.off : p.off+n]
+	if n == 0 {
+		r, w, _ := p.runeAt(0)
+		if w == 0 {
+			return pterm{}, p.errf("expected term, got EOF")
 		}
-		return Term{}, p.errf("expected term, got %q", r)
+		return pterm{}, p.errf("expected term, got %q", r)
 	}
-	i := strings.IndexByte(pname, ':')
-	if i < 0 {
-		return Term{}, p.errf("expected ':' in prefixed name %q", pname)
+	p.off += n
+	if colon < 0 {
+		return pterm{}, p.errf("expected ':' in prefixed name %q", name)
 	}
-	prefix, local := pname[:i], pname[i+1:]
-	ns, ok := p.prefixes[prefix]
+	ns, ok := p.prefixes[string(name[:colon])]
 	if !ok {
-		return Term{}, p.errf("undefined prefix %q", prefix)
+		return pterm{}, p.errf("undefined prefix %q", name[:colon])
 	}
-	return NewIRI(ns + local), nil
+	lo := len(p.hold)
+	p.hold = append(append(p.hold, ns...), name[colon+1:]...)
+	return p.term(KindIRI, lo), nil
 }
 
 // WriteNTriples serializes the graph as sorted N-Triples.
@@ -993,7 +902,7 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 	for k := range all {
 		labels = append(labels, k)
 	}
-	sortStrings(labels)
+	slices.Sort(labels)
 	for _, l := range labels {
 		fmt.Fprintf(bw, "@prefix %s: <%s> .\n", l, all[l])
 	}
@@ -1049,12 +958,4 @@ func isPNLocal(s string) bool {
 		}
 	}
 	return true
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -172,31 +172,33 @@ func grammarDoc(obj string) string {
 	return "@prefix e: <http://e/> .\n<http://e/s> <http://e/p> " + obj + " .\n"
 }
 
-// TestGrammarTerms pins the term each numeric, language-tag and
-// prefixed-name form in object position produces.
+// grammarTerms pins the term each numeric, language-tag and prefixed-name
+// form in object position produces.
+var grammarTerms = []struct {
+	obj  string
+	want Term
+}{
+	{"12", NewTyped("12", XSDInteger)},
+	{"+5", NewTyped("+5", XSDInteger)},
+	{"-0", NewTyped("-0", XSDInteger)},
+	{"1.5", NewTyped("1.5", XSDDecimal)},
+	{".5", NewTyped(".5", XSDDecimal)},
+	{"+.5", NewTyped("+.5", XSDDecimal)},
+	{"1.e5", NewTyped("1.e5", XSDDouble)},
+	{"-4.2e3", NewTyped("-4.2e3", XSDDouble)},
+	{"1E+3", NewTyped("1E+3", XSDDouble)},
+	{".5e-1", NewTyped(".5e-1", XSDDouble)},
+	{"7.0", NewTyped("7.0", XSDDecimal)},
+	{`"x"@en`, NewLangString("x", "en")},
+	{`"x"@EN-gb-1996`, NewLangString("x", "EN-gb-1996")},
+	{"e:b%20c", NewIRI("http://e/b%20c")},
+	{"e:b.c", NewIRI("http://e/b.c")},
+	{`"\u00e9\U0001F600"`, NewString("\u00e9\U0001F600")},
+	{"true", NewTyped("true", XSDBoolean)},
+}
+
 func TestGrammarTerms(t *testing.T) {
-	for _, tc := range []struct {
-		obj  string
-		want Term
-	}{
-		{"12", NewTyped("12", XSDInteger)},
-		{"+5", NewTyped("+5", XSDInteger)},
-		{"-0", NewTyped("-0", XSDInteger)},
-		{"1.5", NewTyped("1.5", XSDDecimal)},
-		{".5", NewTyped(".5", XSDDecimal)},
-		{"+.5", NewTyped("+.5", XSDDecimal)},
-		{"1.e5", NewTyped("1.e5", XSDDouble)},
-		{"-4.2e3", NewTyped("-4.2e3", XSDDouble)},
-		{"1E+3", NewTyped("1E+3", XSDDouble)},
-		{".5e-1", NewTyped(".5e-1", XSDDouble)},
-		{"7.0", NewTyped("7.0", XSDDecimal)},
-		{`"x"@en`, NewLangString("x", "en")},
-		{`"x"@EN-gb-1996`, NewLangString("x", "EN-gb-1996")},
-		{"e:b%20c", NewIRI("http://e/b%20c")},
-		{"e:b.c", NewIRI("http://e/b.c")},
-		{`"\u00e9\U0001F600"`, NewString("\u00e9\U0001F600")},
-		{"true", NewTyped("true", XSDBoolean)},
-	} {
+	for _, tc := range grammarTerms {
 		g, err := LoadTurtleString(grammarDoc(tc.obj))
 		if err != nil {
 			t.Errorf("%s: %v", tc.obj, err)
@@ -208,36 +210,38 @@ func TestGrammarTerms(t *testing.T) {
 	}
 }
 
-// TestParseErrors holds documents every loader must reject, each with the
-// line its ParseError names.
+// badDocs are documents every loader must reject, each with the line its
+// ParseError names.
+var badDocs = []struct {
+	doc  string
+	line int
+}{
+	{`<http://e/s> <http://e/p>`, 1},           // missing object and dot
+	{`<http://e/s> <http://e/p> "x"`, 1},       // missing dot
+	{`ex:a ex:p ex:b .`, 1},                    // undefined prefix
+	{`@prefix ex <http://e/> . ex:a a 1 .`, 1}, // malformed prefix decl
+	{`<http://e/s> <http://e/p> "unterminated .`, 1},
+	{`@unknown <x> .`, 1},
+	{"@prefix e: <http://e/>", 1},
+	{"@base <http://e/>\n", 2},
+	{grammarDoc("12-3"), 2},    // INTEGER is [+-]?[0-9]+
+	{grammarDoc("+-5"), 2},     // one sign
+	{grammarDoc("1e"), 2},      // EXPONENT needs digits
+	{grammarDoc("1.5e+"), 2},   // ... after its sign too
+	{grammarDoc("-"), 2},       // a sign alone
+	{grammarDoc(`"x"@`), 2},    // LANGTAG is not empty
+	{grammarDoc(`"x"@1en`), 2}, // and starts with letters
+	{grammarDoc(`"x"@en-`), 2}, // a subtag is not empty
+	{grammarDoc(`"x"@en_US`), 2},
+	{grammarDoc("e:b%zz"), 2}, // PERCENT is '%' HEX HEX
+	{grammarDoc("e:b%2"), 2},
+	{grammarDoc("\"a\xffb\""), 2}, // not UTF-8
+	{grammarDoc("e:b\xc3"), 2},
+	{"<http://e/s> <http://e/p> <http://e/o> . # \xff\n", 1},
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, tc := range []struct {
-		doc  string
-		line int
-	}{
-		{`<http://e/s> <http://e/p>`, 1},           // missing object and dot
-		{`<http://e/s> <http://e/p> "x"`, 1},       // missing dot
-		{`ex:a ex:p ex:b .`, 1},                    // undefined prefix
-		{`@prefix ex <http://e/> . ex:a a 1 .`, 1}, // malformed prefix decl
-		{`<http://e/s> <http://e/p> "unterminated .`, 1},
-		{`@unknown <x> .`, 1},
-		{"@prefix e: <http://e/>", 1},
-		{"@base <http://e/>\n", 2},
-		{grammarDoc("12-3"), 2},    // INTEGER is [+-]?[0-9]+
-		{grammarDoc("+-5"), 2},     // one sign
-		{grammarDoc("1e"), 2},      // EXPONENT needs digits
-		{grammarDoc("1.5e+"), 2},   // ... after its sign too
-		{grammarDoc("-"), 2},       // a sign alone
-		{grammarDoc(`"x"@`), 2},    // LANGTAG is not empty
-		{grammarDoc(`"x"@1en`), 2}, // and starts with letters
-		{grammarDoc(`"x"@en-`), 2}, // a subtag is not empty
-		{grammarDoc(`"x"@en_US`), 2},
-		{grammarDoc("e:b%zz"), 2}, // PERCENT is '%' HEX HEX
-		{grammarDoc("e:b%2"), 2},
-		{grammarDoc("\"a\xffb\""), 2}, // not UTF-8
-		{grammarDoc("e:b\xc3"), 2},
-		{"<http://e/s> <http://e/p> <http://e/o> . # \xff\n", 1},
-	} {
+	for _, tc := range badDocs {
 		_, err := LoadTurtleString(tc.doc)
 		pe, ok := err.(*ParseError)
 		if !ok {
@@ -303,43 +307,5 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 	if g2.Len() != g.Len() {
 		t.Fatalf("roundtrip Len = %d, want %d", g2.Len(), g.Len())
-	}
-}
-
-func TestParseStreamingSinkError(t *testing.T) {
-	doc := `<http://e/a> <http://e/p> <http://e/b> .
-<http://e/c> <http://e/p> <http://e/d> .`
-	n := 0
-	err := ParseTurtle(strings.NewReader(doc), func(Triple) error {
-		n++
-		return errStop
-	})
-	if err != errStop {
-		t.Fatalf("sink error not propagated: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("sink called %d times, want 1", n)
-	}
-}
-
-var errStop = &ParseError{Msg: "stop"}
-
-func BenchmarkParseTurtle(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("@prefix ex: <http://ex.org/> .\n")
-	for i := 0; i < 1000; i++ {
-		sb.WriteString("ex:s")
-		sb.WriteString(string(rune('a' + i%26)))
-		sb.WriteString(" ex:p ")
-		sb.WriteString(`"value" .`)
-		sb.WriteString("\n")
-	}
-	doc := sb.String()
-	b.SetBytes(int64(len(doc)))
-	b.ResetTimer()
-	for b.Loop() {
-		if _, err := LoadTurtleString(doc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
