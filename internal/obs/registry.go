@@ -212,31 +212,44 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 // format (version 0.0.4). Families appear in registration order and series
 // in creation order, so the output is deterministic for a fixed sequence of
 // instrument calls.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
+
+// write renders the registry in the Prometheus format or, when open, in the
+// OpenMetrics one (WriteOpenMetrics), which differs in three places: counter
+// metadata drops the _total suffix, histogram bucket lines carry exemplars,
+// and the exposition ends with # EOF.
+func (r *Registry) write(w io.Writer, open bool) error {
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
+	fams := make([]*family, len(r.order))
+	for i, n := range r.order {
 		fams[i] = r.families[n]
 	}
 	r.mu.Unlock()
 	for _, f := range fams {
-		if err := f.write(w); err != nil {
+		if err := f.write(w, open); err != nil {
 			return err
 		}
 	}
-	return nil
+	if !open {
+		return nil
+	}
+	_, err := io.WriteString(w, "# EOF\n")
+	return err
 }
 
-func (f *family) write(w io.Writer) error {
+func (f *family) write(w io.Writer, open bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	meta := f.name
+	if open && (f.kind == kindCounter || f.kind == kindCounterFunc) {
+		meta = strings.TrimSuffix(f.name, "_total") // the samples keep it
+	}
 	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", meta, f.help); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", meta, f.kind); err != nil {
 		return err
 	}
 	if f.kind == kindCounterFunc || f.kind == kindGaugeFunc {
@@ -263,7 +276,7 @@ func (f *family) write(w io.Writer) error {
 				return err
 			}
 		case *Histogram:
-			if err := m.write(w, f.name, key); err != nil {
+			if err := m.write(w, f.name, key, open); err != nil {
 				return err
 			}
 		}
@@ -470,22 +483,28 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-func (h *Histogram) write(w io.Writer, name, key string) error {
+// write renders one histogram series; in OpenMetrics a bucket line ends with
+// the bucket's exemplar, if one was recorded:
+//
+//	name_bucket{le="0.5"} 17 # {trace_id="ab12..."} 0.31 1754650000.123
+func (h *Histogram) write(w io.Writer, name, key string, open bool) error {
 	sep := ""
 	if key != "" {
 		sep = ","
 	}
 	cum := uint64(0)
-	for i, b := range h.bounds {
+	for i := 0; i <= len(h.bounds); i++ {
+		le, exemplar := "+Inf", ""
+		if i < len(h.bounds) {
+			le = formatValue(h.bounds[i])
+		}
+		if open {
+			exemplar = h.exemplarSuffix(i)
+		}
 		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n",
-			name, key, sep, formatValue(b), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d%s\n", name, key, sep, le, cum, exemplar); err != nil {
 			return err
 		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, key, sep, cum); err != nil {
-		return err
 	}
 	suffix := ""
 	if key != "" {
