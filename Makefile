@@ -13,7 +13,8 @@ test:
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
-# BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary and BenchmarkObjectLookup,
+# BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary, BenchmarkObjectLookup
+# and BenchmarkLoadTurtle at 11 200 laptops (the second pattern level keeps every named sub-benchmark and drops 112 000),
 # of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
 # BenchmarkTailSamplerDecision (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
@@ -24,7 +25,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
-	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup' -benchmem -benchtime 1x ./internal/rdf
+	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup|LoadTurtle/(^[a-z]|^11200-)' -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench PropertyFacets -benchmem -benchtime 1x ./internal/facet
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
@@ -81,7 +82,8 @@ durability-smoke:
 	sh scripts/durability-smoke.sh
 
 # fuzz-smoke runs each fuzz target for a short burst — the parsers, the lexer
-# against the rune lexer it replaced, the JSON
+# against the rune lexer it replaced, the Turtle loader against the parser it
+# replaced (acceptance, every ID's term, the triples), the JSON
 # string escaper and the state writer's float formatter against encoding/json,
 # the graph's sorted permutations against the map-of-maps oracle, the term
 # dictionary against the map-and-slice one, the answer cache's key

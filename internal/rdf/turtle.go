@@ -118,7 +118,7 @@ func (p *ttlParser) fill(n int) bool {
 		if err != nil {
 			p.eof = true
 			if err != io.EOF {
-				p.fail = err
+				p.fail = fmt.Errorf("turtle: read: %w", err)
 			}
 		}
 	}
@@ -395,6 +395,8 @@ func (p *ttlParser) parseTriples() error {
 	return p.expect('.')
 }
 
+// parseSubject reads what a subject can be: an IRI, a blank node or a
+// collection. These are also the objects that are not literals.
 func (p *ttlParser) parseSubject() (pterm, error) {
 	switch p.at(0) {
 	case '<':
@@ -705,11 +707,7 @@ func (p *ttlParser) parseLiteral() (pterm, error) {
 			p.off += 3
 			break
 		}
-		if !p.need(2) {
-			p.off++
-			return pterm{}, p.errf("unterminated long string literal")
-		}
-		p.take(1)
+		p.take(1) // a quote inside a long string
 	}
 	// Optional @lang or ^^datatype suffix.
 	mid := len(p.hold)
@@ -822,10 +820,6 @@ func (p *ttlParser) prefixedName() (pterm, error) {
 		if r == '%' && w > 0 {
 			if hexVal(rune(p.at(n+1))) < 0 || hexVal(rune(p.at(n+2))) < 0 {
 				p.off += n + 1
-				for range 2 {
-					_, w, _ := p.runeAt(0)
-					p.off += w
-				}
 				return pterm{}, p.errf("'%%' must be followed by two hex digits")
 			}
 			n += 3

@@ -138,12 +138,14 @@ func peakHeap(fn func()) uint64 {
 	done, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
 		for {
 			peak = max(peak, read())
 			select {
 			case <-done:
 				return
-			case <-time.After(100 * time.Microsecond):
+			case <-tick.C:
 			}
 		}
 	}()
