@@ -155,11 +155,79 @@ func span(ks []key, q key, n int) (lo, hi int) {
 // plus the changes made since the base was last rewritten.
 type index struct {
 	base []key // ascending, no duplicates
+	// dir is SPO's subject directory, nil in POS: dir[s] is the first index
+	// of base whose subject is not below s, so base[dir[s]:dir[s+1]] is
+	// subject s's run, and dir ends one past the largest subject, at
+	// len(base). It is derived from base, kept in step by every write to it
+	// (redirect) and never persisted.
+	dir []uint32
 	// delta holds the pending changes, ascending; dead[i] says delta[i] is a
 	// tombstone for a key in base, otherwise delta[i] is an addition absent
 	// from base. The live set is base minus tombstones plus additions.
 	delta []key
 	dead  []bool
+}
+
+// run returns where subject s's run is in base: found in the directory, not
+// searched for. A subject past the largest has an empty run at the end.
+func (ix *index) run(s ID) (lo, hi int) {
+	if int(s)+1 < len(ix.dir) {
+		return int(ix.dir[s]), int(ix.dir[s+1])
+	}
+	return len(ix.base), len(ix.base)
+}
+
+// baseSpan is span over base. In SPO a bound subject's run comes from the
+// directory, and only the rest of the prefix is searched, inside the run.
+func (ix *index) baseSpan(q key, n int) (lo, hi int) {
+	if n == 0 || ix.dir == nil {
+		return span(ix.base, q, n)
+	}
+	lo, hi = ix.run(q[0])
+	if n > 1 {
+		lo += lowerBound(ix.base[lo:hi], q, n)
+		hi = runEnd(ix.base[:hi], lo, q, n)
+	}
+	return lo, hi
+}
+
+// redirect keeps the subject directory, in the index that has one, in step
+// with changes to base: ks ascending, each an addition unless dead[i] marks
+// it a removal (dead nil: all additions), made since dir was last in step or
+// about to be. Nothing below the lowest changed subject moves; above it every
+// run starts where it did, shifted by the changes below it. So the cost is
+// one pass over dir from the lowest changed subject up, none over base.
+func (ix *index) redirect(ks []key, dead []bool) {
+	if ix.dir == nil || len(ks) == 0 {
+		return
+	}
+	dir := ix.dir
+	if top := int(ks[len(ks)-1][0]) + 2; top > len(dir) {
+		if top > cap(dir) {
+			dir = append(make([]uint32, 0, top+top/16), dir...)
+		}
+		for end := dir[len(dir)-1]; len(dir) < top; { // new subjects start where base ended
+			dir = append(dir, end)
+		}
+	}
+	shift, j := 0, 0
+	for s := int(ks[0][0]) + 1; s < len(dir); s++ {
+		for ; j < len(ks) && int(ks[j][0]) < s; j++ {
+			if dead != nil && dead[j] {
+				shift--
+			} else {
+				shift++
+			}
+		}
+		if j == len(ks) && shift == 0 {
+			break
+		}
+		dir[s] = uint32(int(dir[s]) + shift)
+	}
+	for len(dir) > 1 && dir[len(dir)-2] == dir[len(dir)-1] { // the largest subject's run went
+		dir = dir[:len(dir)-1]
+	}
+	ix.dir = dir
 }
 
 // find returns where k is, or would be inserted, in the sorted keys ks.
@@ -173,13 +241,13 @@ func (ix *index) has(k key) bool {
 	if j, pending := find(ix.delta, k); pending {
 		return !ix.dead[j]
 	}
-	_, ok := find(ix.base, k)
-	return ok
+	lo, hi := ix.baseSpan(k, 3)
+	return lo < hi
 }
 
 // count returns how many live keys share q's first n components.
 func (ix *index) count(q key, n int) int {
-	lo, hi := span(ix.base, q, n)
+	lo, hi := ix.baseSpan(q, n)
 	dlo, dhi := span(ix.delta, q, n)
 	return ix.len(cursor{lo, hi, dlo, dhi})
 }
@@ -206,7 +274,7 @@ func pending(dead []bool) int {
 // triple it stands for under ord, in ascending key order, until fn returns
 // false.
 func (ix *index) scan(ord order, q key, n int, fn func(s, p, o ID) bool) {
-	lo, hi := span(ix.base, q, n)
+	lo, hi := ix.baseSpan(q, n)
 	dlo, dhi := span(ix.delta, q, n)
 	for lo < hi || dlo < dhi {
 		var k key
@@ -276,7 +344,7 @@ func (ix *index) runsOf(x ID, fn func(cursor)) {
 // keys sharing q's first n components, ascending. It steps from one value's
 // run to the next, so the cost follows the number of values.
 func (ix *index) distinct(q key, n int, fn func(ID)) {
-	lo, hi := span(ix.base, q, n)
+	lo, hi := ix.baseSpan(q, n)
 	dlo, dhi := span(ix.delta, q, n)
 	for lo < hi || dlo < dhi {
 		if lo < hi && (dlo == dhi || ix.base[lo][n] <= ix.delta[dlo][n]) {
@@ -308,8 +376,9 @@ func (ix *index) apply(k key, del bool) {
 
 // merge rewrites base as the live set and empties the delta, in place: a
 // forward pass drops the tombstoned keys, then the additions go in (insert).
-// Nothing below the lowest change moves.
+// Nothing below the lowest change moves, in base or in the directory.
 func (ix *index) merge() {
+	ix.redirect(ix.delta, ix.dead)
 	base, adds := ix.base, ix.delta[:0]
 	if slices.Contains(ix.dead, true) {
 		j, w := 0, 0
@@ -399,7 +468,9 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{dict: NewDict(), changed: map[ID]uint64{}}
+	g := &Graph{dict: NewDict(), changed: map[ID]uint64{}}
+	g.ix[spo].dir = []uint32{0}
+	return g
 }
 
 // Len returns the number of triples stored.
@@ -548,6 +619,7 @@ func (g *Graph) load(keys []key) {
 		}
 	}
 	for ord, ks := range [indexed][]key{spo: keys, pos: byPOS} {
+		g.ix[ord].redirect(ks, nil)
 		if len(g.ix[ord].base) == 0 {
 			g.ix[ord].base = ks
 		} else {
@@ -846,7 +918,7 @@ func (g *Graph) Clone() *Graph {
 		floor:   g.floor,
 	}
 	for ord, ix := range g.ix {
-		out.ix[ord] = index{base: slices.Clone(ix.base), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}
+		out.ix[ord] = index{base: slices.Clone(ix.base), dir: slices.Clone(ix.dir), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}
 	}
 	return out
 }

@@ -103,6 +103,26 @@ func (g *Graph) MatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
 	g.matchIDsLocked(s, p, o, fn)
 }
 
+// MatchIDsEach is MatchIDs on each pattern of pats in turn — fn learns which
+// by its index i — under one read lock: a caller with a block of patterns to
+// probe (a join step's input rows) takes the lock once for the block, not
+// once per pattern. Iteration stops once fn returns false. Each pattern
+// probed counts as one scan, as a MatchIDs call does. fn runs under the read
+// lock, as MatchIDs' does.
+func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	i, more := 0, true
+	for ; i < len(pats) && more; i++ {
+		q := &pats[i]
+		g.matchIDsLocked(q[0], q[1], q[2], func(s, p, o ID) bool {
+			more = fn(i, s, p, o)
+			return more
+		})
+	}
+	g.scans.Add(uint64(i))
+}
+
 // accessPath picks the permutation in which the pattern's bound positions
 // form a prefix, and returns the pattern as a key of it with the prefix
 // length. For osp, the shapes (o) and (s, o), that is the order they

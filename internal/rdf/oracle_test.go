@@ -378,6 +378,7 @@ func mustLookup(d *refDict, t Term) ID {
 // same terms in the same order, so their dictionaries assign the same IDs.
 func checkSameGraph(t testing.TB, g *Graph, want *oracleGraph) {
 	t.Helper()
+	checkDirectory(t, g, "oracle check")
 	if g.Len() != len(want.triples) {
 		t.Fatalf("Len = %d, oracle %d", g.Len(), len(want.triples))
 	}
@@ -451,6 +452,37 @@ func checkSameGraph(t testing.TB, g *Graph, want *oracleGraph) {
 	}
 }
 
+// directoryMismatch holds SPO's subject directory to bisection: for every ID
+// up to two past the dictionary's last — absent subjects, empty runs and IDs
+// past the largest subject among them — the run the directory finds must be
+// the span a search of the base array finds, and the directory must end one
+// past the largest subject. It describes the first difference, or returns ""
+// when there is none. The caller holds the read lock or owns the graph.
+func directoryMismatch(g *Graph) string {
+	ix := &g.ix[spo]
+	want := 1
+	if n := len(ix.base); n > 0 {
+		want = int(ix.base[n-1][0]) + 2
+	}
+	if len(ix.dir) != want {
+		return fmt.Sprintf("the directory has %d entries, want %d", len(ix.dir), want)
+	}
+	for s := ID(0); int(s) <= g.dict.Len()+2; s++ {
+		lo, hi := ix.run(s)
+		if wlo, whi := span(ix.base, key{s}, 1); lo != wlo || hi != whi {
+			return fmt.Sprintf("subject %d: the directory finds base[%d:%d], bisection base[%d:%d]", s, lo, hi, wlo, whi)
+		}
+	}
+	return ""
+}
+
+func checkDirectory(t testing.TB, g *Graph, when string) {
+	t.Helper()
+	if msg := directoryMismatch(g); msg != "" {
+		t.Fatalf("%s: %s", when, msg)
+	}
+}
+
 // randomOps is a seeded op stream of n ops.
 func randomOps(seed int64, n int) []byte {
 	ops := make([]byte, 4*n)
@@ -520,6 +552,7 @@ func TestMergeAtEveryDeltaSize(t *testing.T) {
 				t.Fatalf("size %d: %v base is not the sorted live set after merge", size, order(ord))
 			}
 		}
+		checkDirectory(t, g, fmt.Sprintf("merged at %d pending changes", size))
 		if checked(size) {
 			checkSameGraph(t, g, want)
 		}
@@ -533,6 +566,124 @@ func TestMergeAtEveryDeltaSize(t *testing.T) {
 			}
 			checkSameGraph(t, g, want)
 		}
+	}
+}
+
+// TestSubjectDirectory holds SPO's subject directory to bisection
+// (directoryMismatch) through every write to the base array: seeded random
+// Add, Remove and AddAll — batches past maxDelta sorted in — with merges
+// forced at random delta sizes, a clone, which must not share its directory
+// with its source, and a snapshot round trip. Meanwhile two readers check the
+// directory under the read lock and probe subject-bound patterns through
+// MatchIDsEach (run it with -race).
+func TestSubjectDirectory(t *testing.T) {
+	g, want := NewGraph(), newOracleGraph()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if r == 0 {
+					g.mu.RLock()
+					msg := directoryMismatch(g)
+					g.mu.RUnlock()
+					if msg != "" {
+						t.Error(msg)
+						return
+					}
+					continue
+				}
+				pats := [][3]ID{{ID(i%50 + 1), 0, 0}, {ID(i%50 + 2), ID(i%9 + 1), 0}, {ID(i%50 + 3), ID(i%9 + 1), ID(i%40 + 1)}}
+				prev := [3]key{}
+				g.MatchIDsEach(pats, func(j int, s, p, o ID) bool {
+					k := key{s, p, o}
+					if q := pats[j]; s != q[0] || q[1] != 0 && p != q[1] || q[2] != 0 && o != q[2] || prev[j] != (key{}) && prev[j].compare(k) >= 0 {
+						t.Errorf("pattern %v yields %v after %v", q, k, prev[j])
+						return false
+					}
+					prev[j] = k
+					return true
+				})
+			}
+		}(r)
+	}
+	stopped := false
+	stopReaders := func() {
+		if !stopped {
+			stopped = true
+			close(stop)
+			wg.Wait()
+		}
+	}
+	defer stopReaders() // a failing writer leaves no reader behind
+	rng := rand.New(rand.NewSource(12))
+	mergeAt := 1 + rng.Intn(maxDelta)
+	for i := 0; i < 6*maxDelta; i++ {
+		a, b, c := byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))
+		switch op := rng.Intn(100); {
+		case op == 0:
+			batch := bigBatch(a, b, c)
+			for _, tr := range batch {
+				want.add(tr)
+			}
+			g.AddAll(batch)
+		case op < 55:
+			tr := opTriple(a, b, c)
+			if g.Add(tr) != want.add(tr) {
+				t.Fatalf("Add(%v) disagrees with the oracle", tr)
+			}
+		default:
+			tr := opTriple(a, b, c)
+			if g.Remove(tr) != want.remove(tr) {
+				t.Fatalf("Remove(%v) disagrees with the oracle", tr)
+			}
+		}
+		if g.mu.Lock(); len(g.ix[spo].delta) >= mergeAt {
+			for ord := range g.ix {
+				g.ix[ord].merge()
+			}
+			mergeAt = 1 + rng.Intn(maxDelta)
+		}
+		g.mu.Unlock()
+	}
+	stopReaders()
+	checkSameGraph(t, g, want)
+
+	clone := g.Clone()
+	checkDirectory(t, clone, "clone")
+	g.Add(Triple{ex("zzNewest"), ex("p0"), ex("s1")}) // the largest subject ID so far
+	all := clone.Triples()
+	for _, tr := range all {
+		if tr.S == all[0].S {
+			clone.Remove(tr)
+		}
+	}
+	for _, h := range []*Graph{g, clone} {
+		for ord := range h.ix {
+			h.ix[ord].merge()
+		}
+	}
+	checkDirectory(t, g, "source after its clone changed")
+	checkDirectory(t, clone, "clone after its source changed")
+
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDirectory(t, back, "snapshot round trip")
+	if !slices.Equal(back.ix[spo].dir, g.ix[spo].dir) {
+		t.Error("the restored directory differs from its source's")
 	}
 }
 

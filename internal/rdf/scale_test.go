@@ -18,6 +18,7 @@ type scaleReport struct {
 	triples       int
 	loadS         float64 // datagen.Products + rdf.Materialize
 	bytesPerT     float64 // live heap the graph holds, after two GCs
+	dirPerT       float64 // of which SPO's subject directory
 	restoredPerT  float64 // the same for the graph ReadBinary restores from its snapshot
 	matchNsPerT   float64 // predicate-bound Match, per triple yielded
 	addUs, remUs  float64 // one triple of an INSERT DATA-sized batch, delta non-empty
@@ -58,6 +59,7 @@ func measureScale(laptops int) scaleReport {
 	r.loadS = time.Since(start).Seconds()
 	r.triples = g.Len()
 	r.bytesPerT = (float64(liveHeap()) - float64(before)) / float64(r.triples)
+	r.dirPerT = float64(rdf.DirectoryBytes(g)) / float64(r.triples)
 
 	price := rdf.NewIRI(datagen.ExampleNS + "price")
 	var perTriple []float64
@@ -151,6 +153,7 @@ func BenchmarkGraphScale(b *testing.B) {
 			b.ReportMetric(float64(r.triples), "triples")
 			b.ReportMetric(r.loadS, "load-s")
 			b.ReportMetric(r.bytesPerT, "B/triple")
+			b.ReportMetric(r.dirPerT, "dir-B/triple")
 			b.ReportMetric(r.restoredPerT, "restored-B/triple")
 			b.ReportMetric(r.matchNsPerT, "match-ns/triple")
 			b.ReportMetric(r.addUs, "add-µs")
@@ -173,8 +176,8 @@ func TestLiveBytesPerTriple(t *testing.T) {
 		t.Skip("loads 198k triples")
 	}
 	r := measureScale(22400)
-	t.Logf("%d triples: %.1f B/triple (restored %.1f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
-		r.triples, r.bytesPerT, r.restoredPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
+	t.Logf("%d triples: %.1f B/triple (restored %.1f, directory %.2f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
+		r.triples, r.bytesPerT, r.restoredPerT, r.dirPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
 	if r.triples != 197982 {
 		t.Fatalf("datagen drifted: %d triples, want 197982", r.triples)
 	}
@@ -232,35 +235,54 @@ func TestDictReadsDoNotAllocate(t *testing.T) {
 
 // TestObjectLookupsDoNotAllocate pins the object-bound patterns on the 99k
 // products graph: enumerating and counting ?s ?p <o> and <s> ?p <o> over 256
-// sampled objects touches no heap.
+// sampled objects touches no heap. So do their subject-bound siblings <s> <p>
+// ?o and <s> <p> <o>, whose subject run the directory finds, one MatchIDs at
+// a time or all 256 through one MatchIDsEach.
 func TestObjectLookupsDoNotAllocate(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1})
 	sample := objectSample(g, 256)
 	rows := 0
 	count := func(_, _, _ rdf.ID) bool { rows++; return true }
+	subjectBound := make([][3]rdf.ID, len(sample))
+	for i, spo := range sample {
+		subjectBound[i] = [3]rdf.ID{spo[0], spo[1], 0}
+	}
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
 		{"MatchIDs(0, 0, o)", func() {
-			for _, so := range sample {
-				g.MatchIDs(0, 0, so[1], count)
+			for _, spo := range sample {
+				g.MatchIDs(0, 0, spo[2], count)
 			}
 		}},
 		{"MatchCountIDs(0, 0, o)", func() {
-			for _, so := range sample {
-				rows += g.MatchCountIDs(0, 0, so[1])
+			for _, spo := range sample {
+				rows += g.MatchCountIDs(0, 0, spo[2])
 			}
 		}},
 		{"MatchIDs(s, 0, o)", func() {
-			for _, so := range sample {
-				g.MatchIDs(so[0], 0, so[1], count)
+			for _, spo := range sample {
+				g.MatchIDs(spo[0], 0, spo[2], count)
 			}
 		}},
 		{"MatchCountIDs(s, 0, o)", func() {
-			for _, so := range sample {
-				rows += g.MatchCountIDs(so[0], 0, so[1])
+			for _, spo := range sample {
+				rows += g.MatchCountIDs(spo[0], 0, spo[2])
 			}
+		}},
+		{"MatchIDs(s, p, 0)", func() {
+			for _, spo := range sample {
+				g.MatchIDs(spo[0], spo[1], 0, count)
+			}
+		}},
+		{"MatchIDs(s, p, o)", func() {
+			for _, spo := range sample {
+				g.MatchIDs(spo[0], spo[1], spo[2], count)
+			}
+		}},
+		{"MatchIDsEach((s, p, 0) × 256)", func() {
+			g.MatchIDsEach(subjectBound, func(_ int, _, _, _ rdf.ID) bool { rows++; return true })
 		}},
 	} {
 		if got := testing.AllocsPerRun(10, c.fn); got != 0 {
@@ -310,20 +332,20 @@ func BenchmarkDictionary(b *testing.B) {
 	})
 }
 
-// objectSample returns n (s, o) pairs of g, spread evenly over the distinct
-// objects in ID order: each object with its first subject.
-func objectSample(g *rdf.Graph, n int) [][2]rdf.ID {
+// objectSample returns n triples of g, spread evenly over the distinct
+// objects in ID order: each object with its first subject and predicate.
+func objectSample(g *rdf.Graph, n int) [][3]rdf.ID {
 	var objects []rdf.ID
 	for id := rdf.ID(1); int(id) <= g.TermCount(); id++ {
 		if g.MatchCountIDs(0, 0, id) > 0 {
 			objects = append(objects, id)
 		}
 	}
-	out := make([][2]rdf.ID, 0, n)
+	out := make([][3]rdf.ID, 0, n)
 	for i := range n {
 		o := objects[i*len(objects)/n]
-		g.MatchIDs(0, 0, o, func(s, _, _ rdf.ID) bool {
-			out = append(out, [2]rdf.ID{s, o})
+		g.MatchIDs(0, 0, o, func(s, p, _ rdf.ID) bool {
+			out = append(out, [3]rdf.ID{s, p, o})
 			return false
 		})
 	}
@@ -351,8 +373,10 @@ func manyPredicates() *rdf.Graph {
 
 // BenchmarkObjectLookup prices the patterns that bind the object and not the
 // predicate — ?s ?p <o> and <s> ?p <o> — through MatchIDs (enumerating every
-// match) and MatchCountIDs, over 256 sampled objects of the 198k products
-// graph and of a graph with 1 000 predicates.
+// match) and MatchCountIDs, over 256 sampled triples of the 198k products
+// graph and of a graph with 1 000 predicates; and, next to them, the
+// subject-bound patterns <s> <p> ?o and <s> <p> <o>, a subject run the
+// directory finds and a search inside it. None of them allocates.
 func BenchmarkObjectLookup(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -368,21 +392,31 @@ func BenchmarkObjectLookup(b *testing.B) {
 		g := c.graph()
 		sample := objectSample(g, 256)
 		for _, shape := range []struct {
-			name    string
-			subject bool
-			count   bool
-		}{{"match-o", false, false}, {"count-o", false, true}, {"match-so", true, false}, {"count-so", true, true}} {
+			name  string
+			bind  [3]bool // the positions of the sampled triple the pattern binds
+			count bool
+		}{
+			{"match-o", [3]bool{2: true}, false},
+			{"count-o", [3]bool{2: true}, true},
+			{"match-so", [3]bool{0: true, 2: true}, false},
+			{"count-so", [3]bool{0: true, 2: true}, true},
+			{"match-sp", [3]bool{0: true, 1: true}, false},
+			{"match-spo", [3]bool{true, true, true}, false},
+		} {
 			b.Run(c.name+"/"+shape.name, func(b *testing.B) {
+				b.ReportAllocs()
 				rows := 0
 				for i := 0; b.Loop(); i++ {
-					var s rdf.ID
-					if shape.subject {
-						s = sample[i%len(sample)][0]
+					var q [3]rdf.ID
+					for k, bound := range shape.bind {
+						if bound {
+							q[k] = sample[i%len(sample)][k]
+						}
 					}
-					if o := sample[i%len(sample)][1]; shape.count {
-						rows += g.MatchCountIDs(s, 0, o)
+					if shape.count {
+						rows += g.MatchCountIDs(q[0], q[1], q[2])
 					} else {
-						g.MatchIDs(s, 0, o, func(_, _, _ rdf.ID) bool { rows++; return true })
+						g.MatchIDs(q[0], q[1], q[2], func(_, _, _ rdf.ID) bool { rows++; return true })
 					}
 				}
 				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")

@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
@@ -18,10 +20,14 @@ import (
 //     the query.
 //   - Profiling BenchmarkProfileOverhead's query costs at most 30 more than
 //     not profiling it: a node is found by its site and labelled once.
+//   - The stars sum-by-maker and star-filter (BenchmarkJoinStep's shapes, on
+//     its graph) allocate at most 64 KB each: their subject-keyed steps probe
+//     SPO's subject directory, where each used to build a table over all of
+//     its predicate's matches (1.1–1.7 MB a query).
 func TestQueryAllocBudgets(t *testing.T) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
+	rdf.Materialize(g)
 	t.Run("bind-year", func(t *testing.T) {
-		g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
-		rdf.Materialize(g)
 		allocs := func(company int) (float64, int) {
 			q := MustParse(fmt.Sprintf(`PREFIX ex: <http://example.org/products#> SELECT ?y (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ex:Company%d ; ex:releaseDate ?d . BIND(YEAR(?d) AS ?y) } GROUP BY ?y`, company))
 			laptops := 0
@@ -46,6 +52,39 @@ func TestQueryAllocBudgets(t *testing.T) {
 		}
 		if few > 150 || many > 150 || many-few > 10 || few-many > 10 {
 			t.Errorf("bind-year: %v allocations for %d laptops, %v for %d; want ≤ 150 and within 10 of each other", few, fewRows, many, manyRows)
+		}
+	})
+	t.Run("star", func(t *testing.T) {
+		for _, c := range []struct{ name, query string }{
+			{"sum-by-maker", `SELECT ?m (SUM(?p) AS ?s) WHERE { ?l ex:manufacturer ?m ; ex:price ?p } GROUP BY ?m`},
+			{"star-filter", `SELECT ?m (AVG(?p) AS ?a) WHERE { ?l ex:manufacturer ?m ; ex:USBPorts ?u ; ex:price ?p . FILTER(?u >= 2) } GROUP BY ?m`},
+		} {
+			q := MustParse(`PREFIX ex: <http://example.org/products#> ` + c.query)
+			run := func() {
+				if _, err := ExecSelect(g, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warms the block pool
+			// The least of three runs, less, under the race detector, the
+			// blocks the pool had to make (as in TestStepAllocatesItsOutput).
+			alloc := int64(math.MaxInt64)
+			for range 3 {
+				var before, after runtime.MemStats
+				made := blocksMade(func() {
+					runtime.ReadMemStats(&before)
+					run()
+					runtime.ReadMemStats(&after)
+				})
+				if !raceDetector {
+					made = 0
+				}
+				alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc)-int64(made*rowBlockIDs*4))
+			}
+			t.Logf("%s: %d bytes", c.name, alloc)
+			if alloc > 64<<10 {
+				t.Errorf("%s allocates %d bytes a query, want ≤ 64 KB", c.name, alloc)
+			}
 		}
 	})
 	t.Run("parse", func(t *testing.T) {

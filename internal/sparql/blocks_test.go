@@ -23,7 +23,10 @@ import (
 // outputs end on, just before and just after a block edge.
 
 // blockCase is one step-output shape: a set of member hubs — the step's input
-// rows — and how many fan triples each has, the step's output rows.
+// rows — and how many fan triples each has, the step's output rows. An index
+// loop's fan triples have their hub as subject; a hash join's have it as
+// object, since a subject-keyed step with at least as many matches as input
+// rows runs as an index loop through SPO's subject directory instead.
 type blockCase struct {
 	name     string
 	strategy string // the join type the fan step must run as
@@ -32,6 +35,8 @@ type blockCase struct {
 	// count (which picks the strategy) and never reach the output.
 	outsider int
 }
+
+func (c blockCase) hashed() bool { return c.strategy == "hash join" }
 
 func (c blockCase) rows() int {
 	n := 0
@@ -92,7 +97,7 @@ func blockCases(perBlock int) []blockCase {
 }
 
 // blockGraph holds every case under predicates of its own; the cases share
-// the fan triples' objects.
+// the fan triples' leaves.
 func blockGraph(cases []blockCase) *rdf.Graph {
 	total := 0
 	for _, c := range cases {
@@ -108,7 +113,11 @@ func blockGraph(cases []blockCase) *rdf.Graph {
 				if leaf == len(leaves) {
 					leaves = append(leaves, e(fmt.Sprint("leaf", leaf)))
 				}
-				ts = append(ts, rdf.NewTriple(hub, fan, leaves[leaf]))
+				if c.hashed() {
+					ts = append(ts, rdf.NewTriple(leaves[leaf], fan, hub))
+				} else {
+					ts = append(ts, rdf.NewTriple(hub, fan, leaves[leaf]))
+				}
 				leaf++
 			}
 		}
@@ -129,8 +138,12 @@ func blockGraph(cases []blockCase) *rdf.Graph {
 // padding columns. The fan pattern comes first in the text, so textual order
 // (NoReorder) produces the rows from one input row and the cost-based order
 // from the members.
-func blockQuery(width, ci int) string {
-	body := fmt.Sprintf(`?h <http://e/fan%[1]d> ?f . ?h <http://e/in> <http://e/set%[1]d>`, ci)
+func blockQuery(width, ci int, c blockCase) string {
+	fan := fmt.Sprintf(`?h <http://e/fan%d> ?f`, ci)
+	if c.hashed() {
+		fan = fmt.Sprintf(`?f <http://e/fan%d> ?h`, ci)
+	}
+	body := fmt.Sprintf(`%s . ?h <http://e/in> <http://e/set%d>`, fan, ci)
 	if width == 1 {
 		return `SELECT ?h WHERE { ` + body + ` }`
 	}
@@ -178,7 +191,7 @@ func TestStepOutputAcrossBlocks(t *testing.T) {
 		g := blockGraph(cases)
 		sums := map[string]hash.Hash{}
 		for ci, c := range cases {
-			q := MustParse(blockQuery(width, ci))
+			q := MustParse(blockQuery(width, ci, c))
 			if got := selectScope(q).width(); got != width {
 				t.Fatalf("width %d %s: scope is %d wide", width, c.name, got)
 			}
@@ -257,7 +270,7 @@ func TestKilledStepHandsBackItsBlocks(t *testing.T) {
 		if c.name != "several" {
 			continue
 		}
-		q := MustParse(blockQuery(width, ci))
+		q := MustParse(blockQuery(width, ci, c))
 		want, err := ExecSelect(g, q)
 		if err != nil {
 			t.Fatal(err)

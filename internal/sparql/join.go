@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"time"
 
 	"rdfanalytics/internal/fault"
@@ -250,38 +251,13 @@ func (sf *stepFilter) sieve(w *rowWriter, all bool) {
 // are returned in the writer's blocks, or go to the fold, which leaves the
 // writer empty.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, step *planStep, fold *groupFold) *rowWriter {
-	nJoin, mixed := 0, false
-	var joinPos, freePos []int // first pattern position of each distinct var
-	seen := [3]bool{}
-	for i := 0; i < 3; i++ {
-		idx := pp.slot[i]
-		if idx < 0 || seen[i] {
-			continue
-		}
-		for j := i + 1; j < 3; j++ {
-			if pp.slot[j] == idx {
-				seen[j] = true
-			}
-		}
-		bound := 0
-		for _, row := range in.all() {
-			if row[idx] != 0 {
-				bound++
-			}
-		}
-		switch bound {
-		case in.rows:
-			nJoin++
-			joinPos = append(joinPos, i)
-		case 0:
-			freePos = append(freePos, i)
-		default:
-			mixed = true
-		}
-	}
-	strategy := chooseStrategy(pp.baseEst, in.rows, nJoin, mixed)
+	joinPos, freePos, mixed := pp.boundness(in)
+	strategy := chooseStrategy(pp.baseEst, in.rows, len(joinPos), mixed)
 	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
+	}
+	if strategy == strategyHashJoin && pp.probesDirectory(joinPos, in.rows) {
+		strategy = strategyNestedLoop
 	}
 	psc, psct := ev.profEnter("scan", tp)
 	// The scan's estimate is what the planner priced it with, the graph
@@ -329,6 +305,50 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	return w
 }
 
+// boundness classifies the pattern's variables over the input rows: joinPos
+// and freePos hold the first position of each distinct variable that every
+// row binds and that no row binds; mixed says some variable is bound in only
+// part of the rows.
+func (pp *patPlan) boundness(in *rowWriter) (joinPos, freePos []int, mixed bool) {
+	seen := [3]bool{}
+	for i := 0; i < 3; i++ {
+		idx := pp.slot[i]
+		if idx < 0 || seen[i] {
+			continue
+		}
+		for j := i + 1; j < 3; j++ {
+			if pp.slot[j] == idx {
+				seen[j] = true
+			}
+		}
+		bound := 0
+		for _, row := range in.all() {
+			if row[idx] != 0 {
+				bound++
+			}
+		}
+		switch bound {
+		case in.rows:
+			joinPos = append(joinPos, i)
+		case 0:
+			freePos = append(freePos, i)
+		default:
+			mixed = true
+		}
+	}
+	return joinPos, freePos, mixed
+}
+
+// probesDirectory reports whether a step sent to a hash join runs as an
+// index loop instead: keyed by subject under a constant predicate, with no
+// fewer matches than input rows. SPO's subject directory finds each row's
+// run in one step, so the loop reads what the table would hold — per key in
+// the same ascending object order — without building it. The cost model
+// still prices the step as a build (cost.go).
+func (pp *patPlan) probesDirectory(joinPos []int, inRows int) bool {
+	return len(joinPos) > 0 && joinPos[0] == 0 && pp.ids[1] != 0 && pp.baseEst >= inRows
+}
+
 // sameVarDiffers reports whether a match binds one variable of the pattern
 // to two different IDs: positions i < j hold the same variable, the row
 // leaves it free (lookup[i] == 0), and the match disagrees with itself.
@@ -343,29 +363,35 @@ func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
 	return false
 }
 
+// probeBlock is how many input rows an index loop probes under one read
+// lock (rdf.Graph.MatchIDsEach). The step's filters sieve between blocks:
+// a filter decodes terms, which takes the lock again.
+const probeBlock = 64
+
 // nestedLoopRun evaluates the pattern with one ID index lookup per row:
 // bound columns tighten the pattern to its most selective access path. It
 // also covers mixed boundness (a variable bound in only part of the rows).
 // Every match is written from inside the scan callback, which accounts it
 // against the row budget and polls for cancellation: one row of an unselective
 // pattern can match a large slice of the graph, and the scan stops where the
-// budget does. The filters sieve the rows written between scans.
+// budget does. The rows are probed a block at a time; the filters sieve the
+// rows written between blocks.
 func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter) {
 	produced := 0 // rows written since the last budget flush
 	scanned := 0
 	stopped := false
-	var row []rdf.ID
-	var lookup [3]rdf.ID
-	match := func(s, p, o rdf.ID) bool {
+	var rows [probeBlock][]rdf.ID
+	var lookups [probeBlock][3]rdf.ID
+	match := func(r int, s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 			stopped = true
 			return false
 		}
-		m := [3]rdf.ID{s, p, o}
+		m, lookup := [3]rdf.ID{s, p, o}, lookups[r]
 		if pp.sameVarDiffers(lookup, m) {
 			return true
 		}
-		out := w.add(row)
+		out := w.add(rows[r])
 		for i := 0; i < 3; i++ {
 			if pp.slot[i] >= 0 && lookup[i] == 0 {
 				out[pp.slot[i]] = m[i]
@@ -377,22 +403,28 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 		}
 		return !stopped
 	}
-	for r, inRow := range in.all() {
-		if stopped {
-			break
-		}
-		if r%64 == 0 && ev.cancel.poll() {
+	n := 0 // rows gathered for the next probe
+	for _, row := range in.all() {
+		if n == 0 && ev.cancel.poll() {
 			return
 		}
-		row = inRow
-		lookup = pp.ids
+		rows[n], lookups[n] = row, pp.ids
 		for i := 0; i < 3; i++ {
 			if pp.slot[i] >= 0 {
-				lookup[i] = row[pp.slot[i]]
+				lookups[n][i] = row[pp.slot[i]]
 			}
 		}
-		ev.g.MatchIDs(lookup[0], lookup[1], lookup[2], match)
+		if n++; n < probeBlock {
+			continue
+		}
+		ev.g.MatchIDsEach(lookups[:n], match)
+		if n = 0; stopped {
+			break
+		}
 		sf.sieve(w, false)
+	}
+	if n > 0 {
+		ev.g.MatchIDsEach(lookups[:n], match)
 	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }
@@ -413,18 +445,25 @@ type hashRun struct {
 	last, next, count []int32
 }
 
+// firstKeys is how many keys a build makes room for before its scan has
+// seen what share of its matches bring a new key.
+const firstKeys = 256
+
 // buildHashRun scans the pattern once, chaining each match behind the last
-// one with its join key. The pattern's count sizes everything up front; a
-// scan that finds more (triples inserted since the count) grows by append.
+// one with its join key. The pattern's count sizes the per-match arrays up
+// front; the per-key ones start at firstKeys and grow as the keys come
+// (grow), since a build keyed by a value many matches share holds far fewer
+// keys than matches. A scan that finds more matches than the count (triples
+// inserted since) grows by append.
 func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun {
-	nf := len(freePos)
-	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), pp.baseEst)}
+	nf, keyCap := len(freePos), min(pp.baseEst, firstKeys)
+	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), keyCap)}
 	if nf == 0 {
-		ht.count = make([]int32, 0, pp.baseEst)
+		ht.count = make([]int32, 0, keyCap)
 	} else {
-		ht.free, ht.last, ht.next = make([]rdf.ID, 0, pp.baseEst*nf), make([]int32, 0, pp.baseEst), make([]int32, 0, pp.baseEst)
+		ht.free, ht.last, ht.next = make([]rdf.ID, 0, pp.baseEst*nf), make([]int32, 0, keyCap), make([]int32, 0, pp.baseEst)
 	}
-	scanned := 0
+	scanned, matched := 0, 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 			return false
@@ -434,6 +473,10 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 		if pp.sameVarDiffers([3]rdf.ID{}, m) {
 			return true
 		}
+		if ht.keys.count == keyCap {
+			keyCap = ht.grow(matched, pp.baseEst)
+		}
+		matched++
 		var key [3]rdf.ID
 		for k, posI := range joinPos {
 			key[k] = m[posI]
@@ -461,6 +504,23 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 		return true
 	})
 	return ht
+}
+
+// grow makes room in the per-key arrays, which are full, for the keys the
+// ones found in the first matched of est matches project to over all of
+// them, an eighth more, at most est — but at least twice what they hold. It
+// returns the room made.
+func (ht *hashRun) grow(matched, est int) int {
+	k := ht.keys.count
+	n := k * est / max(matched, 1)
+	n = max(min(n+n/8, est), 2*k)
+	ht.keys.reserve(n)
+	if len(ht.freePos) == 0 {
+		ht.count = slices.Grow(ht.count, n-k)
+	} else {
+		ht.last = slices.Grow(ht.last, n-k)
+	}
+	return n
 }
 
 // probeHashRun probes the table with each row's join-column IDs and extends

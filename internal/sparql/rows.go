@@ -357,11 +357,25 @@ type tupleIndex struct {
 }
 
 func newTupleIndex(width, capTuples int) *tupleIndex {
-	size := 16
-	for size < capTuples*2 {
+	t := &tupleIndex{width: width, table: make([]int32, 16)}
+	t.reserve(capTuples)
+	return t
+}
+
+// reserve makes room for n tuples: keys to hold them, and a table they fill
+// at most half.
+func (t *tupleIndex) reserve(n int) {
+	t.keys = slices.Grow(t.keys, n*t.width-len(t.keys))
+	size := len(t.table)
+	for size < n*2 {
 		size *= 2
 	}
-	return &tupleIndex{width: width, keys: make([]rdf.ID, 0, capTuples*width), table: make([]int32, size)}
+	if size > len(t.table) {
+		t.table = make([]int32, size)
+		for i := 0; i < t.count; i++ {
+			t.place(i)
+		}
+	}
 }
 
 func hashTuple(key []rdf.ID) uint64 {

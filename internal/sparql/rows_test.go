@@ -58,23 +58,30 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 // final size, and each build side once, keeping of each match only what a
 // probe reads; the steps before the last pass their rows on in pooled blocks
 // and allocate nothing, and a step that feeds the group fold returns no
-// output at all. The bytes a 4-pattern star with a pushed-down filter
-// allocates — executed and encoded, as a /sparql miss does — stay within
-// 1.2× its output batch (rows × width × 4 B) plus its JSON body plus, per
-// build-side match, 4 B for its one free column and 28 B of key table — with
-// one key per match: 4 B of key, 4 B of chain, 4 B of bucket end, at most
-// 16 B of open-addressing slots. Grouped, the output is the fold's. Copying
+// output at all. The bytes that a 4-pattern star with a pushed-down filter,
+// joined by value to a twin, allocates — executed and encoded, as a /sparql
+// miss does — stay within 1.2× its output batch (rows × width × 4 B) plus its
+// JSON body plus, per build-side match, 4 B for its one free column and 28 B
+// of key table — with one key per match: 4 B of key, 4 B of chain, 4 B of
+// bucket end, at most 16 B of open-addressing slots. The join to the twin,
+// keyed by object, is the one build: the star's own steps probe SPO's
+// subject directory. Grouped, the output is the fold's. Copying
 // an intermediate step's rows into a batch of its own, or decoding the
 // answer into terms before encoding it, puts the star far past that.
 func TestStepAllocatesItsOutput(t *testing.T) {
 	g := starGraph(10000)
-	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . FILTER(?v >= 2500) }`
+	twins := make([]rdf.Triple, 10000)
+	for i := range twins {
+		twins[i] = rdf.NewTriple(rdf.NewIRI(fmt.Sprint("http://e/t", i)), rdf.NewIRI("http://e/twin"), rdf.NewInteger(int64(i)))
+	}
+	g.AddAll(twins)
+	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . ?t ex:twin ?v . FILTER(?v >= 2500) }`
 	for _, c := range []struct {
 		name, query string
 		grouped     bool
 	}{
-		{"grouped", `SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (SUM(?v) AS ?total) ` + where, true},
-		{"select", `SELECT ?s ?f ?c ?v ` + where, false},
+		{"grouped", `SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (COUNT(?t) AS ?twins) (SUM(?v) AS ?total) ` + where, true},
+		{"select", `SELECT ?s ?f ?c ?v ?t ` + where, false},
 	} {
 		q := MustParse("PREFIX ex: <http://e/>\n" + c.query)
 		var body []byte
@@ -95,7 +102,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 		} else if tab.Len() != 7500 {
 			t.Fatalf("%s: %d rows, want 7500", c.name, tab.Len())
 		}
-		const perMatch = 4 + 28 // every hash join here keys on ?s and has one free column
+		const perMatch = 4 + 28 // the hash join here keys on ?v and has one free column, ?s
 		var built int64
 		folded := false
 		for _, n := range findProfNodes(prof, "scan") {
