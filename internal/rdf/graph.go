@@ -142,6 +142,29 @@ func seek(ks []key, lo int, q uint64, shift uint) int {
 	return b
 }
 
+// tailBound returns the first index of ks from lo on whose predicate and
+// object, packed into one word, are not below t; ks[lo:] is one subject's
+// run, which ascends in that word. It gallops from lo, as seek does.
+func tailBound(ks []key, lo int, t uint64) int {
+	below := func(k *key) bool { return uint64(k[1])<<32|uint64(k[2]) < t }
+	a, b := lo-1, len(ks)
+	for step := 1; a+step < len(ks); step <<= 1 {
+		if !below(&ks[a+step]) {
+			b = a + step
+			break
+		}
+		a += step
+	}
+	for a+1 < b {
+		if m := int(uint(a+b) >> 1); below(&ks[m]) {
+			a = m
+		} else {
+			b = m
+		}
+	}
+	return b
+}
+
 // span returns the half-open range of ks whose first n components equal q's.
 func span(ks []key, q key, n int) (lo, hi int) {
 	if n == 0 {
@@ -185,8 +208,15 @@ func (ix *index) baseSpan(q key, n int) (lo, hi int) {
 	}
 	lo, hi = ix.run(q[0])
 	if n > 1 {
-		lo += lowerBound(ix.base[lo:hi], q, n)
-		hi = runEnd(ix.base[:hi], lo, q, n)
+		t := uint64(q[1]) << 32
+		end := t + 1<<32
+		if n > 2 {
+			t |= uint64(q[2])
+			end = t + 1
+		}
+		run := ix.base[:hi]
+		lo = tailBound(run, lo, t)
+		hi = tailBound(run, lo, end)
 	}
 	return lo, hi
 }
@@ -275,7 +305,10 @@ func pending(dead []bool) int {
 // false.
 func (ix *index) scan(ord order, q key, n int, fn func(s, p, o ID) bool) {
 	lo, hi := ix.baseSpan(q, n)
-	dlo, dhi := span(ix.delta, q, n)
+	dlo, dhi := 0, 0
+	if len(ix.delta) > 0 {
+		dlo, dhi = span(ix.delta, q, n)
+	}
 	for lo < hi || dlo < dhi {
 		var k key
 		if dlo < dhi && (lo == hi || ix.base[lo].compare(ix.delta[dlo]) >= 0) {

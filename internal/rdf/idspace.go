@@ -1,5 +1,7 @@
 package rdf
 
+import "runtime"
+
 // ID-space read API. The SPARQL engine joins basic graph patterns on
 // dictionary IDs instead of materialized terms: equality is one integer
 // compare, no Term structs are built for intermediate rows, and pattern
@@ -112,6 +114,18 @@ func (g *Graph) MatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
 func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	// Read both ends of every subject-bound pattern's run before searching
+	// any of them: the reads do not depend on one another, so the cache
+	// misses of runs met in no particular subject order overlap, where the
+	// searches would meet them one at a time.
+	spo := &g.ix[spo]
+	var ends ID
+	for _, q := range pats {
+		if lo, hi := spo.run(q[0]); lo < hi {
+			ends += spo.base[lo][1] + spo.base[hi-1][1]
+		}
+	}
+	runtime.KeepAlive(ends)
 	i, more := 0, true
 	for ; i < len(pats) && more; i++ {
 		q := &pats[i]
