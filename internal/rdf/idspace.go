@@ -117,7 +117,8 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	// Read both ends of every subject-bound pattern's run before searching
 	// any of them: the reads do not depend on one another, so the cache
 	// misses of runs met in no particular subject order overlap, where the
-	// searches would meet them one at a time.
+	// searches would meet them one at a time. KeepAlive keeps the compiler
+	// from dropping reads whose values nothing else uses.
 	spo := &g.ix[spo]
 	var ends ID
 	for _, q := range pats {

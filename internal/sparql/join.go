@@ -506,10 +506,10 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 	return ht
 }
 
-// grow makes room in the per-key arrays, which are full, for the keys the
-// ones found in the first matched of est matches project to over all of
-// them, an eighth more, at most est — but at least twice what they hold. It
-// returns the room made.
+// grow makes room in the full per-key arrays for the keys the whole scan
+// will find, projected from the k found in its first matched of est matches:
+// k·est/matched, an eighth more, at most est, and at least 2k. It returns
+// the room made.
 func (ht *hashRun) grow(matched, est int) int {
 	k := ht.keys.count
 	n := k * est / max(matched, 1)
