@@ -2,8 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
@@ -66,21 +64,7 @@ func TestQueryAllocBudgets(t *testing.T) {
 				}
 			}
 			run() // warms the block pool
-			// The least of three runs, less, under the race detector, the
-			// blocks the pool had to make (as in TestStepAllocatesItsOutput).
-			alloc := int64(math.MaxInt64)
-			for range 3 {
-				var before, after runtime.MemStats
-				made := blocksMade(func() {
-					runtime.ReadMemStats(&before)
-					run()
-					runtime.ReadMemStats(&after)
-				})
-				if !raceDetector {
-					made = 0
-				}
-				alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc)-int64(made*rowBlockIDs*4))
-			}
+			alloc := leastAllocated(run)
 			t.Logf("%s: %d bytes", c.name, alloc)
 			if alloc > 64<<10 {
 				t.Errorf("%s allocates %d bytes a query, want ≤ 64 KB", c.name, alloc)

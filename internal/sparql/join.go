@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"slices"
 	"time"
 
 	"rdfanalytics/internal/fault"
@@ -516,9 +515,9 @@ func (ht *hashRun) grow(matched, est int) int {
 	n = max(min(n+n/8, est), 2*k)
 	ht.keys.reserve(n)
 	if len(ht.freePos) == 0 {
-		ht.count = slices.Grow(ht.count, n-k)
+		ht.count = append(make([]int32, 0, n), ht.count...)
 	} else {
-		ht.last = slices.Grow(ht.last, n-k)
+		ht.last = append(make([]int32, 0, n), ht.last...)
 	}
 	return n
 }

@@ -365,7 +365,9 @@ func newTupleIndex(width, capTuples int) *tupleIndex {
 // reserve makes room for n tuples: keys to hold them, and a table they fill
 // at most half.
 func (t *tupleIndex) reserve(n int) {
-	t.keys = slices.Grow(t.keys, n*t.width-len(t.keys))
+	if c := n * t.width; c > cap(t.keys) {
+		t.keys = append(make([]rdf.ID, 0, c), t.keys...)
+	}
 	size := len(t.table)
 	for size < n*2 {
 		size *= 2

@@ -59,29 +59,31 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 // probe reads; the steps before the last pass their rows on in pooled blocks
 // and allocate nothing, and a step that feeds the group fold returns no
 // output at all. The bytes that a 4-pattern star with a pushed-down filter,
-// joined by value to a twin, allocates — executed and encoded, as a /sparql
-// miss does — stay within 1.2× its output batch (rows × width × 4 B) plus its
-// JSON body plus, per build-side match, 4 B for its one free column and 28 B
-// of key table — with one key per match: 4 B of key, 4 B of chain, 4 B of
-// bucket end, at most 16 B of open-addressing slots. The join to the twin,
-// keyed by object, is the one build: the star's own steps probe SPO's
+// joined by value to two twins, allocates — executed and encoded, as a
+// /sparql miss does — stay within 1.2× its output batch (rows × width × 4 B)
+// plus its JSON body plus, per build-side match, 4 B for its one free column
+// and 28 B of key table — with one key per match: 4 B of key, 4 B of chain,
+// 4 B of bucket end, at most 16 B of open-addressing slots. The joins to the
+// twins, keyed by object, are the builds: the star's own steps probe SPO's
 // subject directory. Grouped, the output is the fold's. Copying
 // an intermediate step's rows into a batch of its own, or decoding the
 // answer into terms before encoding it, puts the star far past that.
 func TestStepAllocatesItsOutput(t *testing.T) {
 	g := starGraph(10000)
-	twins := make([]rdf.Triple, 10000)
-	for i := range twins {
-		twins[i] = rdf.NewTriple(rdf.NewIRI(fmt.Sprint("http://e/t", i)), rdf.NewIRI("http://e/twin"), rdf.NewInteger(int64(i)))
+	var twins []rdf.Triple
+	for i := range 10000 {
+		for _, twin := range []string{"t", "u"} {
+			twins = append(twins, rdf.NewTriple(e(fmt.Sprint(twin, i)), e(twin+"win"), rdf.NewInteger(int64(i))))
+		}
 	}
 	g.AddAll(twins)
-	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . ?t ex:twin ?v . FILTER(?v >= 2500) }`
+	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . ?t ex:twin ?v . ?u ex:uwin ?v . FILTER(?v >= 2500) }`
 	for _, c := range []struct {
 		name, query string
 		grouped     bool
 	}{
-		{"grouped", `SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (COUNT(?t) AS ?twins) (SUM(?v) AS ?total) ` + where, true},
-		{"select", `SELECT ?s ?f ?c ?v ?t ` + where, false},
+		{"grouped", `SELECT (COUNT(?s) AS ?n) (COUNT(?c) AS ?cats) (COUNT(?f) AS ?flags) (COUNT(?t) AS ?ts) (COUNT(?u) AS ?us) (SUM(?v) AS ?total) ` + where, true},
+		{"select", `SELECT ?s ?f ?c ?v ?t ?u ` + where, false},
 	} {
 		q := MustParse("PREFIX ex: <http://e/>\n" + c.query)
 		var body []byte
@@ -102,7 +104,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 		} else if tab.Len() != 7500 {
 			t.Fatalf("%s: %d rows, want 7500", c.name, tab.Len())
 		}
-		const perMatch = 4 + 28 // the hash join here keys on ?v and has one free column, ?s
+		const perMatch = 4 + 28 // each hash join here keys on ?v and has one free column
 		var built int64
 		folded := false
 		for _, n := range findProfNodes(prof, "scan") {
@@ -118,23 +120,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 		if !c.grouped {
 			output = int64(tab.Len() * selectScope(q).width() * 4)
 		}
-		// The least of three runs. Under the race detector each run is less
-		// the blocks the pool had to make for it, as sync.Pool drops some of
-		// what is put back there; elsewhere a fresh block counts, so a block
-		// a step leaks instead of handing back shows.
-		alloc := int64(math.MaxInt64)
-		for range 3 {
-			var before, after runtime.MemStats
-			made := blocksMade(func() {
-				runtime.ReadMemStats(&before)
-				run(nil)
-				runtime.ReadMemStats(&after)
-			})
-			if !raceDetector {
-				made = 0
-			}
-			alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc)-int64(made*rowBlockIDs*4))
-		}
+		alloc := leastAllocated(func() { run(nil) })
 		if budget := output + built + int64(len(body)); alloc*10 > budget*12 {
 			t.Errorf("%s: allocated %d bytes for an output of %d, builds of %d and a body of %d: %.2f× (want ≤ 1.2×)\n%s",
 				c.name, alloc, output, built, len(body), float64(alloc)/float64(budget), prof.Tree())
@@ -184,6 +170,27 @@ func TestSieveAcrossBlocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leastAllocated returns the least bytes fn allocates in three runs. Under
+// the race detector each run is less the blocks the pool had to make for it,
+// as sync.Pool drops some of what is put back there; elsewhere a fresh block
+// counts, so a block a step leaks instead of handing back shows.
+func leastAllocated(fn func()) int64 {
+	alloc := int64(math.MaxInt64)
+	for range 3 {
+		var before, after runtime.MemStats
+		made := blocksMade(func() {
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+		})
+		if !raceDetector {
+			made = 0
+		}
+		alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc)-int64(made*rowBlockIDs*4))
+	}
+	return alloc
 }
 
 // blocksMade runs fn and returns how many row blocks the pool made for it.
