@@ -236,7 +236,8 @@ func (ix *index) redirect(ks []key, dead []bool) {
 		if top > cap(dir) {
 			dir = append(make([]uint32, 0, top+top/16), dir...)
 		}
-		for end := dir[len(dir)-1]; len(dir) < top; { // new subjects start where base ended
+		end := dir[len(dir)-1] // where base ended: every new subject's run starts there
+		for len(dir) < top {
 			dir = append(dir, end)
 		}
 	}

@@ -119,11 +119,11 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	// misses of runs met in no particular subject order overlap, where the
 	// searches would meet them one at a time. KeepAlive keeps the compiler
 	// from dropping reads whose values nothing else uses.
-	spo := &g.ix[spo]
+	bySubject := &g.ix[spo]
 	var ends ID
 	for _, q := range pats {
-		if lo, hi := spo.run(q[0]); lo < hi {
-			ends += spo.base[lo][1] + spo.base[hi-1][1]
+		if lo, hi := bySubject.run(q[0]); lo < hi {
+			ends += bySubject.base[lo][1] + bySubject.base[hi-1][1]
 		}
 	}
 	runtime.KeepAlive(ends)
