@@ -234,28 +234,54 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 		}
 		return ID(v), nil
 	}
-	keys := make([]key, 0, int(min(tripleCount, maxBinaryPresize)))
-	for i := uint64(0); i < tripleCount; i++ {
-		var k key
+	readKey := func() (k key, err error) {
 		for c := range k {
 			if k[c], err = readID(); err != nil {
-				return nil, err
+				return k, err
 			}
 		}
-		// Version 2 promises canonical order; out-of-order or duplicate keys
-		// mean the file was not produced by WriteBinary. Strict ascent is what
-		// lets the decoded slice become the SPO permutation as is.
-		if version >= 2 && i > 0 && keys[i-1].compare(k) >= 0 {
-			return nil, fmt.Errorf("rdf: snapshot triples out of canonical order at index %d", i)
-		}
-		keys = append(keys, k)
+		return k, nil
 	}
+	presize := int(min(tripleCount, maxBinaryPresize))
 	if version == 1 {
 		// Version 1 made no ordering promise and tolerated duplicates.
+		keys := make([]key, 0, presize)
+		for i := uint64(0); i < tripleCount; i++ {
+			k, err := readKey()
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, k)
+		}
 		slices.SortFunc(keys, key.compare)
-		keys = slices.Compact(keys)
+		g.load(slices.Compact(keys))
+		return g, nil
 	}
-	g.load(keys)
+	// Version 2 promises canonical order; out-of-order or duplicate keys mean
+	// the file was not produced by WriteBinary. Strict ascent is what lets
+	// each triple's word go straight into SPO's base as it is decoded, its
+	// subject counted for the directory (at[s+1]: the triples of subject s).
+	bySubject := &g.ix[spo]
+	words, at := make([]uint64, 0, presize), make([]uint32, termCount+2)
+	var last key
+	for i := uint64(0); i < tripleCount; i++ {
+		k, err := readKey()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && last.compare(k) >= 0 {
+			return nil, fmt.Errorf("rdf: snapshot triples out of canonical order at index %d", i)
+		}
+		words, last = append(words, k.word()), k
+		at[k[0]+1]++
+	}
+	if len(words) > 0 {
+		for s := 1; s < len(at); s++ {
+			at[s] += at[s-1]
+		}
+		bySubject.base, bySubject.dir.at = words, slices.Clone(at[:last[0]+2])
+		g.derivePOS()
+	}
 	return g, nil
 }
 

@@ -42,15 +42,17 @@ func (ord order) key(s, p, o ID) key {
 	return key{s, p, o}
 }
 
-// triple is the inverse of key.
-func (ord order) triple(k key) (s, p, o ID) {
+// triple is the inverse of key, on the key's components x, y, z: scalars,
+// because a key built in memory component by component and re-read whole
+// stalls the load on the stores.
+func (ord order) triple(x, y, z ID) (s, p, o ID) {
 	switch ord {
 	case pos:
-		return k[2], k[0], k[1]
+		return z, x, y
 	case osp:
-		return k[1], k[2], k[0]
+		return y, z, x
 	}
-	return k[0], k[1], k[2]
+	return x, y, z
 }
 
 // comparePrefix orders k against q on their first n components.
@@ -68,6 +70,14 @@ func (k key) comparePrefix(q key, n int) int {
 
 func (k key) compare(q key) int { return k.comparePrefix(q, 3) }
 
+// word packs k's last two components into one word, the second above the
+// third: what a base array holds of k under its directory. Keys that share a
+// first component order as their words do.
+func (k key) word() uint64 { return uint64(k[1])<<32 | uint64(k[2]) }
+
+// unpack is the key whose first component is v and whose word is w.
+func unpack(v ID, w uint64) key { return key{v, ID(w >> 32), ID(w)} }
+
 // lowerBound returns the first index of the sorted keys ks whose first n
 // components are not below q's.
 func lowerBound(ks []key, q key, n int) int {
@@ -82,23 +92,10 @@ func lowerBound(ks []key, q key, n int) int {
 	return lo
 }
 
-// lowerBoundBelow is lowerBound(ks[:hi], k, 3) galloping down from hi: walking
-// a sorted batch from its highest key down costs by the gaps, not the array.
-func lowerBoundBelow(ks []key, hi int, k key) int {
-	for step := 1; hi > 0; step <<= 1 {
-		p := max(hi-step, 0)
-		if ks[p].compare(k) < 0 {
-			return p + 1 + lowerBound(ks[p+1:hi], k, 3)
-		}
-		hi = p
-	}
-	return 0
-}
-
 // runEnd returns the end of the run of keys from lo on whose first n
 // components equal q's (lo when ks[lo] is already past them). It gallops
-// from lo instead of bisecting the tail, because a run (a subject's
-// properties, a value's subjects) is short next to the array.
+// from lo instead of bisecting the tail, because a run of the delta is
+// short next to it.
 func runEnd(ks []key, lo int, q key, n int) int {
 	a, b := lo-1, len(ks) // a: last index known inside the run; b: first known outside
 	for step := 1; a+step < len(ks); step <<= 1 {
@@ -118,72 +115,186 @@ func runEnd(ks []key, lo int, q key, n int) int {
 	return b
 }
 
-// seek returns the first index from lo on whose first two components,
-// packed into one word and shifted right by shift, are not below q: shift 0
-// compares (k[0], k[1]), shift 32 compares k[0]. It gallops from lo, so its
-// cost follows the distance, not the array.
-func seek(ks []key, lo int, q uint64, shift uint) int {
-	below := func(k *key) bool { return (uint64(k[0])<<32|uint64(k[1]))>>shift < q }
-	a, b := lo-1, len(ks) // a: last index known below q; b: first known not below
-	for step := 1; a+step < len(ks); step <<= 1 {
-		if !below(&ks[a+step]) {
-			b = a + step
-			break
-		}
-		a += step
-	}
-	for a+1 < b {
-		if m := int(uint(a+b) >> 1); below(&ks[m]) {
-			a = m
-		} else {
-			b = m
-		}
-	}
-	return b
-}
-
-// tailBound returns the first index of ks from lo on whose predicate and
-// object, packed into one word, are not below t; ks[lo:] is one subject's
-// run, which ascends in that word. It gallops from lo, as seek does.
-func tailBound(ks []key, lo int, t uint64) int {
-	below := func(k *key) bool { return uint64(k[1])<<32|uint64(k[2]) < t }
-	a, b := lo-1, len(ks)
-	for step := 1; a+step < len(ks); step <<= 1 {
-		if !below(&ks[a+step]) {
-			b = a + step
-			break
-		}
-		a += step
-	}
-	for a+1 < b {
-		if m := int(uint(a+b) >> 1); below(&ks[m]) {
-			a = m
-		} else {
-			b = m
-		}
-	}
-	return b
-}
-
-// span returns the half-open range of ks whose first n components equal q's.
+// span returns the half-open range of ks whose first n ≥ 1 components equal
+// q's.
 func span(ks []key, q key, n int) (lo, hi int) {
-	if n == 0 {
-		return 0, len(ks)
-	}
 	lo = lowerBound(ks, q, n)
 	return lo, runEnd(ks, lo, q, n)
 }
 
-// index is one sorted permutation of the graph's triples: a flat base array
-// plus the changes made since the base was last rewritten.
+// find returns where k is, or would be inserted, in the sorted keys ks.
+func find(ks []key, k key) (int, bool) {
+	i := lowerBound(ks, k, 3)
+	return i, i < len(ks) && ks[i] == k
+}
+
+// gallop returns the first index of ws from lo on whose word is not below t;
+// ws ascends from lo on. It gallops from lo instead of bisecting the tail, so
+// its cost follows the distance, not the array: every search inside a run —
+// a subject's properties, a value's subjects — is this one.
+func gallop(ws []uint64, lo int, t uint64) int {
+	hi := lo // ws[:lo] is below t; ws[hi], if it exists, is not yet known
+	for step := 1; hi < len(ws) && ws[hi] < t; step <<= 1 {
+		lo, hi = hi+1, min(hi+step, len(ws))
+	}
+	return bisect(ws, lo, hi, t)
+}
+
+// bisect returns the first index of ws[lo:hi] whose word is not below t, or
+// hi when there is none.
+func bisect(ws []uint64, lo, hi int, t uint64) int {
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ws[m] < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// gallopBelow is gallop from the top: the first index of the ascending ws
+// whose word is not below t, galloping down from len(ws). Walking a sorted
+// batch from its highest key down costs by the gaps, not the array.
+func gallopBelow(ws []uint64, t uint64) int {
+	lo, hi := len(ws), len(ws) // ws[hi:] is not below t; ws[lo-1], if it exists, is not yet known
+	for step := 1; lo > 0 && ws[lo-1] >= t; step <<= 1 {
+		lo, hi = max(lo-step, 0), lo-1
+	}
+	return bisect(ws, lo, hi, t)
+}
+
+// directory finds the run of each first component in a base array, which
+// holds only the other two. SPO's is indexed by subject ID (byID): at[s] is
+// the first index of base whose subject is not below s, so base[at[s]:at[s+1]]
+// is subject s's run, and at ends one past the largest subject. POS's lists
+// its predicates: vals holds those with a run, ascending, and
+// base[at[i]:at[i+1]] is vals[i]'s run — 8 B a predicate where an ID-indexed
+// one costs 4 B for every ID up to the largest predicate's. Either way the
+// last entry of at is len(base). It is derived from base, built with it
+// (adopt), kept in step by every later write to it (redirect) and never
+// persisted.
+type directory struct {
+	byID bool
+	vals []ID // nil when byID
+	at   []uint32
+}
+
+// len is how many runs the directory holds, an ID-indexed one's empty runs
+// included.
+func (d *directory) len() int { return len(d.at) - 1 }
+
+// lead is the first component of run i.
+func (d *directory) lead(i int) ID {
+	if d.byID {
+		return ID(i)
+	}
+	return d.vals[i]
+}
+
+// run returns where v's run is in base: found, not searched for, when the
+// directory is indexed by ID. An absent v has an empty run where its run
+// would start; one past the largest, at the end.
+func (d *directory) run(v ID) (lo, hi int) {
+	if d.byID {
+		if int(v) < d.len() {
+			return int(d.at[v]), int(d.at[v+1])
+		}
+		end := int(d.at[d.len()])
+		return end, end
+	}
+	i, ok := slices.BinarySearch(d.vals, v)
+	if lo = int(d.at[i]); !ok {
+		return lo, lo
+	}
+	return lo, int(d.at[i+1])
+}
+
+// redirect keeps the directory in step with changes to base: the entries
+// of ks, ascending, whose dead flag equals del (dead nil: none is dead) were
+// just added to base, or (del) removed from it. Nothing below the lowest
+// changed first component moves; above it every run starts where it did,
+// shifted by the changes below it. So the cost is one pass over the
+// directory from the lowest change up — for SPO 4 B a subject, stopping once
+// the changes below cancel out — and none over base.
+func (d *directory) redirect(ks []key, dead []bool, del bool) {
+	if len(ks) == 0 {
+		return
+	}
+	step := 1
+	if del {
+		step = -1
+	}
+	changes := func(j int) int { // what ks[j] adds to the runs above it
+		if (dead != nil && dead[j]) == del {
+			return step
+		}
+		return 0
+	}
+	if !d.byID {
+		// Few predicates: the list is rebuilt, with the values that gain
+		// their first key and without those that lose their last.
+		vals, at := make([]ID, 0, len(d.vals)+1), make([]uint32, 0, len(d.at)+1)
+		shift, i, j := 0, 0, 0
+		for i < len(d.vals) || j < len(ks) {
+			var v ID
+			if j == len(ks) || i < len(d.vals) && d.vals[i] <= ks[j][0] {
+				v = d.vals[i]
+			} else {
+				v = ks[j][0]
+			}
+			start := int(d.at[i]) + shift
+			for ; j < len(ks) && ks[j][0] == v; j++ {
+				shift += changes(j)
+			}
+			if i < len(d.vals) && d.vals[i] == v {
+				i++
+			}
+			if int(d.at[i])+shift > start {
+				vals, at = append(vals, v), append(at, uint32(start))
+			}
+		}
+		d.vals, d.at = vals, append(at, uint32(int(d.at[len(d.at)-1])+shift))
+		return
+	}
+	at := d.at
+	if top := int(ks[len(ks)-1][0]) + 2; top > len(at) {
+		if top > cap(at) {
+			at = append(make([]uint32, 0, top+top/16), at...)
+		}
+		end := at[len(at)-1] // where base ended: every new subject's run starts there
+		for len(at) < top {
+			at = append(at, end)
+		}
+	}
+	shift, j := 0, 0
+	for s := int(ks[0][0]) + 1; s < len(at); s++ {
+		for ; j < len(ks) && int(ks[j][0]) < s; j++ {
+			shift += changes(j)
+		}
+		if j == len(ks) && shift == 0 {
+			break
+		}
+		at[s] = uint32(int(at[s]) + shift)
+	}
+	for len(at) > 1 && at[len(at)-2] == at[len(at)-1] { // the largest subject's run went
+		at = at[:len(at)-1]
+	}
+	d.at = at
+}
+
+func (d directory) clone() directory {
+	return directory{byID: d.byID, vals: slices.Clone(d.vals), at: slices.Clone(d.at)}
+}
+
+// index is one sorted permutation of the graph's triples: a packed base
+// array under a directory of its first component, plus the changes made
+// since the base was last rewritten.
 type index struct {
-	base []key // ascending, no duplicates
-	// dir is SPO's subject directory, nil in POS: dir[s] is the first index
-	// of base whose subject is not below s, so base[dir[s]:dir[s+1]] is
-	// subject s's run, and dir ends one past the largest subject, at
-	// len(base). It is derived from base, kept in step by every write to it
-	// (redirect) and never persisted.
-	dir []uint32
+	// base holds each key's word, run after run in the directory's order and
+	// ascending inside a run, so the keys ascend and none repeats.
+	base []uint64
+	dir  directory
 	// delta holds the pending changes, ascending; dead[i] says delta[i] is a
 	// tombstone for a key in base, otherwise delta[i] is an addition absent
 	// from base. The live set is base minus tombstones plus additions.
@@ -191,22 +302,10 @@ type index struct {
 	dead  []bool
 }
 
-// run returns where subject s's run is in base: found in the directory, not
-// searched for. A subject past the largest has an empty run at the end.
-func (ix *index) run(s ID) (lo, hi int) {
-	if int(s)+1 < len(ix.dir) {
-		return int(ix.dir[s]), int(ix.dir[s+1])
-	}
-	return len(ix.base), len(ix.base)
-}
-
-// baseSpan is span over base. In SPO a bound subject's run comes from the
-// directory, and only the rest of the prefix is searched, inside the run.
+// baseSpan is span over base, for n ≥ 1: the directory finds the run of
+// q[0], and only the rest of the prefix is searched, inside the run.
 func (ix *index) baseSpan(q key, n int) (lo, hi int) {
-	if n == 0 || ix.dir == nil {
-		return span(ix.base, q, n)
-	}
-	lo, hi = ix.run(q[0])
+	lo, hi = ix.dir.run(q[0])
 	if n > 1 {
 		t := uint64(q[1]) << 32
 		end := t + 1<<32
@@ -215,56 +314,10 @@ func (ix *index) baseSpan(q key, n int) (lo, hi int) {
 			end = t + 1
 		}
 		run := ix.base[:hi]
-		lo = tailBound(run, lo, t)
-		hi = tailBound(run, lo, end)
+		lo = gallop(run, lo, t)
+		hi = gallop(run, lo, end)
 	}
 	return lo, hi
-}
-
-// redirect keeps the subject directory, in the index that has one, in step
-// with changes to base: ks ascending, each an addition unless dead[i] marks
-// it a removal (dead nil: all additions), made since dir was last in step or
-// about to be. Nothing below the lowest changed subject moves; above it every
-// run starts where it did, shifted by the changes below it. So the cost is
-// one pass over dir from the lowest changed subject up, none over base.
-func (ix *index) redirect(ks []key, dead []bool) {
-	if ix.dir == nil || len(ks) == 0 {
-		return
-	}
-	dir := ix.dir
-	if top := int(ks[len(ks)-1][0]) + 2; top > len(dir) {
-		if top > cap(dir) {
-			dir = append(make([]uint32, 0, top+top/16), dir...)
-		}
-		end := dir[len(dir)-1] // where base ended: every new subject's run starts there
-		for len(dir) < top {
-			dir = append(dir, end)
-		}
-	}
-	shift, j := 0, 0
-	for s := int(ks[0][0]) + 1; s < len(dir); s++ {
-		for ; j < len(ks) && int(ks[j][0]) < s; j++ {
-			if dead != nil && dead[j] {
-				shift--
-			} else {
-				shift++
-			}
-		}
-		if j == len(ks) && shift == 0 {
-			break
-		}
-		dir[s] = uint32(int(dir[s]) + shift)
-	}
-	for len(dir) > 1 && dir[len(dir)-2] == dir[len(dir)-1] { // the largest subject's run went
-		dir = dir[:len(dir)-1]
-	}
-	ix.dir = dir
-}
-
-// find returns where k is, or would be inserted, in the sorted keys ks.
-func find(ks []key, k key) (int, bool) {
-	i := lowerBound(ks, k, 3)
-	return i, i < len(ks) && ks[i] == k
 }
 
 // has reports whether k is in the live set.
@@ -276,16 +329,33 @@ func (ix *index) has(k key) bool {
 	return lo < hi
 }
 
-// count returns how many live keys share q's first n components.
-func (ix *index) count(q key, n int) int {
-	lo, hi := ix.baseSpan(q, n)
-	dlo, dhi := span(ix.delta, q, n)
-	return ix.len(cursor{lo, hi, dlo, dhi})
+// cursor is the live keys of one range of an index inside one first
+// component's run: base[lo:hi], whose first component is v, merged with
+// delta[dlo:dhi], tombstones applied.
+type cursor struct {
+	v                ID
+	lo, hi, dlo, dhi int
 }
 
-// cursor is the live keys of one range of an index: base[lo:hi] merged with
-// delta[dlo:dhi], tombstones applied.
-type cursor struct{ lo, hi, dlo, dhi int }
+// spans returns the cursor over the live keys sharing q's first n ≥ 1
+// components, as four ints: a cursor's five fields pass through memory, where
+// ints pass in registers.
+func (ix *index) spans(q key, n int) (lo, hi, dlo, dhi int) {
+	lo, hi = ix.baseSpan(q, n)
+	if len(ix.delta) > 0 {
+		dlo, dhi = span(ix.delta, q, n)
+	}
+	return lo, hi, dlo, dhi
+}
+
+// count returns how many live keys share q's first n components.
+func (ix *index) count(q key, n int) int {
+	if n == 0 {
+		return len(ix.base) + pending(ix.dead)
+	}
+	lo, hi, dlo, dhi := ix.spans(q, n)
+	return hi - lo + pending(ix.dead[dlo:dhi])
+}
 
 // len is how many live keys c holds.
 func (ix *index) len(c cursor) int { return c.hi - c.lo + pending(ix.dead[c.dlo:c.dhi]) }
@@ -301,40 +371,75 @@ func pending(dead []bool) int {
 	return n
 }
 
-// scan calls fn for every live key sharing q's first n components, as the
-// triple it stands for under ord, in ascending key order, until fn returns
-// false.
-func (ix *index) scan(ord order, q key, n int, fn func(s, p, o ID) bool) {
-	lo, hi := ix.baseSpan(q, n)
-	dlo, dhi := 0, 0
-	if len(ix.delta) > 0 {
-		dlo, dhi = span(ix.delta, q, n)
-	}
-	for lo < hi || dlo < dhi {
-		var k key
-		if dlo < dhi && (lo == hi || ix.base[lo].compare(ix.delta[dlo]) >= 0) {
-			k = ix.delta[dlo]
-			dlo++
-			if ix.dead[dlo-1] { // k is base[lo], removed
-				lo++
-				continue
-			}
-		} else {
-			k = ix.base[lo]
-			lo++
+// runs calls fn with the cursor over each first component's live keys — a
+// base run, pending delta entries or both — in ascending order of the
+// component, until fn returns false.
+func (ix *index) runs(fn func(cursor) bool) {
+	d := &ix.dir
+	for i, dlo := 0, 0; ; {
+		for i < d.len() && d.at[i] == d.at[i+1] { // an ID-indexed directory's empty runs
+			i++
 		}
-		if !fn(ord.triple(k)) {
+		c := cursor{lo: int(d.at[i]), hi: int(d.at[i])}
+		switch {
+		case i < d.len() && (dlo == len(ix.delta) || d.lead(i) <= ix.delta[dlo][0]):
+			c.v, c.hi = d.lead(i), int(d.at[i+1])
+			i++
+		case dlo < len(ix.delta):
+			c.v = ix.delta[dlo][0]
+		default:
+			return
+		}
+		c.dlo, c.dhi = dlo, runEnd(ix.delta, dlo, key{c.v}, 1)
+		dlo = c.dhi
+		if !fn(c) {
 			return
 		}
 	}
 }
 
-// next takes the first live key off c; ok is false once c is empty. It is
-// one step of scan's loop, which keeps its own copy inline: a call per key
-// costs a plain scan a fifth of its time.
+// scan calls fn for every live key sharing q's first n components, as the
+// triple it stands for under ord, in ascending key order, until fn returns
+// false.
+func (ix *index) scan(ord order, q key, n int, fn func(s, p, o ID) bool) {
+	if n == 0 {
+		ix.runs(func(c cursor) bool { return ix.walk(ord, c.v, c.lo, c.hi, c.dlo, c.dhi, fn) })
+		return
+	}
+	lo, hi, dlo, dhi := ix.spans(q, n)
+	ix.walk(ord, q[0], lo, hi, dlo, dhi, fn)
+}
+
+// walk calls fn for every live key of the cursor {v, lo, hi, dlo, dhi}, as
+// the triple it stands for under ord, in ascending key order, and reports
+// false once fn does. It is next's loop with its own copy inline: a call per
+// key costs a plain scan a fifth of its time.
+func (ix *index) walk(ord order, v ID, lo, hi, dlo, dhi int, fn func(s, p, o ID) bool) bool {
+	for lo < hi || dlo < dhi {
+		var x, y, z ID // the key
+		if dlo < dhi && (lo == hi || ix.base[lo] >= ix.delta[dlo].word()) {
+			k := &ix.delta[dlo]
+			x, y, z = k[0], k[1], k[2]
+			dlo++
+			if ix.dead[dlo-1] { // the key is base[lo], removed
+				lo++
+				continue
+			}
+		} else {
+			x, y, z = v, ID(ix.base[lo]>>32), ID(ix.base[lo])
+			lo++
+		}
+		if !fn(ord.triple(x, y, z)) {
+			return false
+		}
+	}
+	return true
+}
+
+// next takes the first live key off c; ok is false once c is empty.
 func (ix *index) next(c *cursor) (key, bool) {
 	for c.lo < c.hi || c.dlo < c.dhi {
-		if c.dlo < c.dhi && (c.lo == c.hi || ix.base[c.lo].compare(ix.delta[c.dlo]) >= 0) {
+		if c.dlo < c.dhi && (c.lo == c.hi || ix.base[c.lo] >= ix.delta[c.dlo].word()) {
 			c.dlo++
 			if ix.dead[c.dlo-1] { // the key is base[lo], removed
 				c.lo++
@@ -343,54 +448,60 @@ func (ix *index) next(c *cursor) (key, bool) {
 			return ix.delta[c.dlo-1], true
 		}
 		c.lo++
-		return ix.base[c.lo-1], true
+		return unpack(c.v, ix.base[c.lo-1]), true
 	}
 	return key{}, false
 }
 
-// runsOf calls fn, for every distinct first component v in ascending order,
-// with the cursor over the live keys (v, x, ·) when base or delta holds one.
-// It gallops from one v's run to the next, so the cost follows the number of
-// values v and the logarithm of their runs, not of the array.
+// runsOf calls fn, for every first component v in ascending order, with the
+// cursor over the live keys (v, x, ·) when base or delta holds one: two
+// gallops inside each of v's runs, so the cost follows the number of values
+// v and the logarithm of their runs, not of the array.
 func (ix *index) runsOf(x ID, fn func(cursor)) {
-	lo, dlo := 0, 0
-	for lo < len(ix.base) || dlo < len(ix.delta) {
-		var v ID
-		if lo < len(ix.base) && (dlo == len(ix.delta) || ix.base[lo][0] <= ix.delta[dlo][0]) {
-			v = ix.base[lo][0]
-		} else {
-			v = ix.delta[dlo][0]
+	t := uint64(x) << 32
+	ix.runs(func(c cursor) bool {
+		run := ix.base[:c.hi]
+		c.lo = gallop(run, c.lo, t)
+		c.hi = gallop(run, c.lo, t+1<<32)
+		if c.dlo < c.dhi {
+			q, delta := key{c.v, x}, ix.delta[:c.dhi]
+			c.dlo += lowerBound(delta[c.dlo:], q, 2)
+			c.dhi = runEnd(delta, c.dlo, q, 2)
 		}
-		q := uint64(v)<<32 | uint64(x)
-		var c cursor
-		c.lo = seek(ix.base, lo, q, 0)
-		c.hi = seek(ix.base, c.lo, q+1, 0)
-		c.dlo = seek(ix.delta, dlo, q, 0)
-		c.dhi = seek(ix.delta, c.dlo, q+1, 0)
 		if c.lo < c.hi || c.dlo < c.dhi {
 			fn(c)
 		}
-		lo, dlo = seek(ix.base, c.hi, uint64(v)+1, 32), seek(ix.delta, c.dhi, uint64(v)+1, 32)
-	}
+		return true
+	})
 }
 
-// distinct calls fn with every distinct value of component n among the live
-// keys sharing q's first n components, ascending. It steps from one value's
-// run to the next, so the cost follows the number of values.
+// distinct calls fn with every distinct value of component n — 0 or 1 —
+// among the live keys sharing q's first n components, ascending. It steps
+// from one value's run to the next, so the cost follows the number of values.
 func (ix *index) distinct(q key, n int, fn func(ID)) {
-	lo, hi := ix.baseSpan(q, n)
-	dlo, dhi := span(ix.delta, q, n)
-	for lo < hi || dlo < dhi {
-		if lo < hi && (dlo == dhi || ix.base[lo][n] <= ix.delta[dlo][n]) {
-			q[n] = ix.base[lo][n]
+	if n == 0 {
+		ix.runs(func(c cursor) bool {
+			if ix.len(c) > 0 {
+				fn(c.v)
+			}
+			return true
+		})
+		return
+	}
+	c := cursor{v: q[0]}
+	c.lo, c.hi, c.dlo, c.dhi = ix.spans(q, 1)
+	for c.lo < c.hi || c.dlo < c.dhi {
+		if c.lo < c.hi && (c.dlo == c.dhi || ID(ix.base[c.lo]>>32) <= ix.delta[c.dlo][1]) {
+			q[1] = ID(ix.base[c.lo] >> 32)
 		} else {
-			q[n] = ix.delta[dlo][n]
+			q[1] = ix.delta[c.dlo][1]
 		}
-		end, dend := runEnd(ix.base[:hi], lo, q, n+1), runEnd(ix.delta[:dhi], dlo, q, n+1)
-		if end-lo+pending(ix.dead[dlo:dend]) > 0 {
-			fn(q[n])
+		end := gallop(ix.base[:c.hi], c.lo, uint64(q[1])<<32+1<<32)
+		dend := runEnd(ix.delta[:c.dhi], c.dlo, q, 2)
+		if end-c.lo+pending(ix.dead[c.dlo:dend]) > 0 {
+			fn(q[1])
 		}
-		lo, dlo = end, dend
+		c.lo, c.dlo = end, dend
 	}
 }
 
@@ -409,54 +520,101 @@ func (ix *index) apply(k key, del bool) {
 }
 
 // merge rewrites base as the live set and empties the delta, in place: a
-// forward pass drops the tombstoned keys, then the additions go in (insert).
-// Nothing below the lowest change moves, in base or in the directory.
+// forward pass drops the tombstoned keys (squeeze), then the additions go in
+// (insert). Nothing below the lowest change moves, in base or in the
+// directory.
 func (ix *index) merge() {
-	ix.redirect(ix.delta, ix.dead)
-	base, adds := ix.base, ix.delta[:0]
 	if slices.Contains(ix.dead, true) {
-		j, w := 0, 0
-		for _, k := range base {
-			for j < len(ix.delta) && (!ix.dead[j] || ix.delta[j].compare(k) < 0) {
-				j++
-			}
-			if j < len(ix.delta) && ix.delta[j] == k {
-				j++
-				continue
-			}
-			base[w] = k
-			w++
-		}
-		base = base[:w]
+		ix.squeeze()
 	}
+	adds := ix.delta[:0]
 	for j, k := range ix.delta {
 		if !ix.dead[j] {
 			adds = append(adds, k)
 		}
 	}
-	ix.base = base
 	ix.insert(adds)
 	ix.delta, ix.dead = ix.delta[:0], ix.dead[:0]
 }
 
+// squeeze drops the delta's tombstoned keys from base in one forward pass
+// from the lowest: the directory finds each one's run, a gallop from the last
+// one's place finds it in the run, and the block between two of them moves
+// down by one copy. Then the directory follows.
+func (ix *index) squeeze() {
+	base, w, r := ix.base, 0, 0 // base[:w] is the live set so far, base[r:] not yet read
+	for j, k := range ix.delta {
+		if !ix.dead[j] {
+			continue
+		}
+		lo, hi := ix.dir.run(k[0]) // where the run was: base[r:] has not moved
+		i := gallop(base[:hi], max(lo, r), k.word())
+		if w < r {
+			copy(base[w:], base[r:i])
+		}
+		w, r = w+i-r, i+1
+	}
+	ix.base = append(base[:w], base[r:]...)
+	ix.dir.redirect(ix.delta, ix.dead, true)
+}
+
 // insert puts adds — ascending, none in base — into base in one pass: from the
-// highest down, each moves the block of base keys above it up by one copy.
+// highest down, each moves the block of base words above it up by one copy.
+// Below the last addition placed nothing has moved yet, so the directory
+// still finds each addition's run there. Then the directory follows.
 func (ix *index) insert(adds []key) {
 	base, end := ix.base, len(ix.base) // base[:end] is still where it was
 	if n := end + len(adds); n > cap(base) {
 		// A sixteenth of headroom, not append's quarter: the arrays are the
 		// bulk of the graph's memory, and a regrowth is one more copy among
 		// merges that each move most of the array anyway.
-		base = append(make([]key, 0, n+n/16), base...)
+		base = append(make([]uint64, 0, n+n/16), base...)
 	}
 	base = base[:end+len(adds)]
 	for j := len(adds) - 1; j >= 0; j-- {
-		at := lowerBoundBelow(base, end, adds[j])
+		lo, hi := ix.dir.run(adds[j][0])
+		at := lo + gallopBelow(base[lo:min(hi, end)], adds[j].word())
 		copy(base[at+j+1:], base[at:end]) // above adds[0..j], so up by j+1
-		base[at+j] = adds[j]
+		base[at+j] = adds[j].word()
 		end = at
 	}
 	ix.base = base
+	ix.dir.redirect(adds, nil, false)
+}
+
+// adopt makes the keys ks an empty index's base and directory with one
+// stable counting sort on component c, whose values are below size-1: the
+// counts are where the runs start, and each key's other two components, in
+// rotation order, pack into its word. ks must ascend on those two, so that
+// every run comes out ascending: SPO's keys with c = 0, OSP's with c = 2 for
+// POS. The base is sized exactly.
+func (ix *index) adopt(ks []key, c, size int) {
+	at := make([]uint32, size) // at[v]: where v's run starts, then where its next word goes
+	for _, k := range ks {
+		at[k[c]+1]++
+	}
+	for v := 1; v < size; v++ {
+		at[v] += at[v-1]
+	}
+	base, y, z := make([]uint64, len(ks)), (c+1)%3, (c+2)%3
+	for _, k := range ks {
+		base[at[k[c]]] = uint64(k[y])<<32 | uint64(k[z])
+		at[k[c]]++
+	}
+	copy(at[1:], at) // each at[v] is where v's run ends, so where v+1's starts
+	at[0] = 0
+	ix.base = base
+	if ix.dir.byID {
+		ix.dir.at = at
+		return
+	}
+	ix.dir.vals, ix.dir.at = nil, nil
+	for v := range size - 1 {
+		if at[v] < at[v+1] {
+			ix.dir.vals, ix.dir.at = append(ix.dir.vals, ID(v)), append(ix.dir.at, at[v])
+		}
+	}
+	ix.dir.at = append(ix.dir.at, uint32(len(base)))
 }
 
 // maxDelta is how many pending changes an index holds before they are merged
@@ -466,8 +624,9 @@ func (ix *index) insert(adds []key) {
 const maxDelta = 1024
 
 // Graph is an in-memory RDF triple store with dictionary encoding: the
-// triples are kept as two sorted flat arrays of ID triples (the SPO and POS
-// permutations), every read is a range of one of them — or, for a pattern
+// triples are kept as two sorted permutations, SPO and POS, each a flat array
+// of the last two IDs of every triple packed into one word under a directory
+// of the first. Every read is a range of one of them — or, for a pattern
 // that binds the object and not the predicate, a range per predicate — and
 // writes go to a small sorted delta that is merged into the arrays when it
 // fills.
@@ -503,7 +662,8 @@ type Graph struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	g := &Graph{dict: NewDict(), changed: map[ID]uint64{}}
-	g.ix[spo].dir = []uint32{0}
+	g.ix[spo].dir = directory{byID: true, at: []uint32{0}}
+	g.ix[pos].dir = directory{at: []uint32{0}}
 	return g
 }
 
@@ -569,7 +729,8 @@ func (g *Graph) tripleOf(k key) Triple {
 // addKeysLocked is AddAll past the dictionary: in holds (s, p, o) of issued
 // IDs in input order and is not changed. The bulk path sorts a copy, drops
 // duplicates and keys already live (in base, once the pending writes are
-// merged), journals the rest in input order, and only then touches the arrays.
+// merged: a search inside each key's subject run), journals the rest in input
+// order, and only then touches the arrays.
 func (g *Graph) addKeysLocked(in []key) int {
 	if len(in) <= maxDelta {
 		n := 0
@@ -583,16 +744,8 @@ func (g *Graph) addKeysLocked(in []key) int {
 	for ord := range g.ix {
 		g.ix[ord].merge()
 	}
-	n := g.dict.Len()
-	keys, base := slices.Compact(rotate(rotate(rotate(in, n), n), n)), g.ix[spo].base
-	w, hi := len(keys), len(base)
-	for i := len(keys) - 1; i >= 0; i-- {
-		if hi = lowerBoundBelow(base, hi, keys[i]); hi == len(base) || base[hi] != keys[i] {
-			w--
-			keys[w] = keys[i]
-		}
-	}
-	keys = keys[w:]
+	n, bySubject := g.dict.Len(), &g.ix[spo]
+	keys := slices.DeleteFunc(slices.Compact(rotate(in, n, 3)), bySubject.has)
 	if g.journal != nil {
 		done, v := make([]bool, len(keys)), g.version
 		for _, k := range in {
@@ -637,57 +790,101 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 }
 
 // load adds keys — strictly ascending (s, p, o) of issued IDs, none live, no
-// write pending — to the triple set, a version each. The batch's POS order
-// comes from two stable sorts, through the OSP layout; an empty graph (the
-// snapshot reader's) takes the two slices as its arrays, any other merges
-// them in.
-// Each predicate of the batch is noted changed at the batch's last version,
-// once per run of the POS order. The caller holds the write lock or owns the
-// graph exclusively.
+// write pending — to the triple set, a version each. An empty graph packs
+// the keys into SPO (adopt) and derives POS from it (derivePOS); any other
+// merges them into both, the batch's POS order coming from two stable sorts,
+// through the OSP layout. Each predicate of the batch is noted changed at the
+// batch's last version. The caller holds the write lock or owns the graph
+// exclusively.
 func (g *Graph) load(keys []key) {
-	byPOS := rotate(rotate(keys, g.dict.Len()), g.dict.Len())
+	if len(keys) == 0 {
+		return
+	}
+	if len(g.ix[spo].base) == 0 {
+		g.ix[spo].adopt(keys, 0, int(keys[len(keys)-1][0])+2)
+		g.derivePOS()
+		return
+	}
+	byPOS := rotate(keys, g.dict.Len(), 2)
 	g.version += uint64(len(keys))
 	for i, k := range byPOS {
 		if i == 0 || k[0] != byPOS[i-1][0] {
 			g.changed[k[0]] = g.version
 		}
 	}
-	for ord, ks := range [indexed][]key{spo: keys, pos: byPOS} {
-		g.ix[ord].redirect(ks, nil)
-		if len(g.ix[ord].base) == 0 {
-			g.ix[ord].base = ks
-		} else {
-			g.ix[ord].insert(ks)
-		}
-	}
+	g.ix[spo].insert(keys)
+	g.ix[pos].insert(byPOS)
 }
 
-// rotate returns keys sorted as (x, y, z) re-sorted and rewritten as
-// (z, x, y): a stable sort on z, whose values are IDs up to maxID. SPO rotates
-// into OSP, OSP into POS; keys in any order come back ordered by z alone, so
-// three rotations are a radix sort. It counts, unless the batch is so small
-// next to the dictionary that the counting array costs more than comparing.
-func rotate(keys []key, maxID int) []key {
-	out := make([]key, len(keys))
-	if len(keys) < maxID/16 {
-		for i, k := range keys {
-			out[i] = key{k[2], k[0], k[1]}
-		}
-		slices.SortStableFunc(out, func(a, b key) int { return cmp.Compare(a[0], b[0]) })
-		return out
-	}
-	next := make([]uint32, maxID+2) // next[v]: where the next key with z = v goes
-	for _, k := range keys {
-		next[k[2]+1]++
+// derivePOS gives an empty POS the triples of SPO, all of them new to the
+// graph, a version each: SPO's triples in order, stably sorted on the object,
+// are the OSP layout, and that, stably sorted on the predicate, is POS
+// (adopt). It is rotate's first step with SPO's base as its input, so a
+// graph built from a snapshot never holds its triples as keys in SPO order.
+func (g *Graph) derivePOS() {
+	bySubject, n := &g.ix[spo], g.dict.Len()
+	next := make([]uint32, n+2) // next[o]: where the next key with object o goes
+	for _, w := range bySubject.base {
+		next[ID(w)+1]++
 	}
 	for v := 1; v < len(next); v++ {
 		next[v] += next[v-1]
 	}
-	for _, k := range keys {
-		out[next[k[2]]] = key{k[2], k[0], k[1]}
-		next[k[2]]++
+	byOSP := make([]key, len(bySubject.base))
+	for s := range bySubject.dir.len() {
+		for _, w := range bySubject.base[bySubject.dir.at[s]:bySubject.dir.at[s+1]] {
+			byOSP[next[ID(w)]] = key{ID(w), ID(s), ID(w >> 32)}
+			next[ID(w)]++
+		}
 	}
-	return out
+	g.ix[pos].adopt(byOSP, 2, n+2)
+	g.version += uint64(len(bySubject.base))
+	for _, p := range g.ix[pos].dir.vals {
+		g.changed[p] = g.version
+	}
+}
+
+// rotate returns keys sorted as (x, y, z) re-sorted and rewritten as
+// (z, x, y), times times over: each a stable sort on z, whose values are IDs
+// up to maxID. SPO rotates into OSP, OSP into POS; keys in any order come back
+// ordered by z alone, so three rotations are a radix sort. keys is not
+// changed: the rotations take turns writing two buffers and share one
+// counting array. Each counts, unless the batch is so small next to the
+// dictionary that the counting array costs more than comparing.
+func rotate(keys []key, maxID, times int) []key {
+	var bufs [2][]key
+	var next []uint32 // next[v]: where the next key with z = v goes
+	for t := range times {
+		if bufs[t%2] == nil {
+			bufs[t%2] = make([]key, len(keys))
+		}
+		out := bufs[t%2]
+		if len(keys) < maxID/16 {
+			for i, k := range keys {
+				out[i] = key{k[2], k[0], k[1]}
+			}
+			slices.SortStableFunc(out, func(a, b key) int { return cmp.Compare(a[0], b[0]) })
+			keys = out
+			continue
+		}
+		if next == nil {
+			next = make([]uint32, maxID+2)
+		} else {
+			clear(next)
+		}
+		for _, k := range keys {
+			next[k[2]+1]++
+		}
+		for v := 1; v < len(next); v++ {
+			next[v] += next[v-1]
+		}
+		for _, k := range keys {
+			out[next[k[2]]] = key{k[2], k[0], k[1]}
+			next[k[2]]++
+		}
+		keys = out
+	}
+	return keys
 }
 
 // JournalOp discriminates the two graph mutations for the write-ahead
@@ -952,7 +1149,7 @@ func (g *Graph) Clone() *Graph {
 		floor:   g.floor,
 	}
 	for ord, ix := range g.ix {
-		out.ix[ord] = index{base: slices.Clone(ix.base), dir: slices.Clone(ix.dir), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}
+		out.ix[ord] = index{base: slices.Clone(ix.base), dir: ix.dir.clone(), delta: slices.Clone(ix.delta), dead: slices.Clone(ix.dead)}
 	}
 	return out
 }

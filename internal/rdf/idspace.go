@@ -120,10 +120,10 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	// searches would meet them one at a time. KeepAlive keeps the compiler
 	// from dropping reads whose values nothing else uses.
 	bySubject := &g.ix[spo]
-	var ends ID
+	var ends uint64
 	for _, q := range pats {
-		if lo, hi := bySubject.run(q[0]); lo < hi {
-			ends += bySubject.base[lo][1] + bySubject.base[hi-1][1]
+		if lo, hi := bySubject.dir.run(q[0]); lo < hi {
+			ends += bySubject.base[lo] + bySubject.base[hi-1]
 		}
 	}
 	runtime.KeepAlive(ends)
@@ -196,7 +196,7 @@ func (g *Graph) matchObjectLocked(s, o ID, fn func(s, p, o ID) bool) {
 				m = i + 1
 			}
 		}
-		if !fn(pos.triple(heads[m].k)) {
+		if k := &heads[m].k; !fn(pos.triple(k[0], k[1], k[2])) {
 			return
 		}
 		var ok bool

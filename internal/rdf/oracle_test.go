@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -309,7 +310,9 @@ func (l *journalLog) hookOn(t testing.TB, g *Graph) func(JournalOp, Triple, uint
 
 // runOps applies an op stream — three bytes of triple and one of opcode per
 // op — to a Graph and the oracle, checking after every op that both agree
-// on the op's result, and at checkpoints that they hold the same graph.
+// on the op's result, after every op that rewrote the base arrays that the
+// directories agree with bisection, and at checkpoints that they hold the
+// same graph.
 func runOps(t testing.TB, ops []byte, checkEvery int) (*Graph, *oracleGraph) {
 	g, want := NewGraph(), newOracleGraph()
 	var got, expect journalLog
@@ -354,6 +357,9 @@ func runOps(t testing.TB, ops []byte, checkEvery int) (*Graph, *oracleGraph) {
 		}
 		if g.Version() != want.version {
 			t.Fatalf("op %d: version %d, oracle %d", i/4, g.Version(), want.version)
+		}
+		if len(g.ix[spo].delta) == 0 { // a merge or a bulk load rewrote base
+			checkDirectory(t, g, fmt.Sprintf("op %d", i/4))
 		}
 		if checkEvery > 0 && (i/4)%checkEvery == 0 {
 			checkSameGraph(t, g, want)
@@ -438,7 +444,7 @@ func checkSameGraph(t testing.TB, g *Graph, want *oracleGraph) {
 			}
 			i := 0
 			g.Match(terms[0], terms[1], terms[2], func(tr Triple) bool {
-				s, p, o := ord.triple(exp[i])
+				s, p, o := ord.triple(exp[i][0], exp[i][1], exp[i][2])
 				if want := (Triple{g.TermOf(s), g.TermOf(p), g.TermOf(o)}); tr != want {
 					t.Fatalf("Match%v yields %v at %d, want %v (the order of MatchIDs)", pat, tr, i, want)
 				}
@@ -452,25 +458,63 @@ func checkSameGraph(t testing.TB, g *Graph, want *oracleGraph) {
 	}
 }
 
-// directoryMismatch holds SPO's subject directory to bisection: for every ID
-// up to two past the dictionary's last — absent subjects, empty runs and IDs
-// past the largest subject among them — the run the directory finds must be
-// the span a search of the base array finds, and the directory must end one
-// past the largest subject. It describes the first difference, or returns ""
-// when there is none. The caller holds the read lock or owns the graph.
+// expand is base as the keys it stands for, each word under the first
+// component its directory gives it: the one way the tests read a base array.
+func (ix *index) expand() []key {
+	out := make([]key, 0, len(ix.base))
+	for i := range ix.dir.len() {
+		for _, w := range ix.base[ix.dir.at[i]:ix.dir.at[i+1]] {
+			out = append(out, unpack(ix.dir.lead(i), w))
+		}
+	}
+	return out
+}
+
+// directoryMismatch holds both directories — SPO's, indexed by subject, and
+// POS's list of predicates — to bisection: each must cover its base array
+// with runs that expand to strictly ascending keys, and for every ID up to
+// two past the dictionary's last — absent values, empty runs and IDs past
+// the largest among them — the run the directory finds must be the span a
+// search of the expanded keys finds. SPO's ends one past the largest subject,
+// and POS's lists exactly the predicates with a run. It describes the first
+// difference, or returns "" when there is none. The caller holds the read
+// lock or owns the graph.
 func directoryMismatch(g *Graph) string {
-	ix := &g.ix[spo]
-	want := 1
-	if n := len(ix.base); n > 0 {
-		want = int(ix.base[n-1][0]) + 2
-	}
-	if len(ix.dir) != want {
-		return fmt.Sprintf("the directory has %d entries, want %d", len(ix.dir), want)
-	}
-	for s := ID(0); int(s) <= g.dict.Len()+2; s++ {
-		lo, hi := ix.run(s)
-		if wlo, whi := span(ix.base, key{s}, 1); lo != wlo || hi != whi {
-			return fmt.Sprintf("subject %d: the directory finds base[%d:%d], bisection base[%d:%d]", s, lo, hi, wlo, whi)
+	for ord := range g.ix {
+		ix := &g.ix[ord]
+		d, ks := &ix.dir, ix.expand()
+		switch {
+		case d.byID != (ord == int(spo)):
+			return fmt.Sprintf("%v: indexed by ID is %v", order(ord), d.byID)
+		case len(d.at) == 0 || d.at[0] != 0 || int(d.at[d.len()]) != len(ix.base) || len(ks) != len(ix.base):
+			return fmt.Sprintf("%v: the directory does not cover the %d words of base", order(ord), len(ix.base))
+		case !slices.IsSortedFunc(ks, func(a, b key) int { return cmp.Or(a.compare(b), -1) }): // strictly: a repeat counts as a descent
+			return fmt.Sprintf("%v: the directory's runs expand to keys out of order", order(ord))
+		}
+		if d.byID {
+			want := 1
+			if n := len(ks); n > 0 {
+				want = int(ks[n-1][0]) + 2
+			}
+			if d.vals != nil || len(d.at) != want {
+				return fmt.Sprintf("%v: the directory has %d entries, want %d", order(ord), len(d.at), want)
+			}
+		} else {
+			var leads []ID
+			for i, k := range ks {
+				if i == 0 || k[0] != ks[i-1][0] {
+					leads = append(leads, k[0])
+				}
+			}
+			if !slices.Equal(d.vals, leads) || len(d.at) != len(leads)+1 {
+				return fmt.Sprintf("%v: the directory lists %v (%d entries), the base %v", order(ord), d.vals, len(d.at), leads)
+			}
+		}
+		for v := ID(0); int(v) <= g.dict.Len()+2; v++ {
+			lo, hi := d.run(v)
+			if wlo, whi := span(ks, key{v}, 1); lo != wlo || hi != whi {
+				return fmt.Sprintf("%v: %d: the directory finds base[%d:%d], bisection base[%d:%d]", order(ord), v, lo, hi, wlo, whi)
+			}
 		}
 	}
 	return ""
@@ -548,7 +592,7 @@ func TestMergeAtEveryDeltaSize(t *testing.T) {
 				t.Fatalf("size %d: %v delta holds %d", size, order(ord), len(g.ix[ord].delta))
 			}
 			g.ix[ord].merge()
-			if !slices.IsSortedFunc(g.ix[ord].base, key.compare) || len(g.ix[ord].base) != g.Len() || len(g.ix[ord].delta) != 0 {
+			if !slices.IsSortedFunc(g.ix[ord].expand(), key.compare) || len(g.ix[ord].base) != g.Len() || len(g.ix[ord].delta) != 0 {
 				t.Fatalf("size %d: %v base is not the sorted live set after merge", size, order(ord))
 			}
 		}
@@ -569,13 +613,14 @@ func TestMergeAtEveryDeltaSize(t *testing.T) {
 	}
 }
 
-// TestSubjectDirectory holds SPO's subject directory to bisection
-// (directoryMismatch) through every write to the base array: seeded random
-// Add, Remove and AddAll — batches past maxDelta sorted in — with merges
-// forced at random delta sizes, a clone, which must not share its directory
-// with its source, and a snapshot round trip. Meanwhile two readers check the
-// directory under the read lock and probe subject-bound patterns through
-// MatchIDsEach (run it with -race).
+// TestSubjectDirectory holds both directories — SPO's by subject, POS's list
+// of predicates — to bisection (directoryMismatch) through every write to the
+// base arrays: seeded random Add, Remove and AddAll — batches past maxDelta
+// sorted in — with merges forced at random delta sizes, a clone, which must
+// not share its directories with its source, and a snapshot round trip.
+// Meanwhile two readers check the directories under the read lock and probe
+// subject- and predicate-bound patterns through MatchIDsEach (run it with
+// -race).
 func TestSubjectDirectory(t *testing.T) {
 	g, want := NewGraph(), newOracleGraph()
 	stop := make(chan struct{})
@@ -584,6 +629,7 @@ func TestSubjectDirectory(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			checked := -1 // the length of SPO's base when the directories were last checked
 			for i := 1; ; i++ {
 				select {
 				case <-stop:
@@ -592,7 +638,10 @@ func TestSubjectDirectory(t *testing.T) {
 				}
 				if r == 0 {
 					g.mu.RLock()
-					msg := directoryMismatch(g)
+					msg := ""
+					if n := len(g.ix[spo].base); n != checked { // a merge or a bulk load rewrote base
+						checked, msg = n, directoryMismatch(g)
+					}
 					g.mu.RUnlock()
 					if msg != "" {
 						t.Error(msg)
@@ -600,11 +649,13 @@ func TestSubjectDirectory(t *testing.T) {
 					}
 					continue
 				}
-				pats := [][3]ID{{ID(i%50 + 1), 0, 0}, {ID(i%50 + 2), ID(i%9 + 1), 0}, {ID(i%50 + 3), ID(i%9 + 1), ID(i%40 + 1)}}
-				prev := [3]key{}
+				pats := [][3]ID{{ID(i%50 + 1), 0, 0}, {ID(i%50 + 2), ID(i%9 + 1), 0}, {ID(i%50 + 3), ID(i%9 + 1), ID(i%40 + 1)}, {0, ID(i%9 + 1), 0}, {0, ID(i%9 + 2), ID(i%40 + 1)}}
+				prev := [5]key{}
 				g.MatchIDsEach(pats, func(j int, s, p, o ID) bool {
-					k := key{s, p, o}
-					if q := pats[j]; s != q[0] || q[1] != 0 && p != q[1] || q[2] != 0 && o != q[2] || prev[j] != (key{}) && prev[j].compare(k) >= 0 {
+					q := pats[j]
+					ord, _, _ := accessPath(q[0], q[1], q[2])
+					k := ord.key(s, p, o)
+					if q[0] != 0 && s != q[0] || q[1] != 0 && p != q[1] || q[2] != 0 && o != q[2] || prev[j] != (key{}) && prev[j].compare(k) >= 0 {
 						t.Errorf("pattern %v yields %v after %v", q, k, prev[j])
 						return false
 					}
@@ -658,10 +709,10 @@ func TestSubjectDirectory(t *testing.T) {
 
 	clone := g.Clone()
 	checkDirectory(t, clone, "clone")
-	g.Add(Triple{ex("zzNewest"), ex("p0"), ex("s1")}) // the largest subject ID so far
+	g.Add(Triple{ex("zzNewest"), ex("zzNewPredicate"), ex("s1")}) // the largest subject and predicate IDs so far
 	all := clone.Triples()
 	for _, tr := range all {
-		if tr.S == all[0].S {
+		if tr.S == all[0].S || tr.P == all[0].P { // a subject's and a predicate's last triples go
 			clone.Remove(tr)
 		}
 	}
@@ -682,8 +733,10 @@ func TestSubjectDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDirectory(t, back, "snapshot round trip")
-	if !slices.Equal(back.ix[spo].dir, g.ix[spo].dir) {
-		t.Error("the restored directory differs from its source's")
+	for ord := range g.ix {
+		if a, b := back.ix[ord].dir, g.ix[ord].dir; !slices.Equal(a.vals, b.vals) || !slices.Equal(a.at, b.at) {
+			t.Errorf("the restored %v directory differs from its source's", order(ord))
+		}
 	}
 }
 
@@ -968,7 +1021,7 @@ func TestAddAllAtTheBoundary(t *testing.T) {
 					t.Error("WriteBinary differs from a loop of Add")
 				}
 				for ord := range all.ix {
-					if ks := all.ix[ord].base; size > maxDelta && (len(all.ix[ord].delta) != 0 || len(ks) != all.Len() || !slices.IsSortedFunc(ks, key.compare)) {
+					if ks := all.ix[ord].expand(); size > maxDelta && (len(all.ix[ord].delta) != 0 || len(ks) != all.Len() || !slices.IsSortedFunc(ks, key.compare)) {
 						t.Errorf("%v: a sorted-in batch left %d pending, base %d of %d triples", order(ord), len(all.ix[ord].delta), len(ks), all.Len())
 					}
 				}

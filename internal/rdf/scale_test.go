@@ -18,7 +18,7 @@ type scaleReport struct {
 	triples       int
 	loadS         float64 // datagen.Products + rdf.Materialize
 	bytesPerT     float64 // live heap the graph holds, after two GCs
-	dirPerT       float64 // of which SPO's subject directory
+	dirPerT       float64 // of which the two directories
 	restoredPerT  float64 // the same for the graph ReadBinary restores from its snapshot
 	matchNsPerT   float64 // predicate-bound Match, per triple yielded
 	addUs, remUs  float64 // one triple of an INSERT DATA-sized batch, delta non-empty
@@ -167,25 +167,27 @@ func BenchmarkGraphScale(b *testing.B) {
 }
 
 // TestLiveBytesPerTriple holds the graph to its memory budget at the
-// standing benchmark's 197 982 triples: dictionary and two permutations
-// together stay under 45 B a triple, loaded or restored from a snapshot (the
+// standing benchmark's 197 982 triples: dictionary and two packed
+// permutations with their directories together stay under 34 B a triple
+// loaded, 33 restored from a snapshot — a byte above what each reads (the
 // map-of-maps indexes took 235, a map-and-slice dictionary ≈81 and, restored
-// with a datatype string per literal, ≈80; a third permutation ≈53).
+// with a datatype string per literal, ≈80; a third permutation ≈53, and
+// 12-byte keys instead of packed words ≈41).
 func TestLiveBytesPerTriple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 198k triples")
 	}
 	r := measureScale(22400)
-	t.Logf("%d triples: %.1f B/triple (restored %.1f, directory %.2f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
+	t.Logf("%d triples: %.1f B/triple (restored %.1f, directories %.2f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
 		r.triples, r.bytesPerT, r.restoredPerT, r.dirPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
 	if r.triples != 197982 {
 		t.Fatalf("datagen drifted: %d triples, want 197982", r.triples)
 	}
-	if r.bytesPerT > 45 {
-		t.Errorf("graph holds %.1f live bytes per triple, budget 45", r.bytesPerT)
+	if r.bytesPerT > 34 {
+		t.Errorf("graph holds %.1f live bytes per triple, budget 34", r.bytesPerT)
 	}
-	if r.restoredPerT > 45 {
-		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 45", r.restoredPerT)
+	if r.restoredPerT > 33 {
+		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 33", r.restoredPerT)
 	}
 }
 
@@ -237,7 +239,8 @@ func TestDictReadsDoNotAllocate(t *testing.T) {
 // products graph: enumerating and counting ?s ?p <o> and <s> ?p <o> over 256
 // sampled objects touches no heap. So do their subject-bound siblings <s> <p>
 // ?o and <s> <p> <o>, whose subject run the directory finds, one MatchIDs at
-// a time or all 256 through one MatchIDsEach.
+// a time or all 256 through one MatchIDsEach, and the predicate-bound ones
+// ?s <p> ?o and ?s <p> <o>, whose predicate run POS's directory finds.
 func TestObjectLookupsDoNotAllocate(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1})
 	sample := objectSample(g, 256)
@@ -279,6 +282,26 @@ func TestObjectLookupsDoNotAllocate(t *testing.T) {
 		{"MatchIDs(s, p, o)", func() {
 			for _, spo := range sample {
 				g.MatchIDs(spo[0], spo[1], spo[2], count)
+			}
+		}},
+		{"MatchIDs(0, p, 0)", func() {
+			for _, spo := range sample {
+				g.MatchIDs(0, spo[1], 0, count)
+			}
+		}},
+		{"MatchCountIDs(0, p, 0)", func() {
+			for _, spo := range sample {
+				rows += g.MatchCountIDs(0, spo[1], 0)
+			}
+		}},
+		{"MatchIDs(0, p, o)", func() {
+			for _, spo := range sample {
+				g.MatchIDs(0, spo[1], spo[2], count)
+			}
+		}},
+		{"MatchCountIDs(0, p, o)", func() {
+			for _, spo := range sample {
+				rows += g.MatchCountIDs(0, spo[1], spo[2])
 			}
 		}},
 		{"MatchIDsEach((s, p, 0) × 256)", func() {
@@ -376,7 +399,10 @@ func manyPredicates() *rdf.Graph {
 // match) and MatchCountIDs, over 256 sampled triples of the 198k products
 // graph and of a graph with 1 000 predicates; and, next to them, the
 // subject-bound patterns <s> <p> ?o and <s> <p> <o>, a subject run the
-// directory finds and a search inside it. None of them allocates.
+// directory finds and a search inside it, and the predicate-bound ones the
+// planner counts for every constant-predicate pattern, ?s <p> ?o and
+// ?s <p> <o>, a predicate run POS's directory finds and a search inside it.
+// None of them allocates.
 func BenchmarkObjectLookup(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -402,6 +428,10 @@ func BenchmarkObjectLookup(b *testing.B) {
 			{"count-so", [3]bool{0: true, 2: true}, true},
 			{"match-sp", [3]bool{0: true, 1: true}, false},
 			{"match-spo", [3]bool{true, true, true}, false},
+			{"match-p", [3]bool{1: true}, false},
+			{"count-p", [3]bool{1: true}, true},
+			{"match-po", [3]bool{1: true, 2: true}, false},
+			{"count-po", [3]bool{1: true, 2: true}, true},
 		} {
 			b.Run(c.name+"/"+shape.name, func(b *testing.B) {
 				b.ReportAllocs()
