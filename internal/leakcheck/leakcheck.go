@@ -37,22 +37,22 @@ func Main(m *testing.M) {
 	os.Exit(code)
 }
 
-// wait polls Leaked until it comes back empty or d has passed, and returns
+// wait polls leaked until it comes back empty or d has passed, and returns
 // its last answer.
 func wait(d time.Duration) []string {
 	deadline := time.Now().Add(d)
 	for {
-		leaked := Leaked()
-		if len(leaked) == 0 || time.Now().After(deadline) {
-			return leaked
+		stacks := leaked()
+		if len(stacks) == 0 || time.Now().After(deadline) {
+			return stacks
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-// Leaked returns the stack of every goroutine but the caller's whose stack
+// leaked returns the stack of every goroutine but the caller's whose stack
 // runs this module's code.
-func Leaked() []string {
+func leaked() []string {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)

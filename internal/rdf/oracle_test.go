@@ -618,9 +618,13 @@ func TestMergeAtEveryDeltaSize(t *testing.T) {
 // base arrays: seeded random Add, Remove and AddAll — batches past maxDelta
 // sorted in — with merges forced at random delta sizes, a clone, which must
 // not share its directories with its source, and a snapshot round trip.
-// Meanwhile two readers check the directories under the read lock and probe
-// subject- and predicate-bound patterns through MatchIDsEach (run it with
-// -race).
+// The writer checks the directories under its lock after every op that
+// rewrote the base arrays — each forced merge, each AddAll, each write that
+// merged — including a squeeze that leaves base's length as it was.
+// Meanwhile two readers probe: one checks the directories under the read
+// lock whenever it finds the delta empty at a version it has not checked,
+// the other probes subject- and predicate-bound patterns through
+// MatchIDsEach (run it with -race).
 func TestSubjectDirectory(t *testing.T) {
 	g, want := NewGraph(), newOracleGraph()
 	stop := make(chan struct{})
@@ -629,7 +633,7 @@ func TestSubjectDirectory(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			checked := -1 // the length of SPO's base when the directories were last checked
+			checked := uint64(0) // the version at which the directories were last checked
 			for i := 1; ; i++ {
 				select {
 				case <-stop:
@@ -639,8 +643,8 @@ func TestSubjectDirectory(t *testing.T) {
 				if r == 0 {
 					g.mu.RLock()
 					msg := ""
-					if n := len(g.ix[spo].base); n != checked { // a merge or a bulk load rewrote base
-						checked, msg = n, directoryMismatch(g)
+					if len(g.ix[spo].delta) == 0 && g.version != checked { // a merge or a bulk load rewrote base
+						checked, msg = g.version, directoryMismatch(g)
 					}
 					g.mu.RUnlock()
 					if msg != "" {
@@ -674,11 +678,19 @@ func TestSubjectDirectory(t *testing.T) {
 		}
 	}
 	defer stopReaders() // a failing writer leaves no reader behind
+	// forceMerge merges both permutations; the caller holds the write lock.
+	forceMerge := func() {
+		for ord := range g.ix {
+			g.ix[ord].merge()
+		}
+	}
 	rng := rand.New(rand.NewSource(12))
 	mergeAt := 1 + rng.Intn(maxDelta)
 	for i := 0; i < 6*maxDelta; i++ {
 		a, b, c := byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))
-		switch op := rng.Intn(100); {
+		pending := len(g.ix[spo].delta)
+		op := rng.Intn(100)
+		switch {
 		case op == 0:
 			batch := bigBatch(a, b, c)
 			for _, tr := range batch {
@@ -696,13 +708,45 @@ func TestSubjectDirectory(t *testing.T) {
 				t.Fatalf("Remove(%v) disagrees with the oracle", tr)
 			}
 		}
-		if g.mu.Lock(); len(g.ix[spo].delta) >= mergeAt {
-			for ord := range g.ix {
-				g.ix[ord].merge()
-			}
-			mergeAt = 1 + rng.Intn(maxDelta)
+		g.mu.Lock()
+		rewritten := op == 0 || len(g.ix[spo].delta) < pending-1 // a cancelled pair shrinks the delta by one; a merge empties it
+		if len(g.ix[spo].delta) >= mergeAt {
+			forceMerge()
+			mergeAt, rewritten = 1+rng.Intn(maxDelta), true
+		}
+		msg := ""
+		if rewritten {
+			msg = directoryMismatch(g)
 		}
 		g.mu.Unlock()
+		if msg != "" {
+			t.Fatalf("op %d: %s", i, msg)
+		}
+	}
+	// A merge that squeezes out as many triples as it inserts leaves base's
+	// length as it was and still moves runs in both arrays: the first and
+	// last subjects' triples go, as many under a new subject and predicate
+	// come.
+	g.mu.Lock()
+	forceMerge()
+	g.mu.Unlock()
+	live := g.Triples()
+	for i, tr := range live {
+		if tr.S == live[0].S || tr.S == live[len(live)-1].S {
+			add := Triple{ex("zzSwapped"), ex("zzSwapPredicate"), NewInteger(int64(i))}
+			g.Remove(tr)
+			want.remove(tr)
+			g.Add(add)
+			want.add(add)
+		}
+	}
+	g.mu.Lock()
+	before := len(g.ix[spo].base)
+	forceMerge()
+	msg, after := directoryMismatch(g), len(g.ix[spo].base)
+	g.mu.Unlock()
+	if before != after || msg != "" {
+		t.Fatalf("a merge of as many removals as additions: base %d → %d words: %s", before, after, msg)
 	}
 	stopReaders()
 	checkSameGraph(t, g, want)
