@@ -9,6 +9,23 @@ import (
 	"rdfanalytics/internal/sparql"
 )
 
+// joinStepPrefix opens every query of joinStepShapes.
+const joinStepPrefix = "PREFIX ex: <http://example.org/products#> "
+
+// joinStepShapes are BenchmarkJoinStep's queries, one per shape.
+var joinStepShapes = []struct{ name, query string }{
+	{"chain", `SELECT DISTINCT ?cont ?c WHERE { ?l ex:USBPorts 3 ; ex:hardDrive ?h . ?h ex:manufacturer ?m . ?m ex:origin ?c . ?c ex:locatedAt ?cont }`},
+	{"star-filter", `SELECT ?m (AVG(?p) AS ?a) WHERE { ?l ex:manufacturer ?m ; ex:USBPorts ?u ; ex:price ?p . FILTER(?u >= 2) } GROUP BY ?m`},
+	{"group-by", `SELECT ?x2 ?x4 (SUM(?x5) AS ?sum_price) WHERE { ?x1 a ex:Laptop . ?x1 ex:manufacturer ?x2 . ?x1 ex:manufacturer ?x3 . ?x3 ex:origin ?x4 . ?x1 ex:price ?x5 . } GROUP BY ?x2 ?x4 HAVING (SUM(?x5) > 0)`},
+	{"big-select", `SELECT ?l ?p ?d ?u WHERE { ?l a ex:Laptop ; ex:price ?p ; ex:releaseDate ?d ; ex:USBPorts ?u . FILTER(?p >= 600) }`},
+	{"big-select-json", `SELECT ?l ?p ?d ?u WHERE { ?l a ex:Laptop ; ex:price ?p ; ex:releaseDate ?d ; ex:USBPorts ?u . FILTER(?p >= 600) }`},
+	{"optional", `SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > 1900) OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`},
+	{"semi-join", `SELECT (AVG(?x2) AS ?a) WHERE { ?x1 a ex:Laptop . ?x1 ex:price ?x2 }`},
+	{"bind-year", `SELECT ?y (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d . BIND(YEAR(?d) AS ?y) } GROUP BY ?y`},
+	{"sum-by-maker", `SELECT ?m (SUM(?p) AS ?s) WHERE { ?l ex:manufacturer ?m ; ex:price ?p } GROUP BY ?m`},
+	{"order-by-date", `SELECT ?l ?d WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d } ORDER BY ?d`},
+}
+
 // BenchmarkJoinStep runs one query of each shape the standing benchmark's
 // sparql-cold workload sends (benchmark/workload.go), on that workload's graph,
 // and the HIFUN semi-join a one-attribute Σ click translates to: B/op per
@@ -21,20 +38,8 @@ import (
 func BenchmarkJoinStep(b *testing.B) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
 	rdf.Materialize(g)
-	const prefix = "PREFIX ex: <http://example.org/products#> "
-	for _, c := range []struct{ name, query string }{
-		{"chain", `SELECT DISTINCT ?cont ?c WHERE { ?l ex:USBPorts 3 ; ex:hardDrive ?h . ?h ex:manufacturer ?m . ?m ex:origin ?c . ?c ex:locatedAt ?cont }`},
-		{"star-filter", `SELECT ?m (AVG(?p) AS ?a) WHERE { ?l ex:manufacturer ?m ; ex:USBPorts ?u ; ex:price ?p . FILTER(?u >= 2) } GROUP BY ?m`},
-		{"group-by", `SELECT ?x2 ?x4 (SUM(?x5) AS ?sum_price) WHERE { ?x1 a ex:Laptop . ?x1 ex:manufacturer ?x2 . ?x1 ex:manufacturer ?x3 . ?x3 ex:origin ?x4 . ?x1 ex:price ?x5 . } GROUP BY ?x2 ?x4 HAVING (SUM(?x5) > 0)`},
-		{"big-select", `SELECT ?l ?p ?d ?u WHERE { ?l a ex:Laptop ; ex:price ?p ; ex:releaseDate ?d ; ex:USBPorts ?u . FILTER(?p >= 600) }`},
-		{"big-select-json", `SELECT ?l ?p ?d ?u WHERE { ?l a ex:Laptop ; ex:price ?p ; ex:releaseDate ?d ; ex:USBPorts ?u . FILTER(?p >= 600) }`},
-		{"optional", `SELECT ?l ?h ?hm WHERE { ?l ex:manufacturer ex:Company1 ; ex:price ?p . FILTER(?p > 1900) OPTIONAL { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm } }`},
-		{"semi-join", `SELECT (AVG(?x2) AS ?a) WHERE { ?x1 a ex:Laptop . ?x1 ex:price ?x2 }`},
-		{"bind-year", `SELECT ?y (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d . BIND(YEAR(?d) AS ?y) } GROUP BY ?y`},
-		{"sum-by-maker", `SELECT ?m (SUM(?p) AS ?s) WHERE { ?l ex:manufacturer ?m ; ex:price ?p } GROUP BY ?m`},
-		{"order-by-date", `SELECT ?l ?d WHERE { ?l ex:manufacturer ex:Company1 ; ex:releaseDate ?d } ORDER BY ?d`},
-	} {
-		q := sparql.MustParse(prefix + c.query)
+	for _, c := range joinStepShapes {
+		q := sparql.MustParse(joinStepPrefix + c.query)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
