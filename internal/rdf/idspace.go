@@ -1,6 +1,10 @@
 package rdf
 
-import "runtime"
+import (
+	"math/bits"
+	"runtime"
+	"slices"
+)
 
 // ID-space read API. The SPARQL engine joins basic graph patterns on
 // dictionary IDs instead of materialized terms: equality is one integer
@@ -119,7 +123,7 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	// misses of runs met in no particular subject order overlap, where the
 	// searches would meet them one at a time. KeepAlive keeps the compiler
 	// from dropping reads whose values nothing else uses.
-	bySubject := &g.ix[spo]
+	bySubject, byValue := &g.ix[spo], &g.ix[pos]
 	var ends uint64
 	for _, q := range pats {
 		if lo, hi := bySubject.dir.run(q[0]); lo < hi {
@@ -127,15 +131,67 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 		}
 	}
 	runtime.KeepAlive(ends)
+	var at [valueBlock][2]int // the base range of each (0, p, o) pattern of the block
 	i, more := 0, true
 	for ; i < len(pats) && more; i++ {
+		if i%valueBlock == 0 {
+			byValue.valueSpans(pats[i:min(i+valueBlock, len(pats))], &at)
+		}
 		q := &pats[i]
-		g.matchIDsLocked(q[0], q[1], q[2], func(s, p, o ID) bool {
+		emit := func(s, p, o ID) bool {
 			more = fn(i, s, p, o)
 			return more
-		})
+		}
+		if !valueBound(q) {
+			g.matchIDsLocked(q[0], q[1], q[2], emit)
+			continue
+		}
+		lo, hi, dlo, dhi := at[i%valueBlock][0], at[i%valueBlock][1], 0, 0
+		if len(byValue.delta) > 0 {
+			dlo, dhi = span(byValue.delta, key{q[1], q[2]}, 2)
+		}
+		byValue.walk(pos, q[1], lo, hi, dlo, dhi, emit)
 	}
 	g.scans.Add(uint64(i))
+}
+
+// valueBlock is how many patterns MatchIDsEach resolves in POS at once.
+const valueBlock = 64
+
+// valueBound reports whether q is a (0, p, o) pattern: one (p, o) run of POS.
+func valueBound(q *[3]ID) bool { return q[0] == 0 && q[1] != 0 && q[2] != 0 }
+
+// valueSpans finds the base range of every (0, p, o) pattern of pats, at
+// most valueBlock of them, into at. It resolves a predicate's patterns in
+// ascending o, each gallop starting where the last one's range starts inside
+// the predicate's run, so a block costs by the gaps between its values and
+// not by a search of the run per pattern: the POS counterpart of reading
+// ahead the ends of subject runs. Each predicate's run is found once.
+func (ix *index) valueSpans(pats [][3]ID, at *[valueBlock][2]int) {
+	var todo uint64 // bit j: pats[j] is (0, p, o) and not yet resolved
+	for j := range pats {
+		if valueBound(&pats[j]) {
+			todo |= 1 << j
+		}
+	}
+	var words [valueBlock]uint64 // o above j, for each pattern of one predicate
+	for todo != 0 {
+		p, ws := pats[bits.TrailingZeros64(todo)][1], words[:0]
+		for j := range pats {
+			if todo&(1<<j) != 0 && pats[j][1] == p {
+				ws = append(ws, uint64(pats[j][2])<<32|uint64(j))
+				todo &^= 1 << j
+			}
+		}
+		slices.Sort(ws)
+		lo, hi := ix.dir.run(p)
+		run := ix.base[:hi]
+		for _, w := range ws {
+			t := w &^ (1<<32 - 1) // the first word of (o, ·)
+			lo = gallop(run, lo, t)
+			at[uint32(w)] = [2]int{lo, gallop(run, lo, t+1<<32)}
+		}
+	}
 }
 
 // accessPath picks the permutation in which the pattern's bound positions

@@ -456,6 +456,33 @@ func checkSameGraph(t testing.TB, g *Graph, want *oracleGraph) {
 			}
 		}
 	}
+	// MatchIDsEach over (0, p, o) patterns in no order — objects repeated and
+	// absent, more than one block of them, subject-bound ones among them —
+	// yields what MatchIDs yields for each pattern called in order, and stops
+	// where fn does.
+	var block [][3]ID
+	for _, k := range probes {
+		block = append(block, [3]ID{0, k[1], k[2]}, [3]ID{0, k[1], k[0]}, [3]ID{k[0], k[1], 0})
+	}
+	block = append(block, block[:7]...)
+	rand.New(rand.NewSource(int64(len(all)))).Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
+	var each, one [][4]ID
+	for i, q := range block {
+		g.MatchIDs(q[0], q[1], q[2], func(s, p, o ID) bool {
+			one = append(one, [4]ID{ID(i), s, p, o})
+			return true
+		})
+	}
+	for _, stop := range []int{len(one), len(one) / 2} {
+		each = each[:0]
+		g.MatchIDsEach(block, func(i int, s, p, o ID) bool {
+			each = append(each, [4]ID{ID(i), s, p, o})
+			return len(each) < stop
+		})
+		if stop > 0 && !slices.Equal(each, one[:stop]) {
+			t.Fatalf("MatchIDsEach over %d patterns, stopped after %d matches, yields %d matches, not those of MatchIDs in order", len(block), stop, len(each))
+		}
+	}
 }
 
 // expand is base as the keys it stands for, each word under the first

@@ -3,6 +3,7 @@ package rdf_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -240,7 +241,8 @@ func TestDictReadsDoNotAllocate(t *testing.T) {
 // sampled objects touches no heap. So do their subject-bound siblings <s> <p>
 // ?o and <s> <p> <o>, whose subject run the directory finds, one MatchIDs at
 // a time or all 256 through one MatchIDsEach, and the predicate-bound ones
-// ?s <p> ?o and ?s <p> <o>, whose predicate run POS's directory finds.
+// ?s <p> ?o and ?s <p> <o>, whose predicate run POS's directory finds, one
+// at a time or 64 ?s <p> <o> in random order through one MatchIDsEach.
 func TestObjectLookupsDoNotAllocate(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 11200, Companies: 16, Seed: 1})
 	sample := objectSample(g, 256)
@@ -249,6 +251,10 @@ func TestObjectLookupsDoNotAllocate(t *testing.T) {
 	subjectBound := make([][3]rdf.ID, len(sample))
 	for i, spo := range sample {
 		subjectBound[i] = [3]rdf.ID{spo[0], spo[1], 0}
+	}
+	valueBound := make([][3]rdf.ID, 64) // in no order of (p, o)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(sample))[:len(valueBound)] {
+		valueBound[i] = [3]rdf.ID{0, sample[k][1], sample[k][2]}
 	}
 	for _, c := range []struct {
 		name string
@@ -306,6 +312,9 @@ func TestObjectLookupsDoNotAllocate(t *testing.T) {
 		}},
 		{"MatchIDsEach((s, p, 0) × 256)", func() {
 			g.MatchIDsEach(subjectBound, func(_ int, _, _, _ rdf.ID) bool { rows++; return true })
+		}},
+		{"MatchIDsEach((0, p, o) × 64)", func() {
+			g.MatchIDsEach(valueBound, func(_ int, _, _, _ rdf.ID) bool { rows++; return true })
 		}},
 	} {
 		if got := testing.AllocsPerRun(10, c.fn); got != 0 {

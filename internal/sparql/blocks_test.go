@@ -23,10 +23,10 @@ import (
 // outputs end on, just before and just after a block edge.
 
 // blockCase is one step-output shape: a set of member hubs — the step's input
-// rows — and how many fan triples each has, the step's output rows. An index
-// loop's fan triples have their hub as subject; a hash join's have it as
-// object, since a subject-keyed step with at least as many matches as input
-// rows runs as an index loop through SPO's subject directory instead.
+// rows — and how many fan triples each has, the step's output rows. The fan
+// triples have their hub as subject. A hash join's step has fewer matches
+// than members, as a subject-keyed step with at least as many runs as an
+// index loop through SPO's subject directory instead.
 type blockCase struct {
 	name     string
 	strategy string // the join type the fan step must run as
@@ -54,8 +54,8 @@ const minMembers = 64
 // none, one row short of a block, exactly a block, one row over — produced by
 // two neighbouring input rows, every other input row producing nothing — and
 // several blocks from the last input row after a few rows per input row
-// before it. A hash join needs the pattern's count within
-// hashBuildFactor × its input, an index loop needs it above.
+// before it. A hash join needs the pattern's count below its input, an index
+// loop needs it above hashBuildFactor × its input.
 func blockCases(perBlock int) []blockCase {
 	fans := func(members, rest int, at ...int) []int {
 		f := make([]int, members)
@@ -72,7 +72,7 @@ func blockCases(perBlock int) []blockCase {
 		hash := strategy == "hash join"
 		members := func(out int) int {
 			if hash {
-				return max(minMembers, out/hashBuildFactor+1)
+				return max(minMembers, out+1)
 			}
 			return minMembers
 		}
@@ -80,7 +80,7 @@ func blockCases(perBlock int) []blockCase {
 			cases = append(cases, blockCase{name: name, strategy: strategy, fans: f, outsider: outsider})
 		}
 		if hash {
-			add("empty", fans(minMembers, 0), minMembers+1)
+			add("empty", fans(minMembers, 0), minMembers-1)
 		} else {
 			add("empty", fans(minMembers, 0), minMembers*hashBuildFactor+1)
 		}
@@ -88,7 +88,11 @@ func blockCases(perBlock int) []blockCase {
 			add(fmt.Sprintf("block%+d", out-perBlock), fans(members(out), 0, 3, out-3, 4, 3), 0)
 		}
 		if hash {
-			add("several", fans(perBlock, 1, perBlock-1, 2*perBlock+5), 0)
+			f := fans(3*perBlock+5, 0, perBlock-1, 2*perBlock+5)
+			for i := range perBlock - 1 {
+				f[i] = 1
+			}
+			add("several", f, 0)
 		} else {
 			add("several", fans(minMembers, 5, minMembers-1, 2*perBlock+5), 0)
 		}
@@ -113,11 +117,7 @@ func blockGraph(cases []blockCase) *rdf.Graph {
 				if leaf == len(leaves) {
 					leaves = append(leaves, e(fmt.Sprint("leaf", leaf)))
 				}
-				if c.hashed() {
-					ts = append(ts, rdf.NewTriple(leaves[leaf], fan, hub))
-				} else {
-					ts = append(ts, rdf.NewTriple(hub, fan, leaves[leaf]))
-				}
+				ts = append(ts, rdf.NewTriple(hub, fan, leaves[leaf]))
 				leaf++
 			}
 		}
@@ -137,13 +137,14 @@ func blockGraph(cases []blockCase) *rdf.Graph {
 // given width: ?h and ?f (which width 1 leaves without a slot) plus constant
 // padding columns. The fan pattern comes first in the text, so textual order
 // (NoReorder) produces the rows from one input row and the cost-based order
-// from the members.
+// from the members. A hash join's members come from a group of their own,
+// which runs first: the planner would start from the fan pattern, the
+// smaller.
 func blockQuery(width, ci int, c blockCase) string {
-	fan := fmt.Sprintf(`?h <http://e/fan%d> ?f`, ci)
+	body := fmt.Sprintf(`?h <http://e/fan%d> ?f . ?h <http://e/in> <http://e/set%d>`, ci, ci)
 	if c.hashed() {
-		fan = fmt.Sprintf(`?f <http://e/fan%d> ?h`, ci)
+		body = fmt.Sprintf(`{ ?h <http://e/in> <http://e/set%d> } ?h <http://e/fan%d> ?f`, ci, ci)
 	}
-	body := fmt.Sprintf(`%s . ?h <http://e/in> <http://e/set%d>`, fan, ci)
 	if width == 1 {
 		return `SELECT ?h WHERE { ` + body + ` }`
 	}

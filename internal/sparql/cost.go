@@ -74,9 +74,10 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 		inRows = 1
 	}
 	est := stepEstimate{outRows: min(inRows*perRow, costCap)}
-	if chooseStrategy(base, inRows, nJoin, false) == strategyHashJoin {
+	if chooseStrategy(base, inRows, nJoin, false) == strategyHashJoin || nJoin == 0 && inRows >= hashJoinMinInput {
 		// Scan the build side once (constants-only match count), probe each
-		// input row, produce the output.
+		// input row, produce the output. A cross product scans its pattern
+		// once too.
 		est.cost = base + inRows + est.outRows
 	} else {
 		// One index probe per input row plus the produced rows (an index

@@ -12,19 +12,23 @@ import (
 	"rdfanalytics/internal/rdf"
 )
 
-// A subject-keyed step under a constant predicate that the strategy rule
-// sends to a hash join runs as an index loop through SPO's subject directory
-// when its pattern has no fewer matches than input rows (probesDirectory).
-// The test below holds the two to the same row sequence on every such step,
-// whatever its counts.
+// A step under a constant predicate that the strategy rule sends to a hash
+// join runs as an index loop instead (patPlan.probes) when it is keyed by
+// its object, through POS's (p, o) runs, or by its subject with no fewer
+// matches than input rows, through SPO's subject directory; a step with no
+// join variable replays one scan of its pattern per row. The test below
+// holds each to the hash join's row sequence on every such step, whatever
+// its counts.
 
-// TestDirectoryProbeMatchesHashJoin plans seeded random stars and chains and
-// walks their steps as runTriples does. At every step keyed by subject under
-// a constant predicate, it runs the index loop (nestedLoopRun, the directory
-// probe) and the hash join (buildHashRun + probeHashRun) on the same input
-// rows, and requires the same rows in the same sequence. The graphs are the
-// products graph and an adversarial one, each with additions pending and
-// tombstones in the delta.
+// TestDirectoryProbeMatchesHashJoin plans seeded random stars and chains —
+// some joined to a further pattern by an object, some to one they share no
+// variable with — and walks their steps as runTriples does. At every step
+// keyed by subject or by object under a constant predicate, and at every
+// step with no join variable, it runs the index loop (nestedLoopRun: the
+// directory probe, the object probe, the replay) and the hash join
+// (buildHashRun + probeHashRun) on the same input rows, and requires the
+// same rows in the same sequence. The graphs are the products graph and an
+// adversarial one, each with additions pending and tombstones in the delta.
 func TestDirectoryProbeMatchesHashJoin(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -43,13 +47,15 @@ func TestDirectoryProbeMatchesHashJoin(t *testing.T) {
 		for _, tr := range all {
 			of[tr.S] = append(of[tr.S], tr)
 		}
-		steps, rows := 0, 0
+		var steps, rows [3]int // subject-keyed, object-keyed, cross products
 		for i := 0; i < 300; i++ {
-			n, r := compareSubjectSteps(t, c.g, randomJoin(rng, all, of), rng.Intn(3) == 0)
-			steps, rows = steps+n, rows+r
+			compareIndexSteps(t, c.g, randomJoin(rng, all, of), rng.Intn(3) == 0, &steps, &rows)
 		}
-		if steps < 200 || rows < 100000 {
-			t.Errorf("%s: only %d subject-keyed steps compared, writing %d rows", c.name, steps, rows)
+		t.Logf("%s: %v steps compared (subject-keyed, object-keyed, cross products), writing %v rows", c.name, steps, rows)
+		for k, kind := range []string{"subject-keyed steps", "object-keyed steps", "cross products"} {
+			if steps[k] < 25 || rows[k] < 10000 {
+				t.Errorf("%s: only %d %s compared, writing %d rows", c.name, steps[k], kind, rows[k])
+			}
 		}
 	}
 }
@@ -121,6 +127,9 @@ func pendChanges(g *rdf.Graph, rng *rand.Rand) {
 // predicates are those of one subject, a chain's follow an object to its
 // own triples. A pattern's last object is a fresh variable, one mentioned
 // nowhere else (no slot), the subject itself, or a constant the graph holds.
+// A third of the joins gain a pattern under a random predicate that shares
+// the chain's last object, which that predicate may never have; a quarter
+// one that shares no variable.
 func randomJoin(rng *rand.Rand, all []rdf.Triple, of map[rdf.Term][]rdf.Triple) string {
 	var pats, proj []string
 	fresh := 0
@@ -157,17 +166,26 @@ func randomJoin(rng *rand.Rand, all []rdf.Triple, of map[rdf.Term][]rdf.Triple) 
 			pats = append(pats, fmt.Sprintf("%s %s %s", from, at.P, to))
 			from, at = to, pick(of[at.O])
 		}
-		pats = append(pats, fmt.Sprintf("%s %s %s", from, at.P, object(from, true)))
+		last := object(from, true)
+		pats = append(pats, fmt.Sprintf("%s %s %s", from, at.P, last))
+		if strings.HasPrefix(last, "?v") && rng.Intn(3) == 0 {
+			pats = append(pats, fmt.Sprintf("?y %s %s", pick(all).P, last))
+			proj = append(proj, "?y")
+		}
+	}
+	if rng.Intn(4) == 0 {
+		pats = append(pats, fmt.Sprintf("?z %s %s", pick(all).P, object("?z", true)))
+		proj = append(proj, "?z")
 	}
 	rng.Shuffle(len(pats), func(i, j int) { pats[i], pats[j] = pats[j], pats[i] })
 	return fmt.Sprintf("SELECT %s WHERE { %s }", strings.Join(proj, " "), strings.Join(pats, " . "))
 }
 
-// compareSubjectSteps walks the query's plan step by step and compares the
-// directory probe with the hash join at every subject-keyed step under a
-// constant predicate, returning how many steps it compared and the rows they
-// wrote.
-func compareSubjectSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool) (steps, rows int) {
+// compareIndexSteps walks the query's plan step by step and compares the
+// index loop with the hash join at every step keyed by subject or by object
+// under a constant predicate, and at every step with no join variable,
+// adding up how many steps of each kind it compared and the rows they wrote.
+func compareIndexSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool, steps, rows *[3]int) {
 	t.Helper()
 	q := MustParse(text)
 	ev := newEvaluator(context.Background(), g, Options{NoReorder: noReorder, Limits: Limits{MaxIntermediateRows: 16 * maxCompared}})
@@ -178,7 +196,7 @@ func compareSubjectSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool
 	}
 	rp := ev.planRun(run)
 	if !rp.ok {
-		return 0, 0
+		return
 	}
 	in, owned := readRows(unitBatch(ev.sc.width())), false
 	for _, step := range ev.planBGP(rp, 0, 1) {
@@ -186,15 +204,22 @@ func compareSubjectSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool
 			break // a random join can blow up: its rows say no more
 		}
 		pp := &rp.pats[step.pat]
-		if joinPos, freePos, mixed := pp.boundness(in); !mixed && len(joinPos) > 0 && joinPos[0] == 0 && pp.ids[1] != 0 {
+		joinPos, freePos, mixed := pp.boundness(in)
+		kind := 2 // a cross product
+		if len(joinPos) > 0 {
+			kind = joinPos[0] / 2 // keyed by subject (0) or, under a constant predicate, by object (1)
+		}
+		if !mixed && (len(joinPos) == 0 && in.rows > 1 || len(joinPos) > 0 && pp.ids[1] != 0) { // a plan's first step is not a cross product
 			loop, hash := &rowWriter{width: in.width}, &rowWriter{width: in.width}
-			ev.nestedLoopRun(pp, in, loop, nil)
+			ev.cancel.resetRows() // each run gets the budget a step gets
+			ev.nestedLoopRun(pp, in, loop, nil, kind == 2)
+			ev.cancel.resetRows()
 			ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), in, hash, nil)
-			if got, want := writtenRows(loop), writtenRows(hash); !slices.Equal(got, want) {
-				t.Fatalf("%s\nstep %v from %d rows: the directory probe writes %d rows, the hash join %d, or in another sequence",
+			if got, want := writtenRows(loop), writtenRows(hash); !ev.cancel.aborted() && !slices.Equal(got, want) {
+				t.Fatalf("%s\nstep %v from %d rows: the index loop writes %d rows, the hash join %d, or in another sequence",
 					text, run[step.pat], in.rows, loop.rows, hash.rows)
 			}
-			steps, rows = steps+1, rows+hash.rows
+			steps[kind], rows[kind] = steps[kind]+1, rows[kind]+hash.rows
 			loop.release()
 			hash.release()
 		}
@@ -207,7 +232,6 @@ func compareSubjectSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool
 	if owned {
 		in.release()
 	}
-	return steps, rows
 }
 
 // maxCompared is the most input rows a compared step gets.

@@ -29,30 +29,26 @@ const (
 type joinStrategy int
 
 const (
-	strategyNestedLoop joinStrategy = iota // per-row ID index lookups
-	strategyHashJoin                       // build pattern matches, probe rows
+	strategyNestedLoop   joinStrategy = iota // per-row ID index lookups
+	strategyHashJoin                         // build pattern matches, probe rows
+	strategyCrossProduct                     // scan the pattern once, replay it per row
 )
 
 func (s joinStrategy) String() string {
-	if s == strategyHashJoin {
-		return "hash join"
-	}
-	return "index loop"
+	return [...]string{"index loop", "hash join", "cross product"}[s]
 }
 
 // chooseStrategy is the one join-type rule: est is the pattern's match count
 // with only constants bound, inputLen the number of input rows, nJoinVars how
 // many pattern variables arrive bound, and mixed whether some variable is
 // bound in only part of the input (which forces per-row handling). Execution
-// calls it with the live row count of each step (evalPattern); the cost model
-// calls it with the estimated one to price a step.
+// calls it with the live row count of each step (evalPattern), which runs a
+// step with no join variable as a cross product; the cost model calls it
+// with the estimated one to price a step, and prices a cross product as a
+// build.
 func chooseStrategy[N int | float64](est, inputLen N, nJoinVars int, mixed bool) joinStrategy {
 	if mixed || inputLen < hashJoinMinInput {
 		return strategyNestedLoop
-	}
-	if nJoinVars == 0 {
-		// Cross product: scan the pattern once instead of once per row.
-		return strategyHashJoin
 	}
 	if est <= inputLen*hashBuildFactor {
 		return strategyHashJoin
@@ -252,10 +248,12 @@ func (sf *stepFilter) sieve(w *rowWriter, all bool) {
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, step *planStep, fold *groupFold) *rowWriter {
 	joinPos, freePos, mixed := pp.boundness(in)
 	strategy := chooseStrategy(pp.baseEst, in.rows, len(joinPos), mixed)
-	if ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 {
+	switch {
+	case len(joinPos) == 0 && !mixed && in.rows >= hashJoinMinInput:
+		strategy = strategyCrossProduct
+	case ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1:
 		strategy = strategyNestedLoop // the build scans SPO, the loop POS
-	}
-	if strategy == strategyHashJoin && pp.probesDirectory(joinPos, in.rows) {
+	case strategy == strategyHashJoin && pp.probes(joinPos, in.rows):
 		strategy = strategyNestedLoop
 	}
 	psc, psct := ev.profEnter("scan", tp)
@@ -278,7 +276,7 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	if strategy == strategyHashJoin {
 		ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), in, w, sf)
 	} else {
-		ev.nestedLoopRun(pp, in, w, sf)
+		ev.nestedLoopRun(pp, in, w, sf, strategy == strategyCrossProduct)
 	}
 	sf.sieve(w, true)
 	produced := w.rows
@@ -338,14 +336,18 @@ func (pp *patPlan) boundness(in *rowWriter) (joinPos, freePos []int, mixed bool)
 	return joinPos, freePos, mixed
 }
 
-// probesDirectory reports whether a step sent to a hash join runs as an
-// index loop instead: keyed by subject under a constant predicate, with no
-// fewer matches than input rows. SPO's subject directory finds each row's
-// run in one step, so the loop reads what the table would hold — per key in
-// the same ascending object order — without building it. The cost model
-// still prices the step as a build (cost.go).
-func (pp *patPlan) probesDirectory(joinPos []int, inRows int) bool {
-	return len(joinPos) > 0 && joinPos[0] == 0 && pp.ids[1] != 0 && pp.baseEst >= inRows
+// probes reports whether a step sent to a hash join runs as an index loop
+// instead: under a constant predicate, keyed by its object alone, or by its
+// subject with no fewer matches than input rows. SPO's subject directory
+// finds each row's run in one step; POS's (p, o) runs are found a block of
+// rows at a time in ascending object order (rdf.Graph.MatchIDsEach). Either
+// way the loop reads what the table would hold, per key in the same order,
+// without building it. A subject-keyed step with fewer matches than rows
+// still builds: its table stays in cache where its rows, in no subject
+// order, would each miss. The cost model prices these steps as builds
+// (cost.go).
+func (pp *patPlan) probes(joinPos []int, inRows int) bool {
+	return len(joinPos) > 0 && pp.ids[1] != 0 && (joinPos[0] == 2 || pp.baseEst >= inRows)
 }
 
 // sameVarDiffers reports whether a match binds one variable of the pattern
@@ -374,8 +376,9 @@ const probeBlock = 64
 // against the row budget and polls for cancellation: one row of an unselective
 // pattern can match a large slice of the graph, and the scan stops where the
 // budget does. The rows are probed a block at a time; the filters sieve the
-// rows written between blocks.
-func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter) {
+// rows written between blocks. A cross product scans its pattern once and
+// replays the matches for every row instead.
+func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter, cross bool) {
 	produced := 0 // rows written since the last budget flush
 	scanned := 0
 	stopped := false
@@ -402,8 +405,16 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 		}
 		return !stopped
 	}
+	var ms [][3]rdf.ID // a cross product's matches: the pattern, scanned once
+	if cross {
+		ms = make([][3]rdf.ID, 0, pp.baseEst)
+		ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
+			ms = append(ms, [3]rdf.ID{s, p, o})
+			return len(ms)%pollEvery != 0 || !ev.cancel.poll()
+		})
+	}
 	n := 0 // rows gathered for the next probe
-	for _, row := range in.all() {
+	for r, row := range in.all() {
 		if n == 0 && ev.cancel.poll() {
 			return
 		}
@@ -413,19 +424,33 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 				lookups[n][i] = row[pp.slot[i]]
 			}
 		}
-		if n++; n < probeBlock {
+		if n++; n < probeBlock && r < in.rows-1 {
 			continue
 		}
-		ev.g.MatchIDsEach(lookups[:n], match)
+		if cross {
+			replay(ms, n, match)
+		} else {
+			ev.g.MatchIDsEach(lookups[:n], match)
+		}
 		if n = 0; stopped {
 			break
 		}
 		sf.sieve(w, false)
 	}
-	if n > 0 {
-		ev.g.MatchIDsEach(lookups[:n], match)
-	}
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
+}
+
+// replay is MatchIDsEach for a cross product's block of n rows: each row's
+// lookup is the pattern's constants, so each gets every match of ms, in
+// scan order, until fn returns false.
+func replay(ms [][3]rdf.ID, n int, fn func(i int, s, p, o rdf.ID) bool) {
+	for i := range n {
+		for _, m := range ms {
+			if !fn(i, m[0], m[1], m[2]) {
+				return
+			}
+		}
+	}
 }
 
 // hashRun is the build side of a hash join: the pattern's matches (constants
@@ -444,25 +469,20 @@ type hashRun struct {
 	last, next, count []int32
 }
 
-// firstKeys is how many keys a build makes room for before its scan has
-// seen what share of its matches bring a new key.
-const firstKeys = 256
-
 // buildHashRun scans the pattern once, chaining each match behind the last
-// one with its join key. The pattern's count sizes the per-match arrays up
-// front; the per-key ones start at firstKeys and grow as the keys come
-// (grow), since a build keyed by a value many matches share holds far fewer
-// keys than matches. A scan that finds more matches than the count (triples
-// inserted since) grows by append.
+// one with its join key. The pattern's count sizes every array up front: a
+// build under a constant predicate is keyed by subject (patPlan.probes), and
+// few matches share a subject. A scan that finds more matches than the count
+// (triples inserted since) grows by append.
 func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun {
-	nf, keyCap := len(freePos), min(pp.baseEst, firstKeys)
-	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), keyCap)}
+	nf, est := len(freePos), pp.baseEst
+	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), est)}
 	if nf == 0 {
-		ht.count = make([]int32, 0, keyCap)
+		ht.count = make([]int32, 0, est)
 	} else {
-		ht.free, ht.last, ht.next = make([]rdf.ID, 0, pp.baseEst*nf), make([]int32, 0, keyCap), make([]int32, 0, pp.baseEst)
+		ht.free, ht.last, ht.next = make([]rdf.ID, 0, est*nf), make([]int32, 0, est), make([]int32, 0, est)
 	}
-	scanned, matched := 0, 0
+	scanned := 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 			return false
@@ -472,10 +492,6 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 		if pp.sameVarDiffers([3]rdf.ID{}, m) {
 			return true
 		}
-		if ht.keys.count == keyCap {
-			keyCap = ht.grow(matched, pp.baseEst)
-		}
-		matched++
 		var key [3]rdf.ID
 		for k, posI := range joinPos {
 			key[k] = m[posI]
@@ -505,29 +521,10 @@ func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun 
 	return ht
 }
 
-// grow makes room in the full per-key arrays for the keys the whole scan
-// will find, projected from the k found in its first matched of est matches:
-// k·est/matched, an eighth more, at most est, and at least 2k. It returns
-// the room made.
-func (ht *hashRun) grow(matched, est int) int {
-	k := ht.keys.count
-	n := k * est / max(matched, 1)
-	n = max(min(n+n/8, est), 2*k)
-	ht.keys.reserve(n)
-	if len(ht.freePos) == 0 {
-		ht.count = append(make([]int32, 0, n), ht.count...)
-	} else {
-		ht.last = append(make([]int32, 0, n), ht.last...)
-	}
-	return n
-}
-
 // probeHashRun probes the table with each row's join-column IDs and extends
-// the row with the free columns of every bucket match. A cross-product run
-// lands here (every probe hits the full build side), so the inner loop
-// accounts produced rows against the budget and polls for cancellation —
-// this is where a pathological query dies early. The filters sieve the rows
-// written between probes.
+// the row with the free columns of every bucket match. A key can match many
+// rows, so the inner loop accounts produced rows against the budget and
+// polls for cancellation. The filters sieve the rows written between probes.
 func (ev *evaluator) probeHashRun(pp *patPlan, ht *hashRun, in, w *rowWriter, sf *stepFilter) {
 	nf := len(ht.freePos)
 	produced := 0

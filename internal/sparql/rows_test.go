@@ -59,25 +59,30 @@ WHERE { ?s ex:cat ?c ; ex:val ?v ; ex:flag ?f } GROUP BY ?c`)
 // probe reads; the steps before the last pass their rows on in pooled blocks
 // and allocate nothing, and a step that feeds the group fold returns no
 // output at all. The bytes that a 4-pattern star with a pushed-down filter,
-// joined by value to two twins, allocates — executed and encoded, as a
-// /sparql miss does — stay within 1.2× its output batch (rows × width × 4 B)
-// plus its JSON body plus, per build-side match, 4 B for its one free column
-// and 28 B of key table — with one key per match: 4 B of key, 4 B of chain,
-// 4 B of bucket end, at most 16 B of open-addressing slots. The joins to the
-// twins, keyed by object, are the builds: the star's own steps probe SPO's
-// subject directory. Grouped, the output is the fold's. Copying
+// joined through its group to two twins, allocates — executed and encoded,
+// as a /sparql miss does — stay within 1.2× its output batch (rows × width ×
+// 4 B) plus its JSON body plus, per build-side match, 4 B for its one free
+// column and 28 B of key table — with one key per match: 4 B of key, 4 B of
+// chain, 4 B of bucket end, at most 16 B of open-addressing slots. The joins
+// to the twins, keyed by subject with fewer matches (3 000 groups) than rows
+// (7 500), are the builds: the star's own steps probe SPO's subject
+// directory. The patterns run in textual order, as the planner would join
+// the twins first. Grouped, the output is the fold's. Copying
 // an intermediate step's rows into a batch of its own, or decoding the
 // answer into terms before encoding it, puts the star far past that.
 func TestStepAllocatesItsOutput(t *testing.T) {
 	g := starGraph(10000)
 	var twins []rdf.Triple
 	for i := range 10000 {
+		twins = append(twins, rdf.NewTriple(e(fmt.Sprint("s", i)), e("grp"), e(fmt.Sprint("g", i%3000))))
+	}
+	for i := range 3000 {
 		for _, twin := range []string{"t", "u"} {
-			twins = append(twins, rdf.NewTriple(e(fmt.Sprint(twin, i)), e(twin+"win"), rdf.NewInteger(int64(i))))
+			twins = append(twins, rdf.NewTriple(e(fmt.Sprint("g", i)), e(twin+"win"), e(fmt.Sprint(twin, i))))
 		}
 	}
 	g.AddAll(twins)
-	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:cat ?again . ?t ex:twin ?v . ?u ex:uwin ?v . FILTER(?v >= 2500) }`
+	const where = `WHERE { ?s ex:flag ?f ; ex:cat ?c ; ex:val ?v ; ex:grp ?k . ?k ex:twin ?t . ?k ex:uwin ?u . FILTER(?v >= 2500) }`
 	for _, c := range []struct {
 		name, query string
 		grouped     bool
@@ -88,7 +93,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 		q := MustParse("PREFIX ex: <http://e/>\n" + c.query)
 		var body []byte
 		run := func(prof *Profile) *Table {
-			tab, err := ExecSelectTable(context.Background(), g, q, Options{Profile: prof})
+			tab, err := ExecSelectTable(context.Background(), g, q, Options{Profile: prof, NoReorder: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +109,7 @@ func TestStepAllocatesItsOutput(t *testing.T) {
 		} else if tab.Len() != 7500 {
 			t.Fatalf("%s: %d rows, want 7500", c.name, tab.Len())
 		}
-		const perMatch = 4 + 28 // each hash join here keys on ?v and has one free column
+		const perMatch = 4 + 28 // each hash join here keys on ?k and has one free column
 		var built int64
 		folded := false
 		for _, n := range findProfNodes(prof, "scan") {
