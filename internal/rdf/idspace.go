@@ -118,12 +118,16 @@ func (g *Graph) MatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
 func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	if slices.ContainsFunc(pats, valueBound) {
+		g.scans.Add(uint64(g.matchValuesLocked(pats, fn)))
+		return
+	}
 	// Read both ends of every subject-bound pattern's run before searching
 	// any of them: the reads do not depend on one another, so the cache
 	// misses of runs met in no particular subject order overlap, where the
 	// searches would meet them one at a time. KeepAlive keeps the compiler
 	// from dropping reads whose values nothing else uses.
-	bySubject, byValue := &g.ix[spo], &g.ix[pos]
+	bySubject := &g.ix[spo]
 	var ends uint64
 	for _, q := range pats {
 		if lo, hi := bySubject.dir.run(q[0]); lo < hi {
@@ -131,35 +135,52 @@ func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 		}
 	}
 	runtime.KeepAlive(ends)
+	i, more := 0, true
+	for ; i < len(pats) && more; i++ {
+		q := &pats[i]
+		g.matchIDsLocked(q[0], q[1], q[2], func(s, p, o ID) bool {
+			more = fn(i, s, p, o)
+			return more
+		})
+	}
+	g.scans.Add(uint64(i))
+}
+
+// matchValuesLocked is MatchIDsEach over patterns some of which are
+// (0, p, o): the POS ranges of a block's (0, p, o) patterns are found
+// together (valueSpans), then each pattern is walked in turn, the delta
+// merged as a scan merges it. It returns how many patterns it probed.
+func (g *Graph) matchValuesLocked(pats [][3]ID, fn func(i int, s, p, o ID) bool) int {
+	ix := &g.ix[pos]
 	var at [valueBlock][2]int // the base range of each (0, p, o) pattern of the block
 	i, more := 0, true
 	for ; i < len(pats) && more; i++ {
 		if i%valueBlock == 0 {
-			byValue.valueSpans(pats[i:min(i+valueBlock, len(pats))], &at)
+			ix.valueSpans(pats[i:min(i+valueBlock, len(pats))], &at)
 		}
 		q := &pats[i]
 		emit := func(s, p, o ID) bool {
 			more = fn(i, s, p, o)
 			return more
 		}
-		if !valueBound(q) {
+		if !valueBound(*q) {
 			g.matchIDsLocked(q[0], q[1], q[2], emit)
 			continue
 		}
 		lo, hi, dlo, dhi := at[i%valueBlock][0], at[i%valueBlock][1], 0, 0
-		if len(byValue.delta) > 0 {
-			dlo, dhi = span(byValue.delta, key{q[1], q[2]}, 2)
+		if len(ix.delta) > 0 {
+			dlo, dhi = span(ix.delta, key{q[1], q[2]}, 2)
 		}
-		byValue.walk(pos, q[1], lo, hi, dlo, dhi, emit)
+		ix.walk(pos, q[1], lo, hi, dlo, dhi, emit)
 	}
-	g.scans.Add(uint64(i))
+	return i
 }
 
 // valueBlock is how many patterns MatchIDsEach resolves in POS at once.
 const valueBlock = 64
 
 // valueBound reports whether q is a (0, p, o) pattern: one (p, o) run of POS.
-func valueBound(q *[3]ID) bool { return q[0] == 0 && q[1] != 0 && q[2] != 0 }
+func valueBound(q [3]ID) bool { return q[0] == 0 && q[1] != 0 && q[2] != 0 }
 
 // valueSpans finds the base range of every (0, p, o) pattern of pats, at
 // most valueBlock of them, into at. It resolves a predicate's patterns in
@@ -170,7 +191,7 @@ func valueBound(q *[3]ID) bool { return q[0] == 0 && q[1] != 0 && q[2] != 0 }
 func (ix *index) valueSpans(pats [][3]ID, at *[valueBlock][2]int) {
 	var todo uint64 // bit j: pats[j] is (0, p, o) and not yet resolved
 	for j := range pats {
-		if valueBound(&pats[j]) {
+		if valueBound(pats[j]) {
 			todo |= 1 << j
 		}
 	}
