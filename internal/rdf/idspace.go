@@ -171,6 +171,14 @@ func (g *Graph) matchValuesLocked(pats [][3]ID, fn func(i int, s, p, o ID) bool)
 		if len(ix.delta) > 0 {
 			dlo, dhi = span(ix.delta, key{q[1], q[2]}, 2)
 		}
+		if dlo == dhi { // nothing pending: each word of the range is a match's (o, s)
+			for _, w := range ix.base[lo:hi] {
+				if more = fn(i, ID(w), q[1], q[2]); !more {
+					break
+				}
+			}
+			continue
+		}
 		ix.walk(pos, q[1], lo, hi, dlo, dhi, emit)
 	}
 	return i

@@ -384,13 +384,15 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 	stopped := false
 	var rows [probeBlock][]rdf.ID
 	var lookups [probeBlock][3]rdf.ID
+	// repeats: the pattern names a variable twice, which a match must bind alike.
+	repeats := pp.slot[0] >= 0 && (pp.slot[0] == pp.slot[1] || pp.slot[0] == pp.slot[2]) || pp.slot[1] >= 0 && pp.slot[1] == pp.slot[2]
 	match := func(r int, s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
 			stopped = true
 			return false
 		}
 		m, lookup := [3]rdf.ID{s, p, o}, lookups[r]
-		if pp.sameVarDiffers(lookup, m) {
+		if repeats && pp.sameVarDiffers(lookup, m) {
 			return true
 		}
 		out := w.add(rows[r])
