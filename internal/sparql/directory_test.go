@@ -52,9 +52,12 @@ func TestDirectoryProbeMatchesHashJoin(t *testing.T) {
 			compareIndexSteps(t, c.g, randomJoin(rng, all, of), rng.Intn(3) == 0, &steps, &rows)
 		}
 		t.Logf("%s: %v steps compared (subject-keyed, object-keyed, cross products), writing %v rows", c.name, steps, rows)
-		for k, kind := range []string{"subject-keyed steps", "object-keyed steps", "cross products"} {
-			if steps[k] < 25 || rows[k] < 10000 {
-				t.Errorf("%s: only %d %s compared, writing %d rows", c.name, steps[k], kind, rows[k])
+		for k, want := range []struct {
+			kind        string
+			steps, rows int
+		}{{"subject-keyed steps", 200, 100000}, {"object-keyed steps", 40, 40000}, {"cross products", 30, 50000}} {
+			if steps[k] < want.steps || rows[k] < want.rows {
+				t.Errorf("%s: only %d %s compared, writing %d rows", c.name, steps[k], want.kind, rows[k])
 			}
 		}
 	}
