@@ -114,7 +114,8 @@ func (g *Graph) MatchIDs(s, p, o ID, fn func(s, p, o ID) bool) {
 // probe (a join step's input rows) takes the lock once for the block, not
 // once per pattern. Iteration stops once fn returns false. Each pattern
 // probed counts as one scan, as a MatchIDs call does. fn runs under the read
-// lock, as MatchIDs' does.
+// lock, as MatchIDs' does. Patterns that include a (0, p, o) one go through
+// matchValuesLocked, which finds those in POS a block at a time.
 func (g *Graph) MatchIDsEach(pats [][3]ID, fn func(i int, s, p, o ID) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
