@@ -61,3 +61,25 @@ func BenchmarkClickScale(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPathSigma prices the Σ COUNT of laptops grouped by the origin of
+// their hard drive's manufacturer at 560, 1 120 and 2 240 laptops. Its plan
+// crosses the laptops with the origins and joins the manufacturers on their
+// object, so its rows grow with the square of the laptops, and it runs at
+// scales far below BenchmarkClickScale's. Part of make bench-scale.
+func BenchmarkPathSigma(b *testing.B) {
+	for _, laptops := range []int{560, 1120, 2240} {
+		g := datagen.Products(datagen.ProductsConfig{Laptops: laptops, Companies: 16, Seed: 1, Materialize: true})
+		b.Run(fmt.Sprintf("%d/count-by-origin", laptops), func(b *testing.B) {
+			s := NewSession(g, datagen.ExampleNS)
+			s.ClickClass(pe("Laptop"))
+			s.ClickGroupBy(GroupSpec{Path: facet.Path{{P: pe("hardDrive")}, {P: pe("manufacturer")}, {P: pe("origin")}}})
+			s.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+			for b.Loop() {
+				if ans, err := s.RunAnalytics(); err != nil || len(ans.Rows) == 0 {
+					b.Fatalf("Σ: %v, %v", ans, err)
+				}
+			}
+		})
+	}
+}

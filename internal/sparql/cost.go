@@ -74,7 +74,7 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 		inRows = 1
 	}
 	est := stepEstimate{outRows: min(inRows*perRow, costCap)}
-	if chooseStrategy(base, inRows, nJoin, false) == strategyHashJoin || nJoin == 0 && inRows >= hashJoinMinInput {
+	if chooseStrategy(base, inRows, nJoin, false) != strategyNestedLoop {
 		// Scan the build side once (constants-only match count), probe each
 		// input row, produce the output. A cross product scans its pattern
 		// once too.

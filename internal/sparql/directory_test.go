@@ -13,22 +13,24 @@ import (
 )
 
 // A step under a constant predicate that the strategy rule sends to a hash
-// join runs as an index loop instead (patPlan.probes) when it is keyed by
-// its object, through POS's (p, o) runs, or by its subject with no fewer
-// matches than input rows, through SPO's subject directory; a step with no
-// join variable replays one scan of its pattern per row. The test below
-// holds each to the hash join's row sequence on every such step, whatever
-// its counts.
+// join runs as an index loop instead (evaluator.probes) when it is keyed by
+// its object and writes few rows per key, through POS's (p, o) runs, or by
+// its subject with no fewer matches than input rows, through SPO's subject
+// directory; a step with no join variable replays one scan of its pattern
+// per row (crossRun). The test below holds each loop to the hash join's row
+// sequence on every step either could run, whatever its counts.
 
 // TestDirectoryProbeMatchesHashJoin plans seeded random stars and chains —
 // some joined to a further pattern by an object, some to one they share no
 // variable with — and walks their steps as runTriples does. At every step
 // keyed by subject or by object under a constant predicate, and at every
 // step with no join variable, it runs the index loop (nestedLoopRun: the
-// directory probe, the object probe, the replay) and the hash join
+// directory probe, the object probe; crossRun: the replay) and the hash join
 // (buildHashRun + probeHashRun) on the same input rows, and requires the
-// same rows in the same sequence. The graphs are the products graph and an
-// adversarial one, each with additions pending and tombstones in the delta.
+// same rows in the same sequence, and that both or neither stop at the row
+// budget. Only a step that neither stopped counts toward the floors. The
+// graphs are the products graph and an adversarial one, each with additions
+// pending and tombstones in the delta.
 func TestDirectoryProbeMatchesHashJoin(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -48,7 +50,7 @@ func TestDirectoryProbeMatchesHashJoin(t *testing.T) {
 			of[tr.S] = append(of[tr.S], tr)
 		}
 		var steps, rows [3]int // subject-keyed, object-keyed, cross products
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 600; i++ {
 			compareIndexSteps(t, c.g, randomJoin(rng, all, of), rng.Intn(3) == 0, &steps, &rows)
 		}
 		t.Logf("%s: %v steps compared (subject-keyed, object-keyed, cross products), writing %v rows", c.name, steps, rows)
@@ -214,15 +216,25 @@ func compareIndexSteps(t *testing.T, g *rdf.Graph, text string, noReorder bool, 
 		}
 		if !mixed && (len(joinPos) == 0 && in.rows > 1 || len(joinPos) > 0 && pp.ids[1] != 0) { // a plan's first step is not a cross product
 			loop, hash := &rowWriter{width: in.width}, &rowWriter{width: in.width}
-			ev.cancel.resetRows() // each run gets the budget a step gets
-			ev.nestedLoopRun(pp, in, loop, nil, kind == 2)
+			ev.cancel.resetRows() // each run gets the budget a step gets, and its own abort
+			if kind == 2 {
+				ev.crossRun(pp, in, loop, nil)
+			} else {
+				ev.nestedLoopRun(pp, in, loop, nil)
+			}
+			loopStopped := ev.cancel.aborted()
+			ev.cancel.err = nil
 			ev.cancel.resetRows()
 			ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), in, hash, nil)
-			if got, want := writtenRows(loop), writtenRows(hash); !ev.cancel.aborted() && !slices.Equal(got, want) {
-				t.Fatalf("%s\nstep %v from %d rows: the index loop writes %d rows, the hash join %d, or in another sequence",
-					text, run[step.pat], in.rows, loop.rows, hash.rows)
+			// Both account their rows 256 at a time, so over the row budget
+			// both stop after the same rows.
+			if got, want := writtenRows(loop), writtenRows(hash); loopStopped != ev.cancel.aborted() || !slices.Equal(got, want) {
+				t.Fatalf("%s\nstep %v from %d rows: the index loop writes %d rows (stopped: %v), the hash join %d (stopped: %v), or in another sequence",
+					text, run[step.pat], in.rows, loop.rows, loopStopped, hash.rows, ev.cancel.aborted())
 			}
-			steps[kind], rows[kind] = steps[kind]+1, rows[kind]+hash.rows
+			if !loopStopped { // a step cut short counts toward no floor
+				steps[kind], rows[kind] = steps[kind]+1, rows[kind]+hash.rows
+			}
 			loop.release()
 			hash.release()
 		}

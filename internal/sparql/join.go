@@ -8,17 +8,14 @@ import (
 )
 
 // BGP execution. A maximal run of consecutive triple patterns is compiled
-// against the scope's slots (runPlan) and joined into the input batch
-// pattern by pattern: rows go in and come out as the same flat ID rows every
-// other operator uses — no Term hashing, nothing for the garbage collector
-// to trace. The plan (plan.go) fixes the order of the patterns; each pattern
-// picks its join strategy as it executes, from its constants-only match count
-// and the live row count. A query runs on the goroutine that calls it.
+// against the scope's slots (runPlan) and joined into the input batch pattern
+// by pattern, as the flat ID rows every other operator uses: no Term hashing,
+// nothing for the garbage collector to trace. The plan (plan.go) fixes the
+// order; each pattern picks its join strategy as it executes, from its match
+// count and the live rows. A query runs on the goroutine that calls it.
 
 const (
-	// hashJoinMinInput is the minimum input size for which building a hash
-	// table can pay off at all.
-	hashJoinMinInput = 8
+	hashJoinMinInput = 8 // the fewest input rows a hash table can pay off for
 	// hashBuildFactor bounds the build side: a hash join is chosen when the
 	// pattern's match count is at most this multiple of the input size
 	// (otherwise per-row index probes touch less data than one full scan).
@@ -42,13 +39,14 @@ func (s joinStrategy) String() string {
 // with only constants bound, inputLen the number of input rows, nJoinVars how
 // many pattern variables arrive bound, and mixed whether some variable is
 // bound in only part of the input (which forces per-row handling). Execution
-// calls it with the live row count of each step (evalPattern), which runs a
-// step with no join variable as a cross product; the cost model calls it
-// with the estimated one to price a step, and prices a cross product as a
-// build.
+// calls it with the live row count of each step (evalPattern); the cost model
+// calls it with the estimated one to price a step.
 func chooseStrategy[N int | float64](est, inputLen N, nJoinVars int, mixed bool) joinStrategy {
 	if mixed || inputLen < hashJoinMinInput {
 		return strategyNestedLoop
+	}
+	if nJoinVars == 0 {
+		return strategyCrossProduct
 	}
 	if est <= inputLen*hashBuildFactor {
 		return strategyHashJoin
@@ -238,32 +236,21 @@ func (sf *stepFilter) sieve(w *rowWriter, all bool) {
 	sf.from = w.rows
 }
 
-// evalPattern joins the current rows with one pattern. Variable boundness
-// is classified over the full row set and the strategy chosen once. tp is
-// the source pattern, used only to label the profile's scan node. The join
-// type is decided here, from the live row count; the plan fixed only the
-// order. The step's rows, its filters applied,
-// are returned in the writer's blocks, or go to the fold, which leaves the
-// writer empty.
+// evalPattern joins the current rows with one pattern, its join type chosen
+// once from the live rows' boundness and count (the plan fixed only the order);
+// tp labels the profile's scan node. The step's rows, its filters applied, are
+// returned in the writer's blocks, or go to the fold, leaving the writer empty.
 func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, step *planStep, fold *groupFold) *rowWriter {
 	joinPos, freePos, mixed := pp.boundness(in)
 	strategy := chooseStrategy(pp.baseEst, in.rows, len(joinPos), mixed)
-	switch {
-	case len(joinPos) == 0 && !mixed && in.rows >= hashJoinMinInput:
-		strategy = strategyCrossProduct
-	case ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1:
-		strategy = strategyNestedLoop // the build scans SPO, the loop POS
-	case strategy == strategyHashJoin && pp.probes(joinPos, in.rows):
-		strategy = strategyNestedLoop
+	if strategy == strategyHashJoin && (ev.inBody && pp.ids == [3]rdf.ID{} && len(joinPos) == 1 && joinPos[0] == 1 || ev.probes(pp, joinPos, in)) {
+		strategy = strategyNestedLoop // in a body keyed by predicate alone, the build would scan SPO, the loop POS
 	}
 	psc, psct := ev.profEnter("scan", tp)
-	// The scan's estimate is what the planner priced it with, the graph
-	// count for the pattern's constant positions, so q-error measures the
-	// planner's own input.
+	// The estimate is the planner's: q-error measures its own input.
 	ev.prof.addEst(pp.baseEst)
 	ev.prof.setStrategy(strategy.String(), fold != nil)
-	// Each pattern opens a fresh row-budget window: the budget caps the
-	// size of any one intermediate row set, counted while this join produces.
+	// The row budget caps each intermediate row set, counted as it is written.
 	ev.cancel.resetRows()
 	var sf *stepFilter
 	if len(step.filters) > 0 {
@@ -273,10 +260,13 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 		}
 	}
 	w := &rowWriter{width: in.width}
-	if strategy == strategyHashJoin {
+	switch strategy {
+	case strategyHashJoin:
 		ev.probeHashRun(pp, ev.buildHashRun(pp, joinPos, freePos), in, w, sf)
-	} else {
-		ev.nestedLoopRun(pp, in, w, sf, strategy == strategyCrossProduct)
+	case strategyCrossProduct:
+		ev.crossRun(pp, in, w, sf)
+	default:
+		ev.nestedLoopRun(pp, in, w, sf)
 	}
 	sf.sieve(w, true)
 	produced := w.rows
@@ -336,18 +326,23 @@ func (pp *patPlan) boundness(in *rowWriter) (joinPos, freePos []int, mixed bool)
 	return joinPos, freePos, mixed
 }
 
-// probes reports whether a step sent to a hash join runs as an index loop
-// instead: under a constant predicate, keyed by its object alone, or by its
-// subject with no fewer matches than input rows. SPO's subject directory
-// finds each row's run in one step; POS's (p, o) runs are found a block of
-// rows at a time in ascending object order (rdf.Graph.MatchIDsEach). Either
-// way the loop reads what the table would hold, per key in the same order,
-// without building it. A subject-keyed step with fewer matches than rows
-// still builds: its table stays in cache where its rows, in no subject
-// order, would each miss. The cost model prices these steps as builds
-// (cost.go).
-func (pp *patPlan) probes(joinPos []int, inRows int) bool {
-	return len(joinPos) > 0 && pp.ids[1] != 0 && (joinPos[0] == 2 || pp.baseEst >= inRows)
+// probes reports whether a hash join step under a constant predicate runs as
+// an index loop. Keyed by subject, it probes SPO's directory if it has no fewer
+// matches than rows (with fewer, a cached table beats rows in no subject order).
+// Keyed by object, it probes POS in sorted blocks if it writes at most twice its
+// matches, sampled over up to probeBlock rows: the loop pays a callback per
+// row written, the build a slot per match (BenchmarkPathSigma).
+func (ev *evaluator) probes(pp *patPlan, joinPos []int, in *rowWriter) bool {
+	if pp.ids[1] == 0 || joinPos[0] == 0 { // a hash join has a join variable
+		return pp.ids[1] != 0 && pp.baseEst >= in.rows
+	}
+	every, sampled, matches := max(1, in.rows/probeBlock), 0, 0
+	for r, row := range in.all() {
+		if r%every == 0 {
+			sampled, matches = sampled+1, matches+ev.g.MatchCountIDs(pp.ids[0], pp.ids[1], row[pp.slot[2]])
+		}
+	}
+	return matches*in.rows <= 2*sampled*pp.baseEst
 }
 
 // sameVarDiffers reports whether a match binds one variable of the pattern
@@ -364,27 +359,18 @@ func (pp *patPlan) sameVarDiffers(lookup, m [3]rdf.ID) bool {
 	return false
 }
 
-// probeBlock is how many input rows an index loop probes under one read
-// lock (rdf.Graph.MatchIDsEach). The step's filters sieve between blocks:
-// a filter decodes terms, which takes the lock again.
+// probeBlock is how many input rows an index loop probes under one read lock
+// (MatchIDsEach); filters sieve between blocks, as they take the lock again.
 const probeBlock = 64
 
-// nestedLoopRun evaluates the pattern with one ID index lookup per row:
-// bound columns tighten the pattern to its most selective access path. It
-// also covers mixed boundness (a variable bound in only part of the rows).
-// Every match is written from inside the scan callback, which accounts it
-// against the row budget and polls for cancellation: one row of an unselective
-// pattern can match a large slice of the graph, and the scan stops where the
-// budget does. The rows are probed a block at a time; the filters sieve the
-// rows written between blocks. A cross product scans its pattern once and
-// replays the matches for every row instead.
-func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter, cross bool) {
-	produced := 0 // rows written since the last budget flush
-	scanned := 0
-	stopped := false
-	var rows [probeBlock][]rdf.ID
-	var lookups [probeBlock][3]rdf.ID
-	// repeats: the pattern names a variable twice, which a match must bind alike.
+// nestedLoopRun evaluates the pattern with one ID index lookup per row, a
+// block of rows at a time, mixed boundness included. Every match is written
+// from inside the scan callback, which accounts it against the row budget and
+// polls for cancellation, so the scan of an unselective row stops where the
+// budget does. The filters sieve the rows written between blocks.
+func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter) {
+	produced, scanned, stopped := 0, 0, false // produced: rows written since the last budget flush
+	rows, lookups := [probeBlock][]rdf.ID{}, [probeBlock][3]rdf.ID{}
 	repeats := pp.slot[0] >= 0 && (pp.slot[0] == pp.slot[1] || pp.slot[0] == pp.slot[2]) || pp.slot[1] >= 0 && pp.slot[1] == pp.slot[2]
 	match := func(r int, s, p, o rdf.ID) bool {
 		if scanned++; scanned%pollEvery == 0 && ev.cancel.poll() {
@@ -392,7 +378,7 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 			return false
 		}
 		m, lookup := [3]rdf.ID{s, p, o}, lookups[r]
-		if repeats && pp.sameVarDiffers(lookup, m) {
+		if repeats && pp.sameVarDiffers(lookup, m) { // a variable named twice, bound apart
 			return true
 		}
 		out := w.add(rows[r])
@@ -406,14 +392,6 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 			produced = 0
 		}
 		return !stopped
-	}
-	var ms [][3]rdf.ID // a cross product's matches: the pattern, scanned once
-	if cross {
-		ms = make([][3]rdf.ID, 0, pp.baseEst)
-		ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
-			ms = append(ms, [3]rdf.ID{s, p, o})
-			return len(ms)%pollEvery != 0 || !ev.cancel.poll()
-		})
 	}
 	n := 0 // rows gathered for the next probe
 	for r, row := range in.all() {
@@ -429,11 +407,7 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 		if n++; n < probeBlock && r < in.rows-1 {
 			continue
 		}
-		if cross {
-			replay(ms, n, match)
-		} else {
-			ev.g.MatchIDsEach(lookups[:n], match)
-		}
+		ev.g.MatchIDsEach(lookups[:n], match)
 		if n = 0; stopped {
 			break
 		}
@@ -442,24 +416,48 @@ func (ev *evaluator) nestedLoopRun(pp *patPlan, in, w *rowWriter, sf *stepFilter
 	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }
 
-// replay is MatchIDsEach for a cross product's block of n rows: each row's
-// lookup is the pattern's constants, so each gets every match of ms, in
-// scan order, until fn returns false.
-func replay(ms [][3]rdf.ID, n int, fn func(i int, s, p, o rdf.ID) bool) {
-	for i := range n {
-		for _, m := range ms {
-			if !fn(i, m[0], m[1], m[2]) {
-				return
+// crossRun joins a step with no join variable: it scans the pattern once into
+// a flat list (no key, chain or tupleIndex) and writes each row once per match.
+func (ev *evaluator) crossRun(pp *patPlan, in, w *rowWriter, sf *stepFilter) {
+	ids, matches, produced := []rdf.ID(nil), 0, 0 // ids: each match's IDs at the pattern's slots
+	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {
+		if m := [3]rdf.ID{s, p, o}; !pp.sameVarDiffers([3]rdf.ID{}, m) {
+			for i, slot := range pp.slot {
+				if slot >= 0 {
+					ids = append(ids, m[i])
+				}
+			}
+			matches++
+		}
+		return matches%pollEvery != 0 || !ev.cancel.poll()
+	})
+	for r, row := range in.all() {
+		if r%64 == 0 && ev.cancel.poll() {
+			return
+		}
+		for at, k := 0, 0; at < matches; at++ {
+			out := w.add(row)
+			for _, slot := range pp.slot {
+				if slot >= 0 {
+					out[slot], k = ids[k], k+1
+				}
+			}
+			if produced++; produced == 256 {
+				if ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows) {
+					return
+				}
+				produced = 0
 			}
 		}
+		sf.sieve(w, false)
 	}
+	ev.cancel.addRows(produced, ev.limits.MaxIntermediateRows)
 }
 
-// hashRun is the build side of a hash join: the pattern's matches (constants
-// only), bucketed by their IDs at the join positions, keeping what a probe
-// reads — IDs at the free positions, chained per bucket in MatchIDs' scan
-// order, or with no free position just a count per bucket (a variable
-// without a slot still repeats a row). Nothing is allocated per key.
+// hashRun is the build side of a hash join: the pattern's matches bucketed by
+// their IDs at the join positions, keeping what a probe reads — IDs at the free
+// positions, chained per bucket in scan order, or with none just a count per
+// bucket (a variable without a slot still repeats a row). Nothing per key.
 type hashRun struct {
 	// joinPos and freePos are the pattern positions (the first, of a repeated
 	// variable) every input row binds and no input row binds.
@@ -471,18 +469,20 @@ type hashRun struct {
 	last, next, count []int32
 }
 
-// buildHashRun scans the pattern once, chaining each match behind the last
-// one with its join key. The pattern's count sizes every array up front: a
-// build under a constant predicate is keyed by subject (patPlan.probes), and
-// few matches share a subject. A scan that finds more matches than the count
-// (triples inserted since) grows by append.
+// buildHashRun scans the pattern once, chaining each match behind the last one
+// with its join key. The pattern's count sizes the per-match arrays, and the
+// per-key ones when keyed by subject under a constant predicate (few matches
+// share a key); other builds start those at 256 keys and double them.
 func (ev *evaluator) buildHashRun(pp *patPlan, joinPos, freePos []int) *hashRun {
-	nf, est := len(freePos), pp.baseEst
-	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), est)}
+	nf, est, keyCap := len(freePos), pp.baseEst, min(pp.baseEst, 256)
+	if len(joinPos) > 0 && joinPos[0] == 0 && pp.ids[1] != 0 {
+		keyCap = est
+	}
+	ht := &hashRun{joinPos: joinPos, freePos: freePos, keys: newTupleIndex(len(joinPos), keyCap)}
 	if nf == 0 {
-		ht.count = make([]int32, 0, est)
+		ht.count = make([]int32, 0, keyCap)
 	} else {
-		ht.free, ht.last, ht.next = make([]rdf.ID, 0, est*nf), make([]int32, 0, est), make([]int32, 0, est)
+		ht.free, ht.last, ht.next = make([]rdf.ID, 0, est*nf), make([]int32, 0, keyCap), make([]int32, 0, est)
 	}
 	scanned := 0
 	ev.g.MatchIDs(pp.ids[0], pp.ids[1], pp.ids[2], func(s, p, o rdf.ID) bool {

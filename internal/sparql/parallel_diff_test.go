@@ -192,10 +192,11 @@ func TestStrategySelection(t *testing.T) {
 		mixed                    bool
 		want                     joinStrategy
 	}{
-		{est: 1000, inputLen: 4, nJoinVars: 1, mixed: false, want: strategyNestedLoop},     // tiny input
-		{est: 10, inputLen: 100, nJoinVars: 1, mixed: false, want: strategyHashJoin},       // selective build side
-		{est: 100000, inputLen: 100, nJoinVars: 1, mixed: false, want: strategyNestedLoop}, // huge build side
-		{est: 10, inputLen: 100, nJoinVars: 1, mixed: true, want: strategyNestedLoop},      // mixed boundness
+		{est: 1000, inputLen: 4, nJoinVars: 1, mixed: false, want: strategyNestedLoop},       // tiny input
+		{est: 10, inputLen: 100, nJoinVars: 1, mixed: false, want: strategyHashJoin},         // selective build side
+		{est: 100000, inputLen: 100, nJoinVars: 1, mixed: false, want: strategyNestedLoop},   // huge build side
+		{est: 100000, inputLen: 100, nJoinVars: 0, mixed: false, want: strategyCrossProduct}, // cross product
+		{est: 10, inputLen: 100, nJoinVars: 1, mixed: true, want: strategyNestedLoop},        // mixed boundness
 	}
 	for _, c := range cases {
 		if got := chooseStrategy(c.est, c.inputLen, c.nJoinVars, c.mixed); got != c.want {
@@ -205,18 +206,20 @@ func TestStrategySelection(t *testing.T) {
 	}
 	// A multi-hop query over a large graph must run a hash join: the first
 	// scans feed enough rows that the pattern keyed by its subject, with
-	// fewer matches than rows, switches to it. The one keyed by its object
-	// the rule sends there too runs as an index loop through POS, as a
-	// subject-keyed step with at least as many matches as rows does through
-	// SPO's subject directory. A step with no join variable replays one scan
-	// per row.
+	// fewer matches than rows, switches to it. So does the one keyed by its
+	// object, which writes 12 rows per input row, four times its matches. One
+	// keyed by its object that writes fewer rows than it has matches runs as
+	// an index loop through POS, as a subject-keyed step with at least as many
+	// matches as rows does through SPO's subject directory. A step with no
+	// join variable replays one scan per row.
 	g := chainGraph(600)
 	for _, c := range []struct {
 		query string
 		want  map[string]string // pattern -> strategy
 	}{
 		{`SELECT ?s ?w WHERE { ?s ex:tag ex:hot . ?s ex:link ?t . ?u ex:link ?t . ?u ex:v ?w }`, map[string]string{
-			"?s <http://e/link> ?t .": "index loop", "?u <http://e/link> ?t .": "index loop", "?u <http://e/v> ?w .": "hash join"}},
+			"?s <http://e/link> ?t .": "index loop", "?u <http://e/link> ?t .": "hash join", "?u <http://e/v> ?w .": "hash join"}},
+		{`SELECT ?s ?t WHERE { ?s ex:tag ex:hot . ?s ex:v ?n . ?t ex:w ?n }`, map[string]string{"?t <http://e/w> ?n .": "index loop"}},
 		{`SELECT ?s ?w WHERE { ?s ex:tag ex:hot . ?t ex:w ?w }`, map[string]string{"?s <http://e/tag> <http://e/hot> .": "cross product"}},
 	} {
 		prof := profiled(t, g, "PREFIX ex: <http://e/>\n"+c.query, Options{})
