@@ -505,6 +505,23 @@ func (ix *index) distinct(q key, n int, fn func(ID)) {
 	}
 }
 
+// opens calls fn with the first key of each two-component prefix of ks that
+// base lacks: ks ascends, and no write is pending. Inside one first
+// component's run, each search gallops on from where the last one ended.
+func (ix *index) opens(ks []key, fn func(key)) {
+	at, hi := 0, 0
+	for i, k := range ks {
+		if i == 0 || k[0] != ks[i-1][0] {
+			at, hi = ix.dir.run(k[0])
+		} else if k[1] == ks[i-1][1] {
+			continue
+		}
+		if at = gallop(ix.base[:hi], at, uint64(k[1])<<32); at == hi || ID(ix.base[at]>>32) != k[1] {
+			fn(k)
+		}
+	}
+}
+
 // apply records one effective change: the addition of a key the live set
 // lacks, or (del) the removal of one it has. A change that undoes a pending
 // one cancels it instead of stacking on it.
@@ -643,11 +660,11 @@ type Graph struct {
 	// version moves on every mutation; callers of Version validate their
 	// derived caches against it instead of subscribing to writes.
 	version uint64
-	// changed holds, per predicate ID, the version of the last mutation of
-	// one of that predicate's triples; floor is the last version at which
-	// everything moved (SetVersion). ReadVersion reads both.
-	changed map[ID]uint64
-	floor   uint64
+	// preds holds, per predicate ID, what the graph keeps of its triples;
+	// floor is the last version at which everything moved (SetVersion).
+	// ReadVersion reads both.
+	preds map[ID]predicate
+	floor uint64
 	// journal, when installed, receives every effective mutation (an Add of
 	// a new triple, a Remove of a present one) before it is applied — the
 	// write-ahead hook of the durable store (internal/store). It runs with
@@ -659,9 +676,20 @@ type Graph struct {
 	scans atomic.Uint64
 }
 
+// predicate is what the graph keeps per predicate: the version of the last
+// mutation of one of its triples, and how many distinct subjects and objects
+// its live triples have — the planner's selectivity of a bound subject or
+// object. Every write keeps the counts exact: a single one moves them when
+// the (s, p, ·) or (p, o, ·) run it touches appears or empties
+// (applyLocked), a bulk one recounts them from the arrays (recount).
+type predicate struct {
+	changed           uint64
+	subjects, objects int
+}
+
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	g := &Graph{dict: NewDict(), changed: map[ID]uint64{}}
+	g := &Graph{dict: NewDict(), preds: map[ID]predicate{}}
 	g.ix[spo].dir = directory{byID: true, at: []uint32{0}}
 	g.ix[pos].dir = directory{at: []uint32{0}}
 	return g
@@ -781,7 +809,18 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 		g.ix[ord].apply(order(ord).key(s, p, o), del)
 	}
 	g.version++
-	g.changed[p] = g.version
+	pr, edge, step := g.preds[p], 1, 1 // a run holding edge keys after the change just appeared or emptied
+	if del {
+		edge, step = 0, -1
+	}
+	if g.ix[spo].count(key{s, p}, 2) == edge {
+		pr.subjects += step
+	}
+	if g.ix[pos].count(key{p, o}, 2) == edge {
+		pr.objects += step
+	}
+	pr.changed = g.version
+	g.preds[p] = pr
 	if len(g.ix[spo].delta) > maxDelta {
 		for ord := range g.ix {
 			g.ix[ord].merge()
@@ -794,8 +833,9 @@ func (g *Graph) applyLocked(s, p, o ID, del bool) {
 // the keys into SPO (adopt) and derives POS from it (derivePOS); any other
 // merges them into both, the batch's POS order coming from two stable sorts,
 // through the OSP layout. Each predicate of the batch is noted changed at the
-// batch's last version. The caller holds the write lock or owns the graph
-// exclusively.
+// batch's last version, and gains a distinct subject or object for each
+// (s, p) or (p, o) run the batch opens. The caller holds the write lock or
+// owns the graph exclusively.
 func (g *Graph) load(keys []key) {
 	if len(keys) == 0 {
 		return
@@ -807,10 +847,25 @@ func (g *Graph) load(keys []key) {
 	}
 	byPOS := rotate(keys, g.dict.Len(), 2)
 	g.version += uint64(len(keys))
+	var preds []ID // the batch's predicates, ascending
 	for i, k := range byPOS {
 		if i == 0 || k[0] != byPOS[i-1][0] {
-			g.changed[k[0]] = g.version
+			preds = append(preds, k[0])
 		}
+	}
+	opened := make([][2]int, len(preds)) // per predicate: the (s, p) and (p, o) runs the batch opens
+	g.ix[spo].opens(keys, func(k key) {
+		j, _ := slices.BinarySearch(preds, k[1])
+		opened[j][0]++
+	})
+	g.ix[pos].opens(byPOS, func(k key) {
+		j, _ := slices.BinarySearch(preds, k[0])
+		opened[j][1]++
+	})
+	for j, p := range preds {
+		pr := g.preds[p]
+		pr.changed, pr.subjects, pr.objects = g.version, pr.subjects+opened[j][0], pr.objects+opened[j][1]
+		g.preds[p] = pr
 	}
 	g.ix[spo].insert(keys)
 	g.ix[pos].insert(byPOS)
@@ -840,7 +895,41 @@ func (g *Graph) derivePOS() {
 	g.ix[pos].adopt(byOSP, 2, n+2)
 	g.version += uint64(len(bySubject.base))
 	for _, p := range g.ix[pos].dir.vals {
-		g.changed[p] = g.version
+		g.preds[p] = predicate{changed: g.version}
+	}
+	g.recount()
+}
+
+// recount sets every predicate's distinct subjects and objects from the base
+// arrays of a graph just built, with no write pending: one pass over SPO
+// counts the (s, p) runs inside each subject's run, one over POS the distinct
+// objects of each predicate's run.
+func (g *Graph) recount() {
+	bySubject, byPred := &g.ix[spo], &g.ix[pos]
+	subjects := make([]int, byPred.dir.len()) // by the predicate's place in POS's list
+	for s := range bySubject.dir.len() {
+		last := ID(0)
+		for _, w := range bySubject.base[bySubject.dir.at[s]:bySubject.dir.at[s+1]] {
+			if p := ID(w >> 32); p != last {
+				i, _ := slices.BinarySearch(byPred.dir.vals, p)
+				subjects[i]++
+				last = p
+			}
+		}
+	}
+	for p, pr := range g.preds {
+		pr.subjects, pr.objects = 0, 0
+		if i, ok := slices.BinarySearch(byPred.dir.vals, p); ok {
+			pr.subjects = subjects[i]
+			last := ID(0)
+			for _, w := range byPred.base[byPred.dir.at[i]:byPred.dir.at[i+1]] {
+				if o := ID(w >> 32); o != last {
+					pr.objects++
+					last = o
+				}
+			}
+		}
+		g.preds[p] = pr
 	}
 }
 
@@ -1145,7 +1234,7 @@ func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		dict:    g.dict.clone(),
 		version: g.version,
-		changed: maps.Clone(g.changed),
+		preds:   maps.Clone(g.preds),
 		floor:   g.floor,
 	}
 	for ord, ix := range g.ix {

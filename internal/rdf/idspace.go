@@ -320,6 +320,18 @@ func (g *Graph) matchCountIDsLocked(s, p, o ID) int {
 	return n
 }
 
+// DistinctIDs returns how many distinct subjects and objects the triples of
+// predicate p have; 0, 0 for a predicate without triples. Every write keeps
+// them, so a read is one lookup. With MatchCountIDs they are the planner's
+// statistics: a bound subject selects base/subjects of a pattern's matches,
+// a bound object base/objects.
+func (g *Graph) DistinctIDs(p ID) (subjects, objects int) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	pr := g.preds[p]
+	return pr.subjects, pr.objects
+}
+
 // CardCacheStats reports zeros: counts are two searches now and the
 // cardinality cache is gone. Its one caller is benchmark/trace.go's
 // rdf.cardcache_hit_ratio probe; it goes with that probe.
@@ -354,7 +366,7 @@ func (g *Graph) ReadVersion(rs ReadSet) uint64 {
 	v := g.floor
 	for _, p := range rs.Preds {
 		if id, ok := g.dict.Lookup(p); ok {
-			v = max(v, g.changed[id])
+			v = max(v, g.preds[id].changed)
 		}
 	}
 	return v
