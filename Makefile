@@ -131,15 +131,15 @@ bench:
 # (internal/rdf/scale_test.go; ≈12 s in all, 240 MB at the 2M step), then what a
 # durable store's checkpoint and Open allocate and take at the same sizes
 # (internal/store/scale_test.go), then what a click costs at 11 200, 112 000
-# and 224 000 laptops: the start and Laptop states and a Σ run, ns/op, B/op
-# and allocs/op (internal/core/scale_test.go; ≈15 s, one graph a scale), and
-# the COUNT-by-origin Σ, whose plan is quadratic, at 560 / 1 120 / 2 240.
-# Outside the standing benchmark: compare it across commits as alternating
-# loads.
+# and 224 000 laptops: the start and Laptop states and two Σ runs, AVG(price)
+# by manufacturer and COUNT by the origin of the hard drive's manufacturer,
+# ns/op, B/op and allocs/op (internal/core/scale_test.go; ≈20 s, one graph a
+# scale). Outside the standing benchmark: compare it across commits as
+# alternating loads.
 bench-scale:
 	$(GO) test ./internal/rdf -run '^$$' -bench GraphScale -benchtime 1x
 	$(GO) test ./internal/store -run '^$$' -bench StoreScale -benchtime 1x
-	$(GO) test ./internal/core -run '^$$' -bench 'ClickScale|PathSigma' -benchmem -benchtime 5x
+	$(GO) test ./internal/core -run '^$$' -bench ClickScale -benchmem -benchtime 5x
 
 # bench-standing runs the standing benchmark (benchmark/README.md): each of
 # its four workloads once — or just WORKLOAD — end to end over HTTP with

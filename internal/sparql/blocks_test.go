@@ -31,8 +31,10 @@ type blockCase struct {
 	name     string
 	strategy string // the join type the fan step must run as
 	fans     []int  // per member, in input-row order
-	// outsider fan triples hang off a non-member: they raise the pattern's
-	// count (which picks the strategy) and never reach the output.
+	// outsider fan triples hang off non-members, one each: they raise the
+	// pattern's count (which picks the strategy) and its distinct subjects
+	// (which price a member's probe at the count over them), and never reach
+	// the output.
 	outsider int
 }
 
@@ -79,13 +81,18 @@ func blockCases(perBlock int) []blockCase {
 		add := func(name string, f []int, outsider int) {
 			cases = append(cases, blockCase{name: name, strategy: strategy, fans: f, outsider: outsider})
 		}
+		// An index loop's outsiders keep its members' probes priced at a few
+		// hundred matches at most, below a scan of the fans: with only two
+		// members holding fans the planner would start from the fans.
+		outsiders := minMembers
 		if hash {
 			add("empty", fans(minMembers, 0), minMembers-1)
+			outsiders = 0
 		} else {
 			add("empty", fans(minMembers, 0), minMembers*hashBuildFactor+1)
 		}
 		for _, out := range []int{perBlock - 1, perBlock, perBlock + 1} {
-			add(fmt.Sprintf("block%+d", out-perBlock), fans(members(out), 0, 3, out-3, 4, 3), 0)
+			add(fmt.Sprintf("block%+d", out-perBlock), fans(members(out), 0, 3, out-3, 4, 3), outsiders)
 		}
 		if hash {
 			f := fans(3*perBlock+5, 0, perBlock-1, 2*perBlock+5)
@@ -126,7 +133,9 @@ func blockGraph(cases []blockCase) *rdf.Graph {
 			ts = append(ts, rdf.NewTriple(hub, e("in"), set))
 			hang(hub, f)
 		}
-		hang(e(fmt.Sprint("outsider", ci)), c.outsider)
+		for i := range c.outsider {
+			hang(e(fmt.Sprintf("outsider%d_%d", ci, i)), 1)
+		}
 	}
 	g := rdf.NewGraph()
 	g.AddAll(ts)

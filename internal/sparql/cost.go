@@ -7,16 +7,16 @@ package sparql
 //
 //  1. the graph's own count of the pattern with constants only
 //     (rdf.Graph.MatchCountIDs: two searches in a sorted permutation);
-//  2. the bound-variable reduction heuristic: each pattern variable that
-//     arrives bound divides the graph count by boundVarFactor.
+//  2. its predicate's distinct subjects and objects (rdf.Graph.DistinctIDs,
+//     kept by every write): a bound S divides the count by the first, a bound
+//     O by the second; under a variable predicate each by boundVarFactor.
 //
 // Nothing an earlier execution observed enters it, so a plan is a function
 // of the query text and the graph (DESIGN.md §8).
 
 const (
-	// boundVarFactor is the selectivity credit for a join variable: a bound
-	// S/O position is assumed to cut the pattern's match count by this
-	// factor (no distinct-value statistics are kept).
+	// boundVarFactor is what a bound S or O is assumed to cut the match count
+	// of a pattern by when its predicate is a variable, with no distinct counts.
 	boundVarFactor = 10
 	// costCap keeps the cost arithmetic away from float overflow on
 	// pathological cross products; plans beyond it are all "equally awful".
@@ -37,11 +37,8 @@ type costModel struct {
 // stepEstimate is the cost model's prediction for joining one pattern into
 // a partial plan.
 type stepEstimate struct {
-	// outRows is the predicted output cardinality of the step.
-	outRows float64
-	// cost is the predicted work of the step under the strategy
-	// chooseStrategy picks at the predicted input size.
-	cost float64
+	outRows float64 // the predicted output cardinality of the step
+	cost    float64 // its predicted work, as the strategy chooseStrategy picks at that input
 }
 
 // step prices joining pattern i into a partial plan with inRows input rows
@@ -53,9 +50,7 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 	pp := &cm.rp.pats[i]
 	base := float64(pp.baseEst)
 	// Per-row match estimate: bound S and O positions cut the base count.
-	perRow := base
-	nJoin := 0
-	seen := uint64(0)
+	perRow, nJoin, seen := base, 0, uint64(0)
 	for _, pos := range [3]int{0, 2, 1} { // S and O first: only they cut the estimate
 		idx := pp.pos[pos]
 		if idx < 0 || seen&(1<<uint(idx)) != 0 {
@@ -66,13 +61,13 @@ func (cm *costModel) step(i int, inRows float64, boundCols uint64) stepEstimate 
 			continue
 		}
 		nJoin++
-		if pos != 1 && perRow > 1 {
+		if d := pp.distinct[pos]; d > 0 {
+			perRow /= float64(d)
+		} else if pos != 1 && perRow > 1 {
 			perRow = perRow/boundVarFactor + 1
 		}
 	}
-	if inRows < 1 {
-		inRows = 1
-	}
+	inRows = max(inRows, 1)
 	est := stepEstimate{outRows: min(inRows*perRow, costCap)}
 	if chooseStrategy(base, inRows, nJoin, false) != strategyNestedLoop {
 		// Scan the build side once (constants-only match count), probe each

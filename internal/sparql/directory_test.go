@@ -133,8 +133,8 @@ func pendChanges(g *rdf.Graph, rng *rand.Rand) {
 // own triples. A pattern's last object is a fresh variable, one mentioned
 // nowhere else (no slot), the subject itself, or a constant the graph holds.
 // A third of the joins gain a pattern under a random predicate that shares
-// the chain's last object, which that predicate may never have; a quarter
-// one that shares no variable.
+// the chain's last object, which that predicate may never have; half of
+// them one that shares no variable.
 func randomJoin(rng *rand.Rand, all []rdf.Triple, of map[rdf.Term][]rdf.Triple) string {
 	var pats, proj []string
 	fresh := 0
@@ -178,7 +178,7 @@ func randomJoin(rng *rand.Rand, all []rdf.Triple, of map[rdf.Term][]rdf.Triple) 
 			proj = append(proj, "?y")
 		}
 	}
-	if rng.Intn(4) == 0 {
+	if rng.Intn(2) == 0 {
 		pats = append(pats, fmt.Sprintf("?z %s %s", pick(all).P, object("?z", true)))
 		proj = append(proj, "?z")
 	}

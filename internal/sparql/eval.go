@@ -502,7 +502,8 @@ func (ev *evaluator) evalGroup(gp *GroupPattern, input *batch, credit map[string
 			}
 		case elem.SubQuery != nil:
 			cur = ev.evalSubQuery(elem.SubQuery, cur)
-			// Projection may contain unbound results; be conservative.
+			// Its projection binds nothing surely, but estimates as BIND does.
+			visitGroupVars(&GroupPattern{Elems: []PatternElem{*elem}}, false, func(v string) { estBound[v] = true })
 		case elem.Minus != nil:
 			cur = ev.evalMinus(elem.Minus, cur)
 		}

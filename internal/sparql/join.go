@@ -71,8 +71,9 @@ type patPlan struct {
 	// slot is the row column per position; -1 where the position is a
 	// constant or a variable without a slot, which matches anything and is
 	// stored nowhere.
-	slot    [3]int
-	baseEst int // cached match count with constants only
+	slot     [3]int
+	baseEst  int    // cached match count with constants only
+	distinct [3]int // a constant predicate's distinct subjects (at S) and objects (at O)
 }
 
 // planRun compiles a run against the graph dictionary.
@@ -100,6 +101,7 @@ func (ev *evaluator) planRun(run []*TriplePattern) *runPlan {
 			pp.ids[i] = id
 		}
 		pp.baseEst = ev.g.MatchCountIDs(pp.ids[0], pp.ids[1], pp.ids[2])
+		pp.distinct[0], pp.distinct[2] = ev.g.DistinctIDs(pp.ids[1])
 		rp.pats = append(rp.pats, pp)
 	}
 	return rp
@@ -331,7 +333,7 @@ func (pp *patPlan) boundness(in *rowWriter) (joinPos, freePos []int, mixed bool)
 // matches than rows (with fewer, a cached table beats rows in no subject order).
 // Keyed by object, it probes POS in sorted blocks if it writes at most twice its
 // matches, sampled over up to probeBlock rows: the loop pays a callback per
-// row written, the build a slot per match (BenchmarkPathSigma).
+// row written, the build a slot per match (BenchmarkClickScale's count-by-origin).
 func (ev *evaluator) probes(pp *patPlan, joinPos []int, in *rowWriter) bool {
 	if pp.ids[1] == 0 || joinPos[0] == 0 { // a hash join has a join variable
 		return pp.ids[1] != 0 && pp.baseEst >= in.rows
