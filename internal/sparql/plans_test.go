@@ -17,8 +17,8 @@ import (
 // profile tree of one run — operators in the order they ran, each scan with
 // its pattern and the planner's estimate, every node with its calls and rows
 // in and out — without durations and without the join type each scan ran
-// as. It was recorded before index steps replaced object-keyed hash builds
-// and cross products, which must move no plan and no row count.
+// as. Only a change to the cost model or its statistics may move a plan;
+// a change to how a step runs must move no plan and no row count.
 //
 //	go test ./internal/sparql -run TestPlansMatchGolden -update-plans   # re-record
 
