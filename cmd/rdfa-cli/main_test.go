@@ -11,8 +11,11 @@ import (
 
 	"rdfanalytics/internal/core"
 	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/leakcheck"
 	"rdfanalytics/internal/rdf"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestParseValue(t *testing.T) {
 	ns := "http://e/"

@@ -1,0 +1,9 @@
+package conformance
+
+import (
+	"testing"
+
+	"rdfanalytics/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

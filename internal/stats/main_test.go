@@ -1,0 +1,9 @@
+package stats
+
+import (
+	"testing"
+
+	"rdfanalytics/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
