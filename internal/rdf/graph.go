@@ -681,7 +681,8 @@ type Graph struct {
 // its live triples have — the planner's selectivity of a bound subject or
 // object. Every write keeps the counts exact: a single one moves them when
 // the (s, p, ·) or (p, o, ·) run it touches appears or empties
-// (applyLocked), a bulk one recounts them from the arrays (recount).
+// (applyLocked), a bulk one adds the runs its batch opens (load), and a
+// graph built from scratch counts its arrays once (recount).
 type predicate struct {
 	changed           uint64
 	subjects, objects int
