@@ -1,0 +1,190 @@
+package facet
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"rdfanalytics/internal/datagen"
+	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/sparql"
+)
+
+// agreementGraphs are the graphs the agreement walks click through: the
+// paper's products example, generated products, and invoices with
+// date-times whose lexical order is not their time-line order.
+func agreementGraphs(t *testing.T) map[string]*rdf.Graph {
+	invoices := datagen.Invoices(datagen.InvoicesConfig{Invoices: 300, Seed: 9, Timestamps: true})
+	rdf.Materialize(invoices)
+	return map[string]*rdf.Graph{
+		"example":  model(t).G,
+		"products": datagen.Products(datagen.ProductsConfig{Laptops: 200, Companies: 8, Seed: 17, Materialize: true}),
+		"invoices": invoices,
+	}
+}
+
+// checkAgreement fails t unless s's extension is exactly the answer of the
+// sub-select a run injects for s's intention (core.Session.Context): SELECT
+// DISTINCT ?x1 over its patterns. An intention that renders no patterns
+// injects nothing and is not checked.
+func checkAgreement(t *testing.T, m *Model, s *State, where string) {
+	t.Helper()
+	pats := s.Int.Patterns("?x1")
+	if strings.TrimSpace(pats) == "" {
+		return
+	}
+	src := "SELECT DISTINCT ?x1 WHERE {\n" + pats + "}"
+	res, err := sparql.Select(m.G, src)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", where, err, src)
+	}
+	got := NewTermSet(res.Column("x1")...)
+	for _, e := range s.Ext.Items() {
+		if !got.Has(e) {
+			t.Errorf("%s: %v is in the extension, not in the sub-select's answer\n%s", where, e, src)
+		}
+	}
+	for _, e := range got.Items() {
+		if !s.Ext.Has(e) {
+			t.Errorf("%s: %v is in the sub-select's answer, not in the extension\n%s", where, e, src)
+		}
+	}
+}
+
+// agreementStep makes one random click from s: a class, a value, a value set,
+// a range over the value of a facet (numbers, dates, date-times, and terms
+// with no order), each on a forward or an inverse facet, an expanded path's
+// value or range, or a focus switch. It returns nil when the click it drew
+// has nothing to click.
+func agreementStep(m *Model, s *State, rng *rand.Rand) (*State, string) {
+	facets := m.PropertyFacets(s, rng.Intn(2) == 0)
+	var f Facet
+	for _, i := range rng.Perm(len(facets)) {
+		if len(facets[i].Values) > 0 {
+			f = facets[i]
+			break
+		}
+	}
+	if len(f.Values) == 0 {
+		return nil, ""
+	}
+	path := Path{{P: f.P, Inverse: f.Inverse}}
+	vals := m.Decode(f.Values)
+	v := vals[rng.Intn(len(vals))].Value
+	ops := []string{"<", "<=", ">", ">=", "=", "!="}
+	switch rng.Intn(8) {
+	case 0:
+		var flat []ClassNode
+		var collect func(ns []ClassNode)
+		collect = func(ns []ClassNode) {
+			for _, n := range ns {
+				flat = append(flat, n)
+				collect(n.Children)
+			}
+		}
+		collect(m.ClassFacet(s))
+		if len(flat) == 0 {
+			return nil, ""
+		}
+		c := flat[rng.Intn(len(flat))].Class
+		return m.ClickClass(s, c), "class " + c.LocalName()
+	case 1, 2:
+		return m.ClickValue(s, path, v), fmt.Sprintf("value %s = %s", path, v)
+	case 3:
+		vs := []rdf.Term{v, vals[rng.Intn(len(vals))].Value}
+		return m.ClickValueSet(s, path, vs), fmt.Sprintf("value set %s ∈ %v", path, vs)
+	case 4, 5:
+		op := ops[rng.Intn(len(ops))]
+		return m.ClickRange(s, path, op, v), fmt.Sprintf("range %s %s %s", path, op, v)
+	case 6:
+		props := m.applicableProperties()
+		for _, i := range rng.Perm(len(props)) {
+			long := append(path[:1:1], PathStep{P: props[i], Inverse: rng.Intn(4) == 0})
+			end := m.Decode(m.ExpandPath(s, long))
+			if len(end) == 0 {
+				continue
+			}
+			ev := end[rng.Intn(len(end))].Value
+			if rng.Intn(2) == 0 {
+				return m.ClickValue(s, long, ev), fmt.Sprintf("value %s = %s", long, ev)
+			}
+			op := ops[rng.Intn(len(ops))]
+			return m.ClickRange(s, long, op, ev), fmt.Sprintf("range %s %s %s", long, op, ev)
+		}
+		return nil, ""
+	default:
+		return m.SwitchFocus(s, path[0]), "pivot " + path.String()
+	}
+}
+
+// TestIntentionExtensionAgreement: along seeded random walks over three
+// graphs, every state's extension — computed set-wise (Table 5.1) — is
+// exactly the answer of its intention's sub-select (Table 5.2). A run
+// evaluates its analytic query over the extension's IDs in place of that
+// sub-select (core.Run.Exec), so this is what keeps a run's answer the one
+// its SPARQL shows.
+func TestIntentionExtensionAgreement(t *testing.T) {
+	for name, g := range agreementGraphs(t) {
+		m := NewModel(g)
+		for seed := int64(1); seed <= 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s := m.Start()
+			var clicks []string
+			for step := 0; step < 6; step++ {
+				next, click := agreementStep(m, s, rng)
+				if next == nil {
+					continue
+				}
+				clicks = append(clicks, click)
+				checkAgreement(t, m, next, fmt.Sprintf("%s seed %d: %s", name, seed, strings.Join(clicks, " → ")))
+				if s = next; s.Ext.Len() == 0 {
+					s, clicks = m.Start(), nil
+				}
+			}
+		}
+	}
+}
+
+// TestClassClickKeepsWhatItDoesNotNarrow is products seed 8 of the walk:
+// Laptop, then Product. The extension stays the laptops; an intention that
+// swapped Laptop for Product answered every product, hard drives included.
+func TestClassClickKeepsWhatItDoesNotNarrow(t *testing.T) {
+	m := model(t)
+	s := m.ClickClass(m.ClickClass(m.Start(), pe("Laptop")), pe("Product"))
+	if s.Int.Class != pe("Laptop") || len(s.Int.Conds) != 1 {
+		t.Errorf("intention %s, want the class Laptop and a condition on Product", s.Int)
+	}
+	checkAgreement(t, m, s, "Laptop → Product")
+	// A subclass narrows its superclass: it replaces it.
+	s = m.ClickClass(m.ClickClass(m.Start(), pe("Product")), pe("Laptop"))
+	if s.Int.Class != pe("Laptop") || len(s.Int.Conds) != 0 {
+		t.Errorf("intention %s, want the class Laptop alone", s.Int)
+	}
+	checkAgreement(t, m, s, "Product → Laptop")
+}
+
+// TestInverseRangeRestrictsBackwards is example seed 11 of the walk: a range
+// click on the inverse facet ^origin keeps the countries some company other
+// than DELL comes from. It used to compare along origin forwards and keep
+// the companies.
+func TestInverseRangeRestrictsBackwards(t *testing.T) {
+	m := model(t)
+	s := m.ClickRange(m.Start(), Path{{P: pe("origin"), Inverse: true}}, "!=", pe("DELL"))
+	if s.Ext.Has(pe("DELL")) || !s.Ext.Has(pe("China")) {
+		t.Errorf("extension %v, want countries", s.Ext.Items())
+	}
+	checkAgreement(t, m, s, "^origin != DELL")
+}
+
+// TestPivotToLiteralsReachesNoEntity is example seed 10 of the walk: a focus
+// switch along a datatype property (GDPPerCapita) moves to resources only,
+// so to none, and the intention says so; it used to answer the numbers.
+func TestPivotToLiteralsReachesNoEntity(t *testing.T) {
+	m := model(t)
+	s := m.SwitchFocus(m.Start(), PathStep{P: pe("GDPPerCapita")})
+	if s.Ext.Len() != 0 {
+		t.Errorf("extension %v, want none", s.Ext.Items())
+	}
+	checkAgreement(t, m, s, "pivot GDPPerCapita")
+}

@@ -194,6 +194,9 @@ func (in Intention) patternsAt(rootVar string, depth int) string {
 		} else {
 			fmt.Fprintf(&sb, "  %s <%s> %s .\n", baseVar, in.PivotStep.P.Value, rootVar)
 		}
+		// The focus moves to resources only (Model.SwitchFocus): a pivot along
+		// a datatype property reaches no entity.
+		fmt.Fprintf(&sb, "  FILTER(!isLiteral(%s))\n", rootVar)
 	}
 	if len(in.Seed) > 0 {
 		fmt.Fprintf(&sb, "  VALUES %s {", rootVar)

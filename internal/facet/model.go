@@ -96,6 +96,15 @@ func (s *TermSet) First(k int) []rdf.Term {
 	return out
 }
 
+// IDs returns the members as IDs of g's dictionary, ascending, or false
+// when the set is not over g's dictionary or holds a member g has no ID for.
+func (s *TermSet) IDs(g *rdf.Graph) ([]rdf.ID, bool) {
+	if s.g != g || len(s.free) > 0 {
+		return nil, false
+	}
+	return slices.AppendSeq(make([]rdf.ID, 0, s.ids.n), s.ids.members()), true
+}
+
 // idSet is a set of dictionary IDs: a bitmap over the dense ID space, so
 // membership under an index scan is one shift and mask, and a set costs a
 // bit per term of the graph however many members it has.
@@ -649,11 +658,11 @@ func (m *Model) valueIDs(vs []rdf.Term) []rdf.ID {
 // filter of Example 3 (§5.1).
 func (m *Model) ClickRange(s *State, path Path, op string, v rdf.Term) *State {
 	var ext *TermSet
-	if len(path) == 1 {
+	if len(path) == 1 && !path[0].Inverse {
 		ext = m.RestrictOp(s.Ext, path[0].P, op, v)
 	} else {
-		// Ranges over longer paths: restrict through the path from the end
-		// values that pass the comparison, tested in ID order.
+		// Ranges over longer or inverse paths: restrict through the path
+		// from the end values that pass the comparison, tested in ID order.
 		c := counters.Get().(*counter)
 		defer counters.Put(c)
 		counts := m.endCounts(c, s, path)
@@ -673,11 +682,37 @@ func (m *Model) ClickRange(s *State, path Path, op string, v rdf.Term) *State {
 
 // ClickClass performs a class-based transition: the new extension is the
 // current objects of type c; the intention records the class.
+//
+// The intention keeps one class: c replaces the class it has when every
+// instance of c is one of that class, and is a condition on rdf:type beside
+// it otherwise — clicking Product in a Laptop state, say, keeps the laptops,
+// which the class Product alone would not say.
 func (m *Model) ClickClass(s *State, c rdf.Term) *State {
 	ext := m.RestrictClass(s.Ext, c)
 	in := s.Int.Clone()
-	in.Class = c
+	if in.Class.IsZero() || m.narrows(c, in.Class) {
+		in.Class = c
+	} else {
+		in.Conds = append(in.Conds, Cond{Path: Path{{P: rdf.NewIRI(rdf.RDFType)}}, Value: c})
+	}
 	return &State{Ext: ext, Int: in}
+}
+
+// narrows reports whether every instance of class c is an instance of class
+// old.
+func (m *Model) narrows(c, old rdf.Term) bool {
+	typ, okT := m.G.TermID(rdf.NewIRI(rdf.RDFType))
+	cid, okC := m.G.TermID(c)
+	oid, okO := m.G.TermID(old)
+	if !okT || !okC || !okO {
+		return !okC || c == old // a class without instances narrows any
+	}
+	all := true
+	m.G.MatchIDs(0, typ, cid, func(s, _, _ rdf.ID) bool {
+		all = m.G.MatchCountIDs(s, typ, oid) > 0
+		return all
+	})
+	return all
 }
 
 // SwitchFocus pivots the focus to the other end of property step: the new

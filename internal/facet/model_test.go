@@ -268,42 +268,6 @@ func TestNoEmptyResults(t *testing.T) {
 	}
 }
 
-// TestIntentionExtensionAgreement: for every state reached by clicks, the
-// intention evaluated via SPARQL (Table 5.2) returns exactly the extension
-// computed set-wise (Table 5.1) — the E10 ablation's correctness basis.
-func TestIntentionExtensionAgreement(t *testing.T) {
-	m := model(t)
-	states := []*State{
-		m.ClickClass(m.Start(), pe("Laptop")),
-	}
-	s := states[0]
-	s = m.ClickValue(s, Path{{P: pe("manufacturer")}}, pe("DELL"))
-	states = append(states, s)
-	s = m.ClickRange(s, Path{{P: pe("USBPorts")}}, ">=", rdf.NewInteger(2))
-	states = append(states, s)
-	s2 := m.ClickValue(m.ClickClass(m.Start(), pe("Laptop")),
-		Path{{P: pe("hardDrive")}, {P: pe("manufacturer")}, {P: pe("origin")}, {P: pe("locatedAt")}},
-		pe("Asia"))
-	states = append(states, s2)
-	for i, st := range states {
-		ans, err := st.Int.Answer(m.G)
-		if err != nil {
-			t.Fatalf("state %d: %v\n%s", i, err, st.Int.ToSPARQL())
-		}
-		got := NewTermSet(ans...)
-		if got.Len() != st.Ext.Len() {
-			t.Errorf("state %d (%s): SPARQL gives %d, sets give %d\n%s",
-				i, st.Int, got.Len(), st.Ext.Len(), st.Int.ToSPARQL())
-			continue
-		}
-		for _, e := range st.Ext.Items() {
-			if !got.Has(e) {
-				t.Errorf("state %d: %v missing from SPARQL answer", i, e)
-			}
-		}
-	}
-}
-
 func TestStartFrom(t *testing.T) {
 	m := model(t)
 	s := m.StartFrom([]rdf.Term{pe("laptop1"), pe("laptop2")})

@@ -374,9 +374,9 @@ func (m refModel) ClickValueSet(s *refState, path Path, vs []rdf.Term) *refState
 // ClickRange applies a literal comparison at the end of a 1-hop path: the
 // range filter of Example 3 (§5.1).
 func (m refModel) ClickRange(s *refState, path Path, op string, v rdf.Term) *refState {
-	if len(path) != 1 {
-		// Ranges over longer paths: restrict through the path by computing
-		// matching end values first.
+	if len(path) != 1 || path[0].Inverse {
+		// Ranges over longer or inverse paths: restrict through the path by
+		// computing matching end values first.
 		end := m.ExpandPath(s, path)
 		match := newRefSet()
 		for _, vc := range end {
@@ -400,7 +400,17 @@ func (m refModel) ClickRange(s *refState, path Path, op string, v rdf.Term) *ref
 func (m refModel) ClickClass(s *refState, c rdf.Term) *refState {
 	ext := m.RestrictClass(s.Ext, c)
 	in := s.Int.Clone()
-	in.Class = c
+	typ := rdf.NewIRI(rdf.RDFType)
+	narrows := true // every instance of c is one of in.Class
+	m.G.Match(rdf.Any, typ, c, func(t rdf.Triple) bool {
+		narrows = m.G.Has(rdf.Triple{S: t.S, P: typ, O: in.Class})
+		return narrows
+	})
+	if in.Class.IsZero() || narrows {
+		in.Class = c
+	} else {
+		in.Conds = append(in.Conds, Cond{Path: Path{{P: typ}}, Value: c})
+	}
 	return &refState{Ext: ext, Int: in}
 }
 
