@@ -46,6 +46,8 @@ type evaluator struct {
 	optional func(ev *evaluator, opt *GroupPattern, input *batch) *batch // evalOptional, or a test's reference
 	// fold is offered by selectRows to the WHERE's evalGroup, which takes it.
 	fold *groupFold
+	// ext is Options.Extension until the outermost WHERE takes it (start).
+	ext *Relation
 }
 
 // overBudget checks an intermediate row set against the row
@@ -84,10 +86,24 @@ type Options struct {
 	// zero value means "no row budget, default path caps". Violations
 	// return a *BudgetError matching ErrBudgetExceeded.
 	Limits
+	// Extension, when set, is a relation the outermost WHERE starts from, as
+	// if the group opened with a VALUES block over it that is never rendered
+	// or parsed: its rows, in their order, are the group's first table, and
+	// the planner reads its variable as bound in exactly that many rows.
+	// EXPLAIN ANALYZE shows it as one extension node.
+	Extension *Relation
 	// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
 	Feedback *FeedbackStore
 	// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
 	FingerprintID string
+}
+
+// Relation is a one-column table of graph IDs: the values one variable
+// takes, ascending, each once — the extension a faceted state already holds,
+// handed to the engine as IDs instead of as a sub-select that derives it.
+type Relation struct {
+	Var string // the variable's name, without '?'
+	IDs []rdf.ID
 }
 
 // Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
@@ -109,6 +125,7 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 		limits:     opts.Limits,
 		dict:       &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
 		optional:   (*evaluator).evalOptional,
+		ext:        opts.Extension,
 	}
 }
 
@@ -279,7 +296,8 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
 	ev.sc = &scope{slots: map[string]int{}}
 	visitGroupVars(gp, false, ev.sc.add)
-	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()), nil)
+	ext := ev.takeExtension()
+	rows := ev.evalGroup(gp, ev.start(ext), nil)
 	if err := ev.cancel.cause(); err != nil {
 		return nil, err
 	}
@@ -340,6 +358,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	saved, inBody := ev.sc, ev.inBody
 	ev.sc, ev.inBody = selectScope(q), false
 	defer func() { ev.sc, ev.inBody = saved, inBody }()
+	ext := ev.takeExtension() // the outermost SELECT's; a subquery finds none
 	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 ||
 		slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return HasAggregate(it.Expr) })
 	var fold *groupFold // the WHERE may feed it its last join step; the rest is folded below
@@ -348,7 +367,7 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 		ev.fold = fold
 	}
 	pm, pmt := ev.profEnter("match", nil)
-	rows := ev.evalGroup(q.Where, unitBatch(ev.sc.width()), nil)
+	rows := ev.evalGroup(q.Where, ev.start(ext), nil)
 	matched := rows.n()
 	if fold != nil {
 		matched += fold.rows
@@ -400,6 +419,35 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	out.vals = out.vals[lo*out.width : hi*out.width]
 	ev.profExit(pmod, pmodt, nIn, out.n())
 	return vars, out, nil
+}
+
+// takeExtension hands the Extension to the first WHERE to ask, the
+// outermost, and gives its variable a slot in the scope in use: a variable
+// the query mentions once has none otherwise, and would match anything.
+func (ev *evaluator) takeExtension() *Relation {
+	ext := ev.ext
+	if ext != nil {
+		ev.ext = nil
+		ev.sc.add(ext.Var)
+	}
+	return ext
+}
+
+// start is the table a WHERE starts from: the unit row, or one row per ID of
+// ext binding its variable.
+func (ev *evaluator) start(ext *Relation) *batch {
+	if ext == nil {
+		return unitBatch(ev.sc.width())
+	}
+	pe, pet := ev.profEnter("extension", "?"+ext.Var)
+	ev.overBudget(len(ext.IDs))
+	width, slot := ev.sc.width(), ev.sc.slot(ext.Var)
+	rows := &batch{width: width, vals: make([]rdf.ID, len(ext.IDs)*width)}
+	for i, id := range ext.IDs {
+		rows.vals[i*width+slot] = id
+	}
+	ev.profExit(pe, pet, 1, len(ext.IDs))
+	return rows
 }
 
 // evalGroup evaluates a group graph pattern over the input rows, returning

@@ -81,7 +81,7 @@ func (p *Profile) TraceID() string {
 // no locking is needed.
 type ProfNode struct {
 	// Op is the operator kind: scan, bgp, filter, optional, union, minus,
-	// subquery, path_scan, match, aggregate, extend, modifiers.
+	// subquery, extension, path_scan, match, aggregate, extend, modifiers.
 	Op string
 	// Label distinguishes operator sites of the same kind, e.g. the triple
 	// pattern of a scan or the expression of a filter.
@@ -109,9 +109,10 @@ type ProfNode struct {
 }
 
 // child returns (creating on first use) the child node for op at site: the
-// query's *TriplePattern or *Expr the operator runs, or nil for one without
-// a label. A site is found by identity, so its label is rendered once per
-// node; two sites of one text share the node their label names.
+// query's *TriplePattern or *Expr the operator runs, the variable an
+// Extension binds, or nil for one without a label. A site is found by
+// identity, so its label is rendered once per node; two sites of one text
+// share the node their label names.
 func (n *ProfNode) child(op string, site any) *ProfNode {
 	if n == nil {
 		return nil
@@ -127,6 +128,8 @@ func (n *ProfNode) child(op string, site any) *ProfNode {
 		label = s.String()
 	case *Expr:
 		label = (*s).String()
+	case string: // the variable of the Extension
+		label = s
 	}
 	for _, c := range n.children {
 		if c.Op == op && c.Label == label {
