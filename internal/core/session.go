@@ -476,8 +476,12 @@ func pathToAttr(p facet.Path, derive string) (hifun.Attr, error) {
 }
 
 // Context returns the HIFUN analysis context of the current state: the
-// graph with the intention injected as extra patterns, so the analytic query
-// ranges exactly over ctx.Ext (§5.2.2).
+// graph with the intention injected as one sub-select, SELECT DISTINCT ?x1,
+// so the analytic query ranges exactly over ctx.Ext (§5.2.2). The extension
+// is the specification and the sub-select its rendering: it is what a run's
+// key, read set and Answer Frame show, while Run.Exec evaluates the query
+// over the extension's IDs whenever they are still the sub-select's answer.
+// An intention that renders no patterns injects nothing.
 func (s *Session) Context() *hifun.Context {
 	l := s.top()
 	ctx := hifun.NewContext(l.model.G, l.ns)
@@ -509,6 +513,10 @@ type Run struct {
 	Key  string
 	ctx  *hifun.Context
 	prep *hifun.Prepared // set by Prepare
+	// ext is the state's extension when the context injects its intention,
+	// and version the graph version it was computed at.
+	ext     *facet.TermSet
+	version uint64
 }
 
 // PrepareRun builds the current analytic query, the context it ranges over
@@ -519,7 +527,12 @@ func (s *Session) PrepareRun() (*Run, error) {
 		return nil, err
 	}
 	ctx := s.Context()
-	return &Run{Query: q, Key: runKey(ctx.ExtraPatterns, s.top().analytics), ctx: ctx}, nil
+	r := &Run{Query: q, Key: runKey(ctx.ExtraPatterns, s.top().analytics), ctx: ctx}
+	if len(ctx.ExtraPatterns) > 0 {
+		l := s.top() // Context brought its state up to date
+		r.ext, r.version = l.cur.Ext, l.version
+	}
+	return r, nil
 }
 
 // runKey renders a Run.Key from the context's injected patterns and the
@@ -564,14 +577,50 @@ func (r *Run) Prepare() (*sparql.Query, error) {
 // Exec evaluates the run, once, recording spans under tr and the engine's
 // operators in prof (either may be nil); it translates the run first unless
 // Prepare did. The evaluation observes qctx's deadline and cancellation and
-// the session's Limits.
+// the session's Limits. It evaluates the prepared query over the state's
+// extension when it can (overExtension), and as it was rendered otherwise.
 func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*hifun.Answer, error) {
 	defer observeSince(runSeconds, time.Now())
-	r.ctx.Trace, r.ctx.Profile = tr, prof
-	if r.prep != nil {
-		return r.ctx.ExecutePrepared(qctx, r.prep)
+	if _, err := r.Prepare(); err != nil {
+		return nil, err
 	}
-	return r.ctx.ExecuteCtx(qctx, r.Query)
+	r.ctx.Trace, r.ctx.Profile = tr, prof
+	p := r.prep
+	if over, ext := r.overExtension(p); ext != nil {
+		ctx := *r.ctx
+		ctx.Extension = ext
+		return ctx.ExecutePrepared(qctx, over)
+	}
+	return r.ctx.ExecutePrepared(qctx, p)
+}
+
+// overExtension returns the prepared query with the injected sub-select left
+// out — a shallow copy of its WHERE, nothing translated or parsed again —
+// and the state's extension as the relation ?x1 starts from, in ascending ID
+// order. It returns a nil relation, and the query runs as rendered, when the
+// context injects nothing; when the extension holds a member the graph has
+// no ID for, or a write to a predicate the intention reads has landed since
+// the state was computed, so that the extension may not be the sub-select's
+// answer; or when an operation is GROUP_CONCAT, whose string follows the
+// order the rows fold in, which the extension's order would change.
+func (r *Run) overExtension(p *hifun.Prepared) (*hifun.Prepared, *sparql.Relation) {
+	if r.ext == nil || slices.ContainsFunc(r.Query.Ops, func(op hifun.Operation) bool { return op.Op == hifun.OpGroupConcat }) {
+		return nil, nil
+	}
+	elems := p.Parsed.Where.Elems
+	i := slices.IndexFunc(elems, func(e sparql.PatternElem) bool { return e.SubQuery != nil })
+	if i < 0 || r.ctx.Graph.ReadVersion(sparql.ReadSet(elems[i].SubQuery)) > r.version {
+		return nil, nil
+	}
+	ids, ok := r.ext.IDs(r.ctx.Graph)
+	if !ok {
+		return nil, nil
+	}
+	q := *p.Parsed
+	q.Where = &sparql.GroupPattern{Elems: slices.Delete(slices.Clone(elems), i, i+1)}
+	over := *p
+	over.Parsed = &q
+	return &over, &sparql.Relation{Var: strings.TrimPrefix(hifun.RootVar, "?"), IDs: ids}
 }
 
 // SetAnswer adopts a frame computed for the current level's run — by this

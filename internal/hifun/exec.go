@@ -27,9 +27,16 @@ type Context struct {
 	NS string
 	// Root, when set, limits the data items to the instances of this class.
 	Root rdf.Term
-	// ExtraPatterns inject additional graph patterns rooted at ?x1 (used by
-	// the faceted layer to restrict the context to the current extension).
+	// ExtraPatterns inject additional graph patterns rooted at ?x1: the
+	// faceted layer renders a state's intention here, as the one sub-select
+	// of its extension, so the generated SPARQL — the run's key, read set and
+	// the text its Answer Frame shows — says what the query ranges over.
 	ExtraPatterns []string
+	// Extension, when set, is handed to the engine as the relation the
+	// evaluated query starts from (sparql.Options.Extension): the faceted
+	// layer's run evaluates its query with the sub-select left out and the
+	// state's extension as ?x1's IDs instead.
+	Extension *sparql.Relation
 	// Trace, when non-nil, records the stages of Execute as spans under its
 	// root: translate, exec (the engine, one leaf) and build_answer. Tracing
 	// never changes the answer, only records how it was computed.
@@ -232,7 +239,7 @@ func (c *Context) ExecutePrepared(ctx context.Context, p *Prepared) (*Answer, er
 		ts.SetAttr("hifun", p.Query.String())
 	}
 	es := root.StartChild("exec")
-	res, err := sparql.ExecSelectCtx(ctx, c.Graph, p.Parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile})
+	res, err := sparql.ExecSelectCtx(ctx, c.Graph, p.Parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile, Extension: c.Extension})
 	es.Finish()
 	if err != nil {
 		return nil, err

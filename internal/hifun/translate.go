@@ -21,7 +21,8 @@ type Translator struct {
 	RootClass rdf.Term
 	// ExtraPatterns are verbatim graph patterns appended to WHERE, rooted at
 	// ?x1 — the hook through which the faceted-search layer injects the
-	// current state's extension (Table 5.1's temp-class trick).
+	// current state's intention (Table 5.2), as one sub-select whose answer
+	// is the state's extension.
 	ExtraPatterns []string
 }
 
