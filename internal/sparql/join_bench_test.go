@@ -2,6 +2,7 @@ package sparql_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"rdfanalytics/internal/datagen"
@@ -34,7 +35,9 @@ var joinStepShapes = []struct{ name, query string }{
 // server's side of a /sparql miss for big-select instead: the answer table
 // executed, sorted and encoded. sum-by-maker and order-by-date are the
 // numeric aggregate and the date sort of an analytic click, next to
-// bind-year's derived attribute.
+// bind-year's derived attribute. Each shape starts from a drained row-block
+// pool (two collections empty a sync.Pool), so its B/op is its own and not
+// what the shape before it left pooled.
 func BenchmarkJoinStep(b *testing.B) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 22400, Companies: 16, Seed: 1})
 	rdf.Materialize(g)
@@ -42,6 +45,8 @@ func BenchmarkJoinStep(b *testing.B) {
 		q := sparql.MustParse(joinStepPrefix + c.query)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			runtime.GC()
+			runtime.GC()
 			for b.Loop() {
 				if c.name != "big-select-json" {
 					if _, err := sparql.ExecSelectOpts(g, q, sparql.Options{}); err != nil {
