@@ -585,13 +585,12 @@ func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*
 		return nil, err
 	}
 	r.ctx.Trace, r.ctx.Profile = tr, prof
-	p := r.prep
-	if over, ext := r.overExtension(p); ext != nil {
+	if over, ext := r.overExtension(r.prep); ext != nil {
 		ctx := *r.ctx
 		ctx.Extension = ext
 		return ctx.ExecutePrepared(qctx, over)
 	}
-	return r.ctx.ExecutePrepared(qctx, p)
+	return r.ctx.ExecutePrepared(qctx, r.prep)
 }
 
 // overExtension returns the prepared query with the injected sub-select left

@@ -703,13 +703,13 @@ func (m *Model) ClickClass(s *State, c rdf.Term) *State {
 func (m *Model) narrows(c, old rdf.Term) bool {
 	typ, okT := m.G.TermID(rdf.NewIRI(rdf.RDFType))
 	cid, okC := m.G.TermID(c)
-	oid, okO := m.G.TermID(old)
-	if !okT || !okC || !okO {
-		return !okC || c == old // a class without instances narrows any
+	if !okT || !okC {
+		return true // c has no instances
 	}
+	oid, okO := m.G.TermID(old)
 	all := true
 	m.G.MatchIDs(0, typ, cid, func(s, _, _ rdf.ID) bool {
-		all = m.G.MatchCountIDs(s, typ, oid) > 0
+		all = okO && m.G.MatchCountIDs(s, typ, oid) > 0
 		return all
 	})
 	return all
