@@ -131,9 +131,10 @@ bench:
 # (internal/rdf/scale_test.go; ≈12 s in all, 240 MB at the 2M step), then what a
 # durable store's checkpoint and Open allocate and take at the same sizes
 # (internal/store/scale_test.go), then what a click costs at 11 200, 112 000
-# and 224 000 laptops: the start and Laptop states and two Σ runs, AVG(price)
-# by manufacturer and COUNT by the origin of the hard drive's manufacturer,
-# ns/op, B/op and allocs/op (internal/core/scale_test.go; ≈20 s, one graph a
+# and 224 000 laptops: the start and Laptop states and three Σ runs, AVG(price)
+# by manufacturer over all laptops and over those with price ≥ 1000 and three
+# USB ports, and COUNT by the origin of the hard drive's manufacturer, ns/op,
+# B/op and allocs/op (internal/core/scale_test.go; ≈25 s, one graph a
 # scale). Outside the standing benchmark: compare it across commits as
 # alternating loads.
 bench-scale:
