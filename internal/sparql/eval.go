@@ -46,7 +46,7 @@ type evaluator struct {
 	optional func(ev *evaluator, opt *GroupPattern, input *batch) *batch // evalOptional, or a test's reference
 	// fold is offered by selectRows to the WHERE's evalGroup, which takes it.
 	fold *groupFold
-	// ext is Options.Extension until the outermost WHERE takes it (start).
+	// ext is Options.Extension until the outermost SELECT takes it.
 	ext *Relation
 }
 
@@ -86,11 +86,11 @@ type Options struct {
 	// zero value means "no row budget, default path caps". Violations
 	// return a *BudgetError matching ErrBudgetExceeded.
 	Limits
-	// Extension, when set, is a relation the outermost WHERE starts from, as
-	// if the group opened with a VALUES block over it that is never rendered
-	// or parsed: its rows, in their order, are the group's first table, and
-	// the planner reads its variable as bound in exactly that many rows.
-	// EXPLAIN ANALYZE shows it as one extension node.
+	// Extension, when set, is a relation a SELECT's WHERE starts from (not a
+	// sub-select's), as if the group opened with a VALUES block over it that
+	// is never rendered or parsed: its rows, in their order, are the group's
+	// first table, and the planner reads its variable as bound in exactly
+	// that many rows. EXPLAIN ANALYZE shows it as one extension node.
 	Extension *Relation
 	// Deprecated: ignored; the planner keeps no feedback. Goes with benchmark/trace.go's twin (ROADMAP 1a).
 	Feedback *FeedbackStore
@@ -296,8 +296,7 @@ func ExecDescribeCtx(ctx context.Context, g *rdf.Graph, q *Query, opts Options) 
 func (ev *evaluator) evalWhere(gp *GroupPattern) (*batch, error) {
 	ev.sc = &scope{slots: map[string]int{}}
 	visitGroupVars(gp, false, ev.sc.add)
-	ext := ev.takeExtension()
-	rows := ev.evalGroup(gp, ev.start(ext), nil)
+	rows := ev.evalGroup(gp, unitBatch(ev.sc.width()), nil)
 	if err := ev.cancel.cause(); err != nil {
 		return nil, err
 	}
@@ -358,7 +357,11 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	saved, inBody := ev.sc, ev.inBody
 	ev.sc, ev.inBody = selectScope(q), false
 	defer func() { ev.sc, ev.inBody = saved, inBody }()
-	ext := ev.takeExtension() // the outermost SELECT's; a subquery finds none
+	ext := ev.ext // the outermost SELECT's; a subquery finds none
+	if ext != nil {
+		ev.ext = nil
+		ev.sc.add(ext.Var) // a variable the query mentions once has no slot, and would match anything
+	}
 	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 ||
 		slices.ContainsFunc(q.Select.Items, func(it SelectItem) bool { return HasAggregate(it.Expr) })
 	var fold *groupFold // the WHERE may feed it its last join step; the rest is folded below
@@ -421,20 +424,8 @@ func (ev *evaluator) selectRows(q *Query) ([]string, *batch, error) {
 	return vars, out, nil
 }
 
-// takeExtension hands the Extension to the first WHERE to ask, the
-// outermost, and gives its variable a slot in the scope in use: a variable
-// the query mentions once has none otherwise, and would match anything.
-func (ev *evaluator) takeExtension() *Relation {
-	ext := ev.ext
-	if ext != nil {
-		ev.ext = nil
-		ev.sc.add(ext.Var)
-	}
-	return ext
-}
-
-// start is the table a WHERE starts from: the unit row, or one row per ID of
-// ext binding its variable.
+// start is the table a SELECT's WHERE starts from: the unit row, or one row
+// per ID of ext binding its variable.
 func (ev *evaluator) start(ext *Relation) *batch {
 	if ext == nil {
 		return unitBatch(ev.sc.width())
