@@ -58,8 +58,8 @@ func productsOracleGraph() *rdf.Graph {
 	return datagen.Products(datagen.ProductsConfig{Laptops: 60, Companies: 6, Seed: 3})
 }
 
-// selectBytes runs the query and returns its JSON body.
-func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
+// selectTable runs the query and returns its answer table.
+func selectTable(g *rdf.Graph, src string) (*sparql.Table, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -67,9 +67,14 @@ func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
 	if q.Form != sparql.FormSelect {
 		return nil, fmt.Errorf("not a SELECT")
 	}
-	tab, err := sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{
+	return sparql.ExecSelectTable(context.Background(), g, q, sparql.Options{
 		Limits: sparql.Limits{MaxIntermediateRows: oracleRowBudget},
 	})
+}
+
+// selectBytes runs the query and returns its JSON body.
+func selectBytes(g *rdf.Graph, src string) ([]byte, error) {
+	tab, err := selectTable(g, src)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +168,52 @@ func TestSelectBytesOracle(t *testing.T) {
 				c.kind, c.name, len(got), c.size, query, head)
 		}
 	}
+}
+
+// TestSelectStreamMatchesBody: for every corpus SELECT and the byte
+// oracle's random ones, Table.WriteJSON writes through the server's 32 KiB
+// chunk and through a 64-byte one the bytes Table.JSON returns, and
+// JSONSize is their length. The stream goes first, so it also makes the
+// layout JSON then reuses.
+func TestSelectStreamMatchesBody(t *testing.T) {
+	var cases []bytesCase
+	for _, c := range corpusSelects(t) {
+		cases = append(cases, bytesCase{kind: "corpus", name: c.Category + "/" + c.Name})
+	}
+	for _, c := range readBytesGolden(t) {
+		if c.kind == "random" {
+			cases = append(cases, c)
+		}
+	}
+	products := productsOracleGraph()
+	compared := 0
+	for _, c := range cases {
+		g, query := products, c.query
+		if c.kind == "corpus" {
+			g, query = loadCorpusCase(t, c.name)
+		}
+		tab, err := selectTable(g, query)
+		if err != nil {
+			continue // the corpus has queries that abort
+		}
+		var streams [2]bytes.Buffer
+		for i, size := range []int{32 << 10, 64} {
+			if err := tab.WriteJSON(&streams[i], make([]byte, 0, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		body := tab.JSON()
+		for i := range streams {
+			if !bytes.Equal(streams[i].Bytes(), body) {
+				t.Errorf("%s %s: WriteJSON writes %d bytes unlike JSON()'s %d\nquery: %s", c.kind, c.name, streams[i].Len(), len(body), query)
+			}
+		}
+		if n := tab.JSONSize(); n != len(body) {
+			t.Errorf("%s %s: JSONSize() = %d, JSON() is %d bytes", c.kind, c.name, n, len(body))
+		}
+		compared++
+	}
+	t.Logf("%d SELECTs streamed", compared)
 }
 
 func readBytesGolden(t *testing.T) []bytesCase {

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"rdfanalytics/internal/rdf"
@@ -134,7 +134,8 @@ func displayTerm(t rdf.Term) string {
 // Deprecated: a SELECT's body is its Table's (Table.JSON); this stays while
 // benchmark/trace.go measures it (ROADMAP 1a).
 func (r *Results) WriteJSON(w io.Writer) error {
-	_, err := w.Write(appendJSON(r.Vars, len(r.Rows), func(i int) []rdf.Term { return r.Rows[i] }))
+	row := func(i int) []rdf.Term { return r.Rows[i] }
+	_, err := w.Write(renderJSON(newJSONLayout(r.Vars, len(r.Rows), row), len(r.Rows), row))
 	return err
 }
 
@@ -148,7 +149,8 @@ type Table struct {
 	Vars    []string
 	rows    *batch // max(1, len(Vars)) wide
 	g       *rdf.Graph
-	scratch []rdf.Term // the evaluation's termDict.scratch
+	scratch []rdf.Term                 // the evaluation's termDict.scratch
+	plan    atomic.Pointer[jsonLayout] // made by the first JSON, JSONSize or WriteJSON
 }
 
 // Len returns the number of solution rows.
@@ -222,9 +224,49 @@ func (t *Table) Sort() {
 	t.rows.vals = sorted
 }
 
-// JSON returns the table in the SPARQL 1.1 JSON results format (appendJSON).
+// layout returns the table's JSON layout, made once with row, which
+// decodes the table, and kept. Goroutines that race to make it make equal
+// layouts; either is kept.
+func (t *Table) layout(row func(i int) []rdf.Term) *jsonLayout {
+	if l := t.plan.Load(); l != nil {
+		return l
+	}
+	l := newJSONLayout(t.Vars, t.Len(), row)
+	t.plan.Store(l)
+	return l
+}
+
+// JSON returns the table in the SPARQL 1.1 JSON results format (jsonLayout)
+// in one slice of exactly JSONSize bytes: the body a stored answer keeps.
 func (t *Table) JSON() []byte {
-	return appendJSON(t.Vars, t.Len(), t.decoder())
+	row := t.decoder()
+	return renderJSON(t.layout(row), t.Len(), row)
+}
+
+// JSONSize returns len(t.JSON()) without rendering it. The layout it counts
+// with is kept, so JSON and WriteJSON do not count again; a table whose
+// JSON several goroutines write has its size taken first.
+func (t *Table) JSONSize() int {
+	if l := t.plan.Load(); l != nil {
+		return l.size
+	}
+	return t.layout(t.decoder()).size
+}
+
+// WriteJSON writes the bytes of t.JSON() to w through chunk, the caller's
+// buffer, which is written out each time it fills: no buffer of the body's
+// size is allocated. A chunk of less than 64 bytes' capacity is replaced by
+// one of 64. It returns the first write error; the rest of the body is
+// dropped after one.
+func (t *Table) WriteJSON(w io.Writer, chunk []byte) error {
+	if cap(chunk) < minJSONChunk {
+		chunk = make([]byte, 0, minJSONChunk)
+	}
+	row := t.decoder()
+	s := jsonSink{b: chunk[:0], w: w}
+	t.layout(row).render(&s, t.Len(), row)
+	s.flush()
+	return s.err
 }
 
 // WriteCSV writes the table as CSV with a header row of variable names.
@@ -249,52 +291,87 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// appendJSON renders n solution rows over vars in the SPARQL 1.1 JSON
-// results format — row(i) is row i's terms, the zero Term where a variable
-// is unbound — in one slice allocated at its exact size (rows are measured
-// by counting first, then rendered once). The bytes are what encoding/json
-// produces for the format's natural struct-and-map document — per-binding
-// keys in sorted order, unbound variables omitted, `<`, `>`, `&`, U+2028 and
-// U+2029 escaped, invalid UTF-8 replaced by U+FFFD, a trailing newline — so
-// every recorded response digest stays valid; FuzzJSONString holds the
-// string escaper, and the count to the escaper, to json.Encoder.
-func appendJSON(vars []string, n int, row func(i int) []rdf.Term) []byte {
-	// One column per distinct name, in key order, with its rendered key.
-	type column struct {
-		idx int
-		key string // "name":{"type":"
+// jsonLayout is what rendering a SELECT's JSON body needs before its first
+// byte: one column per distinct variable, in key order, with its rendered
+// key, the head, and the body's exact size. The bytes are what encoding/json
+// produces for the SPARQL 1.1 JSON results format's natural struct-and-map
+// document — per-binding keys in sorted order, unbound variables omitted,
+// `<`, `>`, `&`, U+2028 and U+2029 escaped, invalid UTF-8 replaced by
+// U+FFFD, a trailing newline — so every recorded response digest stays
+// valid; FuzzJSONString holds the string escaper, and the count to the
+// escaper, to json.Encoder.
+type jsonLayout struct {
+	cols []jsonColumn
+	head string
+	size int
+}
+
+type jsonColumn struct {
+	idx int
+	key string // "name":{"type":"
+}
+
+const jsonTail, jsonValueKey = "]}}\n", `","value":`
+
+var jsonKinds = [...]string{rdf.KindIRI: "uri", rdf.KindBlank: "bnode", rdf.KindLiteral: "literal"}
+
+// jsonNote is the member carrying a literal's language or datatype, if it
+// has one.
+func jsonNote(t *rdf.Term) (key, value string) {
+	switch {
+	case t.Kind != rdf.KindLiteral:
+	case t.Lang != "":
+		return `,"xml:lang":`, t.Lang
+	case t.Datatype != "" && t.Datatype != rdf.XSDString:
+		return `,"datatype":`, t.Datatype
 	}
-	var cols []column
+	return "", ""
+}
+
+// newJSONLayout plans the columns of n solution rows over vars — row(i) is
+// row i's terms, the zero Term where a variable is unbound — and counts the
+// body's bytes. The head and the column keys are rendered into one string.
+func newJSONLayout(vars []string, n int, row func(i int) []rdf.Term) *jsonLayout {
+	l := &jsonLayout{cols: make([]jsonColumn, 0, len(vars))}
+	text := append(make([]byte, 0, 64), `{"head":{"vars":`...)
+	if vars == nil {
+		text = append(text, "null"...) // as encoding/json writes a nil slice
+	} else {
+		text = append(text, '[')
+		for i, v := range vars {
+			if i > 0 {
+				text = append(text, ',')
+			}
+			text = AppendJSONString(text, v)
+		}
+		text = append(text, ']')
+	}
+	text = append(text, `},"results":{"bindings":[`...)
+	headLen, ends := len(text), make([]int, 0, len(vars))
 	for i, v := range vars {
 		if slices.Index(vars, v) == i {
-			cols = append(cols, column{i, string(AppendJSONString(nil, v)) + `:{"type":"`})
+			text = append(AppendJSONString(text, v), `:{"type":"`...)
+			l.cols = append(l.cols, jsonColumn{idx: i})
+			ends = append(ends, len(text))
 		}
 	}
-	sort.Slice(cols, func(a, b int) bool { return vars[cols[a].idx] < vars[cols[b].idx] })
-	varsJSON, _ := json.Marshal(vars) // null for a nil projection
-	head := `{"head":{"vars":` + string(varsJSON) + `},"results":{"bindings":[`
-	const tail, valueKey = "]}}\n", `","value":`
-	kinds := [...]string{rdf.KindIRI: "uri", rdf.KindBlank: "bnode", rdf.KindLiteral: "literal"}
-	// note is the member carrying a literal's language or datatype, if it has one.
-	note := func(t *rdf.Term) (key, value string) {
-		switch {
-		case t.Kind != rdf.KindLiteral:
-		case t.Lang != "":
-			return `,"xml:lang":`, t.Lang
-		case t.Datatype != "" && t.Datatype != rdf.XSDString:
-			return `,"datatype":`, t.Datatype
-		}
-		return "", ""
+	all := string(text)
+	l.head = all[:headLen]
+	from := headLen
+	for i, end := range ends {
+		l.cols[i].key, from = all[from:end], end
 	}
-	size := len(head) + len(tail) + max(n-1, 0) // with the commas between rows
+	slices.SortFunc(l.cols, func(a, b jsonColumn) int { return strings.Compare(vars[a.idx], vars[b.idx]) })
+
+	size := len(l.head) + len(jsonTail) + max(n-1, 0) // with the commas between rows
 	for i := 0; i < n; i++ {
 		empty := len(`{`)
 		r := row(i)
-		for _, c := range cols {
+		for _, c := range l.cols {
 			if t := &r[c.idx]; !t.IsZero() {
-				noteKey, noteValue := note(t)
+				noteKey, noteValue := jsonNote(t)
 				// One byte before every binding, the brace or a comma.
-				size += 1 + len(c.key) + len(kinds[t.Kind]) + len(valueKey) + jsonStringLen(t.Value) + len(noteKey) + len(`}`)
+				size += 1 + len(c.key) + len(jsonKinds[t.Kind]) + len(jsonValueKey) + jsonStringLen(t.Value) + len(noteKey) + len(`}`)
 				if noteKey != "" {
 					size += jsonStringLen(noteValue)
 				}
@@ -303,31 +380,114 @@ func appendJSON(vars []string, n int, row func(i int) []rdf.Term) []byte {
 		}
 		size += empty + len(`}`)
 	}
-	dst := append(make([]byte, 0, size), head...)
+	l.size = size
+	return l
+}
+
+// render writes the body of the n rows l was planned over into s.
+func (l *jsonLayout) render(s *jsonSink, n int, row func(i int) []rdf.Term) {
+	s.raw(l.head)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			dst = append(dst, ',')
+			s.raw(",")
 		}
-		dst = append(dst, '{')
-		r := row(i)
-		for _, c := range cols {
+		s.raw("{")
+		r, sep := row(i), ""
+		for _, c := range l.cols {
 			t := &r[c.idx]
 			if t.IsZero() {
 				continue
 			}
-			if dst[len(dst)-1] != '{' {
-				dst = append(dst, ',')
+			s.raw(sep)
+			sep = ","
+			s.raw(c.key)
+			s.raw(jsonKinds[t.Kind])
+			s.raw(jsonValueKey)
+			s.str(t.Value)
+			if noteKey, noteValue := jsonNote(t); noteKey != "" {
+				s.raw(noteKey)
+				s.str(noteValue)
 			}
-			dst = append(append(append(dst, c.key...), kinds[t.Kind]...), valueKey...)
-			dst = AppendJSONString(dst, t.Value)
-			if noteKey, noteValue := note(t); noteKey != "" {
-				dst = AppendJSONString(append(dst, noteKey...), noteValue)
-			}
-			dst = append(dst, '}')
+			s.raw("}")
 		}
-		dst = append(dst, '}')
+		s.raw("}")
 	}
-	return append(dst, tail...)
+	s.raw(jsonTail)
+}
+
+// renderJSON renders the n rows l was planned over into one slice of the
+// body's exact size.
+func renderJSON(l *jsonLayout, n int, row func(i int) []rdf.Term) []byte {
+	s := jsonSink{b: make([]byte, 0, l.size)}
+	l.render(&s, n, row)
+	return s.b
+}
+
+// minJSONChunk is the smallest chunk Table.WriteJSON renders into: room for
+// a few escaped characters of a string cut in pieces.
+const minJSONChunk = 64
+
+// jsonSink is where a layout renders: one slice of the body's exact size (w
+// nil), or a chunk that is written to w each time the next piece would not
+// fit in it. After a failed write the rest of the body is dropped.
+type jsonSink struct {
+	b   []byte
+	w   io.Writer
+	err error
+}
+
+func (s *jsonSink) flush() {
+	if s.err == nil && len(s.b) > 0 {
+		_, s.err = s.w.Write(s.b)
+	}
+	s.b = s.b[:0]
+}
+
+// raw appends p; into a chunk, in pieces if it does not fit.
+func (s *jsonSink) raw(p string) {
+	for s.w != nil && len(p) > cap(s.b)-len(s.b) {
+		n := copy(s.b[len(s.b):cap(s.b)], p)
+		s.b, p = s.b[:len(s.b)+n], p[n:]
+		s.flush()
+	}
+	s.b = append(s.b, p...)
+}
+
+// str appends v as a JSON string literal (AppendJSONString). Escaping writes
+// at most six bytes a byte; a value that might not fit in what is left of a
+// chunk is escaped in pieces, each cut where cutChars says escaping apart
+// writes what escaping whole does.
+func (s *jsonSink) str(v string) {
+	if s.w == nil || len(`""`)+6*len(v) <= cap(s.b)-len(s.b) {
+		s.b = AppendJSONString(s.b, v)
+		return
+	}
+	s.raw(`"`)
+	for v != "" {
+		if (cap(s.b)-len(s.b))/6 < utf8.UTFMax {
+			s.flush()
+		}
+		n := cutChars(v, (cap(s.b)-len(s.b))/6)
+		s.b = appendJSONChars(s.b, v[:n])
+		v = v[n:]
+	}
+	s.raw(`"`)
+}
+
+// cutChars returns where to cut v at most n bytes in (n >= utf8.UTFMax) so
+// that the escaper reads both parts as it reads v: before a byte that
+// starts a character, or else at n, after three continuation bytes — no
+// character's first byte reaches past three.
+func cutChars(v string, n int) int {
+	if n >= len(v) {
+		return len(v)
+	}
+	for k := n; k > n-utf8.UTFMax; k-- {
+		if utf8.RuneStart(v[k]) {
+			return k
+		}
+	}
+	return n
 }
 
 const jsonHex = "0123456789abcdef"
@@ -355,7 +515,12 @@ var jsonEscape = func() (t [256]byte) {
 // escaper of every hand-written JSON body: these results and the server's
 // interaction API.
 func AppendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
+	return append(appendJSONChars(append(dst, '"'), s), '"')
+}
+
+// appendJSONChars appends s escaped as AppendJSONString escapes it, without
+// the quotes.
+func appendJSONChars(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch esc := jsonEscape[s[i]]; esc {
@@ -379,7 +544,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 			start = i + 1
 		}
 	}
-	return append(append(dst, s[start:]...), '"')
+	return append(dst, s[start:]...)
 }
 
 // jsonStringLen is len(AppendJSONString(nil, s)) without the rendering.
