@@ -15,9 +15,10 @@ test:
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
 # BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary, BenchmarkObjectLookup
 # and BenchmarkLoadTurtle at 11 200 laptops (the second pattern level keeps every named sub-benchmark and drops 112 000),
-# of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkTraceRetentionOverhead and
+# of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkColdRead, BenchmarkTraceRetentionOverhead and
 # BenchmarkTailSamplerDecision (so none can rot;
-# TestCachedReadAllocs holds a cache hit to its allocation budget), the telemetry and chaos smoke tests against
+# TestCachedReadAllocs holds a cache hit to its allocation budget, TestColdReadAllocatesNoBody a refused miss
+# to its bytes budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -26,7 +27,7 @@ check:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup|LoadTurtle/(^[a-z]|^11200-)' -benchmem -benchtime 1x ./internal/rdf
-	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
+	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|ColdRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench PropertyFacets -benchmem -benchtime 1x ./internal/facet
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
 	$(MAKE) conformance
@@ -85,7 +86,8 @@ durability-smoke:
 # against the rune lexer it replaced, the Turtle loader against the parser it
 # replaced (acceptance, every ID's term, the triples), the JSON
 # string escaper and the state writer's float formatter against encoding/json,
-# the graph's sorted permutations against the map-of-maps oracle, the term
+# a SELECT's JSON streamed through a chunk against the same body rendered
+# whole, the graph's sorted permutations against the map-of-maps oracle, the term
 # dictionary against the map-and-slice one, the answer cache's key
 # injectivity, and the segment loader (CRC before decode, and a re-checkpoint
 # of what it accepts loads back to the same triples and IDs); a
@@ -97,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzLex$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzJSONString$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
+	$(GO) test -fuzz '^FuzzSelectJSONStream$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzJSONFloat$$' -fuzztime $(FUZZTIME) -run XXX ./internal/server/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParseTemporal$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/

@@ -1,20 +1,27 @@
 package resilience
 
 import (
+	"hash/maphash"
+	"sync/atomic"
 	"time"
 
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/rdf"
+	"rdfanalytics/internal/sparql"
 )
 
-// Answer is one cached response to a /sparql SELECT or ASK or to an
-// analytic run: the fully rendered body plus the metadata needed to replay
-// it faithfully and to decide freshness. Version is the graph version the
+// Answer is one response to a /sparql SELECT or ASK or to an analytic run,
+// cached or shared by the waiters of one execution: its body plus the
+// metadata needed to replay it faithfully and to decide freshness. Version is the graph version the
 // answer was computed against and Reads what its query read of the graph
 // (Fresh); When is the fill time, used to bound how stale an answer a
 // max-stale request may get.
 type Answer struct {
+	// Body is the rendered response. A SELECT answer the cache will not
+	// keep (AnswerCache.Admits) has none: its sorted Table renders it to
+	// each waiter (sparql.Table.WriteJSON).
 	Body          []byte
+	Table         *sparql.Table
 	ContentType   string
 	Status        int
 	Rows          int
@@ -52,9 +59,25 @@ func (a *Answer) Fresh(g *rdf.Graph) bool { return g.ReadVersion(a.Reads) <= a.V
 // fingerprint, is the key: the fingerprint normalizes constants, datatypes
 // and timezones away, and the text decides the fingerprint anyway. A nil
 // *AnswerCache disables caching: every method is a safe no-op/miss.
+//
+// A first-seen answer never evicts (TinyLFU's doorkeeper, reduced to one
+// check): an answer is stored if it fits in the free space, if its key is
+// resident (an outdated entry too), or if its key was refused before. A
+// refusal leaves the key's hash in refused, a direct-mapped table of
+// refusedSlots hashes, so a key asked for twice while the cache is full gets
+// in on its second miss — until another refused key takes its slot. The
+// table is made by the first refusal: a cache that never fills has none.
 type AnswerCache struct {
-	lru *SizedLRU[Key, *Answer]
+	lru     *SizedLRU[Key, *Answer]
+	seed    maphash.Seed
+	refused atomic.Pointer[refusedTable]
 }
+
+// refusedTable holds a refused key's hash | 1 in slot hash % refusedSlots;
+// 0 is an empty slot. It is 32 KiB.
+type refusedTable [refusedSlots]atomic.Uint64
+
+const refusedSlots = 4096
 
 // entryOverhead approximates the per-entry bookkeeping cost (struct, map
 // slot, list pointers, key) added to Body length for byte accounting.
@@ -68,7 +91,7 @@ func NewAnswerCache(maxBytes int64, _ time.Duration, onEvict func(key Key, size 
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &AnswerCache{lru: NewSizedLRU[Key, *Answer](maxBytes, onEvict)}
+	return &AnswerCache{lru: NewSizedLRU[Key, *Answer](maxBytes, onEvict), seed: maphash.MakeSeed()}
 }
 
 // Enabled reports whether the cache can hold anything.
@@ -116,15 +139,63 @@ func (c *AnswerCache) GetStale(key Key, now time.Time, window time.Duration) (*A
 	return a, true
 }
 
-// Put inserts a rendered answer. The caller is responsible for checking that
-// no predicate the answer read changed during execution (Answer.Fresh)
-// before filling.
-func (c *AnswerCache) Put(key Key, a *Answer) {
+// Put stores a rendered answer if the cache admits it (see AnswerCache) and
+// reports whether it did; a refusal is remembered as Admits remembers it. The
+// caller is responsible for checking that no predicate the answer read
+// changed during execution (Answer.Fresh) before filling.
+func (c *AnswerCache) Put(key Key, a *Answer) bool {
 	if c == nil || a == nil {
-		return
+		return false
 	}
-	size := len(a.Body) + len(a.ContentType) + len(key.Namespace) + len(key.Text)
-	c.lru.Put(key, a, int64(size)+entryOverhead+frameBytes(a.Frame))
+	size := entrySize(key, a, len(a.Body))
+	if !c.admit(key, size) {
+		return false
+	}
+	c.lru.Put(key, a, size)
+	return true
+}
+
+// Admits reports whether Put would store a, given a body of bodyLen bytes,
+// under key — the check made before the body is rendered. A no is a refusal
+// and is remembered: the key's next answer is admitted.
+func (c *AnswerCache) Admits(key Key, a *Answer, bodyLen int) bool {
+	return c != nil && c.admit(key, entrySize(key, a, bodyLen))
+}
+
+// entrySize is what an answer with a body of bodyLen bytes accounts for
+// under key.
+func entrySize(key Key, a *Answer, bodyLen int) int64 {
+	size := bodyLen + len(a.ContentType) + len(key.Namespace) + len(key.Text)
+	return int64(size) + entryOverhead + frameBytes(a.Frame)
+}
+
+// admit is the admission rule: an entry of size bytes is stored under key if
+// it fits in the free space, if key is resident, or if key was refused
+// before; anything else is refused, and the refusal recorded. Nothing larger
+// than the whole budget is stored. The checks read the LRU one at a time, so
+// concurrent fills may between them take space another one counted on.
+func (c *AnswerCache) admit(key Key, size int64) bool {
+	if size > c.lru.MaxBytes() {
+		return false
+	}
+	if c.lru.Bytes()+size <= c.lru.MaxBytes() {
+		return true
+	}
+	if _, ok := c.lru.Get(key); ok {
+		return true
+	}
+	h := maphash.Comparable(c.seed, key)
+	refused := c.refused.Load()
+	if refused == nil {
+		c.refused.CompareAndSwap(nil, new(refusedTable))
+		refused = c.refused.Load()
+	}
+	slot := &refused[h%refusedSlots]
+	if slot.Load() == h|1 {
+		return true
+	}
+	slot.Store(h | 1)
+	return false
 }
 
 // CacheKey returns the raw query text, the /sparql key's Text; the

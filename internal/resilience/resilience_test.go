@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rdfanalytics/internal/rdf"
 )
 
 // ---- SizedLRU ----
@@ -252,6 +255,167 @@ func TestAnswerCacheNil(t *testing.T) {
 		t.Fatal("nil cache must miss a stale lookup")
 	}
 	c.Purge()
+}
+
+// bodyAnswer is an answer computed at version that reads the whole graph,
+// with a body of n bytes; entrySize(key, a, n) is what it accounts for.
+func bodyAnswer(n int, version uint64) *Answer {
+	return &Answer{Body: make([]byte, n), ContentType: "application/json", Version: version, Reads: rdf.ReadSet{All: true}}
+}
+
+// fullCache returns a cache of 10 000 bytes holding entries "e0", "e1", … of
+// 1 000-byte bodies until the next would not fit, "e0" least recently used.
+func fullCache(t *testing.T) (*AnswerCache, int) {
+	t.Helper()
+	c := NewAnswerCache(10_000, 0, nil)
+	n := 0
+	for ; ; n++ {
+		key := Key{Text: fmt.Sprint("e", n)}
+		if c.Bytes()+entrySize(key, bodyAnswer(1000, 0), 1000) > 10_000 {
+			break
+		}
+		if !c.Put(key, bodyAnswer(1000, 0)) {
+			t.Fatalf("%v fits in the free space and was refused", key)
+		}
+	}
+	if c.Evictions() != 0 {
+		t.Fatalf("filling to the budget evicted %d", c.Evictions())
+	}
+	return c, n
+}
+
+// TestAnswerCacheAdmission: an answer that fits is stored; on a full cache
+// a first sight is refused, stores nothing and evicts nothing, and is
+// remembered, so the second sight is stored and evicts the LRU tail; a
+// resident key, outdated or not, re-fills in place; nothing larger than the
+// budget is stored; a nil cache refuses everything.
+func TestAnswerCacheAdmission(t *testing.T) {
+	g := rdf.NewGraph()
+	c, resident := fullCache(t)
+	fresh := Key{Text: "new"}
+	if c.Admits(fresh, bodyAnswer(1000, 0), 1000) {
+		t.Fatal("a first sight on a full cache is admitted")
+	}
+	if c.Entries() != resident || c.Evictions() != 0 {
+		t.Fatalf("a refusal left %d entries (want %d), %d evictions", c.Entries(), resident, c.Evictions())
+	}
+	if _, ok := c.GetFresh(fresh, g); ok {
+		t.Fatal("a refused answer is resident")
+	}
+	// The refusal is remembered: the second sight is admitted, and stores.
+	if !c.Admits(fresh, bodyAnswer(1000, 0), 1000) || !c.Put(fresh, bodyAnswer(1000, 0)) {
+		t.Fatal("a second sight on a full cache is refused")
+	}
+	if _, ok := c.GetFresh(fresh, g); !ok {
+		t.Fatal("an admitted answer is not resident")
+	}
+	if _, ok := c.GetFresh(Key{Text: "e0"}, g); ok || c.Evictions() != 1 {
+		t.Fatalf("the second sight evicted %d entries, want the LRU tail e0 alone", c.Evictions())
+	}
+
+	// A resident key re-fills in place, from an outdated answer too.
+	g.Add(rdf.NewTriple(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewIRI("o"))) // every answer outdated
+	e1 := Key{Text: "e1"}
+	if _, ok := c.GetFresh(e1, g); ok {
+		t.Fatal("an answer of an older version is fresh")
+	}
+	evictions := c.Evictions()
+	if !c.Put(e1, bodyAnswer(1000, g.Version())) {
+		t.Fatal("an outdated resident key's new answer is refused")
+	}
+	if _, ok := c.GetFresh(e1, g); !ok || c.Evictions() != evictions {
+		t.Fatalf("re-fill: fresh hit %v, %d evictions (want %d)", ok, c.Evictions(), evictions)
+	}
+
+	// Larger than the budget: refused on every sight, the check and Put alike.
+	big := Key{Text: "big"}
+	for i := 0; i < 2; i++ {
+		if c.Admits(big, bodyAnswer(10_000, 1), 10_000) || c.Put(big, bodyAnswer(10_000, 1)) {
+			t.Fatal("an answer larger than the budget is admitted")
+		}
+	}
+
+	// An answer that fits in the free space is stored at first sight.
+	roomy := NewAnswerCache(10_000, 0, nil)
+	if !roomy.Admits(fresh, bodyAnswer(1000, 0), 1000) || !roomy.Put(fresh, bodyAnswer(1000, 0)) {
+		t.Fatal("an answer that fits is refused")
+	}
+
+	var off *AnswerCache
+	if off.Admits(fresh, bodyAnswer(1, 1), 1) || off.Put(fresh, bodyAnswer(1, 1)) {
+		t.Fatal("a nil cache admits")
+	}
+}
+
+// TestAdmitsAgreesWithPut: two caches of one seed, driven by one random
+// sequence of lookups and fills over more keys than fit, decide every fill
+// alike — one asking Admits before each Put, as the server does before it
+// renders, the other calling Put alone — and hold the same entries.
+func TestAdmitsAgreesWithPut(t *testing.T) {
+	g := rdf.NewGraph()
+	checked, put := NewAnswerCache(50_000, 0, nil), NewAnswerCache(50_000, 0, nil)
+	put.seed = checked.seed
+	rng := rand.New(rand.NewSource(1))
+	admitted := 0
+	for i := 0; i < 5000; i++ {
+		key := Key{Text: fmt.Sprint("q", rng.Intn(300))}
+		if rng.Intn(3) == 0 {
+			_, hit := checked.GetFresh(key, g)
+			if _, hit2 := put.GetFresh(key, g); hit != hit2 {
+				t.Fatalf("op %d: lookups of %v disagree", i, key)
+			}
+			continue
+		}
+		n := 500 + rng.Intn(4000)
+		yes := checked.Admits(key, bodyAnswer(0, 0), n)
+		if yes && !checked.Put(key, bodyAnswer(n, 0)) {
+			t.Fatalf("op %d: Put refused what Admits admitted", i)
+		}
+		if stored := put.Put(key, bodyAnswer(n, 0)); stored != yes {
+			t.Fatalf("op %d: %v of %d bytes: Admits says %v, Put %v", i, key, n, yes, stored)
+		}
+		if checked.Bytes() != put.Bytes() || checked.Entries() != put.Entries() {
+			t.Fatalf("op %d: the caches hold %d/%d and %d/%d bytes/entries", i, checked.Bytes(), checked.Entries(), put.Bytes(), put.Entries())
+		}
+		if yes {
+			admitted++
+		}
+	}
+	if admitted == 0 || put.Evictions() == 0 {
+		t.Fatalf("%d admitted, %d evictions: the sequence never filled the cache", admitted, put.Evictions())
+	}
+}
+
+// TestAnswerCacheAdmissionConcurrent: fills, checks and lookups from many
+// goroutines (run under -race) keep the cache within its budget.
+func TestAnswerCacheAdmissionConcurrent(t *testing.T) {
+	g := rdf.NewGraph()
+	c := NewAnswerCache(20_000, 0, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 500; i++ {
+				key := Key{Text: fmt.Sprint("q", rng.Intn(64))}
+				switch n := 200 + rng.Intn(3000); rng.Intn(3) {
+				case 0:
+					c.GetFresh(key, g)
+				case 1:
+					if c.Admits(key, bodyAnswer(0, 0), n) {
+						c.Put(key, bodyAnswer(n, 0))
+					}
+				default:
+					c.Put(key, bodyAnswer(n, 0))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if c.Bytes() > 20_000 || c.Entries() == 0 {
+		t.Fatalf("%d bytes in %d entries after the race, budget 20 000", c.Bytes(), c.Entries())
+	}
 }
 
 // ---- Admission ----

@@ -118,9 +118,11 @@ func execError(w http.ResponseWriter, err error) {
 	queryError(w, err)
 }
 
-// queryExec is what a SELECT or ASK runs on a miss: the engine, and the
-// answer rendered to its JSON body.
-func (s *Server) queryExec(q *sparql.Query) cachedExec {
+// queryExec is what a SELECT or ASK under key runs on a miss: the engine,
+// and the answer rendered to its JSON body if the cache will keep it. A
+// SELECT answer it will not keep carries its sorted table instead, and each
+// waiter streams the body from the table (writeAnswer).
+func (s *Server) queryExec(key resilience.Key, q *sparql.Query) cachedExec {
 	return func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
 		ans := &resilience.Answer{ContentType: "application/sparql-results+json"}
 		opts := s.engineOpts(rec)
@@ -135,9 +137,14 @@ func (s *Server) queryExec(q *sparql.Query) cachedExec {
 		}
 		rec.Rows = tab.Len()
 		tab.Sort()
-		// The serializer hands over the body at its final size (len == cap),
+		// The size is counted once, here, before any waiter renders: the
+		// table keeps it. A body is rendered at its final size (len == cap),
 		// so what the answer cache accounts is what the answer holds.
-		ans.Body = tab.JSON()
+		if s.answers.Admits(key, ans, tab.JSONSize()) {
+			ans.Body = tab.JSON()
+		} else {
+			ans.Table = tab
+		}
 		return ans, opts.Profile, nil
 	}
 }
@@ -203,8 +210,29 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 	cacheMiss.Inc()
 	w.Header().Set("X-Cache", "miss")
 	w.Header().Set("Content-Type", ans.ContentType)
-	w.Write(ans.Body)
+	writeAnswer(w, ans)
 	return ans
+}
+
+// writeAnswer writes ans's status, unless it is 200, and its body: the
+// rendered one, or one streamed from the answer's table through a pooled
+// chunk under the Content-Length its size pass counted, so net/http frames
+// it by length, not in chunks of its own. A failed write is the client's
+// loss alone: the status is out, and the rest of the body is dropped.
+func writeAnswer(w http.ResponseWriter, ans *resilience.Answer) {
+	if ans.Table != nil {
+		w.Header().Set("Content-Length", strconv.Itoa(ans.Table.JSONSize()))
+	}
+	if ans.Status != 0 && ans.Status != http.StatusOK {
+		w.WriteHeader(ans.Status)
+	}
+	if ans.Table == nil {
+		w.Write(ans.Body)
+		return
+	}
+	chunk := chunks.Get().(*[chunkSize]byte)
+	_ = ans.Table.WriteJSON(w, chunk[:0])
+	chunks.Put(chunk)
 }
 
 // maxStale reads the request's Cache-Control max-stale directive (RFC 9111
@@ -262,10 +290,10 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.Rea
 		return nil, err
 	}
 	ans.Version, ans.Reads, ans.When = version, reads, time.Now()
-	// Fill only if the answer is still fresh: a write mid-execution to a
-	// predicate it read means the result reflects neither version cleanly.
-	if s.answers.Enabled() && ans.Fresh(s.graph) {
-		s.answers.Put(key, ans)
+	// Fill only if the answer has a body and is still fresh: a write
+	// mid-execution to a predicate it read means the result reflects neither
+	// version cleanly. The cache may refuse it still (AnswerCache.Put).
+	if ans.Body != nil && s.answers.Enabled() && ans.Fresh(s.graph) && s.answers.Put(key, ans) {
 		cacheFills.Inc()
 	}
 	return ans, nil
@@ -285,10 +313,7 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 	if ans.TraceID != "" {
 		w.Header().Set(headerTraceID, ans.TraceID)
 	}
-	if ans.Status != 0 && ans.Status != http.StatusOK {
-		w.WriteHeader(ans.Status)
-	}
-	w.Write(ans.Body)
+	writeAnswer(w, ans)
 	// A run's shape is known once its SPARQL is, and a /sparql hit parsed
 	// nothing: the filler's shape and fingerprint stand for both.
 	rec.Rows, rec.TraceID, rec.Duration = ans.Rows, ans.TraceID, time.Since(start)

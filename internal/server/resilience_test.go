@@ -3,11 +3,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -751,6 +753,176 @@ func TestRepeatedMissAllocs(t *testing.T) {
 // BenchmarkCachedRead times a warmed GET /sparql hit through ServeHTTP.
 func BenchmarkCachedRead(b *testing.B) {
 	read := cachedRead(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		read()
+	}
+}
+
+// fillToBudget stores one answer that takes the whole of s's answer cache,
+// so any other answer is a first sight that would have to evict.
+func fillToBudget(t *testing.T, s *Server, budget int) {
+	t.Helper()
+	filler := resilience.Key{Text: "filler"}
+	const contentType = "application/sparql-results+json"
+	body := make([]byte, budget-256-len(filler.Text)-len(contentType))
+	if !s.answers.Put(filler, &resilience.Answer{Body: body, ContentType: contentType, Reads: rdf.ReadSet{All: true}}) {
+		t.Fatal("the filler does not fit an empty cache")
+	}
+	if s.answers.Bytes() != int64(budget) {
+		t.Fatalf("the filler takes %d bytes of %d", s.answers.Bytes(), budget)
+	}
+}
+
+// TestRefusedAnswerStreams: on a cache filled to its budget, a herd of
+// identical first-sight SELECTs held in the engine by a fault delay runs
+// once, and every waiter gets the same body, streamed from the answer's
+// table under a Content-Length that is its length; nothing is stored and
+// nothing evicted. The second sight is stored, and the third is a hit.
+func TestRefusedAnswerStreams(t *testing.T) {
+	cfg := resilienceConfig()
+	s, _ := newTestServer(t, cfg)
+	fillToBudget(t, s, int(cfg.CacheBytes))
+	if err := fault.Configure("server.sparql.exec=delay:400ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Reset()
+
+	fills0, evictions0 := cacheFills.Value(), s.answers.Evictions()
+	const herd = 16
+	q := laptopQuery()
+	results := make([]*httptest.ResponseRecorder, herd)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i] = doSparqlTraced(s, q, nil)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	counts := map[string]int{}
+	body := results[0].Body.String()
+	for i, rec := range results {
+		if rec.Code != http.StatusOK || rec.Body.String() != body {
+			t.Fatalf("request %d = %d, body differs from request 0's: %.200s", i, rec.Code, rec.Body)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("request %d: Content-Length %q for a body of %d bytes", i, cl, len(body))
+		}
+		counts[rec.Header().Get("X-Cache")]++
+	}
+	if counts["miss"] != 1 || counts["collapsed"] != herd-1 {
+		t.Errorf("X-Cache split = %v, want 1 miss + %d collapsed", counts, herd-1)
+	}
+	if got := fault.Hits("server.sparql.exec"); got != 1 {
+		t.Errorf("engine executed %d times for the herd, want 1", got)
+	}
+	key := resilience.Key{Text: q}
+	if _, ok := s.answers.GetFresh(key, s.graph); ok || cacheFills.Value() != fills0 || s.answers.Evictions() != evictions0 {
+		t.Errorf("a first sight on a full cache: stored %v, %d fills, %d evictions", ok, cacheFills.Value()-fills0, s.answers.Evictions()-evictions0)
+	}
+	if res, err := sparql.ParseJSONResults(strings.NewReader(body)); err != nil || res.Len() == 0 {
+		t.Fatalf("streamed body does not parse: %v", err)
+	}
+
+	fault.Reset()
+	second := doSparqlTraced(s, q, nil)
+	if second.Header().Get("X-Cache") != "miss" || second.Body.String() != body || second.Header().Get("Content-Length") != "" {
+		t.Fatalf("second sight = X-Cache %q, Content-Length %q, same body %v; want a stored miss", second.Header().Get("X-Cache"), second.Header().Get("Content-Length"), second.Body.String() == body)
+	}
+	if _, ok := s.answers.GetFresh(key, s.graph); !ok || cacheFills.Value() != fills0+1 || s.answers.Evictions() != evictions0+1 {
+		t.Errorf("second sight: stored %v, %d fills, %d evictions; want stored, 1, 1 (the filler)", ok, cacheFills.Value()-fills0, s.answers.Evictions()-evictions0)
+	}
+	if _, xc, _, hit := doSparql(s, q); xc != "hit" || string(hit) != body {
+		t.Errorf("third sight = X-Cache %q, want a hit with the same body", xc)
+	}
+}
+
+// coldRead returns one GET /sparql of every triple of 800 generated laptops
+// (≈1.25 MB of JSON) on a fresh request and a recorder that drops the body,
+// through a server whose answer cache is smaller than the answer, so every
+// read is a refused miss and the body its table streamed.
+func coldRead(tb testing.TB) (read func(), bodyLen int) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 800, Companies: 16, Seed: 1})
+	s := NewWithConfig(g, datagen.ExampleNS, Config{CacheBytes: 256 << 10, TraceRetention: obs.TraceStoreConfig{Disabled: true}})
+	tb.Cleanup(s.Close)
+	target := "/sparql?query=" + url.QueryEscape(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+		tb.Fatalf("first read = %d X-Cache %q Content-Length %q for %d bytes", rec.Code, rec.Header().Get("X-Cache"), rec.Header().Get("Content-Length"), rec.Body.Len())
+	}
+	if rec.Body.Len() < 1<<20 || s.answers.Entries() != 0 {
+		tb.Fatalf("the answer is %d bytes, %d entries cached; want ≥ 1 MB refused", rec.Body.Len(), s.answers.Entries())
+	}
+	return func() {
+		rec := httptest.NewRecorder()
+		rec.Body = nil // the recorder drops what is written
+		s.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	}, rec.Body.Len()
+}
+
+// coldReadBytes is what one refused miss of coldRead's 1.25 MB answer may
+// allocate through ServeHTTP, recorder and request included. Measured with
+// go1.24 on linux/amd64: 0.19–0.22 MB — the engine, the table and its sort,
+// and a pooled chunk when a collection has emptied the pool; 0.27–0.28 MB
+// under -race. Rendering the body into one slice before the cache refuses
+// it adds its 1.25 MB. The budget sits between, at a third of the body.
+const coldReadBytes = 400 << 10
+
+// TestColdReadAllocatesNoBody holds a refused miss to its bytes budget: a
+// body-sized buffer anywhere on the streamed path — the answer rendered
+// before the cache refuses it, or a stream framed through a buffer — breaks
+// it.
+func TestColdReadAllocatesNoBody(t *testing.T) {
+	read, bodyLen := coldRead(t)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("a refused miss of a %d-byte answer allocates %d bytes", bodyLen, perRead)
+	if perRead > coldReadBytes {
+		t.Errorf("a refused miss of a %d-byte answer allocates %d bytes, budget %d", bodyLen, perRead, coldReadBytes)
+	}
+}
+
+// TestColdReadOnTheWire: a streamed answer goes out framed by its length,
+// not chunked, over a real connection.
+func TestColdReadOnTheWire(t *testing.T) {
+	cfg := resilienceConfig()
+	cfg.CacheBytes = 4 << 10 // smaller than the answer: refused at every sight
+	s, ts := newTestServer(t, cfg)
+	const q = `SELECT ?s ?p ?o WHERE { ?s ?p ?o }`
+	resp, err := http.Get(ts.URL + "/sparql?query=" + url.QueryEscape(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || len(body) <= 4<<10 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a body of %d bytes", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	if _, _, _, want := doSparql(s, q); string(want) != string(body) {
+		t.Error("the wire body differs from the in-process one")
+	}
+}
+
+// BenchmarkColdRead times a refused miss of coldRead's 1.25 MB answer through
+// ServeHTTP: the engine, the sort, the size pass and the streamed body.
+func BenchmarkColdRead(b *testing.B) {
+	read, _ := coldRead(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		read()

@@ -401,7 +401,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	case csv && s.serveHit(w, r, key, rec, start) != nil:
 		// An ASK answers JSON whatever the request accepts, a cached one too.
 	default:
-		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(q), start)
+		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(key, q), start)
 	}
 }
 

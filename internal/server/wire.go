@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"rdfanalytics/internal/core"
 	"rdfanalytics/internal/facet"
@@ -23,19 +24,32 @@ import (
 // response whenever an element leaves less than chunkSlack of it free.
 const chunkSize, chunkSlack = 32 << 10, 1 << 10
 
-// bodyWriter appends one JSON body into a fixed-size chunk and writes the
-// chunk to the response each time it fills. After a failed write the rest of
-// the body is dropped, as json.Encoder's ignored error did. A key argument
-// is a member's separator and name, as in `,"label":`.
+// chunks holds the chunks every streamed body is written through: a state,
+// an expansion, a run's frame and a SELECT answer the cache does not keep.
+// A chunk holds no pointers, and one that is never put back is ordinary
+// garbage.
+var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// bodyWriter appends one JSON body into a pooled chunk and writes the chunk
+// to the response each time it fills. After a failed write the rest of the
+// body is dropped, as json.Encoder's ignored error did. A key argument is a
+// member's separator and name, as in `,"label":`.
 type bodyWriter struct {
-	w   io.Writer
-	b   []byte
-	err error
+	w     io.Writer
+	b     []byte
+	err   error
+	chunk *[chunkSize]byte // b's pool entry, given back by end
 }
 
 func newBodyWriter(w http.ResponseWriter) *bodyWriter {
 	w.Header().Set("Content-Type", "application/json")
-	return &bodyWriter{w: w, b: make([]byte, 0, chunkSize)}
+	return chunkWriter(w)
+}
+
+// chunkWriter returns a bodyWriter to w over a chunk from the pool.
+func chunkWriter(w io.Writer) *bodyWriter {
+	chunk := chunks.Get().(*[chunkSize]byte)
+	return &bodyWriter{w: w, b: chunk[:0], chunk: chunk}
 }
 
 func (c *bodyWriter) raw(s string) { c.b = append(c.b, s...) }
@@ -72,11 +86,14 @@ func (c *bodyWriter) flush() {
 	c.b = c.b[:0]
 }
 
-// end closes the body with encoding/json's newline and writes what is left.
+// end closes the body with encoding/json's newline, writes what is left and
+// gives the chunk back to the pool.
 func (c *bodyWriter) end(closing string) {
 	c.raw(closing)
 	c.raw("\n")
 	c.flush()
+	chunks.Put(c.chunk)
+	c.b, c.chunk = nil, nil
 }
 
 // list writes n elements as an array, sending the chunk out after any
@@ -202,7 +219,7 @@ func writeValues(w http.ResponseWriter, g *rdf.Graph, vals []facet.ValueCount) {
 // answer cache keeps and every serve of the run writes.
 func answerBody(ans *hifun.Answer, hifunQuery string) []byte {
 	var body bytes.Buffer
-	c := &bodyWriter{w: &body, b: make([]byte, 0, chunkSize)}
+	c := chunkWriter(&body)
 	// A column list is null only when nil: the frame's slices go out as they are.
 	c.list(`{"groupCols":`, len(ans.GroupCols), ans.GroupCols == nil, func(i int) { c.str(ans.GroupCols[i]) })
 	c.list(`,"measureCols":`, len(ans.MeasureCols), ans.MeasureCols == nil, func(i int) { c.str(ans.MeasureCols[i]) })
