@@ -15,8 +15,8 @@ test:
 # neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
 # BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary, BenchmarkObjectLookup
 # and BenchmarkLoadTurtle at 11 200 laptops (the second pattern level keeps every named sub-benchmark and drops 112 000),
-# of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkColdRead, BenchmarkTraceRetentionOverhead and
-# BenchmarkTailSamplerDecision (so none can rot;
+# of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkColdRead, BenchmarkTraceRetentionOverhead,
+# BenchmarkTailSamplerDecision and BenchmarkClickScale's shapes at 11 200 laptops (so none can rot;
 # TestCachedReadAllocs holds a cache hit to its allocation budget, TestColdReadAllocatesNoBody a refused miss
 # to its bytes budget), the telemetry and chaos smoke tests against
 # live servers, and a fuzz smoke pass over the three parsers.
@@ -29,6 +29,7 @@ check:
 	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup|LoadTurtle/(^[a-z]|^11200-)' -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|ColdRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench PropertyFacets -benchmem -benchtime 1x ./internal/facet
+	$(GO) test -run '^$$' -bench 'ClickScale/^11200$$' -benchmem -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench TailSamplerDecision -benchmem -benchtime 1x ./internal/obs
 	$(MAKE) conformance
 	$(MAKE) obs-smoke
@@ -134,9 +135,10 @@ bench:
 # (internal/rdf/scale_test.go; ≈12 s in all, 240 MB at the 2M step), then what a
 # durable store's checkpoint and Open allocate and take at the same sizes
 # (internal/store/scale_test.go), then what a click costs at 11 200, 112 000
-# and 224 000 laptops: the start and Laptop states and three Σ runs, AVG(price)
-# by manufacturer over all laptops and over those with price ≥ 1000 and three
-# USB ports, and COUNT by the origin of the hard drive's manufacturer, ns/op,
+# and 224 000 laptops: the start and Laptop states and four Σ runs, AVG(price)
+# by manufacturer at the start state, over all laptops and over those with
+# price ≥ 1000 and three USB ports, and COUNT by the origin of the hard
+# drive's manufacturer, ns/op,
 # B/op and allocs/op (internal/core/scale_test.go; ≈25 s, one graph a
 # scale). Outside the standing benchmark: compare it across commits as
 # alternating loads.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,12 +127,36 @@ func randomAnalytics(s *Session, rng *rand.Rand) string {
 	return strings.Join(append(desc, fmt.Sprintf("Σ %s %s", op, measure.Path)), ", ")
 }
 
+// sameFrame reports whether two Answer Frames are equal, term for term and
+// in order, but for the strings of GROUP_CONCAT, which are compared as
+// multisets of their parts: SPARQL 1.1 (§18.5.1) leaves the order in which
+// a group's values are joined open, and a run over the extension folds them
+// in another order than the sub-select does.
+func sameFrame(a, b *hifun.Answer) bool {
+	norm := func(a *hifun.Answer) *hifun.Answer {
+		out := *a
+		out.Rows = make([][]rdf.Term, len(a.Rows))
+		for i, row := range a.Rows {
+			out.Rows[i] = slices.Clone(row)
+			for j, col := range a.MeasureCols {
+				if cell := &out.Rows[i][len(a.GroupCols)+j]; strings.HasPrefix(col, "group_concat") {
+					parts := strings.Split(cell.Value, " ")
+					slices.Sort(parts)
+					cell.Value = strings.Join(parts, " ")
+				}
+			}
+		}
+		return &out
+	}
+	return reflect.DeepEqual(norm(a), norm(b))
+}
+
 // TestRunsOverTheExtensionMatchTheSubSelect is the run path's differential:
-// over seeded random sessions on products and invoices — faceted clicks, a
-// keyword seed with a term the graph does not know, then random G and Σ —
-// every Answer Frame Exec computes over the state's extension is identical,
-// term for term and in order, to the one the prepared query gives with its
-// injected sub-select, and the SPARQL it shows is that query's.
+// over seeded random sessions on products and invoices — faceted clicks from
+// the start state, a keyword seed with a term the graph does not know, then
+// random G and Σ — every run starts from the state's extension, and every
+// Answer Frame Exec computes is the one the prepared query gives with its
+// injected sub-select (sameFrame), with that query's SPARQL.
 func TestRunsOverTheExtensionMatchTheSubSelect(t *testing.T) {
 	invoices := datagen.Invoices(datagen.InvoicesConfig{Invoices: 300, Seed: 3, Timestamps: true})
 	rdf.Materialize(invoices)
@@ -180,22 +205,23 @@ func TestRunsOverTheExtensionMatchTheSubSelect(t *testing.T) {
 				if overExtension(prof) {
 					over++
 				}
-				if want := reference(t, r); !reflect.DeepEqual(got, want) {
+				if want := reference(t, r); !sameFrame(got, want) {
 					t.Errorf("%s: over the extension\n%s\nwith the sub-select\n%s\n%s", where, got, want, want.SPARQL)
 				}
 			}
 		}
 	}
 	t.Logf("%d runs, %d of them over the extension", runs, over)
-	if over < runs/2 {
+	if over != runs {
 		t.Errorf("only %d of %d runs started from the extension", over, runs)
 	}
 }
 
 // TestRunOverAStaleExtension: a write landing between PrepareRun and Exec to
 // a predicate the intention reads makes the state's extension stale, and Exec
-// gives what the injected sub-select gives at the new version; a write to a
-// predicate it does not read leaves the run on the extension.
+// runs over the extension computed again at the new version, which answers
+// what the injected sub-select gives there; a write to a predicate it does
+// not read leaves the run on the extension it had.
 func TestRunOverAStaleExtension(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 200, Companies: 8, Seed: 4, Materialize: true})
 	s := NewSession(g, datagen.ExampleNS)
@@ -227,8 +253,8 @@ func TestRunOverAStaleExtension(t *testing.T) {
 	g.Remove(rdf.Triple{S: joining, P: pe("USBPorts"), O: rdf.NewInteger(2)})
 	g.Add(rdf.Triple{S: joining, P: pe("USBPorts"), O: rdf.NewInteger(3)})
 	got, prof := exec(r)
-	if overExtension(prof) {
-		t.Errorf("a write to USBPorts left the run on the stale extension:\n%s", prof.Tree())
+	if !overExtension(prof) {
+		t.Errorf("a write to USBPorts moved the run off the extension:\n%s", prof.Tree())
 	}
 	if want := reference(t, r); !reflect.DeepEqual(got, want) || reflect.DeepEqual(got, before) {
 		t.Errorf("after the write: got\n%s\nthe sub-select gives\n%s\nbefore the write\n%s", got, want, before)
@@ -246,5 +272,56 @@ func TestRunOverAStaleExtension(t *testing.T) {
 	}
 	if want := reference(t, r); !reflect.DeepEqual(got, want) {
 		t.Errorf("after an unrelated write: got\n%s\nthe sub-select gives\n%s", got, want)
+	}
+}
+
+// TestStartStateSigma: at the start state a Σ ranges over the start
+// extension, the 18 individuals of the materialized SmallProducts, as at any
+// other state. Grouped by rdf:type it counts each class's individuals and
+// no class or property; ε-grouped it counts the extension; and a keyword
+// seed holding a term the graph never held counts the seed terms the graph
+// names. The start state's run used to range over whatever its own
+// patterns bound, and its ε COUNT had no pattern at all.
+func TestStartStateSigma(t *testing.T) {
+	g := datagen.SmallProducts()
+	rdf.Materialize(g)
+	count := func(s *Session, group facet.Path) *hifun.Answer {
+		t.Helper()
+		s.ClearAnalytics()
+		if group != nil {
+			s.ClickGroupBy(GroupSpec{Path: group})
+		}
+		s.ClickAggregate(MeasureSpec{}, hifun.Operation{Op: hifun.OpCount})
+		ans, err := s.RunAnalytics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	}
+	s := NewSession(g, datagen.ExampleNS)
+	ext := s.State().Ext
+	if ext.Len() != 18 {
+		t.Fatalf("start extension %v, want 18 members", ext.Items())
+	}
+	typ := rdf.NewIRI(rdf.RDFType)
+	for _, row := range count(s, facet.Path{{P: typ}}).Rows {
+		if slices.Contains(rdf.MetaClasses, row[0].Value) {
+			t.Errorf("COUNT by rdf:type has a row for %v", row[0])
+		}
+		if want := s.Model().RestrictClass(ext, row[0]).Len(); row[1] != rdf.NewInteger(int64(want)) {
+			t.Errorf("COUNT by rdf:type: %v counts %v, the extension holds %d of them", row[0], row[1], want)
+		}
+	}
+	if ans := count(s, nil); len(ans.Rows) != 1 || ans.Rows[0][0] != rdf.NewInteger(int64(ext.Len())) {
+		t.Errorf("ε COUNT at the start state:\n%s\nwant %d", ans, ext.Len())
+	}
+
+	seed := append(ext.First(5), rdf.NewIRI("http://nowhere/item"))
+	s = NewSessionFrom(g, datagen.ExampleNS, seed)
+	if n := s.State().Ext.Len(); n != 5 {
+		t.Errorf("seeded extension %v, want the 5 terms the graph holds", s.State().Ext.Items())
+	}
+	if ans := count(s, nil); len(ans.Rows) != 1 || ans.Rows[0][0] != rdf.NewInteger(int64(s.State().Ext.Len())) {
+		t.Errorf("ε COUNT of a seed:\n%s\nwant %d\n%s", ans, s.State().Ext.Len(), ans.SPARQL)
 	}
 }

@@ -28,11 +28,13 @@ var clickScales = func() map[int]func() *rdf.Graph {
 // BenchmarkClickScale prices what a user's clicks cost as the graph grows:
 // the start state and the Laptop state, each rendered from cold markers
 // through ComputeUIState(50, true) as the server's state writer calls it,
-// and three Σ runs over the laptops: AVG(price) grouped by manufacturer; the
-// same over the laptops with price ≥ 1000 and three USB ports, the shape of
-// the standing benchmark's facet sessions (a range and a value click); and
-// COUNT grouped by the origin of their hard drive's manufacturer, a path of
-// three hops. Run it with -benchmem for B/op and allocs/op: make bench-scale
+// and four Σ runs: AVG(price) grouped by manufacturer at the start state,
+// over every individual, and over the laptops; the same over the laptops
+// with price ≥ 1000 and three USB ports, the shape of the standing
+// benchmark's facet sessions (a range and a value click); and COUNT of the
+// laptops grouped by the origin of their hard drive's manufacturer, a path
+// of three hops. Run it with -benchmem for B/op and allocs/op: make
+// bench-scale
 func BenchmarkClickScale(b *testing.B) {
 	for _, laptops := range []int{11200, 112000, 224000} {
 		graph := clickScales[laptops]
@@ -45,10 +47,10 @@ func BenchmarkClickScale(b *testing.B) {
 				s.ComputeUIState(50, true)
 			}
 		}
-		sigma := func(b *testing.B, filter func(*Session), group facet.Path, measure MeasureSpec, op hifun.AggOp) {
+		laptop := func(s *Session) { s.ClickClass(pe("Laptop")) }
+		sigma := func(b *testing.B, click func(*Session), group facet.Path, measure MeasureSpec, op hifun.AggOp) {
 			s := NewSession(graph(), datagen.ExampleNS)
-			s.ClickClass(pe("Laptop"))
-			filter(s)
+			click(s)
 			s.ClickGroupBy(GroupSpec{Path: group})
 			s.ClickAggregate(measure, hifun.Operation{Op: op})
 			for b.Loop() {
@@ -63,17 +65,21 @@ func BenchmarkClickScale(b *testing.B) {
 		b.Run(fmt.Sprintf("%d/Laptop", laptops), func(b *testing.B) {
 			render(b, func(s *Session) { s.ClickClass(pe("Laptop")) })
 		})
-		b.Run(fmt.Sprintf("%d/avg-price-by-maker", laptops), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%d/start-avg-price-by-maker", laptops), func(b *testing.B) {
 			sigma(b, func(*Session) {}, facet.Path{{P: pe("manufacturer")}}, MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.OpAvg)
+		})
+		b.Run(fmt.Sprintf("%d/avg-price-by-maker", laptops), func(b *testing.B) {
+			sigma(b, laptop, facet.Path{{P: pe("manufacturer")}}, MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.OpAvg)
 		})
 		b.Run(fmt.Sprintf("%d/filtered-avg-price-by-maker", laptops), func(b *testing.B) {
 			sigma(b, func(s *Session) {
+				laptop(s)
 				s.ClickRange(facet.Path{{P: pe("price")}}, ">=", rdf.NewInteger(1000))
 				s.ClickValue(facet.Path{{P: pe("USBPorts")}}, rdf.NewInteger(3))
 			}, facet.Path{{P: pe("manufacturer")}}, MeasureSpec{Path: facet.Path{{P: pe("price")}}}, hifun.OpAvg)
 		})
 		b.Run(fmt.Sprintf("%d/count-by-origin", laptops), func(b *testing.B) {
-			sigma(b, func(*Session) {}, facet.Path{{P: pe("hardDrive")}, {P: pe("manufacturer")}, {P: pe("origin")}}, MeasureSpec{}, hifun.OpCount)
+			sigma(b, laptop, facet.Path{{P: pe("hardDrive")}, {P: pe("manufacturer")}, {P: pe("origin")}}, MeasureSpec{}, hifun.OpCount)
 		})
 	}
 }

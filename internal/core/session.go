@@ -79,8 +79,10 @@ func (a Analytics) Active() bool {
 type level struct {
 	model *facet.Model
 	ns    string
-	// start is the level's initial state: s0, a keyword seed's extension, or
-	// a reloaded answer's tuples. It is rebuilt from its own intention.
+	// origin is what the level starts from, and never changes: nothing (s0),
+	// a keyword seed, or a reloaded answer's tuple class.
+	origin facet.Intention
+	// start is the level's initial state, origin's at the graph's version.
 	start *facet.State
 	// log is the level's path from start: the faceted clicks Back has not
 	// undone, in order. Snapshots write it out and replay it.
@@ -98,31 +100,27 @@ type level struct {
 	markers *markerSlot
 }
 
-// newLevel starts a level over g at the state start denotes.
-func newLevel(g *rdf.Graph, ns string, start facet.Intention) *level {
-	l := &level{model: &facet.Model{G: g}, ns: ns, start: &facet.State{Int: start}}
-	l.state() // builds the schema and the start state
+// newLevel starts a level over g from origin, at the state log leads to.
+func newLevel(g *rdf.Graph, ns string, origin facet.Intention, log ...click) *level {
+	l := &level{model: &facet.Model{G: g}, ns: ns, origin: origin, log: log}
+	l.state() // builds the schema, the start state and the current one
 	return l
 }
 
 // state returns the current state. When the graph has been written since
 // the level was built — a level reads every predicate, since any can become
 // a facet (DESIGN.md §10, "One staleness rule") — the schema and
-// the start state are rebuilt first, the latter from its own intention: a
-// seed's extension or every object, narrowed to its class. When the current
-// state is unset, the log is replayed from the start state.
+// the start state are rebuilt first, the latter from origin: a seed's
+// extension or s0, narrowed to its class. When the current state is unset,
+// the log is replayed from the start state.
 func (l *level) state() *facet.State {
 	if v := l.model.G.Version(); v != l.version || l.model.Schema == nil {
 		l.version = v
 		l.model.Schema = rdf.SchemaOf(l.model.G)
-		in, st := l.start.Int, l.model.Start()
-		if len(in.Seed) > 0 {
-			st = l.model.StartFrom(in.Seed)
+		l.start = l.model.StartFrom(l.origin.Seed)
+		if !l.origin.Class.IsZero() {
+			l.start = l.model.ClickClass(l.start, l.origin.Class)
 		}
-		if !in.Class.IsZero() {
-			st = l.model.ClickClass(st, in.Class)
-		}
-		l.start = st
 		l.setState(nil)
 	}
 	if l.cur == nil {
@@ -274,8 +272,9 @@ func NewSession(g *rdf.Graph, ns string) *Session {
 }
 
 // NewSessionFrom starts a session whose initial extension is an external
-// result set (keyword search hand-off, §5.4.1); no results seed nothing, and
-// the session starts at s0.
+// result set (keyword search hand-off, §5.4.1): the results the graph holds
+// (facet.Model.StartFrom). When it holds none, they seed nothing, and the
+// session starts at s0.
 func NewSessionFrom(g *rdf.Graph, ns string, results []rdf.Term) *Session {
 	return &Session{levels: []*level{newLevel(g, ns, facet.Intention{Seed: results})}}
 }
@@ -477,22 +476,19 @@ func pathToAttr(p facet.Path, derive string) (hifun.Attr, error) {
 
 // Context returns the HIFUN analysis context of the current state: the
 // graph with the intention injected as one sub-select, SELECT DISTINCT ?x1,
-// so the analytic query ranges exactly over ctx.Ext (§5.2.2). The extension
-// is the specification and the sub-select its rendering: it is what a run's
-// key, read set and Answer Frame show, while Run.Exec evaluates the query
-// over the extension's IDs whenever they are still the sub-select's answer.
-// An intention that renders no patterns injects nothing.
+// which denotes the state's extension (§5.2.2). The extension is what a run
+// ranges over, and the sub-select only its rendering: the text a run's key,
+// read set and Answer Frame show. An intention that renders no patterns —
+// the start state's — is rendered by the start rule (facet.StartPatterns).
 func (s *Session) Context() *hifun.Context {
 	l := s.top()
 	ctx := hifun.NewContext(l.model.G, l.ns)
 	ctx.Limits = s.limits
 	patterns := l.state().Int.Patterns(hifun.RootVar)
-	if strings.TrimSpace(patterns) != "" {
-		// Wrap in a subquery so the extension contributes each entity once,
-		// regardless of how many bindings satisfy the intention patterns.
-		sub := "{ SELECT DISTINCT " + hifun.RootVar + " WHERE {\n" + patterns + "} }"
-		ctx.ExtraPatterns = append(ctx.ExtraPatterns, sub)
+	if strings.TrimSpace(patterns) == "" {
+		patterns = facet.StartPatterns(hifun.RootVar)
 	}
+	ctx.ExtraPatterns = []string{"{ SELECT DISTINCT " + hifun.RootVar + " WHERE {\n" + patterns + "} }"}
 	return ctx
 }
 
@@ -513,10 +509,12 @@ type Run struct {
 	Key  string
 	ctx  *hifun.Context
 	prep *hifun.Prepared // set by Prepare
-	// ext is the state's extension when the context injects its intention,
-	// and version the graph version it was computed at.
+	// ext is the state's extension, computed at graph version version by the
+	// level's origin and log, which the run keeps to compute it again.
 	ext     *facet.TermSet
 	version uint64
+	origin  facet.Intention
+	log     []click
 }
 
 // PrepareRun builds the current analytic query, the context it ranges over
@@ -527,12 +525,9 @@ func (s *Session) PrepareRun() (*Run, error) {
 		return nil, err
 	}
 	ctx := s.Context()
-	r := &Run{Query: q, Key: runKey(ctx.ExtraPatterns, s.top().analytics), ctx: ctx}
-	if len(ctx.ExtraPatterns) > 0 {
-		l := s.top() // Context brought its state up to date
-		r.ext, r.version = l.cur.Ext, l.version
-	}
-	return r, nil
+	l := s.top() // Context brought its state up to date
+	return &Run{Query: q, Key: runKey(ctx.ExtraPatterns, l.analytics), ctx: ctx,
+		ext: l.cur.Ext, version: l.version, origin: l.origin, log: slices.Clone(l.log)}, nil
 }
 
 // runKey renders a Run.Key from the context's injected patterns and the
@@ -578,48 +573,38 @@ func (r *Run) Prepare() (*sparql.Query, error) {
 // operators in prof (either may be nil); it translates the run first unless
 // Prepare did. The evaluation observes qctx's deadline and cancellation and
 // the session's Limits. It evaluates the prepared query over the state's
-// extension when it can (overExtension), and as it was rendered otherwise.
+// extension (overExtension).
 func (r *Run) Exec(qctx context.Context, tr *obs.Trace, prof *sparql.Profile) (*hifun.Answer, error) {
 	defer observeSince(runSeconds, time.Now())
 	if _, err := r.Prepare(); err != nil {
 		return nil, err
 	}
-	r.ctx.Trace, r.ctx.Profile = tr, prof
-	if over, ext := r.overExtension(r.prep); ext != nil {
-		ctx := *r.ctx
-		ctx.Extension = ext
-		return ctx.ExecutePrepared(qctx, over)
-	}
-	return r.ctx.ExecutePrepared(qctx, r.prep)
+	ctx := *r.ctx
+	ctx.Trace, ctx.Profile = tr, prof
+	over, ext := r.overExtension()
+	ctx.Extension = ext
+	return ctx.ExecutePrepared(qctx, over)
 }
 
 // overExtension returns the prepared query with the injected sub-select left
 // out — a shallow copy of its WHERE, nothing translated or parsed again —
 // and the state's extension as the relation ?x1 starts from, in ascending ID
-// order. It returns a nil relation, and the query runs as rendered, when the
-// context injects nothing; when the extension holds a member the graph has
-// no ID for, or a write to a predicate the intention reads has landed since
-// the state was computed, so that the extension may not be the sub-select's
-// answer; or when an operation is GROUP_CONCAT, whose string follows the
-// order the rows fold in, which the extension's order would change.
-func (r *Run) overExtension(p *hifun.Prepared) (*hifun.Prepared, *sparql.Relation) {
-	if r.ext == nil || slices.ContainsFunc(r.Query.Ops, func(op hifun.Operation) bool { return op.Op == hifun.OpGroupConcat }) {
-		return nil, nil
-	}
-	elems := p.Parsed.Where.Elems
+// order. When a write to a predicate the sub-select reads has landed since
+// the extension was computed, the extension is computed again at the
+// graph's version, as the level computes it: the start state of its origin,
+// then its log replayed.
+func (r *Run) overExtension() (*hifun.Prepared, *sparql.Relation) {
+	elems := r.prep.Parsed.Where.Elems
 	i := slices.IndexFunc(elems, func(e sparql.PatternElem) bool { return e.SubQuery != nil })
-	if i < 0 || r.ctx.Graph.ReadVersion(sparql.ReadSet(elems[i].SubQuery)) > r.version {
-		return nil, nil
+	ext := r.ext
+	if r.ctx.Graph.ReadVersion(sparql.ReadSet(elems[i].SubQuery)) > r.version {
+		ext = newLevel(r.ctx.Graph, r.ctx.NS, r.origin, r.log...).cur.Ext
 	}
-	ids, ok := r.ext.IDs(r.ctx.Graph)
-	if !ok {
-		return nil, nil
-	}
-	q := *p.Parsed
+	q := *r.prep.Parsed
 	q.Where = &sparql.GroupPattern{Elems: slices.Delete(slices.Clone(elems), i, i+1)}
-	over := *p
+	over := *r.prep
 	over.Parsed = &q
-	return &over, &sparql.Relation{Var: strings.TrimPrefix(hifun.RootVar, "?"), IDs: ids}
+	return &over, &sparql.Relation{Var: strings.TrimPrefix(hifun.RootVar, "?"), IDs: ext.IDs()}
 }
 
 // SetAnswer adopts a frame computed for the current level's run — by this

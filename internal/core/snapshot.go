@@ -167,7 +167,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 		for _, c := range l.log {
 			lj.Actions = append(lj.Actions, c.toJSON())
 		}
-		for _, t := range l.start.Int.Seed {
+		for _, t := range l.origin.Seed {
 			lj.Seed = append(lj.Seed, termToJSON(t))
 		}
 		for _, g := range l.analytics.GroupBy {

@@ -26,13 +26,13 @@ func agreementGraphs(t *testing.T) map[string]*rdf.Graph {
 
 // checkAgreement fails t unless s's extension is exactly the answer of the
 // sub-select a run injects for s's intention (core.Session.Context): SELECT
-// DISTINCT ?x1 over its patterns. An intention that renders no patterns
-// injects nothing and is not checked.
+// DISTINCT ?x1 over its patterns, or over the start rule (StartPatterns)
+// when the intention renders none.
 func checkAgreement(t *testing.T, m *Model, s *State, where string) {
 	t.Helper()
 	pats := s.Int.Patterns("?x1")
 	if strings.TrimSpace(pats) == "" {
-		return
+		pats = StartPatterns("?x1")
 	}
 	src := "SELECT DISTINCT ?x1 WHERE {\n" + pats + "}"
 	res, err := sparql.Select(m.G, src)
@@ -120,13 +120,14 @@ func agreementStep(m *Model, s *State, rng *rand.Rand) (*State, string) {
 
 // TestIntentionExtensionAgreement: along seeded random walks over three
 // graphs, every state's extension — computed set-wise (Table 5.1) — is
-// exactly the answer of its intention's sub-select (Table 5.2). A run
-// evaluates its analytic query over the extension's IDs in place of that
-// sub-select (core.Run.Exec), so this is what keeps a run's answer the one
-// its SPARQL shows.
+// exactly the answer of its intention's sub-select (Table 5.2), the bare
+// start state's included. A run evaluates its analytic query over the
+// extension's IDs in place of that sub-select (core.Run.Exec), so this is
+// what keeps a run's answer the one its SPARQL shows.
 func TestIntentionExtensionAgreement(t *testing.T) {
 	for name, g := range agreementGraphs(t) {
 		m := NewModel(g)
+		checkAgreement(t, m, m.Start(), name+": start")
 		for seed := int64(1); seed <= 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			s := m.Start()
@@ -187,4 +188,54 @@ func TestPivotToLiteralsReachesNoEntity(t *testing.T) {
 		t.Errorf("extension %v, want none", s.Ext.Items())
 	}
 	checkAgreement(t, m, s, "pivot GDPPerCapita")
+}
+
+// TestStartRuleMatchesStart: the start rule (StartPatterns) answers exactly
+// Start's extension on a graph made to tell them apart — declared and used
+// classes and properties, both ends of rdfs:subClassOf and
+// rdfs:subPropertyOf edges, an edge from a term to itself, builtin classes
+// and predicates as subjects, a blank type, a blank individual and a
+// property that is also described.
+func TestStartRuleMatchesStart(t *testing.T) {
+	ex := func(l string) rdf.Term { return rdf.NewIRI("http://ex.org/" + l) }
+	typ, sub, subP := rdf.NewIRI(rdf.RDFType), rdf.NewIRI(rdf.RDFSSubClassOf), rdf.NewIRI(rdf.RDFSSubPropertyOf)
+	label := rdf.NewIRI(rdf.RDFSLabel)
+	g := rdf.NewGraph()
+	for _, tr := range []rdf.Triple{
+		{S: ex("Declared"), P: typ, O: rdf.NewIRI(rdf.OWLClass)},                  // a declared class
+		{S: ex("a"), P: typ, O: ex("Used")},                                       // a used class; a an individual
+		{S: ex("Used"), P: label, O: rdf.NewString("used")},                       // which is described
+		{S: ex("Sub"), P: sub, O: ex("Super")},                                    // both ends of an edge
+		{S: ex("Super"), P: label, O: rdf.NewString("super")},                     //
+		{S: ex("self"), P: sub, O: ex("self")},                                    // an edge to itself: no class
+		{S: ex("self"), P: ex("knows"), O: ex("a")},                               // knows: a used property
+		{S: ex("knows"), P: label, O: rdf.NewString("knows")},                     // which is described
+		{S: ex("subP"), P: subP, O: ex("superP")},                                 // both ends of a property edge
+		{S: ex("superP"), P: label, O: rdf.NewString("super property")},           //
+		{S: ex("selfP"), P: subP, O: ex("selfP")},                                 // an edge to itself: no property
+		{S: ex("declP"), P: typ, O: rdf.NewIRI(rdf.OWLDatatypeProperty)},          // a declared property
+		{S: rdf.NewIRI(rdf.OWLClass), P: label, O: rdf.NewString("class")},        // a builtin class, described
+		{S: rdf.NewIRI(rdf.RDFSLabel), P: label, O: rdf.NewString("label")},       // a builtin predicate, described
+		{S: rdf.NewIRI(rdf.RDFSComment), P: typ, O: rdf.NewIRI(rdf.RDFProperty)},  // one declared a property
+		{S: ex("b"), P: typ, O: rdf.NewBlank("anon")},                             // a blank type: no class
+		{S: rdf.NewBlank("anon"), P: label, O: rdf.NewString("anonymous")},        //
+		{S: rdf.NewBlank("node"), P: ex("knows"), O: ex("b")},                     // a blank individual
+		{S: ex("c"), P: sub, O: rdf.NewString("not a class")},                     // c a class, its object no IRI
+		{S: ex("d"), P: typ, O: rdf.NewIRI(rdf.RDFSResource)},                     // a builtin type: no class
+		{S: rdf.NewIRI(rdf.RDFSResource), P: label, O: rdf.NewString("resource")}, //
+		{S: ex("e"), P: sub, O: rdf.NewIRI(rdf.RDFSResource)},                     // e a class, Resource still none
+	} {
+		g.Add(tr)
+	}
+	m := NewModel(g)
+	s := m.Start()
+	for _, want := range []rdf.Term{ex("a"), ex("self"), ex("selfP"), ex("b"), ex("d"), rdf.NewIRI(rdf.OWLClass), rdf.NewIRI(rdf.RDFSLabel), rdf.NewBlank("anon"), rdf.NewBlank("node"), rdf.NewIRI(rdf.RDFSResource)} {
+		if !s.Ext.Has(want) {
+			t.Errorf("%v is not in the start extension %v", want, s.Ext.Items())
+		}
+	}
+	if s.Ext.Len() != 10 {
+		t.Errorf("start extension %v, want 10 members", s.Ext.Items())
+	}
+	checkAgreement(t, m, s, "start")
 }

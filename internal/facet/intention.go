@@ -162,8 +162,7 @@ func (in Intention) ToSPARQL() string {
 	sb.WriteString("SELECT DISTINCT ?x WHERE {\n")
 	pats := in.Patterns("?x")
 	if pats == "" {
-		// Unrestricted: every subject.
-		pats = "  ?x ?p_any ?o_any .\n"
+		pats = StartPatterns("?x") // unrestricted: the start state's rule
 	}
 	sb.WriteString(pats)
 	sb.WriteString("}")

@@ -2,9 +2,11 @@ package facet
 
 import (
 	"cmp"
+	"fmt"
 	"iter"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,13 +98,10 @@ func (s *TermSet) First(k int) []rdf.Term {
 	return out
 }
 
-// IDs returns the members as IDs of g's dictionary, ascending, or false
-// when the set is not over g's dictionary or holds a member g has no ID for.
-func (s *TermSet) IDs(g *rdf.Graph) ([]rdf.ID, bool) {
-	if s.g != g || len(s.free) > 0 {
-		return nil, false
-	}
-	return slices.AppendSeq(make([]rdf.ID, 0, s.ids.n), s.ids.members()), true
+// IDs returns the members held as IDs of the set's graph, ascending: every
+// member of a set a Model built, none of a free-standing one.
+func (s *TermSet) IDs() []rdf.ID {
+	return slices.AppendSeq(make([]rdf.ID, 0, s.ids.n), s.ids.members())
 }
 
 // idSet is a set of dictionary IDs: a bitmap over the dense ID space, so
@@ -203,7 +202,8 @@ func (m *Model) idsOf(e *TermSet) *idSet {
 // Start returns the initial state s0: the extension holds every resource
 // that appears as a subject (the named individuals of the dataset) and the
 // intention is unrestricted. Classes and properties are left out, by ID; a
-// subject's kind is read from the dictionary's shape column.
+// subject's kind is read from the dictionary's shape column. StartPatterns
+// renders the same rule.
 func (m *Model) Start() *State {
 	schema := m.newIDSet()
 	for _, ts := range []map[rdf.Term]struct{}{m.Schema.Classes, m.Schema.Properties} {
@@ -224,14 +224,60 @@ func (m *Model) Start() *State {
 	return &State{Ext: ext}
 }
 
+// StartPatterns renders Start's rule as graph patterns rooted at root: the
+// subjects that are no literal, no class and no property of the schema, as
+// rdf.SchemaOf finds them. A class is a subject typed by one of
+// rdf.ClassClasses, the subject of an rdfs:subClassOf edge, or an IRI
+// outside rdf.MetaClasses that is a type or the object of such an edge; a
+// property is a subject typed by one of rdf.PropertyClasses, either end of
+// an rdfs:subPropertyOf edge, or a predicate outside rdf.MetaProperties. An
+// edge from a term to itself counts for neither. It is the intention of the
+// start state, whose Intention renders nothing.
+func StartPatterns(root string) string {
+	v := func(name string) string { return root + "_" + name }
+	in := func(iris ...[]string) string {
+		var out []string
+		for _, list := range iris {
+			for _, iri := range list {
+				out = append(out, "<"+iri+">")
+			}
+		}
+		return strings.Join(out, ", ")
+	}
+	c, s := v("c"), v("s")
+	var sb strings.Builder
+	// Each subject once, so that each rule below is tested once a subject.
+	fmt.Fprintf(&sb, "  { SELECT DISTINCT %s WHERE { %s %s %s } }\n", root, root, v("p"), v("o"))
+	fmt.Fprintf(&sb, "  FILTER(!isLiteral(%s))\n", root)
+	fmt.Fprintf(&sb, "  FILTER NOT EXISTS { %s <%s> %s FILTER(%s IN (%s)) }\n",
+		root, rdf.RDFType, c, c, in(rdf.ClassClasses, rdf.PropertyClasses))
+	fmt.Fprintf(&sb, "  FILTER NOT EXISTS { { %s <%s> %s } UNION { %s <%s> %s } UNION { %s <%s> %s } FILTER(!sameTerm(%s, %s)) }\n",
+		root, rdf.RDFSSubClassOf, c, root, rdf.RDFSSubPropertyOf, c, c, rdf.RDFSSubPropertyOf, root, c, root)
+	fmt.Fprintf(&sb, "  FILTER NOT EXISTS { { %s <%s> %s } UNION { %s <%s> %s FILTER(!sameTerm(%s, %s)) } FILTER(isIRI(%s) && %s NOT IN (%s)) }\n",
+		c, rdf.RDFType, root, c, rdf.RDFSSubClassOf, root, c, root, root, root, in(rdf.MetaClasses))
+	fmt.Fprintf(&sb, "  FILTER NOT EXISTS { %s %s %s FILTER(%s NOT IN (%s)) }\n",
+		s, root, c, root, in(rdf.MetaProperties))
+	return sb.String()
+}
+
 // StartFrom returns a state whose extension is an externally produced
-// result set (e.g. a keyword query), per §5.4.1.
+// result set (e.g. a keyword query), per §5.4.1: the results the graph has
+// an ID for, in the extension and in the intention's VALUES alike. A term
+// the graph never held names no resource; when no result names one, the
+// results seed nothing and the state is s0.
 func (m *Model) StartFrom(results []rdf.Term) *State {
 	ext := m.newSet()
+	var seed []rdf.Term
 	for _, t := range results {
-		ext.Add(t)
+		if id, ok := m.G.TermID(t); ok && !ext.ids.has(id) {
+			ext.ids.add(id)
+			seed = append(seed, t)
+		}
 	}
-	return &State{Ext: ext, Int: Intention{Seed: append([]rdf.Term{}, results...)}}
+	if len(seed) == 0 {
+		return m.Start()
+	}
+	return &State{Ext: ext, Int: Intention{Seed: seed}}
 }
 
 // Restrict implements Restrict(E, p:v) of §5.3.1.

@@ -56,7 +56,7 @@ func SchemaOf(g *Graph) *Schema {
 	}
 	typeT := NewIRI(RDFType)
 	// Declared classes.
-	for _, classClass := range []string{RDFSClass, OWLClass} {
+	for _, classClass := range ClassClasses {
 		g.Match(Any, typeT, NewIRI(classClass), func(t Triple) bool {
 			s.Classes[t.S] = struct{}{}
 			return true
@@ -73,7 +73,7 @@ func SchemaOf(g *Graph) *Schema {
 	}
 	g.mu.RUnlock()
 	// Declared properties.
-	for _, propClass := range []string{RDFProperty, OWLObjectProperty, OWLDatatypeProperty, OWLFunctionalProperty} {
+	for _, propClass := range PropertyClasses {
 		g.Match(Any, typeT, NewIRI(propClass), func(t Triple) bool {
 			s.Properties[t.S] = struct{}{}
 			if propClass == OWLFunctionalProperty {
@@ -130,24 +130,24 @@ func SchemaOf(g *Graph) *Schema {
 	return s
 }
 
-func isBuiltinMetaClass(iri string) bool {
-	switch iri {
-	case RDFSClass, RDFSResource, RDFSLiteral, RDFProperty, OWLClass,
-		OWLObjectProperty, OWLDatatypeProperty, OWLFunctionalProperty,
-		OWLNamedIndividual:
-		return true
-	}
-	return false
-}
+// The vocabulary SchemaOf reads, in the order it reads it: the classes whose
+// instances are declared classes (ClassClasses) and properties
+// (PropertyClasses), the builtin classes never counted as a class of the
+// data (MetaClasses) and the predicates never counted as a property of it
+// (MetaProperties). The faceted layer renders its start state's rule from
+// the same lists. Read only.
+var (
+	ClassClasses    = []string{RDFSClass, OWLClass}
+	PropertyClasses = []string{RDFProperty, OWLObjectProperty, OWLDatatypeProperty, OWLFunctionalProperty}
+	MetaClasses     = []string{RDFSClass, RDFSResource, RDFSLiteral, RDFProperty, OWLClass,
+		OWLObjectProperty, OWLDatatypeProperty, OWLFunctionalProperty, OWLNamedIndividual}
+	MetaProperties = []string{RDFType, RDFSSubClassOf, RDFSSubPropertyOf, RDFSDomain, RDFSRange,
+		RDFSLabel, RDFSComment, RDFFirst, RDFRest}
+)
 
-func isMetaProperty(iri string) bool {
-	switch iri {
-	case RDFType, RDFSSubClassOf, RDFSSubPropertyOf, RDFSDomain, RDFSRange,
-		RDFSLabel, RDFSComment, RDFFirst, RDFRest:
-		return true
-	}
-	return false
-}
+func isBuiltinMetaClass(iri string) bool { return slices.Contains(MetaClasses, iri) }
+
+func isMetaProperty(iri string) bool { return slices.Contains(MetaProperties, iri) }
 
 func addEdge(m map[Term]map[Term]struct{}, from, to Term) {
 	inner, ok := m[from]

@@ -80,7 +80,7 @@ type refusedTable [refusedSlots]atomic.Uint64
 const refusedSlots = 4096
 
 // entryOverhead approximates the per-entry bookkeeping cost (struct, map
-// slot, list pointers, key) added to Body length for byte accounting.
+// slot, list pointers, key) added to Body capacity for byte accounting.
 const entryOverhead = 256
 
 // NewAnswerCache builds a cache bounded to maxBytes of rendered responses.
@@ -141,13 +141,14 @@ func (c *AnswerCache) GetStale(key Key, now time.Time, window time.Duration) (*A
 
 // Put stores a rendered answer if the cache admits it (see AnswerCache) and
 // reports whether it did; a refusal is remembered as Admits remembers it. The
+// body is counted at its capacity, which is what the entry holds. The
 // caller is responsible for checking that no predicate the answer read
 // changed during execution (Answer.Fresh) before filling.
 func (c *AnswerCache) Put(key Key, a *Answer) bool {
 	if c == nil || a == nil {
 		return false
 	}
-	size := entrySize(key, a, len(a.Body))
+	size := entrySize(key, a, cap(a.Body))
 	if !c.admit(key, size) {
 		return false
 	}

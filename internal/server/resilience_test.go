@@ -19,6 +19,7 @@ import (
 	"rdfanalytics/internal/conformance"
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/fault"
+	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/resilience"
@@ -500,6 +501,26 @@ func TestAnswerBodyExactSize(t *testing.T) {
 	}
 	if got := s.answers.Bytes() - int64(s.answers.Entries())*256; got != want {
 		t.Errorf("cache accounts %d bytes beyond the per-entry constant, bodies+keys sum to %d", got, want)
+	}
+}
+
+// TestFrameBodyCountedAtCapacity: a run's body, which answerBody grows in a
+// doubling buffer, is counted by the answer cache at no less than the
+// capacity it holds, not at its length: a 3 000-row frame's body once held
+// ≈0.56 MB of content in a 1 MB slice and was counted at the former.
+func TestFrameBodyCountedAtCapacity(t *testing.T) {
+	frame := &hifun.Answer{GroupCols: []string{"x2"}, MeasureCols: []string{"count"}}
+	for i := range 3000 {
+		frame.Rows = append(frame.Rows, []rdf.Term{rdf.NewIRI(datagen.ExampleNS + "laptop" + strconv.Itoa(i)), rdf.NewInteger(int64(i))})
+	}
+	body := answerBody(frame, "(manufacturer, ID, COUNT)")
+	c := resilience.NewAnswerCache(8<<20, 0, nil)
+	if !c.Put(resilience.Key{Namespace: "analytics", Text: "k"}, &resilience.Answer{Body: body, ContentType: "application/json"}) {
+		t.Fatal("the answer was not stored")
+	}
+	t.Logf("body: %d bytes in a slice of %d", len(body), cap(body))
+	if c.Bytes() < int64(cap(body)) {
+		t.Errorf("the cache counts %d bytes for a body holding %d", c.Bytes(), cap(body))
 	}
 }
 

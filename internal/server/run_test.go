@@ -234,3 +234,39 @@ func TestRunParsesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestStartStateRunFollowsANewEntity: a Σ at the start state counts the
+// start extension, the individuals of the graph, and its answer is cached.
+// An INSERT DATA of a new individual under a predicate no run reads changes
+// that extension, whose rule reads every predicate: the next run is a miss
+// that counts the newcomer.
+func TestStartStateRunFollowsANewEntity(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	clicks(t, s, "a", "/api/aggregate", `{"op":"COUNT"}`)
+	count := func(want string) int64 {
+		t.Helper()
+		code, xc, _, body := doRun(s, "a")
+		if code != http.StatusOK || xc != want {
+			t.Fatalf("run = %d, X-Cache %q, want %q: %s", code, xc, want, body)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n, _ := s.sessions["a"].sess.Answer().Rows[0][0].Int()
+		return n
+	}
+	s.mu.Lock()
+	members := int64(s.sessions["a"].sess.State().Ext.Len())
+	s.mu.Unlock()
+	if n := count("miss"); n != members || n == 0 {
+		t.Fatalf("ε COUNT at the start state = %d, the extension holds %d", n, members)
+	}
+	if n := count("hit"); n != members {
+		t.Fatalf("repeated run counts %d, want %d", n, members)
+	}
+	if code := doUpdate(s, `INSERT DATA { <`+datagen.ExampleNS+`newcomer> <`+datagen.ExampleNS+`colour> "grey" }`); code != http.StatusOK {
+		t.Fatalf("update = %d", code)
+	}
+	if n := count("miss"); n != members+1 {
+		t.Errorf("after a new individual the run counts %d, want %d", n, members+1)
+	}
+}
