@@ -25,6 +25,7 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=10 -run 'TermViewDuringWrites|DictMatchesReference|CloneIsIndependent' ./internal/rdf
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup|LoadTurtle/(^[a-z]|^11200-)' -benchmem -benchtime 1x ./internal/rdf
 	$(GO) test -run '^$$' -bench 'StateWrite|CachedRead|ColdRead|TraceRetentionOverhead' -benchmem -benchtime 1x ./internal/server

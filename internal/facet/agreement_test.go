@@ -190,6 +190,35 @@ func TestPivotToLiteralsReachesNoEntity(t *testing.T) {
 	checkAgreement(t, m, s, "pivot GDPPerCapita")
 }
 
+// TestPivotFromStartRendersTheStartRule: a focus switch from the start
+// state renders the start rule as its base, so its text answers what its
+// extension holds. ex:C is a class (ex:a's type), so not in the start
+// state, and ex:z, which only ex:C knows, is not reached.
+func TestPivotFromStartRendersTheStartRule(t *testing.T) {
+	ex := func(l string) rdf.Term { return rdf.NewIRI("http://ex.org/" + l) }
+	g := rdf.NewGraph()
+	for _, tr := range []rdf.Triple{
+		{S: ex("a"), P: rdf.NewIRI(rdf.RDFType), O: ex("C")},
+		{S: ex("a"), P: ex("knows"), O: ex("b")},
+		{S: ex("C"), P: ex("knows"), O: ex("z")},
+	} {
+		g.Add(tr)
+	}
+	m := NewModel(g)
+	s := m.SwitchFocus(m.Start(), PathStep{P: ex("knows")})
+	if items := s.Ext.Items(); len(items) != 1 || items[0] != ex("b") {
+		t.Fatalf("extension %v, want [ex:b]", items)
+	}
+	res, err := sparql.Select(g, s.Int.ToSPARQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Column("x"); len(got) != 1 || got[0] != ex("b") {
+		t.Errorf("the intention's text answers %v, want [ex:b]\n%s", got, s.Int.ToSPARQL())
+	}
+	checkAgreement(t, m, s, "pivot knows from the start state")
+}
+
 // TestStartRuleMatchesStart: the start rule (StartPatterns) answers exactly
 // Start's extension on a graph made to tell them apart — declared and used
 // classes and properties, both ends of rdfs:subClassOf and

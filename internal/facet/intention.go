@@ -184,10 +184,15 @@ func (in Intention) patternsAt(rootVar string, depth int) string {
 		return fmt.Sprintf("%s_i%d", rootVar, vc)
 	}
 	// Focus pivot: the root entities are reached from the base intention's
-	// entities via one property hop.
+	// entities via one property hop. A base that renders nothing is the
+	// start state, whose entities the start rule names.
 	if in.Base != nil && in.PivotStep != nil {
 		baseVar := fmt.Sprintf("%s_b%d", rootVar, depth+1)
-		sb.WriteString(in.Base.patternsAt(baseVar, depth+1))
+		base := in.Base.patternsAt(baseVar, depth+1)
+		if base == "" {
+			base = StartPatterns(baseVar)
+		}
+		sb.WriteString(base)
 		if in.PivotStep.Inverse {
 			fmt.Fprintf(&sb, "  %s <%s> %s .\n", rootVar, in.PivotStep.P.Value, baseVar)
 		} else {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"unsafe"
 )
 
 // Binary snapshot format for graphs: a dictionary section (terms in ID
@@ -162,27 +163,26 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 	if version != 1 && version != binaryVersion {
 		return nil, fmt.Errorf("rdf: unsupported snapshot version %d (this build reads versions 1 and %d; re-export the snapshot with rdfa-cli gen -format rdfb)", version, binaryVersion)
 	}
-	var scratch []byte
-	readString := func() (string, error) {
+	// Each string of a term is read into a buffer reused for every term; the
+	// dictionary copies the form into its pages and a new shape's datatype
+	// and tag into the shape table, so nothing is allocated per term.
+	var value, datatype, lang []byte
+	readBytes := func(buf *[]byte) error {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return "", err
+			return err
 		}
 		if n > maxBinaryString {
-			return "", fmt.Errorf("rdf: implausible string length %d", n)
+			return fmt.Errorf("rdf: implausible string length %d", n)
 		}
-		if n == 0 {
-			return "", nil
+		if uint64(cap(*buf)) < n {
+			*buf = make([]byte, n)
 		}
-		if uint64(cap(scratch)) < n {
-			scratch = make([]byte, n)
-		}
-		b := scratch[:n]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+		*buf = (*buf)[:n]
+		_, err = io.ReadFull(br, *buf)
+		return err
 	}
+	view := func(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 	termCount, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -203,20 +203,13 @@ func readBinaryInto(br *bufio.Reader) (*Graph, error) {
 		if TermKind(kind) > KindLiteral {
 			return nil, fmt.Errorf("rdf: bad term kind %d", kind)
 		}
-		value, err := readString()
-		if err != nil {
-			return nil, err
+		for _, buf := range [...]*[]byte{&value, &datatype, &lang} {
+			if err := readBytes(buf); err != nil {
+				return nil, err
+			}
 		}
-		datatype, err := readString()
-		if err != nil {
-			return nil, err
-		}
-		lang, err := readString()
-		if err != nil {
-			return nil, err
-		}
-		id := g.dict.Intern(Term{Kind: TermKind(kind), Value: value, Datatype: datatype, Lang: lang})
-		if uint64(id) != i+1 {
+		shape := g.dict.shape(Term{Kind: TermKind(kind), Datatype: view(datatype), Lang: view(lang)})
+		if id := g.dict.internLex(value, shape); uint64(id) != i+1 {
 			return nil, fmt.Errorf("rdf: duplicate dictionary term at ID %d", i+1)
 		}
 	}

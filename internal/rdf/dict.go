@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -23,14 +24,53 @@ type ID uint32
 // content; Term rebuilds the struct from the columns without allocating.
 // The columns only append: an issued ID's entries are never written again,
 // which is what lets a TermView read them without the graph's lock.
+//
+// The lexical forms are bytes in pages, each allocated once and filled in
+// ID order: shared pages of pageSize (smaller while the dictionary holds
+// fewer than four pages, from ownPage up, so that a graph of a few terms
+// holds a few KiB), and a page of its own, exactly its size, for a form
+// longer than ownPage. A term keeps the
+// position of its form (see form), 8 bytes, where a Go string would cost a
+// header, an allocation rounded to its size class and a pointer the
+// collector traces. A page never moves and its bytes below the fill mark
+// are never written again, so the string Term returns is a view of the
+// page, and it stays valid however many pages follow.
 type Dict struct {
-	values   []string // values[id-1] is the lexical form of id
+	pages    [][]byte // each page's header is written once, when it is added
+	at       []uint64 // at[id-1] is the position of id's form in pages
+	cur      int      // the shared page being filled: pages[cur]
+	room     int      // bytes left in pages[cur]; 0 before the first
 	shapeOf  []uint32 // shapeOf[id-1] indexes shapes
 	shapes   []Term   // distinct (Kind, Datatype, Lang), Value always ""
 	shapeIDs map[Term]uint32
 	table    []ID // id, or 0 for an empty slot; len is a power of two
 	seed     maphash.Seed
 	literals int // how many terms are literals, for Stats
+}
+
+const (
+	// pageSize is the size of a shared page of lexical forms.
+	pageSize = 64 << 10
+	// ownPage is the longest form a shared page takes: a page left because
+	// the next form does not fit wastes less than this. It is also the size
+	// of a dictionary's first page; each page added doubles it, up to
+	// pageSize.
+	ownPage = pageSize / 16
+	// ownLen is the length field of a form that is its whole page.
+	ownLen = 1<<16 - 1
+)
+
+// form returns the lexical form at a position: the page's index in the high
+// 32 bits, the offset in the page in the next 16 and the length in the low
+// 16, or ownLen for a form that fills an own page. The string is a view of
+// the page, whose bytes below the fill mark are never written again.
+func form(pages [][]byte, at uint64) string {
+	pg := pages[at>>32]
+	n := int(at & ownLen)
+	if n == ownLen {
+		n = len(pg)
+	}
+	return unsafe.String((*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(pg)), at>>16&(pageSize-1))), n)
 }
 
 // NewDict returns an empty dictionary.
@@ -47,10 +87,10 @@ func NewDict() *Dict {
 // loaders (the snapshot reader) pay one allocation instead of O(log n)
 // regrowths.
 func (d *Dict) Grow(n int) {
-	if n <= len(d.values) {
+	if n <= len(d.at) {
 		return
 	}
-	d.values = slices.Grow(d.values, n-len(d.values))
+	d.at = slices.Grow(d.at, n-len(d.at))
 	d.shapeOf = slices.Grow(d.shapeOf, n-len(d.shapeOf))
 	size := len(d.table)
 	for size < 2*n {
@@ -82,7 +122,7 @@ func (d *Dict) find(value string, shape uint32) (ID, int) {
 	mask := uint64(len(d.table) - 1)
 	p := d.hash(value, shape) & mask
 	for ; d.table[p] != 0; p = (p + 1) & mask {
-		if id := d.table[p]; d.shapeOf[id-1] == shape && d.values[id-1] == value {
+		if id := d.table[p]; d.shapeOf[id-1] == shape && form(d.pages, d.at[id-1]) == value {
 			return id, int(p)
 		}
 	}
@@ -93,8 +133,8 @@ func (d *Dict) find(value string, shape uint32) (ID, int) {
 func (d *Dict) rehash(size int) {
 	d.table = make([]ID, size)
 	mask := uint64(size - 1)
-	for i, v := range d.values {
-		p := d.hash(v, d.shapeOf[i]) & mask
+	for i, at := range d.at {
+		p := d.hash(form(d.pages, at), d.shapeOf[i]) & mask
 		for d.table[p] != 0 {
 			p = (p + 1) & mask
 		}
@@ -106,11 +146,13 @@ func (d *Dict) rehash(size int) {
 func (d *Dict) Intern(t Term) ID { return d.intern(t.Value, d.shape(t)) }
 
 // shape returns the index of t's shape, adding the shape when it is new.
+// A new shape keeps copies of the datatype and tag, so t's strings may view
+// a caller's buffer.
 func (d *Dict) shape(t Term) uint32 {
 	shape, ok := d.shapeID(t)
 	if !ok {
 		shape = uint32(len(d.shapes))
-		key := Term{Kind: t.Kind, Datatype: t.Datatype, Lang: t.Lang}
+		key := Term{Kind: t.Kind, Datatype: strings.Clone(t.Datatype), Lang: strings.Clone(t.Lang)}
 		d.shapes = append(d.shapes, key)
 		d.shapeIDs[key] = shape
 	}
@@ -118,13 +160,10 @@ func (d *Dict) shape(t Term) uint32 {
 }
 
 // internLex is Intern for a term given as its lexical form and shape. The
-// bytes are viewed as a string only to find the term; a new term's form is
-// copied, once, into the string the dictionary keeps.
+// bytes are viewed as a string to find the term; a new term's form is
+// copied into the pages.
 func (d *Dict) internLex(value []byte, shape uint32) ID {
-	if id, _ := d.find(unsafe.String(unsafe.SliceData(value), len(value)), shape); id != 0 {
-		return id
-	}
-	return d.intern(string(value), shape)
+	return d.intern(unsafe.String(unsafe.SliceData(value), len(value)), shape)
 }
 
 func (d *Dict) intern(value string, shape uint32) ID {
@@ -132,18 +171,39 @@ func (d *Dict) intern(value string, shape uint32) ID {
 	if id != 0 {
 		return id
 	}
-	d.values = append(d.values, value)
+	d.at = append(d.at, d.store(value))
 	d.shapeOf = append(d.shapeOf, shape)
 	if d.shapes[shape].Kind == KindLiteral {
 		d.literals++
 	}
-	id = ID(len(d.values))
-	if 2*len(d.values) > len(d.table) {
+	id = ID(len(d.at))
+	if 2*len(d.at) > len(d.table) {
 		d.rehash(2 * len(d.table))
 	} else {
 		d.table[slot] = id
 	}
 	return id
+}
+
+// store copies a new form into the pages and returns its position: into
+// the shared page being filled, or a fresh one when it does not fit (an
+// empty form needs an offset inside the page too), or its own page when it
+// is longer than ownPage.
+func (d *Dict) store(value string) uint64 {
+	n := len(value)
+	if n > ownPage {
+		d.pages = append(d.pages, []byte(value))
+		return uint64(len(d.pages)-1)<<32 | ownLen
+	}
+	if max(n, 1) > d.room {
+		size := ownPage << min(len(d.pages), 4) // pageSize from the fifth page on
+		d.pages = append(d.pages, make([]byte, size))
+		d.cur, d.room = len(d.pages)-1, size
+	}
+	pg := d.pages[d.cur]
+	off := len(pg) - d.room
+	d.room -= copy(pg[off:], value)
+	return uint64(d.cur)<<32 | uint64(off)<<16 | uint64(n)
 }
 
 // Lookup returns the ID for t, or 0 if t has never been interned.
@@ -170,16 +230,25 @@ func (d *Dict) Term(id ID) (t Term) {
 // a third slower per triple.
 func (d *Dict) termInto(dst *Term, id ID) {
 	s := &d.shapes[d.shapeOf[id-1]]
-	dst.Kind, dst.Value, dst.Datatype, dst.Lang = s.Kind, d.values[id-1], s.Datatype, s.Lang
+	dst.Kind, dst.Value, dst.Datatype, dst.Lang = s.Kind, form(d.pages, d.at[id-1]), s.Datatype, s.Lang
 }
 
 // Len returns the number of distinct interned terms.
-func (d *Dict) Len() int { return len(d.values) }
+func (d *Dict) Len() int { return len(d.at) }
 
-// clone returns an independent copy that assigns the same IDs.
+// clone returns an independent copy that assigns the same IDs. It shares
+// the pages no form will be written to again and copies the one being
+// filled, which the two dictionaries go on to fill apart.
 func (d *Dict) clone() *Dict {
+	pages := slices.Clone(d.pages)
+	if d.room > 0 {
+		pages[d.cur] = slices.Clone(d.pages[d.cur])
+	}
 	return &Dict{
-		values:   slices.Clone(d.values),
+		pages:    pages,
+		at:       slices.Clone(d.at),
+		cur:      d.cur,
+		room:     d.room,
 		shapeOf:  slices.Clone(d.shapeOf),
 		shapes:   slices.Clone(d.shapes),
 		shapeIDs: maps.Clone(d.shapeIDs),

@@ -3,7 +3,9 @@ package rdf
 import (
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // Pools the dictionary streams draw from. They put one lexical form under
@@ -15,16 +17,31 @@ var (
 	dictLangs     = []string{"", "en", "EN", "En", "en-US", "en-us", "de"}
 )
 
+// dictEdges are lexical forms at the edges of a page and of the longest form
+// a shared page takes (ownPage), and forms of two- and three-byte runes just
+// under that longest, which a page that fills byte by byte would cut inside
+// a rune.
+var dictEdges = []string{
+	"", "é",
+	strings.Repeat("a", ownPage-1), strings.Repeat("b", ownPage), strings.Repeat("c", ownPage+1),
+	strings.Repeat("d", pageSize-1), strings.Repeat("e", pageSize), strings.Repeat("f", pageSize+1),
+	strings.Repeat("g", 4*pageSize),
+	"h" + strings.Repeat("é", ownPage/2-1), strings.Repeat("€", ownPage/3), "i" + strings.Repeat("€", ownPage/3-1),
+}
+
 // dictTerm decodes one term from three bytes: b0 holds the kind (low two
-// bits, 3 a literal too) and the datatype (next three), b1 the value and b2
-// the language tag. Most IRIs and blank nodes carry no datatype or tag, as
+// bits, 3 a literal too) and the datatype (next three), b1 the value (a
+// pooled one, a page edge, or a numbered one) and b2 the language tag. Most IRIs and blank nodes carry no datatype or tag, as
 // parsers make them; one in eight carries both (b0's top three bits set),
 // which Term equality distinguishes as well.
 func dictTerm(b0, b1, b2 byte) Term {
 	t := Term{Kind: TermKind(min(b0&3, 2))}
-	if b1 < 128 {
+	switch {
+	case b1 < 128:
 		t.Value = dictValues[int(b1)%len(dictValues)]
-	} else {
+	case int(b1) < 128+len(dictEdges):
+		t.Value = dictEdges[b1-128]
+	default:
 		t.Value = "v" + strconv.Itoa(int(b1))
 	}
 	if t.Kind == KindLiteral || b0&0xe0 == 0xe0 {
@@ -126,6 +143,60 @@ func TestDictMatchesReference(t *testing.T) {
 		}
 	}
 	checkSameDict(t, d, ref)
+
+	// Pages filled to their last byte, forms of every page edge, and forms
+	// of multi-byte runes that fill a page at offsets inside a rune: each
+	// form lies whole in one page, and every rune decodes.
+	ops = ops[:0]
+	for round := 0; round < 3; round++ {
+		for e := range dictEdges {
+			for lang := 0; lang < len(dictLangs); lang++ {
+				ops = append(ops, 0, byte(3|round<<2), byte(128+e), byte(lang))
+			}
+			ops = append(ops, 0, 0, byte(200+e), 0) // a short IRI between, to shift the fill
+		}
+	}
+	d, ref = NewDict(), newRefDict()
+	for i := 0; i < 31; i++ { // the five first pages, 4 to 64 KiB, exactly full of forms of ownPage bytes
+		term := NewLangString(dictEdges[3], "x-"+strconv.Itoa(i))
+		d.Intern(term)
+		ref.Intern(term)
+	}
+	if len(d.pages) != 5 || len(d.pages[4]) != pageSize || d.room != 0 {
+		t.Fatalf("31 forms of %d bytes: %d pages, %d bytes left; want five full pages, the last of %d bytes", ownPage, len(d.pages), d.room, pageSize)
+	}
+	for i := 0; i+4 <= len(ops); i += 4 {
+		term := dictTerm(ops[i+1], ops[i+2], ops[i+3])
+		if got, want := d.Intern(term), ref.Intern(term); got != want {
+			t.Fatalf("Intern(%d-byte form) = %d, reference %d", len(term.Value), got, want)
+		}
+	}
+	checkSameDict(t, d, ref)
+	own, moved := 0, 0
+	end := map[uint64]int{} // the fill of each shared page: where its last form ends
+	for id := ID(1); int(id) <= d.Len(); id++ {
+		at, v := d.at[id-1], d.Term(id).Value
+		if !utf8.ValidString(v) {
+			t.Fatalf("Term(%d) holds invalid UTF-8", id)
+		}
+		page, off := at>>32, int(at>>16&(pageSize-1))
+		switch {
+		case len(v) > ownPage && (at&ownLen != ownLen || len(d.pages[page]) != len(v)):
+			t.Fatalf("the %d-byte form of %d is not its own page", len(v), id)
+		case len(v) > ownPage:
+			own++
+		case off+len(v) > len(d.pages[page]):
+			t.Fatalf("the %d-byte form of %d crosses its page's end", len(v), id)
+		default:
+			if prev, ok := end[page-1]; ok && off == 0 && len(v) > utf8.RuneCountInString(v) && prev+len(v) > len(d.pages[page-1]) && prev < len(d.pages[page-1]) {
+				moved++ // a form of multi-byte runes that began a page when the last one still had room
+			}
+			end[page] = max(end[page], off+len(v))
+		}
+	}
+	if len(end) < 8 || own == 0 || moved == 0 || end[4] != pageSize {
+		t.Fatalf("%d shared pages (the fifth filled to %d), %d own pages, %d multi-byte forms moved to a new page: the edges were not reached", len(end), end[4], own, moved)
+	}
 }
 
 // FuzzDict holds the dictionary to the reference on arbitrary operation
@@ -134,6 +205,13 @@ func FuzzDict(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 1, 0, 0, 2, 1, 0, 4, 2, 1, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 6, 0, 0, 0, 10, 0, 1, 0, 10, 0, 2, 7, 200, 0, 0, 4, 14, 0, 0})
 	f.Add([]byte{0, 0xe0, 3, 3, 0, 0, 3, 0, 4, 0xe0, 3, 3, 0, 0x82, 200, 200})
+	var edges []byte // every page edge, twice over, between short forms
+	for range 2 {
+		for e := range dictEdges {
+			edges = append(edges, 0, 3, byte(128+e), byte(e), 0, 0, byte(e), 0, 4, 3, byte(128+e), byte(e+1))
+		}
+	}
+	f.Add(edges)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkDictOps(t, ops)
 	})

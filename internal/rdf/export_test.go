@@ -14,3 +14,17 @@ func DirectoryBytes(g *Graph) int {
 	}
 	return n
 }
+
+// DictBytes is what the dictionary occupies — its pages of lexical forms,
+// the position and shape of each term, and its hash table — for the scale
+// report.
+func DictBytes(g *Graph) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	d := g.dict
+	n := 24*cap(d.pages) + 8*cap(d.at) + 4*cap(d.shapeOf) + 4*cap(d.table)
+	for _, pg := range d.pages {
+		n += cap(pg)
+	}
+	return n
+}

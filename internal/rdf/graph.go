@@ -1036,16 +1036,22 @@ func (g *Graph) Match(s, p, o Term, fn func(Triple) bool) {
 	if !ok {
 		return
 	}
-	t := Triple{s, p, o}
+	// t holds the terms of the IDs in at: a bound position's from the start,
+	// and a term is decoded only when its ID differs from the last match's —
+	// the subject of an SPO run, the object of a POS one.
+	t, at := Triple{s, p, o}, key{sID, pID, oID}
 	g.matchIDsLocked(sID, pID, oID, func(si, pi, oi ID) bool {
-		if sID == 0 {
+		if si != at[0] {
 			g.dict.termInto(&t.S, si)
+			at[0] = si
 		}
-		if pID == 0 {
+		if pi != at[1] {
 			g.dict.termInto(&t.P, pi)
+			at[1] = pi
 		}
-		if oID == 0 {
+		if oi != at[2] {
 			g.dict.termInto(&t.O, oi)
+			at[2] = oi
 		}
 		return fn(t)
 	})

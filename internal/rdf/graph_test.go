@@ -141,15 +141,42 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
+// TestCloneIsIndependent: a clone and its original change apart. Both
+// intern new terms after the clone, into the page of lexical forms that was
+// being filled when it was taken, and under the same new IDs: each decodes
+// only its own.
 func TestCloneIsIndependent(t *testing.T) {
 	g := testGraph()
+	n := g.dict.Len()
 	c := g.Clone()
 	if c.Len() != g.Len() {
 		t.Fatalf("clone Len = %d, want %d", c.Len(), g.Len())
 	}
+	if g.dict.room == 0 {
+		t.Fatal("no page was being filled when the clone was taken")
+	}
 	c.Add(Triple{ex("new"), ex("p"), ex("o")})
+	g.Add(Triple{ex("old"), ex("q"), NewString("r")})
 	if g.Has(Triple{ex("new"), ex("p"), ex("o")}) {
 		t.Fatal("mutation of clone leaked into original")
+	}
+	if c.Has(Triple{ex("old"), ex("q"), NewString("r")}) {
+		t.Fatal("mutation of original leaked into clone")
+	}
+	for i, pair := range [][2]Term{{ex("new"), ex("old")}, {ex("p"), ex("q")}, {ex("o"), NewString("r")}} {
+		id := ID(n + 1 + i)
+		if got := c.TermOf(id); got != pair[0] {
+			t.Errorf("clone decodes %d as %v, want %v", id, got, pair[0])
+		}
+		if got := g.TermOf(id); got != pair[1] {
+			t.Errorf("original decodes %d as %v, want %v", id, got, pair[1])
+		}
+		if _, ok := g.TermID(pair[0]); ok {
+			t.Errorf("original holds the clone's %v", pair[0])
+		}
+		if _, ok := c.TermID(pair[1]); ok {
+			t.Errorf("clone holds the original's %v", pair[1])
+		}
 	}
 }
 

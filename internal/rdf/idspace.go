@@ -47,20 +47,25 @@ func (g *Graph) TermsOf(ids []ID) []Term {
 
 // TermView returns the terms of every ID the dictionary has issued so far,
 // for a caller that decodes many of them (a result table being sorted or
-// encoded). It takes the read lock once, to copy three slice headers; the
+// encoded). It takes the read lock once, to copy four slice headers; the
 // view then decodes without it, so no write waits on the caller. The
-// dictionary only appends, so an issued ID's term never changes under it.
+// dictionary only appends, and a page's header is written once, so an
+// issued ID's term never changes under it.
 func (g *Graph) TermView() TermView {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	d := g.dict
-	return TermView{values: d.values, shapeOf: d.shapeOf, shapes: d.shapes}
+	return g.dict.view()
+}
+
+func (d *Dict) view() TermView {
+	return TermView{pages: d.pages, at: d.at, shapeOf: d.shapeOf, shapes: d.shapes}
 }
 
 // TermView decodes the IDs a dictionary had issued when it was taken
 // (Graph.TermView).
 type TermView struct {
-	values  []string
+	pages   [][]byte
+	at      []uint64
 	shapeOf []uint32
 	shapes  []Term
 }
@@ -68,8 +73,11 @@ type TermView struct {
 // Term returns the term for an ID issued before the view was taken.
 func (v TermView) Term(id ID) Term {
 	s := &v.shapes[v.shapeOf[id-1]]
-	return Term{Kind: s.Kind, Value: v.values[id-1], Datatype: s.Datatype, Lang: s.Lang}
+	return Term{Kind: s.Kind, Value: v.form(id), Datatype: s.Datatype, Lang: s.Lang}
 }
+
+// form returns id's lexical form, a view of its page.
+func (v TermView) form(id ID) string { return form(v.pages, v.at[id-1]) }
 
 // Shape returns the kind, datatype and language of id's term, with an empty
 // Value: what IsResource, IsNumeric and IsTemporal read, without the

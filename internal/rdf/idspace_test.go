@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -107,20 +108,22 @@ func TestTermIDRoundTrip(t *testing.T) {
 
 // TestTermViewDuringWrites: a view decodes every ID issued before it was
 // taken as TermOf does, while writes grow the dictionary past the capacity
-// of the columns the view read — under -race, with no lock held.
+// of the columns the view read and fill at least three new pages of lexical
+// forms — under -race, with no lock held.
 func TestTermViewDuringWrites(t *testing.T) {
 	g := testGraph()
-	n := g.dict.Len()
+	n, pages := g.dict.Len(), len(g.dict.pages)
 	want := make([]Term, n+1)
 	for id := 1; id <= n; id++ {
 		want[id] = g.TermOf(ID(id))
 	}
 	v := g.TermView()
+	pad := strings.Repeat("-", 40)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 5000; i++ {
-			g.Add(Triple{ex(fmt.Sprint("w", i)), ex("p"), NewLangString(fmt.Sprint(i), fmt.Sprint("x-", i%7))})
+			g.Add(Triple{ex(fmt.Sprint("w", i, pad)), ex("p"), NewLangString(fmt.Sprint(i), fmt.Sprint("x-", i%7))})
 		}
 	}()
 	for pass := 0; pass < 50; pass++ {
@@ -131,8 +134,8 @@ func TestTermViewDuringWrites(t *testing.T) {
 		}
 	}
 	<-done
-	if g.dict.Len() <= 2*n {
-		t.Fatalf("the writes grew the dictionary from %d to only %d terms", n, g.dict.Len())
+	if g.dict.Len() <= 2*n || len(g.dict.pages) < pages+3 {
+		t.Fatalf("the writes grew the dictionary from %d to only %d terms, %d to %d pages", n, g.dict.Len(), pages, len(g.dict.pages))
 	}
 }
 

@@ -137,7 +137,7 @@ func (v TermView) Compare(a, b IDKey) int {
 	if c := (valueKey{a.word, a.nsec}).compare(valueKey{b.word, b.nsec}); c != 0 {
 		return c
 	}
-	if c := strings.Compare(v.values[a.ID-1], v.values[b.ID-1]); c != 0 {
+	if c := strings.Compare(v.form(a.ID), v.form(b.ID)); c != 0 {
 		return c
 	}
 	if c := strings.Compare(sa.Datatype, sb.Datatype); c != 0 {

@@ -171,7 +171,7 @@ func TestViewKeyMatchesOrderKey(t *testing.T) {
 	for i, tm := range ts {
 		ids[i] = d.Intern(tm)
 	}
-	v := TermView{values: d.values, shapeOf: d.shapeOf, shapes: d.shapes}
+	v := d.view()
 	for i, a := range ts {
 		ka := v.Key(ids[i])
 		if ka.ID != ids[i] || v.Shape(ids[i]) != (Term{Kind: a.Kind, Datatype: a.Datatype, Lang: a.Lang}) {

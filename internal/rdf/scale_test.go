@@ -20,6 +20,7 @@ type scaleReport struct {
 	loadS         float64 // datagen.Products + rdf.Materialize
 	bytesPerT     float64 // live heap the graph holds, after two GCs
 	dirPerT       float64 // of which the two directories
+	dictPerT      float64 // and of which the dictionary
 	restoredPerT  float64 // the same for the graph ReadBinary restores from its snapshot
 	matchNsPerT   float64 // predicate-bound Match, per triple yielded
 	addUs, remUs  float64 // one triple of an INSERT DATA-sized batch, delta non-empty
@@ -61,6 +62,7 @@ func measureScale(laptops int) scaleReport {
 	r.triples = g.Len()
 	r.bytesPerT = (float64(liveHeap()) - float64(before)) / float64(r.triples)
 	r.dirPerT = float64(rdf.DirectoryBytes(g)) / float64(r.triples)
+	r.dictPerT = float64(rdf.DictBytes(g)) / float64(r.triples)
 
 	price := rdf.NewIRI(datagen.ExampleNS + "price")
 	var perTriple []float64
@@ -155,6 +157,7 @@ func BenchmarkGraphScale(b *testing.B) {
 			b.ReportMetric(r.loadS, "load-s")
 			b.ReportMetric(r.bytesPerT, "B/triple")
 			b.ReportMetric(r.dirPerT, "dir-B/triple")
+			b.ReportMetric(r.dictPerT, "dict-B/triple")
 			b.ReportMetric(r.restoredPerT, "restored-B/triple")
 			b.ReportMetric(r.matchNsPerT, "match-ns/triple")
 			b.ReportMetric(r.addUs, "add-µs")
@@ -169,26 +172,27 @@ func BenchmarkGraphScale(b *testing.B) {
 
 // TestLiveBytesPerTriple holds the graph to its memory budget at the
 // standing benchmark's 197 982 triples: dictionary and two packed
-// permutations with their directories together stay under 34 B a triple
-// loaded, 33 restored from a snapshot — a byte above what each reads (the
+// permutations with their directories together stay under 31 B a triple
+// loaded, 30 restored from a snapshot — a byte above what each reads (the
 // map-of-maps indexes took 235, a map-and-slice dictionary ≈81 and, restored
-// with a datatype string per literal, ≈80; a third permutation ≈53, and
-// 12-byte keys instead of packed words ≈41).
+// with a datatype string per literal, ≈80; a third permutation ≈53, 12-byte
+// keys instead of packed words ≈41, and a Go string per lexical form instead
+// of byte pages ≈32.8 loaded, ≈31.7 restored).
 func TestLiveBytesPerTriple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 198k triples")
 	}
 	r := measureScale(22400)
-	t.Logf("%d triples: %.1f B/triple (restored %.1f, directories %.2f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
-		r.triples, r.bytesPerT, r.restoredPerT, r.dirPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
+	t.Logf("%d triples: %.1f B/triple (restored %.1f, directories %.2f, dictionary %.2f), load %.2f s, match %.1f ns/triple, add %.2f µs (p99 %.2f µs, max %.2f ms), remove %.2f µs, WriteBinary %.1f ms, ReadBinary %.1f ms",
+		r.triples, r.bytesPerT, r.restoredPerT, r.dirPerT, r.dictPerT, r.loadS, r.matchNsPerT, r.addUs, r.addP99Us, r.addMaxMS, r.remUs, r.writeBinaryMS, r.readBinaryMS)
 	if r.triples != 197982 {
 		t.Fatalf("datagen drifted: %d triples, want 197982", r.triples)
 	}
-	if r.bytesPerT > 34 {
-		t.Errorf("graph holds %.1f live bytes per triple, budget 34", r.bytesPerT)
+	if r.bytesPerT > 31 {
+		t.Errorf("graph holds %.1f live bytes per triple, budget 31", r.bytesPerT)
 	}
-	if r.restoredPerT > 33 {
-		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 33", r.restoredPerT)
+	if r.restoredPerT > 30 {
+		t.Errorf("graph restored by ReadBinary holds %.1f live bytes per triple, budget 30", r.restoredPerT)
 	}
 }
 

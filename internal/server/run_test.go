@@ -270,3 +270,37 @@ func TestStartStateRunFollowsANewEntity(t *testing.T) {
 		t.Errorf("after a new individual the run counts %d, want %d", n, members+1)
 	}
 }
+
+// TestPivotFromStartFollowsTheSchema: a Σ after a focus switch from the
+// start state reads the start rule, so a schema write that takes an
+// individual out of the start state outdates its cached run. SmallProducts'
+// laptop3 is Lenovo's only product: declared a class, it leaves the start
+// state and Lenovo leaves the manufacturers.
+func TestPivotFromStartFollowsTheSchema(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	ns := datagen.ExampleNS
+	clicks(t, s, "a", "/api/pivot", `{"p":"`+ns+`manufacturer"}`, "/api/aggregate", `{"op":"COUNT"}`)
+	count := func(want string) int64 {
+		t.Helper()
+		code, xc, _, body := doRun(s, "a")
+		if code != http.StatusOK || xc != want {
+			t.Fatalf("run = %d, X-Cache %q, want %q: %s", code, xc, want, body)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n, _ := s.sessions["a"].sess.Answer().Rows[0][0].Int()
+		return n
+	}
+	if n := count("miss"); n != 4 {
+		t.Fatalf("ε COUNT of the manufacturers = %d, want 4", n)
+	}
+	if n := count("hit"); n != 4 {
+		t.Fatalf("repeated run counts %d, want 4", n)
+	}
+	if code := doUpdate(s, `INSERT DATA { <`+ns+`laptop3> <`+rdf.RDFType+`> <`+rdf.OWLClass+`> }`); code != http.StatusOK {
+		t.Fatalf("update = %d", code)
+	}
+	if n := count("miss"); n != 3 {
+		t.Errorf("after laptop3 became a class the run counts %d manufacturers, want 3", n)
+	}
+}
