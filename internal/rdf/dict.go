@@ -26,15 +26,13 @@ type ID uint32
 // which is what lets a TermView read them without the graph's lock.
 //
 // The lexical forms are bytes in pages, each allocated once and filled in
-// ID order: shared pages of pageSize (smaller while the dictionary holds
-// fewer than four pages, from ownPage up, so that a graph of a few terms
-// holds a few KiB), and a page of its own, exactly its size, for a form
-// longer than ownPage. A term keeps the
-// position of its form (see form), 8 bytes, where a Go string would cost a
-// header, an allocation rounded to its size class and a pointer the
-// collector traces. A page never moves and its bytes below the fill mark
-// are never written again, so the string Term returns is a view of the
-// page, and it stays valid however many pages follow.
+// ID order: shared pages of pageSize, and a page of its own, exactly its
+// size, for a form longer than ownPage. A term keeps the position of its
+// form (see form), 8 bytes, where a Go string would cost a header, an
+// allocation rounded to its size class and a pointer the collector traces.
+// A page never moves and its bytes below the fill mark are never written
+// again, so the string Term returns is a view of the page, and it stays
+// valid however many pages follow.
 type Dict struct {
 	pages    [][]byte // each page's header is written once, when it is added
 	at       []uint64 // at[id-1] is the position of id's form in pages
@@ -49,13 +47,13 @@ type Dict struct {
 }
 
 const (
-	// pageSize is the size of a shared page of lexical forms.
-	pageSize = 64 << 10
+	// pageSize is the size of a shared page of lexical forms: what a graph
+	// of a few terms (a CONSTRUCT answer, an answer loaded as a dataset)
+	// holds of them.
+	pageSize = 4 << 10
 	// ownPage is the longest form a shared page takes: a page left because
-	// the next form does not fit wastes less than this. It is also the size
-	// of a dictionary's first page; each page added doubles it, up to
-	// pageSize.
-	ownPage = pageSize / 16
+	// the next form does not fit wastes less than this.
+	ownPage = pageSize / 4
 	// ownLen is the length field of a form that is its whole page.
 	ownLen = 1<<16 - 1
 )
@@ -196,9 +194,8 @@ func (d *Dict) store(value string) uint64 {
 		return uint64(len(d.pages)-1)<<32 | ownLen
 	}
 	if max(n, 1) > d.room {
-		size := ownPage << min(len(d.pages), 4) // pageSize from the fifth page on
-		d.pages = append(d.pages, make([]byte, size))
-		d.cur, d.room = len(d.pages)-1, size
+		d.pages = append(d.pages, make([]byte, pageSize))
+		d.cur, d.room = len(d.pages)-1, pageSize
 	}
 	pg := d.pages[d.cur]
 	off := len(pg) - d.room
@@ -217,10 +214,12 @@ func (d *Dict) Lookup(t Term) (ID, bool) {
 }
 
 // Term returns the term for a valid ID. It panics on an ID the dictionary
-// never issued, which always indicates a programming error.
-func (d *Dict) Term(id ID) (t Term) {
-	d.termInto(&t, id)
-	return t
+// never issued, which always indicates a programming error. It builds the
+// struct itself rather than through termInto, which would take it over the
+// inliner's budget.
+func (d *Dict) Term(id ID) Term {
+	s := &d.shapes[d.shapeOf[id-1]]
+	return Term{Kind: s.Kind, Value: form(d.pages, d.at[id-1]), Datatype: s.Datatype, Lang: s.Lang}
 }
 
 // termInto writes the term for id into *dst field by field. The graph's

@@ -62,7 +62,9 @@ func (d *Dict) view() TermView {
 }
 
 // TermView decodes the IDs a dictionary had issued when it was taken
-// (Graph.TermView).
+// (Graph.TermView). Its methods take a pointer: the view is four slice
+// headers, and a copy of them for each call cost a decode a third of its
+// time.
 type TermView struct {
 	pages   [][]byte
 	at      []uint64
@@ -71,18 +73,15 @@ type TermView struct {
 }
 
 // Term returns the term for an ID issued before the view was taken.
-func (v TermView) Term(id ID) Term {
+func (v *TermView) Term(id ID) Term {
 	s := &v.shapes[v.shapeOf[id-1]]
-	return Term{Kind: s.Kind, Value: v.form(id), Datatype: s.Datatype, Lang: s.Lang}
+	return Term{Kind: s.Kind, Value: form(v.pages, v.at[id-1]), Datatype: s.Datatype, Lang: s.Lang}
 }
-
-// form returns id's lexical form, a view of its page.
-func (v TermView) form(id ID) string { return form(v.pages, v.at[id-1]) }
 
 // Shape returns the kind, datatype and language of id's term, with an empty
 // Value: what IsResource, IsNumeric and IsTemporal read, without the
 // lexical form.
-func (v TermView) Shape(id ID) Term { return v.shapes[v.shapeOf[id-1]] }
+func (v *TermView) Shape(id ID) Term { return v.shapes[v.shapeOf[id-1]] }
 
 // SubjectIDs returns the ID of every term in subject position, ascending.
 func (g *Graph) SubjectIDs() []ID {

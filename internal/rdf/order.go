@@ -118,7 +118,7 @@ type IDKey struct {
 }
 
 // Key computes the ordering key of id's term.
-func (v TermView) Key(id ID) IDKey {
+func (v *TermView) Key(id ID) IDKey {
 	k := valueKeyOf(v.Term(id))
 	return IDKey{k.word, k.nsec, id}
 }
@@ -126,7 +126,7 @@ func (v TermView) Key(id ID) IDKey {
 // Compare orders two keys of the view exactly as OrderKey.Compare orders
 // their terms: by kind, in a shared value space, then by value, datatype
 // and language, read from the view's columns in place.
-func (v TermView) Compare(a, b IDKey) int {
+func (v *TermView) Compare(a, b IDKey) int {
 	if a.ID == b.ID {
 		return 0
 	}
@@ -137,7 +137,7 @@ func (v TermView) Compare(a, b IDKey) int {
 	if c := (valueKey{a.word, a.nsec}).compare(valueKey{b.word, b.nsec}); c != 0 {
 		return c
 	}
-	if c := strings.Compare(v.form(a.ID), v.form(b.ID)); c != 0 {
+	if c := strings.Compare(form(v.pages, v.at[a.ID-1]), form(v.pages, v.at[b.ID-1])); c != 0 {
 		return c
 	}
 	if c := strings.Compare(sa.Datatype, sb.Datatype); c != 0 {
@@ -149,7 +149,7 @@ func (v TermView) Compare(a, b IDKey) int {
 // Least returns the k least of ids in term order, ascending, without
 // building a term for the others: a bounded max-heap of order keys,
 // O(n log k).
-func (v TermView) Least(ids iter.Seq[ID], k int) []ID {
+func (v *TermView) Least(ids iter.Seq[ID], k int) []ID {
 	if k <= 0 {
 		return nil
 	}
