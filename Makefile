@@ -12,7 +12,9 @@ test:
 # whole test suite under the race detector in a shuffled test order (the
 # tests run concurrent queries over one shared graph and the facet layer's
 # per-property fan-out, so races surface here; a test that depends on its
-# neighbours fails and prints its seed), one pass of every BenchmarkJoinStep shape, of BenchmarkParse and
+# neighbours fails and prints its seed), the allocation budgets three times
+# without the race detector (they are written for its absence), one pass of
+# every BenchmarkJoinStep shape, of BenchmarkParse and
 # BenchmarkProfileOverhead (TestQueryAllocBudgets holds both to budgets), of BenchmarkDictionary, BenchmarkObjectLookup
 # and BenchmarkLoadTurtle at 11 200 laptops (the second pattern level keeps every named sub-benchmark and drops 112 000),
 # of BenchmarkStateWrite, BenchmarkPropertyFacets, BenchmarkCachedRead, BenchmarkColdRead, BenchmarkTraceRetentionOverhead,
@@ -25,6 +27,7 @@ check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -count=3 -run 'Allocs|AllocBudget' ./internal/...
 	$(GO) test -race -count=10 -run 'TermViewDuringWrites|DictMatchesReference|CloneIsIndependent' ./internal/rdf
 	$(GO) test -run '^$$' -bench 'JoinStep|Parse$$|ProfileOverhead' -benchmem -benchtime 1x ./internal/sparql
 	$(GO) test -run '^$$' -bench 'Dictionary|ObjectLookup|LoadTurtle/(^[a-z]|^11200-)' -benchmem -benchtime 1x ./internal/rdf

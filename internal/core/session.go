@@ -625,10 +625,9 @@ func (s *Session) RunAnalyticsCtx(qctx context.Context) (*hifun.Answer, error) {
 	defer tr.Finish()
 	// Adopt the IDs the HTTP layer minted, so the retained trace matches
 	// the X-Trace-ID / X-Request-ID the client saw.
-	tr.SetID(obs.TraceIDFrom(qctx))
-	if reqID := obs.RequestIDFrom(qctx); reqID != "" {
-		tr.Root().SetAttr("request_id", reqID)
-	}
+	ids := obs.RequestIDsFrom(qctx)
+	tr.SetID(ids.Trace)
+	tr.SetRequestID(ids.Request)
 	prof := sparql.NewProfile("run_analytics")
 	s.lastTrace, s.lastProfile = tr, prof
 

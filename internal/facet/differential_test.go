@@ -268,6 +268,31 @@ func TestFirstObjectsMatchItems(t *testing.T) {
 	}
 }
 
+// firstAllocBudget is what TermSet.First(5) of a set of 100 IDs may
+// allocate. Measured with go1.24 on linux/amd64: 6 — the heap and its keys,
+// the loop over the members and its state, the IDs and the terms. While
+// rdf.TermView.Least kept its heap in closures that captured the view, the
+// caller's view moved to the heap too, and it measured 9.
+const firstAllocBudget = 6
+
+// TestFirstAllocs holds TermSet.First to its allocation budget: a view that
+// escapes to the heap again, or a heap grown per member, breaks it.
+func TestFirstAllocs(t *testing.T) {
+	g := rdf.NewGraph()
+	p := rdf.NewIRI("http://ex.org/p")
+	m := NewModel(g)
+	for i := 0; i < 100; i++ {
+		g.Add(rdf.Triple{S: p, P: p, O: rdf.NewTyped(fmt.Sprint(i), rdf.XSDInteger)})
+	}
+	s := m.newSet()
+	for i := 0; i < 100; i++ {
+		s.Add(rdf.NewTyped(fmt.Sprint(i), rdf.XSDInteger))
+	}
+	if n := testing.AllocsPerRun(50, func() { s.First(5) }); n > firstAllocBudget {
+		t.Errorf("First(5) of 100 members allocates %v times, budget %d", n, firstAllocBudget)
+	}
+}
+
 // TestSortDateMarkersAllocatesLinearly: ordering a 1 000-value xsd:date
 // facet allocates its result, nothing per comparison (each comparison used
 // to parse both dates, failing through three layouts on the way).

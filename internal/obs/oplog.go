@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -62,7 +65,10 @@ type OpLog struct {
 	errs   uint64
 	lat    *Histogram
 	shapes map[string]*shapeEntry
-	ests   map[[2]string]*OpEstimate // by operator and label
+	ests   map[string]*OpEstimate // by operator, a NUL and the label
+	// spareEsts is a batch of estimate rows to reuse: a record takes it, or
+	// makes one when records overlap, and leaves its own.
+	spareEsts atomic.Pointer[estimateBatch]
 
 	byID  map[string]*retainedTrace
 	list  []*retainedTrace // retention order, oldest first
@@ -180,26 +186,32 @@ type QueryRecord struct {
 	// serve, whose trace is the filler's.
 	Trace *Trace `json:"-"`
 	// Profile is the engine's operator profile of the execution; nil when
-	// unprofiled.
+	// unprofiled. Its plan-vs-actual rows feed the misestimate table.
 	Profile OpProfile `json:"-"`
-	// Estimates are the profile's plan-vs-actual rows.
-	Estimates []OpEstimate `json:"-"`
 }
 
 // OpProfile is what a record needs of an engine's operator profile (a
-// *sparql.Profile): its JSON, which a retained trace keeps, and a one-line
+// *sparql.Profile): its JSON, which a retained trace keeps, a one-line
 // summary of its top-level operators, which the slow-query line appends to
-// the plan.
+// the plan, and its plan-vs-actual rows, which the misestimate table merges.
 type OpProfile interface {
 	json.Marshaler
 	Summary() string
+	EachEstimate(sink EstimateSink)
+}
+
+// EstimateSink takes an operator profile's plan-vs-actual rows, one call a
+// row: label is the operator's text (row.Label is unset), valid only during
+// the call, so a profile renders it into a buffer it reuses.
+type EstimateSink interface {
+	Estimate(row OpEstimate, label []byte)
 }
 
 // OpEstimate is one operator's plan-vs-actual comparison: the planner's
 // cardinality estimate next to what execution produced, with the q-error
-// max(est/act, act/est). sparql.Profile.Estimates writes them as the
-// profile's rows (Count 0); the log's misestimate table merges them by
-// operator and label, counting each merge in Count.
+// max(est/act, act/est). A profile hands them over as its rows (Count 0);
+// the log's misestimate table merges them by operator and label, counting
+// each merge in Count.
 type OpEstimate struct {
 	Op     string  `json:"op"`
 	Label  string  `json:"label"`
@@ -260,7 +272,7 @@ func NewOpLog(retention TraceStoreConfig, slow time.Duration, logger *slog.Logge
 		ring:   make([]QueryRecord, recentOps),
 		lat:    newHistogram(DefBuckets),
 		shapes: map[string]*shapeEntry{},
-		ests:   map[[2]string]*OpEstimate{},
+		ests:   map[string]*OpEstimate{},
 		byID:   map[string]*retainedTrace{},
 	}
 	if retention.Disabled {
@@ -301,8 +313,8 @@ func NewOpLog(retention TraceStoreConfig, slow time.Duration, logger *slog.Logge
 // Retains reports whether trace retention is on.
 func (l *OpLog) Retains() bool { return l != nil && !l.cfg.Disabled }
 
-// Record folds one finished operation into the log. A trace without an ID
-// gets one minted. A record without a Trace (a cache serve) has no trace to
+// Record folds one finished operation into the log; its trace's ID (minted
+// if it has none) is the record's TraceID. A record without a Trace (a cache serve) has no trace to
 // retain, and tallies a serve on its filler's trace instead. Deciding is a
 // few map lookups under the lock; the cost of storing a trace — exporting
 // its spans and marshaling its profile, once — is paid only for a retained
@@ -312,13 +324,17 @@ func (l *OpLog) Record(rec QueryRecord) {
 		return
 	}
 	if rec.Trace != nil {
-		if rec.TraceID = rec.Trace.ID(); rec.TraceID == "" {
-			rec.TraceID = NewTraceID()
-			rec.Trace.SetID(rec.TraceID)
+		rec.TraceID = rec.Trace.ID()
+	}
+	var ests *estimateBatch
+	if rec.Profile != nil {
+		if ests = l.spareEsts.Swap(nil); ests == nil {
+			ests = new(estimateBatch)
 		}
+		ests.collect(rec.Profile)
 	}
 	kept := rec
-	kept.Trace, kept.Profile, kept.Estimates = nil, nil, nil
+	kept.Trace, kept.Profile = nil, nil
 	kept.Shape = TruncateText(rec.Shape, maxShapeLen)
 	kept.Query = TruncateText(rec.Query, maxShapeLen)
 	kept.Err = TruncateText(rec.Err, maxShapeLen)
@@ -334,7 +350,7 @@ func (l *OpLog) Record(rec QueryRecord) {
 	// The decision reads the shape as it was before this run.
 	reason := l.decideLocked(rec, e)
 	e.fold(kept)
-	l.mergeEstimatesLocked(rec.Estimates)
+	l.mergeEstimatesLocked(ests)
 	if rec.Trace == nil && rec.Cache != "" {
 		if rt := l.byID[rec.TraceID]; rt != nil {
 			if rt.serves == nil {
@@ -344,6 +360,9 @@ func (l *OpLog) Record(rec QueryRecord) {
 		}
 	}
 	l.mu.Unlock()
+	if ests != nil {
+		l.spareEsts.Store(ests)
+	}
 
 	if l.slow > 0 && rec.Duration >= l.slow {
 		l.logSlow(rec)
@@ -563,35 +582,78 @@ func approxTraceBytes(rt *retainedTrace) int64 {
 	return n + int64(len(rt.profile))
 }
 
-func (l *OpLog) mergeEstimatesLocked(ests []OpEstimate) {
-	for _, e := range ests {
-		e.Label = TruncateText(e.Label, maxShapeLen)
-		key := [2]string{e.Op, e.Label}
-		cur, ok := l.ests[key]
-		if !ok {
-			if len(l.ests) >= maxMisestimates {
-				// Full: only displace the current minimum if strictly worse.
-				var minKey [2]string
-				minQ := -1.0
-				for k, v := range l.ests {
-					if minQ < 0 || v.QError < minQ {
-						minKey, minQ = k, v.QError
-					}
-				}
-				if e.QError <= minQ {
-					continue
-				}
-				delete(l.ests, minKey)
+// estimateBatch is one record's plan-vs-actual rows on their way into the
+// misestimate table, collected outside the log's lock into buffers the log
+// keeps one spare of (OpLog.spareEsts): row i's key, its op, a NUL and its
+// label truncated to maxShapeLen, is text[rows[i].from:rows[i].to].
+type estimateBatch struct {
+	rows []batchedEstimate
+	text []byte
+}
+
+type batchedEstimate struct {
+	OpEstimate
+	from, to int
+}
+
+// collect takes prof's rows, worst q-error first: the order in which a full
+// table lets a new site displace its least-bad one.
+func (b *estimateBatch) collect(prof OpProfile) {
+	b.rows, b.text = b.rows[:0], b.text[:0]
+	prof.EachEstimate(b)
+	slices.SortStableFunc(b.rows, func(x, y batchedEstimate) int { return cmp.Compare(y.QError, x.QError) })
+}
+
+// Estimate implements EstimateSink.
+func (b *estimateBatch) Estimate(row OpEstimate, label []byte) {
+	from := len(b.text)
+	b.text = append(append(b.text, row.Op...), 0)
+	if len(label) > maxShapeLen {
+		cut := maxShapeLen
+		for cut > 0 && !utf8.RuneStart(label[cut]) {
+			cut--
+		}
+		b.text = append(append(b.text, label[:cut]...), "…"...)
+	} else {
+		b.text = append(b.text, label...)
+	}
+	b.rows = append(b.rows, batchedEstimate{OpEstimate: row, from: from, to: len(b.text)})
+}
+
+// mergeEstimatesLocked folds a batch (nil for none) into the misestimate
+// table. A site the table holds is looked up by its key in the batch's
+// text; only a new site allocates its key and its row.
+func (l *OpLog) mergeEstimatesLocked(b *estimateBatch) {
+	if b == nil {
+		return
+	}
+	for _, e := range b.rows {
+		key := b.text[e.from:e.to]
+		if cur, ok := l.ests[string(key)]; ok {
+			cur.Count++
+			if e.QError > cur.QError {
+				cur.QError, cur.Est, cur.Actual = e.QError, e.Est, e.Actual
 			}
-			ne := e // a copy only for a new site: &e would move every row to the heap
-			ne.Count = 1
-			l.ests[key] = &ne
 			continue
 		}
-		cur.Count++
-		if e.QError > cur.QError {
-			cur.QError, cur.Est, cur.Actual = e.QError, e.Est, e.Actual
+		if len(l.ests) >= maxMisestimates {
+			// Full: only displace the current minimum if strictly worse.
+			var minKey string
+			minQ := -1.0
+			for k, v := range l.ests {
+				if minQ < 0 || v.QError < minQ {
+					minKey, minQ = k, v.QError
+				}
+			}
+			if e.QError <= minQ {
+				continue
+			}
+			delete(l.ests, minKey)
 		}
+		k := string(key)
+		ne := e.OpEstimate
+		ne.Label, ne.Count = k[len(ne.Op)+1:], 1
+		l.ests[k] = &ne
 	}
 }
 

@@ -417,7 +417,7 @@ func TestRecordAllocs(t *testing.T) {
 		offer(l, cand("fpA", time.Duration(ms)*time.Millisecond, "ok"))
 	}
 	exec := cand("fpA", time.Millisecond, "ok")
-	exec.Estimates = []OpEstimate{{Op: "scan", Label: "?s <p> ?o .", Est: 100, Actual: 10, QError: 10}}
+	exec.Profile = &rowsProfile{rows: []OpEstimate{{Op: "scan", Label: "?s <p> ?o .", Est: 100, Actual: 10, QError: 10}}}
 	hit := serve(filler, "hit")
 	l.Record(exec) // mints the trace's ID
 	l.Record(hit)  // makes the filler's serve tally
@@ -543,16 +543,62 @@ func TestWorkloadFingerprintEviction(t *testing.T) {
 	}
 }
 
+// rowsProfile is an operator profile that is only its plan-vs-actual rows.
+type rowsProfile struct {
+	rows  []OpEstimate
+	label []byte
+}
+
+func (p *rowsProfile) MarshalJSON() ([]byte, error) { return []byte(`{}`), nil }
+func (p *rowsProfile) Summary() string              { return "" }
+
+func (p *rowsProfile) EachEstimate(sink EstimateSink) {
+	for _, e := range p.rows {
+		p.label = append(p.label[:0], e.Label...)
+		e.Label = ""
+		sink.Estimate(e, p.label)
+	}
+}
+
+// TestRecordEstimatesConcurrently: records whose profiles' rows go through
+// the log's spare batch from several goroutines at once each count once.
+func TestRecordEstimatesConcurrently(t *testing.T) {
+	l := NewOpLog(TraceStoreConfig{Disabled: true}, 0, nil)
+	const workers, each = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prof := &rowsProfile{rows: []OpEstimate{
+				{Op: "scan", Label: "?s <p> ?o .", Est: 100, Actual: 10, QError: 10},
+				{Op: "scan", Label: fmt.Sprintf("?s <w%d> ?o .", w), Est: 1, Actual: 1, QError: 1},
+			}}
+			for i := 0; i < each; i++ {
+				l.Record(QueryRecord{FingerprintID: "fp", Outcome: "ok", Profile: prof})
+			}
+		}()
+	}
+	wg.Wait()
+	counts := map[string]uint64{}
+	for _, e := range l.Snapshot().Misestimates {
+		counts[e.Label] = e.Count
+	}
+	if len(counts) != workers+1 || counts["?s <p> ?o ."] != workers*each || counts["?s <w3> ?o ."] != each {
+		t.Fatalf("misestimate counts %v: want %d for the shared site and %d for each worker's", counts, workers*each, each)
+	}
+}
+
 func TestWorkloadMisestimates(t *testing.T) {
 	w := NewOpLog(TraceStoreConfig{}, 0, nil)
-	w.Record(QueryRecord{Estimates: []OpEstimate{
+	w.Record(QueryRecord{Profile: &rowsProfile{rows: []OpEstimate{
 		{Op: "scan", Label: "?s <p> ?o .", Est: 100, Actual: 10, QError: 10},
 		{Op: "scan", Label: "?s <q> ?o .", Est: 50, Actual: 50, QError: 1},
-	}})
+	}}})
 	// Same site again, worse: q-error and est/act update, count accumulates.
-	w.Record(QueryRecord{Estimates: []OpEstimate{
+	w.Record(QueryRecord{Profile: &rowsProfile{rows: []OpEstimate{
 		{Op: "scan", Label: "?s <p> ?o .", Est: 100, Actual: 1, QError: 100},
-	}})
+	}}})
 	snap := w.Snapshot()
 	if len(snap.Misestimates) != 2 {
 		t.Fatalf("misestimates = %d, want 2", len(snap.Misestimates))
@@ -566,7 +612,7 @@ func TestWorkloadMisestimates(t *testing.T) {
 	for i := 0; i < maxMisestimates+20; i++ {
 		batch = append(batch, OpEstimate{Op: "scan", Label: fmt.Sprintf("p%d", i), QError: float64(i)})
 	}
-	w.Record(QueryRecord{Estimates: batch})
+	w.Record(QueryRecord{Profile: &rowsProfile{rows: batch}})
 	snap = w.Snapshot()
 	if len(snap.Misestimates) != maxMisestimates {
 		t.Fatalf("misestimate table = %d, want bounded at %d", len(snap.Misestimates), maxMisestimates)
@@ -579,7 +625,7 @@ func TestWorkloadMisestimates(t *testing.T) {
 func TestWorkloadNilAndTopSlow(t *testing.T) {
 	var w *OpLog
 	w.Record(QueryRecord{})
-	w.Record(QueryRecord{Estimates: []OpEstimate{{QError: 2}}})
+	w.Record(QueryRecord{Profile: &rowsProfile{rows: []OpEstimate{{QError: 2}}}})
 	if snap := w.Snapshot(); snap.Total != 0 {
 		t.Fatal("nil workload must be inert")
 	}

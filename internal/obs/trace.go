@@ -13,9 +13,10 @@ import (
 // threads a possibly-nil trace through and pays one pointer test when
 // tracing is off.
 type Trace struct {
-	mu   sync.Mutex
-	id   string
-	root *Span
+	mu        sync.Mutex
+	id        string
+	requestID string
+	root      Span
 }
 
 // maxChildren caps the children recorded under one span, so a span opened
@@ -23,20 +24,27 @@ type Trace struct {
 // children are counted, not stored.
 const maxChildren = 128
 
-// NewTrace starts a trace whose root span is named name. The trace is
-// minted a fresh ID; callers that already hold an ID (for example the one
-// the HTTP middleware stamped into X-Trace-ID) overwrite it with SetID.
+// NewTrace starts a trace whose root span is named name, in one
+// allocation. Its ID is minted when first read (ID), unless a caller that
+// already holds one — the ID the HTTP middleware put on the wire — gives it
+// first (SetID).
 func NewTrace(name string) *Trace {
-	return &Trace{id: NewTraceID(), root: &Span{name: name, start: time.Now()}}
+	t := &Trace{}
+	t.root.name, t.root.start = name, time.Now()
+	return t
 }
 
-// ID returns the trace's identifier ("" for a nil trace).
+// ID returns the trace's identifier, minting one if it has none ("" for a
+// nil trace).
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.id == "" {
+		t.id = NewTraceID()
+	}
 	return t.id
 }
 
@@ -51,12 +59,34 @@ func (t *Trace) SetID(id string) {
 	t.mu.Unlock()
 }
 
+// SetRequestID names the request the trace serves: its root span's
+// "request_id" attribute, ahead of any SetAttr. An empty ID is ignored.
+func (t *Trace) SetRequestID(id string) {
+	if t == nil || id == "" {
+		return
+	}
+	t.mu.Lock()
+	t.requestID = id
+	t.mu.Unlock()
+}
+
 // Root returns the root span (nil for a nil trace).
 func (t *Trace) Root() *Span {
 	if t == nil {
 		return nil
 	}
-	return t.root
+	return &t.root
+}
+
+// rootAttrs returns the attributes the root span leads with: the request
+// ID, when set.
+func (t *Trace) rootAttrs() []Attr {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.requestID == "" {
+		return nil
+	}
+	return []Attr{{Key: "request_id", Val: t.requestID}}
 }
 
 // Finish ends the root span.
@@ -160,20 +190,25 @@ func (t *Trace) Export() SpanJSON {
 	if t == nil {
 		return SpanJSON{}
 	}
-	out := t.root.export()
+	out := t.root.export(t.rootAttrs())
 	out.TraceID = t.ID()
 	return out
 }
 
-func (s *Span) export() SpanJSON {
+// export snapshots the span's subtree; lead are attributes the span carries
+// ahead of its own.
+func (s *Span) export(lead []Attr) SpanJSON {
 	s.mu.Lock()
 	out := SpanJSON{
 		Name:       s.name,
 		DurationMS: float64(s.durLocked().Microseconds()) / 1000,
 		Dropped:    s.dropped,
 	}
-	if len(s.attrs) > 0 {
-		out.Attrs = make(map[string]any, len(s.attrs))
+	if n := len(lead) + len(s.attrs); n > 0 {
+		out.Attrs = make(map[string]any, n)
+		for _, a := range lead {
+			out.Attrs[a.Key] = a.Val
+		}
 		for _, a := range s.attrs {
 			out.Attrs[a.Key] = a.Val
 		}
@@ -181,7 +216,7 @@ func (s *Span) export() SpanJSON {
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
 	for _, c := range children {
-		out.Children = append(out.Children, c.export())
+		out.Children = append(out.Children, c.export(nil))
 	}
 	return out
 }
@@ -200,15 +235,15 @@ func (t *Trace) Tree() string {
 		return ""
 	}
 	var sb strings.Builder
-	t.root.tree(&sb, 0)
+	t.root.tree(&sb, 0, t.rootAttrs())
 	return sb.String()
 }
 
-func (s *Span) tree(sb *strings.Builder, depth int) {
+func (s *Span) tree(sb *strings.Builder, depth int, lead []Attr) {
 	s.mu.Lock()
 	sb.WriteString(strings.Repeat("  ", depth))
 	fmt.Fprintf(sb, "%s  %s", s.name, fmtDur(s.durLocked()))
-	for _, a := range s.attrs {
+	for _, a := range append(lead, s.attrs...) {
 		fmt.Fprintf(sb, "  %s=%v", a.Key, a.Val)
 	}
 	if s.dropped > 0 {
@@ -218,7 +253,7 @@ func (s *Span) tree(sb *strings.Builder, depth int) {
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
 	for _, c := range children {
-		c.tree(sb, depth+1)
+		c.tree(sb, depth+1, nil)
 	}
 }
 

@@ -44,40 +44,25 @@ func NewTraceID() string {
 	return string(buf[:])
 }
 
-type ctxKey int
+// RequestIDs are the IDs the HTTP middleware accepted or minted for one
+// request: its X-Request-Id and its X-Trace-Id. A request's context carries
+// them as one value, so layers below the handler — core sessions,
+// executors — adopt the IDs on the wire instead of minting their own.
+type RequestIDs struct {
+	Request, Trace string
+}
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyTraceID
-)
+type idsKey struct{}
 
-// WithTraceID returns a context carrying the trace ID minted (or accepted)
-// by the HTTP middleware, so layers below the handler — core sessions,
-// executors — can adopt it instead of minting their own.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
+// WithRequestIDs returns a context carrying ids.
+func WithRequestIDs(ctx context.Context, ids *RequestIDs) context.Context {
+	return context.WithValue(ctx, idsKey{}, ids)
+}
+
+// RequestIDsFrom returns the IDs ctx carries (zero when absent).
+func RequestIDsFrom(ctx context.Context) RequestIDs {
+	if ids, ok := ctx.Value(idsKey{}).(*RequestIDs); ok {
+		return *ids
 	}
-	return context.WithValue(ctx, ctxKeyTraceID, id)
-}
-
-// TraceIDFrom extracts the trace ID from ctx ("" when absent).
-func TraceIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyTraceID).(string)
-	return id
-}
-
-// WithRequestID returns a context carrying the request ID from
-// X-Request-ID, for the same adoption pattern as WithTraceID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKeyRequestID, id)
-}
-
-// RequestIDFrom extracts the request ID from ctx ("" when absent).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
+	return RequestIDs{}
 }

@@ -153,37 +153,55 @@ func (v *TermView) Least(ids iter.Seq[ID], k int) []ID {
 	if k <= 0 {
 		return nil
 	}
-	h := make([]IDKey, 0, k) // h[0] is the greatest key kept
-	greater := func(i, j int) bool { return v.Compare(h[i], h[j]) > 0 }
-	down := func(i int) {
-		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
-			if c+1 < len(h) && greater(c+1, c) {
-				c++
-			}
-			if !greater(c, i) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-		}
-	}
+	h := &leastKeys{view: *v, keys: make([]IDKey, 0, k)}
 	for id := range ids {
-		if len(h) < k {
-			if h = append(h, v.Key(id)); len(h) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					down(i)
-				}
-			}
-		} else if key := v.Key(id); v.Compare(key, h[0]) < 0 {
-			h[0] = key
-			down(0)
-		}
+		h.offer(id)
 	}
-	slices.SortFunc(h, v.Compare)
-	out := make([]ID, len(h))
-	for i, key := range h {
+	slices.SortFunc(h.keys, h.view.Compare)
+	out := make([]ID, len(h.keys))
+	for i, key := range h.keys {
 		out[i] = key.ID
 	}
 	return out
+}
+
+// leastKeys is Least's bounded max-heap: keys[0] is the greatest key kept,
+// and cap(keys) is how many it keeps. It holds a copy of the view, so the
+// loop over the caller's IDs captures no pointer to the caller's view, which
+// can then stay on the caller's stack.
+type leastKeys struct {
+	view TermView
+	keys []IDKey
+}
+
+// offer keeps id's key if it is among the least seen so far.
+func (h *leastKeys) offer(id ID) {
+	k := cap(h.keys)
+	if len(h.keys) < k {
+		if h.keys = append(h.keys, h.view.Key(id)); len(h.keys) == k {
+			for i := k/2 - 1; i >= 0; i-- {
+				h.down(i)
+			}
+		}
+	} else if key := h.view.Key(id); h.view.Compare(key, h.keys[0]) < 0 {
+		h.keys[0] = key
+		h.down(0)
+	}
+}
+
+func (h *leastKeys) greater(i, j int) bool { return h.view.Compare(h.keys[i], h.keys[j]) > 0 }
+
+// down restores the heap below i.
+func (h *leastKeys) down(i int) {
+	for c := 2*i + 1; c < len(h.keys); i, c = c, 2*c+1 {
+		if c+1 < len(h.keys) && h.greater(c+1, c) {
+			c++
+		}
+		if !h.greater(c, i) {
+			return
+		}
+		h.keys[i], h.keys[c] = h.keys[c], h.keys[i]
+	}
 }
 
 // SortTerms sorts ts in Term.Less order, parsing each lexical form once.

@@ -347,22 +347,33 @@ func BenchmarkDictionary(b *testing.B) {
 		t.Value += "#absent"
 		misses[i] = t
 	}
+	// Each sub-benchmark steps a counter that wraps at the term count: an
+	// index taken modulo it would divide on every operation.
 	b.Run("intern-hit", func(b *testing.B) {
-		for i := 0; b.Loop(); i++ {
-			d.Intern(terms[i%len(terms)])
+		for i := 0; b.Loop(); {
+			d.Intern(terms[i])
+			if i++; i == len(terms) {
+				i = 0
+			}
 		}
 	})
 	b.Run("lookup-miss", func(b *testing.B) {
-		for i := 0; b.Loop(); i++ {
-			if _, ok := d.Lookup(misses[i%len(misses)]); ok {
+		for i := 0; b.Loop(); {
+			if _, ok := d.Lookup(misses[i]); ok {
 				b.Fatal("hit on an absent term")
+			}
+			if i++; i == len(misses) {
+				i = 0
 			}
 		}
 	})
 	b.Run("term", func(b *testing.B) {
 		var sink rdf.Term
-		for i := 0; b.Loop(); i++ {
-			sink = d.Term(rdf.ID(i%len(terms) + 1))
+		for id := rdf.ID(1); b.Loop(); {
+			sink = d.Term(id)
+			if id++; int(id) > len(terms) {
+				id = 1
+			}
 		}
 		_ = sink
 	})

@@ -194,6 +194,61 @@ func TestSingleflightLastWaiterCancels(t *testing.T) {
 	<-done
 }
 
+// TestSingleflightLeaderDeadlineEndsTheCall: the execution runs under the
+// leader's deadline. When it passes, the execution is cancelled with
+// DeadlineExceeded as its cause though a follower still waits, and the
+// follower shares the leader's timeout; a leader that merely goes away
+// leaves the execution to its followers (TestSingleflightFollowerAbandon's
+// mirror).
+func TestSingleflightLeaderDeadlineEndsTheCall(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cause error
+		want  error // the execution's cause, nil when it must run on
+	}{
+		{"deadline", context.DeadlineExceeded, context.DeadlineExceeded},
+		{"hang-up", context.Canceled, nil},
+	} {
+		var g Group
+		leaderCtx, leave := context.WithCancelCause(context.Background())
+		joined := make(chan struct{})
+		followerErr := make(chan error, 1)
+		go func() {
+			<-joined
+			_, _, err := g.Do(context.Background(), "k", 0, func(context.Context) (any, error) {
+				t.Error("follower must not execute fn")
+				return nil, nil
+			})
+			followerErr <- err
+		}()
+		_, _, err := g.Do(leaderCtx, "k", time.Hour, func(execCtx context.Context) (any, error) {
+			close(joined)
+			for { // until the follower waits on the call
+				g.mu.Lock()
+				n := g.calls["k"].waiters
+				g.mu.Unlock()
+				if n == 2 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			leave(c.cause)
+			select {
+			case <-execCtx.Done():
+				return nil, context.Cause(execCtx)
+			case <-time.After(200 * time.Millisecond):
+				return "ran on", nil
+			}
+		})
+		if c.want != nil && !errors.Is(err, c.want) || c.want == nil && err != nil {
+			t.Errorf("%s: the execution ended with %v, want %v", c.name, err, c.want)
+		}
+		if ferr := <-followerErr; ferr != err {
+			t.Errorf("%s: the follower got %v, the leader's execution %v", c.name, ferr, err)
+		}
+	}
+}
+
 // ---- AnswerCache ----
 
 func TestAnswerCacheFreshStale(t *testing.T) {

@@ -2,18 +2,23 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 )
 
 // Singleflight with reference-counted cancellation: N concurrent callers of
 // Do with the same key share one execution of fn. The leader runs fn under a
-// *detached* context (bounded only by the configured timeout), so a follower
-// — or even the leader's own client — disconnecting does not abort the work
-// the remaining waiters still need. Each waiter that gives up decrements a
-// reference count; when the last waiter abandons the call, the execution
-// context is cancelled and the engine's cooperative cancellation stops the
-// now-unwanted work.
+// *detached* context, so a follower — or even the leader's own client —
+// disconnecting does not abort the work the remaining waiters still need.
+// Each waiter that gives up decrements a reference count; when the last
+// waiter abandons the call, the execution context is cancelled and the
+// engine's cooperative cancellation stops the now-unwanted work.
+//
+// The execution has one cancellable context and arms no timer of its own
+// when the leader's request already has one: it ends at the leader's
+// deadline, which a server derives from the same per-query timeout for
+// every request, so every follower — arrived later — has one no earlier.
 
 // call is one in-flight execution.
 type call struct {
@@ -39,15 +44,15 @@ type Group struct {
 // identical calls → 1 execution, N-1 shared).
 //
 // fn receives a context detached from any single caller's request: it is
-// cancelled when timeout expires (if > 0) or when every waiter has
-// abandoned the call, whichever comes first. A waiter whose own ctx ends
-// before the result is ready returns ctx.Err() without disturbing the
-// remaining waiters. When the last abandoning waiter left because its own
-// deadline expired, that reason is propagated as the execution context's
-// cancellation cause — context.Cause(execCtx) then reports
-// DeadlineExceeded — so callers can tell an effective timeout from a
-// client disconnect even when the abandonment cancel beats the execution
-// context's own identical timer (a scheduling race otherwise).
+// cancelled when the leader's deadline passes, when timeout (if > 0) has
+// passed since the call began — a timer armed only when the leader's
+// deadline would not come first — or when every waiter has abandoned the
+// call, whichever comes first. A waiter whose own ctx ends before the result
+// is ready returns ctx.Err() without disturbing the remaining waiters. The
+// cancellation carries its reason as the execution context's cause —
+// context.Cause(execCtx) reports DeadlineExceeded for a deadline or a
+// timeout, and the last abandoning waiter's own cause otherwise — so
+// callers can tell an effective timeout from a client disconnect.
 func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -58,19 +63,25 @@ func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn fu
 		g.mu.Unlock()
 		return g.wait(ctx, c)
 	}
-	base, cancel := context.WithCancelCause(context.Background())
-	execCtx := context.Context(base)
-	stopTimer := func() {}
-	if timeout > 0 {
-		execCtx, stopTimer = context.WithTimeout(base, timeout)
-	}
+	execCtx, cancel := context.WithCancelCause(context.Background())
 	c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	// If the leader's own request dies, it becomes an ordinary abandoning
-	// waiter: the execution keeps running as long as any follower remains.
-	stop := context.AfterFunc(ctx, func() { g.abandon(c, context.Cause(ctx)) })
+	if deadline, ok := ctx.Deadline(); timeout > 0 && (!ok || time.Until(deadline) > timeout) {
+		t := time.AfterFunc(timeout, func() { cancel(context.DeadlineExceeded) })
+		defer t.Stop()
+	}
+	// The leader's request ending past its deadline ends the execution; a
+	// leader that went away becomes an ordinary abandoning waiter, and the
+	// execution keeps running as long as any follower remains.
+	stop := context.AfterFunc(ctx, func() {
+		if cause := context.Cause(ctx); errors.Is(cause, context.DeadlineExceeded) {
+			cancel(cause)
+		} else {
+			g.abandon(c, cause)
+		}
+	})
 	c.val, c.err = fn(execCtx)
 	stop()
 
@@ -78,7 +89,6 @@ func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn fu
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	stopTimer()
 	cancel(nil)
 	return c.val, false, c.err
 }

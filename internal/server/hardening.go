@@ -36,18 +36,15 @@ var (
 )
 
 // queryCtx derives the evaluation context for a request: the request's own
-// context (cancelled when the client disconnects) bounded by the server's
-// per-query wall-clock deadline, when one is configured. The middleware's
-// request and trace IDs ride along so traces minted deeper in the stack
-// (core sessions, updates) adopt the IDs already on the wire.
+// context (cancelled when the client disconnects, and carrying the
+// middleware's IDs) bounded by the server's per-query wall-clock deadline,
+// when one is configured. Its timer is the one an execution has: a
+// collapsed execution runs under its leader's deadline (resilience.Group).
 func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	ctx = obs.WithRequestID(ctx, requestID(r))
-	ctx = obs.WithTraceID(ctx, traceIDOf(r))
 	if s.cfg.QueryTimeout > 0 {
-		return context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		return context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	}
-	return ctx, func() {}
+	return r.Context(), func() {}
 }
 
 // abortStatus maps an evaluation error onto the response taxonomy:
@@ -78,7 +75,7 @@ func queryError(w http.ResponseWriter, err error) {
 		if id := w.Header().Get(headerRequestID); id != "" {
 			body["request_id"] = id
 		}
-		w.Header().Set("Content-Type", "application/json")
+		setHeader(w, "Content-Type", "application/json")
 		w.WriteHeader(code)
 		writeJSONBody(w, body)
 		return

@@ -6,6 +6,8 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
+
+	"rdfanalytics/internal/obs"
 )
 
 // ---- request IDs ----
@@ -21,13 +23,16 @@ const (
 	headerTraceID   = "X-Trace-Id"
 )
 
-// newRequestID mints a 16-hex-char random id.
+// newRequestID mints a 16-hex-char random id, encoded on the stack: the
+// string is its one allocation.
 func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "unknown"
 	}
-	return hex.EncodeToString(b[:])
+	var buf [16]byte
+	hex.Encode(buf[:], b[:])
+	return string(buf[:])
 }
 
 // validRequestID accepts ids that are safe to echo into headers and logs.
@@ -47,9 +52,11 @@ func validRequestID(id string) bool {
 	return true
 }
 
-// requestID returns the id the middleware stamped on the request.
-func requestID(r *http.Request) string {
-	return r.Header.Get(headerRequestID)
+// opRecord starts the record of one operation of kind that r asked for:
+// the IDs the middleware gave the request.
+func opRecord(r *http.Request, kind string) obs.QueryRecord {
+	ids := obs.RequestIDsFrom(r.Context())
+	return obs.QueryRecord{Kind: kind, RequestID: ids.Request, TraceID: ids.Trace}
 }
 
 // ---- health probes ----
@@ -74,7 +81,7 @@ func (s *Server) Draining() bool {
 // scraper, is for the operator's alerting to act on.
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Content-Type", "application/json")
+		setHeader(w, "Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		writeJSONBody(w, map[string]string{"status": "draining"})
 		return

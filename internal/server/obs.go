@@ -20,9 +20,14 @@ var (
 
 // statusWriter captures the status code a handler writes, defaulting to 200
 // when the handler never calls WriteHeader explicitly.
+// It also holds, in the one allocation the middleware makes for a request,
+// the request's IDs, which its context carries, and the backing of their
+// response header values.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	ids    obs.RequestIDs
+	idVals [2]string
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -48,27 +53,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // the route table, not by URLs.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w}
 	// Request-ID middleware: keep a well-formed client-supplied X-Request-ID
-	// (so ids propagate through proxies and retries), mint one otherwise, and
-	// stamp it on both the request (handlers, the slow-query log and traces
-	// read it back) and the response.
+	// (so ids propagate through proxies and retries), mint one otherwise.
+	// Trace-ID middleware, same contract: accept a well-formed client
+	// X-Trace-ID (distributed callers correlate their own traces), mint one
+	// otherwise. Both go out on the response, and reach handlers — the
+	// records, traces and sessions they open — as one value of the request's
+	// context; cached answers overwrite the response's trace ID with the
+	// retained filler's (setTraceHeader).
 	id := r.Header.Get(headerRequestID)
 	if !validRequestID(id) {
 		id = newRequestID()
 	}
-	r.Header.Set(headerRequestID, id)
-	sw.Header().Set(headerRequestID, id)
-	// Trace-ID middleware, same contract: accept a well-formed client
-	// X-Trace-ID (distributed callers correlate their own traces), mint one
-	// otherwise. Handlers thread it into the engine via queryCtx; cached
-	// answers overwrite the response header with the retained filler's ID.
 	tid := r.Header.Get(headerTraceID)
 	if !validRequestID(tid) {
 		tid = obs.NewTraceID()
 	}
-	r.Header.Set(headerTraceID, tid)
-	sw.Header().Set(headerTraceID, tid)
+	sw := &statusWriter{ResponseWriter: w, ids: obs.RequestIDs{Request: id, Trace: tid}, idVals: [2]string{id, tid}}
+	h := sw.Header()
+	h[headerRequestID], h[headerTraceID] = sw.idVals[0:1:1], sw.idVals[1:2:2]
+	r = r.WithContext(obs.WithRequestIDs(r.Context(), &sw.ids))
 	if r.Method == http.MethodPost {
 		if max := s.cfg.maxBodyBytes(); max > 0 {
 			r.Body = http.MaxBytesReader(sw, r.Body, max)

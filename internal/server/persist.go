@@ -29,10 +29,8 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	rec := obs.QueryRecord{
-		Kind: "checkpoint", Shape: "checkpoint", FingerprintID: sparql.FingerprintID("checkpoint"),
-		RequestID: requestID(r), TraceID: traceIDOf(r),
-	}
+	rec := opRecord(r, "checkpoint")
+	rec.Shape, rec.FingerprintID = "checkpoint", sparql.FingerprintID("checkpoint")
 	err := s.operation("checkpoint", rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
 		return nil, st.CheckpointTraced(rec.Trace.Root())
 	})

@@ -71,13 +71,6 @@ func init() {
 	}
 }
 
-// sparqlRecord starts the record of one /sparql operation: the query and
-// the request's ids. Its shape and fingerprint come from the parse on a miss
-// and from the answer on a hit.
-func sparqlRecord(r *http.Request, raw string) obs.QueryRecord {
-	return obs.QueryRecord{Kind: "sparql", Query: raw, RequestID: requestID(r), TraceID: traceIDOf(r)}
-}
-
 // guarded is the one body every engine execution behind /sparql and
 // /api/run runs in: the admission gate (admit/wait metrics), then exec as
 // one recorded operation (see operation) — recorded after the outcome and
@@ -208,10 +201,44 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 		return ans
 	}
 	cacheMiss.Inc()
-	w.Header().Set("X-Cache", "miss")
-	w.Header().Set("Content-Type", ans.ContentType)
+	setHeader(w, "X-Cache", "miss")
+	setHeader(w, "Content-Type", ans.ContentType)
 	writeAnswer(w, ans)
 	return ans
+}
+
+// sharedHeader holds the response header values many responses carry, one
+// slice each that all of them share: a slice of capacity 1, so an Add to
+// one response's header copies it rather than writing into another's.
+var sharedHeader = map[string][]string{}
+
+func init() {
+	for _, v := range []string{
+		"hit", "stale", "miss", "bypass", "collapsed",
+		"application/sparql-results+json", "application/json", "text/csv", "application/n-triples",
+	} {
+		sharedHeader[v] = []string{v}[:1:1]
+	}
+}
+
+// setHeader sets the canonical header key to val, with the shared value
+// slice when sharedHeader holds one.
+func setHeader(w http.ResponseWriter, key, val string) {
+	if v, ok := sharedHeader[val]; ok {
+		w.Header()[key] = v
+		return
+	}
+	w.Header().Set(key, val)
+}
+
+// setTraceHeader points the response at trace id: in place, in the value
+// slice the middleware made for this response alone.
+func setTraceHeader(w http.ResponseWriter, id string) {
+	if v := w.Header()[headerTraceID]; len(v) == 1 {
+		v[0] = id
+		return
+	}
+	w.Header().Set(headerTraceID, id)
 }
 
 // writeAnswer writes ans's status, unless it is 200, and its body: the
@@ -308,10 +335,10 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.Rea
 // (overwriting the middleware-minted ID — this request did no execution of
 // its own).
 func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer, rec obs.QueryRecord, start time.Time) {
-	w.Header().Set("X-Cache", rec.Cache)
-	w.Header().Set("Content-Type", ans.ContentType)
+	setHeader(w, "X-Cache", rec.Cache)
+	setHeader(w, "Content-Type", ans.ContentType)
 	if ans.TraceID != "" {
-		w.Header().Set(headerTraceID, ans.TraceID)
+		setTraceHeader(w, ans.TraceID)
 	}
 	writeAnswer(w, ans)
 	// A run's shape is known once its SPARQL is, and a /sparql hit parsed
@@ -325,7 +352,7 @@ func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer
 // admission gate: the cache stores one rendering per query.
 func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
 	cacheBypass.Inc()
-	w.Header().Set("X-Cache", "bypass")
+	setHeader(w, "X-Cache", "bypass")
 	rec.Cache = "bypass"
 	var tab *sparql.Table
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
@@ -342,7 +369,7 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 		return
 	}
 	tab.Sort()
-	w.Header().Set("Content-Type", "text/csv")
+	setHeader(w, "Content-Type", "text/csv")
 	tab.WriteCSV(w)
 }
 
@@ -352,7 +379,7 @@ func (s *Server) execSelectCSV(w http.ResponseWriter, ctx context.Context, q *sp
 func (s *Server) serveGraphQuery(w http.ResponseWriter, ctx context.Context, q *sparql.Query, rec obs.QueryRecord) {
 	rec.Cache = "bypass"
 	cacheBypass.Inc()
-	w.Header().Set("X-Cache", "bypass")
+	setHeader(w, "X-Cache", "bypass")
 	var out *rdf.Graph
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
 		opts := s.engineOpts(rec)
@@ -374,7 +401,7 @@ func (s *Server) serveGraphQuery(w http.ResponseWriter, ctx context.Context, q *
 		execError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/n-triples")
+	setHeader(w, "Content-Type", "application/n-triples")
 	rdf.WriteNTriples(w, out)
 }
 
@@ -389,7 +416,7 @@ func admitReject(w http.ResponseWriter, aerr *resilience.AdmitError) {
 	if id := w.Header().Get(headerRequestID); id != "" {
 		body["request_id"] = id
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setHeader(w, "Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	writeJSONBody(w, body)
 }

@@ -697,12 +697,15 @@ func TestDashboardResilienceCard(t *testing.T) {
 }
 
 // cachedReadAllocBudget is what one warmed GET /sparql hit may allocate
-// through ServeHTTP, httptest's request and recorder included. Measured with
-// go1.24 on linux/amd64: 35 (12 of them the request and recorder; 37 under
-// -race). The parent layout, which parsed and fingerprinted every hit and
-// canonicalized the middleware's header keys, measured 96. The budget is
-// the measurement plus a margin of 5.
-const cachedReadAllocBudget = 40
+// through ServeHTTP, httptest's request and recorder included. Measured
+// with go1.24 on linux/amd64: 25 (16 of them in httptest's request and
+// recorder; 27 under -race). It measured 35 while the middleware wrote both IDs onto the
+// request's headers for handlers to read back, every header value was a
+// slice of its own, the request ID went through hex.EncodeToString and the
+// handler built the whole url.Values for its query parameter; 96 when every
+// hit was parsed and fingerprinted and the middleware's header keys
+// canonicalized. The budget is the measurement plus a margin of 5.
+const cachedReadAllocBudget = 30
 
 // cachedRead returns one GET /sparql of laptopQuery on a fresh request and
 // recorder, through the full middleware stack of a server already holding
@@ -734,11 +737,16 @@ func TestCachedReadAllocs(t *testing.T) {
 // repeatedMissAllocBudget is what one GET /sparql of the chain/usb-1 shape
 // may allocate through ServeHTTP when the answer cache is off, so the read
 // is a miss, and the shape already ran. Measured with go1.24 on
-// linux/amd64: 378 (391–393 under -race). When the planner kept an
-// execution-feedback store, the same read measured 699: the second run of a
-// shape copied the shape's observed cardinalities, priced every step from
-// them and folded its own back in. The budget is the measurement plus 10 %.
-const repeatedMissAllocBudget = 416
+// linux/amd64: 179 (189 under -race). It measured 226 while the operator
+// profile allocated its nodes, children lists and labels one by one as the
+// query ran, the misestimate table took a sorted slice of rendered rows, the
+// IDs reached handlers through request headers and two context values, and
+// singleflight armed a timer of its own; 378 before that, in a layout this
+// comment kept after it changed. When the planner kept an execution-feedback
+// store, the same read measured 699: the second run of a shape copied the
+// shape's observed cardinalities, priced every step from them and folded its
+// own back in. The budget is the measurement plus 10 %.
+const repeatedMissAllocBudget = 197
 
 // repeatedMiss returns one GET /sparql of sparql-cold's chain/usb-1 shape
 // over 500 generated laptops, on a fresh request and recorder, through a

@@ -16,6 +16,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -292,7 +293,7 @@ func (s *Server) dropSession(e *sessEntry) {
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	setHeader(w, "Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -316,7 +317,7 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	if id := w.Header().Get(headerRequestID); id != "" {
 		body["request_id"] = id
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setHeader(w, "Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(body)
 }
@@ -332,7 +333,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	var query string
 	switch r.Method {
 	case http.MethodGet:
-		query = r.URL.Query().Get("query")
+		query = queryParam(r.URL.RawQuery, "query")
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		update := strings.HasPrefix(ct, "application/sparql-update")
@@ -379,7 +380,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// the parse tells a SELECT from an ASK, so that request looks up after it.
 	start := time.Now()
 	key := resilience.Key{Text: query}
-	rec := sparqlRecord(r, query)
+	// The record's shape and fingerprint come from the parse on a miss and
+	// from the answer on a hit.
+	rec := opRecord(r, "sparql")
+	rec.Query = query
 	csv := strings.Contains(r.Header.Get("Accept"), "text/csv")
 	if !csv && s.serveHit(w, r, key, rec, start) != nil {
 		return
@@ -403,6 +407,28 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(key, q), start)
 	}
+}
+
+// queryParam returns the first value of key in a URL's raw query, as
+// URL.Query().Get(key) would, without building the values of every key.
+func queryParam(raw, key string) string {
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(kv, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		if k != key {
+			if k, err := url.QueryUnescape(k); err != nil || k != key {
+				continue
+			}
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // updateShapes fingerprint updates by operation kind, the way checkpoints
@@ -429,7 +455,8 @@ func (s *Server) execUpdate(w http.ResponseWriter, r *http.Request, src string) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// An unparseable update keeps the generic shape "update".
-	rec := obs.QueryRecord{Kind: "update", Shape: "update", Query: src, RequestID: requestID(r), TraceID: traceIDOf(r)}
+	rec := opRecord(r, "update")
+	rec.Shape, rec.Query = "update", src
 	var res sparql.UpdateResult
 	applied := false
 	err := s.operation("update", rec, func(rec *obs.QueryRecord) (*sparql.Profile, error) {
@@ -606,7 +633,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	hq := run.Query.String()
-	rec := obs.QueryRecord{Kind: "analytics", Query: hq, RequestID: requestID(r), TraceID: traceIDOf(r)}
+	rec := opRecord(r, "analytics")
+	rec.Query = hq
 	key := resilience.Key{Namespace: "analytics", Text: run.Key}
 	if sess.Depth() == 1 {
 		if ans := s.serveHit(w, r, key, rec, start); ans != nil {
@@ -643,7 +671,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cacheBypass.Inc()
-	w.Header().Set("X-Cache", "bypass")
+	setHeader(w, "X-Cache", "bypass")
 	rec.Cache = "bypass"
 	var ans *resilience.Answer
 	release, err := s.guarded(ctx, rec, func(rec *obs.QueryRecord) (prof *sparql.Profile, err error) {
@@ -656,7 +684,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.SetAnswer(ans.Frame)
-	w.Header().Set("Content-Type", ans.ContentType)
+	setHeader(w, "Content-Type", ans.ContentType)
 	w.Write(ans.Body)
 }
 

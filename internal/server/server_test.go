@@ -655,3 +655,18 @@ func TestResetEndpoint(t *testing.T) {
 		t.Fatalf("breadcrumb after reset: %v", st["breadcrumb"])
 	}
 }
+
+// TestQueryParamMatchesURLValues: /sparql reads its query parameter as
+// URL.Query().Get would, escapes, repeats, semicolons and malformed pairs
+// included.
+func TestQueryParamMatchesURLValues(t *testing.T) {
+	for _, raw := range []string{
+		"", "query=", "query", "query=SELECT%20*", "query=a+b&query=c", "x=1&query=%3F&y=2",
+		"qu%65ry=escaped%20key", "query=%zz&query=second", "query=a;b&query=c", "a;query=b",
+		"&&query=x", "query=1=2", "QUERY=upper", "query%=bad&query=ok", "q=1",
+	} {
+		if got, want := queryParam(raw, "query"), (&url.URL{RawQuery: raw}).Query().Get("query"); got != want {
+			t.Errorf("queryParam(%q) = %q, URL.Query().Get = %q", raw, got, want)
+		}
+	}
+}

@@ -26,11 +26,6 @@ import (
 	"rdfanalytics/internal/sparql"
 )
 
-// traceIDOf returns the trace ID the middleware stamped on the request.
-func traceIDOf(r *http.Request) string {
-	return r.Header.Get(headerTraceID)
-}
-
 // operation runs do as one recorded operation: a trace rooted at root that
 // carries the request's trace and request IDs (rec.Trace while do runs), do
 // timed, the trace finished and the record made. do fills in what it learns
@@ -40,9 +35,7 @@ func (s *Server) operation(root string, rec obs.QueryRecord, do func(rec *obs.Qu
 	start := time.Now()
 	rec.Trace = obs.NewTrace(root)
 	rec.Trace.SetID(rec.TraceID)
-	if rec.RequestID != "" {
-		rec.Trace.Root().SetAttr("request_id", rec.RequestID)
-	}
+	rec.Trace.SetRequestID(rec.RequestID)
 	prof, err := do(&rec)
 	rec.Duration = time.Since(start)
 	rec.Trace.Finish()
@@ -55,9 +48,9 @@ func (s *Server) operation(root string, rec obs.QueryRecord, do func(rec *obs.Qu
 // in one record for the operations log. It fills in what every caller
 // would otherwise derive: the outcome from err's abort taxonomy ("ok", or
 // "timeout", "cancelled", "budget", … with "error" as the fallback), and
-// the profile's worst q-error and plan-vs-actual rows (prof may be nil).
-// The profile itself rides along by reference: the log marshals it only
-// for a trace it retains. A record without a trace (a cache serve) carries
+// the profile's worst q-error (prof may be nil). The profile itself rides
+// along by reference: the log reads its plan-vs-actual rows, and marshals it
+// only for a trace it retains. A record without a trace (a cache serve) carries
 // the filler's trace ID.
 func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 	rec.Outcome = "ok"
@@ -70,7 +63,6 @@ func (s *Server) record(rec obs.QueryRecord, err error, prof *sparql.Profile) {
 	if prof != nil {
 		rec.Profile = prof
 		rec.MaxQError = prof.MaxQError()
-		rec.Estimates = prof.Estimates()
 	}
 	rec.When = time.Now()
 	s.oplog.Record(rec)

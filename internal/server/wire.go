@@ -42,7 +42,7 @@ type bodyWriter struct {
 }
 
 func newBodyWriter(w http.ResponseWriter) *bodyWriter {
-	w.Header().Set("Content-Type", "application/json")
+	setHeader(w, "Content-Type", "application/json")
 	return chunkWriter(w)
 }
 

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 
 	"rdfanalytics/internal/rdf"
@@ -64,7 +63,7 @@ type aggAcc struct {
 type aggRef int
 
 func (aggRef) isExpr()          {}
-func (r aggRef) String() string { return "$agg" + strconv.Itoa(int(r)) }
+func (r aggRef) String() string { return string(appendExpr(nil, r)) }
 
 func (ev *evaluator) newGroupFold(q *Query) *groupFold {
 	n := len(q.GroupBy)

@@ -12,6 +12,7 @@ package sparql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -161,8 +162,12 @@ type TriplePattern struct {
 
 func (tp TriplePattern) String() string {
 	var buf [128]byte
-	b := buf[:0]
-	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+	return string(tp.appendText(buf[:0]))
+}
+
+// appendText appends the pattern as String renders it.
+func (tp *TriplePattern) appendText(b []byte) []byte {
+	for i, n := range [3]*Node{&tp.S, &tp.P, &tp.O} {
 		switch {
 		case i == 1 && tp.Path != nil:
 			b = append(b, tp.Path.String()...)
@@ -173,7 +178,7 @@ func (tp TriplePattern) String() string {
 		}
 		b = append(b, ' ')
 	}
-	return string(append(b, '.'))
+	return append(b, '.')
 }
 
 // appendNT appends the term in N-Triples syntax: rdf.Term.String's bytes.
@@ -327,54 +332,78 @@ func (ExprAggregate) isExpr() {}
 func (ExprExists) isExpr()    {}
 func (ExprIn) isExpr()        {}
 
-func (e ExprVar) String() string   { return "?" + e.Name }
-func (e ExprTerm) String() string  { return e.Term.String() }
-func (e ExprUnary) String() string { return e.Op + e.Sub.String() }
-func (e ExprBinary) String() string {
-	return "(" + e.Left.String() + " " + e.Op + " " + e.Right.String() + ")"
+func (e ExprVar) String() string       { return string(appendExpr(nil, e)) }
+func (e ExprTerm) String() string      { return string(appendExpr(nil, e)) }
+func (e ExprUnary) String() string     { return string(appendExpr(nil, e)) }
+func (e ExprBinary) String() string    { return string(appendExpr(nil, e)) }
+func (e ExprCall) String() string      { return string(appendExpr(nil, e)) }
+func (e ExprAggregate) String() string { return string(appendExpr(nil, e)) }
+func (e ExprExists) String() string    { return string(appendExpr(nil, e)) }
+func (e ExprIn) String() string        { return string(appendExpr(nil, e)) }
+
+// appendExpr appends the text of e: what its String returns, rendered
+// into b so that a caller holding a buffer allocates nothing.
+func appendExpr(b []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case ExprVar:
+		return append(append(b, '?'), e.Name...)
+	case ExprTerm:
+		return appendNT(b, e.Term)
+	case ExprUnary:
+		return appendExpr(append(b, e.Op...), e.Sub)
+	case ExprBinary:
+		b = appendExpr(append(b, '('), e.Left)
+		b = append(append(append(b, ' '), e.Op...), ' ')
+		return append(appendExpr(b, e.Right), ')')
+	case ExprCall:
+		if strings.Contains(e.Func, "://") {
+			b = append(append(append(b, '<'), e.Func...), '>')
+		} else {
+			b = append(b, e.Func...)
+		}
+		return append(appendExprList(append(b, '('), e.Args), ')')
+	case ExprAggregate:
+		b = append(append(b, e.Func...), '(')
+		if e.Distinct {
+			b = append(b, "DISTINCT "...)
+		}
+		if e.Star {
+			b = append(b, '*')
+		} else if e.Arg != nil {
+			b = appendExpr(b, e.Arg)
+		}
+		if e.Func == "GROUP_CONCAT" && e.Separator != "" {
+			b = append(append(append(b, `; SEPARATOR="`...), e.Separator...), '"')
+		}
+		return append(b, ')')
+	case ExprExists:
+		if e.Not {
+			b = append(b, "NOT "...)
+		}
+		return append(b, "EXISTS {...}"...)
+	case ExprIn:
+		b = appendExpr(b, e.Left)
+		if e.Not {
+			b = append(b, " NOT IN ("...)
+		} else {
+			b = append(b, " IN ("...)
+		}
+		return append(appendExprList(b, e.List), ')')
+	case aggRef:
+		return strconv.AppendInt(append(b, "$agg"...), int64(e), 10)
+	}
+	return append(b, e.String()...)
 }
-func (e ExprCall) String() string {
-	args := make([]string, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.String()
+
+// appendExprList appends es separated by ", ".
+func appendExprList(b []byte, es []Expr) []byte {
+	for i, x := range es {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, x)
 	}
-	name := e.Func
-	if strings.Contains(name, "://") {
-		name = "<" + name + ">"
-	}
-	return name + "(" + strings.Join(args, ", ") + ")"
-}
-func (e ExprAggregate) String() string {
-	inner := ""
-	if e.Star {
-		inner = "*"
-	} else if e.Arg != nil {
-		inner = e.Arg.String()
-	}
-	if e.Distinct {
-		inner = "DISTINCT " + inner
-	}
-	if e.Func == "GROUP_CONCAT" && e.Separator != "" {
-		inner += `; SEPARATOR="` + e.Separator + `"`
-	}
-	return e.Func + "(" + inner + ")"
-}
-func (e ExprExists) String() string {
-	if e.Not {
-		return "NOT EXISTS {...}"
-	}
-	return "EXISTS {...}"
-}
-func (e ExprIn) String() string {
-	items := make([]string, len(e.List))
-	for i, x := range e.List {
-		items[i] = x.String()
-	}
-	op := " IN "
-	if e.Not {
-		op = " NOT IN "
-	}
-	return e.Left.String() + op + "(" + strings.Join(items, ", ") + ")"
+	return b
 }
 
 // walkExpr calls fn for e and then for its sub-expressions, depth first;

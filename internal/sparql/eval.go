@@ -116,17 +116,20 @@ func newEvaluator(ctx context.Context, g *rdf.Graph, opts Options) *evaluator {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &evaluator{
+	ev := &evaluator{
 		g:          g,
 		noReorder:  opts.NoReorder,
 		noPushdown: opts.NoPushdown,
-		prof:       opts.Profile.Root(),
 		cancel:     &evalCancel{ctx: ctx},
 		limits:     opts.Limits,
 		dict:       &termDict{g: g, ids: map[rdf.Term]rdf.ID{}},
 		optional:   (*evaluator).evalOptional,
 		ext:        opts.Extension,
 	}
+	if opts.Profile != nil {
+		ev.prof = opts.Profile.root
+	}
+	return ev
 }
 
 // ExecSelectOpts executes a parsed SELECT query with explicit options.

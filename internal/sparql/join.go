@@ -204,6 +204,9 @@ type stepFilter struct {
 	dur     []time.Duration // nil when not profiled
 	from    int             // the first row written that has not been sieved
 	cur     int             // the filter keep applies
+	// durs backs dur for a step of up to 4 filters, so that profiling
+	// allocates nothing per step.
+	durs [4]time.Duration
 }
 
 // keep reports whether the current filter holds for the row.
@@ -257,8 +260,10 @@ func (ev *evaluator) evalPattern(tp *TriplePattern, pp *patPlan, in *rowWriter, 
 	var sf *stepFilter
 	if len(step.filters) > 0 {
 		sf = &stepFilter{env: exprEnv{ev: ev}, filters: step.filters, pass: make([]int, len(step.filters)+1)}
-		if ev.prof != nil {
-			sf.dur = make([]time.Duration, len(step.filters))
+		if n := len(step.filters); ev.prof != nil && n <= len(sf.durs) {
+			sf.dur = sf.durs[:n]
+		} else if ev.prof != nil {
+			sf.dur = make([]time.Duration, n)
 		}
 	}
 	w := &rowWriter{width: in.width}

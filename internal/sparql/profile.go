@@ -3,7 +3,6 @@ package sparql
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,41 +37,94 @@ var plannerQError = obs.Default.Histogram("rdfa_planner_qerror", qerrorBuckets)
 
 // Profile is the root handle of one query's operator profile. The zero
 // value is not usable; call NewProfile. All methods are nil-safe.
+//
+// The tree lives in a slab: its nodes, and the lists of their children, are
+// cut from chunks the profile holds — the first chunks come with it — so
+// profiling a query costs the same few allocations whatever the query, up to
+// profChunk operators. A node holds its site rather than its label: labels
+// are rendered when something reads them (Root, Tree, Export, Estimates,
+// EachEstimate). Reading renders into the profile, so, as while the query
+// writes it, one goroutine at a time reads it.
 type Profile struct {
-	root *ProfNode
+	root    *ProfNode // the first node of the first chunk
+	traceID string
+	// nodes is the chunk new nodes come from; its length counts the ones
+	// handed out. It never grows in place, so a node never moves.
+	nodes []ProfNode
+	// lists is the chunk children lists come from, the same way.
+	lists []*ProfNode
+	// text is scratch for rendering a label, backed by scratch until a
+	// label outgrows it.
+	text       []byte
+	scratch    [256]byte
+	firstNodes [profChunk]ProfNode
+	firstLists [4 * profChunk]*ProfNode
 }
+
+// profChunk is the number of nodes in a chunk of a profile's slab: a query
+// of a dozen patterns, their filters and its modifiers fits the first.
+const profChunk = 16
 
 // NewProfile returns a profile whose root node carries the given name (the
 // query kind, e.g. "sparql" or "run_analytics").
 func NewProfile(name string) *Profile {
-	return &Profile{root: &ProfNode{Op: name, EstRows: -1}}
+	p := &Profile{}
+	p.nodes, p.lists, p.text = p.firstNodes[:1], p.firstLists[:0], p.scratch[:0]
+	p.root = &p.firstNodes[0]
+	*p.root = ProfNode{Op: name, EstRows: -1, prof: p}
+	return p
 }
 
-// Root returns the root node, or nil for a nil profile — the evaluator
-// stores this pointer and pays one nil test per instrumentation site.
+// Root returns the root node with every label of the tree rendered, or nil
+// for a nil profile. The evaluator records into p.root, labels unrendered.
 func (p *Profile) Root() *ProfNode {
 	if p == nil {
 		return nil
 	}
+	p.root.renderLabels()
 	return p.root
 }
 
-// SetTraceID links the profile's root node to an obs trace, so exported
-// profiles carry the ID of the span tree recorded alongside them. An empty
-// ID is ignored.
+// SetTraceID links the profile to an obs trace, so exported profiles carry
+// the ID of the span tree recorded alongside them. An empty ID is ignored.
 func (p *Profile) SetTraceID(id string) {
 	if p == nil || id == "" {
 		return
 	}
-	p.root.TraceID = id
+	p.traceID = id
 }
 
 // TraceID returns the linked trace ID ("" when unlinked or nil).
 func (p *Profile) TraceID() string {
-	if p == nil || p.root == nil {
+	if p == nil {
 		return ""
 	}
-	return p.root.TraceID
+	return p.traceID
+}
+
+// newNode hands out the next node of the slab, starting a chunk when the
+// current one is full.
+func (p *Profile) newNode() *ProfNode {
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]ProfNode, 0, profChunk)
+	}
+	p.nodes = p.nodes[:len(p.nodes)+1]
+	return &p.nodes[len(p.nodes)-1]
+}
+
+// addChild appends c to n's children. A full list moves to a span of the
+// slab twice its size (4 at first); what it leaves is not reused.
+func (p *Profile) addChild(n, c *ProfNode) {
+	if len(n.children) == cap(n.children) {
+		size := max(4, 2*cap(n.children))
+		if cap(p.lists)-len(p.lists) < size {
+			p.lists = make([]*ProfNode, 0, max(size, 4*profChunk))
+		}
+		span := p.lists[len(p.lists) : len(p.lists)+size : len(p.lists)+size]
+		p.lists = p.lists[:len(p.lists)+size]
+		n.children = span[:copy(span, n.children)]
+	}
+	n.children = append(n.children, c)
 }
 
 // ProfNode is one operator of the profile tree. Fields accumulate across
@@ -84,7 +136,8 @@ type ProfNode struct {
 	// subquery, extension, path_scan, match, aggregate, extend, modifiers.
 	Op string
 	// Label distinguishes operator sites of the same kind, e.g. the triple
-	// pattern of a scan or the expression of a filter.
+	// pattern of a scan or the expression of a filter. It is rendered from
+	// the site when the tree is read (Profile.Root).
 	Label string
 	// Calls counts invocations folded into this node.
 	Calls int
@@ -96,23 +149,21 @@ type ProfNode struct {
 	EstRows int64
 	// Strategy is the join strategy an index scan chose (last call wins).
 	Strategy string
-	// Fold marks the scan whose rows went straight to the group fold.
-	Fold bool
 	// Dur totals wall time across calls.
 	Dur time.Duration
-	// TraceID links the profile to the obs trace of the execution that
-	// produced it (set on the root node only, by Profile.SetTraceID).
-	TraceID string
+	// Fold marks the scan whose rows went straight to the group fold.
+	Fold bool
 
-	children []*ProfNode
-	site     any // the first site folded into the node
+	prof     *Profile    // the slab the node's children come from
+	children []*ProfNode // in the order they first ran; cut from the slab
+	site     any         // the first site folded into the node
 }
 
 // child returns (creating on first use) the child node for op at site: the
 // query's *TriplePattern or *Expr the operator runs, the variable an
 // Extension binds, or nil for one without a label. A site is found by
-// identity, so its label is rendered once per node; two sites of one text
-// share the node their label names.
+// identity; two sites of one text share the node their label names, which
+// is found by rendering both texts into the profile's scratch.
 func (n *ProfNode) child(op string, site any) *ProfNode {
 	if n == nil {
 		return nil
@@ -122,23 +173,61 @@ func (n *ProfNode) child(op string, site any) *ProfNode {
 			return c
 		}
 	}
-	label := ""
-	switch s := site.(type) {
-	case *TriplePattern:
-		label = s.String()
-	case *Expr:
-		label = (*s).String()
-	case string: // the variable of the Extension
-		label = s
+	if c := n.sameText(op, site); c != nil {
+		return c
 	}
+	c := n.prof.newNode()
+	*c = ProfNode{Op: op, EstRows: -1, prof: n.prof, site: site}
+	n.prof.addChild(n, c)
+	return c
+}
+
+// sameText returns the child for op whose site renders the text site
+// renders, or nil.
+func (n *ProfNode) sameText(op string, site any) *ProfNode {
+	p := n.prof
+	var text []byte // site's, rendered at the first child of op
 	for _, c := range n.children {
-		if c.Op == op && c.Label == label {
+		if c.Op != op {
+			continue
+		}
+		if text == nil {
+			text = appendLabel(p.text[:0], site)
+		}
+		both := appendLabel(text, c.site)
+		p.text, text = both, both[:len(text)]
+		if string(both[len(text):]) == string(text) {
 			return c
 		}
 	}
-	c := &ProfNode{Op: op, Label: label, EstRows: -1, site: site}
-	n.children = append(n.children, c)
-	return c
+	return nil
+}
+
+// appendLabel appends the label of an operator site: the text of its
+// triple pattern or expression, or the variable an Extension binds.
+func appendLabel(b []byte, site any) []byte {
+	switch s := site.(type) {
+	case *TriplePattern:
+		return s.appendText(b)
+	case *Expr:
+		return appendExpr(b, *s)
+	case string:
+		return append(b, s...)
+	}
+	return b
+}
+
+// renderLabels renders the label of every node of the subtree that has not
+// got one yet.
+func (n *ProfNode) renderLabels() {
+	if n.Label == "" && n.site != nil {
+		p := n.prof
+		p.text = appendLabel(p.text[:0], n.site)
+		n.Label = string(p.text)
+	}
+	for _, c := range n.children {
+		c.renderLabels()
+	}
 }
 
 // record folds one finished invocation into the node.
@@ -252,7 +341,7 @@ func (p *Profile) Tree() string {
 		return ""
 	}
 	var sb strings.Builder
-	p.root.writeTree(&sb, 0)
+	p.Root().writeTree(&sb, 0)
 	return sb.String()
 }
 
@@ -329,14 +418,14 @@ func (p *Profile) Export() *ProfNodeJSON {
 	if p == nil {
 		return nil
 	}
-	out := p.root.export()
+	out := p.Root().export()
+	out.TraceID = p.traceID
 	return &out
 }
 
 func (n *ProfNode) export() ProfNodeJSON {
 	out := ProfNodeJSON{
 		Op:         n.Op,
-		TraceID:    n.TraceID,
 		Label:      n.Label,
 		Calls:      n.Calls,
 		RowsIn:     n.RowsIn,
@@ -361,28 +450,40 @@ func (p *Profile) MarshalJSON() ([]byte, error) {
 	return json.Marshal(p.Export())
 }
 
-// Estimates collects every estimate-carrying operator of the profile as
-// the operations log's plan-vs-actual rows, worst q-error first.
-func (p *Profile) Estimates() []obs.OpEstimate {
-	if p == nil {
-		return nil
+// EachEstimate hands sink one row per estimate-carrying operator of the
+// profile, in tree order, the operator's label rendered into the profile's
+// scratch: the operations log's plan-vs-actual rows, at no allocation.
+func (p *Profile) EachEstimate(sink obs.EstimateSink) {
+	if p != nil {
+		p.root.eachEstimate(sink)
 	}
-	var out []obs.OpEstimate
-	p.root.collectEstimates(&out)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].QError > out[j].QError })
+}
+
+func (n *ProfNode) eachEstimate(sink obs.EstimateSink) {
+	if n.EstRows >= 0 {
+		p := n.prof
+		p.text = appendLabel(p.text[:0], n.site)
+		sink.Estimate(obs.OpEstimate{Op: n.Op, Est: n.EstRows, Actual: n.RowsOut, QError: n.QError()}, p.text)
+	}
+	for _, c := range n.children {
+		c.eachEstimate(sink)
+	}
+}
+
+// Estimates collects every estimate-carrying operator of the profile as
+// plan-vs-actual rows, in tree order.
+func (p *Profile) Estimates() []obs.OpEstimate {
+	var out estimateList
+	p.EachEstimate(&out)
 	return out
 }
 
-func (n *ProfNode) collectEstimates(acc *[]obs.OpEstimate) {
-	if n.EstRows >= 0 {
-		*acc = append(*acc, obs.OpEstimate{
-			Op: n.Op, Label: n.Label, Est: n.EstRows, Actual: n.RowsOut,
-			QError: n.QError(),
-		})
-	}
-	for _, c := range n.children {
-		c.collectEstimates(acc)
-	}
+// estimateList is the sink Estimates collects into.
+type estimateList []obs.OpEstimate
+
+func (l *estimateList) Estimate(row obs.OpEstimate, label []byte) {
+	row.Label = string(label)
+	*l = append(*l, row)
 }
 
 // MaxQError returns the worst q-error across the profile's operators, or 0
@@ -391,17 +492,14 @@ func (p *Profile) MaxQError() float64 {
 	if p == nil {
 		return 0
 	}
-	worst := 0.0
-	var walk func(n *ProfNode)
-	walk = func(n *ProfNode) {
-		if q := n.QError(); q > worst {
-			worst = q
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+	return p.root.maxQError()
+}
+
+func (n *ProfNode) maxQError() float64 {
+	worst := n.QError()
+	for _, c := range n.children {
+		worst = max(worst, c.maxQError())
 	}
-	walk(p.root)
 	return worst
 }
 
