@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // OpLog is the operations log: every finished operation — a query, analytic
@@ -607,16 +608,7 @@ func (b *estimateBatch) collect(prof OpProfile) {
 // Estimate implements EstimateSink.
 func (b *estimateBatch) Estimate(row OpEstimate, label []byte) {
 	from := len(b.text)
-	b.text = append(append(b.text, row.Op...), 0)
-	if len(label) > maxShapeLen {
-		cut := maxShapeLen
-		for cut > 0 && !utf8.RuneStart(label[cut]) {
-			cut--
-		}
-		b.text = append(append(b.text, label[:cut]...), "…"...)
-	} else {
-		b.text = append(b.text, label...)
-	}
+	b.text = appendTruncated(append(append(b.text, row.Op...), 0), label, maxShapeLen)
 	b.rows = append(b.rows, batchedEstimate{OpEstimate: row, from: from, to: len(b.text)})
 }
 
@@ -950,9 +942,21 @@ func TruncateText(s string, max int) string {
 	if len(s) <= max {
 		return s
 	}
+	// One allocation, as s[:cut]+"…" would be: b is never written again.
+	b := appendTruncated(make([]byte, 0, max+len("…")), s, max)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// appendTruncated appends s to b, bounded as TruncateText bounds it: the
+// one truncation rule of the workload view, whose misestimate keys are
+// built with it.
+func appendTruncated[T ~string | ~[]byte](b []byte, s T, max int) []byte {
+	if len(s) <= max {
+		return append(b, s...)
+	}
 	cut := max
 	for cut > 0 && !utf8.RuneStart(s[cut]) {
 		cut--
 	}
-	return s[:cut] + "…"
+	return append(append(b, s[:cut]...), "…"...)
 }

@@ -221,7 +221,7 @@ func TestSingleflightLeaderDeadlineEndsTheCall(t *testing.T) {
 			})
 			followerErr <- err
 		}()
-		_, _, err := g.Do(leaderCtx, "k", time.Hour, func(execCtx context.Context) (any, error) {
+		_, _, err := g.Do(leaderCtx, "k", 0, func(execCtx context.Context) (any, error) {
 			close(joined)
 			for { // until the follower waits on the call
 				g.mu.Lock()

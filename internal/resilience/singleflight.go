@@ -15,10 +15,10 @@ import (
 // waiter abandons the call, the execution context is cancelled and the
 // engine's cooperative cancellation stops the now-unwanted work.
 //
-// The execution has one cancellable context and arms no timer of its own
-// when the leader's request already has one: it ends at the leader's
-// deadline, which a server derives from the same per-query timeout for
-// every request, so every follower — arrived later — has one no earlier.
+// The execution has one cancellable context and arms no timer of its own:
+// it ends at the leader's deadline, which a server derives from the same
+// per-query timeout for every request, so every follower — arrived later —
+// has one no earlier.
 
 // call is one in-flight execution.
 type call struct {
@@ -44,16 +44,18 @@ type Group struct {
 // identical calls → 1 execution, N-1 shared).
 //
 // fn receives a context detached from any single caller's request: it is
-// cancelled when the leader's deadline passes, when timeout (if > 0) has
-// passed since the call began — a timer armed only when the leader's
-// deadline would not come first — or when every waiter has abandoned the
-// call, whichever comes first. A waiter whose own ctx ends before the result
-// is ready returns ctx.Err() without disturbing the remaining waiters. The
-// cancellation carries its reason as the execution context's cause —
-// context.Cause(execCtx) reports DeadlineExceeded for a deadline or a
-// timeout, and the last abandoning waiter's own cause otherwise — so
+// cancelled when the leader's deadline passes or when every waiter has
+// abandoned the call, whichever comes first; a leader without a deadline
+// leaves the execution unbounded in time. A waiter whose own ctx ends before
+// the result is ready returns ctx.Err() without disturbing the remaining
+// waiters. The cancellation carries its reason as the execution context's
+// cause — context.Cause(execCtx) reports DeadlineExceeded for the leader's
+// deadline, and the last abandoning waiter's own cause otherwise — so
 // callers can tell an effective timeout from a client disconnect.
-func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
+//
+// The time.Duration argument is ignored: the leader's deadline is the one
+// bound. It remains only because existing callers pass it.
+func (g *Group) Do(ctx context.Context, key string, _ time.Duration, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*call{}
@@ -68,10 +70,6 @@ func (g *Group) Do(ctx context.Context, key string, timeout time.Duration, fn fu
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	if deadline, ok := ctx.Deadline(); timeout > 0 && (!ok || time.Until(deadline) > timeout) {
-		t := time.AfterFunc(timeout, func() { cancel(context.DeadlineExceeded) })
-		defer t.Stop()
-	}
 	// The leader's request ending past its deadline ends the execution; a
 	// leader that went away becomes an ordinary abandoning waiter, and the
 	// execution keeps running as long as any follower remains.

@@ -186,7 +186,7 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 	flightKey := key.Namespace + "\x00" + key.Text + "\x00" + strconv.FormatUint(s.graph.ReadVersion(reads), 10)
 	leader := rec
 	leader.Cache = "miss"
-	v, collapsed, err := s.flight.Do(ctx, flightKey, s.cfg.QueryTimeout, func(execCtx context.Context) (any, error) {
+	v, collapsed, err := s.flight.Do(ctx, flightKey, 0, func(execCtx context.Context) (any, error) {
 		return s.fill(execCtx, key, reads, leader, exec)
 	})
 	if err != nil {
