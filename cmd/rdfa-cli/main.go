@@ -284,7 +284,7 @@ func execute(sess *core.Session, ns string, line string, out io.Writer) error {
 		}
 		_, prof := sess.LastRun()
 		fmt.Fprint(out, prof.Tree())
-		fmt.Fprintf(out, "(%d rows)\n", len(ans.Rows))
+		fmt.Fprintf(out, "(%d rows)\n", ans.Table.Len())
 	case "chart":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: chart <bar|pie|column|line|treemap|spiral> <file.svg>")

@@ -96,7 +96,7 @@ func diffGraphs() map[string]*rdf.Graph {
 func answerMap(t *testing.T, a *hifun.Answer) map[string]float64 {
 	t.Helper()
 	out := map[string]float64{}
-	for _, row := range a.Rows {
+	for _, row := range a.Rows() {
 		if len(row) != 2 {
 			t.Fatalf("want 2-column answer rows, got %d", len(row))
 		}

@@ -118,7 +118,8 @@ func Pivot(a *hifun.Answer, swap bool, measureIdx int) (*PivotTable, error) {
 	pt := &PivotTable{RowDim: a.GroupCols[ri], ColDim: a.GroupCols[ci]}
 	rowSet := map[rdf.Term]int{}
 	colSet := map[rdf.Term]int{}
-	for _, row := range a.Rows {
+	rows := a.Rows()
+	for _, row := range rows {
 		if _, ok := rowSet[row[ri]]; !ok {
 			rowSet[row[ri]] = 0
 			pt.Rows = append(pt.Rows, row[ri])
@@ -141,7 +142,7 @@ func Pivot(a *hifun.Answer, swap bool, measureIdx int) (*PivotTable, error) {
 		pt.Cells[i] = make([]rdf.Term, len(pt.Cols))
 	}
 	mi := len(a.GroupCols) + measureIdx
-	for _, row := range a.Rows {
+	for _, row := range rows {
 		pt.Cells[rowSet[row[ri]]][colSet[row[ci]]] = row[mi]
 	}
 	return pt, nil

@@ -34,24 +34,24 @@ func TestRollUpDrillDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fine.Rows) != 6 {
-		t.Fatalf("fine cube rows = %d\n%s", len(fine.Rows), fine)
+	if len(fine.Rows()) != 6 {
+		t.Fatalf("fine cube rows = %d\n%s", len(fine.Rows()), fine)
 	}
 	// Roll up: drop the product dimension.
 	coarse, err := s.RollUp(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(coarse.Rows) != 3 {
-		t.Fatalf("rolled-up rows = %d\n%s", len(coarse.Rows), coarse)
+	if len(coarse.Rows()) != 3 {
+		t.Fatalf("rolled-up rows = %d\n%s", len(coarse.Rows()), coarse)
 	}
 	// Invariant: the rolled-up totals equal the sums of the fine cells.
 	fromFine := map[rdf.Term]int64{}
-	for _, row := range fine.Rows {
+	for _, row := range fine.Rows() {
 		n, _ := row[2].Int()
 		fromFine[row[0]] += n
 	}
-	for _, row := range coarse.Rows {
+	for _, row := range coarse.Rows() {
 		n, _ := row[1].Int()
 		if n != fromFine[row[0]] {
 			t.Errorf("roll-up mismatch for %v: %d vs %d", row[0], n, fromFine[row[0]])
@@ -62,8 +62,8 @@ func TestRollUpDrillDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fine2.Rows) != len(fine.Rows) {
-		t.Fatalf("drill-down rows = %d, want %d", len(fine2.Rows), len(fine.Rows))
+	if len(fine2.Rows()) != len(fine.Rows()) {
+		t.Fatalf("drill-down rows = %d, want %d", len(fine2.Rows()), len(fine.Rows()))
 	}
 	// Drill down along a derived attribute: each branch's month cells sum
 	// to its rolled-up total.
@@ -75,14 +75,14 @@ func TestRollUpDrillDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromMonths := map[rdf.Term]int64{}
-	for _, row := range byMonth.Rows {
+	for _, row := range byMonth.Rows() {
 		n, _ := row[2].Int()
 		fromMonths[row[0]] += n
 	}
-	if len(byMonth.Rows) <= len(coarse.Rows) {
-		t.Errorf("month drill-down has %d rows, the branch totals %d", len(byMonth.Rows), len(coarse.Rows))
+	if len(byMonth.Rows()) <= len(coarse.Rows()) {
+		t.Errorf("month drill-down has %d rows, the branch totals %d", len(byMonth.Rows()), len(coarse.Rows()))
 	}
-	for _, row := range coarse.Rows {
+	for _, row := range coarse.Rows() {
 		if n, _ := row[1].Int(); n != fromMonths[row[0]] {
 			t.Errorf("%s: months sum to %d, total %d", row[0].LocalName(), fromMonths[row[0]], n)
 		}
@@ -129,11 +129,11 @@ func checkRollUpEqualsFresh(t *testing.T, cases ...rollUpCase) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rolled.Columns(), fresh.Columns()) || !reflect.DeepEqual(rolled.Rows, fresh.Rows) {
-				t.Errorf("roll-up, %d rows:\n%s\nfresh session, %d rows:\n%s", len(rolled.Rows), rolled, len(fresh.Rows), fresh)
+			if !reflect.DeepEqual(rolled.Columns(), fresh.Columns()) || !reflect.DeepEqual(rolled.Rows(), fresh.Rows()) {
+				t.Errorf("roll-up, %d rows:\n%s\nfresh session, %d rows:\n%s", len(rolled.Rows()), rolled, len(fresh.Rows()), fresh)
 			}
 			got := map[string]string{}
-			for _, row := range rolled.Rows {
+			for _, row := range rolled.Rows() {
 				got[row[0].LocalName()] = row[1].Value
 			}
 			if !maps.Equal(got, tc.want) {
@@ -216,7 +216,7 @@ func TestRollUpPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byBrand.Rows) != 2 { // CocaCola, PepsiCo
+	if len(byBrand.Rows()) != 2 { // CocaCola, PepsiCo
 		t.Fatalf("brands:\n%s", byBrand)
 	}
 	// RollUpPath shortens delivers/brand to delivers (finer actually —
@@ -226,7 +226,7 @@ func TestRollUpPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byProduct.Rows) != 3 { // CocaLight, PepsiMax, Fanta
+	if len(byProduct.Rows()) != 3 { // CocaLight, PepsiMax, Fanta
 		t.Fatalf("products:\n%s", byProduct)
 	}
 	// Error cases.
@@ -255,14 +255,14 @@ func TestDrillDownPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromProducts := map[rdf.Term]int64{}
-	for _, row := range byProduct.Rows {
+	for _, row := range byProduct.Rows() {
 		n, _ := row[1].Int()
 		fromProducts[s.Model().G.Object(row[0], ie("brand"))] += n
 	}
-	if len(byBrand.Rows) != len(fromProducts) || len(byBrand.Rows) >= len(byProduct.Rows) {
-		t.Fatalf("%d brand rows from %d product rows, want %d:\n%s", len(byBrand.Rows), len(byProduct.Rows), len(fromProducts), byBrand)
+	if len(byBrand.Rows()) != len(fromProducts) || len(byBrand.Rows()) >= len(byProduct.Rows()) {
+		t.Fatalf("%d brand rows from %d product rows, want %d:\n%s", len(byBrand.Rows()), len(byProduct.Rows()), len(fromProducts), byBrand)
 	}
-	for _, row := range byBrand.Rows {
+	for _, row := range byBrand.Rows() {
 		if n, _ := row[1].Int(); n != fromProducts[row[0]] {
 			t.Errorf("%s = %d, its products sum to %d", row[0].LocalName(), n, fromProducts[row[0]])
 		}
@@ -299,10 +299,10 @@ func TestSlice(t *testing.T) {
 		t.Fatalf("slice did not drop the dimension: %v", ans.GroupCols)
 	}
 	want := map[string]int64{"Fanta": 100, "CocaLight": 400, "PepsiMax": 100}
-	if len(ans.Rows) != 3 {
+	if len(ans.Rows()) != 3 {
 		t.Fatalf("rows:\n%s", ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -317,11 +317,11 @@ func TestDice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("dice rows:\n%s", ans)
 	}
 	want := map[string]int64{"branch1": 300, "branch2": 600}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -413,7 +413,7 @@ func TestHavingViaResultRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("HAVING rows:\n%s", ans)
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkClickScale(b *testing.B) {
 			s.ClickGroupBy(GroupSpec{Path: group})
 			s.ClickAggregate(measure, hifun.Operation{Op: op})
 			for b.Loop() {
-				if ans, err := s.RunAnalytics(); err != nil || len(ans.Rows) == 0 {
+				if ans, err := s.RunAnalytics(); err != nil || len(ans.Rows()) == 0 {
 					b.Fatalf("Σ: %v, %v", ans, err)
 				}
 			}

@@ -44,11 +44,11 @@ func TestExample1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || len(ans.GroupCols) != 0 {
+	if len(ans.Rows()) != 1 || len(ans.GroupCols) != 0 {
 		t.Fatalf("answer shape: %v\n%s", ans.Columns(), ans)
 	}
-	if f, _ := ans.Rows[0][0].Float(); f != 900 { // laptop1 only
-		t.Errorf("avg price = %v, want 900", ans.Rows[0][0])
+	if f, _ := ans.Rows()[0][0].Float(); f != 900 { // laptop1 only
+		t.Errorf("avg price = %v, want 900", ans.Rows()[0][0])
 	}
 }
 
@@ -65,10 +65,10 @@ func TestExample2(t *testing.T) {
 	}
 	// USA: 2 (DELL laptops), China: 1 (Lenovo laptop).
 	want := map[string]int64{"USA": 2, "China": 1}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -88,7 +88,7 @@ func TestExample3(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{"USA": 2, "China": 1}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d\n%s", row[0].LocalName(), n, ans)
 		}
@@ -108,7 +108,7 @@ func TestExample4(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Groups: (DELL, 2021) avg 950, (Lenovo, 2021) avg 820.
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
 	// "Explore with FS": load as dataset, then restrict avg price > 900.
@@ -136,10 +136,10 @@ func TestExample4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kept.Rows) != 1 {
+	if len(kept.Rows()) != 1 {
 		t.Fatalf("COUNT over the HAVING-filtered answer:\n%s", kept)
 	}
-	if n, _ := kept.Rows[0][0].Int(); n != 1 {
+	if n, _ := kept.Rows()[0][0].Int(); n != 1 {
 		t.Errorf("COUNT over the HAVING-filtered answer = %d, want 1", n)
 	}
 	// Closing the level returns to the base dataset.
@@ -172,7 +172,7 @@ func TestGUIFig62(t *testing.T) {
 	if len(ans.GroupCols) != 2 || len(ans.MeasureCols) != 3 {
 		t.Fatalf("shape: %v / %v", ans.GroupCols, ans.MeasureCols)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if row[0].LocalName() == "DELL" {
 			if f, _ := row[2].Float(); f != 950 {
 				t.Errorf("DELL avg = %v", row[2])
@@ -323,7 +323,7 @@ func TestApplyTransform(t *testing.T) {
 	}
 	// counts: DELL has 2 founders, Lenovo/Maxtor 1, AVDElectronics 0.
 	want := map[string]int64{"2": 1, "1": 2, "0": 1}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].Value] {
 			t.Errorf("nFounders=%s count=%d\n%s", row[0].Value, n, ans)
 		}
@@ -417,15 +417,15 @@ func TestLargeScaleSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) == 0 || len(ans.GroupCols) != 2 {
-		t.Fatalf("answer shape: %v, %d rows", ans.Columns(), len(ans.Rows))
+	if len(ans.Rows()) == 0 || len(ans.GroupCols) != 2 {
+		t.Fatalf("answer shape: %v, %d rows", ans.Columns(), len(ans.Rows()))
 	}
 	// Nesting at scale.
 	if err := s.LoadAnswerAsDataset(); err != nil {
 		t.Fatal(err)
 	}
-	if s.State().Ext.Len() != len(ans.Rows) {
-		t.Fatalf("nested tuples: %d vs %d", s.State().Ext.Len(), len(ans.Rows))
+	if s.State().Ext.Len() != len(ans.Rows()) {
+		t.Fatalf("nested tuples: %d vs %d", s.State().Ext.Len(), len(ans.Rows()))
 	}
 }
 
@@ -511,7 +511,7 @@ func TestAnswerCache(t *testing.T) {
 	if k4 == k3 {
 		t.Error("a faceted click left the key alone")
 	}
-	if a, err := s.RunAnalytics(); err != nil || len(a.Rows) != 1 {
+	if a, err := s.RunAnalytics(); err != nil || len(a.Rows()) != 1 {
 		t.Fatalf("restricted answer = %v, %v; want one row", a, err)
 	}
 	// Another manufacturer with the same local name prints the same
@@ -555,10 +555,10 @@ func TestSwitchFocusAnalytics(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{"USA": 133000, "China": 71500}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if f, _ := row[1].Float(); f != want[row[0].LocalName()] {
 			t.Errorf("%s = %v", row[0].LocalName(), row[1])
 		}
@@ -577,8 +577,8 @@ func TestSessionFromResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ans.Rows[0][0].Int(); n != 1720 { // 900 + 820
-		t.Errorf("sum = %v\n%s", ans.Rows[0][0], ans)
+	if n, _ := ans.Rows()[0][0].Int(); n != 1720 { // 900 + 820
+		t.Errorf("sum = %v\n%s", ans.Rows()[0][0], ans)
 	}
 }
 
@@ -591,7 +591,7 @@ func countsByFirstColumn(t *testing.T, s *Session) map[string]int64 {
 		t.Fatal(err)
 	}
 	out := map[string]int64{}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		n, _ := row[len(row)-1].Int()
 		out[row[0].LocalName()] += n
 	}

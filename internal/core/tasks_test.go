@@ -75,10 +75,10 @@ func wantExtension(t *testing.T, s *Session, want []rdf.Term) {
 // of want, with its value.
 func wantGroups(t *testing.T, ans *hifun.Answer, want map[rdf.Term]float64) {
 	t.Helper()
-	if len(ans.GroupCols) != 1 || len(ans.Rows) != len(want) {
-		t.Fatalf("answer has %d grouping columns and %d rows, want 1 and %d:\n%s", len(ans.GroupCols), len(ans.Rows), len(want), ans)
+	if len(ans.GroupCols) != 1 || len(ans.Rows()) != len(want) {
+		t.Fatalf("answer has %d grouping columns and %d rows, want 1 and %d:\n%s", len(ans.GroupCols), len(ans.Rows()), len(want), ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		w, ok := want[row[0]]
 		if got, _ := row[1].Float(); !ok || math.Abs(got-w) > 1e-9 {
 			t.Errorf("%s = %v, want %v (expected group: %v)", row[0].LocalName(), row[1], w, ok)
@@ -122,11 +122,11 @@ var evaluationTasks = []struct {
 			t.Fatal(err)
 		}
 		all := foldBy(laptops, nil, func(laptop) rdf.Term { return rdf.Term{} }, "avg")
-		if len(ans.GroupCols) != 0 || len(ans.Rows) != 1 {
+		if len(ans.GroupCols) != 0 || len(ans.Rows()) != 1 {
 			t.Fatalf("want one ungrouped row:\n%s", ans)
 		}
-		if got, _ := ans.Rows[0][0].Float(); math.Abs(got-all[rdf.Term{}]) > 1e-9 {
-			t.Errorf("average price = %v, want %v", ans.Rows[0][0], all[rdf.Term{}])
+		if got, _ := ans.Rows()[0][0].Float(); math.Abs(got-all[rdf.Term{}]) > 1e-9 {
+			t.Errorf("average price = %v, want %v", ans.Rows()[0][0], all[rdf.Term{}])
 		}
 	}},
 	{"T4", "Count of laptops per manufacturer", func(t *testing.T, s *Session, laptops []laptop) {

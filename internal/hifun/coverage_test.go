@@ -31,7 +31,7 @@ func TestTranslateFixedEndDeepPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 2 { // DELL (laptop1), Lenovo (laptop3)
+	if len(ans.Rows()) != 2 { // DELL (laptop1), Lenovo (laptop3)
 		t.Fatalf("rows:\n%s", ans)
 	}
 }
@@ -93,7 +93,7 @@ func TestTranslateDerivedMeasure(t *testing.T) {
 		t.Fatalf("derived measure not bound:\n%s", ans.SPARQL)
 	}
 	// branch3's latest month is 3 (two March invoices, one January).
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if row[0].LocalName() == "branch3" {
 			if n, _ := row[1].Int(); n != 3 {
 				t.Errorf("branch3 max month = %v", row[1])

@@ -23,8 +23,8 @@ func DeriveContext(source *rdf.Graph, constructQuery, ns string) (*Context, erro
 }
 
 // DeriveContextSelect evaluates a SELECT query and turns its result table
-// into a context the way §5.3.3 loads answers: each row becomes a fresh
-// item with one triple per bound column. This is the "define D as a view
+// into a context the way §5.3.3 loads answers (loadRows): each row becomes a
+// fresh item with one triple per bound column. This is the "define D as a view
 // of S" reading of §2.5.1 for tabular views.
 func DeriveContextSelect(source *rdf.Graph, selectQuery, ns string) (*Context, error) {
 	q, err := sparql.Parse(selectQuery)
@@ -39,19 +39,7 @@ func DeriveContextSelect(source *rdf.Graph, selectQuery, ns string) (*Context, e
 		return nil, err
 	}
 	res.Sort()
-	g := rdf.NewGraph()
-	rowClass := rdf.NewIRI(ns + "Row")
-	g.Add(rdf.Triple{S: rowClass, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI(rdf.RDFSClass)})
-	for i, row := range res.Rows {
-		item := rdf.NewIRI(fmt.Sprintf("%srow%d", ns, i+1))
-		g.Add(rdf.Triple{S: item, P: rdf.NewIRI(rdf.RDFType), O: rowClass})
-		for j, v := range res.Vars {
-			if t := row[j]; !t.IsZero() {
-				g.Add(rdf.Triple{S: item, P: rdf.NewIRI(ns + v), O: t})
-			}
-		}
-	}
-	ctx := NewContext(g, ns)
-	ctx.Root = rowClass
+	ctx := NewContext(loadRows(res.Rows, res.Vars, ns, "Row", "row"), ns)
+	ctx.Root = rdf.NewIRI(ns + "Row")
 	return ctx, nil
 }

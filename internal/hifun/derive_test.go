@@ -29,10 +29,10 @@ CONSTRUCT {
 		t.Fatal(err)
 	}
 	want := map[string]int64{"CocaCola": 1300, "PepsiCo": 200}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -42,8 +42,8 @@ CONSTRUCT {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct.Rows) != len(ans.Rows) {
-		t.Errorf("derived (%d) and direct (%d) disagree", len(ans.Rows), len(direct.Rows))
+	if len(direct.Rows()) != len(ans.Rows()) {
+		t.Errorf("derived (%d) and direct (%d) disagree", len(ans.Rows()), len(direct.Rows()))
 	}
 }
 
@@ -67,7 +67,7 @@ SELECT ?branch ?qty WHERE {
 		t.Fatal(err)
 	}
 	want := map[string]int64{"branch1": 300, "branch2": 600, "branch3": 600}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d\n%s", row[0].LocalName(), n, ans)
 		}

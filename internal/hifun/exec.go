@@ -3,6 +3,7 @@ package hifun
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -104,11 +105,16 @@ type Answer struct {
 	GroupCols []string
 	// MeasureCols are the aggregate columns, one per operation.
 	MeasureCols []string
-	// Rows holds the table in column order GroupCols ++ MeasureCols.
-	Rows [][]rdf.Term
+	// Table is the engine's sorted answer, one row of IDs per group in
+	// column order GroupCols ++ MeasureCols. It is read-only: an answer is
+	// shared by every session served it.
+	Table *sparql.Table
 	// SPARQL is the executed query text (for provenance and the UI).
 	SPARQL string
 }
+
+// Rows decodes the table into terms, for the consumers that work on terms.
+func (a *Answer) Rows() [][]rdf.Term { return a.Table.Results().Rows }
 
 // Columns returns all column names in order.
 func (a *Answer) Columns() []string {
@@ -117,32 +123,25 @@ func (a *Answer) Columns() []string {
 
 // String renders the answer as an aligned table.
 func (a *Answer) String() string {
-	cols := a.Columns()
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
-	cells := make([][]string, len(a.Rows))
-	for i, row := range a.Rows {
-		cells[i] = make([]string, len(cols))
+	cells := [][]string{a.Columns()}
+	for _, row := range a.Rows() {
+		line := make([]string, len(row))
 		for j, t := range row {
-			s := ""
 			if !t.IsZero() {
-				s = t.LocalName()
+				line[j] = t.LocalName()
 			}
-			cells[i][j] = s
-			if len(s) > widths[j] {
-				widths[j] = len(s)
-			}
+		}
+		cells = append(cells, line)
+	}
+	widths := make([]int, len(cells[0]))
+	for _, line := range cells {
+		for j, s := range line {
+			widths[j] = max(widths[j], len(s))
 		}
 	}
 	var sb strings.Builder
-	for j, c := range cols {
-		fmt.Fprintf(&sb, "%-*s ", widths[j], c)
-	}
-	sb.WriteByte('\n')
-	for _, row := range cells {
-		for j, s := range row {
+	for _, line := range cells {
+		for j, s := range line {
 			fmt.Fprintf(&sb, "%-*s ", widths[j], s)
 		}
 		sb.WriteByte('\n')
@@ -150,34 +149,20 @@ func (a *Answer) String() string {
 	return sb.String()
 }
 
-// Project returns a copy of the answer keeping only the named columns, in
-// the given order — the Answer Frame's add/remove-columns affordance
-// (§5.1, "Extra Columns"). Unknown names are ignored; duplicate group rows
-// that arise from dropping a grouping column are kept (the projection does
-// not re-aggregate — use the session's roll-up for that).
+// Project returns the answer keeping only the named columns, in the given
+// order — the Answer Frame's add/remove-columns affordance (§5.1, "Extra
+// Columns") — over the same IDs (sparql.Table.Project). Unknown names are
+// ignored; duplicate group rows that arise from dropping a grouping column
+// are kept (the projection does not re-aggregate — use the session's roll-up
+// for that).
 func (a *Answer) Project(cols []string) *Answer {
-	out := &Answer{SPARQL: a.SPARQL}
-	all := a.Columns()
-	idx := make([]int, 0, len(cols))
-	for _, c := range cols {
-		for i, name := range all {
-			if name == c {
-				idx = append(idx, i)
-				if i < len(a.GroupCols) {
-					out.GroupCols = append(out.GroupCols, name)
-				} else {
-					out.MeasureCols = append(out.MeasureCols, name)
-				}
-				break
-			}
+	out := &Answer{Table: a.Table.Project(cols), SPARQL: a.SPARQL}
+	for _, c := range out.Table.Vars {
+		if slices.Contains(a.GroupCols, c) {
+			out.GroupCols = append(out.GroupCols, c)
+		} else {
+			out.MeasureCols = append(out.MeasureCols, c)
 		}
-	}
-	for _, row := range a.Rows {
-		nr := make([]rdf.Term, len(idx))
-		for j, i := range idx {
-			nr[j] = row[i]
-		}
-		out.Rows = append(out.Rows, nr)
 	}
 	return out
 }
@@ -239,23 +224,19 @@ func (c *Context) ExecutePrepared(ctx context.Context, p *Prepared) (*Answer, er
 		ts.SetAttr("hifun", p.Query.String())
 	}
 	es := root.StartChild("exec")
-	res, err := sparql.ExecSelectCtx(ctx, c.Graph, p.Parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile, Extension: c.Extension})
+	tab, err := sparql.ExecSelectTable(ctx, c.Graph, p.Parsed, sparql.Options{Trace: c.Trace, Limits: c.Limits, Profile: c.Profile, Extension: c.Extension})
 	es.Finish()
 	if err != nil {
 		return nil, err
 	}
 	bs := root.StartChild("build_answer")
-	res.Sort()
-	ans := &Answer{SPARQL: p.SPARQL}
-	nGroups := len(res.Vars) - len(p.Query.Ops)
-	if nGroups < 0 {
-		nGroups = 0
-	}
-	ans.GroupCols = append(ans.GroupCols, res.Vars[:nGroups]...)
-	ans.MeasureCols = append(ans.MeasureCols, res.Vars[nGroups:]...)
-	ans.Rows = res.Rows
+	tab.Sort()
+	ans := &Answer{Table: tab, SPARQL: p.SPARQL}
+	nGroups := max(len(tab.Vars)-len(p.Query.Ops), 0)
+	ans.GroupCols = append(ans.GroupCols, tab.Vars[:nGroups]...)
+	ans.MeasureCols = append(ans.MeasureCols, tab.Vars[nGroups:]...)
 	if bs != nil {
-		bs.SetAttr("rows", len(ans.Rows))
+		bs.SetAttr("rows", tab.Len())
 		bs.Finish()
 	}
 	return ans, nil
@@ -284,18 +265,23 @@ const AnswerNS = "http://example.org/answer#"
 // can root a new analysis context at the result set — this is how HAVING
 // restrictions and arbitrarily nested analytic queries arise in the model.
 func (a *Answer) LoadAsDataset() *rdf.Graph {
+	return loadRows(a.Rows(), a.Columns(), AnswerNS, "Tuple", "t")
+}
+
+// loadRows loads rows, positional by cols, as §5.3.3 loads an answer: a
+// class ns+class and, per row i, an item ns+item+i of that class with one
+// triple (item, ns+column, value) per bound cell.
+func loadRows(rows [][]rdf.Term, cols []string, ns, class, item string) *rdf.Graph {
 	g := rdf.NewGraph()
-	tupleClass := rdf.NewIRI(AnswerNS + "Tuple")
-	g.Add(rdf.Triple{S: tupleClass, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI(rdf.RDFSClass)})
-	cols := a.Columns()
-	for i, row := range a.Rows {
-		tuple := rdf.NewIRI(fmt.Sprintf("%st%d", AnswerNS, i+1))
-		g.Add(rdf.Triple{S: tuple, P: rdf.NewIRI(rdf.RDFType), O: tupleClass})
+	c := rdf.NewIRI(ns + class)
+	g.Add(rdf.Triple{S: c, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI(rdf.RDFSClass)})
+	for i, row := range rows {
+		s := rdf.NewIRI(fmt.Sprintf("%s%s%d", ns, item, i+1))
+		g.Add(rdf.Triple{S: s, P: rdf.NewIRI(rdf.RDFType), O: c})
 		for j, col := range cols {
-			if row[j].IsZero() {
-				continue
+			if !row[j].IsZero() {
+				g.Add(rdf.Triple{S: s, P: rdf.NewIRI(ns + col), O: row[j]})
 			}
-			g.Add(rdf.Triple{S: tuple, P: rdf.NewIRI(AnswerNS + col), O: row[j]})
 		}
 	}
 	return g

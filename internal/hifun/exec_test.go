@@ -17,10 +17,10 @@ func TestExecuteSimple(t *testing.T) {
 		t.Fatalf("cols: %v / %v", ans.GroupCols, ans.MeasureCols)
 	}
 	want := map[string]int64{"branch1": 300, "branch2": 600, "branch3": 600}
-	if len(ans.Rows) != 3 {
-		t.Fatalf("rows: %d\n%s", len(ans.Rows), ans)
+	if len(ans.Rows()) != 3 {
+		t.Fatalf("rows: %d\n%s", len(ans.Rows()), ans)
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -33,11 +33,11 @@ func TestExecuteEmptyGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 1 || len(ans.GroupCols) != 0 {
-		t.Fatalf("shape: %v rows, %v group cols", len(ans.Rows), ans.GroupCols)
+	if len(ans.Rows()) != 1 || len(ans.GroupCols) != 0 {
+		t.Fatalf("shape: %v rows, %v group cols", len(ans.Rows()), ans.GroupCols)
 	}
-	if f, _ := ans.Rows[0][0].Float(); f < 214 || f > 215 {
-		t.Errorf("avg = %v", ans.Rows[0][0])
+	if f, _ := ans.Rows()[0][0].Float(); f < 214 || f > 215 {
+		t.Errorf("avg = %v", ans.Rows()[0][0])
 	}
 }
 
@@ -48,7 +48,7 @@ func TestExecuteCountIdent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{"CocaCola": 5, "PepsiCo": 2}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if n, _ := row[1].Int(); n != want[row[0].LocalName()] {
 			t.Errorf("%s = %d", row[0].LocalName(), n)
 		}
@@ -66,7 +66,7 @@ func TestExecuteMultiOps(t *testing.T) {
 		t.Fatalf("measure cols: %v", ans.MeasureCols)
 	}
 	// DELL: prices 900, 1000 -> avg 950, sum 1900, max 1000.
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		if row[0].LocalName() != "DELL" {
 			continue
 		}
@@ -88,9 +88,9 @@ func TestExecuteDeterministicOrder(t *testing.T) {
 	c := invCtx(t)
 	a, _ := c.ExecuteText("(takesPlaceAt, inQuantity, SUM)")
 	b, _ := c.ExecuteText("(takesPlaceAt, inQuantity, SUM)")
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
+	for i := range a.Rows() {
+		for j := range a.Rows()[i] {
+			if a.Rows()[i][j] != b.Rows()[i][j] {
 				t.Fatal("non-deterministic answer order")
 			}
 		}
@@ -136,16 +136,16 @@ func TestNestedHaving(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(ans2.Rows) != 2 { // branch2 and branch3 with 600
-		t.Fatalf("nested rows = %d\n%s", len(ans2.Rows), ans2)
+	if len(ans2.Rows()) != 2 { // branch2 and branch3 with 600
+		t.Fatalf("nested rows = %d\n%s", len(ans2.Rows()), ans2)
 	}
 	// Equivalent direct HAVING query agrees.
 	direct, err := c.ExecuteText("(takesPlaceAt, inQuantity, SUM/>300)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct.Rows) != len(ans2.Rows) {
-		t.Fatalf("nested (%d) and direct HAVING (%d) disagree", len(ans2.Rows), len(direct.Rows))
+	if len(direct.Rows()) != len(ans2.Rows()) {
+		t.Fatalf("nested (%d) and direct HAVING (%d) disagree", len(ans2.Rows()), len(direct.Rows()))
 	}
 }
 
@@ -163,12 +163,13 @@ func TestAnswerProject(t *testing.T) {
 	if len(p.GroupCols) != 1 || len(p.MeasureCols) != 1 {
 		t.Fatalf("projected cols: %v / %v", p.GroupCols, p.MeasureCols)
 	}
-	if len(p.Rows) != len(ans.Rows) {
-		t.Fatalf("projection must keep all rows: %d vs %d", len(p.Rows), len(ans.Rows))
+	if len(p.Rows()) != len(ans.Rows()) {
+		t.Fatalf("projection must keep all rows: %d vs %d", len(p.Rows()), len(ans.Rows()))
 	}
-	for i, row := range p.Rows {
-		if len(row) != 2 {
-			t.Fatalf("row %d width %d", i, len(row))
+	rows := ans.Rows()
+	for i, row := range p.Rows() {
+		if len(row) != 2 || row[0] != rows[i][0] || row[1] != rows[i][2] {
+			t.Fatalf("row %d = %v, projected from %v", i, row, rows[i])
 		}
 	}
 	// Unknown columns are ignored.

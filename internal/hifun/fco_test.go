@@ -179,8 +179,8 @@ func TestFeatureMakesHIFUNApplicable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// nFounders values: 2 (brand1), 1 (brand2), 0 (brand3): 3 groups.
-	if len(ans.Rows) != 3 {
-		t.Fatalf("groups = %d\n%s", len(ans.Rows), ans)
+	if len(ans.Rows()) != 3 {
+		t.Fatalf("groups = %d\n%s", len(ans.Rows()), ans)
 	}
 }
 

@@ -243,10 +243,10 @@ func TestProposition2Soundness(t *testing.T) {
 		direct[tr.O] += n
 		return true
 	})
-	if len(ans.Rows) != len(direct) {
-		t.Fatalf("groups: %d vs %d", len(ans.Rows), len(direct))
+	if len(ans.Rows()) != len(direct) {
+		t.Fatalf("groups: %d vs %d", len(ans.Rows()), len(direct))
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		want := direct[row[0]]
 		got, _ := row[1].Int()
 		if got != want {

@@ -2,12 +2,12 @@ package resilience
 
 import (
 	"hash/maphash"
+	"io"
 	"sync/atomic"
 	"time"
 
 	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/rdf"
-	"rdfanalytics/internal/sparql"
 )
 
 // Answer is one response to a /sparql SELECT or ASK or to an analytic run,
@@ -17,11 +17,10 @@ import (
 // (Fresh); When is the fill time, used to bound how stale an answer a
 // max-stale request may get.
 type Answer struct {
-	// Body is the rendered response. A SELECT answer the cache will not
-	// keep (AnswerCache.Admits) has none: its sorted Table renders it to
-	// each waiter (sparql.Table.WriteJSON).
+	// Body is the rendered response. An answer the cache will not keep
+	// (AnswerCache.Admits) has none: each waiter streams it from Source.
 	Body          []byte
-	Table         *sparql.Table
+	Source        Source
 	ContentType   string
 	Status        int
 	Rows          int
@@ -31,9 +30,18 @@ type Answer struct {
 	Version       uint64
 	Reads         rdf.ReadSet
 	When          time.Time
-	// Frame is a run's Answer Frame, which the body renders: every session
-	// served this entry adopts it, read-only. Nil for a /sparql answer.
+	// Frame is a run's Answer Frame, nil for /sparql: the body renders it, the
+	// entry holds its table, and every session served the entry adopts it.
 	Frame *hifun.Answer
+}
+
+// Source renders an answer's JSON body (a SELECT's sparql.Table, a run's
+// frame): its size, counted first, then the body in one slice of that size or
+// through the caller's chunk, written to w each time it fills.
+type Source interface {
+	JSONSize() int
+	JSON() []byte
+	WriteJSON(w io.Writer, chunk []byte) error
 }
 
 // Key names one answer-cache entry: a text within a namespace. A /sparql
@@ -164,10 +172,13 @@ func (c *AnswerCache) Admits(key Key, a *Answer, bodyLen int) bool {
 }
 
 // entrySize is what an answer with a body of bodyLen bytes accounts for
-// under key.
+// under key: the body, a run's frame table and the bookkeeping.
 func entrySize(key Key, a *Answer, bodyLen int) int64 {
-	size := bodyLen + len(a.ContentType) + len(key.Namespace) + len(key.Text)
-	return int64(size) + entryOverhead + frameBytes(a.Frame)
+	size := int64(bodyLen+len(a.ContentType)+len(key.Namespace)+len(key.Text)) + entryOverhead
+	if a.Frame != nil {
+		size += a.Frame.Table.Bytes()
+	}
+	return size
 }
 
 // admit is the admission rule: an entry of size bytes is stored under key if
@@ -218,28 +229,6 @@ func (c *AnswerCache) Lookup(text string, version uint64) (*Answer, bool) {
 //
 // Deprecated: use Put.
 func (c *AnswerCache) Store(text string, a *Answer) { c.Put(Key{Text: text}, a) }
-
-// frameBytes estimates an Answer Frame's resident size: string payloads
-// plus per-term/per-row overhead (0 for no frame).
-func frameBytes(a *hifun.Answer) int64 {
-	if a == nil {
-		return 0
-	}
-	n := int64(len(a.SPARQL)) + 128
-	for _, c := range a.GroupCols {
-		n += int64(len(c)) + 16
-	}
-	for _, c := range a.MeasureCols {
-		n += int64(len(c)) + 16
-	}
-	for _, row := range a.Rows {
-		n += 24
-		for _, t := range row {
-			n += int64(len(t.Value)+len(t.Datatype)+len(t.Lang)) + 48
-		}
-	}
-	return n
-}
 
 // Bytes returns the accounted size of resident entries.
 func (c *AnswerCache) Bytes() int64 {

@@ -117,7 +117,7 @@ func TestSingleflightCollapses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, shared, err := g.Do(context.Background(), "k", time.Second, func(ctx context.Context) (any, error) {
+			v, shared, err := g.Do(context.Background(), "k", func(ctx context.Context) (any, error) {
 				execs.Add(1)
 				time.Sleep(50 * time.Millisecond) // hold the call open for followers
 				return "result", nil
@@ -147,7 +147,7 @@ func TestSingleflightFollowerAbandon(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := g.Do(context.Background(), "k", 0, func(ctx context.Context) (any, error) {
+		_, _, err := g.Do(context.Background(), "k", func(ctx context.Context) (any, error) {
 			<-release
 			return 1, nil
 		})
@@ -160,7 +160,7 @@ func TestSingleflightFollowerAbandon(t *testing.T) {
 	time.Sleep(10 * time.Millisecond) // let the leader register
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, shared, err := g.Do(ctx, "k", 0, func(ctx context.Context) (any, error) {
+	_, shared, err := g.Do(ctx, "k", func(ctx context.Context) (any, error) {
 		t.Error("follower must not execute fn")
 		return nil, nil
 	})
@@ -178,7 +178,7 @@ func TestSingleflightLastWaiterCancels(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		g.Do(ctx, "k", 0, func(execCtx context.Context) (any, error) {
+		g.Do(ctx, "k", func(execCtx context.Context) (any, error) {
 			<-execCtx.Done() // must fire when the lone caller leaves
 			close(sawCancel)
 			return nil, execCtx.Err()
@@ -215,13 +215,13 @@ func TestSingleflightLeaderDeadlineEndsTheCall(t *testing.T) {
 		followerErr := make(chan error, 1)
 		go func() {
 			<-joined
-			_, _, err := g.Do(context.Background(), "k", 0, func(context.Context) (any, error) {
+			_, _, err := g.Do(context.Background(), "k", func(context.Context) (any, error) {
 				t.Error("follower must not execute fn")
 				return nil, nil
 			})
 			followerErr <- err
 		}()
-		_, _, err := g.Do(leaderCtx, "k", 0, func(execCtx context.Context) (any, error) {
+		_, _, err := g.Do(leaderCtx, "k", func(execCtx context.Context) (any, error) {
 			close(joined)
 			for { // until the follower waits on the call
 				g.mu.Lock()

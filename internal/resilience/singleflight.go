@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // Singleflight with reference-counted cancellation: N concurrent callers of
@@ -52,10 +51,7 @@ type Group struct {
 // cause — context.Cause(execCtx) reports DeadlineExceeded for the leader's
 // deadline, and the last abandoning waiter's own cause otherwise — so
 // callers can tell an effective timeout from a client disconnect.
-//
-// The time.Duration argument is ignored: the leader's deadline is the one
-// bound. It remains only because existing callers pass it.
-func (g *Group) Do(ctx context.Context, key string, _ time.Duration, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
+func (g *Group) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*call{}

@@ -119,8 +119,8 @@ func TestSearchSeedsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ans.Rows[0][0].Int(); n != 2720 {
-		t.Errorf("sum over search results = %v", ans.Rows[0][0])
+	if n, _ := ans.Rows()[0][0].Int(); n != 2720 {
+		t.Errorf("sum over search results = %v", ans.Rows()[0][0])
 	}
 }
 

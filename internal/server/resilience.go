@@ -111,11 +111,10 @@ func execError(w http.ResponseWriter, err error) {
 	queryError(w, err)
 }
 
-// queryExec is what a SELECT or ASK under key runs on a miss: the engine,
-// and the answer rendered to its JSON body if the cache will keep it. A
-// SELECT answer it will not keep carries its sorted table instead, and each
-// waiter streams the body from the table (writeAnswer).
-func (s *Server) queryExec(key resilience.Key, q *sparql.Query) cachedExec {
+// queryExec is what a SELECT or ASK runs on a miss: the engine, and the
+// answer, an ASK's rendered, a SELECT's with its sorted table as the source
+// of its body (see fill).
+func (s *Server) queryExec(q *sparql.Query) cachedExec {
 	return func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error) {
 		ans := &resilience.Answer{ContentType: "application/sparql-results+json"}
 		opts := s.engineOpts(rec)
@@ -130,21 +129,14 @@ func (s *Server) queryExec(key resilience.Key, q *sparql.Query) cachedExec {
 		}
 		rec.Rows = tab.Len()
 		tab.Sort()
-		// The size is counted once, here, before any waiter renders: the
-		// table keeps it. A body is rendered at its final size (len == cap),
-		// so what the answer cache accounts is what the answer holds.
-		if s.answers.Admits(key, ans, tab.JSONSize()) {
-			ans.Body = tab.JSON()
-		} else {
-			ans.Table = tab
-		}
+		ans.Source = tab
 		return ans, opts.Profile, nil
 	}
 }
 
 // cachedExec is what a cached read runs on a miss: the engine execution
-// under rec's trace, the record's rows filled in, and the answer rendered to
-// its body.
+// under rec's trace, the record's rows filled in, and the answer with its
+// body or the source of it.
 type cachedExec func(execCtx context.Context, rec *obs.QueryRecord) (*resilience.Answer, *sparql.Profile, error)
 
 // serveHit is the first half of the one cached read path, taken by /sparql
@@ -186,7 +178,7 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 	flightKey := key.Namespace + "\x00" + key.Text + "\x00" + strconv.FormatUint(s.graph.ReadVersion(reads), 10)
 	leader := rec
 	leader.Cache = "miss"
-	v, collapsed, err := s.flight.Do(ctx, flightKey, 0, func(execCtx context.Context) (any, error) {
+	v, collapsed, err := s.flight.Do(ctx, flightKey, func(execCtx context.Context) (any, error) {
 		return s.fill(execCtx, key, reads, leader, exec)
 	})
 	if err != nil {
@@ -202,7 +194,6 @@ func (s *Server) serveMiss(w http.ResponseWriter, ctx context.Context, key resil
 	}
 	cacheMiss.Inc()
 	setHeader(w, "X-Cache", "miss")
-	setHeader(w, "Content-Type", ans.ContentType)
 	writeAnswer(w, ans)
 	return ans
 }
@@ -241,24 +232,25 @@ func setTraceHeader(w http.ResponseWriter, id string) {
 	w.Header().Set(headerTraceID, id)
 }
 
-// writeAnswer writes ans's status, unless it is 200, and its body: the
-// rendered one, or one streamed from the answer's table through a pooled
-// chunk under the Content-Length its size pass counted, so net/http frames
-// it by length, not in chunks of its own. A failed write is the client's
-// loss alone: the status is out, and the rest of the body is dropped.
+// writeAnswer writes ans's content type, its status, unless it is 200, and
+// its body: the rendered one, or one streamed through a pooled chunk under the
+// Content-Length its size pass counted, so net/http frames it by length, not
+// in chunks of its own. A failed write is the client's loss alone: the
+// status is out, and the rest of the body is dropped.
 func writeAnswer(w http.ResponseWriter, ans *resilience.Answer) {
-	if ans.Table != nil {
-		w.Header().Set("Content-Length", strconv.Itoa(ans.Table.JSONSize()))
+	setHeader(w, "Content-Type", ans.ContentType)
+	if ans.Body == nil {
+		w.Header().Set("Content-Length", strconv.Itoa(ans.Source.JSONSize()))
 	}
 	if ans.Status != 0 && ans.Status != http.StatusOK {
 		w.WriteHeader(ans.Status)
 	}
-	if ans.Table == nil {
+	if ans.Body != nil {
 		w.Write(ans.Body)
 		return
 	}
 	chunk := chunks.Get().(*[chunkSize]byte)
-	_ = ans.Table.WriteJSON(w, chunk[:0])
+	_ = ans.Source.WriteJSON(w, chunk[:0])
 	chunks.Put(chunk)
 }
 
@@ -317,9 +309,13 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.Rea
 		return nil, err
 	}
 	ans.Version, ans.Reads, ans.When = version, reads, time.Now()
-	// Fill only if the answer has a body and is still fresh: a write
-	// mid-execution to a predicate it read means the result reflects neither
-	// version cleanly. The cache may refuse it still (AnswerCache.Put).
+	// The one body rule of /sparql and /api/run: a fresh answer the cache
+	// admits at its counted size is rendered once, at that size (len == cap),
+	// and stored; any other streams from its source (writeAnswer). A write
+	// mid-execution to a predicate it read leaves it neither version's.
+	if ans.Body == nil && ans.Fresh(s.graph) && s.answers.Admits(key, ans, ans.Source.JSONSize()) {
+		ans.Body, ans.Source = ans.Source.JSON(), nil
+	}
 	if ans.Body != nil && s.answers.Enabled() && ans.Fresh(s.graph) && s.answers.Put(key, ans) {
 		cacheFills.Inc()
 	}
@@ -336,7 +332,6 @@ func (s *Server) fill(execCtx context.Context, key resilience.Key, reads rdf.Rea
 // its own).
 func (s *Server) serveCachedAnswer(w http.ResponseWriter, ans *resilience.Answer, rec obs.QueryRecord, start time.Time) {
 	setHeader(w, "X-Cache", rec.Cache)
-	setHeader(w, "Content-Type", ans.ContentType)
 	if ans.TraceID != "" {
 		setTraceHeader(w, ans.TraceID)
 	}

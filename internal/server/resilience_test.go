@@ -19,7 +19,6 @@ import (
 	"rdfanalytics/internal/conformance"
 	"rdfanalytics/internal/datagen"
 	"rdfanalytics/internal/fault"
-	"rdfanalytics/internal/hifun"
 	"rdfanalytics/internal/obs"
 	"rdfanalytics/internal/rdf"
 	"rdfanalytics/internal/resilience"
@@ -504,23 +503,44 @@ func TestAnswerBodyExactSize(t *testing.T) {
 	}
 }
 
-// TestFrameBodyCountedAtCapacity: a run's body, which answerBody grows in a
-// doubling buffer, is counted by the answer cache at no less than the
-// capacity it holds, not at its length: a 3 000-row frame's body once held
-// ≈0.56 MB of content in a 1 MB slice and was counted at the former.
-func TestFrameBodyCountedAtCapacity(t *testing.T) {
-	frame := &hifun.Answer{GroupCols: []string{"x2"}, MeasureCols: []string{"count"}}
-	for i := range 3000 {
-		frame.Rows = append(frame.Rows, []rdf.Term{rdf.NewIRI(datagen.ExampleNS + "laptop" + strconv.Itoa(i)), rdf.NewInteger(int64(i))})
+// TestRunBodyExactSize is TestAnswerBodyExactSize for runs: a run's body is
+// rendered once, at the size a counting pass of its writer took, and that
+// slice is the one the cache keeps; an entry accounts for its body, its
+// frame's table and its key, with no hidden capacity behind them. Runs once
+// grew their body in a doubling buffer: a 3 000-row frame held ≈0.56 MB of
+// content in a 1 MB slice.
+func TestRunBodyExactSize(t *testing.T) {
+	s, _ := newTestServer(t, resilienceConfig())
+	var want int64
+	for _, local := range []string{"manufacturer", "releaseDate", "USBPorts", "hardDrive"} {
+		laptopsBy(t, s, local, local)
+		code, xc, _, body := doRun(s, local)
+		if code != http.StatusOK || xc != "miss" {
+			t.Fatalf("%s: run = %d %q, want 200 miss", local, code, xc)
+		}
+		s.mu.Lock()
+		sess := s.sessions[local].sess
+		run, err := sess.PrepareRun()
+		frame := sess.Answer()
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := resilience.Key{Namespace: "analytics", Text: run.Key}
+		ans, ok := s.answers.GetFresh(key, s.graph)
+		if !ok || ans.Frame != frame {
+			t.Fatalf("%s: answer cached %v, the session's frame is the entry's %v", local, ok, ok && ans.Frame == frame)
+		}
+		if string(ans.Body) != string(body) {
+			t.Errorf("%s: cached body differs from the served one", local)
+		}
+		if cap(ans.Body) != len(ans.Body) {
+			t.Errorf("%s: cached body holds %d bytes of capacity for %d of content", local, cap(ans.Body), len(ans.Body))
+		}
+		want += int64(len(body)+len(ans.ContentType)+len(key.Namespace)+len(key.Text)) + frame.Table.Bytes()
 	}
-	body := answerBody(frame, "(manufacturer, ID, COUNT)")
-	c := resilience.NewAnswerCache(8<<20, 0, nil)
-	if !c.Put(resilience.Key{Namespace: "analytics", Text: "k"}, &resilience.Answer{Body: body, ContentType: "application/json"}) {
-		t.Fatal("the answer was not stored")
-	}
-	t.Logf("body: %d bytes in a slice of %d", len(body), cap(body))
-	if c.Bytes() < int64(cap(body)) {
-		t.Errorf("the cache counts %d bytes for a body holding %d", c.Bytes(), cap(body))
+	if got := s.answers.Bytes() - int64(s.answers.Entries())*256; got != want {
+		t.Errorf("cache accounts %d bytes beyond the per-entry constant, bodies+tables+keys sum to %d", got, want)
 	}
 }
 
@@ -779,6 +799,72 @@ func TestRepeatedMissAllocs(t *testing.T) {
 	}
 }
 
+// The run budgets: what one POST /api/run of a session that grouped 500
+// generated laptops by releaseDate and counted them (a 415-row frame) may
+// allocate through ServeHTTP, request and recorder included, the recorder
+// dropping the body. A miss is measured on a server with no answer cache, so
+// every run executes and streams its frame; a hit on one whose cache holds
+// it. Measured with go1.24 on linux/amd64: a miss 255 allocations and
+// ≈330 KB, a hit 47 and ≈8.8 KB. While a run decoded its table into terms
+// and rendered its body into a doubling buffer, a miss measured 255 and
+// ≈620 KB, a hit 47 and ≈8.8 KB: the decode alone is ≈56 KB. The allocation
+// budgets are the measurement plus 10 %; the bytes budget sits below the
+// decode's. Under the race detector, whose sync.Pool drops a share of the
+// engine's row blocks, a miss is not held to them (≈680 allocations,
+// ≈440 KB).
+const (
+	runMissAllocBudget = 280
+	runMissBytesBudget = 380 << 10
+	runHitAllocBudget  = 52
+)
+
+// TestRunAllocBudget holds a run miss and a run hit to their budgets: the
+// frame decoded into terms again, or its body rendered through a buffer of
+// its own, breaks the miss's bytes.
+func TestRunAllocBudget(t *testing.T) {
+	g := datagen.Products(datagen.ProductsConfig{Laptops: 500, Companies: 16, Seed: 1})
+	for _, c := range []struct {
+		xc         string
+		cacheBytes int64
+		allocs     float64
+	}{{"miss", 0, runMissAllocBudget}, {"hit", 1 << 20, runHitAllocBudget}} {
+		s := NewWithConfig(g, datagen.ExampleNS, Config{CacheBytes: c.cacheBytes, TraceRetention: obs.TraceStoreConfig{Disabled: true}})
+		defer s.Close()
+		laptopsBy(t, s, "a", "releaseDate")
+		run := func() *httptest.ResponseRecorder {
+			req := httptest.NewRequest("POST", "/api/run", nil)
+			req.Header.Set("X-Session", "a")
+			rec := httptest.NewRecorder()
+			rec.Body = nil // the recorder drops what is written
+			s.ServeHTTP(rec, req)
+			return rec
+		}
+		run()
+		if rec := run(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != c.xc {
+			t.Fatalf("run = %d X-Cache %q, want 200 %s", rec.Code, rec.Header().Get("X-Cache"), c.xc)
+		}
+		if c.xc == "miss" && raceDetector {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, func() { run() }); n > c.allocs {
+			t.Errorf("a run %s allocates %v times, budget %v", c.xc, n, c.allocs)
+		}
+		if c.xc != "miss" {
+			continue
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > runMissBytesBudget {
+			t.Errorf("a run miss allocates %d bytes, budget %d", perRun, runMissBytesBudget)
+		}
+	}
+}
+
 // BenchmarkCachedRead times a warmed GET /sparql hit through ServeHTTP.
 func BenchmarkCachedRead(b *testing.B) {
 	read := cachedRead(b)
@@ -869,6 +955,49 @@ func TestRefusedAnswerStreams(t *testing.T) {
 	}
 	if _, xc, _, hit := doSparql(s, q); xc != "hit" || string(hit) != body {
 		t.Errorf("third sight = X-Cache %q, want a hit with the same body", xc)
+	}
+}
+
+// TestRefusedRunStreams is TestRefusedAnswerStreams for runs: on a cache
+// filled to its budget, a first-sight run streams its body under a
+// Content-Length that is its length, and nothing is stored; the session
+// adopts the frame all the same, so its chart and CSV export answer. The
+// second sight is stored, and another session's run is a hit on it.
+func TestRefusedRunStreams(t *testing.T) {
+	cfg := resilienceConfig()
+	s, _ := newTestServer(t, cfg)
+	fillToBudget(t, s, int(cfg.CacheBytes))
+	laptopsBy(t, s, "a", "manufacturer")
+	laptopsBy(t, s, "b", "manufacturer")
+
+	fills0 := cacheFills.Value()
+	first := inSession(s, "a", "POST", "/api/run", "")
+	body := first.Body.String()
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" || first.Header().Get("Content-Length") != strconv.Itoa(len(body)) {
+		t.Fatalf("first sight = %d X-Cache %q Content-Length %q for %d bytes", first.Code, first.Header().Get("X-Cache"), first.Header().Get("Content-Length"), len(body))
+	}
+	if s.answers.Entries() != 1 || cacheFills.Value() != fills0 {
+		t.Errorf("a first sight on a full cache: %d entries, %d fills", s.answers.Entries(), cacheFills.Value()-fills0)
+	}
+	var frame struct{ Rows [][]any }
+	if err := json.Unmarshal([]byte(body), &frame); err != nil || len(frame.Rows) == 0 {
+		t.Fatalf("streamed body does not parse: %v", err)
+	}
+	chart := inSession(s, "a", "GET", "/api/chart?type=bar", "")
+	csv := inSession(s, "a", "GET", "/api/answer.csv", "")
+	if chart.Code != http.StatusOK || csv.Code != http.StatusOK || strings.Count(csv.Body.String(), "\n") != len(frame.Rows)+1 {
+		t.Errorf("after a streamed run: chart %d, csv %d %q", chart.Code, csv.Code, csv.Body)
+	}
+
+	second := inSession(s, "a", "POST", "/api/run", "")
+	if second.Header().Get("X-Cache") != "miss" || second.Body.String() != body || second.Header().Get("Content-Length") != "" {
+		t.Fatalf("second sight = X-Cache %q, Content-Length %q, same body %v; want a stored miss", second.Header().Get("X-Cache"), second.Header().Get("Content-Length"), second.Body.String() == body)
+	}
+	if cacheFills.Value() != fills0+1 {
+		t.Errorf("second sight: %d fills, want 1", cacheFills.Value()-fills0)
+	}
+	if code, xc, _, hit := doRun(s, "b"); code != http.StatusOK || xc != "hit" || string(hit) != body {
+		t.Errorf("another session's run = %d X-Cache %q, want a hit with the same body", code, xc)
 	}
 }
 

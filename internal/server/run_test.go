@@ -113,7 +113,7 @@ func TestRunSharesTheAnswerCache(t *testing.T) {
 			csv := inSession(s, session, "GET", "/api/answer.csv", "")
 			reload := inSession(s, session, "POST", "/api/load-answer", "")
 			if chart.Code != http.StatusOK || !strings.Contains(chart.Body.String(), "<svg") ||
-				csv.Code != http.StatusOK || strings.Count(csv.Body.String(), "\n") != len(frame.Rows)+1 ||
+				csv.Code != http.StatusOK || strings.Count(csv.Body.String(), "\n") != len(frame.Rows())+1 ||
 				reload.Code != http.StatusOK {
 				t.Errorf("%s: chart %d, csv %d %q, load-answer %d", session, chart.Code, csv.Code, csv.Body, reload.Code)
 			}
@@ -143,7 +143,7 @@ func TestReloadedRunsBypass(t *testing.T) {
 		laptopsBy(t, s, session, local)
 		code, _, _, _ := doRun(s, session)
 		s.mu.Lock()
-		groups[session] = len(s.sessions[session].sess.Answer().Rows)
+		groups[session] = len(s.sessions[session].sess.Answer().Rows())
 		s.mu.Unlock()
 		if code != http.StatusOK {
 			t.Fatalf("%s: first-level run = %d", session, code)
@@ -161,7 +161,7 @@ func TestReloadedRunsBypass(t *testing.T) {
 		s.mu.Lock()
 		ans := s.sessions[session].sess.Answer()
 		s.mu.Unlock()
-		if n, _ := ans.Rows[0][0].Int(); int(n) != groups[session] {
+		if n, _ := ans.Rows()[0][0].Int(); int(n) != groups[session] {
 			t.Errorf("%s counts %d tuples, its reloaded answer has %d: %s", session, n, groups[session], body)
 		}
 	}
@@ -251,7 +251,7 @@ func TestStartStateRunFollowsANewEntity(t *testing.T) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		n, _ := s.sessions["a"].sess.Answer().Rows[0][0].Int()
+		n, _ := s.sessions["a"].sess.Answer().Rows()[0][0].Int()
 		return n
 	}
 	s.mu.Lock()
@@ -288,7 +288,7 @@ func TestPivotFromStartFollowsTheSchema(t *testing.T) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		n, _ := s.sessions["a"].sess.Answer().Rows[0][0].Int()
+		n, _ := s.sessions["a"].sess.Answer().Rows()[0][0].Int()
 		return n
 	}
 	if n := count("miss"); n != 4 {
@@ -302,5 +302,38 @@ func TestPivotFromStartFollowsTheSchema(t *testing.T) {
 	}
 	if n := count("miss"); n != 3 {
 		t.Errorf("after laptop3 became a class the run counts %d manufacturers, want 3", n)
+	}
+}
+
+// TestAnswerCSVIsTheSelectCSV: a run's CSV export is the /sparql CSV of its
+// frame's SPARQL text, byte for byte: one CSV writer, so a blank node prints
+// as _:label in both.
+func TestAnswerCSVIsTheSelectCSV(t *testing.T) {
+	g := rdf.MustLoadTurtle(`@prefix ex: <http://e/> .
+ex:l1 a ex:Laptop ; ex:maker ex:DELL ; ex:port _:usb ; ex:price 10 .
+ex:l2 a ex:Laptop ; ex:maker ex:HP ; ex:port _:usb ; ex:price 20 .
+ex:l3 a ex:Laptop ; ex:maker ex:HP ; ex:port _:hdmi ; ex:price 30 .
+`)
+	s := NewWithConfig(g, "http://e/", resilienceConfig())
+	defer s.Close()
+	for _, by := range []string{"maker", "port"} {
+		clicks(t, s, by,
+			"/api/click/class", `{"class":"http://e/Laptop"}`,
+			"/api/groupby", `{"path":[{"p":"http://e/`+by+`"}]}`,
+			"/api/aggregate", `{"path":[{"p":"http://e/price"}],"op":"SUM"}`)
+		if code, _, _, body := doRun(s, by); code != http.StatusOK {
+			t.Fatalf("run by %s = %d: %s", by, code, body)
+		}
+		export := inSession(s, by, "GET", "/api/answer.csv", "")
+		s.mu.Lock()
+		frame := s.sessions[by].sess.Answer()
+		s.mu.Unlock()
+		selected := doSparqlTraced(s, frame.SPARQL, map[string]string{"Accept": "text/csv"})
+		if export.Code != http.StatusOK || selected.Code != http.StatusOK || export.Body.String() != selected.Body.String() {
+			t.Errorf("by %s: answer.csv %d %q, /sparql CSV of its SPARQL %d %q", by, export.Code, export.Body, selected.Code, selected.Body)
+		}
+		if by == "port" && !strings.Contains(export.Body.String(), "\n_:") {
+			t.Errorf("by port: no blank node in %q", export.Body)
+		}
 	}
 }

@@ -9,7 +9,6 @@ package server
 import (
 	"container/list"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -405,7 +404,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	case csv && s.serveHit(w, r, key, rec, start) != nil:
 		// An ASK answers JSON whatever the request accepts, a cached one too.
 	default:
-		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(key, q), start)
+		s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, s.queryExec(q), start)
 	}
 }
 
@@ -618,8 +617,8 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 // to SPARQL and evaluated. At the base level a run is a query like any
 // other, served through the one cached read path (serveHit, serveMiss) under
 // a key of the session's making; a reloaded level queries its session's own
-// copy of an answer, which no other session shares, so it bypasses the
-// cache. Either way the session adopts the frame that was served.
+// copy of an answer, which no other session shares, so it bypasses the cache
+// and streams. Either way the session adopts the frame that was served.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
@@ -661,8 +660,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, prof, err
 		}
-		rec.Rows = len(frame.Rows)
-		return &resilience.Answer{Body: answerBody(frame, hq), ContentType: "application/json", Frame: frame}, prof, nil
+		rec.Rows = frame.Table.Len()
+		return &resilience.Answer{ContentType: "application/json", Frame: frame, Source: newFrameBody(frame, hq)}, prof, nil
 	}
 	if sess.Depth() == 1 {
 		if ans := s.serveMiss(w, ctx, key, sparql.ReadSet(q), rec, exec, start); ans != nil {
@@ -684,8 +683,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.SetAnswer(ans.Frame)
-	setHeader(w, "Content-Type", ans.ContentType)
-	w.Write(ans.Body)
+	writeAnswer(w, ans)
 }
 
 func (s *Server) handleLoadAnswer(w http.ResponseWriter, r *http.Request) {
@@ -764,18 +762,9 @@ func (s *Server) handleAnswerCSV(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("no answer yet; POST /api/run first"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
+	setHeader(w, "Content-Type", "text/csv")
 	w.Header().Set("Content-Disposition", `attachment; filename="answer.csv"`)
-	cw := csv.NewWriter(w)
-	cw.Write(ans.Columns())
-	for _, row := range ans.Rows {
-		rec := make([]string, len(row))
-		for i, t := range row {
-			rec[i] = t.Value
-		}
-		cw.Write(rec)
-	}
-	cw.Flush()
+	ans.Table.WriteCSV(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

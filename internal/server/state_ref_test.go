@@ -160,7 +160,7 @@ func refAnswer(ans *hifun.Answer, hifunQuery string) answerJSON {
 		GroupCols: ans.GroupCols, MeasureCols: ans.MeasureCols,
 		SPARQL: ans.SPARQL, HIFUN: hifunQuery,
 	}
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		jr := make([]termJSON, len(row))
 		for i, t := range row {
 			jr[i] = toTermJSON(t)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"io"
 	"math"
 	"net/http"
@@ -31,23 +30,20 @@ const chunkSize, chunkSlack = 32 << 10, 1 << 10
 var chunks = sync.Pool{New: func() any { return new([chunkSize]byte) }}
 
 // bodyWriter appends one JSON body into a pooled chunk and writes the chunk
-// to the response each time it fills. After a failed write the rest of the
+// to the response each time it fills; with no writer, it appends the whole
+// body into b, made at the body's size. After a failed write the rest of the
 // body is dropped, as json.Encoder's ignored error did. A key argument is a
 // member's separator and name, as in `,"label":`.
 type bodyWriter struct {
 	w     io.Writer
 	b     []byte
+	n     int // bytes written to w
 	err   error
-	chunk *[chunkSize]byte // b's pool entry, given back by end
+	chunk *[chunkSize]byte // b's pool entry, given back by end; nil for a caller's buffer
 }
 
 func newBodyWriter(w http.ResponseWriter) *bodyWriter {
 	setHeader(w, "Content-Type", "application/json")
-	return chunkWriter(w)
-}
-
-// chunkWriter returns a bodyWriter to w over a chunk from the pool.
-func chunkWriter(w io.Writer) *bodyWriter {
 	chunk := chunks.Get().(*[chunkSize]byte)
 	return &bodyWriter{w: w, b: chunk[:0], chunk: chunk}
 }
@@ -80,20 +76,26 @@ func (c *bodyWriter) flag(member string, on bool) {
 }
 
 func (c *bodyWriter) flush() {
+	if c.w == nil {
+		return
+	}
 	if c.err == nil && len(c.b) > 0 {
 		_, c.err = c.w.Write(c.b)
+		c.n += len(c.b)
 	}
 	c.b = c.b[:0]
 }
 
 // end closes the body with encoding/json's newline, writes what is left and
-// gives the chunk back to the pool.
+// gives the chunk back to the pool if it took one.
 func (c *bodyWriter) end(closing string) {
 	c.raw(closing)
 	c.raw("\n")
 	c.flush()
-	chunks.Put(c.chunk)
-	c.b, c.chunk = nil, nil
+	if c.chunk != nil {
+		chunks.Put(c.chunk)
+		c.b, c.chunk = nil, nil
+	}
 }
 
 // list writes n elements as an array, sending the chunk out after any
@@ -215,22 +217,42 @@ func writeValues(w http.ResponseWriter, g *rdf.Graph, vals []facet.ValueCount) {
 	c.end("}")
 }
 
-// answerBody renders a run's Answer Frame and its two queries: the body the
-// answer cache keeps and every serve of the run writes.
-func answerBody(ans *hifun.Answer, hifunQuery string) []byte {
-	var body bytes.Buffer
-	c := chunkWriter(&body)
+// frameBody is a run's body, its Answer Frame and two queries, counted by a
+// pass of the writer that writes it.
+type frameBody struct {
+	ans        *hifun.Answer
+	hifunQuery string
+	size       int
+}
+
+func newFrameBody(ans *hifun.Answer, hifunQuery string) *frameBody {
+	f := &frameBody{ans: ans, hifunQuery: hifunQuery}
+	chunk := chunks.Get().(*[chunkSize]byte)
+	f.size = f.write(io.Discard, chunk[:0]).n
+	chunks.Put(chunk)
+	return f
+}
+
+func (f *frameBody) JSONSize() int                             { return f.size }
+func (f *frameBody) JSON() []byte                              { return f.write(nil, make([]byte, 0, f.size)).b }
+func (f *frameBody) WriteJSON(w io.Writer, chunk []byte) error { return f.write(w, chunk).err }
+
+// write writes the body to w through chunk, or into chunk when w is nil,
+// decoding the frame's IDs through one view.
+func (f *frameBody) write(w io.Writer, chunk []byte) *bodyWriter {
+	ans, c := f.ans, &bodyWriter{w: w, b: chunk[:0]}
 	// A column list is null only when nil: the frame's slices go out as they are.
 	c.list(`{"groupCols":`, len(ans.GroupCols), ans.GroupCols == nil, func(i int) { c.str(ans.GroupCols[i]) })
 	c.list(`,"measureCols":`, len(ans.MeasureCols), ans.MeasureCols == nil, func(i int) { c.str(ans.MeasureCols[i]) })
-	c.list(`,"rows":`, len(ans.Rows), true, func(i int) {
-		row := ans.Rows[i]
-		c.list("", len(row), false, func(j int) { c.term(&row[j]) })
+	row := ans.Table.Decoder()
+	c.list(`,"rows":`, ans.Table.Len(), true, func(i int) {
+		r := row(i)
+		c.list("", len(r), false, func(j int) { c.term(&r[j]) })
 	})
 	c.field(`,"sparql":`, ans.SPARQL)
-	c.field(`,"hifun":`, hifunQuery)
+	c.field(`,"hifun":`, f.hifunQuery)
 	c.end("}")
-	return body.Bytes()
+	return c
 }
 
 // appendJSONFloat appends a finite f as encoding/json writes a float64: the

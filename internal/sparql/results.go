@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"unicode/utf8"
+	"unsafe"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -167,10 +168,10 @@ func (t *Table) term(v rdf.TermView, id rdf.ID) rdf.Term {
 	return v.Term(id)
 }
 
-// decoder returns row(i), which decodes row i into a buffer the next call
+// Decoder returns row(i), which decodes row i into a buffer the next call
 // reuses. It reads the dictionary through one view (Graph.TermView), so
 // the graph's lock is not held while the table is worked on.
-func (t *Table) decoder() func(i int) []rdf.Term {
+func (t *Table) Decoder() func(i int) []rdf.Term {
 	v, buf := t.g.TermView(), make([]rdf.Term, len(t.Vars))
 	return func(i int) []rdf.Term {
 		for j, id := range t.rows.row(i)[:len(buf)] {
@@ -180,6 +181,36 @@ func (t *Table) decoder() func(i int) []rdf.Term {
 	}
 }
 
+// Project returns the table of t's columns named vars, in that order, but
+// for names t lacks: the same IDs, decoded through its graph and scratch.
+func (t *Table) Project(vars []string) *Table {
+	out := &Table{g: t.g, scratch: t.scratch}
+	var cols []int
+	for _, v := range vars {
+		if j := slices.Index(t.Vars, v); j >= 0 {
+			out.Vars, cols = append(out.Vars, v), append(cols, j)
+		}
+	}
+	n, w := t.Len(), max(1, len(cols))
+	out.rows = &batch{width: w, vals: make([]rdf.ID, n*w)}
+	for j, c := range cols {
+		for i := range n {
+			out.rows.vals[i*w+j] = t.rows.vals[i*t.rows.width+c]
+		}
+	}
+	return out
+}
+
+// Bytes returns what the table holds beyond the graph it decodes through:
+// its ID rows at their capacity and its evaluation's scratch terms.
+func (t *Table) Bytes() int64 {
+	n := cap(t.rows.vals)*int(unsafe.Sizeof(rdf.ID(0))) + cap(t.scratch)*int(unsafe.Sizeof(rdf.Term{}))
+	for i := range t.scratch {
+		n += len(t.scratch[i].Value)
+	}
+	return int64(n)
+}
+
 // Results decodes the table: the one place a SELECT's IDs become terms. The
 // rows are views into one flat term table.
 func (t *Table) Results() *Results {
@@ -187,7 +218,7 @@ func (t *Table) Results() *Results {
 	if len(t.Vars) == 0 {
 		return res
 	}
-	w, row := len(t.Vars), t.decoder()
+	w, row := len(t.Vars), t.Decoder()
 	cells := make([]rdf.Term, len(res.Rows)*w)
 	for i := range res.Rows {
 		res.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
@@ -239,7 +270,7 @@ func (t *Table) layout(row func(i int) []rdf.Term) *jsonLayout {
 // JSON returns the table in the SPARQL 1.1 JSON results format (jsonLayout)
 // in one slice of exactly JSONSize bytes: the body a stored answer keeps.
 func (t *Table) JSON() []byte {
-	row := t.decoder()
+	row := t.Decoder()
 	return renderJSON(t.layout(row), t.Len(), row)
 }
 
@@ -250,7 +281,7 @@ func (t *Table) JSONSize() int {
 	if l := t.plan.Load(); l != nil {
 		return l.size
 	}
-	return t.layout(t.decoder()).size
+	return t.layout(t.Decoder()).size
 }
 
 // WriteJSON writes the bytes of t.JSON() to w through chunk, the caller's
@@ -262,7 +293,7 @@ func (t *Table) WriteJSON(w io.Writer, chunk []byte) error {
 	if cap(chunk) < minJSONChunk {
 		chunk = make([]byte, 0, minJSONChunk)
 	}
-	row := t.decoder()
+	row := t.Decoder()
 	s := jsonSink{b: chunk[:0], w: w}
 	t.layout(row).render(&s, t.Len(), row)
 	s.flush()
@@ -275,7 +306,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(t.Vars); err != nil {
 		return err
 	}
-	rec, row := make([]string, len(t.Vars)), t.decoder()
+	rec, row := make([]string, len(t.Vars)), t.Decoder()
 	for i, n := 0, t.Len(); i < n; i++ {
 		for j, c := range row(i) {
 			rec[j] = c.Value

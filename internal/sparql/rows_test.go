@@ -325,7 +325,7 @@ func TestTableDecodesWithoutTheLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tab.Results()
-	row := tab.decoder()
+	row := tab.Decoder()
 	for i := range want.Rows {
 		if i == 1 {
 			wrote := make(chan struct{})

@@ -23,7 +23,7 @@ func AnswerSeries(a *hifun.Answer, measureIdx int) (Series, error) {
 	}
 	s := Series{Title: a.MeasureCols[measureIdx]}
 	mi := len(a.GroupCols) + measureIdx
-	for _, row := range a.Rows {
+	for _, row := range a.Rows() {
 		var parts []string
 		for i := range a.GroupCols {
 			parts = append(parts, row[i].LocalName())

@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
 	// Snapshot/restore through the facade.
@@ -82,7 +82,7 @@ func TestFacadeHIFUN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Rows) != 2 {
+	if len(ans.Rows()) != 2 {
 		t.Fatalf("rows:\n%s", ans)
 	}
 }
@@ -96,7 +96,7 @@ func ExampleSession() {
 	s.ClickGroupBy(rdfanalytics.GroupBySpec("http://e/maker"))
 	s.ClickAggregate(rdfanalytics.MeasureOf("http://e/price"), rdfanalytics.Op(rdfanalytics.SUM))
 	ans, _ := s.RunAnalytics()
-	for _, row := range ans.Rows {
+	for _, row := range ans.Rows() {
 		fmt.Println(row[0].LocalName(), row[1].Value)
 	}
 	// Output:
